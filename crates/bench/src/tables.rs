@@ -131,16 +131,18 @@ mod tests {
     #[test]
     fn table1_shape_holds_on_small_sizes() {
         // Scaled-down Table 1 (tests must stay fast): the structural
-        // claims — positive times, small absolute overhead, iterations
-        // growing with size — must already show.
+        // claims that repeat exactly — positive times, the overhead
+        // identity, nonzeros and iterations growing with size — must
+        // already show. Which of two sub-millisecond solves is slower is
+        // the host's choice, not the table's.
         let rows = table1_rows(&[12, 24], 2, 2);
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(r.cca_seconds > 0.0 && r.non_cca_seconds > 0.0);
             assert_eq!(r.overhead_seconds, r.cca_seconds - r.non_cca_seconds);
         }
-        assert!(rows[1].iterations >= rows[0].iterations, "{rows:?}");
-        assert!(rows[1].cca_seconds > rows[0].cca_seconds, "{rows:?}");
+        assert!(rows[1].nnz > rows[0].nnz, "{rows:?}");
+        assert!(rows[1].iterations > rows[0].iterations, "{rows:?}");
         let text = format_table1(&rows);
         assert!(text.contains("nnz"));
         assert!(text.contains("Iters"));

@@ -29,91 +29,173 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// Fast-path flag: has *any* rank been marked dead since the last reset?
-/// One relaxed load keeps the no-faults receive loop free of lock traffic.
-static ANY_DEAD: AtomicBool = AtomicBool::new(false);
+/// The registry's state. The process has one ([`GLOBAL`], behind the free
+/// functions below); the unit tests build their own, so they cannot race
+/// the universes other tests of the same binary launch.
+struct Registry {
+    /// Fast-path flag: has *any* rank been marked dead since the last
+    /// reset? One relaxed load keeps the no-faults receive loop free of
+    /// lock traffic.
+    any_dead: AtomicBool,
+    /// World ranks marked dead since the last reset.
+    dead: Mutex<Vec<usize>>,
+    /// Millisecond heartbeat timestamps, indexed by world rank (grown on
+    /// demand). A slot of 0 means "never heard from".
+    heartbeats: Mutex<Vec<u64>>,
+    /// Programmatic override of `RCOMM_HEARTBEAT_TIMEOUT_MS` (tests).
+    timeout_override: AtomicU64,
+}
 
-/// World ranks marked dead since the last [`reset`].
-static DEAD: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-
-/// Millisecond heartbeat timestamps, indexed by world rank (grown on
-/// demand). A slot of 0 means "never heard from".
-static HEARTBEATS: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-
-/// Programmatic override of `RCOMM_HEARTBEAT_TIMEOUT_MS` (tests).
-static TIMEOUT_OVERRIDE: AtomicU64 = AtomicU64::new(u64::MAX);
+static GLOBAL: Registry = Registry::new();
 
 fn now_ms() -> u64 {
     SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0)
+}
+
+impl Registry {
+    const fn new() -> Self {
+        Registry {
+            any_dead: AtomicBool::new(false),
+            dead: Mutex::new(Vec::new()),
+            heartbeats: Mutex::new(Vec::new()),
+            timeout_override: AtomicU64::new(u64::MAX),
+        }
+    }
+
+    fn heartbeat_timeout_ms(&self) -> u64 {
+        let o = self.timeout_override.load(Ordering::Relaxed);
+        if o != u64::MAX {
+            return o;
+        }
+        static ENV: OnceLock<u64> = OnceLock::new();
+        *ENV.get_or_init(|| {
+            std::env::var("RCOMM_HEARTBEAT_TIMEOUT_MS")
+                .ok()
+                .and_then(|s| s.parse().ok())
+                .unwrap_or(0)
+        })
+    }
+
+    fn reset(&self, world_size: usize) {
+        let mut dead = self.dead.lock().unwrap();
+        dead.clear();
+        let mut hb = self.heartbeats.lock().unwrap();
+        hb.clear();
+        hb.resize(world_size, 0);
+        self.any_dead.store(false, Ordering::Release);
+    }
+
+    fn mark_dead(&self, world_rank: usize) {
+        let mut dead = self.dead.lock().unwrap();
+        if !dead.contains(&world_rank) {
+            dead.push(world_rank);
+            probe::incr(probe::Counter::RanksLost);
+        }
+        self.any_dead.store(true, Ordering::Release);
+    }
+
+    #[inline]
+    fn is_lost(&self, world_rank: usize) -> bool {
+        if !self.any_dead.load(Ordering::Relaxed) {
+            return false;
+        }
+        self.dead.lock().unwrap().contains(&world_rank)
+    }
+
+    fn heartbeat(&self, world_rank: usize) {
+        if self.heartbeat_timeout_ms() == 0 {
+            return;
+        }
+        let mut hb = self.heartbeats.lock().unwrap();
+        if world_rank >= hb.len() {
+            hb.resize(world_rank + 1, 0);
+        }
+        hb[world_rank] = now_ms();
+    }
+
+    fn lost_member(&self, members: &[usize]) -> Option<usize> {
+        if self.any_dead.load(Ordering::Relaxed) {
+            let dead = self.dead.lock().unwrap();
+            if let Some(&m) = members.iter().find(|m| dead.contains(m)) {
+                return Some(m);
+            }
+        }
+        let timeout = self.heartbeat_timeout_ms();
+        if timeout > 0 {
+            let hb = self.heartbeats.lock().unwrap();
+            let now = now_ms();
+            for &m in members {
+                // Only a rank we have heard from at least once can go stale;
+                // a never-started rank is the launcher's problem.
+                if let Some(&last) = hb.get(m) {
+                    if last != 0 && now.saturating_sub(last) > timeout {
+                        return Some(m);
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    fn capture(&self, members: &[usize]) -> CohortView {
+        let mut alive = Vec::with_capacity(members.len());
+        let mut lost = Vec::new();
+        let timeout = self.heartbeat_timeout_ms();
+        let dead = self.dead.lock().unwrap();
+        let hb = self.heartbeats.lock().unwrap();
+        let now = now_ms();
+        for (local, &world) in members.iter().enumerate() {
+            let stale = timeout > 0
+                && hb.get(world).is_some_and(|&last| {
+                    last != 0 && now.saturating_sub(last) > timeout
+                });
+            if dead.contains(&world) || stale {
+                lost.push(local);
+            } else {
+                alive.push(local);
+            }
+        }
+        CohortView { members: members.to_vec(), alive, lost }
+    }
 }
 
 /// The heartbeat staleness timeout in milliseconds; 0 disables staleness
 /// verdicts. Reads `RCOMM_HEARTBEAT_TIMEOUT_MS` once per process unless
 /// overridden via [`set_heartbeat_timeout_ms`].
 pub fn heartbeat_timeout_ms() -> u64 {
-    let o = TIMEOUT_OVERRIDE.load(Ordering::Relaxed);
-    if o != u64::MAX {
-        return o;
-    }
-    static ENV: OnceLock<u64> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("RCOMM_HEARTBEAT_TIMEOUT_MS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0)
-    })
+    GLOBAL.heartbeat_timeout_ms()
 }
 
 /// Override the heartbeat staleness timeout (0 disables; `u64::MAX`
 /// restores the environment value). Test hook — the env variable is read
 /// once per process.
 pub fn set_heartbeat_timeout_ms(ms: u64) {
-    TIMEOUT_OVERRIDE.store(ms, Ordering::Relaxed);
+    GLOBAL.timeout_override.store(ms, Ordering::Relaxed);
 }
 
 /// Forget every death and heartbeat — called by [`crate::Universe::run`]
 /// at launch so one universe's casualties don't haunt the next.
 pub(crate) fn reset(world_size: usize) {
-    let mut dead = DEAD.lock().unwrap();
-    dead.clear();
-    let mut hb = HEARTBEATS.lock().unwrap();
-    hb.clear();
-    hb.resize(world_size, 0);
-    ANY_DEAD.store(false, Ordering::Release);
+    GLOBAL.reset(world_size)
 }
 
 /// Mark `world_rank` dead. Idempotent; called by the fault gates when a
 /// `kill` rule fires.
 pub fn mark_dead(world_rank: usize) {
-    let mut dead = DEAD.lock().unwrap();
-    if !dead.contains(&world_rank) {
-        dead.push(world_rank);
-        probe::incr(probe::Counter::RanksLost);
-    }
-    ANY_DEAD.store(true, Ordering::Release);
+    GLOBAL.mark_dead(world_rank)
 }
 
 /// Has `world_rank` been marked dead?
 #[inline]
 pub fn is_lost(world_rank: usize) -> bool {
-    if !ANY_DEAD.load(Ordering::Relaxed) {
-        return false;
-    }
-    DEAD.lock().unwrap().contains(&world_rank)
+    GLOBAL.is_lost(world_rank)
 }
 
 /// Stamp a heartbeat for `world_rank` (called on every communication
 /// call). Free when staleness detection is disabled — the default — so
 /// the no-faults communication path stays within its overhead budget.
 pub fn heartbeat(world_rank: usize) {
-    if heartbeat_timeout_ms() == 0 {
-        return;
-    }
-    let mut hb = HEARTBEATS.lock().unwrap();
-    if world_rank >= hb.len() {
-        hb.resize(world_rank + 1, 0);
-    }
-    hb[world_rank] = now_ms();
+    GLOBAL.heartbeat(world_rank)
 }
 
 /// The lowest member of `members` (world ranks) currently considered
@@ -121,27 +203,7 @@ pub fn heartbeat(world_rank: usize) {
 /// heartbeat-stale. Consulted by blocked receives; `None` means everyone
 /// looks alive.
 pub fn lost_member(members: &[usize]) -> Option<usize> {
-    if ANY_DEAD.load(Ordering::Relaxed) {
-        let dead = DEAD.lock().unwrap();
-        if let Some(&m) = members.iter().find(|m| dead.contains(m)) {
-            return Some(m);
-        }
-    }
-    let timeout = heartbeat_timeout_ms();
-    if timeout > 0 {
-        let hb = HEARTBEATS.lock().unwrap();
-        let now = now_ms();
-        for &m in members {
-            // Only a rank we have heard from at least once can go stale;
-            // a never-started rank is the launcher's problem.
-            if let Some(&last) = hb.get(m) {
-                if last != 0 && now.saturating_sub(last) > timeout {
-                    return Some(m);
-                }
-            }
-        }
-    }
-    None
+    GLOBAL.lost_member(members)
 }
 
 /// A survivor's-eye snapshot of a communicator's cohort: which members
@@ -161,24 +223,7 @@ pub struct CohortView {
 impl CohortView {
     /// Build the view for `members` (world ranks in local-rank order).
     pub(crate) fn capture(members: &[usize]) -> CohortView {
-        let mut alive = Vec::with_capacity(members.len());
-        let mut lost = Vec::new();
-        let timeout = heartbeat_timeout_ms();
-        let dead = DEAD.lock().unwrap();
-        let hb = HEARTBEATS.lock().unwrap();
-        let now = now_ms();
-        for (local, &world) in members.iter().enumerate() {
-            let stale = timeout > 0
-                && hb.get(world).is_some_and(|&last| {
-                    last != 0 && now.saturating_sub(last) > timeout
-                });
-            if dead.contains(&world) || stale {
-                lost.push(local);
-            } else {
-                alive.push(local);
-            }
-        }
-        CohortView { members: members.to_vec(), alive, lost }
+        GLOBAL.capture(members)
     }
 }
 
@@ -186,42 +231,40 @@ impl CohortView {
 mod tests {
     use super::*;
 
-    // Process-global state: these tests reset at both boundaries and the
-    // ranks they kill (900+) are outside any real universe.
+    // Each test owns its registry: the process-wide one belongs to the
+    // universes the other unit tests launch concurrently.
 
     #[test]
     fn dead_marks_are_idempotent_and_visible() {
-        reset(4);
-        assert!(!is_lost(901));
-        assert_eq!(lost_member(&[900, 901, 902]), None);
-        mark_dead(901);
-        mark_dead(901);
-        assert!(is_lost(901));
-        assert_eq!(lost_member(&[900, 901, 902]), Some(901));
-        assert_eq!(lost_member(&[900, 902]), None, "other cohorts unaffected");
-        let view = CohortView::capture(&[900, 901, 902]);
+        let reg = Registry::new();
+        assert!(!reg.is_lost(901));
+        assert_eq!(reg.lost_member(&[900, 901, 902]), None);
+        reg.mark_dead(901);
+        reg.mark_dead(901);
+        assert!(reg.is_lost(901));
+        assert_eq!(reg.lost_member(&[900, 901, 902]), Some(901));
+        assert_eq!(reg.lost_member(&[900, 902]), None, "other cohorts unaffected");
+        let view = reg.capture(&[900, 901, 902]);
         assert_eq!(view.alive, vec![0, 2]);
         assert_eq!(view.lost, vec![1]);
-        reset(0);
-        assert!(!is_lost(901));
+        reg.reset(0);
+        assert!(!reg.is_lost(901));
     }
 
     #[test]
     fn stale_heartbeats_count_as_lost_only_when_enabled() {
-        reset(4);
-        set_heartbeat_timeout_ms(50);
-        heartbeat(903);
+        let reg = Registry::new();
+        reg.timeout_override.store(50, Ordering::Relaxed);
+        reg.heartbeat(903);
         // Pretend 903's heartbeat is ancient.
-        HEARTBEATS.lock().unwrap()[903] = 1;
-        set_heartbeat_timeout_ms(0);
-        assert_eq!(lost_member(&[903]), None, "staleness off when disabled");
-        set_heartbeat_timeout_ms(50);
-        assert_eq!(lost_member(&[903]), Some(903));
-        let view = CohortView::capture(&[903, 904]);
+        reg.heartbeats.lock().unwrap()[903] = 1;
+        reg.timeout_override.store(0, Ordering::Relaxed);
+        assert_eq!(reg.lost_member(&[903]), None, "staleness off when disabled");
+        reg.timeout_override.store(50, Ordering::Relaxed);
+        assert_eq!(reg.lost_member(&[903]), Some(903));
+        let view = reg.capture(&[903, 904]);
         assert_eq!(view.lost, vec![0]);
         // 904 never heartbeat at all: not stale, just unstarted.
         assert_eq!(view.alive, vec![1]);
-        set_heartbeat_timeout_ms(u64::MAX);
-        reset(0);
     }
 }

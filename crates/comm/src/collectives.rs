@@ -3,11 +3,25 @@
 //! All collectives run on the communicator's hidden *collective context*, so
 //! they can never match user point-to-point traffic. Algorithms are the
 //! textbook ones MPI implementations use for small/medium messages:
-//! binomial trees for rooted operations (broadcast, reduce, gather,
-//! scatter), recursive doubling for the barrier (dissemination), a ring for
-//! all-gather, and tree-reduce + tree-broadcast for all-reduce. Each rank
-//! must call every collective in the same order — violations surface as
+//! binomial trees for the rooted broadcast and reduce, a flat fan for
+//! gather and scatter, dissemination for the barrier, a ring for
+//! all-gather, and recursive doubling for all-reduce. Each rank must call
+//! every collective in the same order — violations surface as
 //! [`CommError::DeadlockSuspected`].
+//!
+//! # The reduction bracket
+//!
+//! [`reduce`] and [`allreduce`] combine the contributions `a0 … a(p−1)` in
+//! one fixed bracket, the binomial tree over aligned rank blocks:
+//! `((a0·a1)·(a2·a3))·((a4·a5)·…)`, a block that runs past `p` simply
+//! ending there (p = 5: `((a0·a1)·(a2·a3))·a4`). Operands stay in rank
+//! order, so an associative, non-commutative `op` gives the rank-ordered
+//! result. [`allreduce`] builds that bracket on *every* rank in one pass of
+//! ⌈log₂ p⌉ exchange rounds — half the sequential hops of reducing to a
+//! root and broadcasting back — so all ranks hold bit-identical results,
+//! equal to what `reduce` to rank 0 delivers; solver convergence tests
+//! agree across ranks and iteration counts do not depend on which of the
+//! two was used.
 
 use crate::comm::Communicator;
 use crate::error::{CommError, CommResult};
@@ -23,6 +37,7 @@ const TAG_SCATTER: Tag = 5;
 const TAG_ALLGATHER: Tag = 6;
 const TAG_ALLTOALL: Tag = 7;
 const TAG_SCAN: Tag = 8;
+const TAG_ALLREDUCE: Tag = 9;
 
 /// Relative rank helper: rotate so `root` is 0, which lets every rooted
 /// binomial-tree algorithm assume root = 0.
@@ -140,69 +155,86 @@ where
     Ok(Some(acc))
 }
 
-/// All-reduce = reduce to rank 0 + broadcast. Keeps operand order, so the
-/// result is *identical on every rank* — important for iterative solvers,
-/// whose convergence tests must agree bit-for-bit across ranks.
+/// Recursive-doubling all-reduce in the bracket [`reduce`] uses (see the
+/// module header): the result is *identical on every rank* — important for
+/// iterative solvers, whose convergence tests must agree bit-for-bit
+/// across ranks.
 pub fn allreduce<T, F>(comm: &Communicator, value: T, op: F) -> CommResult<T>
 where
     T: Send + Clone + 'static,
     F: Fn(&T, &T) -> T,
 {
-    let partial = reduce(comm, 0, value, op)?;
-    match partial {
-        Some(v) => bcast(comm, 0, v),
-        None => {
-            // Non-root: participate in the broadcast with a placeholder by
-            // receiving. bcast's non-root path ignores the passed value, but
-            // we still need *a* T — receive directly instead.
-            bcast_recv_only(comm, 0)
-        }
-    }
+    allreduce_rounds(comm, value, |acc, theirs, theirs_higher| {
+        *acc = if theirs_higher { op(acc, &theirs) } else { op(&theirs, acc) };
+        Ok(())
+    })
 }
 
-/// Non-root half of a broadcast for callers that have no placeholder value.
-/// Must mirror [`bcast`]'s schedule exactly.
-fn bcast_recv_only<T: Send + Clone + 'static>(
-    comm: &Communicator,
-    root: usize,
-) -> CommResult<T> {
-    let p = comm.size();
-    let ctx = comm.collective_context();
-    let vrank = rel(comm.rank(), root, p);
-    debug_assert!(vrank != 0, "root must call bcast, not bcast_recv_only");
-    let mut mask = 1usize;
-    while vrank & mask == 0 {
-        mask <<= 1;
-    }
-    let parent = unrel(vrank ^ mask, root, p);
-    let (val, _) = comm.recv_match::<T>(Some(parent), Some(TAG_BCAST), ctx)?;
-    mask >>= 1;
-    while mask > 0 {
-        let child = vrank + mask;
-        if child < p {
-            comm.send_ctx(unrel(child, root, p), TAG_BCAST, ctx, val.clone())?;
-        }
-        mask >>= 1;
-    }
-    Ok(val)
-}
-
-/// Element-wise all-reduce over equal-length slices (e.g. several dot
+/// Element-wise all-reduce over equal-length vectors (e.g. several dot
 /// products fused into one collective, as solvers do to save latency).
-pub fn allreduce_vec<T, F>(comm: &Communicator, values: &[T], op: F) -> CommResult<Vec<T>>
+/// `values` is this rank's contribution and is reduced in place.
+pub fn allreduce_vec<T, F>(comm: &Communicator, values: Vec<T>, op: F) -> CommResult<Vec<T>>
 where
     T: Send + Clone + 'static,
     F: Fn(&T, &T) -> T,
 {
-    let n = values.len();
-    let combined = allreduce(comm, values.to_vec(), |a, b| {
-        debug_assert_eq!(a.len(), b.len());
-        a.iter().zip(b.iter()).map(|(x, y)| op(x, y)).collect::<Vec<T>>()
-    })?;
-    if combined.len() != n {
-        return Err(CommError::BadBuffer { expected: n, got: combined.len() });
+    allreduce_rounds(comm, values, |acc, theirs, theirs_higher| {
+        if theirs.len() != acc.len() {
+            return Err(CommError::BadBuffer { expected: acc.len(), got: theirs.len() });
+        }
+        for (a, t) in acc.iter_mut().zip(&theirs) {
+            *a = if theirs_higher { op(a, t) } else { op(t, a) };
+        }
+        Ok(())
+    })
+}
+
+/// The exchange pass under [`allreduce`] and [`allreduce_vec`]. Round `k`
+/// pairs the two aligned half-blocks of `m = 2^k` ranks that share a block
+/// of `2m`: before it every rank holds the bracket value of its own
+/// half, after it the value of the whole block. A member of the lower half
+/// sends to its opposite number and folds what it gets back on the right;
+/// the upper half mirrors that on the left. Where `p` cuts the upper half
+/// down to `u < m` ranks, upper rank `j` also serves lower ranks `j + u`,
+/// `j + 2u`, … — every member of a half holds the same value, so any of
+/// them can supply it — and where `p` cuts it away entirely the round is
+/// skipped. A pair of ranks meets in exactly one round, so one tag and
+/// FIFO order per pair keep back-to-back all-reduces apart.
+///
+/// `combine(acc, theirs, theirs_higher)` folds a received value into
+/// `acc`; `theirs_higher` says the sender's block lies above this rank's.
+fn allreduce_rounds<A, C>(comm: &Communicator, mut acc: A, combine: C) -> CommResult<A>
+where
+    A: Send + Clone + 'static,
+    C: Fn(&mut A, A, bool) -> CommResult<()>,
+{
+    let p = comm.size();
+    let me = comm.rank();
+    let ctx = comm.collective_context();
+    let mut m = 1usize;
+    while m < p {
+        let base = me & !(2 * m - 1);
+        // Ranks of the upper half that exist.
+        let upper = p.saturating_sub(base + m).min(m);
+        let offset = me - base;
+        if offset >= m {
+            let j = offset - m;
+            for lower in (j..m).step_by(upper) {
+                comm.send_ctx(base + lower, TAG_ALLREDUCE, ctx, acc.clone())?;
+            }
+            let (theirs, _) = comm.recv_match::<A>(Some(base + j), Some(TAG_ALLREDUCE), ctx)?;
+            combine(&mut acc, theirs, false)?;
+        } else if upper > 0 {
+            if offset < upper {
+                comm.send_ctx(base + m + offset, TAG_ALLREDUCE, ctx, acc.clone())?;
+            }
+            let from = base + m + offset % upper;
+            let (theirs, _) = comm.recv_match::<A>(Some(from), Some(TAG_ALLREDUCE), ctx)?;
+            combine(&mut acc, theirs, true)?;
+        }
+        m <<= 1;
     }
-    Ok(combined)
+    Ok(acc)
 }
 
 /// Gather one value per rank onto `root`, in rank order.

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use crate::envelope::{child_context, Context, Envelope, COLLECTIVE_BIT};
@@ -43,9 +43,25 @@ pub struct RecvStatus {
     pub tag: Tag,
 }
 
+/// Mailbox polls a blocked receive makes back to back before it starts
+/// yielding: roughly the futex park/unpark round trip the poll replaces
+/// (an empty `try_recv` plus the pause hint is a few tens of nanoseconds,
+/// so this is 10–50 µs depending on the core). A message that arrives
+/// inside the budget is handed off without a wake-up; one that does not
+/// costs the waiter at most this much extra CPU before it parks.
+const SPIN_POLLS: u32 = 1 << 10;
+
+/// Polls made with a `yield_now` between them after the spin and before
+/// parking — the whole fast path of an oversubscribed universe, where the
+/// peer needs this core to make progress.
+const YIELD_POLLS: u32 = 4;
+
 /// Shared wiring of the universe: one mailbox sender per world rank.
 pub(crate) struct Wiring {
     pub senders: Vec<Sender<Envelope>>,
+    /// More ranks than the host has cores (recorded once by
+    /// [`crate::Universe::run`]): blocked receives skip the spin.
+    pub oversubscribed: bool,
 }
 
 /// Per-thread inbox. All communicators held by one rank share it, so a
@@ -352,9 +368,15 @@ impl Communicator {
             stamp,
             payload: Box::new(value),
         };
-        self.wiring.senders[world_dest]
-            .send(env)
-            .map_err(|_| CommError::PeerGone(dest))
+        // A closed mailbox means the peer's closure returned. If it left
+        // because a member was lost, pass that verdict on: survivors that
+        // notice at different moments must still agree on the cause.
+        self.wiring.senders[world_dest].send(env).map_err(|_| {
+            match crate::cohort::lost_member(&self.members) {
+                Some(world) => CommError::RankLost(world),
+                None => CommError::PeerGone(dest),
+            }
+        })
     }
 
     /// Receive a `T` from local rank `src` with tag `tag` on this
@@ -456,6 +478,18 @@ impl Communicator {
         tag: Option<Tag>,
         context: Context,
     ) -> CommResult<(T, RecvStatus, Option<probe::trace::Stamp>)> {
+        Self::unpack(self.wait_match(src, tag, context)?)
+    }
+
+    /// The one blocking point: wait for the first envelope matching
+    /// `(src, tag, context)`. Payload-agnostic, so every receive and every
+    /// collective round shares this one copy of the wait.
+    fn wait_match(
+        &self,
+        src: Option<usize>,
+        tag: Option<Tag>,
+        context: Context,
+    ) -> CommResult<Envelope> {
         if let Some(s) = src {
             self.world_rank(s)?;
         }
@@ -463,16 +497,41 @@ impl Communicator {
         // 1. Previously stashed messages, in arrival order (MPI's
         //    non-overtaking rule between a given pair).
         if let Some(pos) = post.pending.iter().position(|e| e.matches(src, tag, context)) {
-            let env = post.pending.remove(pos).expect("position just found");
-            return Self::unpack(env);
+            return Ok(post.pending.remove(pos).expect("position just found"));
         }
-        // 2. Block on the mailbox — in short slices, so a blocked rank
+        // 2. Poll the mailbox: spin for about one park/unpark round trip
+        //    (not at all when ranks outnumber cores), then a few yields.
+        //    Hand-offs between ranks in lockstep — the reductions and halo
+        //    exchanges of a solver iteration — complete here, with no
+        //    futex wake and no clock read.
+        let spins = if self.wiring.oversubscribed { 0 } else { SPIN_POLLS };
+        let mut polls = 0;
+        while polls < spins + YIELD_POLLS {
+            match post.receiver.try_recv() {
+                Ok(env) => {
+                    if env.matches(src, tag, context) {
+                        return Ok(env);
+                    }
+                    post.pending.push_back(env);
+                }
+                Err(TryRecvError::Empty) => {
+                    if polls < spins {
+                        std::hint::spin_loop();
+                    } else {
+                        std::thread::yield_now();
+                    }
+                    polls += 1;
+                }
+                Err(TryRecvError::Disconnected) => return Err(CommError::PeerGone(usize::MAX)),
+            }
+        }
+        // 3. Park on the mailbox — in short slices, so a blocked rank
         //    notices a cohort member dying (kill fault, stale heartbeat)
         //    within ~10 ms and fails with the rank-consistent RankLost
         //    verdict instead of waiting out the whole deadlock timeout.
-        //    Slicing costs nothing on the happy path: recv_timeout
-        //    returns as soon as a message arrives, and the per-slice
-        //    cohort check is one relaxed atomic load while nobody died.
+        //    recv_timeout returns as soon as a message arrives, and the
+        //    per-slice cohort check is one relaxed atomic load while
+        //    nobody died.
         const SLICE: Duration = Duration::from_millis(10);
         let deadline = std::time::Instant::now() + deadlock_timeout();
         loop {
@@ -480,7 +539,7 @@ impl Communicator {
             match post.receiver.recv_timeout(remaining.min(SLICE)) {
                 Ok(env) => {
                     if env.matches(src, tag, context) {
-                        return Self::unpack(env);
+                        return Ok(env);
                     }
                     post.pending.push_back(env);
                 }
@@ -687,20 +746,28 @@ impl Communicator {
         T: Send + Clone + 'static,
         F: Fn(&T, &T) -> T,
     {
+        self.allreduce_owned(values.to_vec(), op)
+    }
+
+    /// [`Self::allreduce_vec`] on a buffer the caller gives up: this
+    /// rank's contribution is reduced in place and returned.
+    fn allreduce_owned<T, F>(&self, mut values: Vec<T>, op: F) -> CommResult<Vec<T>>
+    where
+        T: Send + Clone + 'static,
+        F: Fn(&T, &T) -> T,
+    {
         self.stats.allreduce();
         self.note_collective("allreduce");
         probe::add(
             probe::Counter::ReducedBytes,
-            std::mem::size_of_val(values) as u64,
+            std::mem::size_of_val(values.as_slice()) as u64,
         );
         let _lat = probe::hist::HistTimer::start(probe::hist::Hist::Collective);
         let _wait = probe::span!("allreduce");
         if let Some(FaultAction::Corrupt { seed, call }) =
             self.collective_fault(FaultOp::Allreduce, "allreduce")?
         {
-            let mut poisoned = values.to_vec();
-            let _ = fault::corrupt_slice(&mut poisoned, seed, call);
-            return crate::collectives::allreduce_vec(self, &poisoned, op);
+            let _ = fault::corrupt_slice(&mut values, seed, call);
         }
         crate::collectives::allreduce_vec(self, values, op)
     }
@@ -718,14 +785,8 @@ impl Communicator {
         F: Fn(&T, &T) -> T,
     {
         let flat: Vec<T> = segments.iter().flat_map(|s| s.iter().cloned()).collect();
-        let reduced = self.allreduce_vec(&flat, op)?;
-        let mut out = Vec::with_capacity(segments.len());
-        let mut off = 0;
-        for s in segments {
-            out.push(reduced[off..off + s.len()].to_vec());
-            off += s.len();
-        }
-        Ok(out)
+        let mut reduced = self.allreduce_owned(flat, op)?.into_iter();
+        Ok(segments.iter().map(|s| reduced.by_ref().take(s.len()).collect()).collect())
     }
 
     /// Gather one value per rank onto `root` (rank order); `None` elsewhere.

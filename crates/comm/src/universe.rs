@@ -45,7 +45,11 @@ impl Universe {
         probe::trace::advance_generation();
         let (senders, receivers): (Vec<_>, Vec<_>) =
             (0..n).map(|_| unbounded()).unzip();
-        let wiring = Arc::new(Wiring { senders });
+        // Ranks are threads: with more of them than cores a spinning
+        // receiver only delays the sender it waits for. An unknown core
+        // count is treated as one core.
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let wiring = Arc::new(Wiring { senders, oversubscribed: n > cores });
         let members: Arc<Vec<usize>> = Arc::new((0..n).collect());
 
         let mut comms: Vec<Communicator> = receivers

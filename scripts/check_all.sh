@@ -31,6 +31,17 @@ echo "== tests (RSPARSE_FORMAT=auto) =="
 RSPARSE_FORMAT=auto \
 RCOMM_DEADLOCK_TIMEOUT_SECS=${RCOMM_DEADLOCK_TIMEOUT_SECS:-30} cargo test --workspace
 
+echo "== rcomm unit tests, 20 runs (flake guard) =="
+# The lib tests launch universes concurrently in one process; a test that
+# leans on process-wide cohort or fault state fails here one run in ten.
+for _ in $(seq 20); do
+  cargo test -q -p lisi-comm --lib
+done
+
+echo "== lisibench smoke (benchmark/ is its own workspace) =="
+# Every declared metric printed, no failed request, exact counts repeat.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== examples =="
 for e in quickstart solver_switching matrix_free multigrid_recursion \
          usage_scenarios formats_tour external_matrix resilience; do
