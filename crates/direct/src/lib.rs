@@ -7,10 +7,12 @@
 //! scenarios (b)–(d) exercise:
 //!
 //! 1. **Analyze** — choose a fill-reducing column ordering ([`ordering`]:
-//!    natural, reverse Cuthill–McKee, minimum degree) and build the
-//!    [`symbolic::Symbolic`] context (column elimination tree, postorder);
+//!    natural, reverse Cuthill–McKee, quotient-graph minimum degree) and
+//!    keep it with a hash of the pattern in the [`symbolic::Symbolic`]
+//!    context;
 //! 2. **Factorize** — left-looking Gilbert–Peierls sparse LU with partial
-//!    pivoting ([`lu`]), producing `P·A·Q = L·U`;
+//!    pivoting and a symmetrically pruned reach ([`lu`]), producing
+//!    `P·A·Q = L·U` on the structural pattern (explicit zeros kept);
 //! 3. **Solve** — permuted triangular solves, optionally with one step of
 //!    iterative refinement, reusing the factors across right-hand sides.
 //!
@@ -21,6 +23,8 @@
 
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod corpus;
 pub mod lu;
 pub mod ordering;
 pub mod solver;
@@ -59,6 +63,9 @@ impl std::fmt::Display for RsluError {
             }
             RsluError::Sparse(m) => write!(f, "substrate error: {m}"),
             RsluError::BadOption(m) => write!(f, "bad option: {m}"),
+            RsluError::PatternMismatch { expected, got } if expected == got => {
+                write!(f, "pattern mismatch: {got} nonzeros as analyzed, in other positions")
+            }
             RsluError::PatternMismatch { expected, got } => {
                 write!(f, "pattern mismatch: expected {expected} nonzeros, got {got}")
             }

@@ -27,12 +27,50 @@ pub struct LuFactorization {
 struct ColumnWork {
     /// Dense accumulator.
     x: Vec<f64>,
-    /// DFS stacks.
-    stack: Vec<(usize, usize)>,
+    /// DFS stack: `(row, next child, end of children)` as positions in L.
+    stack: Vec<(usize, usize, usize)>,
     /// Topologically ordered pattern of the current column.
     pattern: Vec<usize>,
-    /// Visitation marks, keyed by column id.
+    /// Visitation marks, keyed by original row.
     mark: Vec<bool>,
+}
+
+/// A factor under construction: CSC columns appended one at a time.
+struct Columns {
+    ptr: Vec<usize>,
+    rows: Vec<usize>,
+    vals: Vec<f64>,
+}
+
+impl Columns {
+    fn with_capacity(n: usize, entries: usize) -> Self {
+        let mut ptr = Vec::with_capacity(n + 1);
+        ptr.push(0);
+        Columns { ptr, rows: Vec::with_capacity(entries), vals: Vec::with_capacity(entries) }
+    }
+
+    fn push(&mut self, row: usize, val: f64) {
+        self.rows.push(row);
+        self.vals.push(val);
+    }
+
+    /// Renumber every row through `renumber`, sort each column by row and
+    /// hand the result to the checked CSC constructor.
+    fn finish(mut self, n: usize, renumber: impl Fn(usize) -> usize) -> RsluResult<CscMatrix> {
+        let mut col: Vec<(usize, f64)> = Vec::new();
+        for w in self.ptr.windows(2) {
+            let (rows, vals) = (&mut self.rows[w[0]..w[1]], &mut self.vals[w[0]..w[1]]);
+            col.clear();
+            col.extend(rows.iter().map(|&r| renumber(r)).zip(vals.iter().copied()));
+            col.sort_unstable_by_key(|&(r, _)| r);
+            for ((r, v), &(sr, sv)) in rows.iter_mut().zip(vals.iter_mut()).zip(&col) {
+                *r = sr;
+                *v = sv;
+            }
+        }
+        CscMatrix::from_parts(n, n, self.ptr, self.rows, self.vals)
+            .map_err(|e| RsluError::Sparse(e.to_string()))
+    }
 }
 
 impl LuFactorization {
@@ -41,6 +79,11 @@ impl LuFactorization {
     /// pivoting; smaller values prefer the diagonal entry when it is
     /// within the threshold of the column maximum (SuperLU's
     /// `diag_pivot_thresh`).
+    ///
+    /// The stored pattern of L and U is the *structural* one: an entry
+    /// that cancels to exactly 0.0 stays as an explicit zero. The
+    /// symmetric pruning of the reach (see `dfs_reach`) is only valid on
+    /// that pattern.
     pub fn factor(
         a: &CsrMatrix,
         sym: &Symbolic,
@@ -58,13 +101,14 @@ impl LuFactorization {
         // Column access to A with the fill-reducing permutation applied.
         let acsc = a.to_csc();
 
-        // Growing factors in CSC; `pinv[orig_row] = pivot position` or MAX.
-        let mut l_ptr = vec![0usize];
-        let mut l_rows: Vec<usize> = Vec::with_capacity(4 * a.nnz());
-        let mut l_vals: Vec<f64> = Vec::with_capacity(4 * a.nnz());
-        let mut u_ptr = vec![0usize];
-        let mut u_rows: Vec<usize> = Vec::with_capacity(4 * a.nnz());
-        let mut u_vals: Vec<f64> = Vec::with_capacity(4 * a.nnz());
+        // Growing factors. L keeps original row numbers until the end and
+        // each of its columns starts with the unit diagonal (its pivot
+        // row); U rows are pivot positions. `pinv[orig_row] = pivot
+        // position` or MAX.
+        let mut l = Columns::with_capacity(n, 4 * a.nnz());
+        let mut u = Columns::with_capacity(n, 4 * a.nnz());
+        // The DFS descends only `l.rows[l.ptr[k] + 1..prune[k]]` of column k.
+        let mut prune: Vec<usize> = Vec::with_capacity(n);
         let mut pinv = vec![usize::MAX; n];
         let mut row_perm = vec![usize::MAX; n];
 
@@ -82,17 +126,7 @@ impl LuFactorization {
             //     already-computed columns of L (DFS in pivot order).
             work.pattern.clear();
             for &r in arows {
-                // Each nonzero row r: if pivotal, its pivot column's L
-                // column can propagate; run DFS from the column index.
-                dfs_reach(
-                    r,
-                    &pinv,
-                    &l_ptr,
-                    &l_rows,
-                    &mut work.mark,
-                    &mut work.stack,
-                    &mut work.pattern,
-                );
+                dfs_reach(r, &pinv, &l, &prune, &mut work);
             }
             // Pattern is in reverse-topological order; process in reverse.
 
@@ -100,8 +134,7 @@ impl LuFactorization {
             for (&r, &v) in arows.iter().zip(avals) {
                 work.x[r] = v;
             }
-            for idx in (0..work.pattern.len()).rev() {
-                let node = work.pattern[idx];
+            for &node in work.pattern.iter().rev() {
                 // Only pivotal rows have an L column to apply; non-pivotal
                 // rows are leaves that merely carry values for the gather.
                 let col = pinv[node];
@@ -110,13 +143,10 @@ impl LuFactorization {
                 }
                 let xj = work.x[node];
                 if xj != 0.0 {
-                    // x ← x − xj · L(:, col) (skipping the unit diagonal,
-                    // which is the first stored entry).
-                    for k in l_ptr[col]..l_ptr[col + 1] {
-                        let lr = l_rows[k];
-                        if lr != node {
-                            work.x[lr] -= xj * l_vals[k];
-                        }
+                    // x ← x − xj · L(:, col), below the unit diagonal.
+                    let below = l.ptr[col] + 1..l.ptr[col + 1];
+                    for (&lr, &lv) in l.rows[below.clone()].iter().zip(&l.vals[below]) {
+                        work.x[lr] -= xj * lv;
                     }
                 }
             }
@@ -154,68 +184,51 @@ impl LuFactorization {
             pinv[pivot_row] = j;
             row_perm[j] = pivot_row;
 
-            // --- Gather into U (pivotal rows) and L (non-pivotal rows).
-            // U rows are pivot positions (already final); sort for CSC
-            // invariants.
-            let mut ucol: Vec<(usize, f64)> = Vec::new();
-            let mut lcol: Vec<(usize, f64)> = Vec::new();
+            // --- Gather straight into the factors: pivotal rows into U
+            //     (the new pivot is its diagonal), the rest into L.
+            l.push(pivot_row, 1.0);
             for &node in &work.pattern {
                 let v = work.x[node];
                 work.x[node] = 0.0;
                 work.mark[node] = false;
-                if v == 0.0 {
+                let k = pinv[node];
+                if k == usize::MAX {
+                    l.push(node, v / pivot_val);
                     continue;
                 }
-                let p = pinv[node];
-                if node == pivot_row {
-                    // Diagonal of U.
-                    ucol.push((j, pivot_val));
-                } else if p != usize::MAX {
-                    ucol.push((p, v));
-                } else {
-                    lcol.push((node, v / pivot_val));
+                u.push(k, v);
+                if k == j {
+                    continue; // the diagonal of U
+                }
+                // Symmetric pruning: u_kj and l_jk both structurally
+                // nonzero, so every row of L(:, k) still unpivoted is in
+                // L(:, j) too and stays reachable from k through j. Move
+                // the pivotal rows of column k to the front and stop the
+                // DFS there.
+                let (lo, hi) = (l.ptr[k] + 1, l.ptr[k + 1]);
+                if prune[k] == hi && l.rows[lo..hi].contains(&pivot_row) {
+                    let (mut front, mut back) = (lo, hi);
+                    while front < back {
+                        if pinv[l.rows[front]] != usize::MAX {
+                            front += 1;
+                        } else {
+                            back -= 1;
+                            l.rows.swap(front, back);
+                            l.vals.swap(front, back);
+                        }
+                    }
+                    prune[k] = front;
                 }
             }
-            ucol.sort_unstable_by_key(|&(r, _)| r);
-            // L column: unit diagonal first (stored at the pivot row in
-            // original numbering), then the sub-diagonal entries.
-            l_rows.push(pivot_row);
-            l_vals.push(1.0);
-            for (r, v) in lcol {
-                l_rows.push(r);
-                l_vals.push(v);
-            }
-            l_ptr.push(l_rows.len());
-            for (r, v) in ucol {
-                u_rows.push(r);
-                u_vals.push(v);
-            }
-            u_ptr.push(u_rows.len());
+            l.ptr.push(l.rows.len());
+            u.ptr.push(u.rows.len());
+            prune.push(l.rows.len());
         }
 
-        // Renumber L's rows into pivot order so both factors live in the
-        // permuted space, and sort each column.
-        let mut l_cols_sorted_rows = Vec::with_capacity(l_rows.len());
-        let mut l_cols_sorted_vals = Vec::with_capacity(l_vals.len());
-        let mut l_ptr_final = vec![0usize];
-        let mut colbuf: Vec<(usize, f64)> = Vec::new();
-        for j in 0..n {
-            colbuf.clear();
-            for k in l_ptr[j]..l_ptr[j + 1] {
-                colbuf.push((pinv[l_rows[k]], l_vals[k]));
-            }
-            colbuf.sort_unstable_by_key(|&(r, _)| r);
-            for &(r, v) in &colbuf {
-                l_cols_sorted_rows.push(r);
-                l_cols_sorted_vals.push(v);
-            }
-            l_ptr_final.push(l_cols_sorted_rows.len());
-        }
-
-        let l = CscMatrix::from_parts(n, n, l_ptr_final, l_cols_sorted_rows, l_cols_sorted_vals)
-            .map_err(|e| RsluError::Sparse(e.to_string()))?;
-        let u = CscMatrix::from_parts(n, n, u_ptr, u_rows, u_vals)
-            .map_err(|e| RsluError::Sparse(e.to_string()))?;
+        // Both factors live in the permuted space: L's rows move to pivot
+        // order, and every column is sorted for the CSC invariants.
+        let l = l.finish(n, |r| pinv[r])?;
+        let u = u.finish(n, |r| r)?;
         Ok(LuFactorization { l, u, row_perm, col_perm: sym.col_perm.clone(), n })
     }
 
@@ -261,10 +274,9 @@ impl LuFactorization {
             let (rows, vals) = self.l.col(j);
             let yj = y[j];
             if yj != 0.0 {
-                for (&r, &v) in rows.iter().zip(vals) {
-                    if r > j {
-                        y[r] -= v * yj;
-                    }
+                // The unit diagonal is the first entry of the column.
+                for (&r, &v) in rows[1..].iter().zip(&vals[1..]) {
+                    y[r] -= v * yj;
                 }
             }
         }
@@ -321,10 +333,8 @@ impl LuFactorization {
         for j in (0..self.n).rev() {
             let (rows, vals) = self.l.col(j);
             let mut acc = y[j];
-            for (&r, &v) in rows.iter().zip(vals) {
-                if r > j {
-                    acc -= v * y[r];
-                }
+            for (&r, &v) in rows[1..].iter().zip(&vals[1..]) {
+                acc -= v * y[r];
             }
             y[j] = acc;
         }
@@ -389,46 +399,43 @@ impl LuFactorization {
     }
 }
 
-/// DFS from original row `start` through pivotal columns, collecting the
-/// reach in reverse-topological order (CSparse's `cs_dfs` shape).
-fn dfs_reach(
-    start: usize,
-    pinv: &[usize],
-    l_ptr: &[usize],
-    l_rows: &[usize],
-    mark: &mut [bool],
-    stack: &mut Vec<(usize, usize)>,
-    pattern: &mut Vec<usize>,
-) {
+/// DFS from original row `start` through pivotal columns, appending the
+/// reach to `work.pattern` in reverse-topological order (CSparse's
+/// `cs_dfs` shape). A pivotal row's children are the rows of its L column
+/// up to the column's prune point (Eisenstat–Liu symmetric pruning); a
+/// non-pivotal row is a leaf.
+fn dfs_reach(start: usize, pinv: &[usize], l: &Columns, prune: &[usize], work: &mut ColumnWork) {
+    let ColumnWork { stack, pattern, mark, .. } = work;
     if mark[start] {
         return;
     }
-    stack.push((start, 0));
     mark[start] = true;
-    while let Some(top) = stack.len().checked_sub(1) {
-        let (node, mut next) = stack[top];
-        let col = pinv[node];
-        if col == usize::MAX {
-            // Non-pivotal row: leaf.
-            pattern.push(node);
-            stack.pop();
-            continue;
-        }
-        let lo = l_ptr[col];
-        let hi = l_ptr[col + 1];
-        let mut pushed = false;
-        while lo + next < hi {
-            let child = l_rows[lo + next];
+    // A pivotal row's stack frame: its children, minus the unit diagonal.
+    let frame = |node: usize, col: usize| (node, l.ptr[col] + 1, prune[col]);
+    match pinv[start] {
+        usize::MAX => return pattern.push(start),
+        col => stack.push(frame(start, col)),
+    }
+    while let Some(&(node, mut next, end)) = stack.last() {
+        let top = stack.len() - 1;
+        let mut descended = false;
+        while next < end && !descended {
+            let child = l.rows[next];
             next += 1;
-            if !mark[child] {
-                mark[child] = true;
-                stack[top].1 = next;
-                stack.push((child, 0));
-                pushed = true;
-                break;
+            if mark[child] {
+                continue;
+            }
+            mark[child] = true;
+            match pinv[child] {
+                usize::MAX => pattern.push(child),
+                col => {
+                    stack[top].1 = next;
+                    stack.push(frame(child, col));
+                    descended = true;
+                }
             }
         }
-        if !pushed {
+        if !descended {
             pattern.push(node);
             stack.pop();
         }
@@ -504,29 +511,144 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn lu_product_reconstructs_permuted_matrix() {
-        let a = generate::random_diag_dominant(15, 3, 7);
-        let sym = Symbolic::analyze(&a, Ordering::Rcm).unwrap();
-        let lu = LuFactorization::factor(&a, &sym, 1.0).unwrap();
-        // P·A·Q = L·U, checked entrywise via dense products.
+    /// P·A·Q = L·U entrywise, via dense products.
+    fn assert_reconstructs(a: &CsrMatrix, lu: &LuFactorization, what: &str) {
+        let n = a.rows();
         let ld = lu.l().to_csr().to_dense();
         let ud = lu.u().to_csr().to_dense();
-        let n = 15;
-        // Compute (P·A·Q)[i][j] = A[row_perm[i]][col_perm[j]].
         let ad = a.to_dense();
         for i in 0..n {
             for j in 0..n {
-                let mut s = 0.0;
-                for k in 0..n {
-                    s += ld[(i, k)] * ud[(k, j)];
-                }
-                let expect = ad[(lu.row_perm()[i], sym.col_perm[j])];
+                let s: f64 = (0..n).map(|k| ld[(i, k)] * ud[(k, j)]).sum();
+                // (P·A·Q)[i][j] = A[row_perm[i]][col_perm[j]].
+                let expect = ad[(lu.row_perm[i], lu.col_perm[j])];
                 assert!(
                     (s - expect).abs() < 1e-9 * (1.0 + expect.abs()),
-                    "({i},{j}): {s} vs {expect}"
+                    "{what} ({i},{j}): {s} vs {expect}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn lu_product_reconstructs_permuted_matrix() {
+        // Rows rotated off the diagonal: no column can take its natural
+        // pivot, whatever the ordering and threshold.
+        let a = crate::corpus::matrix(2, 15, 7);
+        for ord in [Ordering::Natural, Ordering::Rcm, Ordering::MinDegree] {
+            for threshold in [1.0, 0.1] {
+                let sym = Symbolic::analyze(&a, ord).unwrap();
+                let lu = LuFactorization::factor(&a, &sym, threshold).unwrap();
+                assert!(
+                    lu.row_perm().iter().zip(&sym.col_perm).any(|(r, c)| r != c),
+                    "{ord:?}: expected off-diagonal pivots"
+                );
+                assert_reconstructs(&a, &lu, &format!("{ord:?}, threshold {threshold}"));
+            }
+        }
+    }
+
+    /// The oracle for the reach: the structural pattern of L + U of
+    /// P·A·Q under the pivot order `lu` chose, by dense boolean
+    /// elimination — no DFS, no pruning, no numerical values.
+    fn structural_fill(a: &CsrMatrix, lu: &LuFactorization) -> Vec<Vec<bool>> {
+        let n = a.rows();
+        let mut pinv = vec![0; n];
+        let mut qinv = vec![0; n];
+        for k in 0..n {
+            pinv[lu.row_perm[k]] = k;
+            qinv[lu.col_perm[k]] = k;
+        }
+        let mut s = vec![vec![false; n]; n];
+        for (r, c, _) in a.iter() {
+            s[pinv[r]][qinv[c]] = true;
+        }
+        for k in 0..n {
+            let (done, below) = s.split_at_mut(k + 1);
+            for row in below.iter_mut().filter(|row| row[k]) {
+                for j in k + 1..n {
+                    row[j] |= done[k][j];
+                }
+            }
+        }
+        s
+    }
+
+    fn assert_structural_pattern(a: &CsrMatrix, lu: &LuFactorization) -> Result<(), String> {
+        let s = structural_fill(a, lu);
+        let column = |rows: std::ops::Range<usize>, j: usize| -> Vec<usize> {
+            rows.filter(|&i| s[i][j]).collect()
+        };
+        for j in 0..a.rows() {
+            let (upper, lower) = (column(0..j + 1, j), column(j..a.rows(), j));
+            if lu.u.col(j).0 != upper || lu.l.col(j).0 != lower {
+                return Err(format!(
+                    "column {j}: U {:?} vs {upper:?}, L {:?} vs {lower:?}",
+                    lu.u.col(j).0,
+                    lu.l.col(j).0
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn pruned_reach_gives_the_structural_pattern_of_every_column(
+            kind in 0usize..crate::corpus::KINDS,
+            n in 2usize..=200,
+            seed in 0u64..100_000,
+            ord in 0usize..3,
+            threshold in proptest::sample::select(vec![1.0, 0.1]),
+        ) {
+            let a = crate::corpus::matrix(kind, n, seed);
+            let ord = [Ordering::Natural, Ordering::Rcm, Ordering::MinDegree][ord];
+            let sym = Symbolic::analyze(&a, ord).unwrap();
+            let lu = LuFactorization::factor(&a, &sym, threshold).unwrap();
+            proptest::prop_assert_eq!(assert_structural_pattern(&a, &lu), Ok(()));
+            let x_true = generate::random_vector(a.rows(), seed ^ 0xfeed);
+            let b = a.matvec(&x_true).unwrap();
+            let r = rsparse::ops::residual(&a, &lu.solve(&b).unwrap(), &b).unwrap();
+            proptest::prop_assert!(
+                rsparse::dense::norm_inf(&r) <= 1e-10 * rsparse::dense::norm_inf(&b).max(1.0)
+            );
+        }
+    }
+
+    #[test]
+    fn exactly_cancelled_entries_stay_as_explicit_zeros() {
+        // Column 1: x(r1) = 1 − 1·1 = 0 exactly, and r2 takes the pivot,
+        // so L(:, 1) holds r1 with value 0. Row r1 is in the pattern of
+        // column 2 only through that entry (A(r1, c2) = 0), where it
+        // cancels again; it finally pivots in column 3.
+        #[rustfmt::skip]
+        let dense = [
+            [1.0, 1.0, 0.0, 0.0],
+            [1.0, 1.0, 0.0, 1.0],
+            [0.0, 1.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0, 1.0],
+        ];
+        let mut coo = rsparse::CooMatrix::new(4, 4);
+        for (i, row) in dense.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate().filter(|(_, v)| **v != 0.0) {
+                coo.push(i, j, v).unwrap();
+            }
+        }
+        let a = coo.to_csr();
+        let sym = Symbolic::analyze(&a, Ordering::Natural).unwrap();
+        let lu = LuFactorization::factor(&a, &sym, 1.0).unwrap();
+        assert_eq!(lu.row_perm(), [0, 2, 3, 1]);
+        // Row r1 sits at pivot position 3.
+        assert_eq!(lu.l().col(1), (&[1, 3][..], &[1.0, 0.0][..]));
+        assert_eq!(lu.l().col(2), (&[2, 3][..], &[1.0, 0.0][..]));
+        assert_eq!(assert_structural_pattern(&a, &lu), Ok(()));
+        assert_reconstructs(&a, &lu, "cancelling");
+        let x_true = [1.0, -2.0, 3.0, 0.5];
+        let x = lu.solve(&a.matvec(&x_true).unwrap()).unwrap();
+        for (g, e) in x.iter().zip(&x_true) {
+            assert!((g - e).abs() <= 1e-12, "{g} vs {e}");
         }
     }
 

@@ -141,46 +141,41 @@ impl RsluSolver {
         if need_analysis {
             self.analyze(a)?;
         }
-        let _span = probe::span!("rslu_factor");
-        probe::incr(probe::Counter::FactorCalls);
-        let (work, scales) = if self.options.equilibrate {
-            let (scaled, r, c) = equilibrate(a)?;
-            (scaled, Some((r, c)))
-        } else {
-            (a.clone(), None)
-        };
-        let sym = self.symbolic.as_ref().expect("set above");
-        let lu = LuFactorization::factor(&work, sym, self.options.pivot_threshold)?;
-        self.stats.fill = lu.fill();
+        self.factor_numeric(a)?;
         self.stats.nnz = a.nnz();
-        self.stats.factorizations += 1;
-        self.factors = Some(lu);
         self.matrix = Some(a.clone());
-        self.scales = scales;
         Ok(())
     }
 
     /// Phase 2': refactorize with new values on the identical pattern,
     /// reusing the symbolic analysis (scenario d).
     pub fn refactorize(&mut self, values: &[f64]) -> RsluResult<()> {
-        let a = self.matrix.as_mut().ok_or_else(|| {
+        let mut a = self.matrix.take().ok_or_else(|| {
             RsluError::BadOption("refactorize requires a prior factorize".into())
         })?;
-        if values.len() != a.nnz() {
-            return Err(RsluError::PatternMismatch { expected: a.nnz(), got: values.len() });
-        }
-        a.values_mut().copy_from_slice(values);
-        let a = a.clone();
+        let out = if values.len() == a.nnz() {
+            a.values_mut().copy_from_slice(values);
+            self.factor_numeric(&a)
+        } else {
+            Err(RsluError::PatternMismatch { expected: a.nnz(), got: values.len() })
+        };
+        self.matrix = Some(a);
+        out
+    }
+
+    /// The numeric phase shared by `factorize` and `refactorize`: factor
+    /// `a` (equilibrated first when asked) under the stored analysis.
+    fn factor_numeric(&mut self, a: &CsrMatrix) -> RsluResult<()> {
         let _span = probe::span!("rslu_factor");
         probe::incr(probe::Counter::FactorCalls);
-        let (work, scales) = if self.options.equilibrate {
-            let (scaled, r, c) = equilibrate(&a)?;
-            (scaled, Some((r, c)))
+        let sym = self.symbolic.as_ref().expect("analysis precedes the numeric phase");
+        let threshold = self.options.pivot_threshold;
+        let (lu, scales) = if self.options.equilibrate {
+            let (scaled, r, c) = equilibrate(a)?;
+            (LuFactorization::factor(&scaled, sym, threshold)?, Some((r, c)))
         } else {
-            (a.clone(), None)
+            (LuFactorization::factor(a, sym, threshold)?, None)
         };
-        let sym = self.symbolic.as_ref().expect("factorize set it");
-        let lu = LuFactorization::factor(&work, sym, self.options.pivot_threshold)?;
         self.stats.fill = lu.fill();
         self.stats.factorizations += 1;
         self.factors = Some(lu);
@@ -304,21 +299,9 @@ impl DistRslu {
     pub fn factorize(&mut self, comm: &Communicator, a: &DistCsrMatrix) -> RsluResult<()> {
         let _span = probe::span!("rslu_dist_factor");
         let gathered = a.gather_to_root(comm, 0)?;
-        let ok_flag = if comm.rank() == 0 {
-            let global = gathered.expect("root receives the gathered matrix");
-            match self.inner.factorize(&global) {
-                Ok(()) => None,
-                Err(e) => Some(format!("{e}")),
-            }
-        } else {
-            None
-        };
-        // Broadcast success/failure so all ranks agree.
-        let err = comm.bcast(0, ok_flag)?;
-        match err {
-            None => Ok(()),
-            Some(msg) => Err(RsluError::Sparse(msg)),
-        }
+        let outcome = gathered.map(|global| self.inner.factorize(&global));
+        // Broadcast the root's outcome so all ranks agree on it.
+        comm.bcast(0, outcome)?.expect("the root sends its outcome")
     }
 
     /// Solve with the factors held on rank 0; every rank passes its rhs
@@ -332,21 +315,18 @@ impl DistRslu {
         let _trace = probe::trace::solve_guard();
         let _span = probe::span!("rslu_dist_solve");
         let b_full = b.gather_to_root(comm, 0)?;
-        let chunks: Option<Vec<Vec<f64>>> = if comm.rank() == 0 {
-            let full = b_full.expect("root receives the gathered rhs");
-            let x = self.inner.solve(&full)?;
-            Some(
-                (0..comm.size())
-                    .map(|r| {
-                        let range = partition.range(r);
-                        x[range].to_vec()
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        let mine = comm.scatter(0, chunks)?;
+        // The root's outcome travels with the scatter — each rank gets its
+        // slice or the root's error — so a failure strands nobody.
+        let chunks = b_full.map(|full| {
+            let x = self.inner.solve(&full);
+            (0..comm.size())
+                .map(|r| match &x {
+                    Ok(x) => vec![Ok(x[partition.range(r)].to_vec())],
+                    Err(e) => vec![Err(e.clone())],
+                })
+                .collect()
+        });
+        let mine = comm.scatter(0, chunks)?.pop().expect("one outcome per rank")?;
         Ok(DistVector::from_local(partition.clone(), comm.rank(), mine)?)
     }
 
@@ -596,19 +576,33 @@ mod tests {
     }
 
     #[test]
-    fn distributed_singular_failure_reaches_all_ranks() {
-        // Globally singular matrix: zero column.
-        let mut coo = rsparse::CooMatrix::new(4, 4);
-        for i in 0..4 {
+    fn distributed_failures_reach_all_ranks_with_the_same_typed_error() {
+        // Globally singular matrix: only column 0 is populated.
+        let mut coo = rsparse::CooMatrix::new(6, 6);
+        for i in 0..6 {
             coo.push(i, 0, 1.0).unwrap();
         }
         let a = coo.to_csr();
-        let out = Universe::run(2, |comm| {
-            let part = BlockRowPartition::even(4, comm.size());
-            let da = DistCsrMatrix::from_global(comm, part, &a).unwrap();
-            let mut solver = DistRslu::new(RsluOptions::default());
-            solver.factorize(comm, &da).is_err()
-        });
-        assert_eq!(out, vec![true, true], "both ranks must see the failure");
+        for p in [2usize, 3] {
+            let started = std::time::Instant::now();
+            let out = Universe::run(p, |comm| {
+                let part = BlockRowPartition::even(6, comm.size());
+                let da = DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
+                let db = DistVector::from_global(part.clone(), comm.rank(), &[1.0; 6]).unwrap();
+                let mut solver = DistRslu::new(RsluOptions::default());
+                // The root fails before it has anything to scatter.
+                let early = solver.solve(comm, &part, &db).unwrap_err();
+                let singular = solver.factorize(comm, &da).unwrap_err();
+                (early, singular)
+            });
+            // A stranded rank would sit out the 30 s deadlock timeout.
+            assert!(started.elapsed().as_secs() < 10, "p = {p}: a rank waited for the timeout");
+            let (early, singular) = &out[0];
+            assert!(matches!(early, RsluError::BadOption(_)), "p = {p}: {early}");
+            assert!(matches!(singular, RsluError::Singular { .. }), "p = {p}: {singular}");
+            for (rank, errors) in out.iter().enumerate() {
+                assert_eq!(errors, &out[0], "p = {p}: rank {rank} disagrees with the root");
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
-//! The analyze phase: column ordering plus the column elimination tree —
-//! the reusable symbolic context of SuperLU's `*gstrf` pipeline (LISI
-//! usage scenario §5.2b: "precompute reused objects such as … symbolic
-//! factorization").
+//! The analyze phase: the fill-reducing column ordering and a fingerprint
+//! of the pattern it was computed for — the reusable symbolic context of
+//! SuperLU's `*gstrf` pipeline (LISI usage scenario §5.2b: "precompute
+//! reused objects such as … symbolic factorization").
 
 use rsparse::CsrMatrix;
 
@@ -15,16 +15,12 @@ pub struct Symbolic {
     pub col_perm: Vec<usize>,
     /// Inverse column permutation, `col_perm_inv[old] = new`.
     pub col_perm_inv: Vec<usize>,
-    /// Column elimination tree (parent of each column of A·Q in the tree;
-    /// `usize::MAX` for roots), computed on the AᵀA pattern without
-    /// forming it.
-    pub etree: Vec<usize>,
-    /// Postorder of the elimination tree.
-    pub postorder: Vec<usize>,
-    /// Pattern fingerprint for reuse validation.
+    /// Nonzero count of the analyzed matrix.
     pub nnz: usize,
     /// Matrix order.
     pub n: usize,
+    /// [`pattern_hash`] of the analyzed matrix.
+    pattern_hash: u64,
 }
 
 impl Symbolic {
@@ -40,84 +36,25 @@ impl Symbolic {
         for (new, &old) in col_perm.iter().enumerate() {
             col_perm_inv[old] = new;
         }
-        let etree = column_etree(a, &col_perm);
-        let postorder = postorder_of(&etree);
-        Ok(Symbolic { col_perm, col_perm_inv, etree, postorder, nnz: a.nnz(), n })
+        Ok(Symbolic { col_perm, col_perm_inv, nnz: a.nnz(), n, pattern_hash: pattern_hash(a) })
     }
 
-    /// Can this symbolic context be reused for `b` (same shape, same
-    /// nonzero count — the cheap SuperLU-style compatibility check)?
+    /// Can this symbolic context be reused for `b`? Same shape, same
+    /// nonzero count and the same sparsity pattern (by hash); the values
+    /// are free to differ.
     pub fn compatible_with(&self, b: &CsrMatrix) -> bool {
-        b.shape() == (self.n, self.n) && b.nnz() == self.nnz
+        b.shape() == (self.n, self.n) && b.nnz() == self.nnz && pattern_hash(b) == self.pattern_hash
     }
 }
 
-/// Column elimination tree of A·Q: the etree of (AQ)ᵀ(AQ), via the
-/// standard row-merge algorithm (Gilbert–Ng–Peyton) with path
-/// compression.
-fn column_etree(a: &CsrMatrix, col_perm: &[usize]) -> Vec<usize> {
-    let n = a.rows();
-    let mut parent = vec![usize::MAX; n];
-    // `ancestor` implements path compression; `prev_col[r]` remembers the
-    // last (new-numbered) column seen in row r, so each row links a chain
-    // of columns — exactly the Gilbert–Ng–Peyton column-etree recipe.
-    let mut ancestor = vec![usize::MAX; n];
-    let mut prev_col = vec![usize::MAX; n];
-    let at = a.transpose(); // rows of Aᵀ give column access to A
-    for (new_col, &old_col) in col_perm.iter().enumerate() {
-        let (rows_of_col, _) = at.row(old_col);
-        for &r in rows_of_col {
-            // Traverse from the row's registered column up to the root,
-            // linking into new_col.
-            let mut c = prev_col[r];
-            if c == usize::MAX {
-                prev_col[r] = new_col;
-                continue;
-            }
-            // Find root with path compression.
-            while ancestor[c] != usize::MAX && ancestor[c] != new_col {
-                let next = ancestor[c];
-                ancestor[c] = new_col;
-                c = next;
-            }
-            if c != new_col && parent[c] == usize::MAX {
-                parent[c] = new_col;
-                ancestor[c] = new_col;
-            }
-            prev_col[r] = new_col;
-        }
-    }
-    parent
-}
-
-/// Postorder traversal of a forest given parent pointers.
-fn postorder_of(parent: &[usize]) -> Vec<usize> {
-    let n = parent.len();
-    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut roots = Vec::new();
-    for (v, &p) in parent.iter().enumerate() {
-        if p == usize::MAX {
-            roots.push(v);
-        } else {
-            children[p].push(v);
-        }
-    }
-    let mut order = Vec::with_capacity(n);
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    for &root in &roots {
-        stack.push((root, 0));
-        while let Some(&mut (v, ref mut ci)) = stack.last_mut() {
-            if *ci < children[v].len() {
-                let child = children[v][*ci];
-                *ci += 1;
-                stack.push((child, 0));
-            } else {
-                order.push(v);
-                stack.pop();
-            }
-        }
-    }
-    order
+/// FNV-1a, one step per index word, over `row_ptr` then `col_idx`.
+fn pattern_hash(a: &CsrMatrix) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    a.row_ptr()
+        .iter()
+        .chain(a.col_idx())
+        .fold(FNV_OFFSET, |h, &w| (h ^ w as u64).wrapping_mul(FNV_PRIME))
 }
 
 #[cfg(test)]
@@ -132,35 +69,7 @@ mod tests {
     }
 
     #[test]
-    fn etree_of_tridiagonal_is_a_chain() {
-        let a = generate::laplacian_1d(6);
-        let sym = Symbolic::analyze(&a, Ordering::Natural).unwrap();
-        // Column etree of a tridiagonal matrix: parent(i) = i + 1.
-        for i in 0..5 {
-            assert_eq!(sym.etree[i], i + 1, "{:?}", sym.etree);
-        }
-        assert_eq!(sym.etree[5], usize::MAX);
-    }
-
-    #[test]
-    fn postorder_visits_children_before_parents() {
-        let a = generate::laplacian_2d(4);
-        let sym = Symbolic::analyze(&a, Ordering::MinDegree).unwrap();
-        let mut position = [0usize; 16];
-        for (i, &v) in sym.postorder.iter().enumerate() {
-            position[v] = i;
-        }
-        for (v, &p) in sym.etree.iter().enumerate() {
-            if p != usize::MAX {
-                assert!(position[v] < position[p], "child {v} after parent {p}");
-            }
-        }
-        // Postorder is a permutation.
-        assert!(crate::ordering::is_permutation(&sym.postorder, 16));
-    }
-
-    #[test]
-    fn compatibility_check_uses_shape_and_nnz() {
+    fn compatibility_check_compares_the_pattern_not_the_values() {
         let a = generate::laplacian_1d(6);
         let sym = Symbolic::analyze(&a, Ordering::Natural).unwrap();
         assert!(sym.compatible_with(&a));
@@ -171,6 +80,13 @@ mod tests {
         assert!(sym.compatible_with(&b), "same pattern, new values must be compatible");
         let c = generate::laplacian_1d(7);
         assert!(!sym.compatible_with(&c));
+        // Same shape and nonzero count, one entry moved: (0, 1) → (0, 2).
+        let (rows, cols, row_ptr, mut col_idx, values) = a.clone().into_parts();
+        assert_eq!(col_idx[..2], [0, 1]);
+        col_idx[1] = 2;
+        let moved = CsrMatrix::from_parts(rows, cols, row_ptr, col_idx, values).unwrap();
+        assert_eq!(moved.nnz(), a.nnz());
+        assert!(!sym.compatible_with(&moved), "a stale ordering must not be reused");
     }
 
     #[test]
