@@ -51,13 +51,17 @@ fn spmv(c: &mut Criterion) {
 /// Serial SpMV across the adaptive storage formats on format-friendly
 /// patterns: SELL-C-σ on the 5-point stencil (uniform rows), block-CSR
 /// on a FEM-style 3-dof assembly (full tiles), with the CSR kernel on
-/// the same matrix as the baseline in each case. All three are
-/// bit-identical; only the time may differ.
+/// the same matrix as the baseline in each case, and the paper's own
+/// matrix at the Figure 5 one-rank size. All formats are bit-identical;
+/// only the time may differ.
 fn spmv_formats(c: &mut Criterion) {
     let mut group = c.benchmark_group("spmv_formats");
     let stencil = generate::laplacian_2d(200);
     let fem = generate::fem_block(80, 3, 2);
-    for (label, a) in [("stencil200", &stencil), ("femb3", &fem)] {
+    // The paper's own matrix at the Figure 5 one-rank size (n = 90 000):
+    // the row `fig5_rksp_1r` spends its SpMV time on.
+    let (paper, _) = rmesh::paper_problem(300).assemble_global();
+    for (label, a) in [("stencil200", &stencil), ("femb3", &fem), ("paper300", &paper)] {
         let x = generate::random_vector(a.cols(), 7);
         group.throughput(Throughput::Elements(a.nnz() as u64));
         group.bench_function(BenchmarkId::new("csr", label), |b| {
@@ -74,7 +78,71 @@ fn spmv_formats(c: &mut Criterion) {
             let mut y = vec![0.0; a.rows()];
             b.iter(|| m.matvec_into(&x, &mut y));
         });
+        // The distributed matvec on one rank: no halo, every row interior,
+        // so this is the compact split kernel (`u32` columns, gathered
+        // unchecked after one validation at plan build) on the same rows.
+        group.bench_function(BenchmarkId::new("split1", label), |b| {
+            let b = std::sync::Mutex::new(b);
+            Universe::run(1, |comm| {
+                let part = BlockRowPartition::even(a.rows(), 1);
+                let da = DistCsrMatrix::from_global(comm, part.clone(), a).unwrap();
+                let dx = DistVector::from_global(part.clone(), 0, &x).unwrap();
+                let mut dy = DistVector::zeros(part, 0);
+                b.lock().unwrap().iter(|| da.matvec_into(comm, &dx, &mut dy).unwrap());
+            });
+        });
     }
+    group.finish();
+}
+
+/// The vector kernels under the Krylov loops at the Figure 5 one-rank
+/// length (n = 90 000, two reduction blocks): the plain forms and the fused
+/// forms that replace pairs and triples of them. Each fused row is
+/// bit-identical to the rows it replaces run back to back; compare
+/// `axpy` + `pdot` against `axpy_norm2_sq`, `axpy` + 2 × `pdot` against
+/// `axpy_pdot2`, 2 × `pdot` against `pdot2`, 2 × `axpy` against `axpy2`.
+fn blas1(c: &mut Criterion) {
+    use rsparse::dense;
+    let mut group = c.benchmark_group("blas1");
+    let n = 90_000usize;
+    let x = generate::random_vector(n, 1);
+    let z = generate::random_vector(n, 2);
+    let w = generate::random_vector(n, 3);
+    group.throughput(Throughput::Elements(n as u64));
+    group.bench_function("pdot", |b| b.iter(|| dense::pdot(&x, &z)));
+    group.bench_function("pdot2", |b| b.iter(|| dense::pdot2(&x, &x, &z)));
+    // a = 0 keeps the updated vector bounded over any number of iterations
+    // without changing the work done per element.
+    group.bench_function("axpy", |b| {
+        let mut y = w.clone();
+        b.iter(|| dense::axpy(0.0, &x, &mut y));
+    });
+    group.bench_function("axpy2", |b| {
+        let mut y = w.clone();
+        b.iter(|| dense::axpy2(0.0, &x, 0.0, &z, &mut y));
+    });
+    group.bench_function("axpy_then_pdot", |b| {
+        let mut y = w.clone();
+        b.iter(|| {
+            dense::axpy(0.0, &x, &mut y);
+            dense::pdot(&y, &y)
+        });
+    });
+    group.bench_function("axpy_norm2_sq", |b| {
+        let mut y = w.clone();
+        b.iter(|| dense::axpy_norm2_sq(0.0, &x, &mut y));
+    });
+    group.bench_function("axpy_then_2pdot", |b| {
+        let mut y = w.clone();
+        b.iter(|| {
+            dense::axpy(0.0, &x, &mut y);
+            (dense::pdot(&y, &y), dense::pdot(&y, &z))
+        });
+    });
+    group.bench_function("axpy_pdot2", |b| {
+        let mut y = w.clone();
+        b.iter(|| dense::axpy_pdot2(0.0, &x, &mut y, &z));
+    });
     group.finish();
 }
 
@@ -138,5 +206,5 @@ fn assembly(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, spmv, spmv_formats, probe_overhead, conversions, assembly);
+criterion_group!(benches, spmv, spmv_formats, blas1, probe_overhead, conversions, assembly);
 criterion_main!(benches);

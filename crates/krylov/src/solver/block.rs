@@ -179,13 +179,12 @@ pub(crate) fn block_cg(
         for &(c, pq) in &survivors {
             let alpha = rz[c] / pq;
             alphas[c].push(alpha);
-            {
-                let (pcol, qcol) = (&p_flat[col(c)], &q_flat[col(c)]);
-                rsparse::dense::axpy(alpha, pcol, &mut xs[col(c)]);
-                rsparse::dense::axpy(-alpha, qcol, r[c].local_mut());
-            }
+            rsparse::dense::axpy(alpha, &p_flat[col(c)], &mut xs[col(c)]);
+            // r ← r − α·q with ‖r‖² in the same pass, as in `cg::solve`.
+            let rr =
+                rsparse::dense::axpy_norm2_sq(-alpha, &q_flat[col(c)], r[c].local_mut());
             pc.apply(comm, &r[c], &mut z[c])?;
-            fused_local.push(rsparse::dense::pdot(r[c].local(), r[c].local()));
+            fused_local.push(rr);
             fused_local.push(rsparse::dense::pdot(r[c].local(), z[c].local()));
         }
         fused_local.push(batch_guard(&mons));

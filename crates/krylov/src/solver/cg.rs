@@ -56,7 +56,8 @@ pub(crate) fn solve(
         let alpha = rz / pq;
         alphas.push(alpha);
         x.axpy(alpha, &p)?;
-        r.axpy(-alpha, &q)?;
+        // r ← r − α·q, with ‖r‖² formed in the same pass.
+        let rr = rsparse::dense::axpy_norm2_sq(-alpha, q.local(), r.local_mut());
         let rz_new;
         if cfg.fused_reductions {
             // Apply the preconditioner first, then combine ‖r‖² and r·z
@@ -69,7 +70,7 @@ pub(crate) fn solve(
             // third element, so the timeout verdict is rank-agreed for
             // free.
             let local = [
-                rsparse::dense::pdot(r.local(), r.local()),
+                rr,
                 rsparse::dense::pdot(r.local(), z.local()),
                 mon.local_guard(),
             ];
@@ -81,7 +82,7 @@ pub(crate) fn solve(
                 break reason;
             }
         } else {
-            rnorm = mon.guarded_norm2(&r)?;
+            rnorm = mon.guarded_norm2_of(rr)?;
             if let Some(reason) = mon.check(iterations, rnorm) {
                 break reason;
             }
@@ -113,4 +114,162 @@ pub(crate) fn solve(
     let mut result = mon.finish(reason, iterations, r0, rnorm);
     result.cond_estimate = crate::analytics::cond_estimate_from_cg(&alphas, &betas);
     Ok(result)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::operator::MatOperator;
+    use crate::pc::{make_preconditioner, PcType};
+    use rcomm::Universe;
+    use rsparse::{generate, BlockRowPartition, DistCsrMatrix};
+
+    /// The loop as it stood before `axpy_norm2_sq` — the residual update
+    /// and its norm two passes — kept as the oracle [`solve`] must match
+    /// bit for bit, under both reduction schedules.
+    fn solve_unfused(
+        comm: &Communicator,
+        op: &dyn LinearOperator,
+        pc: &dyn Preconditioner,
+        b: &DistVector,
+        x: &mut DistVector,
+        cfg: &KspConfig,
+        cb: Option<&mut dyn probe::SolveMonitor>,
+    ) -> KspOutcome<KspResult> {
+        cfg.validate()?;
+        let part = op.partition().clone();
+        let rank = comm.rank();
+
+        let bnorm = b.norm2(comm)?;
+        let mut r = b.clone();
+        let mut scratch = DistVector::zeros(part.clone(), rank);
+        op.apply(comm, x, &mut scratch)?;
+        r.axpy(-1.0, &scratch)?;
+        let r0 = r.norm2(comm)?;
+        let mut mon = Monitor::new(comm, cfg, bnorm, r0, cb);
+        if let Some(reason) = mon.check(0, r0) {
+            return Ok(mon.finish(reason, 0, r0, r0));
+        }
+
+        let mut z = DistVector::zeros(part.clone(), rank);
+        pc.apply(comm, &r, &mut z)?;
+        let mut p = z.clone();
+        let mut q = DistVector::zeros(part, rank);
+        let mut rz = r.dot(&z, comm)?;
+
+        let mut iterations = 0usize;
+        let mut rnorm = r0;
+        // The CG scalars double as Lanczos coefficients; keep them so the
+        // result can carry a condition-number estimate (see
+        // [`crate::analytics`]).
+        let mut alphas: Vec<f64> = Vec::new();
+        let mut betas: Vec<f64> = Vec::new();
+        let reason = loop {
+            iterations += 1;
+            op.apply(comm, &p, &mut q)?;
+            let pq = p.dot(&q, comm)?;
+            if pq == 0.0 || !pq.is_finite() {
+                break ConvergedReason::Breakdown;
+            }
+            let alpha = rz / pq;
+            alphas.push(alpha);
+            x.axpy(alpha, &p)?;
+            r.axpy(-alpha, &q)?;
+            let rz_new;
+            if cfg.fused_reductions {
+                // Apply the preconditioner first, then combine ‖r‖² and r·z
+                // into one collective: 2 allreduces per iteration instead of
+                // 3. The allreduce is elementwise over the same rank-ordered
+                // tree, so each component is bit-identical to its standalone
+                // reduction and the convergence history is unchanged.
+                pc.apply(comm, &r, &mut z)?;
+                // The wall-clock guard flag rides the same collective as a
+                // third element, so the timeout verdict is rank-agreed for
+                // free.
+                let local = [
+                    rsparse::dense::pdot(r.local(), r.local()),
+                    rsparse::dense::pdot(r.local(), z.local()),
+                    mon.local_guard(),
+                ];
+                let fused = comm.allreduce_vec(&local, rcomm::sum)?;
+                rnorm = fused[0].sqrt();
+                rz_new = fused[1];
+                mon.absorb_guard(fused[2]);
+                if let Some(reason) = mon.check(iterations, rnorm) {
+                    break reason;
+                }
+            } else {
+                rnorm = mon.guarded_norm2(&r)?;
+                if let Some(reason) = mon.check(iterations, rnorm) {
+                    break reason;
+                }
+                pc.apply(comm, &r, &mut z)?;
+                rz_new = r.dot(&z, comm)?;
+            }
+            if cfg.checkpoint_every > 0 && iterations.is_multiple_of(cfg.checkpoint_every) {
+                // Elastic-recovery snapshot (x, r) at the checkpoint boundary;
+                // every rank passes here on the same iteration, so the
+                // deposited generation is cohort-consistent up to the one
+                // in-flight boundary `latest_consistent` tolerates.
+                crate::checkpoint::deposit(
+                    comm.world_members()[rank],
+                    iterations,
+                    op.partition().start_row(rank),
+                    x.local(),
+                    r.local(),
+                );
+            }
+            if rz == 0.0 {
+                break ConvergedReason::Breakdown;
+            }
+            let beta = rz_new / rz;
+            betas.push(beta);
+            rz = rz_new;
+            // p ← z + β·p (threaded elementwise kernel; same arithmetic).
+            rsparse::dense::xpby(z.local(), beta, p.local_mut());
+        };
+        let mut result = mon.finish(reason, iterations, r0, rnorm);
+        result.cond_estimate = crate::analytics::cond_estimate_from_cg(&alphas, &betas);
+        Ok(result)
+    }
+
+    #[test]
+    fn fused_update_matches_the_unfused_oracle_bitwise() {
+        let a = generate::laplacian_2d(12);
+        let n = a.rows();
+        let b = a.matvec(&generate::random_vector(n, 43)).unwrap();
+        for ranks in [1usize, 2, 3] {
+            for fused_reductions in [true, false] {
+                for pc_type in [PcType::Jacobi, PcType::Ic0] {
+                    let tag = format!("{pc_type:?}/{ranks}r/fused={fused_reductions}");
+                    Universe::run(ranks, |comm| {
+                        let part = BlockRowPartition::even(n, comm.size());
+                        let da = DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
+                        let op = MatOperator::new(da);
+                        let pc = make_preconditioner(pc_type, &op).unwrap();
+                        let db = DistVector::from_global(part.clone(), comm.rank(), &b).unwrap();
+                        let cfg = KspConfig {
+                            rtol: 1e-10,
+                            fused_reductions,
+                            ..KspConfig::default()
+                        };
+                        let mut x_new = DistVector::zeros(part.clone(), comm.rank());
+                        let mut x_old = DistVector::zeros(part, comm.rank());
+                        let new =
+                            solve(comm, &op, pc.as_ref(), &db, &mut x_new, &cfg, None).unwrap();
+                        let old =
+                            solve_unfused(comm, &op, pc.as_ref(), &db, &mut x_old, &cfg, None)
+                                .unwrap();
+                        assert_eq!(new.reason, old.reason, "{tag}");
+                        assert_eq!(new.iterations, old.iterations, "{tag}");
+                        assert!(new.converged() && new.iterations > 2, "{tag}");
+                        assert_eq!(new.cond_estimate, old.cond_estimate, "{tag}");
+                        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&new.history), bits(&old.history), "{tag} history");
+                        assert_eq!(bits(x_new.local()), bits(x_old.local()), "{tag} iterate");
+                    });
+                }
+            }
+        }
+    }
 }

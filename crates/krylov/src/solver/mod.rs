@@ -364,7 +364,14 @@ impl<'a, 'b> Monitor<'a, 'b> {
     /// bit-identical per component (elementwise reduction over the same
     /// rank-ordered tree).
     pub(crate) fn guarded_norm2(&mut self, v: &DistVector) -> KspOutcome<f64> {
-        let local = [rsparse::dense::pdot(v.local(), v.local()), self.local_guard()];
+        self.guarded_norm2_of(rsparse::dense::pdot(v.local(), v.local()))
+    }
+
+    /// [`Self::guarded_norm2`] for a vector whose local `‖v‖²` a fused
+    /// update-then-reduce kernel already formed: the same collective,
+    /// without the second pass over `v`.
+    pub(crate) fn guarded_norm2_of(&mut self, local_sq: f64) -> KspOutcome<f64> {
+        let local = [local_sq, self.local_guard()];
         let red = self.comm.allreduce_vec(&local, rcomm::sum)?;
         self.absorb_guard(red[1]);
         Ok(red[0].sqrt())

@@ -419,25 +419,33 @@ impl FormatMatrix {
     /// Re-read values from the (same-pattern) CSR matrix this was built
     /// from. CSR storage re-copies; SELL/BCSR replay their source maps.
     pub fn refresh_values(&mut self, a: &CsrMatrix) -> crate::error::SparseResult<()> {
+        self.refresh_from(a.values())
+    }
+
+    /// [`Self::refresh_values`] from the bare value array of that matrix
+    /// (what the distributed split pieces keep).
+    pub(crate) fn refresh_from(&mut self, values: &[f64]) -> crate::error::SparseResult<()> {
         match self {
             FormatMatrix::Csr(m) => {
-                if a.nnz() != m.nnz() {
+                if values.len() != m.nnz() {
                     return Err(crate::error::SparseError::LengthMismatch {
                         what: "format refresh values",
                         expected: m.nnz(),
-                        got: a.nnz(),
+                        got: values.len(),
                     });
                 }
-                m.values_mut().copy_from_slice(a.values());
+                m.values_mut().copy_from_slice(values);
                 Ok(())
             }
-            FormatMatrix::Sell(m) => m.refresh_values(a),
-            FormatMatrix::Bcsr(m) => m.refresh_values(a),
+            FormatMatrix::Sell(m) => m.refresh_from(values),
+            FormatMatrix::Bcsr(m) => m.refresh_from(values),
         }
     }
 
     /// Scatter SpMV for the distributed split kernels: row `r` writes
     /// `y[rows_map[r]]` (`rows_map` injective); threaded when warranted.
+    /// Converted formats only — a CSR plan runs its compact split pieces
+    /// (`compact.rs`) and never builds a `FormatMatrix`.
     pub(crate) fn spmv_scatter(
         &self,
         rows_map: &[usize],
@@ -446,9 +454,7 @@ impl FormatMatrix {
         threads: usize,
     ) {
         match self {
-            FormatMatrix::Csr(m) => {
-                crate::dist::spmv_rows_threaded(m, rows_map, x, y, threads);
-            }
+            FormatMatrix::Csr(_) => unreachable!("a CSR plan has no converted kernel"),
             FormatMatrix::Sell(m) => m.spmv_scatter(rows_map, x, y, threads),
             FormatMatrix::Bcsr(m) => m.spmv_scatter(rows_map, x, y, threads),
         }
@@ -473,11 +479,7 @@ impl FormatMatrix {
         threads: usize,
     ) {
         match self {
-            FormatMatrix::Csr(m) => {
-                crate::dist::spmv_rows_multi_threaded(
-                    m, rows_map, xs, x_stride, y, y_stride, k, threads,
-                );
-            }
+            FormatMatrix::Csr(_) => unreachable!("a CSR plan has no converted kernel"),
             FormatMatrix::Sell(m) => {
                 let kernel = |s0: usize, s1: usize| {
                     m.spmv_slices_multi(s0, s1, xs, x_stride, y, y_stride, k, Some(rows_map));

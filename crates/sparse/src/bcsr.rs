@@ -232,14 +232,18 @@ impl BcsrMatrix {
     /// Re-read values from the CSR matrix this was converted from (same
     /// pattern, possibly new values) — O(tile slots), no re-conversion.
     pub fn refresh_values(&mut self, a: &CsrMatrix) -> SparseResult<()> {
-        if a.nnz() != self.nnz {
+        self.refresh_from(a.values())
+    }
+
+    /// [`Self::refresh_values`] from the bare value array of that matrix.
+    pub(crate) fn refresh_from(&mut self, vals: &[f64]) -> SparseResult<()> {
+        if vals.len() != self.nnz {
             return Err(SparseError::LengthMismatch {
                 what: "BCSR refresh values",
                 expected: self.nnz,
-                got: a.nnz(),
+                got: vals.len(),
             });
         }
-        let vals = a.values();
         for (slot, &src) in self.src_idx.iter().enumerate() {
             if src != FILL {
                 self.blocks[slot] = vals[src];

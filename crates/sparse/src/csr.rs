@@ -12,11 +12,11 @@ use crate::threads::{self, SharedMutSlice};
 /// below this the per-dispatch synchronization dwarfs the row work.
 const PAR_SPMV_MIN_ROWS: usize = 2048;
 
-/// One row's dot product against a (renumbered) input vector — the single
-/// inner loop every SpMV variant in this crate shares (serial, threaded,
-/// and the distributed interior/boundary scatter kernels).
+/// One row's dot product against the input vector — the inner loop of the
+/// serial and threaded CSR SpMV (the distributed split kernels accumulate
+/// in the same entry order from their compact storage).
 #[inline(always)]
-pub(crate) fn row_dot(cols: &[usize], vals: &[f64], x: &[f64]) -> f64 {
+fn row_dot(cols: &[usize], vals: &[f64], x: &[f64]) -> f64 {
     let mut acc = 0.0;
     for (&c, &v) in cols.iter().zip(vals) {
         acc += v * x[c];
@@ -29,36 +29,6 @@ pub(crate) fn row_dot(cols: &[usize], vals: &[f64], x: &[f64]) -> f64 {
 /// accumulators, so the matrix is read once per group instead of once
 /// per vector.
 pub(crate) const MULTI_CHUNK: usize = 8;
-
-/// One row's dot products against `acc.len()` input vectors stored as
-/// contiguous columns of `xs` (column `l` at `xs[l·x_stride..]`). Each
-/// column accumulates in exactly [`row_dot`]'s entry order from a `+0.0`
-/// start, so per-column results are bit-identical to the single-vector
-/// kernel. Columns are processed in groups of [`MULTI_CHUNK`] with stack
-/// accumulators.
-#[inline]
-pub(crate) fn row_dot_multi(
-    cols: &[usize],
-    vals: &[f64],
-    xs: &[f64],
-    x_stride: usize,
-    acc: &mut [f64],
-) {
-    let k = acc.len();
-    let mut l0 = 0;
-    while l0 < k {
-        let kc = (k - l0).min(MULTI_CHUNK);
-        let mut a = [0.0f64; MULTI_CHUNK];
-        for (&c, &v) in cols.iter().zip(vals) {
-            let base = l0 * x_stride + c;
-            for (l, al) in a.iter_mut().enumerate().take(kc) {
-                *al += v * xs[base + l * x_stride];
-            }
-        }
-        acc[l0..l0 + kc].copy_from_slice(&a[..kc]);
-        l0 += kc;
-    }
-}
 
 /// A sparse matrix in CSR form with the usual invariants: `row_ptr` has
 /// `rows + 1` monotone entries, `col_idx`/`values` have `nnz` entries, and

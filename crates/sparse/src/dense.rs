@@ -5,85 +5,198 @@
 use crate::error::{SparseError, SparseResult};
 use crate::threads::{self, SharedMutSlice};
 
-/// Fixed reduction-block length for [`pdot`]. Partial sums are formed per
-/// block and combined in block order, so the result depends only on this
-/// constant — never on the thread count. Vectors at or under one block
-/// reduce with the plain serial [`dot`], bit-identical to the historical
-/// serial kernel.
+/// Fixed reduction-block length of the one reducer under [`pdot`] and
+/// the fused forms. Partial sums are formed per block and combined in block
+/// order, so a result depends only on this constant — never on the thread
+/// count. Vectors at or under one block reduce as a single block,
+/// bit-identical to the historical serial [`dot`].
 pub const DOT_BLOCK: usize = 65_536;
+
+/// Independent accumulators per block: lets LLVM vectorize and improves
+/// associativity stability versus a naive serial fold.
+const LANES: usize = 8;
+
+/// Block partials staged on the stack per pool dispatch of [`reduce`]
+/// (4 Mi elements); longer vectors take one dispatch per group.
+const PARTIAL_GROUP: usize = 64;
 
 /// Elementwise kernels shorter than this run serially even when threads
 /// are configured: the pool dispatch costs more than the memory pass.
 const PAR_ELEMWISE_MIN: usize = 32_768;
 
-/// Dot product ⟨x, y⟩.
+/// `K` sums of `term(i)` over `lo..hi`: [`LANES`] accumulators per sum
+/// over the full lane groups, the lanes folded in lane order, then the
+/// tail added serially. `term` runs exactly once per index of `lo..hi`
+/// and with no other argument — the kernels' unchecked indexing rests on
+/// that.
 ///
-/// # Panics
-/// Panics in debug builds if lengths differ.
-#[inline]
-pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    // Chunked accumulation: lets LLVM vectorize and improves associativity
-    // stability versus a naive serial fold.
-    const LANES: usize = 8;
-    let mut acc = [0.0f64; LANES];
-    let chunks = x.len() / LANES;
-    for c in 0..chunks {
-        let base = c * LANES;
-        for l in 0..LANES {
-            acc[l] += x[base + l] * y[base + l];
+/// `term` comes by value (the kernels' closures are `Copy`): a local copy of
+/// its captures stays in registers across the stores an updating `term`
+/// makes, where a borrowed one would have to be re-read after each.
+#[inline(always)]
+fn block_sums<const K: usize>(
+    lo: usize,
+    hi: usize,
+    term: impl Fn(usize) -> [f64; K],
+) -> [f64; K] {
+    let mut acc = [[0.0f64; K]; LANES];
+    let groups = (hi - lo) / LANES;
+    for g in 0..groups {
+        let base = lo + g * LANES;
+        for (l, lane) in acc.iter_mut().enumerate() {
+            for (a, t) in lane.iter_mut().zip(term(base + l)) {
+                *a += t;
+            }
         }
     }
-    let mut s: f64 = acc.iter().sum();
-    for i in chunks * LANES..x.len() {
-        s += x[i] * y[i];
+    let mut s: [f64; K] = std::array::from_fn(|k| acc.iter().map(|lane| lane[k]).sum());
+    for i in lo + groups * LANES..hi {
+        for (sk, t) in s.iter_mut().zip(term(i)) {
+            *sk += t;
+        }
     }
     s
 }
 
-/// Deterministic (optionally threaded) dot product ⟨x, y⟩ — the reduction
-/// kernel feeding the fused solver collectives.
+/// The one lane-and-block reducer under [`dot`], [`pdot`] and every fused
+/// form: `K` simultaneous sums of `term(i)` over `0..n`.
 ///
-/// Partial sums are computed over fixed [`DOT_BLOCK`]-element blocks and
-/// combined in block order on the calling thread, so the result is
-/// bit-identical for every `RSPARSE_THREADS` value. A single-block input
-/// degenerates to exactly [`dot`], matching the pre-threading serial
-/// histories for every local length ≤ `DOT_BLOCK`.
-pub fn pdot(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len();
-    if n <= DOT_BLOCK {
-        return dot(x, y);
-    }
+/// `0..n` is cut into [`DOT_BLOCK`]-element blocks, each reduced by
+/// [`block_sums`], and the block partials are combined in block order on
+/// the calling thread — so the result is bit-identical for every
+/// `RSPARSE_THREADS` value, and the `k`-th sum depends only on the `k`-th
+/// component of `term`: a fused kernel returns exactly what the separate
+/// passes over the same products would. A single block is returned as is.
+///
+/// `term` is called exactly once per index (by whichever thread owns the
+/// index's block), so it may also *write* element `i` of an output vector:
+/// that is how the update-then-reduce forms make one pass of two. No heap.
+#[inline(always)]
+fn reduce<const K: usize>(
+    n: usize,
+    term: impl Fn(usize) -> [f64; K] + Sync + Copy,
+) -> [f64; K] {
+    let block = move |b: usize| block_sums(b * DOT_BLOCK, ((b + 1) * DOT_BLOCK).min(n), term);
     let n_blocks = n.div_ceil(DOT_BLOCK);
-    let mut partials = vec![0.0f64; n_blocks];
-    let threads = threads::active().min(n_blocks);
-    let block_of = |b: usize| {
-        let lo = b * DOT_BLOCK;
-        let hi = (lo + DOT_BLOCK).min(n);
-        dot(&x[lo..hi], &y[lo..hi])
-    };
-    let filled = if threads > 1 {
-        let out = SharedMutSlice::new(&mut partials);
-        rayon::pool::try_broadcast(threads, |tid| {
-            let mut b = tid;
-            while b < n_blocks {
-                // SAFETY: block `b` is owned by exactly one tid
-                // (round-robin assignment).
-                unsafe { out.set(b, block_of(b)) };
-                b += threads;
+    if n_blocks <= 1 {
+        return block(0);
+    }
+    // `-0.0` is the identity `Iterator::sum` starts from.
+    let mut total = [-0.0f64; K];
+    for g0 in (0..n_blocks).step_by(PARTIAL_GROUP) {
+        let mut partials = [[0.0f64; K]; PARTIAL_GROUP];
+        let group = &mut partials[..(n_blocks - g0).min(PARTIAL_GROUP)];
+        if !(threads::active() > 1 && fill_threaded(group, g0, block)) {
+            for (b, p) in group.iter_mut().enumerate() {
+                *p = block(g0 + b);
             }
-        })
-    } else {
-        false
-    };
-    if !filled {
-        for (b, p) in partials.iter_mut().enumerate() {
-            *p = block_of(b);
+        }
+        // Fixed-order combination: block 0 first, always on this thread.
+        for p in group.iter() {
+            for (t, pk) in total.iter_mut().zip(p) {
+                *t += pk;
+            }
         }
     }
-    // Fixed-order combination: block 0 first, always on this thread.
-    partials.iter().sum()
+    total
+}
+
+/// `group[b] = block(g0 + b)` over the rank-local pool, blocks dealt
+/// round-robin; `false` (nothing computed) when the pool is busy. Kept out
+/// of line with its own copy of `block`: the copy a pool dispatch makes
+/// visible to other threads must not be the one the serial loop in
+/// [`reduce`] keeps in registers.
+#[inline(never)]
+fn fill_threaded<const K: usize>(
+    group: &mut [[f64; K]],
+    g0: usize,
+    block: impl Fn(usize) -> [f64; K] + Sync,
+) -> bool {
+    let g = group.len();
+    let threads = threads::active().min(g);
+    let out = SharedMutSlice::new(group.as_flattened_mut());
+    rayon::pool::try_broadcast(threads, |tid| {
+        for b in (tid..g).step_by(threads) {
+            for (k, v) in block(g0 + b).into_iter().enumerate() {
+                // SAFETY: block `b` is owned by exactly one tid.
+                unsafe { out.set(b * K + k, v) };
+            }
+        }
+    })
+}
+
+/// Dot product ⟨x, y⟩ as one block, whatever the length.
+///
+/// # Panics
+/// Panics if lengths differ.
+#[inline]
+pub fn dot(x: &[f64], y: &[f64]) -> f64 {
+    assert_eq!(x.len(), y.len());
+    // SAFETY: `block_sums(0, n, ·)` calls `term` only with `i < n`, and the
+    // assert above makes `n` the length of both slices.
+    let [s] =
+        block_sums(0, x.len(), move |i| unsafe { [x.get_unchecked(i) * y.get_unchecked(i)] });
+    s
+}
+
+/// Deterministic (optionally threaded) dot product ⟨x, y⟩ — the reduction
+/// kernel feeding the fused solver collectives: the blocked reducer over
+/// `x[i]·y[i]`.
+/// A single-block input degenerates to exactly [`dot`], matching the
+/// pre-threading serial histories for every local length ≤ `DOT_BLOCK`.
+pub fn pdot(x: &[f64], y: &[f64]) -> f64 {
+    assert_eq!(x.len(), y.len());
+    // SAFETY: `reduce(n, ·)` calls `term` only with `i < n`, and the assert
+    // above makes `n` the length of both slices.
+    let [s] = reduce(x.len(), move |i| unsafe { [x.get_unchecked(i) * y.get_unchecked(i)] });
+    s
+}
+
+/// Two dots in one pass: `(⟨x, y⟩, ⟨x, z⟩)`, each bit-identical to its own
+/// [`pdot`]. `y` may be `x` itself (BiCGStab's `(t·t, t·s)`, CG's
+/// `(r·r, r·z)`).
+pub fn pdot2(x: &[f64], y: &[f64], z: &[f64]) -> (f64, f64) {
+    assert_eq!(x.len(), y.len());
+    assert_eq!(x.len(), z.len());
+    // SAFETY: `reduce(n, ·)` calls `term` only with `i < n`, and the
+    // asserts above make `n` the length of all three slices.
+    let [xy, xz] = reduce(x.len(), move |i| unsafe {
+        let xi = *x.get_unchecked(i);
+        [xi * y.get_unchecked(i), xi * z.get_unchecked(i)]
+    });
+    (xy, xz)
+}
+
+/// Update-then-‖·‖²: `y ← a·x + y`, returning `⟨y, y⟩` of the updated `y`
+/// — [`axpy`] then [`pdot`] in one pass, bit-identical to the pair.
+pub fn axpy_norm2_sq(a: f64, x: &[f64], y: &mut [f64]) -> f64 {
+    assert_eq!(x.len(), y.len());
+    let ys = SharedMutSlice::new(y);
+    // SAFETY: `reduce(n, ·)` calls `term` exactly once per index, each
+    // `i < n` — the length of `x` and `y` by the assert above — so element
+    // `i` of `y` has one reader-writer, whichever thread that is.
+    let [yy] = reduce(ys.len(), move |i| unsafe {
+        let yi = ys.get(i) + a * x.get_unchecked(i);
+        ys.set(i, yi);
+        [yi * yi]
+    });
+    yy
+}
+
+/// Update-then-two-dots: `y ← a·x + y`, returning `(⟨y, y⟩, ⟨y, z⟩)` of the
+/// updated `y` — [`axpy`] then two [`pdot`]s in one pass, bit-identical to
+/// the three (BiCGStab's `r ← s − ω·t`, `‖r‖²`, `r̂·r`).
+pub fn axpy_pdot2(a: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> (f64, f64) {
+    assert_eq!(x.len(), y.len());
+    assert_eq!(z.len(), y.len());
+    let ys = SharedMutSlice::new(y);
+    // SAFETY: as in `axpy_norm2_sq`, with `z` of the same length.
+    let [yy, yz] = reduce(ys.len(), move |i| unsafe {
+        let yi = ys.get(i) + a * x.get_unchecked(i);
+        ys.set(i, yi);
+        [yi * yi, yi * z.get_unchecked(i)]
+    });
+    (yy, yz)
 }
 
 /// y ← a·x + y. Threaded over contiguous chunks for long vectors; each
@@ -104,6 +217,30 @@ pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
     } else {
         for (yi, xi) in y.iter_mut().zip(x) {
             *yi += a * xi;
+        }
+    }
+}
+
+/// y ← (y + a·x) + b·z — two [`axpy`]s in one pass (BiCGStab's iterate
+/// update `x += α·p̂ + ω·ŝ`). The parenthesization is the sequential one, so
+/// the result is bit-identical to `axpy(a, x, y); axpy(b, z, y)`. Threaded
+/// like [`axpy`].
+#[inline]
+pub fn axpy2(a: f64, x: &[f64], b: f64, z: &[f64], y: &mut [f64]) {
+    assert_eq!(x.len(), y.len());
+    assert_eq!(z.len(), y.len());
+    let threads = par_threads(y.len());
+    if threads > 1 {
+        let ys = SharedMutSlice::new(y);
+        threads::for_each_chunk(ys.len(), threads, |s, e| {
+            for i in s..e {
+                // SAFETY: chunks are disjoint.
+                unsafe { ys.set(i, (ys.get(i) + a * x[i]) + b * z[i]) };
+            }
+        });
+    } else {
+        for ((yi, xi), zi) in y.iter_mut().zip(x).zip(z) {
+            *yi = (*yi + a * xi) + b * zi;
         }
     }
 }
@@ -358,6 +495,57 @@ mod tests {
         crate::threads::set_threads(prev);
         // And the blocked result is numerically (not bitwise) the dot.
         assert!((reference - dot(&x, &y)).abs() < 1e-9 * dot(&x, &x).abs().sqrt());
+    }
+
+    /// Every fused kernel against the sequence of plain kernels it
+    /// replaces — same bits in the reductions, same bits in the updated
+    /// vector — at lengths around the lane and block boundaries, at 1, 2
+    /// and 4 threads (and so across thread counts: the plain sequence is
+    /// itself thread-invariant).
+    #[test]
+    fn fused_kernels_match_their_unfused_sequences_bitwise() {
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let gen = |n: usize, seed: usize| -> Vec<f64> {
+            (0..n).map(|i| ((i * 7 + seed * 13) % 101) as f64 * 0.37 - 18.1).collect()
+        };
+        let lengths =
+            [0, 1, 7, 8, 9, DOT_BLOCK - 1, DOT_BLOCK, DOT_BLOCK + 1, 2 * DOT_BLOCK + 3];
+        let (a, b) = (0.8125, -1.37);
+        let prev = crate::threads::active();
+        for n in lengths {
+            let (x, y0, z) = (gen(n, 1), gen(n, 2), gen(n, 3));
+            // References at one thread.
+            crate::threads::set_threads(1);
+            let mut y_axpy = y0.clone();
+            axpy(a, &x, &mut y_axpy);
+            let yy = pdot(&y_axpy, &y_axpy);
+            let yz = pdot(&y_axpy, &z);
+            let mut y_axpy2 = y_axpy.clone();
+            axpy(b, &z, &mut y_axpy2);
+            let (xy, xz, xx) = (pdot(&x, &y0), pdot(&x, &z), pdot(&x, &x));
+            for t in [1usize, 2, 4] {
+                crate::threads::set_threads(t);
+                let tag = format!("n = {n}, threads = {t}");
+                let got = pdot2(&x, &y0, &z);
+                assert_eq!((got.0.to_bits(), got.1.to_bits()), (xy.to_bits(), xz.to_bits()), "{tag}");
+                let got = pdot2(&x, &x, &z);
+                assert_eq!((got.0.to_bits(), got.1.to_bits()), (xx.to_bits(), xz.to_bits()), "{tag}");
+
+                let mut y = y0.clone();
+                assert_eq!(axpy_norm2_sq(a, &x, &mut y).to_bits(), yy.to_bits(), "{tag}");
+                assert_eq!(bits(&y), bits(&y_axpy), "{tag}");
+
+                let mut y = y0.clone();
+                let got = axpy_pdot2(a, &x, &mut y, &z);
+                assert_eq!((got.0.to_bits(), got.1.to_bits()), (yy.to_bits(), yz.to_bits()), "{tag}");
+                assert_eq!(bits(&y), bits(&y_axpy), "{tag}");
+
+                let mut y = y0.clone();
+                axpy2(a, &x, b, &z, &mut y);
+                assert_eq!(bits(&y), bits(&y_axpy2), "{tag}");
+            }
+        }
+        crate::threads::set_threads(prev);
     }
 
     #[test]

@@ -18,19 +18,21 @@
 //! 3. drains receives **out of order** as they arrive (via `iprobe`),
 //! 4. finishes with the boundary rows against `[x_local, ghosts]`.
 //!
-//! The ghost-extended vector and the send staging buffers live in a
-//! `MatvecWorkspace` owned by the matrix (interior mutability), so
-//! repeated matvecs — the inner loop of every Krylov solve — perform no
-//! heap allocation. Dot products and norms reduce over the communicator.
-//!
-//! Setting `RSPARSE_DISABLE_OVERLAP=1` falls back to the in-order blocking
-//! drain with no interleaved compute (a debugging / comparison knob).
+//! The two pieces are stored compactly (`u32` renumbered columns, every
+//! index checked once at plan build — see `compact.rs`), and a boundary
+//! row reads its owned entries from `x` itself and its ghost entries from
+//! the ghost slots, so `x` is never copied. The ghost slots and the send
+//! staging buffers live in a `MatvecWorkspace` owned by the matrix
+//! (interior mutability), so repeated matvecs — the inner loop of every
+//! Krylov solve — perform no heap allocation. Dot products and norms
+//! reduce over the communicator.
 
 use std::sync::{Arc, Mutex};
 
 use rcomm::Communicator;
 
 use crate::autotune::{self, Format, FormatMatrix, FormatPolicy};
+use crate::compact::{self, CompactRows};
 use crate::csr::CsrMatrix;
 use crate::dense;
 use crate::error::{SparseError, SparseResult};
@@ -44,14 +46,6 @@ const TAG_HALO: rcomm::Tag = 7001;
 /// distinct from [`TAG_HALO`] so interleaved single and multi matvecs
 /// can never consume each other's payloads.
 const TAG_HALO_MULTI: rcomm::Tag = 7002;
-
-/// Whether to overlap interior compute with the halo drain (default yes).
-fn overlap_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| {
-        std::env::var("RSPARSE_DISABLE_OVERLAP").map(|v| v != "1").unwrap_or(true)
-    })
-}
 
 /// A block-row-distributed dense vector: each rank owns one contiguous
 /// chunk.
@@ -189,31 +183,27 @@ struct HaloPlan {
     n_ghosts: usize,
 }
 
-/// The local rows compiled into two CSR pieces by halo dependence.
+/// The local rows compiled into two compact pieces by halo dependence.
 ///
-/// Columns are renumbered: `0..n_local` are owned columns (global start
-/// row subtracted), `n_local..` are ghost slots in plan order. Because
-/// block-row ownership is contiguous and ascending in rank, and ghost
-/// slots are grouped by owner rank and sorted by global column inside each
-/// group, the renumbering is monotone on owned columns and monotone on
-/// ghost columns, with every ghost above every owned column — so each
-/// renumbered row is "owned entries then ghost entries", both already
-/// sorted, and no per-row re-sort is needed to restore CSR invariants.
+/// Columns are renumbered into two index spaces: an owned column is its
+/// offset into this rank's chunk (global start row subtracted), a ghost
+/// column is its ghost slot in plan order. Because block-row ownership is
+/// contiguous and ascending in rank, and ghost slots are grouped by owner
+/// rank and sorted by global column inside each group, the renumbering is
+/// monotone on owned columns and monotone on ghost columns — so each row
+/// is stored as "owned entries then ghost entries", both in the original
+/// scan order, and that is the order every kernel accumulates it in.
 #[derive(Debug, Clone, PartialEq)]
 struct SplitLocal {
-    /// Rows touching only owned columns; width `n_local`.
-    interior: CsrMatrix,
-    /// Local row index of each interior row, ascending.
-    interior_rows: Vec<usize>,
-    /// Rows touching at least one ghost column; width `n_local + n_ghosts`.
-    boundary: CsrMatrix,
-    /// Local row index of each boundary row, ascending.
-    boundary_rows: Vec<usize>,
+    /// Rows touching only owned columns.
+    interior: CompactRows,
+    /// Rows touching at least one ghost column.
+    boundary: CompactRows,
 }
 
 /// Persistent per-matrix scratch for [`DistCsrMatrix::matvec_into`]: the
-/// ghost-extended input vector, one pool of reference-counted send staging
-/// buffers per destination, and the out-of-order receive bookkeeping.
+/// ghost slots, one pool of reference-counted send staging buffers per
+/// destination, and the out-of-order receive bookkeeping.
 ///
 /// Send payloads travel as `Arc<Vec<f64>>`: the sender keeps one clone in
 /// its pool and the receiver drops its clone after copying the values out,
@@ -224,7 +214,10 @@ struct SplitLocal {
 /// steady state allocates nothing.
 #[derive(Debug)]
 struct MatvecWorkspace {
-    /// `[x_local, ghosts]` staging for the boundary kernel.
+    /// `[x_local, ghosts]`. The compact CSR kernel reads only the ghost
+    /// slots (and `x` in place), so the head is never touched — nor, the
+    /// allocation being zeroed lazily, resident; a format-converted
+    /// boundary kernel wants one contiguous input and gets `x` copied in.
     ext: Vec<f64>,
     /// Per-send-slot buffer pools, parallel to `HaloPlan::sends`.
     send_pools: Vec<Vec<Arc<Vec<f64>>>>,
@@ -289,14 +282,15 @@ impl MatvecWorkspace {
 }
 
 /// Persistent scratch for [`DistCsrMatrix::matvec_multi_into`]: the
-/// ghost-extended staging for `k` interleaved vectors plus the batched
-/// halo bookkeeping. Rebuilt (lazily) whenever a batch arrives with a
-/// different `k`; single-RHS matvecs never touch it.
+/// ghost slots of `k` columns plus the batched halo bookkeeping. Rebuilt
+/// (lazily) whenever a batch arrives with a different `k`; single-RHS
+/// matvecs never touch it.
 #[derive(Debug)]
 struct MultiWorkspace {
     /// Batch width this workspace was built for.
     k: usize,
-    /// `k` ghost-extended columns, column `q` at `q·(n_local+n_ghosts)`.
+    /// `k` columns of `[x_local, ghosts]` as in [`MatvecWorkspace::ext`],
+    /// column `q` at `q·(n_local + n_ghosts)`.
     ext: Vec<f64>,
     /// Per-send-slot buffer pools (payload = `k` interleaved column
     /// segments), parallel to `HaloPlan::sends`.
@@ -351,92 +345,9 @@ impl MultiWorkspace {
     }
 }
 
-/// Minimum scatter-row count before `spmv_rows` dispatches to the thread
-/// pool; below this the synchronization outweighs the row work.
-const PAR_SCATTER_MIN_ROWS: usize = 2048;
-
-/// y[rows[i]] = mat.row(i) · x — the CSR scatter kernel both halves of
-/// the split matvec share. Threaded over contiguous chunks of the row
-/// list when `threads` and the row count warrant it; each target index
-/// appears at most once in `rows`, so chunks write disjoint elements of
-/// `y` and the result is bit-identical at any thread count. Also the
-/// CSR arm of [`FormatMatrix::spmv_scatter`].
-pub(crate) fn spmv_rows_threaded(
-    mat: &CsrMatrix,
-    rows: &[usize],
-    x: &[f64],
-    ys: &SharedMutSlice<'_>,
-    threads: usize,
-) {
-    let scatter = |lo: usize, hi: usize| {
-        for (i, &r) in rows[lo..hi].iter().enumerate() {
-            let (cols, vals) = mat.row(lo + i);
-            // SAFETY: `rows` holds unique local indices, and chunks of it
-            // are disjoint, so y[r] has exactly one writer.
-            unsafe { ys.set(r, crate::csr::row_dot(cols, vals, x)) };
-        }
-    };
-    if threads > 1 && rows.len() >= PAR_SCATTER_MIN_ROWS {
-        threads::for_each_chunk(rows.len(), threads, scatter);
-    } else {
-        scatter(0, rows.len());
-    }
-}
-
-#[inline]
-fn spmv_rows(mat: &CsrMatrix, rows: &[usize], x: &[f64], y: &mut [f64]) {
-    let ys = SharedMutSlice::new(y);
-    spmv_rows_threaded(mat, rows, x, &ys, threads::active());
-}
-
-/// Multi-vector CSR scatter: `y[q·y_stride + rows[i]] = mat.row(i) ·
-/// xs_q` for each of the `k` input columns (column `q` at
-/// `xs[q·x_stride..]`). One sweep over the matrix per
-/// [`crate::csr::MULTI_CHUNK`]-column group; per-column accumulation
-/// order matches [`spmv_rows_threaded`] exactly, so each column is
-/// bit-identical to the single-vector kernel at any thread count. Also
-/// the CSR arm of [`FormatMatrix::spmv_scatter_multi`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn spmv_rows_multi_threaded(
-    mat: &CsrMatrix,
-    rows: &[usize],
-    xs: &[f64],
-    x_stride: usize,
-    ys: &SharedMutSlice<'_>,
-    y_stride: usize,
-    k: usize,
-    threads: usize,
-) {
-    let scatter = |lo: usize, hi: usize| {
-        let mut acc = [0.0f64; crate::csr::MULTI_CHUNK];
-        let mut big;
-        let accs: &mut [f64] = if k <= crate::csr::MULTI_CHUNK {
-            &mut acc[..k]
-        } else {
-            big = vec![0.0f64; k];
-            &mut big
-        };
-        for (i, &r) in rows[lo..hi].iter().enumerate() {
-            let (cols, vals) = mat.row(lo + i);
-            crate::csr::row_dot_multi(cols, vals, xs, x_stride, accs);
-            for (q, &a) in accs.iter().enumerate() {
-                // SAFETY: `rows` holds unique local indices and chunks
-                // are disjoint, so each (column, row) output has exactly
-                // one writer.
-                unsafe { ys.set(q * y_stride + r, a) };
-            }
-        }
-    };
-    if threads > 1 && rows.len() >= PAR_SCATTER_MIN_ROWS {
-        threads::for_each_chunk(rows.len(), threads, scatter);
-    } else {
-        scatter(0, rows.len());
-    }
-}
-
 /// The interior/boundary pieces converted into the plan's chosen SpMV
-/// format. Absent when the plan chose CSR: the split pieces already are
-/// CSR, so the legacy path runs unchanged with zero conversion cost.
+/// format. Absent when the plan chose CSR: the compact split pieces are
+/// the CSR kernel's own storage, so there is nothing to convert.
 #[derive(Debug, Clone, PartialEq)]
 struct FormatKernel {
     interior: FormatMatrix,
@@ -448,15 +359,15 @@ struct FormatKernel {
 pub struct DistCsrMatrix {
     partition: BlockRowPartition,
     rank: usize,
-    /// Local rows compiled into interior/boundary pieces with renumbered
-    /// columns (see [`SplitLocal`]).
+    /// Local rows compiled into compact interior/boundary pieces with
+    /// renumbered columns (see [`SplitLocal`]).
     split: SplitLocal,
     /// Local rows with original global column indices (kept for gather,
     /// value updates and diagnostics).
     local_global: CsrMatrix,
     plan: HaloPlan,
     /// The SpMV format this matrix's plan settled on (see
-    /// [`crate::autotune`]); the split CSR pieces stay the source of
+    /// [`crate::autotune`]); the compact split pieces stay the source of
     /// truth either way.
     chosen: Format,
     /// Format-converted kernel pieces; `None` ⇒ CSR path.
@@ -542,6 +453,10 @@ impl DistCsrMatrix {
     /// steady-state matvecs pay zero conversion cost. Each rank decides
     /// from its own local rows; results are bit-identical regardless, so
     /// ranks are free to disagree.
+    ///
+    /// The split pieces index columns with `u32`: a rank whose owned rows
+    /// plus ghost entries exceed `u32::MAX` gets
+    /// [`SparseError::IndexOutOfBounds`] (after the plan's last collective).
     pub fn from_local_rows_with_format(
         comm: &Communicator,
         partition: BlockRowPartition,
@@ -621,67 +536,76 @@ impl DistCsrMatrix {
             offset += lst.len();
         }
         let n_ghosts = offset;
+        // Past the last collective of this function, so a rank that stops
+        // here strands no peer.
+        compact::check_index_space(n_local, n_ghosts)?;
         let plan = HaloPlan { sends, recvs, n_ghosts };
 
         // 4. Split-compile the local matrix with renumbered columns,
-        //    straight into two CSR pieces. The renumbering keeps owned
-        //    columns sorted below all ghost columns and both groups in
-        //    order (see [`SplitLocal`]), so each output row is "owned
-        //    entries then ghost entries" in one linear pass — no COO
-        //    round-trip, no per-row sort.
+        //    straight into the two compact pieces. The renumbering keeps
+        //    owned columns and ghost columns each in order (see
+        //    [`SplitLocal`]), so each output row is "owned entries then
+        //    ghost entries" in one linear pass — no COO round-trip, no
+        //    per-row sort. `check_index_space` above makes the `u32` casts
+        //    lossless; `CompactRows::new` re-checks every index it stores.
         let my_range = partition.range(rank);
         let mut interior_rows = Vec::new();
         let mut boundary_rows = Vec::new();
-        let mut int_ptr = Vec::with_capacity(n_local + 1);
-        let mut bnd_ptr = Vec::with_capacity(n_local + 1);
-        int_ptr.push(0);
-        bnd_ptr.push(0);
-        let mut int_cols = Vec::new();
+        let mut int_ptr = vec![0usize];
+        let mut bnd_ptr = vec![0usize];
+        let mut bnd_ghost_ptr = Vec::new();
+        let mut int_cols: Vec<u32> = Vec::new();
         let mut int_vals = Vec::new();
-        let mut bnd_cols = Vec::new();
+        let mut bnd_cols: Vec<u32> = Vec::new();
         let mut bnd_vals = Vec::new();
-        let mut ghost_cols_scratch: Vec<usize> = Vec::new();
+        let mut ghost_cols_scratch: Vec<u32> = Vec::new();
         let mut ghost_vals_scratch: Vec<f64> = Vec::new();
         for i in 0..n_local {
             let (gcols, gvals) = local.row(i);
-            ghost_cols_scratch.clear();
-            ghost_vals_scratch.clear();
             if gcols.iter().all(|c| my_range.contains(c)) {
                 interior_rows.push(i);
-                int_cols.extend(gcols.iter().map(|&c| c - start));
+                int_cols.extend(gcols.iter().map(|&c| (c - start) as u32));
                 int_vals.extend_from_slice(gvals);
                 int_ptr.push(int_cols.len());
             } else {
                 boundary_rows.push(i);
+                ghost_cols_scratch.clear();
+                ghost_vals_scratch.clear();
                 for (&c, &v) in gcols.iter().zip(gvals) {
                     if my_range.contains(&c) {
-                        bnd_cols.push(c - start);
+                        bnd_cols.push((c - start) as u32);
                         bnd_vals.push(v);
                     } else {
-                        ghost_cols_scratch.push(n_local + ghost_of[&c]);
+                        ghost_cols_scratch.push(ghost_of[&c] as u32);
                         ghost_vals_scratch.push(v);
                     }
                 }
+                bnd_ghost_ptr.push(bnd_cols.len());
                 bnd_cols.extend_from_slice(&ghost_cols_scratch);
                 bnd_vals.extend_from_slice(&ghost_vals_scratch);
                 bnd_ptr.push(bnd_cols.len());
             }
         }
-        let interior = CsrMatrix::from_parts_unchecked(
-            interior_rows.len(),
-            n_local,
-            int_ptr,
-            int_cols,
-            int_vals,
-        );
-        let boundary = CsrMatrix::from_parts_unchecked(
-            boundary_rows.len(),
-            n_local + n_ghosts,
-            bnd_ptr,
-            bnd_cols,
-            bnd_vals,
-        );
-        let split = SplitLocal { interior, interior_rows, boundary, boundary_rows };
+        let split = SplitLocal {
+            interior: CompactRows::new(
+                interior_rows,
+                int_ptr,
+                Vec::new(),
+                int_cols,
+                int_vals,
+                n_local,
+                n_ghosts,
+            ),
+            boundary: CompactRows::new(
+                boundary_rows,
+                bnd_ptr,
+                bnd_ghost_ptr,
+                bnd_cols,
+                bnd_vals,
+                n_local,
+                n_ghosts,
+            ),
+        };
 
         // 5. Resolve the format policy against the local pattern and
         //    convert the kernel pieces once, here at plan-build time.
@@ -709,11 +633,11 @@ impl DistCsrMatrix {
             register("spmv", spmv("matvec", n_local, local.nnz()));
             register(
                 "spmv_interior",
-                spmv("spmv_interior", split.interior.rows(), split.interior.nnz()),
+                spmv("spmv_interior", split.interior.rows().len(), split.interior.nnz()),
             );
             register(
                 "spmv_boundary",
-                spmv("spmv_boundary", split.boundary.rows(), split.boundary.nnz()),
+                spmv("spmv_boundary", split.boundary.rows().len(), split.boundary.nnz()),
             );
             let send_bytes: u64 =
                 plan.sends.iter().map(|(_, idxs)| 8 * idxs.len() as u64).sum();
@@ -744,8 +668,8 @@ impl DistCsrMatrix {
             None
         } else {
             Some(FormatKernel {
-                interior: FormatMatrix::build(&split.interior, chosen),
-                boundary: FormatMatrix::build(&split.boundary, chosen),
+                interior: FormatMatrix::build(&split.interior.to_csr(), chosen),
+                boundary: FormatMatrix::build(&split.boundary.to_csr(), chosen),
             })
         };
 
@@ -761,6 +685,13 @@ impl DistCsrMatrix {
             workspace,
             multi_workspace: Mutex::new(None),
         })
+    }
+
+    /// Whether the boundary kernel reads `[x, ghosts]` as one slice, so
+    /// that a matvec must copy `x` ahead of the ghost slots: only a
+    /// format-converted kernel with boundary rows to feed does.
+    fn stages_x(&self) -> bool {
+        self.kernel.is_some() && !self.split.boundary.rows().is_empty()
     }
 
     /// The row partition.
@@ -799,64 +730,62 @@ impl DistCsrMatrix {
         self.chosen
     }
 
-    /// Interior scatter kernel in the chosen format (CSR when no
-    /// conversion was planned). Bit-identical across formats and thread
-    /// counts.
+    /// Interior rows of `y ← A·x` in the chosen format (the compact CSR
+    /// piece when no conversion was planned). Bit-identical across formats
+    /// and thread counts.
     fn spmv_interior(&self, x: &[f64], yl: &mut [f64]) {
         match &self.kernel {
-            Some(k) => {
-                let ys = SharedMutSlice::new(yl);
-                k.interior.spmv_scatter(&self.split.interior_rows, x, &ys, threads::active());
-            }
-            None => spmv_rows(&self.split.interior, &self.split.interior_rows, x, yl),
+            Some(k) => k.interior.spmv_scatter(
+                self.split.interior.rows(),
+                x,
+                &SharedMutSlice::new(yl),
+                threads::active(),
+            ),
+            None => self.split.interior.spmv(x, &[], yl, threads::active()),
         }
     }
 
-    /// Boundary scatter kernel against the ghost-extended vector, in the
-    /// chosen format.
-    fn spmv_boundary(&self, ext: &[f64], yl: &mut [f64]) {
+    /// Boundary rows of `y ← A·x` in the chosen format. `ext` is the
+    /// workspace's `[x_local, ghosts]`: the compact CSR kernel reads `x`
+    /// and the ghost slots, a converted kernel reads `ext` whole (see
+    /// [`Self::stages_x`]).
+    fn spmv_boundary(&self, x: &[f64], ext: &[f64], yl: &mut [f64]) {
         match &self.kernel {
-            Some(k) => {
-                let ys = SharedMutSlice::new(yl);
-                k.boundary.spmv_scatter(&self.split.boundary_rows, ext, &ys, threads::active());
-            }
-            None => spmv_rows(&self.split.boundary, &self.split.boundary_rows, ext, yl),
+            Some(k) => k.boundary.spmv_scatter(
+                self.split.boundary.rows(),
+                ext,
+                &SharedMutSlice::new(yl),
+                threads::active(),
+            ),
+            None => self.split.boundary.spmv(x, &ext[x.len()..], yl, threads::active()),
         }
     }
 
-    /// Interior multi-vector scatter kernel in the chosen format.
-    fn spmv_interior_multi(&self, xs: &[f64], x_stride: usize, ys: &SharedMutSlice<'_>, k: usize) {
+    /// Interior multi-vector kernel in the chosen format.
+    fn spmv_interior_multi(&self, xs: &[f64], ys: &SharedMutSlice<'_>, k: usize) {
         let n_local = self.local_rows();
         match &self.kernel {
             Some(fk) => fk.interior.spmv_scatter_multi(
-                &self.split.interior_rows,
+                self.split.interior.rows(),
                 xs,
-                x_stride,
+                n_local,
                 ys,
                 n_local,
                 k,
                 threads::active(),
             ),
-            None => spmv_rows_multi_threaded(
-                &self.split.interior,
-                &self.split.interior_rows,
-                xs,
-                x_stride,
-                ys,
-                n_local,
-                k,
-                threads::active(),
-            ),
+            None => self.split.interior.spmv_multi(xs, &[], 0, ys, k, threads::active()),
         }
     }
 
-    /// Boundary multi-vector scatter kernel against the ghost-extended
-    /// columns, in the chosen format.
-    fn spmv_boundary_multi(&self, ext: &[f64], ext_stride: usize, ys: &SharedMutSlice<'_>, k: usize) {
+    /// Boundary multi-vector kernel in the chosen format; `ext` holds the
+    /// `k` columns of `[x_local, ghosts]` as in [`Self::spmv_boundary`].
+    fn spmv_boundary_multi(&self, xs: &[f64], ext: &[f64], ys: &SharedMutSlice<'_>, k: usize) {
         let n_local = self.local_rows();
+        let ext_stride = n_local + self.plan.n_ghosts;
         match &self.kernel {
             Some(fk) => fk.boundary.spmv_scatter_multi(
-                &self.split.boundary_rows,
+                self.split.boundary.rows(),
                 ext,
                 ext_stride,
                 ys,
@@ -864,13 +793,11 @@ impl DistCsrMatrix {
                 k,
                 threads::active(),
             ),
-            None => spmv_rows_multi_threaded(
-                &self.split.boundary,
-                &self.split.boundary_rows,
-                ext,
+            None => self.split.boundary.spmv_multi(
+                xs,
+                &ext[n_local..],
                 ext_stride,
                 ys,
-                n_local,
                 k,
                 threads::active(),
             ),
@@ -883,7 +810,7 @@ impl DistCsrMatrix {
     ///
     /// One halo exchange ships all `k` boundary columns in a single
     /// message per neighbour, and the interior/boundary kernels sweep
-    /// the matrix once per [`crate::csr::MULTI_CHUNK`]-column group
+    /// the matrix once per 8-column group (`csr::MULTI_CHUNK`)
     /// instead of once per column — the amortization the §17 work model
     /// [`probe::model::csr_traffic_multi`] describes. Each column's
     /// result is bit-identical to a [`Self::matvec_into`] call on that
@@ -917,7 +844,6 @@ impl DistCsrMatrix {
             self.register_multi_models(k);
         }
         let ws = guard.as_mut().expect("workspace was just installed");
-        let overlap = overlap_enabled();
         probe::add(probe::Counter::MatvecCalls, k as u64);
         let _matvec_span = probe::span!("matvec_multi");
 
@@ -937,31 +863,30 @@ impl DistCsrMatrix {
 
         // 2. Interior rows while the halos are in flight.
         let ys_shared = SharedMutSlice::new(ys);
-        if overlap {
+        {
             let _s = probe::span!("spmv_multi_interior");
-            self.spmv_interior_multi(xs, n_local, &ys_shared, k);
+            self.spmv_interior_multi(xs, &ys_shared, k);
         }
 
-        // 3. Drain the batched receives into the ghost-extended columns.
-        let ext_stride = n_local + self.plan.n_ghosts;
-        for q in 0..k {
-            ws.ext[q * ext_stride..q * ext_stride + n_local]
-                .copy_from_slice(&xs[q * n_local..(q + 1) * n_local]);
+        // 3. Drain the batched receives into the ghost slots (a converted
+        //    boundary kernel also wants each column of `x` ahead of them).
+        if self.stages_x() {
+            let ext_stride = n_local + self.plan.n_ghosts;
+            for q in 0..k {
+                ws.ext[q * ext_stride..q * ext_stride + n_local]
+                    .copy_from_slice(&xs[q * n_local..(q + 1) * n_local]);
+            }
         }
         {
             let _lat = probe::hist::HistTimer::start(probe::hist::Hist::HaloDrain);
             let _s = probe::span!("halo_drain_multi");
             self.drain_halos_multi(comm, ws)?;
         }
-        if !overlap {
-            let _s = probe::span!("spmv_multi_interior");
-            self.spmv_interior_multi(xs, n_local, &ys_shared, k);
-        }
 
-        // 4. Boundary rows against the ghost-extended columns.
+        // 4. Boundary rows against `x` and the ghost slots.
         {
             let _s = probe::span!("spmv_multi_boundary");
-            self.spmv_boundary_multi(&ws.ext, ext_stride, &ys_shared, k);
+            self.spmv_boundary_multi(xs, &ws.ext, &ys_shared, k);
         }
         Ok(())
     }
@@ -987,7 +912,7 @@ impl DistCsrMatrix {
             "spmv_multi_interior",
             spmv(
                 "spmv_multi_interior",
-                self.split.interior.rows(),
+                self.split.interior.rows().len(),
                 self.split.interior.nnz(),
             ),
         );
@@ -995,7 +920,7 @@ impl DistCsrMatrix {
             "spmv_multi_boundary",
             spmv(
                 "spmv_multi_boundary",
-                self.split.boundary.rows(),
+                self.split.boundary.rows().len(),
                 self.split.boundary.nnz(),
             ),
         );
@@ -1036,21 +961,16 @@ impl DistCsrMatrix {
         let n_local = self.local_rows();
         let ext_stride = n_local + self.plan.n_ghosts;
         let k = ws.k;
-        let overlap = overlap_enabled();
         for pending in ws.recv_pending.iter_mut() {
             *pending = true;
         }
         let mut remaining = self.plan.recvs.len();
         while remaining > 0 {
             let mut received = None;
-            if overlap {
-                for (slot, &(src, ..)) in self.plan.recvs.iter().enumerate() {
-                    if ws.recv_pending[slot]
-                        && comm.iprobe(src as i32, TAG_HALO_MULTI)?.is_some()
-                    {
-                        received = Some(slot);
-                        break;
-                    }
+            for (slot, &(src, ..)) in self.plan.recvs.iter().enumerate() {
+                if ws.recv_pending[slot] && comm.iprobe(src as i32, TAG_HALO_MULTI)?.is_some() {
+                    received = Some(slot);
+                    break;
                 }
             }
             let slot = received.unwrap_or_else(|| {
@@ -1131,10 +1051,8 @@ impl DistCsrMatrix {
                 "matvec vector partition differs from matrix partition".into(),
             ));
         }
-        let n_local = self.local_rows();
         let mut guard = self.workspace.lock().unwrap_or_else(|e| e.into_inner());
         let ws = &mut *guard;
-        let overlap = overlap_enabled();
         probe::incr(probe::Counter::MatvecCalls);
         let _matvec_span = probe::span!("matvec");
 
@@ -1155,63 +1073,55 @@ impl DistCsrMatrix {
         // 2. Interior rows depend only on owned entries: compute them now,
         //    while the halos are in flight.
         let yl = y.local_mut();
-        if overlap {
+        {
             let _s = probe::span!("spmv_interior");
             self.spmv_interior(&x.local, yl);
         }
 
-        // 3. Drain the halo receives (out of order when overlapping).
-        ws.ext[..n_local].copy_from_slice(&x.local);
+        // 3. Drain the halo receives, out of order, into the ghost slots
+        //    (a converted boundary kernel also wants `x` ahead of them).
+        if self.stages_x() {
+            ws.ext[..x.local.len()].copy_from_slice(&x.local);
+        }
         {
             let _lat = probe::hist::HistTimer::start(probe::hist::Hist::HaloDrain);
             let _s = probe::span!("halo_drain");
-            self.drain_halos(comm, ws, overlap)?;
-        }
-        if !overlap {
-            let _s = probe::span!("spmv_interior");
-            self.spmv_interior(&x.local, yl);
+            self.drain_halos(comm, ws)?;
         }
 
-        // 4. Boundary rows against the ghost-extended vector.
+        // 4. Boundary rows against `x` and the ghost slots.
         {
             let _s = probe::span!("spmv_boundary");
-            self.spmv_boundary(&ws.ext, yl);
+            self.spmv_boundary(&x.local, &ws.ext, yl);
         }
         ws.primed = true;
         Ok(())
     }
 
-    /// Receive every halo payload for one matvec into `ws.ext`.
+    /// Receive every halo payload for one matvec into the ghost slots of
+    /// `ws.ext`.
     ///
-    /// With overlap enabled, polls all still-pending sources via `iprobe`
-    /// and consumes whichever arrived first; when a poll sweep finds
-    /// nothing, blocks on the first pending source instead of spinning.
-    /// Each source is received from exactly once, so a fast neighbour's
-    /// *next*-iteration payload (queued behind this iteration's, FIFO per
-    /// source) can never be consumed early.
-    fn drain_halos(
-        &self,
-        comm: &Communicator,
-        ws: &mut MatvecWorkspace,
-        overlap: bool,
-    ) -> SparseResult<()> {
-        let n_local = self.local_rows();
+    /// Polls all still-pending sources via `iprobe` and consumes whichever
+    /// arrived first; when a poll sweep finds nothing, blocks on the first
+    /// pending source instead of spinning. Each source is received from
+    /// exactly once, so a fast neighbour's *next*-iteration payload (queued
+    /// behind this iteration's, FIFO per source) can never be consumed
+    /// early.
+    fn drain_halos(&self, comm: &Communicator, ws: &mut MatvecWorkspace) -> SparseResult<()> {
         for pending in ws.recv_pending.iter_mut() {
             *pending = true;
         }
         let mut remaining = self.plan.recvs.len();
         while remaining > 0 {
             let mut received = None;
-            if overlap {
-                for (k, &(src, ..)) in self.plan.recvs.iter().enumerate() {
-                    if ws.recv_pending[k] && comm.iprobe(src as i32, TAG_HALO)?.is_some() {
-                        received = Some(k);
-                        break;
-                    }
+            for (k, &(src, ..)) in self.plan.recvs.iter().enumerate() {
+                if ws.recv_pending[k] && comm.iprobe(src as i32, TAG_HALO)?.is_some() {
+                    received = Some(k);
+                    break;
                 }
             }
-            // Nothing ready (or overlap disabled): block on the first
-            // pending source in plan order.
+            // Nothing ready: block on the first pending source in plan
+            // order.
             let k = received.unwrap_or_else(|| {
                 ws.recv_pending.iter().position(|&p| p).expect("remaining > 0")
             });
@@ -1232,7 +1142,8 @@ impl DistCsrMatrix {
             if vals.iter().any(|v| !v.is_finite()) {
                 probe::incr(probe::Counter::HaloNonFinite);
             }
-            ws.ext[n_local + offset..n_local + offset + count].copy_from_slice(&vals);
+            let slot = self.local_rows() + offset;
+            ws.ext[slot..slot + count].copy_from_slice(&vals);
             // Drop our clone promptly so the sender's staging buffer frees
             // up for its next matvec.
             drop(vals);
@@ -1245,12 +1156,12 @@ impl DistCsrMatrix {
     /// Number of local rows that touch no ghost column (computed before
     /// the halo arrives).
     pub fn interior_row_count(&self) -> usize {
-        self.split.interior_rows.len()
+        self.split.interior.rows().len()
     }
 
     /// Number of local rows that touch at least one ghost column.
     pub fn boundary_row_count(&self) -> usize {
-        self.split.boundary_rows.len()
+        self.split.boundary.rows().len()
     }
 
     /// Workspace heap allocations made after the first matvec completed.
@@ -1382,6 +1293,10 @@ impl DistCsrMatrix {
         }
         let part = BlockRowPartition::even(global_rows, comm.size());
         let r = part.range(comm.rank());
+        // A block too tall for the compact plan's `u32` columns is refused
+        // here, with every collective already behind, rather than at the
+        // rebuild this block is headed for.
+        compact::check_index_space(r.len(), 0)?;
         let new_local = global.row_block(r.start, r.end)?;
         let new_rhs = full_rhs[r.clone()].to_vec();
         Ok((r.start, new_local, new_rhs))
@@ -1464,10 +1379,10 @@ impl DistCsrMatrix {
             }
         }
         // Replay the new values into the format-converted kernel pieces
-        // (their source-index maps point into the split CSR pieces).
+        // (their source-index maps point into the split pieces' values).
         if let Some(k) = &mut self.kernel {
-            k.interior.refresh_values(&self.split.interior)?;
-            k.boundary.refresh_values(&self.split.boundary)?;
+            k.interior.refresh_from(self.split.interior.values())?;
+            k.boundary.refresh_from(self.split.boundary.values())?;
         }
         Ok(())
     }
@@ -1604,6 +1519,42 @@ mod tests {
             for (g, e) in got.iter().zip(&expect) {
                 assert!((g - e).abs() < 1e-12);
             }
+        }
+    }
+
+    /// `update_values` must reach the compact pieces the matvec reads: the
+    /// split product then equals the rank-local product of the updated
+    /// `local_matrix()` bit for bit. On one rank both walk a row in the
+    /// same order, so any reals do; across ranks a boundary row is summed
+    /// "owned then ghost", so the data is integer-valued there — every
+    /// order sums exactly, and a stale or misplaced value still shows.
+    #[test]
+    fn update_values_refreshes_the_compact_pieces_bitwise() {
+        let a = generate::random_diag_dominant(60, 5, 19);
+        let n = a.rows();
+        for p in [1usize, 2, 3] {
+            let integral = p > 1;
+            let x: Vec<f64> = (0..n)
+                .map(|i| if integral { (i % 7) as f64 - 3.0 } else { (i as f64 * 0.7).cos() })
+                .collect();
+            Universe::run(p, |comm| {
+                let part = BlockRowPartition::even(n, comm.size());
+                let mut da = DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
+                let new_vals: Vec<f64> = da
+                    .local_matrix()
+                    .values()
+                    .iter()
+                    .map(|v| if integral { (v * 8.0).round() } else { v * -1.5 + 0.1 })
+                    .collect();
+                da.update_values(&new_vals).unwrap();
+                let dx = DistVector::from_global(part, comm.rank(), &x).unwrap();
+                let got = da.matvec(comm, &dx).unwrap();
+                let mut want = vec![0.0; da.local_rows()];
+                da.local_matrix().matvec_into(&x, &mut want);
+                for (i, (g, w)) in got.local().iter().zip(&want).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "p = {p}, local row {i}");
+                }
+            });
         }
     }
 

@@ -35,6 +35,7 @@
 
 pub mod autotune;
 pub mod bcsr;
+mod compact;
 pub mod convert;
 pub mod coo;
 pub mod csc;
