@@ -54,6 +54,13 @@ fn spmv(c: &mut Criterion) {
 /// the same matrix as the baseline in each case, and the paper's own
 /// matrix at the Figure 5 one-rank size. All formats are bit-identical;
 /// only the time may differ.
+///
+/// The `split1` rows are the distributed matvec on one rank. On a stencil
+/// matrix nearly every row sits in a stencil run (no column indices);
+/// `paper128`, `paper400` and `laplacian200` are the other tracked
+/// workloads' matrices, and `paper300shuffled` is the bypass control — the
+/// rows of `paper300` reordered so that none continues the one above: the
+/// same entries through the compact `u32` kernel alone.
 fn spmv_formats(c: &mut Criterion) {
     let mut group = c.benchmark_group("spmv_formats");
     let stencil = generate::laplacian_2d(200);
@@ -78,20 +85,88 @@ fn spmv_formats(c: &mut Criterion) {
             let mut y = vec![0.0; a.rows()];
             b.iter(|| m.matvec_into(&x, &mut y));
         });
-        // The distributed matvec on one rank: no halo, every row interior,
-        // so this is the compact split kernel (`u32` columns, gathered
-        // unchecked after one validation at plan build) on the same rows.
-        group.bench_function(BenchmarkId::new("split1", label), |b| {
-            let b = std::sync::Mutex::new(b);
-            Universe::run(1, |comm| {
-                let part = BlockRowPartition::even(a.rows(), 1);
-                let da = DistCsrMatrix::from_global(comm, part.clone(), a).unwrap();
-                let dx = DistVector::from_global(part.clone(), 0, &x).unwrap();
-                let mut dy = DistVector::zeros(part, 0);
-                b.lock().unwrap().iter(|| da.matvec_into(comm, &dx, &mut dy).unwrap());
-            });
-        });
+        bench_split1(&mut group, label, a, label != "femb3");
     }
+    for (label, a) in [
+        ("paper128", rmesh::paper_problem(128).assemble_global().0),
+        ("paper400", rmesh::paper_problem(400).assemble_global().0),
+        ("laplacian200", stencil.clone()),
+    ] {
+        group.throughput(Throughput::Elements(a.nnz() as u64));
+        bench_split1(&mut group, label, &a, true);
+    }
+    group.throughput(Throughput::Elements(paper.nnz() as u64));
+    bench_split1(&mut group, "paper300shuffled", &shuffle_rows_locally(&paper), false);
+    group.finish();
+}
+
+/// The distributed matvec on one rank: no halo, every row interior, so
+/// this is the split plan's interior kernels alone — stencil runs plus the
+/// compact remainder (`u32` columns, gathered unchecked after one
+/// validation at plan build). `expect_runs` pins which of the two the row
+/// measures.
+fn bench_split1(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    label: &str,
+    a: &rsparse::CsrMatrix,
+    expect_runs: bool,
+) {
+    let x = generate::random_vector(a.cols(), 7);
+    group.bench_function(BenchmarkId::new("split1", label), |b| {
+        let b = std::sync::Mutex::new(b);
+        Universe::run(1, |comm| {
+            let part = BlockRowPartition::even(a.rows(), 1);
+            let da = DistCsrMatrix::from_global(comm, part.clone(), a).unwrap();
+            assert_eq!(da.stencil_row_count() > 0, expect_runs, "{label}");
+            let dx = DistVector::from_global(part.clone(), 0, &x).unwrap();
+            let mut dy = DistVector::zeros(part, 0);
+            b.lock().unwrap().iter(|| da.matvec_into(comm, &dx, &mut dy).unwrap());
+        });
+    });
+}
+
+/// `a` with each block of 8 consecutive rows put in a fixed pseudo-random
+/// order: the same entries, every row still next to its grid neighbours
+/// (so `x` is reused from cache as before), but no 16 consecutive rows
+/// each continuing the one above — nothing for the run detection to find.
+fn shuffle_rows_locally(a: &rsparse::CsrMatrix) -> rsparse::CsrMatrix {
+    let mut rng = generate::XorShift64::new(16);
+    let mut order: Vec<usize> = (0..a.rows()).collect();
+    for block in order.chunks_mut(8) {
+        for i in (1..block.len()).rev() {
+            block.swap(i, rng.next_below(i + 1));
+        }
+    }
+    let mut row_ptr = vec![0usize];
+    let mut col_idx = Vec::with_capacity(a.nnz());
+    let mut values = Vec::with_capacity(a.nnz());
+    for &r in &order {
+        let (cols, vals) = a.row(r);
+        col_idx.extend_from_slice(cols);
+        values.extend_from_slice(vals);
+        row_ptr.push(col_idx.len());
+    }
+    rsparse::CsrMatrix::from_parts(a.rows(), a.cols(), row_ptr, col_idx, values).unwrap()
+}
+
+/// The batched distributed matvec at k = 8 on one rank, on `batch8_2r`'s
+/// matrix: the run kernel's multi-vector twin, one read of the run storage
+/// for all eight columns.
+fn spmv_multi(c: &mut Criterion) {
+    let mut group = c.benchmark_group("spmv_multi");
+    let a = generate::laplacian_2d(128);
+    let k = 8;
+    let xs = generate::random_vector(k * a.cols(), 7);
+    group.throughput(Throughput::Elements((k * a.nnz()) as u64));
+    group.bench_function(BenchmarkId::new("split1_k8", "laplacian128"), |b| {
+        let b = std::sync::Mutex::new(b);
+        Universe::run(1, |comm| {
+            let part = BlockRowPartition::even(a.rows(), 1);
+            let da = DistCsrMatrix::from_global(comm, part, &a).unwrap();
+            let mut ys = vec![0.0; xs.len()];
+            b.lock().unwrap().iter(|| da.matvec_multi_into(comm, &xs, &mut ys, k).unwrap());
+        });
+    });
     group.finish();
 }
 
@@ -206,5 +281,5 @@ fn assembly(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, spmv, spmv_formats, blas1, probe_overhead, conversions, assembly);
+criterion_group!(benches, spmv, spmv_formats, spmv_multi, blas1, probe_overhead, conversions, assembly);
 criterion_main!(benches);

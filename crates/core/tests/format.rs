@@ -1,14 +1,15 @@
 //! Integration tests for the reserved `format` option key: validation,
 //! bit-identical solves under every storage format, and the acceptance
-//! check that `port.set("format", "auto")` actually picks a non-CSR
-//! format on a bench-scale matrix.
+//! checks that `port.set("format", "auto")` actually picks a non-CSR
+//! format on a bench-scale block matrix and stays on CSR where the plan
+//! stores the rows as stencil runs.
 
 use std::sync::Mutex;
 
 use lisi::STATUS_LEN;
 use lisi::{RkspAdapter, SparseSolverPort, SparseStruct};
 use rcomm::Universe;
-use rsparse::BlockRowPartition;
+use rsparse::{BlockRowPartition, DistCsrMatrix, Format, FormatPolicy};
 
 /// The `format` policy is process-global; serialize the tests that
 /// mutate it so they never race, and always restore the previous policy.
@@ -76,7 +77,8 @@ fn bogus_format_value_is_a_bad_parameter() {
 #[test]
 fn solves_are_bitwise_identical_across_formats() {
     with_policy_lock(|| {
-        // 2-D Laplacian at bench scale: large enough that `auto` converts.
+        // 2-D Laplacian at bench scale: past `auto`'s minimum size, and the
+        // CSR baseline runs its grid lines as stencil runs.
         let a = rsparse::generate::laplacian_2d(24);
         let x_true = rsparse::generate::random_vector(a.rows(), 3);
         let b = a.matvec(&x_true).unwrap();
@@ -100,19 +102,46 @@ fn solves_are_bitwise_identical_across_formats() {
 #[test]
 fn auto_selects_a_non_csr_format_on_a_bench_matrix() {
     with_policy_lock(|| {
-        // 5-point stencil, 1600 unknowns: near-uniform rows, low block
-        // fill — the model must pick SELL-C-σ, not stay on CSR.
-        let a = rsparse::generate::laplacian_2d(40);
+        // FEM-style 3×3 blocks on a 14×14 grid (588 unknowns), made
+        // symmetric for CG: every stored tile is full — the model must
+        // pick block-CSR, not stay on CSR.
+        let g = rsparse::generate::fem_block(14, 3, 5);
+        let a = rsparse::ops::add(1.0, &g, 1.0, &g.transpose()).unwrap();
         let x_true = rsparse::generate::random_vector(a.rows(), 11);
         let b = a.matvec(&x_true).unwrap();
         let (x, chosen_sell, chosen_bcsr) = solve_with_format(&a, &b, "auto");
         assert!(
-            chosen_sell > 0,
-            "auto left the 5-point stencil on CSR (sell={chosen_sell}, bcsr={chosen_bcsr})"
+            chosen_bcsr > 0,
+            "auto left the FEM blocks on CSR (sell={chosen_sell}, bcsr={chosen_bcsr})"
         );
         for (g, e) in x.iter().zip(&x_true) {
             assert!((g - e).abs() < 1e-7);
         }
+    });
+}
+
+#[test]
+fn auto_stays_on_csr_where_stencil_runs_cover_the_rows() {
+    with_policy_lock(|| {
+        // 5-point stencil, 1600 unknowns: 38 of every 40 rows repeat the
+        // row above shifted by one, and the CSR plan stores them without
+        // column indices — nothing `auto` could convert to beats that.
+        let a = rsparse::generate::laplacian_2d(40);
+        let x_true = rsparse::generate::random_vector(a.rows(), 11);
+        let b = a.matvec(&x_true).unwrap();
+        let (x, chosen_sell, chosen_bcsr) = solve_with_format(&a, &b, "auto");
+        assert_eq!((chosen_sell, chosen_bcsr), (0, 0), "auto converted the 5-point stencil");
+        for (g, e) in x.iter().zip(&x_true) {
+            assert!((g - e).abs() < 1e-7);
+        }
+        Universe::run(1, |comm| {
+            let part = BlockRowPartition::even(a.rows(), 1);
+            let da =
+                DistCsrMatrix::from_local_rows_with_format(comm, part, a.clone(), FormatPolicy::Auto)
+                    .unwrap();
+            assert_eq!(da.chosen_format(), Format::Csr);
+            assert_eq!(da.stencil_row_count(), 40 * 38);
+        });
     });
 }
 

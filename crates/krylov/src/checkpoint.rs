@@ -23,8 +23,10 @@
 //! two snapshots.
 //!
 //! The registry is process-global state like the fault plan and the
-//! cohort registry: tests that depend on checkpoint contents must
-//! serialize, and recovery layers should [`clear_all`] at solve entry.
+//! cohort registry: recovery layers should [`clear_all`] at solve entry.
+//! The state itself is a `Registry` value — the process has one, behind
+//! the free functions below, and this module's unit tests each build
+//! their own, so they race neither each other nor a concurrent solve.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -52,126 +54,149 @@ struct Slot {
     filled: u8,
 }
 
-static REGISTRY: Mutex<Option<HashMap<usize, Slot>>> = Mutex::new(None);
+/// The registry's state: the retained snapshots by world rank (`None`
+/// until the first deposit, so an idle process allocates nothing).
+struct Registry {
+    slots: Mutex<Option<HashMap<usize, Slot>>>,
+}
+
+static GLOBAL: Registry = Registry::new();
+
+/// One member's `(start_row, x)` piece of a restored snapshot.
+pub type SnapshotChunk = (usize, Vec<f64>);
+
+impl Registry {
+    const fn new() -> Self {
+        Registry { slots: Mutex::new(None) }
+    }
+
+    fn clear_all(&self) {
+        *self.slots.lock().unwrap_or_else(|e| e.into_inner()) = None;
+    }
+
+    fn deposit(&self, world_rank: usize, iteration: usize, start_row: usize, x: &[f64], r: &[f64]) {
+        let mut guard = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        let slot = guard
+            .get_or_insert_with(HashMap::new)
+            .entry(world_rank)
+            .or_default();
+        // Rotate: the old `previous` buffers become the write target.
+        std::mem::swap(&mut slot.newest, &mut slot.previous);
+        let dst = &mut slot.newest;
+        dst.iteration = iteration;
+        dst.start_row = start_row;
+        dst.x.clear();
+        dst.x.extend_from_slice(x);
+        dst.r.clear();
+        dst.r.extend_from_slice(r);
+        slot.filled = (slot.filled + 1).min(2);
+    }
+
+    fn latest_consistent(&self, world_members: &[usize]) -> Option<(usize, Vec<SnapshotChunk>)> {
+        let guard = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        let map = guard.as_ref()?;
+        // The candidate iterations are the ones every member retains: the
+        // newest complete set is the *minimum* over members of each member's
+        // newest iteration — every member keeps its previous generation, so a
+        // member that has advanced past `it` can still serve `it` as long as
+        // only one boundary separates them (the collective lock-step
+        // guarantees survivors are at most one checkpoint apart).
+        let target = world_members
+            .iter()
+            .map(|w| map.get(w).filter(|s| s.filled > 0).map(|s| s.newest.iteration))
+            .collect::<Option<Vec<_>>>()?
+            .into_iter()
+            .min()?;
+        let mut chunks = Vec::with_capacity(world_members.len());
+        for &w in world_members {
+            let slot = map.get(&w)?;
+            let snap = if slot.newest.iteration == target {
+                &slot.newest
+            } else if slot.filled >= 2 && slot.previous.iteration == target {
+                &slot.previous
+            } else {
+                return None;
+            };
+            chunks.push((snap.start_row, snap.x.clone()));
+        }
+        chunks.sort_by_key(|&(s, _)| s);
+        Some((target, chunks))
+    }
+}
 
 /// Forget every snapshot (recovery layers call this at solve entry so a
 /// restored checkpoint can never leak across solves).
 pub fn clear_all() {
-    *REGISTRY.lock().unwrap_or_else(|e| e.into_inner()) = None;
+    GLOBAL.clear_all();
 }
 
 /// Deposit a snapshot for `world_rank`. The previous newest snapshot is
 /// demoted, not dropped; buffers are recycled in place.
 pub fn deposit(world_rank: usize, iteration: usize, start_row: usize, x: &[f64], r: &[f64]) {
-    let mut guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    let slot = guard
-        .get_or_insert_with(HashMap::new)
-        .entry(world_rank)
-        .or_default();
-    // Rotate: the old `previous` buffers become the write target.
-    std::mem::swap(&mut slot.newest, &mut slot.previous);
-    let dst = &mut slot.newest;
-    dst.iteration = iteration;
-    dst.start_row = start_row;
-    dst.x.clear();
-    dst.x.extend_from_slice(x);
-    dst.r.clear();
-    dst.r.extend_from_slice(r);
-    slot.filled = (slot.filled + 1).min(2);
+    GLOBAL.deposit(world_rank, iteration, start_row, x, r);
 }
-
-/// One member's `(start_row, x)` piece of a restored snapshot.
-pub type SnapshotChunk = (usize, Vec<f64>);
 
 /// The newest iteration for which **every** member of `world_members` has
 /// a snapshot, together with each member's `(start_row, x)` chunk at that
 /// iteration, sorted by `start_row`. `None` if any member never deposited
 /// or no common iteration exists among the retained generations.
 pub fn latest_consistent(world_members: &[usize]) -> Option<(usize, Vec<SnapshotChunk>)> {
-    let guard = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    let map = guard.as_ref()?;
-    // The candidate iterations are the ones every member retains: the
-    // newest complete set is the *minimum* over members of each member's
-    // newest iteration — every member keeps its previous generation, so a
-    // member that has advanced past `it` can still serve `it` as long as
-    // only one boundary separates them (the collective lock-step
-    // guarantees survivors are at most one checkpoint apart).
-    let target = world_members
-        .iter()
-        .map(|w| map.get(w).filter(|s| s.filled > 0).map(|s| s.newest.iteration))
-        .collect::<Option<Vec<_>>>()?
-        .into_iter()
-        .min()?;
-    let mut chunks = Vec::with_capacity(world_members.len());
-    for &w in world_members {
-        let slot = map.get(&w)?;
-        let snap = if slot.newest.iteration == target {
-            &slot.newest
-        } else if slot.filled >= 2 && slot.previous.iteration == target {
-            &slot.previous
-        } else {
-            return None;
-        };
-        chunks.push((snap.start_row, snap.x.clone()));
-    }
-    chunks.sort_by_key(|&(s, _)| s);
-    Some((target, chunks))
+    GLOBAL.latest_consistent(world_members)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Process-global registry: world ranks 800+ keep these tests out of
-    // any concurrently running solve's key space.
+    // Each test owns its registry: the process-wide one belongs to the
+    // solves the other unit tests of this binary run concurrently.
 
     #[test]
     fn consistent_set_falls_back_to_previous_generation() {
-        clear_all();
-        deposit(800, 10, 0, &[1.0, 2.0], &[0.1, 0.2]);
-        deposit(801, 10, 2, &[3.0, 4.0], &[0.3, 0.4]);
-        // Rank 800 advances to 20; 801 dies before depositing 20.
-        deposit(800, 20, 0, &[5.0, 6.0], &[0.5, 0.6]);
-        let (it, chunks) = latest_consistent(&[800, 801]).unwrap();
+        let reg = Registry::new();
+        reg.deposit(0, 10, 0, &[1.0, 2.0], &[0.1, 0.2]);
+        reg.deposit(1, 10, 2, &[3.0, 4.0], &[0.3, 0.4]);
+        // Rank 0 advances to 20; 1 dies before depositing 20.
+        reg.deposit(0, 20, 0, &[5.0, 6.0], &[0.5, 0.6]);
+        let (it, chunks) = reg.latest_consistent(&[0, 1]).unwrap();
         assert_eq!(it, 10, "must fall back to the newest complete set");
         assert_eq!(chunks, vec![(0, vec![1.0, 2.0]), (2, vec![3.0, 4.0])]);
-        // Once 801 catches up, the newer set wins.
-        deposit(801, 20, 2, &[7.0, 8.0], &[0.7, 0.8]);
-        let (it, chunks) = latest_consistent(&[800, 801]).unwrap();
+        // Once 1 catches up, the newer set wins.
+        reg.deposit(1, 20, 2, &[7.0, 8.0], &[0.7, 0.8]);
+        let (it, chunks) = reg.latest_consistent(&[0, 1]).unwrap();
         assert_eq!(it, 20);
         assert_eq!(chunks, vec![(0, vec![5.0, 6.0]), (2, vec![7.0, 8.0])]);
-        clear_all();
     }
 
     #[test]
     fn missing_member_means_no_consistent_set() {
-        clear_all();
-        deposit(810, 5, 0, &[1.0], &[0.0]);
-        assert!(latest_consistent(&[810, 811]).is_none());
-        assert!(latest_consistent(&[810]).is_some());
-        clear_all();
-        assert!(latest_consistent(&[810]).is_none());
+        let reg = Registry::new();
+        reg.deposit(0, 5, 0, &[1.0], &[0.0]);
+        assert!(reg.latest_consistent(&[0, 1]).is_none());
+        assert!(reg.latest_consistent(&[0]).is_some());
+        reg.clear_all();
+        assert!(reg.latest_consistent(&[0]).is_none());
     }
 
     #[test]
     fn deposits_recycle_buffers_without_reallocating() {
-        clear_all();
+        let reg = Registry::new();
         let x = vec![1.0; 64];
         let r = vec![2.0; 64];
-        deposit(820, 10, 0, &x, &r);
-        deposit(820, 20, 0, &x, &r);
+        reg.deposit(0, 10, 0, &x, &r);
+        reg.deposit(0, 20, 0, &x, &r);
         // Steady state: both generations' buffers exist; further deposits
         // must reuse their capacity.
         let cap_before = {
-            let guard = REGISTRY.lock().unwrap();
-            let slot = &guard.as_ref().unwrap()[&820];
+            let guard = reg.slots.lock().unwrap();
+            let slot = &guard.as_ref().unwrap()[&0];
             (slot.newest.x.capacity(), slot.previous.x.capacity())
         };
         for it in [30, 40, 50] {
-            deposit(820, it, 0, &x, &r);
+            reg.deposit(0, it, 0, &x, &r);
         }
-        let guard = REGISTRY.lock().unwrap();
-        let slot = &guard.as_ref().unwrap()[&820];
+        let guard = reg.slots.lock().unwrap();
+        let slot = &guard.as_ref().unwrap()[&0];
         assert_eq!(
             (slot.newest.x.capacity(), slot.previous.x.capacity()),
             cap_before,
@@ -179,7 +204,5 @@ mod tests {
         );
         assert_eq!(slot.newest.iteration, 50);
         assert_eq!(slot.previous.iteration, 40);
-        drop(guard);
-        clear_all();
     }
 }

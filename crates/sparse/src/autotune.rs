@@ -8,9 +8,10 @@
 //! LISI adapters' reserved `port.set("format", ...)` option key calls.
 //!
 //! Under `auto` the choice is made per matrix at plan-build time
-//! (`setupMatrix`): a cheap O(nnz) scan computes row-length statistics
-//! and the best dense-block fill ([`analyze`]), and a rule model
-//! ([`choose`]) maps them to a format. Setting `RSPARSE_AUTOTUNE=measure`
+//! (`setupMatrix`): a cheap O(nnz) scan computes row-length statistics,
+//! the best dense-block fill and the share of rows a CSR plan would store
+//! as stencil runs ([`analyze`]), and a rule model ([`choose`]) maps them
+//! to a format. Setting `RSPARSE_AUTOTUNE=measure`
 //! replaces the model with direct micro-measurement of candidate
 //! matvecs ([`choose_measured`]) — slower to plan, immune to model
 //! error. Either way the decision and the converted matrix are cached
@@ -21,6 +22,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::bcsr::BcsrMatrix;
+use crate::compact;
 use crate::csr::CsrMatrix;
 use crate::sell::SellMatrix;
 use crate::threads::SharedMutSlice;
@@ -149,6 +151,11 @@ pub const BCSR_MIN_FILL: f64 = 0.66;
 /// this the slice padding outweighs the regular inner loop.
 pub const SELL_MAX_CV: f64 = 0.4;
 
+/// Minimum share of rows in stencil runs for `auto` to stay on CSR: the
+/// distributed CSR plan stores those rows without column indices (see
+/// [`crate::dist`]), which no converted format matches.
+pub const STENCIL_MIN_COVER: f64 = 0.5;
+
 /// Square block sizes the detection scan tries, largest (best payoff)
 /// first.
 pub const BLOCK_CANDIDATES: [usize; 3] = [4, 3, 2];
@@ -169,6 +176,10 @@ pub struct MatrixStats {
     pub block_size: usize,
     /// Dense-block fill at `block_size`: nnz / (blocks · b²).
     pub block_fill: f64,
+    /// Share of rows in stencil runs: sequences of consecutive rows, each
+    /// the row above shifted one column to the right, long enough for the
+    /// distributed CSR plan to store them without column indices.
+    pub stencil_cover: f64,
 }
 
 /// Fill of the dense `b×b` block cover of `a`'s pattern — one stamped
@@ -223,19 +234,32 @@ pub fn analyze(a: &CsrMatrix) -> MatrixStats {
             block_size = b;
         }
     }
-    MatrixStats { rows, nnz, mean_row_len: mean, row_len_cv: cv, block_size, block_fill: best_fill }
+    MatrixStats {
+        rows,
+        nnz,
+        mean_row_len: mean,
+        row_len_cv: cv,
+        block_size,
+        block_fill: best_fill,
+        stencil_cover: compact::stencil_cover(a),
+    }
 }
 
 /// The rule model: map [`MatrixStats`] to a format.
 ///
 /// * tiny or empty matrices → CSR (nothing to amortize);
+/// * stencil runs cover ≥ [`STENCIL_MIN_COVER`] of the rows → CSR (the
+///   plan's run kernel loads no column index; SELL and BCSR still do);
 /// * block fill ≥ [`BCSR_MIN_FILL`] at a block size ≥ 2 → BCSR
 ///   (FEM-style multi-dof assembly);
-/// * row-length CV ≤ [`SELL_MAX_CV`] → SELL-C-σ (banded/stencil
-///   matrices: near-uniform rows, negligible padding);
+/// * row-length CV ≤ [`SELL_MAX_CV`] → SELL-C-σ (near-uniform rows
+///   without the shifted-row structure: negligible padding);
 /// * otherwise → CSR (skewed row lengths defeat both).
 pub fn choose_from_stats(stats: &MatrixStats) -> Format {
     if stats.rows < AUTOTUNE_MIN_ROWS || stats.nnz == 0 {
+        return Format::Csr;
+    }
+    if stats.stencil_cover >= STENCIL_MIN_COVER {
         return Format::Csr;
     }
     if stats.block_size >= 2 && stats.block_fill >= BCSR_MIN_FILL {
@@ -254,28 +278,43 @@ pub fn choose(a: &CsrMatrix) -> Format {
 
 /// Decide by measurement instead of the model: convert to each
 /// candidate format and time a few serial matvecs, keeping the fastest
-/// (ties break toward CSR). Plan-time only — far costlier than
-/// [`choose`], but immune to model error. Tiny matrices still short-
-/// circuit to CSR.
+/// (ties break toward CSR). The CSR candidate is what a CSR plan runs on
+/// these rows — stencil runs plus the compact remainder — not the plain
+/// [`CsrMatrix`] kernel. Plan-time only — far costlier than [`choose`],
+/// but immune to model error. Tiny matrices still short-circuit to CSR.
 pub fn choose_measured(a: &CsrMatrix) -> Format {
     if a.rows() < AUTOTUNE_MIN_ROWS || a.nnz() == 0 {
         return Format::Csr;
     }
     const TRIALS: usize = 3;
-    let x = vec![1.0f64; a.cols()];
-    let mut y = vec![0.0f64; a.rows()];
-    let mut best = (Format::Csr, f64::INFINITY);
-    for format in [Format::Csr, Format::Sell, Format::Bcsr] {
+    fn fastest(mut matvec: impl FnMut()) -> f64 {
+        matvec(); // warm-up
+        (0..TRIALS)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                matvec();
+                t0.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+    // The split kernels take `x` and `y` over one index space; make it
+    // wide enough for every row and every column.
+    let n = a.rows().max(a.cols());
+    let x = vec![1.0f64; n];
+    let mut y = vec![0.0f64; n];
+    let (runs, rest, _) = compact::split_interior(a, &(0..a.cols()), n, true);
+    let mut best = (
+        Format::Csr,
+        fastest(|| {
+            runs.spmv(&x, &mut y, 1);
+            rest.spmv(&x, &[], &mut y, 1);
+        }),
+    );
+    for format in [Format::Sell, Format::Bcsr] {
         let m = FormatMatrix::build(a, format);
-        m.matvec_into(&x, &mut y); // warm-up
-        let mut fastest = f64::INFINITY;
-        for _ in 0..TRIALS {
-            let t0 = std::time::Instant::now();
-            m.matvec_into(&x, &mut y);
-            fastest = fastest.min(t0.elapsed().as_secs_f64());
-        }
-        if fastest < best.1 {
-            best = (format, fastest);
+        let time = fastest(|| m.matvec_into(&x[..a.cols()], &mut y[..a.rows()]));
+        if time < best.1 {
+            best = (format, time);
         }
     }
     best.0
@@ -532,16 +571,25 @@ mod tests {
 
     #[test]
     fn model_picks_the_expected_family() {
-        // Dense band: every 2×2 tile inside the band is full → BCSR.
-        assert_eq!(choose(&generate::banded(600, 4, 1)), Format::Bcsr);
-        // 5-point stencil: near-uniform rows but scattered entries (low
-        // block fill) → SELL.
-        assert_eq!(choose(&generate::laplacian_2d(40)), Format::Sell);
+        // Dense band: one stencil run from the first full row to the
+        // last → stays CSR, where the plan stores it without indices.
+        let band = analyze(&generate::banded(600, 4, 1));
+        assert!(band.stencil_cover > 0.9, "cover {}", band.stencil_cover);
+        assert_eq!(choose_from_stats(&band), Format::Csr);
+        // 5-point stencil: a run per grid line (38 of every 40 rows) → CSR.
+        let stencil = analyze(&generate::laplacian_2d(40));
+        assert_eq!(stencil.stencil_cover, 38.0 / 40.0);
+        assert_eq!(choose_from_stats(&stencil), Format::Csr);
+        // Near-uniform rows, scattered entries, nothing shifted → SELL.
+        let scattered = analyze(&generate::random_diag_dominant(600, 5, 19));
+        assert_eq!(scattered.stencil_cover, 0.0);
+        assert_eq!(choose_from_stats(&scattered), Format::Sell);
         // FEM blocks: full 3×3 tiles → BCSR.
         let fem = generate::fem_block(12, 3, 2);
         let stats = analyze(&fem);
         assert_eq!(stats.block_size, 3);
         assert!(stats.block_fill > 0.9, "fill {}", stats.block_fill);
+        assert_eq!(stats.stencil_cover, 0.0);
         assert_eq!(choose(&fem), Format::Bcsr);
         // Skewed row lengths → CSR.
         assert_eq!(choose(&generate::skewed_csr(600, 600, 3, 80, 3)), Format::Csr);

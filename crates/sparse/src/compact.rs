@@ -13,6 +13,13 @@
 //! ([`CompactRows::new`]); the kernels then check only the two slice
 //! lengths per call and gather unchecked in release builds
 //! (`debug_assert!`-checked in debug builds).
+//!
+//! Interior rows whose pattern is the previous row's shifted by one — the
+//! bulk of any stencil matrix — store no column indices at all: they are
+//! cut into [`StencilRuns`] by [`split_interior`], and only the rest of the
+//! interior rows goes to a [`CompactRows`].
+
+use std::ops::Range;
 
 use crate::csr::{CsrMatrix, MULTI_CHUNK};
 use crate::error::{SparseError, SparseResult};
@@ -21,6 +28,30 @@ use crate::threads::{self, SharedMutSlice};
 /// Minimum row count before a piece's kernels dispatch to the thread
 /// pool; below this the synchronization outweighs the row work.
 const PAR_SCATTER_MIN_ROWS: usize = 2048;
+
+/// Fewest consecutive rows stored as a stencil run. A run pays `k` slice
+/// set-ups before its first row, so a shorter one is cheaper left in the
+/// compact remainder.
+const MIN_RUN_ROWS: usize = 16;
+
+/// Most diagonals one pass over a run accumulates (the widths the run
+/// kernel is instantiated for); a wider run takes several passes.
+const MAX_FUSED_DIAGS: usize = 8;
+
+/// Rows of a run the multi-vector kernel takes through all its columns
+/// before moving on, so that a long run's diagonals are read from memory
+/// once, not once per column.
+const MULTI_TILE_ROWS: usize = 256;
+
+/// `f(0, rows)`, split into one contiguous chunk per thread when `threads`
+/// and `rows` warrant it.
+fn for_each_row_chunk(rows: usize, threads: usize, f: impl Fn(usize, usize) + Sync) {
+    if threads > 1 && rows >= PAR_SCATTER_MIN_ROWS {
+        threads::for_each_chunk(rows, threads, f);
+    } else {
+        f(0, rows);
+    }
+}
 
 /// The compact pieces index `n_local` owned columns and `n_ghosts` ghost
 /// slots with `u32`s; a rank whose renumbered column space is wider cannot
@@ -121,9 +152,22 @@ impl CompactRows {
         &self.vals
     }
 
-    /// Mutable values (same-pattern value updates).
-    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.vals
+    /// Re-read every stored row's values from `local` — the matrix this
+    /// piece was cut from (global columns, `owned` the range this rank
+    /// owns), with new values on the same pattern. A row's entries land
+    /// "owned then ghost", each group in scan order, as at plan build.
+    pub(crate) fn refresh_values(&mut self, local: &CsrMatrix, owned: &Range<usize>) {
+        for i in 0..self.rows.len() {
+            let (lo, mid, hi) = self.row_bounds(i);
+            let (gcols, gvals) = local.row(self.rows[i]);
+            assert_eq!(gcols.len(), hi - lo, "row {i}: pattern changed");
+            let (mut o, mut g) = (lo, mid);
+            for (c, &v) in gcols.iter().zip(gvals) {
+                let at = if owned.contains(c) { &mut o } else { &mut g };
+                self.vals[*at] = v;
+                *at += 1;
+            }
+        }
     }
 
     /// The piece as a CSR matrix over the ghost-extended column space
@@ -212,20 +256,26 @@ impl CompactRows {
                 unsafe { ys.set(*self.rows.get_unchecked(i), acc) };
             }
         };
-        if threads > 1 && self.rows.len() >= PAR_SCATTER_MIN_ROWS {
-            threads::for_each_chunk(self.rows.len(), threads, scatter);
-        } else {
-            scatter(0, self.rows.len());
-        }
+        for_each_row_chunk(self.rows.len(), threads, scatter);
     }
 
     /// `acc[l] += Σ vals[k]·src[l·stride + cols[k]]` over entries `lo..hi`,
-    /// in entry order, for each of `acc`'s columns (bounds-checked).
+    /// in entry order, for each of `acc`'s columns.
     #[inline(always)]
     fn gather_multi(&self, lo: usize, hi: usize, src: &[f64], stride: usize, acc: &mut [f64]) {
-        for (&c, &v) in self.cols[lo..hi].iter().zip(&self.vals[lo..hi]) {
-            for (l, al) in acc.iter_mut().enumerate() {
-                *al += v * src[c as usize + l * stride];
+        debug_assert!(lo <= hi && hi <= self.cols.len());
+        for k in lo..hi {
+            // SAFETY: `new` checked `lo..hi` lies inside `cols`/`vals` and
+            // that every column of this half-row is below its index space's
+            // length; `spmv_multi` checked `src` holds that many elements
+            // past the start of each of `acc`'s columns.
+            unsafe {
+                let c = *self.cols.get_unchecked(k) as usize;
+                let v = *self.vals.get_unchecked(k);
+                for (l, al) in acc.iter_mut().enumerate() {
+                    debug_assert!(c + l * stride < src.len());
+                    *al += v * src.get_unchecked(c + l * stride);
+                }
             }
         }
     }
@@ -247,6 +297,12 @@ impl CompactRows {
     ) {
         assert_eq!(xs.len(), k * self.n_local);
         assert_eq!(ys.len(), k * self.n_local);
+        // Column `q`'s ghost slots are `ghosts[q·ghost_stride..][..n_ghosts]`.
+        assert!(
+            self.ghost_ptr.is_empty()
+                || k == 0
+                || ghosts.len() >= (k - 1) * ghost_stride + self.n_ghosts
+        );
         let scatter = |i0: usize, i1: usize| {
             for i in i0..i1 {
                 let (lo, mid, hi) = self.row_bounds(i);
@@ -273,12 +329,377 @@ impl CompactRows {
                 }
             }
         };
-        if threads > 1 && self.rows.len() >= PAR_SCATTER_MIN_ROWS {
-            threads::for_each_chunk(self.rows.len(), threads, scatter);
-        } else {
-            scatter(0, self.rows.len());
+        for_each_row_chunk(self.rows.len(), threads, scatter);
+    }
+}
+
+/// Whether a row with columns `cur` continues a stencil run from the row
+/// above it with columns `prev`: the same entry count, and every entry one
+/// column higher than the entry at the same position above.
+fn continues_run(prev: &[usize], cur: &[usize]) -> bool {
+    prev.len() == cur.len() && prev.iter().zip(cur).all(|(&p, &c)| c == p + 1)
+}
+
+/// The detection pass: walk `local`'s rows once, each compared with the
+/// one above, and report every maximal sequence `rows.start..rows.end` of
+/// `interior` rows that each continue the previous one (`chain` off: every
+/// interior row is a sequence of its own) to `sequence`, with whether it
+/// is long enough — and non-empty — to be stored as a run; every other row
+/// goes to `other`. Both are called in ascending row order.
+fn scan_sequences(
+    local: &CsrMatrix,
+    interior: impl Fn(&[usize]) -> bool,
+    chain: bool,
+    mut sequence: impl FnMut(Range<usize>, bool),
+    mut other: impl FnMut(usize),
+) {
+    let cols = |i: usize| local.row(i).0;
+    let mut close = |rows: Range<usize>| {
+        if !rows.is_empty() {
+            let is_run = rows.len() >= MIN_RUN_ROWS && !cols(rows.start).is_empty();
+            sequence(rows, is_run);
+        }
+    };
+    // Rows `run0..i` are interior and each continues the one before.
+    let mut run0 = 0;
+    for i in 0..local.rows() {
+        let is_interior = interior(cols(i));
+        if is_interior && chain && i > run0 && continues_run(cols(i - 1), cols(i)) {
+            continue;
+        }
+        close(run0..i);
+        run0 = i;
+        if !is_interior {
+            other(i);
+            run0 = i + 1;
         }
     }
+    close(run0..local.rows());
+}
+
+/// Share of `a`'s rows a CSR plan would store as stencil runs, by the rule
+/// [`split_interior`] cuts with (which also ends a run at a row with a
+/// ghost column — invisible to this scan of the bare pattern).
+pub(crate) fn stencil_cover(a: &CsrMatrix) -> f64 {
+    let mut covered = 0usize;
+    let count = |rows: Range<usize>, is_run: bool| covered += if is_run { rows.len() } else { 0 };
+    scan_sequences(a, |_| true, true, count, |_| {});
+    if a.rows() == 0 {
+        0.0
+    } else {
+        covered as f64 / a.rows() as f64
+    }
+}
+
+/// One stencil run: `len` consecutive local rows from `row0`, each with `k`
+/// owned entries, entry `j` of row `row0 + t` in column `starts[j] + t`.
+#[derive(Debug, Clone, PartialEq)]
+struct Run {
+    row0: usize,
+    len: usize,
+    k: usize,
+    /// Where this run's `k` window starts begin in [`StencilRuns::starts`].
+    start0: usize,
+    /// Where this run's `k·len` values begin in [`StencilRuns::vals`].
+    val0: usize,
+    /// Rows in all earlier runs: this run's place in run-row space, which
+    /// the threaded kernels chunk.
+    rows_before: usize,
+}
+
+/// Interior rows stored as constant-offset diagonals, without column
+/// indices.
+///
+/// A run is a sequence of consecutive rows in which every row's columns
+/// are the previous row's plus one, so entry `j` of the run's rows walks a
+/// contiguous window of `x`. The run stores, per entry position `j`, that
+/// window's start and the `len` values down the rows — diagonal-major,
+/// 8 bytes per stored entry. The kernels accumulate each row from `+0.0`
+/// through `j = 0, 1, …` — the row's stored entry order — so they are
+/// bit-identical to [`CompactRows::spmv`] on the same rows.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct StencilRuns {
+    /// Ascending by `row0`, disjoint.
+    runs: Vec<Run>,
+    /// Per run, per entry position: the offset into `x` of that entry in
+    /// the run's first row.
+    starts: Vec<usize>,
+    /// Per run, per entry position: the `len` values down the run's rows.
+    vals: Vec<f64>,
+    /// Rows in all runs.
+    n_rows: usize,
+    /// `x.len()` and `y.len()` at every call.
+    n_local: usize,
+}
+
+impl StencilRuns {
+    /// No runs, over a chunk of `n_local` rows.
+    pub(crate) fn new(n_local: usize) -> Self {
+        StencilRuns {
+            runs: Vec::new(),
+            starts: Vec::new(),
+            vals: Vec::new(),
+            n_rows: 0,
+            n_local,
+        }
+    }
+
+    /// Append the run of `len` rows from `row0` whose first row has its
+    /// entries at offsets `starts` of `x`, values zeroed. Everything the
+    /// kernels index is checked here, once: the rows follow the previous
+    /// run's and stay inside the chunk, and every window `starts[j] ..
+    /// starts[j] + len` stays inside `x`.
+    ///
+    /// # Panics
+    /// Panics on any violation — a bug in the plan build, not bad input.
+    fn push_run(&mut self, row0: usize, len: usize, starts: impl Iterator<Item = usize>) {
+        let after_last = self.runs.last().map_or(0, |r| r.row0 + r.len);
+        assert!(row0 >= after_last, "runs must ascend and not overlap");
+        assert!(
+            len > 0 && row0.checked_add(len).is_some_and(|end| end <= self.n_local),
+            "run rows leave the chunk"
+        );
+        let start0 = self.starts.len();
+        self.starts.extend(starts);
+        let k = self.starts.len() - start0;
+        assert!(
+            self.starts[start0..]
+                .iter()
+                .all(|&s| s <= self.n_local - len),
+            "a run's window leaves x"
+        );
+        self.runs.push(Run {
+            row0,
+            len,
+            k,
+            start0,
+            val0: self.vals.len(),
+            rows_before: self.n_rows,
+        });
+        self.vals.resize(self.vals.len() + k * len, 0.0);
+        self.n_rows += len;
+    }
+
+    /// Read run `r`'s values from rows `row0..row0 + len` of `local`, the
+    /// matrix it was detected in: row `t`'s entry `j` goes to diagonal `j`,
+    /// place `t`.
+    fn fill_run(&mut self, r: usize, local: &CsrMatrix) {
+        let run = &self.runs[r];
+        let dst = &mut self.vals[run.val0..run.val0 + run.k * run.len];
+        for t in 0..run.len {
+            let (_, gvals) = local.row(run.row0 + t);
+            assert_eq!(gvals.len(), run.k, "run row {t}: pattern changed");
+            for (j, &v) in gvals.iter().enumerate() {
+                dst[j * run.len + t] = v;
+            }
+        }
+    }
+
+    /// Re-read every run's values from `local` (new values, same pattern).
+    pub(crate) fn refresh_values(&mut self, local: &CsrMatrix) {
+        for r in 0..self.runs.len() {
+            self.fill_run(r, local);
+        }
+    }
+
+    /// Rows stored in runs.
+    pub(crate) fn row_count(&self) -> usize {
+        self.n_rows
+    }
+
+    /// Stored entries.
+    pub(crate) fn nnz(&self) -> usize {
+        self.vals.len()
+    }
+
+    /// Call `f(run, t0, t1)` for every stretch of at most `tile` run rows
+    /// (`t0..t1` of `run`) in `i0..i1` of run-row space, ascending.
+    fn for_each_part(
+        &self,
+        i0: usize,
+        i1: usize,
+        tile: usize,
+        mut f: impl FnMut(&Run, usize, usize),
+    ) {
+        let first = self.runs.partition_point(|r| r.rows_before + r.len <= i0);
+        for run in &self.runs[first..] {
+            if run.rows_before >= i1 {
+                break;
+            }
+            let end = (i1 - run.rows_before).min(run.len);
+            let mut t0 = i0.saturating_sub(run.rows_before);
+            while t0 < end {
+                let t1 = end.min(t0.saturating_add(tile));
+                f(run, t0, t1);
+                t0 = t1;
+            }
+        }
+    }
+
+    /// Diagonal `j` of rows `t0..t0 + n` of `run`, and the window of `x`
+    /// it multiplies.
+    #[inline(always)]
+    fn diagonal<'a>(
+        &'a self,
+        run: &Run,
+        j: usize,
+        t0: usize,
+        n: usize,
+        x: &'a [f64],
+    ) -> (&'a [f64], &'a [f64]) {
+        (
+            &self.vals[run.val0 + j * run.len + t0..][..n],
+            &x[self.starts[run.start0 + j] + t0..][..n],
+        )
+    }
+
+    /// The first `G` diagonals of rows `t0..t0 + y.len()` of `run`:
+    /// `y[t] = 0.0 + Σ_{j < G} diag_j[t]·x[starts[j] + t]`, `j` ascending.
+    /// `G` equal-length value slices against `G` equal-length windows of
+    /// `x`: no index is loaded, and the loop vectorizes down the rows.
+    #[inline(always)]
+    fn lead<const G: usize>(&self, run: &Run, t0: usize, x: &[f64], y: &mut [f64]) {
+        let n = y.len();
+        let dw: [(&[f64], &[f64]); G] = std::array::from_fn(|j| self.diagonal(run, j, t0, n, x));
+        for t in 0..n {
+            let mut acc = 0.0;
+            for (diag, win) in dw {
+                acc += diag[t] * win[t];
+            }
+            y[t] = acc;
+        }
+    }
+
+    /// `y[t − t0] = row (row0 + t) · x` for `t0 ≤ t < t0 + y.len()` of
+    /// `run`: up to [`MAX_FUSED_DIAGS`] diagonals in one fused pass, any
+    /// further ones added to `y` one at a time — either way a row's sum
+    /// starts at `+0.0` and runs through its entries in stored order.
+    #[inline]
+    fn run_part(&self, run: &Run, t0: usize, x: &[f64], y: &mut [f64]) {
+        let fused = run.k.min(MAX_FUSED_DIAGS);
+        match fused {
+            1 => self.lead::<1>(run, t0, x, y),
+            2 => self.lead::<2>(run, t0, x, y),
+            3 => self.lead::<3>(run, t0, x, y),
+            4 => self.lead::<4>(run, t0, x, y),
+            5 => self.lead::<5>(run, t0, x, y),
+            6 => self.lead::<6>(run, t0, x, y),
+            7 => self.lead::<7>(run, t0, x, y),
+            _ => self.lead::<MAX_FUSED_DIAGS>(run, t0, x, y),
+        }
+        for j in fused..run.k {
+            let (diag, win) = self.diagonal(run, j, t0, y.len(), x);
+            for ((yt, d), w) in y.iter_mut().zip(diag).zip(win) {
+                *yt += d * w;
+            }
+        }
+    }
+
+    /// `y[row] = row · x` for every row stored in a run; other elements of
+    /// `y` are left alone. Threaded over contiguous chunks of run-row
+    /// space; runs cover disjoint rows, so chunks write disjoint elements
+    /// and the result is bit-identical at any thread count.
+    pub(crate) fn spmv(&self, x: &[f64], y: &mut [f64], threads: usize) {
+        assert_eq!(x.len(), self.n_local);
+        assert_eq!(y.len(), self.n_local);
+        let ys = SharedMutSlice::new(y);
+        for_each_row_chunk(self.n_rows, threads, |i0, i1| {
+            self.for_each_part(i0, i1, usize::MAX, |run, t0, t1| {
+                // SAFETY: `push_run` checked the run's rows lie inside the
+                // chunk (`y.len() == n_local`) and past every earlier
+                // run's; parts of one sweep and chunks of one call are
+                // disjoint, so this stretch of `y` has one writer.
+                let out = unsafe {
+                    std::slice::from_raw_parts_mut(ys.as_ptr().add(run.row0 + t0), t1 - t0)
+                };
+                self.run_part(run, t0, x, out);
+            });
+        });
+    }
+
+    /// Multi-vector [`Self::spmv`] over `k` columns (column `q` of `xs` and
+    /// `ys` at `q·n_local`). Each [`MULTI_TILE_ROWS`]-row stretch of a run
+    /// goes through every column with the single-vector kernel before the
+    /// sweep moves on — one read of the run storage for all `k` columns,
+    /// every column bit-identical to [`Self::spmv`] by construction.
+    pub(crate) fn spmv_multi(&self, xs: &[f64], ys: &SharedMutSlice<'_>, k: usize, threads: usize) {
+        let n = self.n_local;
+        assert_eq!(xs.len(), k * n);
+        assert_eq!(ys.len(), k * n);
+        for_each_row_chunk(self.n_rows, threads, |i0, i1| {
+            self.for_each_part(i0, i1, MULTI_TILE_ROWS, |run, t0, t1| {
+                for q in 0..k {
+                    // SAFETY: as in `spmv`, within column `q` of `ys`
+                    // (`ys.len() == k·n_local`).
+                    let out = unsafe {
+                        std::slice::from_raw_parts_mut(
+                            ys.as_ptr().add(q * n + run.row0 + t0),
+                            t1 - t0,
+                        )
+                    };
+                    self.run_part(run, t0, &xs[q * n..(q + 1) * n], out);
+                }
+            });
+        });
+    }
+}
+
+/// The rows of `local` (global columns) that touch only columns in `owned`,
+/// cut into stencil runs and a compact remainder, plus the indices of the
+/// other rows in ascending order. Owned column `c` becomes offset
+/// `c − owned.start` of an `x` of length `n_local`.
+///
+/// One pass ([`scan_sequences`]): a maximal sequence of at least
+/// [`MIN_RUN_ROWS`] interior rows that each continue the previous one
+/// becomes a run — grid-edge rows with fewer entries break a run and may
+/// start their own — and everything else goes to the remainder with its
+/// columns. With `detect_runs` off every interior row goes to the
+/// remainder (a format-converted plan converts from it).
+pub(crate) fn split_interior(
+    local: &CsrMatrix,
+    owned: &Range<usize>,
+    n_local: usize,
+    detect_runs: bool,
+) -> (StencilRuns, CompactRows, Vec<usize>) {
+    let mut runs = StencilRuns::new(n_local);
+    let mut rest_rows = Vec::new();
+    let mut rest_ptr = vec![0usize];
+    let mut rest_cols: Vec<u32> = Vec::new();
+    let mut rest_vals = Vec::new();
+    let mut other_rows = Vec::new();
+    let store = |rows: Range<usize>, is_run: bool| {
+        if is_run {
+            let first = local.row(rows.start).0;
+            runs.push_run(
+                rows.start,
+                rows.len(),
+                first.iter().map(|&c| c - owned.start),
+            );
+            runs.fill_run(runs.runs.len() - 1, local);
+        } else {
+            for r in rows {
+                let (gcols, gvals) = local.row(r);
+                rest_rows.push(r);
+                // Lossless: the caller bounded the index space
+                // (`check_index_space`), and `CompactRows::new` re-checks.
+                rest_cols.extend(gcols.iter().map(|&c| (c - owned.start) as u32));
+                rest_vals.extend_from_slice(gvals);
+                rest_ptr.push(rest_cols.len());
+            }
+        }
+    };
+    let interior = |cols: &[usize]| cols.iter().all(|c| owned.contains(c));
+    scan_sequences(local, interior, detect_runs, store, |i| other_rows.push(i));
+    let rest = CompactRows::new(
+        rest_rows,
+        rest_ptr,
+        Vec::new(),
+        rest_cols,
+        rest_vals,
+        n_local,
+        0,
+    );
+    (runs, rest, other_rows)
 }
 
 #[cfg(test)]
@@ -343,6 +764,201 @@ mod tests {
     #[should_panic]
     fn a_ghost_slot_past_the_plan_is_caught_at_build() {
         CompactRows::new(vec![0], vec![0, 1], vec![0], vec![2], vec![1.0], 3, 2);
+    }
+
+    /// `rows` as a CSR matrix over `cols` columns, entries in the order
+    /// given — unsorted or repeated columns included, which the validating
+    /// constructor would refuse and the plan must still sum in order.
+    fn csr_of(cols: usize, rows: &[Vec<(usize, f64)>]) -> CsrMatrix {
+        let mut row_ptr = vec![0];
+        let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+        for row in rows {
+            col_idx.extend(row.iter().map(|e| e.0));
+            values.extend(row.iter().map(|e| e.1));
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix::from_parts_unchecked(rows.len(), cols, row_ptr, col_idx, values)
+    }
+
+    /// The product of `local`'s interior rows with runs cut out, and with
+    /// every row left in the compact remainder.
+    fn with_and_without_runs(
+        local: &CsrMatrix,
+        x: &[f64],
+        threads: usize,
+    ) -> (Vec<f64>, Vec<f64>, usize) {
+        let n = x.len();
+        let mut out = Vec::new();
+        let mut in_runs = 0;
+        for detect in [true, false] {
+            let (runs, rest, other) = split_interior(local, &(0..n), n, detect);
+            assert!(other.is_empty());
+            assert_eq!(runs.row_count() + rest.rows().len(), local.rows());
+            assert_eq!(runs.nnz() + rest.nnz(), local.nnz());
+            if detect {
+                in_runs = runs.row_count();
+            } else {
+                assert_eq!(runs.row_count(), 0);
+            }
+            let mut y = vec![f64::NAN; n];
+            runs.spmv(x, &mut y, threads);
+            rest.spmv(x, &[], &mut y, threads);
+            out.push(y);
+        }
+        let without = out.pop().unwrap();
+        (out.pop().unwrap(), without, in_runs)
+    }
+
+    fn assert_same_bits(got: &[f64], want: &[f64], tag: &str) {
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{tag}: row {i}: {g:e} vs {w:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn runs_sum_unsorted_repeated_and_zero_entries_in_stored_order() {
+        // Every row: columns i+2, i, i (again), i+1 — unsorted, one
+        // repeated — with an explicit stored zero every third row; eleven
+        // entries per row in the second matrix take the run kernel past
+        // its fused width.
+        let n = 60;
+        let rows = 40;
+        let val = |i: usize, j: usize| {
+            if (i + j).is_multiple_of(3) {
+                0.0
+            } else {
+                ((i * 7 + j * 3) as f64 * 0.37).sin()
+            }
+        };
+        let narrow: Vec<Vec<(usize, f64)>> = (0..rows)
+            .map(|i| {
+                [i + 2, i, i, i + 1]
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &c)| (c, val(i, j)))
+                    .collect()
+            })
+            .collect();
+        let wide: Vec<Vec<(usize, f64)>> = (0..rows)
+            .map(|i| (0..11).map(|j| (i + (j * 5) % 11, val(i, j))).collect())
+            .collect();
+        let mut x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.91).cos()).collect();
+        for poisoned in [false, true] {
+            if poisoned {
+                x[7] = f64::NAN;
+                x[23] = f64::INFINITY;
+                x[41] = f64::NEG_INFINITY;
+            }
+            for (tag, pattern) in [("narrow", &narrow), ("wide", &wide)] {
+                let (with, without, in_runs) = with_and_without_runs(&csr_of(n, pattern), &x, 1);
+                assert_eq!(in_runs, rows, "{tag}");
+                assert_same_bits(&with, &without, tag);
+            }
+        }
+    }
+
+    #[test]
+    fn runs_of_15_16_and_17_rows_and_a_pattern_that_changes_mid_matrix() {
+        // Tridiagonal stretches of 15, 16 and 17 rows, each ended by an
+        // empty row; then 20 rows of a different offset set (i−3, i, i+2)
+        // directly followed by 20 rows of a third (i, i+1) — two runs with
+        // no row between them.
+        let n = 120;
+        let mut rows: Vec<Vec<(usize, f64)>> = Vec::new();
+        for len in [15, 16, 17] {
+            for _ in 0..len {
+                let i = rows.len() + 1;
+                rows.push(vec![(i - 1, -1.0), (i, 2.5), (i + 1, -1.5)]);
+            }
+            rows.push(Vec::new());
+        }
+        for _ in 0..20 {
+            let i = rows.len();
+            rows.push(vec![(i - 3, 0.5), (i, 4.0), (i + 2, -0.25)]);
+        }
+        for _ in 0..20 {
+            let i = rows.len();
+            rows.push(vec![(i, 3.0), (i + 1, 1.0)]);
+        }
+        let local = csr_of(n, &rows);
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let (with, without, in_runs) = with_and_without_runs(&local, &x, 1);
+        assert_eq!(in_runs, 16 + 17 + 20 + 20);
+        assert_same_bits(&with[..rows.len()], &without[..rows.len()], "mixed");
+        let (runs, ..) = split_interior(&local, &(0..n), n, true);
+        let shape: Vec<(usize, usize, usize)> =
+            runs.runs.iter().map(|r| (r.row0, r.len, r.k)).collect();
+        assert_eq!(shape, [(16, 16, 3), (33, 17, 3), (51, 20, 3), (71, 20, 2)]);
+    }
+
+    #[test]
+    fn run_kernels_match_at_any_thread_count_and_batch_width() {
+        // 5 000 rows (past the threading threshold) of nine diagonals.
+        let n = 5_000;
+        let local = crate::generate::banded(n, 4, 3);
+        let (runs, rest, _) = split_interior(&local, &(0..n), n, true);
+        assert_eq!(runs.row_count(), n - 8);
+        let k = MULTI_CHUNK + 3;
+        let xs = crate::generate::random_vector(k * n, 5);
+        let mut want = vec![0.0; k * n];
+        for q in 0..k {
+            local.matvec_into(&xs[q * n..(q + 1) * n], &mut want[q * n..(q + 1) * n]);
+        }
+        for threads in [1, 2, 4] {
+            let mut ys = vec![f64::NAN; k * n];
+            let shared = SharedMutSlice::new(&mut ys);
+            runs.spmv_multi(&xs, &shared, k, threads);
+            rest.spmv_multi(&xs, &[], 0, &shared, k, threads);
+            assert_same_bits(&ys, &want, &format!("batched, {threads} threads"));
+            let mut y = vec![f64::NAN; n];
+            runs.spmv(&xs[..n], &mut y, threads);
+            rest.spmv(&xs[..n], &[], &mut y, threads);
+            assert_same_bits(&y, &want[..n], &format!("single, {threads} threads"));
+        }
+    }
+
+    #[test]
+    fn refreshed_values_reach_the_diagonals() {
+        let n = 50;
+        let mut local = crate::generate::laplacian_1d(n);
+        let (mut runs, mut rest, _) = split_interior(&local, &(0..n), n, true);
+        assert_eq!(runs.row_count(), n - 2);
+        for (k, v) in local.values_mut().iter_mut().enumerate() {
+            *v = (k as f64 * 0.61).cos();
+        }
+        runs.refresh_values(&local);
+        rest.refresh_values(&local, &(0..n));
+        let x = crate::generate::random_vector(n, 9);
+        let (mut y, mut want) = (vec![0.0; n], vec![0.0; n]);
+        runs.spmv(&x, &mut y, 1);
+        rest.spmv(&x, &[], &mut y, 1);
+        local.matvec_into(&x, &mut want);
+        assert_same_bits(&y, &want, "refreshed");
+    }
+
+    #[test]
+    #[should_panic(expected = "window leaves x")]
+    fn a_run_whose_window_would_leave_x_is_caught_at_build() {
+        // Rows 0..16 of a 20-row chunk; the entry starting at offset 5
+        // would read x[5..21].
+        StencilRuns::new(20).push_run(0, 16, [0, 5].into_iter());
+    }
+
+    #[test]
+    #[should_panic(expected = "rows leave the chunk")]
+    fn a_run_whose_rows_would_leave_y_is_caught_at_build() {
+        StencilRuns::new(20).push_run(5, 16, [0].into_iter());
+    }
+
+    #[test]
+    #[should_panic(expected = "must ascend")]
+    fn overlapping_runs_are_caught_at_build() {
+        let mut runs = StencilRuns::new(64);
+        runs.push_run(0, 16, [0].into_iter());
+        runs.push_run(15, 16, [0].into_iter());
     }
 
     #[test]

@@ -18,10 +18,13 @@
 //! 3. drains receives **out of order** as they arrive (via `iprobe`),
 //! 4. finishes with the boundary rows against `[x_local, ghosts]`.
 //!
-//! The two pieces are stored compactly (`u32` renumbered columns, every
-//! index checked once at plan build — see `compact.rs`), and a boundary
-//! row reads its owned entries from `x` itself and its ghost entries from
-//! the ghost slots, so `x` is never copied. The ghost slots and the send
+//! The pieces are stored compactly (`u32` renumbered columns, every index
+//! checked once at plan build — see `compact.rs`), and a boundary row
+//! reads its owned entries from `x` itself and its ghost entries from the
+//! ghost slots, so `x` is never copied. Under a CSR plan the interior rows
+//! that repeat the row above shifted by one column — the bulk of a stencil
+//! matrix — are stored as **stencil runs**, diagonal-major with no column
+//! indices at all. The ghost slots and the send
 //! staging buffers live in a `MatvecWorkspace` owned by the matrix
 //! (interior mutability), so repeated matvecs — the inner loop of every
 //! Krylov solve — perform no heap allocation. Dot products and norms
@@ -32,7 +35,7 @@ use std::sync::{Arc, Mutex};
 use rcomm::Communicator;
 
 use crate::autotune::{self, Format, FormatMatrix, FormatPolicy};
-use crate::compact::{self, CompactRows};
+use crate::compact::{self, CompactRows, StencilRuns};
 use crate::csr::CsrMatrix;
 use crate::dense;
 use crate::error::{SparseError, SparseResult};
@@ -183,7 +186,7 @@ struct HaloPlan {
     n_ghosts: usize,
 }
 
-/// The local rows compiled into two compact pieces by halo dependence.
+/// The local rows compiled into compact pieces by halo dependence.
 ///
 /// Columns are renumbered into two index spaces: an owned column is its
 /// offset into this rank's chunk (global start row subtracted), a ghost
@@ -195,10 +198,26 @@ struct HaloPlan {
 /// scan order, and that is the order every kernel accumulates it in.
 #[derive(Debug, Clone, PartialEq)]
 struct SplitLocal {
-    /// Rows touching only owned columns.
+    /// Rows touching only owned columns whose pattern is the previous
+    /// row's shifted by one, in runs long enough to store without column
+    /// indices. Empty under a format-converted plan, which converts from
+    /// `interior`.
+    runs: StencilRuns,
+    /// The other rows touching only owned columns.
     interior: CompactRows,
     /// Rows touching at least one ghost column.
     boundary: CompactRows,
+}
+
+impl SplitLocal {
+    /// `(rows, stored entries)` of the rows touching only owned columns,
+    /// however they are stored — the interior kernel's logical shape.
+    fn interior_shape(&self) -> (usize, usize) {
+        (
+            self.runs.row_count() + self.interior.rows().len(),
+            self.runs.nnz() + self.interior.nnz(),
+        )
+    }
 }
 
 /// Persistent per-matrix scratch for [`DistCsrMatrix::matvec_into`]: the
@@ -541,61 +560,49 @@ impl DistCsrMatrix {
         compact::check_index_space(n_local, n_ghosts)?;
         let plan = HaloPlan { sends, recvs, n_ghosts };
 
-        // 4. Split-compile the local matrix with renumbered columns,
-        //    straight into the two compact pieces. The renumbering keeps
-        //    owned columns and ghost columns each in order (see
-        //    [`SplitLocal`]), so each output row is "owned entries then
-        //    ghost entries" in one linear pass — no COO round-trip, no
-        //    per-row sort. `check_index_space` above makes the `u32` casts
-        //    lossless; `CompactRows::new` re-checks every index it stores.
+        // 4. Resolve the format policy against the local pattern.
+        let chosen = autotune::plan(&local, policy);
+        autotune::record_choice(chosen);
+
+        // 5. Split-compile the local matrix with renumbered columns,
+        //    straight into the compact pieces. The renumbering keeps owned
+        //    columns and ghost columns each in order (see [`SplitLocal`]),
+        //    so each output row is "owned entries then ghost entries" in
+        //    one linear pass — no COO round-trip, no per-row sort.
+        //    `check_index_space` above makes the `u32` casts lossless;
+        //    `CompactRows::new` re-checks every index it stores. Only a
+        //    CSR plan runs the interior rows where they are stored, so
+        //    only it has stencil runs cut out of them.
         let my_range = partition.range(rank);
-        let mut interior_rows = Vec::new();
-        let mut boundary_rows = Vec::new();
-        let mut int_ptr = vec![0usize];
+        let (runs, interior, boundary_rows) =
+            compact::split_interior(&local, &my_range, n_local, chosen == Format::Csr);
         let mut bnd_ptr = vec![0usize];
         let mut bnd_ghost_ptr = Vec::new();
-        let mut int_cols: Vec<u32> = Vec::new();
-        let mut int_vals = Vec::new();
         let mut bnd_cols: Vec<u32> = Vec::new();
         let mut bnd_vals = Vec::new();
         let mut ghost_cols_scratch: Vec<u32> = Vec::new();
         let mut ghost_vals_scratch: Vec<f64> = Vec::new();
-        for i in 0..n_local {
+        for &i in &boundary_rows {
             let (gcols, gvals) = local.row(i);
-            if gcols.iter().all(|c| my_range.contains(c)) {
-                interior_rows.push(i);
-                int_cols.extend(gcols.iter().map(|&c| (c - start) as u32));
-                int_vals.extend_from_slice(gvals);
-                int_ptr.push(int_cols.len());
-            } else {
-                boundary_rows.push(i);
-                ghost_cols_scratch.clear();
-                ghost_vals_scratch.clear();
-                for (&c, &v) in gcols.iter().zip(gvals) {
-                    if my_range.contains(&c) {
-                        bnd_cols.push((c - start) as u32);
-                        bnd_vals.push(v);
-                    } else {
-                        ghost_cols_scratch.push(ghost_of[&c] as u32);
-                        ghost_vals_scratch.push(v);
-                    }
+            ghost_cols_scratch.clear();
+            ghost_vals_scratch.clear();
+            for (&c, &v) in gcols.iter().zip(gvals) {
+                if my_range.contains(&c) {
+                    bnd_cols.push((c - start) as u32);
+                    bnd_vals.push(v);
+                } else {
+                    ghost_cols_scratch.push(ghost_of[&c] as u32);
+                    ghost_vals_scratch.push(v);
                 }
-                bnd_ghost_ptr.push(bnd_cols.len());
-                bnd_cols.extend_from_slice(&ghost_cols_scratch);
-                bnd_vals.extend_from_slice(&ghost_vals_scratch);
-                bnd_ptr.push(bnd_cols.len());
             }
+            bnd_ghost_ptr.push(bnd_cols.len());
+            bnd_cols.extend_from_slice(&ghost_cols_scratch);
+            bnd_vals.extend_from_slice(&ghost_vals_scratch);
+            bnd_ptr.push(bnd_cols.len());
         }
         let split = SplitLocal {
-            interior: CompactRows::new(
-                interior_rows,
-                int_ptr,
-                Vec::new(),
-                int_cols,
-                int_vals,
-                n_local,
-                n_ghosts,
-            ),
+            runs,
+            interior,
             boundary: CompactRows::new(
                 boundary_rows,
                 bnd_ptr,
@@ -607,16 +614,12 @@ impl DistCsrMatrix {
             ),
         };
 
-        // 5. Resolve the format policy against the local pattern and
-        //    convert the kernel pieces once, here at plan-build time.
-        let chosen = autotune::plan(&local, policy);
-        autotune::record_choice(chosen);
-
         // Static work/traffic models, computed once here at plan build and
         // joined with the measured spans at report time. All SpMV models
         // derive from the *logical* CSR pattern, so SELL-C-σ and BCSR
-        // plans of the same matrix carry bit-identical flops/bytes —
-        // format efficiency comparisons share one denominator.
+        // plans and stencil runs of the same matrix carry bit-identical
+        // flops/bytes — format efficiency comparisons share one
+        // denominator.
         {
             use probe::model::{csr_traffic, register, KernelModel, TimeBase, WorkUnit};
             let spmv = |span, rows, nnz| {
@@ -631,10 +634,8 @@ impl DistCsrMatrix {
                 }
             };
             register("spmv", spmv("matvec", n_local, local.nnz()));
-            register(
-                "spmv_interior",
-                spmv("spmv_interior", split.interior.rows().len(), split.interior.nnz()),
-            );
+            let (interior_rows, interior_nnz) = split.interior_shape();
+            register("spmv_interior", spmv("spmv_interior", interior_rows, interior_nnz));
             register(
                 "spmv_boundary",
                 spmv("spmv_boundary", split.boundary.rows().len(), split.boundary.nnz()),
@@ -664,6 +665,7 @@ impl DistCsrMatrix {
                 },
             );
         }
+        // 6. Convert the kernel pieces once, here at plan-build time.
         let kernel = if chosen == Format::Csr {
             None
         } else {
@@ -741,7 +743,10 @@ impl DistCsrMatrix {
                 &SharedMutSlice::new(yl),
                 threads::active(),
             ),
-            None => self.split.interior.spmv(x, &[], yl, threads::active()),
+            None => {
+                self.split.runs.spmv(x, yl, threads::active());
+                self.split.interior.spmv(x, &[], yl, threads::active());
+            }
         }
     }
 
@@ -774,7 +779,10 @@ impl DistCsrMatrix {
                 k,
                 threads::active(),
             ),
-            None => self.split.interior.spmv_multi(xs, &[], 0, ys, k, threads::active()),
+            None => {
+                self.split.runs.spmv_multi(xs, ys, k, threads::active());
+                self.split.interior.spmv_multi(xs, &[], 0, ys, k, threads::active());
+            }
         }
     }
 
@@ -908,13 +916,10 @@ impl DistCsrMatrix {
             }
         };
         register("spmv_multi", spmv("matvec_multi", self.local_rows(), self.local_nnz()));
+        let (interior_rows, interior_nnz) = self.split.interior_shape();
         register(
             "spmv_multi_interior",
-            spmv(
-                "spmv_multi_interior",
-                self.split.interior.rows().len(),
-                self.split.interior.nnz(),
-            ),
+            spmv("spmv_multi_interior", interior_rows, interior_nnz),
         );
         register(
             "spmv_multi_boundary",
@@ -1156,7 +1161,14 @@ impl DistCsrMatrix {
     /// Number of local rows that touch no ghost column (computed before
     /// the halo arrives).
     pub fn interior_row_count(&self) -> usize {
-        self.split.interior.rows().len()
+        self.split.interior_shape().0
+    }
+
+    /// Number of interior rows stored as stencil runs — diagonal-major,
+    /// without column indices, because each repeats the row above it
+    /// shifted by one column. Zero under a format-converted plan.
+    pub fn stencil_row_count(&self) -> usize {
+        self.split.runs.row_count()
     }
 
     /// Number of local rows that touch at least one ghost column.
@@ -1347,37 +1359,14 @@ impl DistCsrMatrix {
             });
         }
         self.local_global.values_mut().copy_from_slice(values);
-        // The split pieces hold the same entries per row, permuted to
-        // "owned entries then ghost entries" (each group in original scan
-        // order — the renumbering is monotone within a group). Replay that
-        // permutation directly: one linear pass, no sorting.
+        // Each piece re-reads its own rows: the runs diagonal-major, the
+        // compact pieces "owned entries then ghost entries" (each group in
+        // original scan order — the renumbering is monotone within a
+        // group). One linear pass over the values, no sorting.
         let my_range = self.partition.range(self.rank);
-        let n_local = self.local_global.rows();
-        let mut int_cursor = 0usize;
-        let mut bnd_cursor = 0usize;
-        let int_vals = self.split.interior.values_mut();
-        for i in 0..n_local {
-            let (gcols, gvals) = self.local_global.row(i);
-            let n_owned = gcols.iter().filter(|&&c| my_range.contains(&c)).count();
-            if n_owned == gcols.len() {
-                int_vals[int_cursor..int_cursor + gvals.len()].copy_from_slice(gvals);
-                int_cursor += gvals.len();
-            } else {
-                let dst = &mut self.split.boundary.values_mut()
-                    [bnd_cursor..bnd_cursor + gcols.len()];
-                let (mut o, mut g) = (0, n_owned);
-                for (&c, &v) in gcols.iter().zip(gvals) {
-                    if my_range.contains(&c) {
-                        dst[o] = v;
-                        o += 1;
-                    } else {
-                        dst[g] = v;
-                        g += 1;
-                    }
-                }
-                bnd_cursor += gcols.len();
-            }
-        }
+        self.split.runs.refresh_values(&self.local_global);
+        self.split.interior.refresh_values(&self.local_global, &my_range);
+        self.split.boundary.refresh_values(&self.local_global, &my_range);
         // Replay the new values into the format-converted kernel pieces
         // (their source-index maps point into the split pieces' values).
         if let Some(k) = &mut self.kernel {

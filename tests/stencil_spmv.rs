@@ -1,0 +1,171 @@
+//! The stencil-run SpMV under the default `cargo test`: on the paper's own
+//! matrix the distributed CSR plan stores the rows that repeat the row
+//! above shifted by one column as runs without column indices, and that
+//! must change nothing but the time — not which rows the plan covers, not
+//! one bit of a product, not one iteration of a solve through the port.
+
+use cca_lisi::comm::Universe;
+use cca_lisi::lisi::{RkspAdapter, SolveReport, SparseSolverPort, SparseStruct, STATUS_LEN};
+use cca_lisi::sparse::{BlockRowPartition, CsrMatrix, DistCsrMatrix, DistVector};
+
+/// Shortest run the plan stores (`MIN_RUN_ROWS` in `rsparse`'s
+/// `compact.rs`).
+const MIN_RUN_ROWS: usize = 16;
+
+/// Rows of the m×m 5-point grid a rank owning rows `s..e` stores as runs,
+/// from the grid alone: in grid line `gy` the points `1..m−1` have all
+/// five (four on the first and last line) neighbours, the row of point
+/// `gx + 1` is the row of `gx` shifted by one, and a point is interior to
+/// the rank when its west, east, south and north neighbours are owned. The
+/// qualifying points of a line are one stretch; it is a run if long enough.
+fn predicted_run_rows(m: usize, s: usize, e: usize) -> usize {
+    let mut rows = 0;
+    for gy in 0..m {
+        let line = gy * m;
+        let owned_neighbours = |gx: usize| {
+            let i = line + gx;
+            i > s && i + 1 < e && (gy == 0 || i >= s + m) && (gy == m - 1 || i + m < e)
+        };
+        let stretch = (1..m.saturating_sub(1))
+            .filter(|&gx| owned_neighbours(gx))
+            .count();
+        if stretch >= MIN_RUN_ROWS {
+            rows += stretch;
+        }
+    }
+    rows
+}
+
+/// `a`'s pattern with small integer values: every product and partial sum
+/// is exact, so a boundary row summed "owned entries, then ghost entries"
+/// equals the serial left-to-right sum bit for bit.
+fn with_integer_values(a: &CsrMatrix) -> CsrMatrix {
+    let values = (0..a.nnz()).map(|k| ((k * 7) % 13) as f64 - 6.0).collect();
+    CsrMatrix::from_parts(
+        a.rows(),
+        a.cols(),
+        a.row_ptr().to_vec(),
+        a.col_idx().to_vec(),
+        values,
+    )
+    .unwrap()
+}
+
+#[test]
+fn runs_cover_what_the_grid_predicts_and_the_product_is_bitwise_serial() {
+    for m in [3usize, 17, 40] {
+        let (paper, _) = cca_lisi::mesh::paper_problem(m).assemble_global();
+        let n = paper.rows();
+        for p in [1usize, 2, 3] {
+            // Any reals on one rank (a row is summed in one order either
+            // way); integer-valued data where boundary rows reorder.
+            let (a, x): (CsrMatrix, Vec<f64>) = if p == 1 {
+                (
+                    paper.clone(),
+                    cca_lisi::sparse::generate::random_vector(n, 16),
+                )
+            } else {
+                (
+                    with_integer_values(&paper),
+                    (0..n).map(|i| ((i * 5) % 17) as f64 - 8.0).collect(),
+                )
+            };
+            let mut want = vec![0.0; n];
+            a.matvec_into(&x, &mut want);
+            let covered: usize = Universe::run(p, |comm| {
+                let part = BlockRowPartition::even(n, comm.size());
+                let r = part.range(comm.rank());
+                let da = DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
+                assert_eq!(
+                    da.stencil_row_count(),
+                    predicted_run_rows(m, r.start, r.end),
+                    "m = {m}, rank {} of {p}",
+                    comm.rank()
+                );
+                assert!(da.stencil_row_count() <= da.interior_row_count());
+                let dx = DistVector::from_global(part, comm.rank(), &x).unwrap();
+                let dy = da.matvec(comm, &dx).unwrap();
+                for (i, (g, w)) in dy.local().iter().zip(&want[r.clone()]).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "m = {m}, p = {p}, row {}",
+                        r.start + i
+                    );
+                }
+                da.stencil_row_count()
+            })
+            .into_iter()
+            .sum();
+            // m = 3 has one point per line between the edges and m = 17 has
+            // fifteen, one short of a run; m = 40 stores nearly every row.
+            match m {
+                40 => assert!(
+                    covered * 10 >= n * 8,
+                    "p = {p}: {covered} of {n} rows in runs"
+                ),
+                _ => assert_eq!(covered, 0, "m = {m}, p = {p}"),
+            }
+        }
+    }
+}
+
+/// Iteration count and final residual (bit pattern) of the solve below,
+/// recorded at the parent of the commit that introduced the runs, per rank
+/// count. The run kernel is bit-identical to the CSR kernel it replaces,
+/// so a solve must retrace the same iterates.
+const RECORDED: [(usize, usize, u64); 3] = [
+    (1, 93, 0x3d91_22dc_f19f_4cbc),
+    (2, 91, 0x3d8f_6fad_7ebb_2e9e),
+    (3, 89, 0x3d91_7332_ded9_8e0f),
+];
+
+#[test]
+fn a_solve_through_the_port_retraces_the_recorded_iterates() {
+    let m = 40;
+    let n = m * m;
+    for (p, iterations, residual_bits) in RECORDED {
+        let reports: Vec<SolveReport> = Universe::run(p, |comm| {
+            let local = cca_lisi::mesh::paper_problem(m).assemble_local(comm);
+            let solver = RkspAdapter::new();
+            solver.initialize(comm.dup().unwrap()).unwrap();
+            solver
+                .set_start_row(local.partition.start_row(local.rank))
+                .unwrap();
+            solver.set_local_rows(local.matrix.rows()).unwrap();
+            solver.set_local_nnz(local.matrix.nnz()).unwrap();
+            solver.set_global_cols(n).unwrap();
+            for (k, v) in [
+                ("solver", "bicgstab"),
+                ("preconditioner", "jacobi"),
+                ("tol", "1e-10"),
+            ] {
+                solver.set(k, v).unwrap();
+            }
+            solver
+                .setup_matrix(
+                    local.matrix.values(),
+                    local.matrix.row_ptr(),
+                    local.matrix.col_idx(),
+                    SparseStruct::Csr,
+                )
+                .unwrap();
+            solver.setup_rhs(&local.rhs, 1).unwrap();
+            let mut x = vec![0.0; local.matrix.rows()];
+            let mut status = [0.0; STATUS_LEN];
+            solver.solve(&mut x, &mut status).unwrap();
+            SolveReport::from_slice(&status)
+        });
+        for rep in reports {
+            assert!(rep.converged, "p = {p}");
+            assert_eq!(
+                (rep.iterations, rep.residual.to_bits()),
+                (iterations, residual_bits),
+                "p = {p}: {} iterations, residual {:e} = {:#018x}",
+                rep.iterations,
+                rep.residual,
+                rep.residual.to_bits()
+            );
+        }
+    }
+}
