@@ -176,6 +176,40 @@ fn spmv_multi(c: &mut Criterion) {
 /// bit-identical to the rows it replaces run back to back; compare
 /// `axpy` + `pdot` against `axpy_norm2_sq`, `axpy` + 2 × `pdot` against
 /// `axpy_pdot2`, 2 × `pdot` against `pdot2`, 2 × `axpy` against `axpy2`.
+/// One preconditioner apply — a forward and a backward triangular sweep —
+/// on the factor's own matrix. `ilu0/laplacian200` is the matrix
+/// `ilu_cg_1r` sweeps; `paper300` (z = 720 KB) shows that the footprint
+/// of a level, not n, sets the reuse distance; `femb3` is the irregular
+/// one (wide rows, narrow levels). `ilu0/tridiagonal40000` is the bypass
+/// control: one row per level, so level order is natural order and the
+/// chain is as long as it ever was.
+fn sptrsv(c: &mut Criterion) {
+    use rkrylov::{Ilu0, Ilut, Ssor};
+    let mut group = c.benchmark_group("sptrsv");
+    let laplacian = generate::laplacian_2d(200);
+    let mut row = |name: &str, label: &str, n: usize, apply: &dyn Fn(&[f64], &mut [f64])| {
+        let r = generate::random_vector(n, 7);
+        let mut z = vec![0.0; n];
+        group.bench_function(BenchmarkId::new(name, label), |b| b.iter(|| apply(&r, &mut z)));
+    };
+    for (label, a) in [
+        ("laplacian200", laplacian.clone()),
+        ("paper128", rmesh::paper_problem(128).assemble_global().0),
+        ("paper300", rmesh::paper_problem(300).assemble_global().0),
+        ("femb3", generate::fem_block(80, 3, 2)),
+        ("tridiagonal40000", generate::laplacian_1d(40_000)),
+    ] {
+        let pc = Ilu0::new(&a).unwrap();
+        row("ilu0", label, a.rows(), &|r, z| pc.solve_local(r, z));
+    }
+    let n = laplacian.rows();
+    let ilut = Ilut::new(&laplacian, 1e-3, 10).unwrap();
+    row("ilut", "laplacian200", n, &|r, z| ilut.solve_local(r, z));
+    let ssor = Ssor::new(&laplacian, 1.0).unwrap();
+    row("ssor", "laplacian200", n, &|r, z| ssor.solve_local(r, z));
+    group.finish();
+}
+
 fn blas1(c: &mut Criterion) {
     use rsparse::dense;
     let mut group = c.benchmark_group("blas1");
@@ -281,5 +315,5 @@ fn assembly(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, spmv, spmv_formats, spmv_multi, blas1, probe_overhead, conversions, assembly);
+criterion_group!(benches, spmv, spmv_formats, spmv_multi, sptrsv, blas1, probe_overhead, conversions, assembly);
 criterion_main!(benches);

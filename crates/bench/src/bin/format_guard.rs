@@ -4,8 +4,8 @@
 //! block assembly, and a skewed row-length pattern — this runs the
 //! autotuner's model, converts to the chosen format, and times serial
 //! matvecs CSR-vs-chosen in *alternating* pairs with the order swapped
-//! every trial (the same pairing trick `trsv_guard` uses to cancel load
-//! drift), reporting the median per-pair speedup.
+//! every trial (so load drift cancels), reporting the median per-pair
+//! speedup.
 //!
 //! Two verdicts with different strictness, split out by
 //! `scripts/bench_smoke.sh`:

@@ -117,8 +117,8 @@ macro_rules! lisi_common_methods {
                 return Ok(());
             }
             // Reserved key: "threads" sets the rank-local thread count
-            // used by the threaded kernels (SpMV chunks, level-scheduled
-            // triangular solves, blocked reductions). Same rationale as
+            // used by the threaded kernels (SpMV chunks, blocked
+            // reductions). Same rationale as
             // "probe": a process-wide knob every adapter understands
             // without widening the SIDL surface.
             if key == "threads" {

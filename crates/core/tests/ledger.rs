@@ -101,6 +101,14 @@ fn csr_bytes(rows: u64, nnz: u64) -> u64 {
     24 * nnz + 16 * rows + 8
 }
 
+/// Traffic of one ILU(0) apply over its two level-ordered triangles
+/// (mirrors `rsparse::schedule::register_sweep_model`): 20 bytes per
+/// off-diagonal entry (value, `u32` column, gathered `z`), 24 per row and
+/// sweep (row id, pointer, one read, one write) and 8 per stored pivot.
+fn sweep_bytes(rows: u64, nnz_with_diagonal: u64) -> u64 {
+    20 * (nnz_with_diagonal - rows) + 2 * 24 * rows + 8 * rows
+}
+
 #[test]
 fn ledger_matches_schema_and_reconciles_with_the_plan_model() {
     let _guard = LEDGER_LOCK.lock().unwrap();
@@ -148,7 +156,7 @@ fn ledger_matches_schema_and_reconciles_with_the_plan_model() {
         assert_eq!(u(row, "bytes"), units * csr_bytes(rows, nnz), "rank {rank} spmv bytes");
 
         // ILU(0) keeps the diagonal block's sparsity pattern, so sptrsv
-        // traffic is its streaming shape plus the diagonal divide.
+        // work follows from the block's shape alone.
         let tri = kernel_row(&doc, rank as u64, "sptrsv");
         let tunits = u(tri, "units");
         assert!(tunits > 0, "rank {rank} applied the preconditioner");
@@ -159,7 +167,7 @@ fn ledger_matches_schema_and_reconciles_with_the_plan_model() {
         );
         assert_eq!(
             u(tri, "bytes"),
-            tunits * csr_bytes(rows, nnz_diag),
+            tunits * sweep_bytes(rows, nnz_diag),
             "rank {rank} sptrsv bytes"
         );
 

@@ -4,182 +4,79 @@
 //! — PETSc's default parallel preconditioner.
 
 use rcomm::Communicator;
-use rsparse::threads::SharedMutSlice;
-use rsparse::{CsrMatrix, DistVector, SparseError};
+use rsparse::schedule::register_sweep_model;
+use rsparse::{CsrMatrix, DistVector, LevelTri, SparseError, Triangle};
 
-use crate::pc::sched::{self, SweepSchedules};
-use crate::pc::Preconditioner;
+use crate::pc::{diagonal_positions, split_at_diagonal, Preconditioner};
 use crate::result::{KspError, KspOutcome};
 
 /// ILU(0): incomplete LU with zero fill — L and U inherit the sparsity
-/// pattern of A. Stored as a single CSR matrix (strict lower = L with unit
-/// diagonal implied, diagonal + strict upper = U).
+/// pattern of A. Kept as two level-ordered triangles: strict lower = L
+/// with unit diagonal implied, strict upper + diagonal = U.
 #[derive(Debug, Clone)]
 pub struct Ilu0 {
-    /// Factored values on the original pattern.
-    lu: CsrMatrix,
-    /// Position of the diagonal entry in each row of `lu`.
-    diag_pos: Vec<usize>,
-    /// Level schedules for both sweeps, built once at factorization.
-    sched: SweepSchedules,
+    /// L, swept forward.
+    fwd: LevelTri,
+    /// U, swept backward.
+    bwd: LevelTri,
+}
+
+/// ILU(0) values on `block`'s own pattern, in its entry order: IKJ
+/// Gaussian elimination restricted to the pattern, with a dense position
+/// map per active row for O(nnz_row) pattern lookups.
+pub(super) fn ilu0_values(block: &CsrMatrix, diag_pos: &[usize]) -> KspOutcome<Vec<f64>> {
+    let n = block.rows();
+    let row_ptr = block.row_ptr();
+    let col_idx = block.col_idx();
+    let mut vals = block.values().to_vec();
+    let mut pos_of = vec![usize::MAX; n];
+    for i in 0..n {
+        let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
+        for k in lo..hi {
+            pos_of[col_idx[k]] = k;
+        }
+        for kk in lo..diag_pos[i] {
+            let k = col_idx[kk];
+            let ukk = vals[diag_pos[k]];
+            if ukk == 0.0 {
+                return Err(KspError::Sparse(SparseError::ZeroPivot { row: k }));
+            }
+            let lik = vals[kk] / ukk;
+            vals[kk] = lik;
+            // Update row i against row k's upper part, pattern-limited.
+            for kj in diag_pos[k] + 1..row_ptr[k + 1] {
+                let p = pos_of[col_idx[kj]];
+                if p != usize::MAX {
+                    vals[p] -= lik * vals[kj];
+                }
+            }
+        }
+        for k in lo..hi {
+            pos_of[col_idx[k]] = usize::MAX;
+        }
+        if vals[diag_pos[i]] == 0.0 {
+            return Err(KspError::Sparse(SparseError::ZeroPivot { row: i }));
+        }
+    }
+    Ok(vals)
 }
 
 impl Ilu0 {
     /// Factor the local block. Requires a square matrix with a full
     /// nonzero diagonal (no pivoting, like standard ILU(0)).
     pub fn new(block: &CsrMatrix) -> KspOutcome<Self> {
-        let (n, cols) = block.shape();
-        if n != cols {
-            return Err(KspError::Sparse(SparseError::NotSquare { rows: n, cols }));
-        }
-        let mut lu = block.clone();
-        let mut diag_pos = vec![usize::MAX; n];
-        // Row layout is fixed; find diagonal positions first.
-        {
-            let row_ptr = lu.row_ptr().to_vec();
-            let col_idx = lu.col_idx().to_vec();
-            for i in 0..n {
-                let row = row_ptr[i]..row_ptr[i + 1];
-                for (k, &col) in row.clone().zip(&col_idx[row]) {
-                    if col == i {
-                        diag_pos[i] = k;
-                        break;
-                    }
-                }
-                if diag_pos[i] == usize::MAX {
-                    return Err(KspError::Sparse(SparseError::ZeroPivot { row: i }));
-                }
-            }
-        }
-        let row_ptr = lu.row_ptr().to_vec();
-        let col_idx = lu.col_idx().to_vec();
-        // IKJ Gaussian elimination restricted to the pattern, with a dense
-        // position map per active row for O(nnz_row) pattern lookups.
-        let mut pos_of = vec![usize::MAX; n];
-        for i in 0..n {
-            let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
-            for k in lo..hi {
-                pos_of[col_idx[k]] = k;
-            }
-            for kk in lo..hi {
-                let k = col_idx[kk];
-                if k >= i {
-                    break; // columns sorted: done with the strict lower part
-                }
-                let ukk = lu.values()[diag_pos[k]];
-                if ukk == 0.0 {
-                    return Err(KspError::Sparse(SparseError::ZeroPivot { row: k }));
-                }
-                let lik = lu.values()[kk] / ukk;
-                lu.values_mut()[kk] = lik;
-                // Update row i against row k's upper part, pattern-limited.
-                let upper = diag_pos[k] + 1..row_ptr[k + 1];
-                for (kj, &j) in upper.clone().zip(&col_idx[upper]) {
-                    let p = pos_of[j];
-                    if p != usize::MAX {
-                        let ukj = lu.values()[kj];
-                        lu.values_mut()[p] -= lik * ukj;
-                    }
-                }
-            }
-            for k in lo..hi {
-                pos_of[col_idx[k]] = usize::MAX;
-            }
-            if lu.values()[diag_pos[i]] == 0.0 {
-                return Err(KspError::Sparse(SparseError::ZeroPivot { row: i }));
-            }
-        }
-        let sched = SweepSchedules::for_combined(&lu);
-        // Static traffic model for the two triangular sweeps of one
-        // apply, from the factor cached here at setup: every stored
-        // entry is read once per sweep pair (value + column index +
-        // solution gather), plus the row pointers, the rhs read, the
-        // solution write and the n diagonal divides.
-        {
-            let nnz = lu.nnz() as u64;
-            let rows = n as u64;
-            probe::model::register(
-                "sptrsv",
-                probe::model::KernelModel {
-                    span: "sptrsv",
-                    flops: 2 * nnz + rows,
-                    bytes: 24 * nnz + 16 * rows + 8,
-                    unit: probe::model::WorkUnit::SpanCalls,
-                    time: probe::model::TimeBase::Total,
-                    nrhs: 1,
-                },
-            );
-        }
-        Ok(Ilu0 { lu, diag_pos, sched })
+        let diag_pos = diagonal_positions(block)?;
+        let vals = ilu0_values(block, &diag_pos)?;
+        let (fwd, bwd) = split_at_diagonal(block, &diag_pos, &vals, false)?;
+        register_sweep_model(&fwd, &bwd);
+        Ok(Ilu0 { fwd, bwd })
     }
 
-    /// Solve (L·U)·z = r in place on a local slice, using the configured
-    /// rank-local thread count.
+    /// Solve (L·U)·z = r on a local slice.
     pub fn solve_local(&self, r: &[f64], z: &mut [f64]) {
-        self.solve_local_with(r, z, sched::active_threads());
-    }
-
-    /// Solve (L·U)·z = r with an explicit thread count. Level-scheduled
-    /// when `threads > 1` and the cached schedules are deep/wide enough;
-    /// serial sweeps otherwise. Row arithmetic is identical on both paths,
-    /// so results are bit-equal at every thread count.
-    pub fn solve_local_with(&self, r: &[f64], z: &mut [f64], threads: usize) {
         let _span = probe::span!("sptrsv");
-        let n = self.diag_pos.len();
-        debug_assert_eq!(r.len(), n);
-        debug_assert_eq!(z.len(), n);
-        let row_ptr = self.lu.row_ptr();
-        let col_idx = self.lu.col_idx();
-        let vals = self.lu.values();
-        let diag = &self.diag_pos;
-        let t = self.sched.plan(threads);
-        if t > 1 {
-            let _s = probe::span!("sptrsv_scheduled");
-            let zs = SharedMutSlice::new(z);
-            // Forward: L (unit diagonal) z' = r. Row `i` reads only
-            // columns < i, finished in earlier levels.
-            let used_f = self.sched.fwd.run(t, |i| {
-                let mut acc = r[i];
-                for k in row_ptr[i]..diag[i] {
-                    // SAFETY: column < i ⇒ earlier level; our own slot is
-                    // written exactly once.
-                    acc -= vals[k] * unsafe { zs.get(col_idx[k]) };
-                }
-                unsafe { zs.set(i, acc) };
-            });
-            // Backward: U z = z'. Row `i` reads columns > i.
-            let used_b = self.sched.bwd.run(t, |i| {
-                let mut acc = unsafe { zs.get(i) };
-                for k in diag[i] + 1..row_ptr[i + 1] {
-                    // SAFETY: column > i ⇒ earlier backward level.
-                    acc -= vals[k] * unsafe { zs.get(col_idx[k]) };
-                }
-                unsafe { zs.set(i, acc / vals[diag[i]]) };
-            });
-            self.sched.record(used_f, used_b);
-            return;
-        }
-        // Forward: L (unit diagonal) z' = r.
-        for i in 0..n {
-            let mut acc = r[i];
-            for k in row_ptr[i]..self.diag_pos[i] {
-                acc -= vals[k] * z[col_idx[k]];
-            }
-            z[i] = acc;
-        }
-        // Backward: U z = z'.
-        for i in (0..n).rev() {
-            let mut acc = z[i];
-            for k in self.diag_pos[i] + 1..row_ptr[i + 1] {
-                acc -= vals[k] * z[col_idx[k]];
-            }
-            z[i] = acc / vals[self.diag_pos[i]];
-        }
-    }
-
-    /// Borrow the combined LU factor (tests / diagnostics).
-    pub fn factor(&self) -> &CsrMatrix {
-        &self.lu
+        self.fwd.sweep_from(r, z, |acc, _| acc);
+        self.bwd.sweep_in_place(z, |acc, d| acc / d);
     }
 }
 
@@ -195,102 +92,108 @@ impl Preconditioner for Ilu0 {
 }
 
 /// IC(0): incomplete Cholesky with zero fill on the lower-triangular
-/// pattern of an SPD block. Applied as z = L⁻ᵀ·L⁻¹·r.
+/// pattern of an SPD block. Applied as z = L⁻ᵀ·L⁻¹·r: L's rows swept
+/// forward, Lᵀ's rows swept backward.
 #[derive(Debug, Clone)]
 pub struct Ic0 {
-    /// Lower-triangular factor rows (columns ≤ i), CSR.
-    l: CsrMatrix,
-    diag_pos: Vec<usize>,
+    fwd: LevelTri,
+    bwd: LevelTri,
+}
+
+/// The IC(0) factor's rows (columns ≤ i, diagonal last), CSR.
+pub(super) fn ic0_factor(block: &CsrMatrix) -> KspOutcome<CsrMatrix> {
+    let (n, cols) = block.shape();
+    if n != cols {
+        return Err(KspError::Sparse(SparseError::NotSquare { rows: n, cols }));
+    }
+    // Extract the lower triangle (including diagonal) as the pattern.
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    let mut col_idx = Vec::new();
+    let mut vals = Vec::new();
+    row_ptr.push(0);
+    for i in 0..n {
+        let (cs, vs) = block.row(i);
+        let end = cs.partition_point(|&c| c <= i);
+        if end == 0 || cs[end - 1] != i {
+            return Err(KspError::Sparse(SparseError::ZeroPivot { row: i }));
+        }
+        col_idx.extend_from_slice(&cs[..end]);
+        vals.extend_from_slice(&vs[..end]);
+        row_ptr.push(col_idx.len());
+    }
+    // Row-oriented incomplete Cholesky.
+    let mut pos_of = vec![usize::MAX; n];
+    for i in 0..n {
+        let (lo, diag) = (row_ptr[i], row_ptr[i + 1] - 1);
+        for k in lo..=diag {
+            pos_of[col_idx[k]] = k;
+        }
+        for kk in lo..diag {
+            // l_ij = (a_ij − Σ_{k<j} l_ik·l_jk) / l_jj for the column j of
+            // this strictly-lower entry, sums limited to the shared pattern.
+            let j = col_idx[kk];
+            let mut s = vals[kk];
+            let jdiag = row_ptr[j + 1] - 1;
+            for jk in row_ptr[j]..jdiag {
+                let p = pos_of[col_idx[jk]];
+                if p != usize::MAX && p < kk {
+                    s -= vals[p] * vals[jk];
+                }
+            }
+            vals[kk] = s / vals[jdiag];
+        }
+        // Diagonal: l_ii = sqrt(a_ii − Σ l_ik²).
+        let mut s = vals[diag];
+        for &v in &vals[lo..diag] {
+            s -= v * v;
+        }
+        if s <= 0.0 {
+            return Err(KspError::BadConfig(format!(
+                "IC(0) pivot {s:.3e} at row {i}: matrix not SPD enough for zero fill"
+            )));
+        }
+        vals[diag] = s.sqrt();
+        for k in lo..=diag {
+            pos_of[col_idx[k]] = usize::MAX;
+        }
+    }
+    CsrMatrix::from_parts(n, n, row_ptr, col_idx, vals).map_err(KspError::Sparse)
 }
 
 impl Ic0 {
     /// Factor the local block; fails on non-SPD data (non-positive pivot).
     pub fn new(block: &CsrMatrix) -> KspOutcome<Self> {
-        let (n, cols) = block.shape();
-        if n != cols {
-            return Err(KspError::Sparse(SparseError::NotSquare { rows: n, cols }));
+        let l = ic0_factor(block)?;
+        let n = l.rows();
+        let diag = |i: usize| l.values()[l.row_ptr()[i + 1] - 1];
+        let lower = |i: usize| {
+            let (cs, vs) = l.row(i);
+            (&cs[..cs.len() - 1], &vs[..vs.len() - 1])
+        };
+        let fwd = LevelTri::build(Triangle::Lower, n, lower, Some(&diag))?;
+        // Lᵀ's rows (diagonal first), the rest reversed to descending
+        // columns: the order in which a backward scatter over L's rows
+        // would have subtracted them.
+        let (_, _, t_ptr, mut t_col, mut t_val) = l.transpose().into_parts();
+        for c in 0..n {
+            let strict = t_ptr[c] + 1..t_ptr[c + 1];
+            t_col[strict.clone()].reverse();
+            t_val[strict].reverse();
         }
-        // Extract the lower triangle (including diagonal) as the pattern.
-        let mut coo = rsparse::CooMatrix::new(n, n);
-        for (r, c, v) in block.iter() {
-            if c <= r {
-                coo.push(r, c, v).expect("bounds");
-            }
-        }
-        let mut l = coo.to_csr();
-        let row_ptr = l.row_ptr().to_vec();
-        let col_idx = l.col_idx().to_vec();
-        let mut diag_pos = vec![usize::MAX; n];
-        for i in 0..n {
-            if row_ptr[i + 1] > row_ptr[i] && col_idx[row_ptr[i + 1] - 1] == i {
-                diag_pos[i] = row_ptr[i + 1] - 1;
-            } else {
-                return Err(KspError::Sparse(SparseError::ZeroPivot { row: i }));
-            }
-        }
-        // Row-oriented incomplete Cholesky.
-        let mut pos_of = vec![usize::MAX; n];
-        for i in 0..n {
-            let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
-            for k in lo..hi {
-                pos_of[col_idx[k]] = k;
-            }
-            for kk in lo..hi - 1 {
-                let j = col_idx[kk]; // strictly below the diagonal
-                // l_ij = (a_ij − Σ_{k<j} l_ik·l_jk) / l_jj, sums limited to
-                // the shared pattern.
-                let mut s = l.values()[kk];
-                let lower = row_ptr[j]..diag_pos[j];
-                for (jk, &k) in lower.clone().zip(&col_idx[lower]) {
-                    let p = pos_of[k];
-                    if p != usize::MAX && p < kk {
-                        s -= l.values()[p] * l.values()[jk];
-                    }
-                }
-                let ljj = l.values()[diag_pos[j]];
-                l.values_mut()[kk] = s / ljj;
-            }
-            // Diagonal: l_ii = sqrt(a_ii − Σ l_ik²).
-            let mut s = l.values()[diag_pos[i]];
-            for k in lo..hi - 1 {
-                let v = l.values()[k];
-                s -= v * v;
-            }
-            if s <= 0.0 {
-                return Err(KspError::BadConfig(format!(
-                    "IC(0) pivot {s:.3e} at row {i}: matrix not SPD enough for zero fill"
-                )));
-            }
-            l.values_mut()[diag_pos[i]] = s.sqrt();
-            for k in lo..hi {
-                pos_of[col_idx[k]] = usize::MAX;
-            }
-        }
-        Ok(Ic0 { l, diag_pos })
+        let upper = |c: usize| {
+            let strict = t_ptr[c] + 1..t_ptr[c + 1];
+            (&t_col[strict.clone()], &t_val[strict])
+        };
+        let bwd = LevelTri::build(Triangle::Upper, n, upper, Some(&diag))?;
+        register_sweep_model(&fwd, &bwd);
+        Ok(Ic0 { fwd, bwd })
     }
 
     /// Solve L·Lᵀ·z = r on a local slice.
     pub fn solve_local(&self, r: &[f64], z: &mut [f64]) {
-        let n = self.diag_pos.len();
-        let row_ptr = self.l.row_ptr();
-        let col_idx = self.l.col_idx();
-        let vals = self.l.values();
-        // Forward: L y = r.
-        for i in 0..n {
-            let mut acc = r[i];
-            for k in row_ptr[i]..self.diag_pos[i] {
-                acc -= vals[k] * z[col_idx[k]];
-            }
-            z[i] = acc / vals[self.diag_pos[i]];
-        }
-        // Backward: Lᵀ z = y, done by scattering columns of L.
-        for i in (0..n).rev() {
-            z[i] /= vals[self.diag_pos[i]];
-            let zi = z[i];
-            for k in row_ptr[i]..self.diag_pos[i] {
-                z[col_idx[k]] -= vals[k] * zi;
-            }
-        }
+        let _span = probe::span!("sptrsv");
+        self.fwd.sweep_from(r, z, |acc, d| acc / d);
+        self.bwd.sweep_in_place(z, |acc, d| acc / d);
     }
 }
 

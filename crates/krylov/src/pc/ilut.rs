@@ -9,229 +9,218 @@
 //! survivors are kept in each of the L and U parts.
 
 use rcomm::Communicator;
-use rsparse::threads::SharedMutSlice;
-use rsparse::{CsrMatrix, DistVector, SparseError};
+use rsparse::schedule::register_sweep_model;
+use rsparse::{CsrMatrix, DistVector, LevelTri, SparseError, Triangle};
 
-use crate::pc::sched::{self, SweepSchedules};
 use crate::pc::Preconditioner;
 use crate::result::{KspError, KspOutcome};
 
-/// The ILUT preconditioner for a local block.
+/// The ILUT preconditioner for a local block: two level-ordered
+/// triangles, unit-lower L and U with its diagonal.
 #[derive(Debug, Clone)]
 pub struct Ilut {
-    /// Strictly-lower factor rows (unit diagonal implied), CSR.
-    l: CsrMatrix,
-    /// Upper factor rows (diagonal first per row is NOT guaranteed;
-    /// columns sorted), CSR.
-    u: CsrMatrix,
-    /// Diagonal entries of U, extracted for the backward solve.
-    u_diag: Vec<f64>,
-    /// Level schedules for both sweeps, built once at factorization.
-    sched: SweepSchedules,
+    fwd: LevelTri,
+    bwd: LevelTri,
+}
+
+/// The factor as the row-wise construction leaves it, rows in natural
+/// order.
+pub(super) struct IlutFactor {
+    /// Strictly-lower rows (unit diagonal implied), columns ascending.
+    pub l_ptr: Vec<usize>,
+    pub l_cols: Vec<usize>,
+    pub l_vals: Vec<f64>,
+    /// Upper rows: the diagonal first, then columns ascending.
+    pub u_ptr: Vec<usize>,
+    pub u_cols: Vec<usize>,
+    pub u_vals: Vec<f64>,
+}
+
+impl IlutFactor {
+    /// Row `i` of L.
+    pub fn lower(&self, i: usize) -> (&[usize], &[f64]) {
+        let part = self.l_ptr[i]..self.l_ptr[i + 1];
+        (&self.l_cols[part.clone()], &self.l_vals[part])
+    }
+
+    /// Row `i` of U past its diagonal.
+    pub fn upper(&self, i: usize) -> (&[usize], &[f64]) {
+        let part = self.u_ptr[i] + 1..self.u_ptr[i + 1];
+        (&self.u_cols[part.clone()], &self.u_vals[part])
+    }
+
+    /// U's diagonal entry of row `i`.
+    pub fn diag(&self, i: usize) -> f64 {
+        self.u_vals[self.u_ptr[i]]
+    }
 }
 
 impl Ilut {
     /// Factor with drop tolerance `droptol ≥ 0` and per-row fill cap
     /// `max_fill ≥ 1` (applied separately to the L and U parts).
     pub fn new(block: &CsrMatrix, droptol: f64, max_fill: usize) -> KspOutcome<Self> {
-        if droptol < 0.0 {
-            return Err(KspError::BadConfig(format!("droptol must be ≥ 0, got {droptol}")));
-        }
-        if max_fill == 0 {
-            return Err(KspError::BadConfig("max_fill must be ≥ 1".into()));
-        }
-        let (n, cols) = block.shape();
-        if n != cols {
-            return Err(KspError::Sparse(SparseError::NotSquare { rows: n, cols }));
-        }
-        // Growing factors, rows appended in order.
-        let mut l_ptr = vec![0usize];
-        let mut l_cols: Vec<usize> = Vec::new();
-        let mut l_vals: Vec<f64> = Vec::new();
-        let mut u_ptr = vec![0usize];
-        let mut u_cols: Vec<usize> = Vec::new();
-        let mut u_vals: Vec<f64> = Vec::new();
-        let mut u_diag = vec![0.0f64; n];
-        // Position of column j in the dense work row, or MAX.
-        let mut w = vec![0.0f64; n];
-        let mut nonzero: Vec<usize> = Vec::new();
-        let mut in_row = vec![false; n];
-
-        for i in 0..n {
-            // Scatter row i of A.
-            let (acols, avals) = block.row(i);
-            let mut row_norm = 0.0f64;
-            for (&c, &v) in acols.iter().zip(avals) {
-                w[c] = v;
-                if !in_row[c] {
-                    in_row[c] = true;
-                    nonzero.push(c);
-                }
-                row_norm += v * v;
-            }
-            let row_norm = row_norm.sqrt();
-            let tau = droptol * row_norm;
-
-            // Eliminate using previous rows in increasing column order.
-            // Process columns k < i present in the work row; new fill may
-            // add more, so keep the frontier sorted with a simple scan.
-            nonzero.sort_unstable();
-            let mut idx = 0;
-            while idx < nonzero.len() {
-                let k = nonzero[idx];
-                idx += 1;
-                if k >= i {
-                    break;
-                }
-                let wk = w[k];
-                if wk == 0.0 {
-                    continue;
-                }
-                let lik = wk / u_diag[k];
-                if lik.abs() <= tau {
-                    // Dropped multiplier: zero it out.
-                    w[k] = 0.0;
-                    continue;
-                }
-                w[k] = lik;
-                // w ← w − lik · U(k, :) (strictly upper part of row k).
-                for pos in u_ptr[k]..u_ptr[k + 1] {
-                    let j = u_cols[pos];
-                    if j == k {
-                        continue;
-                    }
-                    let upd = lik * u_vals[pos];
-                    if !in_row[j] {
-                        in_row[j] = true;
-                        // Insert keeping the frontier sorted past idx.
-                        let at = nonzero[idx..].partition_point(|&c| c < j) + idx;
-                        nonzero.insert(at, j);
-                    }
-                    w[j] -= upd;
-                }
-            }
-
-            // Split into L (cols < i), diagonal, U (cols > i), drop small,
-            // cap fill.
-            let mut l_row: Vec<(usize, f64)> = Vec::new();
-            let mut u_row: Vec<(usize, f64)> = Vec::new();
-            let mut diag = 0.0f64;
-            for &c in &nonzero {
-                let v = w[c];
-                w[c] = 0.0;
-                in_row[c] = false;
-                if v == 0.0 {
-                    continue;
-                }
-                if c < i {
-                    if v.abs() > tau {
-                        l_row.push((c, v));
-                    }
-                } else if c == i {
-                    diag = v;
-                } else if v.abs() > tau {
-                    u_row.push((c, v));
-                }
-            }
-            nonzero.clear();
-            if diag == 0.0 {
-                // Saad's fallback: substitute a small pivot scaled to the
-                // row so factorization can continue.
-                diag = (1e-4 * row_norm).max(f64::MIN_POSITIVE);
-            }
-            keep_largest(&mut l_row, max_fill);
-            keep_largest(&mut u_row, max_fill);
-            l_row.sort_unstable_by_key(|&(c, _)| c);
-            u_row.sort_unstable_by_key(|&(c, _)| c);
-
-            for (c, v) in l_row {
-                l_cols.push(c);
-                l_vals.push(v);
-            }
-            l_ptr.push(l_cols.len());
-            u_diag[i] = diag;
-            u_cols.push(i);
-            u_vals.push(diag);
-            for (c, v) in u_row {
-                u_cols.push(c);
-                u_vals.push(v);
-            }
-            u_ptr.push(u_cols.len());
-        }
-
-        let l = CsrMatrix::from_parts(n, n, l_ptr, l_cols, l_vals)
-            .map_err(KspError::Sparse)?;
-        let u = CsrMatrix::from_parts(n, n, u_ptr, u_cols, u_vals)
-            .map_err(KspError::Sparse)?;
-        let sched = SweepSchedules::for_split(&l, &u);
-        Ok(Ilut { l, u, u_diag, sched })
+        let f = ilut_factor(block, droptol, max_fill)?;
+        let n = block.rows();
+        let fwd = LevelTri::build(Triangle::Lower, n, |i| f.lower(i), None)?;
+        let bwd = LevelTri::build(Triangle::Upper, n, |i| f.upper(i), Some(&|i| f.diag(i)))?;
+        register_sweep_model(&fwd, &bwd);
+        Ok(Ilut { fwd, bwd })
     }
 
     /// Stored entries in both factors (fill diagnostic).
     pub fn fill(&self) -> usize {
-        self.l.nnz() + self.u.nnz()
+        self.fwd.nnz() + self.bwd.nnz() + self.bwd.n_rows()
     }
 
-    /// Solve (L·U)·z = r on local slices, using the configured rank-local
-    /// thread count.
+    /// Solve (L·U)·z = r on local slices.
     pub fn solve_local(&self, r: &[f64], z: &mut [f64]) {
-        self.solve_local_with(r, z, sched::active_threads());
+        let _span = probe::span!("sptrsv");
+        self.fwd.sweep_from(r, z, |acc, _| acc);
+        self.bwd.sweep_in_place(z, |acc, d| acc / d);
+    }
+}
+
+/// Saad's row-wise ILUT(p, τ) construction.
+pub(super) fn ilut_factor(
+    block: &CsrMatrix,
+    droptol: f64,
+    max_fill: usize,
+) -> KspOutcome<IlutFactor> {
+    if droptol < 0.0 {
+        return Err(KspError::BadConfig(format!(
+            "droptol must be ≥ 0, got {droptol}"
+        )));
+    }
+    if max_fill == 0 {
+        return Err(KspError::BadConfig("max_fill must be ≥ 1".into()));
+    }
+    let (n, cols) = block.shape();
+    if n != cols {
+        return Err(KspError::Sparse(SparseError::NotSquare { rows: n, cols }));
+    }
+    // Growing factors, rows appended in order.
+    let mut l_ptr = vec![0usize];
+    let mut l_cols: Vec<usize> = Vec::new();
+    let mut l_vals: Vec<f64> = Vec::new();
+    let mut u_ptr = vec![0usize];
+    let mut u_cols: Vec<usize> = Vec::new();
+    let mut u_vals: Vec<f64> = Vec::new();
+    let mut u_diag = vec![0.0f64; n];
+    // Position of column j in the dense work row, or MAX.
+    let mut w = vec![0.0f64; n];
+    let mut nonzero: Vec<usize> = Vec::new();
+    let mut in_row = vec![false; n];
+
+    for i in 0..n {
+        // Scatter row i of A.
+        let (acols, avals) = block.row(i);
+        let mut row_norm = 0.0f64;
+        for (&c, &v) in acols.iter().zip(avals) {
+            w[c] = v;
+            if !in_row[c] {
+                in_row[c] = true;
+                nonzero.push(c);
+            }
+            row_norm += v * v;
+        }
+        let row_norm = row_norm.sqrt();
+        let tau = droptol * row_norm;
+
+        // Eliminate using previous rows in increasing column order.
+        // Process columns k < i present in the work row; new fill may
+        // add more, so keep the frontier sorted with a simple scan.
+        nonzero.sort_unstable();
+        let mut idx = 0;
+        while idx < nonzero.len() {
+            let k = nonzero[idx];
+            idx += 1;
+            if k >= i {
+                break;
+            }
+            let wk = w[k];
+            if wk == 0.0 {
+                continue;
+            }
+            let lik = wk / u_diag[k];
+            if lik.abs() <= tau {
+                // Dropped multiplier: zero it out.
+                w[k] = 0.0;
+                continue;
+            }
+            w[k] = lik;
+            // w ← w − lik · U(k, :) (strictly upper part of row k).
+            for pos in u_ptr[k]..u_ptr[k + 1] {
+                let j = u_cols[pos];
+                if j == k {
+                    continue;
+                }
+                let upd = lik * u_vals[pos];
+                if !in_row[j] {
+                    in_row[j] = true;
+                    // Insert keeping the frontier sorted past idx.
+                    let at = nonzero[idx..].partition_point(|&c| c < j) + idx;
+                    nonzero.insert(at, j);
+                }
+                w[j] -= upd;
+            }
+        }
+
+        // Split into L (cols < i), diagonal, U (cols > i), drop small,
+        // cap fill.
+        let mut l_row: Vec<(usize, f64)> = Vec::new();
+        let mut u_row: Vec<(usize, f64)> = Vec::new();
+        let mut diag = 0.0f64;
+        for &c in &nonzero {
+            let v = w[c];
+            w[c] = 0.0;
+            in_row[c] = false;
+            if v == 0.0 {
+                continue;
+            }
+            if c < i {
+                if v.abs() > tau {
+                    l_row.push((c, v));
+                }
+            } else if c == i {
+                diag = v;
+            } else if v.abs() > tau {
+                u_row.push((c, v));
+            }
+        }
+        nonzero.clear();
+        if diag == 0.0 {
+            // Saad's fallback: substitute a small pivot scaled to the
+            // row so factorization can continue.
+            diag = (1e-4 * row_norm).max(f64::MIN_POSITIVE);
+        }
+        keep_largest(&mut l_row, max_fill);
+        keep_largest(&mut u_row, max_fill);
+        l_row.sort_unstable_by_key(|&(c, _)| c);
+        u_row.sort_unstable_by_key(|&(c, _)| c);
+
+        for (c, v) in l_row {
+            l_cols.push(c);
+            l_vals.push(v);
+        }
+        l_ptr.push(l_cols.len());
+        u_diag[i] = diag;
+        u_cols.push(i);
+        u_vals.push(diag);
+        for (c, v) in u_row {
+            u_cols.push(c);
+            u_vals.push(v);
+        }
+        u_ptr.push(u_cols.len());
     }
 
-    /// Solve (L·U)·z = r with an explicit thread count; level-scheduled
-    /// when worthwhile, serial otherwise, bit-identical either way.
-    pub fn solve_local_with(&self, r: &[f64], z: &mut [f64], threads: usize) {
-        let n = self.u_diag.len();
-        let t = self.sched.plan(threads);
-        if t > 1 {
-            let _s = probe::span!("sptrsv_scheduled");
-            let zs = SharedMutSlice::new(z);
-            // Forward: unit-lower L (all stored columns are < i).
-            let used_f = self.sched.fwd.run(t, |i| {
-                let (cols, vals) = self.l.row(i);
-                let mut acc = r[i];
-                for (&c, &v) in cols.iter().zip(vals) {
-                    // SAFETY: c < i ⇒ written in an earlier level.
-                    acc -= v * unsafe { zs.get(c) };
-                }
-                unsafe { zs.set(i, acc) };
-            });
-            // Backward: U, skipping the stored diagonal.
-            let used_b = self.sched.bwd.run(t, |i| {
-                let (cols, vals) = self.u.row(i);
-                let mut acc = unsafe { zs.get(i) };
-                for (&c, &v) in cols.iter().zip(vals) {
-                    if c > i {
-                        // SAFETY: c > i ⇒ earlier backward level.
-                        acc -= v * unsafe { zs.get(c) };
-                    }
-                }
-                unsafe { zs.set(i, acc / self.u_diag[i]) };
-            });
-            self.sched.record(used_f, used_b);
-            return;
-        }
-        // Forward: unit-lower L.
-        for i in 0..n {
-            let (cols, vals) = self.l.row(i);
-            let mut acc = r[i];
-            for (&c, &v) in cols.iter().zip(vals) {
-                acc -= v * z[c];
-            }
-            z[i] = acc;
-        }
-        // Backward: U (diagonal stored first in each row).
-        for i in (0..n).rev() {
-            let (cols, vals) = self.u.row(i);
-            let mut acc = z[i];
-            for (&c, &v) in cols.iter().zip(vals) {
-                if c > i {
-                    acc -= v * z[c];
-                }
-            }
-            z[i] = acc / self.u_diag[i];
-        }
-    }
+    Ok(IlutFactor {
+        l_ptr,
+        l_cols,
+        l_vals,
+        u_ptr,
+        u_cols,
+        u_vals,
+    })
 }
 
 /// Keep the `cap` largest-magnitude entries (order not preserved).

@@ -9,7 +9,8 @@
 mod ilu;
 mod ilut;
 mod jacobi;
-mod sched;
+#[cfg(test)]
+mod reference;
 mod sor;
 
 pub use ilu::{Ic0, Ilu0};
@@ -18,7 +19,7 @@ pub use jacobi::{Identity, Jacobi};
 pub use sor::Ssor;
 
 use rcomm::Communicator;
-use rsparse::DistVector;
+use rsparse::{CsrMatrix, DistVector, LevelTri, SparseError, Triangle};
 
 use crate::operator::LinearOperator;
 use crate::result::{KspError, KspOutcome};
@@ -33,6 +34,48 @@ pub trait Preconditioner: Send + Sync {
 
     /// Human-readable name (diagnostics, `get_all` dumps).
     fn name(&self) -> &'static str;
+}
+
+/// Where each row of a square `block` stores its diagonal entry — the cut
+/// between the two triangles the sweep preconditioners keep. A row without
+/// one is a structurally zero pivot.
+fn diagonal_positions(block: &CsrMatrix) -> KspOutcome<Vec<usize>> {
+    let (n, cols) = block.shape();
+    if n != cols {
+        return Err(KspError::Sparse(SparseError::NotSquare { rows: n, cols }));
+    }
+    (0..n)
+        .map(|i| match block.row(i).0.binary_search(&i) {
+            Ok(k) => Ok(block.row_ptr()[i] + k),
+            Err(_) => Err(KspError::Sparse(SparseError::ZeroPivot { row: i })),
+        })
+        .collect()
+}
+
+/// The two triangles of `vals` laid over `block`'s pattern, cut at the
+/// diagonal: rows of the strict lower part (with the diagonal as divisor
+/// when `lower_diag`) and rows of the strict upper part with the diagonal.
+fn split_at_diagonal(
+    block: &CsrMatrix,
+    diag_pos: &[usize],
+    vals: &[f64],
+    lower_diag: bool,
+) -> KspOutcome<(LevelTri, LevelTri)> {
+    let n = block.rows();
+    let row_ptr = block.row_ptr();
+    let col_idx = block.col_idx();
+    let diag: &dyn Fn(usize) -> f64 = &|i| vals[diag_pos[i]];
+    let lower = |i: usize| {
+        let part = row_ptr[i]..diag_pos[i];
+        (&col_idx[part.clone()], &vals[part])
+    };
+    let upper = |i: usize| {
+        let part = diag_pos[i] + 1..row_ptr[i + 1];
+        (&col_idx[part.clone()], &vals[part])
+    };
+    let fwd = LevelTri::build(Triangle::Lower, n, lower, lower_diag.then_some(diag))?;
+    let bwd = LevelTri::build(Triangle::Upper, n, upper, Some(diag))?;
+    Ok((fwd, bwd))
 }
 
 /// The preconditioner vocabulary, mirroring PETSc's `-pc_type` values that

@@ -4,22 +4,22 @@
 //! triangular sweeps. With ω = 1 this is symmetric Gauss–Seidel.
 
 use rcomm::Communicator;
-use rsparse::threads::SharedMutSlice;
-use rsparse::{CsrMatrix, DistVector, SparseError};
+use rsparse::schedule::register_sweep_model;
+use rsparse::{CsrMatrix, DistVector, LevelTri, SparseError};
 
-use crate::pc::sched::{self, SweepSchedules};
-use crate::pc::Preconditioner;
+use crate::pc::{diagonal_positions, split_at_diagonal, Preconditioner};
 use crate::result::{KspError, KspOutcome};
 
-/// The SSOR preconditioner for a local block.
+/// The SSOR preconditioner for a local block. SSOR sweeps the original
+/// matrix, not a factor: its two triangles, each with the diagonal, in
+/// level order.
 #[derive(Debug, Clone)]
 pub struct Ssor {
-    a: CsrMatrix,
-    diag_pos: Vec<usize>,
+    fwd: LevelTri,
+    bwd: LevelTri,
     omega: f64,
-    /// Level schedules of A's own triangles (SSOR sweeps the original
-    /// matrix, not a factor), built once at setup.
-    sched: SweepSchedules,
+    /// `a_ii / ω` per row: the rescale between the two sweeps.
+    rescale: Vec<f64>,
 }
 
 impl Ssor {
@@ -30,93 +30,34 @@ impl Ssor {
                 "SSOR omega must be in (0, 2), got {omega}"
             )));
         }
-        let (n, cols) = block.shape();
-        if n != cols {
-            return Err(KspError::Sparse(SparseError::NotSquare { rows: n, cols }));
+        let diag_pos = diagonal_positions(block)?;
+        let vals = block.values();
+        if let Some(row) = diag_pos.iter().position(|&k| vals[k] == 0.0) {
+            return Err(KspError::Sparse(SparseError::ZeroPivot { row }));
         }
-        let mut diag_pos = vec![usize::MAX; n];
-        for (i, dp) in diag_pos.iter_mut().enumerate() {
-            let (cs, vs) = block.row(i);
-            match cs.binary_search(&i) {
-                Ok(k) if vs[k] != 0.0 => *dp = block.row_ptr()[i] + k,
-                _ => return Err(KspError::Sparse(SparseError::ZeroPivot { row: i })),
-            }
-        }
-        let sched = SweepSchedules::for_combined(block);
-        Ok(Ssor { a: block.clone(), diag_pos, omega, sched })
+        let (fwd, bwd) = split_at_diagonal(block, &diag_pos, vals, true)?;
+        register_sweep_model(&fwd, &bwd);
+        let rescale = diag_pos.iter().map(|&k| vals[k] / omega).collect();
+        Ok(Ssor {
+            fwd,
+            bwd,
+            omega,
+            rescale,
+        })
     }
 
-    /// z ← M⁻¹·r on local slices, using the configured rank-local thread
-    /// count.
+    /// z ← M⁻¹·r on local slices: two triangular sweeps with an
+    /// elementwise diagonal rescale between and a scalar after them.
     pub fn solve_local(&self, r: &[f64], z: &mut [f64]) {
-        self.solve_local_with(r, z, sched::active_threads());
-    }
-
-    /// z ← M⁻¹·r with an explicit thread count. The two triangular sweeps
-    /// are level-scheduled when worthwhile; the diagonal rescale passes
-    /// between and after them are elementwise and stay serial. Arithmetic
-    /// matches the serial path entry-for-entry.
-    pub fn solve_local_with(&self, r: &[f64], z: &mut [f64], threads: usize) {
-        let n = self.diag_pos.len();
-        let row_ptr = self.a.row_ptr();
-        let col_idx = self.a.col_idx();
-        let vals = self.a.values();
+        let _span = probe::span!("sptrsv");
         let w = self.omega;
-        let diag = &self.diag_pos;
-        let t = self.sched.plan(threads);
-        if t > 1 {
-            let _s = probe::span!("sptrsv_scheduled");
-            let zs = SharedMutSlice::new(z);
-            // Forward sweep: (D/ω + L)·t = r.
-            let used_f = self.sched.fwd.run(t, |i| {
-                let mut acc = r[i];
-                for k in row_ptr[i]..diag[i] {
-                    // SAFETY: column < i ⇒ earlier level.
-                    acc -= vals[k] * unsafe { zs.get(col_idx[k]) };
-                }
-                unsafe { zs.set(i, acc * w / vals[diag[i]]) };
-            });
-            // Rescale between the sweeps (elementwise).
-            for i in 0..n {
-                z[i] *= vals[diag[i]] / w;
-            }
-            // Backward sweep: (D/ω + U)·z = t.
-            let zs = SharedMutSlice::new(z);
-            let used_b = self.sched.bwd.run(t, |i| {
-                let mut acc = unsafe { zs.get(i) };
-                for k in diag[i] + 1..row_ptr[i + 1] {
-                    // SAFETY: column > i ⇒ earlier backward level.
-                    acc -= vals[k] * unsafe { zs.get(col_idx[k]) };
-                }
-                unsafe { zs.set(i, acc * w / vals[diag[i]]) };
-            });
-            let scale = 2.0 - w;
-            for zi in z.iter_mut() {
-                *zi *= scale;
-            }
-            self.sched.record(used_f, used_b);
-            return;
-        }
         // Forward sweep: (D/ω + L)·t = r.
-        for i in 0..n {
-            let mut acc = r[i];
-            for k in row_ptr[i]..self.diag_pos[i] {
-                acc -= vals[k] * z[col_idx[k]];
-            }
-            z[i] = acc * w / vals[self.diag_pos[i]];
-        }
-        // Scale: t ← (D/ω)·t · (2/ω − 1)⁻¹... fold the scalar in at the end.
-        for i in 0..n {
-            z[i] *= vals[self.diag_pos[i]] / w;
+        self.fwd.sweep_from(r, z, |acc, d| acc * w / d);
+        for (zi, s) in z.iter_mut().zip(&self.rescale) {
+            *zi *= s;
         }
         // Backward sweep: (D/ω + U)·z = t.
-        for i in (0..n).rev() {
-            let mut acc = z[i];
-            for k in self.diag_pos[i] + 1..row_ptr[i + 1] {
-                acc -= vals[k] * z[col_idx[k]];
-            }
-            z[i] = acc * w / vals[self.diag_pos[i]];
-        }
+        self.bwd.sweep_in_place(z, |acc, d| acc * w / d);
         // Final scalar: M⁻¹ = ω(2−ω)·(D+ωU)⁻¹·D·(D+ωL)⁻¹, and the sweeps
         // above produced ω·(D+ωU)⁻¹·D·(D+ωL)⁻¹·r.
         let scale = 2.0 - w;

@@ -75,21 +75,12 @@ pub enum Counter {
     ResilientAttempts,
     /// Solves that succeeded only after a retry or a backend swap.
     ResilientRecoveries,
-    /// Level-scheduled triangular solves executed (both sweeps of one
-    /// preconditioner apply count once).
-    SptrsvScheduledSolves,
-    /// Triangular solves that fell back to the serial sweep although
-    /// threads > 1 were configured (schedule too shallow/narrow, or the
-    /// pool was busy with another rank).
-    SptrsvSerialFallbacks,
-    /// Total levels executed across scheduled triangular solves (divide by
-    /// `sptrsv_scheduled_solves` for the average critical-path length).
+    /// Dependency levels of the level-ordered triangles built (the
+    /// critical-path length of their sweeps), added once per triangle at
+    /// build.
     SptrsvLevels,
-    /// Sum of the thread counts used by scheduled triangular solves
-    /// (divide by `sptrsv_scheduled_solves` for the average fan-out).
-    ThreadsActive,
-    /// Level-width histogram, bumped once per level at schedule build:
-    /// levels of width 1 (no exploitable parallelism).
+    /// Level-width histogram, bumped once per level when a triangle is
+    /// built: levels of width 1 (no independent rows side by side).
     SptrsvLevelWidth1,
     /// Levels of width 2–7.
     SptrsvLevelWidth2to7,
@@ -136,7 +127,7 @@ pub enum Counter {
 }
 
 /// Number of counter variants (recorder slot-array length).
-pub(crate) const COUNTER_COUNT: usize = 49;
+pub(crate) const COUNTER_COUNT: usize = 46;
 
 impl Counter {
     /// All variants, in declaration order (matching slot indices).
@@ -169,10 +160,7 @@ impl Counter {
         Counter::GuardTrips,
         Counter::ResilientAttempts,
         Counter::ResilientRecoveries,
-        Counter::SptrsvScheduledSolves,
-        Counter::SptrsvSerialFallbacks,
         Counter::SptrsvLevels,
-        Counter::ThreadsActive,
         Counter::SptrsvLevelWidth1,
         Counter::SptrsvLevelWidth2to7,
         Counter::SptrsvLevelWidth8to31,
@@ -223,10 +211,7 @@ impl Counter {
             Counter::GuardTrips => "guard_trips",
             Counter::ResilientAttempts => "resilient_attempts",
             Counter::ResilientRecoveries => "resilient_recoveries",
-            Counter::SptrsvScheduledSolves => "sptrsv_scheduled_solves",
-            Counter::SptrsvSerialFallbacks => "sptrsv_serial_fallbacks",
             Counter::SptrsvLevels => "sptrsv_levels",
-            Counter::ThreadsActive => "threads_active",
             Counter::SptrsvLevelWidth1 => "sptrsv_level_width_1",
             Counter::SptrsvLevelWidth2to7 => "sptrsv_level_width_2_7",
             Counter::SptrsvLevelWidth8to31 => "sptrsv_level_width_8_31",

@@ -1,6 +1,6 @@
 //! Fixed-bucket log2 latency histograms.
 //!
-//! Four process-wide latency families ([`Hist`]) share one bucket layout:
+//! Three process-wide latency families ([`Hist`]) share one bucket layout:
 //! bucket `i` holds durations in `[2^i, 2^(i+1))` nanoseconds, with the
 //! last bucket open-ended. The hot path is zero-alloc — one
 //! `leading_zeros` plus two relaxed atomic adds on the thread-local
@@ -24,20 +24,17 @@ pub enum Hist {
     HaloDrain = 1,
     /// Latency of one blocking reduction (`allreduce`/`allreduce_vec`).
     Collective = 2,
-    /// Duration of one level sweep in a scheduled triangular solve.
-    SptrsvLevel = 3,
 }
 
 /// Number of histogram families.
-pub const HIST_COUNT: usize = 4;
+pub const HIST_COUNT: usize = 3;
 
 /// Number of log2 buckets: `[2^0, 2^1) ns` through `[2^39, ∞) ns` (~9 min),
-/// which comfortably spans sub-microsecond level sweeps to stalled solves.
+/// which comfortably spans sub-microsecond collectives to stalled solves.
 pub const BUCKETS: usize = 40;
 
 /// Every family, in declaration order (render / export order).
-pub const ALL: [Hist; HIST_COUNT] =
-    [Hist::IterTime, Hist::HaloDrain, Hist::Collective, Hist::SptrsvLevel];
+pub const ALL: [Hist; HIST_COUNT] = [Hist::IterTime, Hist::HaloDrain, Hist::Collective];
 
 impl Hist {
     /// Stable snake_case name used by the sink and the exporter.
@@ -46,7 +43,6 @@ impl Hist {
             Hist::IterTime => "iter_time",
             Hist::HaloDrain => "halo_drain_wait",
             Hist::Collective => "collective",
-            Hist::SptrsvLevel => "sptrsv_level",
         }
     }
 

@@ -55,10 +55,10 @@
 //! [`critpath`] walks that graph backward and attributes end-to-end
 //! wall-clock to local / wait-on-rank-r / collective segments, naming
 //! the top blocking edges; [`hist`] keeps zero-alloc log2 latency
-//! histograms (per-iteration time, halo-drain wait, collective latency,
-//! sptrsv level sweeps) rendered as quantile columns in the summary
-//! sink. [`export`] serves all of it — counters, span totals,
-//! histograms — as Prometheus text over localhost TCP
+//! histograms (per-iteration time, halo-drain wait, collective latency)
+//! rendered as quantile columns in the summary sink. [`export`] serves
+//! all of it — counters, span totals, histograms — as Prometheus text
+//! over localhost TCP
 //! (`RSPARSE_METRICS_ADDR`; default off) or as a one-shot
 //! [`export::snapshot`] string.
 

@@ -1,13 +1,11 @@
 //! A persistent worker-thread pool with a broadcast ("run this closure on
-//! every participant") primitive, plus a spin barrier for level-synchronized
-//! kernels.
+//! every participant") primitive.
 //!
-//! The level-scheduled triangular solves dispatch one job per solve and
-//! synchronize between levels with [`SpinBarrier`]s *inside* the job, so the
-//! per-level cost is a barrier (~100 ns hot) rather than a thread spawn
-//! (~10 µs). Workers spin briefly after finishing a job before sleeping on a
-//! condvar, which keeps them hot across the back-to-back dispatches of a
-//! solver iteration.
+//! The threaded kernels dispatch one job per call, so the per-call cost is
+//! a wake-up of hot workers rather than a thread spawn (~10 µs). Workers
+//! spin briefly after finishing a job before sleeping on a condvar, which
+//! keeps them hot across the back-to-back dispatches of a solver
+//! iteration.
 //!
 //! Dispatch is exclusive: [`try_broadcast`] returns `false` without running
 //! the closure when another thread (e.g. a different in-process rank) holds
@@ -23,50 +21,12 @@ use std::sync::{Condvar, Mutex, OnceLock};
 /// runs serially). Far above any sane `RSPARSE_THREADS` value.
 pub const MAX_POOL_THREADS: usize = 256;
 
-/// Spin iterations before a waiter yields the CPU (oversubscribed hosts).
-const BARRIER_SPINS: u32 = 1 << 12;
+/// Spin iterations before the dispatcher yields the CPU while it waits for
+/// its workers (oversubscribed hosts).
+const DISPATCH_SPINS: u32 = 1 << 12;
 
 /// Spin iterations a worker polls for the next job before sleeping.
 const WORKER_SPINS: u32 = 1 << 14;
-
-/// A centralized sense-reversing spin barrier for a fixed participant
-/// count. `wait` spins on the generation word and yields after a bounded
-/// number of spins so oversubscribed hosts make progress.
-pub struct SpinBarrier {
-    n: usize,
-    count: AtomicUsize,
-    generation: AtomicUsize,
-}
-
-impl SpinBarrier {
-    /// Barrier for exactly `n` participants (`n ≥ 1`).
-    pub fn new(n: usize) -> Self {
-        SpinBarrier { n, count: AtomicUsize::new(0), generation: AtomicUsize::new(0) }
-    }
-
-    /// Block until all `n` participants have called `wait` this generation.
-    #[inline]
-    pub fn wait(&self) {
-        if self.n <= 1 {
-            return;
-        }
-        let gen = self.generation.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
-            self.count.store(0, Ordering::Relaxed);
-            self.generation.fetch_add(1, Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == gen {
-                std::hint::spin_loop();
-                spins += 1;
-                if spins >= BARRIER_SPINS {
-                    std::thread::yield_now();
-                    spins = 0;
-                }
-            }
-        }
-    }
-}
 
 /// A published broadcast job: a type-erased borrow of the caller's closure.
 /// The pointer is only dereferenced while its generation is current, and
@@ -148,9 +108,7 @@ fn pool() -> &'static Pool {
 /// Returns `false` — without calling `f` at all — when the fan-out cannot
 /// happen: `threads < 2`, the pool is busy with another dispatch (another
 /// in-process rank, or a nested call from a worker), or `threads` exceeds
-/// [`MAX_POOL_THREADS`]. Callers must then run their serial path. Because
-/// participation is all-or-nothing, closures may contain [`SpinBarrier`]s
-/// sized for exactly `threads` participants.
+/// [`MAX_POOL_THREADS`]. Callers must then run their serial path.
 pub fn try_broadcast<F>(threads: usize, f: F) -> bool
 where
     F: Fn(usize) + Sync,
@@ -198,7 +156,7 @@ where
     while shared.done.load(Ordering::Acquire) != threads - 1 {
         std::hint::spin_loop();
         spins += 1;
-        if spins >= BARRIER_SPINS {
+        if spins >= DISPATCH_SPINS {
             std::thread::yield_now();
             spins = 0;
         }
@@ -211,8 +169,13 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Dispatch is exclusive, so tests that assert a broadcast *happened*
+    /// must not overlap each other.
+    static POOL: Mutex<()> = Mutex::new(());
+
     #[test]
     fn broadcast_runs_every_tid_exactly_once() {
+        let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
         let hits: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
         assert!(try_broadcast(4, |tid| {
             hits[tid].fetch_add(1, Ordering::SeqCst);
@@ -230,32 +193,8 @@ mod tests {
     }
 
     #[test]
-    fn barrier_orders_level_writes() {
-        // Each of 3 participants appends its level-stamped contribution;
-        // the barrier guarantees level k is fully visible before k+1 runs.
-        let levels = 16usize;
-        let t = 3usize;
-        let sum = AtomicUsize::new(0);
-        let barrier = SpinBarrier::new(t);
-        let checks = AtomicUsize::new(0);
-        assert!(try_broadcast(t, |_tid| {
-            for lvl in 0..levels {
-                sum.fetch_add(1, Ordering::SeqCst);
-                barrier.wait();
-                // After the barrier every participant's add for this level
-                // is visible.
-                if sum.load(Ordering::SeqCst) >= (lvl + 1) * t {
-                    checks.fetch_add(1, Ordering::SeqCst);
-                }
-                barrier.wait();
-            }
-        }));
-        assert_eq!(sum.load(Ordering::SeqCst), levels * t);
-        assert_eq!(checks.load(Ordering::SeqCst), levels * t);
-    }
-
-    #[test]
     fn repeated_broadcasts_reuse_workers() {
+        let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
         for round in 0..50usize {
             let total = AtomicUsize::new(0);
             assert!(try_broadcast(3, |tid| {

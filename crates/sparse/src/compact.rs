@@ -560,7 +560,14 @@ impl StencilRuns {
     #[inline(always)]
     fn lead<const G: usize>(&self, run: &Run, t0: usize, x: &[f64], y: &mut [f64]) {
         let n = y.len();
-        let dw: [(&[f64], &[f64]); G] = std::array::from_fn(|j| self.diagonal(run, j, t0, n, x));
+        // Filled by a plain loop rather than `array::from_fn`: whether that
+        // helper's internals inline is the optimizer's call, and when they
+        // do not, the slices' common length `n` is lost and the loop below
+        // keeps its bounds checks and stays scalar.
+        let mut dw: [(&[f64], &[f64]); G] = [(&[], &[]); G];
+        for (j, pair) in dw.iter_mut().enumerate() {
+            *pair = self.diagonal(run, j, t0, n, x);
+        }
         for t in 0..n {
             let mut acc = 0.0;
             for (diag, win) in dw {

@@ -1009,15 +1009,22 @@ impl DistCsrMatrix {
     /// numbering) — what block-Jacobi-style preconditioners factor.
     pub fn diagonal_block(&self) -> CsrMatrix {
         let range = self.partition.range(self.rank);
-        let start = range.start;
         let n = range.len();
-        let mut coo = crate::coo::CooMatrix::new(n, n);
-        for (lr, gc, v) in self.local_global.iter() {
-            if range.contains(&gc) {
-                coo.push(lr, gc - start, v).expect("bounds by construction");
-            }
+        // A row's columns ascend, so its owned ones are one contiguous run.
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut col_idx = Vec::with_capacity(self.local_global.nnz());
+        let mut values = Vec::with_capacity(self.local_global.nnz());
+        row_ptr.push(0);
+        for lr in 0..n {
+            let (cols, vals) = self.local_global.row(lr);
+            let lo = cols.partition_point(|&gc| gc < range.start);
+            let hi = cols.partition_point(|&gc| gc < range.end);
+            col_idx.extend(cols[lo..hi].iter().map(|&gc| gc - range.start));
+            values.extend_from_slice(&vals[lo..hi]);
+            row_ptr.push(col_idx.len());
         }
-        coo.to_csr()
+        CsrMatrix::from_parts(n, n, row_ptr, col_idx, values)
+            .expect("a sorted row stays sorted when cut to a column range")
     }
 
     /// The local slice of the global main diagonal (zeros where missing).
@@ -1686,5 +1693,56 @@ mod tests {
             DistCsrMatrix::from_global(comm, bad, &a).is_err()
         });
         assert_eq!(out, vec![true, true]);
+    }
+
+    /// The block as the COO round trip used to build it: every owned
+    /// entry pushed as a triplet and sorted back into rows.
+    fn diagonal_block_via_coo(a: &CsrMatrix, range: std::ops::Range<usize>) -> CsrMatrix {
+        let mut coo = crate::coo::CooMatrix::new(range.len(), range.len());
+        for (r, c, v) in a.iter() {
+            if range.contains(&r) && range.contains(&c) {
+                coo.push(r - range.start, c - range.start, v).unwrap();
+            }
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn diagonal_block_is_the_filtered_rows_on_every_rank() {
+        // Every entry off the blocks: (i, n − 1 − i) only, so no row of
+        // any rank's block owns a column.
+        let n = 12;
+        let mut anti = crate::coo::CooMatrix::new(n, n);
+        for i in 0..n {
+            anti.push(i, n - 1 - i, 1.0 + i as f64).unwrap();
+        }
+        let matrices = [
+            generate::laplacian_2d(5),
+            generate::random_csr(23, 23, 0.3, 9),
+            anti.to_csr(),
+        ];
+        for a in &matrices {
+            let n = a.rows();
+            let mut partitions: Vec<BlockRowPartition> =
+                (1..=4).map(|p| BlockRowPartition::even(n, p)).collect();
+            // A rank with no rows at all: a 0 × 0 block.
+            partitions.push(BlockRowPartition::from_counts(&[n / 2, 0, n - n / 2]).unwrap());
+            for part in partitions {
+                let p = part.parts();
+                let same = Universe::run(p, |comm| {
+                    let da = DistCsrMatrix::from_global(comm, part.clone(), a).unwrap();
+                    let got = da.diagonal_block();
+                    let want = diagonal_block_via_coo(a, part.range(comm.rank()));
+                    let bits = |m: &CsrMatrix| -> Vec<u64> {
+                        m.values().iter().map(|v| v.to_bits()).collect()
+                    };
+                    got.shape() == want.shape()
+                        && got.row_ptr() == want.row_ptr()
+                        && got.col_idx() == want.col_idx()
+                        && bits(&got) == bits(&want)
+                });
+                assert!(same.iter().all(|&s| s), "n = {n}, {p} ranks: {same:?}");
+            }
+        }
     }
 }

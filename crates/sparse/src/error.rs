@@ -43,6 +43,15 @@ pub enum SparseError {
         /// Row of the offending pivot.
         row: usize,
     },
+    /// A row of a triangular sweep reads a column that is not solved
+    /// before it (the wrong side of the diagonal, or a row of the same or
+    /// a later level).
+    BadSweepOrder {
+        /// The row doing the reading.
+        row: usize,
+        /// The column it must not depend on.
+        col: usize,
+    },
     /// The operation requires a square matrix.
     NotSquare {
         /// Actual shape.
@@ -81,6 +90,10 @@ impl fmt::Display for SparseError {
                 left.0, left.1, right.0, right.1
             ),
             SparseError::ZeroPivot { row } => write!(f, "zero pivot in row {row}"),
+            SparseError::BadSweepOrder { row, col } => write!(
+                f,
+                "row {row} of a triangular sweep depends on column {col}, which is not solved before it"
+            ),
             SparseError::NotSquare { rows, cols } => {
                 write!(f, "operation requires a square matrix, got {rows}x{cols}")
             }

@@ -14,11 +14,11 @@
 //! * sparse kernels: serial and thread-parallel SpMV, transpose,
 //!   sparse×sparse products (needed for Galerkin coarse grids), matrix
 //!   addition and scaling;
-//! * rank-local threading ([`threads`]) and level-set analysis for
-//!   sparse triangular solves ([`schedule`]): a cached [`LevelSchedule`]
-//!   runs independent rows of each dependency level in parallel over the
-//!   shim worker pool, bit-identical to the serial sweep at any
-//!   `RSPARSE_THREADS` value;
+//! * rank-local threading ([`threads`]) for SpMV chunks and blocked
+//!   reductions, and level-ordered sparse triangular sweeps
+//!   ([`schedule`]): a [`LevelTri`] stores one triangle of a factor in
+//!   dependency-level order, every index checked once when it is built,
+//!   and sweeps it unchecked, bit-identical to the natural-order loop;
 //! * MatrixMarket I/O ([`io`]);
 //! * the distributed layer ([`partition`], [`dist`]): block-row partitioned
 //!   matrices and vectors over an [`rcomm`] communicator, with an
@@ -65,6 +65,6 @@ pub use error::{SparseError, SparseResult};
 pub use fem::FemAssembly;
 pub use msr::MsrMatrix;
 pub use partition::BlockRowPartition;
-pub use schedule::LevelSchedule;
+pub use schedule::{LevelTri, Triangle};
 pub use sell::SellMatrix;
 pub use vbr::VbrMatrix;

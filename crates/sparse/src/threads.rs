@@ -12,9 +12,9 @@
 //! Every threaded kernel in this crate is **bit-deterministic across
 //! thread counts**:
 //!
-//! * elementwise kernels (SpMV rows, triangular-solve rows within a level,
-//!   axpy/xpby) write disjoint outputs and perform the identical per-element
-//!   arithmetic regardless of which thread runs them;
+//! * elementwise kernels (SpMV rows, axpy/xpby) write disjoint outputs and
+//!   perform the identical per-element arithmetic regardless of which
+//!   thread runs them;
 //! * reductions ([`crate::dense::pdot`]) accumulate fixed-size blocks
 //!   ([`crate::dense::DOT_BLOCK`] elements, independent of the thread
 //!   count) and combine the partial sums in block order on the calling
@@ -63,8 +63,7 @@ pub fn set_threads(n: usize) -> usize {
 }
 
 /// A `Copy + Sync` view of a mutable slice for kernels whose threads write
-/// provably disjoint elements (distinct rows of a level, distinct output
-/// chunks). The unsafety is confined to `get`/`set`.
+/// provably disjoint elements (distinct output chunks). The unsafety is confined to `get`/`set`.
 #[derive(Clone, Copy)]
 pub struct SharedMutSlice<'a> {
     ptr: *mut f64,

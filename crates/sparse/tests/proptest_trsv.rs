@@ -1,15 +1,12 @@
-//! Property tests for level-scheduled triangular solves: on arbitrary
-//! random lower/upper patterns the scheduled kernel must produce results
-//! **bit-identical** to the serial sweep at every thread count — the
-//! determinism contract that lets `RSPARSE_THREADS` vary without changing
-//! a single residual.
+//! Property tests for level-ordered triangular sweeps: on arbitrary
+//! random lower/upper patterns with a full diagonal, a [`LevelTri`] must
+//! produce results **bit-identical** to the natural-order sweep over the
+//! CSR rows — the contract that lets the preconditioners store their
+//! factors in level order without changing a single residual.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rsparse::schedule::{sptrsv_lower_scheduled, sptrsv_upper_scheduled};
-use rsparse::{CooMatrix, CsrMatrix, LevelSchedule};
-
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+use rsparse::{CooMatrix, CsrMatrix, LevelTri, Triangle};
 
 /// Strategy: a random lower-triangular matrix with a full nonzero
 /// diagonal, as (n, strict-lower triplets, diagonal values).
@@ -19,11 +16,7 @@ fn arb_lower(
 ) -> impl Strategy<Value = (usize, Vec<(usize, usize, f64)>, Vec<f64>)> {
     (2..=max_dim).prop_flat_map(move |n| {
         let entry = (1..n, 0..n, -4.0f64..4.0).prop_map(|(r, c, v)| (r, c.min(r - 1), v));
-        (
-            Just(n),
-            vec(entry, 0..=max_nnz),
-            vec(1.0f64..8.0, n..=n),
-        )
+        (Just(n), vec(entry, 0..=max_nnz), vec(1.0f64..8.0, n..=n))
     })
 }
 
@@ -40,7 +33,21 @@ fn build(n: usize, strict: &[(usize, usize, f64)], diag: &[f64], lower: bool) ->
     coo.to_csr()
 }
 
-/// Serial forward sweep with the same entry order as the scheduled kernel.
+/// The level-ordered form of `mat`'s strict triangle: the diagonal is
+/// stored last in a lower row and first in an upper one.
+fn level_tri(mat: &CsrMatrix, triangle: Triangle, unit_diag: bool) -> LevelTri {
+    let strict = |i: usize| {
+        let (cols, vals) = mat.row(i);
+        match triangle {
+            Triangle::Lower => (&cols[..cols.len() - 1], &vals[..vals.len() - 1]),
+            Triangle::Upper => (&cols[1..], &vals[1..]),
+        }
+    };
+    let diag = |i: usize| mat.get(i, i);
+    LevelTri::build(triangle, mat.rows(), strict, (!unit_diag).then_some(&diag)).unwrap()
+}
+
+/// Natural-order forward sweep over the CSR rows.
 fn serial_lower(mat: &CsrMatrix, unit_diag: bool, b: &[f64], x: &mut [f64]) {
     for i in 0..mat.rows() {
         let (cols, vals) = mat.row(i);
@@ -57,7 +64,7 @@ fn serial_lower(mat: &CsrMatrix, unit_diag: bool, b: &[f64], x: &mut [f64]) {
     }
 }
 
-/// Serial backward sweep with the same entry order as the scheduled kernel.
+/// Natural-order backward sweep over the CSR rows.
 fn serial_upper(mat: &CsrMatrix, unit_diag: bool, b: &[f64], x: &mut [f64]) {
     for i in (0..mat.rows()).rev() {
         let (cols, vals) = mat.row(i);
@@ -74,68 +81,71 @@ fn serial_upper(mat: &CsrMatrix, unit_diag: bool, b: &[f64], x: &mut [f64]) {
     }
 }
 
-fn assert_bits_equal(label: &str, threads: usize, got: &[f64], want: &[f64]) {
+fn assert_bits_equal(label: &str, got: &[f64], want: &[f64]) {
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
         assert_eq!(
             g.to_bits(),
             w.to_bits(),
-            "{label} diverged at row {i} with {threads} threads: {g} vs {w}"
+            "{label} diverged at row {i}: {g} vs {w}"
         );
     }
+}
+
+/// Both sweep entry points against `want`.
+fn assert_sweeps_equal(label: &str, tri: &LevelTri, unit_diag: bool, b: &[f64], want: &[f64]) {
+    let finish = |acc: f64, d: f64| if unit_diag { acc } else { acc / d };
+    let mut got = vec![0.0; b.len()];
+    tri.sweep_from(b, &mut got, finish);
+    assert_bits_equal(label, &got, want);
+    let mut in_place = b.to_vec();
+    tri.sweep_in_place(&mut in_place, finish);
+    assert_bits_equal(label, &in_place, want);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn scheduled_lower_matches_serial_bitwise(
+    fn level_ordered_lower_matches_natural_order_bitwise(
         (n, strict, diag) in arb_lower(48, 120),
         bseed in any::<u64>(),
     ) {
         let mat = build(n, &strict, &diag, true);
-        let sched = LevelSchedule::lower(&mat);
         let b = rsparse::generate::random_vector(n, bseed);
         for unit_diag in [false, true] {
+            let tri = level_tri(&mat, Triangle::Lower, unit_diag);
             let mut want = vec![0.0; n];
             serial_lower(&mat, unit_diag, &b, &mut want);
-            for threads in THREAD_COUNTS {
-                let mut got = vec![0.0; n];
-                sptrsv_lower_scheduled(&mat, &sched, unit_diag, &b, &mut got, threads);
-                assert_bits_equal("lower", threads, &got, &want);
-            }
+            assert_sweeps_equal("lower", &tri, unit_diag, &b, &want);
         }
     }
 
     #[test]
-    fn scheduled_upper_matches_serial_bitwise(
+    fn level_ordered_upper_matches_natural_order_bitwise(
         (n, strict, diag) in arb_lower(48, 120),
         bseed in any::<u64>(),
     ) {
         let mat = build(n, &strict, &diag, false);
-        let sched = LevelSchedule::upper(&mat);
         let b = rsparse::generate::random_vector(n, bseed);
         for unit_diag in [false, true] {
+            let tri = level_tri(&mat, Triangle::Upper, unit_diag);
             let mut want = vec![0.0; n];
             serial_upper(&mat, unit_diag, &b, &mut want);
-            for threads in THREAD_COUNTS {
-                let mut got = vec![0.0; n];
-                sptrsv_upper_scheduled(&mat, &sched, unit_diag, &b, &mut got, threads);
-                assert_bits_equal("upper", threads, &got, &want);
-            }
+            assert_sweeps_equal("upper", &tri, unit_diag, &b, &want);
         }
     }
 
-    /// The solves really do solve: L·x = b within roundoff.
+    /// The sweeps really do solve: L·x = b within roundoff.
     #[test]
-    fn scheduled_lower_solves_the_system(
+    fn level_ordered_lower_solves_the_system(
         (n, strict, diag) in arb_lower(32, 80),
         bseed in any::<u64>(),
     ) {
         let mat = build(n, &strict, &diag, true);
-        let sched = LevelSchedule::lower(&mat);
+        let tri = level_tri(&mat, Triangle::Lower, false);
         let b = rsparse::generate::random_vector(n, bseed);
         let mut x = vec![0.0; n];
-        sptrsv_lower_scheduled(&mat, &sched, false, &b, &mut x, 4);
+        tri.sweep_from(&b, &mut x, |acc, d| acc / d);
         let r = rsparse::ops::residual(&mat, &x, &b).unwrap();
         let scale = rsparse::dense::norm2(&b)
             + rsparse::dense::norm2(&x) * mat.values().iter().fold(0.0f64, |m, v| m.max(v.abs()));

@@ -66,9 +66,6 @@ cargo run -q -p lisi-bench --release --bin checkpoint_guard > "$OUT_DIR/checkpoi
 echo "== solve-ledger overhead guard (paired) =="
 cargo run -q -p lisi-bench --release --bin ledger_guard > "$OUT_DIR/ledger_guard.json"
 
-echo "== triangular-solve speedup guard (paired) =="
-cargo run -q -p lisi-bench --release --bin trsv_guard > "$OUT_DIR/trsv_guard.json"
-
 echo "== sparse-format speedup guard (paired) =="
 cargo run -q -p lisi-bench --release --bin format_guard > "$OUT_DIR/format_guard.json"
 
@@ -442,48 +439,9 @@ print(f"ledger armed-vs-disarmed (adapter_cg): {rec['overhead_pct']:+.2f}% "
       f"(target < {LEDGER_ARMED_TARGET_PCT}%) -> {verdict}")
 print(f"recorded {ledger_file}")
 
-# Triangular-solve guard: level-scheduled ILU(0) apply vs the serial
-# sweeps on the paper's 200×200 problem, paired and order-alternated.
-# Two verdicts with different strictness:
-#   * bit_identical: the scheduled result must equal the serial one
-#     bit-for-bit on ANY host — a miss is a correctness bug, hard fail.
-#   * speedup (target ≥ 2× at 4 threads): only meaningful when the host
-#     actually has ≥ 4 cores; on smaller hosts it is recorded but the
-#     verdict is SKIP (a parallel sweep cannot beat serial on one core).
-with open(os.path.join(out_dir, "trsv_guard.json")) as f:
-    tg = json.load(f)
-
-TRSV_TARGET_SPEEDUP = 2.0
-trsv_rec = {
-    **tg,
-    "target_speedup": TRSV_TARGET_SPEEDUP,
-    "pass": bool(tg["bit_identical"]
-                 and (not tg["sufficient_cores"]
-                      or tg["speedup"] >= TRSV_TARGET_SPEEDUP)),
-}
-with open("BENCH_trsv.json", "w") as f:
-    json.dump(trsv_rec, f, indent=2)
-    f.write("\n")
-
-if not tg["bit_identical"]:
-    print("ERROR: scheduled triangular solve is NOT bit-identical to the "
-          "serial sweep — determinism contract broken.", file=sys.stderr)
-    sys.exit(1)
-if tg["sufficient_cores"]:
-    verdict = ("PASS" if tg["speedup"] >= TRSV_TARGET_SPEEDUP
-               else "WARN (below target; noisy machine or a regression)")
-    print(f"trsv scheduled vs serial at {tg['threads']} threads: "
-          f"{tg['speedup']:.2f}x (target >= {TRSV_TARGET_SPEEDUP}x) "
-          f"-> {verdict}")
-else:
-    print(f"trsv speedup check SKIPPED: host has {tg['host_cores']} core(s) "
-          f"< {tg['threads']} threads (bit-identity verified; "
-          f"measured {tg['speedup']:.4f}x)")
-print("recorded BENCH_trsv.json")
-
 # Sparse-format guard: the autotuner's chosen format vs CSR on three
 # representative matrices (dense band, FEM blocks, skewed rows), paired
-# and order-alternated. Two verdicts, mirroring the trsv guard:
+# and order-alternated. Two verdicts with different strictness:
 #   * bit_identical: every format's matvec must equal CSR's bit-for-bit
 #     on EVERY workload — a miss is a correctness bug, hard fail;
 #   * speedup (target ≥ 1.2×): only gated where the autotuner actually

@@ -19,7 +19,7 @@ RCOMM_DEADLOCK_TIMEOUT_SECS=${RCOMM_DEADLOCK_TIMEOUT_SECS:-30} cargo test --work
 
 echo "== tests (RSPARSE_THREADS=4) =="
 # Same suite with the rank-local thread pool engaged: exercises the
-# level-scheduled sweeps, chunked SpMV and blocked reductions, whose
+# chunked SpMV and blocked reductions, whose
 # results must be bit-identical to the serial run.
 RSPARSE_THREADS=4 \
 RCOMM_DEADLOCK_TIMEOUT_SECS=${RCOMM_DEADLOCK_TIMEOUT_SECS:-30} cargo test --workspace
