@@ -217,9 +217,8 @@ impl<'a> AztecOO<'a> {
         };
         // True residual, recomputed — what Aztec reports in status[AZ_r].
         let mut ax = Vector::new(self.a.row_map().clone());
-        self.a.apply(comm, x, &mut ax)?;
-        let mut r = b.clone();
-        r.update(-1.0, &ax)?;
+        let mut r = Vector::new(self.a.row_map().clone());
+        solvers::residual(comm, self.a, b, x, &mut ax, &mut r)?;
         let true_residual = r.norm2(comm)?;
         let scale = match self.options.conv {
             AzConv::R0 => {

@@ -29,6 +29,8 @@
 mod aztecoo;
 mod map;
 mod precond;
+#[cfg(test)]
+mod reference;
 mod rowmatrix;
 mod solvers;
 mod vector;

@@ -94,15 +94,9 @@ impl RowMatrix for CrsMatrix {
         if !x.map().same_as(&self.map) || !y.map().same_as(&self.map) {
             return Err(AztecError::MapMismatch("apply operand maps differ".into()));
         }
-        // Bridge through the substrate's distributed vector (same layout).
-        let dx = rsparse::DistVector::from_local(
-            self.map.partition().clone(),
-            self.map.my_rank(),
-            x.values().to_vec(),
-        )?;
-        let mut dy = rsparse::DistVector::zeros(self.map.partition().clone(), self.map.my_rank());
-        self.inner.matvec_into(comm, &dx, &mut dy)?;
-        y.values_mut().copy_from_slice(dy.local());
+        // A `Vector` on this map *is* a substrate vector on the matrix's
+        // partition: multiply it where it lies.
+        self.inner.matvec_into(comm, x.dist(), y.dist_mut())?;
         Ok(())
     }
 
@@ -154,6 +148,41 @@ mod tests {
         });
         for got in out {
             assert_eq!(got, expect);
+        }
+    }
+
+    #[test]
+    fn apply_rejects_foreign_maps_and_leaves_y_untouched() {
+        let a = generate::laplacian_1d(12);
+        let out = Universe::run(2, |comm| {
+            let m = CrsMatrix::from_global(comm, &a).unwrap();
+            let ours = m.row_map().clone();
+            // Same global length, different layout; and a different length.
+            let skewed = Map::from_partition(
+                rsparse::BlockRowPartition::from_offsets(vec![0, 5, 12]).unwrap(),
+                comm.rank(),
+            );
+            let longer = Map::new(13, comm);
+            let mut verdicts = Vec::new();
+            for other in [skewed, longer] {
+                let mut x = Vector::new(other.clone());
+                x.put_scalar(1.0);
+                let mut y = Vector::new(ours.clone());
+                y.put_scalar(7.0);
+                verdicts.push(matches!(m.apply(comm, &x, &mut y), Err(AztecError::MapMismatch(_))));
+                verdicts.push(y.values().iter().all(|&v| v == 7.0));
+
+                let mut x = Vector::new(ours.clone());
+                x.put_scalar(1.0);
+                let mut y = Vector::new(other);
+                y.put_scalar(7.0);
+                verdicts.push(matches!(m.apply(comm, &x, &mut y), Err(AztecError::MapMismatch(_))));
+                verdicts.push(y.values().iter().all(|&v| v == 7.0));
+            }
+            verdicts
+        });
+        for verdicts in out {
+            assert_eq!(verdicts, vec![true; 8]);
         }
     }
 

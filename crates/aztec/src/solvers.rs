@@ -1,16 +1,24 @@
-//! RAztec's own iterative methods: CG, GMRES(k) and BiCGStab over
-//! [`Vector`]s. Independent implementations from `rkrylov`'s — RAztec uses
-//! *left* preconditioning (Aztec's convention) where RKSP uses right, so
-//! even the residual the two packages report differs in kind: RAztec's
+//! RAztec's own iterative methods: CG, GMRES(k), BiCGStab, CGS and TFQMR
+//! over [`Vector`]s. Independent implementations from `rkrylov`'s — RAztec
+//! uses *left* preconditioning (Aztec's convention) where RKSP uses right,
+//! so even the residual the two packages report differs in kind: RAztec's
 //! recurrence tracks the preconditioned residual.
+//!
+//! Every loop allocates at solve scope only — its vectors, and GMRES its
+//! basis and Hessenberg, are made before the first iteration and reused to
+//! the last — and makes one pass where an update is followed by a
+//! reduction of the vector it just wrote. The fused passes perform the
+//! same multiply-adds and the same one-block sums as the separate ones
+//! (`crate::reference` keeps those, and the tests there compare bits).
 
 use rcomm::Communicator;
+use rsparse::dense;
 
 use crate::aztecoo::{AztecOptions, AzWhy};
 use crate::precond::AzPc;
 use crate::rowmatrix::RowMatrix;
 use crate::vector::Vector;
-use crate::AztecResult;
+use crate::{AztecError, AztecResult};
 
 pub(crate) struct RawOutcome {
     pub why: AzWhy,
@@ -35,7 +43,7 @@ impl StopState {
     }
 }
 
-fn stop_check(
+pub(crate) fn stop_check(
     rnorm: f64,
     r0: f64,
     bnorm: f64,
@@ -89,6 +97,26 @@ fn stop_check(
     None
 }
 
+/// `r ← b − A·x` in one pass, `ax` receiving the product: per element the
+/// `b + (−1)·ax` that `b.clone()` then `update(−1.0, ax)` computed.
+pub(crate) fn residual(
+    comm: &Communicator,
+    a: &dyn RowMatrix,
+    b: &Vector,
+    x: &Vector,
+    ax: &mut Vector,
+    r: &mut Vector,
+) -> AztecResult<()> {
+    a.apply(comm, x, ax)?;
+    if !b.map().same_as(ax.map()) || !r.map().same_as(ax.map()) {
+        return Err(AztecError::MapMismatch("vector maps differ".into()));
+    }
+    for ((ri, bi), ai) in r.values_mut().iter_mut().zip(b.values()).zip(ax.values()) {
+        *ri = bi + (-1.0) * ai;
+    }
+    Ok(())
+}
+
 /// Left-preconditioned CG on M⁻¹A.
 pub(crate) fn cg(
     comm: &Communicator,
@@ -100,11 +128,11 @@ pub(crate) fn cg(
 ) -> AztecResult<RawOutcome> {
     let map = a.row_map().clone();
     let bnorm = b.norm2(comm)?;
-    let mut ax = Vector::new(map.clone());
-    a.apply(comm, x, &mut ax)?;
-    let mut r = b.clone();
-    r.update(-1.0, &ax)?;
-    let mut z = Vector::new(map.clone());
+    // `q` holds A·x until the loop needs it for A·p.
+    let mut q = Vector::new(map.clone());
+    let mut r = Vector::new(map.clone());
+    residual(comm, a, b, x, &mut q, &mut r)?;
+    let mut z = Vector::new(map);
     pc.apply(comm, &r, &mut z)?;
     let r0 = z.norm2(comm)?; // Aztec-style: preconditioned residual norm
     let mut stop = StopState::new(r0);
@@ -112,7 +140,6 @@ pub(crate) fn cg(
         return Ok(RawOutcome { why, iterations: 0, rec_residual: r0, initial_residual: r0 });
     }
     let mut p = z.clone();
-    let mut q = Vector::new(map);
     let mut rz = r.dot(&z, comm)?;
     let mut it = 0usize;
     let mut rnorm = r0;
@@ -139,7 +166,11 @@ pub(crate) fn cg(
     Ok(RawOutcome { why, iterations: it, rec_residual: rnorm, initial_residual: r0 })
 }
 
-/// Left-preconditioned restarted GMRES(k) on M⁻¹A.
+/// Left-preconditioned restarted GMRES(k) on M⁻¹A, modified Gram–Schmidt.
+///
+/// The orthogonalisation of `w` against `v_0..v_j` runs as `j + 2` passes,
+/// one per allreduce: `h_0 = ⟨w, v_0⟩`; then `w ← w − h_{i−1}·v_{i−1}`
+/// fused with `h_i = ⟨w, v_i⟩`; then `w ← w − h_j·v_j` fused with `‖w‖`.
 pub(crate) fn gmres(
     comm: &Communicator,
     a: &dyn RowMatrix,
@@ -149,42 +180,51 @@ pub(crate) fn gmres(
     opts: &AztecOptions,
 ) -> AztecResult<RawOutcome> {
     let map = a.row_map().clone();
-    let k = opts.kspace.max(1);
+    if !x.map().same_as(&map) {
+        return Err(AztecError::MapMismatch("vector maps differ".into()));
+    }
+    let n = map.num_my();
+    // A cycle stops at `max_iter` steps at the latest, so it needs no more
+    // storage than that.
+    let k = opts.kspace.clamp(1, opts.max_iter.max(1));
     let bnorm = b.norm2(comm)?;
+    let sum = |local: f64| -> AztecResult<f64> { Ok(comm.allreduce(local, rcomm::sum)?) };
 
     let mut ax = Vector::new(map.clone());
-    let mut w = Vector::new(map.clone());
-    let precond_residual = |comm: &Communicator,
-                            x: &Vector,
-                            ax: &mut Vector,
-                            out: &mut Vector|
-     -> AztecResult<()> {
-        a.apply(comm, x, ax)?;
-        let mut r = b.clone();
-        r.update(-1.0, ax)?;
-        pc.apply(comm, &r, out)?;
-        Ok(())
-    };
-
+    let mut r = Vector::new(map.clone());
     let mut z = Vector::new(map.clone());
-    precond_residual(comm, x, &mut ax, &mut z)?;
+    residual(comm, a, b, x, &mut ax, &mut r)?;
+    pc.apply(comm, &r, &mut z)?;
     let r0 = z.norm2(comm)?;
     let mut stop = StopState::new(r0);
     if let Some(why) = stop_check(r0, r0, bnorm, opts, 0, &mut stop) {
         return Ok(RawOutcome { why, iterations: 0, rec_residual: r0, initial_residual: r0 });
     }
 
+    let mut w = Vector::new(map.clone());
+    // The newest basis vector, as the `Vector` that `apply` takes.
+    let mut vj = Vector::new(map);
+    // All basis vectors, column `i` at `i·n`, and the Hessenberg, column `j`
+    // at `j·ld`, rotated in place. One zeroed allocation each: a column
+    // costs memory only once a cycle reaches it.
+    let ld = k + 1;
+    let (Some(basis_len), Some(h_len)) = (ld.checked_mul(n), ld.checked_mul(k)) else {
+        return Err(AztecError::BadOption(format!(
+            "a Krylov space of min(kspace, max_iter) = {k} vectors does not fit in memory"
+        )));
+    };
+    let mut basis = vec![0.0; basis_len];
+    let mut h = vec![0.0; h_len];
+    let mut cs = vec![0.0; k];
+    let mut sn = vec![0.0; k];
+    let mut g = vec![0.0; k + 1];
+    let mut y = vec![0.0; k];
+
     let mut it = 0usize;
     let mut rnorm = r0;
     let why = 'outer: loop {
         let beta = rnorm;
-        let mut v0 = z.clone();
-        v0.scale(1.0 / beta);
-        let mut basis = vec![v0];
-        let mut h_cols: Vec<Vec<f64>> = Vec::with_capacity(k);
-        let mut cs: Vec<f64> = Vec::with_capacity(k);
-        let mut sn: Vec<f64> = Vec::with_capacity(k);
-        let mut g = vec![0.0; k + 1];
+        set_scaled(1.0 / beta, z.values(), vj.values_mut(), &mut basis[..n]);
         g[0] = beta;
 
         let mut inner = 0usize;
@@ -192,15 +232,18 @@ pub(crate) fn gmres(
         while inner < k {
             let j = inner;
             // w = M⁻¹·A·v_j.
-            a.apply(comm, &basis[j], &mut ax)?;
+            a.apply(comm, &vj, &mut ax)?;
             pc.apply(comm, &ax, &mut w)?;
-            let mut hcol = vec![0.0; j + 2];
-            for (i, vi) in basis.iter().enumerate().take(j + 1) {
-                let hij = w.dot(vi, comm)?;
-                hcol[i] = hij;
-                w.update(-hij, vi)?;
+            let hcol = &mut h[j * ld..j * ld + j + 2];
+            let wv = w.values_mut();
+            let mut hij = sum(dense::dot(wv, column(&basis, n, 0)))?;
+            hcol[0] = hij;
+            for (i, h) in hcol[1..=j].iter_mut().enumerate() {
+                let (v_i, v_next) = (column(&basis, n, i), column(&basis, n, i + 1));
+                hij = sum(dense::axpy_dot(-hij, v_i, wv, v_next))?;
+                *h = hij;
             }
-            let hnext = w.norm2(comm)?;
+            let hnext = sum(dense::axpy_dot_self(-hij, column(&basis, n, j), wv))?.sqrt();
             hcol[j + 1] = hnext;
             for i in 0..j {
                 let t = cs[i] * hcol[i] + sn[i] * hcol[i + 1];
@@ -208,13 +251,12 @@ pub(crate) fn gmres(
                 hcol[i] = t;
             }
             let (c, s) = givens(hcol[j], hcol[j + 1]);
-            cs.push(c);
-            sn.push(s);
+            cs[j] = c;
+            sn[j] = s;
             hcol[j] = c * hcol[j] + s * hcol[j + 1];
             let gj = g[j];
             g[j] = c * gj;
             g[j + 1] = -s * gj;
-            h_cols.push(hcol);
             it += 1;
             inner += 1;
             rnorm = g[j + 1].abs();
@@ -226,33 +268,48 @@ pub(crate) fn gmres(
                 cycle_why = Some(AzWhy::Normal);
                 break;
             }
-            let mut vn = w.clone();
-            vn.scale(1.0 / hnext);
-            basis.push(vn);
+            set_scaled(1.0 / hnext, wv, vj.values_mut(), &mut basis[(j + 1) * n..(j + 2) * n]);
         }
         // y via back substitution; x += V·y.
         let kk = inner;
-        let mut y = vec![0.0; kk];
         for i in (0..kk).rev() {
             let mut acc = g[i];
-            for (jj, yj) in y.iter().enumerate().take(kk).skip(i + 1) {
-                acc -= h_cols[jj][i] * yj;
+            for jj in i + 1..kk {
+                acc -= h[jj * ld + i] * y[jj];
             }
-            y[i] = acc / h_cols[i][i];
+            y[i] = acc / h[i * ld + i];
         }
-        for (vi, yi) in basis.iter().zip(&y) {
-            x.update(*yi, vi)?;
+        let xv = x.values_mut();
+        for (i, yi) in y[..kk].iter().enumerate() {
+            dense::axpy(*yi, column(&basis, n, i), xv);
         }
         if let Some(why) = cycle_why {
             break 'outer why;
         }
-        precond_residual(comm, x, &mut ax, &mut z)?;
+        residual(comm, a, b, x, &mut ax, &mut r)?;
+        pc.apply(comm, &r, &mut z)?;
         rnorm = z.norm2(comm)?;
         if let Some(why) = stop_check(rnorm, r0, bnorm, opts, it, &mut stop) {
             break 'outer why;
         }
     };
     Ok(RawOutcome { why, iterations: it, rec_residual: rnorm, initial_residual: r0 })
+}
+
+/// Column `i` of a flat basis of `n`-element vectors.
+fn column(basis: &[f64], n: usize, i: usize) -> &[f64] {
+    &basis[i * n..(i + 1) * n]
+}
+
+/// `v ← a·x` and `col ← a·x` in one pass over `x`: the products `clone`
+/// then `scale(a)` made, written to the basis and to the operand of the
+/// next product at once.
+fn set_scaled(a: f64, x: &[f64], v: &mut [f64], col: &mut [f64]) {
+    for ((vi, ci), xi) in v.iter_mut().zip(col).zip(x) {
+        let s = xi * a;
+        *vi = s;
+        *ci = s;
+    }
 }
 
 /// Left-preconditioned BiCGStab on M⁻¹A.
@@ -267,12 +324,12 @@ pub(crate) fn bicgstab(
     let map = a.row_map().clone();
     let bnorm = b.norm2(comm)?;
     let mut tmp = Vector::new(map.clone());
-    a.apply(comm, x, &mut tmp)?;
-    let mut raw = b.clone();
-    raw.update(-1.0, &tmp)?;
-    // Iterate on the preconditioned system: r = M⁻¹(b − A x).
+    // Iterate on the preconditioned system: r = M⁻¹(b − A x). `t` holds the
+    // raw residual until the loop needs it.
+    let mut t = Vector::new(map.clone());
+    residual(comm, a, b, x, &mut tmp, &mut t)?;
     let mut r = Vector::new(map.clone());
-    pc.apply(comm, &raw, &mut r)?;
+    pc.apply(comm, &t, &mut r)?;
     let r0n = r.norm2(comm)?;
     let mut stop = StopState::new(r0n);
     if let Some(why) = stop_check(r0n, r0n, bnorm, opts, 0, &mut stop) {
@@ -280,8 +337,7 @@ pub(crate) fn bicgstab(
     }
     let r_hat = r.clone();
     let mut p = r.clone();
-    let mut v = Vector::new(map.clone());
-    let mut t = Vector::new(map);
+    let mut v = Vector::new(map);
     let mut rho = r_hat.dot(&r, comm)?;
     let mut it = 0usize;
     let mut rnorm = r0n;
@@ -295,8 +351,7 @@ pub(crate) fn bicgstab(
             break AzWhy::Breakdown;
         }
         let alpha = rho / rhv;
-        r.update(-alpha, &v)?; // s stored in r
-        let snorm = r.norm2(comm)?;
+        let snorm = r.update_norm2(-alpha, &v, comm)?; // s stored in r
         if let Some(why) = stop_check(snorm, r0n, bnorm, opts, it, &mut stop) {
             x.update(alpha, &p)?;
             rnorm = snorm;
@@ -313,10 +368,8 @@ pub(crate) fn bicgstab(
         if omega == 0.0 || !omega.is_finite() {
             break AzWhy::Breakdown;
         }
-        x.update(alpha, &p)?;
-        x.update(omega, &r)?;
-        r.update(-omega, &t)?;
-        rnorm = r.norm2(comm)?;
+        x.update_pair(alpha, &p, omega, &r)?;
+        rnorm = r.update_norm2(-omega, &t, comm)?;
         if let Some(why) = stop_check(rnorm, r0n, bnorm, opts, it, &mut stop) {
             break why;
         }
@@ -348,11 +401,11 @@ pub(crate) fn cgs(
     let map = a.row_map().clone();
     let bnorm = b.norm2(comm)?;
     let mut tmp = Vector::new(map.clone());
-    a.apply(comm, x, &mut tmp)?;
-    let mut raw = b.clone();
-    raw.update(-1.0, &tmp)?;
+    // `mau` (M⁻¹·A·û in the loop) holds the raw residual until then.
+    let mut mau = Vector::new(map.clone());
+    residual(comm, a, b, x, &mut tmp, &mut mau)?;
     let mut r = Vector::new(map.clone());
-    pc.apply(comm, &raw, &mut r)?;
+    pc.apply(comm, &mau, &mut r)?;
     let r0n = r.norm2(comm)?;
     let mut stop = StopState::new(r0n);
     if let Some(why) = stop_check(r0n, r0n, bnorm, opts, 0, &mut stop) {
@@ -390,10 +443,8 @@ pub(crate) fn cgs(
         // x += α·û ; r −= α·M⁻¹·A·û.
         x.update(alpha, &uhat)?;
         a.apply(comm, &uhat, &mut tmp)?;
-        let mut mau = Vector::new(a.row_map().clone());
         pc.apply(comm, &tmp, &mut mau)?;
-        r.update(-alpha, &mau)?;
-        rnorm = r.norm2(comm)?;
+        rnorm = r.update_norm2(-alpha, &mau, comm)?;
         if let Some(why) = stop_check(rnorm, r0n, bnorm, opts, it, &mut stop) {
             break why;
         }
@@ -422,17 +473,13 @@ pub(crate) fn tfqmr(
 ) -> AztecResult<RawOutcome> {
     let map = a.row_map().clone();
     let bnorm = b.norm2(comm)?;
-    // Initial preconditioned residual (before the closure below captures
-    // its scratch buffer).
+    // Initial preconditioned residual; `au` holds the raw one until the
+    // loop needs it for M⁻¹·A·y.
     let mut r = Vector::new(map.clone());
-    {
-        let mut tmp0 = Vector::new(map.clone());
-        a.apply(comm, x, &mut tmp0)?;
-        let mut raw = b.clone();
-        raw.update(-1.0, &tmp0)?;
-        pc.apply(comm, &raw, &mut r)?;
-    }
     let mut scratch = Vector::new(map.clone());
+    let mut au = Vector::new(map.clone());
+    residual(comm, a, b, x, &mut scratch, &mut au)?;
+    pc.apply(comm, &au, &mut r)?;
     let mut apply_m = |comm: &Communicator, vin: &Vector, vout: &mut Vector| -> AztecResult<()> {
         a.apply(comm, vin, &mut scratch)?;
         pc.apply(comm, &scratch, vout)
@@ -467,12 +514,12 @@ pub(crate) fn tfqmr(
                 y.update(-alpha, &v)?;
                 apply_m(comm, &y, &mut u)?;
             }
-            w.update(-alpha, &u)?;
+            let wnorm = w.update_norm2(-alpha, &u, comm)?;
             let coeff = theta * theta * eta / alpha;
             for (di, yi) in d.values_mut().iter_mut().zip(y.values()) {
                 *di = yi + coeff * *di;
             }
-            theta = w.norm2(comm)? / tau;
+            theta = wnorm / tau;
             let cfac = 1.0 / (1.0 + theta * theta).sqrt();
             tau *= theta * cfac;
             eta = cfac * cfac * alpha;
@@ -488,17 +535,17 @@ pub(crate) fn tfqmr(
         for (yi, wi) in y.values_mut().iter_mut().zip(w.values()) {
             *yi = wi + beta * *yi;
         }
-        let mut au = Vector::new(a.row_map().clone());
         apply_m(comm, &y, &mut au)?;
         for ((vi, ui), aui) in v.values_mut().iter_mut().zip(u.values()).zip(au.values()) {
             *vi = aui + beta * (ui + beta * *vi);
         }
-        u = au;
+        // `u` is M⁻¹·A·y from here on; its old storage is the next `au`.
+        std::mem::swap(&mut u, &mut au);
     };
     Ok(RawOutcome { why, iterations: it, rec_residual: rnorm, initial_residual: r0n })
 }
 
-fn givens(a: f64, b: f64) -> (f64, f64) {
+pub(crate) fn givens(a: f64, b: f64) -> (f64, f64) {
     if b == 0.0 {
         (1.0, 0.0)
     } else if a.abs() < b.abs() {

@@ -1,22 +1,26 @@
 //! Distributed vectors — RAztec's `Epetra_Vector`.
 
 use rcomm::Communicator;
+use rsparse::DistVector;
 
 use crate::map::Map;
 use crate::{AztecError, AztecResult};
 
-/// A map plus this rank's coefficients.
+/// A map plus this rank's coefficients, held in the substrate's
+/// [`DistVector`] on the map's own partition and rank — so an assembled
+/// matrix multiplies a `Vector` where it lies, with no copy in or out.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Vector {
     map: Map,
-    values: Vec<f64>,
+    /// Always on `map.partition()` at `map.my_rank()`.
+    dist: DistVector,
 }
 
 impl Vector {
     /// Zero vector on a map.
     pub fn new(map: Map) -> Self {
-        let n = map.num_my();
-        Vector { map, values: vec![0.0; n] }
+        let dist = DistVector::zeros(map.partition().clone(), map.my_rank());
+        Vector { map, dist }
     }
 
     /// Wrap local values (length must match the map).
@@ -28,7 +32,8 @@ impl Vector {
                 map.num_my()
             )));
         }
-        Ok(Vector { map, values })
+        let dist = DistVector::from_local(map.partition().clone(), map.my_rank(), values)?;
+        Ok(Vector { map, dist })
     }
 
     /// Take this rank's slice of a replicated global vector.
@@ -40,10 +45,8 @@ impl Vector {
                 map.num_global()
             )));
         }
-        let lo = map.min_my_gid();
-        let hi = lo + map.num_my();
-        let values = global[lo..hi].to_vec();
-        Ok(Vector { map, values })
+        let dist = DistVector::from_global(map.partition().clone(), map.my_rank(), global)?;
+        Ok(Vector { map, dist })
     }
 
     /// The map.
@@ -53,17 +56,27 @@ impl Vector {
 
     /// Local coefficients.
     pub fn values(&self) -> &[f64] {
-        &self.values
+        self.dist.local()
     }
 
     /// Mutable local coefficients.
     pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
+        self.dist.local_mut()
+    }
+
+    /// The coefficients as the substrate's vector (same layout as the map).
+    pub(crate) fn dist(&self) -> &DistVector {
+        &self.dist
+    }
+
+    /// Mutable [`Vector::dist`]; the length is fixed by the type.
+    pub(crate) fn dist_mut(&mut self) -> &mut DistVector {
+        &mut self.dist
     }
 
     /// Fill with a constant.
     pub fn put_scalar(&mut self, s: f64) {
-        self.values.iter_mut().for_each(|v| *v = s);
+        self.values_mut().iter_mut().for_each(|v| *v = s);
     }
 
     fn check(&self, other: &Vector) -> AztecResult<()> {
@@ -73,10 +86,13 @@ impl Vector {
         Ok(())
     }
 
-    /// Global dot product.
+    /// Global dot product. RAztec reduces its local part as **one block**
+    /// whatever the length (`dense::dot`), where RKSP reduces in
+    /// `DOT_BLOCK`-element blocks (`pdot`); the fused forms below keep that
+    /// shape, so a solve's bits do not depend on which form a loop uses.
     pub fn dot(&self, other: &Vector, comm: &Communicator) -> AztecResult<f64> {
         self.check(other)?;
-        let local = rsparse::dense::dot(&self.values, &other.values);
+        let local = rsparse::dense::dot(self.values(), other.values());
         Ok(comm.allreduce(local, rcomm::sum)?)
     }
 
@@ -88,14 +104,36 @@ impl Vector {
     /// self ← self + a·x.
     pub fn update(&mut self, a: f64, x: &Vector) -> AztecResult<()> {
         self.check(x)?;
-        rsparse::dense::axpy(a, &x.values, &mut self.values);
+        rsparse::dense::axpy(a, x.values(), self.values_mut());
+        Ok(())
+    }
+
+    /// [`Vector::update`] then [`Vector::norm2`] in one pass over `self`:
+    /// the same element updates, the same one-block sum, one allreduce.
+    pub(crate) fn update_norm2(
+        &mut self,
+        a: f64,
+        x: &Vector,
+        comm: &Communicator,
+    ) -> AztecResult<f64> {
+        self.check(x)?;
+        let local = rsparse::dense::axpy_dot_self(a, x.values(), self.values_mut());
+        Ok(comm.allreduce(local, rcomm::sum)?.sqrt())
+    }
+
+    /// self ← (self + a·x) + b·z: `update(a, x)` then `update(b, z)` in one
+    /// pass, the same two multiply-adds per element in the same order.
+    pub(crate) fn update_pair(&mut self, a: f64, x: &Vector, b: f64, z: &Vector) -> AztecResult<()> {
+        self.check(x)?;
+        self.check(z)?;
+        rsparse::dense::axpy2(a, x.values(), b, z.values(), self.values_mut());
         Ok(())
     }
 
     /// self ← a·x + b·self.
     pub fn update2(&mut self, a: f64, x: &Vector, b: f64) -> AztecResult<()> {
         self.check(x)?;
-        for (si, xi) in self.values.iter_mut().zip(&x.values) {
+        for (si, xi) in self.values_mut().iter_mut().zip(x.values()) {
             *si = a * xi + b * *si;
         }
         Ok(())
@@ -103,12 +141,12 @@ impl Vector {
 
     /// self ← a·self.
     pub fn scale(&mut self, a: f64) {
-        rsparse::dense::scale(a, &mut self.values);
+        rsparse::dense::scale(a, self.values_mut());
     }
 
     /// Replicate the full vector on every rank.
     pub fn gather_all(&self, comm: &Communicator) -> AztecResult<Vec<f64>> {
-        Ok(comm.allgatherv(&self.values)?)
+        Ok(comm.allgatherv(self.values())?)
     }
 }
 

@@ -252,6 +252,74 @@ fn blas1(c: &mut Criterion) {
         let mut y = w.clone();
         b.iter(|| dense::axpy_pdot2(0.0, &x, &mut y, &z));
     });
+    // One step of RAztec's modified Gram–Schmidt, two passes against one:
+    // `h = ⟨w, v⟩; w −= h·v` before, `w −= h·v_prev; h = ⟨w, v⟩` now (one
+    // block, like `dot`). 16 384 is the `fig5_raztec_1r` vector; at 90 000
+    // three vectors no longer share the fast half of L2.
+    for n in [16_384usize, 90_000] {
+        let (v_prev, v) = (&x[..n], &z[..n]);
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_function(BenchmarkId::new("dot_then_axpy", n), |b| {
+            let mut y = w[..n].to_vec();
+            b.iter(|| {
+                let h = dense::dot(&y, v);
+                dense::axpy(0.0 * h, v, &mut y);
+                h
+            });
+        });
+        group.bench_function(BenchmarkId::new("axpy_dot", n), |b| {
+            let mut y = w[..n].to_vec();
+            b.iter(|| dense::axpy_dot(0.0, v_prev, &mut y, v));
+        });
+    }
+    group.finish();
+}
+
+/// RAztec's own layer over the substrate: the `RowMatrix` product on an
+/// assembled matrix (`apply` — the distributed matvec of
+/// `spmv_formats/split1` and nothing else, the `Vector`s being multiplied
+/// where they lie) and one full GMRES(30) restart cycle through
+/// `AztecOO::iterate` with Jacobi (`gmres30`: 30 products, 30 diagonal
+/// scalings, 495 Gram–Schmidt passes, one `x += V·y`, plus the start-up
+/// and true-residual products).
+fn raztec(c: &mut Criterion) {
+    use ::raztec::{AzConv, AzPrecond, AzSolver, AztecOO, AztecOptions, CrsMatrix, RowMatrix, Vector};
+    let mut group = c.benchmark_group("raztec");
+    for (label, m) in [("paper128", 128usize), ("paper300", 300)] {
+        let (a, _) = rmesh::paper_problem(m).assemble_global();
+        let rhs = generate::random_vector(a.rows(), 7);
+        group.bench_function(BenchmarkId::new("apply", label), |b| {
+            let b = std::sync::Mutex::new(b);
+            Universe::run(1, |comm| {
+                let am = CrsMatrix::from_global(comm, &a).unwrap();
+                let x = Vector::from_global(am.row_map().clone(), &rhs).unwrap();
+                let mut y = Vector::new(am.row_map().clone());
+                b.lock().unwrap().iter(|| am.apply(comm, &x, &mut y).unwrap());
+            });
+        });
+        group.bench_function(BenchmarkId::new("gmres30", label), |b| {
+            let b = std::sync::Mutex::new(b);
+            Universe::run(1, |comm| {
+                let am = CrsMatrix::from_global(comm, &a).unwrap();
+                let bv = Vector::from_global(am.row_map().clone(), &rhs).unwrap();
+                let mut az = AztecOO::new(&am);
+                az.set_options(AztecOptions {
+                    solver: AzSolver::Gmres,
+                    precond: AzPrecond::Jacobi,
+                    conv: AzConv::Rhs,
+                    tol: 0.0,
+                    max_iter: 30,
+                    kspace: 30,
+                    stall_window: 0,
+                });
+                let mut x = Vector::new(am.row_map().clone());
+                b.lock().unwrap().iter(|| {
+                    x.put_scalar(0.0);
+                    az.iterate(comm, &bv, &mut x).unwrap()
+                });
+            });
+        });
+    }
     group.finish();
 }
 
@@ -315,5 +383,7 @@ fn assembly(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, spmv, spmv_formats, spmv_multi, sptrsv, blas1, probe_overhead, conversions, assembly);
+criterion_group!(
+    benches, spmv, spmv_formats, spmv_multi, sptrsv, blas1, raztec, probe_overhead, conversions, assembly
+);
 criterion_main!(benches);

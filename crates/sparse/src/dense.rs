@@ -199,6 +199,40 @@ pub fn axpy_pdot2(a: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> (f64, f64) {
     (yy, yz)
 }
 
+/// Update-then-dot as **one block**: `y ← a·x + y`, returning `⟨y, z⟩` of
+/// the updated `y` — [`axpy`] then [`dot`] in one pass, bit-identical to
+/// the pair at every length (where [`axpy_norm2_sq`] matches [`pdot`]).
+/// Serial, like [`dot`]. One step of a modified Gram–Schmidt sweep: subtract
+/// the last projection while measuring the next.
+pub fn axpy_dot(a: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> f64 {
+    assert_eq!(x.len(), y.len());
+    assert_eq!(z.len(), y.len());
+    let ys = SharedMutSlice::new(y);
+    // SAFETY: `block_sums(0, n, ·)` calls `term` exactly once per index,
+    // each `i < n` — the length of `x`, `y` and `z` by the asserts above —
+    // on this thread, so element `i` of `y` has one reader-writer.
+    let [yz] = block_sums(0, ys.len(), move |i| unsafe {
+        let yi = ys.get(i) + a * x.get_unchecked(i);
+        ys.set(i, yi);
+        [yi * z.get_unchecked(i)]
+    });
+    yz
+}
+
+/// [`axpy_dot`] against the updated vector itself: `y ← a·x + y`, returning
+/// `⟨y, y⟩` as one block — [`axpy`] then `dot(y, y)`, bit for bit.
+pub fn axpy_dot_self(a: f64, x: &[f64], y: &mut [f64]) -> f64 {
+    assert_eq!(x.len(), y.len());
+    let ys = SharedMutSlice::new(y);
+    // SAFETY: as in `axpy_dot`.
+    let [yy] = block_sums(0, ys.len(), move |i| unsafe {
+        let yi = ys.get(i) + a * x.get_unchecked(i);
+        ys.set(i, yi);
+        [yi * yi]
+    });
+    yy
+}
+
 /// y ← a·x + y. Threaded over contiguous chunks for long vectors; each
 /// element's arithmetic is unchanged, so results are bit-identical at any
 /// thread count.
@@ -546,6 +580,46 @@ mod tests {
             }
         }
         crate::threads::set_threads(prev);
+    }
+
+    /// The one-block fused forms against `axpy` then `dot` — which is one
+    /// block at every length, so past `DOT_BLOCK` they must *not* agree
+    /// with the blocked `axpy_norm2_sq`. Serial like `dot`; `axpy` threads
+    /// above `PAR_ELEMWISE_MIN` elements and is elementwise-identical.
+    #[test]
+    fn one_block_fused_forms_match_axpy_then_dot_bitwise() {
+        let gen = |n: usize, seed: usize| -> Vec<f64> {
+            (0..n).map(|i| ((i * 7 + seed * 13) % 101) as f64 * 0.37 - 18.1).collect()
+        };
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let a = -0.8125;
+        let prev = crate::threads::active();
+        for n in [0, 1, 7, 8, 9, 1_000, DOT_BLOCK, DOT_BLOCK + 1, 70_001] {
+            let (x, y0, z) = (gen(n, 1), gen(n, 2), gen(n, 3));
+            for t in [1usize, 4] {
+                crate::threads::set_threads(t);
+                let tag = format!("n = {n}, threads = {t}");
+                let mut y_ref = y0.clone();
+                axpy(a, &x, &mut y_ref);
+                let (yz, yy) = (dot(&y_ref, &z), dot(&y_ref, &y_ref));
+
+                let mut y = y0.clone();
+                assert_eq!(axpy_dot(a, &x, &mut y, &z).to_bits(), yz.to_bits(), "{tag}");
+                assert_eq!(bits(&y), bits(&y_ref), "{tag}");
+                let mut y = y0.clone();
+                assert_eq!(axpy_dot_self(a, &x, &mut y).to_bits(), yy.to_bits(), "{tag}");
+                assert_eq!(bits(&y), bits(&y_ref), "{tag}");
+            }
+        }
+        crate::threads::set_threads(prev);
+        // The guard has teeth: past one block, one-block and blocked sums
+        // round differently on this data.
+        let n = 70_001;
+        let (x, mut y1, mut y2) = (gen(n, 1), gen(n, 2), gen(n, 2));
+        assert_ne!(
+            axpy_dot_self(a, &x, &mut y1).to_bits(),
+            axpy_norm2_sq(a, &x, &mut y2).to_bits()
+        );
     }
 
     #[test]
