@@ -1,37 +1,33 @@
-//! The RAztec (Trilinos/AztecOO-like) adapter: LISI's generic keys are
+//! The RAztec (Trilinos/AztecOO-like) backend: LISI's generic keys are
 //! translated to Aztec option enums, and matrix-free solves ride on
 //! RAztec's own `RowMatrix` virtual-matrix trait.
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use raztec::{AzConv, AzPrecond, AzSolver, AzWhy, AztecOO, AztecOptions, CrsMatrix, Map};
+use raztec::{RowMatrix, Vector};
 use rcomm::Communicator;
-use raztec::{AztecOO, AztecOptions, AzConv, AzPrecond, AzSolver, AzWhy, CrsMatrix, Map, RowMatrix, Vector};
+use rsparse::{BlockRowPartition, CsrMatrix};
 
+use super::pipeline::{set_parsed, Adapter, Backend};
 use crate::error::{LisiError, LisiResult};
-use crate::service::{self, SolverService};
+use crate::ledger::SolveInfo;
 use crate::state::LisiState;
 use crate::status::SolveReport;
-use crate::traits::{MatrixFreePort, SparseSolverPort};
+use crate::traits::MatrixFreePort;
 use crate::types::OperatorId;
 
-/// Session-cached setup: the row map and the imported `CrsMatrix`
-/// (whose construction includes the off-rank column import plan).
-/// Matrix-free operators are built fresh per solve — a user closure has
-/// no fingerprint — so only assembled systems land in the cache.
-struct RaztecArtifact {
-    partition: rsparse::BlockRowPartition,
-    map: Map,
-    operator: Box<dyn RowMatrix + Send + Sync>,
-}
+/// What RAztec set-up produces and the session cache keeps: an imported
+/// `CrsMatrix` (whose construction includes the off-rank column import
+/// plan), or the matrix-free bridge. Either carries its row map.
+pub type RaztecArtifact = Box<dyn RowMatrix + Send + Sync>;
+
+/// The RAztec iterative package beneath the LISI port.
+#[derive(Default)]
+pub struct Raztec;
 
 /// LISI over the RAztec iterative package.
-#[derive(Default)]
-pub struct RaztecAdapter {
-    state: Mutex<LisiState>,
-}
-
-super::lisi_adapter_boilerplate!(RaztecAdapter);
+pub type RaztecAdapter = Adapter<Raztec>;
 
 /// A `RowMatrix` that forwards multiplications to the application's
 /// `MatrixFree` port — RAztec's native matrix-free mechanism (the
@@ -59,8 +55,6 @@ impl RowMatrix for MfRowMatrix {
 }
 
 impl RaztecAdapter {
-    const PACKAGE_NAME: &'static str = "raztec";
-
     fn aztec_options(state: &LisiState) -> LisiResult<AztecOptions> {
         let mut opts = AztecOptions::default();
         if let Some(s) = state.options.get_first(&["solver", "az_solver"]) {
@@ -74,158 +68,78 @@ impl RaztecAdapter {
                 opts.precond = AzPrecond::Neumann { order: ord };
             }
         }
-        if let Some(t) = state.options.get_first(&["tol", "az_tol"]) {
-            opts.tol = t
-                .parse()
-                .map_err(|_| LisiError::BadParameter { key: "tol".into(), reason: t.clone() })?;
-        }
-        if let Some(m) = state.options.get_first(&["maxits", "az_max_iter"]) {
-            opts.max_iter = m.parse().map_err(|_| LisiError::BadParameter {
-                key: "maxits".into(),
-                reason: m.clone(),
-            })?;
-        }
-        if let Some(k) = state.options.get_first(&["restart", "az_kspace"]) {
-            opts.kspace = k.parse().map_err(|_| LisiError::BadParameter {
-                key: "restart".into(),
-                reason: k.clone(),
-            })?;
-        }
-        if let Some(w) = state.options.get_first(&["stagnation_window", "az_stagnation_window"])
-        {
-            opts.stall_window = w.parse().map_err(|_| LisiError::BadParameter {
-                key: "stagnation_window".into(),
-                reason: w.clone(),
-            })?;
-        }
+        set_parsed(&state.options, &["tol", "az_tol"], &mut opts.tol)?;
+        set_parsed(&state.options, &["maxits", "az_max_iter"], &mut opts.max_iter)?;
+        set_parsed(&state.options, &["restart", "az_kspace"], &mut opts.kspace)?;
+        let window_keys = ["stagnation_window", "az_stagnation_window"];
+        set_parsed(&state.options, &window_keys, &mut opts.stall_window)?;
         if let Some(c) = state.options.get("conv") {
             opts.conv = match c.as_str() {
                 "r0" => AzConv::R0,
                 "rhs" => AzConv::Rhs,
-                other => {
-                    return Err(LisiError::BadParameter {
-                        key: "conv".into(),
-                        reason: other.into(),
-                    })
-                }
+                other => return Err(LisiError::bad_parameter("conv", other)),
             };
         }
         Ok(opts)
     }
+}
 
-    /// Multi-RHS entry point: delegates to the common path and records
-    /// the batch in the probe counters (RAztec's drivers are
-    /// column-at-a-time; the amortized work is the cached setup).
-    pub fn solve_batch(&self, solution: &mut [f64], status: &mut [f64]) -> LisiResult<()> {
-        self.solve_impl(solution, status, true)
+impl Backend for Raztec {
+    const NAME: &'static str = "raztec";
+    type Config = AztecOptions;
+    type Artifact = RaztecArtifact;
+
+    fn configure(&self, st: &LisiState) -> LisiResult<AztecOptions> {
+        RaztecAdapter::aztec_options(st)
     }
 
-    fn solve_impl(
-        &self,
-        solution: &mut [f64],
-        status: &mut [f64],
-        force_batch: bool,
-    ) -> LisiResult<()> {
-        let st = self.state.lock();
-        st.check_solve_buffers(solution, status)?;
-        crate::ledger::arm();
-        let comm = st.comm()?;
-        let rank = comm.rank();
-        let opts = Self::aztec_options(&st)?;
+    fn labels(options: &rkrylov::Options) -> (Option<String>, Option<String>, Option<f64>) {
+        let ksp = options.get_first(&["solver", "az_solver"]);
+        let pc = options.get_first(&["preconditioner", "az_precond"]);
+        (ksp, pc, options.get_first(&["tol", "az_tol"]).and_then(|v| v.parse().ok()))
+    }
 
-        // Admission, then the cohort-agreed warm/cold branch (see the
-        // RKSP adapter for the full rationale).
-        let svc = SolverService::global();
-        let ticket = svc.admit();
-        let admitted = comm.allgather(ticket.is_ok())?.into_iter().all(|ok| ok);
-        if !admitted {
-            return Err(ticket.err().unwrap_or_else(|| {
-                LisiError::Busy("a peer rank was refused admission".into())
-            }));
-        }
-        let _ticket = ticket.expect("cohort agreed all ranks were admitted");
+    fn build(
+        _opts: &AztecOptions,
+        comm: &Communicator,
+        partition: BlockRowPartition,
+        matrix: &CsrMatrix,
+    ) -> LisiResult<RaztecArtifact> {
+        let map = Map::from_partition(partition, comm.rank());
+        Ok(Box::new(CrsMatrix::from_local_rows(comm, map, matrix.clone())?))
+    }
 
-        let (artifact, setup_seconds): (Arc<RaztecArtifact>, f64) =
-            if super::matrix_free_requested(&st) {
-                let setup_t = probe::SectionTimer::start("lisi_setup");
-                let partition = st.build_partition()?;
-                let map = Map::from_partition(partition.clone(), rank);
-                let port = super::require_matrix_free(&st)?;
-                let operator: Box<dyn RowMatrix + Send + Sync> =
-                    Box::new(MfRowMatrix { map: map.clone(), port });
-                (Arc::new(RaztecArtifact { partition, map, operator }), setup_t.stop())
-            } else {
-                let (matrix, _) = st.require_system()?;
-                let key = service::SessionKey {
-                    backend: Self::PACKAGE_NAME,
-                    rank,
-                    size: comm.size(),
-                    fingerprint: service::fingerprint(
-                        rank,
-                        comm.size(),
-                        st.start_row.unwrap_or(0),
-                        st.global_cols.unwrap_or(0),
-                        matrix.row_ptr(),
-                        matrix.col_idx(),
-                        matrix.values(),
-                        &st.options.dump(),
-                    ),
-                };
-                let hit = svc.lookup::<RaztecArtifact>(&key);
-                let warm = comm.allgather(hit.is_some())?.into_iter().all(|h| h);
-                svc.record_outcome(warm);
-                if warm {
-                    (hit.expect("cohort agreed every rank hit"), 0.0)
-                } else {
-                    let setup_t = probe::SectionTimer::start("lisi_setup");
-                    let partition = st.build_partition()?;
-                    let map = Map::from_partition(partition.clone(), rank);
-                    let crs = CrsMatrix::from_local_rows(comm, map.clone(), matrix.clone())
-                        .map_err(LisiError::from)?;
-                    let bytes =
-                        service::approx_csr_bytes(matrix.nnz(), partition.local_rows(rank));
-                    let artifact = Arc::new(RaztecArtifact {
-                        partition,
-                        map,
-                        operator: Box::new(crs),
-                    });
-                    svc.insert(key, Arc::clone(&artifact) as Arc<_>, bytes);
-                    (artifact, setup_t.stop())
-                }
-            };
-        let map = artifact.map.clone();
-        let local_rows = artifact.partition.local_rows(rank);
+    fn build_matrix_free(
+        _opts: &AztecOptions,
+        comm: &Communicator,
+        partition: BlockRowPartition,
+        port: LisiResult<Arc<dyn MatrixFreePort>>,
+    ) -> LisiResult<RaztecArtifact> {
+        Ok(Box::new(MfRowMatrix { map: Map::from_partition(partition, comm.rank()), port: port? }))
+    }
 
-        let rhs = st.require_rhs()?;
-        let n_rhs = st.n_rhs;
-        let batch_width: usize =
-            st.options.get("nrhs").and_then(|v| v.parse().ok()).unwrap_or(1);
-        if (force_batch || batch_width >= 2) && n_rhs >= 1 {
-            probe::add(probe::Counter::RhsBatched, n_rhs as u64);
-            probe::note("batch", format!("nrhs={n_rhs}"));
-        }
-        let mut az = AztecOO::new(artifact.operator.as_ref());
+    /// RAztec's drivers are column-at-a-time; what a batch amortizes is
+    /// the cached set-up.
+    fn run(
+        art: &RaztecArtifact,
+        opts: AztecOptions,
+        comm: &Communicator,
+        rhs: &[f64],
+        x: &mut [f64],
+        n_rhs: usize,
+        _batched: bool,
+    ) -> LisiResult<SolveInfo> {
+        let map = art.row_map();
+        let rows = map.num_my();
+        let mut az = AztecOO::new(art.as_ref());
         az.set_options(opts);
-
-        let solve_t = probe::SectionTimer::start("lisi_solve");
-        let mut report = SolveReport {
-            converged: true,
-            setup_seconds: setup_seconds + st.convert_seconds,
-            ..Default::default()
-        };
+        let mut report = SolveReport { converged: true, ..Default::default() };
         for k in 0..n_rhs {
-            let b = Vector::from_values(
-                map.clone(),
-                rhs[k * local_rows..(k + 1) * local_rows].to_vec(),
-            )
-            .map_err(LisiError::from)?;
-            let mut x = Vector::from_values(
-                map.clone(),
-                solution[k * local_rows..(k + 1) * local_rows].to_vec(),
-            )
-            .map_err(LisiError::from)?;
-            let stat = az.iterate(comm, &b, &mut x).map_err(LisiError::from)?;
-            solution[k * local_rows..(k + 1) * local_rows].copy_from_slice(x.values());
+            let col = k * rows..(k + 1) * rows;
+            let b = Vector::from_values(map.clone(), rhs[col.clone()].to_vec())?;
+            let mut xk = Vector::from_values(map.clone(), x[col.clone()].to_vec())?;
+            let stat = az.iterate(comm, &b, &mut xk)?;
+            x[col].copy_from_slice(xk.values());
             report.converged &= stat.why.converged();
             report.iterations = report.iterations.max(stat.its);
             report.residual = report.residual.max(stat.true_residual);
@@ -237,39 +151,7 @@ impl RaztecAdapter {
                 AzWhy::Stagnated => -4,
             };
         }
-        report.solve_seconds = solve_t.stop();
-        crate::ledger::emit(
-            comm,
-            &crate::ledger::SolveInfo {
-                backend: Self::PACKAGE_NAME,
-                report: &report,
-                ksp: st.options.get_first(&["solver", "az_solver"]),
-                pc: st.options.get_first(&["preconditioner", "az_precond"]),
-                rtol: st
-                    .options
-                    .get_first(&["tol", "az_tol"])
-                    .and_then(|v| v.parse().ok()),
-                cond_estimate: None,
-                initial_residual: None,
-            },
-        );
-        report.write_into(status)?;
-        if report.converged {
-            Ok(())
-        } else {
-            Err(LisiError::Package(format!(
-                "RAztec did not converge (reason code {})",
-                report.reason
-            )))
-        }
-    }
-}
-
-impl SparseSolverPort for RaztecAdapter {
-    super::lisi_common_methods!();
-
-    fn solve(&self, solution: &mut [f64], status: &mut [f64]) -> LisiResult<()> {
-        self.solve_impl(solution, status, false)
+        Ok(SolveInfo { report, ..Default::default() })
     }
 }
 
@@ -277,6 +159,7 @@ impl SparseSolverPort for RaztecAdapter {
 mod tests {
     use super::*;
     use crate::status::{SolveReport, STATUS_LEN};
+    use crate::SparseSolverPort;
     use rcomm::Universe;
     use rsparse::BlockRowPartition;
 

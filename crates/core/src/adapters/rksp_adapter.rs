@@ -1,217 +1,135 @@
-//! The RKSP (PETSc-like) adapter — the reference LISI implementation,
+//! The RKSP (PETSc-like) backend — the reference LISI implementation,
 //! including the matrix-free path through the `lisi.MatrixFree` port.
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rcomm::Communicator;
 use rkrylov::{Ksp, KspConfig, LinearOperator, MatOperator, Preconditioner, ShellOperator};
-use rsparse::{DistCsrMatrix, DistVector};
+use rsparse::{BlockRowPartition, CsrMatrix, DistCsrMatrix, DistVector};
 
-use crate::error::{LisiError, LisiResult};
-use crate::service::{self, SolverService};
+use super::pipeline::{Adapter, Backend};
+use crate::error::LisiResult;
+use crate::ledger::SolveInfo;
 use crate::state::LisiState;
 use crate::status::SolveReport;
-use crate::traits::{MatrixFreePort, SparseSolverPort};
+use crate::traits::MatrixFreePort;
 use crate::types::OperatorId;
 
-/// Setup artifacts cached in the process-wide [`SolverService`]: a
-/// second solve of a fingerprint-identical system (same pattern, same
-/// value bits, same options, same distribution) reuses all three and
-/// performs *zero* setup — no partition allgather, no halo plan, no
-/// format conversion, no preconditioner factorization (paper §5.2 b/c,
-/// extended across component instances).
-struct RkspArtifact {
-    partition: rsparse::BlockRowPartition,
-    operator: Arc<MatOperator>,
-    pc: Arc<dyn Preconditioner>,
+/// What RKSP set-up produces. From the session cache, a second solve of
+/// a fingerprint-identical system (same pattern, same value bits, same
+/// options, same distribution) reuses both and performs *zero* setup —
+/// no partition allgather, no halo plan, no format conversion, no
+/// preconditioner factorization (paper §5.2 b/c, extended across
+/// component instances).
+pub struct RkspArtifact {
+    operator: Box<dyn LinearOperator>,
+    pc: Box<dyn Preconditioner>,
 }
+
+/// The parsed option table.
+pub struct RkspConfig {
+    ksp: Ksp,
+    /// The preconditioner is the application's `MatrixFree` port with
+    /// `ID = PRECONDITIONER`, not one of the package's own.
+    port_pc: bool,
+}
+
+/// The RKSP iterative package beneath the LISI port.
+#[derive(Default)]
+pub struct Rksp;
 
 /// LISI over the RKSP iterative package.
-#[derive(Default)]
-pub struct RkspAdapter {
-    state: Mutex<LisiState>,
+pub type RkspAdapter = Adapter<Rksp>;
+
+/// The preconditioner that forwards to the application's `MatrixFree`
+/// port with `ID = PRECONDITIONER`.
+struct PortPc(Arc<dyn MatrixFreePort>);
+
+impl Preconditioner for PortPc {
+    fn apply(
+        &self,
+        _comm: &Communicator,
+        r: &DistVector,
+        z: &mut DistVector,
+    ) -> Result<(), rkrylov::KspError> {
+        self.0
+            .mat_mult(OperatorId::Preconditioner, r.local(), z.local_mut())
+            .map_err(|e| rkrylov::KspError::Nonconforming(e.to_string()))
+    }
+    fn name(&self) -> &'static str {
+        "matrix-free"
+    }
 }
 
-super::lisi_adapter_boilerplate!(RkspAdapter);
+impl Backend for Rksp {
+    const NAME: &'static str = "rksp";
+    type Config = RkspConfig;
+    type Artifact = RkspArtifact;
 
-impl RkspAdapter {
-    const PACKAGE_NAME: &'static str = "rksp";
-
-    /// The preconditioner that forwards to the application's
-    /// `MatrixFree` port with `ID = PRECONDITIONER`.
-    fn matrix_free_pc(port: Arc<dyn MatrixFreePort>) -> Arc<dyn Preconditioner> {
-        struct MfPc {
-            port: Arc<dyn MatrixFreePort>,
-        }
-        impl Preconditioner for MfPc {
-            fn apply(
-                &self,
-                _comm: &Communicator,
-                r: &DistVector,
-                z: &mut DistVector,
-            ) -> Result<(), rkrylov::KspError> {
-                self.port
-                    .mat_mult(OperatorId::Preconditioner, r.local(), z.local_mut())
-                    .map_err(|e| rkrylov::KspError::Nonconforming(e.to_string()))
-            }
-            fn name(&self) -> &'static str {
-                "matrix-free"
-            }
-        }
-        Arc::new(MfPc { port })
-    }
-
-    /// Solve all right-hand-side columns through the batched Krylov
-    /// drivers regardless of the `nrhs` option — the explicit multi-RHS
-    /// entry point (the `nrhs` option is the declarative twin that makes
-    /// plain [`SparseSolverPort::solve`] take this path).
-    pub fn solve_batch(&self, solution: &mut [f64], status: &mut [f64]) -> LisiResult<()> {
-        self.solve_impl(solution, status, true)
-    }
-
-    fn solve_impl(
-        &self,
-        solution: &mut [f64],
-        status: &mut [f64],
-        force_batch: bool,
-    ) -> LisiResult<()> {
-        let st = self.state.lock();
-        st.check_solve_buffers(solution, status)?;
-        crate::ledger::arm();
-        let comm = st.comm()?;
-        let rank = comm.rank();
-
-        let matrix_free = super::matrix_free_requested(&st);
-        let mf_pc = matrix_free
+    fn configure(&self, st: &LisiState) -> LisiResult<RkspConfig> {
+        let port_pc = st.matrix_free_requested()
             && st.options.get("preconditioner").as_deref() == Some("matrix_free");
-        let cfg = if mf_pc {
-            // "matrix_free" is not a package preconditioner name; the port
-            // below supplies the application's preconditioner instead.
-            let mut opts = st.options.clone();
+        let mut opts = st.options.clone();
+        if port_pc {
+            // "matrix_free" is not a package preconditioner name; the
+            // port supplies the application's preconditioner instead.
             opts.set("preconditioner", "none");
-            KspConfig::from_options(&opts).map_err(LisiError::from)?
-        } else {
-            KspConfig::from_options(&st.options).map_err(LisiError::from)?
-        };
-        let ksp = Ksp::new(cfg).map_err(LisiError::from)?;
-
-        // Admission control: each rank takes a ticket, then the cohort
-        // agrees — if any peer was refused, everyone returns Busy rather
-        // than leaving the refused rank's peers stranded in a collective.
-        // Agreement uses allgather, not allreduce: fault plans address
-        // allreduce calls by index, and the session layer must not shift
-        // the numbering of the solver's own reductions.
-        let svc = SolverService::global();
-        let ticket = svc.admit();
-        let admitted = comm.allgather(ticket.is_ok())?.into_iter().all(|ok| ok);
-        if !admitted {
-            return Err(ticket.err().unwrap_or_else(|| {
-                LisiError::Busy("a peer rank was refused admission".into())
-            }));
         }
-        let _ticket = ticket.expect("cohort agreed all ranks were admitted");
+        Ok(RkspConfig { ksp: Ksp::new(KspConfig::from_options(&opts)?)?, port_pc })
+    }
 
-        // Resolve the operator and preconditioner: matrix-free operators
-        // bypass the session cache (the closure's identity cannot be
-        // fingerprinted); assembled systems are keyed by matrix + option
-        // fingerprint so a warm session performs zero setup — the
-        // "lisi_setup" span is never even opened. The warm/cold decision
-        // is collective: a rank whose entry was evicted must not drag its
-        // warm peers into a setup collective they would skip.
-        let (operator, pc, partition, setup_seconds): (
-            Arc<dyn LinearOperator>,
-            Arc<dyn Preconditioner>,
-            rsparse::BlockRowPartition,
-            f64,
-        ) = if matrix_free {
-            let setup_t = probe::SectionTimer::start("lisi_setup");
-            let partition = st.build_partition()?;
-            let port = super::require_matrix_free(&st)?;
-            let apply_port = Arc::clone(&port);
-            let shell = ShellOperator::new(partition.clone(), move |_, x, y| {
-                apply_port
-                    .mat_mult(OperatorId::Matrix, x.local(), y.local_mut())
-                    .map_err(|e| e.to_string())
-            });
-            let pc: Arc<dyn Preconditioner> =
-                if mf_pc {
-                    Self::matrix_free_pc(port)
-                } else {
-                    ksp.make_pc(&shell).map_err(LisiError::from)?.into()
-                };
-            let op: Arc<dyn LinearOperator> = Arc::new(shell);
-            (op, pc, partition, setup_t.stop())
-        } else {
-            let (matrix, _) = st.require_system()?;
-            let key = service::SessionKey {
-                backend: Self::PACKAGE_NAME,
-                rank,
-                size: comm.size(),
-                fingerprint: service::fingerprint(
-                    rank,
-                    comm.size(),
-                    st.start_row.unwrap_or(0),
-                    st.global_cols.unwrap_or(0),
-                    matrix.row_ptr(),
-                    matrix.col_idx(),
-                    matrix.values(),
-                    &st.options.dump(),
-                ),
-            };
-            let hit = svc.lookup::<RkspArtifact>(&key);
-            let warm = comm.allgather(hit.is_some())?.into_iter().all(|h| h);
-            svc.record_outcome(warm);
-            if warm {
-                let art = hit.expect("cohort agreed every rank hit");
-                (
-                    Arc::clone(&art.operator) as Arc<dyn LinearOperator>,
-                    Arc::clone(&art.pc),
-                    art.partition.clone(),
-                    0.0,
-                )
-            } else {
-                let setup_t = probe::SectionTimer::start("lisi_setup");
-                let partition = st.build_partition()?;
-                let dist =
-                    DistCsrMatrix::from_local_rows(comm, partition.clone(), matrix.clone())?;
-                let op = Arc::new(MatOperator::new(dist));
-                let pc: Arc<dyn Preconditioner> =
-                    ksp.make_pc(op.as_ref()).map_err(LisiError::from)?.into();
-                let bytes = service::approx_csr_bytes(matrix.nnz(), partition.local_rows(rank));
-                svc.insert(
-                    key,
-                    Arc::new(RkspArtifact {
-                        partition: partition.clone(),
-                        operator: Arc::clone(&op),
-                        pc: Arc::clone(&pc),
-                    }),
-                    bytes,
-                );
-                (op as Arc<dyn LinearOperator>, pc, partition, setup_t.stop())
-            }
-        };
-        let local_rows = partition.local_rows(rank);
+    fn labels(options: &rkrylov::Options) -> (Option<String>, Option<String>, Option<f64>) {
+        let rtol = options.get_first(&["ksp_rtol", "tol", "rtol"]).and_then(|v| v.parse().ok());
+        (options.get("solver"), options.get("preconditioner"), rtol)
+    }
 
-        let rhs = st.require_rhs()?.to_vec();
-        let n_rhs = st.n_rhs;
-        let batch_width: usize = st
-            .options
-            .get("nrhs")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
-        let use_batch = (force_batch || batch_width >= 2) && n_rhs >= 1;
-        let solve_t = probe::SectionTimer::start("lisi_solve");
-        let mut report = SolveReport {
-            converged: true,
-            setup_seconds: setup_seconds + st.convert_seconds,
-            ..Default::default()
-        };
-        let mut cond_estimate = None;
-        let mut initial_residual = None;
-        let mut fold = |report: &mut SolveReport, res: &rkrylov::KspResult| {
-            cond_estimate = res.cond_estimate.or(cond_estimate);
-            initial_residual = Some(res.initial_residual);
+    fn build(
+        cfg: &RkspConfig,
+        comm: &Communicator,
+        partition: BlockRowPartition,
+        matrix: &CsrMatrix,
+    ) -> LisiResult<RkspArtifact> {
+        let dist = DistCsrMatrix::from_local_rows(comm, partition, matrix.clone())?;
+        let operator = Box::new(MatOperator::new(dist));
+        let pc = cfg.ksp.make_pc(operator.as_ref())?;
+        Ok(RkspArtifact { operator, pc })
+    }
+
+    fn build_matrix_free(
+        cfg: &RkspConfig,
+        _comm: &Communicator,
+        partition: BlockRowPartition,
+        port: LisiResult<Arc<dyn MatrixFreePort>>,
+    ) -> LisiResult<RkspArtifact> {
+        let port = port?;
+        let apply_port = Arc::clone(&port);
+        let shell = ShellOperator::new(partition, move |_, x, y| {
+            apply_port
+                .mat_mult(OperatorId::Matrix, x.local(), y.local_mut())
+                .map_err(|e| e.to_string())
+        });
+        let pc = if cfg.port_pc { Box::new(PortPc(port)) } else { cfg.ksp.make_pc(&shell)? };
+        Ok(RkspArtifact { operator: Box::new(shell), pc })
+    }
+
+    fn run(
+        art: &RkspArtifact,
+        cfg: RkspConfig,
+        comm: &Communicator,
+        rhs: &[f64],
+        x: &mut [f64],
+        n_rhs: usize,
+        batched: bool,
+    ) -> LisiResult<SolveInfo> {
+        let (op, pc) = (art.operator.as_ref(), art.pc.as_ref());
+        let (partition, rank) = (op.partition(), comm.rank());
+        let rows = partition.local_rows(rank);
+        let report = SolveReport { converged: true, ..Default::default() };
+        let mut info = SolveInfo { report, ..Default::default() };
+        let mut fold = |res: &rkrylov::KspResult| {
+            info.cond_estimate = res.cond_estimate.or(info.cond_estimate);
+            info.initial_residual = Some(res.initial_residual);
+            let report = &mut info.report;
             report.converged &= res.converged();
             report.iterations = report.iterations.max(res.iterations);
             report.residual = report.residual.max(res.final_residual);
@@ -225,75 +143,21 @@ impl RkspAdapter {
                 rkrylov::ConvergedReason::TimedOut => -5,
             };
         };
-        if use_batch {
+        if batched {
             // One batched call: fused multi-vector SpMV plus per-step
             // reductions batched across all columns (k collectives → 1).
-            probe::note("batch", format!("nrhs={n_rhs}"));
-            let results = ksp
-                .solve_batch_with_pc(
-                    comm,
-                    operator.as_ref(),
-                    pc.as_ref(),
-                    &rhs,
-                    solution,
-                    n_rhs,
-                )
-                .map_err(LisiError::from)?;
-            for res in &results {
-                fold(&mut report, res);
-            }
+            cfg.ksp.solve_batch_with_pc(comm, op, pc, rhs, x, n_rhs)?.iter().for_each(&mut fold);
         } else {
             for k in 0..n_rhs {
-                let b = DistVector::from_local(
-                    partition.clone(),
-                    rank,
-                    rhs[k * local_rows..(k + 1) * local_rows].to_vec(),
-                )?;
-                let mut x = DistVector::from_local(
-                    partition.clone(),
-                    rank,
-                    solution[k * local_rows..(k + 1) * local_rows].to_vec(),
-                )?;
-                let res = ksp
-                    .solve_with_pc(comm, operator.as_ref(), pc.as_ref(), &b, &mut x)
-                    .map_err(LisiError::from)?;
-                solution[k * local_rows..(k + 1) * local_rows].copy_from_slice(x.local());
-                fold(&mut report, &res);
+                let col = k * rows..(k + 1) * rows;
+                let b = DistVector::from_local(partition.clone(), rank, rhs[col.clone()].to_vec())?;
+                let mut xk =
+                    DistVector::from_local(partition.clone(), rank, x[col.clone()].to_vec())?;
+                fold(&cfg.ksp.solve_with_pc(comm, op, pc, &b, &mut xk)?);
+                x[col].copy_from_slice(xk.local());
             }
         }
-        report.solve_seconds = solve_t.stop();
-        crate::ledger::emit(
-            comm,
-            &crate::ledger::SolveInfo {
-                backend: Self::PACKAGE_NAME,
-                report: &report,
-                ksp: st.options.get("solver"),
-                pc: st.options.get("preconditioner"),
-                rtol: st
-                    .options
-                    .get_first(&["ksp_rtol", "tol", "rtol"])
-                    .and_then(|v| v.parse().ok()),
-                cond_estimate,
-                initial_residual,
-            },
-        );
-        report.write_into(status)?;
-        if report.converged {
-            Ok(())
-        } else {
-            Err(LisiError::Package(format!(
-                "RKSP did not converge (reason code {})",
-                report.reason
-            )))
-        }
-    }
-}
-
-impl SparseSolverPort for RkspAdapter {
-    super::lisi_common_methods!();
-
-    fn solve(&self, solution: &mut [f64], status: &mut [f64]) -> LisiResult<()> {
-        self.solve_impl(solution, status, false)
+        Ok(info)
     }
 }
 
@@ -301,6 +165,7 @@ impl SparseSolverPort for RkspAdapter {
 mod tests {
     use super::*;
     use crate::status::{SolveReport, STATUS_LEN};
+    use crate::{LisiError, SparseSolverPort};
     use rcomm::Universe;
     use rsparse::BlockRowPartition;
 

@@ -1,21 +1,22 @@
-//! The RMG (multigrid) adapter — the multilevel member of the family
+//! The RMG (multigrid) backend — the multilevel member of the family
 //! (paper §2.2 "multilevel method support"). The operator must be a
 //! square-grid discretization (`global_cols = m²`); the hierarchy is
-//! rebuilt per matrix epoch. The coarse solver is pluggable, which is how
-//! the recursion demo (`examples/multigrid_recursion.rs`) nests one LISI
-//! solver inside another (paper §5.2e).
+//! built once per session key. The coarse solver is pluggable, which is
+//! how the recursion demo (`examples/multigrid_recursion.rs`) nests one
+//! LISI solver inside another (paper §5.2e).
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use rcomm::Communicator;
 use rmg::{CoarseOperator, CoarseSolver, CycleType, Hierarchy, MgConfig, RmgSolver, Smoother};
-use rsparse::CsrMatrix;
+use rsparse::{BlockRowPartition, CsrMatrix, DistCsrMatrix};
 
+use super::pipeline::{set_parsed, Adapter, Backend};
 use crate::error::{LisiError, LisiResult};
-use crate::service::{self, SolverService};
+use crate::ledger::SolveInfo;
 use crate::state::LisiState;
 use crate::status::SolveReport;
-use crate::traits::SparseSolverPort;
 
 /// Session-cached setup: the partition and, on rank 0, the prebuilt
 /// multigrid hierarchy (the Galerkin coarse operators are by far the
@@ -23,8 +24,8 @@ use crate::traits::SparseSolverPort;
 /// pluggable coarse-grid *solver*, which binds per solve via
 /// [`MgConfig`], so caching it is safe even across instances with
 /// different coarse callbacks.
-struct RmgArtifact {
-    partition: rsparse::BlockRowPartition,
+pub struct RmgArtifact {
+    partition: BlockRowPartition,
     hierarchy: Option<Hierarchy>,
 }
 
@@ -32,25 +33,29 @@ struct RmgArtifact {
 pub type CoarseFn =
     dyn Fn(&CsrMatrix, &[f64]) -> Result<Vec<f64>, String> + Send + Sync + 'static;
 
-/// LISI over the RMG geometric multigrid package.
+/// The parsed option table plus the grid side the operator implies.
+pub struct RmgConfig {
+    grid_side: usize,
+    mg: MgConfig,
+}
+
+/// The RMG geometric multigrid package beneath the LISI port.
 #[derive(Default)]
-pub struct RmgAdapter {
-    state: Mutex<LisiState>,
+pub struct Rmg {
     coarse: Mutex<Option<Arc<CoarseFn>>>,
 }
 
-super::lisi_adapter_boilerplate!(RmgAdapter);
+/// LISI over the RMG geometric multigrid package.
+pub type RmgAdapter = Adapter<Rmg>;
 
 impl RmgAdapter {
-    const PACKAGE_NAME: &'static str = "rmg";
-
     /// Plug a coarse-grid solver callback (e.g. another LISI solver —
     /// recursion through the interface).
     pub fn set_coarse_solver(
         &self,
         f: impl Fn(&CsrMatrix, &[f64]) -> Result<Vec<f64>, String> + Send + Sync + 'static,
     ) {
-        *self.coarse.lock() = Some(Arc::new(f));
+        *self.backend.coarse.lock() = Some(Arc::new(f));
     }
 
     fn mg_config(state: &LisiState, coarse: Option<Arc<CoarseFn>>) -> LisiResult<MgConfig> {
@@ -59,12 +64,7 @@ impl RmgAdapter {
             cfg.cycle = match c.to_ascii_lowercase().as_str() {
                 "v" => CycleType::V,
                 "w" => CycleType::W,
-                other => {
-                    return Err(LisiError::BadParameter {
-                        key: "cycle".into(),
-                        reason: other.into(),
-                    })
-                }
+                other => return Err(LisiError::bad_parameter("cycle", other)),
             };
         }
         if let Some(s) = state.options.get("smoother") {
@@ -74,12 +74,7 @@ impl RmgAdapter {
                 },
                 "gs" | "gauss_seidel" => Smoother::GaussSeidel,
                 "sgs" | "sym_gs" => Smoother::SymGaussSeidel,
-                other => {
-                    return Err(LisiError::BadParameter {
-                        key: "smoother".into(),
-                        reason: other.into(),
-                    })
-                }
+                other => return Err(LisiError::bad_parameter("smoother", other)),
             };
         }
         if let Some(n) = state.options.get_parsed::<usize>("nu1") {
@@ -88,173 +83,90 @@ impl RmgAdapter {
         if let Some(n) = state.options.get_parsed::<usize>("nu2") {
             cfg.nu2 = n;
         }
-        if let Some(t) = state.options.get_first(&["tol", "rtol"]) {
-            cfg.rtol = t
-                .parse()
-                .map_err(|_| LisiError::BadParameter { key: "tol".into(), reason: t.clone() })?;
-        }
-        if let Some(m) = state.options.get_first(&["maxits", "max_cycles"]) {
-            cfg.max_cycles = m.parse().map_err(|_| LisiError::BadParameter {
-                key: "maxits".into(),
-                reason: m.clone(),
-            })?;
-        }
+        set_parsed(&state.options, &["tol", "rtol"], &mut cfg.rtol)?;
+        set_parsed(&state.options, &["maxits", "max_cycles"], &mut cfg.max_cycles)?;
         if let Some(f) = coarse {
             cfg.coarse = CoarseSolver::Callback(Box::new(move |a, b| f(a, b)));
         }
         Ok(cfg)
     }
+}
 
-    /// Multi-RHS entry point: the hierarchy is shared across all columns
-    /// either way; this delegates to the common path and records the
-    /// batch in the probe counters.
-    pub fn solve_batch(&self, solution: &mut [f64], status: &mut [f64]) -> LisiResult<()> {
-        self.solve_impl(solution, status, true)
-    }
+impl Backend for Rmg {
+    const NAME: &'static str = "rmg";
+    const GATHERS_TO_ROOT: bool = true;
+    type Config = RmgConfig;
+    type Artifact = RmgArtifact;
 
-    fn solve_impl(
-        &self,
-        solution: &mut [f64],
-        status: &mut [f64],
-        force_batch: bool,
-    ) -> LisiResult<()> {
-        let st = self.state.lock();
-        st.check_solve_buffers(solution, status)?;
-        if super::matrix_free_requested(&st) {
-            return Err(LisiError::Unsupported(
-                "RMG builds Galerkin coarse operators and needs assembled entries".into(),
-            ));
-        }
-        crate::ledger::arm();
-        let comm = st.comm()?;
-        let rank = comm.rank();
+    fn configure(&self, st: &LisiState) -> LisiResult<RmgConfig> {
         let n = st.global_cols.unwrap_or(0);
-        let m = (n as f64).sqrt().round() as usize;
-        if m * m != n {
+        let grid_side = (n as f64).sqrt().round() as usize;
+        if grid_side * grid_side != n {
             return Err(LisiError::Unsupported(format!(
                 "RMG requires a square-grid operator; {n} is not a perfect square"
             )));
         }
+        Ok(RmgConfig { grid_side, mg: RmgAdapter::mg_config(st, self.coarse.lock().clone())? })
+    }
 
-        // Admission, then the cohort-agreed warm/cold branch (see the
-        // RKSP adapter for the full rationale).
-        let svc = SolverService::global();
-        let ticket = svc.admit();
-        let admitted = comm.allgather(ticket.is_ok())?.into_iter().all(|ok| ok);
-        if !admitted {
-            return Err(ticket.err().unwrap_or_else(|| {
-                LisiError::Busy("a peer rank was refused admission".into())
-            }));
-        }
-        let _ticket = ticket.expect("cohort agreed all ranks were admitted");
+    fn labels(options: &rkrylov::Options) -> (Option<String>, Option<String>, Option<f64>) {
+        let rtol = options.get_first(&["tol", "rtol"]).and_then(|v| v.parse().ok());
+        (Some("multigrid".into()), options.get("smoother"), rtol)
+    }
 
-        let (matrix, _) = st.require_system()?;
-        let key = service::SessionKey {
-            backend: Self::PACKAGE_NAME,
-            rank,
-            size: comm.size(),
-            fingerprint: service::fingerprint(
-                rank,
-                comm.size(),
-                st.start_row.unwrap_or(0),
-                n,
-                matrix.row_ptr(),
-                matrix.col_idx(),
-                matrix.values(),
-                &st.options.dump(),
-            ),
-        };
-        let hit = svc.lookup::<RmgArtifact>(&key);
-        let warm = comm.allgather(hit.is_some())?.into_iter().all(|h| h);
-        svc.record_outcome(warm);
-        let (artifact, setup_seconds) = if warm {
-            (hit.expect("cohort agreed every rank hit"), 0.0)
-        } else {
-            // Cold: gather the system to rank 0 (multigrid here is the
-            // serial member of the family; see DESIGN.md) and build the
-            // hierarchy once — previously rebuilt per right-hand side,
-            // now amortized across every column and every warm solve.
-            let setup_t = probe::SectionTimer::start("lisi_setup");
-            let partition = st.build_partition()?;
-            let dist = rsparse::DistCsrMatrix::from_local_rows(
-                comm,
-                partition.clone(),
-                matrix.clone(),
-            )?;
-            let global = dist.gather_to_root(comm, 0)?;
-            let hierarchy = match &global {
-                Some(a) => Some(
-                    Hierarchy::build(a.clone(), m, CoarseOperator::Galerkin, 20, 1, None)
-                        .map_err(LisiError::from)?,
-                ),
-                None => None,
-            };
-            // The hierarchy's coarse operators sum to O(nnz) ×
-            // levels; bill rank 0 for the gathered footprint.
-            let bytes = if rank == 0 {
-                service::approx_csr_bytes(matrix.nnz().saturating_mul(comm.size()), n)
-            } else {
-                service::approx_csr_bytes(matrix.nnz(), partition.local_rows(rank))
-            };
-            let artifact = Arc::new(RmgArtifact { partition, hierarchy });
-            svc.insert(key, Arc::clone(&artifact) as Arc<_>, bytes);
-            (artifact, setup_t.stop())
-        };
-        let partition = artifact.partition.clone();
-        let local_rows = partition.local_rows(rank);
+    /// Gather the system to rank 0 (multigrid here is the serial member
+    /// of the family; see DESIGN.md) and build the hierarchy once, to be
+    /// shared by every column and every warm solve.
+    fn build(
+        cfg: &RmgConfig,
+        comm: &Communicator,
+        partition: BlockRowPartition,
+        matrix: &CsrMatrix,
+    ) -> LisiResult<RmgArtifact> {
+        let dist = DistCsrMatrix::from_local_rows(comm, partition.clone(), matrix.clone())?;
+        let hierarchy = dist
+            .gather_to_root(comm, 0)?
+            .map(|a| Hierarchy::build(a, cfg.grid_side, CoarseOperator::Galerkin, 20, 1, None))
+            .transpose()?;
+        Ok(RmgArtifact { partition, hierarchy })
+    }
 
-        let rhs = st.require_rhs()?;
-        let n_rhs = st.n_rhs;
-        let batch_width: usize =
-            st.options.get("nrhs").and_then(|v| v.parse().ok()).unwrap_or(1);
-        if (force_batch || batch_width >= 2) && n_rhs >= 1 {
-            probe::add(probe::Counter::RhsBatched, n_rhs as u64);
-            probe::note("batch", format!("nrhs={n_rhs}"));
-        }
-        let coarse = self.coarse.lock().clone();
-        let solve_t = probe::SectionTimer::start("lisi_solve");
-        let mut report = SolveReport {
-            converged: true,
-            setup_seconds: setup_seconds + st.convert_seconds,
-            reason: 1,
-            ..Default::default()
-        };
+    /// Rank 0 runs the cycles. Everything that can fail there — the
+    /// solver's own configuration check, the cycle, the coarse callback —
+    /// travels in the per-column `bcast`, so every rank returns the same
+    /// typed error instead of waiting for a rank that already left.
+    fn run(
+        art: &RmgArtifact,
+        cfg: RmgConfig,
+        comm: &Communicator,
+        rhs: &[f64],
+        x: &mut [f64],
+        n_rhs: usize,
+        _batched: bool,
+    ) -> LisiResult<SolveInfo> {
+        let rows = art.partition.local_rows(comm.rank());
+        let solver = art
+            .hierarchy
+            .as_ref()
+            .map(|h| RmgSolver::new(h.clone(), cfg.mg).map_err(LisiError::from));
+        let mut report = SolveReport { converged: true, reason: 1, ..Default::default() };
         for k in 0..n_rhs {
-            let b_local = &rhs[k * local_rows..(k + 1) * local_rows];
-            let b_full = comm.gatherv(0, b_local)?;
-            let x0_local = &solution[k * local_rows..(k + 1) * local_rows];
-            let x0_full = comm.gatherv(0, x0_local)?;
-            // Rank 0 runs the cycle; outcome (solution + stats) scatters.
-            let root_out: Option<(Vec<Vec<f64>>, usize, bool, f64)> = if comm.rank() == 0 {
-                let cfg = Self::mg_config(&st, coarse.clone())?;
-                let hierarchy =
-                    artifact.hierarchy.clone().expect("root holds the cached hierarchy");
-                let solver = RmgSolver::new(hierarchy, cfg).map_err(LisiError::from)?;
-                let mut x = x0_full.expect("root gathered the guess");
-                let res = solver.solve(&b_full.expect("root gathered rhs"), &mut x)
-                    .map_err(LisiError::from)?;
-                let chunks =
-                    (0..comm.size()).map(|r| x[partition.range(r)].to_vec()).collect();
-                Some((
-                    chunks,
-                    res.cycles,
-                    res.converged,
-                    res.relative_residual,
-                ))
-            } else {
-                None
+            let col = k * rows..(k + 1) * rows;
+            let b_full = comm.gatherv(0, &rhs[col.clone()])?;
+            let mut x_full = comm.gatherv(0, &x[col.clone()])?.unwrap_or_default();
+            let verdict = match &solver {
+                Some(solver) => solver.as_ref().map_err(LisiError::clone).and_then(|solver| {
+                    let res = solver.solve(&b_full.expect("root gathered rhs"), &mut x_full)?;
+                    Ok((res.cycles, res.converged, res.relative_residual))
+                }),
+                None => Ok((0, false, 0.0)),
             };
-            // Share stats, scatter solution.
-            let stats = comm.bcast(
-                0,
-                root_out
-                    .as_ref()
-                    .map(|(_, c, ok, r)| (*c, *ok, *r))
-                    .unwrap_or((0, false, 0.0)),
-            )?;
-            let mine = comm.scatter(0, root_out.map(|(chunks, _, _, _)| chunks))?;
-            solution[k * local_rows..(k + 1) * local_rows].copy_from_slice(&mine);
-            let (cycles, ok, rel) = stats;
+            // Share the verdict and stats, then scatter the solution.
+            let (cycles, ok, rel) = comm.bcast(0, verdict)??;
+            let chunks = solver.is_some().then(|| {
+                (0..comm.size()).map(|r| x_full[art.partition.range(r)].to_vec()).collect()
+            });
+            x[col].copy_from_slice(&comm.scatter(0, chunks)?);
             report.converged &= ok;
             report.iterations = report.iterations.max(cycles);
             report.residual = report.residual.max(rel);
@@ -262,36 +174,7 @@ impl RmgAdapter {
                 report.reason = -1;
             }
         }
-        report.solve_seconds = solve_t.stop();
-        crate::ledger::emit(
-            comm,
-            &crate::ledger::SolveInfo {
-                backend: Self::PACKAGE_NAME,
-                report: &report,
-                ksp: Some("multigrid".into()),
-                pc: st.options.get("smoother"),
-                rtol: st
-                    .options
-                    .get_first(&["tol", "rtol"])
-                    .and_then(|v| v.parse().ok()),
-                cond_estimate: None,
-                initial_residual: None,
-            },
-        );
-        report.write_into(status)?;
-        if report.converged {
-            Ok(())
-        } else {
-            Err(LisiError::Package("RMG did not converge".into()))
-        }
-    }
-}
-
-impl SparseSolverPort for RmgAdapter {
-    super::lisi_common_methods!();
-
-    fn solve(&self, solution: &mut [f64], status: &mut [f64]) -> LisiResult<()> {
-        self.solve_impl(solution, status, false)
+        Ok(SolveInfo { report, ..Default::default() })
     }
 }
 
@@ -299,6 +182,7 @@ impl SparseSolverPort for RmgAdapter {
 mod tests {
     use super::*;
     use crate::status::{SolveReport, STATUS_LEN};
+    use crate::SparseSolverPort;
     use rcomm::Universe;
     use rsparse::BlockRowPartition;
 

@@ -1,4 +1,4 @@
-//! The RSLU (SuperLU-like) direct-solver adapter. Demonstrates the part
+//! The RSLU (SuperLU-like) direct-solver backend. Demonstrates the part
 //! of LISI's design the paper worries most about (§5.1): auxiliary
 //! objects — the symbolic analysis and the LU factors — that live
 //! *between* calls and must be reused invisibly behind the common
@@ -7,169 +7,102 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use rcomm::Communicator;
 use rdirect::{DistRslu, Ordering, RsluOptions};
-use rsparse::{DistCsrMatrix, DistVector};
+use rsparse::{BlockRowPartition, CsrMatrix, DistCsrMatrix, DistVector};
 
+use super::pipeline::{set_parsed, Adapter, Backend};
 use crate::error::{LisiError, LisiResult};
-use crate::service::{self, SolverService};
+use crate::ledger::SolveInfo;
 use crate::state::LisiState;
 use crate::status::SolveReport;
-use crate::traits::SparseSolverPort;
 
-/// The between-calls auxiliary object of paper §5.1, now cached in the
-/// process-wide [`SolverService`]: the symbolic analysis + LU factors
-/// survive not just repeated solves on one component instance but any
-/// later instance presenting a fingerprint-identical system. The solver
-/// sits behind a mutex because triangular solves scratch internal
-/// buffers.
-struct RsluArtifact {
-    partition: rsparse::BlockRowPartition,
+/// The between-calls auxiliary object of paper §5.1, cached in the
+/// process-wide [`crate::SolverService`]: the symbolic analysis + LU
+/// factors survive not just repeated solves on one component instance
+/// but any later instance presenting a fingerprint-identical system.
+/// The solver sits behind a mutex because triangular solves scratch
+/// internal buffers.
+pub struct RsluArtifact {
+    partition: BlockRowPartition,
     solver: Mutex<DistRslu>,
 }
 
-/// LISI over the RSLU sparse direct package.
-#[derive(Default)]
-pub struct RsluAdapter {
-    state: Mutex<LisiState>,
+/// The parsed option table, and this solve's handle on the port's local
+/// rows for the residual check (shared with the port, pinned by nothing).
+pub struct RsluConfig {
+    options: RsluOptions,
+    matrix: Option<Arc<CsrMatrix>>,
 }
 
-super::lisi_adapter_boilerplate!(RsluAdapter);
+/// The RSLU sparse direct package beneath the LISI port.
+#[derive(Default)]
+pub struct Rslu;
 
-impl RsluAdapter {
-    const PACKAGE_NAME: &'static str = "rslu";
+/// LISI over the RSLU sparse direct package.
+pub type RsluAdapter = Adapter<Rslu>;
 
-    fn rslu_options(state: &LisiState) -> LisiResult<RsluOptions> {
+impl Backend for Rslu {
+    const NAME: &'static str = "rslu";
+    const GATHERS_TO_ROOT: bool = true;
+    type Config = RsluConfig;
+    type Artifact = RsluArtifact;
+
+    fn configure(&self, st: &LisiState) -> LisiResult<RsluConfig> {
         let mut opts = RsluOptions::default();
-        if let Some(o) = state.options.get_first(&["ordering", "permc_spec"]) {
-            opts.ordering = Ordering::parse(&o).ok_or_else(|| LisiError::BadParameter {
-                key: "ordering".into(),
-                reason: o.clone(),
-            })?;
+        if let Some(o) = st.options.get_first(&["ordering", "permc_spec"]) {
+            opts.ordering =
+                Ordering::parse(&o).ok_or_else(|| LisiError::bad_parameter("ordering", &*o))?;
         }
-        if let Some(t) = state.options.get_first(&["pivot_tol", "diag_pivot_thresh"]) {
-            opts.pivot_threshold = t.parse().map_err(|_| LisiError::BadParameter {
-                key: "pivot_tol".into(),
-                reason: t.clone(),
-            })?;
-        }
-        if let Some(r) = state.options.get_parsed::<bool>("refine") {
+        set_parsed(&st.options, &["pivot_tol", "diag_pivot_thresh"], &mut opts.pivot_threshold)?;
+        if let Some(r) = st.options.get_parsed::<bool>("refine") {
             opts.refine = r;
         }
-        if let Some(e) = state.options.get_parsed::<bool>("equil") {
+        if let Some(e) = st.options.get_parsed::<bool>("equil") {
             opts.equilibrate = e;
         }
-        Ok(opts)
+        Ok(RsluConfig { options: opts, matrix: st.matrix.get().cloned() })
     }
 
-    /// Multi-RHS entry point: the factorization is shared across all
-    /// columns either way (that is the point of a direct solver), so this
-    /// delegates to the common path and records the batch in the probe
-    /// counters so ledger attribution matches the other adapters.
-    pub fn solve_batch(&self, solution: &mut [f64], status: &mut [f64]) -> LisiResult<()> {
-        self.solve_impl(solution, status, true)
+    /// Gather, analyze and factor — the §5.1 auxiliary objects are built
+    /// exactly once per fingerprint and then live in the service.
+    fn build(
+        cfg: &RsluConfig,
+        comm: &Communicator,
+        partition: BlockRowPartition,
+        matrix: &CsrMatrix,
+    ) -> LisiResult<RsluArtifact> {
+        let dist = DistCsrMatrix::from_local_rows(comm, partition.clone(), matrix.clone())?;
+        let mut solver = DistRslu::new(cfg.options.clone());
+        solver.factorize(comm, &dist)?;
+        Ok(RsluArtifact { partition, solver: Mutex::new(solver) })
     }
 
-    fn solve_impl(
-        &self,
-        solution: &mut [f64],
-        status: &mut [f64],
-        force_batch: bool,
-    ) -> LisiResult<()> {
-        let st = self.state.lock();
-        st.check_solve_buffers(solution, status)?;
-        if super::matrix_free_requested(&st) {
-            return Err(LisiError::Unsupported(
-                "a direct solver cannot run matrix-free (it factors explicit entries)".into(),
-            ));
-        }
-        crate::ledger::arm();
-        let comm = st.comm()?;
+    /// The factorization is shared across all columns either way (that
+    /// is the point of a direct solver).
+    fn run(
+        art: &RsluArtifact,
+        cfg: RsluConfig,
+        comm: &Communicator,
+        rhs: &[f64],
+        x: &mut [f64],
+        n_rhs: usize,
+        _batched: bool,
+    ) -> LisiResult<SolveInfo> {
         let rank = comm.rank();
-
-        // Admission, then the cohort-agreed warm/cold branch (see the
-        // RKSP adapter for the full rationale: a refused or evicted rank
-        // must not strand its peers inside a collective).
-        let svc = SolverService::global();
-        let ticket = svc.admit();
-        let admitted = comm.allgather(ticket.is_ok())?.into_iter().all(|ok| ok);
-        if !admitted {
-            return Err(ticket.err().unwrap_or_else(|| {
-                LisiError::Busy("a peer rank was refused admission".into())
-            }));
-        }
-        let _ticket = ticket.expect("cohort agreed all ranks were admitted");
-
-        let (matrix, _) = st.require_system()?;
-        let key = service::SessionKey {
-            backend: Self::PACKAGE_NAME,
-            rank,
-            size: comm.size(),
-            fingerprint: service::fingerprint(
-                rank,
-                comm.size(),
-                st.start_row.unwrap_or(0),
-                st.global_cols.unwrap_or(0),
-                matrix.row_ptr(),
-                matrix.col_idx(),
-                matrix.values(),
-                &st.options.dump(),
-            ),
-        };
-        let hit = svc.lookup::<RsluArtifact>(&key);
-        let warm = comm.allgather(hit.is_some())?.into_iter().all(|h| h);
-        svc.record_outcome(warm);
-        let (artifact, setup_seconds) = if warm {
-            (hit.expect("cohort agreed every rank hit"), 0.0)
-        } else {
-            // Cold: gather, analyze and factor under the setup span —
-            // the §5.1 auxiliary objects are built exactly once per
-            // fingerprint and then live in the service.
-            let setup_t = probe::SectionTimer::start("lisi_setup");
-            let partition = st.build_partition()?;
-            let dist = DistCsrMatrix::from_local_rows(comm, partition.clone(), matrix.clone())?;
-            let mut solver = DistRslu::new(Self::rslu_options(&st)?);
-            solver.factorize(comm, &dist).map_err(LisiError::from)?;
-            // The factors live gathered on rank 0; bill that rank for
-            // the global footprint and the others for their local share.
-            let bytes = if rank == 0 {
-                service::approx_csr_bytes(
-                    matrix.nnz().saturating_mul(comm.size()),
-                    partition.global_rows(),
-                )
-            } else {
-                service::approx_csr_bytes(matrix.nnz(), partition.local_rows(rank))
-            };
-            let artifact = Arc::new(RsluArtifact { partition, solver: Mutex::new(solver) });
-            svc.insert(key, Arc::clone(&artifact) as Arc<_>, bytes);
-            (artifact, setup_t.stop())
-        };
-        let partition = artifact.partition.clone();
-        let local_rows = partition.local_rows(rank);
-
-        let rhs = st.require_rhs()?;
-        let n_rhs = st.n_rhs;
-        let batch_width: usize =
-            st.options.get("nrhs").and_then(|v| v.parse().ok()).unwrap_or(1);
-        if (force_batch || batch_width >= 2) && n_rhs >= 1 {
-            probe::add(probe::Counter::RhsBatched, n_rhs as u64);
-            probe::note("batch", format!("nrhs={n_rhs}"));
-        }
-        let mut solver = artifact.solver.lock();
-        let solve_t = probe::SectionTimer::start("lisi_solve");
+        let rows = art.partition.local_rows(rank);
+        let matrix = cfg.matrix.expect("run follows a build from the assembled rows");
+        let mut solver = art.solver.lock();
         let mut residual: f64 = 0.0;
         for k in 0..n_rhs {
-            let b = DistVector::from_local(
-                partition.clone(),
-                rank,
-                rhs[k * local_rows..(k + 1) * local_rows].to_vec(),
-            )?;
-            let x = solver.solve(comm, &partition, &b).map_err(LisiError::from)?;
-            solution[k * local_rows..(k + 1) * local_rows].copy_from_slice(x.local());
+            let col = k * rows..(k + 1) * rows;
+            let b = DistVector::from_local(art.partition.clone(), rank, rhs[col.clone()].to_vec())?;
+            let xk = solver.solve(comm, &art.partition, &b)?;
+            x[col].copy_from_slice(xk.local());
             // Global residual via the local rows (collective reduction).
-            let (matrix, _) = st.require_system()?;
-            let x_full = x.allgather_full(comm)?;
+            let x_full = xk.allgather_full(comm)?;
             let mut local_res = 0.0f64;
-            for lr in 0..local_rows {
+            for lr in 0..rows {
                 let (cols, vals) = matrix.row(lr);
                 let mut acc = b.local()[lr];
                 for (&c, &v) in cols.iter().zip(vals) {
@@ -180,39 +113,9 @@ impl RsluAdapter {
             let global: f64 = comm.allreduce(local_res, rcomm::sum)?;
             residual = residual.max(global.sqrt());
         }
-        let solve_seconds = solve_t.stop();
-
-        let report = SolveReport {
-            converged: true,
-            iterations: 0, // direct solve
-            residual,
-            setup_seconds: setup_seconds + st.convert_seconds,
-            solve_seconds,
-            reason: 1,
-            ..SolveReport::default()
-        };
-        crate::ledger::emit(
-            comm,
-            &crate::ledger::SolveInfo {
-                backend: Self::PACKAGE_NAME,
-                report: &report,
-                ksp: None,
-                pc: None,
-                rtol: None,
-                cond_estimate: None,
-                initial_residual: None,
-            },
-        );
-        report.write_into(status)?;
-        Ok(())
-    }
-}
-
-impl SparseSolverPort for RsluAdapter {
-    super::lisi_common_methods!();
-
-    fn solve(&self, solution: &mut [f64], status: &mut [f64]) -> LisiResult<()> {
-        self.solve_impl(solution, status, false)
+        // A direct solve reports zero iterations.
+        let report = SolveReport { converged: true, residual, reason: 1, ..Default::default() };
+        Ok(SolveInfo { report, ..Default::default() })
     }
 }
 
@@ -220,6 +123,7 @@ impl SparseSolverPort for RsluAdapter {
 mod tests {
     use super::*;
     use crate::status::{SolveReport, STATUS_LEN};
+    use crate::SparseSolverPort;
     use rcomm::Universe;
     use rsparse::BlockRowPartition;
 

@@ -29,31 +29,11 @@ pub const MATRIX_FREE_PORT: &str = "matrix-free";
 /// SIDL type of the matrix-free port.
 pub const MATRIX_FREE_PORT_TYPE: &str = "lisi.MatrixFree";
 
-/// Adapters that can accept a matrix-free port injection.
+/// Adapters that can accept a matrix-free port injection (implemented
+/// once, by the solve pipeline's generic adapter).
 pub trait MatrixFreeSink {
     /// Hand the application's `MatrixFree` port to the adapter.
     fn inject_matrix_free(&self, port: Arc<dyn MatrixFreePort>);
-}
-
-impl MatrixFreeSink for RkspAdapter {
-    fn inject_matrix_free(&self, port: Arc<dyn MatrixFreePort>) {
-        self.set_matrix_free(port);
-    }
-}
-impl MatrixFreeSink for RaztecAdapter {
-    fn inject_matrix_free(&self, port: Arc<dyn MatrixFreePort>) {
-        self.set_matrix_free(port);
-    }
-}
-impl MatrixFreeSink for RsluAdapter {
-    fn inject_matrix_free(&self, port: Arc<dyn MatrixFreePort>) {
-        self.set_matrix_free(port);
-    }
-}
-impl MatrixFreeSink for RmgAdapter {
-    fn inject_matrix_free(&self, port: Arc<dyn MatrixFreePort>) {
-        self.set_matrix_free(port);
-    }
 }
 
 /// The provides-port object: delegates to the adapter, and just before a

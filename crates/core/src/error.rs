@@ -33,6 +33,11 @@ pub enum LisiError {
 }
 
 impl LisiError {
+    /// A [`LisiError::BadParameter`] rejecting `key`.
+    pub(crate) fn bad_parameter(key: &str, reason: impl Into<String>) -> Self {
+        LisiError::BadParameter { key: key.into(), reason: reason.into() }
+    }
+
     /// The SIDL-style status code (`0` would be success; errors are
     /// negative, grouped by kind) — what the paper's `int` returns carry.
     pub fn code(&self) -> i32 {

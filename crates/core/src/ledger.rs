@@ -1,7 +1,7 @@
 //! The per-solve efficiency ledger.
 //!
 //! When armed (`RSPARSE_LEDGER` or the `set("ledger", path)` reserved
-//! port key), every adapter's `solve` fuses the static work models
+//! port key), the adapters' solve pipeline fuses the static work models
 //! ([`probe::model`]), the measured phase times and spans, convergence
 //! analytics from the Krylov recurrence, the rank×rank communication
 //! matrix and the cohort counters into one versioned
@@ -24,13 +24,15 @@ use crate::status::SolveReport;
 /// `rkrylov::KspConfig::default().rtol`).
 const DEFAULT_RTOL: f64 = 1e-8;
 
-/// Everything the adapter knows about the finished solve that the probe
-/// registry does not.
-pub struct SolveInfo<'a> {
+/// Everything the solve pipeline knows about the finished solve that the
+/// probe registry does not: a backend's `run` fills in the report and
+/// the analytics, the pipeline the names and the timings.
+#[derive(Default)]
+pub struct SolveInfo {
     /// Adapter package name (`rksp`, `raztec`, `rslu`, `rmg`).
     pub backend: &'static str,
     /// The report about to be written into the status vector.
-    pub report: &'a SolveReport,
+    pub report: SolveReport,
     /// Configured solver name, if the backend is iterative.
     pub ksp: Option<String>,
     /// Configured preconditioner name, if any.
@@ -57,7 +59,7 @@ pub fn arm() {
 /// destination is armed. Collective when armed (one barrier, so rank 0
 /// snapshots the registry only after every rank finished recording);
 /// rank 0 writes the document and embeds it for the postmortem writer.
-pub fn emit(comm: &Communicator, info: &SolveInfo<'_>) {
+pub fn emit(comm: &Communicator, info: &SolveInfo) {
     let Some(base) = probe::ledger::armed() else { return };
     if comm.barrier().is_err() {
         return;
@@ -104,9 +106,9 @@ fn opt_f64(v: Option<f64>) -> String {
 /// Build the ledger document from the probe registry plus the adapter's
 /// [`SolveInfo`]. Pure with respect to the registry snapshot, so tests
 /// can call it deterministically.
-pub fn assemble(ranks: usize, info: &SolveInfo<'_>) -> String {
+pub fn assemble(ranks: usize, info: &SolveInfo) -> String {
     let reports = probe::aggregate();
-    let rep = info.report;
+    let rep = &info.report;
 
     // Convergence analytics: geometric per-iteration residual reduction,
     // the Lanczos κ̂, and the preconditioner-quality ratio (estimated

@@ -408,7 +408,7 @@ impl ResilientSolver {
             (old_members, old_size, comm.rank(), shrunken, holder)
         };
         let (new_start, new_matrix, new_rhs) = {
-            let matrix = st.matrix.as_ref().ok_or_else(|| {
+            let matrix = st.matrix.get().ok_or_else(|| {
                 LisiError::BadPhase("cannot repartition before setupMatrix".into())
             })?;
             let rhs = st.rhs.as_deref().ok_or_else(|| {
@@ -458,8 +458,7 @@ impl ResilientSolver {
         st.comm = Some(shrunken);
         st.start_row = Some(new_start);
         st.local_rows = Some(new_rows);
-        st.matrix = Some(new_matrix);
-        st.matrix_epoch += 1;
+        st.matrix.set(new_matrix);
         st.rhs = Some(new_rhs);
         probe::note("cohort_size", (old_size - 1).to_string());
         let change = CohortChange {
@@ -504,7 +503,7 @@ impl ResilientSolver {
         for (k, v) in &spec.overrides {
             port.set(k, v)?;
         }
-        if let Some(m) = &st.matrix {
+        if let Some(m) = st.matrix.get() {
             // The state already holds the localized CSR form, whatever
             // format the application originally supplied.
             port.setup_matrix(m.values(), m.row_ptr(), m.col_idx(), SparseStruct::Csr)?;
@@ -581,12 +580,12 @@ impl SparseSolverPort for ResilientSolver {
         // single RHS; multi-RHS solves keep the retry/swap taxonomy only.
         rkrylov::checkpoint::clear_all();
         if st.n_rhs == 1 {
-            if let (Ok(comm), Some(m), Some(rhs)) = (st.comm(), st.matrix.as_ref(), st.rhs.as_ref())
+            if let (Ok(comm), Some(m), Some(rhs)) = (st.comm(), st.matrix.get(), st.rhs.as_ref())
             {
                 mirror::deposit(
                     comm.world_members()[comm.rank()],
                     st.start_row.unwrap_or(0),
-                    m.clone(),
+                    m.as_ref().clone(),
                     rhs.clone(),
                 );
             }
@@ -909,6 +908,50 @@ mod tests {
             );
         }
         out
+    }
+
+    /// The repartition after a lost rank is the matrix's second writer:
+    /// the digest the session key is built from must follow it.
+    #[test]
+    fn shrink_refreshes_the_matrix_digest() {
+        // Five ranks, the last one lost: world rank 4 is above every
+        // cohort the other tests in this binary mirror, so its slot in
+        // the process-wide mirror store is this test's alone.
+        let (p, lost, n) = (5usize, 4usize, 10usize);
+        let a = rsparse::generate::laplacian_1d(n);
+        let out = Universe::run(p, move |comm| {
+            let part = BlockRowPartition::even(n, p);
+            let block = |r: usize| {
+                let range = part.range(r);
+                (range.start, a.row_block(range.start, range.end).unwrap(), vec![1.0; range.len()])
+            };
+            if comm.rank() == (lost + 1) % p {
+                let (start, matrix, rhs) = block(lost);
+                mirror::deposit(lost, start, matrix, rhs);
+            }
+            if comm.rank() == lost {
+                return None;
+            }
+            let (start, matrix, rhs) = block(comm.rank());
+            let mut st = LisiState::new();
+            st.comm = Some(comm.dup().unwrap());
+            st.start_row = Some(start);
+            st.local_rows = Some(matrix.rows());
+            st.global_cols = Some(n);
+            st.ingest_rhs(&rhs, 1).unwrap();
+            st.matrix.set(matrix);
+            let before = st.matrix.digest();
+            ResilientSolver::shrink_after_loss(&mut st, lost).unwrap();
+            let m = st.matrix.get().unwrap();
+            assert_eq!(Some(m.rows()), st.local_rows);
+            let fresh = crate::service::matrix_digest(m.row_ptr(), m.col_idx(), m.values());
+            Some((before, st.matrix.digest(), fresh))
+        });
+        for (rank, digests) in out.into_iter().enumerate() {
+            let Some((before, after, fresh)) = digests else { continue };
+            assert_eq!(after, fresh, "rank {rank}: the stored digest is the new block's");
+            assert_ne!(after, before, "rank {rank}: the block changed, so did the digest");
+        }
     }
 
     #[test]

@@ -7,22 +7,27 @@
 //! ensembles. The expensive part of each solve is often not the Krylov
 //! iteration but the setup that precedes it: partition construction,
 //! halo-plan assembly, storage-format conversion, ILU factorization,
-//! sparse-direct symbolic analysis. [`SolverService`] lets adapters
-//! memoize those artifacts under a *session key* — a fingerprint of the
-//! matrix sparsity + values plus the solver options — so a second solve
-//! of an identical system skips setup entirely.
+//! sparse-direct symbolic analysis. [`SolverService`] lets the solve
+//! pipeline (`adapters/pipeline.rs`) memoize those artifacts under a
+//! *session key*, so a second solve of an identical system skips setup
+//! entirely.
 //!
 //! Three concerns live here:
 //!
-//! 1. **Keying.** [`fingerprint`] hashes the rank/size, the row range,
-//!    the local CSR structure and value bits, the solver option dump and
-//!    the active storage-format policy with FNV-1a. Any change to the
-//!    pattern, the values, the distribution or the configuration yields
-//!    a different key, so stale artifacts can never be served. The hit
-//!    or miss decision must be *rank-collective* (a warm rank skipping a
-//!    collective setup while a cold rank enters it would deadlock), so
-//!    adapters agree on hit/miss with an `allreduce` before branching —
-//!    see [`SolverService::lookup`]'s docs.
+//! 1. **Keying**, in two parts. [`matrix_digest`] is the O(nnz) part: an
+//!    FNV-1a hash of the local CSR pattern and value bits, computed once
+//!    where the matrix changes (the `LisiState` matrix setter) and stored
+//!    next to it. [`session_fingerprint`] is the O(1) part a solve pays:
+//!    it folds that digest with the rank/size, the row range, the option
+//!    dump, the active storage-format policy and the probe reset epoch.
+//!    Any change to the pattern, the values, the distribution or the
+//!    configuration yields a different key, so stale artifacts can never
+//!    be served. [`fingerprint`] composes the two for outside callers.
+//!    The hit or miss decision must be *rank-collective* (a warm rank
+//!    skipping a collective setup while a cold rank enters it would
+//!    deadlock), so the pipeline gathers every rank's `(admitted, hit)`
+//!    pair in one `allgather` before branching — see
+//!    [`SolverService::lookup`]'s docs.
 //! 2. **Budgeting.** Cached artifacts are byte-accounted and evicted in
 //!    least-recently-used order once the budget set by
 //!    `RSPARSE_SESSION_CACHE_MB` (default 64) is exceeded. Hits, misses
@@ -32,8 +37,9 @@
 //! 3. **Admission.** Each in-flight solve holds a [`SessionTicket`].
 //!    When `max_inflight` tickets are out, further callers wait in a
 //!    bounded queue; once the queue is full (or the wait times out) the
-//!    adapter returns [`LisiError::Busy`] (code `-7`) so callers can
-//!    back off instead of piling onto a saturated process. Limits come
+//!    solve returns [`LisiError::Busy`] (code `-7`) on every rank of the
+//!    cohort so callers can back off instead of piling onto a saturated
+//!    process. Limits come
 //!    from `RSPARSE_SESSION_MAX_INFLIGHT` / `RSPARSE_SESSION_QUEUE`
 //!    with defaults far above any rank-thread count used in tests, so
 //!    backpressure only engages when explicitly configured.
@@ -57,14 +63,50 @@ pub struct SessionKey {
     pub rank: usize,
     /// Cohort size the artifact was built for.
     pub size: usize,
-    /// [`fingerprint`] of the local matrix + options.
+    /// [`session_fingerprint`] of the local matrix digest + options.
     pub fingerprint: u64,
 }
 
-/// FNV-1a over the session-relevant state: rank/size, the owned row
-/// range, the local CSR pattern and value bits, the solver option dump
-/// and the active storage-format policy. Value *bits* (not rounded
-/// values) so that any numerical change — however small — is a miss.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a: fold `bytes` into the running hash `h`.
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// The O(nnz) part of a session key: FNV-1a over the local CSR pattern
+/// and value *bits* (not rounded values), so that any numerical change —
+/// however small — is a miss. Computed where the matrix changes, never
+/// per solve.
+pub fn matrix_digest(row_ptr: &[usize], col_idx: &[usize], values: &[f64]) -> u64 {
+    let indices = row_ptr.iter().chain(col_idx).map(|&i| i as u64);
+    let words = indices.chain(values.iter().map(|v| v.to_bits()));
+    words.fold(FNV_OFFSET, |h, w| fnv(h, &w.to_le_bytes()))
+}
+
+/// The per-solve part of a session key: a stored [`matrix_digest`]
+/// folded with the rank/size, the owned row range, the solver option
+/// dump and the active storage-format policy.
+pub fn session_fingerprint(
+    matrix_digest: u64,
+    rank: usize,
+    size: usize,
+    start_row: usize,
+    global_cols: usize,
+    options_dump: &str,
+) -> u64 {
+    let words = [matrix_digest, rank as u64, size as u64, start_row as u64, global_cols as u64];
+    let h = words.iter().fold(FNV_OFFSET, |h, w| fnv(h, &w.to_le_bytes()));
+    let h = fnv(h, options_dump.as_bytes());
+    let h = fnv(h, rsparse::autotune::active_policy().name().as_bytes());
+    // A probe reset wipes registered kernel work models; folding the
+    // reset epoch in forces the next solve cold so setup re-registers
+    // them (a warm solve would assemble a ledger with no kernel rows).
+    fnv(h, &probe::reset_epoch().to_le_bytes())
+}
+
+/// [`session_fingerprint`] over a freshly computed [`matrix_digest`] —
+/// the whole key in one call, for callers that hold raw arrays.
 #[allow(clippy::too_many_arguments)]
 pub fn fingerprint(
     rank: usize,
@@ -76,34 +118,8 @@ pub fn fingerprint(
     values: &[f64],
     options_dump: &str,
 ) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    for word in [rank as u64, size as u64, start_row as u64, global_cols as u64] {
-        eat(&word.to_le_bytes());
-    }
-    for &p in row_ptr {
-        eat(&(p as u64).to_le_bytes());
-    }
-    for &c in col_idx {
-        eat(&(c as u64).to_le_bytes());
-    }
-    for &v in values {
-        eat(&v.to_bits().to_le_bytes());
-    }
-    eat(options_dump.as_bytes());
-    eat(rsparse::autotune::active_policy().name().as_bytes());
-    // A probe reset wipes registered kernel work models; folding the
-    // reset epoch in forces the next solve cold so setup re-registers
-    // them (a warm solve would assemble a ledger with no kernel rows).
-    eat(&probe::reset_epoch().to_le_bytes());
-    h
+    let digest = matrix_digest(row_ptr, col_idx, values);
+    session_fingerprint(digest, rank, size, start_row, global_cols, options_dump)
 }
 
 struct Entry {
@@ -242,14 +258,15 @@ impl SolverService {
     }
 
     /// Look up a cached artifact without touching the hit/miss counters
-    /// (counting is deferred until the cohort has *agreed* on warm vs
-    /// cold — see [`Self::record_outcome`]). Bumps LRU recency on hit.
+    /// (the pipeline counts one hit or one miss per rank per solve, once
+    /// the cohort has *agreed* on warm vs cold). Bumps LRU recency on hit.
     ///
     /// Rank-collective protocols must not branch on this result alone:
     /// if eviction removed one rank's entry but not its peers', a warm
     /// rank would skip a collective setup the cold rank enters and the
-    /// cohort deadlocks. Adapters therefore `allreduce` (logical-and)
-    /// the per-rank hit flag and only take the warm path when *every*
+    /// cohort deadlocks. The solve pipeline therefore gathers the
+    /// per-rank hit flag (in the same `allgather` that carries the
+    /// admission verdict) and only takes the warm path when *every*
     /// rank hit.
     pub fn lookup<T: Send + Sync + 'static>(&self, key: &SessionKey) -> Option<Arc<T>> {
         let mut inner = self.inner.lock();
@@ -258,16 +275,6 @@ impl SolverService {
         let entry = inner.entries.get_mut(key)?;
         entry.last_use = tick;
         entry.value.clone().downcast::<T>().ok()
-    }
-
-    /// Record the cohort-agreed outcome of a lookup in the probe
-    /// counters: one hit or one miss per rank per solve.
-    pub fn record_outcome(&self, warm: bool) {
-        if warm {
-            probe::incr(probe::Counter::SessionCacheHits);
-        } else {
-            probe::incr(probe::Counter::SessionCacheMisses);
-        }
     }
 
     /// Insert an artifact (size `bytes`), then evict least-recently-used
@@ -421,5 +428,9 @@ mod tests {
         assert_ne!(base, fingerprint(0, 2, 0, 8, &[0, 2], &[0, 2], &[1.0, 2.0], "cg"));
         assert_ne!(base, fingerprint(0, 2, 0, 8, &[0, 2], &[0, 1], &[1.0, 2.0], "gmres"));
         assert_ne!(base, fingerprint(1, 2, 4, 8, &[0, 2], &[0, 1], &[1.0, 2.0], "cg"));
+        // The two halves compose: a stored digest keys the same session.
+        let digest = matrix_digest(&[0, 2], &[0, 1], &[1.0, 2.0]);
+        assert_eq!(base, session_fingerprint(digest, 0, 2, 0, 8, "cg"));
+        assert_ne!(digest, matrix_digest(&[0, 2], &[0, 1], &[1.0, -2.0]));
     }
 }

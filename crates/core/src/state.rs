@@ -13,6 +13,36 @@ use crate::error::{LisiError, LisiResult};
 use crate::traits::MatrixFreePort;
 use crate::types::SparseStruct;
 
+/// The assembled local matrix together with the digest of its arrays
+/// (the O(nnz) part of the session key). The fields are private so the
+/// digest cannot go stale: [`HashedMatrix::set`] is the only writer.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct HashedMatrix {
+    csr: Option<Arc<CsrMatrix>>,
+    digest: u64,
+}
+
+impl HashedMatrix {
+    /// Store `matrix` and hash it — the one place a solve's O(nnz)
+    /// keying cost is paid.
+    pub fn set(&mut self, matrix: CsrMatrix) {
+        self.digest =
+            crate::service::matrix_digest(matrix.row_ptr(), matrix.col_idx(), matrix.values());
+        self.csr = Some(Arc::new(matrix));
+    }
+
+    /// The stored matrix, if one was set up. Shared, so a solve can hold
+    /// on to the rows (RSLU's residual check) without a copy.
+    pub fn get(&self) -> Option<&Arc<CsrMatrix>> {
+        self.csr.as_ref()
+    }
+
+    /// [`crate::service::matrix_digest`] of the stored matrix.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+}
+
 /// Mutable state behind every adapter's interior mutability.
 pub struct LisiState {
     /// The solver-owned communicator (set by `initialize`).
@@ -27,11 +57,9 @@ pub struct LisiState {
     pub local_nnz: Option<usize>,
     /// Global column count.
     pub global_cols: Option<usize>,
-    /// Converted local matrix (local rows × global cols), if assembled.
-    pub matrix: Option<CsrMatrix>,
-    /// Incremented on every successful matrix setup, so adapters know
-    /// when cached factorizations/preconditioners go stale.
-    pub matrix_epoch: u64,
+    /// Converted local matrix (local rows × global cols), if assembled,
+    /// with its digest.
+    pub matrix: HashedMatrix,
     /// Local right-hand-side storage (column-major for multiple RHS).
     pub rhs: Option<Vec<f64>>,
     /// Number of right-hand sides.
@@ -53,8 +81,7 @@ impl Default for LisiState {
             local_rows: None,
             local_nnz: None,
             global_cols: None,
-            matrix: None,
-            matrix_epoch: 0,
+            matrix: HashedMatrix::default(),
             rhs: None,
             n_rhs: 1,
             options: rkrylov::Options::new(),
@@ -71,8 +98,7 @@ impl std::fmt::Debug for LisiState {
             .field("start_row", &self.start_row)
             .field("local_rows", &self.local_rows)
             .field("global_cols", &self.global_cols)
-            .field("has_matrix", &self.matrix.is_some())
-            .field("matrix_epoch", &self.matrix_epoch)
+            .field("has_matrix", &self.matrix.get().is_some())
             .field("n_rhs", &self.n_rhs)
             .finish()
     }
@@ -204,8 +230,7 @@ impl LisiState {
         if matrix.cols() != global_cols {
             return Err(LisiError::InvalidInput("converted width mismatch".into()));
         }
-        self.matrix = Some(matrix);
-        self.matrix_epoch += 1;
+        self.matrix.set(matrix);
         self.convert_seconds += t0.elapsed().as_secs_f64();
         Ok(())
     }
@@ -345,16 +370,12 @@ impl LisiState {
     }
 
     /// The assembled system, or the phase error.
-    pub fn require_system(&self) -> LisiResult<(&CsrMatrix, &[f64])> {
+    pub fn require_system(&self) -> LisiResult<(&Arc<CsrMatrix>, &[f64])> {
         let m = self
             .matrix
-            .as_ref()
+            .get()
             .ok_or_else(|| LisiError::BadPhase("setupMatrix must precede solve".into()))?;
-        let b = self
-            .rhs
-            .as_deref()
-            .ok_or_else(|| LisiError::BadPhase("setupRHS must precede solve".into()))?;
-        Ok((m, b))
+        Ok((m, self.require_rhs()?))
     }
 
     /// The RHS alone (matrix-free solves have no assembled matrix).
@@ -362,6 +383,18 @@ impl LisiState {
         self.rhs
             .as_deref()
             .ok_or_else(|| LisiError::BadPhase("setupRHS must precede solve".into()))
+    }
+
+    /// Is the matrix-free mode requested (`matrix_free=true`)?
+    pub fn matrix_free_requested(&self) -> bool {
+        self.options.get_parsed::<bool>("matrix_free").unwrap_or(false)
+    }
+
+    /// The application's matrix-free port, or the phase error.
+    pub fn require_matrix_free(&self) -> LisiResult<Arc<dyn MatrixFreePort>> {
+        self.matrix_free.clone().ok_or_else(|| {
+            LisiError::BadPhase("matrix_free=true but no MatrixFree port is connected".into())
+        })
     }
 
     /// Validate a caller-provided solution/status buffer pair.
@@ -479,16 +512,35 @@ mod tests {
             0,
         )
         .unwrap();
-        let m = st.matrix.as_ref().unwrap();
+        let m = st.matrix.get().unwrap();
         assert_eq!(m.shape(), (2, 5));
         assert_eq!(m.get(0, 0), 1.0);
         assert_eq!(m.get(1, 3), 2.0);
         assert_eq!(m.get(1, 4), 3.0);
-        assert_eq!(st.matrix_epoch, 1);
         // A row outside [2, 4) is rejected.
         assert!(st
             .ingest_matrix(&[1.0], &[0], &[0], SparseStruct::Coo, 0)
             .is_err());
+    }
+
+    #[test]
+    fn ingest_refreshes_the_matrix_digest() {
+        let digest_of = |m: &CsrMatrix| {
+            crate::service::matrix_digest(m.row_ptr(), m.col_idx(), m.values())
+        };
+        let mut st = seeded_state(0, 2, 2);
+        assert!(st.matrix.get().is_none());
+        st.ingest_matrix(&[1.0, 2.0], &[0, 1], &[0, 1], SparseStruct::Coo, 0).unwrap();
+        let first = st.matrix.digest();
+        assert_eq!(first, digest_of(st.matrix.get().unwrap()));
+        // Same pattern, one value bit changed: the stored digest follows.
+        st.ingest_matrix(&[1.0, 2.5], &[0, 1], &[0, 1], SparseStruct::Coo, 0).unwrap();
+        assert_ne!(st.matrix.digest(), first);
+        assert_eq!(st.matrix.digest(), digest_of(st.matrix.get().unwrap()));
+        // A rejected ingest leaves matrix and digest as they were.
+        let kept = st.matrix.clone();
+        assert!(st.ingest_matrix(&[1.0], &[7], &[0], SparseStruct::Coo, 0).is_err());
+        assert_eq!(st.matrix, kept);
     }
 
     #[test]
@@ -515,7 +567,7 @@ mod tests {
             1,
         )
         .unwrap();
-        let m = st.matrix.as_ref().unwrap();
+        let m = st.matrix.get().unwrap();
         assert_eq!(m.get(0, 0), 1.0);
         assert_eq!(m.get(0, 2), 2.0);
         assert_eq!(m.get(1, 1), 3.0);
@@ -530,7 +582,7 @@ mod tests {
         let val = [5.0, 6.0, 0.0, 1.0];
         let ja = [3usize, 4, 4, 0];
         st.ingest_matrix(&val, &[], &ja, SparseStruct::Msr, 0).unwrap();
-        let m = st.matrix.as_ref().unwrap();
+        let m = st.matrix.get().unwrap();
         assert_eq!(m.get(0, 2), 5.0);
         assert_eq!(m.get(0, 0), 1.0);
         assert_eq!(m.get(1, 3), 6.0);
@@ -545,7 +597,7 @@ mod tests {
         st.block_size = 2;
         st.ingest_matrix(&[1.0, 2.0, 3.0, 4.0], &[0, 1], &[1], SparseStruct::Vbr, 0)
             .unwrap();
-        let m = st.matrix.as_ref().unwrap();
+        let m = st.matrix.get().unwrap();
         assert_eq!(m.get(0, 2), 1.0);
         assert_eq!(m.get(1, 2), 2.0);
         assert_eq!(m.get(0, 3), 3.0);
@@ -567,7 +619,7 @@ mod tests {
         let values: Vec<f64> = e.iter().chain(e.iter()).copied().collect();
         let conn = [0usize, 1, 1, 2];
         st.ingest_matrix(&values, &[], &conn, SparseStruct::Fem, 0).unwrap();
-        let m = st.matrix.as_ref().unwrap();
+        let m = st.matrix.get().unwrap();
         assert_eq!(m.get(1, 1), 2.0);
         assert_eq!(m.get(0, 1), -1.0);
         // Parallel FEM is rejected.

@@ -45,23 +45,29 @@ pub trait SparseSolverPort: Send + Sync {
     fn set_global_cols(&self, cols: usize) -> LisiResult<()>;
 
     /// `setupMatrix[few_args]`: COO triplets with global row and column
-    /// indices, 0-based.
+    /// indices, 0-based. By default the large-args overload with
+    /// `structure = Coo`.
     fn setup_matrix_coo(
         &self,
         values: &[f64],
         rows: &[usize],
         columns: &[usize],
-    ) -> LisiResult<()>;
+    ) -> LisiResult<()> {
+        self.setup_matrix_offset(values, rows, columns, SparseStruct::Coo, 0)
+    }
 
     /// `setupMatrix[media_args]`: arrays interpreted per `structure`
     /// (see [`SparseStruct`] for the per-format array roles), 0-based.
+    /// By default the large-args overload with `offset = 0`.
     fn setup_matrix(
         &self,
         values: &[f64],
         rows: &[usize],
         columns: &[usize],
         structure: SparseStruct,
-    ) -> LisiResult<()>;
+    ) -> LisiResult<()> {
+        self.setup_matrix_offset(values, rows, columns, structure, 0)
+    }
 
     /// `setupMatrix[large_args]`: like `setup_matrix` with an index base
     /// `offset` applied to all indices (1 for Fortran-style callers).
@@ -89,14 +95,23 @@ pub trait SparseSolverPort: Send + Sync {
     /// stored and passed to the package, which may ignore them.
     fn set(&self, key: &str, value: &str) -> LisiResult<()>;
 
-    /// Generic integer parameter (e.g. `"maxits"`, `"restart"`).
-    fn set_int(&self, key: &str, value: i64) -> LisiResult<()>;
+    /// Generic integer parameter (e.g. `"maxits"`, `"restart"`). The
+    /// typed setters are by default [`set`](Self::set) with the value
+    /// spelled as `rkrylov::Options`' typed setters spell it, so a key
+    /// means the same through every one of them.
+    fn set_int(&self, key: &str, value: i64) -> LisiResult<()> {
+        self.set(key, &value.to_string())
+    }
 
     /// Generic boolean parameter (e.g. `"refine"`).
-    fn set_bool(&self, key: &str, value: bool) -> LisiResult<()>;
+    fn set_bool(&self, key: &str, value: bool) -> LisiResult<()> {
+        self.set(key, if value { "true" } else { "false" })
+    }
 
     /// Generic floating-point parameter (e.g. `"tol"`).
-    fn set_double(&self, key: &str, value: f64) -> LisiResult<()>;
+    fn set_double(&self, key: &str, value: f64) -> LisiResult<()> {
+        self.set(key, &format!("{value:e}"))
+    }
 
     /// Dump every parameter currently set, one `key=value` per line —
     /// the paper's `get_all`.

@@ -9,7 +9,10 @@
 
 use proptest::prelude::*;
 
-use lisi::{RkspAdapter, RsluAdapter, SparseSolverPort, SparseStruct, STATUS_LEN};
+use lisi::{
+    LisiResult, RaztecAdapter, RkspAdapter, RmgAdapter, RsluAdapter, SparseSolverPort,
+    SparseStruct, STATUS_LEN,
+};
 use rcomm::Universe;
 use rsparse::{generate, BlockRowPartition, CsrMatrix};
 
@@ -246,5 +249,127 @@ fn warm_second_session_performs_zero_setup() {
             "rank {rank}: warm solve never opened the lisi_setup span"
         );
         assert!(bitwise, "rank {rank}: warm solve reproduces the cold bits");
+    }
+}
+
+/// What the probe saw on this rank so far: session-cache hits and
+/// misses, `lisi_setup` spans opened, allgathers posted, columns counted
+/// as batched.
+fn session_snapshot() -> [u64; 5] {
+    let rep = probe::local_report();
+    [
+        rep.counter(probe::Counter::SessionCacheHits),
+        rep.counter(probe::Counter::SessionCacheMisses),
+        rep.span("lisi_setup").map(|s| s.calls).unwrap_or(0),
+        rep.counter(probe::Counter::Allgathers),
+        rep.counter(probe::Counter::RhsBatched),
+    ]
+}
+
+/// The solve pipeline's contract, for one backend on `p` ranks. Each
+/// step wires a fresh adapter (`new`) over the same row blocks of a 15×15
+/// grid Laplacian, so what carries over between steps is the
+/// process-wide session cache and nothing else.
+fn pipeline_contract<A: SparseSolverPort>(
+    name: &'static str,
+    p: usize,
+    new: fn() -> A,
+    solve_batch: fn(&A, &mut [f64], &mut [f64]) -> LisiResult<()>,
+    opts: &'static [(&'static str, &'static str)],
+) {
+    let n_side = 15usize;
+    let n = n_side * n_side;
+    let a = generate::laplacian_2d(n_side);
+    let b: Vec<f64> = (0..2 * n).map(|i| 1.0 + (i % 3) as f64).collect();
+    Universe::run(p, move |comm| {
+        probe::set_forced(true);
+        let rank = comm.rank();
+        let range = BlockRowPartition::even(n, comm.size()).range(rank);
+        let rows = range.len();
+        let local = a.row_block(range.start, range.end).unwrap();
+        let tag = format!("contract_{name}_{p}");
+        // Wire an adapter over `scale`·A with `extra` options on top of
+        // the backend's own, then solve `k` columns; returns the solution
+        // and what the solve alone added to the probe's counts.
+        let solve = |scale: f64, extra: &[(&str, &str)], k: usize, batch: bool| {
+            let solver = new();
+            solver.initialize(comm.dup().unwrap()).unwrap();
+            solver.set_start_row(range.start).unwrap();
+            solver.set_local_rows(rows).unwrap();
+            solver.set_global_cols(n).unwrap();
+            solver.set("session_tag", &tag).unwrap();
+            for (key, value) in opts.iter().chain(extra) {
+                solver.set(key, value).unwrap();
+            }
+            let values: Vec<f64> = local.values().iter().map(|v| scale * v).collect();
+            solver
+                .setup_matrix(&values, local.row_ptr(), local.col_idx(), SparseStruct::Csr)
+                .unwrap();
+            let mut rhs = Vec::with_capacity(k * rows);
+            for j in 0..k {
+                rhs.extend_from_slice(&b[j * n..][range.clone()]);
+            }
+            solver.setup_rhs(&rhs, k).unwrap();
+            let mut x = vec![0.0; k * rows];
+            let mut status = [0.0; STATUS_LEN];
+            let before = session_snapshot();
+            if batch {
+                solve_batch(&solver, &mut x, &mut status).unwrap();
+            } else {
+                solver.solve(&mut x, &mut status).unwrap();
+            }
+            let after = session_snapshot();
+            let bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+            (bits, std::array::from_fn::<u64, 5, _>(|i| after[i] - before[i]))
+        };
+        let ctx = format!("{name} on {p} ranks, rank {rank}");
+
+        let (x_cold, cold) = solve(1.0, &[], 1, false);
+        assert_eq!(cold[..2], [0, 1], "{ctx}: the first solve is a miss");
+        assert!(cold[2] > 0, "{ctx}: the first solve opens lisi_setup");
+        let (x_warm, warm) = solve(1.0, &[], 1, false);
+        assert_eq!(warm[..3], [1, 0, 0], "{ctx}: the second solve is a hit with no set-up");
+        assert_eq!(x_warm, x_cold, "{ctx}: warm and cold solutions agree bit for bit");
+        if name == "rksp" {
+            // RKSP's CG gathers nothing, so what is left is the session
+            // layer's own traffic: one agreement.
+            assert_eq!(warm[3], 1, "{ctx}: a warm re-solve posts one allgather");
+        }
+        let (_, new_values) = solve(2.0, &[], 1, false);
+        assert_eq!(new_values[..2], [0, 1], "{ctx}: same pattern, new values is a miss");
+        let (_, new_option) = solve(1.0, &[("contract_extra", "1")], 1, false);
+        assert_eq!(new_option[..2], [0, 1], "{ctx}: a changed option is a miss");
+
+        // `solve_batch` and `solve` under `nrhs ≥ 2` are one path: both
+        // count their columns as batched and agree bit for bit.
+        let (x_batch, batch) = solve(1.0, &[], 2, true);
+        let (x_nrhs, nrhs) = solve(1.0, &[("nrhs", "2")], 2, false);
+        assert_eq!((batch[4], nrhs[4]), (2, 2), "{ctx}: both entries batch two columns");
+        assert_eq!(x_batch, x_nrhs, "{ctx}: solve_batch and nrhs=2 agree bit for bit");
+        assert_eq!(batch[..3], [1, 0, 0], "{ctx}: a batch reuses the single solve's set-up");
+    });
+}
+
+/// One contract for all four backends: warm/cold agreement, keying, and
+/// the batched entry points behave the same whichever package runs.
+#[test]
+fn pipeline_contract_holds_for_every_backend() {
+    for p in [1usize, 3] {
+        pipeline_contract(
+            "rksp",
+            p,
+            RkspAdapter::new,
+            RkspAdapter::solve_batch,
+            &[("solver", "cg"), ("preconditioner", "jacobi"), ("tol", "1e-10")],
+        );
+        pipeline_contract(
+            "raztec",
+            p,
+            RaztecAdapter::new,
+            RaztecAdapter::solve_batch,
+            &[("solver", "cg"), ("preconditioner", "jacobi"), ("tol", "1e-10")],
+        );
+        pipeline_contract("rslu", p, RsluAdapter::new, RsluAdapter::solve_batch, &[]);
+        pipeline_contract("rmg", p, RmgAdapter::new, RmgAdapter::solve_batch, &[("tol", "1e-9")]);
     }
 }

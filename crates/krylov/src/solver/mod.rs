@@ -610,7 +610,6 @@ impl Ksp {
         let _trace = probe::trace::solve_guard();
         let _span = probe::span!("ksp_solve");
         let cfg = &self.config;
-        probe::add(probe::Counter::RhsBatched, k as u64);
         {
             use probe::model::{register, KernelModel, TimeBase, WorkUnit};
             let n = op.partition().local_rows(comm.rank()) as u64;

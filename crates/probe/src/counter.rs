@@ -121,8 +121,8 @@ pub enum Counter {
     /// Cached sessions evicted to respect the LRU byte budget
     /// (`RSPARSE_SESSION_CACHE_MB`).
     SessionCacheEvictions,
-    /// Right-hand sides solved through the batched (multi-RHS) drivers;
-    /// each `solve_batch` adds its column count.
+    /// Right-hand sides solved as a batch through the LISI port; each
+    /// batched solve adds its column count.
     RhsBatched,
 }
 

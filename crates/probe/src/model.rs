@@ -131,7 +131,7 @@ const STREAM_LEN: usize = 1 << 22;
 const STREAM_REPS: usize = 3;
 
 /// Run the copy/triad calibration now (a few hundred milliseconds) and
-/// return the best-of-[`STREAM_REPS`] bandwidths.
+/// return the best-of-`STREAM_REPS` bandwidths.
 pub fn calibrate() -> Roofline {
     let mut a = vec![1.0f64; STREAM_LEN];
     let b = vec![2.0f64; STREAM_LEN];

@@ -4,8 +4,8 @@
 
 use cca_lisi::comm::Universe;
 use cca_lisi::lisi::{
-    LisiError, RaztecAdapter, RkspAdapter, RsluAdapter, SparseSolverPort, SparseStruct,
-    STATUS_LEN,
+    LisiError, RaztecAdapter, RkspAdapter, RmgAdapter, RsluAdapter, SparseSolverPort,
+    SparseStruct, STATUS_LEN,
 };
 
 type MakePort = Box<dyn Fn() -> Box<dyn SparseSolverPort> + Sync>;
@@ -159,4 +159,100 @@ fn bad_parameters_surface_before_any_work() {
         s.solve(&mut x, &mut st).unwrap_err()
     });
     assert!(matches!(&out[0], LisiError::BadParameter { .. }));
+}
+
+/// Run a two-rank solve that must fail, and fail *together*: every rank
+/// returns an error of the same variant, and nobody is left waiting in a
+/// collective for a peer that already returned (which would take the
+/// comm layer's 30 s deadlock watchdog to notice).
+fn fails_together(
+    solve: impl Fn(&cca_lisi::comm::Communicator) -> LisiError + Sync,
+) -> Vec<LisiError> {
+    let started = std::time::Instant::now();
+    let errs = Universe::run(2, |comm| solve(comm));
+    let took = started.elapsed();
+    assert!(took < std::time::Duration::from_secs(2), "a rank was stranded: took {took:?}");
+    assert_eq!(
+        std::mem::discriminant(&errs[0]),
+        std::mem::discriminant(&errs[1]),
+        "ranks disagree: {errs:?}"
+    );
+    errs
+}
+
+/// A two-rank RMG solve of the 7×7 grid Laplacian, prepared by `prepare`,
+/// that must fail.
+fn failing_rmg_solve(prepare: impl Fn(&RmgAdapter) + Sync) -> Vec<LisiError> {
+    let a = cca_lisi::sparse::generate::laplacian_2d(7);
+    fails_together(|comm| {
+        let range = cca_lisi::sparse::BlockRowPartition::even(49, 2).range(comm.rank());
+        let local = a.row_block(range.start, range.end).unwrap();
+        let s = RmgAdapter::new();
+        s.initialize(comm.dup().unwrap()).unwrap();
+        s.set_start_row(range.start).unwrap();
+        s.set_local_rows(range.len()).unwrap();
+        s.set_global_cols(49).unwrap();
+        prepare(&s);
+        s.setup_matrix(local.values(), local.row_ptr(), local.col_idx(), SparseStruct::Csr)
+            .unwrap();
+        s.setup_rhs(&vec![1.0; range.len()], 1).unwrap();
+        let mut x = vec![0.0; range.len()];
+        let mut st = [0.0; STATUS_LEN];
+        s.solve(&mut x, &mut st).unwrap_err()
+    })
+}
+
+#[test]
+fn rmg_bad_option_fails_on_every_rank_not_just_the_root() {
+    // Rank 0 alone runs the multigrid cycle, but every rank parses the
+    // options: a bad one must not leave rank 1 waiting for rank 0's bcast.
+    for err in failing_rmg_solve(|s| s.set("cycle", "x").unwrap()) {
+        assert!(matches!(&err, LisiError::BadParameter { key, .. } if key == "cycle"), "{err:?}");
+    }
+}
+
+#[test]
+fn rmg_failure_on_the_root_reaches_every_rank() {
+    // What only rank 0 can get wrong — here the coarse-grid callback —
+    // travels to the other ranks in place of the solution.
+    let coarse_fails = |s: &RmgAdapter| s.set_coarse_solver(|_, _| Err("coarse grid on fire".into()));
+    for err in failing_rmg_solve(coarse_fails) {
+        assert!(matches!(&err, LisiError::Package(m) if m.contains("on fire")), "{err:?}");
+    }
+}
+
+#[test]
+fn setup_failure_on_one_rank_fails_the_whole_cohort() {
+    // ILU(0) factors each rank's diagonal block on its own. Rank 1's block
+    // has a zero pivot, rank 0's is fine: rank 0 must hear about it before
+    // it enters the Krylov loop alone.
+    let errs = fails_together(|comm| {
+        let rank = comm.rank();
+        // Rows 2·rank and 2·rank + 1 of a 4×4 bidiagonal matrix whose
+        // last diagonal entry is an explicit zero.
+        let (first, second) = (2 * rank, 2 * rank + 1);
+        let last_diagonal = if rank == 1 { 0.0 } else { 2.0 };
+        let s = RkspAdapter::new();
+        s.initialize(comm.dup().unwrap()).unwrap();
+        s.set_start_row(first).unwrap();
+        s.set_local_rows(2).unwrap();
+        s.set_global_cols(4).unwrap();
+        s.set("solver", "gmres").unwrap();
+        s.set("preconditioner", "ilu").unwrap();
+        s.setup_matrix(
+            &[2.0, 1.0, last_diagonal],
+            &[0, 1, 3],
+            &[first, first, second],
+            SparseStruct::Csr,
+        )
+        .unwrap();
+        s.setup_rhs(&[1.0, 1.0], 1).unwrap();
+        let mut x = [0.0; 2];
+        let mut st = [0.0; STATUS_LEN];
+        s.solve(&mut x, &mut st).unwrap_err()
+    });
+    // Rank 1 returns its own error; rank 0's names rank 1 and carries it.
+    assert!(matches!(&errs[1], LisiError::Package(m) if m.contains("pivot")), "{errs:?}");
+    let named = |m: &str| m.contains("rank 1") && m.contains("pivot");
+    assert!(matches!(&errs[0], LisiError::Package(m) if named(m)), "{errs:?}");
 }
