@@ -60,7 +60,11 @@ fn spmv(c: &mut Criterion) {
 /// `paper128`, `paper400` and `laplacian200` are the other tracked
 /// workloads' matrices, and `paper300shuffled` is the bypass control — the
 /// rows of `paper300` reordered so that none continues the one above: the
-/// same entries through the compact `u32` kernel alone.
+/// same entries through the compact `u32` kernel alone. Those matrices have
+/// constant coefficients, so their runs keep one value per diagonal;
+/// `paper300varcoef` is that class's bypass control — the same runs with
+/// every row's values scaled differently from the row above, so each run
+/// streams its diagonals.
 fn spmv_formats(c: &mut Criterion) {
     let mut group = c.benchmark_group("spmv_formats");
     let stencil = generate::laplacian_2d(200);
@@ -97,6 +101,7 @@ fn spmv_formats(c: &mut Criterion) {
     }
     group.throughput(Throughput::Elements(paper.nnz() as u64));
     bench_split1(&mut group, "paper300shuffled", &shuffle_rows_locally(&paper), false);
+    bench_split1(&mut group, "paper300varcoef", &scale_rows_unequally(&paper), true);
     group.finish();
 }
 
@@ -149,24 +154,45 @@ fn shuffle_rows_locally(a: &rsparse::CsrMatrix) -> rsparse::CsrMatrix {
     rsparse::CsrMatrix::from_parts(a.rows(), a.cols(), row_ptr, col_idx, values).unwrap()
 }
 
+/// `a` with row `r` scaled by `1 + (r mod 7 + 1)·2⁻²⁰`: the same pattern,
+/// no row's values equal to the row above's — a variable-coefficient
+/// operator, every stencil run of which keeps its diagonals.
+fn scale_rows_unequally(a: &rsparse::CsrMatrix) -> rsparse::CsrMatrix {
+    let mut scaled = a.clone();
+    for r in 0..a.rows() {
+        let factor = 1.0 + (r % 7 + 1) as f64 / (1u32 << 20) as f64;
+        let (lo, hi) = (a.row_ptr()[r], a.row_ptr()[r + 1]);
+        for v in &mut scaled.values_mut()[lo..hi] {
+            *v *= factor;
+        }
+    }
+    scaled
+}
+
 /// The batched distributed matvec at k = 8 on one rank, on `batch8_2r`'s
 /// matrix: the run kernel's multi-vector twin, one read of the run storage
-/// for all eight columns.
+/// for all eight columns — and on the same matrix with variable
+/// coefficients, where there is run storage to read.
 fn spmv_multi(c: &mut Criterion) {
     let mut group = c.benchmark_group("spmv_multi");
-    let a = generate::laplacian_2d(128);
+    let laplacian = generate::laplacian_2d(128);
     let k = 8;
-    let xs = generate::random_vector(k * a.cols(), 7);
-    group.throughput(Throughput::Elements((k * a.nnz()) as u64));
-    group.bench_function(BenchmarkId::new("split1_k8", "laplacian128"), |b| {
-        let b = std::sync::Mutex::new(b);
-        Universe::run(1, |comm| {
-            let part = BlockRowPartition::even(a.rows(), 1);
-            let da = DistCsrMatrix::from_global(comm, part, &a).unwrap();
-            let mut ys = vec![0.0; xs.len()];
-            b.lock().unwrap().iter(|| da.matvec_multi_into(comm, &xs, &mut ys, k).unwrap());
+    let xs = generate::random_vector(k * laplacian.cols(), 7);
+    group.throughput(Throughput::Elements((k * laplacian.nnz()) as u64));
+    for (label, a) in [
+        ("laplacian128", &laplacian),
+        ("laplacian128varcoef", &scale_rows_unequally(&laplacian)),
+    ] {
+        group.bench_function(BenchmarkId::new("split1_k8", label), |b| {
+            let b = std::sync::Mutex::new(b);
+            Universe::run(1, |comm| {
+                let part = BlockRowPartition::even(a.rows(), 1);
+                let da = DistCsrMatrix::from_global(comm, part, a).unwrap();
+                let mut ys = vec![0.0; xs.len()];
+                b.lock().unwrap().iter(|| da.matvec_multi_into(comm, &xs, &mut ys, k).unwrap());
+            });
         });
-    });
+    }
     group.finish();
 }
 

@@ -176,6 +176,7 @@ impl LisiState {
                     )));
                 }
                 let mut coo = CooMatrix::new(local_rows, global_cols);
+                coo.reserve(values.len());
                 for ((&gr, &gc), &v) in rows.iter().zip(columns).zip(values) {
                     let gr = sub_offset(gr, offset, "row")?;
                     let gc = sub_offset(gc, offset, "column")?;

@@ -287,29 +287,80 @@ pub fn maybe_serve_from_env() {
 mod tests {
     use super::*;
 
+    /// What the server sends whatever the registry holds: the registry is
+    /// process-global and a concurrent test's `probe::reset()` may empty it
+    /// at any moment, so the page's content is pinned by the `render` test
+    /// below, on input that test owns.
     #[test]
     fn server_answers_with_a_prometheus_snapshot() {
-        crate::incr(crate::Counter::PortCalls);
         let server = serve("127.0.0.1:0").expect("bind localhost");
         let addr = server.addr();
         let mut conn = TcpStream::connect(addr).expect("connect");
         conn.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").expect("request");
         let mut response = String::new();
         conn.read_to_string(&mut response).expect("read response");
-        assert!(response.starts_with("HTTP/1.0 200 OK"), "got: {response}");
-        assert!(response.contains("text/plain"));
-        assert!(response.contains("rsparse_port_calls_total"));
         server.stop();
+        let (head, body) = response.split_once("\r\n\r\n").expect("header, blank line, body");
+        assert!(head.starts_with("HTTP/1.0 200 OK"), "got: {response}");
+        assert!(head.contains("text/plain"), "got: {head}");
+        // Every line of the page is a comment or `name{labels} value`.
+        for line in body.lines() {
+            let sample = line.rsplit_once(' ').is_some_and(|(name, value)| {
+                name.starts_with("rsparse_") && value.parse::<f64>().is_ok()
+            });
+            assert!(line.starts_with("# ") || sample, "malformed line: {line}");
+        }
+    }
+
+    /// One rank's report holding `port_calls` and the given `collective`
+    /// latency samples, nothing else — built here, not read from the
+    /// process-global registry.
+    fn report(rank: usize, port_calls: u64, collective_ns: &[u64]) -> RankReport {
+        let mut counters = [0; crate::counter::COUNTER_COUNT];
+        counters[Counter::PortCalls as usize] = port_calls;
+        let mut hist_counts = [[0; hist::BUCKETS]; hist::HIST_COUNT];
+        let mut hist_sums = [0; hist::HIST_COUNT];
+        for &ns in collective_ns {
+            hist_counts[hist::Hist::Collective.index()][hist::bucket(ns)] += 1;
+            hist_sums[hist::Hist::Collective.index()] += ns;
+        }
+        RankReport::from_parts(
+            Some(rank),
+            counters,
+            Vec::new(),
+            Default::default(),
+            Default::default(),
+            Default::default(),
+            hist_counts,
+            hist_sums,
+            Default::default(),
+        )
     }
 
     #[test]
-    fn snapshot_emits_histogram_families_with_cumulative_buckets() {
-        crate::hist::record_ns(crate::hist::Hist::Collective, 1_000);
-        crate::hist::record_ns(crate::hist::Hist::Collective, 2_000_000);
-        let text = snapshot();
-        assert!(text.contains("# TYPE rsparse_collective_seconds histogram"));
-        assert!(text.contains("rsparse_collective_seconds_bucket"));
-        assert!(text.contains("le=\"+Inf\""));
-        assert!(text.contains("rsparse_collective_seconds_count"));
+    fn render_emits_a_family_for_each_nonzero_counter_and_skips_the_rest() {
+        let text = render(&[report(0, 3, &[]), report(1, 0, &[])]);
+        assert!(text.contains("# TYPE rsparse_port_calls_total counter\n"), "got: {text}");
+        assert!(text.contains("rsparse_port_calls_total{rank=\"0\"} 3\n"), "got: {text}");
+        assert!(!text.contains("rsparse_port_calls_total{rank=\"1\"}"), "got: {text}");
+        assert!(!text.contains("rsparse_matvec_calls_total"), "got: {text}");
+        assert_eq!(render(&[report(0, 0, &[])]), "");
+    }
+
+    #[test]
+    fn render_emits_histogram_families_with_cumulative_buckets() {
+        let text = render(&[report(2, 0, &[1_000, 1_500, 2_000_000])]);
+        assert!(text.contains("# TYPE rsparse_collective_seconds histogram\n"), "got: {text}");
+        // Cumulative: 1 000 ns (under the 1 024 ns edge) and 1 500 ns.
+        assert!(
+            text.contains("rsparse_collective_seconds_bucket{rank=\"2\",le=\"2.048e-6\"} 2\n"),
+            "got: {text}"
+        );
+        assert!(
+            text.contains("rsparse_collective_seconds_bucket{rank=\"2\",le=\"+Inf\"} 3\n"),
+            "got: {text}"
+        );
+        assert!(text.contains("rsparse_collective_seconds_count{rank=\"2\"} 3\n"), "got: {text}");
+        assert!(!text.contains("rsparse_iter_time_seconds"), "got: {text}");
     }
 }

@@ -147,7 +147,7 @@ impl RankReport {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn from_parts(
+    pub(crate) fn from_parts(
         rank: Option<usize>,
         counters: [u64; COUNTER_COUNT],
         spans: Vec<SpanSummary>,

@@ -400,8 +400,13 @@ struct Run {
     k: usize,
     /// Where this run's `k` window starts begin in [`StencilRuns::starts`].
     start0: usize,
-    /// Where this run's `k·len` values begin in [`StencilRuns::vals`].
+    /// Where this run's values begin in [`StencilRuns::vals`]: `k·len` of
+    /// them, diagonal-major — or just `k` when the run is `constant`.
+    /// Set by [`StencilRuns::fill_run`].
     val0: usize,
+    /// Every row of the run carries the first row's `k` values, bit for
+    /// bit: each diagonal is one number, stored once.
+    constant: bool,
     /// Rows in all earlier runs: this run's place in run-row space, which
     /// the threaded kernels chunk.
     rows_before: usize,
@@ -414,8 +419,12 @@ struct Run {
 /// are the previous row's plus one, so entry `j` of the run's rows walks a
 /// contiguous window of `x`. The run stores, per entry position `j`, that
 /// window's start and the `len` values down the rows — diagonal-major,
-/// 8 bytes per stored entry. The kernels accumulate each row from `+0.0`
-/// through `j = 0, 1, …` — the row's stored entry order — so they are
+/// 8 bytes per stored entry. A run whose rows all carry the same `k`
+/// values bit for bit — a constant-coefficient operator on a uniform grid,
+/// found in the values when they are read, not declared — stores those `k`
+/// values alone and streams nothing but `x` and `y`. The kernels accumulate
+/// each row from `+0.0` through `j = 0, 1, …` — the row's stored entry
+/// order, the same products from either storage — so they are
 /// bit-identical to [`CompactRows::spmv`] on the same rows.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct StencilRuns {
@@ -424,7 +433,9 @@ pub(crate) struct StencilRuns {
     /// Per run, per entry position: the offset into `x` of that entry in
     /// the run's first row.
     starts: Vec<usize>,
-    /// Per run, per entry position: the `len` values down the run's rows.
+    /// Per run, in run order: per entry position the `len` values down the
+    /// run's rows, or the one value of a constant run. Laid out by
+    /// [`Self::fill_run`].
     vals: Vec<f64>,
     /// Rows in all runs.
     n_rows: usize,
@@ -445,10 +456,11 @@ impl StencilRuns {
     }
 
     /// Append the run of `len` rows from `row0` whose first row has its
-    /// entries at offsets `starts` of `x`, values zeroed. Everything the
-    /// kernels index is checked here, once: the rows follow the previous
-    /// run's and stay inside the chunk, and every window `starts[j] ..
-    /// starts[j] + len` stays inside `x`.
+    /// entries at offsets `starts` of `x`, without values ([`Self::fill_run`]
+    /// stores them). Everything the kernels index into `x` and `y` is
+    /// checked here, once: the rows follow the previous run's and stay
+    /// inside the chunk, and every window `starts[j] .. starts[j] + len`
+    /// stays inside `x`.
     ///
     /// # Panics
     /// Panics on any violation — a bug in the plan build, not bad input.
@@ -474,29 +486,55 @@ impl StencilRuns {
             k,
             start0,
             val0: self.vals.len(),
+            constant: false,
             rows_before: self.n_rows,
         });
-        self.vals.resize(self.vals.len() + k * len, 0.0);
         self.n_rows += len;
     }
 
-    /// Read run `r`'s values from rows `row0..row0 + len` of `local`, the
-    /// matrix it was detected in: row `t`'s entry `j` goes to diagonal `j`,
-    /// place `t`.
+    /// Append run `r`'s values to `vals`, read from rows `row0..row0 + len`
+    /// of `local`, the matrix it was detected in — the one place a run's
+    /// values are read, so also where its class is decided: when every row
+    /// repeats the first row's values bit for bit (`−0.0` is not `+0.0`,
+    /// and two NaNs are equal only with equal payloads) the run is
+    /// constant and keeps those `k` values; otherwise row `t`'s entry `j`
+    /// goes to diagonal `j`, place `t`. Runs are filled in order, each
+    /// once, onto a `vals` that held only the earlier runs' values.
     fn fill_run(&mut self, r: usize, local: &CsrMatrix) {
-        let run = &self.runs[r];
-        let dst = &mut self.vals[run.val0..run.val0 + run.k * run.len];
-        for t in 0..run.len {
-            let (_, gvals) = local.row(run.row0 + t);
-            assert_eq!(gvals.len(), run.k, "run row {t}: pattern changed");
-            for (j, &v) in gvals.iter().enumerate() {
-                dst[j * run.len + t] = v;
+        let Run { row0, len, k, .. } = self.runs[r];
+        let first = local.row(row0).1;
+        let mut constant = true;
+        for t in 0..len {
+            let gvals = local.row(row0 + t).1;
+            assert_eq!(gvals.len(), k, "run row {t}: pattern changed");
+            constant = constant
+                && gvals
+                    .iter()
+                    .zip(first)
+                    .all(|(v, f)| v.to_bits() == f.to_bits());
+        }
+        let val0 = self.vals.len();
+        if constant {
+            self.vals.extend_from_slice(first);
+        } else {
+            self.vals.resize(val0 + k * len, 0.0);
+            let dst = &mut self.vals[val0..];
+            for t in 0..len {
+                for (j, &v) in local.row(row0 + t).1.iter().enumerate() {
+                    dst[j * len + t] = v;
+                }
             }
         }
+        let run = &mut self.runs[r];
+        run.val0 = val0;
+        run.constant = constant;
     }
 
     /// Re-read every run's values from `local` (new values, same pattern).
+    /// `vals` is laid out afresh: new values may make a varying run
+    /// constant or a constant one vary.
     pub(crate) fn refresh_values(&mut self, local: &CsrMatrix) {
+        self.vals.clear();
         for r in 0..self.runs.len() {
             self.fill_run(r, local);
         }
@@ -507,9 +545,15 @@ impl StencilRuns {
         self.n_rows
     }
 
-    /// Stored entries.
+    /// Rows stored in constant runs.
+    pub(crate) fn constant_row_count(&self) -> usize {
+        self.runs.iter().filter(|r| r.constant).map(|r| r.len).sum()
+    }
+
+    /// Entries the runs stand for, `Σ k·len` — the logical count the work
+    /// model bills, whatever a constant run actually keeps.
     pub(crate) fn nnz(&self) -> usize {
-        self.vals.len()
+        self.runs.iter().map(|r| r.k * r.len).sum()
     }
 
     /// Call `f(run, t0, t1)` for every stretch of at most `tile` run rows
@@ -536,10 +580,10 @@ impl StencilRuns {
         }
     }
 
-    /// Diagonal `j` of rows `t0..t0 + n` of `run`, and the window of `x`
-    /// it multiplies.
+    /// Diagonal `j` of rows `t0..t0 + n` of `run` — `n` values, or the one
+    /// value of a `CONSTANT` run — and the window of `x` it multiplies.
     #[inline(always)]
-    fn diagonal<'a>(
+    fn diagonal<'a, const CONSTANT: bool>(
         &'a self,
         run: &Run,
         j: usize,
@@ -547,58 +591,91 @@ impl StencilRuns {
         n: usize,
         x: &'a [f64],
     ) -> (&'a [f64], &'a [f64]) {
-        (
-            &self.vals[run.val0 + j * run.len + t0..][..n],
-            &x[self.starts[run.start0 + j] + t0..][..n],
-        )
+        debug_assert_eq!(run.constant, CONSTANT);
+        let diag = if CONSTANT {
+            &self.vals[run.val0 + j..][..1]
+        } else {
+            &self.vals[run.val0 + j * run.len + t0..][..n]
+        };
+        (diag, &x[self.starts[run.start0 + j] + t0..][..n])
     }
 
     /// The first `G` diagonals of rows `t0..t0 + y.len()` of `run`:
-    /// `y[t] = 0.0 + Σ_{j < G} diag_j[t]·x[starts[j] + t]`, `j` ascending.
-    /// `G` equal-length value slices against `G` equal-length windows of
-    /// `x`: no index is loaded, and the loop vectorizes down the rows.
+    /// `y[t] = 0.0 + Σ_{j < G} diag_j[t]·x[starts[j] + t]`, `j` ascending,
+    /// where a `CONSTANT` run's `diag_j[t]` is its one value `c_j` held in a
+    /// register. `G` equal-length windows of `x` against `G` equal-length
+    /// value slices or `G` numbers: no index is loaded, and the loop
+    /// vectorizes down the rows.
     #[inline(always)]
-    fn lead<const G: usize>(&self, run: &Run, t0: usize, x: &[f64], y: &mut [f64]) {
+    fn lead<const G: usize, const CONSTANT: bool>(
+        &self,
+        run: &Run,
+        t0: usize,
+        x: &[f64],
+        y: &mut [f64],
+    ) {
         let n = y.len();
         // Filled by a plain loop rather than `array::from_fn`: whether that
         // helper's internals inline is the optimizer's call, and when they
         // do not, the slices' common length `n` is lost and the loop below
         // keeps its bounds checks and stays scalar.
         let mut dw: [(&[f64], &[f64]); G] = [(&[], &[]); G];
+        let mut coef = [0.0; G];
         for (j, pair) in dw.iter_mut().enumerate() {
-            *pair = self.diagonal(run, j, t0, n, x);
+            *pair = self.diagonal::<CONSTANT>(run, j, t0, n, x);
+            if CONSTANT {
+                coef[j] = pair.0[0];
+            }
         }
         for t in 0..n {
             let mut acc = 0.0;
-            for (diag, win) in dw {
-                acc += diag[t] * win[t];
+            for (&c, (diag, win)) in coef.iter().zip(dw) {
+                acc += if CONSTANT { c } else { diag[t] } * win[t];
             }
             y[t] = acc;
         }
     }
 
-    /// `y[t − t0] = row (row0 + t) · x` for `t0 ≤ t < t0 + y.len()` of
-    /// `run`: up to [`MAX_FUSED_DIAGS`] diagonals in one fused pass, any
-    /// further ones added to `y` one at a time — either way a row's sum
-    /// starts at `+0.0` and runs through its entries in stored order.
-    #[inline]
-    fn run_part(&self, run: &Run, t0: usize, x: &[f64], y: &mut [f64]) {
+    /// `y[t − t0] = row (row0 + t) · x` for `t0 ≤ t < t0 + y.len()` of a
+    /// run stored as `CONSTANT` says: up to [`MAX_FUSED_DIAGS`] diagonals
+    /// in one fused pass, any further ones added to `y` one at a time —
+    /// either way a row's sum starts at `+0.0` and runs through its
+    /// entries in stored order.
+    #[inline(always)]
+    fn run_part_of<const CONSTANT: bool>(&self, run: &Run, t0: usize, x: &[f64], y: &mut [f64]) {
         let fused = run.k.min(MAX_FUSED_DIAGS);
         match fused {
-            1 => self.lead::<1>(run, t0, x, y),
-            2 => self.lead::<2>(run, t0, x, y),
-            3 => self.lead::<3>(run, t0, x, y),
-            4 => self.lead::<4>(run, t0, x, y),
-            5 => self.lead::<5>(run, t0, x, y),
-            6 => self.lead::<6>(run, t0, x, y),
-            7 => self.lead::<7>(run, t0, x, y),
-            _ => self.lead::<MAX_FUSED_DIAGS>(run, t0, x, y),
+            1 => self.lead::<1, CONSTANT>(run, t0, x, y),
+            2 => self.lead::<2, CONSTANT>(run, t0, x, y),
+            3 => self.lead::<3, CONSTANT>(run, t0, x, y),
+            4 => self.lead::<4, CONSTANT>(run, t0, x, y),
+            5 => self.lead::<5, CONSTANT>(run, t0, x, y),
+            6 => self.lead::<6, CONSTANT>(run, t0, x, y),
+            7 => self.lead::<7, CONSTANT>(run, t0, x, y),
+            _ => self.lead::<MAX_FUSED_DIAGS, CONSTANT>(run, t0, x, y),
         }
         for j in fused..run.k {
-            let (diag, win) = self.diagonal(run, j, t0, y.len(), x);
-            for ((yt, d), w) in y.iter_mut().zip(diag).zip(win) {
-                *yt += d * w;
+            let (diag, win) = self.diagonal::<CONSTANT>(run, j, t0, y.len(), x);
+            if CONSTANT {
+                let c = diag[0];
+                for (yt, w) in y.iter_mut().zip(win) {
+                    *yt += c * w;
+                }
+            } else {
+                for ((yt, d), w) in y.iter_mut().zip(diag).zip(win) {
+                    *yt += d * w;
+                }
             }
+        }
+    }
+
+    /// [`Self::run_part_of`] by the run's class.
+    #[inline]
+    fn run_part(&self, run: &Run, t0: usize, x: &[f64], y: &mut [f64]) {
+        if run.constant {
+            self.run_part_of::<true>(run, t0, x, y);
+        } else {
+            self.run_part_of::<false>(run, t0, x, y);
         }
     }
 
@@ -929,21 +1006,196 @@ mod tests {
 
     #[test]
     fn refreshed_values_reach_the_diagonals() {
+        // One run of 48 tridiagonal rows: constant as generated, then
+        // refreshed to varying, to constant (other numbers) and to varying
+        // again — `vals` follows the class, the logical count does not.
         let n = 50;
         let mut local = crate::generate::laplacian_1d(n);
         let (mut runs, mut rest, _) = split_interior(&local, &(0..n), n, true);
         assert_eq!(runs.row_count(), n - 2);
-        for (k, v) in local.values_mut().iter_mut().enumerate() {
-            *v = (k as f64 * 0.61).cos();
-        }
-        runs.refresh_values(&local);
-        rest.refresh_values(&local, &(0..n));
         let x = crate::generate::random_vector(n, 9);
-        let (mut y, mut want) = (vec![0.0; n], vec![0.0; n]);
-        runs.spmv(&x, &mut y, 1);
-        rest.spmv(&x, &[], &mut y, 1);
-        local.matvec_into(&x, &mut want);
-        assert_same_bits(&y, &want, "refreshed");
+        let check = |runs: &StencilRuns, rest: &CompactRows, local: &CsrMatrix, stored| {
+            assert_eq!(runs.vals.len(), stored);
+            assert_eq!(runs.nnz(), 3 * (n - 2));
+            let constant = if stored == 3 { n - 2 } else { 0 };
+            assert_eq!(runs.constant_row_count(), constant);
+            let (mut y, mut want) = (vec![0.0; n], vec![0.0; n]);
+            runs.spmv(&x, &mut y, 1);
+            rest.spmv(&x, &[], &mut y, 1);
+            local.matvec_into(&x, &mut want);
+            assert_same_bits(&y, &want, &format!("{stored} stored values"));
+        };
+        check(&runs, &rest, &local, 3);
+        let varying = |k: usize| (k as f64 * 0.61).cos();
+        let constant = |k: usize| [0.5, -1.25, 3.0][k % 3];
+        for (value, stored) in [
+            (&varying as &dyn Fn(usize) -> f64, 3 * (n - 2)),
+            (&constant, 3),
+            (&varying, 3 * (n - 2)),
+        ] {
+            for (k, v) in local.values_mut().iter_mut().enumerate() {
+                *v = value(k);
+            }
+            runs.refresh_values(&local);
+            rest.refresh_values(&local, &(0..n));
+            check(&runs, &rest, &local, stored);
+        }
+    }
+
+    /// The 5-point pattern of an m×m grid with the paper operator's
+    /// coefficients (`u_xx + u_yy − 3u_x`, h = 1/(m + 1)): the same five
+    /// numbers in every row.
+    fn paper_like(m: usize) -> CsrMatrix {
+        let pattern = crate::generate::laplacian_2d(m);
+        let h = 1.0 / (m as f64 + 1.0);
+        let mut a = pattern.clone();
+        for ((r, c, _), v) in pattern.iter().zip(a.values_mut()) {
+            *v = match c as isize - r as isize {
+                0 => 4.0,
+                1 => -1.0 + 1.5 * h,
+                -1 => -1.0 - 1.5 * h,
+                _ => -1.0,
+            };
+        }
+        a
+    }
+
+    /// Multiply row `r` of `a` by `factor`.
+    fn scale_row(a: &mut CsrMatrix, r: usize, factor: f64) {
+        let (lo, hi) = (a.row_ptr()[r], a.row_ptr()[r + 1]);
+        for v in &mut a.values_mut()[lo..hi] {
+            *v *= factor;
+        }
+    }
+
+    /// Rows `local`'s plan stores in constant runs.
+    fn constant_rows(local: &CsrMatrix) -> usize {
+        let n = local.cols();
+        split_interior(local, &(0..n), n, true)
+            .0
+            .constant_row_count()
+    }
+
+    #[test]
+    fn constant_and_varying_runs_match_the_compact_kernel_bitwise() {
+        let m = 40;
+        let n = m * m;
+        let x = crate::generate::random_vector(n, 21);
+        for (tag, a) in [
+            ("paper", paper_like(m)),
+            ("laplacian", crate::generate::laplacian_2d(m)),
+        ] {
+            let (runs, ..) = split_interior(&a, &(0..n), n, true);
+            // One run per grid line; the second one's rows.
+            let line = runs.runs[1].clone();
+            assert_eq!((line.row0, line.len, line.k), (m + 1, m - 2, 5), "{tag}");
+            let last = line.row0 + line.len - 1;
+            let mut last_row_differs = a.clone();
+            scale_row(&mut last_row_differs, last, 1.5);
+            let mut every_row_differs = a.clone();
+            for r in 0..n {
+                scale_row(&mut every_row_differs, r, (1 + r % 3) as f64);
+            }
+            for (case, local, constant) in [
+                ("as generated", a.clone(), runs.row_count()),
+                (
+                    "one run's last row differs",
+                    last_row_differs,
+                    runs.row_count() - line.len,
+                ),
+                ("every row differs", every_row_differs, 0),
+            ] {
+                assert_eq!(constant_rows(&local), constant, "{tag}, {case}");
+                for threads in [1, 4] {
+                    let (with, without, in_runs) = with_and_without_runs(&local, &x, threads);
+                    assert_eq!(in_runs, runs.row_count());
+                    assert_same_bits(
+                        &with,
+                        &without,
+                        &format!("{tag}, {case}, {threads} threads"),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_signed_zero_or_another_nan_payload_on_a_diagonal_is_not_constant() {
+        // 20 rows of (i, i + 1) with the same two values in every row.
+        let n = 30;
+        let x = crate::generate::random_vector(n, 4);
+        let nan = |payload: u64| f64::from_bits(0x7ff8_0000_0000_0000 | payload);
+        assert!(nan(1).is_nan() && nan(2).is_nan());
+        for (first, odd_one_out) in [(0.0, -0.0), (-0.0, 0.0), (nan(1), nan(2))] {
+            let rows = |special: Option<usize>| -> Vec<Vec<(usize, f64)>> {
+                (0..20)
+                    .map(|i| {
+                        let v = if special == Some(i) {
+                            odd_one_out
+                        } else {
+                            first
+                        };
+                        vec![(i, v), (i + 1, 2.5)]
+                    })
+                    .collect()
+            };
+            // Equal bit patterns — NaNs included — are one value.
+            assert_eq!(constant_rows(&csr_of(n, &rows(None))), 20);
+            for special in [1, 19] {
+                let local = csr_of(n, &rows(Some(special)));
+                assert_eq!(constant_rows(&local), 0, "{first:?} with {odd_one_out:?}");
+                let (with, without, in_runs) = with_and_without_runs(&local, &x, 1);
+                assert_eq!(in_runs, 20);
+                assert_same_bits(&with[..20], &without[..20], "odd one out");
+            }
+        }
+    }
+
+    #[test]
+    fn constant_runs_wider_than_the_fused_pass_and_split_across_threads_and_columns() {
+        // Rows 0..2500: eleven entries (past `MAX_FUSED_DIAGS`), unsorted,
+        // the same eleven values in every row; an empty row; then 2 499
+        // rows of the same pattern whose values change from row to row.
+        // Past the threading threshold, so a chunk starts mid-run.
+        let (rows, n) = (5_000, 5_016);
+        let pattern = |i: usize, value: &dyn Fn(usize) -> f64| -> Vec<(usize, f64)> {
+            (0..11).map(|j| (i + (j * 5) % 11, value(j))).collect()
+        };
+        let local = csr_of(
+            n,
+            &(0..rows)
+                .map(|i| match i {
+                    0..2500 => pattern(i, &|j| (j as f64 * 0.37).sin()),
+                    2500 => Vec::new(),
+                    _ => pattern(i, &|j| ((i * 7 + j * 3) as f64 * 0.37).sin()),
+                })
+                .collect::<Vec<_>>(),
+        );
+        let (runs, rest, _) = split_interior(&local, &(0..n), n, true);
+        assert_eq!(
+            (runs.row_count(), runs.constant_row_count()),
+            (rows - 1, 2500)
+        );
+        assert_eq!(runs.vals.len(), 11 + 11 * 2499);
+        assert_eq!(runs.nnz(), 11 * (rows - 1));
+        for k in [1, 3, MULTI_CHUNK] {
+            let xs = crate::generate::random_vector(k * n, 5);
+            let mut want = vec![f64::NAN; k * n];
+            for q in 0..k {
+                local.matvec_into(&xs[q * n..(q + 1) * n], &mut want[q * n..q * n + rows]);
+            }
+            for threads in [1, 4] {
+                let mut ys = vec![f64::NAN; k * n];
+                let shared = SharedMutSlice::new(&mut ys);
+                runs.spmv_multi(&xs, &shared, k, threads);
+                rest.spmv_multi(&xs, &[], 0, &shared, k, threads);
+                assert_same_bits(&ys, &want, &format!("{k} columns, {threads} threads"));
+                let mut y = vec![f64::NAN; n];
+                runs.spmv(&xs[..n], &mut y, threads);
+                rest.spmv(&xs[..n], &[], &mut y, threads);
+                assert_same_bits(&y, &want[..n], &format!("single, {threads} threads"));
+            }
+        }
     }
 
     #[test]

@@ -100,6 +100,12 @@ pub fn coo_arrays_to_csr(
 
 /// Convert raw CSR arrays (`row_ptr` of length `rows + 1`) with an index
 /// base applied to both pointers and column indices.
+///
+/// Arrays that are already normal — sorted rows, no duplicates, every
+/// index in range, which is what an assembler hands the port — become the
+/// matrix as they are. Anything else goes through COO, which sorts each
+/// row, sums duplicates and reports what is out of range; on normal input
+/// that route produces exactly the same arrays.
 pub fn csr_arrays_to_csr(
     rows: usize,
     cols: usize,
@@ -110,8 +116,15 @@ pub fn csr_arrays_to_csr(
 ) -> SparseResult<CsrMatrix> {
     let ptr: Vec<usize> = row_ptr.iter().map(|&p| p.wrapping_sub(offset)).collect();
     let cidx: Vec<usize> = col_idx.iter().map(|&c| c.wrapping_sub(offset)).collect();
-    // Input rows may be unsorted within a row; route through COO to
-    // normalize rather than trusting the caller.
+    if CsrMatrix::check_parts(rows, cols, values.len(), &ptr, &cidx).is_ok() {
+        return Ok(CsrMatrix::from_parts_unchecked(
+            rows,
+            cols,
+            ptr,
+            cidx,
+            values.to_vec(),
+        ));
+    }
     let mut coo = CooMatrix::new(rows, cols);
     for r in 0..rows {
         let (lo, hi) = (ptr[r], ptr[r + 1]);
@@ -194,6 +207,58 @@ mod tests {
         let a = csr_arrays_to_csr(1, 3, &[5.0, 1.0], &[0, 2], &[2, 0], 0).unwrap();
         assert_eq!(a.col_idx(), &[0, 2]);
         assert_eq!(a.values(), &[1.0, 5.0]);
+    }
+
+    #[test]
+    fn normal_csr_arrays_become_the_matrix_the_coo_route_builds() {
+        // Rectangular, with empty rows, at both index bases.
+        let a = generate::random_csr(30, 40, 0.05, 11);
+        assert!(a.row_ptr().windows(2).any(|w| w[0] == w[1]));
+        for offset in [0, 1] {
+            let ptr: Vec<usize> = a.row_ptr().iter().map(|p| p + offset).collect();
+            let cols: Vec<usize> = a.col_idx().iter().map(|c| c + offset).collect();
+            let direct = csr_arrays_to_csr(30, 40, a.values(), &ptr, &cols, offset).unwrap();
+            let rows: Vec<usize> = (0..30)
+                .flat_map(|r| std::iter::repeat_n(r + offset, a.row(r).0.len()))
+                .collect();
+            let via_coo = coo_arrays_to_csr(30, 40, a.values(), &rows, &cols, offset).unwrap();
+            assert_eq!(direct, via_coo, "offset {offset}");
+            assert_eq!(direct, a, "offset {offset}");
+        }
+    }
+
+    #[test]
+    fn csr_arrays_that_are_not_normal_take_the_coo_route() {
+        use crate::error::SparseError;
+        // A duplicate column is summed, like a repeated COO triplet.
+        let a = csr_arrays_to_csr(1, 3, &[5.0, 1.0, 2.0], &[0, 3], &[2, 0, 2], 0).unwrap();
+        assert_eq!((a.col_idx(), a.values()), (&[0, 2][..], &[1.0, 7.0][..]));
+        // A column past the width is the COO push's typed error, in a
+        // sorted row as in an unsorted one.
+        for cols in [[0, 3], [3, 0]] {
+            assert!(matches!(
+                csr_arrays_to_csr(1, 3, &[1.0, 2.0], &[0, 2], &cols, 0),
+                Err(SparseError::IndexOutOfBounds {
+                    axis: "column",
+                    index: 3,
+                    bound: 3
+                })
+            ));
+        }
+        // So is a 0 under index base 1 (it wraps).
+        assert!(matches!(
+            csr_arrays_to_csr(1, 3, &[1.0], &[1, 2], &[0], 1),
+            Err(SparseError::IndexOutOfBounds { axis: "column", .. })
+        ));
+        // Pointers that do not start at 0 skip the entries before them.
+        let a = csr_arrays_to_csr(1, 2, &[9.0, 5.0], &[1, 2], &[0, 1], 0).unwrap();
+        assert_eq!(
+            (a.row_ptr(), a.col_idx(), a.values()),
+            (&[0, 1][..], &[1][..], &[5.0][..])
+        );
+        // Pointers that stop short of the arrays ignore the rest.
+        let a = csr_arrays_to_csr(1, 2, &[9.0, 5.0], &[0, 1], &[0, 1], 0).unwrap();
+        assert_eq!((a.col_idx(), a.values()), (&[0][..], &[9.0][..]));
     }
 
     #[test]

@@ -68,6 +68,14 @@ impl CooMatrix {
         })
     }
 
+    /// Make room for `additional` more entries, so that a caller who knows
+    /// its entry count pushes without the three arrays regrowing.
+    pub fn reserve(&mut self, additional: usize) {
+        self.row_idx.reserve(additional);
+        self.col_idx.reserve(additional);
+        self.values.reserve(additional);
+    }
+
     /// Append one entry (duplicates accumulate on conversion).
     pub fn push(&mut self, row: usize, col: usize, value: f64) -> SparseResult<()> {
         if row >= self.rows {

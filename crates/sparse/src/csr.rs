@@ -52,6 +52,19 @@ impl CsrMatrix {
         col_idx: Vec<usize>,
         values: Vec<f64>,
     ) -> SparseResult<Self> {
+        Self::check_parts(rows, cols, values.len(), &row_ptr, &col_idx)?;
+        Ok(CsrMatrix { rows, cols, row_ptr, col_idx, values })
+    }
+
+    /// [`Self::from_parts`]' validation on borrowed arrays holding `nnz`
+    /// values: one pass, no allocation.
+    pub(crate) fn check_parts(
+        rows: usize,
+        cols: usize,
+        nnz: usize,
+        row_ptr: &[usize],
+        col_idx: &[usize],
+    ) -> SparseResult<()> {
         if row_ptr.len() != rows + 1 {
             return Err(SparseError::LengthMismatch {
                 what: "CSR row_ptr",
@@ -62,13 +75,13 @@ impl CsrMatrix {
         if row_ptr[0] != 0 {
             return Err(SparseError::MalformedPointers("row_ptr[0] must be 0"));
         }
-        if *row_ptr.last().expect("len >= 1") != values.len() {
+        if row_ptr[rows] != nnz {
             return Err(SparseError::MalformedPointers("row_ptr[rows] must equal nnz"));
         }
-        if col_idx.len() != values.len() {
+        if col_idx.len() != nnz {
             return Err(SparseError::LengthMismatch {
                 what: "CSR col_idx",
-                expected: values.len(),
+                expected: nnz,
                 got: col_idx.len(),
             });
         }
@@ -94,7 +107,7 @@ impl CsrMatrix {
                 }
             }
         }
-        Ok(CsrMatrix { rows, cols, row_ptr, col_idx, values })
+        Ok(())
     }
 
     /// Build from parts that are known valid (internal fast path for

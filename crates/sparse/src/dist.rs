@@ -1178,6 +1178,16 @@ impl DistCsrMatrix {
         self.split.runs.row_count()
     }
 
+    /// Of [`Self::stencil_row_count`], the rows in runs whose every row
+    /// carries the same values bit for bit (a constant-coefficient
+    /// stencil): such a run keeps one value per diagonal and its product
+    /// streams no matrix data at all. A diagnostic — the class is found in
+    /// the values at plan build and again under [`Self::update_values`],
+    /// and changes no bit of a product.
+    pub fn constant_stencil_row_count(&self) -> usize {
+        self.split.runs.constant_row_count()
+    }
+
     /// Number of local rows that touch at least one ghost column.
     pub fn boundary_row_count(&self) -> usize {
         self.split.boundary.rows().len()

@@ -110,6 +110,91 @@ fn runs_cover_what_the_grid_predicts_and_the_product_is_bitwise_serial() {
     }
 }
 
+/// `a` with row `r` scaled by `1 + r mod 3`: the same pattern and the same
+/// runs, no row's values equal to the row above's (and integer values stay
+/// integer).
+fn with_rows_scaled_unequally(a: &CsrMatrix) -> CsrMatrix {
+    let mut scaled = a.clone();
+    for r in 0..a.rows() {
+        let (lo, hi) = (a.row_ptr()[r], a.row_ptr()[r + 1]);
+        for v in &mut scaled.values_mut()[lo..hi] {
+            *v *= (1 + r % 3) as f64;
+        }
+    }
+    scaled
+}
+
+#[test]
+fn constant_coefficients_are_found_in_the_values_and_change_no_bit_of_the_product() {
+    let m = 40;
+    let n = m * m;
+    let (paper, _) = cca_lisi::mesh::paper_problem(m).assemble_global();
+    let laplacian = cca_lisi::sparse::generate::laplacian_2d(m);
+    // (matrix, its runs are constant, its values are integers). Both
+    // operators write the same five numbers into every row; scaling the
+    // rows unequally leaves the runs and takes the property away.
+    let cases = [
+        ("paper", paper.clone(), true, false),
+        ("laplacian", laplacian.clone(), true, true),
+        (
+            "paper, rows scaled",
+            with_rows_scaled_unequally(&paper),
+            false,
+            false,
+        ),
+        (
+            "laplacian, rows scaled",
+            with_rows_scaled_unequally(&laplacian),
+            false,
+            true,
+        ),
+    ];
+    for (tag, a, constant, integer) in &cases {
+        for p in [1usize, 2, 3] {
+            // As above: any reals on one rank, exact sums where boundary
+            // rows reorder — past one rank the product of a matrix with
+            // non-integer values is not compared.
+            let x: Vec<f64> = if *integer {
+                (0..n).map(|i| ((i * 5) % 17) as f64 - 8.0).collect()
+            } else {
+                cca_lisi::sparse::generate::random_vector(n, 16)
+            };
+            let want = a.matvec(&x).unwrap();
+            Universe::run(p, |comm| {
+                let part = BlockRowPartition::even(n, comm.size());
+                let r = part.range(comm.rank());
+                let da = DistCsrMatrix::from_global(comm, part.clone(), a).unwrap();
+                let runs = da.stencil_row_count();
+                assert_eq!(
+                    runs,
+                    predicted_run_rows(m, r.start, r.end),
+                    "{tag}, p = {p}"
+                );
+                assert!(runs > 0, "{tag}, p = {p}");
+                assert_eq!(
+                    da.constant_stencil_row_count(),
+                    if *constant { runs } else { 0 },
+                    "{tag}, rank {} of {p}",
+                    comm.rank()
+                );
+                if p > 1 && !*integer {
+                    return;
+                }
+                let dx = DistVector::from_global(part, comm.rank(), &x).unwrap();
+                let dy = da.matvec(comm, &dx).unwrap();
+                for (i, (g, w)) in dy.local().iter().zip(&want[r.clone()]).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{tag}, p = {p}, row {}",
+                        r.start + i
+                    );
+                }
+            });
+        }
+    }
+}
+
 /// Iteration count and final residual (bit pattern) of the solve below,
 /// recorded at the parent of the commit that introduced the runs, per rank
 /// count. The run kernel is bit-identical to the CSR kernel it replaces,
