@@ -236,6 +236,61 @@ fn sptrsv(c: &mut Criterion) {
     group.finish();
 }
 
+/// RSLU's triangular solves on the factors `direct_2r` keeps: one
+/// `LuFactorization::solve` (L forward, U backward) and one
+/// `solve_transpose` (Uᵀ forward, Lᵀ backward) of the paper PDE at
+/// m = 120 under minimum degree. `trisolve/nosupernodes` is the bypass
+/// control: two interleaved copies of a band of half-width 4 in natural
+/// order (80 000 unknowns, four entries a column), so no column of L (row
+/// of U) has its successor in its structure, every panel is one column
+/// wide and the factors are as short-rowed as factors without supernodes
+/// are.
+fn trisolve(c: &mut Criterion) {
+    use rdirect::{symbolic::Symbolic, LuFactorization, Ordering};
+    let factor = |a: &rsparse::CsrMatrix, ordering| {
+        let sym = Symbolic::analyze(a, ordering).unwrap();
+        LuFactorization::factor(a, &sym, 1.0).unwrap()
+    };
+    let paper = factor(&rmesh::paper_problem(120).assemble_global().0, Ordering::MinDegree);
+    let bypass = factor(&interleave2(&band(40_000, 4)), Ordering::Natural);
+    let mut group = c.benchmark_group("trisolve");
+    for (label, lu) in [("paper120", &paper), ("nosupernodes", &bypass)] {
+        let b = generate::random_vector(lu.order(), 7);
+        group.throughput(Throughput::Elements(lu.fill() as u64));
+        group.bench_function(label, |bench| bench.iter(|| lu.solve(&b).unwrap()));
+    }
+    group.finish();
+    let mut group = c.benchmark_group("trisolve_t");
+    let b = generate::random_vector(paper.order(), 7);
+    group.throughput(Throughput::Elements(paper.fill() as u64));
+    group.bench_function("paper120", |bench| bench.iter(|| paper.solve_transpose(&b).unwrap()));
+    group.finish();
+}
+
+/// A nonsymmetric, diagonally dominant band: `half` entries either side
+/// of the diagonal.
+fn band(n: usize, half: usize) -> rsparse::CsrMatrix {
+    let mut coo = rsparse::CooMatrix::new(n, n);
+    for i in 0..n {
+        for j in i.saturating_sub(half)..(i + half + 1).min(n) {
+            let v = if i == j { 2.0 * half as f64 + 1.0 } else { -1.0 - 0.01 * (j as f64 - i as f64) };
+            coo.push(i, j, v).unwrap();
+        }
+    }
+    coo.to_csr()
+}
+
+/// Two decoupled copies of `a` with unknown `i` of copy `c` numbered
+/// `2·i + c`: every structural index keeps the parity of its column.
+fn interleave2(a: &rsparse::CsrMatrix) -> rsparse::CsrMatrix {
+    let mut coo = rsparse::CooMatrix::new(2 * a.rows(), 2 * a.cols());
+    for (r, c, v) in a.iter() {
+        coo.push(2 * r, 2 * c, v).unwrap();
+        coo.push(2 * r + 1, 2 * c + 1, v).unwrap();
+    }
+    coo.to_csr()
+}
+
 fn blas1(c: &mut Criterion) {
     use rsparse::dense;
     let mut group = c.benchmark_group("blas1");
@@ -410,6 +465,6 @@ fn assembly(c: &mut Criterion) {
 }
 
 criterion_group!(
-    benches, spmv, spmv_formats, spmv_multi, sptrsv, blas1, raztec, probe_overhead, conversions, assembly
+    benches, spmv, spmv_formats, spmv_multi, sptrsv, trisolve, blas1, raztec, probe_overhead, conversions, assembly
 );
 criterion_main!(benches);

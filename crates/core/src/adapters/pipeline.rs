@@ -67,6 +67,12 @@ pub trait Backend: Default + Send + Sync + 'static {
         )))
     }
 
+    /// Heap bytes a built artifact holds on this rank, when the package
+    /// can count them; `None` bills the CSR-shaped estimate.
+    fn artifact_bytes(_artifact: &Self::Artifact) -> Option<usize> {
+        None
+    }
+
     /// Solve `n_rhs` column-major right-hand sides into `x` (which holds
     /// the initial guesses) and report the outcome. Collective;
     /// `batched` asks for the package's multi-RHS driver where it has
@@ -144,13 +150,15 @@ impl<B: Backend> Adapter<B> {
                 let port = st.require_matrix_free();
                 return Ok((B::build_matrix_free(cfg, comm, partition, port)?, 0));
             };
-            let bytes = if B::GATHERS_TO_ROOT && rank == 0 {
+            let estimate = if B::GATHERS_TO_ROOT && rank == 0 {
                 let global_nnz = matrix.nnz().saturating_mul(comm.size());
                 service::approx_csr_bytes(global_nnz, partition.global_rows())
             } else {
                 service::approx_csr_bytes(matrix.nnz(), partition.local_rows(rank))
             };
-            Ok((B::build(cfg, comm, partition, matrix)?, bytes))
+            let artifact = B::build(cfg, comm, partition, matrix)?;
+            let bytes = B::artifact_bytes(&artifact).unwrap_or(estimate);
+            Ok((artifact, bytes))
         });
         let verdicts = comm.allgather(built.as_ref().err().map(LisiError::to_string));
         let built = built?;

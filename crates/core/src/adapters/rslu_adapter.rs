@@ -4,12 +4,10 @@
 //! *between* calls and must be reused invisibly behind the common
 //! interface.
 
-use std::sync::Arc;
-
 use parking_lot::Mutex;
 use rcomm::Communicator;
 use rdirect::{DistRslu, Ordering, RsluOptions};
-use rsparse::{BlockRowPartition, CsrMatrix, DistCsrMatrix, DistVector};
+use rsparse::{BlockRowPartition, CsrMatrix, DistCsrMatrix};
 
 use super::pipeline::{set_parsed, Adapter, Backend};
 use crate::error::{LisiError, LisiResult};
@@ -21,18 +19,17 @@ use crate::status::SolveReport;
 /// process-wide [`crate::SolverService`]: the symbolic analysis + LU
 /// factors survive not just repeated solves on one component instance
 /// but any later instance presenting a fingerprint-identical system.
-/// The solver sits behind a mutex because triangular solves scratch
-/// internal buffers.
+/// The solver sits behind a mutex because a solve writes the workspace
+/// the factorization sized (permuted vector, panel scratch, residual) and
+/// the statistics of the last solve.
 pub struct RsluArtifact {
     partition: BlockRowPartition,
     solver: Mutex<DistRslu>,
 }
 
-/// The parsed option table, and this solve's handle on the port's local
-/// rows for the residual check (shared with the port, pinned by nothing).
+/// The parsed option table.
 pub struct RsluConfig {
     options: RsluOptions,
-    matrix: Option<Arc<CsrMatrix>>,
 }
 
 /// The RSLU sparse direct package beneath the LISI port.
@@ -61,7 +58,7 @@ impl Backend for Rslu {
         if let Some(e) = st.options.get_parsed::<bool>("equil") {
             opts.equilibrate = e;
         }
-        Ok(RsluConfig { options: opts, matrix: st.matrix.get().cloned() })
+        Ok(RsluConfig { options: opts })
     }
 
     /// Gather, analyze and factor — the §5.1 auxiliary objects are built
@@ -78,40 +75,32 @@ impl Backend for Rslu {
         Ok(RsluArtifact { partition, solver: Mutex::new(solver) })
     }
 
+    /// What the root holds for the cohort — the factors, the gathered
+    /// matrix and the solve workspace; the other ranks hold a partition.
+    fn artifact_bytes(art: &RsluArtifact) -> Option<usize> {
+        Some(art.solver.lock().root_solver().heap_bytes())
+    }
+
     /// The factorization is shared across all columns either way (that
-    /// is the point of a direct solver).
+    /// is the point of a direct solver). The residual reported is the
+    /// root's `‖b − A·x‖₂` of the solve's own last refinement residual,
+    /// which arrives with each rank's slice of the solution.
     fn run(
         art: &RsluArtifact,
-        cfg: RsluConfig,
+        _cfg: RsluConfig,
         comm: &Communicator,
         rhs: &[f64],
         x: &mut [f64],
         n_rhs: usize,
         _batched: bool,
     ) -> LisiResult<SolveInfo> {
-        let rank = comm.rank();
-        let rows = art.partition.local_rows(rank);
-        let matrix = cfg.matrix.expect("run follows a build from the assembled rows");
+        let rows = art.partition.local_rows(comm.rank());
         let mut solver = art.solver.lock();
         let mut residual: f64 = 0.0;
         for k in 0..n_rhs {
             let col = k * rows..(k + 1) * rows;
-            let b = DistVector::from_local(art.partition.clone(), rank, rhs[col.clone()].to_vec())?;
-            let xk = solver.solve(comm, &art.partition, &b)?;
-            x[col].copy_from_slice(xk.local());
-            // Global residual via the local rows (collective reduction).
-            let x_full = xk.allgather_full(comm)?;
-            let mut local_res = 0.0f64;
-            for lr in 0..rows {
-                let (cols, vals) = matrix.row(lr);
-                let mut acc = b.local()[lr];
-                for (&c, &v) in cols.iter().zip(vals) {
-                    acc -= v * x_full[c];
-                }
-                local_res += acc * acc;
-            }
-            let global: f64 = comm.allreduce(local_res, rcomm::sum)?;
-            residual = residual.max(global.sqrt());
+            solver.solve_local(comm, &art.partition, &rhs[col.clone()], &mut x[col])?;
+            residual = residual.max(solver.root_solver().stats().residual_norm2);
         }
         // A direct solve reports zero iterations.
         let report = SolveReport { converged: true, residual, reason: 1, ..Default::default() };

@@ -350,6 +350,67 @@ fn pipeline_contract<A: SparseSolverPort>(
     });
 }
 
+/// Collectives this rank posted so far, one count per flavour.
+fn collective_snapshot() -> [u64; 9] {
+    use probe::Counter::*;
+    let rep = probe::local_report();
+    [Barriers, Bcasts, Reduces, Allreduces, Gathers, Allgathers, Scatters, Alltoalls, Scans]
+        .map(|c| rep.counter(c))
+}
+
+/// A warm RSLU re-solve moves each column to the root and back and agrees
+/// once on admission — nothing else: the residual in `status` is the one
+/// the root's refinement step already formed, sent with the scatter, not
+/// a second product behind an `allgather` and an `allreduce`.
+#[test]
+fn warm_rslu_resolve_is_gather_scatter_and_one_agreement() {
+    let n_side = 12usize;
+    let n = n_side * n_side;
+    let a = generate::laplacian_2d(n_side);
+    let x_true = generate::random_vector(n, 77);
+    let b = a.matvec(&x_true).unwrap();
+    for p in [1usize, 3] {
+        let (a, b, x_true) = (a.clone(), b.clone(), x_true.clone());
+        Universe::run(p, move |comm| {
+            probe::set_forced(true);
+            let range = BlockRowPartition::even(n, comm.size()).range(comm.rank());
+            let rows = range.len();
+            let local = a.row_block(range.start, range.end).unwrap();
+            let solver = RsluAdapter::new();
+            solver.initialize(comm.dup().unwrap()).unwrap();
+            solver.set_start_row(range.start).unwrap();
+            solver.set_local_rows(rows).unwrap();
+            solver.set_global_cols(n).unwrap();
+            solver.set("session_tag", &format!("rslu_traffic_{p}")).unwrap();
+            solver
+                .setup_matrix(local.values(), local.row_ptr(), local.col_idx(), SparseStruct::Csr)
+                .unwrap();
+            let mut status = [0.0; STATUS_LEN];
+            // The first solve is cold; the re-solves of one and of two
+            // columns find the factors in the session cache.
+            for (nth, k) in [1usize, 1, 2].into_iter().enumerate() {
+                let rhs: Vec<f64> = (0..k).flat_map(|_| b[range.clone()].iter().copied()).collect();
+                solver.setup_rhs(&rhs, k).unwrap();
+                let mut x = vec![0.0; k * rows];
+                let before = collective_snapshot();
+                solver.solve(&mut x, &mut status).unwrap();
+                let after = collective_snapshot();
+                let posted: [u64; 9] = std::array::from_fn(|i| after[i] - before[i]);
+                let ctx = format!("{p} ranks, rank {}, {k} column(s)", comm.rank());
+                if nth > 0 {
+                    let k = k as u64;
+                    assert_eq!(posted, [0, 0, 0, 0, k, 1, k, 0, 0], "{ctx}");
+                }
+                let report = lisi::SolveReport::from_slice(&status);
+                assert!(report.residual < 1e-10, "{ctx}: residual {}", report.residual);
+                for (g, e) in x[..rows].iter().zip(&x_true[range.clone()]) {
+                    assert!((g - e).abs() < 1e-9, "{ctx}");
+                }
+            }
+        });
+    }
+}
+
 /// One contract for all four backends: warm/cold agreement, keying, and
 /// the batched entry points behave the same whichever package runs.
 #[test]

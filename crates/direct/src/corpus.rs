@@ -48,3 +48,16 @@ fn nine_point(m: usize) -> CsrMatrix {
     }
     coo.to_csr()
 }
+
+/// Two decoupled copies of `a`, unknown `i` of copy `c` numbered
+/// `2·i + c`. Under the natural ordering every structural index of the
+/// factors keeps the parity of its column, so no column's structure
+/// holds its successor: the factors have no supernode.
+pub(crate) fn interleave2(a: &CsrMatrix) -> CsrMatrix {
+    let mut coo = CooMatrix::new(2 * a.rows(), 2 * a.cols());
+    for (r, c, v) in a.iter() {
+        coo.push(2 * r, 2 * c, v).expect("bounds");
+        coo.push(2 * r + 1, 2 * c + 1, v).expect("bounds");
+    }
+    coo.to_csr()
+}

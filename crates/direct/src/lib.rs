@@ -12,9 +12,11 @@
 //!    context;
 //! 2. **Factorize** — left-looking Gilbert–Peierls sparse LU with partial
 //!    pivoting and a symmetrically pruned reach ([`lu`]), producing
-//!    `P·A·Q = L·U` on the structural pattern (explicit zeros kept);
-//! 3. **Solve** — permuted triangular solves, optionally with one step of
-//!    iterative refinement, reusing the factors across right-hand sides.
+//!    `P·A·Q = L·U` on the structural pattern (explicit zeros kept), the
+//!    finished factors stored as supernodal panels ([`panels`]);
+//! 3. **Solve** — permuted triangular solves over the panels, optionally
+//!    with one step of iterative refinement, reusing the factors and one
+//!    workspace across right-hand sides.
 //!
 //! The parallel driver ([`solver::DistRslu`]) gathers a block-row
 //! distributed system to rank 0, factors, and scatters the solution — a
@@ -27,11 +29,15 @@
 mod corpus;
 pub mod lu;
 pub mod ordering;
+pub mod panels;
+#[cfg(test)]
+mod reference;
 pub mod solver;
 pub mod symbolic;
 
 pub use lu::LuFactorization;
 pub use ordering::Ordering;
+pub use panels::PanelTri;
 pub use solver::{DistRslu, RsluOptions, RsluSolver, RsluStats};
 
 /// Errors from the RSLU package.

@@ -1,21 +1,23 @@
 //! The factorize and solve phases: left-looking Gilbert–Peierls sparse LU
 //! with threshold partial pivoting, the algorithm family SuperLU builds
-//! its supernodal variant on. Produces `P·A·Q = L·U` with unit-diagonal L
-//! in CSC form.
+//! its supernodal variant on. Produces `P·A·Q = L·U` with unit-diagonal
+//! L; the finished factors are kept as supernodal panels
+//! ([`crate::panels`]), L by columns and U by rows.
 
 use rsparse::{CscMatrix, CsrMatrix};
 
+use crate::panels::PanelTri;
 use crate::symbolic::Symbolic;
 use crate::{RsluError, RsluResult};
 
 /// A computed sparse LU factorization.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LuFactorization {
-    /// Unit-lower-triangular factor (diagonal stored explicitly as 1.0),
-    /// in *pivot-row* numbering.
-    l: CscMatrix,
-    /// Upper-triangular factor.
-    u: CscMatrix,
+    /// Unit-lower-triangular factor by columns, in *pivot-row* numbering.
+    l: PanelTri,
+    /// Upper-triangular factor by rows: the strictly lower triangle of
+    /// Uᵀ, with U's diagonal.
+    ut: PanelTri,
     /// Row permutation: `row_perm[pivot_position] = original_row`.
     row_perm: Vec<usize>,
     /// Column permutation used (`col_perm[new] = old`).
@@ -36,9 +38,11 @@ struct ColumnWork {
 }
 
 /// A factor under construction: CSC columns appended one at a time.
+/// Row indices are `u32` (`factor` checks the order once): half the index
+/// bytes while both triangles grow.
 struct Columns {
     ptr: Vec<usize>,
-    rows: Vec<usize>,
+    rows: Vec<u32>,
     vals: Vec<f64>,
 }
 
@@ -50,26 +54,88 @@ impl Columns {
     }
 
     fn push(&mut self, row: usize, val: f64) {
-        self.rows.push(row);
+        self.rows.push(row as u32);
         self.vals.push(val);
     }
 
-    /// Renumber every row through `renumber`, sort each column by row and
-    /// hand the result to the checked CSC constructor.
-    fn finish(mut self, n: usize, renumber: impl Fn(usize) -> usize) -> RsluResult<CscMatrix> {
-        let mut col: Vec<(usize, f64)> = Vec::new();
-        for w in self.ptr.windows(2) {
-            let (rows, vals) = (&mut self.rows[w[0]..w[1]], &mut self.vals[w[0]..w[1]]);
+    /// L as panels: rows renumbered to pivot order through `pinv`, every
+    /// column sorted, the unit diagonal (each column's first entry)
+    /// dropped — all in place, so the only new array is the panels' short
+    /// index list.
+    fn into_unit_lower(mut self, n: usize, pinv: &[usize]) -> RsluResult<PanelTri> {
+        let mut col: Vec<(u32, f64)> = Vec::new();
+        let mut to = 0;
+        for j in 0..n {
+            let below = self.ptr[j] + 1..self.ptr[j + 1];
             col.clear();
-            col.extend(rows.iter().map(|&r| renumber(r)).zip(vals.iter().copied()));
+            col.extend(
+                self.rows[below.clone()]
+                    .iter()
+                    .map(|&r| pinv[r as usize] as u32)
+                    .zip(self.vals[below].iter().copied()),
+            );
             col.sort_unstable_by_key(|&(r, _)| r);
-            for ((r, v), &(sr, sv)) in rows.iter_mut().zip(vals.iter_mut()).zip(&col) {
-                *r = sr;
-                *v = sv;
+            // The diagonals dropped so far leave room in front.
+            self.ptr[j] = to;
+            for &(r, v) in &col {
+                self.rows[to] = r;
+                self.vals[to] = v;
+                to += 1;
             }
         }
-        CscMatrix::from_parts(n, n, self.ptr, self.rows, self.vals)
-            .map_err(|e| RsluError::Sparse(e.to_string()))
+        self.ptr[n] = to;
+        self.rows.truncate(to);
+        self.vals.truncate(to);
+        self.vals.shrink_to_fit();
+        Ok(PanelTri::from_columns(n, &self.ptr, &self.rows, self.vals, Vec::new())?)
+    }
+
+    /// U as panels of its rows: one counting-sort transpose (columns are
+    /// visited in order, so every row comes out ascending) that sets the
+    /// diagonal apart.
+    fn into_upper_rows(self, n: usize) -> RsluResult<PanelTri> {
+        let mut ptr = vec![0usize; n + 1];
+        for (j, w) in self.ptr.windows(2).enumerate() {
+            for &k in self.rows[w[0]..w[1]].iter().filter(|&&k| k as usize != j) {
+                ptr[k as usize + 1] += 1;
+            }
+        }
+        for k in 0..n {
+            ptr[k + 1] += ptr[k];
+        }
+        let mut next = ptr[..n].to_vec();
+        let mut cols = vec![0u32; ptr[n]];
+        let mut vals = vec![0.0; ptr[n]];
+        let mut diag = vec![0.0; n];
+        for (j, w) in self.ptr.windows(2).enumerate() {
+            for (&k, &v) in self.rows[w[0]..w[1]].iter().zip(&self.vals[w[0]..w[1]]) {
+                let k = k as usize;
+                if k == j {
+                    diag[j] = v;
+                } else {
+                    cols[next[k]] = j as u32;
+                    vals[next[k]] = v;
+                    next[k] += 1;
+                }
+            }
+        }
+        drop(self);
+        Ok(PanelTri::from_columns(n, &ptr, &cols, vals, diag)?)
+    }
+}
+
+/// What one triangular solve scratches: the permuted vector and the
+/// panel sweeps' dense target buffer.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SolveScratch {
+    y: Vec<f64>,
+    w: Vec<f64>,
+}
+
+impl SolveScratch {
+    /// Elements held.
+    pub(crate) fn len(&self) -> usize {
+        self.y.len() + self.w.len()
     }
 }
 
@@ -98,6 +164,9 @@ impl LuFactorization {
             return Err(RsluError::PatternMismatch { expected: sym.nnz, got: a.nnz() });
         }
         let n = sym.n;
+        if u32::try_from(n).is_err() {
+            return Err(RsluError::Sparse(format!("order {n} is beyond the factors' u32 indices")));
+        }
         // Column access to A with the fill-reducing permutation applied.
         let acsc = a.to_csc();
 
@@ -146,7 +215,7 @@ impl LuFactorization {
                     // x ← x − xj · L(:, col), below the unit diagonal.
                     let below = l.ptr[col] + 1..l.ptr[col + 1];
                     for (&lr, &lv) in l.rows[below.clone()].iter().zip(&l.vals[below]) {
-                        work.x[lr] -= xj * lv;
+                        work.x[lr as usize] -= xj * lv;
                     }
                 }
             }
@@ -206,10 +275,10 @@ impl LuFactorization {
                 // the pivotal rows of column k to the front and stop the
                 // DFS there.
                 let (lo, hi) = (l.ptr[k] + 1, l.ptr[k + 1]);
-                if prune[k] == hi && l.rows[lo..hi].contains(&pivot_row) {
+                if prune[k] == hi && l.rows[lo..hi].contains(&(pivot_row as u32)) {
                     let (mut front, mut back) = (lo, hi);
                     while front < back {
-                        if pinv[l.rows[front]] != usize::MAX {
+                        if pinv[l.rows[front] as usize] != usize::MAX {
                             front += 1;
                         } else {
                             back -= 1;
@@ -225,11 +294,11 @@ impl LuFactorization {
             prune.push(l.rows.len());
         }
 
-        // Both factors live in the permuted space: L's rows move to pivot
-        // order, and every column is sorted for the CSC invariants.
-        let l = l.finish(n, |r| pinv[r])?;
-        let u = u.finish(n, |r| r)?;
-        Ok(LuFactorization { l, u, row_perm, col_perm: sym.col_perm.clone(), n })
+        // Both factors live in the permuted space. One triangle's
+        // growing columns are gone before the other's panels are built.
+        let l = l.into_unit_lower(n, &pinv)?;
+        let ut = u.into_upper_rows(n)?;
+        Ok(LuFactorization { l, ut, row_perm, col_perm: sym.col_perm.clone(), n })
     }
 
     /// Matrix order.
@@ -237,20 +306,43 @@ impl LuFactorization {
         self.n
     }
 
-    /// Fill: stored entries in L + U (diagnostic; the quantity orderings
-    /// try to minimize).
+    /// Fill: entries of L + U, both diagonals counted (diagnostic; the
+    /// quantity orderings try to minimize).
     pub fn fill(&self) -> usize {
-        self.l.nnz() + self.u.nnz()
+        self.l.nnz() + self.ut.nnz() + 2 * self.n
     }
 
-    /// Borrow the L factor (pivot-order numbering, unit diagonal stored).
-    pub fn l(&self) -> &CscMatrix {
+    /// L as panels of its columns (unit diagonal, not stored).
+    pub fn l_panels(&self) -> &PanelTri {
         &self.l
     }
 
-    /// Borrow the U factor.
-    pub fn u(&self) -> &CscMatrix {
-        &self.u
+    /// U as panels of its rows.
+    pub fn u_panels(&self) -> &PanelTri {
+        &self.ut
+    }
+
+    /// Heap bytes the factorization holds: both triangles' panel arrays
+    /// and the two permutations.
+    pub fn heap_bytes(&self) -> usize {
+        self.l.heap_bytes()
+            + self.ut.heap_bytes()
+            + std::mem::size_of_val(&self.row_perm[..])
+            + std::mem::size_of_val(&self.col_perm[..])
+    }
+
+    /// L in CSC form (pivot-order numbering, unit diagonal stored),
+    /// converted on demand — the solves never use it.
+    pub fn l(&self) -> CscMatrix {
+        self.l.to_csc().expect("a validated triangle is a valid CSC matrix")
+    }
+
+    /// U in CSC form, converted on demand: the CSR arrays of Uᵀ are the
+    /// CSC arrays of U.
+    pub fn u(&self) -> CscMatrix {
+        let ut = self.ut.to_csc().expect("a validated triangle is a valid CSC matrix");
+        let (n, _, ptr, rows, vals) = ut.to_csr().into_parts();
+        CscMatrix::from_parts(n, n, ptr, rows, vals).expect("the transpose of a valid matrix")
     }
 
     /// Row permutation (`row_perm[pivot_position] = original_row`).
@@ -258,90 +350,69 @@ impl LuFactorization {
         &self.row_perm
     }
 
+    /// A scratch sized for this factorization's solves.
+    pub(crate) fn scratch(&self) -> SolveScratch {
+        let w = self.l.scratch_len().max(self.ut.scratch_len());
+        SolveScratch { y: vec![0.0; self.n], w: vec![0.0; w] }
+    }
+
+    fn check_len(&self, what: &str, len: usize) -> RsluResult<()> {
+        if len == self.n {
+            Ok(())
+        } else {
+            Err(RsluError::Sparse(format!("{what} has length {len}, expected {}", self.n)))
+        }
+    }
+
     /// Solve A·x = b using the factors (one rhs).
     pub fn solve(&self, b: &[f64]) -> RsluResult<Vec<f64>> {
-        if b.len() != self.n {
-            return Err(RsluError::Sparse(format!(
-                "rhs has length {}, expected {}",
-                b.len(),
-                self.n
-            )));
-        }
-        // y = P·b.
-        let mut y: Vec<f64> = self.row_perm.iter().map(|&orig| b[orig]).collect();
-        // L·z = y (unit lower, CSC forward column sweep).
-        for j in 0..self.n {
-            let (rows, vals) = self.l.col(j);
-            let yj = y[j];
-            if yj != 0.0 {
-                // The unit diagonal is the first entry of the column.
-                for (&r, &v) in rows[1..].iter().zip(&vals[1..]) {
-                    y[r] -= v * yj;
-                }
-            }
-        }
-        // U·w = z (upper, CSC backward column sweep).
-        for j in (0..self.n).rev() {
-            let (rows, vals) = self.u.col(j);
-            // Diagonal is the last entry of the column (rows sorted, all ≤ j).
-            let &diag = vals.last().ok_or(RsluError::Singular { column: j })?;
-            debug_assert_eq!(*rows.last().expect("nonempty"), j);
-            y[j] /= diag;
-            let yj = y[j];
-            if yj != 0.0 {
-                for (&r, &v) in rows.iter().zip(vals).take(rows.len() - 1) {
-                    y[r] -= v * yj;
-                }
-            }
-        }
-        // x = Q·w: w is in permuted column space, scatter back.
         let mut x = vec![0.0; self.n];
-        for (new, &old) in self.col_perm.iter().enumerate() {
-            x[old] = y[new];
-        }
+        self.solve_into(b, &mut x, &mut self.scratch())?;
         Ok(x)
     }
 
+    /// [`LuFactorization::solve`] into `x`, allocating nothing: `scratch`
+    /// comes from [`LuFactorization::scratch`] of these factors.
+    pub(crate) fn solve_into(
+        &self,
+        b: &[f64],
+        x: &mut [f64],
+        scratch: &mut SolveScratch,
+    ) -> RsluResult<()> {
+        self.check_len("rhs", b.len())?;
+        self.check_len("solution", x.len())?;
+        let SolveScratch { y, w } = scratch;
+        // y = P·b.
+        for (yi, &orig) in y.iter_mut().zip(&self.row_perm) {
+            *yi = b[orig];
+        }
+        // L·z = y, then U·w = z through U's rows.
+        self.l.scatter_forward(y, w);
+        self.ut.gather_backward(y, w);
+        // x = Q·w: w is in permuted column space, scatter back.
+        for (&yi, &old) in y.iter().zip(&self.col_perm) {
+            x[old] = yi;
+        }
+        Ok(())
+    }
+
     /// Solve Aᵀ·x = b using the same factors: with P·A·Q = L·U this is
-    /// x = Pᵀ·L⁻ᵀ·U⁻ᵀ·Qᵀ·b. The CSC storage of U and L is exactly the
-    /// CSR storage of Uᵀ and Lᵀ, so both triangular sweeps are row
-    /// sweeps. (SuperLU's `trans` option; also the engine behind the
-    /// Hager condition estimator.)
+    /// x = Pᵀ·L⁻ᵀ·U⁻ᵀ·Qᵀ·b. (SuperLU's `trans` option; also the engine
+    /// behind the Hager condition estimator.)
     pub fn solve_transpose(&self, b: &[f64]) -> RsluResult<Vec<f64>> {
-        if b.len() != self.n {
-            return Err(RsluError::Sparse(format!(
-                "rhs has length {}, expected {}",
-                b.len(),
-                self.n
-            )));
-        }
+        self.check_len("rhs", b.len())?;
+        let SolveScratch { mut y, mut w } = self.scratch();
         // u = Qᵀ·b.
-        let mut y: Vec<f64> = self.col_perm.iter().map(|&old| b[old]).collect();
-        // Uᵀ·v = u: forward sweep over rows of Uᵀ = columns of U. The
-        // diagonal of U is the last entry of each column.
-        for j in 0..self.n {
-            let (rows, vals) = self.u.col(j);
-            let &diag = vals.last().ok_or(RsluError::Singular { column: j })?;
-            let mut acc = y[j];
-            for (&r, &v) in rows.iter().zip(vals).take(rows.len() - 1) {
-                acc -= v * y[r];
-            }
-            y[j] = acc / diag;
+        for (yi, &old) in y.iter_mut().zip(&self.col_perm) {
+            *yi = b[old];
         }
-        // Lᵀ·w = v: backward sweep over rows of Lᵀ = columns of L (unit
-        // diagonal stored first).
-        for j in (0..self.n).rev() {
-            let (rows, vals) = self.l.col(j);
-            let mut acc = y[j];
-            for (&r, &v) in rows[1..].iter().zip(&vals[1..]) {
-                acc -= v * y[r];
-            }
-            y[j] = acc;
-        }
+        // Uᵀ·v = u forward through U's rows, then Lᵀ·w = v backward.
+        self.ut.scatter_forward(&mut y, &mut w);
+        self.l.gather_backward(&mut y, &mut w);
         // x = Pᵀ·w.
         let mut x = vec![0.0; self.n];
-        for (pos, &orig) in self.row_perm.iter().enumerate() {
-            x[orig] = y[pos];
+        for (&yi, &orig) in y.iter().zip(&self.row_perm) {
+            x[orig] = yi;
         }
         Ok(x)
     }
@@ -391,9 +462,11 @@ impl LuFactorization {
                 self.n * nrhs
             )));
         }
-        let mut out = Vec::with_capacity(b.len());
+        let mut out = vec![0.0; b.len()];
+        let mut scratch = self.scratch();
         for k in 0..nrhs {
-            out.extend(self.solve(&b[k * self.n..(k + 1) * self.n])?);
+            let col = k * self.n..(k + 1) * self.n;
+            self.solve_into(&b[col.clone()], &mut out[col], &mut scratch)?;
         }
         Ok(out)
     }
@@ -420,7 +493,7 @@ fn dfs_reach(start: usize, pinv: &[usize], l: &Columns, prune: &[usize], work: &
         let top = stack.len() - 1;
         let mut descended = false;
         while next < end && !descended {
-            let child = l.rows[next];
+            let child = l.rows[next] as usize;
             next += 1;
             if mark[child] {
                 continue;
@@ -579,13 +652,14 @@ mod tests {
         let column = |rows: std::ops::Range<usize>, j: usize| -> Vec<usize> {
             rows.filter(|&i| s[i][j]).collect()
         };
+        let (l, u) = (lu.l(), lu.u());
         for j in 0..a.rows() {
             let (upper, lower) = (column(0..j + 1, j), column(j..a.rows(), j));
-            if lu.u.col(j).0 != upper || lu.l.col(j).0 != lower {
+            if u.col(j).0 != upper || l.col(j).0 != lower {
                 return Err(format!(
                     "column {j}: U {:?} vs {upper:?}, L {:?} vs {lower:?}",
-                    lu.u.col(j).0,
-                    lu.l.col(j).0
+                    u.col(j).0,
+                    l.col(j).0
                 ));
             }
         }
@@ -617,12 +691,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn exactly_cancelled_entries_stay_as_explicit_zeros() {
-        // Column 1: x(r1) = 1 − 1·1 = 0 exactly, and r2 takes the pivot,
-        // so L(:, 1) holds r1 with value 0. Row r1 is in the pattern of
-        // column 2 only through that entry (A(r1, c2) = 0), where it
-        // cancels again; it finally pivots in column 3.
+    fn cancelling_matrix() -> CsrMatrix {
         #[rustfmt::skip]
         let dense = [
             [1.0, 1.0, 0.0, 0.0],
@@ -636,13 +705,23 @@ mod tests {
                 coo.push(i, j, v).unwrap();
             }
         }
-        let a = coo.to_csr();
+        coo.to_csr()
+    }
+
+    #[test]
+    fn exactly_cancelled_entries_stay_as_explicit_zeros() {
+        // Column 1: x(r1) = 1 − 1·1 = 0 exactly, and r2 takes the pivot,
+        // so L(:, 1) holds r1 with value 0. Row r1 is in the pattern of
+        // column 2 only through that entry (A(r1, c2) = 0), where it
+        // cancels again; it finally pivots in column 3.
+        let a = cancelling_matrix();
         let sym = Symbolic::analyze(&a, Ordering::Natural).unwrap();
         let lu = LuFactorization::factor(&a, &sym, 1.0).unwrap();
         assert_eq!(lu.row_perm(), [0, 2, 3, 1]);
         // Row r1 sits at pivot position 3.
-        assert_eq!(lu.l().col(1), (&[1, 3][..], &[1.0, 0.0][..]));
-        assert_eq!(lu.l().col(2), (&[2, 3][..], &[1.0, 0.0][..]));
+        let l = lu.l();
+        assert_eq!(l.col(1), (&[1, 3][..], &[1.0, 0.0][..]));
+        assert_eq!(l.col(2), (&[2, 3][..], &[1.0, 0.0][..]));
         assert_eq!(assert_structural_pattern(&a, &lu), Ok(()));
         assert_reconstructs(&a, &lu, "cancelling");
         let x_true = [1.0, -2.0, 3.0, 0.5];
@@ -650,6 +729,119 @@ mod tests {
         for (g, e) in x.iter().zip(&x_true) {
             assert!((g - e).abs() <= 1e-12, "{g} vs {e}");
         }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every solve entry point against the column sweeps over the CSC
+    /// conversions of the same factors, bit for bit.
+    fn assert_matches_column_sweeps(a: &CsrMatrix, what: &str) {
+        let n = a.rows();
+        // A right-hand side that exercises the zero skip: exact zeros and
+        // negative zeros among ordinary values.
+        let mut holes = generate::random_vector(n, 5);
+        for (i, v) in holes.iter_mut().enumerate() {
+            match i % 4 {
+                0 => *v = 0.0,
+                1 => *v = -0.0,
+                _ => {}
+            }
+        }
+        let rhs = [generate::random_vector(n, 3), holes, vec![0.0; n], vec![-0.0; n]];
+        for ord in [Ordering::Natural, Ordering::Rcm, Ordering::MinDegree] {
+            for threshold in [1.0, 0.1] {
+                let ctx = format!("{what}, {ord:?}, threshold {threshold}");
+                let sym = Symbolic::analyze(a, ord).unwrap();
+                let lu = LuFactorization::factor(a, &sym, threshold).unwrap();
+                let (l, u) = (lu.l(), lu.u());
+                assert_eq!(lu.fill(), l.nnz() + u.nnz(), "{ctx}: fill counts logical entries");
+                let oracle = crate::reference::CscFactors {
+                    l: &l,
+                    u: &u,
+                    row_perm: &lu.row_perm,
+                    col_perm: &lu.col_perm,
+                };
+                for b in &rhs {
+                    assert_eq!(bits(&lu.solve(b).unwrap()), bits(&oracle.solve(b)), "{ctx}: solve");
+                    assert_eq!(
+                        bits(&lu.solve_transpose(b).unwrap()),
+                        bits(&oracle.solve_transpose(b)),
+                        "{ctx}: solve_transpose"
+                    );
+                }
+                let flat = rhs.concat();
+                let expect: Vec<f64> = rhs.iter().flat_map(|b| oracle.solve(b)).collect();
+                assert_eq!(
+                    bits(&lu.solve_multi(&flat, rhs.len()).unwrap()),
+                    bits(&expect),
+                    "{ctx}: solve_multi"
+                );
+                assert_eq!(
+                    lu.inverse_norm1_estimate().unwrap().to_bits(),
+                    oracle.inverse_norm1_estimate().to_bits(),
+                    "{ctx}: condition estimate"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn panel_sweeps_are_bitwise_the_column_sweeps() {
+        for m in [8, 24, 40] {
+            let (a, _) = rmesh::paper_problem(m).assemble_global();
+            assert_matches_column_sweeps(&a, &format!("paper problem m = {m}"));
+        }
+        assert_matches_column_sweeps(&generate::laplacian_2d(13), "laplacian_2d");
+        for kind in 0..crate::corpus::KINDS {
+            assert_matches_column_sweeps(&crate::corpus::matrix(kind, 90, 7), &format!("corpus {kind}"));
+        }
+        // Off-diagonal pivots.
+        let swap = rsparse::CooMatrix::from_triplets(2, 2, &[0, 1], &[1, 0], &[1.0, 2.0])
+            .unwrap()
+            .to_csr();
+        assert_matches_column_sweeps(&swap, "zero diagonal");
+        // An exactly cancelled entry: the explicit zero stays inside a panel.
+        assert_matches_column_sweeps(&cancelling_matrix(), "cancelling");
+        assert_matches_column_sweeps(&crate::corpus::interleave2(&generate::laplacian_2d(6)), "no runs");
+    }
+
+    #[test]
+    fn tracked_matrix_has_the_pinned_panel_structure() {
+        let (a, _) = rmesh::paper_problem(120).assemble_global();
+        let sym = Symbolic::analyze(&a, Ordering::MinDegree).unwrap();
+        let lu = LuFactorization::factor(&a, &sym, 1.0).unwrap();
+        assert_eq!(lu.fill(), 684_072);
+        for (name, tri) in [("L", lu.l_panels()), ("U", lu.u_panels())] {
+            assert_eq!(tri.nnz() + tri.order(), 342_036, "{name}");
+            assert_eq!(tri.panel_count(), 10_852, "{name}");
+            assert_eq!(tri.index_count(), 81_497, "{name}");
+            assert!(tri.max_panel_width() >= 64, "{name}: {}", tri.max_panel_width());
+        }
+        // 16 B an entry is what the CSC factors took.
+        assert!(
+            lu.heap_bytes() * 100 <= 65 * 16 * lu.fill(),
+            "{} B for {} entries",
+            lu.heap_bytes(),
+            lu.fill()
+        );
+    }
+
+    #[test]
+    fn interleaved_copies_have_no_run_and_every_panel_is_one_column() {
+        // Unknown i of copy c is numbered 2·i + c, so every row index in a
+        // column of L (column index in a row of U) has the column's parity
+        // and none is its successor.
+        let a = crate::corpus::interleave2(&rmesh::paper_problem(12).assemble_global().0);
+        let sym = Symbolic::analyze(&a, Ordering::Natural).unwrap();
+        let lu = LuFactorization::factor(&a, &sym, 1.0).unwrap();
+        for tri in [lu.l_panels(), lu.u_panels()] {
+            assert_eq!(tri.panel_count(), a.rows());
+            assert_eq!(tri.max_panel_width(), 1);
+            assert_eq!(tri.index_count(), tri.nnz());
+        }
+        assert!(lu.fill() > 4 * a.nnz(), "the bypass matrix still fills in");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use rcomm::Communicator;
 use rsparse::{BlockRowPartition, CsrMatrix, DistCsrMatrix, DistVector};
 
-use crate::lu::LuFactorization;
+use crate::lu::{LuFactorization, SolveScratch};
 use crate::ordering::Ordering;
 use crate::symbolic::Symbolic;
 use crate::{RsluError, RsluResult};
@@ -72,6 +72,20 @@ fn equilibrate(a: &CsrMatrix) -> RsluResult<(CsrMatrix, Vec<f64>, Vec<f64>)> {
     Ok((scaled, r, c))
 }
 
+/// `r = b − A·x` in one fused pass — `rsparse::ops::residual`'s
+/// arithmetic into a buffer the solver keeps (`a` is the factored matrix,
+/// so the lengths agree with the workspace by construction).
+fn residual_into(a: &CsrMatrix, x: &[f64], b: &[f64], r: &mut [f64]) {
+    for (i, (ri, &bi)) in r.iter_mut().zip(b).enumerate() {
+        let (cols, vals) = a.row(i);
+        let mut acc = 0.0;
+        for (&c, &v) in cols.iter().zip(vals) {
+            acc += v * x[c];
+        }
+        *ri = bi - acc;
+    }
+}
+
 /// Statistics from the last factorization/solve.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RsluStats {
@@ -85,6 +99,19 @@ pub struct RsluStats {
     pub solves: usize,
     /// ‖b − A·x‖∞ after the last solve (with refinement if enabled).
     pub backward_error: f64,
+    /// ‖b − A·x‖₂ of that same residual.
+    pub residual_norm2: f64,
+}
+
+/// What a solve scratches, sized once per factorization: the triangular
+/// sweeps' buffers, the residual, the refinement correction and (under
+/// equilibration) the scaled right-hand side.
+#[derive(Debug, Clone, Default)]
+struct Workspace {
+    lu: SolveScratch,
+    residual: Vec<f64>,
+    correction: Vec<f64>,
+    scaled_rhs: Vec<f64>,
 }
 
 /// The serial (per-rank) RSLU solver with reusable phases.
@@ -104,6 +131,7 @@ pub struct RsluSolver {
     /// Equilibration scales `(row, col)` when enabled.
     scales: Option<(Vec<f64>, Vec<f64>)>,
     stats: RsluStats,
+    work: Workspace,
 }
 
 impl RsluSolver {
@@ -178,47 +206,84 @@ impl RsluSolver {
         };
         self.stats.fill = lu.fill();
         self.stats.factorizations += 1;
+        let n = lu.order();
+        self.work = Workspace {
+            lu: lu.scratch(),
+            residual: vec![0.0; n],
+            correction: vec![0.0; n],
+            scaled_rhs: vec![0.0; if scales.is_some() { n } else { 0 }],
+        };
         self.factors = Some(lu);
         self.scales = scales;
         Ok(())
     }
 
+    /// Heap bytes the solver holds between calls: the factors, the
+    /// matrix copy refinement reads, the equilibration scales and the
+    /// solve workspace.
+    pub fn heap_bytes(&self) -> usize {
+        let floats = self.scales.as_ref().map_or(0, |(r, c)| r.len() + c.len())
+            + self.work.lu.len()
+            + self.work.residual.len()
+            + self.work.correction.len()
+            + self.work.scaled_rhs.len();
+        self.factors.as_ref().map_or(0, LuFactorization::heap_bytes)
+            + self.matrix.as_ref().map_or(0, |a| {
+                std::mem::size_of_val(a.row_ptr())
+                    + std::mem::size_of_val(a.col_idx())
+                    + std::mem::size_of_val(a.values())
+            })
+            + floats * std::mem::size_of::<f64>()
+    }
+
     /// Phase 3: triangular solves (+ optional refinement).
     pub fn solve(&mut self, b: &[f64]) -> RsluResult<Vec<f64>> {
+        let mut x = vec![0.0; b.len()];
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// [`RsluSolver::solve`] into `x`. Allocates nothing: every buffer a
+    /// solve scratches was sized when the factors were computed.
+    pub fn solve_into(&mut self, b: &[f64], x: &mut [f64]) -> RsluResult<()> {
         let _trace = probe::trace::solve_guard();
         let _span = probe::span!("rslu_solve");
         let lu = self
             .factors
             .as_ref()
             .ok_or_else(|| RsluError::BadOption("solve requires a prior factorize".into()))?;
+        let Workspace { lu: scratch, residual, correction, scaled_rhs } = &mut self.work;
         // With equilibration the factors invert A' = R·A·C, so
         // A·x = b ⟺ A'·y = R·b with x = C·y.
-        let scaled_solve = |rhs: &[f64]| -> RsluResult<Vec<f64>> {
+        let mut scaled_solve = |rhs: &[f64], out: &mut [f64]| -> RsluResult<()> {
             probe::incr(probe::Counter::TriangularSolves);
             match &self.scales {
-                None => lu.solve(rhs),
+                None => lu.solve_into(rhs, out, scratch),
                 Some((r, c)) => {
-                    let rb: Vec<f64> = rhs.iter().zip(r).map(|(v, ri)| v * ri).collect();
-                    let mut y = lu.solve(&rb)?;
-                    for (yi, ci) in y.iter_mut().zip(c) {
+                    for ((s, v), ri) in scaled_rhs.iter_mut().zip(rhs).zip(r) {
+                        *s = v * ri;
+                    }
+                    lu.solve_into(scaled_rhs, out, scratch)?;
+                    for (yi, ci) in out.iter_mut().zip(c) {
                         *yi *= ci;
                     }
-                    Ok(y)
+                    Ok(())
                 }
             }
         };
-        let mut x = scaled_solve(b)?;
+        scaled_solve(b, x)?;
         self.stats.solves += 1;
         if let Some(a) = &self.matrix {
-            let mut r = rsparse::ops::residual(a, &x, b)?;
+            residual_into(a, x, b, residual);
             if self.options.refine {
-                let dx = scaled_solve(&r)?;
-                rsparse::dense::axpy(1.0, &dx, &mut x);
-                r = rsparse::ops::residual(a, &x, b)?;
+                scaled_solve(residual, correction)?;
+                rsparse::dense::axpy(1.0, correction, x);
+                residual_into(a, x, b, residual);
             }
-            self.stats.backward_error = rsparse::dense::norm_inf(&r);
+            self.stats.backward_error = rsparse::dense::norm_inf(residual);
+            self.stats.residual_norm2 = rsparse::dense::norm2(residual);
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Multi-RHS solve on a flat column-major buffer.
@@ -231,9 +296,10 @@ impl RsluSolver {
         if nrhs == 0 || b.len() != n * nrhs {
             return Err(RsluError::PatternMismatch { expected: n * nrhs, got: b.len() });
         }
-        let mut out = Vec::with_capacity(b.len());
+        let mut out = vec![0.0; b.len()];
         for k in 0..nrhs {
-            out.extend(self.solve(&b[k * n..(k + 1) * n])?);
+            let col = k * n..(k + 1) * n;
+            self.solve_into(&b[col.clone()], &mut out[col])?;
         }
         Ok(out)
     }
@@ -282,15 +348,19 @@ impl RsluSolver {
 #[derive(Debug, Default)]
 pub struct DistRslu {
     inner: RsluSolver,
+    /// The root's full-length solution, sized by `factorize`.
+    x_full: Vec<f64>,
 }
 
 impl DistRslu {
     /// New distributed driver.
     pub fn new(options: RsluOptions) -> Self {
-        DistRslu { inner: RsluSolver::new(options) }
+        DistRslu { inner: RsluSolver::new(options), x_full: Vec::new() }
     }
 
-    /// Access the rank-0 serial solver (meaningful on the root only).
+    /// Access the rank-0 serial solver. Meaningful on the root only, but
+    /// for `stats().residual_norm2`, which every rank receives with its
+    /// slice of the last solve.
     pub fn root_solver(&self) -> &RsluSolver {
         &self.inner
     }
@@ -299,7 +369,10 @@ impl DistRslu {
     pub fn factorize(&mut self, comm: &Communicator, a: &DistCsrMatrix) -> RsluResult<()> {
         let _span = probe::span!("rslu_dist_factor");
         let gathered = a.gather_to_root(comm, 0)?;
-        let outcome = gathered.map(|global| self.inner.factorize(&global));
+        let outcome = gathered.map(|global| {
+            self.x_full = vec![0.0; global.rows()];
+            self.inner.factorize(&global)
+        });
         // Broadcast the root's outcome so all ranks agree on it.
         comm.bcast(0, outcome)?.expect("the root sends its outcome")
     }
@@ -312,22 +385,48 @@ impl DistRslu {
         partition: &BlockRowPartition,
         b: &DistVector,
     ) -> RsluResult<DistVector> {
+        let mut x = DistVector::zeros(partition.clone(), comm.rank());
+        self.solve_local(comm, partition, b.local(), x.local_mut())?;
+        Ok(x)
+    }
+
+    /// [`DistRslu::solve`] on the caller's own buffers: this rank's rows
+    /// of the right-hand side in, its rows of the solution out. Collective.
+    pub fn solve_local(
+        &mut self,
+        comm: &Communicator,
+        partition: &BlockRowPartition,
+        b: &[f64],
+        x: &mut [f64],
+    ) -> RsluResult<()> {
         let _trace = probe::trace::solve_guard();
         let _span = probe::span!("rslu_dist_solve");
-        let b_full = b.gather_to_root(comm, 0)?;
+        let b_full = comm.gatherv(0, b)?;
         // The root's outcome travels with the scatter — each rank gets its
-        // slice or the root's error — so a failure strands nobody.
+        // slice and the residual norm, or the root's error — so a failure
+        // strands nobody.
         let chunks = b_full.map(|full| {
-            let x = self.inner.solve(&full);
+            let solved = self.inner.solve_into(&full, &mut self.x_full);
+            let norm = self.inner.stats.residual_norm2;
             (0..comm.size())
-                .map(|r| match &x {
-                    Ok(x) => vec![Ok(x[partition.range(r)].to_vec())],
-                    Err(e) => vec![Err(e.clone())],
+                .map(|r| {
+                    let slice = solved.clone().and_then(|()| {
+                        self.x_full.get(partition.range(r)).ok_or(RsluError::PatternMismatch {
+                            expected: partition.global_rows(),
+                            got: self.x_full.len(),
+                        })
+                    });
+                    vec![slice.map(|x| (x.to_vec(), norm))]
                 })
                 .collect()
         });
-        let mine = comm.scatter(0, chunks)?.pop().expect("one outcome per rank")?;
-        Ok(DistVector::from_local(partition.clone(), comm.rank(), mine)?)
+        let (mine, norm) = comm.scatter(0, chunks)?.pop().expect("one outcome per rank")?;
+        if mine.len() != x.len() {
+            return Err(RsluError::PatternMismatch { expected: x.len(), got: mine.len() });
+        }
+        x.copy_from_slice(&mine);
+        self.inner.stats.residual_norm2 = norm;
+        Ok(())
     }
 
     /// [`DistRslu::factorize`] streaming the phase duration (gather +

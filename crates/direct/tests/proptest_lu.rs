@@ -8,6 +8,10 @@ use rdirect::{LuFactorization, Ordering, RsluOptions, RsluSolver};
 use rdirect::symbolic::Symbolic;
 use rsparse::generate;
 
+/// The column sweeps over CSC factors, shared with the crate's unit tests.
+#[path = "../src/reference.rs"]
+mod reference;
+
 /// Random diagonally dominant (hence nonsingular) matrix via seeds.
 fn dd(n: usize, seed: u64) -> rsparse::CsrMatrix {
     generate::random_diag_dominant(n, 3, seed)
@@ -32,6 +36,47 @@ proptest! {
         for (g, e) in x.iter().zip(&reference) {
             prop_assert!((g - e).abs() < 1e-7 * (1.0 + e.abs()), "{ord:?}");
         }
+    }
+
+    #[test]
+    fn panel_sweeps_equal_the_column_sweeps_bitwise(
+        seed in 0u64..100_000,
+        n in 2usize..120,
+        density in 0.02f64..0.3,
+        ord_idx in 0usize..3,
+        threshold in proptest::sample::select(vec![1.0, 0.1]),
+        zeros in 0usize..4,
+    ) {
+        // A random nonsymmetric pattern; the shift makes it nonsingular.
+        let shift = rsparse::CsrMatrix::identity(n);
+        let a = rsparse::ops::add(1.0, &generate::random_csr(n, n, density, seed), n as f64, &shift)
+            .unwrap();
+        let ord = [Ordering::Natural, Ordering::Rcm, Ordering::MinDegree][ord_idx];
+        let sym = Symbolic::analyze(&a, ord).unwrap();
+        let lu = LuFactorization::factor(&a, &sym, threshold).unwrap();
+        let (l, u) = (lu.l(), lu.u());
+        prop_assert_eq!(lu.fill(), l.nnz() + u.nnz());
+        let oracle = reference::CscFactors {
+            l: &l,
+            u: &u,
+            row_perm: lu.row_perm(),
+            col_perm: &sym.col_perm,
+        };
+        // Every `zeros`-th entry an exact or a negative zero: the skip.
+        let mut b = generate::random_vector(n, seed ^ 0xb17);
+        for (i, v) in b.iter_mut().enumerate().filter(|(i, _)| zeros > 0 && i % (zeros + 1) == 0) {
+            *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&lu.solve(&b).unwrap()), bits(&oracle.solve(&b)));
+        prop_assert_eq!(bits(&lu.solve_transpose(&b).unwrap()), bits(&oracle.solve_transpose(&b)));
+        let twice: Vec<f64> = b.iter().chain(&b).copied().collect();
+        let x = oracle.solve(&b);
+        prop_assert_eq!(bits(&lu.solve_multi(&twice, 2).unwrap()), bits(&[&x[..], &x[..]].concat()));
+        prop_assert_eq!(
+            lu.inverse_norm1_estimate().unwrap().to_bits(),
+            oracle.inverse_norm1_estimate().to_bits()
+        );
     }
 
     #[test]

@@ -125,6 +125,16 @@ pub fn csr_arrays_to_csr(
             values.to_vec(),
         ));
     }
+    // The fallback walks the arrays by position, so their lengths come
+    // first: a short array is a typed error, not an index panic.
+    for (what, expected, got) in [
+        ("CSR row pointers", rows + 1, ptr.len()),
+        ("CSR column indices", values.len(), cidx.len()),
+    ] {
+        if expected != got {
+            return Err(crate::error::SparseError::LengthMismatch { what, expected, got });
+        }
+    }
     let mut coo = CooMatrix::new(rows, cols);
     for r in 0..rows {
         let (lo, hi) = (ptr[r], ptr[r + 1]);
@@ -265,6 +275,28 @@ mod tests {
     fn bad_row_pointers_are_rejected() {
         assert!(csr_arrays_to_csr(1, 2, &[1.0], &[0, 9], &[0], 0).is_err());
         assert!(csr_arrays_to_csr(2, 2, &[1.0], &[0, 1, 0], &[0], 0).is_err());
+    }
+
+    #[test]
+    fn short_csr_arrays_are_typed_errors_not_index_panics() {
+        use crate::error::SparseError::LengthMismatch;
+        // A row pointer array shorter (and longer, and empty) than rows + 1.
+        for ptr in [&[0, 1][..], &[0, 1, 2, 2], &[]] {
+            assert!(matches!(
+                csr_arrays_to_csr(2, 2, &[1.0, 2.0], ptr, &[0, 1], 0),
+                Err(LengthMismatch { what: "CSR row pointers", expected: 3, .. })
+            ));
+        }
+        // Fewer column indices than values, in a sorted row and under
+        // index base 1.
+        assert!(matches!(
+            csr_arrays_to_csr(1, 3, &[1.0, 2.0, 3.0], &[0, 3], &[0, 1], 0),
+            Err(LengthMismatch { what: "CSR column indices", expected: 3, got: 2 })
+        ));
+        assert!(matches!(
+            csr_arrays_to_csr(2, 2, &[1.0, 2.0], &[1, 2, 3], &[1], 1),
+            Err(LengthMismatch { what: "CSR column indices", expected: 2, got: 1 })
+        ));
     }
 
     #[test]

@@ -80,6 +80,40 @@ fn wrong_buffer_sizes_are_invalid_input() {
 }
 
 #[test]
+fn short_csr_arrays_are_invalid_input_on_every_rank() {
+    // Each rank hands `setupMatrix(CSR)` one column index fewer than it
+    // has values (and, separately, than its row pointers promise): the
+    // same typed error everywhere, and the port still takes a good matrix.
+    for (name, make) in adapters() {
+        let out = Universe::run(2, |comm| {
+            let s = make();
+            s.initialize(comm.dup().unwrap()).unwrap();
+            s.set_start_row(2 * comm.rank()).unwrap();
+            s.set_local_rows(2).unwrap();
+            s.set_global_cols(4).unwrap();
+            let diag = [2 * comm.rank(), 2 * comm.rank() + 1];
+            let short = s
+                .setup_matrix(&[1.0, 1.0], &[0, 1, 2], &diag[..1], SparseStruct::Csr)
+                .unwrap_err();
+            let overrun = s
+                .setup_matrix(&[1.0, 1.0], &[0, 1, 3], &diag, SparseStruct::Csr)
+                .unwrap_err();
+            s.setup_matrix(&[1.0, 1.0], &[0, 1, 2], &diag, SparseStruct::Csr).unwrap();
+            s.setup_rhs(&[3.0, 4.0], 1).unwrap();
+            let mut x = [0.0; 2];
+            let mut st = [0.0; STATUS_LEN];
+            s.solve(&mut x, &mut st).unwrap();
+            (short, overrun, x)
+        });
+        for (rank, (short, overrun, x)) in out.iter().enumerate() {
+            assert!(matches!(short, LisiError::InvalidInput(_)), "{name}, rank {rank}: {short:?}");
+            assert!(matches!(overrun, LisiError::InvalidInput(_)), "{name}, rank {rank}: {overrun:?}");
+            assert_eq!(x, &[3.0, 4.0], "{name}, rank {rank}");
+        }
+    }
+}
+
+#[test]
 fn singular_system_fails_cleanly_on_every_rank() {
     // Zero column ⇒ structurally singular; the direct package must
     // report failure on ALL ranks (not just the root that factors).
