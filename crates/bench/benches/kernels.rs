@@ -1,12 +1,10 @@
-//! Substrate kernel benches: SpMV variants (serial, rayon, distributed)
+//! Substrate kernel benches: SpMV variants (serial, distributed)
 //! and sparse-format conversions — the building blocks whose costs bound
 //! the interface overhead the paper measures.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rcomm::Universe;
-use rsparse::{
-    generate, BcsrMatrix, BlockRowPartition, DistCsrMatrix, DistVector, MsrMatrix, SellMatrix,
-};
+use rsparse::{generate, BlockRowPartition, DistCsrMatrix, DistVector, MsrMatrix};
 
 fn spmv(c: &mut Criterion) {
     let mut group = c.benchmark_group("spmv");
@@ -17,16 +15,6 @@ fn spmv(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("serial", m), &m, |b, _| {
             let mut y = vec![0.0; a.rows()];
             b.iter(|| a.matvec_into(&x, &mut y));
-        });
-        group.bench_with_input(BenchmarkId::new("threaded", m), &m, |b, _| {
-            // Allocation-free threaded SpMV at the host's parallelism
-            // (restored afterwards so later benches stay serial).
-            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-            let prev = rsparse::threads::active();
-            rsparse::threads::set_threads(cores);
-            let mut y = vec![0.0; a.rows()];
-            b.iter(|| a.matvec_par_into(&x, &mut y));
-            rsparse::threads::set_threads(prev);
         });
         group.bench_with_input(BenchmarkId::new("dist4", m), &m, |b, _| {
             b.iter(|| {
@@ -48,15 +36,13 @@ fn spmv(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial SpMV across the adaptive storage formats on format-friendly
-/// patterns: SELL-C-σ on the 5-point stencil (uniform rows), block-CSR
-/// on a FEM-style 3-dof assembly (full tiles), with the CSR kernel on
-/// the same matrix as the baseline in each case, and the paper's own
-/// matrix at the Figure 5 one-rank size. All formats are bit-identical;
-/// only the time may differ.
+/// The split plan against the plain serial CSR loop (`csr/*`) on the
+/// 5-point stencil, a FEM-style 3-dof assembly and the paper's own matrix
+/// at the Figure 5 one-rank size. Bit-identical; only the time differs.
 ///
 /// The `split1` rows are the distributed matvec on one rank. On a stencil
-/// matrix nearly every row sits in a stencil run (no column indices);
+/// matrix nearly every row sits in a stencil run (no column indices),
+/// `femb3` has no runs at all and goes through the compact kernel;
 /// `paper128`, `paper400` and `laplacian200` are the other tracked
 /// workloads' matrices, and `paper300shuffled` is the bypass control — the
 /// rows of `paper300` reordered so that none continues the one above: the
@@ -78,16 +64,6 @@ fn spmv_formats(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("csr", label), |b| {
             let mut y = vec![0.0; a.rows()];
             b.iter(|| a.matvec_into(&x, &mut y));
-        });
-        group.bench_function(BenchmarkId::new("sell", label), |b| {
-            let s = SellMatrix::from_csr(a);
-            let mut y = vec![0.0; a.rows()];
-            b.iter(|| s.matvec_into(&x, &mut y));
-        });
-        group.bench_function(BenchmarkId::new("bcsr", label), |b| {
-            let m = BcsrMatrix::from_csr(a);
-            let mut y = vec![0.0; a.rows()];
-            b.iter(|| m.matvec_into(&x, &mut y));
         });
         bench_split1(&mut group, label, a, label != "femb3");
     }

@@ -22,10 +22,6 @@ fn main() {
         "Figure 5 reproduction: m = {m} (nnz = {}), ranks {counts:?}, {reps} runs each",
         5 * m * m - 4 * m
     );
-    // `RSPARSE_FORMAT` (csr|sell|bcsr|auto) picks the SpMV storage
-    // format, mirroring `RSPARSE_THREADS`; all formats are bit-identical
-    // so only the timings change.
-    eprintln!("spmv format policy: {}", rsparse::autotune::active_policy().name());
     let points = figure5_series(m, &counts, reps);
     println!("{}", format_figure5(&points));
     println!("paper claim: per package, CCA and NonCCA curves nearly overlay (small overhead).");

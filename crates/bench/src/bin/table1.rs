@@ -22,10 +22,6 @@ fn main() {
     eprintln!(
         "Table 1 reproduction: RKSP component, {processors} ranks, grids {grids:?}, {reps} runs each"
     );
-    // `RSPARSE_FORMAT` (csr|sell|bcsr|auto) picks the SpMV storage
-    // format, mirroring `RSPARSE_THREADS`; all formats are bit-identical
-    // so only the timings change.
-    eprintln!("spmv format policy: {}", rsparse::autotune::active_policy().name());
     // Default the probe to the summary sink so the per-rank breakdown
     // below always prints; RSPARSE_PROBE=json|chrome overrides.
     let mode = match probe::mode() {

@@ -122,16 +122,6 @@ macro_rules! lisi_common_methods {
                 // disables, 1|on selects the default path, anything else is
                 // the target path.
                 "ledger" => probe::ledger::set_destination(value),
-                // Reserved key: "format" selects the SpMV storage format the
-                // next setupMatrix plans with (csr|sell|bcsr|auto). All
-                // formats are bit-identical, so this is purely a performance
-                // knob — same process-wide pattern as "probe"/"threads".
-                "format" => {
-                    let policy = rsparse::FormatPolicy::parse(value).ok_or_else(|| {
-                        bad(format!("unknown format '{value}' (expected csr|sell|bcsr|auto)"))
-                    })?;
-                    rsparse::autotune::set_policy(policy);
-                }
                 // Reserved key: "nrhs" opts subsequent solves into the
                 // batched multi-RHS path — any value ≥ 2 makes `solve`
                 // process all columns of the current right-hand-side block

@@ -127,9 +127,6 @@ pub fn assemble(ranks: usize, info: &SolveInfo) -> String {
         _ => None,
     };
 
-    let format = reports
-        .iter()
-        .find_map(|r| r.note("format").map(str::to_string));
     let counter_sum =
         |c: probe::Counter| reports.iter().map(|r| r.counter(c)).sum::<u64>();
 
@@ -138,10 +135,9 @@ pub fn assemble(ranks: usize, info: &SolveInfo) -> String {
     let _ = writeln!(doc, "\"backend\":\"{}\",", json_escape(info.backend));
     let _ = writeln!(
         doc,
-        "\"solver\":{{\"ksp\":{},\"pc\":{},\"format\":{},\"threads\":{},\"ranks\":{ranks}}},",
+        "\"solver\":{{\"ksp\":{},\"pc\":{},\"threads\":{},\"ranks\":{ranks}}},",
         opt_str(&info.ksp),
         opt_str(&info.pc),
-        opt_str(&format),
         rsparse::threads::active(),
     );
     let _ = writeln!(

@@ -85,8 +85,8 @@ pub fn matrix_digest(row_ptr: &[usize], col_idx: &[usize], values: &[f64]) -> u6
 }
 
 /// The per-solve part of a session key: a stored [`matrix_digest`]
-/// folded with the rank/size, the owned row range, the solver option
-/// dump and the active storage-format policy.
+/// folded with the rank/size, the owned row range and the solver option
+/// dump.
 pub fn session_fingerprint(
     matrix_digest: u64,
     rank: usize,
@@ -98,7 +98,6 @@ pub fn session_fingerprint(
     let words = [matrix_digest, rank as u64, size as u64, start_row as u64, global_cols as u64];
     let h = words.iter().fold(FNV_OFFSET, |h, w| fnv(h, &w.to_le_bytes()));
     let h = fnv(h, options_dump.as_bytes());
-    let h = fnv(h, rsparse::autotune::active_policy().name().as_bytes());
     // A probe reset wipes registered kernel work models; folding the
     // reset epoch in forces the next solve cold so setup re-registers
     // them (a warm solve would assemble a ledger with no kernel rows).

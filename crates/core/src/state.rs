@@ -287,6 +287,7 @@ impl LisiState {
             )));
         }
         let mut coo = CooMatrix::new(local_rows, global_cols);
+        coo.reserve(nblocks * bs * bs);
         for br in 0..nbr {
             let lo = sub_offset(rows[br], offset, "block pointer")?;
             let hi = sub_offset(rows[br + 1], offset, "block pointer")?;
@@ -459,6 +460,7 @@ fn msr_local_to_csr(
         return Err(LisiError::InvalidInput("MSR ja[0] must point just past the diagonal".into()));
     }
     let mut coo = CooMatrix::new(n, global_cols);
+    coo.reserve(val.len());
     for i in 0..n {
         if val[i] != 0.0 {
             coo.push(i, start + i, val[i])

@@ -1,5 +1,5 @@
 //! Solve-ledger acceptance: schema, model reconciliation, summary
-//! agreement, format invariance, determinism.
+//! agreement, determinism.
 //!
 //! The ledger is assembled from process-global probe state, so every
 //! test in this file serializes on one mutex and resets the registry
@@ -24,7 +24,7 @@ fn tmp_path(tag: &str) -> PathBuf {
 /// Drive a 4-rank CG+ILU(0) solve through the adapter with the ledger
 /// armed at `dest`; returns the parsed document and each rank's logical
 /// shape: (rows, local nnz, diagonal-block nnz — what ILU(0) factors).
-fn solve_with_ledger(format: &str, dest: &PathBuf) -> (Value, Vec<(u64, u64, u64)>) {
+fn solve_with_ledger(dest: &PathBuf) -> (Value, Vec<(u64, u64, u64)>) {
     let _ = std::fs::remove_file(dest);
     probe::reset();
     probe::ledger::set_destination(dest.to_str().unwrap());
@@ -43,7 +43,6 @@ fn solve_with_ledger(format: &str, dest: &PathBuf) -> (Value, Vec<(u64, u64, u64
         solver.set("solver", "cg").unwrap();
         solver.set("preconditioner", "ilu").unwrap();
         solver.set("tol", "1e-10").unwrap();
-        solver.set("format", format).unwrap();
         solver
             .setup_matrix(
                 local.values(),
@@ -113,7 +112,7 @@ fn sweep_bytes(rows: u64, nnz_with_diagonal: u64) -> u64 {
 fn ledger_matches_schema_and_reconciles_with_the_plan_model() {
     let _guard = LEDGER_LOCK.lock().unwrap();
     let dest = tmp_path("accept");
-    let (doc, shapes) = solve_with_ledger("csr", &dest);
+    let (doc, shapes) = solve_with_ledger(&dest);
 
     // Schema shape: versioned id plus every top-level section, typed.
     assert_eq!(
@@ -204,35 +203,12 @@ fn ledger_matches_schema_and_reconciles_with_the_plan_model() {
 }
 
 #[test]
-fn spmv_model_bytes_are_bit_identical_across_formats() {
-    let _guard = LEDGER_LOCK.lock().unwrap();
-    let mut per_unit: Vec<Vec<(u64, u64)>> = Vec::new();
-    for format in ["csr", "sell", "bcsr"] {
-        let dest = tmp_path(format);
-        let (doc, shapes) = solve_with_ledger(format, &dest);
-        // Per-application traffic per rank: totals divided by span calls,
-        // so iteration-count differences between formats cancel.
-        let rows: Vec<(u64, u64)> = (0..shapes.len() as u64)
-            .map(|rank| {
-                let row = kernel_row(&doc, rank, "spmv");
-                let units = u(row, "units");
-                (u(row, "flops") / units, u(row, "bytes") / units)
-            })
-            .collect();
-        per_unit.push(rows);
-        let _ = std::fs::remove_file(&dest);
-    }
-    assert_eq!(per_unit[0], per_unit[1], "csr vs sell spmv model");
-    assert_eq!(per_unit[0], per_unit[2], "csr vs bcsr spmv model");
-}
-
-#[test]
 fn ledger_model_side_is_deterministic_across_runs() {
     let _guard = LEDGER_LOCK.lock().unwrap();
     let mut snapshots = Vec::new();
     for run in 0..2 {
         let dest = tmp_path(&format!("det{run}"));
-        let (doc, _) = solve_with_ledger("csr", &dest);
+        let (doc, _) = solve_with_ledger(&dest);
         // Everything except measured time is a pure function of the
         // input system: kernel set, units, modeled flops and bytes.
         let mut model: Vec<(u64, String, u64, u64, u64)> = kernels(&doc)

@@ -96,12 +96,6 @@ impl MatOperator {
     pub fn matrix_mut(&mut self) -> &mut DistCsrMatrix {
         &mut self.matrix
     }
-
-    /// The SpMV storage format this rank's plan settled on (CSR unless
-    /// the `format` option or `RSPARSE_FORMAT` picked otherwise).
-    pub fn chosen_format(&self) -> rsparse::Format {
-        self.matrix.chosen_format()
-    }
 }
 
 impl LinearOperator for MatOperator {

@@ -90,19 +90,6 @@ pub enum Counter {
     SptrsvLevelWidth32to127,
     /// Levels of width ≥ 128.
     SptrsvLevelWidth128Plus,
-    /// Operator plans that settled on CSR (explicitly or via the
-    /// autotuner's model/measurement).
-    FormatChosenCsr,
-    /// Operator plans that settled on SELL-C-σ.
-    FormatChosenSell,
-    /// Operator plans that settled on block-CSR.
-    FormatChosenBcsr,
-    /// Nanoseconds spent inside the format autotuner (pattern analysis
-    /// and, in measure mode, the candidate micro-benchmarks).
-    FormatAutotuneNs,
-    /// Nanoseconds spent converting CSR operators into the chosen
-    /// format's storage (paid once at plan build, never per matvec).
-    FormatConversionNs,
     /// World ranks marked lost in the cohort registry (killed by a fault
     /// rule or declared heartbeat-stale).
     RanksLost,
@@ -127,7 +114,7 @@ pub enum Counter {
 }
 
 /// Number of counter variants (recorder slot-array length).
-pub(crate) const COUNTER_COUNT: usize = 46;
+pub(crate) const COUNTER_COUNT: usize = 41;
 
 impl Counter {
     /// All variants, in declaration order (matching slot indices).
@@ -166,11 +153,6 @@ impl Counter {
         Counter::SptrsvLevelWidth8to31,
         Counter::SptrsvLevelWidth32to127,
         Counter::SptrsvLevelWidth128Plus,
-        Counter::FormatChosenCsr,
-        Counter::FormatChosenSell,
-        Counter::FormatChosenBcsr,
-        Counter::FormatAutotuneNs,
-        Counter::FormatConversionNs,
         Counter::RanksLost,
         Counter::CohortShrinks,
         Counter::ReducedBytes,
@@ -217,11 +199,6 @@ impl Counter {
             Counter::SptrsvLevelWidth8to31 => "sptrsv_level_width_8_31",
             Counter::SptrsvLevelWidth32to127 => "sptrsv_level_width_32_127",
             Counter::SptrsvLevelWidth128Plus => "sptrsv_level_width_128_plus",
-            Counter::FormatChosenCsr => "format_chosen_csr",
-            Counter::FormatChosenSell => "format_chosen_sell",
-            Counter::FormatChosenBcsr => "format_chosen_bcsr",
-            Counter::FormatAutotuneNs => "format_autotune_ns",
-            Counter::FormatConversionNs => "format_conversion_ns",
             Counter::RanksLost => "ranks_lost",
             Counter::CohortShrinks => "cohort_shrinks",
             Counter::ReducedBytes => "reduced_bytes",

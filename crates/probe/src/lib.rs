@@ -244,21 +244,21 @@ mod tests {
     fn notes_flow_through_reports_and_sinks() {
         let _g = locked();
         reset();
-        note("format", "sell");
-        note("format", "bcsr"); // last write wins
-        add(Counter::FormatChosenBcsr, 1);
+        note("batch", "nrhs=2");
+        note("batch", "nrhs=8"); // last write wins
+        add(Counter::RhsBatched, 8);
         let report = local_report();
-        assert_eq!(report.note("format"), Some("bcsr"));
-        assert_eq!(report.counter(Counter::FormatChosenBcsr), 1);
+        assert_eq!(report.note("batch"), Some("nrhs=8"));
+        assert_eq!(report.counter(Counter::RhsBatched), 8);
         let summary = render_summary(std::slice::from_ref(&report));
         assert!(summary.contains("notes:"), "missing notes block:\n{summary}");
-        assert!(summary.contains("format"));
-        assert!(summary.contains("bcsr"));
-        assert!(summary.contains("format_chosen_bcsr"));
+        assert!(summary.contains("batch"));
+        assert!(summary.contains("nrhs=8"));
+        assert!(summary.contains("rhs_batched"));
         let jsonl = render_jsonl(std::slice::from_ref(&report));
-        assert!(jsonl.contains("\"notes\":{\"format\":\"bcsr\"}"), "{jsonl}");
+        assert!(jsonl.contains("\"notes\":{\"batch\":\"nrhs=8\"}"), "{jsonl}");
         reset();
-        assert_eq!(local_report().note("format"), None);
+        assert_eq!(local_report().note("batch"), None);
     }
 
     #[test]

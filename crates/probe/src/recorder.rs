@@ -420,8 +420,8 @@ pub fn set_rank(rank: usize) {
 
 /// Attach a free-form annotation to the current thread's recorder. Notes
 /// surface in [`crate::RankReport::notes`], the summary sink, and
-/// postmortems; the canonical use is `note("format", "sell")` when an
-/// operator plan settles on a sparse format. Last write per key wins.
+/// postmortems; e.g. `note("batch", "nrhs=8")` when a solve takes the
+/// batched path. Last write per key wins.
 pub fn note(key: &'static str, value: impl Into<String>) {
     let value = value.into();
     with_local(|r| r.set_note(key, value));

@@ -43,7 +43,7 @@ pub struct RankReport {
     /// mirroring `RecvsCompleted`/`BytesReceived` exactly.
     pub peer_recvs: BTreeMap<usize, PeerStat>,
     /// Free-form annotations recorded via [`crate::note`] (key → latest
-    /// value), e.g. `"format" → "sell"`.
+    /// value), e.g. `"batch" → "nrhs=8"`.
     pub notes: BTreeMap<&'static str, String>,
     /// Merged log2 latency buckets, one row per [`Hist`] family.
     hist_counts: [[u64; BUCKETS]; HIST_COUNT],
@@ -142,8 +142,17 @@ impl RankReport {
         rows
     }
 
+    /// Nothing recorded at all: a recorder whose thread only timed a
+    /// histogram sample, exchanged messages, left a note or registered a
+    /// model still belongs in [`aggregate`]'s output.
     fn is_empty(&self) -> bool {
-        self.spans.is_empty() && self.counters.iter().all(|&c| c == 0)
+        self.spans.is_empty()
+            && self.counters.iter().all(|&c| c == 0)
+            && self.hist_counts.iter().flatten().all(|&c| c == 0)
+            && self.peer_sends.is_empty()
+            && self.peer_recvs.is_empty()
+            && self.notes.is_empty()
+            && self.models.is_empty()
     }
 
     #[allow(clippy::too_many_arguments)]

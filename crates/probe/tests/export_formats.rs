@@ -240,3 +240,31 @@ fn summary_sink_is_deterministic_and_name_sorted() {
     let pc = once.find("pc_applies").expect("pc_applies row");
     assert!(mv < pc, "counter rows render in name order");
 }
+
+/// A thread that timed one histogram sample and recorded nothing else is
+/// not an empty recorder: its rank shows in `aggregate()` and its sample
+/// on the Prometheus page.
+#[test]
+fn a_recorder_holding_only_a_histogram_sample_is_reported() {
+    let _g = locked();
+    probe::reset();
+    std::thread::spawn(|| {
+        probe::set_rank(5);
+        probe::hist::record_ns(probe::hist::Hist::Collective, 1_500);
+    })
+    .join()
+    .unwrap();
+    let reports = probe::aggregate();
+    let page = probe::export::snapshot();
+    probe::reset();
+
+    let rep = reports
+        .iter()
+        .find(|r| r.rank == Some(5))
+        .expect("the sampling thread's report");
+    assert_eq!(rep.hist(probe::hist::Hist::Collective).count, 1);
+    assert!(
+        page.contains("rsparse_collective_seconds_count{rank=\"5\"} 1\n"),
+        "got: {page}"
+    );
+}

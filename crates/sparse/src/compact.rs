@@ -136,8 +136,7 @@ impl CompactRows {
         }
     }
 
-    /// Local row index of each stored row (the scatter map the
-    /// format-converted kernels share).
+    /// Local row index of each stored row.
     pub(crate) fn rows(&self) -> &[usize] {
         &self.rows
     }
@@ -145,11 +144,6 @@ impl CompactRows {
     /// Stored entries.
     pub(crate) fn nnz(&self) -> usize {
         self.vals.len()
-    }
-
-    /// The stored values, rows in order, each "owned then ghost".
-    pub(crate) fn values(&self) -> &[f64] {
-        &self.vals
     }
 
     /// Re-read every stored row's values from `local` — the matrix this
@@ -168,36 +162,6 @@ impl CompactRows {
                 *at += 1;
             }
         }
-    }
-
-    /// The piece as a CSR matrix over the ghost-extended column space
-    /// `[owned, ghosts]` (ghost slot `g` ↦ column `n_local + g`; just
-    /// `[owned]` for a piece without ghost entries) — what the SELL /
-    /// block-CSR conversions take as input. Entry order, and so the value
-    /// order, is unchanged.
-    pub(crate) fn to_csr(&self) -> CsrMatrix {
-        let width = if self.ghost_ptr.is_empty() {
-            self.n_local
-        } else {
-            self.n_local + self.n_ghosts
-        };
-        let mut col_idx = Vec::with_capacity(self.cols.len());
-        for i in 0..self.rows.len() {
-            let (lo, mid, hi) = self.row_bounds(i);
-            col_idx.extend(self.cols[lo..mid].iter().map(|&c| c as usize));
-            col_idx.extend(
-                self.cols[mid..hi]
-                    .iter()
-                    .map(|&c| self.n_local + c as usize),
-            );
-        }
-        CsrMatrix::from_parts_unchecked(
-            self.rows.len(),
-            width,
-            self.row_ptr.clone(),
-            col_idx,
-            self.vals.clone(),
-        )
     }
 
     /// `(start, first ghost entry, end)` of row `i`.
@@ -342,14 +306,12 @@ fn continues_run(prev: &[usize], cur: &[usize]) -> bool {
 
 /// The detection pass: walk `local`'s rows once, each compared with the
 /// one above, and report every maximal sequence `rows.start..rows.end` of
-/// `interior` rows that each continue the previous one (`chain` off: every
-/// interior row is a sequence of its own) to `sequence`, with whether it
-/// is long enough — and non-empty — to be stored as a run; every other row
-/// goes to `other`. Both are called in ascending row order.
+/// `interior` rows that each continue the previous one to `sequence`, with
+/// whether it is long enough — and non-empty — to be stored as a run; every
+/// other row goes to `other`. Both are called in ascending row order.
 fn scan_sequences(
     local: &CsrMatrix,
     interior: impl Fn(&[usize]) -> bool,
-    chain: bool,
     mut sequence: impl FnMut(Range<usize>, bool),
     mut other: impl FnMut(usize),
 ) {
@@ -364,7 +326,7 @@ fn scan_sequences(
     let mut run0 = 0;
     for i in 0..local.rows() {
         let is_interior = interior(cols(i));
-        if is_interior && chain && i > run0 && continues_run(cols(i - 1), cols(i)) {
+        if is_interior && i > run0 && continues_run(cols(i - 1), cols(i)) {
             continue;
         }
         close(run0..i);
@@ -375,20 +337,6 @@ fn scan_sequences(
         }
     }
     close(run0..local.rows());
-}
-
-/// Share of `a`'s rows a CSR plan would store as stencil runs, by the rule
-/// [`split_interior`] cuts with (which also ends a run at a row with a
-/// ghost column — invisible to this scan of the bare pattern).
-pub(crate) fn stencil_cover(a: &CsrMatrix) -> f64 {
-    let mut covered = 0usize;
-    let count = |rows: Range<usize>, is_run: bool| covered += if is_run { rows.len() } else { 0 };
-    scan_sequences(a, |_| true, true, count, |_| {});
-    if a.rows() == 0 {
-        0.0
-    } else {
-        covered as f64 / a.rows() as f64
-    }
 }
 
 /// One stencil run: `len` consecutive local rows from `row0`, each with `k`
@@ -737,13 +685,11 @@ impl StencilRuns {
 /// [`MIN_RUN_ROWS`] interior rows that each continue the previous one
 /// becomes a run — grid-edge rows with fewer entries break a run and may
 /// start their own — and everything else goes to the remainder with its
-/// columns. With `detect_runs` off every interior row goes to the
-/// remainder (a format-converted plan converts from it).
+/// columns.
 pub(crate) fn split_interior(
     local: &CsrMatrix,
     owned: &Range<usize>,
     n_local: usize,
-    detect_runs: bool,
 ) -> (StencilRuns, CompactRows, Vec<usize>) {
     let mut runs = StencilRuns::new(n_local);
     let mut rest_rows = Vec::new();
@@ -773,7 +719,7 @@ pub(crate) fn split_interior(
         }
     };
     let interior = |cols: &[usize]| cols.iter().all(|c| owned.contains(c));
-    scan_sequences(local, interior, detect_runs, store, |i| other_rows.push(i));
+    scan_sequences(local, interior, store, |i| other_rows.push(i));
     let rest = CompactRows::new(
         rest_rows,
         rest_ptr,
@@ -811,10 +757,6 @@ mod tests {
         let mut y = [-1.0; 3];
         p.spmv(&x, &g, &mut y, 1);
         assert_eq!(y, [2.0 + 300.0 + 1.25, -1.0, 70.0 + 5.5 + 3.25]);
-        // The ghost-extended CSR view is the same operator.
-        let ext = [1.0, 10.0, 100.0, 0.5, 0.25];
-        assert_eq!(p.to_csr().matvec(&ext).unwrap(), vec![y[0], y[2]]);
-        assert_eq!(p.to_csr().values(), p.values());
     }
 
     #[test]
@@ -864,33 +806,26 @@ mod tests {
         CsrMatrix::from_parts_unchecked(rows.len(), cols, row_ptr, col_idx, values)
     }
 
-    /// The product of `local`'s interior rows with runs cut out, and with
-    /// every row left in the compact remainder.
-    fn with_and_without_runs(
+    /// The product of `local`'s rows (all interior) through the plan — runs
+    /// cut out, the rest compact — beside the serial CSR product of the
+    /// same rows, and how many rows the plan stored as runs.
+    fn planned_and_serial(
         local: &CsrMatrix,
         x: &[f64],
         threads: usize,
     ) -> (Vec<f64>, Vec<f64>, usize) {
         let n = x.len();
-        let mut out = Vec::new();
-        let mut in_runs = 0;
-        for detect in [true, false] {
-            let (runs, rest, other) = split_interior(local, &(0..n), n, detect);
-            assert!(other.is_empty());
-            assert_eq!(runs.row_count() + rest.rows().len(), local.rows());
-            assert_eq!(runs.nnz() + rest.nnz(), local.nnz());
-            if detect {
-                in_runs = runs.row_count();
-            } else {
-                assert_eq!(runs.row_count(), 0);
-            }
-            let mut y = vec![f64::NAN; n];
-            runs.spmv(x, &mut y, threads);
-            rest.spmv(x, &[], &mut y, threads);
-            out.push(y);
-        }
-        let without = out.pop().unwrap();
-        (out.pop().unwrap(), without, in_runs)
+        let (runs, rest, other) = split_interior(local, &(0..n), n);
+        assert!(other.is_empty());
+        assert_eq!(runs.row_count() + rest.rows().len(), local.rows());
+        assert_eq!(runs.nnz() + rest.nnz(), local.nnz());
+        let mut y = vec![f64::NAN; n];
+        runs.spmv(x, &mut y, threads);
+        rest.spmv(x, &[], &mut y, threads);
+        y.truncate(local.rows());
+        let mut serial = vec![f64::NAN; local.rows()];
+        local.matvec_into(x, &mut serial);
+        (y, serial, runs.row_count())
     }
 
     fn assert_same_bits(got: &[f64], want: &[f64], tag: &str) {
@@ -937,9 +872,9 @@ mod tests {
                 x[41] = f64::NEG_INFINITY;
             }
             for (tag, pattern) in [("narrow", &narrow), ("wide", &wide)] {
-                let (with, without, in_runs) = with_and_without_runs(&csr_of(n, pattern), &x, 1);
+                let (planned, serial, in_runs) = planned_and_serial(&csr_of(n, pattern), &x, 1);
                 assert_eq!(in_runs, rows, "{tag}");
-                assert_same_bits(&with, &without, tag);
+                assert_same_bits(&planned, &serial, tag);
             }
         }
     }
@@ -969,10 +904,10 @@ mod tests {
         }
         let local = csr_of(n, &rows);
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let (with, without, in_runs) = with_and_without_runs(&local, &x, 1);
+        let (planned, serial, in_runs) = planned_and_serial(&local, &x, 1);
         assert_eq!(in_runs, 16 + 17 + 20 + 20);
-        assert_same_bits(&with[..rows.len()], &without[..rows.len()], "mixed");
-        let (runs, ..) = split_interior(&local, &(0..n), n, true);
+        assert_same_bits(&planned, &serial, "mixed");
+        let (runs, ..) = split_interior(&local, &(0..n), n);
         let shape: Vec<(usize, usize, usize)> =
             runs.runs.iter().map(|r| (r.row0, r.len, r.k)).collect();
         assert_eq!(shape, [(16, 16, 3), (33, 17, 3), (51, 20, 3), (71, 20, 2)]);
@@ -983,7 +918,7 @@ mod tests {
         // 5 000 rows (past the threading threshold) of nine diagonals.
         let n = 5_000;
         let local = crate::generate::banded(n, 4, 3);
-        let (runs, rest, _) = split_interior(&local, &(0..n), n, true);
+        let (runs, rest, _) = split_interior(&local, &(0..n), n);
         assert_eq!(runs.row_count(), n - 8);
         let k = MULTI_CHUNK + 3;
         let xs = crate::generate::random_vector(k * n, 5);
@@ -1011,7 +946,7 @@ mod tests {
         // again — `vals` follows the class, the logical count does not.
         let n = 50;
         let mut local = crate::generate::laplacian_1d(n);
-        let (mut runs, mut rest, _) = split_interior(&local, &(0..n), n, true);
+        let (mut runs, mut rest, _) = split_interior(&local, &(0..n), n);
         assert_eq!(runs.row_count(), n - 2);
         let x = crate::generate::random_vector(n, 9);
         let check = |runs: &StencilRuns, rest: &CompactRows, local: &CsrMatrix, stored| {
@@ -1071,13 +1006,13 @@ mod tests {
     /// Rows `local`'s plan stores in constant runs.
     fn constant_rows(local: &CsrMatrix) -> usize {
         let n = local.cols();
-        split_interior(local, &(0..n), n, true)
+        split_interior(local, &(0..n), n)
             .0
             .constant_row_count()
     }
 
     #[test]
-    fn constant_and_varying_runs_match_the_compact_kernel_bitwise() {
+    fn constant_and_varying_runs_match_the_serial_kernel_bitwise() {
         let m = 40;
         let n = m * m;
         let x = crate::generate::random_vector(n, 21);
@@ -1085,7 +1020,7 @@ mod tests {
             ("paper", paper_like(m)),
             ("laplacian", crate::generate::laplacian_2d(m)),
         ] {
-            let (runs, ..) = split_interior(&a, &(0..n), n, true);
+            let (runs, ..) = split_interior(&a, &(0..n), n);
             // One run per grid line; the second one's rows.
             let line = runs.runs[1].clone();
             assert_eq!((line.row0, line.len, line.k), (m + 1, m - 2, 5), "{tag}");
@@ -1107,11 +1042,11 @@ mod tests {
             ] {
                 assert_eq!(constant_rows(&local), constant, "{tag}, {case}");
                 for threads in [1, 4] {
-                    let (with, without, in_runs) = with_and_without_runs(&local, &x, threads);
+                    let (planned, serial, in_runs) = planned_and_serial(&local, &x, threads);
                     assert_eq!(in_runs, runs.row_count());
                     assert_same_bits(
-                        &with,
-                        &without,
+                        &planned,
+                        &serial,
                         &format!("{tag}, {case}, {threads} threads"),
                     );
                 }
@@ -1144,9 +1079,9 @@ mod tests {
             for special in [1, 19] {
                 let local = csr_of(n, &rows(Some(special)));
                 assert_eq!(constant_rows(&local), 0, "{first:?} with {odd_one_out:?}");
-                let (with, without, in_runs) = with_and_without_runs(&local, &x, 1);
+                let (planned, serial, in_runs) = planned_and_serial(&local, &x, 1);
                 assert_eq!(in_runs, 20);
-                assert_same_bits(&with[..20], &without[..20], "odd one out");
+                assert_same_bits(&planned, &serial, "odd one out");
             }
         }
     }
@@ -1171,7 +1106,7 @@ mod tests {
                 })
                 .collect::<Vec<_>>(),
         );
-        let (runs, rest, _) = split_interior(&local, &(0..n), n, true);
+        let (runs, rest, _) = split_interior(&local, &(0..n), n);
         assert_eq!(
             (runs.row_count(), runs.constant_row_count()),
             (rows - 1, 2500)

@@ -6,14 +6,12 @@
 //! COO/CSR/CSC/MSR/VBR/FEM can reach CSR (every package's native ingest
 //! format here), and CSR can reach any of them back.
 
-use crate::bcsr::BcsrMatrix;
 use crate::coo::CooMatrix;
 use crate::csc::CscMatrix;
 use crate::csr::CsrMatrix;
 use crate::error::SparseResult;
 use crate::fem::FemAssembly;
 use crate::msr::MsrMatrix;
-use crate::sell::SellMatrix;
 use crate::vbr::VbrMatrix;
 
 impl From<&CooMatrix> for CsrMatrix {
@@ -44,42 +42,6 @@ impl From<&FemAssembly> for CsrMatrix {
     fn from(m: &FemAssembly) -> Self {
         m.to_csr()
     }
-}
-
-impl From<&CsrMatrix> for SellMatrix {
-    fn from(m: &CsrMatrix) -> Self {
-        SellMatrix::from_csr(m)
-    }
-}
-
-impl From<&SellMatrix> for CsrMatrix {
-    fn from(m: &SellMatrix) -> Self {
-        m.to_csr()
-    }
-}
-
-impl From<&CsrMatrix> for BcsrMatrix {
-    fn from(m: &CsrMatrix) -> Self {
-        BcsrMatrix::from_csr(m)
-    }
-}
-
-impl From<&BcsrMatrix> for CsrMatrix {
-    fn from(m: &BcsrMatrix) -> Self {
-        m.to_csr()
-    }
-}
-
-/// Convert CSR to SELL-C-σ with explicit slice height and sort window
-/// (see [`SellMatrix::from_csr_with`] for the clamping rules).
-pub fn csr_to_sell(a: &CsrMatrix, c: usize, sigma: usize) -> SellMatrix {
-    SellMatrix::from_csr_with(a, c, sigma)
-}
-
-/// Convert CSR to block-CSR with explicit block dimensions (see
-/// [`BcsrMatrix::from_csr_with`] for the clamping rules).
-pub fn csr_to_bcsr(a: &CsrMatrix, br: usize, bc: usize) -> BcsrMatrix {
-    BcsrMatrix::from_csr_with(a, br, bc)
 }
 
 /// Convert raw COO triplet arrays with a given index base (`offset` = 0 for

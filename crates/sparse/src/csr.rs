@@ -6,11 +6,6 @@ use crate::coo::CooMatrix;
 use crate::csc::CscMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::{SparseError, SparseResult};
-use crate::threads::{self, SharedMutSlice};
-
-/// Minimum row count before `matvec_par_into` dispatches to the pool:
-/// below this the per-dispatch synchronization dwarfs the row work.
-const PAR_SPMV_MIN_ROWS: usize = 2048;
 
 /// One row's dot product against the input vector — the inner loop of the
 /// serial and threaded CSR SpMV (the distributed split kernels accumulate
@@ -220,64 +215,15 @@ impl CsrMatrix {
         Ok(y)
     }
 
-    /// y[k] = A.row(r0 + k) · x for the contiguous row range
-    /// `r0..r0 + y.len()` — the one chunk kernel behind `matvec_into` and
-    /// `matvec_par_into` (threads get disjoint output chunks).
-    #[inline]
-    pub(crate) fn spmv_chunk(&self, r0: usize, x: &[f64], y: &mut [f64]) {
-        for (k, yi) in y.iter_mut().enumerate() {
-            let (cols, vals) = self.row(r0 + k);
-            *yi = row_dot(cols, vals, x);
-        }
-    }
-
     /// y = A·x into a caller-provided buffer (no allocation; hot path).
     #[inline]
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         debug_assert_eq!(x.len(), self.cols);
         debug_assert_eq!(y.len(), self.rows);
-        self.spmv_chunk(0, x, y);
-    }
-
-    /// y = A·x over the rank-local thread pool, into a caller-provided
-    /// buffer — allocation-free on every call. Rows are split into one
-    /// contiguous chunk per thread ([`crate::threads::active`] of them),
-    /// each writing its own output range, so the result is bit-identical
-    /// to [`Self::matvec_into`] at any thread count. Short matrices (and a
-    /// busy pool) run serially.
-    pub fn matvec_par_into(&self, x: &[f64], y: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.cols);
-        debug_assert_eq!(y.len(), self.rows);
-        let threads = threads::active();
-        if threads > 1 && self.rows >= PAR_SPMV_MIN_ROWS {
-            let ys = SharedMutSlice::new(y);
-            threads::for_each_chunk(self.rows, threads, |s, e| {
-                // SAFETY: `for_each_chunk` hands out disjoint ranges; we
-                // reborrow each as an exclusive chunk.
-                let chunk = unsafe {
-                    std::slice::from_raw_parts_mut(ys.as_ptr().add(s), e - s)
-                };
-                self.spmv_chunk(s, x, chunk);
-            });
-        } else {
-            self.spmv_chunk(0, x, y);
+        for (i, yi) in y.iter_mut().enumerate() {
+            let (cols, vals) = self.row(i);
+            *yi = row_dot(cols, vals, x);
         }
-    }
-
-    /// y = A·x over the rank-local thread pool (allocating wrapper around
-    /// [`Self::matvec_par_into`] — call that directly on repeat
-    /// applications to avoid the per-call output allocation).
-    pub fn matvec_par(&self, x: &[f64]) -> SparseResult<Vec<f64>> {
-        if x.len() != self.cols {
-            return Err(SparseError::LengthMismatch {
-                what: "matvec input",
-                expected: self.cols,
-                got: x.len(),
-            });
-        }
-        let mut y = vec![0.0; self.rows];
-        self.matvec_par_into(x, &mut y);
-        Ok(y)
     }
 
     /// yᵀ = xᵀ·A, i.e. y = Aᵀ·x, without forming the transpose.
@@ -486,7 +432,6 @@ mod tests {
         let x = vec![1.0, 2.0, 3.0];
         let y = a.matvec(&x).unwrap();
         assert_eq!(y, vec![6.0, 12.0, 14.0]);
-        assert_eq!(a.matvec_par(&x).unwrap(), y);
         let mut y2 = vec![0.0; 3];
         a.matvec_into(&x, &mut y2);
         assert_eq!(y2, y);

@@ -21,10 +21,10 @@
 //! The pieces are stored compactly (`u32` renumbered columns, every index
 //! checked once at plan build — see `compact.rs`), and a boundary row
 //! reads its owned entries from `x` itself and its ghost entries from the
-//! ghost slots, so `x` is never copied. Under a CSR plan the interior rows
-//! that repeat the row above shifted by one column — the bulk of a stencil
-//! matrix — are stored as **stencil runs**, diagonal-major with no column
-//! indices at all. The ghost slots and the send
+//! ghost slots, so `x` is never copied. The interior rows that repeat the
+//! row above shifted by one column — the bulk of a stencil matrix — are
+//! stored as **stencil runs**, diagonal-major with no column indices at
+//! all. The ghost slots and the send
 //! staging buffers live in a `MatvecWorkspace` owned by the matrix
 //! (interior mutability), so repeated matvecs — the inner loop of every
 //! Krylov solve — perform no heap allocation. Dot products and norms
@@ -34,7 +34,6 @@ use std::sync::{Arc, Mutex};
 
 use rcomm::Communicator;
 
-use crate::autotune::{self, Format, FormatMatrix, FormatPolicy};
 use crate::compact::{self, CompactRows, StencilRuns};
 use crate::csr::CsrMatrix;
 use crate::dense;
@@ -200,8 +199,7 @@ struct HaloPlan {
 struct SplitLocal {
     /// Rows touching only owned columns whose pattern is the previous
     /// row's shifted by one, in runs long enough to store without column
-    /// indices. Empty under a format-converted plan, which converts from
-    /// `interior`.
+    /// indices.
     runs: StencilRuns,
     /// The other rows touching only owned columns.
     interior: CompactRows,
@@ -233,11 +231,9 @@ impl SplitLocal {
 /// steady state allocates nothing.
 #[derive(Debug)]
 struct MatvecWorkspace {
-    /// `[x_local, ghosts]`. The compact CSR kernel reads only the ghost
-    /// slots (and `x` in place), so the head is never touched — nor, the
-    /// allocation being zeroed lazily, resident; a format-converted
-    /// boundary kernel wants one contiguous input and gets `x` copied in.
-    ext: Vec<f64>,
+    /// The ghost slots, in plan order; owned entries are read from `x`
+    /// in place.
+    ghosts: Vec<f64>,
     /// Per-send-slot buffer pools, parallel to `HaloPlan::sends`.
     send_pools: Vec<Vec<Arc<Vec<f64>>>>,
     /// Per-recv "not yet drained this matvec" flags, parallel to
@@ -250,9 +246,9 @@ struct MatvecWorkspace {
 }
 
 impl MatvecWorkspace {
-    fn new(n_local: usize, plan: &HaloPlan) -> Self {
+    fn new(plan: &HaloPlan) -> Self {
         MatvecWorkspace {
-            ext: vec![0.0; n_local + plan.n_ghosts],
+            ghosts: vec![0.0; plan.n_ghosts],
             // Two buffers per destination: a receiver may lag one full
             // matvec behind its sender (it posts its own sends before
             // draining ours), so the k-th buffer can still be in flight
@@ -308,9 +304,9 @@ impl MatvecWorkspace {
 struct MultiWorkspace {
     /// Batch width this workspace was built for.
     k: usize,
-    /// `k` columns of `[x_local, ghosts]` as in [`MatvecWorkspace::ext`],
-    /// column `q` at `q·(n_local + n_ghosts)`.
-    ext: Vec<f64>,
+    /// `k` columns of ghost slots as in [`MatvecWorkspace::ghosts`],
+    /// column `q` at `q·n_ghosts`.
+    ghosts: Vec<f64>,
     /// Per-send-slot buffer pools (payload = `k` interleaved column
     /// segments), parallel to `HaloPlan::sends`.
     send_pools: Vec<Vec<Arc<Vec<f64>>>>,
@@ -319,10 +315,10 @@ struct MultiWorkspace {
 }
 
 impl MultiWorkspace {
-    fn new(n_local: usize, plan: &HaloPlan, k: usize) -> Self {
+    fn new(plan: &HaloPlan, k: usize) -> Self {
         MultiWorkspace {
             k,
-            ext: vec![0.0; k * (n_local + plan.n_ghosts)],
+            ghosts: vec![0.0; k * plan.n_ghosts],
             // Two buffers per destination, as in `MatvecWorkspace`.
             send_pools: plan
                 .sends
@@ -364,15 +360,6 @@ impl MultiWorkspace {
     }
 }
 
-/// The interior/boundary pieces converted into the plan's chosen SpMV
-/// format. Absent when the plan chose CSR: the compact split pieces are
-/// the CSR kernel's own storage, so there is nothing to convert.
-#[derive(Debug, Clone, PartialEq)]
-struct FormatKernel {
-    interior: FormatMatrix,
-    boundary: FormatMatrix,
-}
-
 /// A block-row-distributed square sparse matrix in CSR form.
 #[derive(Debug)]
 pub struct DistCsrMatrix {
@@ -385,12 +372,6 @@ pub struct DistCsrMatrix {
     /// value updates and diagnostics).
     local_global: CsrMatrix,
     plan: HaloPlan,
-    /// The SpMV format this matrix's plan settled on (see
-    /// [`crate::autotune`]); the compact split pieces stay the source of
-    /// truth either way.
-    chosen: Format,
-    /// Format-converted kernel pieces; `None` ⇒ CSR path.
-    kernel: Option<FormatKernel>,
     /// Reusable matvec scratch; interior mutability so the hot path takes
     /// `&self` (each rank owns its matrix, so the lock is uncontended).
     workspace: Mutex<MatvecWorkspace>,
@@ -408,25 +389,20 @@ impl Clone for DistCsrMatrix {
             split: self.split.clone(),
             local_global: self.local_global.clone(),
             plan: self.plan.clone(),
-            chosen: self.chosen,
-            kernel: self.kernel.clone(),
-            workspace: Mutex::new(MatvecWorkspace::new(self.local_rows(), &self.plan)),
+            workspace: Mutex::new(MatvecWorkspace::new(&self.plan)),
             multi_workspace: Mutex::new(None),
         }
     }
 }
 
 impl PartialEq for DistCsrMatrix {
-    /// Structural equality; the matvec workspace is scratch and ignored
-    /// (the format kernel derives from `split` + `chosen`, so comparing
-    /// `chosen` covers it).
+    /// Structural equality; the matvec workspace is scratch and ignored.
     fn eq(&self, other: &Self) -> bool {
         self.partition == other.partition
             && self.rank == other.rank
             && self.split == other.split
             && self.local_global == other.local_global
             && self.plan == other.plan
-            && self.chosen == other.chosen
     }
 }
 
@@ -454,33 +430,19 @@ impl DistCsrMatrix {
         Self::from_local_rows(comm, partition, local)
     }
 
-    /// Build from this rank's local rows (columns global) under the
-    /// process-global format policy ([`autotune::active_policy`], i.e.
-    /// `RSPARSE_FORMAT` / `port.set("format", ...)`). Collective: the
-    /// halo plan construction performs an all-to-all.
-    pub fn from_local_rows(
-        comm: &Communicator,
-        partition: BlockRowPartition,
-        local: CsrMatrix,
-    ) -> SparseResult<Self> {
-        Self::from_local_rows_with_format(comm, partition, local, autotune::active_policy())
-    }
-
-    /// [`Self::from_local_rows`] with an explicit format policy — the
-    /// plan ("setupMatrix") step where the autotuner runs, the chosen
-    /// format is converted, and both are cached in the operator so
-    /// steady-state matvecs pay zero conversion cost. Each rank decides
-    /// from its own local rows; results are bit-identical regardless, so
-    /// ranks are free to disagree.
+    /// Build from this rank's local rows (columns global) — the plan
+    /// ("setupMatrix") step: halo plan, interior/boundary split and
+    /// stencil-run detection, all kept in the operator so steady-state
+    /// matvecs pay none of it. Collective: the halo plan construction
+    /// performs an all-to-all.
     ///
     /// The split pieces index columns with `u32`: a rank whose owned rows
     /// plus ghost entries exceed `u32::MAX` gets
     /// [`SparseError::IndexOutOfBounds`] (after the plan's last collective).
-    pub fn from_local_rows_with_format(
+    pub fn from_local_rows(
         comm: &Communicator,
         partition: BlockRowPartition,
         local: CsrMatrix,
-        policy: FormatPolicy,
     ) -> SparseResult<Self> {
         let rank = comm.rank();
         if partition.parts() != comm.size() {
@@ -560,22 +522,16 @@ impl DistCsrMatrix {
         compact::check_index_space(n_local, n_ghosts)?;
         let plan = HaloPlan { sends, recvs, n_ghosts };
 
-        // 4. Resolve the format policy against the local pattern.
-        let chosen = autotune::plan(&local, policy);
-        autotune::record_choice(chosen);
-
-        // 5. Split-compile the local matrix with renumbered columns,
+        // 4. Split-compile the local matrix with renumbered columns,
         //    straight into the compact pieces. The renumbering keeps owned
         //    columns and ghost columns each in order (see [`SplitLocal`]),
         //    so each output row is "owned entries then ghost entries" in
         //    one linear pass — no COO round-trip, no per-row sort.
         //    `check_index_space` above makes the `u32` casts lossless;
-        //    `CompactRows::new` re-checks every index it stores. Only a
-        //    CSR plan runs the interior rows where they are stored, so
-        //    only it has stencil runs cut out of them.
+        //    `CompactRows::new` re-checks every index it stores.
         let my_range = partition.range(rank);
         let (runs, interior, boundary_rows) =
-            compact::split_interior(&local, &my_range, n_local, chosen == Format::Csr);
+            compact::split_interior(&local, &my_range, n_local);
         let mut bnd_ptr = vec![0usize];
         let mut bnd_ghost_ptr = Vec::new();
         let mut bnd_cols: Vec<u32> = Vec::new();
@@ -616,10 +572,9 @@ impl DistCsrMatrix {
 
         // Static work/traffic models, computed once here at plan build and
         // joined with the measured spans at report time. All SpMV models
-        // derive from the *logical* CSR pattern, so SELL-C-σ and BCSR
-        // plans and stencil runs of the same matrix carry bit-identical
-        // flops/bytes — format efficiency comparisons share one
-        // denominator.
+        // derive from the *logical* CSR pattern, so a row carries the same
+        // flops/bytes whether it is stored in a stencil run or in the
+        // compact remainder.
         {
             use probe::model::{csr_traffic, register, KernelModel, TimeBase, WorkUnit};
             let spmv = |span, rows, nnz| {
@@ -665,35 +620,16 @@ impl DistCsrMatrix {
                 },
             );
         }
-        // 6. Convert the kernel pieces once, here at plan-build time.
-        let kernel = if chosen == Format::Csr {
-            None
-        } else {
-            Some(FormatKernel {
-                interior: FormatMatrix::build(&split.interior.to_csr(), chosen),
-                boundary: FormatMatrix::build(&split.boundary.to_csr(), chosen),
-            })
-        };
-
-        let workspace = Mutex::new(MatvecWorkspace::new(n_local, &plan));
+        let workspace = Mutex::new(MatvecWorkspace::new(&plan));
         Ok(DistCsrMatrix {
             partition,
             rank,
             split,
             local_global: local,
             plan,
-            chosen,
-            kernel,
             workspace,
             multi_workspace: Mutex::new(None),
         })
-    }
-
-    /// Whether the boundary kernel reads `[x, ghosts]` as one slice, so
-    /// that a matvec must copy `x` ahead of the ghost slots: only a
-    /// format-converted kernel with boundary rows to feed does.
-    fn stages_x(&self) -> bool {
-        self.kernel.is_some() && !self.split.boundary.rows().is_empty()
     }
 
     /// The row partition.
@@ -725,91 +661,6 @@ impl DistCsrMatrix {
     /// hook; also a good measure of partition quality).
     pub fn ghost_count(&self) -> usize {
         self.plan.n_ghosts
-    }
-
-    /// The SpMV storage format this rank's plan settled on.
-    pub fn chosen_format(&self) -> Format {
-        self.chosen
-    }
-
-    /// Interior rows of `y ← A·x` in the chosen format (the compact CSR
-    /// piece when no conversion was planned). Bit-identical across formats
-    /// and thread counts.
-    fn spmv_interior(&self, x: &[f64], yl: &mut [f64]) {
-        match &self.kernel {
-            Some(k) => k.interior.spmv_scatter(
-                self.split.interior.rows(),
-                x,
-                &SharedMutSlice::new(yl),
-                threads::active(),
-            ),
-            None => {
-                self.split.runs.spmv(x, yl, threads::active());
-                self.split.interior.spmv(x, &[], yl, threads::active());
-            }
-        }
-    }
-
-    /// Boundary rows of `y ← A·x` in the chosen format. `ext` is the
-    /// workspace's `[x_local, ghosts]`: the compact CSR kernel reads `x`
-    /// and the ghost slots, a converted kernel reads `ext` whole (see
-    /// [`Self::stages_x`]).
-    fn spmv_boundary(&self, x: &[f64], ext: &[f64], yl: &mut [f64]) {
-        match &self.kernel {
-            Some(k) => k.boundary.spmv_scatter(
-                self.split.boundary.rows(),
-                ext,
-                &SharedMutSlice::new(yl),
-                threads::active(),
-            ),
-            None => self.split.boundary.spmv(x, &ext[x.len()..], yl, threads::active()),
-        }
-    }
-
-    /// Interior multi-vector kernel in the chosen format.
-    fn spmv_interior_multi(&self, xs: &[f64], ys: &SharedMutSlice<'_>, k: usize) {
-        let n_local = self.local_rows();
-        match &self.kernel {
-            Some(fk) => fk.interior.spmv_scatter_multi(
-                self.split.interior.rows(),
-                xs,
-                n_local,
-                ys,
-                n_local,
-                k,
-                threads::active(),
-            ),
-            None => {
-                self.split.runs.spmv_multi(xs, ys, k, threads::active());
-                self.split.interior.spmv_multi(xs, &[], 0, ys, k, threads::active());
-            }
-        }
-    }
-
-    /// Boundary multi-vector kernel in the chosen format; `ext` holds the
-    /// `k` columns of `[x_local, ghosts]` as in [`Self::spmv_boundary`].
-    fn spmv_boundary_multi(&self, xs: &[f64], ext: &[f64], ys: &SharedMutSlice<'_>, k: usize) {
-        let n_local = self.local_rows();
-        let ext_stride = n_local + self.plan.n_ghosts;
-        match &self.kernel {
-            Some(fk) => fk.boundary.spmv_scatter_multi(
-                self.split.boundary.rows(),
-                ext,
-                ext_stride,
-                ys,
-                n_local,
-                k,
-                threads::active(),
-            ),
-            None => self.split.boundary.spmv_multi(
-                xs,
-                &ext[n_local..],
-                ext_stride,
-                ys,
-                k,
-                threads::active(),
-            ),
-        }
     }
 
     /// Batched parallel matvec: `ys` column `q` ← A · `xs` column `q`
@@ -848,7 +699,7 @@ impl DistCsrMatrix {
         }
         let mut guard = self.multi_workspace.lock().unwrap_or_else(|e| e.into_inner());
         if guard.as_ref().map(|w| w.k) != Some(k) {
-            *guard = Some(MultiWorkspace::new(n_local, &self.plan, k));
+            *guard = Some(MultiWorkspace::new(&self.plan, k));
             self.register_multi_models(k);
         }
         let ws = guard.as_mut().expect("workspace was just installed");
@@ -873,18 +724,11 @@ impl DistCsrMatrix {
         let ys_shared = SharedMutSlice::new(ys);
         {
             let _s = probe::span!("spmv_multi_interior");
-            self.spmv_interior_multi(xs, &ys_shared, k);
+            self.split.runs.spmv_multi(xs, &ys_shared, k, threads::active());
+            self.split.interior.spmv_multi(xs, &[], 0, &ys_shared, k, threads::active());
         }
 
-        // 3. Drain the batched receives into the ghost slots (a converted
-        //    boundary kernel also wants each column of `x` ahead of them).
-        if self.stages_x() {
-            let ext_stride = n_local + self.plan.n_ghosts;
-            for q in 0..k {
-                ws.ext[q * ext_stride..q * ext_stride + n_local]
-                    .copy_from_slice(&xs[q * n_local..(q + 1) * n_local]);
-            }
-        }
+        // 3. Drain the batched receives into the ghost slots.
         {
             let _lat = probe::hist::HistTimer::start(probe::hist::Hist::HaloDrain);
             let _s = probe::span!("halo_drain_multi");
@@ -894,7 +738,14 @@ impl DistCsrMatrix {
         // 4. Boundary rows against `x` and the ghost slots.
         {
             let _s = probe::span!("spmv_multi_boundary");
-            self.spmv_boundary_multi(xs, &ws.ext, &ys_shared, k);
+            self.split.boundary.spmv_multi(
+                xs,
+                &ws.ghosts,
+                self.plan.n_ghosts,
+                &ys_shared,
+                k,
+                threads::active(),
+            );
         }
         Ok(())
     }
@@ -956,15 +807,14 @@ impl DistCsrMatrix {
     }
 
     /// Receive every batched halo payload for one multi matvec into
-    /// `ws.ext` (k column segments per payload; same out-of-order drain
+    /// `ws.ghosts` (k column segments per payload; same out-of-order drain
     /// discipline as [`Self::drain_halos`]).
     fn drain_halos_multi(
         &self,
         comm: &Communicator,
         ws: &mut MultiWorkspace,
     ) -> SparseResult<()> {
-        let n_local = self.local_rows();
-        let ext_stride = n_local + self.plan.n_ghosts;
+        let n_ghosts = self.plan.n_ghosts;
         let k = ws.k;
         for pending in ws.recv_pending.iter_mut() {
             *pending = true;
@@ -994,8 +844,8 @@ impl DistCsrMatrix {
                 probe::incr(probe::Counter::HaloNonFinite);
             }
             for q in 0..k {
-                let dst = q * ext_stride + n_local + offset;
-                ws.ext[dst..dst + count]
+                let dst = q * n_ghosts + offset;
+                ws.ghosts[dst..dst + count]
                     .copy_from_slice(&vals[q * count..(q + 1) * count]);
             }
             drop(vals);
@@ -1048,7 +898,7 @@ impl DistCsrMatrix {
     /// Communication-overlapped: halo sends are posted from persistent
     /// staging buffers, interior rows are computed while the halos are in
     /// flight, receives are drained out-of-order as they arrive, and the
-    /// boundary rows finish against `[x_local, ghosts]`. All scratch comes
+    /// boundary rows finish against `x` and the ghost slots. All scratch comes
     /// from the matrix's `MatvecWorkspace`, so repeated calls allocate
     /// nothing in steady state (see
     /// [`steady_state_allocs`](Self::steady_state_allocs)).
@@ -1087,14 +937,11 @@ impl DistCsrMatrix {
         let yl = y.local_mut();
         {
             let _s = probe::span!("spmv_interior");
-            self.spmv_interior(&x.local, yl);
+            self.split.runs.spmv(&x.local, yl, threads::active());
+            self.split.interior.spmv(&x.local, &[], yl, threads::active());
         }
 
-        // 3. Drain the halo receives, out of order, into the ghost slots
-        //    (a converted boundary kernel also wants `x` ahead of them).
-        if self.stages_x() {
-            ws.ext[..x.local.len()].copy_from_slice(&x.local);
-        }
+        // 3. Drain the halo receives, out of order, into the ghost slots.
         {
             let _lat = probe::hist::HistTimer::start(probe::hist::Hist::HaloDrain);
             let _s = probe::span!("halo_drain");
@@ -1104,14 +951,13 @@ impl DistCsrMatrix {
         // 4. Boundary rows against `x` and the ghost slots.
         {
             let _s = probe::span!("spmv_boundary");
-            self.spmv_boundary(&x.local, &ws.ext, yl);
+            self.split.boundary.spmv(&x.local, &ws.ghosts, yl, threads::active());
         }
         ws.primed = true;
         Ok(())
     }
 
-    /// Receive every halo payload for one matvec into the ghost slots of
-    /// `ws.ext`.
+    /// Receive every halo payload for one matvec into `ws.ghosts`.
     ///
     /// Polls all still-pending sources via `iprobe` and consumes whichever
     /// arrived first; when a poll sweep finds nothing, blocks on the first
@@ -1154,8 +1000,7 @@ impl DistCsrMatrix {
             if vals.iter().any(|v| !v.is_finite()) {
                 probe::incr(probe::Counter::HaloNonFinite);
             }
-            let slot = self.local_rows() + offset;
-            ws.ext[slot..slot + count].copy_from_slice(&vals);
+            ws.ghosts[offset..offset + count].copy_from_slice(&vals);
             // Drop our clone promptly so the sender's staging buffer frees
             // up for its next matvec.
             drop(vals);
@@ -1173,7 +1018,7 @@ impl DistCsrMatrix {
 
     /// Number of interior rows stored as stencil runs — diagonal-major,
     /// without column indices, because each repeats the row above it
-    /// shifted by one column. Zero under a format-converted plan.
+    /// shifted by one column.
     pub fn stencil_row_count(&self) -> usize {
         self.split.runs.row_count()
     }
@@ -1200,20 +1045,18 @@ impl DistCsrMatrix {
         self.workspace.lock().unwrap_or_else(|e| e.into_inner()).steady_allocs
     }
 
-    /// Deterministic rendering of this rank's halo-exchange plan and
-    /// chosen SpMV format — the elastic-recovery invariant check. A
-    /// matrix rebuilt on a shrunken cohort must produce, on every
-    /// survivor, exactly the digest a fresh setup at that size produces:
-    /// both go through the same cached plan-build path
-    /// ([`Self::from_local_rows_with_format`]), so any divergence means
-    /// the repartition handed a rank the wrong rows.
+    /// Deterministic rendering of this rank's halo-exchange plan — the
+    /// elastic-recovery invariant check. A matrix rebuilt on a shrunken
+    /// cohort must produce, on every survivor, exactly the digest a fresh
+    /// setup at that size produces: both go through the same plan-build
+    /// path ([`Self::from_local_rows`]), so any divergence means the
+    /// repartition handed a rank the wrong rows.
     pub fn halo_plan_digest(&self) -> String {
         format!(
-            "rank={}/{} rows={} format={:?} plan={:?}",
+            "rank={}/{} rows={} plan={:?}",
             self.rank,
             self.partition.parts(),
             self.local_rows(),
-            self.chosen,
             self.plan,
         )
     }
@@ -1227,8 +1070,8 @@ impl DistCsrMatrix {
     /// contributes it via `extra`. The contributed blocks must tile
     /// `0..global_rows` exactly. Returns this rank's block under the
     /// fresh even partition over the survivors — feed it straight back
-    /// into [`Self::from_local_rows`] to rebuild halo plans, level
-    /// schedules and format plans through the ordinary cached setup path.
+    /// into [`Self::from_local_rows`] to rebuild halo plans and level
+    /// schedules through the ordinary cached setup path.
     pub fn repartition_block_rows(
         comm: &Communicator,
         start_row: usize,
@@ -1384,12 +1227,6 @@ impl DistCsrMatrix {
         self.split.runs.refresh_values(&self.local_global);
         self.split.interior.refresh_values(&self.local_global, &my_range);
         self.split.boundary.refresh_values(&self.local_global, &my_range);
-        // Replay the new values into the format-converted kernel pieces
-        // (their source-index maps point into the split pieces' values).
-        if let Some(k) = &mut self.kernel {
-            k.interior.refresh_from(self.split.interior.values())?;
-            k.boundary.refresh_from(self.split.boundary.values())?;
-        }
         Ok(())
     }
 }
@@ -1565,132 +1402,45 @@ mod tests {
     }
 
     #[test]
-    fn forced_formats_are_bitwise_identical_to_csr() {
-        // Laplacian (SELL-friendly), FEM blocks (BCSR-friendly): every
-        // policy must produce bit-for-bit the CSR result, before and
-        // after an update_values refresh.
-        for a in [generate::laplacian_2d(12), generate::fem_block(6, 3, 8)] {
-            let n = a.rows();
-            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
-            for p in [1usize, 3] {
-                let policies = [
-                    FormatPolicy::Fixed(Format::Csr),
-                    FormatPolicy::Fixed(Format::Sell),
-                    FormatPolicy::Fixed(Format::Bcsr),
-                    FormatPolicy::Auto,
-                ];
-                let mut runs = Vec::new();
-                for policy in policies {
-                    let out = Universe::run(p, |comm| {
-                        let part = BlockRowPartition::even(n, comm.size());
-                        let r = part.range(comm.rank());
-                        let local = a.row_block(r.start, r.end).unwrap();
-                        let mut da = DistCsrMatrix::from_local_rows_with_format(
-                            comm,
-                            part.clone(),
-                            local,
-                            policy,
-                        )
-                        .unwrap();
-                        if policy == FormatPolicy::Fixed(Format::Sell) {
-                            assert_eq!(da.chosen_format(), Format::Sell);
-                        }
-                        let dx =
-                            DistVector::from_global(part, comm.rank(), &x).unwrap();
-                        let y1 = da.matvec(comm, &dx).unwrap().allgather_full(comm).unwrap();
-                        let scaled: Vec<f64> = da
-                            .local_matrix()
-                            .values()
-                            .iter()
-                            .map(|v| v * -1.5)
-                            .collect();
-                        da.update_values(&scaled).unwrap();
-                        let y2 = da.matvec(comm, &dx).unwrap().allgather_full(comm).unwrap();
-                        (y1, y2)
-                    });
-                    let mut y1 = Vec::new();
-                    let mut y2 = Vec::new();
-                    for (a1, a2) in out {
-                        y1 = a1;
-                        y2 = a2;
-                    }
-                    runs.push((y1, y2));
-                }
-                let (base1, base2) = &runs[0];
-                for (y1, y2) in &runs[1..] {
-                    for (g, e) in y1.iter().zip(base1) {
-                        assert_eq!(g.to_bits(), e.to_bits(), "p = {p}");
-                    }
-                    for (g, e) in y2.iter().zip(base2) {
-                        assert_eq!(g.to_bits(), e.to_bits(), "p = {p} (post-update)");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn batched_matvec_columns_match_single_bitwise() {
-        // Every format, several rank counts and batch widths: column q of
-        // the batched matvec must equal the single-RHS matvec of that
-        // column, bit for bit.
+        // Several rank counts and batch widths: column q of the batched
+        // matvec must equal the single-RHS matvec of that column, bit for
+        // bit.
         let a = generate::laplacian_2d(7); // 49 rows
         let n = a.rows();
         for p in [1usize, 3] {
-            for policy in [
-                FormatPolicy::Fixed(Format::Csr),
-                FormatPolicy::Fixed(Format::Sell),
-                FormatPolicy::Fixed(Format::Bcsr),
-            ] {
-                for k in [1usize, 2, 4, 8, 11] {
-                    let xs_global: Vec<Vec<f64>> = (0..k)
-                        .map(|q| {
-                            (0..n)
-                                .map(|i| ((i * (q + 3)) as f64 * 0.37).sin() + q as f64)
-                                .collect()
-                        })
-                        .collect();
-                    let ok = Universe::run(p, |comm| {
-                        let part = BlockRowPartition::even(n, comm.size());
-                        let r = part.range(comm.rank());
-                        let local = a.row_block(r.start, r.end).unwrap();
-                        let da = DistCsrMatrix::from_local_rows_with_format(
-                            comm,
-                            part.clone(),
-                            local,
-                            policy,
-                        )
-                        .unwrap();
-                        let n_local = da.local_rows();
-                        let mut xs = Vec::with_capacity(k * n_local);
-                        for col in &xs_global {
-                            xs.extend_from_slice(&col[r.clone()]);
+            for k in [1usize, 2, 4, 8, 11] {
+                let xs_global: Vec<Vec<f64>> = (0..k)
+                    .map(|q| {
+                        (0..n)
+                            .map(|i| ((i * (q + 3)) as f64 * 0.37).sin() + q as f64)
+                            .collect()
+                    })
+                    .collect();
+                let ok = Universe::run(p, |comm| {
+                    let part = BlockRowPartition::even(n, comm.size());
+                    let r = part.range(comm.rank());
+                    let da = DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
+                    let n_local = da.local_rows();
+                    let mut xs = Vec::with_capacity(k * n_local);
+                    for col in &xs_global {
+                        xs.extend_from_slice(&col[r.clone()]);
+                    }
+                    let mut ys = vec![f64::NAN; k * n_local];
+                    da.matvec_multi_into(comm, &xs, &mut ys, k).unwrap();
+                    // Reference: one single-RHS matvec per column.
+                    let mut same = true;
+                    for (q, col) in xs_global.iter().enumerate() {
+                        let dx =
+                            DistVector::from_global(part.clone(), comm.rank(), col).unwrap();
+                        let dy = da.matvec(comm, &dx).unwrap();
+                        for (g, e) in ys[q * n_local..(q + 1) * n_local].iter().zip(dy.local()) {
+                            same &= g.to_bits() == e.to_bits();
                         }
-                        let mut ys = vec![f64::NAN; k * n_local];
-                        da.matvec_multi_into(comm, &xs, &mut ys, k).unwrap();
-                        // Reference: one single-RHS matvec per column.
-                        let mut same = true;
-                        for (q, col) in xs_global.iter().enumerate() {
-                            let dx = DistVector::from_global(
-                                part.clone(),
-                                comm.rank(),
-                                col,
-                            )
-                            .unwrap();
-                            let dy = da.matvec(comm, &dx).unwrap();
-                            for (g, e) in
-                                ys[q * n_local..(q + 1) * n_local].iter().zip(dy.local())
-                            {
-                                same &= g.to_bits() == e.to_bits();
-                            }
-                        }
-                        same
-                    });
-                    assert!(
-                        ok.iter().all(|&s| s),
-                        "p={p} policy={policy:?} k={k}"
-                    );
-                }
+                    }
+                    same
+                });
+                assert!(ok.iter().all(|&s| s), "p={p} k={k}");
             }
         }
     }

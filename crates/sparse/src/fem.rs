@@ -80,6 +80,7 @@ impl FemAssembly {
     /// Assemble into COO (duplicates kept; summed on CSR conversion).
     pub fn to_coo(&self) -> CooMatrix {
         let mut coo = CooMatrix::new(self.n, self.n);
+        coo.reserve(self.elements.iter().map(|e| e.matrix.len()).sum());
         for e in &self.elements {
             let k = e.dofs.len();
             for (li, &gi) in e.dofs.iter().enumerate() {

@@ -25,16 +25,10 @@
 //!   automatically constructed halo-exchange plan for parallel SpMV, and
 //!   reductions for parallel dot products/norms — exactly the data
 //!   distribution LISI assumes (paper §5.4);
-//! * adaptive SpMV formats ([`sell`], [`bcsr`]) behind an autotuned
-//!   selector ([`autotune`]): SELL-C-σ and block-CSR kernels chosen per
-//!   matrix at plan time (`RSPARSE_FORMAT` / `port.set("format", ...)`),
-//!   bit-identical to the CSR kernels at every thread count;
 //! * reproducible random test-matrix generators ([`generate`]).
 
 #![warn(missing_docs)]
 
-pub mod autotune;
-pub mod bcsr;
 mod compact;
 pub mod convert;
 pub mod coo;
@@ -50,12 +44,9 @@ pub mod msr;
 pub mod ops;
 pub mod partition;
 pub mod schedule;
-pub mod sell;
 pub mod threads;
 pub mod vbr;
 
-pub use autotune::{Format, FormatMatrix, FormatPolicy};
-pub use bcsr::BcsrMatrix;
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
@@ -66,5 +57,4 @@ pub use fem::FemAssembly;
 pub use msr::MsrMatrix;
 pub use partition::BlockRowPartition;
 pub use schedule::{LevelTri, Triangle};
-pub use sell::SellMatrix;
 pub use vbr::VbrMatrix;

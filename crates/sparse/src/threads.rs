@@ -97,7 +97,7 @@ impl<'a> SharedMutSlice<'a> {
     }
 
     /// Raw base pointer, for callers that reborrow provably disjoint
-    /// subranges as exclusive slices (see [`crate::csr::CsrMatrix::matvec_par_into`]).
+    /// subranges as exclusive slices (the stencil-run kernels in `compact.rs`).
     pub fn as_ptr(&self) -> *mut f64 {
         self.ptr
     }

@@ -7,22 +7,14 @@
 //! The split pieces are stored compactly (`u32` columns in two index
 //! spaces, gathered unchecked after one validation at plan build), so the
 //! bitwise tests here are the ones that would catch a wrong index: on
-//! integer-valued data every summation order is exact, and the compact CSR
-//! kernel, the SELL and block-CSR plans and the batched kernel must all
-//! equal the serial product bit for bit.
+//! integer-valued data every summation order is exact, and the compact
+//! kernel and its batched twin must both equal the serial product bit for
+//! bit.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rcomm::Universe;
-use rsparse::{
-    BlockRowPartition, CooMatrix, CsrMatrix, DistCsrMatrix, DistVector, Format, FormatPolicy,
-};
-
-const POLICIES: [FormatPolicy; 3] = [
-    FormatPolicy::Fixed(Format::Csr),
-    FormatPolicy::Fixed(Format::Sell),
-    FormatPolicy::Fixed(Format::Bcsr),
-];
+use rsparse::{BlockRowPartition, CooMatrix, CsrMatrix, DistCsrMatrix, DistVector};
 
 fn to_csr(n: usize, t: &[(usize, usize, f64)]) -> CsrMatrix {
     let r: Vec<usize> = t.iter().map(|e| e.0).collect();
@@ -31,22 +23,18 @@ fn to_csr(n: usize, t: &[(usize, usize, f64)]) -> CsrMatrix {
     CooMatrix::from_triplets(n, n, &r, &c, &v).unwrap().to_csr()
 }
 
-/// Run `reps` overlapped matvecs at `p` ranks under `policy` and return,
-/// per rank, the gathered result plus the workspace/split diagnostics.
-fn run_dist_matvec_with(
+/// Run `reps` overlapped matvecs at `p` ranks and return, per rank, the
+/// gathered result plus the workspace/split diagnostics.
+fn run_dist_matvec(
     a: &CsrMatrix,
     x: &[f64],
     p: usize,
     reps: usize,
-    policy: FormatPolicy,
 ) -> Vec<(Vec<f64>, u64, usize, usize, usize)> {
     let n = a.rows();
     Universe::run(p, |comm| {
         let part = BlockRowPartition::even(n, comm.size());
-        let r = part.range(comm.rank());
-        let local = a.row_block(r.start, r.end).unwrap();
-        let da =
-            DistCsrMatrix::from_local_rows_with_format(comm, part.clone(), local, policy).unwrap();
+        let da = DistCsrMatrix::from_global(comm, part.clone(), a).unwrap();
         let dx = DistVector::from_global(part.clone(), comm.rank(), x).unwrap();
         let mut dy = DistVector::zeros(part, comm.rank());
         for _ in 0..reps {
@@ -60,16 +48,6 @@ fn run_dist_matvec_with(
             da.local_rows(),
         )
     })
-}
-
-/// [`run_dist_matvec_with`] under the default (CSR) plan.
-fn run_dist_matvec(
-    a: &CsrMatrix,
-    x: &[f64],
-    p: usize,
-    reps: usize,
-) -> Vec<(Vec<f64>, u64, usize, usize, usize)> {
-    run_dist_matvec_with(a, x, p, reps, POLICIES[0])
 }
 
 fn assert_bits_eq(got: &[f64], want: &[f64], tag: &str) {
@@ -109,9 +87,9 @@ proptest! {
 
     /// Integer-valued entries and inputs: every product and partial sum is
     /// exact, so the split product — whatever order a boundary row is
-    /// summed in, whatever format the plan converted to, single or batched
-    /// — must equal the serial product bit for bit, and any wrong column,
-    /// ghost slot or value shows as a different integer.
+    /// summed in, single or batched — must equal the serial product bit for
+    /// bit, and any wrong column, ghost slot or value shows as a different
+    /// integer.
     #[test]
     fn compact_split_equals_serial_bitwise_on_exact_data(
         (n, t) in (2usize..24).prop_flat_map(|n| {
@@ -128,28 +106,24 @@ proptest! {
             .map(|q| (0..n).map(|i| ((i * 5 + xseed + q * 11) % 17) as f64 - 8.0).collect())
             .collect();
         let expect: Vec<Vec<f64>> = xs.iter().map(|x| a.matvec(x).unwrap()).collect();
-        for policy in POLICIES {
-            let tag = format!("n = {n}, p = {p}, {policy:?}");
-            for (got, ..) in run_dist_matvec_with(&a, &xs[0], p, 2, policy) {
-                assert_bits_eq(&got, &expect[0], &tag);
-            }
-            // The batched kernel: k columns through one halo exchange.
-            let ys = Universe::run(p, |comm| {
-                let part = BlockRowPartition::even(n, comm.size());
-                let r = part.range(comm.rank());
-                let local = a.row_block(r.start, r.end).unwrap();
-                let da = DistCsrMatrix::from_local_rows_with_format(comm, part, local, policy)
-                    .unwrap();
-                let flat: Vec<f64> = xs.iter().flat_map(|x| x[r.clone()].to_vec()).collect();
-                let mut ys = vec![f64::NAN; flat.len()];
-                da.matvec_multi_into(comm, &flat, &mut ys, k).unwrap();
-                (r, ys)
-            });
-            for (r, ys) in ys {
-                for (q, want) in expect.iter().enumerate() {
-                    let col = &ys[q * r.len()..(q + 1) * r.len()];
-                    assert_bits_eq(col, &want[r.clone()], &format!("{tag}, column {q}"));
-                }
+        let tag = format!("n = {n}, p = {p}");
+        for (got, ..) in run_dist_matvec(&a, &xs[0], p, 2) {
+            assert_bits_eq(&got, &expect[0], &tag);
+        }
+        // The batched kernel: k columns through one halo exchange.
+        let ys = Universe::run(p, |comm| {
+            let part = BlockRowPartition::even(n, comm.size());
+            let r = part.range(comm.rank());
+            let da = DistCsrMatrix::from_global(comm, part, &a).unwrap();
+            let flat: Vec<f64> = xs.iter().flat_map(|x| x[r.clone()].to_vec()).collect();
+            let mut ys = vec![f64::NAN; flat.len()];
+            da.matvec_multi_into(comm, &flat, &mut ys, k).unwrap();
+            (r, ys)
+        });
+        for (r, ys) in ys {
+            for (q, want) in expect.iter().enumerate() {
+                let col = &ys[q * r.len()..(q + 1) * r.len()];
+                assert_bits_eq(col, &want[r.clone()], &format!("{tag}, column {q}"));
             }
         }
     }
@@ -166,10 +140,8 @@ proptest! {
         let a = to_csr(n, &t);
         let x = rsparse::generate::random_vector(n, xseed);
         let expect = a.matvec(&x).unwrap();
-        for policy in POLICIES {
-            for (got, ..) in run_dist_matvec_with(&a, &x, 1, 2, policy) {
-                assert_bits_eq(&got, &expect, &format!("n = {n}, {policy:?}"));
-            }
+        for (got, ..) in run_dist_matvec(&a, &x, 1, 2) {
+            assert_bits_eq(&got, &expect, &format!("n = {n}"));
         }
     }
 }
@@ -191,16 +163,12 @@ fn empty_boundary_split_is_all_interior() {
         let a = to_csr(n, &t);
         let x: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
         let expect = a.matvec(&x).unwrap();
-        for policy in POLICIES {
-            for (got, allocs, interior, boundary, local) in
-                run_dist_matvec_with(&a, &x, p, 3, policy)
-            {
-                assert_eq!(boundary, 0, "p = {p}");
-                assert_eq!(interior, local);
-                assert_eq!(allocs, 0);
-                // Interior rows keep their stored order: bitwise, any reals.
-                assert_bits_eq(&got, &expect, &format!("p = {p}, {policy:?}"));
-            }
+        for (got, allocs, interior, boundary, local) in run_dist_matvec(&a, &x, p, 3) {
+            assert_eq!(boundary, 0, "p = {p}");
+            assert_eq!(interior, local);
+            assert_eq!(allocs, 0);
+            // Interior rows keep their stored order: bitwise, any reals.
+            assert_bits_eq(&got, &expect, &format!("p = {p}"));
         }
     }
 }
@@ -222,17 +190,13 @@ fn all_boundary_split_has_no_interior_rows() {
         let a = to_csr(n, &t);
         let x: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
         let expect = a.matvec(&x).unwrap();
-        for policy in POLICIES {
-            for (got, allocs, interior, boundary, local) in
-                run_dist_matvec_with(&a, &x, p, 3, policy)
-            {
-                assert_eq!(interior, 0, "p = {p}");
-                assert_eq!(boundary, local);
-                assert_eq!(allocs, 0);
-                // Halves and small integers: every sum is exact, so the
-                // "owned then ghost" order must still match bitwise.
-                assert_bits_eq(&got, &expect, &format!("p = {p}, {policy:?}"));
-            }
+        for (got, allocs, interior, boundary, local) in run_dist_matvec(&a, &x, p, 3) {
+            assert_eq!(interior, 0, "p = {p}");
+            assert_eq!(boundary, local);
+            assert_eq!(allocs, 0);
+            // Halves and small integers: every sum is exact, so the
+            // "owned then ghost" order must still match bitwise.
+            assert_bits_eq(&got, &expect, &format!("p = {p}"));
         }
     }
 }

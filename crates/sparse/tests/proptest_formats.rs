@@ -95,7 +95,6 @@ proptest! {
         };
         prop_assert!(close(&csr.matvec(&x).unwrap(), &dense_y));
         prop_assert!(close(&coo.matvec(&x).unwrap(), &dense_y));
-        prop_assert!(close(&csr.matvec_par(&x).unwrap(), &dense_y));
         prop_assert!(close(&csr.to_csc().matvec(&x).unwrap(), &dense_y));
         let v = csr_to_vbr_uniform(&csr, 3).unwrap();
         prop_assert!(close(&v.matvec(&x).unwrap(), &dense_y));

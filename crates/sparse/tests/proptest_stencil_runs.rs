@@ -1,17 +1,19 @@
-//! The stencil-run piece of the split SpMV plan against the serial CSR
-//! product, bit for bit.
+//! The split SpMV plan — stencil runs and compact remainder — against the
+//! serial CSR product, bit for bit.
 //!
-//! Under a CSR plan the interior rows that repeat the row above shifted by
-//! one column are stored diagonal-major without column indices; the
-//! kernels that walk them must be indistinguishable from the compact `u32`
-//! kernel they replace. The matrices here are the ones the detection is
-//! for (3-/5-/7-/9-point grids, dense bands up to eleven diagonals — past
-//! the run kernel's fused width) and the ones meant to trip it: emptied
-//! rows, explicit stored zeros, grid lines of 15, 16 and 17 points around
-//! the minimum run length, an offset set that changes mid-matrix, `x` with
-//! NaN and ±Inf in it. On one rank a row is summed in one order whatever
-//! the storage, so arbitrary reals must agree; across ranks a boundary row
-//! sums "owned then ghost", so the data is integer-valued there.
+//! The interior rows that repeat the row above shifted by one column are
+//! stored diagonal-major without column indices; the kernels that walk
+//! them must be indistinguishable from the compact `u32` kernel the other
+//! rows go through. The matrices here are the ones the detection is for
+//! (3-/5-/7-/9-point grids, dense bands up to eleven diagonals — past the
+//! run kernel's fused width), the ones meant to trip it (emptied rows,
+//! explicit stored zeros, grid lines of 15, 16 and 17 points around the
+//! minimum run length, an offset set that changes mid-matrix, `x` with NaN
+//! and ±Inf in it) and the generators' irregular ones, which have few runs
+//! or none (multi-dof FEM blocks, skewed and scattered rows). On one rank
+//! a row is summed in one order whatever the storage, so arbitrary reals
+//! must agree; across ranks a boundary row sums "owned then ghost", so the
+//! data is integer-valued there.
 //!
 //! (A `CsrMatrix` cannot hold unsorted or repeated columns inside a row;
 //! those, and the build-time window checks, are unit tests in
@@ -21,13 +23,7 @@ use proptest::prelude::*;
 use proptest::sample::select;
 use rcomm::Universe;
 use rsparse::generate::XorShift64;
-use rsparse::{BlockRowPartition, CsrMatrix, DistCsrMatrix, DistVector, Format, FormatPolicy};
-
-const POLICIES: [FormatPolicy; 3] = [
-    FormatPolicy::Fixed(Format::Csr),
-    FormatPolicy::Fixed(Format::Sell),
-    FormatPolicy::Fixed(Format::Bcsr),
-];
+use rsparse::{generate, BlockRowPartition, CsrMatrix, DistCsrMatrix, DistVector};
 
 /// The thread count is process-wide; the tests that set it take turns.
 static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -175,7 +171,6 @@ fn check_against_serial(
     a: &CsrMatrix,
     xs: &[Vec<f64>],
     p: usize,
-    policy: FormatPolicy,
     tag: &str,
 ) -> usize {
     let n = a.rows();
@@ -191,21 +186,12 @@ fn check_against_serial(
     Universe::run(p, |comm| {
         let part = BlockRowPartition::even(n, comm.size());
         let r = part.range(comm.rank());
-        let local = a.row_block(r.start, r.end).unwrap();
-        let da =
-            DistCsrMatrix::from_local_rows_with_format(comm, part.clone(), local, policy).unwrap();
+        let da = DistCsrMatrix::from_global(comm, part.clone(), a).unwrap();
         assert!(da.stencil_row_count() <= da.interior_row_count());
         assert_eq!(
             da.interior_row_count() + da.boundary_row_count(),
             da.local_rows()
         );
-        if policy != POLICIES[0] {
-            assert_eq!(
-                da.stencil_row_count(),
-                0,
-                "{tag}: a converted plan keeps no runs"
-            );
-        }
         let dx = DistVector::from_global(part.clone(), comm.rank(), &xs[0]).unwrap();
         let mut dy = DistVector::zeros(part, comm.rank());
         for _ in 0..2 {
@@ -229,11 +215,10 @@ proptest! {
     // Distributed cases spawn threads; keep the case count moderate.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// One rank, arbitrary reals, every plan, every batch width: the run
-    /// kernel is `CsrMatrix::matvec_into` bit for bit, explicit zeros in
-    /// the matrix included — and NaN and ±Inf in `x` too, since a run
-    /// stores exactly the row's entries (the converted plans pad with
-    /// zeros, which a non-finite `x` turns into NaN: finite data only).
+    /// One rank, arbitrary reals, every batch width: the run kernel is
+    /// `CsrMatrix::matvec_into` bit for bit, explicit zeros in the matrix
+    /// included — and NaN and ±Inf in `x` too, since a run stores exactly
+    /// the row's entries.
     #[test]
     fn one_rank_runs_equal_the_serial_product_bitwise_on_reals(
         kind in 0usize..6,
@@ -247,15 +232,12 @@ proptest! {
         let a = matrix(&pattern(kind, m), hole, zeros, false, seed);
         let xs: Vec<Vec<f64>> =
             (0..k).map(|q| vector(a.rows(), false, poisoned, seed ^ (q as u64 + 1))).collect();
-        for policy in &POLICIES[..if poisoned { 1 } else { 3 }] {
-            let tag = format!("kind {kind}, m = {m}, hole {hole}, {policy:?}");
-            check_against_serial(&a, &xs, 1, *policy, &tag);
-        }
+        check_against_serial(&a, &xs, 1, &format!("kind {kind}, m = {m}, hole {hole}"));
     }
 
     /// 1–8 ranks, integer-valued data: every order of summation is exact,
-    /// so runs, compact remainder, boundary piece and converted plans must
-    /// all land on the serial product's bits.
+    /// so runs, compact remainder and boundary piece must all land on the
+    /// serial product's bits.
     #[test]
     fn runs_equal_the_serial_product_bitwise_at_1_to_8_ranks(
         kind in 0usize..6,
@@ -269,10 +251,8 @@ proptest! {
         let a = matrix(&pattern(kind, m), hole, zeros, true, seed);
         let xs: Vec<Vec<f64>> =
             (0..k).map(|q| vector(a.rows(), true, false, seed ^ (q as u64 + 1))).collect();
-        for policy in POLICIES {
-            let tag = format!("kind {kind}, m = {m}, hole {hole}, p = {p}, {policy:?}");
-            check_against_serial(&a, &xs, p, policy, &tag);
-        }
+        let tag = format!("kind {kind}, m = {m}, hole {hole}, p = {p}");
+        check_against_serial(&a, &xs, p, &tag);
     }
 }
 
@@ -284,42 +264,59 @@ fn the_minimum_run_length_is_sixteen_rows() {
         let a = matrix(&pattern(1, m), 0, false, false, 3);
         let xs = [vector(a.rows(), false, false, 4)];
         assert_eq!(
-            check_against_serial(&a, &xs, 1, POLICIES[0], &format!("m = {m}")),
+            check_against_serial(&a, &xs, 1, &format!("m = {m}")),
             expect
         );
     }
 }
 
+/// The row patterns of the generators' matrices without stencil structure
+/// to speak of — full 3×3 FEM blocks, a few very long rows among short
+/// ones, uniformly scattered columns — beside two with runs (a nine-diagonal
+/// band, the 5-point Laplacian). Long enough that a lone rank's pieces pass
+/// the threading threshold. Cases are `(name, rows, expect runs)`; these
+/// expect none.
+fn generated_patterns() -> Vec<(&'static str, Vec<Vec<usize>>, bool)> {
+    let rows_of = |a: CsrMatrix| (0..a.rows()).map(|i| a.row(i).0.to_vec()).collect();
+    vec![
+        ("fem_block", rows_of(generate::fem_block(28, 3, 2)), false),
+        ("banded", rows_of(generate::banded(2_500, 4, 1)), false),
+        ("skewed_csr", rows_of(generate::skewed_csr(2_500, 2_500, 3, 80, 3)), false),
+        ("random_diag_dominant", rows_of(generate::random_diag_dominant(2_500, 6, 3)), false),
+        ("laplacian_2d", rows_of(generate::laplacian_2d(50)), false),
+    ]
+}
+
 /// Matrices past the threading threshold (2 048 rows per piece) at 1, 2
-/// and 4 threads × 1–3 ranks × every plan × every batch width.
+/// and 4 threads × 1–4 ranks × every batch width: the stencil grids, which
+/// a lone rank stores nearly whole as runs, and the generated patterns,
+/// most of which go through the compact remainder.
 #[test]
-fn threaded_and_batched_runs_equal_the_serial_product_bitwise() {
+fn threaded_and_batched_products_equal_the_serial_product_bitwise() {
     let _turn = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let cases = [
-        ("5-point 70×70", pattern(1, 70)),
-        ("7-point 64×16×5", grid_pattern([64, 16, 5], &star(3))),
-        ("9-point 70×70", pattern(3, 70)),
-        ("11 diagonals", pattern(4, 1249)),
+    let stencils = [
+        ("5-point 70×70", pattern(1, 70), true),
+        ("7-point 64×16×5", grid_pattern([64, 16, 5], &star(3)), true),
+        ("9-point 70×70", pattern(3, 70), true),
+        ("11 diagonals", pattern(4, 1249), true),
     ];
-    for (name, rows) in &cases {
-        for p in [1usize, 2, 3] {
+    for (name, rows, mostly_runs) in stencils.into_iter().chain(generated_patterns()) {
+        for p in [1usize, 2, 3, 4] {
             let integral = p > 1;
-            let a = matrix(rows, 0, true, integral, 11);
+            let a = matrix(&rows, 0, true, integral, 11);
             for threads in [1usize, 2, 4] {
                 rsparse::threads::set_threads(threads);
                 for k in [1usize, 3, 8, 11] {
                     let xs: Vec<Vec<f64>> = (0..k)
                         .map(|q| vector(a.rows(), integral, false, 20 + q as u64))
                         .collect();
-                    for policy in POLICIES {
-                        let tag = format!("{name}, p = {p}, {threads} threads, {policy:?}");
-                        let in_runs = check_against_serial(&a, &xs, p, policy, &tag);
-                        // Alone, a rank stores nearly every row as a run;
-                        // a 3-D grid's rank boundary is a whole plane.
-                        if policy == POLICIES[0] {
-                            let least = if p == 1 { a.rows() * 8 / 10 } else { 1 };
-                            assert!(in_runs >= least, "{tag}: {in_runs} rows in runs");
-                        }
+                    let tag = format!("{name}, p = {p}, {threads} threads");
+                    let in_runs = check_against_serial(&a, &xs, p, &tag);
+                    // Alone, a rank stores nearly every stencil row as a
+                    // run; a 3-D grid's rank boundary is a whole plane.
+                    if mostly_runs {
+                        let least = if p == 1 { a.rows() * 8 / 10 } else { 1 };
+                        assert!(in_runs >= least, "{tag}: {in_runs} rows in runs");
                     }
                 }
             }
@@ -328,14 +325,16 @@ fn threaded_and_batched_runs_equal_the_serial_product_bitwise() {
     rsparse::threads::set_threads(1);
 }
 
-/// New values on the same pattern reach the diagonals: after
-/// `update_values` the distributed product is the serial product of the
-/// updated local rows.
+/// New values on the same pattern reach every piece: after `update_values`
+/// the operator is the one a cold build of the new values plans — runs
+/// re-classed constant or varying, compact rows re-read — and its product
+/// is the serial product of the updated matrix.
 #[test]
-fn update_values_refreshes_the_diagonals_bitwise() {
-    for (kind, m) in [(1usize, 24usize), (3, 19), (4, 24), (5, 24)] {
-        let rows = pattern(kind, m);
-        for p in [1usize, 2, 3] {
+fn update_values_is_a_cold_build_of_the_new_values() {
+    let stencils = [(1usize, 24usize), (3, 19), (4, 24), (5, 24)]
+        .map(|(kind, m)| ("stencil", pattern(kind, m), true));
+    for (name, rows, has_runs) in stencils.into_iter().chain(generated_patterns()) {
+        for p in [1usize, 2, 3, 4] {
             let integral = p > 1;
             let a = matrix(&rows, 50, false, integral, 5);
             let b = matrix(&rows, 50, true, integral, 6);
@@ -349,14 +348,20 @@ fn update_values_refreshes_the_diagonals_bitwise() {
                 let mut da = DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
                 da.update_values(b.row_block(r.start, r.end).unwrap().values())
                     .unwrap();
+                let cold = DistCsrMatrix::from_global(comm, part.clone(), &b).unwrap();
+                assert!(da == cold, "{name}, p = {p}: refreshed plan differs from a cold build");
                 let dx = DistVector::from_global(part, comm.rank(), &x).unwrap();
                 let dy = da.matvec(comm, &dx).unwrap();
-                assert_bits_eq(dy.local(), &want[r], &format!("kind {kind}, p = {p}"));
+                assert_bits_eq(dy.local(), &want[r], &format!("{name}, p = {p}"));
                 da.stencil_row_count()
             })
             .into_iter()
             .sum();
-            assert!(in_runs > 0, "kind {kind}, p = {p}");
+            // (A quarter of the smaller grids holds no stretch of sixteen
+            // rows between a hole, a grid edge and a rank boundary.)
+            if has_runs && p < 4 {
+                assert!(in_runs > 0, "{name}, p = {p}");
+            }
         }
     }
 }
@@ -398,12 +403,8 @@ fn repartitioned_blocks_rebuild_their_runs_bitwise() {
                 &want[part.range(comm.rank())],
                 &format!("p = {p}"),
             );
-            // 22-point stretches on every full grid line a rank owns —
-            // unless the suite runs under a converting format policy.
-            assert!(
-                da.stencil_row_count() > 0 || da.chosen_format() != Format::Csr,
-                "p = {p}"
-            );
+            // 22-point stretches on every full grid line a rank owns.
+            assert!(da.stencil_row_count() > 0, "p = {p}");
         });
     }
 }

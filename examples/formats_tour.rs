@@ -122,47 +122,6 @@ fn main() {
     println!("  FEM elements               max error = {err:.2e}");
     assert!(err < 1e-5);
 
-    // Storage formats: the same CSR system solved under every SpMV
-    // storage format (the reserved "format" key, or the RSPARSE_FORMAT
-    // environment variable). SELL-C-σ and block-CSR kernels are
-    // bit-identical to CSR, so the *solutions* must match bitwise — the
-    // format is purely a performance knob the autotuner can turn.
-    println!("\nSpMV storage formats (set(\"format\", ...) / RSPARSE_FORMAT):");
-    let mut baseline: Option<Vec<f64>> = None;
-    for format in ["csr", "sell", "bcsr", "auto"] {
-        let b = b.clone();
-        let results = Universe::run(1, |comm| {
-            let s = RkspAdapter::new();
-            s.initialize(comm.dup().unwrap()).unwrap();
-            s.set_start_row(0).unwrap();
-            s.set_local_rows(n).unwrap();
-            s.set_global_cols(n).unwrap();
-            s.set("format", format).unwrap();
-            s.set("solver", "gmres").unwrap();
-            s.set("preconditioner", "ilu").unwrap();
-            s.set_double("tol", 1e-11).unwrap();
-            s.setup_matrix(a.values(), a.row_ptr(), a.col_idx(), SparseStruct::Csr)
-                .unwrap();
-            s.setup_rhs(&b, 1).unwrap();
-            let mut x = vec![0.0; n];
-            let mut status = [0.0; STATUS_LEN];
-            s.solve(&mut x, &mut status).unwrap();
-            x
-        });
-        let x = &results[0];
-        match &baseline {
-            None => baseline = Some(x.clone()),
-            Some(base) => {
-                let identical =
-                    x.iter().zip(base).all(|(p, q)| p.to_bits() == q.to_bits());
-                assert!(identical, "format {format} diverged from csr");
-            }
-        }
-        println!("  format={format:<5} solution bit-identical to csr");
-    }
-    // Restore the default so the knob does not leak out of the demo.
-    cca_lisi::sparse::autotune::set_policy(cca_lisi::sparse::FormatPolicy::parse("csr").unwrap());
-
     println!("\nall formats agreed — OK");
 }
 

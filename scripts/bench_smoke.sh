@@ -66,9 +66,6 @@ cargo run -q -p lisi-bench --release --bin checkpoint_guard > "$OUT_DIR/checkpoi
 echo "== solve-ledger overhead guard (paired) =="
 cargo run -q -p lisi-bench --release --bin ledger_guard > "$OUT_DIR/ledger_guard.json"
 
-echo "== sparse-format speedup guard (paired) =="
-cargo run -q -p lisi-bench --release --bin format_guard > "$OUT_DIR/format_guard.json"
-
 echo "== multi-RHS batching + session-cache guard (paired) =="
 cargo run -q -p lisi-bench --release --bin multirhs_guard > "$OUT_DIR/multirhs_guard.json"
 
@@ -438,50 +435,6 @@ verdict = "PASS" if rec["pass"] else "WARN (noisy machine or a regression)"
 print(f"ledger armed-vs-disarmed (adapter_cg): {rec['overhead_pct']:+.2f}% "
       f"(target < {LEDGER_ARMED_TARGET_PCT}%) -> {verdict}")
 print(f"recorded {ledger_file}")
-
-# Sparse-format guard: the autotuner's chosen format vs CSR on three
-# representative matrices (dense band, FEM blocks, skewed rows), paired
-# and order-alternated. Two verdicts with different strictness:
-#   * bit_identical: every format's matvec must equal CSR's bit-for-bit
-#     on EVERY workload — a miss is a correctness bug, hard fail;
-#   * speedup (target ≥ 1.2×): only gated where the autotuner actually
-#     converted (`applicable`); the skewed workload stays CSR by design,
-#     so its entry carries no speedup claim (recorded as SKIP).
-with open(os.path.join(out_dir, "format_guard.json")) as f:
-    fmt = json.load(f)
-
-FORMAT_TARGET_SPEEDUP = 1.2
-fmt_rec = {"target_speedup": FORMAT_TARGET_SPEEDUP, "trials": fmt["trials"],
-           "formats": []}
-all_pass = True
-for w in fmt["formats"]:
-    gated = w["applicable"]
-    ok = bool(w["bit_identical"]
-              and (not gated or w["speedup"] >= FORMAT_TARGET_SPEEDUP))
-    all_pass = all_pass and ok
-    fmt_rec["formats"].append({**w, "pass": ok})
-fmt_rec["pass"] = all_pass
-with open("BENCH_format.json", "w") as f:
-    json.dump(fmt_rec, f, indent=2)
-    f.write("\n")
-
-for w in fmt_rec["formats"]:
-    if not w["bit_identical"]:
-        print(f"ERROR: format '{w['chosen']}' matvec on '{w['workload']}' is "
-              f"NOT bit-identical to CSR — determinism contract broken.",
-              file=sys.stderr)
-        sys.exit(1)
-for w in fmt_rec["formats"]:
-    if w["applicable"]:
-        verdict = ("PASS" if w["speedup"] >= FORMAT_TARGET_SPEEDUP
-                   else "WARN (below target; noisy machine or a regression)")
-        print(f"format {w['chosen']} vs csr on {w['workload']}: "
-              f"{w['speedup']:.2f}x (target >= {FORMAT_TARGET_SPEEDUP}x) "
-              f"-> {verdict}")
-    else:
-        print(f"format check SKIPPED on {w['workload']}: autotuner kept csr "
-              f"(bit-identity verified; measured {w['speedup']:.4f}x)")
-print("recorded BENCH_format.json")
 
 # Multi-RHS session guard: one batched solve over k right-hand sides vs
 # k single solves through the RKSP adapter (paired, order-alternated),

@@ -24,13 +24,6 @@ echo "== tests (RSPARSE_THREADS=4) =="
 RSPARSE_THREADS=4 \
 RCOMM_DEADLOCK_TIMEOUT_SECS=${RCOMM_DEADLOCK_TIMEOUT_SECS:-30} cargo test --workspace
 
-echo "== tests (RSPARSE_FORMAT=auto) =="
-# Same suite with the storage-format autotuner choosing per matrix:
-# SELL-C-σ / block-CSR kernels are bit-identical to CSR, so every test
-# must pass unchanged whatever the selector picks.
-RSPARSE_FORMAT=auto \
-RCOMM_DEADLOCK_TIMEOUT_SECS=${RCOMM_DEADLOCK_TIMEOUT_SECS:-30} cargo test --workspace
-
 echo "== rcomm unit tests, 20 runs (flake guard) =="
 # The lib tests launch universes concurrently in one process; a test that
 # leans on process-wide cohort or fault state fails here one run in ten.

@@ -123,12 +123,16 @@ fn get_all_round_trips_every_generic_setter() {
     s.set_bool("matrix_free", false).unwrap();
     s.set_double("tol", 2.5e-7).unwrap();
     s.set("application_specific_key", "opaque-value").unwrap();
+    // No longer reserved: the storage format is not an option, so the key
+    // is carried like any other the package does not know.
+    s.set("format", "anything").unwrap();
     let dump = s.get_all();
     for needle in [
         "solver=tfqmr",
         "maxits=321",
         "matrix_free=false",
         "application_specific_key=opaque-value",
+        "format=anything",
     ] {
         assert!(dump.contains(needle), "missing {needle} in:\n{dump}");
     }

@@ -53,60 +53,85 @@ fn with_integer_values(a: &CsrMatrix) -> CsrMatrix {
 
 #[test]
 fn runs_cover_what_the_grid_predicts_and_the_product_is_bitwise_serial() {
-    for m in [3usize, 17, 40] {
+    // m = 96 gives each of four ranks 2 304 rows, past the 2 048 at which
+    // a piece's kernels go to the thread pool.
+    for m in [3usize, 17, 40, 96] {
         let (paper, _) = cca_lisi::mesh::paper_problem(m).assemble_global();
         let n = paper.rows();
-        for p in [1usize, 2, 3] {
+        for p in [1usize, 2, 3, 4] {
             // Any reals on one rank (a row is summed in one order either
             // way); integer-valued data where boundary rows reorder.
-            let (a, x): (CsrMatrix, Vec<f64>) = if p == 1 {
-                (
-                    paper.clone(),
-                    cca_lisi::sparse::generate::random_vector(n, 16),
-                )
+            let a = if p == 1 {
+                paper.clone()
             } else {
-                (
-                    with_integer_values(&paper),
-                    (0..n).map(|i| ((i * 5) % 17) as f64 - 8.0).collect(),
-                )
+                with_integer_values(&paper)
             };
-            let mut want = vec![0.0; n];
-            a.matvec_into(&x, &mut want);
-            let covered: usize = Universe::run(p, |comm| {
-                let part = BlockRowPartition::even(n, comm.size());
-                let r = part.range(comm.rank());
-                let da = DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
-                assert_eq!(
-                    da.stencil_row_count(),
-                    predicted_run_rows(m, r.start, r.end),
-                    "m = {m}, rank {} of {p}",
-                    comm.rank()
-                );
-                assert!(da.stencil_row_count() <= da.interior_row_count());
-                let dx = DistVector::from_global(part, comm.rank(), &x).unwrap();
-                let dy = da.matvec(comm, &dx).unwrap();
-                for (i, (g, w)) in dy.local().iter().zip(&want[r.clone()]).enumerate() {
+            let xs: Vec<Vec<f64>> = (0..8)
+                .map(|q| {
+                    if p == 1 {
+                        cca_lisi::sparse::generate::random_vector(n, 16 + q as u64)
+                    } else {
+                        (0..n).map(|i| ((i * 5 + q * 11) % 17) as f64 - 8.0).collect()
+                    }
+                })
+                .collect();
+            let want: Vec<Vec<f64>> = xs.iter().map(|x| a.matvec(x).unwrap()).collect();
+            for threads in [1usize, 4] {
+                let before = cca_lisi::sparse::threads::active();
+                cca_lisi::sparse::threads::set_threads(threads);
+                let tag = format!("m = {m}, p = {p}, {threads} threads");
+                let covered: usize = Universe::run(p, |comm| {
+                    let part = BlockRowPartition::even(n, comm.size());
+                    let r = part.range(comm.rank());
+                    let da = DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
                     assert_eq!(
-                        g.to_bits(),
-                        w.to_bits(),
-                        "m = {m}, p = {p}, row {}",
-                        r.start + i
+                        da.stencil_row_count(),
+                        predicted_run_rows(m, r.start, r.end),
+                        "{tag}, rank {}",
+                        comm.rank()
                     );
+                    assert!(da.stencil_row_count() <= da.interior_row_count());
+                    let dx = DistVector::from_global(part, comm.rank(), &xs[0]).unwrap();
+                    let dy = da.matvec(comm, &dx).unwrap();
+                    assert_same_bits(dy.local(), &want[0][r.clone()], &tag);
+                    // Batched: k columns through one halo exchange.
+                    for k in [1usize, 3, 8] {
+                        let flat: Vec<f64> =
+                            xs[..k].iter().flat_map(|x| x[r.clone()].to_vec()).collect();
+                        let mut ys = vec![f64::NAN; flat.len()];
+                        da.matvec_multi_into(comm, &flat, &mut ys, k).unwrap();
+                        for (q, w) in want[..k].iter().enumerate() {
+                            assert_same_bits(
+                                &ys[q * r.len()..(q + 1) * r.len()],
+                                &w[r.clone()],
+                                &format!("{tag}, column {q} of {k}"),
+                            );
+                        }
+                    }
+                    da.stencil_row_count()
+                })
+                .into_iter()
+                .sum();
+                cca_lisi::sparse::threads::set_threads(before);
+                // m = 3 has one point per line between the edges and m = 17
+                // has fifteen, one short of a run; the larger grids store
+                // nearly every row.
+                match m {
+                    40 | 96 => assert!(
+                        covered * 10 >= n * 8,
+                        "{tag}: {covered} of {n} rows in runs"
+                    ),
+                    _ => assert_eq!(covered, 0, "{tag}"),
                 }
-                da.stencil_row_count()
-            })
-            .into_iter()
-            .sum();
-            // m = 3 has one point per line between the edges and m = 17 has
-            // fifteen, one short of a run; m = 40 stores nearly every row.
-            match m {
-                40 => assert!(
-                    covered * 10 >= n * 8,
-                    "p = {p}: {covered} of {n} rows in runs"
-                ),
-                _ => assert_eq!(covered, 0, "m = {m}, p = {p}"),
             }
         }
+    }
+}
+
+fn assert_same_bits(got: &[f64], want: &[f64], tag: &str) {
+    assert_eq!(got.len(), want.len(), "{tag}");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{tag}, local row {i}");
     }
 }
 
@@ -182,14 +207,7 @@ fn constant_coefficients_are_found_in_the_values_and_change_no_bit_of_the_produc
                 }
                 let dx = DistVector::from_global(part, comm.rank(), &x).unwrap();
                 let dy = da.matvec(comm, &dx).unwrap();
-                for (i, (g, w)) in dy.local().iter().zip(&want[r.clone()]).enumerate() {
-                    assert_eq!(
-                        g.to_bits(),
-                        w.to_bits(),
-                        "{tag}, p = {p}, row {}",
-                        r.start + i
-                    );
-                }
+                assert_same_bits(dy.local(), &want[r], &format!("{tag}, p = {p}"));
             });
         }
     }
