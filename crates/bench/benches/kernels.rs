@@ -416,6 +416,35 @@ fn probe_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+/// What one instrumentation site costs at each probe level, inside a
+/// solve on one thread: a span (open + close), a timed reduction's guard,
+/// and one black-box event. Reported in EXPERIMENTS.md, not gated.
+fn probe_sites(c: &mut Criterion) {
+    let mut group = c.benchmark_group("probe_sites");
+    for (level, mode, trace) in [
+        ("counters", probe::ProbeMode::Off, false),
+        ("spans", probe::ProbeMode::Summary, false),
+        ("trace", probe::ProbeMode::Off, true),
+    ] {
+        probe::set_mode(mode);
+        probe::trace::set_armed(trace);
+        let _solve = probe::trace::solve_guard();
+        group.bench_function(format!("span/{level}"), |b| {
+            b.iter(|| drop(probe::span!("site")));
+        });
+        group.bench_function(format!("allreduce_guard/{level}"), |b| {
+            b.iter(|| drop(probe::SpanGuard::collective("allreduce")));
+        });
+        group.bench_function(format!("emit/{level}"), |b| {
+            b.iter(|| probe::emit(probe::EventKind::Iter { iteration: 1, residual: 0.5 }));
+        });
+    }
+    probe::set_mode(probe::ProbeMode::Off);
+    probe::trace::set_armed(false);
+    probe::reset();
+    group.finish();
+}
+
 fn conversions(c: &mut Criterion) {
     let mut group = c.benchmark_group("convert");
     let a = generate::laplacian_2d(100);
@@ -441,6 +470,6 @@ fn assembly(c: &mut Criterion) {
 }
 
 criterion_group!(
-    benches, spmv, spmv_formats, spmv_multi, sptrsv, trisolve, blas1, raztec, probe_overhead, conversions, assembly
+    benches, spmv, spmv_formats, spmv_multi, sptrsv, trisolve, blas1, raztec, probe_overhead, probe_sites, conversions, assembly
 );
 criterion_main!(benches);

@@ -195,42 +195,46 @@ impl Communicator {
         crate::cohort::CohortView::capture(&self.members)
     }
 
-    /// Byte/message accounting plus a flight-recorder event for one
-    /// posted p2p send. The matrix row must reconcile exactly against
-    /// `SendsPosted`/`BytesSent`, so every path that bumps those stats —
-    /// including the fault-injected `Drop` early return — goes through
-    /// here. An out-of-range `dest` (caller bug surfaced elsewhere) is
-    /// attributed to the self-loop cell to keep the totals exact.
-    fn note_send(&self, dest: usize, tag: Tag, bytes: u64) {
+    /// Byte/message accounting plus the `Send` event for one posted p2p
+    /// send (`stamp` is what rode on the envelope, if a traced solve is
+    /// open). The event feeds the rank×rank matrix, whose row must
+    /// reconcile exactly against `SendsPosted`/`BytesSent`, so every path
+    /// that bumps those stats — including the fault-injected `Drop` early
+    /// return — goes through here. An out-of-range `dest` (caller bug
+    /// surfaced elsewhere) is attributed to the self-loop cell to keep
+    /// the totals exact.
+    fn note_send(&self, dest: usize, tag: Tag, bytes: u64, stamp: Option<probe::trace::Stamp>) {
         self.stats.send(bytes);
         let peer = self.world_rank(dest).unwrap_or_else(|_| self.my_world_rank());
-        probe::peer_send(peer, bytes);
-        probe::flight::record(probe::flight::FlightKind::Comm {
-            op: "send",
-            peer: peer as i64,
-            bytes,
-            tag: tag as i64,
-        });
+        probe::emit_since(
+            stamp.map(|s| s.posted_ns),
+            probe::EventKind::Send { peer, bytes, tag: tag as i64, seq: stamp.map_or(0, |s| s.seq) },
+        );
     }
 
-    /// Accounting + flight event for one completed p2p receive; `src` is
-    /// the sender's local rank from the matched envelope.
-    fn note_recv(&self, src: usize, tag: Tag, bytes: u64) {
+    /// Accounting + the `Recv` event for one completed p2p receive; `src`
+    /// is the sender's local rank from the matched envelope, `posted`
+    /// when the receive was posted and `stamp` what the envelope carried
+    /// (both `None` outside a traced solve).
+    fn note_recv(
+        &self,
+        src: usize,
+        tag: Tag,
+        bytes: u64,
+        posted: Option<u64>,
+        stamp: Option<probe::trace::Stamp>,
+    ) {
         self.stats.recv(bytes);
         let peer = self.world_rank(src).unwrap_or_else(|_| self.my_world_rank());
-        probe::peer_recv(peer, bytes);
-        probe::flight::record(probe::flight::FlightKind::Comm {
-            op: "recv",
-            peer: peer as i64,
-            bytes,
-            tag: tag as i64,
-        });
+        let src_seq = probe::trace::recv_seq(stamp);
+        let kind = probe::EventKind::Recv { peer, bytes, tag: tag as i64, src_seq };
+        probe::emit_since(posted, kind);
     }
 
-    /// Flight-recorder event for a collective (no peer, no tag).
+    /// The black-box event for a collective (no peer, no tag).
     #[inline]
     fn note_collective(&self, op: &'static str) {
-        probe::flight::record(probe::flight::FlightKind::Comm { op, peer: -1, bytes: 0, tag: -1 });
+        probe::emit(probe::EventKind::Collective { op, index: 0 });
     }
 
     /// Fault gate for receive paths. Error/delay are handled here; a
@@ -305,7 +309,7 @@ impl Communicator {
                 }
                 Some(FaultAction::Drop) => {
                     // Silently discard: the receiver never sees the message.
-                    self.note_send(dest, tag, std::mem::size_of::<T>() as u64);
+                    self.note_send(dest, tag, std::mem::size_of::<T>() as u64, None);
                     return Ok(());
                 }
                 Some(FaultAction::Delay(ms)) => std::thread::sleep(Duration::from_millis(ms)),
@@ -322,16 +326,12 @@ impl Communicator {
                 None => {}
             }
         }
-        // Stamp user p2p traffic with the active trace context (one
-        // relaxed load when tracing is disarmed), recording the Send
-        // event as a side effect.
-        let stamp = if probe::trace::thread_active() {
-            probe::trace::stamp_send(self.world_rank(dest)?, std::mem::size_of::<T>() as u64)
-        } else {
-            None
-        };
+        // Stamp user p2p traffic inside a traced solve (one relaxed
+        // load otherwise); the `Send` event takes its sequence and its
+        // start from the stamp.
+        let stamp = probe::trace::stamp_send();
         self.send_env(dest, tag, self.context, value, stamp)?;
-        self.note_send(dest, tag, std::mem::size_of::<T>() as u64);
+        self.note_send(dest, tag, std::mem::size_of::<T>() as u64, stamp);
         Ok(())
     }
 
@@ -387,14 +387,10 @@ impl Communicator {
         let posted = probe::trace::recv_start();
         let (mut v, _, stamp) =
             self.recv_match_stamped::<T>(Some(src), Some(tag), self.context)?;
-        if let Some(t0) = posted {
-            let peer = self.world_rank(src).unwrap_or_else(|_| self.my_world_rank());
-            probe::trace::recv_event(peer, stamp, std::mem::size_of::<T>() as u64, t0);
-        }
+        self.note_recv(src, tag, std::mem::size_of::<T>() as u64, posted, stamp);
         if let Some(FaultAction::Corrupt { seed, call }) = act {
             let _ = fault::corrupt_payload(&mut v, seed, call);
         }
-        self.note_recv(src, tag, std::mem::size_of::<T>() as u64);
         Ok(v)
     }
 
@@ -411,15 +407,10 @@ impl Communicator {
         let act = self.recv_fault(tag)?;
         let posted = probe::trace::recv_start();
         let (mut v, status, stamp) = self.recv_match_stamped::<T>(src, tag, self.context)?;
-        if let Some(t0) = posted {
-            let peer =
-                self.world_rank(status.source).unwrap_or_else(|_| self.my_world_rank());
-            probe::trace::recv_event(peer, stamp, std::mem::size_of::<T>() as u64, t0);
-        }
+        self.note_recv(status.source, status.tag, std::mem::size_of::<T>() as u64, posted, stamp);
         if let Some(FaultAction::Corrupt { seed, call }) = act {
             let _ = fault::corrupt_payload(&mut v, seed, call);
         }
-        self.note_recv(status.source, status.tag, std::mem::size_of::<T>() as u64);
         Ok((v, status))
     }
 
@@ -470,8 +461,8 @@ impl Communicator {
     }
 
     /// [`Self::recv_match`] variant that also surfaces the envelope's
-    /// causal trace stamp (the user-facing receives feed it to
-    /// `probe::trace::recv_event`).
+    /// causal trace stamp (the user-facing receives put its sequence on
+    /// their `Recv` event).
     fn recv_match_stamped<T: Send + 'static>(
         &self,
         src: Option<usize>,
@@ -720,13 +711,11 @@ impl Communicator {
         F: Fn(&T, &T) -> T,
     {
         self.stats.allreduce();
-        self.note_collective("allreduce");
         probe::add(probe::Counter::ReducedBytes, std::mem::size_of::<T>() as u64);
-        // Reduction time is wait-attributed: under the probe it shows up
-        // as the "allreduce" span (time blocked riding the reduction),
-        // and the same interval feeds the collective latency histogram.
-        let _lat = probe::hist::HistTimer::start(probe::hist::Hist::Collective);
-        let _wait = probe::span!("allreduce");
+        // Reduction time is wait-attributed: with spans on, the one
+        // event is the interval — the "allreduce" span (time blocked
+        // riding the reduction) and a collective-latency sample.
+        let _wait = probe::SpanGuard::collective("allreduce");
         let mut value = value;
         if let Some(FaultAction::Corrupt { seed, call }) =
             self.collective_fault(FaultOp::Allreduce, "allreduce")?
@@ -757,13 +746,11 @@ impl Communicator {
         F: Fn(&T, &T) -> T,
     {
         self.stats.allreduce();
-        self.note_collective("allreduce");
         probe::add(
             probe::Counter::ReducedBytes,
             std::mem::size_of_val(values.as_slice()) as u64,
         );
-        let _lat = probe::hist::HistTimer::start(probe::hist::Hist::Collective);
-        let _wait = probe::span!("allreduce");
+        let _wait = probe::SpanGuard::collective("allreduce");
         if let Some(FaultAction::Corrupt { seed, call }) =
             self.collective_fault(FaultOp::Allreduce, "allreduce")?
         {

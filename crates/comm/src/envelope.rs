@@ -25,8 +25,8 @@ pub(crate) struct Envelope {
     pub tag: Tag,
     /// Context id of the communicator the message was sent on.
     pub context: Context,
-    /// Causal trace stamp (trace id, sending span, per-sender sequence);
-    /// `None` unless the sender had an active trace (see `probe::trace`).
+    /// Causal trace stamp (solve id, per-sender sequence, post time);
+    /// `None` unless the sender had a traced solve open (see `probe::trace`).
     pub stamp: Option<probe::trace::Stamp>,
     /// The payload. `Box<dyn Any>` lets a single mailbox carry every message
     /// type; the receiver downcasts and reports a typed error on mismatch.

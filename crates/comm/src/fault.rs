@@ -402,7 +402,7 @@ pub(crate) fn check(op: FaultOp, world_rank: usize, tag: Option<Tag>) -> Option<
             continue;
         }
         probe::incr(probe::Counter::FaultsInjected);
-        probe::flight::record(probe::flight::FlightKind::Fault {
+        probe::emit(probe::EventKind::Fault {
             rule: i as u32,
             op: rule.op.name(),
             kind: rule.kind.name(),

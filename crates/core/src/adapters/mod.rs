@@ -85,14 +85,17 @@ macro_rules! lisi_common_methods {
                 Err(_) => Err(bad(format!("expected a positive {what}, got '{value}'"))),
             };
             match key {
-                // Reserved key: "probe" switches the process-wide tracing
-                // mode through the generic option surface, so applications
-                // can enable observability without a LISI interface change
-                // (SIDL conformance forbids adding trait methods).
+                // Reserved key: "probe" picks the process-wide probe sink
+                // (and with it span timing) through the generic option
+                // surface, so applications can enable observability without
+                // a LISI interface change (SIDL conformance forbids adding
+                // trait methods). Every value names a renderer; none turns
+                // the black-box event log on or off — "flight" prints it.
                 "probe" => {
                     let mode = probe::ProbeMode::parse(value).ok_or_else(|| {
                         bad(format!(
-                            "unknown probe mode '{value}' (expected off|summary|json|chrome|flight)"
+                            "unknown probe sink '{value}' (expected off, or one of the \
+                             renderers summary|json|chrome|flight)"
                         ))
                     })?;
                     probe::set_mode(mode);
@@ -105,8 +108,9 @@ macro_rules! lisi_common_methods {
                 "threads" => {
                     rsparse::threads::set_threads(positive("thread count")?);
                 }
-                // Reserved key: "trace" arms or disarms causal cross-rank
-                // tracing (`probe::trace`) for subsequent solves — the
+                // Reserved key: "trace" asks for (or stops asking for) the
+                // probe's trace level — spans in the event log, stamped
+                // envelopes, a critical path — for subsequent solves: the
                 // programmatic twin of `RSPARSE_TRACE`. Accepts the usual
                 // switch spellings (1|on|true|yes / 0|off|false|no|none).
                 "trace" => {

@@ -174,6 +174,10 @@ impl<B: Backend> Adapter<B> {
         status: &mut [f64],
         force_batch: bool,
     ) -> LisiResult<()> {
+        // One solve, one identity: everything below — admission, set-up,
+        // the package's own solve (whose guard folds into this one), the
+        // ledger — commits its events under this id.
+        let _solve = probe::trace::solve_guard();
         let st = self.state.lock();
         st.check_solve_buffers(solution, status)?;
         let comm = st.comm()?;
@@ -202,7 +206,6 @@ impl<B: Backend> Adapter<B> {
                 &st.options.dump(),
             ),
         });
-        ledger::arm();
 
         // One agreement for both cohort decisions. Admission: if any
         // peer was refused, everyone returns Busy rather than leaving the
@@ -213,8 +216,14 @@ impl<B: Backend> Adapter<B> {
         // the session layer must not shift the numbering of the solver's
         // own reductions.
         let svc = SolverService::global();
-        let ticket = svc.admit();
-        let hit = key.as_ref().and_then(|k| svc.lookup::<B::Artifact>(k));
+        let ticket = {
+            let _wait = probe::span!("session_admit");
+            svc.admit()
+        };
+        let hit = {
+            let _lookup = probe::span!("session_lookup");
+            key.as_ref().and_then(|k| svc.lookup::<B::Artifact>(k))
+        };
         let votes = comm.allgather((ticket.is_ok(), hit.is_some()))?;
         let _ticket = ticket?;
         if !votes.iter().all(|v| v.0) {
@@ -249,6 +258,7 @@ impl<B: Backend> Adapter<B> {
         info.report.solve_seconds = solve_t.stop();
         info.report.setup_seconds = setup_seconds + st.convert_seconds;
         info.backend = B::NAME;
+        info.warm = warm;
         (info.ksp, info.pc, info.rtol) = B::labels(&st.options);
         ledger::emit(comm, &info);
         info.report.write_into(status)?;

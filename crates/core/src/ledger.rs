@@ -1,7 +1,8 @@
 //! The per-solve efficiency ledger.
 //!
 //! When armed (`RSPARSE_LEDGER` or the `set("ledger", path)` reserved
-//! port key), the adapters' solve pipeline fuses the static work models
+//! port key — a destination also asks the probe for span timing, for as
+//! long as it is set), the adapters' solve pipeline fuses the static work models
 //! ([`probe::model`]), the measured phase times and spans, convergence
 //! analytics from the Krylov recurrence, the rank×rank communication
 //! matrix and the cohort counters into one versioned
@@ -15,6 +16,7 @@
 
 use std::fmt::Write as _;
 
+use probe::json::{escape as json_escape, number};
 use rcomm::Communicator;
 
 use crate::status::SolveReport;
@@ -43,16 +45,9 @@ pub struct SolveInfo {
     pub cond_estimate: Option<f64>,
     /// ‖b − A·x₀‖₂ at entry of the (last) solve, when known.
     pub initial_residual: Option<f64>,
-}
-
-/// Arm span recording for a ledger-bound solve. The ledger needs the
-/// span table even when no probe sink is selected, so a solve that
-/// starts with a ledger destination forces collection on
-/// (`probe::set_forced`); [`emit`] releases it.
-pub fn arm() {
-    if probe::ledger::armed().is_some() {
-        probe::set_forced(true);
-    }
+    /// The cohort agreed the session cache held this system's artifact:
+    /// the solve ran no set-up.
+    pub warm: bool,
 }
 
 /// Assemble and publish the ledger for a finished solve. No-op unless a
@@ -68,25 +63,9 @@ pub fn emit(comm: &Communicator, info: &SolveInfo) {
         return;
     }
     let doc = assemble(comm.size(), info);
-    probe::set_forced(false);
     if let Err(e) = probe::ledger::publish(&base, doc) {
         eprintln!("lisi: solve ledger write to {} failed: {e}", base.display());
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn opt_str(v: &Option<String>) -> String {
@@ -97,10 +76,7 @@ fn opt_str(v: &Option<String>) -> String {
 }
 
 fn opt_f64(v: Option<f64>) -> String {
-    match v {
-        Some(x) if x.is_finite() => format!("{x:e}"),
-        _ => "null".into(),
-    }
+    v.map_or_else(|| "null".into(), number)
 }
 
 /// Build the ledger document from the probe registry plus the adapter's
@@ -132,6 +108,7 @@ pub fn assemble(ranks: usize, info: &SolveInfo) -> String {
 
     let mut doc = String::from("{");
     let _ = writeln!(doc, "\"schema\":\"{}\",", probe::ledger::SCHEMA);
+    let _ = writeln!(doc, "\"trace_id\":{},", probe::trace::current());
     let _ = writeln!(doc, "\"backend\":\"{}\",", json_escape(info.backend));
     let _ = writeln!(
         doc,
@@ -183,19 +160,29 @@ pub fn assemble(ranks: usize, info: &SolveInfo) -> String {
         m.ranks, m.msgs, m.bytes
     );
     // Session-layer accounting: cache traffic from the long-lived
-    // `SolverService` plus the batch width the adapter actually ran.
+    // `SolverService`, the batch width the adapter actually ran, and —
+    // from the same span table as everything above — the slowest rank's
+    // admission wait and cache lookup.
     let batch = reports
         .iter()
         .find_map(|r| r.note("batch").map(str::to_string));
+    let span_max = |name: &str| {
+        reports.iter().filter_map(|r| r.span(name)).map(|s| s.total_s).fold(0.0, f64::max)
+    };
     let _ = writeln!(
         doc,
         "\"session\":{{\"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\
-         \"rhs_batched\":{},\"batch\":{}}},",
+         \"rhs_batched\":{},\"batch\":{},\"admit_wait_s\":{:e},\"lookup_s\":{:e},\
+         \"warm\":{},\"evictions\":{}}},",
         counter_sum(probe::Counter::SessionCacheHits),
         counter_sum(probe::Counter::SessionCacheMisses),
         counter_sum(probe::Counter::SessionCacheEvictions),
         counter_sum(probe::Counter::RhsBatched),
         opt_str(&batch),
+        span_max("session_admit"),
+        span_max("session_lookup"),
+        info.warm,
+        counter_sum(probe::Counter::SessionCacheEvictions),
     );
     let _ = writeln!(
         doc,

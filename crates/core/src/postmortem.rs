@@ -19,7 +19,7 @@
 //! exhausts while its peers recover), the deadlock watchdog converts the
 //! lonely gather into an error within `RCOMM_DEADLOCK_TIMEOUT_SECS`, and
 //! the writing rank falls back to a process-local registry snapshot
-//! ([`probe::flight::tails_by_rank`]) — ranks are threads of one
+//! (`probe::flight::tails_by_rank`) — ranks are threads of one
 //! process, so the fallback still captures every rank's tail.
 //!
 //! The path defaults to `postmortem.json` in the working directory;
@@ -165,16 +165,16 @@ fn notes_json(report: &probe::RankReport) -> String {
     out
 }
 
-fn residuals_json(history: &[f64]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in history.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_f64(*r));
-    }
-    out.push(']');
-    out
+/// The residual history a tail's `Iter` events replay, in order.
+fn residuals_json(tail: &[probe::Event]) -> String {
+    let residuals: Vec<String> = tail
+        .iter()
+        .filter_map(|e| match e.kind {
+            probe::EventKind::Iter { residual, .. } => Some(json_f64(residual)),
+            _ => None,
+        })
+        .collect();
+    format!("[{}]", residuals.join(","))
 }
 
 /// One rank's contribution: its tail, residual history, counters and
@@ -183,11 +183,12 @@ fn rank_fragment(rank: usize) -> String {
     let (tail, total) = flight::local_tail();
     let report = probe::local_report();
     format!(
-        "{{\"rank\":{rank},\"events_recorded\":{total},\"counters\":{},\
+        "{{\"rank\":{rank},\"trace_id\":{},\"events_recorded\":{total},\"counters\":{},\
          \"notes\":{},\"residual_history\":{},\"events\":{}}}",
+        probe::trace::current(),
         counters_json(&report),
         notes_json(&report),
-        residuals_json(&flight::local_residual_history()),
+        residuals_json(&tail),
         flight::tail_json(&tail),
     )
 }
@@ -201,8 +202,9 @@ fn registry_fragments() -> Vec<String> {
             let rank =
                 rank.map(|r| r.to_string()).unwrap_or_else(|| "null".into());
             format!(
-                "{{\"rank\":{rank},\"events_recorded\":{},\"counters\":{{}},\
+                "{{\"rank\":{rank},\"trace_id\":{},\"events_recorded\":{},\"counters\":{{}},\
                  \"notes\":{{}},\"residual_history\":[],\"events\":{}}}",
+                flight::latest_solve(&tail),
                 tail.len(),
                 flight::tail_json(&tail),
             )
@@ -237,13 +239,14 @@ pub fn assemble(
     let cohort_change =
         cohort_change.map(|c| c.json()).unwrap_or_else(|| "null".into());
     format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"trigger\": \"{}\",\n  \"ranks\": {ranks},\n  \
+        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"trace_id\": {},\n  \"trigger\": \"{}\",\n  \"ranks\": {ranks},\n  \
          \"gathered\": \"{gathered}\",\n  \"policy\": \"{}\",\n  \"recovery_path\": [{}],\n  \
          \"fault_plan\": {fault_plan},\n  \"fault_rules_fired\": [{}],\n  \"report\": {},\n  \
          \"cohort_change\": {cohort_change},\n  \
          \"critical_path\": {},\n  \
          \"ledger\": {},\n  \
          \"rank_tails\": [\n    {}\n  ]\n}}\n",
+        probe::trace::current(),
         json_escape(trigger),
         json_escape(policy_spec),
         path.join(", "),
@@ -253,34 +256,6 @@ pub fn assemble(
         probe::ledger::latest_json(),
         fragments.join(",\n    "),
     )
-}
-
-/// Pick a destination that does not clobber an earlier postmortem from
-/// this process: the first dump for a given configured path uses the path
-/// as-is, later ones insert a monotonic sequence before the extension
-/// (`postmortem.json`, `postmortem.1.json`, `postmortem.2.json`, …).
-/// The counter is per-path so tests pointing `RSPARSE_POSTMORTEM` at
-/// distinct temp files stay independent.
-fn sequenced_dest(base: &std::path::Path) -> PathBuf {
-    use std::collections::BTreeMap;
-    use std::sync::Mutex;
-    static SEQ: Mutex<BTreeMap<PathBuf, u64>> = Mutex::new(BTreeMap::new());
-    let mut seq = SEQ.lock().unwrap_or_else(|e| e.into_inner());
-    let n = seq.entry(base.to_path_buf()).or_insert(0);
-    let dest = if *n == 0 {
-        base.to_path_buf()
-    } else {
-        match base.extension().and_then(|e| e.to_str()) {
-            Some(ext) => base.with_extension(format!("{n}.{ext}")),
-            None => {
-                let mut name = base.as_os_str().to_os_string();
-                name.push(format!(".{n}"));
-                PathBuf::from(name)
-            }
-        }
-    };
-    *n += 1;
-    dest
 }
 
 /// Gather every rank's flight-recorder tail and write the cohort's
@@ -330,9 +305,10 @@ pub fn write_cohort(
             )
         }
     };
-    // Advance the sequence only on the rank that writes, so non-root
+    // `postmortem.json`, `postmortem.1.json`, …: never clobber an earlier
+    // dump. Advance the sequence only on the rank that writes, so non-root
     // contributors (which return above) never consume a slot.
-    let dest = sequenced_dest(&base);
+    let dest = probe::ledger::sequenced_dest(&base);
     match std::fs::write(&dest, doc) {
         Ok(()) => {
             probe::emit_jsonl(&format!(
@@ -367,6 +343,7 @@ mod tests {
 
     #[test]
     fn sequenced_destinations_never_repeat() {
+        use probe::ledger::sequenced_dest;
         let base = PathBuf::from("/tmp/lisi-test-seq/pm.json");
         assert_eq!(sequenced_dest(&base), base);
         assert_eq!(sequenced_dest(&base), PathBuf::from("/tmp/lisi-test-seq/pm.1.json"));

@@ -545,7 +545,7 @@ impl ResilientSolver {
     /// postmortem's event tail shows the recovery path interleaved with
     /// the comm/iteration events that caused it.
     fn flight_attempt(slot: usize, attempt: usize, phase: &'static str) {
-        probe::flight::record(probe::flight::FlightKind::Attempt {
+        probe::emit(probe::EventKind::Attempt {
             slot: slot as u32,
             attempt: attempt as u32,
             phase,
@@ -557,6 +557,10 @@ impl SparseSolverPort for ResilientSolver {
     crate::adapters::lisi_common_methods!();
 
     fn solve(&self, solution: &mut [f64], status: &mut [f64]) -> LisiResult<()> {
+        // Every attempt, swap and shrink below is one solve to the probe:
+        // the attempts' own solve guards fold into this id, and the
+        // postmortem, the ledger and the trace all name it.
+        let _solve = probe::trace::solve_guard();
         let mut st = self.state.lock();
         st.check_solve_buffers(solution, status)?;
         let policy = self.effective_policy(&st)?;

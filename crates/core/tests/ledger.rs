@@ -144,6 +144,18 @@ fn ledger_matches_schema_and_reconciles_with_the_plan_model() {
     for key in ["cache_hits", "cache_evictions", "rhs_batched"] {
         session.get(key).and_then(Value::as_u64).unwrap_or_else(|| panic!("session.{key}"));
     }
+    // The session layer is visible: admission wait and cache lookup come
+    // from the same span table as `lisi_solve`, and are small beside it.
+    let secs = |key: &str| session.get(key).and_then(Value::as_f64).expect("session seconds");
+    let lisi_solve = probe::aggregate()
+        .iter()
+        .filter_map(|r| r.span("lisi_solve"))
+        .map(|s| s.total_s)
+        .fold(0.0, f64::max);
+    assert!(secs("admit_wait_s") + secs("lookup_s") <= lisi_solve, "session: {session:?}");
+    assert_eq!(session.get("warm").and_then(Value::as_bool), Some(false), "a fresh solve is cold");
+    assert_eq!(session.get("evictions"), session.get("cache_evictions"));
+    assert!(doc.get("trace_id").and_then(Value::as_u64).is_some_and(|id| id != 0));
 
     // Per-kernel reconciliation, exact: the SpMV rows must equal
     // units × the traffic recomputed from each rank's logical CSR shape.

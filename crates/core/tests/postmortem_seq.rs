@@ -1,6 +1,6 @@
 //! Postmortems must not clobber each other: two faulted solves in one
 //! process leave two files — the configured path plus a `.1.json`
-//! sequence sibling (see `postmortem::sequenced_dest`).
+//! sequence sibling (see `probe::ledger::sequenced_dest`).
 //!
 //! Lives in its own binary: it arms the process-global fault plan and
 //! points `RSPARSE_POSTMORTEM` at a scratch path, both process-wide.

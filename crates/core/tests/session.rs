@@ -208,7 +208,7 @@ fn warm_second_session_performs_zero_setup() {
     let checks = Universe::run(3, move |comm| {
         // Span recording is lazy: force collection on so the test can
         // observe whether a solve opened the `lisi_setup` span at all.
-        probe::set_forced(true);
+        probe::set_mode(probe::ProbeMode::Summary);
         let opts = cg_opts();
         let opts: Vec<(&str, &str)> =
             opts.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
@@ -282,7 +282,7 @@ fn pipeline_contract<A: SparseSolverPort>(
     let a = generate::laplacian_2d(n_side);
     let b: Vec<f64> = (0..2 * n).map(|i| 1.0 + (i % 3) as f64).collect();
     Universe::run(p, move |comm| {
-        probe::set_forced(true);
+        probe::set_mode(probe::ProbeMode::Summary);
         let rank = comm.rank();
         let range = BlockRowPartition::even(n, comm.size()).range(rank);
         let rows = range.len();
@@ -372,7 +372,7 @@ fn warm_rslu_resolve_is_gather_scatter_and_one_agreement() {
     for p in [1usize, 3] {
         let (a, b, x_true) = (a.clone(), b.clone(), x_true.clone());
         Universe::run(p, move |comm| {
-            probe::set_forced(true);
+            probe::set_mode(probe::ProbeMode::Summary);
             let range = BlockRowPartition::even(n, comm.size()).range(comm.rank());
             let rows = range.len();
             let local = a.row_block(range.start, range.end).unwrap();

@@ -293,9 +293,6 @@ pub(crate) struct Monitor<'a, 'b> {
     best_rnorm: f64,
     /// Consecutive iterations without a new best residual.
     stalled: usize,
-    /// Clock reading at the last counted iteration, feeding the
-    /// per-iteration latency histogram; `None` when histograms are off.
-    last_tick: Option<std::time::Instant>,
 }
 
 impl<'a, 'b> Monitor<'a, 'b> {
@@ -334,7 +331,6 @@ impl<'a, 'b> Monitor<'a, 'b> {
             stagnation_window: cfg.stagnation_window,
             best_rnorm: r0,
             stalled: 0,
-            last_tick: probe::hist::active().then(std::time::Instant::now),
         }
     }
 
@@ -383,18 +379,11 @@ impl<'a, 'b> Monitor<'a, 'b> {
             if iteration > self.last_counted {
                 self.last_counted = iteration;
                 probe::incr(probe::Counter::KspIterations);
-                if let Some(prev) = self.last_tick.take() {
-                    probe::hist::record_ns(
-                        probe::hist::Hist::IterTime,
-                        prev.elapsed().as_nanos() as u64,
-                    );
-                }
-                if probe::hist::active() {
-                    self.last_tick = Some(std::time::Instant::now());
-                }
                 // Black box: the per-iteration residual trail is what a
-                // postmortem replays when the attempt never converges.
-                probe::flight::record(probe::flight::FlightKind::Iter {
+                // postmortem replays when the attempt never converges
+                // (and, with spans on, the gap between two of these is
+                // the iteration-time histogram's sample).
+                probe::emit(probe::EventKind::Iter {
                     iteration: iteration as u64,
                     residual: rnorm,
                 });
@@ -465,7 +454,7 @@ impl<'a, 'b> Monitor<'a, 'b> {
         };
         // Every solve path funnels through finish, so this is the single
         // verdict-transition event the flight recorder sees.
-        probe::flight::record(probe::flight::FlightKind::Verdict {
+        probe::emit(probe::EventKind::Verdict {
             verdict: reason.name(),
             iteration: iterations as u64,
         });

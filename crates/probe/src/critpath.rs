@@ -1,7 +1,7 @@
 //! Critical-path analysis over merged causal traces.
 //!
-//! [`analyze_latest`] merges every rank's [`crate::trace`] records for
-//! the most recent trace id into one happens-before graph and walks it
+//! [`analyze_latest`] merges every rank's logged [`Event`]s for the most
+//! recent solve id into one happens-before graph and walks it
 //! *backward* from the last rank to finish: at each step it finds the
 //! latest blocking event — a matched receive whose sender had not yet
 //! posted when the receive was, or a collective some other rank entered
@@ -12,15 +12,18 @@
 //! (everyone arrived; the reduction itself) segments, and names the
 //! top-k blocking edges.
 //!
-//! Per-rank totals reported alongside the path reuse the same records as
-//! the summary sink's wait-time attribution table — phase events share
-//! the span table's clock reads — so the two views reconcile.
+//! Per-rank totals reported alongside the path are sums over the same
+//! events the span table was folded from, so they reconcile with the
+//! summary sink's wait-time attribution table. The log overwrites its
+//! oldest events when a solve outgrows it; the analysis then covers the
+//! retained tail and says how many events are gone ([`CritPath::dropped`]).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::event::{Event, EventKind};
+use crate::json;
 use crate::recorder;
-use crate::trace::{TraceKind, TraceRecord};
 
 /// Per-rank totals over the whole traced solve, mirroring the columns of
 /// the summary sink's wait-time attribution table.
@@ -79,8 +82,12 @@ pub struct CritPath {
     pub trace: u64,
     /// Per-rank totals (reconcile with the wait-attribution table).
     pub ranks: Vec<RankTotals>,
-    /// Last `End` minus first `Begin` across ranks, in seconds.
+    /// Last `End` minus first `Begin` across ranks, in seconds (from the
+    /// oldest retained event of a rank whose `Begin` was overwritten).
     pub end_to_end_s: f64,
+    /// Events the ranks' logs overwrote (`total − retained`, summed).
+    /// Non-zero means the path covers only the retained tail.
+    pub dropped: u64,
     /// Path segments in chronological order.
     pub segments: Vec<Segment>,
     /// Blocking edges, largest first.
@@ -101,53 +108,55 @@ impl CritPath {
 
 const NS: f64 = 1e-9;
 
-/// Halo-exchange phases (must match the sink's `WAIT_SPANS` halo rows).
-const HALO_PHASES: [&str; 2] = ["halo_post", "halo_drain"];
+use crate::sink::{COMPUTE_SPANS, HALO_SPANS};
 
-/// Local-compute phases (must match the sink's `COMPUTE_SPANS`).
-const COMPUTE_PHASES: [&str; 2] = ["spmv_interior", "spmv_boundary"];
-
-/// Collect every ranked recorder's records for the most recent trace id.
-fn latest_trace() -> Option<(u64, BTreeMap<usize, Vec<TraceRecord>>)> {
-    let recorders = recorder::all_recorders();
+/// Collect every ranked recorder's events for the most recent solve id,
+/// and how many events those recorders' logs have overwritten.
+fn latest_trace() -> Option<(u64, BTreeMap<usize, Vec<Event>>, u64)> {
     let mut latest = 0u64;
-    let mut per_rank: BTreeMap<usize, Vec<TraceRecord>> = BTreeMap::new();
-    for r in &recorders {
+    let mut dropped = 0u64;
+    let mut per_rank: BTreeMap<usize, Vec<Event>> = BTreeMap::new();
+    for r in recorder::all_recorders() {
         let Some(rank) = r.rank() else { continue };
-        for rec in r.trace_snapshot() {
-            latest = latest.max(rec.trace);
-            per_rank.entry(rank).or_default().push(rec);
-        }
+        let local = r.local();
+        // Begin, End and spans reach a log only at the trace level: the
+        // latest solve that left any is the latest *traced* solve.
+        let traced = local.log.iter().filter(|e| !e.kind.black_box()).map(|e| e.solve).max();
+        let Some(traced) = traced else { continue };
+        latest = latest.max(traced);
+        dropped += local.log.dropped();
+        let of_solve = local.log.iter().filter(|e| e.solve == traced);
+        per_rank.entry(rank).or_default().extend(of_solve.copied());
     }
     if latest == 0 {
         return None;
     }
     for recs in per_rank.values_mut() {
-        recs.retain(|r| r.trace == latest);
+        recs.retain(|r| r.solve == latest);
         recs.sort_by_key(|r| (r.t1_ns, r.t0_ns));
     }
     per_rank.retain(|_, recs| !recs.is_empty());
-    Some((latest, per_rank))
+    Some((latest, per_rank, dropped))
 }
 
-/// Analyze the most recent trace found in the recorder registry.
-/// `None` when no ranked thread recorded any trace (tracing disarmed).
+/// Analyze the most recent traced solve found in the recorder registry.
+/// `None` when no ranked thread logged one (nothing asked for a trace).
 pub fn analyze_latest() -> Option<CritPath> {
-    let (trace, per_rank) = latest_trace()?;
-    Some(analyze(trace, &per_rank))
+    let (trace, per_rank, dropped) = latest_trace()?;
+    Some(analyze(trace, &per_rank, dropped))
 }
 
-fn analyze(trace: u64, per_rank: &BTreeMap<usize, Vec<TraceRecord>>) -> CritPath {
-    // Per-rank totals from phase/collective durations.
+fn analyze(trace: u64, per_rank: &BTreeMap<usize, Vec<Event>>, dropped: u64) -> CritPath {
+    // Per-rank totals from span/collective durations.
     let mut ranks: Vec<RankTotals> = Vec::new();
     for (&rank, recs) in per_rank {
         let mut t = RankTotals { rank, halo_wait_s: 0.0, reduce_s: 0.0, compute_s: 0.0 };
         for r in recs {
             let dur = (r.t1_ns - r.t0_ns) as f64 * NS;
             match r.kind {
-                TraceKind::Phase { name } if HALO_PHASES.contains(&name) => t.halo_wait_s += dur,
-                TraceKind::Phase { name } if COMPUTE_PHASES.contains(&name) => t.compute_s += dur,
-                TraceKind::Collective { .. } => t.reduce_s += dur,
+                EventKind::Span { name } if HALO_SPANS.contains(&name) => t.halo_wait_s += dur,
+                EventKind::Span { name } if COMPUTE_SPANS.contains(&name) => t.compute_s += dur,
+                EventKind::Collective { .. } => t.reduce_s += dur,
                 _ => {}
             }
         }
@@ -160,18 +169,21 @@ fn analyze(trace: u64, per_rank: &BTreeMap<usize, Vec<TraceRecord>>) -> CritPath
     let mut begin: BTreeMap<usize, u64> = BTreeMap::new();
     let mut end: BTreeMap<usize, u64> = BTreeMap::new();
     for (&rank, recs) in per_rank {
+        // Until a `Begin` says otherwise (it was overwritten if none
+        // does), the rank's window opens at its oldest retained event.
+        begin.insert(rank, recs.iter().map(|r| r.t0_ns).min().unwrap_or(0));
         for r in recs {
             match r.kind {
-                TraceKind::Send { seq, .. } => {
+                EventKind::Send { seq, .. } if seq != 0 => {
                     sends.insert((rank, seq), r.t0_ns);
                 }
-                TraceKind::Collective { index, .. } => {
+                EventKind::Collective { index, .. } if index != 0 => {
                     collectives.entry(index).or_default().push((rank, r.t0_ns, r.t1_ns));
                 }
-                TraceKind::Begin => {
+                EventKind::Begin => {
                     begin.insert(rank, r.t0_ns);
                 }
-                TraceKind::End => {
+                EventKind::End => {
                     end.insert(rank, r.t1_ns);
                 }
                 _ => {}
@@ -200,54 +212,38 @@ fn analyze(trace: u64, per_rank: &BTreeMap<usize, Vec<TraceRecord>>) -> CritPath
         // Latest blocking event on `cur` ending at or before `t`.
         let hi = recs.partition_point(|r| r.t1_ns <= t);
         for r in recs[..hi].iter().rev() {
-            match r.kind {
-                TraceKind::Recv { peer, src_seq, .. } if src_seq != 0 => {
-                    let Some(&send_t0) = sends.get(&(peer, src_seq)) else { continue };
-                    if send_t0 <= r.t0_ns {
-                        // Message was already posted when the receive
-                        // was: the receive did not shape the path.
-                        continue;
-                    }
-                    push_seg(cur, SegmentKind::Local, t - r.t1_ns);
-                    let wait = r.t1_ns - send_t0.max(r.t0_ns);
-                    push_seg(cur, SegmentKind::Wait, wait);
-                    edges.push(Edge {
-                        waiter: cur,
-                        holder: peer,
-                        seconds: wait as f64 * NS,
-                        via: format!("p2p seq {src_seq}"),
-                    });
-                    cur = peer;
-                    t = send_t0;
-                    continue 'walk;
+            // What released this event, if it blocked: the rank that held
+            // it, when that rank let go, and a name for the edge.
+            let blocker = match r.kind {
+                // A message already posted when the receive was did not
+                // shape the path.
+                EventKind::Recv { peer, src_seq, .. } if src_seq != 0 => sends
+                    .get(&(peer, src_seq))
+                    .filter(|&&sent| sent > r.t0_ns)
+                    .map(|&sent| (peer, sent, format!("p2p seq {src_seq}"))),
+                EventKind::Collective { op, index } if index != 0 => {
+                    collectives.get(&index).map(|group| {
+                        let &(last, arrived, _) =
+                            group.iter().max_by_key(|&&(_, t0, _)| t0).unwrap();
+                        (last, arrived, format!("{op} #{index}"))
+                    })
                 }
-                TraceKind::Collective { op, index } => {
-                    let Some(group) = collectives.get(&index) else { continue };
-                    let &(last, last_t0, _) =
-                        group.iter().max_by_key(|&&(_, t0, _)| t0).unwrap();
-                    if last == cur {
-                        // This rank arrived last: the collective itself
-                        // (not a peer) occupied the path.
-                        push_seg(cur, SegmentKind::Local, t - r.t1_ns);
-                        push_seg(cur, SegmentKind::Collective, r.t1_ns - r.t0_ns);
-                        t = r.t0_ns;
-                        continue 'walk;
-                    }
-                    push_seg(cur, SegmentKind::Local, t - r.t1_ns);
-                    let wait = r.t1_ns.saturating_sub(last_t0.max(r.t0_ns));
-                    push_seg(cur, SegmentKind::Wait, wait);
-                    edges.push(Edge {
-                        waiter: cur,
-                        holder: last,
-                        seconds: wait as f64 * NS,
-                        via: format!("{op} #{index}"),
-                    });
-                    cur = last;
-                    t = last_t0;
-                    continue 'walk;
-                }
-                _ => {}
+                _ => None,
+            };
+            let Some((holder, released, via)) = blocker else { continue };
+            push_seg(cur, SegmentKind::Local, t - r.t1_ns);
+            if holder == cur {
+                // This rank arrived last: the collective itself (not a
+                // peer) occupied the path.
+                push_seg(cur, SegmentKind::Collective, r.t1_ns - r.t0_ns);
+                t = r.t0_ns;
+            } else {
+                let wait = r.t1_ns.saturating_sub(released.max(r.t0_ns));
+                push_seg(cur, SegmentKind::Wait, wait);
+                edges.push(Edge { waiter: cur, holder, seconds: wait as f64 * NS, via });
+                (cur, t) = (holder, released);
             }
+            continue 'walk;
         }
         // No blocking event left: local work back to this rank's Begin.
         let b = begin.get(&cur).copied().unwrap_or(first_begin);
@@ -257,7 +253,7 @@ fn analyze(trace: u64, per_rank: &BTreeMap<usize, Vec<TraceRecord>>) -> CritPath
     segments.reverse();
     edges.sort_by(|a, b| b.seconds.total_cmp(&a.seconds));
 
-    CritPath { trace, ranks, end_to_end_s, segments, edges }
+    CritPath { trace, ranks, end_to_end_s, dropped, segments, edges }
 }
 
 /// Render a [`CritPath`] as the text block the drivers append to the
@@ -280,6 +276,13 @@ pub fn render(cp: &CritPath) -> String {
         cover_pct,
         cp.segments.len()
     );
+    if cp.dropped > 0 {
+        let _ = writeln!(
+            out,
+            "  {} events dropped (log overwrote its oldest): totals cover the retained tail",
+            cp.dropped
+        );
+    }
     let local = cp.kind_seconds(SegmentKind::Local);
     let wait = cp.kind_seconds(SegmentKind::Wait);
     let coll = cp.kind_seconds(SegmentKind::Collective);
@@ -333,19 +336,15 @@ pub fn render_latest() -> String {
     analyze_latest().map(|cp| render(&cp)).unwrap_or_default()
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() { format!("{v:e}") } else { "null".into() }
-}
-
 /// Compact JSON summary of a [`CritPath`] (embedded in postmortems).
 pub fn summary_json(cp: &CritPath) -> String {
     let mut out = format!(
-        "{{\"trace\":{},\"end_to_end_s\":{},\"local_s\":{},\"wait_s\":{},\"collective_s\":{},\"per_rank\":[",
+        "{{\"trace_id\":{},\"end_to_end_s\":{},\"local_s\":{},\"wait_s\":{},\"collective_s\":{},\"per_rank\":[",
         cp.trace,
-        json_f64(cp.end_to_end_s),
-        json_f64(cp.kind_seconds(SegmentKind::Local)),
-        json_f64(cp.kind_seconds(SegmentKind::Wait)),
-        json_f64(cp.kind_seconds(SegmentKind::Collective)),
+        json::number(cp.end_to_end_s),
+        json::number(cp.kind_seconds(SegmentKind::Local)),
+        json::number(cp.kind_seconds(SegmentKind::Wait)),
+        json::number(cp.kind_seconds(SegmentKind::Collective)),
     );
     for (i, r) in cp.ranks.iter().enumerate() {
         if i > 0 {
@@ -355,9 +354,9 @@ pub fn summary_json(cp: &CritPath) -> String {
             out,
             "{{\"rank\":{},\"halo_wait_s\":{},\"reduce_s\":{},\"compute_s\":{}}}",
             r.rank,
-            json_f64(r.halo_wait_s),
-            json_f64(r.reduce_s),
-            json_f64(r.compute_s)
+            json::number(r.halo_wait_s),
+            json::number(r.reduce_s),
+            json::number(r.compute_s)
         );
     }
     out.push_str("],\"top_edges\":[");
@@ -370,7 +369,7 @@ pub fn summary_json(cp: &CritPath) -> String {
             "{{\"waiter\":{},\"holder\":{},\"seconds\":{},\"via\":\"{}\"}}",
             e.waiter,
             e.holder,
-            json_f64(e.seconds),
+            json::number(e.seconds),
             e.via
         );
     }
@@ -388,50 +387,50 @@ pub fn latest_json() -> String {
 mod tests {
     use super::*;
 
-    fn rec(trace: u64, t0: u64, t1: u64, kind: TraceKind) -> TraceRecord {
-        TraceRecord { trace, t0_ns: t0, t1_ns: t1, kind }
+    fn rec(solve: u64, t0: u64, t1: u64, kind: EventKind) -> Event {
+        Event { solve, t0_ns: t0, t1_ns: t1, kind }
     }
 
     /// Two ranks: rank 1 computes 100ns then sends; rank 0 posts its recv
     /// at 20ns and blocks until the send lands at 110ns; both finish via
     /// a collective that rank 1 enters last.
-    fn two_rank_trace() -> BTreeMap<usize, Vec<TraceRecord>> {
+    fn two_rank_trace() -> BTreeMap<usize, Vec<Event>> {
         let mut m = BTreeMap::new();
         m.insert(
             0,
             vec![
-                rec(1, 0, 0, TraceKind::Begin),
-                rec(1, 0, 20, TraceKind::Phase { name: "spmv_interior" }),
-                rec(1, 20, 110, TraceKind::Recv { peer: 1, src_seq: 1, bytes: 8 }),
-                rec(1, 20, 110, TraceKind::Phase { name: "halo_drain" }),
-                rec(1, 110, 150, TraceKind::Collective { op: "allreduce", index: 1 }),
-                rec(1, 150, 150, TraceKind::End),
+                rec(1, 0, 0, EventKind::Begin),
+                rec(1, 0, 20, EventKind::Span { name: "spmv_interior" }),
+                rec(1, 20, 110, EventKind::Recv { peer: 1, bytes: 8, tag: 7, src_seq: 1 }),
+                rec(1, 20, 110, EventKind::Span { name: "halo_drain" }),
+                rec(1, 110, 150, EventKind::Collective { op: "allreduce", index: 1 }),
+                rec(1, 150, 150, EventKind::End),
             ],
         );
         m.insert(
             1,
             vec![
-                rec(1, 0, 0, TraceKind::Begin),
-                rec(1, 0, 100, TraceKind::Phase { name: "spmv_interior" }),
+                rec(1, 0, 0, EventKind::Begin),
+                rec(1, 0, 100, EventKind::Span { name: "spmv_interior" }),
                 rec(
                     1,
                     100,
                     100,
-                    TraceKind::Send { peer: 0, seq: 1, bytes: 8, phase: "halo_post" },
+                    EventKind::Send { peer: 0, bytes: 8, tag: 7, seq: 1 },
                 ),
-                rec(1, 120, 150, TraceKind::Collective { op: "allreduce", index: 1 }),
-                rec(1, 150, 150, TraceKind::End),
+                rec(1, 120, 150, EventKind::Collective { op: "allreduce", index: 1 }),
+                rec(1, 150, 150, EventKind::End),
             ],
         );
         for recs in m.values_mut() {
-            recs.sort_by_key(|r: &TraceRecord| (r.t1_ns, r.t0_ns));
+            recs.sort_by_key(|r: &Event| (r.t1_ns, r.t0_ns));
         }
         m
     }
 
     #[test]
     fn walk_crosses_the_blocking_send_and_names_the_edge() {
-        let cp = analyze(1, &two_rank_trace());
+        let cp = analyze(1, &two_rank_trace(), 0);
         assert_eq!(cp.end_to_end_s, 150.0 * NS);
         // Rank 1 entered the collective last (t0 = 120 vs rank 0's 110),
         // so the path ends on a collective segment from rank 1's side and
@@ -458,13 +457,13 @@ mod tests {
         // Make rank 0 finish last so the walk starts there.
         let mut m = two_rank_trace();
         for r in m.get_mut(&0).unwrap() {
-            if matches!(r.kind, TraceKind::End) {
+            if matches!(r.kind, EventKind::End) {
                 r.t0_ns = 160;
                 r.t1_ns = 160;
             }
         }
         m.get_mut(&0).unwrap().sort_by_key(|r| (r.t1_ns, r.t0_ns));
-        let cp = analyze(1, &m);
+        let cp = analyze(1, &m, 0);
         // Path: rank 0 end ← collective (rank 1 last) ← rank 1 compute
         // ← ... the collective edge names rank 1 as holder.
         assert!(

@@ -1,18 +1,16 @@
 //! Fixed-bucket log2 latency histograms.
 //!
-//! Three process-wide latency families ([`Hist`]) share one bucket layout:
-//! bucket `i` holds durations in `[2^i, 2^(i+1))` nanoseconds, with the
-//! last bucket open-ended. The hot path is zero-alloc — one
-//! `leading_zeros` plus two relaxed atomic adds on the thread-local
-//! recorder — and recording is gated on [`active`], so a disabled build
-//! costs the usual one-relaxed-load check and no clock read.
+//! The latency families ([`Hist`]) share one bucket layout: bucket `i`
+//! holds durations in `[2^i, 2^(i+1))` nanoseconds, with the last bucket
+//! open-ended. Nothing records into them directly: a family is a row of
+//! the span-name table below, filled by [`crate::emit_since`] from the
+//! same interval the span table gets (one `leading_zeros` and two adds
+//! under the lock the event already holds), and [`Hist::IterTime`] is
+//! the gap between a solve's consecutive `Iter` events.
 //!
 //! Buckets merge across ranks by plain addition; the summary sink renders
 //! count/p50/p90/p99/max quantile columns and the Prometheus exporter
 //! emits the cumulative-bucket form (`_bucket{le=...}`, `_sum`, `_count`).
-
-use crate::recorder;
-use crate::trace;
 
 /// Which latency family a sample belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,17 +22,28 @@ pub enum Hist {
     HaloDrain = 1,
     /// Latency of one blocking reduction (`allreduce`/`allreduce_vec`).
     Collective = 2,
+    /// Time a solve waited to be admitted by the session layer.
+    SessionWait = 3,
 }
 
 /// Number of histogram families.
-pub const HIST_COUNT: usize = 3;
+pub const HIST_COUNT: usize = 4;
 
 /// Number of log2 buckets: `[2^0, 2^1) ns` through `[2^39, ∞) ns` (~9 min),
 /// which comfortably spans sub-microsecond collectives to stalled solves.
 pub const BUCKETS: usize = 40;
 
 /// Every family, in declaration order (render / export order).
-pub const ALL: [Hist; HIST_COUNT] = [Hist::IterTime, Hist::HaloDrain, Hist::Collective];
+pub const ALL: [Hist; HIST_COUNT] =
+    [Hist::IterTime, Hist::HaloDrain, Hist::Collective, Hist::SessionWait];
+
+/// Span name → the family its closes also sample.
+const SPAN_FAMILIES: [(&str, Hist); 4] = [
+    ("allreduce", Hist::Collective),
+    ("halo_drain", Hist::HaloDrain),
+    ("halo_drain_multi", Hist::HaloDrain),
+    ("session_admit", Hist::SessionWait),
+];
 
 impl Hist {
     /// Stable snake_case name used by the sink and the exporter.
@@ -43,12 +52,19 @@ impl Hist {
             Hist::IterTime => "iter_time",
             Hist::HaloDrain => "halo_drain_wait",
             Hist::Collective => "collective",
+            Hist::SessionWait => "session_wait",
         }
     }
 
     #[inline]
     pub(crate) fn index(self) -> usize {
         self as usize
+    }
+
+    /// The family a closed span named `name` samples, if any.
+    #[inline]
+    pub(crate) fn of_span(name: &str) -> Option<Hist> {
+        SPAN_FAMILIES.iter().find(|(span, _)| *span == name).map(|&(_, h)| h)
     }
 }
 
@@ -68,48 +84,6 @@ pub(crate) fn upper_edge_s(i: usize) -> f64 {
         f64::INFINITY
     } else {
         (1u64 << (i + 1)) as f64 * 1e-9
-    }
-}
-
-/// Whether histogram points should read the clock right now: latency
-/// histograms fill whenever spans do — probe enabled, or a causal trace
-/// active on this thread (see [`crate::trace`]).
-#[inline]
-pub fn active() -> bool {
-    recorder::enabled() || trace::thread_active()
-}
-
-/// Record one duration sample. Callers gate the surrounding clock reads
-/// on [`active`]; recording unconditionally here keeps the API usable
-/// from tests.
-#[inline]
-pub fn record_ns(h: Hist, ns: u64) {
-    recorder::with_local(|r| r.record_hist(h, ns));
-}
-
-/// RAII sample: reads the clock at construction and records the elapsed
-/// time on drop. Inert (no clock read) when histograms are not [`active`].
-#[must_use = "binding the timer keeps the sample open until end of scope"]
-pub struct HistTimer {
-    live: Option<(Hist, std::time::Instant)>,
-}
-
-impl HistTimer {
-    /// Start a sample for family `h` (inert when not [`active`]).
-    #[inline]
-    pub fn start(h: Hist) -> HistTimer {
-        if !active() {
-            return HistTimer { live: None };
-        }
-        HistTimer { live: Some((h, std::time::Instant::now())) }
-    }
-}
-
-impl Drop for HistTimer {
-    fn drop(&mut self) {
-        if let Some((h, t0)) = self.live.take() {
-            record_ns(h, t0.elapsed().as_nanos() as u64);
-        }
     }
 }
 

@@ -11,7 +11,9 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+
+use crate::recorder::{self, LEDGER_ASKED};
 
 /// Default ledger path when armed with a bare switch (`RSPARSE_LEDGER=1`
 /// or `set("ledger", "on")`).
@@ -43,35 +45,42 @@ fn parse_spec(spec: &str) -> Destination {
     }
 }
 
+/// A ledger needs the span table even when no probe sink is selected,
+/// so having a destination *is* asking for [`crate::Level::Spans`]: the
+/// level follows the destination, and nothing is left to release.
+fn set_override(dest: Destination) {
+    *OVERRIDE.lock().unwrap_or_else(|e| e.into_inner()) = dest;
+    recorder::ask(LEDGER_ASKED, if armed().is_some() { LEDGER_ASKED } else { 0 });
+}
+
 /// Set the ledger destination programmatically (the `set("ledger", …)`
 /// reserved port key). `off|0|none|false` disables emission, `1|on|true`
 /// selects [`DEFAULT_PATH`], anything else is the target path. The
 /// override beats `RSPARSE_LEDGER` until [`clear_destination`].
 pub fn set_destination(spec: &str) {
-    *OVERRIDE.lock().unwrap_or_else(|e| e.into_inner()) = parse_spec(spec);
+    set_override(parse_spec(spec));
 }
 
 /// Drop the programmatic destination; `RSPARSE_LEDGER` applies again.
 pub fn clear_destination() {
-    *OVERRIDE.lock().unwrap_or_else(|e| e.into_inner()) = Destination::Unset;
+    set_override(Destination::Unset);
 }
 
 /// Resolve the ledger destination: the programmatic override when set,
-/// else `RSPARSE_LEDGER` (same grammar), else `None` (the default —
-/// emission off).
+/// else `RSPARSE_LEDGER` (same grammar; read once per process), else
+/// `None` (the default — emission off).
 pub fn armed() -> Option<PathBuf> {
+    static ENV: OnceLock<Option<PathBuf>> = OnceLock::new();
     match &*OVERRIDE.lock().unwrap_or_else(|e| e.into_inner()) {
         Destination::Off => return None,
         Destination::Path(p) => return Some(p.clone()),
         Destination::Unset => {}
     }
-    match std::env::var("RSPARSE_LEDGER") {
-        Ok(v) => match parse_spec(&v) {
-            Destination::Path(p) => Some(p),
-            _ => None,
-        },
-        Err(_) => None,
-    }
+    ENV.get_or_init(|| match std::env::var("RSPARSE_LEDGER").map(|v| parse_spec(&v)) {
+        Ok(Destination::Path(p)) => Some(p),
+        _ => None,
+    })
+    .clone()
 }
 
 /// Pick a destination that does not clobber an earlier ledger from this

@@ -5,37 +5,53 @@
 //! overhead-accounting exercise: proving the CCA component layer adds only
 //! a small constant cost over the native solver libraries. This crate is
 //! the measurement substrate that makes such claims first-class instead of
-//! ad-hoc stopwatch plumbing:
+//! ad-hoc stopwatch plumbing — and it is one mechanism with several
+//! renderers:
 //!
-//! * **Scoped spans** with nesting and wall-clock accumulation —
-//!   `let _s = probe::span!("halo_exchange");` — tracking both *total*
-//!   (inclusive) and *self* (exclusive of children) time per span name.
-//!   The self-time of the `port:*` spans recorded by the LISI component
-//!   shim **is** the paper's component-layer overhead, measured by the
-//!   framework itself.
-//! * **Typed counters** ([`Counter`]): collective calls, bytes moved,
-//!   halo messages, steady-state allocations, matvec/apply counts,
-//!   port-call counts. Counters are always-on relaxed atomics.
+//! ```text
+//!  span!/SectionTimer ─┐                 ┌─ log ──► flight tail, postmortem,
+//!  comm send/recv/coll ┤                 │          chrome trace, critical path
+//!  Krylov iter/verdict ┼─► Event ─► emit ┤
+//!  fault, attempt      ┤   (Copy, one    └─ folds ► span table, peer matrix,
+//!  solve begin/end ────┘   clock read)              histograms ──► summary, JSONL,
+//!                                                   Prometheus, breakdown, ledger
+//! ```
+//!
+//! * **One event.** [`Event`] `{ t0_ns, t1_ns, solve, kind }` — `Copy`,
+//!   `&'static str` names, no allocation. A scoped span
+//!   (`let _s = probe::span!("halo_exchange");`), a posted send, a matched
+//!   receive, a collective, a Krylov iteration, a verdict, a fired fault,
+//!   a resilient attempt and a solve's begin/end are all [`EventKind`]s.
+//! * **One commit path.** [`emit`] / [`emit_since`] read the clock, stamp
+//!   the solve id ([`trace::current`]), append to the calling thread's
+//!   fixed-capacity overwrite-oldest log and fold the aggregates: the
+//!   span table (total and self time per name — the self-time of the
+//!   `port:*` spans **is** the paper's component-layer overhead), the
+//!   rank×rank peer matrix, and the latency histograms ([`hist`]: a
+//!   family is a row of a span-name table).
+//! * **One level**, process-wide and *derived* from what was asked for:
+//!
+//!   | [`Level`] | asked for by | a span site costs | the log holds |
+//!   |---|---|---|---|
+//!   | `Counters` | nothing (the default) | one relaxed load | the last 256 comm / iteration / verdict / fault / attempt events |
+//!   | `Spans` | `RSPARSE_PROBE` ≠ `off`, [`set_mode`], `set("probe", …)`, or a solve-ledger destination | two clock reads, one lock, one table update | the same |
+//!   | `Trace` | `RSPARSE_TRACE=1`, [`trace::set_armed`], `set("trace", "on")`, or the `chrome` mode | the same plus one log write | up to 2¹⁷ events incl. spans and solve begin/end (enlarged once per thread) |
+//!
+//!   Typed counters ([`Counter`]) are relaxed atomics and, like the
+//!   black-box events, on at every level; there is no switch that turns
+//!   the black box off — it is what the postmortem writer drains when a
+//!   solve fails, and its cost sits inside every measured solve.
+//! * **Renderers.** Of the log: [`flight`] (the black-box tail),
+//!   [`chrome_trace_json`], [`critpath`] (the cross-rank happens-before
+//!   walk that attributes wall-clock to local / wait-on-rank-r /
+//!   collective segments). Of the folds: [`render_summary`],
+//!   [`render_breakdown`] (Table-1 style), [`render_jsonl`], [`export`]
+//!   (Prometheus text over localhost TCP, `RSPARSE_METRICS_ADDR`), and
+//!   the solve [`ledger`]. They agree because they render the same
+//!   events, and each names the solve by the same `trace_id`.
 //! * **[`SolveMonitor`]** — a per-iteration callback trait the iterative
-//!   and direct solvers drive, streaming residual history, collective
-//!   counts and per-phase timings out of the solve instead of returning
-//!   post-hoc `Vec<f64>`s.
-//! * **Sinks**: a human-readable per-rank summary table (Table-1-style
-//!   setup/solve breakdown), JSON lines, and a chrome://tracing
-//!   (`trace_event`) JSON export for timeline inspection.
-//!
-//! # Runtime control
-//!
-//! The global mode comes from the `RSPARSE_PROBE` environment variable
-//! (`off`, `summary`, `json`, `chrome`, `flight`; default off) or
-//! programmatically via [`set_mode`]. The LISI port also accepts
-//! `set("probe", "<mode>")`. Independently of the mode, the [`flight`]
-//! recorder — a bounded per-thread ring of recent comm/solver/fault
-//! events — is always on unless `RSPARSE_FLIGHT=off`; it is the black
-//! box the postmortem writer drains when a solve fails.
-//! When the probe is off, a span costs one relaxed atomic load and no
-//! allocation — verified by the `probe_overhead` bench guard — while
-//! counters keep counting (they are the near-zero-cost part by design).
+//!   and direct solvers drive; delivery is a caller opt-in, independent
+//!   of the level.
 //!
 //! # Ranks
 //!
@@ -44,31 +60,16 @@
 //! [`aggregate`] merges every recorder created since the last [`reset`],
 //! combining recorders that share a rank (e.g. across repeated
 //! `Universe::run` launches).
-//!
-//! # Causality and export
-//!
-//! Three layers answer *why* a solve was slow rather than just *where*
-//! the time went: [`trace`] propagates a per-solve trace context and
-//! stamps every p2p message and collective so a post-solve merge
-//! reconstructs the cross-rank happens-before graph — armed via
-//! `RSPARSE_TRACE` or `set("trace", "on")`, one relaxed load when off;
-//! [`critpath`] walks that graph backward and attributes end-to-end
-//! wall-clock to local / wait-on-rank-r / collective segments, naming
-//! the top blocking edges; [`hist`] keeps zero-alloc log2 latency
-//! histograms (per-iteration time, halo-drain wait, collective latency)
-//! rendered as quantile columns in the summary sink. [`export`] serves
-//! all of it — counters, span totals, histograms — as Prometheus text
-//! over localhost TCP
-//! (`RSPARSE_METRICS_ADDR`; default off) or as a one-shot
-//! [`export::snapshot`] string.
 
 #![warn(missing_docs)]
 
 mod counter;
 pub mod critpath;
+mod event;
 pub mod export;
 pub mod flight;
 pub mod hist;
+pub mod json;
 pub mod ledger;
 pub mod model;
 mod monitor;
@@ -78,10 +79,11 @@ mod span;
 pub mod trace;
 
 pub use counter::{add, get, incr, Counter};
+pub use event::{emit, emit_since, Event, EventKind, TRACE_CAPACITY};
 pub use model::{KernelEfficiency, KernelModel, Roofline, TimeBase, WorkUnit};
 pub use monitor::{JsonlMonitor, ResidualHistory, SolveMonitor};
 pub use recorder::{
-    enabled, mode, mode_from_env, note, reset, reset_epoch, set_forced, set_mode, set_rank,
+    enabled, level, mode, note, reset, reset_epoch, set_mode, set_rank, Level,
     PeerStat, ProbeMode,
 };
 pub use sink::{
@@ -92,29 +94,13 @@ pub use sink::{
 };
 pub use span::{timed, SectionTimer, SpanGuard};
 
-/// Account one posted p2p send to `peer` (a world rank) on this thread.
-/// Always-on like the counters: the rank×rank communication matrix is
-/// built from these and must reconcile exactly against
-/// `SendsPosted`/`BytesSent`.
-#[inline]
-pub fn peer_send(peer: usize, bytes: u64) {
-    recorder::with_local(|r| r.peer_send(peer, bytes));
-}
-
-/// Account one completed p2p receive from `peer` (a world rank) on this
-/// thread; mirrors `RecvsCompleted`/`BytesReceived`.
-#[inline]
-pub fn peer_recv(peer: usize, bytes: u64) {
-    recorder::with_local(|r| r.peer_recv(peer, bytes));
-}
-
 /// Open a scoped span: records wall-clock time under `$name` (a `&'static
 /// str`) from here to the end of the enclosing scope, attributing the
 /// elapsed time to any enclosing span's child total. Bind the guard —
 /// `let _span = probe::span!("halo_drain");` — or it closes immediately.
 ///
-/// When the probe is disabled this is a single relaxed atomic load and an
-/// inert guard: no clock read, no allocation.
+/// Below [`Level::Spans`] this is a single relaxed atomic load and an
+/// inert guard: no clock read, no event, no allocation.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
@@ -138,11 +124,12 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// Tests that flip the global mode must not interleave.
-    static MODE_LOCK: Mutex<()> = Mutex::new(());
+    /// Tests that flip the process-wide level must not interleave — in
+    /// any module of this crate: mode, trace and ledger share one switch.
+    static LEVEL_LOCK: Mutex<()> = Mutex::new(());
 
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    pub(crate) fn locked() -> std::sync::MutexGuard<'static, ()> {
+        LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     #[test]
@@ -308,10 +295,10 @@ mod tests {
                     // the next rank and receives 2 from the previous.
                     let next = (rank + 1) % 3;
                     let prev = (rank + 2) % 3;
-                    peer_send(next, 8);
-                    peer_send(next, 8);
-                    peer_recv(prev, 8);
-                    peer_recv(prev, 8);
+                    for _ in 0..2 {
+                        emit(EventKind::Send { peer: next, bytes: 8, tag: 1, seq: 0 });
+                        emit(EventKind::Recv { peer: prev, bytes: 8, tag: 1, src_seq: 0 });
+                    }
                     add(Counter::SendsPosted, 2);
                     add(Counter::BytesSent, 16);
                     let _s = span!("work");

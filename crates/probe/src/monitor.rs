@@ -8,6 +8,8 @@
 
 use std::io::Write;
 
+use crate::json::number as json_f64;
+
 /// Callback interface driven by the iterative and direct solvers.
 ///
 /// All methods have default no-op bodies, so implementors override only
@@ -111,15 +113,6 @@ impl<W: Write + Send> JsonlMonitor<W> {
         line.push('}');
         // A broken pipe must not abort the solve.
         let _ = writeln!(self.out, "{line}");
-    }
-}
-
-/// Render an `f64` as JSON: finite values verbatim, NaN/inf as `null`.
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".to_string()
     }
 }
 

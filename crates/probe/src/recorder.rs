@@ -2,23 +2,21 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use crate::counter::{Counter, COUNTER_COUNT};
-use crate::flight::{FlightRecord, FlightRing};
+use crate::event::{Event, EventKind, EventLog};
 use crate::hist::{self, Hist, BUCKETS, HIST_COUNT};
-use crate::trace::{self, TraceRecord};
 
 // ---------------------------------------------------------------------------
 // Probe mode
 // ---------------------------------------------------------------------------
 
-/// What the probe records and where it reports.
-///
-/// Counters are always on; the mode controls span timing and which sink
-/// the top-level binaries drive.
+/// Which sink the top-level binaries drive. Counters and the black-box
+/// event log are always on; any mode but `Off` also asks for span timing
+/// ([`Level::Spans`]; `Chrome` for [`Level::Trace`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ProbeMode {
@@ -28,9 +26,9 @@ pub enum ProbeMode {
     Summary = 1,
     /// Spans on; binaries print one JSON object per rank (JSON lines).
     Json = 2,
-    /// Spans on and every span also records a chrome://tracing event.
+    /// Spans on and logged; binaries write the chrome://tracing document.
     Chrome = 3,
-    /// Spans on; binaries dump the flight-recorder event tails per rank.
+    /// Spans on; binaries dump each rank's black-box event tail.
     Flight = 4,
 }
 
@@ -70,87 +68,127 @@ impl ProbeMode {
     }
 }
 
-/// Sentinel meaning "not yet initialized from the environment".
-const MODE_UNSET: u8 = u8::MAX;
-
-static MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
-
-/// Read the `RSPARSE_PROBE` environment variable (unrecognized or unset
-/// values mean [`ProbeMode::Off`]).
-pub fn mode_from_env() -> ProbeMode {
-    std::env::var("RSPARSE_PROBE")
-        .ok()
-        .and_then(|v| ProbeMode::parse(&v))
-        .unwrap_or(ProbeMode::Off)
+/// How much the probe records, process-wide. Derived from what was asked
+/// for — never set directly: a probe mode other than `off` or a solve
+/// ledger destination asks for [`Level::Spans`]; `RSPARSE_TRACE` /
+/// [`crate::trace::set_armed`] or [`ProbeMode::Chrome`] ask for
+/// [`Level::Trace`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[repr(u8)]
+pub enum Level {
+    /// Counters, the peer matrix and the black-box events (comm,
+    /// iterations, verdicts, faults, attempts). A span site is one
+    /// relaxed load and emits nothing.
+    Counters = 0,
+    /// Spans are timed and folded into the span table and the latency
+    /// histograms (two clock reads a span).
+    Spans = 1,
+    /// Spans, solve begin/end, send sequences and receive intervals also
+    /// go to the per-thread log, enlarged to
+    /// [`crate::TRACE_CAPACITY`]: the chrome trace and the
+    /// critical path become renderable.
+    Trace = 2,
 }
 
-/// Current global probe mode, lazily initialized from `RSPARSE_PROBE` on
-/// first use.
+/// The one process-wide switch. Bits 0–2 hold the [`ProbeMode`], bit 3
+/// "a trace was asked for", bit 4 "a ledger destination is set", and
+/// bits 6–7 the [`Level`] those three imply, re-derived on every change
+/// so a hot-path check is one relaxed load and one compare.
+static STATE: AtomicU8 = AtomicU8::new(STATE_UNSET);
+
+/// Sentinel meaning "not yet initialized from the environment".
+const STATE_UNSET: u8 = u8::MAX;
+pub(crate) const MODE_BITS: u8 = 0b111;
+pub(crate) const TRACE_ASKED: u8 = 1 << 3;
+pub(crate) const LEDGER_ASKED: u8 = 1 << 4;
+const ASKED_BITS: u8 = MODE_BITS | TRACE_ASKED | LEDGER_ASKED;
+const LEVEL_SHIFT: u32 = 6;
+
+fn derive(asked: u8) -> u8 {
+    let level = if asked & TRACE_ASKED != 0 || asked & MODE_BITS == ProbeMode::Chrome as u8 {
+        Level::Trace
+    } else if asked != 0 {
+        Level::Spans
+    } else {
+        Level::Counters
+    };
+    asked | (level as u8) << LEVEL_SHIFT
+}
+
+/// Resolve `RSPARSE_PROBE`, `RSPARSE_TRACE` and `RSPARSE_LEDGER` — once
+/// per process, on the first read of the switch. Unrecognized or unset
+/// values ask for nothing.
+#[cold]
+fn state_from_env() -> u8 {
+    let var = |name| std::env::var(name).ok();
+    let mut asked = var("RSPARSE_PROBE").and_then(|v| ProbeMode::parse(&v)).map_or(0, |m| m as u8);
+    if var("RSPARSE_TRACE").and_then(|v| crate::trace::parse_switch(&v)) == Some(true) {
+        asked |= TRACE_ASKED;
+    }
+    if crate::ledger::armed().is_some() {
+        asked |= LEDGER_ASKED;
+    }
+    let state = derive(asked);
+    // Racing initializers compute the same value; either store wins.
+    match STATE.compare_exchange(STATE_UNSET, state, Ordering::Relaxed, Ordering::Relaxed) {
+        Ok(_) => state,
+        Err(current) => current,
+    }
+}
+
+#[inline]
+pub(crate) fn state() -> u8 {
+    match STATE.load(Ordering::Relaxed) {
+        STATE_UNSET => state_from_env(),
+        raw => raw,
+    }
+}
+
+/// Replace the `field` bits of what was asked for with `value` and
+/// re-derive the level (overrides the environment for that field).
+pub(crate) fn ask(field: u8, value: u8) {
+    state();
+    let _ = STATE.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |raw| {
+        Some(derive((raw & ASKED_BITS & !field) | value))
+    });
+}
+
+/// Current probe mode, lazily initialized from `RSPARSE_PROBE`.
 #[inline]
 pub fn mode() -> ProbeMode {
-    let raw = MODE.load(Ordering::Relaxed);
-    if raw == MODE_UNSET {
-        let m = mode_from_env();
-        // Racing initializers compute the same value; either store wins.
-        let _ = MODE.compare_exchange(MODE_UNSET, m as u8, Ordering::Relaxed, Ordering::Relaxed);
-        m
-    } else {
-        ProbeMode::from_u8(raw)
+    ProbeMode::from_u8(state() & MODE_BITS)
+}
+
+/// Set the probe mode (overrides the environment).
+pub fn set_mode(m: ProbeMode) {
+    ask(MODE_BITS, m as u8);
+}
+
+/// The current [`Level`]: one relaxed load once initialized.
+#[inline]
+pub fn level() -> Level {
+    match state() >> LEVEL_SHIFT {
+        0 => Level::Counters,
+        1 => Level::Spans,
+        _ => Level::Trace,
     }
 }
 
-/// Set the global probe mode (overrides the environment).
-pub fn set_mode(m: ProbeMode) {
-    MODE.store(m as u8, Ordering::Relaxed);
-}
-
-/// Collection forced on independently of the mode (see [`set_forced`]).
-static FORCED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Force span collection on regardless of the probe mode. The solve
-/// ledger sets this when armed: a ledger needs span timings to join its
-/// work models against even when no probe *sink* was requested. Purely
-/// additive — it never turns an explicitly chosen mode off.
-pub fn set_forced(on: bool) {
-    FORCED.store(on, Ordering::Relaxed);
-}
-
-/// Whether span timing is currently active (`mode() != Off`, or forced
-/// on by an armed solve ledger).
+/// Whether span timing is active: [`level`] is [`Level::Spans`] or above.
 #[inline]
 pub fn enabled() -> bool {
-    // Single relaxed load on the hot path once initialized.
-    let raw = MODE.load(Ordering::Relaxed);
-    if raw == MODE_UNSET {
-        return mode() != ProbeMode::Off || FORCED.load(Ordering::Relaxed);
-    }
-    raw != ProbeMode::Off as u8 || FORCED.load(Ordering::Relaxed)
-}
-
-#[inline]
-pub(crate) fn chrome_enabled() -> bool {
-    MODE.load(Ordering::Relaxed) == ProbeMode::Chrome as u8
+    state() >> LEVEL_SHIFT != 0
 }
 
 // ---------------------------------------------------------------------------
-// Epoch & chrome event budget
+// Epoch
 // ---------------------------------------------------------------------------
 
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-/// Process-wide timestamp origin for chrome-trace `ts` fields.
+/// Process-wide origin of every event timestamp.
 pub(crate) fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
-}
-
-/// Global cap on retained chrome events: a long solve in Chrome mode must
-/// not grow memory without bound. ~0.5M events is plenty for a timeline.
-const EVENT_BUDGET: u64 = 1 << 19;
-
-static EVENTS_TOTAL: AtomicU64 = AtomicU64::new(0);
-
-pub(crate) fn claim_event_slot() -> bool {
-    EVENTS_TOTAL.fetch_add(1, Ordering::Relaxed) < EVENT_BUDGET
 }
 
 // ---------------------------------------------------------------------------
@@ -166,17 +204,6 @@ pub(crate) struct SpanStat {
     pub child_ns: u64,
 }
 
-/// One complete chrome-trace event (`ph: "X"`).
-#[derive(Debug, Clone)]
-pub(crate) struct TraceEvent {
-    pub name: &'static str,
-    pub ts_us: u64,
-    pub dur_us: u64,
-    pub rank: Option<usize>,
-    /// Process-unique recording-thread id (chrome `tid` lane).
-    pub thread: u64,
-}
-
 /// Messages and bytes exchanged with one peer (world rank), mirroring the
 /// byte/message counters exactly so the rank×rank communication matrix
 /// row/column totals reconcile against them.
@@ -188,7 +215,87 @@ pub struct PeerStat {
     pub bytes: u64,
 }
 
-const RANK_UNSET: usize = usize::MAX;
+impl PeerStat {
+    fn count(&mut self, bytes: u64) {
+        self.msgs += 1;
+        self.bytes += bytes;
+    }
+}
+
+/// What [`crate::emit_since`] writes, under one lock: the thread's event
+/// log and the aggregates folded from the same events.
+#[derive(Default)]
+pub(crate) struct Local {
+    /// SPMD rank the thread was tagged with ([`set_rank`]).
+    rank: Option<usize>,
+    pub(crate) log: EventLog,
+    pub(crate) spans: BTreeMap<&'static str, SpanStat>,
+    /// Per-peer send accounting (world rank → messages/bytes).
+    pub(crate) peer_sends: BTreeMap<usize, PeerStat>,
+    /// Per-peer receive accounting (world rank → messages/bytes).
+    pub(crate) peer_recvs: BTreeMap<usize, PeerStat>,
+    pub(crate) hists: Hists,
+    /// `(solve, t1_ns)` of the last `Begin` or `Iter` event.
+    last_tick: Option<(u64, u64)>,
+    /// Free-form annotations (key → latest value), e.g. the batch width a
+    /// solve ran. Last write wins.
+    pub(crate) notes: BTreeMap<&'static str, String>,
+    /// Static work/traffic models registered at setup time (kernel name
+    /// → model; see [`crate::model`]). Last registration wins.
+    pub(crate) models: BTreeMap<&'static str, crate::model::KernelModel>,
+}
+
+/// Log2 latency buckets and nanosecond sums, one row per [`Hist`].
+pub(crate) struct Hists {
+    pub(crate) counts: [[u64; BUCKETS]; HIST_COUNT],
+    pub(crate) sums: [u64; HIST_COUNT],
+}
+
+impl Default for Hists {
+    fn default() -> Hists {
+        Hists { counts: [[0; BUCKETS]; HIST_COUNT], sums: [0; HIST_COUNT] }
+    }
+}
+
+impl Local {
+    fn sample(&mut self, h: Hist, ns: u64) {
+        self.hists.counts[h.index()][hist::bucket(ns)] += 1;
+        self.hists.sums[h.index()] += ns;
+    }
+
+    /// Fold one committed event into the aggregates. `child_ns` is the
+    /// popped child-time frame when the event closes a guard's scope.
+    pub(crate) fn fold(&mut self, ev: &Event, child_ns: Option<u64>, level: Level) {
+        match ev.kind {
+            EventKind::Send { peer, bytes, .. } => {
+                self.peer_sends.entry(peer).or_default().count(bytes)
+            }
+            EventKind::Recv { peer, bytes, .. } => {
+                self.peer_recvs.entry(peer).or_default().count(bytes)
+            }
+            EventKind::Span { name } | EventKind::Collective { op: name, .. } => {
+                let Some(child_ns) = child_ns else { return };
+                let dur_ns = ev.t1_ns - ev.t0_ns;
+                let stat = self.spans.entry(name).or_default();
+                stat.calls += 1;
+                stat.total_ns += dur_ns;
+                stat.child_ns += child_ns;
+                if let Some(h) = Hist::of_span(name) {
+                    self.sample(h, dur_ns);
+                }
+            }
+            EventKind::Begin | EventKind::Iter { .. } if level >= Level::Spans => {
+                let last = self.last_tick.replace((ev.solve, ev.t1_ns));
+                if let (Some((solve, tick)), EventKind::Iter { .. }) = (last, ev.kind) {
+                    if solve == ev.solve {
+                        self.sample(Hist::IterTime, ev.t1_ns - tick);
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+}
 
 /// Monotonic id handed to each recorder so chrome traces can give every
 /// thread its own `tid` lane (999 is reserved for unranked `pid`s).
@@ -197,62 +304,23 @@ static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(0);
 /// Per-thread metric store. Shared with the global registry via `Arc` so
 /// [`crate::aggregate`] can read it after the thread exits.
 pub(crate) struct Recorder {
-    rank: AtomicUsize,
     /// Stable chrome-trace `tid` for this recording thread.
-    thread: u64,
+    pub(crate) thread: u64,
     counters: [AtomicU64; COUNTER_COUNT],
-    pub(crate) spans: Mutex<BTreeMap<&'static str, SpanStat>>,
-    pub(crate) events: Mutex<Vec<TraceEvent>>,
-    /// Chrome events dropped after the global budget was exhausted.
-    pub(crate) dropped_events: AtomicU64,
-    /// Flight-recorder ring (always-on black box; see [`crate::flight`]).
-    flight: Mutex<FlightRing>,
-    /// Per-peer send accounting (world rank → messages/bytes).
-    pub(crate) peer_sends: Mutex<BTreeMap<usize, PeerStat>>,
-    /// Per-peer receive accounting (world rank → messages/bytes).
-    pub(crate) peer_recvs: Mutex<BTreeMap<usize, PeerStat>>,
-    /// Free-form annotations (key → latest value), e.g. the sparse format
-    /// an operator plan settled on. Last write wins.
-    pub(crate) notes: Mutex<BTreeMap<&'static str, String>>,
-    /// Log2 latency histogram buckets, one row per [`Hist`] family.
-    hist_counts: [[AtomicU64; BUCKETS]; HIST_COUNT],
-    /// Sum of recorded nanoseconds per [`Hist`] family (Prometheus `_sum`).
-    hist_sums: [AtomicU64; HIST_COUNT],
-    /// Causal trace records (see [`crate::trace`]).
-    pub(crate) trace: Mutex<Vec<TraceRecord>>,
-    /// Trace records dropped after the global budget was exhausted.
-    pub(crate) dropped_trace: AtomicU64,
-    /// Static work/traffic models registered at setup time (kernel name
-    /// → model; see [`crate::model`]). Last registration wins.
-    models: Mutex<BTreeMap<&'static str, crate::model::KernelModel>>,
+    local: Mutex<Local>,
 }
 
 impl Recorder {
     fn new() -> Recorder {
         Recorder {
-            rank: AtomicUsize::new(RANK_UNSET),
             thread: NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            spans: Mutex::new(BTreeMap::new()),
-            events: Mutex::new(Vec::new()),
-            dropped_events: AtomicU64::new(0),
-            flight: Mutex::new(FlightRing::default()),
-            peer_sends: Mutex::new(BTreeMap::new()),
-            peer_recvs: Mutex::new(BTreeMap::new()),
-            notes: Mutex::new(BTreeMap::new()),
-            hist_counts: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
-            hist_sums: std::array::from_fn(|_| AtomicU64::new(0)),
-            trace: Mutex::new(Vec::new()),
-            dropped_trace: AtomicU64::new(0),
-            models: Mutex::new(BTreeMap::new()),
+            local: Mutex::new(Local::default()),
         }
     }
 
     pub(crate) fn rank(&self) -> Option<usize> {
-        match self.rank.load(Ordering::Relaxed) {
-            RANK_UNSET => None,
-            r => Some(r),
-        }
+        self.local().rank
     }
 
     #[inline]
@@ -264,119 +332,21 @@ impl Recorder {
         self.counters[c.index()].load(Ordering::Relaxed)
     }
 
-    pub(crate) fn record_span(&self, name: &'static str, dur_ns: u64, child_ns: u64) {
-        let mut spans = self.spans.lock().unwrap_or_else(|e| e.into_inner());
-        let stat = spans.entry(name).or_default();
-        stat.calls += 1;
-        stat.total_ns += dur_ns;
-        stat.child_ns += child_ns;
-    }
-
-    pub(crate) fn record_event(&self, name: &'static str, ts_us: u64, dur_us: u64) {
-        if claim_event_slot() {
-            let mut events = self.events.lock().unwrap_or_else(|e| e.into_inner());
-            events.push(TraceEvent { name, ts_us, dur_us, rank: self.rank(), thread: self.thread });
-        } else {
-            self.dropped_events.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn flight_push(&self, rec: FlightRecord) {
-        self.flight.lock().unwrap_or_else(|e| e.into_inner()).push(rec);
-    }
-
-    /// Chronological snapshot of the flight ring plus the total number of
-    /// records ever pushed.
-    pub(crate) fn flight_tail(&self) -> (Vec<FlightRecord>, u64) {
-        let ring = self.flight.lock().unwrap_or_else(|e| e.into_inner());
-        (ring.tail(), ring.total())
-    }
-
-    pub(crate) fn peer_send(&self, peer: usize, bytes: u64) {
-        let mut map = self.peer_sends.lock().unwrap_or_else(|e| e.into_inner());
-        let stat = map.entry(peer).or_default();
-        stat.msgs += 1;
-        stat.bytes += bytes;
-    }
-
-    pub(crate) fn peer_recv(&self, peer: usize, bytes: u64) {
-        let mut map = self.peer_recvs.lock().unwrap_or_else(|e| e.into_inner());
-        let stat = map.entry(peer).or_default();
-        stat.msgs += 1;
-        stat.bytes += bytes;
-    }
-
-    pub(crate) fn set_note(&self, key: &'static str, value: String) {
-        self.notes.lock().unwrap_or_else(|e| e.into_inner()).insert(key, value);
-    }
-
-    /// Record one latency sample: one bucket increment, one sum add.
+    /// Everything but the counters. The owning thread takes this lock
+    /// once per event; renderers take it to snapshot.
     #[inline]
-    pub(crate) fn record_hist(&self, h: Hist, ns: u64) {
-        self.hist_counts[h.index()][hist::bucket(ns)].fetch_add(1, Ordering::Relaxed);
-        self.hist_sums[h.index()].fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Plain-integer snapshot of one histogram family's buckets and sum.
-    pub(crate) fn hist_snapshot(&self, h: Hist) -> ([u64; BUCKETS], u64) {
-        let buckets =
-            std::array::from_fn(|i| self.hist_counts[h.index()][i].load(Ordering::Relaxed));
-        (buckets, self.hist_sums[h.index()].load(Ordering::Relaxed))
-    }
-
-    /// Absorb one solve's staged trace batch under a single lock. The
-    /// staging `Vec` is drained but keeps its capacity for the next
-    /// solve; records beyond the per-recorder budget count as dropped.
-    pub(crate) fn trace_extend(&self, staged: &mut Vec<TraceRecord>, dropped: u64) {
-        let mut trace = self.trace.lock().unwrap_or_else(|e| e.into_inner());
-        let room = trace::TRACE_BUDGET.saturating_sub(trace.len());
-        let take = room.min(staged.len());
-        let overflow = (staged.len() - take) as u64 + dropped;
-        trace.extend(staged.drain(..take));
-        staged.clear();
-        if overflow > 0 {
-            self.dropped_trace.fetch_add(overflow, Ordering::Relaxed);
-        }
-    }
-
-    /// Snapshot of every retained trace record on this recorder.
-    pub(crate) fn trace_snapshot(&self) -> Vec<TraceRecord> {
-        self.trace.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    /// Register (or replace) a kernel work model.
-    pub(crate) fn set_model(&self, name: &'static str, m: crate::model::KernelModel) {
-        self.models.lock().unwrap_or_else(|e| e.into_inner()).insert(name, m);
-    }
-
-    /// Snapshot of the registered kernel models.
-    pub(crate) fn models_snapshot(&self) -> BTreeMap<&'static str, crate::model::KernelModel> {
-        self.models.lock().unwrap_or_else(|e| e.into_inner()).clone()
+    pub(crate) fn local(&self) -> MutexGuard<'_, Local> {
+        self.local.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn clear(&self) {
-        self.rank.store(RANK_UNSET, Ordering::Relaxed);
         for c in &self.counters {
             c.store(0, Ordering::Relaxed);
         }
-        self.spans.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        self.events.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        self.dropped_events.store(0, Ordering::Relaxed);
-        self.flight.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        self.peer_sends.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        self.peer_recvs.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        self.notes.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        for row in &self.hist_counts {
-            for b in row {
-                b.store(0, Ordering::Relaxed);
-            }
-        }
-        for s in &self.hist_sums {
-            s.store(0, Ordering::Relaxed);
-        }
-        self.trace.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        self.dropped_trace.store(0, Ordering::Relaxed);
-        self.models.lock().unwrap_or_else(|e| e.into_inner()).clear();
+        let mut local = self.local();
+        let mut log = std::mem::take(&mut local.log);
+        log.clear();
+        *local = Local { log, ..Local::default() };
     }
 }
 
@@ -399,23 +369,38 @@ thread_local! {
     /// Stack of child-time accumulators for currently-open spans on this
     /// thread. Each open span pushes a 0 frame; a closing child adds its
     /// duration to the top frame so the parent can compute self time.
-    pub(crate) static STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    static STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
+/// A span guard opened: start its child-time accumulator.
+pub(crate) fn push_frame() {
+    STACK.with(|s| s.borrow_mut().push(0));
+}
+
+/// The innermost open scope closed after `dur_ns`: pop its accumulator
+/// (returned — the time it spent in child scopes) and charge its own
+/// duration to the parent frame, if any.
+pub(crate) fn pop_frame(dur_ns: u64) -> u64 {
+    STACK.with(|s| {
+        let mut stack = s.borrow_mut();
+        let mine = stack.pop().unwrap_or(0);
+        if let Some(parent) = stack.last_mut() {
+            *parent += dur_ns;
+        }
+        mine
+    })
+}
+
+/// Run `f` on the current thread's recorder.
 #[inline]
-pub(crate) fn with_local<T>(f: impl FnOnce(&Recorder) -> T) -> T {
-    LOCAL.with(|r| f(r))
-}
-
-/// Clone the current thread's recorder handle.
-pub(crate) fn local_arc() -> Arc<Recorder> {
-    LOCAL.with(Arc::clone)
+pub(crate) fn with_local<T>(f: impl FnOnce(&Arc<Recorder>) -> T) -> T {
+    LOCAL.with(f)
 }
 
 /// Tag the current thread's recorder with an SPMD rank. Called by the
 /// `rcomm` launcher on every rank thread; reports then group by rank.
 pub fn set_rank(rank: usize) {
-    with_local(|r| r.rank.store(rank, Ordering::Relaxed));
+    with_local(|r| r.local().rank = Some(rank));
 }
 
 /// Attach a free-form annotation to the current thread's recorder. Notes
@@ -424,23 +409,37 @@ pub fn set_rank(rank: usize) {
 /// batched path. Last write per key wins.
 pub fn note(key: &'static str, value: impl Into<String>) {
     let value = value.into();
-    with_local(|r| r.set_note(key, value));
+    with_local(|r| r.local().notes.insert(key, value));
 }
 
-/// Snapshot every live recorder (for [`crate::aggregate`]).
+/// Snapshot every registered recorder.
 pub(crate) fn all_recorders() -> Vec<Arc<Recorder>> {
     REGISTRY.lock().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
-/// Zero all recorded counters, spans, histograms, chrome events and trace
-/// records in place, and reset the event budgets. Recorders stay
-/// registered (thread-local handles remain valid); this is a measurement
-/// reset, not a teardown.
-pub fn reset() {
+/// Every registered recorder grouped by rank: ranked threads first, in
+/// rank order (threads sharing a rank — repeated launches — together),
+/// then the untagged threads, if any.
+pub(crate) fn by_rank() -> Vec<(Option<usize>, Vec<Arc<Recorder>>)> {
+    let mut groups: BTreeMap<Option<usize>, Vec<Arc<Recorder>>> = BTreeMap::new();
     for r in all_recorders() {
+        groups.entry(r.rank()).or_default().push(r);
+    }
+    // `None` sorts first; the contract puts it last.
+    let unranked = groups.remove(&None);
+    groups.into_iter().chain(unranked.map(|rs| (None, rs))).collect()
+}
+
+/// Zero all recorded counters, spans, histograms and event logs in place.
+/// Recorders of live threads stay registered (thread-local handles remain
+/// valid) and keep their log's allocation; recorders whose thread has
+/// exited are dropped. This is a measurement reset, not a teardown.
+pub fn reset() {
+    let mut registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    registry.retain(|r| Arc::strong_count(r) > 1);
+    for r in registry.iter() {
         r.clear();
     }
-    EVENTS_TOTAL.store(0, Ordering::Relaxed);
     RESET_EPOCH.fetch_add(1, Ordering::Relaxed);
 }
 

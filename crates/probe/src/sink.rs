@@ -7,7 +7,9 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use crate::counter::{Counter, COUNTER_COUNT};
+use crate::flight;
 use crate::hist::{self, Hist, HistSummary, BUCKETS, HIST_COUNT};
+use crate::json;
 use crate::model::{KernelEfficiency, KernelModel, Roofline, TimeBase, WorkUnit};
 use crate::recorder::{self, PeerStat, Recorder};
 
@@ -201,38 +203,35 @@ fn snapshot(recorders: &[std::sync::Arc<Recorder>], rank: Option<usize>) -> Rank
         for c in Counter::ALL {
             counters[c as usize] += r.counter(c);
         }
-        let locked = r.spans.lock().unwrap_or_else(|e| e.into_inner());
-        for (name, stat) in locked.iter() {
+        let local = r.local();
+        for (name, stat) in local.spans.iter() {
             let slot = spans.entry(name).or_insert((0, 0, 0));
             slot.0 += stat.calls;
             slot.1 += stat.total_ns;
             slot.2 += stat.child_ns;
         }
-        drop(locked);
-        for (map, src) in [(&mut peer_sends, &r.peer_sends), (&mut peer_recvs, &r.peer_recvs)] {
-            let locked = src.lock().unwrap_or_else(|e| e.into_inner());
-            for (&peer, stat) in locked.iter() {
+        for (map, src) in
+            [(&mut peer_sends, &local.peer_sends), (&mut peer_recvs, &local.peer_recvs)]
+        {
+            for (&peer, stat) in src.iter() {
                 let slot = map.entry(peer).or_default();
                 slot.msgs += stat.msgs;
                 slot.bytes += stat.bytes;
             }
         }
-        let locked = r.notes.lock().unwrap_or_else(|e| e.into_inner());
-        for (&key, value) in locked.iter() {
-            notes.insert(key, value.clone());
-        }
         for h in hist::ALL {
-            let (buckets, sum) = r.hist_snapshot(h);
-            for (slot, b) in hist_counts[h as usize].iter_mut().zip(buckets) {
+            let counts = local.hists.counts[h as usize];
+            for (slot, b) in hist_counts[h as usize].iter_mut().zip(counts) {
                 *slot += b;
             }
-            hist_sums[h as usize] += sum;
+            hist_sums[h as usize] += local.hists.sums[h as usize];
+        }
+        for (&key, value) in local.notes.iter() {
+            notes.insert(key, value.clone());
         }
         // Like notes: last recorder wins per kernel (repeated setups on
         // one rank re-register the model for the operator now in use).
-        for (name, m) in r.models_snapshot() {
-            models.insert(name, m);
-        }
+        models.extend(local.models.iter().map(|(&name, &m)| (name, m)));
     }
     let spans = spans
         .into_iter()
@@ -252,8 +251,7 @@ fn snapshot(recorders: &[std::sync::Arc<Recorder>], rank: Option<usize>) -> Rank
 /// inside SPMD rank closures: each rank thread sees exactly its own
 /// counters and spans.
 pub fn local_report() -> RankReport {
-    let arc = recorder::local_arc();
-    snapshot(std::slice::from_ref(&arc), arc.rank())
+    recorder::with_local(|arc| snapshot(std::slice::from_ref(arc), arc.rank()))
 }
 
 /// Merge every recorder created since the last [`crate::reset`] into
@@ -261,28 +259,11 @@ pub fn local_report() -> RankReport {
 /// sharing a rank combined), then at most one report for untagged
 /// threads. Empty recorders are skipped.
 pub fn aggregate() -> Vec<RankReport> {
-    let mut by_rank: BTreeMap<usize, Vec<std::sync::Arc<Recorder>>> = BTreeMap::new();
-    let mut unranked: Vec<std::sync::Arc<Recorder>> = Vec::new();
-    for r in recorder::all_recorders() {
-        match r.rank() {
-            Some(rank) => by_rank.entry(rank).or_default().push(r),
-            None => unranked.push(r),
-        }
-    }
-    let mut reports: Vec<RankReport> = Vec::new();
-    for (rank, rs) in by_rank {
-        let rep = snapshot(&rs, Some(rank));
-        if !rep.is_empty() {
-            reports.push(rep);
-        }
-    }
-    if !unranked.is_empty() {
-        let rep = snapshot(&unranked, None);
-        if !rep.is_empty() {
-            reports.push(rep);
-        }
-    }
-    reports
+    recorder::by_rank()
+        .into_iter()
+        .map(|(rank, recorders)| snapshot(&recorders, rank))
+        .filter(|report| !report.is_empty())
+        .collect()
 }
 
 fn rank_label(rank: Option<usize>) -> String {
@@ -452,11 +433,12 @@ pub fn render_imbalance(reports: &[RankReport]) -> String {
 }
 
 /// Spans that are time spent *blocked* on a peer rather than computing:
-/// draining halo receives and riding reductions.
-const WAIT_SPANS: [&str; 3] = ["halo_drain", "halo_post", "allreduce"];
+/// the halo exchange here, riding reductions (`allreduce`) beside it. The
+/// critical path's per-rank totals sum the same names.
+pub(crate) const HALO_SPANS: [&str; 2] = ["halo_drain", "halo_post"];
 
 /// Spans that are local sparse compute.
-const COMPUTE_SPANS: [&str; 2] = ["spmv_interior", "spmv_boundary"];
+pub(crate) const COMPUTE_SPANS: [&str; 2] = ["spmv_interior", "spmv_boundary"];
 
 /// Wait-time attribution per rank: seconds blocked in the halo exchange
 /// and in reductions versus seconds spent in local SpMV compute, plus the
@@ -469,8 +451,8 @@ pub fn render_wait_attribution(reports: &[RankReport]) -> String {
     let rows: Vec<(String, f64, f64, f64)> = ranked
         .iter()
         .map(|rep| {
-            let halo = total_of(rep, &WAIT_SPANS[..2]);
-            let reduce = total_of(rep, &WAIT_SPANS[2..]);
+            let halo = total_of(rep, &HALO_SPANS);
+            let reduce = total_of(rep, &["allreduce"]);
             let compute = total_of(rep, &COMPUTE_SPANS);
             (rank_label(rep.rank), halo, reduce, compute)
         })
@@ -583,18 +565,18 @@ pub fn render_comm_matrix(reports: &[RankReport]) -> String {
 }
 
 /// Render the flight-recorder tails of every rank as JSON lines, one
-/// `{"rank":..,"events":[...]}` object per rank. This is what the
-/// drivers print under `RSPARSE_PROBE=flight`.
+/// `{"rank":..,"trace_id":..,"events":[...]}` object per rank. This is
+/// what the drivers print under `RSPARSE_PROBE=flight`.
 pub fn render_flight() -> String {
     let mut out = String::new();
-    for (rank, tail) in crate::flight::tails_by_rank() {
-        match rank {
-            Some(r) => {
-                let _ = write!(out, "{{\"rank\":{r},");
-            }
-            None => out.push_str("{\"rank\":null,"),
-        }
-        let _ = writeln!(out, "\"events\":{}}}", crate::flight::tail_json(&tail));
+    for (rank, tail) in flight::tails_by_rank() {
+        let rank = rank.map_or("null".to_string(), |r| r.to_string());
+        let _ = writeln!(
+            out,
+            "{{\"rank\":{rank},\"trace_id\":{},\"events\":{}}}",
+            flight::latest_solve(&tail),
+            flight::tail_json(&tail)
+        );
     }
     out
 }
@@ -667,21 +649,6 @@ pub fn render_breakdown(reports: &[RankReport]) -> String {
     out
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render one JSON object per rank (JSON lines): all nonzero counters and
 /// all spans.
 pub fn render_jsonl(reports: &[RankReport]) -> String {
@@ -711,7 +678,7 @@ pub fn render_jsonl(reports: &[RankReport]) -> String {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":\"{}\"", escape_json(key), escape_json(value));
+            let _ = write!(out, "\"{}\":\"{}\"", json::escape(key), json::escape(value));
         }
         out.push_str("},\"spans\":[");
         for (i, s) in rep.spans.iter().enumerate() {
@@ -721,7 +688,7 @@ pub fn render_jsonl(reports: &[RankReport]) -> String {
             let _ = write!(
                 out,
                 "{{\"name\":\"{}\",\"calls\":{},\"total_s\":{:e},\"self_s\":{:e}}}",
-                escape_json(s.name),
+                json::escape(s.name),
                 s.calls,
                 s.total_s,
                 s.self_s
@@ -732,37 +699,41 @@ pub fn render_jsonl(reports: &[RankReport]) -> String {
     out
 }
 
-/// Serialize every recorded chrome event into one merged chrome://tracing
+/// Serialize every logged span into one merged chrome://tracing
 /// (`trace_event` format) JSON document for the whole cohort: `pid` is
 /// the SPMD rank (999 for untagged threads), `tid` is the recording
 /// thread, so repeated launches and multi-threaded ranks each keep their
-/// own lane instead of overwriting one another. Load the result via
-/// `chrome://tracing` or <https://ui.perfetto.dev>.
+/// own lane instead of overwriting one another. Spans reach the log at
+/// [`crate::Level::Trace`] (the chrome probe mode asks for it). Load the
+/// result via `chrome://tracing` or <https://ui.perfetto.dev>.
 pub fn chrome_trace_json() -> String {
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
     let mut dropped: u64 = 0;
+    let mut trace_id: u64 = 0;
     let mut pids: Vec<u64> = Vec::new();
     for r in recorder::all_recorders() {
-        dropped += r.dropped_events.load(std::sync::atomic::Ordering::Relaxed);
-        let events = r.events.lock().unwrap_or_else(|e| e.into_inner());
-        for e in events.iter() {
+        let pid = r.rank().map(|r| r as u64).unwrap_or(999);
+        let local = r.local();
+        dropped += local.log.dropped();
+        for e in local.log.iter() {
+            trace_id = trace_id.max(e.solve);
+            let Some((name, dur_ns)) = e.scope() else { continue };
             if !first {
                 out.push(',');
             }
             first = false;
-            let pid = e.rank.map(|r| r as u64).unwrap_or(999);
             if !pids.contains(&pid) {
                 pids.push(pid);
             }
             let _ = write!(
                 out,
                 "{{\"name\":\"{}\",\"cat\":\"probe\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{}}}",
-                escape_json(e.name),
-                e.ts_us,
-                e.dur_us,
+                json::escape(name),
+                e.t0_ns / 1_000,
+                dur_ns / 1_000,
                 pid,
-                e.thread
+                r.thread
             );
         }
     }
@@ -778,7 +749,7 @@ pub fn chrome_trace_json() -> String {
     let _ = write!(
         out,
         "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"droppedEvents\":{dropped},\
-         \"kernelEfficiency\":{}}}}}",
+         \"trace_id\":{trace_id},\"kernelEfficiency\":{}}}}}",
         kernel_efficiency_json(&aggregate())
     );
     out
@@ -809,8 +780,8 @@ pub fn kernel_efficiency_json(reports: &[RankReport]) -> String {
                 "{{\"rank\":{rank},\"kernel\":\"{}\",\"span\":\"{}\",\"units\":{},\
                  \"nrhs\":{},\"seconds\":{:e},\"flops\":{},\"bytes\":{},\"gflops\":{:.6},\
                  \"gbs\":{:.6},\"ai\":{:.6},\"pct_of_roofline\":{pct}}}",
-                escape_json(e.name),
-                escape_json(e.span),
+                json::escape(e.name),
+                json::escape(e.span),
                 e.units,
                 e.nrhs,
                 e.seconds,

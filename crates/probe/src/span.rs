@@ -1,79 +1,54 @@
-//! Scoped spans and section timers.
+//! Scoped spans and section timers: the guards that open an interval and
+//! commit it as one event when they close.
 
 use std::time::Instant;
 
-use crate::recorder::{self, chrome_enabled, enabled, epoch, STACK};
+use crate::event::{emit, emit_since, now_ns, EventKind};
+use crate::recorder::{enabled, push_frame};
 use crate::trace;
 
-fn push_frame() {
-    STACK.with(|s| s.borrow_mut().push(0));
-}
-
-/// Close a frame: record the span, pop our child accumulator, and add our
-/// duration to the parent frame (if any).
-fn close_frame(name: &'static str, start: Instant) {
-    let dur_ns = start.elapsed().as_nanos() as u64;
-    let child_ns = STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        let mine = stack.pop().unwrap_or(0);
-        if let Some(parent) = stack.last_mut() {
-            *parent += dur_ns;
-        }
-        mine
-    });
-    recorder::with_local(|r| {
-        r.record_span(name, dur_ns, child_ns);
-        if chrome_enabled() {
-            let ts_us = start.duration_since(epoch()).as_micros() as u64;
-            r.record_event(name, ts_us, dur_ns / 1_000);
-        }
-    });
-    if trace::thread_active() {
-        // Same clock reads as the span table, so the causal trace and the
-        // wait-time attribution describe identical instants.
-        let t0_ns = start.duration_since(epoch()).as_nanos() as u64;
-        trace::on_span_close(name, t0_ns, dur_ns);
-    }
-}
-
-/// Whether spans should time right now: probe enabled, or a causal trace
-/// active on this thread (traced solves fill the span table even with
-/// the probe off, so the attribution table always accompanies a trace).
-#[inline]
-fn span_active() -> bool {
-    enabled() || trace::thread_active()
-}
-
-/// RAII guard for a scoped span; created by [`crate::span!`]. Records on
-/// drop. Inert (no clock read, no allocation) when the probe is disabled
-/// and no trace is active.
+/// RAII guard for a scoped span; created by [`crate::span!`]. Commits
+/// its event on drop. Inert (no clock read, no allocation) below
+/// [`crate::Level::Spans`].
 #[must_use = "binding the guard keeps the span open until end of scope"]
 pub struct SpanGuard {
-    live: Option<(&'static str, Instant)>,
-    /// Previous innermost phase to restore (`Some` only while tracing).
-    phase_prev: Option<&'static str>,
+    live: Option<(EventKind, u64)>,
 }
 
 impl SpanGuard {
     /// Open a span named `name`. Prefer the [`crate::span!`] macro.
     #[inline]
     pub fn enter(name: &'static str) -> SpanGuard {
-        if !span_active() {
-            return SpanGuard { live: None, phase_prev: None };
+        if !enabled() {
+            return SpanGuard { live: None };
         }
-        let phase_prev = trace::thread_active().then(|| trace::push_phase(name));
         push_frame();
-        SpanGuard { live: Some((name, Instant::now())), phase_prev }
+        SpanGuard { live: Some((EventKind::Span { name }, now_ns())) }
+    }
+
+    /// Enter a blocking reduction named `op` — one
+    /// [`EventKind::Collective`] either way. Below [`crate::Level::Spans`]
+    /// it is committed here, as the instant the black box records for
+    /// every collective, and the guard is inert; otherwise the guard
+    /// times the reduction as a span named `op` (wait-attributed: time
+    /// blocked riding the reduction) and commits the interval when it
+    /// drops, indexed within a traced solve.
+    #[inline]
+    pub fn collective(op: &'static str) -> SpanGuard {
+        if !enabled() {
+            emit(EventKind::Collective { op, index: 0 });
+            return SpanGuard { live: None };
+        }
+        push_frame();
+        let index = trace::next_collective();
+        SpanGuard { live: Some((EventKind::Collective { op, index }, now_ns())) }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some((name, start)) = self.live.take() {
-            close_frame(name, start);
-        }
-        if let Some(prev) = self.phase_prev.take() {
-            trace::pop_phase(prev);
+        if let Some((kind, t0_ns)) = self.live.take() {
+            emit_since(Some(t0_ns), kind);
         }
     }
 }
@@ -85,51 +60,23 @@ impl Drop for SpanGuard {
 /// `SolveReport` seconds and the probe's per-rank breakdown.
 #[must_use = "call stop() to retrieve the measured seconds"]
 pub struct SectionTimer {
-    name: &'static str,
     start: Instant,
-    /// Whether we pushed a span frame at start (spans were active).
-    pushed: bool,
-    /// Previous innermost phase to restore (`Some` only while tracing).
-    phase_prev: Option<&'static str>,
-    done: bool,
+    /// Closes on drop, so early-return/`?` paths still record the span;
+    /// the measured seconds are simply lost to the caller.
+    span: SpanGuard,
 }
 
 impl SectionTimer {
     /// Start timing a named section.
     pub fn start(name: &'static str) -> SectionTimer {
-        let pushed = span_active();
-        let phase_prev = (pushed && trace::thread_active()).then(|| trace::push_phase(name));
-        if pushed {
-            push_frame();
-        }
-        SectionTimer { name, start: Instant::now(), pushed, phase_prev, done: false }
-    }
-
-    fn close(&mut self) {
-        if self.pushed {
-            close_frame(self.name, self.start);
-        }
-        if let Some(prev) = self.phase_prev.take() {
-            trace::pop_phase(prev);
-        }
+        SectionTimer { start: Instant::now(), span: SpanGuard::enter(name) }
     }
 
     /// Stop and return the elapsed wall-clock seconds, recording the span
     /// if spans were active at start.
-    pub fn stop(mut self) -> f64 {
-        self.done = true;
-        self.close();
+    pub fn stop(self) -> f64 {
+        drop(self.span);
         self.start.elapsed().as_secs_f64()
-    }
-}
-
-impl Drop for SectionTimer {
-    fn drop(&mut self) {
-        // Early-return/`?` paths still close the span frame; the measured
-        // seconds are simply lost to the caller.
-        if !self.done {
-            self.close();
-        }
     }
 }
 

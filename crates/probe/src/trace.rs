@@ -1,45 +1,33 @@
-//! Causal cross-rank trace contexts.
+//! Solve identity and causal cross-rank stamps.
 //!
-//! Every solve that starts while tracing is armed gets a **trace id**
-//! that is identical on every rank without any communication: ranks are
-//! SPMD threads, so the k-th solve begun on each rank thread is the same
-//! logical solve, and the id is derived from a per-thread solve counter
-//! plus a process-wide launch generation (bumped by the `rcomm`
-//! launcher so back-to-back launches do not collide).
+//! Every solve gets an **id** that is identical on every rank without
+//! any communication: ranks are SPMD threads, so the k-th solve begun on
+//! each rank thread is the same logical solve, and the id is derived
+//! from a per-thread solve counter plus a process-wide launch generation
+//! (bumped by the `rcomm` launcher so back-to-back launches do not
+//! collide). The id is assigned at every level — a thread-local
+//! increment — and every [`crate::Event`] committed inside the
+//! [`solve_guard`] scope carries it, so a ledger, a postmortem, a flight
+//! dump, a chrome trace and a critical path of one solve name the same
+//! `trace_id`.
 //!
-//! While a trace is active on a thread, the comm layer stamps each
-//! outgoing point-to-point message with a [`Stamp`] — (trace id, sending
-//! span, per-sender sequence) — and records [`TraceKind`] events: sends,
-//! receives (posted→matched interval), closed spans as phases, and
-//! blocking reductions as indexed collectives (the k-th `allreduce` on
-//! each rank is the same collective, again by SPMD structure). A
-//! post-solve merge over the registry reconstructs the cross-rank
-//! happens-before graph; see [`crate::critpath`].
-//!
-//! Phase events reuse the *same clock reads* as the span table (they are
-//! emitted from the span close path), so critical-path per-rank totals
-//! reconcile with the summary sink's wait-time attribution table exactly.
-//!
-//! Arming follows the one-atomic-when-off pattern: `RSPARSE_TRACE=1` (or
-//! `port.set("trace", "on")` through any LISI adapter) flips one global
-//! atomic; a disarmed build pays a single relaxed load per site. Tracing
-//! is independent of `RSPARSE_PROBE` — with the probe off, spans are
-//! still timed *inside* traced solves so the attribution table and the
-//! trace describe the same instants.
+//! At [`Level::Trace`] (`RSPARSE_TRACE=1`, `port.set("trace", "on")`,
+//! [`set_armed`], or the chrome probe mode) the comm layer additionally
+//! stamps each outgoing point-to-point message with a [`Stamp`] —
+//! (solve id, per-sender sequence, post time) — so the matching `Recv`
+//! event names the exact `Send`, and blocking reductions are indexed (the
+//! k-th `allreduce` on each rank is the same collective, again by SPMD
+//! structure). A post-solve merge over the per-thread logs reconstructs
+//! the cross-rank happens-before graph; see [`crate::critpath`]. Spans
+//! and trace events are the same [`crate::Event`]s with the same clock
+//! reads, so critical-path per-rank totals reconcile with the summary
+//! sink's wait-time attribution table exactly.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::recorder;
-
-// ---------------------------------------------------------------------------
-// Arming switch
-// ---------------------------------------------------------------------------
-
-/// Sentinel meaning "not yet initialized from the environment".
-const ARMED_UNSET: u8 = u8::MAX;
-
-static ARMED: AtomicU8 = AtomicU8::new(ARMED_UNSET);
+use crate::event::{emit, now_ns, EventKind};
+use crate::recorder::{self, enabled, level, Level, TRACE_ASKED};
 
 /// Parse an on/off switch value (`RSPARSE_TRACE`, `set("trace", ...)`).
 /// Returns `None` for unrecognized spellings.
@@ -51,42 +39,22 @@ pub fn parse_switch(s: &str) -> Option<bool> {
     }
 }
 
-/// Whether causal tracing is armed, lazily initialized from
-/// `RSPARSE_TRACE` on first use. One relaxed load once initialized.
+/// Whether the probe is at [`Level::Trace`].
 #[inline]
 pub fn armed() -> bool {
-    let raw = ARMED.load(Ordering::Relaxed);
-    if raw == ARMED_UNSET {
-        let on = std::env::var("RSPARSE_TRACE")
-            .ok()
-            .and_then(|v| parse_switch(&v))
-            .unwrap_or(false);
-        // Racing initializers compute the same value; either store wins.
-        let _ = ARMED.compare_exchange(
-            ARMED_UNSET,
-            on as u8,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
-        on
-    } else {
-        raw != 0
-    }
+    level() == Level::Trace
 }
 
-/// Arm or disarm tracing (overrides the environment).
+/// Ask for (or stop asking for) [`Level::Trace`]; overrides
+/// `RSPARSE_TRACE`.
 pub fn set_armed(on: bool) {
-    ARMED.store(on as u8, Ordering::Relaxed);
+    recorder::ask(TRACE_ASKED, if on { TRACE_ASKED } else { 0 });
 }
-
-// ---------------------------------------------------------------------------
-// Trace ids
-// ---------------------------------------------------------------------------
 
 /// Launch generation; bumped once per SPMD launch *before* rank threads
 /// spawn, so every rank of one launch agrees on it and successive
 /// launches (whose fresh threads restart their solve counters) get
-/// distinct trace ids.
+/// distinct solve ids.
 static GENERATION: AtomicU64 = AtomicU64::new(1);
 
 /// Bump the launch generation. Called by the `rcomm` launcher; harmless
@@ -98,274 +66,128 @@ pub fn advance_generation() {
 const SOLVE_BITS: u32 = 20;
 
 thread_local! {
-    /// Solves begun on this thread while armed (trace-id low bits).
+    /// Solves begun on this thread (solve-id low bits).
     static SOLVES: Cell<u64> = const { Cell::new(0) };
-    /// Active trace id (0 = no trace active on this thread).
+    /// Active solve id (0 = no solve open on this thread).
     static CUR: Cell<u64> = const { Cell::new(0) };
-    /// Per-sender p2p sequence within the active trace.
+    /// Per-sender p2p sequence within the active solve.
     static SEND_SEQ: Cell<u64> = const { Cell::new(0) };
-    /// Blocking-collective index within the active trace.
+    /// Blocking-reduction index within the active solve.
     static COLL_IDX: Cell<u64> = const { Cell::new(0) };
-    /// Innermost open span name (stamped onto outgoing messages).
-    static PHASE: Cell<&'static str> = const { Cell::new("") };
-    /// Staging buffer for the active solve's records: hot-path pushes are
-    /// a plain thread-local append (no lock, no registry lookup); the
-    /// whole batch moves into this thread's recorder once, when the
-    /// [`SolveGuard`] closes.
-    static STAGE: std::cell::RefCell<Vec<TraceRecord>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-    /// Records rejected by the staging budget during the active solve.
-    static STAGE_DROPPED: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Whether a trace is active on the *current thread* (armed and inside a
-/// [`solve_guard`] scope). One relaxed load when disarmed.
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) -> u64 {
+    counter.with(|c| {
+        c.set(c.get() + 1);
+        c.get()
+    })
+}
+
+/// Id of the solve open on the current thread (0 outside any
+/// [`solve_guard`] scope) — the `trace_id` every artifact prints.
+#[inline]
+pub fn current() -> u64 {
+    CUR.with(Cell::get)
+}
+
+/// Whether a traced solve is open on the *current thread*: the probe is
+/// at [`Level::Trace`] and a [`solve_guard`] scope is active.
 #[inline]
 pub fn thread_active() -> bool {
-    armed() && CUR.with(|c| c.get()) != 0
+    armed() && current() != 0
 }
-
-// ---------------------------------------------------------------------------
-// Records
-// ---------------------------------------------------------------------------
 
 /// Message stamp carried by every in-flight envelope while the sender is
 /// tracing: enough to match the receive back to the exact send.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stamp {
-    /// Trace id of the sending solve.
+    /// Solve id of the sending solve.
     pub trace: u64,
-    /// Innermost open span on the sender at send time.
-    pub phase: &'static str,
-    /// 1-based per-sender sequence number within the trace.
+    /// 1-based per-sender sequence number within the solve.
     pub seq: u64,
+    /// The sender's clock just before the envelope left; the `t0_ns` of
+    /// its `Send` event.
+    pub posted_ns: u64,
 }
 
-/// What one trace record describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// Solve entered its traced region (instant; `t0 == t1`).
-    Begin,
-    /// Solve left its traced region (instant; `t0 == t1`).
-    End,
-    /// A span closed; same clock reads as the span table.
-    Phase {
-        /// Span name.
-        name: &'static str,
-    },
-    /// A point-to-point send was posted (instant; `t0 == t1`).
-    Send {
-        /// Destination world rank.
-        peer: usize,
-        /// 1-based per-sender sequence within the trace.
-        seq: u64,
-        /// Payload element bytes (as the byte counters count).
-        bytes: u64,
-        /// Innermost open span at send time.
-        phase: &'static str,
-    },
-    /// A blocking receive completed; `t0` = posted, `t1` = matched.
-    Recv {
-        /// Source world rank.
-        peer: usize,
-        /// Matching sender sequence (0 when the message was unstamped or
-        /// stamped by a different trace).
-        src_seq: u64,
-        /// Payload element bytes.
-        bytes: u64,
-    },
-    /// A blocking reduction; the k-th on each rank is the same collective.
-    Collective {
-        /// Operation name (`"allreduce"`).
-        op: &'static str,
-        /// 1-based per-rank collective index within the trace.
-        index: u64,
-    },
-}
-
-/// One trace event on one rank, timestamped in nanoseconds since the
-/// process-wide probe epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// Trace id this record belongs to.
-    pub trace: u64,
-    /// Start timestamp (ns since epoch).
-    pub t0_ns: u64,
-    /// End timestamp (ns since epoch; equals `t0_ns` for instants).
-    pub t1_ns: u64,
-    /// What happened.
-    pub kind: TraceKind,
-}
-
-/// Per-recorder cap on retained trace records, mirroring the chrome
-/// event budget: a long armed solve must not grow memory without bound.
-/// Deliberately per-thread (checked under the recorder's own trace lock)
-/// rather than a process-global atomic — a shared counter would put one
-/// contended cache line on every rank's record hot path.
-pub(crate) const TRACE_BUDGET: usize = 1 << 17;
-
-#[inline]
-fn now_ns() -> u64 {
-    recorder::epoch().elapsed().as_nanos() as u64
-}
-
-#[inline]
-fn push(trace: u64, t0_ns: u64, t1_ns: u64, kind: TraceKind) {
-    STAGE.with(|s| {
-        let mut stage = s.borrow_mut();
-        if stage.len() < TRACE_BUDGET {
-            stage.push(TraceRecord { trace, t0_ns, t1_ns, kind });
-        } else {
-            STAGE_DROPPED.with(|d| d.set(d.get() + 1));
-        }
-    });
-}
-
-/// Move the staged batch into this thread's recorder (one lock per
-/// solve). Called when the [`SolveGuard`] closes; the staging `Vec`
-/// keeps its capacity, so steady-state tracing never reallocates.
-fn flush_stage() {
-    STAGE.with(|s| {
-        let mut stage = s.borrow_mut();
-        let dropped = STAGE_DROPPED.with(Cell::take);
-        if stage.is_empty() && dropped == 0 {
-            return;
-        }
-        recorder::with_local(|r| r.trace_extend(&mut stage, dropped));
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Solve scope
-// ---------------------------------------------------------------------------
-
-/// RAII scope marking one traced solve on this thread; created by
-/// [`solve_guard`]. Records `Begin` on entry and `End` on drop.
-#[must_use = "binding the guard keeps the trace active until end of scope"]
+/// RAII scope marking one solve on this thread; created by
+/// [`solve_guard`].
+#[must_use = "binding the guard keeps the solve open until end of scope"]
 pub struct SolveGuard {
     live: bool,
 }
 
-/// Open a traced-solve scope. Inert when tracing is disarmed, and inert
-/// when a trace is already active on this thread (nested solves — e.g. a
-/// smoother's inner Krylov — fold into the enclosing trace).
+/// Open a solve scope: assign the next solve id and, at
+/// [`Level::Spans`] and up, commit `Begin` now and `End` on drop. Inert
+/// when a solve is already open on this thread (nested solves — a
+/// smoother's inner Krylov, a resilient driver's attempts — fold into
+/// the enclosing one).
 pub fn solve_guard() -> SolveGuard {
-    if !armed() || CUR.with(|c| c.get()) != 0 {
+    if current() != 0 {
         return SolveGuard { live: false };
     }
-    let count = SOLVES.with(|c| {
-        let v = c.get() + 1;
-        c.set(v);
-        v
-    });
+    let count = bump(&SOLVES);
     let id = (GENERATION.load(Ordering::Relaxed) << SOLVE_BITS)
         | (count & ((1 << SOLVE_BITS) - 1));
     CUR.with(|c| c.set(id));
     SEND_SEQ.with(|c| c.set(0));
     COLL_IDX.with(|c| c.set(0));
-    let t = now_ns();
-    push(id, t, t, TraceKind::Begin);
+    if enabled() {
+        emit(EventKind::Begin);
+    }
     SolveGuard { live: true }
 }
 
 impl Drop for SolveGuard {
     fn drop(&mut self) {
         if self.live {
-            let id = CUR.with(|c| c.get());
-            let t = now_ns();
-            push(id, t, t, TraceKind::End);
+            if enabled() {
+                emit(EventKind::End);
+            }
             CUR.with(|c| c.set(0));
-            flush_stage();
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Hooks for the span and comm layers
-// ---------------------------------------------------------------------------
-
-/// Span opened: remember it as the innermost phase; returns the previous
-/// phase for the guard to restore. Called only when [`thread_active`].
-pub(crate) fn push_phase(name: &'static str) -> &'static str {
-    PHASE.with(|p| p.replace(name))
-}
-
-/// Span closing: restore the enclosing phase.
-pub(crate) fn pop_phase(prev: &'static str) {
-    PHASE.with(|p| p.set(prev));
-}
-
-/// Span closed: record it as a `Phase` (or, for the reduction span, as
-/// the next indexed `Collective`) with the span's own clock readings.
-pub(crate) fn on_span_close(name: &'static str, t0_ns: u64, dur_ns: u64) {
-    if !thread_active() {
-        return;
-    }
-    let id = CUR.with(|c| c.get());
-    let kind = if name == "allreduce" {
-        let index = COLL_IDX.with(|c| {
-            let v = c.get() + 1;
-            c.set(v);
-            v
-        });
-        TraceKind::Collective { op: "allreduce", index }
+/// The next blocking-reduction index of the traced solve open on this
+/// thread; 0 (unindexed) when there is none.
+pub(crate) fn next_collective() -> u64 {
+    if thread_active() {
+        bump(&COLL_IDX)
     } else {
-        TraceKind::Phase { name }
-    };
-    push(id, t0_ns, t0_ns + dur_ns, kind);
-}
-
-/// A p2p send is about to post to `peer` (world rank): record the `Send`
-/// event and hand back the [`Stamp`] to ride on the envelope. `None`
-/// when no trace is active on this thread.
-pub fn stamp_send(peer: usize, bytes: u64) -> Option<Stamp> {
-    if !thread_active() {
-        return None;
+        0
     }
-    let trace = CUR.with(|c| c.get());
-    let seq = SEND_SEQ.with(|c| {
-        let v = c.get() + 1;
-        c.set(v);
-        v
-    });
-    let phase = PHASE.with(|p| p.get());
-    let t = now_ns();
-    push(trace, t, t, TraceKind::Send { peer, seq, bytes, phase });
-    Some(Stamp { trace, phase, seq })
 }
 
-/// A blocking receive is being posted: timestamp it if tracing. Pass the
-/// result to [`recv_event`] once the message is matched.
+/// A p2p send is about to post: the [`Stamp`] to ride on the envelope
+/// and to hand to the `Send` event. `None` when no traced solve is open
+/// on this thread (one relaxed load).
+#[inline]
+pub fn stamp_send() -> Option<Stamp> {
+    thread_active()
+        .then(|| Stamp { trace: current(), seq: bump(&SEND_SEQ), posted_ns: now_ns() })
+}
+
+/// A blocking receive is being posted: the `t0_ns` of its `Recv` event
+/// when a traced solve is open on this thread.
 #[inline]
 pub fn recv_start() -> Option<u64> {
-    if thread_active() {
-        Some(now_ns())
-    } else {
-        None
-    }
+    thread_active().then(now_ns)
 }
 
-/// A blocking receive matched a message from `peer` (world rank):
-/// record the posted→matched interval and the sender's sequence (from
-/// the envelope's stamp, when it belongs to the same trace).
-pub fn recv_event(peer: usize, stamp: Option<Stamp>, bytes: u64, t0_ns: u64) {
-    if !thread_active() {
-        return;
-    }
-    let trace = CUR.with(|c| c.get());
-    let src_seq = match stamp {
-        Some(s) if s.trace == trace => s.seq,
+/// The sender's sequence a matched envelope carries, if its stamp belongs
+/// to the solve open on this thread; else 0.
+#[inline]
+pub fn recv_seq(stamp: Option<Stamp>) -> u64 {
+    match stamp {
+        Some(s) if s.trace == current() => s.seq,
         _ => 0,
-    };
-    push(trace, t0_ns, now_ns(), TraceKind::Recv { peer, src_seq, bytes });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes tests that flip the global armed switch.
-    static ARM_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn switch_parsing_accepts_common_spellings() {
@@ -378,30 +200,39 @@ mod tests {
 
     #[test]
     fn disarmed_guard_is_inert_and_stamps_are_none() {
-        let _l = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _l = crate::tests::locked();
         set_armed(false);
         let g = solve_guard();
+        // The solve still has its identity; only the causal stamps wait
+        // for the trace level.
+        assert_ne!(current(), 0);
         assert!(!thread_active());
-        assert!(stamp_send(0, 8).is_none());
+        assert!(stamp_send().is_none());
         assert!(recv_start().is_none());
+        assert_eq!(next_collective(), 0);
         drop(g);
+        assert_eq!(current(), 0);
     }
 
     #[test]
     fn armed_guard_activates_and_sequences_sends() {
-        let _l = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _l = crate::tests::locked();
         set_armed(true);
         {
             let _g = solve_guard();
             assert!(thread_active());
-            let a = stamp_send(1, 8).unwrap();
-            let b = stamp_send(2, 8).unwrap();
+            let a = stamp_send().unwrap();
+            let b = stamp_send().unwrap();
             assert_eq!(a.trace, b.trace);
-            assert_eq!(a.seq, 1);
-            assert_eq!(b.seq, 2);
-            // Nested solves fold into the enclosing trace.
+            assert_eq!(a.trace, current());
+            assert_eq!((a.seq, b.seq), (1, 2));
+            assert!(a.posted_ns <= b.posted_ns);
+            assert_eq!(recv_seq(Some(b)), 2);
+            assert_eq!(recv_seq(Some(Stamp { trace: a.trace + 1, ..b })), 0);
+            // Nested solves fold into the enclosing one.
             let inner = solve_guard();
             assert!(!inner.live);
+            assert_eq!(current(), a.trace);
         }
         assert!(!thread_active());
         set_armed(false);

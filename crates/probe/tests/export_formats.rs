@@ -241,30 +241,35 @@ fn summary_sink_is_deterministic_and_name_sorted() {
     assert!(mv < pc, "counter rows render in name order");
 }
 
-/// A thread that timed one histogram sample and recorded nothing else is
-/// not an empty recorder: its rank shows in `aggregate()` and its sample
-/// on the Prometheus page.
+/// A thread that holds one histogram sample and recorded nothing else —
+/// one iteration of a solve, no span, no counter — is not an empty
+/// recorder: its rank shows in `aggregate()` and its sample on the
+/// Prometheus page.
 #[test]
 fn a_recorder_holding_only_a_histogram_sample_is_reported() {
     let _g = locked();
     probe::reset();
+    probe::set_mode(probe::ProbeMode::Summary);
     std::thread::spawn(|| {
         probe::set_rank(5);
-        probe::hist::record_ns(probe::hist::Hist::Collective, 1_500);
+        let _solve = probe::trace::solve_guard();
+        probe::emit(probe::EventKind::Iter { iteration: 1, residual: 0.5 });
     })
     .join()
     .unwrap();
     let reports = probe::aggregate();
     let page = probe::export::snapshot();
+    probe::set_mode(probe::ProbeMode::Off);
     probe::reset();
 
     let rep = reports
         .iter()
         .find(|r| r.rank == Some(5))
         .expect("the sampling thread's report");
-    assert_eq!(rep.hist(probe::hist::Hist::Collective).count, 1);
+    assert!(rep.spans.is_empty(), "nothing but the sample: {:?}", rep.spans);
+    assert_eq!(rep.hist(probe::hist::Hist::IterTime).count, 1);
     assert!(
-        page.contains("rsparse_collective_seconds_count{rank=\"5\"} 1\n"),
+        page.contains("rsparse_iter_time_seconds_count{rank=\"5\"} 1\n"),
         "got: {page}"
     );
 }

@@ -730,7 +730,6 @@ impl DistCsrMatrix {
 
         // 3. Drain the batched receives into the ghost slots.
         {
-            let _lat = probe::hist::HistTimer::start(probe::hist::Hist::HaloDrain);
             let _s = probe::span!("halo_drain_multi");
             self.drain_halos_multi(comm, ws)?;
         }
@@ -943,7 +942,6 @@ impl DistCsrMatrix {
 
         // 3. Drain the halo receives, out of order, into the ghost slots.
         {
-            let _lat = probe::hist::HistTimer::start(probe::hist::Hist::HaloDrain);
             let _s = probe::span!("halo_drain");
             self.drain_halos(comm, ws)?;
         }

@@ -54,9 +54,6 @@ cargo run -q -p lisi-bench --release --bin probe_guard > "$OUT_DIR/probe_guard.j
 echo "== fault-machinery overhead guard (paired) =="
 cargo run -q -p lisi-bench --release --bin fault_guard > "$OUT_DIR/fault_guard.json"
 
-echo "== flight-recorder overhead guard (paired) =="
-cargo run -q -p lisi-bench --release --bin flight_guard > "$OUT_DIR/flight_guard.json"
-
 echo "== causal-tracing overhead guard (paired) =="
 cargo run -q -p lisi-bench --release --bin trace_guard > "$OUT_DIR/trace_guard.json"
 
@@ -210,29 +207,6 @@ for wl in ("spmv", "fused_cg"):
     print(f"armed-inert {wl}: {rec['overhead_pct']:+.2f}% "
           f"(target < {ARMED_TARGET_PCT}%) -> {verdict}")
 print("recorded BENCH_fault_overhead.json")
-
-# Flight-recorder guard. The black-box ring is always on — every p2p
-# message, collective, iteration and verdict pays one relaxed atomic
-# check plus a fixed-size ring write. The paired flight_guard bin bounds
-# recorder-on vs recorder-off on the dist4 fused-CG solve at <2%.
-with open(os.path.join(out_dir, "flight_guard.json")) as f:
-    fl = json.load(f)
-
-FLIGHT_TARGET_PCT = 2.0
-w = fl["fused_cg"]
-flight_rec = {
-    "target_pct": FLIGHT_TARGET_PCT,
-    "trials": fl["trials"],
-    "fused_cg": {**w, "pass": w["overhead_pct"] < FLIGHT_TARGET_PCT},
-}
-with open("BENCH_flight_overhead.json", "w") as f:
-    json.dump(flight_rec, f, indent=2)
-    f.write("\n")
-rec = flight_rec["fused_cg"]
-verdict = "PASS" if rec["pass"] else "WARN (noisy machine or a regression)"
-print(f"flight recorder on-vs-off (fused_cg): {rec['overhead_pct']:+.2f}% "
-      f"(target < {FLIGHT_TARGET_PCT}%) -> {verdict}")
-print("recorded BENCH_flight_overhead.json")
 
 # Causal-tracing guards (two distinct budgets, mirroring the fault
 # guards):

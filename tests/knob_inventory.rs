@@ -66,5 +66,5 @@ fn readme_lists_exactly_the_environment_knobs_the_code_reads() {
         "read by the code but not in README's table: {undocumented:?}; \
          in the table but read nowhere: {stale:?}"
     );
-    assert_eq!(read.len(), 16, "environment knobs: {read:?}");
+    assert_eq!(read.len(), 14, "environment knobs: {read:?}");
 }
