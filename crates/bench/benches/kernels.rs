@@ -380,42 +380,6 @@ fn raztec(c: &mut Criterion) {
     group.finish();
 }
 
-/// The probe-overhead guard: the dist4 m=200 SpMV workload with the probe
-/// off vs. on, back-to-back in one process. "disabled" is the same machine
-/// code as the plain `spmv/dist4/200` bench (mode checks are one relaxed
-/// atomic load), so the enabled-vs-disabled delta is the runtime-measurable
-/// probe cost; scripts/bench_smoke.sh gates it against the <2% target and
-/// records the disabled-vs-plain delta as the cross-process noise floor.
-fn probe_overhead(c: &mut Criterion) {
-    let mut group = c.benchmark_group("probe_overhead");
-    let m = 200usize;
-    let a = generate::laplacian_2d(m);
-    let x = generate::random_vector(a.cols(), 7);
-    for (label, mode) in [
-        ("disabled", probe::ProbeMode::Off),
-        ("enabled", probe::ProbeMode::Summary),
-    ] {
-        group.bench_function(label, |b| {
-            probe::set_mode(mode);
-            b.iter(|| {
-                Universe::run(4, |comm| {
-                    let part = BlockRowPartition::even(a.rows(), comm.size());
-                    let da = DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
-                    let dx = DistVector::from_global(part, comm.rank(), &x).unwrap();
-                    let mut dy = da.matvec(comm, &dx).unwrap();
-                    for _ in 0..9 {
-                        da.matvec_into(comm, &dx, &mut dy).unwrap();
-                    }
-                    dy.local()[0]
-                })
-            });
-        });
-    }
-    probe::set_mode(probe::ProbeMode::Off);
-    probe::reset();
-    group.finish();
-}
-
 /// What one instrumentation site costs at each probe level, inside a
 /// solve on one thread: a span (open + close), a timed reduction's guard,
 /// and one black-box event. Reported in EXPERIMENTS.md, not gated.
@@ -470,6 +434,6 @@ fn assembly(c: &mut Criterion) {
 }
 
 criterion_group!(
-    benches, spmv, spmv_formats, spmv_multi, sptrsv, trisolve, blas1, raztec, probe_overhead, probe_sites, conversions, assembly
+    benches, spmv, spmv_formats, spmv_multi, sptrsv, trisolve, blas1, raztec, probe_sites, conversions, assembly
 );
 criterion_main!(benches);

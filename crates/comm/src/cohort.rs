@@ -12,7 +12,7 @@
 //!   fires, and every blocked receive polls [`lost_member`] on a short
 //!   slice so all survivors fail fast with the *same* lost rank;
 //! * **heartbeats**: every communication call stamps a per-world-rank
-//!   wall-clock heartbeat. With `RCOMM_HEARTBEAT_TIMEOUT_MS` set to a
+//!   wall-clock heartbeat. With [`set_heartbeat_timeout_ms`] given a
 //!   nonzero value, a member whose heartbeat is older than the timeout is
 //!   *also* reported lost while a peer is blocked waiting on it — the
 //!   belt-and-braces detector for a genuinely wedged rank that never got
@@ -26,7 +26,7 @@
 //! serialize, like tests that arm faults already do.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// The registry's state. The process has one ([`GLOBAL`], behind the free
@@ -42,8 +42,8 @@ struct Registry {
     /// Millisecond heartbeat timestamps, indexed by world rank (grown on
     /// demand). A slot of 0 means "never heard from".
     heartbeats: Mutex<Vec<u64>>,
-    /// Programmatic override of `RCOMM_HEARTBEAT_TIMEOUT_MS` (tests).
-    timeout_override: AtomicU64,
+    /// Heartbeat staleness timeout in milliseconds; 0 (the default) is off.
+    heartbeat_timeout_ms: AtomicU64,
 }
 
 static GLOBAL: Registry = Registry::new();
@@ -58,22 +58,12 @@ impl Registry {
             any_dead: AtomicBool::new(false),
             dead: Mutex::new(Vec::new()),
             heartbeats: Mutex::new(Vec::new()),
-            timeout_override: AtomicU64::new(u64::MAX),
+            heartbeat_timeout_ms: AtomicU64::new(0),
         }
     }
 
     fn heartbeat_timeout_ms(&self) -> u64 {
-        let o = self.timeout_override.load(Ordering::Relaxed);
-        if o != u64::MAX {
-            return o;
-        }
-        static ENV: OnceLock<u64> = OnceLock::new();
-        *ENV.get_or_init(|| {
-            std::env::var("RCOMM_HEARTBEAT_TIMEOUT_MS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0)
-        })
+        self.heartbeat_timeout_ms.load(Ordering::Relaxed)
     }
 
     fn reset(&self, world_size: usize) {
@@ -159,18 +149,15 @@ impl Registry {
     }
 }
 
-/// The heartbeat staleness timeout in milliseconds; 0 disables staleness
-/// verdicts. Reads `RCOMM_HEARTBEAT_TIMEOUT_MS` once per process unless
-/// overridden via [`set_heartbeat_timeout_ms`].
+/// The heartbeat staleness timeout in milliseconds; 0 (the default)
+/// disables staleness verdicts.
 pub fn heartbeat_timeout_ms() -> u64 {
     GLOBAL.heartbeat_timeout_ms()
 }
 
-/// Override the heartbeat staleness timeout (0 disables; `u64::MAX`
-/// restores the environment value). Test hook — the env variable is read
-/// once per process.
+/// Set the heartbeat staleness timeout (0 disables).
 pub fn set_heartbeat_timeout_ms(ms: u64) {
-    GLOBAL.timeout_override.store(ms, Ordering::Relaxed);
+    GLOBAL.heartbeat_timeout_ms.store(ms, Ordering::Relaxed);
 }
 
 /// Forget every death and heartbeat — called by [`crate::Universe::run`]
@@ -254,13 +241,13 @@ mod tests {
     #[test]
     fn stale_heartbeats_count_as_lost_only_when_enabled() {
         let reg = Registry::new();
-        reg.timeout_override.store(50, Ordering::Relaxed);
+        reg.heartbeat_timeout_ms.store(50, Ordering::Relaxed);
         reg.heartbeat(903);
         // Pretend 903's heartbeat is ancient.
         reg.heartbeats.lock().unwrap()[903] = 1;
-        reg.timeout_override.store(0, Ordering::Relaxed);
+        reg.heartbeat_timeout_ms.store(0, Ordering::Relaxed);
         assert_eq!(reg.lost_member(&[903]), None, "staleness off when disabled");
-        reg.timeout_override.store(50, Ordering::Relaxed);
+        reg.heartbeat_timeout_ms.store(50, Ordering::Relaxed);
         assert_eq!(reg.lost_member(&[903]), Some(903));
         let view = reg.capture(&[903, 904]);
         assert_eq!(view.lost, vec![0]);

@@ -63,10 +63,8 @@ impl RaztecAdapter {
         if let Some(p) = state.options.get_first(&["preconditioner", "az_precond"]) {
             opts.precond = AzPrecond::parse(&p).map_err(LisiError::from)?;
         }
-        if let AzPrecond::Neumann { .. } = opts.precond {
-            if let Some(ord) = state.options.get_parsed::<usize>("poly_ord") {
-                opts.precond = AzPrecond::Neumann { order: ord };
-            }
+        if let AzPrecond::Neumann { order } = &mut opts.precond {
+            set_parsed(&state.options, &["poly_ord"], order)?;
         }
         set_parsed(&state.options, &["tol", "az_tol"], &mut opts.tol)?;
         set_parsed(&state.options, &["maxits", "az_max_iter"], &mut opts.max_iter)?;

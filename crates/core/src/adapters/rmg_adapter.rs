@@ -67,22 +67,18 @@ impl RmgAdapter {
                 other => return Err(LisiError::bad_parameter("cycle", other)),
             };
         }
+        let mut omega = 0.8;
+        set_parsed(&state.options, &["omega"], &mut omega)?;
         if let Some(s) = state.options.get("smoother") {
             cfg.smoother = match s.to_ascii_lowercase().as_str() {
-                "jacobi" => Smoother::Jacobi {
-                    omega: state.options.get_parsed::<f64>("omega").unwrap_or(0.8),
-                },
+                "jacobi" => Smoother::Jacobi { omega },
                 "gs" | "gauss_seidel" => Smoother::GaussSeidel,
                 "sgs" | "sym_gs" => Smoother::SymGaussSeidel,
                 other => return Err(LisiError::bad_parameter("smoother", other)),
             };
         }
-        if let Some(n) = state.options.get_parsed::<usize>("nu1") {
-            cfg.nu1 = n;
-        }
-        if let Some(n) = state.options.get_parsed::<usize>("nu2") {
-            cfg.nu2 = n;
-        }
+        set_parsed(&state.options, &["nu1"], &mut cfg.nu1)?;
+        set_parsed(&state.options, &["nu2"], &mut cfg.nu2)?;
         set_parsed(&state.options, &["tol", "rtol"], &mut cfg.rtol)?;
         set_parsed(&state.options, &["maxits", "max_cycles"], &mut cfg.max_cycles)?;
         if let Some(f) = coarse {

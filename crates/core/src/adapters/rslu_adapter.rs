@@ -52,12 +52,8 @@ impl Backend for Rslu {
                 Ordering::parse(&o).ok_or_else(|| LisiError::bad_parameter("ordering", &*o))?;
         }
         set_parsed(&st.options, &["pivot_tol", "diag_pivot_thresh"], &mut opts.pivot_threshold)?;
-        if let Some(r) = st.options.get_parsed::<bool>("refine") {
-            opts.refine = r;
-        }
-        if let Some(e) = st.options.get_parsed::<bool>("equil") {
-            opts.equilibrate = e;
-        }
+        set_parsed(&st.options, &["refine"], &mut opts.refine)?;
+        set_parsed(&st.options, &["equil"], &mut opts.equilibrate)?;
         Ok(RsluConfig { options: opts })
     }
 

@@ -6,8 +6,9 @@
 //! ([`probe::model`]), the measured phase times and spans, convergence
 //! analytics from the Krylov recurrence, the rank×rank communication
 //! matrix and the cohort counters into one versioned
-//! `solve_ledger.json` document — the artifact
-//! `scripts/regression_sentinel.sh` diffs against stored baselines.
+//! `solve_ledger.json` document. Its model side (kernel set, units,
+//! flops, bytes) is a pure function of the system and is held exactly by
+//! `tests/ledger.rs`; its measured side is a diagnostic.
 //!
 //! Emission is diagnostics: it never fails a solve. Rank 0 assembles
 //! the whole document after a barrier (the SPMD launcher runs ranks as

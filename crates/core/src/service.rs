@@ -39,10 +39,10 @@
 //!    bounded queue; once the queue is full (or the wait times out) the
 //!    solve returns [`LisiError::Busy`] (code `-7`) on every rank of the
 //!    cohort so callers can back off instead of piling onto a saturated
-//!    process. Limits come
-//!    from `RSPARSE_SESSION_MAX_INFLIGHT` / `RSPARSE_SESSION_QUEUE`
-//!    with defaults far above any rank-thread count used in tests, so
-//!    backpressure only engages when explicitly configured.
+//!    process. The process-wide service's limits (512 in flight,
+//!    4096 queued) are constants far above any rank-thread count, so
+//!    backpressure only engages on a service built with tighter
+//!    [`SolverService::with_limits`].
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -169,13 +169,15 @@ impl Drop for SessionTicket<'_> {
     }
 }
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
+/// Solves the process-wide service admits concurrently before new
+/// arrivals queue.
+const MAX_INFLIGHT: usize = 512;
+/// Queued solves the process-wide service holds before answering `Busy`.
+const MAX_QUEUE: usize = 4096;
 
 impl SolverService {
     /// A service with explicit limits (used by tests; [`Self::global`]
-    /// reads limits from the environment).
+    /// takes the budget from the environment and the constants above).
     pub fn with_limits(
         capacity_bytes: usize,
         max_inflight: usize,
@@ -199,17 +201,20 @@ impl SolverService {
     }
 
     /// The process-wide service. Budget from `RSPARSE_SESSION_CACHE_MB`
-    /// (default 64 MB); admission limits from
-    /// `RSPARSE_SESSION_MAX_INFLIGHT` (default 512) and
-    /// `RSPARSE_SESSION_QUEUE` (default 4096) — generous enough that
-    /// rank-thread cohorts never trip backpressure unintentionally.
+    /// (default 64 MB); admission limits `MAX_INFLIGHT` and
+    /// `MAX_QUEUE` — generous enough that rank-thread cohorts never
+    /// trip backpressure.
     pub fn global() -> &'static SolverService {
         static GLOBAL: OnceLock<SolverService> = OnceLock::new();
         GLOBAL.get_or_init(|| {
+            let cache_mb = std::env::var("RSPARSE_SESSION_CACHE_MB")
+                .ok()
+                .and_then(|v| v.trim().parse().ok())
+                .unwrap_or(64usize);
             SolverService::with_limits(
-                env_usize("RSPARSE_SESSION_CACHE_MB", 64).saturating_mul(1024 * 1024),
-                env_usize("RSPARSE_SESSION_MAX_INFLIGHT", 512),
-                env_usize("RSPARSE_SESSION_QUEUE", 4096),
+                cache_mb.saturating_mul(1024 * 1024),
+                MAX_INFLIGHT,
+                MAX_QUEUE,
                 Duration::from_secs(30),
             )
         })

@@ -5,7 +5,8 @@
 //! internally consistent page: a 200 with the exposition content type,
 //! `# HELP` metadata before every `# TYPE`, and cumulative histogram
 //! buckets that never decrease — even while all four rank threads are
-//! mutating the counters under the scrape.
+//! mutating the counters under the scrape. A scrape after the solve names
+//! the counter, span and histogram families a distributed CG produces.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -160,7 +161,19 @@ fn concurrent_scrapes_mid_solve_are_consistent() {
 
     let iterations = solver.join().expect("solve thread");
     assert_eq!(iterations, 600, "fixed-work solve ran to maxits");
+    // The finished solve left every family a dashboard is built on.
+    let after = scrape(addr);
     server.stop();
+    for family in [
+        "# TYPE rsparse_ksp_iterations_total counter",
+        "# TYPE rsparse_span_seconds_total counter",
+        "rsparse_span_seconds_total{rank=\"0\",span=\"allreduce\"}",
+        "# TYPE rsparse_iter_time_seconds histogram",
+        "# TYPE rsparse_collective_seconds histogram",
+        "# TYPE rsparse_halo_drain_wait_seconds histogram",
+    ] {
+        assert!(after.contains(family), "missing {family:?} after the solve:\n{after}");
+    }
 
     for (who, page) in [("scrape 1", &page1), ("scrape 2", &page2)] {
         assert!(

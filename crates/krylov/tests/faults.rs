@@ -94,3 +94,20 @@ fn no_plan_armed_means_no_interference() {
     let out = solve_cg(2, 8, |_| {});
     assert!(out[0].converged());
 }
+
+#[test]
+fn armed_plan_whose_rule_matches_no_rank_changes_no_bit() {
+    let _g = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    rcomm::fault::disarm();
+    let quiet = solve_cg(4, 12, |_| {});
+    // Rank 9999 is in no cohort: every call takes the armed branch and
+    // scans the rule, and none fires.
+    rcomm::fault::arm(rcomm::FaultPlan::parse("op=allreduce,rank=9999,call=1,kind=error").unwrap());
+    let armed = solve_cg(4, 12, |_| {});
+    rcomm::fault::disarm();
+    for (q, a) in quiet.iter().zip(&armed) {
+        assert!(a.converged());
+        assert_eq!(a.iterations, q.iterations);
+        assert_eq!(a.final_residual.to_bits(), q.final_residual.to_bits());
+    }
+}

@@ -214,14 +214,17 @@ fn fails_together(
     errs
 }
 
-/// A two-rank RMG solve of the 7×7 grid Laplacian, prepared by `prepare`,
-/// that must fail.
-fn failing_rmg_solve(prepare: impl Fn(&RmgAdapter) + Sync) -> Vec<LisiError> {
+/// A two-rank solve of the 7×7 grid Laplacian through a port from `make`,
+/// prepared by `prepare`, that must fail.
+fn failing_grid_solve<P: SparseSolverPort>(
+    make: impl Fn() -> P + Sync,
+    prepare: impl Fn(&P) + Sync,
+) -> Vec<LisiError> {
     let a = cca_lisi::sparse::generate::laplacian_2d(7);
     fails_together(|comm| {
         let range = cca_lisi::sparse::BlockRowPartition::even(49, 2).range(comm.rank());
         let local = a.row_block(range.start, range.end).unwrap();
-        let s = RmgAdapter::new();
+        let s = make();
         s.initialize(comm.dup().unwrap()).unwrap();
         s.set_start_row(range.start).unwrap();
         s.set_local_rows(range.len()).unwrap();
@@ -237,10 +240,54 @@ fn failing_rmg_solve(prepare: impl Fn(&RmgAdapter) + Sync) -> Vec<LisiError> {
 }
 
 #[test]
+fn unparsable_option_values_are_bad_parameter_on_every_rank() {
+    // (package, options under which the key is read, key, value). The
+    // last row of each package is a control that was typed before the
+    // others were; the rest used to be dropped without a word.
+    type Row = (&'static str, &'static [(&'static str, &'static str)], &'static str, &'static str);
+    let table: &[Row] = &[
+        ("rslu", &[], "refine", "maybe"),
+        ("rslu", &[], "equil", "1"),
+        ("rslu", &[], "pivot_tol", "abc"),
+        ("rmg", &[], "nu1", "two"),
+        ("rmg", &[], "nu2", "-1"),
+        ("rmg", &[("smoother", "jacobi")], "omega", "abc"),
+        ("rmg", &[], "tol", "abc"),
+        ("raztec", &[("preconditioner", "neumann")], "poly_ord", "3.5"),
+        ("raztec", &[], "tol", "abc"),
+        ("rksp", &[], "tol", "abc"),
+    ];
+    for &(package, with, key, value) in table {
+        let prepare = |s: &dyn SparseSolverPort| {
+            for (k, v) in with {
+                s.set(k, v).unwrap();
+            }
+            s.set(key, value).unwrap();
+        };
+        let errs = match package {
+            "rslu" => failing_grid_solve(RsluAdapter::new, |s| prepare(s)),
+            "rmg" => failing_grid_solve(RmgAdapter::new, |s| prepare(s)),
+            "raztec" => failing_grid_solve(RaztecAdapter::new, |s| prepare(s)),
+            _ => failing_grid_solve(RkspAdapter::new, |s| prepare(s)),
+        };
+        for (rank, err) in errs.iter().enumerate() {
+            let ctx = format!("{package} {key}={value}, rank {rank}: {err:?}");
+            if package == "rksp" {
+                // RKSP parses through its own option database, whose
+                // typed error is the package's (ROADMAP item 9).
+                assert!(matches!(err, LisiError::Package(m) if m.contains(value)), "{ctx}");
+            } else {
+                assert!(matches!(err, LisiError::BadParameter { key: k, .. } if k == key), "{ctx}");
+            }
+        }
+    }
+}
+
+#[test]
 fn rmg_bad_option_fails_on_every_rank_not_just_the_root() {
     // Rank 0 alone runs the multigrid cycle, but every rank parses the
     // options: a bad one must not leave rank 1 waiting for rank 0's bcast.
-    for err in failing_rmg_solve(|s| s.set("cycle", "x").unwrap()) {
+    for err in failing_grid_solve(RmgAdapter::new, |s| s.set("cycle", "x").unwrap()) {
         assert!(matches!(&err, LisiError::BadParameter { key, .. } if key == "cycle"), "{err:?}");
     }
 }
@@ -250,7 +297,7 @@ fn rmg_failure_on_the_root_reaches_every_rank() {
     // What only rank 0 can get wrong — here the coarse-grid callback —
     // travels to the other ranks in place of the solution.
     let coarse_fails = |s: &RmgAdapter| s.set_coarse_solver(|_, _| Err("coarse grid on fire".into()));
-    for err in failing_rmg_solve(coarse_fails) {
+    for err in failing_grid_solve(RmgAdapter::new, coarse_fails) {
         assert!(matches!(&err, LisiError::Package(m) if m.contains("on fire")), "{err:?}");
     }
 }

@@ -6,18 +6,59 @@
 use std::collections::BTreeSet;
 use std::path::Path;
 
-/// The `"RSPARSE_…"` / `"RCOMM_…"` string literals in one source text.
-fn knob_literals(text: &str, into: &mut BTreeSet<String>) {
-    for prefix in ["\"RSPARSE_", "\"RCOMM_"] {
-        for (at, _) in text.match_indices(prefix) {
-            let name = &text[at + 1..];
-            let len = name
-                .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
-                .unwrap_or(name.len());
-            if name[len..].starts_with('"') {
-                into.insert(name[..len].to_string());
+/// The name of the `fn` or closure whose body starts last before `at`:
+/// `fn NAME(` or `let NAME = |`.
+fn enclosing_helper(text: &str, at: usize) -> Option<&str> {
+    let head = &text[..at];
+    let closure = head.rfind("let ").filter(|&l| head[l..].contains("= |"));
+    let (name, end) = match (closure, head.rfind("fn ")) {
+        (Some(l), f) if f < Some(l) => (&head[l + 4..], " ="),
+        (_, Some(f)) => (&head[f + 3..], "("),
+        _ => return None,
+    };
+    Some(&name[..name.find(end)?])
+}
+
+/// The string literal that opens `args` (the text after a call's `(`).
+fn leading_literal(args: &str) -> Option<&str> {
+    let quoted = args.trim_start().strip_prefix('"')?;
+    Some(&quoted[..quoted.find('"')?])
+}
+
+/// Each call of `callee` in `text`: where its argument list starts, and
+/// the text from there on.
+fn args_of<'t>(text: &'t str, callee: &str) -> Vec<(usize, &'t str)> {
+    let open = format!("{callee}(");
+    text.match_indices(&open).map(|(at, _)| at + open.len()).map(|end| (end, &text[end..])).collect()
+}
+
+/// Every string literal one source text hands to `env::var` / `var_os`,
+/// whatever it is called: directly (`env::var("X")`), or as the first
+/// argument of a helper in the same file that passes its parameter on (`fn
+/// env_usize(key, …)`, `let var = |name| …`). A read this cannot resolve
+/// to literals — a computed name, a helper in another file — panics, so
+/// nothing the process reads from its environment escapes the table.
+fn knob_literals(path: &Path, text: &str, into: &mut BTreeSet<String>) {
+    const DIRECT: [&str; 2] = ["env::var", "env::var_os"];
+    let mut readers = DIRECT.to_vec();
+    for direct in DIRECT {
+        for (end, args) in args_of(text, direct) {
+            if leading_literal(args).is_none() {
+                let helper = enclosing_helper(text, end)
+                    .unwrap_or_else(|| panic!("{}: {direct} of a computed name", path.display()));
+                readers.push(helper);
             }
         }
+    }
+    for reader in readers {
+        let names: Vec<&str> =
+            args_of(text, reader).into_iter().filter_map(|(_, args)| leading_literal(args)).collect();
+        assert!(
+            DIRECT.contains(&reader) || !names.is_empty(),
+            "{}: helper `{reader}` reads the environment but is never given a literal",
+            path.display()
+        );
+        into.extend(names.into_iter().map(String::from));
     }
 }
 
@@ -27,7 +68,7 @@ fn scan(dir: &Path, into: &mut BTreeSet<String>) {
         if path.is_dir() {
             scan(&path, into);
         } else if path.extension().is_some_and(|x| x == "rs") {
-            knob_literals(&std::fs::read_to_string(&path).unwrap(), into);
+            knob_literals(&path, &std::fs::read_to_string(&path).unwrap(), into);
         }
     }
 }
@@ -50,8 +91,8 @@ fn documented_knobs(readme: &str) -> BTreeSet<String> {
 fn readme_lists_exactly_the_environment_knobs_the_code_reads() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut read = BTreeSet::new();
-    // Every crate's `src`; the offline shims under `crates/shims` are one
-    // level deeper and read no knobs of this project.
+    // Every crate's `src`, bins included; the offline shims under
+    // `crates/shims` are one level deeper and are not this project's code.
     for entry in std::fs::read_dir(root.join("crates")).unwrap() {
         let src = entry.unwrap().path().join("src");
         if src.is_dir() {
@@ -66,5 +107,5 @@ fn readme_lists_exactly_the_environment_knobs_the_code_reads() {
         "read by the code but not in README's table: {undocumented:?}; \
          in the table but read nowhere: {stale:?}"
     );
-    assert_eq!(read.len(), 14, "environment knobs: {read:?}");
+    assert_eq!(read.len(), 11, "environment knobs: {read:?}");
 }
