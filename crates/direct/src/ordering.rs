@@ -1,6 +1,14 @@
 //! Fill-reducing orderings: natural, reverse Cuthill–McKee, and minimum
 //! degree on the symmetrized pattern — the `permc_spec` choices of
 //! SuperLU.
+//!
+//! Minimum degree runs on a quotient graph with **exact** degrees and
+//! the `(degree, index)` tie-break, so its permutation is the one explicit
+//! clique formation gives. It pays for exactness at element cost, with
+//! AMD's machinery: an indexed heap updated in place, `|L_e \ L_p|` from
+//! one scan per pivot, aggressive absorption, and a marker sweep only for
+//! variables that still touch two or more other elements (see
+//! [`min_degree`] for the invariants each rests on).
 
 use rsparse::CsrMatrix;
 
@@ -96,7 +104,9 @@ pub fn rcm(a: &CsrMatrix) -> Vec<usize> {
     let adj = SymGraph::new(a);
     let degree: Vec<usize> = (0..n).map(|v| adj.neighbours(v).len()).collect();
     let mut visited = vec![false; n];
+    // The output is the BFS queue: `order[head..]` is still to be expanded.
     let mut order = Vec::with_capacity(n);
+    let mut head = 0;
     // Process vertices grouped by component, starting from low degree.
     let mut by_degree: Vec<usize> = (0..n).collect();
     by_degree.sort_by_key(|&v| degree[v]);
@@ -104,23 +114,22 @@ pub fn rcm(a: &CsrMatrix) -> Vec<usize> {
         if visited[start] {
             continue;
         }
-        // BFS.
-        let mut queue = std::collections::VecDeque::new();
         visited[start] = true;
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            let mut nbrs: Vec<usize> = adj
-                .neighbours(v)
-                .iter()
-                .map(|&u| u as usize)
-                .filter(|&u| !visited[u])
-                .collect();
-            nbrs.sort_by_key(|&u| degree[u]);
-            for u in nbrs {
-                visited[u] = true;
-                queue.push_back(u);
+        order.push(start);
+        while head < order.len() {
+            let v = order[head];
+            head += 1;
+            // Enqueue the unvisited neighbours, then sort just them
+            // (stably, so ties keep index order).
+            let tail = order.len();
+            for &u in adj.neighbours(v) {
+                let u = u as usize;
+                if !visited[u] {
+                    visited[u] = true;
+                    order.push(u);
+                }
             }
+            order[tail..].sort_by_key(|&u| degree[u]);
         }
     }
     order.reverse();
@@ -136,30 +145,42 @@ pub fn rcm(a: &CsrMatrix) -> Vec<usize> {
 /// in flat `u32` storage shaped like the input adjacency: `|A_i| + |E_i|`
 /// never exceeds `i`'s initial degree, so neither list is ever
 /// reallocated. Element lists are appended to one pool, at most one entry
-/// per entry of the L factor. Eliminating `p`:
+/// per entry of the L factor. Three invariants hold between pivots:
+///
+/// * **(I1)** `E_i` is exactly the set of live elements whose list holds
+///   `i`, and a live element's list holds only live variables (every
+///   element that holds `p` is in `E_p` and dies with it);
+/// * **(I2)** `A_i ∩ L_e = ∅` for every `e ∈ E_i`: `A_i` loses all of
+///   `L_e` when `e` is formed and never grows, and `L_e` never changes;
+/// * **(I3)** the heap holds one key per live variable, its exact degree
+///   `|(A_i ∪ ⋃_{e ∈ E_i} L_e) \ {i}|`.
+///
+/// Eliminating `p`:
 ///
 /// 1. `L_p = (A_p ∪ ⋃_{e ∈ E_p} L_e) \ {p}`; every `e ∈ E_p` is absorbed
-///    into `p` (its clique is a subset of `L_p`);
-/// 2. for each `i ∈ L_p`: absorbed elements leave `E_i` and `p` joins it,
-///    `A_i` loses `p` and every member of `L_p` (those edges are now
-///    implied by `p`), and the degree of `i` is recomputed **exactly** as
-///    `|(A_i ∪ ⋃_{e ∈ E_i} L_e) \ {i}|` by one marker sweep.
+///    into `p` (its list is a subset of `L_p`);
+/// 2. `w_e = |L_e \ L_p|` for every other element that meets `L_p`, by
+///    AMD's scan: start at `|L_e|`, subtract one per `i ∈ L_p` with
+///    `e ∈ E_i` — by (I1) that counts `L_e ∩ L_p` exactly;
+/// 3. for each `i ∈ L_p`: `E_i` loses the absorbed elements and every `e`
+///    with `w_e = 0` (`L_e ⊆ L_p`: *aggressive absorption*, which changes
+///    no degree), `p` joins it, `A_i` loses every member of `L_p` (those
+///    edges are now implied by `p`), and the degree becomes
+///    `|L_p| − 1 + |A_i| + |⋃_{e ∈ E_i \ {p}} L_e \ L_p|` — the last term
+///    is `w_e` when one other element is left (the *one-element
+///    shortcut*; by (I2) `A_i` adds nothing it counts), and a marker
+///    sweep over those lists only when two or more are.
 ///
 /// The pivot is the live variable with the smallest `(degree, index)`
-/// pair — ties go to the lower index — taken from a lazy-deletion binary
-/// heap: a variable is pushed again whenever its degree changes and stale
-/// entries are skipped on pop. Exact degrees and this tie-break define
-/// the permutation uniquely; it is the one explicit clique formation
-/// gives (the test oracle), at a cost of Σ|L_e| per update instead of
-/// Σd² set inserts: on the paper PDE 0.05 s where the cliques took 0.7 s
-/// at m = 120 (n = 14 400), and 0.9 s where they took 21 s at m = 300.
+/// pair — ties go to the lower index — popped from an indexed binary heap
+/// of the keys `degree << 32 | index` that a recomputed degree updates in
+/// place, and that is not touched when the degree came out unchanged.
+/// Exact degrees and this tie-break define the permutation uniquely; it
+/// is the one explicit clique formation gives (the test oracle). On the
+/// paper PDE it takes ≈ 15 ms at m = 120 (n = 14 400; the explicit
+/// cliques took 0.7 s, the lazy-heap quotient graph before this one
+/// 55–75 ms) and ≈ 0.13 s at m = 300 (cliques 21 s, lazy heap 1.1–1.3 s).
 pub fn min_degree(a: &CsrMatrix) -> Vec<usize> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    /// Degree of an eliminated variable: never equals a heap entry's.
-    const ELIMINATED: u32 = u32::MAX;
-
     let n = a.rows();
     let SymGraph { ptr, idx: mut vars } = SymGraph::new(a);
     // A_i = vars[ptr[i]..][..vlen[i]], E_i = elems[ptr[i]..][..elen[i]].
@@ -170,22 +191,20 @@ pub fn min_degree(a: &CsrMatrix) -> Vec<usize> {
     let mut pool: Vec<u32> = Vec::with_capacity(vars.len());
     let mut span = vec![(0usize, 0usize); n];
     let mut absorbed = vec![false; n];
-    let mut degree = vlen.clone();
+    // w[e] = |L_e \ L_p| while w_step[e] is the current pivot's step.
+    let mut w = vec![0u32; n];
+    let mut w_step = vec![0u32; n];
     // mark[j] == tag ⇔ j was already seen in the sweep numbered `tag`.
     let mut mark = vec![0usize; n];
     let mut tag = 0usize;
+    #[cfg(test)]
+    let mut tally = Tally::default();
 
-    let mut heap: BinaryHeap<Reverse<(u32, u32)>> =
-        degree.iter().zip(0u32..).map(|(&d, v)| Reverse((d, v))).collect();
+    let mut heap = DegreeHeap::new(&vlen);
     let mut order = Vec::with_capacity(n);
-    while order.len() < n {
-        let Reverse((deg, p)) = heap.pop().expect("one live entry per vertex remains");
-        let p = p as usize;
-        if deg != degree[p] {
-            continue; // stale
-        }
-        degree[p] = ELIMINATED;
+    while let Some(p) = heap.pop() {
         order.push(p);
+        let step = order.len() as u32;
 
         // Step 1: gather L_p at the end of the pool, marking its members.
         tag += 1;
@@ -210,53 +229,209 @@ pub fn min_degree(a: &CsrMatrix) -> Vec<usize> {
             }
         }
         span[p] = (lp_start, pool.len());
-        let lp_len = pool.len() - lp_start;
+        let lp = lp_start..pool.len();
 
-        // Step 2: update every member of L_p.
-        for m in lp_start..pool.len() {
-            let i = pool[m] as usize;
-            tag += 1;
-            let base = ptr[i];
-            // |L_p \ {i}|, then whatever else i reaches outside L_p.
-            let mut deg = lp_len - 1;
-            let mut w = base;
-            for k in base..base + elen[i] as usize {
-                let e = elems[k];
-                if absorbed[e as usize] {
+        // Step 2: w_e = |L_e \ L_p| for every live element meeting L_p.
+        for &i in &pool[lp.clone()] {
+            let i = i as usize;
+            for &e in &elems[ptr[i]..][..elen[i] as usize] {
+                let e = e as usize;
+                if absorbed[e] {
                     continue;
                 }
-                elems[w] = e;
-                w += 1;
-                for &j in &pool[span[e as usize].0..span[e as usize].1] {
-                    let seen = &mut mark[j as usize];
-                    if *seen != in_lp && *seen != tag {
-                        *seen = tag;
-                        deg += 1;
+                if w_step[e] != step {
+                    w_step[e] = step;
+                    w[e] = (span[e].1 - span[e].0) as u32;
+                }
+                w[e] -= 1;
+            }
+        }
+
+        // Step 3: update every member of L_p.
+        for m in lp.clone() {
+            let i = pool[m] as usize;
+            let base = ptr[i];
+            let mut kept = base;
+            for k in base..base + elen[i] as usize {
+                let e = elems[k] as usize;
+                if absorbed[e] {
+                    continue;
+                }
+                if w[e] == 0 {
+                    absorbed[e] = true; // L_e ⊆ L_p
+                    #[cfg(test)]
+                    {
+                        tally.absorptions += 1;
+                    }
+                    continue;
+                }
+                elems[kept] = e as u32;
+                kept += 1;
+            }
+            elems[kept] = p as u32;
+            elen[i] = (kept + 1 - base) as u32;
+            let mut end = base;
+            for k in base..base + vlen[i] as usize {
+                let j = vars[k];
+                if mark[j as usize] != in_lp {
+                    vars[end] = j;
+                    end += 1;
+                }
+            }
+            vlen[i] = (end - base) as u32;
+
+            // |L_p \ {i}| + |A_i|, then what the other elements add.
+            let mut deg = lp.len() - 1 + (end - base);
+            let others = &elems[base..kept];
+            match others {
+                [] => {}
+                &[e] => {
+                    deg += w[e as usize] as usize;
+                    #[cfg(test)]
+                    {
+                        tally.shortcuts += 1;
+                    }
+                }
+                _ => {
+                    tag += 1;
+                    for &e in others {
+                        let (lo, hi) = span[e as usize];
+                        for &j in &pool[lo..hi] {
+                            let seen = &mut mark[j as usize];
+                            if *seen != in_lp && *seen != tag {
+                                *seen = tag;
+                                deg += 1;
+                            }
+                        }
+                        #[cfg(test)]
+                        {
+                            tally.swept += (hi - lo) as u64;
+                        }
+                    }
+                    #[cfg(test)]
+                    {
+                        tally.sweeps += 1;
                     }
                 }
             }
-            elems[w] = p as u32;
-            elen[i] = (w + 1 - base) as u32;
-            let mut w = base;
-            for k in base..base + vlen[i] as usize {
-                let j = vars[k];
-                let seen = &mut mark[j as usize];
-                if *seen == in_lp {
-                    continue; // p itself, or an edge the element p now covers
-                }
-                vars[w] = j;
-                w += 1;
-                if *seen != tag {
-                    *seen = tag;
-                    deg += 1;
+            if !heap.update(i, deg as u32) {
+                #[cfg(test)]
+                {
+                    tally.unchanged += 1;
                 }
             }
-            vlen[i] = (w - base) as u32;
-            degree[i] = deg as u32;
-            heap.push(Reverse((deg as u32, i as u32)));
         }
     }
+    #[cfg(test)]
+    LAST_TALLY.with(|t| t.set(tally));
     order
+}
+
+/// The live variables of [`min_degree`] in a binary min-heap of the
+/// unique keys `degree << 32 | index`, with each variable's slot kept
+/// beside it so a degree is changed in place.
+struct DegreeHeap {
+    keys: Vec<u64>,
+    /// `slot[v]`: where `v`'s key sits in `keys` while `v` is live.
+    slot: Vec<u32>,
+}
+
+impl DegreeHeap {
+    fn new(degree: &[u32]) -> Self {
+        let keys = degree.iter().zip(0u64..).map(|(&d, v)| u64::from(d) << 32 | v).collect();
+        let mut heap = DegreeHeap { keys, slot: (0..degree.len() as u32).collect() };
+        for s in (0..degree.len() / 2).rev() {
+            heap.sift_down(s);
+        }
+        heap
+    }
+
+    /// Remove and return the variable with the smallest key.
+    fn pop(&mut self) -> Option<usize> {
+        let top = *self.keys.first()?;
+        let last = self.keys.pop().expect("non-empty");
+        if !self.keys.is_empty() {
+            self.keys[0] = last;
+            self.sift_down(0);
+        }
+        Some(top as u32 as usize)
+    }
+
+    /// Give live variable `v` the degree `degree`; false if it had it.
+    fn update(&mut self, v: usize, degree: u32) -> bool {
+        let s = self.slot[v] as usize;
+        let (old, new) = (self.keys[s], u64::from(degree) << 32 | v as u64);
+        if new == old {
+            return false;
+        }
+        self.keys[s] = new;
+        if new < old {
+            self.sift_up(s);
+        } else {
+            self.sift_down(s);
+        }
+        true
+    }
+
+    fn sift_up(&mut self, mut s: usize) {
+        let key = self.keys[s];
+        while s > 0 {
+            let parent = (s - 1) / 2;
+            if self.keys[parent] < key {
+                break;
+            }
+            self.place(s, self.keys[parent]);
+            s = parent;
+        }
+        self.place(s, key);
+    }
+
+    fn sift_down(&mut self, mut s: usize) {
+        let key = self.keys[s];
+        let len = self.keys.len();
+        loop {
+            let mut child = 2 * s + 1;
+            if child >= len {
+                break;
+            }
+            if child + 1 < len && self.keys[child + 1] < self.keys[child] {
+                child += 1;
+            }
+            if key < self.keys[child] {
+                break;
+            }
+            self.place(s, self.keys[child]);
+            s = child;
+        }
+        self.place(s, key);
+    }
+
+    fn place(&mut self, s: usize, key: u64) {
+        self.keys[s] = key;
+        self.slot[key as u32 as usize] = s as u32;
+    }
+}
+
+/// What one [`min_degree`] call did on each of its branches (tests only).
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Tally {
+    /// Recomputed degrees equal to the old one: no heap operation.
+    unchanged: u64,
+    /// Elements absorbed because `L_e ⊆ L_p` although `e ∉ E_p`.
+    absorptions: u64,
+    /// Degrees taken from `w_e` of the one other element.
+    shortcuts: u64,
+    /// Marker sweeps (two or more other elements).
+    sweeps: u64,
+    /// Element-list entries those sweeps walked.
+    swept: u64,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The tally of the calling thread's last [`min_degree`].
+    static LAST_TALLY: std::cell::Cell<Tally> = std::cell::Cell::default();
 }
 
 /// Validate that `perm` is a permutation of `0..n`.
@@ -368,12 +543,92 @@ mod tests {
         assert_eq!(checksum(&min_degree(&a)), 0x7a01_2afa_c35c_6503);
     }
 
+    /// `min_degree` and the tally it left on this thread.
+    fn tallied(a: &CsrMatrix) -> (Vec<usize>, Tally) {
+        let perm = min_degree(a);
+        (perm, LAST_TALLY.with(std::cell::Cell::get))
+    }
+
+    /// Every branch of `min_degree` taken at least once in `t`.
+    fn every_branch(t: Tally) -> bool {
+        t.unchanged > 0 && t.absorptions > 0 && t.shortcuts > 0 && t.sweeps > 0 && t.swept > 0
+    }
+
     #[test]
-    #[ignore = "n = 90 000: run in release mode by scripts/check_all.sh"]
+    fn every_branch_fires_where_the_oracle_agrees() {
+        for m in [8, 24, 40] {
+            let (a, _) = rmesh::paper_problem(m).assemble_global();
+            let (perm, t) = tallied(&a);
+            assert_eq!(perm, clique_min_degree(&a), "paper m = {m}");
+            assert!(every_branch(t), "paper m = {m}: {t:?}");
+        }
+        // The corpus as a whole: a random member may not need every branch.
+        let mut total = Tally::default();
+        for kind in 0..crate::corpus::KINDS {
+            for seed in 0..4 {
+                let a = crate::corpus::matrix(kind, 200, seed);
+                let (perm, t) = tallied(&a);
+                assert_eq!(perm, clique_min_degree(&a), "corpus kind {kind} seed {seed}");
+                total.unchanged += t.unchanged;
+                total.absorptions += t.absorptions;
+                total.shortcuts += t.shortcuts;
+                total.sweeps += t.sweeps;
+                total.swept += t.swept;
+            }
+        }
+        assert!(every_branch(total), "corpus: {total:?}");
+    }
+
+    #[test]
+    fn tracked_matrix_tally_is_pinned() {
+        // The lazy-heap loop before PR 25 swept 17 671 008 element entries
+        // on this matrix and pushed 327 636 heap entries.
+        let (a, _) = rmesh::paper_problem(120).assemble_global();
+        let (perm, t) = tallied(&a);
+        assert_eq!(checksum(&perm), 0x7a01_2afa_c35c_6503);
+        let pinned = Tally {
+            unchanged: 7_860,
+            absorptions: 2,
+            shortcuts: 218_356,
+            sweeps: 51_151,
+            swept: 2_033_642,
+        };
+        assert_eq!(t, pinned);
+    }
+
+    #[test]
+    fn min_degree_handles_empty_and_trivial_patterns() {
+        assert_eq!(min_degree(&rsparse::CooMatrix::new(0, 0).to_csr()), Vec::<usize>::new());
+        assert_eq!(min_degree(&rsparse::CooMatrix::new(1, 1).to_csr()), vec![0]);
+        let mut one = rsparse::CooMatrix::new(1, 1);
+        one.push(0, 0, 3.0).unwrap();
+        assert_eq!(min_degree(&one.to_csr()), vec![0]);
+        // Rows 2 and 5 are empty; {0, 1, 3} is a path, {4, 6} an edge.
+        let mut coo = rsparse::CooMatrix::new(7, 7);
+        for (r, c) in [(0, 1), (1, 3), (4, 6)] {
+            coo.push(r, c, 1.0).unwrap();
+            coo.push(c, r, 1.0).unwrap();
+        }
+        let a = coo.to_csr();
+        let perm = min_degree(&a);
+        assert_eq!(perm, clique_min_degree(&a));
+        // The isolated vertices go first, then the degree-1 ends by index.
+        assert_eq!(perm, vec![2, 5, 0, 1, 3, 4, 6]);
+    }
+
+    #[test]
+    fn rcm_of_the_benchmark_matrix_is_pinned() {
+        // Taken at the parent of PR 25, before the BFS reused its output
+        // as the queue.
+        let (a, _) = rmesh::paper_problem(120).assemble_global();
+        assert_eq!(checksum(&rcm(&a)), 0x86c4_5a37_10ca_79ed);
+    }
+
+    #[test]
     fn ordering_scales() {
         // A count, not a timing: the permutation the clique ordering took
-        // 19.5 s to produce. A quadratic ordering makes this test (and
-        // check_all.sh) visibly hang long before it fails.
+        // 19.5 s to produce. A quadratic ordering makes this test visibly
+        // hang long before it fails.
         let (a, _) = rmesh::paper_problem(300).assemble_global();
         let perm = min_degree(&a);
         assert!(is_permutation(&perm, 90_000));

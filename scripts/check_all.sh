@@ -33,11 +33,6 @@ for _ in $(seq 20); do
   cargo test -q -p lisi-comm --lib
 done
 
-echo "== RSLU ordering at scale (release, n = 90 000) =="
-# Exact permutation checksum of the paper PDE at m = 300: under a second
-# with the quotient graph, 20 s with explicit cliques.
-cargo test --release -p lisi-direct -- --ignored ordering_scales
-
 echo "== lisibench smoke (benchmark/ is its own workspace) =="
 # Every declared metric printed, no failed request, exact counts repeat.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
