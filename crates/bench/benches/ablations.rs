@@ -48,7 +48,8 @@ fn rarray_vs_object(c: &mut Criterion) {
         // LISI's choice: slices in, one conversion.
         group.bench_with_input(BenchmarkId::new("rarray", m), &m, |b, _| {
             b.iter(|| {
-                rsparse::convert::coo_arrays_to_csr(n, n, v, r, cidx, 0).unwrap().nnz()
+                let w = rsparse::convert::Window::serial(n);
+                rsparse::convert::decode_coo(w, v, r, cidx).unwrap().nnz()
             });
         });
         // Object composition: copy into the object, then pull every entry
@@ -112,46 +113,15 @@ fn format_ingest(c: &mut Criterion) {
         );
         move |b| b.iter(&f)
     });
-    let msr = rsparse::MsrMatrix::from_csr(&a).unwrap();
-    let (mval, mja) = msr.parts();
+    let (mval, mja) = rsparse::convert::csr_to_msr(&a, 0).unwrap();
     group.bench_function("msr", {
-        let f = ingest(SparseStruct::Msr, mval.to_vec(), vec![], mja.to_vec(), 1);
+        let f = ingest(SparseStruct::Msr, mval, vec![], mja, 1);
         move |b| b.iter(&f)
     });
     // Uniform 2×2 VBR arrays (m even ⇒ n divisible by 2).
-    let bs = 2usize;
-    let nbr = n / bs;
-    let mut bptr = vec![0usize];
-    let mut bindx = Vec::new();
-    let mut bvals = Vec::new();
-    for br in 0..nbr {
-        let mut present: Vec<usize> = Vec::new();
-        for lr in 0..bs {
-            for &c in a.row(br * bs + lr).0 {
-                let bc = c / bs;
-                if !present.contains(&bc) {
-                    present.push(bc);
-                }
-            }
-        }
-        present.sort_unstable();
-        for &bc in &present {
-            let base = bvals.len();
-            bvals.resize(base + bs * bs, 0.0);
-            for lr in 0..bs {
-                let (cs, vs) = a.row(br * bs + lr);
-                for (&c, &vv) in cs.iter().zip(vs) {
-                    if c / bs == bc {
-                        bvals[base + (c % bs) * bs + lr] = vv;
-                    }
-                }
-            }
-            bindx.push(bc);
-        }
-        bptr.push(bindx.len());
-    }
+    let (bvals, bptr, bindx) = rsparse::convert::csr_to_vbr(&a, 2).unwrap();
     group.bench_function("vbr", {
-        let f = ingest(SparseStruct::Vbr, bvals, bptr, bindx, bs);
+        let f = ingest(SparseStruct::Vbr, bvals, bptr, bindx, 2);
         move |b| b.iter(&f)
     });
     group.finish();

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rcomm::Universe;
-use rsparse::{generate, BlockRowPartition, DistCsrMatrix, DistVector, MsrMatrix};
+use rsparse::{convert, generate, BlockRowPartition, DistCsrMatrix, DistVector};
 
 fn spmv(c: &mut Criterion) {
     let mut group = c.benchmark_group("spmv");
@@ -417,7 +417,7 @@ fn conversions(c: &mut Criterion) {
     let coo = a.to_coo();
     group.bench_function("coo_to_csr", |b| b.iter(|| coo.to_csr()));
     group.bench_function("csr_to_csc", |b| b.iter(|| a.to_csc()));
-    group.bench_function("csr_to_msr", |b| b.iter(|| MsrMatrix::from_csr(&a).unwrap()));
+    group.bench_function("csr_to_msr", |b| b.iter(|| convert::csr_to_msr(&a, 0).unwrap()));
     group.bench_function("csr_transpose", |b| b.iter(|| a.transpose()));
     group.finish();
 }

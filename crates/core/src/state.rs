@@ -1,13 +1,12 @@
 //! Shared adapter plumbing: the phase state machine every adapter drives,
-//! plus the input-format conversion layer (paper §5.3 — "the interface
-//! works as an adapter to convert the input data format to the libraries'
-//! internal data structure and frees up users from doing it by their
-//! own").
+//! and `setupMatrix`'s hand-off of the port's arrays to the decoders in
+//! `rsparse::convert` (paper §5.3: the adapter converts the input format).
 
 use std::sync::Arc;
 
 use rcomm::Communicator;
-use rsparse::{BlockRowPartition, CooMatrix, CsrMatrix};
+use rsparse::convert::{self, Window};
+use rsparse::{BlockRowPartition, CsrMatrix};
 
 use crate::error::{LisiError, LisiResult};
 use crate::traits::MatrixFreePort;
@@ -152,8 +151,9 @@ impl LisiState {
             .map_err(|e| LisiError::InvalidInput(e.to_string()))
     }
 
-    /// Convert one of the five input formats into the local CSR block and
-    /// store it. `offset` is the index base (0 or 1).
+    /// Decode one of the five input formats (an `rsparse::convert`
+    /// decoder each) into the local CSR block and store it. `offset` is
+    /// the index base (0 or 1).
     pub fn ingest_matrix(
         &mut self,
         values: &[f64],
@@ -164,193 +164,30 @@ impl LisiState {
     ) -> LisiResult<()> {
         let t0 = std::time::Instant::now();
         let (start, local_rows, global_cols) = self.dist_params()?;
-        let matrix = match structure {
-            SparseStruct::Coo => {
-                self.check_nnz(values.len())?;
-                if rows.len() != values.len() || columns.len() != values.len() {
-                    return Err(LisiError::InvalidInput(format!(
-                        "COO arrays disagree: {} values, {} rows, {} columns",
-                        values.len(),
-                        rows.len(),
-                        columns.len()
-                    )));
-                }
-                let mut coo = CooMatrix::new(local_rows, global_cols);
-                coo.reserve(values.len());
-                for ((&gr, &gc), &v) in rows.iter().zip(columns).zip(values) {
-                    let gr = sub_offset(gr, offset, "row")?;
-                    let gc = sub_offset(gc, offset, "column")?;
-                    let lr = gr.checked_sub(start).filter(|&l| l < local_rows).ok_or_else(
-                        || {
-                            LisiError::InvalidInput(format!(
-                                "row {gr} is not owned by this rank ([{start}, {})",
-                                start + local_rows
-                            ))
-                        },
-                    )?;
-                    coo.push(lr, gc, v).map_err(|e| LisiError::InvalidInput(e.to_string()))?;
-                }
-                coo.to_csr()
-            }
-            SparseStruct::Csr => {
-                self.check_nnz(values.len())?;
-                if rows.len() != local_rows + 1 {
-                    return Err(LisiError::InvalidInput(format!(
-                        "CSR row pointer must have local_rows + 1 = {} entries, got {}",
-                        local_rows + 1,
-                        rows.len()
-                    )));
-                }
-                rsparse::convert::csr_arrays_to_csr(
-                    local_rows,
-                    global_cols,
-                    values,
-                    rows,
-                    columns,
-                    offset,
-                )
-                .map_err(|e| LisiError::InvalidInput(e.to_string()))?
-            }
-            SparseStruct::Msr => {
-                msr_local_to_csr(local_rows, global_cols, start, values, columns, offset)?
-            }
-            SparseStruct::Vbr => {
-                self.vbr_local_to_csr(values, rows, columns, offset, start)?
-            }
-            SparseStruct::Fem => {
-                if start != 0 || local_rows != global_cols {
-                    return Err(LisiError::Unsupported(
-                        "FEM element input requires a serial (single-rank) matrix; \
-                         distributed element assembly is outside LISI 0.1"
-                            .into(),
-                    ));
-                }
-                self.fem_to_csr(values, columns, offset)?
-            }
-        };
-        if matrix.cols() != global_cols {
-            return Err(LisiError::InvalidInput("converted width mismatch".into()));
+        let w = Window { start, rows: local_rows, cols: global_cols, base: offset };
+        // MSR pads the diagonal and VBR / FEM pad blocks: only COO and CSR
+        // carry exactly the declared nonzeros.
+        let exact = matches!(structure, SparseStruct::Coo | SparseStruct::Csr);
+        if let Some(declared) = self.local_nnz.filter(|&d| exact && d != values.len()) {
+            let got = values.len();
+            let msg = format!("setLocalNNZ declared {declared} nonzeros, arrays carry {got}");
+            return Err(LisiError::InvalidInput(msg));
         }
+        if structure == SparseStruct::Fem && (start != 0 || local_rows != global_cols) {
+            let why = "FEM input is serial-only: distributed element assembly is outside LISI 0.1";
+            return Err(LisiError::Unsupported(why.into()));
+        }
+        let matrix = match structure {
+            SparseStruct::Coo => convert::decode_coo(w, values, rows, columns),
+            SparseStruct::Csr => convert::decode_csr(w, values, rows, columns),
+            SparseStruct::Msr => convert::decode_msr(w, values, columns),
+            SparseStruct::Vbr => convert::decode_vbr(w, self.block_size, values, rows, columns),
+            SparseStruct::Fem => convert::decode_fem(w, self.block_size, values, columns),
+        }
+        .map_err(|e| LisiError::InvalidInput(e.to_string()))?;
         self.matrix.set(matrix);
         self.convert_seconds += t0.elapsed().as_secs_f64();
         Ok(())
-    }
-
-    fn check_nnz(&self, got: usize) -> LisiResult<()> {
-        if let Some(declared) = self.local_nnz {
-            if declared != got {
-                return Err(LisiError::InvalidInput(format!(
-                    "setLocalNNZ declared {declared} nonzeros, arrays carry {got}"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// VBR with uniform `block_size`: `rows` = block-row pointers,
-    /// `columns` = global block-column indices, `values` = dense
-    /// column-major blocks.
-    fn vbr_local_to_csr(
-        &self,
-        values: &[f64],
-        rows: &[usize],
-        columns: &[usize],
-        offset: usize,
-        start: usize,
-    ) -> LisiResult<CsrMatrix> {
-        let (_, local_rows, global_cols) = self.dist_params()?;
-        let bs = self.block_size;
-        if !local_rows.is_multiple_of(bs)
-            || !global_cols.is_multiple_of(bs)
-            || !start.is_multiple_of(bs)
-        {
-            return Err(LisiError::InvalidInput(format!(
-                "VBR block size {bs} must divide start row {start}, local rows {local_rows} \
-                 and global columns {global_cols}"
-            )));
-        }
-        let nbr = local_rows / bs;
-        if rows.len() != nbr + 1 {
-            return Err(LisiError::InvalidInput(format!(
-                "VBR block-row pointer needs {} entries, got {}",
-                nbr + 1,
-                rows.len()
-            )));
-        }
-        let nblocks = sub_offset(rows[nbr], offset, "block pointer")?;
-        if columns.len() < nblocks || values.len() != nblocks * bs * bs {
-            return Err(LisiError::InvalidInput(format!(
-                "VBR arrays disagree: {} blocks, {} block columns, {} values",
-                nblocks,
-                columns.len(),
-                values.len()
-            )));
-        }
-        let mut coo = CooMatrix::new(local_rows, global_cols);
-        coo.reserve(nblocks * bs * bs);
-        for br in 0..nbr {
-            let lo = sub_offset(rows[br], offset, "block pointer")?;
-            let hi = sub_offset(rows[br + 1], offset, "block pointer")?;
-            for (k, &col) in columns.iter().enumerate().take(hi).skip(lo) {
-                let bc = sub_offset(col, offset, "block column")?;
-                if (bc + 1) * bs > global_cols {
-                    return Err(LisiError::InvalidInput(format!(
-                        "block column {bc} exceeds the matrix width"
-                    )));
-                }
-                let base = k * bs * bs;
-                for lc in 0..bs {
-                    for lr in 0..bs {
-                        let v = values[base + lc * bs + lr];
-                        if v != 0.0 {
-                            coo.push(br * bs + lr, bc * bs + lc, v)
-                                .map_err(|e| LisiError::InvalidInput(e.to_string()))?;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(coo.to_csr())
-    }
-
-    /// FEM with uniform element arity `block_size`: `columns` =
-    /// concatenated connectivity, `values` = concatenated row-major
-    /// element matrices.
-    fn fem_to_csr(
-        &self,
-        values: &[f64],
-        columns: &[usize],
-        offset: usize,
-    ) -> LisiResult<CsrMatrix> {
-        let (_, _, n) = self.dist_params()?;
-        let k = self.block_size;
-        if k == 0 || !columns.len().is_multiple_of(k) {
-            return Err(LisiError::InvalidInput(format!(
-                "FEM connectivity length {} is not a multiple of the element arity {k}",
-                columns.len()
-            )));
-        }
-        let n_el = columns.len() / k;
-        if values.len() != n_el * k * k {
-            return Err(LisiError::InvalidInput(format!(
-                "FEM values must hold {} entries ({} elements × {k}²), got {}",
-                n_el * k * k,
-                n_el,
-                values.len()
-            )));
-        }
-        let mut fem = rsparse::FemAssembly::new(n);
-        for e in 0..n_el {
-            let dofs: Vec<usize> = columns[e * k..(e + 1) * k]
-                .iter()
-                .map(|&d| sub_offset(d, offset, "dof"))
-                .collect::<LisiResult<_>>()?;
-            let mat = values[e * k * k..(e + 1) * k * k].to_vec();
-            let element = rsparse::fem::Element::new(dofs, mat)
-                .map_err(|err| LisiError::InvalidInput(err.to_string()))?;
-            fem.add_element(element).map_err(|err| LisiError::InvalidInput(err.to_string()))?;
-        }
-        Ok(fem.to_csr())
     }
 
     /// Store the right-hand side(s).
@@ -418,64 +255,6 @@ impl LisiState {
         }
         Ok(())
     }
-}
-
-fn sub_offset(v: usize, offset: usize, what: &str) -> LisiResult<usize> {
-    v.checked_sub(offset).ok_or_else(|| {
-        LisiError::InvalidInput(format!("{what} index {v} underflows the index base {offset}"))
-    })
-}
-
-/// MSR (SPARSKIT layout) with *global* column indices, local rows: the
-/// diagonal slots `val[0..n]` refer to global columns `start + i`.
-fn msr_local_to_csr(
-    local_rows: usize,
-    global_cols: usize,
-    start: usize,
-    val: &[f64],
-    ja: &[usize],
-    offset: usize,
-) -> LisiResult<CsrMatrix> {
-    let n = local_rows;
-    if val.len() != ja.len() || val.len() < n + 1 {
-        return Err(LisiError::InvalidInput(format!(
-            "MSR arrays must be equal length ≥ n + 1 = {}, got val = {}, ja = {}",
-            n + 1,
-            val.len(),
-            ja.len()
-        )));
-    }
-    let ptr = |i: usize| -> LisiResult<usize> {
-        let p = sub_offset(ja[i], offset, "MSR pointer")?;
-        if !(n + 1..=val.len()).contains(&p) {
-            return Err(LisiError::InvalidInput(format!(
-                "MSR pointer {p} out of range [{}..={}]",
-                n + 1,
-                val.len()
-            )));
-        }
-        Ok(p)
-    };
-    if ptr(0)? != n + 1 {
-        return Err(LisiError::InvalidInput("MSR ja[0] must point just past the diagonal".into()));
-    }
-    let mut coo = CooMatrix::new(n, global_cols);
-    coo.reserve(val.len());
-    for i in 0..n {
-        if val[i] != 0.0 {
-            coo.push(i, start + i, val[i])
-                .map_err(|e| LisiError::InvalidInput(e.to_string()))?;
-        }
-        let (lo, hi) = (ptr(i)?, ptr(i + 1)?);
-        if hi < lo {
-            return Err(LisiError::InvalidInput("MSR pointers must be non-decreasing".into()));
-        }
-        for k in lo..hi {
-            let gc = sub_offset(ja[k], offset, "MSR column")?;
-            coo.push(i, gc, val[k]).map_err(|e| LisiError::InvalidInput(e.to_string()))?;
-        }
-    }
-    Ok(coo.to_csr())
 }
 
 #[cfg(test)]
@@ -655,42 +434,13 @@ mod tests {
         s2.ingest_matrix(a.values(), a.row_ptr(), a.col_idx(), SparseStruct::Csr, 0)
             .unwrap();
         // MSR.
-        let msr = rsparse::MsrMatrix::from_csr(&a).unwrap();
-        let (val, ja) = msr.parts();
+        let (val, ja) = convert::csr_to_msr(&a, 0).unwrap();
         let mut s3 = mk();
         s3.local_nnz = None; // MSR carries a padded diagonal
-        s3.ingest_matrix(val, &[], ja, SparseStruct::Msr, 0).unwrap();
+        s3.ingest_matrix(&val, &[], &ja, SparseStruct::Msr, 0).unwrap();
         // VBR with bs = 2, arrays in the LISI uniform-block convention.
         let bs = 2usize;
-        let nbr = 8 / bs;
-        let mut bptr = vec![0usize];
-        let mut bindx: Vec<usize> = Vec::new();
-        let mut bvals: Vec<f64> = Vec::new();
-        for br in 0..nbr {
-            let mut present: Vec<usize> = Vec::new();
-            for lr in 0..bs {
-                for &c in a.row(br * bs + lr).0 {
-                    if !present.contains(&(c / bs)) {
-                        present.push(c / bs);
-                    }
-                }
-            }
-            present.sort_unstable();
-            for &bc in &present {
-                let base = bvals.len();
-                bvals.resize(base + bs * bs, 0.0);
-                for lr in 0..bs {
-                    let (cs, vs) = a.row(br * bs + lr);
-                    for (&c, &v) in cs.iter().zip(vs) {
-                        if c / bs == bc {
-                            bvals[base + (c % bs) * bs + lr] = v;
-                        }
-                    }
-                }
-                bindx.push(bc);
-            }
-            bptr.push(bindx.len());
-        }
+        let (bvals, bptr, bindx) = convert::csr_to_vbr(&a, bs).unwrap();
         let mut s4 = mk();
         s4.local_nnz = None; // VBR pads blocks with zeros
         s4.block_size = bs;

@@ -92,10 +92,17 @@ impl CooMatrix {
                 bound: self.cols,
             });
         }
+        self.push_unchecked(row, col, value);
+        Ok(())
+    }
+
+    /// [`Self::push`] for an entry the caller has already bounds-checked
+    /// (the decoders in [`crate::convert`] validate before they walk).
+    pub(crate) fn push_unchecked(&mut self, row: usize, col: usize, value: f64) {
+        debug_assert!(row < self.rows && col < self.cols);
         self.row_idx.push(row);
         self.col_idx.push(col);
         self.values.push(value);
-        Ok(())
     }
 
     /// Matrix shape `(rows, cols)`.
@@ -120,23 +127,6 @@ impl CooMatrix {
             .zip(&self.col_idx)
             .zip(&self.values)
             .map(|((&r, &c), &v)| (r, c, v))
-    }
-
-    /// y = A·x by direct triplet accumulation (reference kernel; CSR is the
-    /// fast path).
-    pub fn matvec(&self, x: &[f64]) -> SparseResult<Vec<f64>> {
-        if x.len() != self.cols {
-            return Err(SparseError::LengthMismatch {
-                what: "matvec input",
-                expected: self.cols,
-                got: x.len(),
-            });
-        }
-        let mut y = vec![0.0; self.rows];
-        for (r, c, v) in self.iter() {
-            y[r] += v * x[c];
-        }
-        Ok(y)
     }
 
     /// Convert to CSR: counting sort by row, columns sorted within each
@@ -193,28 +183,11 @@ impl CooMatrix {
         }
         CsrMatrix::from_parts_unchecked(self.rows, self.cols, out_ptr, out_cols, out_vals)
     }
-
-    /// Transpose (swap row/column indices; O(nnz)).
-    pub fn transpose(&self) -> CooMatrix {
-        CooMatrix {
-            rows: self.cols,
-            cols: self.rows,
-            row_idx: self.col_idx.clone(),
-            col_idx: self.row_idx.clone(),
-            values: self.values.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> CooMatrix {
-        // [ 1 0 2 ]
-        // [ 0 3 0 ]
-        CooMatrix::from_triplets(2, 3, &[0, 0, 1], &[0, 2, 1], &[1.0, 2.0, 3.0]).unwrap()
-    }
 
     #[test]
     fn construction_validates_indices_and_lengths() {
@@ -234,14 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_reference() {
-        let m = sample();
-        let y = m.matvec(&[1.0, 1.0, 1.0]).unwrap();
-        assert_eq!(y, vec![3.0, 3.0]);
-        assert!(m.matvec(&[1.0]).is_err());
-    }
-
-    #[test]
     fn to_csr_sorts_and_sums_duplicates() {
         // Entry (0,1) appears twice: 4 + 6 = 10; unsorted column order.
         let m = CooMatrix::from_triplets(
@@ -256,14 +221,6 @@ mod tests {
         assert_eq!(csr.row_ptr(), &[0, 2, 3]);
         assert_eq!(csr.col_idx(), &[1, 2, 0]);
         assert_eq!(csr.values(), &[10.0, 5.0, 7.0]);
-    }
-
-    #[test]
-    fn transpose_swaps_shape() {
-        let t = sample().transpose();
-        assert_eq!(t.shape(), (3, 2));
-        let y = t.matvec(&[1.0, 1.0]).unwrap();
-        assert_eq!(y, vec![1.0, 3.0, 2.0]);
     }
 
     #[test]

@@ -125,27 +125,6 @@ impl CscMatrix {
         (&self.row_idx[lo..hi], &self.values[lo..hi])
     }
 
-    /// y = A·x via column sweeps (gather-free scatter kernel).
-    pub fn matvec(&self, x: &[f64]) -> SparseResult<Vec<f64>> {
-        if x.len() != self.cols {
-            return Err(SparseError::LengthMismatch {
-                what: "matvec input",
-                expected: self.cols,
-                got: x.len(),
-            });
-        }
-        let mut y = vec![0.0; self.rows];
-        for (j, &xj) in x.iter().enumerate() {
-            if xj != 0.0 {
-                let (rows, vals) = self.col(j);
-                for (&r, &v) in rows.iter().zip(vals) {
-                    y[r] += v * xj;
-                }
-            }
-        }
-        Ok(y)
-    }
-
     /// Convert to CSR.
     pub fn to_csr(&self) -> CsrMatrix {
         let mut counts = vec![0usize; self.rows + 1];
@@ -189,13 +168,6 @@ mod tests {
         assert!(CscMatrix::from_parts(1, 1, vec![0, 2], vec![0], vec![1.0]).is_err());
         assert!(CscMatrix::from_parts(2, 1, vec![0, 2], vec![1, 0], vec![1.0, 1.0]).is_err());
         assert!(CscMatrix::from_parts(1, 1, vec![0, 1], vec![4], vec![1.0]).is_err());
-    }
-
-    #[test]
-    fn matvec_matches_dense() {
-        let a = sample();
-        assert_eq!(a.matvec(&[1.0, 1.0]).unwrap(), vec![1.0, 5.0]);
-        assert!(a.matvec(&[1.0]).is_err());
     }
 
     #[test]

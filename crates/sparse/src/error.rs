@@ -27,6 +27,21 @@ pub enum SparseError {
         /// The exclusive bound it violated.
         bound: usize,
     },
+    /// An index a caller wrote into port arrays lies outside the local
+    /// window it must address (see [`crate::convert::Window`]). Both the
+    /// index and the range are in the caller's own numbering, index base
+    /// included.
+    OutOfWindow {
+        /// What the index addresses ("row", "column", "diagonal column",
+        /// "block column", "dof").
+        axis: &'static str,
+        /// The index as the caller wrote it.
+        index: usize,
+        /// First admissible index.
+        lo: usize,
+        /// One past the last admissible index.
+        hi: usize,
+    },
     /// A CSR/CSC pointer array is not monotonically non-decreasing or has
     /// the wrong first/last entry.
     MalformedPointers(&'static str),
@@ -68,7 +83,8 @@ pub enum SparseError {
     },
     /// An underlying I/O error (message-only so the error stays `Clone`).
     Io(String),
-    /// A VBR block partition is invalid.
+    /// A block size or element arity does not fit the matrix or the
+    /// arrays it partitions.
     BadBlockPartition(String),
     /// Distributed operation failure (wraps a communication error).
     Comm(String),
@@ -82,6 +98,9 @@ impl fmt::Display for SparseError {
             }
             SparseError::IndexOutOfBounds { axis, index, bound } => {
                 write!(f, "{axis} index {index} out of bounds (< {bound} required)")
+            }
+            SparseError::OutOfWindow { axis, index, lo, hi } => {
+                write!(f, "{axis} index {index} lies outside this window's [{lo}, {hi})")
             }
             SparseError::MalformedPointers(why) => write!(f, "malformed pointer array: {why}"),
             SparseError::ShapeMismatch { left, right } => write!(

@@ -6,9 +6,10 @@
 //! contributions — and each underlying solver package keeps its own native
 //! structure. This crate provides:
 //!
-//! * the storage formats themselves ([`CooMatrix`], [`CsrMatrix`],
-//!   [`CscMatrix`], [`MsrMatrix`], [`VbrMatrix`], [`FemAssembly`]) with
-//!   validated construction and conversions between all of them;
+//! * the matrix types the packages compute with ([`CsrMatrix`],
+//!   [`CscMatrix`], and [`CooMatrix`] for assembly), and the ingest layer
+//!   ([`convert`]): one decoder per input format from a rank's port arrays
+//!   to its CSR block, and the MSR / VBR encoders an application needs;
 //! * dense kernels ([`dense`]) used by every solver: dot products, axpy,
 //!   norms, and a small dense LU for reference solutions;
 //! * sparse kernels: serial and thread-parallel SpMV, transpose,
@@ -37,15 +38,23 @@ pub mod csr;
 pub mod dense;
 pub mod dist;
 pub mod error;
-pub mod fem;
 pub mod generate;
 pub mod io;
-pub mod msr;
 pub mod ops;
 pub mod partition;
 pub mod schedule;
 pub mod threads;
-pub mod vbr;
+
+// Per-format checks of the `convert` decoders and encoders.
+#[cfg(test)]
+#[path = "format_tests/fem.rs"]
+mod fem;
+#[cfg(test)]
+#[path = "format_tests/msr.rs"]
+mod msr;
+#[cfg(test)]
+#[path = "format_tests/vbr.rs"]
+mod vbr;
 
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
@@ -53,8 +62,5 @@ pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use dist::{DistCsrMatrix, DistVector};
 pub use error::{SparseError, SparseResult};
-pub use fem::FemAssembly;
-pub use msr::MsrMatrix;
 pub use partition::BlockRowPartition;
 pub use schedule::{LevelTri, Triangle};
-pub use vbr::VbrMatrix;

@@ -114,6 +114,67 @@ fn short_csr_arrays_are_invalid_input_on_every_rank() {
 }
 
 #[test]
+fn malformed_format_arrays_are_invalid_input_on_every_rank() {
+    // Each row hands `setupMatrix` one malformed set of arrays for an 8 × 8
+    // matrix whose two ranks own 4 rows each (FEM: one rank owns all 8),
+    // as a function of the rank's start row. Every rank answers
+    // InvalidInput, then takes a good matrix.
+    type Arrays = (Vec<f64>, Vec<usize>, Vec<usize>);
+    type Row = (&'static str, SparseStruct, usize, fn(usize) -> Arrays);
+    fn msr(ja: [usize; 6]) -> Arrays {
+        (vec![1.0, 1.0, 1.0, 1.0, 0.0, 9.0], vec![], ja.to_vec())
+    }
+    let table: &[Row] = &[
+        ("VBR pointer past the blocks", SparseStruct::Vbr, 2, |_| {
+            (vec![1.0; 8], vec![0, 3, 2], vec![0, 1, 0])
+        }),
+        ("VBR decreasing pointers", SparseStruct::Vbr, 2, |_| {
+            (vec![1.0; 4], vec![0, 2, 1], vec![0, 1])
+        }),
+        ("MSR ja[0] is not n + 1", SparseStruct::Msr, 1, |_| msr([4, 6, 6, 6, 6, 7])),
+        ("MSR decreasing pointer", SparseStruct::Msr, 1, |_| msr([5, 6, 5, 6, 6, 7])),
+        ("MSR pointer past val", SparseStruct::Msr, 1, |_| msr([5, 6, 6, 6, 7, 7])),
+        ("COO row of the other rank", SparseStruct::Coo, 1, |start| {
+            (vec![1.0], vec![(start + 4) % 8], vec![0])
+        }),
+        ("COO length mismatch", SparseStruct::Coo, 1, |start| {
+            (vec![1.0, 1.0], vec![start], vec![0, 1])
+        }),
+        ("FEM connectivity not a multiple of the arity", SparseStruct::Fem, 2, |_| {
+            (vec![1.0; 4], vec![], vec![0, 1, 2])
+        }),
+        ("FEM dof past n", SparseStruct::Fem, 2, |_| (vec![1.0; 4], vec![], vec![0, 8])),
+    ];
+    let mut ports = adapters();
+    ports.push(("rmg", Box::new(|| Box::new(RmgAdapter::new()))));
+    for &(what, structure, bs, arrays) in table {
+        let p = if structure == SparseStruct::Fem { 1 } else { 2 };
+        for (name, make) in &ports {
+            let out = Universe::run(p, |comm| {
+                let (rows, start) = (8 / p, 8 / p * comm.rank());
+                let s = make();
+                s.initialize(comm.dup().unwrap()).unwrap();
+                s.set_start_row(start).unwrap();
+                s.set_local_rows(rows).unwrap();
+                s.set_global_cols(8).unwrap();
+                s.set_block_size(bs).unwrap();
+                let (values, ptr, idx) = arrays(start);
+                let bad = s.setup_matrix(&values, &ptr, &idx, structure);
+                let ptr: Vec<usize> = (0..=rows).collect();
+                let diag: Vec<usize> = (start..start + rows).collect();
+                let good = s.setup_matrix(&vec![1.0; rows], &ptr, &diag, SparseStruct::Csr);
+                (bad, good)
+            });
+            for (rank, (bad, good)) in out.iter().enumerate() {
+                let ctx = format!("{what} on {name}, rank {rank}");
+                assert!(matches!(bad, Err(LisiError::InvalidInput(_))), "{ctx}: {bad:?}");
+                assert!(good.is_ok(), "{ctx}, good matrix after: {good:?}");
+            }
+        }
+    }
+}
+
+#[test]
 fn singular_system_fails_cleanly_on_every_rank() {
     // Zero column ⇒ structurally singular; the direct package must
     // report failure on ALL ranks (not just the root that factors).

@@ -10,6 +10,10 @@ use cca_lisi::lisi::{
     SparseStruct, STATUS_LEN,
 };
 use cca_lisi::mesh::manufactured::Manufactured;
+use cca_lisi::sparse::convert::{self, Window};
+use cca_lisi::sparse::{generate, BlockRowPartition};
+
+mod common;
 
 /// Drive any adapter over `p` ranks against a manufactured system.
 fn pipeline(
@@ -74,6 +78,59 @@ fn every_package_solves_the_paper_problem_at_every_rank_count() {
             assert!(rep.converged, "{name} p={p}");
             assert!(err < 1e-6, "{name} p={p}: err = {err}");
         }
+    }
+}
+
+#[test]
+fn every_sparse_struct_solves_the_same_system() {
+    // The system is what 1-D elements [[2, -1], [-1, 2]] on dofs [e, e + 1]
+    // assemble to. FEM hands the port those elements; every other format
+    // carries the assembled matrix, each rank its rows of it, in 2 × 2
+    // blocks for VBR.
+    let n = 64;
+    let conn: Vec<usize> = (0..n - 1).flat_map(|e| [e, e + 1]).collect();
+    let elements: Vec<f64> = (0..n - 1).flat_map(|_| [2.0, -1.0, -1.0, 2.0]).collect();
+    let a = convert::decode_fem(Window::serial(n), 2, &elements, &conn).unwrap();
+    let x_true = generate::random_vector(n, 5);
+    let b = a.matvec(&x_true).unwrap();
+    let mut cases = vec![(SparseStruct::Fem, 1, 0), (SparseStruct::Fem, 1, 1)];
+    for structure in [SparseStruct::Coo, SparseStruct::Csr, SparseStruct::Msr, SparseStruct::Vbr] {
+        for (p, base) in [(1, 0), (1, 1), (2, 0), (2, 1)] {
+            cases.push((structure, p, base));
+        }
+    }
+    for (structure, p, base) in cases {
+        let out = Universe::run(p, |comm| {
+            let blocks = BlockRowPartition::even(n / 2, comm.size());
+            let start = 2 * blocks.start_row(comm.rank());
+            let rows = 2 * blocks.local_rows(comm.rank());
+            let (values, ptr, idx) = match structure {
+                SparseStruct::Fem => {
+                    (elements.clone(), vec![], conn.iter().map(|d| d + base).collect())
+                }
+                _ => {
+                    let local = a.row_block(start, start + rows).unwrap();
+                    common::port_arrays(structure, &local, start, 2, base)
+                }
+            };
+            let s = RkspAdapter::new();
+            s.initialize(comm.dup().unwrap()).unwrap();
+            s.set_start_row(start).unwrap();
+            s.set_local_rows(rows).unwrap();
+            s.set_global_cols(n).unwrap();
+            s.set_block_size(2).unwrap();
+            s.set("solver", "cg").unwrap();
+            s.set("preconditioner", "jacobi").unwrap();
+            s.set_double("tol", 1e-12).unwrap();
+            s.setup_matrix_offset(&values, &ptr, &idx, structure, base).unwrap();
+            s.setup_rhs(&b[start..start + rows], 1).unwrap();
+            let mut x = vec![0.0; rows];
+            let mut status = [0.0; STATUS_LEN];
+            s.solve(&mut x, &mut status).unwrap();
+            comm.allgatherv(&x).unwrap()
+        });
+        let err = out[0].iter().zip(&x_true).fold(0.0f64, |m, (g, e)| m.max((g - e).abs()));
+        assert!(err < 1e-9, "{structure:?} on {p} rank(s) at base {base}: error {err:e}");
     }
 }
 

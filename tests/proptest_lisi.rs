@@ -4,13 +4,17 @@
 
 use cca_lisi::comm::Universe;
 use cca_lisi::lisi::{
-    RaztecAdapter, RkspAdapter, RsluAdapter, SparseSolverPort, SparseStruct, STATUS_LEN,
+    LisiError, RaztecAdapter, RkspAdapter, RsluAdapter, SparseSolverPort, SparseStruct,
+    STATUS_LEN,
 };
-use cca_lisi::sparse::{generate, BlockRowPartition, MsrMatrix};
+use cca_lisi::sparse::{generate, BlockRowPartition};
 use proptest::prelude::*;
 
+mod common;
+
 /// Solve a pre-assembled global system through an adapter on `p` ranks,
-/// feeding the matrix in `structure` form with index base `offset`.
+/// feeding the matrix in `structure` form with index base `offset`. VBR
+/// uses 2 × 2 blocks, so its ranks own whole block rows.
 fn solve_via(
     adapter: &str,
     p: usize,
@@ -20,9 +24,10 @@ fn solve_via(
     offset: usize,
 ) -> Vec<f64> {
     let n = a.rows();
+    let bs = if structure == SparseStruct::Vbr { 2 } else { 1 };
     let out = Universe::run(p, |comm| {
-        let part = BlockRowPartition::even(n, comm.size());
-        let range = part.range(comm.rank());
+        let blocks = BlockRowPartition::even(n / bs, comm.size());
+        let range = bs * blocks.start_row(comm.rank())..bs * blocks.range(comm.rank()).end;
         let local = a.row_block(range.start, range.end).unwrap();
         let solver: Box<dyn SparseSolverPort> = match adapter {
             "rksp" => Box::new(RkspAdapter::new()),
@@ -35,60 +40,10 @@ fn solve_via(
         solver.set_local_rows(range.len()).unwrap();
         solver.set_global_cols(n).unwrap();
         solver.set("tol", "1e-11").unwrap();
-        match structure {
-            SparseStruct::Csr => {
-                let ptr: Vec<usize> = local.row_ptr().iter().map(|v| v + offset).collect();
-                let col: Vec<usize> = local.col_idx().iter().map(|v| v + offset).collect();
-                solver
-                    .setup_matrix_offset(local.values(), &ptr, &col, SparseStruct::Csr, offset)
-                    .unwrap();
-            }
-            SparseStruct::Coo => {
-                let coo = local.to_coo();
-                let (lr, lc, lv) = coo.triplets();
-                // COO carries *global* row ids through the interface.
-                let gr: Vec<usize> =
-                    lr.iter().map(|r| r + range.start + offset).collect();
-                let gc: Vec<usize> = lc.iter().map(|c| c + offset).collect();
-                solver
-                    .setup_matrix_offset(lv, &gr, &gc, SparseStruct::Coo, offset)
-                    .unwrap();
-            }
-            SparseStruct::Msr => {
-                // Build the local-MSR layout: diagonal entries are the
-                // (start + i) columns.
-                assert_eq!(offset, 0, "test drives MSR at base 0");
-                let local_sq = n == local.rows();
-                let msr_src = if local_sq {
-                    local.clone()
-                } else {
-                    // Generic path: construct MSR-like arrays by hand.
-                    local.clone()
-                };
-                let nrows = msr_src.rows();
-                let mut val = vec![0.0f64; nrows + 1];
-                let mut ja = vec![0usize; nrows + 1];
-                ja[0] = nrows + 1;
-                let mut off_val = Vec::new();
-                let mut off_ja = Vec::new();
-                for i in 0..nrows {
-                    let (cs, vs) = msr_src.row(i);
-                    for (&c, &v) in cs.iter().zip(vs) {
-                        if c == range.start + i {
-                            val[i] = v;
-                        } else {
-                            off_val.push(v);
-                            off_ja.push(c);
-                        }
-                    }
-                    ja[i + 1] = nrows + 1 + off_val.len();
-                }
-                val.extend(off_val);
-                ja.extend(off_ja);
-                solver.setup_matrix(&val, &[], &ja, SparseStruct::Msr).unwrap();
-            }
-            other => panic!("format {other:?} not driven here"),
-        }
+        solver.set_block_size(bs).unwrap();
+        let (values, rows, cols) =
+            common::port_arrays(structure, &local, range.start, bs, offset);
+        solver.setup_matrix_offset(&values, &rows, &cols, structure, offset).unwrap();
         solver.setup_rhs(&b[range.clone()], 1).unwrap();
         let mut x = vec![0.0; range.len()];
         let mut status = [0.0; STATUS_LEN];
@@ -128,19 +83,11 @@ proptest! {
         let a = generate::random_diag_dominant(n, 3, seed);
         let x_true = generate::random_vector(n, seed.wrapping_add(9));
         let b = a.matvec(&x_true).unwrap();
-        let via_csr = solve_via("rslu", p, &a, &b, SparseStruct::Csr, offset);
-        let via_coo = solve_via("rslu", p, &a, &b, SparseStruct::Coo, offset);
-        for ((c1, c2), e) in via_csr.iter().zip(&via_coo).zip(&x_true) {
-            prop_assert!((c1 - e).abs() < 1e-8);
-            prop_assert!((c2 - e).abs() < 1e-8);
-        }
-        if p == 1 {
-            // MSR path (serial layout identical to the library's).
-            let msr = MsrMatrix::from_csr(&a).unwrap();
-            let _ = msr;
-            let via_msr = solve_via("rslu", 1, &a, &b, SparseStruct::Msr, 0);
-            for (g, e) in via_msr.iter().zip(&x_true) {
-                prop_assert!((g - e).abs() < 1e-8);
+        let formats = [SparseStruct::Csr, SparseStruct::Coo, SparseStruct::Msr, SparseStruct::Vbr];
+        for structure in formats {
+            let x = solve_via("rslu", p, &a, &b, structure, offset);
+            for (g, e) in x.iter().zip(&x_true) {
+                prop_assert!((g - e).abs() < 1e-8, "{structure:?} p={p} base={offset}: {g} vs {e}");
             }
         }
     }
@@ -177,6 +124,63 @@ proptest! {
             for (g, e) in out[0][k * n..(k + 1) * n].iter().zip(x_true) {
                 prop_assert!((g - e).abs() < 1e-7);
             }
+        }
+    }
+}
+
+proptest! {
+    // No ranks, no solve: one `setupMatrix` a case.
+    #![proptest_config(ProptestConfig::with_cases(5000))]
+
+    #[test]
+    fn setup_matrix_answers_any_input_with_a_typed_verdict(
+        structure in proptest::sample::select(SparseStruct::ALL.to_vec()),
+        (bs, nb, first) in (1usize..4, 1usize..5).prop_flat_map(|(bs, nb)| {
+            (Just(bs), Just(nb), 0..nb)
+        }),
+        base in 0usize..3,
+        seed in 0u64..1000,
+        edits in proptest::collection::vec((0usize..10, 0usize..3, 0usize..16, 0usize..8), 0..9),
+    ) {
+        // A well-formed encoding of the rows from block `first` on of a
+        // random matrix, then up to eight edits, most of them to its index
+        // arrays (`ptr` is target 0, `idx` the others): whatever arrives,
+        // `setupMatrix` answers Ok, InvalidInput or Unsupported.
+        let n = bs * nb;
+        let a = generate::random_csr(n, n, 0.5, seed);
+        let (mut start, mut rows, mut cols) = (bs * first, n - bs * first, n);
+        let local = a.row_block(start, n).unwrap();
+        let (mut values, mut ptr, mut idx) =
+            common::port_arrays(structure, &local, start, bs, base);
+        let (mut base, mut bs) = (base, bs);
+        for &(kind, target, x, y) in &edits {
+            let array = if target == 0 { &mut ptr } else { &mut idx };
+            let at = x % array.len().max(1);
+            match kind {
+                // Overwrite, raise or append near the arrays' own extents.
+                0 | 1 if !array.is_empty() => array[at] = y,
+                2 | 3 if !array.is_empty() => array[at] = array[at].saturating_add(1 + y % 3),
+                4 | 5 => array.extend(std::iter::repeat_n(y, 1 + x % 3)),
+                6 if target == 2 => drop(values.pop()),
+                6 => drop(array.pop()),
+                7 if target == 2 => values.push(y as f64),
+                7 => *[&mut start, &mut rows, &mut cols][y % 3] = x % 10,
+                8 if target == 0 => base = y % 3,
+                8 => bs = 1 + y % 4,
+                // Indices and windows that overflow any arithmetic on them.
+                9 if target == 2 => start = usize::MAX - x,
+                9 => array.push(usize::MAX - x),
+                _ => {}
+            }
+        }
+        let s = RkspAdapter::new();
+        s.set_start_row(start).unwrap();
+        s.set_local_rows(rows).unwrap();
+        s.set_global_cols(cols).unwrap();
+        s.set_block_size(bs).unwrap();
+        match s.setup_matrix_offset(&values, &ptr, &idx, structure, base) {
+            Ok(()) | Err(LisiError::InvalidInput(_) | LisiError::Unsupported(_)) => {}
+            Err(other) => prop_assert!(false, "{structure:?}: {other:?}"),
         }
     }
 }
