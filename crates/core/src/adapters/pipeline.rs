@@ -88,19 +88,6 @@ pub trait Backend: Default + Send + Sync + 'static {
     ) -> LisiResult<SolveInfo>;
 }
 
-/// Parse the first of `keys` that is set into `slot`; a value that does
-/// not parse is a [`LisiError::BadParameter`] naming `keys[0]`.
-pub(super) fn set_parsed<T: std::str::FromStr>(
-    options: &rkrylov::Options,
-    keys: &[&str],
-    slot: &mut T,
-) -> LisiResult<()> {
-    if let Some(v) = options.get_first(keys) {
-        *slot = v.parse().map_err(|_| LisiError::bad_parameter(keys[0], v))?;
-    }
-    Ok(())
-}
-
 /// A LISI solver port over one solver package — the type behind the four
 /// public adapter names ([`crate::RkspAdapter`], [`crate::RaztecAdapter`],
 /// [`crate::RsluAdapter`], [`crate::RmgAdapter`]).

@@ -9,7 +9,7 @@ use raztec::{RowMatrix, Vector};
 use rcomm::Communicator;
 use rsparse::{BlockRowPartition, CsrMatrix};
 
-use super::pipeline::{set_parsed, Adapter, Backend};
+use super::pipeline::{Adapter, Backend};
 use crate::error::{LisiError, LisiResult};
 use crate::ledger::SolveInfo;
 use crate::state::LisiState;
@@ -63,14 +63,15 @@ impl RaztecAdapter {
         if let Some(p) = state.options.get_first(&["preconditioner", "az_precond"]) {
             opts.precond = AzPrecond::parse(&p).map_err(LisiError::from)?;
         }
+        let o = &state.options;
         if let AzPrecond::Neumann { order } = &mut opts.precond {
-            set_parsed(&state.options, &["poly_ord"], order)?;
+            *order = o.parse_first(&["poly_ord"])?.unwrap_or(*order);
         }
-        set_parsed(&state.options, &["tol", "az_tol"], &mut opts.tol)?;
-        set_parsed(&state.options, &["maxits", "az_max_iter"], &mut opts.max_iter)?;
-        set_parsed(&state.options, &["restart", "az_kspace"], &mut opts.kspace)?;
+        opts.tol = o.parse_first(&["tol", "az_tol"])?.unwrap_or(opts.tol);
+        opts.max_iter = o.parse_first(&["maxits", "az_max_iter"])?.unwrap_or(opts.max_iter);
+        opts.kspace = o.parse_first(&["restart", "az_kspace"])?.unwrap_or(opts.kspace);
         let window_keys = ["stagnation_window", "az_stagnation_window"];
-        set_parsed(&state.options, &window_keys, &mut opts.stall_window)?;
+        opts.stall_window = o.parse_first(&window_keys)?.unwrap_or(opts.stall_window);
         if let Some(c) = state.options.get("conv") {
             opts.conv = match c.as_str() {
                 "r0" => AzConv::R0,

@@ -18,9 +18,8 @@ use crate::types::OperatorId;
 /// What RKSP set-up produces. From the session cache, a second solve of
 /// a fingerprint-identical system (same pattern, same value bits, same
 /// options, same distribution) reuses both and performs *zero* setup —
-/// no partition allgather, no halo plan, no format conversion, no
-/// preconditioner factorization (paper §5.2 b/c, extended across
-/// component instances).
+/// no partition allgather, no halo or SpMV plan, no preconditioner
+/// factorization (paper §5.2 b/c, extended across component instances).
 pub struct RkspArtifact {
     operator: Box<dyn LinearOperator>,
     pc: Box<dyn Preconditioner>,

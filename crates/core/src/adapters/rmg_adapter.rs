@@ -12,7 +12,7 @@ use rcomm::Communicator;
 use rmg::{CoarseOperator, CoarseSolver, CycleType, Hierarchy, MgConfig, RmgSolver, Smoother};
 use rsparse::{BlockRowPartition, CsrMatrix, DistCsrMatrix};
 
-use super::pipeline::{set_parsed, Adapter, Backend};
+use super::pipeline::{Adapter, Backend};
 use crate::error::{LisiError, LisiResult};
 use crate::ledger::SolveInfo;
 use crate::state::LisiState;
@@ -67,8 +67,8 @@ impl RmgAdapter {
                 other => return Err(LisiError::bad_parameter("cycle", other)),
             };
         }
-        let mut omega = 0.8;
-        set_parsed(&state.options, &["omega"], &mut omega)?;
+        let opts = &state.options;
+        let omega = opts.parse_first(&["omega"])?.unwrap_or(0.8);
         if let Some(s) = state.options.get("smoother") {
             cfg.smoother = match s.to_ascii_lowercase().as_str() {
                 "jacobi" => Smoother::Jacobi { omega },
@@ -77,10 +77,10 @@ impl RmgAdapter {
                 other => return Err(LisiError::bad_parameter("smoother", other)),
             };
         }
-        set_parsed(&state.options, &["nu1"], &mut cfg.nu1)?;
-        set_parsed(&state.options, &["nu2"], &mut cfg.nu2)?;
-        set_parsed(&state.options, &["tol", "rtol"], &mut cfg.rtol)?;
-        set_parsed(&state.options, &["maxits", "max_cycles"], &mut cfg.max_cycles)?;
+        cfg.nu1 = opts.parse_first(&["nu1"])?.unwrap_or(cfg.nu1);
+        cfg.nu2 = opts.parse_first(&["nu2"])?.unwrap_or(cfg.nu2);
+        cfg.rtol = opts.parse_first(&["tol", "rtol"])?.unwrap_or(cfg.rtol);
+        cfg.max_cycles = opts.parse_first(&["maxits", "max_cycles"])?.unwrap_or(cfg.max_cycles);
         if let Some(f) = coarse {
             cfg.coarse = CoarseSolver::Callback(Box::new(move |a, b| f(a, b)));
         }
@@ -127,10 +127,13 @@ impl Backend for Rmg {
         Ok(RmgArtifact { partition, hierarchy })
     }
 
-    /// Rank 0 runs the cycles. Everything that can fail there — the
-    /// solver's own configuration check, the cycle, the coarse callback —
-    /// travels in the per-column `bcast`, so every rank returns the same
-    /// typed error instead of waiting for a rank that already left.
+    /// Rank 0 runs the cycles on the cached hierarchy, which it lends to
+    /// the solver instead of copying. One gather brings every column's
+    /// right-hand side and guess to the root; one scatter hands each rank
+    /// its rows of every solution with the root's verdict — or the root's
+    /// error (the solver's configuration check, a cycle, the coarse
+    /// callback), so every rank returns the same typed error instead of
+    /// waiting for a rank that already left.
     fn run(
         art: &RmgArtifact,
         cfg: RmgConfig,
@@ -140,38 +143,66 @@ impl Backend for Rmg {
         n_rhs: usize,
         _batched: bool,
     ) -> LisiResult<SolveInfo> {
-        let rows = art.partition.local_rows(comm.rank());
-        let solver = art
-            .hierarchy
-            .as_ref()
-            .map(|h| RmgSolver::new(h.clone(), cfg.mg).map_err(LisiError::from));
-        let mut report = SolveReport { converged: true, reason: 1, ..Default::default() };
-        for k in 0..n_rhs {
-            let col = k * rows..(k + 1) * rows;
-            let b_full = comm.gatherv(0, &rhs[col.clone()])?;
-            let mut x_full = comm.gatherv(0, &x[col.clone()])?.unwrap_or_default();
-            let verdict = match &solver {
-                Some(solver) => solver.as_ref().map_err(LisiError::clone).and_then(|solver| {
-                    let res = solver.solve(&b_full.expect("root gathered rhs"), &mut x_full)?;
-                    Ok((res.cycles, res.converged, res.relative_residual))
-                }),
-                None => Ok((0, false, 0.0)),
-            };
-            // Share the verdict and stats, then scatter the solution.
-            let (cycles, ok, rel) = comm.bcast(0, verdict)??;
-            let chunks = solver.is_some().then(|| {
-                (0..comm.size()).map(|r| x_full[art.partition.range(r)].to_vec()).collect()
-            });
-            x[col].copy_from_slice(&comm.scatter(0, chunks)?);
-            report.converged &= ok;
-            report.iterations = report.iterations.max(cycles);
-            report.residual = report.residual.max(rel);
-            if !ok {
-                report.reason = -1;
-            }
-        }
+        let part = &art.partition;
+        let local: Vec<f64> = rhs.iter().chain(x.iter()).copied().collect();
+        let chunks = comm.gatherv(0, &local)?.map(|gathered| {
+            let hierarchy = art.hierarchy.as_ref().expect("the root holds the hierarchy");
+            let solved = cycle_columns(hierarchy, cfg.mg, part, comm.size(), &gathered, n_rhs);
+            let n = part.global_rows();
+            (0..comm.size())
+                .map(|r| {
+                    let slice = solved.as_ref().map_err(LisiError::clone).map(|(xs, report)| {
+                        let rows = (0..n_rhs).flat_map(|q| &xs[q * n..][part.range(r)]);
+                        (rows.copied().collect::<Vec<f64>>(), *report)
+                    });
+                    vec![slice]
+                })
+                .collect()
+        });
+        let (mine, report) = comm.scatter(0, chunks)?.pop().expect("one outcome per rank")?;
+        x.copy_from_slice(&mine);
         Ok(SolveInfo { report, ..Default::default() })
     }
+}
+
+/// The root's share of [`Rmg::run`]: unpack the gathered columns (rank
+/// by rank, each rank's right-hand sides then its guesses), cycle each
+/// column to its verdict, and return every solution column-major with
+/// one report — the most cycles, whether all converged, the worst
+/// relative residual.
+fn cycle_columns(
+    hierarchy: &Hierarchy,
+    mg: MgConfig,
+    part: &BlockRowPartition,
+    ranks: usize,
+    gathered: &[f64],
+    k: usize,
+) -> LisiResult<(Vec<f64>, SolveReport)> {
+    let solver = RmgSolver::new(hierarchy, mg)?;
+    let n = part.global_rows();
+    let (mut b, mut xs) = (vec![0.0; k * n], vec![0.0; k * n]);
+    let mut chunk = gathered;
+    for r in 0..ranks {
+        let range = part.range(r);
+        let rows = range.len();
+        for q in 0..k {
+            b[q * n..][range.clone()].copy_from_slice(&chunk[q * rows..(q + 1) * rows]);
+            xs[q * n..][range.clone()].copy_from_slice(&chunk[(k + q) * rows..(k + q + 1) * rows]);
+        }
+        chunk = &chunk[2 * k * rows..];
+    }
+    let mut report = SolveReport { converged: true, reason: 1, ..Default::default() };
+    for q in 0..k {
+        let col = q * n..(q + 1) * n;
+        let res = solver.solve(&b[col.clone()], &mut xs[col])?;
+        report.converged &= res.converged;
+        report.iterations = report.iterations.max(res.cycles);
+        report.residual = report.residual.max(res.relative_residual);
+        if !res.converged {
+            report.reason = -1;
+        }
+    }
+    Ok((xs, report))
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use rcomm::Communicator;
 use rdirect::{DistRslu, Ordering, RsluOptions};
 use rsparse::{BlockRowPartition, CsrMatrix, DistCsrMatrix};
 
-use super::pipeline::{set_parsed, Adapter, Backend};
+use super::pipeline::{Adapter, Backend};
 use crate::error::{LisiError, LisiResult};
 use crate::ledger::SolveInfo;
 use crate::state::LisiState;
@@ -51,9 +51,11 @@ impl Backend for Rslu {
             opts.ordering =
                 Ordering::parse(&o).ok_or_else(|| LisiError::bad_parameter("ordering", &*o))?;
         }
-        set_parsed(&st.options, &["pivot_tol", "diag_pivot_thresh"], &mut opts.pivot_threshold)?;
-        set_parsed(&st.options, &["refine"], &mut opts.refine)?;
-        set_parsed(&st.options, &["equil"], &mut opts.equilibrate)?;
+        let o = &st.options;
+        let pivot = o.parse_first(&["pivot_tol", "diag_pivot_thresh"])?;
+        opts.pivot_threshold = pivot.unwrap_or(opts.pivot_threshold);
+        opts.refine = o.parse_first(&["refine"])?.unwrap_or(opts.refine);
+        opts.equilibrate = o.parse_first(&["equil"])?.unwrap_or(opts.equilibrate);
         Ok(RsluConfig { options: opts })
     }
 

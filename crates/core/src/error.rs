@@ -83,9 +83,18 @@ impl From<rcomm::CommError> for LisiError {
     }
 }
 
+impl From<rkrylov::BadValue> for LisiError {
+    fn from(e: rkrylov::BadValue) -> Self {
+        LisiError::bad_parameter(&e.key, format!("cannot parse '{}'", e.value))
+    }
+}
+
 impl From<rkrylov::KspError> for LisiError {
     fn from(e: rkrylov::KspError) -> Self {
-        LisiError::Package(e.to_string())
+        match e {
+            rkrylov::KspError::BadValue(e) => e.into(),
+            e => LisiError::Package(e.to_string()),
+        }
     }
 }
 

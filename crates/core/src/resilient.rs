@@ -382,8 +382,8 @@ impl ResilientSolver {
     /// Collective on the survivor set — every survivor reaches this from
     /// the same rank-consistent `RankLost` verdict. Mutates the captured
     /// setup state in place (communicator, distribution, matrix, RHS),
-    /// so the ordinary [`Self::configure_backend`] replay rebuilds halo
-    /// and format plans for the new layout through the cached setup
+    /// so the ordinary [`Self::configure_backend`] replay rebuilds the
+    /// halo and SpMV plans for the new layout through the cached setup
     /// path. Returns the change record and the initial guess for this
     /// rank's new block: the checkpoint slice when one exists, zeros
     /// otherwise (restart from scratch).

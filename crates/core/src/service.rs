@@ -6,7 +6,7 @@
 //! time stepping with a frozen Jacobian, embarrassingly parallel UQ
 //! ensembles. The expensive part of each solve is often not the Krylov
 //! iteration but the setup that precedes it: partition construction,
-//! halo-plan assembly, storage-format conversion, ILU factorization,
+//! halo-plan and SpMV-plan assembly, ILU factorization,
 //! sparse-direct symbolic analysis. [`SolverService`] lets the solve
 //! pipeline (`adapters/pipeline.rs`) memoize those artifacts under a
 //! *session key*, so a second solve of an identical system skips setup
@@ -19,7 +19,7 @@
 //!    where the matrix changes (the `LisiState` matrix setter) and stored
 //!    next to it. [`session_fingerprint`] is the O(1) part a solve pays:
 //!    it folds that digest with the rank/size, the row range, the option
-//!    dump, the active storage-format policy and the probe reset epoch.
+//!    dump and the probe reset epoch.
 //!    Any change to the pattern, the values, the distribution or the
 //!    configuration yields a different key, so stale artifacts can never
 //!    be served. [`fingerprint`] composes the two for outside callers.
@@ -331,10 +331,10 @@ impl SolverService {
 
 /// Rough per-rank byte footprint of a cached CSR-shaped artifact:
 /// pattern indices + values, plus a fudge for derived structures
-/// (halo plans, format conversions, ILU factors are all O(nnz)).
+/// (halo plans, the SpMV plan, ILU factors are all O(nnz)).
 pub fn approx_csr_bytes(nnz: usize, rows: usize) -> usize {
     // row_ptr + col_idx as usize, values as f64, ×3 for derived copies
-    // (converted format, preconditioner factors, halo staging).
+    // (SpMV plan, preconditioner factors, halo staging).
     (rows + 1) * std::mem::size_of::<usize>()
         + nnz * (std::mem::size_of::<usize>() + std::mem::size_of::<f64>())
             .saturating_mul(3)

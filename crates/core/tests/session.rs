@@ -411,6 +411,78 @@ fn warm_rslu_resolve_is_gather_scatter_and_one_agreement() {
     }
 }
 
+/// A warm RMG re-solve moves all of its columns to the root in one
+/// gather (right-hand sides and guesses together) and back in one
+/// scatter that carries the root's verdict, and agrees once on
+/// admission — no per-column traffic and no verdict broadcast. The root
+/// cycles on the cached hierarchy exactly as a serial `RmgSolver` does:
+/// the same cycle counts and the same solution bits.
+#[test]
+fn warm_rmg_resolve_is_one_gather_one_scatter_and_one_agreement() {
+    let m = 15usize;
+    let n = m * m;
+    let a = generate::laplacian_2d(m);
+    let bs: Vec<Vec<f64>> =
+        (0..4).map(|q| a.matvec(&generate::random_vector(n, 90 + q)).unwrap()).collect();
+    let hierarchy =
+        rmg::Hierarchy::build(a.clone(), m, rmg::CoarseOperator::Galerkin, 20, 1, None).unwrap();
+    let serial = rmg::RmgSolver::new(&hierarchy, rmg::MgConfig { rtol: 1e-9, ..Default::default() })
+        .unwrap();
+    let reference: Vec<(Vec<f64>, rmg::MgResult)> = bs
+        .iter()
+        .map(|b| {
+            let mut x = vec![0.0; n];
+            let res = serial.solve(b, &mut x).unwrap();
+            (x, res)
+        })
+        .collect();
+    for p in [1usize, 3] {
+        let (a, bs, reference) = (a.clone(), bs.clone(), reference.clone());
+        Universe::run(p, move |comm| {
+            probe::set_mode(probe::ProbeMode::Summary);
+            let range = BlockRowPartition::even(n, comm.size()).range(comm.rank());
+            let rows = range.len();
+            let local = a.row_block(range.start, range.end).unwrap();
+            let solver = RmgAdapter::new();
+            solver.initialize(comm.dup().unwrap()).unwrap();
+            solver.set_start_row(range.start).unwrap();
+            solver.set_local_rows(rows).unwrap();
+            solver.set_global_cols(n).unwrap();
+            solver.set("tol", "1e-9").unwrap();
+            solver.set("session_tag", &format!("rmg_traffic_{p}")).unwrap();
+            solver
+                .setup_matrix(local.values(), local.row_ptr(), local.col_idx(), SparseStruct::Csr)
+                .unwrap();
+            let mut status = [0.0; STATUS_LEN];
+            // The first solve is cold; the re-solves of one and of four
+            // columns find the hierarchy in the session cache.
+            for (nth, k) in [1usize, 1, 4].into_iter().enumerate() {
+                let rhs: Vec<f64> =
+                    bs[..k].iter().flat_map(|b| b[range.clone()].iter().copied()).collect();
+                solver.setup_rhs(&rhs, k).unwrap();
+                let mut x = vec![0.0; k * rows];
+                let before = collective_snapshot();
+                solver.solve(&mut x, &mut status).unwrap();
+                let after = collective_snapshot();
+                let posted: [u64; 9] = std::array::from_fn(|i| after[i] - before[i]);
+                let ctx = format!("{p} ranks, rank {}, {k} column(s)", comm.rank());
+                if nth > 0 {
+                    assert_eq!(posted, [0, 0, 0, 0, 1, 1, 1, 0, 0], "{ctx}");
+                }
+                let report = lisi::SolveReport::from_slice(&status);
+                let cycles = reference[..k].iter().map(|(_, r)| r.cycles).max().unwrap();
+                assert!(report.converged, "{ctx}");
+                assert_eq!(report.iterations, cycles, "{ctx}");
+                for (q, (x_ref, _)) in reference[..k].iter().enumerate() {
+                    let got = x[q * rows..(q + 1) * rows].iter().map(|v| v.to_bits());
+                    let want = x_ref[range.clone()].iter().map(|v| v.to_bits());
+                    assert!(got.eq(want), "{ctx}: column {q} bits");
+                }
+            }
+        });
+    }
+}
+
 /// One contract for all four backends: warm/cold agreement, keying, and
 /// the batched entry points behave the same whichever package runs.
 #[test]

@@ -309,37 +309,6 @@ impl RsluSolver {
         self.factorize(a)?;
         self.solve(b)
     }
-
-    /// [`RsluSolver::factorize`] with the phase duration streamed to a
-    /// [`probe::SolveMonitor`] as `on_phase("rslu_factor", seconds)`.
-    pub fn factorize_monitored(
-        &mut self,
-        a: &CsrMatrix,
-        mon: &mut dyn probe::SolveMonitor,
-    ) -> RsluResult<()> {
-        let t = std::time::Instant::now();
-        let out = self.factorize(a);
-        mon.on_phase("rslu_factor", t.elapsed().as_secs_f64());
-        out
-    }
-
-    /// [`RsluSolver::solve`] with the phase duration and outcome streamed
-    /// to a [`probe::SolveMonitor`]: `on_phase("rslu_solve", seconds)`
-    /// followed by `on_finish` carrying the backward error. A direct
-    /// method "iterates" zero or one times — the iteration count reported
-    /// is the number of refinement steps taken.
-    pub fn solve_monitored(
-        &mut self,
-        b: &[f64],
-        mon: &mut dyn probe::SolveMonitor,
-    ) -> RsluResult<Vec<f64>> {
-        let t = std::time::Instant::now();
-        let out = self.solve(b);
-        mon.on_phase("rslu_solve", t.elapsed().as_secs_f64());
-        let refinements = usize::from(self.options.refine);
-        mon.on_finish(refinements, self.stats.backward_error, out.is_ok());
-        out
-    }
 }
 
 /// Distributed front-end: gathers the block-row system to rank 0, runs
@@ -427,38 +396,6 @@ impl DistRslu {
         x.copy_from_slice(&mine);
         self.inner.stats.residual_norm2 = norm;
         Ok(())
-    }
-
-    /// [`DistRslu::factorize`] streaming the phase duration (gather +
-    /// factor + agreement broadcast) to a per-rank monitor. Collective.
-    pub fn factorize_monitored(
-        &mut self,
-        comm: &Communicator,
-        a: &DistCsrMatrix,
-        mon: &mut dyn probe::SolveMonitor,
-    ) -> RsluResult<()> {
-        let t = std::time::Instant::now();
-        let out = self.factorize(comm, a);
-        mon.on_phase("rslu_factor", t.elapsed().as_secs_f64());
-        out
-    }
-
-    /// [`DistRslu::solve`] streaming the phase duration and outcome to a
-    /// per-rank monitor. The backward error is only measured on the root
-    /// rank (where the factors live); other ranks report 0. Collective.
-    pub fn solve_monitored(
-        &mut self,
-        comm: &Communicator,
-        partition: &BlockRowPartition,
-        b: &DistVector,
-        mon: &mut dyn probe::SolveMonitor,
-    ) -> RsluResult<DistVector> {
-        let t = std::time::Instant::now();
-        let out = self.solve(comm, partition, b);
-        mon.on_phase("rslu_solve", t.elapsed().as_secs_f64());
-        let refinements = usize::from(self.inner.options.refine);
-        mon.on_finish(refinements, self.inner.stats.backward_error, out.is_ok());
-        out
     }
 }
 
@@ -615,7 +552,7 @@ mod tests {
     }
 
     #[test]
-    fn monitored_phases_and_probe_counters_stream_out() {
+    fn factor_and_solve_post_probe_counters() {
         let a = generate::random_diag_dominant(30, 3, 11);
         let x_true = generate::random_vector(30, 12);
         let b = a.matvec(&x_true).unwrap();
@@ -624,19 +561,12 @@ mod tests {
         let trisolves0 = probe::get(probe::Counter::TriangularSolves);
 
         let mut s = RsluSolver::new(RsluOptions::default());
-        let mut mon = probe::ResidualHistory::new();
-        s.factorize_monitored(&a, &mut mon).unwrap();
-        let x = s.solve_monitored(&b, &mut mon).unwrap();
+        s.factorize(&a).unwrap();
+        let x = s.solve(&b).unwrap();
         for (g, e) in x.iter().zip(&x_true) {
             assert!((g - e).abs() < 1e-9);
         }
-
-        let phases: Vec<&str> = mon.phases.iter().map(|(p, _)| *p).collect();
-        assert_eq!(phases, vec!["rslu_factor", "rslu_solve"]);
-        assert!(mon.phases.iter().all(|(_, s)| *s >= 0.0));
-        assert!(mon.converged);
-        assert_eq!(mon.iterations, 1, "default options take one refinement step");
-        assert!(mon.final_residual < 1e-10);
+        assert!(s.stats().backward_error < 1e-10);
 
         // Counters are always on: one factorization, and with refinement
         // each solve() runs two triangular solves.
@@ -645,7 +575,7 @@ mod tests {
     }
 
     #[test]
-    fn distributed_monitored_solve_reports_on_every_rank() {
+    fn distributed_solve_reports_the_residual_on_every_rank() {
         let a = generate::random_diag_dominant(24, 3, 21);
         let n = a.rows();
         let x_true = generate::random_vector(n, 22);
@@ -655,22 +585,18 @@ mod tests {
             let da = DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
             let db = DistVector::from_global(part.clone(), comm.rank(), &b).unwrap();
             let mut solver = DistRslu::new(RsluOptions::default());
-            let mut mon = probe::ResidualHistory::new();
-            solver.factorize_monitored(comm, &da, &mut mon).unwrap();
-            let dx = solver.solve_monitored(comm, &part, &db, &mut mon).unwrap();
-            let full = dx.allgather_full(comm).unwrap();
-            (full, mon)
+            solver.factorize(comm, &da).unwrap();
+            let dx = solver.solve(comm, &part, &db).unwrap();
+            (dx.allgather_full(comm).unwrap(), solver.root_solver().stats().residual_norm2)
         });
-        for (rank, (full, mon)) in out.into_iter().enumerate() {
+        let root_residual = out[0].1;
+        assert!(root_residual < 1e-10);
+        for (rank, (full, residual)) in out.into_iter().enumerate() {
             for (g, e) in full.iter().zip(&x_true) {
-                assert!((g - e).abs() < 1e-8);
+                assert!((g - e).abs() < 1e-8, "rank {rank}");
             }
-            let phases: Vec<&str> = mon.phases.iter().map(|(p, _)| *p).collect();
-            assert_eq!(phases, vec!["rslu_factor", "rslu_solve"], "rank {rank}");
-            assert!(mon.converged);
-            if rank == 0 {
-                assert!(mon.final_residual < 1e-10);
-            }
+            // The root's refinement residual travels with each slice.
+            assert_eq!(residual.to_bits(), root_residual.to_bits(), "rank {rank}");
         }
     }
 

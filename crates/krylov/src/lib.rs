@@ -30,7 +30,7 @@ pub mod result;
 pub mod solver;
 
 pub use operator::{LinearOperator, MatOperator, ShellOperator};
-pub use options::Options;
+pub use options::{BadValue, Options};
 pub use pc::{make_preconditioner, PcType, Preconditioner};
 pub use pc::{Ic0, Ilu0, Ilut, Jacobi, Ssor};
 pub use result::{ConvergedReason, KspError, KspResult};

@@ -3,6 +3,24 @@
 //! structure, and each solver package interprets the keys it knows.
 
 use std::collections::BTreeMap;
+use std::fmt;
+
+/// A value that does not parse as the type its key takes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BadValue {
+    /// The key the caller set.
+    pub key: String,
+    /// Its unparsable value.
+    pub value: String,
+}
+
+impl fmt::Display for BadValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "cannot parse '{}' for '{}'", self.value, self.key)
+    }
+}
+
+impl std::error::Error for BadValue {}
 
 /// An ordered string key–value store with typed setters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -49,6 +67,19 @@ impl Options {
     /// Typed read with parse.
     pub fn get_parsed<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
         self.get(key).and_then(|v| v.parse().ok())
+    }
+
+    /// Parse the first of `keys` that is set: `Ok(None)` when none is, a
+    /// [`BadValue`] naming the key the caller set when its value does not
+    /// parse as `T`.
+    pub fn parse_first<T: std::str::FromStr>(&self, keys: &[&str]) -> Result<Option<T>, BadValue> {
+        let Some((key, value)) = keys.iter().find_map(|k| self.entries.get_key_value(*k)) else {
+            return Ok(None);
+        };
+        value
+            .parse()
+            .map(Some)
+            .map_err(|_| BadValue { key: key.clone(), value: value.clone() })
     }
 
     /// Whether a key exists.
@@ -114,6 +145,17 @@ mod tests {
         assert_eq!(o.get_first(&["ksp_rtol", "tol"]).as_deref(), Some("1e-4"));
         assert_eq!(o.get_first(&["missing", "tol"]).as_deref(), Some("1e-9"));
         assert_eq!(o.get_first(&["missing1", "missing2"]), None);
+    }
+
+    #[test]
+    fn parse_first_names_the_key_that_was_set() {
+        let mut o = Options::new();
+        assert_eq!(o.parse_first::<usize>(&["ksp_max_it", "maxits"]), Ok(None));
+        o.set("maxits", "x");
+        let err = o.parse_first::<usize>(&["ksp_max_it", "maxits"]).unwrap_err();
+        assert_eq!(err, BadValue { key: "maxits".into(), value: "x".into() });
+        o.set("ksp_max_it", "12");
+        assert_eq!(o.parse_first(&["ksp_max_it", "maxits"]), Ok(Some(12usize)));
     }
 
     #[test]

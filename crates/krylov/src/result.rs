@@ -76,7 +76,9 @@ pub struct KspResult {
     pub initial_residual: f64,
     /// ‖b − A·x‖₂ (or its recurrence estimate) at exit.
     pub final_residual: f64,
-    /// Residual norm per iteration (entry 0 is the initial residual).
+    /// Every residual norm the convergence test saw, in order: entry 0 is
+    /// the initial residual, then one per iteration (BiCGStab adds its
+    /// half-step's, GMRES the true residual it recomputes at a restart).
     pub history: Vec<f64>,
     /// Condition-number estimate of the preconditioned operator from the
     /// CG Lanczos coefficients (see [`crate::analytics`]); `None` for
@@ -105,6 +107,8 @@ pub enum KspError {
     },
     /// A configuration value is invalid (e.g. negative tolerance).
     BadConfig(String),
+    /// An option value does not parse as its key's type.
+    BadValue(crate::options::BadValue),
     /// Operands don't conform (partition mismatch etc.).
     Nonconforming(String),
 }
@@ -115,6 +119,7 @@ impl fmt::Display for KspError {
             KspError::Sparse(e) => write!(f, "substrate error: {e}"),
             KspError::UnknownName { kind, name } => write!(f, "unknown {kind} '{name}'"),
             KspError::BadConfig(msg) => write!(f, "bad configuration: {msg}"),
+            KspError::BadValue(e) => write!(f, "bad configuration: {e}"),
             KspError::Nonconforming(msg) => write!(f, "nonconforming operands: {msg}"),
         }
     }
@@ -125,6 +130,12 @@ impl std::error::Error for KspError {}
 impl From<rsparse::SparseError> for KspError {
     fn from(e: rsparse::SparseError) -> Self {
         KspError::Sparse(e)
+    }
+}
+
+impl From<crate::options::BadValue> for KspError {
+    fn from(e: crate::options::BadValue) -> Self {
+        KspError::BadValue(e)
     }
 }
 

@@ -16,7 +16,6 @@ pub(crate) fn solve(
     b: &DistVector,
     x: &mut DistVector,
     cfg: &KspConfig,
-    cb: Option<&mut dyn probe::SolveMonitor>,
 ) -> KspOutcome<KspResult> {
     cfg.validate()?;
     let part = op.partition().clone();
@@ -36,7 +35,7 @@ pub(crate) fn solve(
     op.apply(comm, x, &mut t)?;
     r.axpy(-1.0, &t)?;
     let r0_norm = r.norm2(comm)?;
-    let mut mon = Monitor::new(comm, cfg, bnorm, r0_norm, cb);
+    let mut mon = Monitor::new(comm, cfg, bnorm, r0_norm);
     if let Some(reason) = mon.check(0, r0_norm) {
         return Ok(mon.finish(reason, 0, r0_norm, r0_norm));
     }
@@ -123,7 +122,6 @@ mod tests {
         b: &DistVector,
         x: &mut DistVector,
         cfg: &KspConfig,
-        cb: Option<&mut dyn probe::SolveMonitor>,
     ) -> KspOutcome<KspResult> {
         cfg.validate()?;
         let part = op.partition().clone();
@@ -135,7 +133,7 @@ mod tests {
         op.apply(comm, x, &mut t)?;
         r.axpy(-1.0, &t)?;
         let r0_norm = r.norm2(comm)?;
-        let mut mon = Monitor::new(comm, cfg, bnorm, r0_norm, cb);
+        let mut mon = Monitor::new(comm, cfg, bnorm, r0_norm);
         if let Some(reason) = mon.check(0, r0_norm) {
             return Ok(mon.finish(reason, 0, r0_norm, r0_norm));
         }
@@ -219,8 +217,8 @@ mod tests {
             };
             let mut x_new = DistVector::zeros(part.clone(), comm.rank());
             let mut x_old = DistVector::zeros(part, comm.rank());
-            let new = solve(comm, &op, pc.as_ref(), &db, &mut x_new, &cfg, None).unwrap();
-            let old = solve_unfused(comm, &op, pc.as_ref(), &db, &mut x_old, &cfg, None).unwrap();
+            let new = solve(comm, &op, pc.as_ref(), &db, &mut x_new, &cfg).unwrap();
+            let old = solve_unfused(comm, &op, pc.as_ref(), &db, &mut x_old, &cfg).unwrap();
             assert_eq!(new.reason, old.reason, "{pc_type:?}/{ranks}r");
             assert_eq!(new.iterations, old.iterations, "{pc_type:?}/{ranks}r");
             assert!(

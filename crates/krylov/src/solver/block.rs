@@ -30,7 +30,7 @@ use crate::result::{ConvergedReason, KspError, KspOutcome, KspResult};
 use crate::solver::{KspConfig, Monitor};
 
 /// Validate the flat column layout: `k` local columns of length `n`.
-fn check_layout(n: usize, k: usize, bs: &[f64], xs: &[f64]) -> KspOutcome<()> {
+pub(super) fn check_layout(n: usize, k: usize, bs: &[f64], xs: &[f64]) -> KspOutcome<()> {
     if k == 0 {
         return Err(KspError::BadConfig("batched solve needs k >= 1".into()));
     }
@@ -49,7 +49,7 @@ fn check_layout(n: usize, k: usize, bs: &[f64], xs: &[f64]) -> KspOutcome<()> {
 /// active column's monitor over budget trips the shared flag (all
 /// monitors carry the same budget, so this matches the single-solve
 /// guard bit-for-bit when `k = 1`).
-fn batch_guard(mons: &[Option<Monitor<'_, '_>>]) -> f64 {
+fn batch_guard(mons: &[Option<Monitor<'_>>]) -> f64 {
     mons.iter()
         .flatten()
         .map(|m| m.local_guard())
@@ -57,7 +57,7 @@ fn batch_guard(mons: &[Option<Monitor<'_, '_>>]) -> f64 {
 }
 
 /// Block conjugate gradients: `k` CG solves in lockstep sharing every
-/// collective. Mirrors the fused-reduction schedule of
+/// collective. Mirrors the reduction schedule of
 /// [`super::cg::solve`] exactly per column — same operation order, same
 /// reduction contents — so column `q`'s result is bit-identical to a
 /// single CG solve of that column.
@@ -104,7 +104,7 @@ pub(crate) fn block_cg(
     let mut mons: Vec<Option<Monitor>> = Vec::with_capacity(k);
     let mut results: Vec<Option<KspResult>> = vec![None; k];
     for c in 0..k {
-        let mut mon = Monitor::new(comm, cfg, bnorms[c], r0s[c], None);
+        let mut mon = Monitor::new(comm, cfg, bnorms[c], r0s[c]);
         if let Some(reason) = mon.check(0, r0s[c]) {
             results[c] = Some(mon.finish(reason, 0, r0s[c], r0s[c]));
             mons.push(None);
@@ -260,8 +260,6 @@ impl GmresCol {
 /// columns' classical-Gram–Schmidt projection coefficients ride a single
 /// `allreduce_vec` (one more for the batched `h_{j+1,j}` norms + guard).
 /// Givens rotations and back-substitution stay per-column and local.
-/// Requires `cfg.fused_reductions` (the caller routes the modified-GS
-/// schedule to sequential solves instead).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pseudo_block_gmres(
     comm: &Communicator,
@@ -304,7 +302,7 @@ pub(crate) fn pseudo_block_gmres(
     let mut mons: Vec<Option<Monitor>> = Vec::with_capacity(k);
     let mut results: Vec<Option<KspResult>> = vec![None; k];
     for c in 0..k {
-        let mut mon = Monitor::new(comm, cfg, bnorms[c], r0s[c], None);
+        let mut mon = Monitor::new(comm, cfg, bnorms[c], r0s[c]);
         if let Some(reason) = mon.check(0, r0s[c]) {
             results[c] = Some(mon.finish(reason, 0, r0s[c], r0s[c]));
             mons.push(None);

@@ -1,5 +1,8 @@
 //! Preconditioned conjugate gradients (Hestenes–Stiefel), for SPD
 //! operators with an SPD preconditioner.
+//!
+//! Collectives per solve: 3 before the loop (‖b‖, ‖r₀‖, r·z), then 2 per
+//! iteration (p·q, then ‖r‖², r·z and the wall-clock guard in one).
 
 use rcomm::Communicator;
 use rsparse::DistVector;
@@ -16,7 +19,6 @@ pub(crate) fn solve(
     b: &DistVector,
     x: &mut DistVector,
     cfg: &KspConfig,
-    cb: Option<&mut dyn probe::SolveMonitor>,
 ) -> KspOutcome<KspResult> {
     cfg.validate()?;
     let part = op.partition().clone();
@@ -28,7 +30,7 @@ pub(crate) fn solve(
     op.apply(comm, x, &mut scratch)?;
     r.axpy(-1.0, &scratch)?;
     let r0 = r.norm2(comm)?;
-    let mut mon = Monitor::new(comm, cfg, bnorm, r0, cb);
+    let mut mon = Monitor::new(comm, cfg, bnorm, r0);
     if let Some(reason) = mon.check(0, r0) {
         return Ok(mon.finish(reason, 0, r0, r0));
     }
@@ -58,36 +60,20 @@ pub(crate) fn solve(
         x.axpy(alpha, &p)?;
         // r ← r − α·q, with ‖r‖² formed in the same pass.
         let rr = rsparse::dense::axpy_norm2_sq(-alpha, q.local(), r.local_mut());
-        let rz_new;
-        if cfg.fused_reductions {
-            // Apply the preconditioner first, then combine ‖r‖² and r·z
-            // into one collective: 2 allreduces per iteration instead of
-            // 3. The allreduce is elementwise over the same rank-ordered
-            // tree, so each component is bit-identical to its standalone
-            // reduction and the convergence history is unchanged.
-            pc.apply(comm, &r, &mut z)?;
-            // The wall-clock guard flag rides the same collective as a
-            // third element, so the timeout verdict is rank-agreed for
-            // free.
-            let local = [
-                rr,
-                rsparse::dense::pdot(r.local(), z.local()),
-                mon.local_guard(),
-            ];
-            let fused = comm.allreduce_vec(&local, rcomm::sum)?;
-            rnorm = fused[0].sqrt();
-            rz_new = fused[1];
-            mon.absorb_guard(fused[2]);
-            if let Some(reason) = mon.check(iterations, rnorm) {
-                break reason;
-            }
-        } else {
-            rnorm = mon.guarded_norm2_of(rr)?;
-            if let Some(reason) = mon.check(iterations, rnorm) {
-                break reason;
-            }
-            pc.apply(comm, &r, &mut z)?;
-            rz_new = r.dot(&z, comm)?;
+        // Apply the preconditioner first, then reduce ‖r‖², r·z and the
+        // wall-clock guard flag in one collective: 2 allreduces per
+        // iteration (p·q and this one), and the timeout verdict is
+        // rank-agreed for free. The allreduce is elementwise over the
+        // same rank-ordered tree, so each component is bit-identical to
+        // its standalone reduction.
+        pc.apply(comm, &r, &mut z)?;
+        let local = [rr, rsparse::dense::pdot(r.local(), z.local()), mon.local_guard()];
+        let fused = comm.allreduce_vec(&local, rcomm::sum)?;
+        rnorm = fused[0].sqrt();
+        let rz_new = fused[1];
+        mon.absorb_guard(fused[2]);
+        if let Some(reason) = mon.check(iterations, rnorm) {
+            break reason;
         }
         if cfg.checkpoint_every > 0 && iterations.is_multiple_of(cfg.checkpoint_every) {
             // Elastic-recovery snapshot (x, r) at the checkpoint boundary;
@@ -126,7 +112,7 @@ mod tests {
 
     /// The loop as it stood before `axpy_norm2_sq` — the residual update
     /// and its norm two passes — kept as the oracle [`solve`] must match
-    /// bit for bit, under both reduction schedules.
+    /// bit for bit.
     fn solve_unfused(
         comm: &Communicator,
         op: &dyn LinearOperator,
@@ -134,7 +120,6 @@ mod tests {
         b: &DistVector,
         x: &mut DistVector,
         cfg: &KspConfig,
-        cb: Option<&mut dyn probe::SolveMonitor>,
     ) -> KspOutcome<KspResult> {
         cfg.validate()?;
         let part = op.partition().clone();
@@ -146,7 +131,7 @@ mod tests {
         op.apply(comm, x, &mut scratch)?;
         r.axpy(-1.0, &scratch)?;
         let r0 = r.norm2(comm)?;
-        let mut mon = Monitor::new(comm, cfg, bnorm, r0, cb);
+        let mut mon = Monitor::new(comm, cfg, bnorm, r0);
         if let Some(reason) = mon.check(0, r0) {
             return Ok(mon.finish(reason, 0, r0, r0));
         }
@@ -175,36 +160,18 @@ mod tests {
             alphas.push(alpha);
             x.axpy(alpha, &p)?;
             r.axpy(-alpha, &q)?;
-            let rz_new;
-            if cfg.fused_reductions {
-                // Apply the preconditioner first, then combine ‖r‖² and r·z
-                // into one collective: 2 allreduces per iteration instead of
-                // 3. The allreduce is elementwise over the same rank-ordered
-                // tree, so each component is bit-identical to its standalone
-                // reduction and the convergence history is unchanged.
-                pc.apply(comm, &r, &mut z)?;
-                // The wall-clock guard flag rides the same collective as a
-                // third element, so the timeout verdict is rank-agreed for
-                // free.
-                let local = [
-                    rsparse::dense::pdot(r.local(), r.local()),
-                    rsparse::dense::pdot(r.local(), z.local()),
-                    mon.local_guard(),
-                ];
-                let fused = comm.allreduce_vec(&local, rcomm::sum)?;
-                rnorm = fused[0].sqrt();
-                rz_new = fused[1];
-                mon.absorb_guard(fused[2]);
-                if let Some(reason) = mon.check(iterations, rnorm) {
-                    break reason;
-                }
-            } else {
-                rnorm = mon.guarded_norm2(&r)?;
-                if let Some(reason) = mon.check(iterations, rnorm) {
-                    break reason;
-                }
-                pc.apply(comm, &r, &mut z)?;
-                rz_new = r.dot(&z, comm)?;
+            pc.apply(comm, &r, &mut z)?;
+            let local = [
+                rsparse::dense::pdot(r.local(), r.local()),
+                rsparse::dense::pdot(r.local(), z.local()),
+                mon.local_guard(),
+            ];
+            let fused = comm.allreduce_vec(&local, rcomm::sum)?;
+            rnorm = fused[0].sqrt();
+            let rz_new = fused[1];
+            mon.absorb_guard(fused[2]);
+            if let Some(reason) = mon.check(iterations, rnorm) {
+                break reason;
             }
             if cfg.checkpoint_every > 0 && iterations.is_multiple_of(cfg.checkpoint_every) {
                 // Elastic-recovery snapshot (x, r) at the checkpoint boundary;
@@ -239,36 +206,28 @@ mod tests {
         let n = a.rows();
         let b = a.matvec(&generate::random_vector(n, 43)).unwrap();
         for ranks in [1usize, 2, 3] {
-            for fused_reductions in [true, false] {
-                for pc_type in [PcType::Jacobi, PcType::Ic0] {
-                    let tag = format!("{pc_type:?}/{ranks}r/fused={fused_reductions}");
-                    Universe::run(ranks, |comm| {
-                        let part = BlockRowPartition::even(n, comm.size());
-                        let da = DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
-                        let op = MatOperator::new(da);
-                        let pc = make_preconditioner(pc_type, &op).unwrap();
-                        let db = DistVector::from_global(part.clone(), comm.rank(), &b).unwrap();
-                        let cfg = KspConfig {
-                            rtol: 1e-10,
-                            fused_reductions,
-                            ..KspConfig::default()
-                        };
-                        let mut x_new = DistVector::zeros(part.clone(), comm.rank());
-                        let mut x_old = DistVector::zeros(part, comm.rank());
-                        let new =
-                            solve(comm, &op, pc.as_ref(), &db, &mut x_new, &cfg, None).unwrap();
-                        let old =
-                            solve_unfused(comm, &op, pc.as_ref(), &db, &mut x_old, &cfg, None)
-                                .unwrap();
-                        assert_eq!(new.reason, old.reason, "{tag}");
-                        assert_eq!(new.iterations, old.iterations, "{tag}");
-                        assert!(new.converged() && new.iterations > 2, "{tag}");
-                        assert_eq!(new.cond_estimate, old.cond_estimate, "{tag}");
-                        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                        assert_eq!(bits(&new.history), bits(&old.history), "{tag} history");
-                        assert_eq!(bits(x_new.local()), bits(x_old.local()), "{tag} iterate");
-                    });
-                }
+            for pc_type in [PcType::Jacobi, PcType::Ic0] {
+                let tag = format!("{pc_type:?}/{ranks}r");
+                Universe::run(ranks, |comm| {
+                    let part = BlockRowPartition::even(n, comm.size());
+                    let da = DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
+                    let op = MatOperator::new(da);
+                    let pc = make_preconditioner(pc_type, &op).unwrap();
+                    let db = DistVector::from_global(part.clone(), comm.rank(), &b).unwrap();
+                    let cfg = KspConfig { rtol: 1e-10, ..KspConfig::default() };
+                    let mut x_new = DistVector::zeros(part.clone(), comm.rank());
+                    let mut x_old = DistVector::zeros(part, comm.rank());
+                    let new = solve(comm, &op, pc.as_ref(), &db, &mut x_new, &cfg).unwrap();
+                    let old =
+                        solve_unfused(comm, &op, pc.as_ref(), &db, &mut x_old, &cfg).unwrap();
+                    assert_eq!(new.reason, old.reason, "{tag}");
+                    assert_eq!(new.iterations, old.iterations, "{tag}");
+                    assert!(new.converged() && new.iterations > 2, "{tag}");
+                    assert_eq!(new.cond_estimate, old.cond_estimate, "{tag}");
+                    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&new.history), bits(&old.history), "{tag} history");
+                    assert_eq!(bits(x_new.local()), bits(x_old.local()), "{tag} iterate");
+                });
             }
         }
     }

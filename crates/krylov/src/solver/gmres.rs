@@ -1,7 +1,11 @@
 //! Restarted GMRES with right preconditioning (and FGMRES, its flexible
-//! variant), modified Gram–Schmidt orthogonalization and Givens rotations
-//! on the Hessenberg matrix — the algorithm of Saad & Schultz as PETSc
-//! ships it.
+//! variant), classical Gram–Schmidt orthogonalization with one batched
+//! reduction per inner iteration and Givens rotations on the Hessenberg
+//! matrix — the algorithm of Saad & Schultz.
+//!
+//! Collectives per solve: 2 for ‖b‖ and ‖r₀‖, 2 per inner iteration (the
+//! projection coefficients, then ‖w‖ with the wall-clock guard), and 1
+//! per restart for the recomputed true residual.
 
 use rcomm::Communicator;
 use rsparse::DistVector;
@@ -20,7 +24,6 @@ pub(crate) fn solve(
     x: &mut DistVector,
     cfg: &KspConfig,
     flexible: bool,
-    cb: Option<&mut dyn probe::SolveMonitor>,
 ) -> KspOutcome<KspResult> {
     cfg.validate()?;
     let part = op.partition().clone();
@@ -33,7 +36,7 @@ pub(crate) fn solve(
     op.apply(comm, x, &mut w)?;
     r.axpy(-1.0, &w)?;
     let r0 = r.norm2(comm)?;
-    let mut mon = Monitor::new(comm, cfg, bnorm, r0, cb);
+    let mut mon = Monitor::new(comm, cfg, bnorm, r0);
     if let Some(reason) = mon.check(0, r0) {
         return Ok(mon.finish(reason, 0, r0, r0));
     }
@@ -100,33 +103,20 @@ pub(crate) fn solve(
                 h_cols.push(vec![0.0f64; m + 2]);
             }
             let hcol = &mut h_cols[j];
-            // Both orthogonalization flavours record under one span; the
-            // matching "gram_schmidt" work model is registered by the
-            // dispatcher.
+            // Classical Gram–Schmidt: project against the *unmodified* w,
+            // so all j+1 coefficients batch into a single allreduce_vec;
+            // one more reduction for the norm makes 2 collectives for this
+            // inner iteration. The matching "gram_schmidt" work model is
+            // registered by the dispatcher.
             let gs_span = probe::span!("gram_schmidt");
-            if cfg.fused_reductions {
-                // Classical Gram–Schmidt: project against the *unmodified*
-                // w, so all j+1 coefficients batch into a single
-                // allreduce_vec; one more reduction for the norm makes 2
-                // collectives for this inner iteration instead of j+2.
-                // (Slightly different roundoff than modified Gram–Schmidt;
-                // the basis subtraction itself is unchanged.)
-                dots_local.clear();
-                for vi in basis_v.iter().take(j + 1) {
-                    dots_local.push(rsparse::dense::pdot(w.local(), vi.local()));
-                }
-                let dots = comm.allreduce_vec(&dots_local, rcomm::sum)?;
-                for (i, (vi, &hij)) in basis_v.iter().take(j + 1).zip(&dots).enumerate() {
-                    hcol[i] = hij;
-                    w.axpy(-hij, vi)?;
-                }
-            } else {
-                // Modified Gram–Schmidt: one collective per basis vector.
-                for (i, vi) in basis_v.iter().enumerate().take(j + 1) {
-                    let hij = w.dot(vi, comm)?;
-                    hcol[i] = hij;
-                    w.axpy(-hij, vi)?;
-                }
+            dots_local.clear();
+            for vi in basis_v.iter().take(j + 1) {
+                dots_local.push(rsparse::dense::pdot(w.local(), vi.local()));
+            }
+            let dots = comm.allreduce_vec(&dots_local, rcomm::sum)?;
+            for (i, (vi, &hij)) in basis_v.iter().take(j + 1).zip(&dots).enumerate() {
+                hcol[i] = hij;
+                w.axpy(-hij, vi)?;
             }
             drop(gs_span);
             let hnext = mon.guarded_norm2(&w)?;

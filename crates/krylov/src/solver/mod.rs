@@ -97,18 +97,6 @@ pub struct KspConfig {
     /// Chebyshev spectral bounds (λmin, λmax) of the preconditioned
     /// operator; `None` triggers a power-method estimate.
     pub cheby_bounds: Option<(f64, f64)>,
-    /// Record the residual history into [`KspResult::history`] (costs one
-    /// Vec push per iteration). Automatically suppressed when a
-    /// [`probe::SolveMonitor`] is attached via
-    /// [`Ksp::solve_monitored`] — the monitor receives the same stream,
-    /// so the legacy Vec would be a duplicate allocation.
-    pub keep_history: bool,
-    /// Fuse per-iteration reductions into batched `allreduce_vec` calls
-    /// (CG: residual norm + r·z in one collective; GMRES: all Arnoldi
-    /// projection dots in one collective via classical Gram–Schmidt).
-    /// Cuts the latency-bound collective count per iteration; disable to
-    /// get the textbook one-reduction-per-dot schedule.
-    pub fused_reductions: bool,
     /// Wall-clock budget in seconds (`None` = unlimited). Each rank's
     /// local deadline flag is folded into the per-iteration residual
     /// reduction, so the `TimedOut` verdict is agreed rank-wide without
@@ -141,8 +129,6 @@ impl Default for KspConfig {
             restart: 30,
             richardson_scale: 1.0,
             cheby_bounds: None,
-            keep_history: true,
-            fused_reductions: true,
             max_seconds: None,
             stagnation_window: 0,
             checkpoint_every: std::env::var("RSPARSE_CHECKPOINT_EVERY")
@@ -178,8 +164,10 @@ impl KspConfig {
     /// LISI-friendly aliases): `ksp_type`/`solver`, `pc_type`/
     /// `preconditioner`, `ksp_rtol`/`tol`, `ksp_atol`, `ksp_dtol`,
     /// `ksp_max_it`/`maxits`, `ksp_gmres_restart`/`restart`,
-    /// `pc_sor_omega`, `richardson_scale`,
-    /// `ksp_fused_reductions`/`fused_reductions`.
+    /// `pc_ilut_droptol`, `pc_ilut_maxfill`, `pc_sor_omega`,
+    /// `richardson_scale`, `ksp_max_seconds`, `ksp_stagnation_window`,
+    /// `ksp_checkpoint_every`. A value that does not parse is a
+    /// [`KspError::BadValue`] naming the key that was set.
     pub fn from_options(opts: &Options) -> KspOutcome<Self> {
         let mut cfg = KspConfig::default();
         if let Some(v) = opts.get_first(&["ksp_type", "solver"]) {
@@ -188,96 +176,50 @@ impl KspConfig {
         if let Some(v) = opts.get_first(&["pc_type", "preconditioner"]) {
             cfg.pc_type = PcType::parse(&v)?;
         }
-        if let Some(v) = opts.get_first(&["ksp_rtol", "tol", "rtol"]) {
-            cfg.rtol = v.parse().map_err(|_| KspError::BadConfig(format!("bad rtol '{v}'")))?;
-        }
-        if let Some(v) = opts.get_first(&["ksp_atol", "atol"]) {
-            cfg.atol = v.parse().map_err(|_| KspError::BadConfig(format!("bad atol '{v}'")))?;
-        }
-        if let Some(v) = opts.get_first(&["ksp_dtol", "dtol"]) {
-            cfg.dtol = v.parse().map_err(|_| KspError::BadConfig(format!("bad dtol '{v}'")))?;
-        }
-        if let Some(v) = opts.get_first(&["ksp_max_it", "maxits", "max_iterations"]) {
-            cfg.maxits =
-                v.parse().map_err(|_| KspError::BadConfig(format!("bad maxits '{v}'")))?;
-        }
-        if let Some(v) = opts.get_first(&["ksp_gmres_restart", "restart"]) {
-            cfg.restart =
-                v.parse().map_err(|_| KspError::BadConfig(format!("bad restart '{v}'")))?;
-        }
-        if let Some(v) = opts.get_first(&["pc_ilut_droptol", "droptol"]) {
-            let droptol: f64 =
-                v.parse().map_err(|_| KspError::BadConfig(format!("bad droptol '{v}'")))?;
-            if let PcType::Ilut { max_fill, .. } = cfg.pc_type {
-                cfg.pc_type = PcType::Ilut { droptol, max_fill };
+        cfg.rtol = opts.parse_first(&["ksp_rtol", "tol", "rtol"])?.unwrap_or(cfg.rtol);
+        cfg.atol = opts.parse_first(&["ksp_atol", "atol"])?.unwrap_or(cfg.atol);
+        cfg.dtol = opts.parse_first(&["ksp_dtol", "dtol"])?.unwrap_or(cfg.dtol);
+        let maxits = opts.parse_first(&["ksp_max_it", "maxits", "max_iterations"])?;
+        cfg.maxits = maxits.unwrap_or(cfg.maxits);
+        cfg.restart = opts.parse_first(&["ksp_gmres_restart", "restart"])?.unwrap_or(cfg.restart);
+        // Preconditioner parameters are parsed whatever the type, so a bad
+        // value is an error even where it would not be read.
+        let droptol = opts.parse_first(&["pc_ilut_droptol", "droptol"])?;
+        let fill = opts.parse_first(&["pc_ilut_maxfill", "fill"])?;
+        let sor_omega = opts.parse_first(&["pc_sor_omega", "omega"])?;
+        match &mut cfg.pc_type {
+            PcType::Ilut { droptol: d, max_fill } => {
+                *d = droptol.unwrap_or(*d);
+                *max_fill = fill.unwrap_or(*max_fill);
             }
+            PcType::Ssor { omega } => *omega = sor_omega.unwrap_or(*omega),
+            _ => {}
         }
-        if let Some(v) = opts.get_first(&["pc_ilut_maxfill", "fill"]) {
-            let max_fill: usize =
-                v.parse().map_err(|_| KspError::BadConfig(format!("bad fill '{v}'")))?;
-            if let PcType::Ilut { droptol, .. } = cfg.pc_type {
-                cfg.pc_type = PcType::Ilut { droptol, max_fill };
-            }
-        }
-        if let Some(v) = opts.get_first(&["pc_sor_omega", "omega"]) {
-            let omega: f64 =
-                v.parse().map_err(|_| KspError::BadConfig(format!("bad omega '{v}'")))?;
-            if matches!(cfg.pc_type, PcType::Ssor { .. }) {
-                cfg.pc_type = PcType::Ssor { omega };
-            }
-        }
-        if let Some(v) = opts.get_first(&["richardson_scale"]) {
-            cfg.richardson_scale =
-                v.parse().map_err(|_| KspError::BadConfig(format!("bad scale '{v}'")))?;
-        }
-        if let Some(v) = opts.get_first(&["ksp_max_seconds", "max_seconds"]) {
-            let secs: f64 = v
-                .parse()
-                .map_err(|_| KspError::BadConfig(format!("bad max_seconds '{v}'")))?;
-            cfg.max_seconds = Some(secs);
-        }
-        if let Some(v) = opts.get_first(&["ksp_stagnation_window", "stagnation_window"]) {
-            cfg.stagnation_window = v
-                .parse()
-                .map_err(|_| KspError::BadConfig(format!("bad stagnation_window '{v}'")))?;
-        }
-        if let Some(v) = opts.get_first(&["ksp_checkpoint_every", "checkpoint_every"]) {
-            cfg.checkpoint_every = v
-                .parse()
-                .map_err(|_| KspError::BadConfig(format!("bad checkpoint_every '{v}'")))?;
-        }
-        if let Some(v) = opts.get_first(&["ksp_fused_reductions", "fused_reductions"]) {
-            cfg.fused_reductions = match v.to_ascii_lowercase().as_str() {
-                "1" | "true" | "yes" | "on" => true,
-                "0" | "false" | "no" | "off" => false,
-                other => {
-                    return Err(KspError::BadConfig(format!(
-                        "bad fused_reductions '{other}' (expected a boolean)"
-                    )))
-                }
-            };
-        }
+        let scale = opts.parse_first(&["richardson_scale"])?;
+        cfg.richardson_scale = scale.unwrap_or(cfg.richardson_scale);
+        let max_seconds = opts.parse_first(&["ksp_max_seconds", "max_seconds"])?;
+        cfg.max_seconds = max_seconds.or(cfg.max_seconds);
+        let window = opts.parse_first(&["ksp_stagnation_window", "stagnation_window"])?;
+        cfg.stagnation_window = window.unwrap_or(cfg.stagnation_window);
+        let every = opts.parse_first(&["ksp_checkpoint_every", "checkpoint_every"])?;
+        cfg.checkpoint_every = every.unwrap_or(cfg.checkpoint_every);
         cfg.validate()?;
         Ok(cfg)
     }
 }
 
-/// Convergence bookkeeping shared by every method. Streams residuals to
-/// an optional [`probe::SolveMonitor`] callback as the solve progresses;
-/// when one is attached, the legacy in-result history Vec is suppressed
-/// (the monitor receives the identical stream).
-pub(crate) struct Monitor<'a, 'b> {
+/// Convergence bookkeeping shared by every method. Every residual it is
+/// shown goes into [`KspResult::history`]; each iteration's first one is
+/// also committed to the probe log as an [`probe::EventKind::Iter`], and
+/// the verdict as one [`probe::EventKind::Verdict`] — the stream every
+/// artifact renders.
+pub(crate) struct Monitor<'a> {
     rtol_target: f64,
     atol: f64,
     dtol_target: f64,
     maxits: usize,
-    pub history: Vec<f64>,
-    keep_history: bool,
+    history: Vec<f64>,
     comm: &'a Communicator,
-    cb: Option<&'b mut dyn probe::SolveMonitor>,
-    /// `comm.allreduce_count()` at solve start, so callbacks report the
-    /// collectives issued by *this* solve.
-    allreduce0: u64,
     /// Highest iteration number seen, so methods that check twice per
     /// iteration (BiCGStab's half-step) count each iteration once.
     last_counted: usize,
@@ -295,22 +237,8 @@ pub(crate) struct Monitor<'a, 'b> {
     stalled: usize,
 }
 
-impl<'a, 'b> Monitor<'a, 'b> {
-    pub(crate) fn new(
-        comm: &'a Communicator,
-        cfg: &KspConfig,
-        bnorm: f64,
-        r0: f64,
-        mut cb: Option<&'b mut dyn probe::SolveMonitor>,
-    ) -> Self {
-        let keep_history = cfg.keep_history && cb.is_none();
-        let mut history = Vec::new();
-        if keep_history {
-            history.push(r0);
-        }
-        if let Some(m) = cb.as_deref_mut() {
-            m.on_start(r0);
-        }
+impl<'a> Monitor<'a> {
+    pub(crate) fn new(comm: &'a Communicator, cfg: &KspConfig, bnorm: f64, r0: f64) -> Self {
         // PETSc semantics: relative to ‖b‖ unless b = 0, then absolute.
         let scale = if bnorm > 0.0 { bnorm } else { 1.0 };
         Monitor {
@@ -318,11 +246,8 @@ impl<'a, 'b> Monitor<'a, 'b> {
             atol: cfg.atol,
             dtol_target: cfg.dtol * scale.max(r0),
             maxits: cfg.maxits,
-            history,
-            keep_history,
+            history: vec![r0],
             comm,
-            cb,
-            allreduce0: comm.allreduce_count(),
             last_counted: 0,
             deadline: cfg
                 .max_seconds
@@ -399,13 +324,7 @@ impl<'a, 'b> Monitor<'a, 'b> {
                     }
                 }
             }
-            if self.keep_history {
-                self.history.push(rnorm);
-            }
-            if let Some(m) = self.cb.as_deref_mut() {
-                let collectives = self.comm.allreduce_count() - self.allreduce0;
-                m.on_iteration(iteration, rnorm, collectives);
-            }
+            self.history.push(rnorm);
         }
         if rnorm <= self.atol {
             return Some(ConvergedReason::AbsoluteTolerance);
@@ -438,30 +357,26 @@ impl<'a, 'b> Monitor<'a, 'b> {
     }
 
     pub(crate) fn finish(
-        mut self,
+        self,
         reason: ConvergedReason,
         iterations: usize,
         r0: f64,
         rfinal: f64,
     ) -> KspResult {
-        let result = KspResult {
-            reason,
-            iterations,
-            initial_residual: r0,
-            final_residual: rfinal,
-            history: std::mem::take(&mut self.history),
-            cond_estimate: None,
-        };
         // Every solve path funnels through finish, so this is the single
         // verdict-transition event the flight recorder sees.
         probe::emit(probe::EventKind::Verdict {
             verdict: reason.name(),
             iteration: iterations as u64,
         });
-        if let Some(m) = self.cb.as_deref_mut() {
-            m.on_finish(iterations, rfinal, result.converged());
+        KspResult {
+            reason,
+            iterations,
+            initial_residual: r0,
+            final_residual: rfinal,
+            history: self.history,
+            cond_estimate: None,
         }
-        result
     }
 }
 
@@ -518,7 +433,7 @@ impl Ksp {
         x: &mut DistVector,
     ) -> KspOutcome<KspResult> {
         let pc = self.make_pc(op)?;
-        self.dispatch(comm, op, pc.as_ref(), b, x, None)
+        self.solve_with_pc(comm, op, pc.as_ref(), b, x)
     }
 
     /// Solve with a caller-provided (possibly reused) preconditioner.
@@ -530,36 +445,12 @@ impl Ksp {
         b: &DistVector,
         x: &mut DistVector,
     ) -> KspOutcome<KspResult> {
-        self.dispatch(comm, op, pc, b, x, None)
-    }
-
-    /// Solve with a [`probe::SolveMonitor`] receiving the residual stream,
-    /// per-solve collective counts and completion callback as the solve
-    /// runs. The result's legacy `history` Vec is left empty: the monitor
-    /// receives the identical data, so retaining both would allocate twice.
-    pub fn solve_monitored(
-        &self,
-        comm: &Communicator,
-        op: &dyn LinearOperator,
-        b: &DistVector,
-        x: &mut DistVector,
-        mon: &mut dyn probe::SolveMonitor,
-    ) -> KspOutcome<KspResult> {
-        let pc = self.make_pc(op)?;
-        self.dispatch(comm, op, pc.as_ref(), b, x, Some(mon))
-    }
-
-    /// [`Self::solve_monitored`] with a caller-provided preconditioner.
-    pub fn solve_with_pc_monitored(
-        &self,
-        comm: &Communicator,
-        op: &dyn LinearOperator,
-        pc: &dyn Preconditioner,
-        b: &DistVector,
-        x: &mut DistVector,
-        mon: &mut dyn probe::SolveMonitor,
-    ) -> KspOutcome<KspResult> {
-        self.dispatch(comm, op, pc, b, x, Some(mon))
+        // Open a causal trace for this solve (inert unless tracing is
+        // armed) before the span so the span lands inside the trace.
+        let _trace = probe::trace::solve_guard();
+        let _span = probe::span!("ksp_solve");
+        self.register_work_models(comm, op, 1);
+        self.run_method(comm, op, pc, b, x)
     }
 
     /// Solve `k` systems sharing the operator — `A·x_q = b_q` for the
@@ -580,12 +471,11 @@ impl Ksp {
 
     /// Batched multi-RHS solve with a caller-provided preconditioner.
     ///
-    /// CG (with fused reductions) routes to the block-CG driver and
-    /// GMRES/FGMRES to pseudo-block GMRES: `k` lockstep solves sharing
-    /// one fused multi-vector SpMV per operator application and batching
-    /// all per-column dot products into single collectives. Every other
-    /// method — and the unfused schedules — falls back to `k` sequential
-    /// single-RHS solves. In both cases column `q`'s result is
+    /// CG routes to the block-CG driver and GMRES/FGMRES to pseudo-block
+    /// GMRES: `k` lockstep solves sharing one fused multi-vector SpMV per
+    /// operator application and batching all per-column dot products
+    /// into single collectives. Every other method falls back to `k`
+    /// sequential single-RHS solves. In both cases column `q`'s result is
     /// bit-identical to a standalone solve of that column.
     pub fn solve_batch_with_pc(
         &self,
@@ -598,202 +488,112 @@ impl Ksp {
     ) -> KspOutcome<Vec<KspResult>> {
         let _trace = probe::trace::solve_guard();
         let _span = probe::span!("ksp_solve");
+        self.register_work_models(comm, op, k);
         let cfg = &self.config;
-        {
-            use probe::model::{register, KernelModel, TimeBase, WorkUnit};
-            let n = op.partition().local_rows(comm.rank()) as u64;
-            register(
-                "allreduce",
-                KernelModel {
-                    span: "allreduce",
-                    flops: 0,
-                    bytes: 1,
-                    unit: WorkUnit::Counter(probe::Counter::ReducedBytes),
-                    time: TimeBase::Total,
-                    nrhs: 1,
-                },
-            );
-            match cfg.ksp_type {
-                // Same per-column-iteration vector-op cost as single CG
-                // (KspIterations counts each column's iterations); nrhs
-                // marks the batch width for ledger attribution.
-                KspType::Cg => register(
-                    "krylov_vec_ops",
-                    KernelModel {
-                        span: "ksp_solve",
-                        flops: 12 * n,
-                        bytes: 120 * n,
-                        unit: WorkUnit::Counter(probe::Counter::KspIterations),
-                        time: TimeBase::SelfTime,
-                        nrhs: k as u64,
-                    },
-                ),
-                KspType::Gmres | KspType::Fgmres => {
-                    let proj = (cfg.restart as u64).div_ceil(2);
-                    register(
-                        "gram_schmidt",
-                        KernelModel {
-                            span: "gram_schmidt",
-                            flops: 4 * n * proj,
-                            bytes: 40 * n * proj,
-                            unit: WorkUnit::SpanCalls,
-                            time: TimeBase::Total,
-                            nrhs: k as u64,
-                        },
-                    );
-                }
-                _ => {}
-            }
-        }
         match cfg.ksp_type {
-            KspType::Cg if cfg.fused_reductions => {
-                block::block_cg(comm, op, pc, bs, xs, k, cfg)
-            }
-            KspType::Gmres if cfg.fused_reductions => {
-                block::pseudo_block_gmres(comm, op, pc, bs, xs, k, cfg, false)
-            }
-            KspType::Fgmres if cfg.fused_reductions => {
-                block::pseudo_block_gmres(comm, op, pc, bs, xs, k, cfg, true)
-            }
+            KspType::Cg => block::block_cg(comm, op, pc, bs, xs, k, cfg),
+            KspType::Gmres => block::pseudo_block_gmres(comm, op, pc, bs, xs, k, cfg, false),
+            KspType::Fgmres => block::pseudo_block_gmres(comm, op, pc, bs, xs, k, cfg, true),
             _ => {
-                // Sequential fallback: k independent single-RHS solves
-                // (the batched entry still applies — callers get one call
-                // site and uniform accounting either way).
-                let part = op.partition().clone();
+                let part = op.partition();
                 let n = part.local_rows(comm.rank());
-                if k == 0 {
-                    return Err(KspError::BadConfig("batched solve needs k >= 1".into()));
-                }
-                if bs.len() != k * n || xs.len() != k * n {
-                    return Err(KspError::Nonconforming(format!(
-                        "batched solve expects k*n_local = {} values per side, got b: {}, x: {}",
-                        k * n,
-                        bs.len(),
-                        xs.len()
-                    )));
-                }
+                block::check_layout(n, k, bs, xs)?;
                 let mut out = Vec::with_capacity(k);
                 for c in 0..k {
-                    let b = DistVector::from_local(
-                        part.clone(),
-                        comm.rank(),
-                        bs[c * n..(c + 1) * n].to_vec(),
-                    )
-                    .map_err(KspError::Sparse)?;
-                    let mut x = DistVector::from_local(
-                        part.clone(),
-                        comm.rank(),
-                        xs[c * n..(c + 1) * n].to_vec(),
-                    )
-                    .map_err(KspError::Sparse)?;
-                    let res = match cfg.ksp_type {
-                        KspType::Cg => cg::solve(comm, op, pc, &b, &mut x, cfg, None),
-                        KspType::BiCgStab => {
-                            bicgstab::solve(comm, op, pc, &b, &mut x, cfg, None)
-                        }
-                        KspType::Gmres => {
-                            gmres::solve(comm, op, pc, &b, &mut x, cfg, false, None)
-                        }
-                        KspType::Fgmres => {
-                            gmres::solve(comm, op, pc, &b, &mut x, cfg, true, None)
-                        }
-                        KspType::Cgs => cgs::solve(comm, op, pc, &b, &mut x, cfg, None),
-                        KspType::Tfqmr => tfqmr::solve(comm, op, pc, &b, &mut x, cfg, None),
-                        KspType::Richardson => {
-                            richardson::solve(comm, op, pc, &b, &mut x, cfg, None)
-                        }
-                        KspType::Chebyshev => {
-                            chebyshev::solve(comm, op, pc, &b, &mut x, cfg, None)
-                        }
-                    }?;
-                    xs[c * n..(c + 1) * n].copy_from_slice(x.local());
-                    out.push(res);
+                    let col = c * n..(c + 1) * n;
+                    let local = |v: &[f64]| {
+                        DistVector::from_local(part.clone(), comm.rank(), v[col.clone()].to_vec())
+                    };
+                    let b = local(bs)?;
+                    let mut x = local(xs)?;
+                    out.push(self.run_method(comm, op, pc, &b, &mut x)?);
+                    xs[col].copy_from_slice(x.local());
                 }
                 Ok(out)
             }
         }
     }
 
-    fn dispatch(
+    /// Work models for the solver-owned kernels of a solve of `nrhs`
+    /// columns, from the config and the operator's partition. The
+    /// collective payload model joins with the ReducedBytes counter
+    /// (message sizes vary per call); the CG vector-op model rides the
+    /// ksp_solve *self* time — the matvec/sptrsv/allreduce children carry
+    /// their own models. `nrhs` marks the batch width for ledger
+    /// attribution.
+    fn register_work_models(&self, comm: &Communicator, op: &dyn LinearOperator, nrhs: usize) {
+        use probe::model::{register, KernelModel, TimeBase, WorkUnit};
+        let n = op.partition().local_rows(comm.rank()) as u64;
+        let nrhs = nrhs as u64;
+        register(
+            "allreduce",
+            KernelModel {
+                span: "allreduce",
+                flops: 0,
+                bytes: 1,
+                unit: WorkUnit::Counter(probe::Counter::ReducedBytes),
+                time: TimeBase::Total,
+                nrhs: 1,
+            },
+        );
+        match self.config.ksp_type {
+            // Per CG iteration (of each column): 3 axpy-shaped updates (2
+            // flops, 3 streams each) and 3 dot-shaped reductions (2 flops,
+            // 2 streams each) over the local length.
+            KspType::Cg => register(
+                "krylov_vec_ops",
+                KernelModel {
+                    span: "ksp_solve",
+                    flops: 12 * n,
+                    bytes: 120 * n,
+                    unit: WorkUnit::Counter(probe::Counter::KspIterations),
+                    time: TimeBase::SelfTime,
+                    nrhs,
+                },
+            ),
+            // Per inner GMRES iteration, averaged over a restart cycle of
+            // depth m: (m+1)/2 projections, each one dot plus one axpy.
+            KspType::Gmres | KspType::Fgmres => {
+                let proj = (self.config.restart as u64).div_ceil(2);
+                register(
+                    "gram_schmidt",
+                    KernelModel {
+                        span: "gram_schmidt",
+                        flops: 4 * n * proj,
+                        bytes: 40 * n * proj,
+                        unit: WorkUnit::SpanCalls,
+                        time: TimeBase::Total,
+                        nrhs,
+                    },
+                );
+            }
+            _ => {}
+        }
+    }
+
+    /// The configured method on one right-hand side.
+    fn run_method(
         &self,
         comm: &Communicator,
         op: &dyn LinearOperator,
         pc: &dyn Preconditioner,
         b: &DistVector,
         x: &mut DistVector,
-        cb: Option<&mut dyn probe::SolveMonitor>,
     ) -> KspOutcome<KspResult> {
-        // Open a causal trace for this solve (inert unless tracing is
-        // armed) before the span so the span lands inside the trace.
-        let _trace = probe::trace::solve_guard();
-        let _span = probe::span!("ksp_solve");
         let cfg = &self.config;
-        // Work models for the solver-owned kernels, from the config and
-        // the operator's partition. The collective payload model joins
-        // with the ReducedBytes counter (message sizes vary per call);
-        // the CG vector-op model rides the ksp_solve *self* time — the
-        // matvec/sptrsv/allreduce children carry their own models.
-        {
-            use probe::model::{register, KernelModel, TimeBase, WorkUnit};
-            let n = op.partition().local_rows(comm.rank()) as u64;
-            register(
-                "allreduce",
-                KernelModel {
-                    span: "allreduce",
-                    flops: 0,
-                    bytes: 1,
-                    unit: WorkUnit::Counter(probe::Counter::ReducedBytes),
-                    time: TimeBase::Total,
-                    nrhs: 1,
-                },
-            );
-            match cfg.ksp_type {
-                // Per CG iteration: 3 axpy-shaped updates (2 flops, 3
-                // streams each) and 3 dot-shaped reductions (2 flops, 2
-                // streams each) over the local length.
-                KspType::Cg => register(
-                    "krylov_vec_ops",
-                    KernelModel {
-                        span: "ksp_solve",
-                        flops: 12 * n,
-                        bytes: 120 * n,
-                        unit: WorkUnit::Counter(probe::Counter::KspIterations),
-                        time: TimeBase::SelfTime,
-                        nrhs: 1,
-                    },
-                ),
-                // Per inner GMRES iteration, averaged over a restart
-                // cycle of depth m: (m+1)/2 projections, each one dot
-                // plus one axpy.
-                KspType::Gmres | KspType::Fgmres => {
-                    let proj = (cfg.restart as u64).div_ceil(2);
-                    register(
-                        "gram_schmidt",
-                        KernelModel {
-                            span: "gram_schmidt",
-                            flops: 4 * n * proj,
-                            bytes: 40 * n * proj,
-                            unit: WorkUnit::SpanCalls,
-                            time: TimeBase::Total,
-                            nrhs: 1,
-                        },
-                    );
-                }
-                _ => {}
-            }
-        }
         match cfg.ksp_type {
-            KspType::Cg => cg::solve(comm, op, pc, b, x, cfg, cb),
-            KspType::BiCgStab => bicgstab::solve(comm, op, pc, b, x, cfg, cb),
-            KspType::Gmres => gmres::solve(comm, op, pc, b, x, cfg, false, cb),
-            KspType::Fgmres => gmres::solve(comm, op, pc, b, x, cfg, true, cb),
-            KspType::Cgs => cgs::solve(comm, op, pc, b, x, cfg, cb),
-            KspType::Tfqmr => tfqmr::solve(comm, op, pc, b, x, cfg, cb),
-            KspType::Richardson => richardson::solve(comm, op, pc, b, x, cfg, cb),
-            KspType::Chebyshev => chebyshev::solve(comm, op, pc, b, x, cfg, cb),
+            KspType::Cg => cg::solve(comm, op, pc, b, x, cfg),
+            KspType::BiCgStab => bicgstab::solve(comm, op, pc, b, x, cfg),
+            KspType::Gmres => gmres::solve(comm, op, pc, b, x, cfg, false),
+            KspType::Fgmres => gmres::solve(comm, op, pc, b, x, cfg, true),
+            KspType::Cgs => cgs::solve(comm, op, pc, b, x, cfg),
+            KspType::Tfqmr => tfqmr::solve(comm, op, pc, b, x, cfg),
+            KspType::Richardson => richardson::solve(comm, op, pc, b, x, cfg),
+            KspType::Chebyshev => chebyshev::solve(comm, op, pc, b, x, cfg),
         }
     }
 }
+
 
 #[cfg(test)]
 mod tests {

@@ -17,7 +17,6 @@ pub(crate) fn solve(
     b: &DistVector,
     x: &mut DistVector,
     cfg: &KspConfig,
-    cb: Option<&mut dyn probe::SolveMonitor>,
 ) -> KspOutcome<KspResult> {
     cfg.validate()?;
     let part = op.partition().clone();
@@ -30,7 +29,7 @@ pub(crate) fn solve(
     let mut r = b.clone();
     r.axpy(-1.0, &ax)?;
     let r0 = r.norm2(comm)?;
-    let mut mon = Monitor::new(comm, cfg, bnorm, r0, cb);
+    let mut mon = Monitor::new(comm, cfg, bnorm, r0);
     if let Some(reason) = mon.check(0, r0) {
         return Ok(mon.finish(reason, 0, r0, r0));
     }

@@ -16,7 +16,6 @@ pub(crate) fn solve(
     b: &DistVector,
     x: &mut DistVector,
     cfg: &KspConfig,
-    cb: Option<&mut dyn probe::SolveMonitor>,
 ) -> KspOutcome<KspResult> {
     cfg.validate()?;
     let part = op.partition().clone();
@@ -38,7 +37,7 @@ pub(crate) fn solve(
     op.apply(comm, x, &mut tmp)?;
     r.axpy(-1.0, &tmp)?;
     let r0n = r.norm2(comm)?;
-    let mut mon = Monitor::new(comm, cfg, bnorm, r0n, cb);
+    let mut mon = Monitor::new(comm, cfg, bnorm, r0n);
     if let Some(reason) = mon.check(0, r0n) {
         return Ok(mon.finish(reason, 0, r0n, r0n));
     }

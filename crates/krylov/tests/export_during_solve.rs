@@ -122,7 +122,6 @@ fn concurrent_scrapes_mid_solve_are_consistent() {
                 rtol: 0.0,
                 atol: 0.0,
                 maxits: 600,
-                keep_history: false,
                 ..KspConfig::default()
             })
             .unwrap();

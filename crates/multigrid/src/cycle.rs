@@ -83,16 +83,17 @@ pub struct MgResult {
     pub history: Vec<f64>,
 }
 
-/// The multigrid solver: a hierarchy plus a configuration.
+/// The multigrid solver: a borrowed hierarchy plus a configuration. The
+/// hierarchy is built once and lent to every solver that cycles on it.
 #[derive(Debug)]
-pub struct RmgSolver {
-    hierarchy: Hierarchy,
+pub struct RmgSolver<'h> {
+    hierarchy: &'h Hierarchy,
     config: MgConfig,
 }
 
-impl RmgSolver {
-    /// Assemble from a prebuilt hierarchy.
-    pub fn new(hierarchy: Hierarchy, config: MgConfig) -> MgResultT<Self> {
+impl<'h> RmgSolver<'h> {
+    /// Assemble over a prebuilt hierarchy.
+    pub fn new(hierarchy: &'h Hierarchy, config: MgConfig) -> MgResultT<Self> {
         if config.nu1 + config.nu2 == 0 {
             return Err(MgError::BadConfig("need at least one smoothing sweep".into()));
         }
@@ -103,8 +104,8 @@ impl RmgSolver {
     }
 
     /// Borrow the hierarchy.
-    pub fn hierarchy(&self) -> &Hierarchy {
-        &self.hierarchy
+    pub fn hierarchy(&self) -> &'h Hierarchy {
+        self.hierarchy
     }
 
     /// One multigrid cycle on level `l` for A_l·x = b (x updated in
@@ -183,16 +184,16 @@ mod tests {
     use crate::hierarchy::CoarseOperator;
     use rsparse::generate;
 
-    fn poisson_solver(m: usize, config: MgConfig) -> RmgSolver {
+    fn poisson_hierarchy(m: usize) -> Hierarchy {
         let a = generate::laplacian_2d(m);
-        let h = Hierarchy::build(a, m, CoarseOperator::Galerkin, 10, 1, None).unwrap();
-        RmgSolver::new(h, config).unwrap()
+        Hierarchy::build(a, m, CoarseOperator::Galerkin, 10, 1, None).unwrap()
     }
 
     #[test]
     fn v_cycle_solves_poisson_fast() {
         let m = 31;
-        let solver = poisson_solver(m, MgConfig::default());
+        let h = poisson_hierarchy(m);
+        let solver = RmgSolver::new(&h, MgConfig::default()).unwrap();
         let n = m * m;
         let x_true = generate::random_vector(n, 7);
         let a = generate::laplacian_2d(m);
@@ -216,7 +217,8 @@ mod tests {
         let counts: Vec<usize> = [7usize, 15, 31]
             .iter()
             .map(|&m| {
-                let solver = poisson_solver(m, MgConfig::default());
+                let h = poisson_hierarchy(m);
+                let solver = RmgSolver::new(&h, MgConfig::default()).unwrap();
                 let n = m * m;
                 let b = vec![1.0; n];
                 let mut x = vec![0.0; n];
@@ -230,12 +232,8 @@ mod tests {
     #[test]
     fn w_cycle_converges_at_least_as_fast_per_cycle() {
         let m = 15;
-        let mk = |cycle| {
-            poisson_solver(
-                m,
-                MgConfig { cycle, ..MgConfig::default() },
-            )
-        };
+        let h = poisson_hierarchy(m);
+        let mk = |cycle| RmgSolver::new(&h, MgConfig { cycle, ..MgConfig::default() }).unwrap();
         let b = vec![1.0; m * m];
         let mut xv = vec![0.0; m * m];
         let rv = mk(CycleType::V).solve(&b, &mut xv).unwrap();
@@ -249,8 +247,9 @@ mod tests {
     fn gauss_seidel_smoother_beats_jacobi_cycles() {
         let m = 15;
         let b = vec![1.0; m * m];
-        let run = |sm| {
-            let solver = poisson_solver(m, MgConfig { smoother: sm, ..MgConfig::default() });
+        let h = poisson_hierarchy(m);
+        let run = |smoother| {
+            let solver = RmgSolver::new(&h, MgConfig { smoother, ..MgConfig::default() }).unwrap();
             let mut x = vec![0.0; m * m];
             solver.solve(&b, &mut x).unwrap().cycles
         };
@@ -261,7 +260,8 @@ mod tests {
 
     #[test]
     fn history_is_strictly_decreasing_for_poisson() {
-        let solver = poisson_solver(15, MgConfig::default());
+        let h = poisson_hierarchy(15);
+        let solver = RmgSolver::new(&h, MgConfig::default()).unwrap();
         let b = vec![1.0; 225];
         let mut x = vec![0.0; 225];
         let res = solver.solve(&b, &mut x).unwrap();
@@ -283,7 +283,8 @@ mod tests {
             })),
             ..MgConfig::default()
         };
-        let solver = poisson_solver(15, config);
+        let h = poisson_hierarchy(15);
+        let solver = RmgSolver::new(&h, config).unwrap();
         let b = vec![1.0; 225];
         let mut x = vec![0.0; 225];
         let res = solver.solve(&b, &mut x).unwrap();
@@ -297,7 +298,8 @@ mod tests {
             coarse: CoarseSolver::Callback(Box::new(|_, _| Err("nope".into()))),
             ..MgConfig::default()
         };
-        let solver = poisson_solver(7, config);
+        let h = poisson_hierarchy(7);
+        let solver = RmgSolver::new(&h, config).unwrap();
         let b = vec![1.0; 49];
         let mut x = vec![0.0; 49];
         assert!(matches!(solver.solve(&b, &mut x), Err(MgError::CoarseSolver(_))));
@@ -308,7 +310,7 @@ mod tests {
         let a = generate::laplacian_2d(7);
         let h = Hierarchy::build(a, 7, CoarseOperator::Galerkin, 10, 1, None).unwrap();
         assert!(RmgSolver::new(
-            h,
+            &h,
             MgConfig { nu1: 0, nu2: 0, ..MgConfig::default() }
         )
         .is_err());
@@ -320,7 +322,7 @@ mod tests {
         let m = 8;
         let a = generate::laplacian_2d(m);
         let h = Hierarchy::build(a.clone(), m, CoarseOperator::Galerkin, 10, 1, None).unwrap();
-        let solver = RmgSolver::new(h, MgConfig::default()).unwrap();
+        let solver = RmgSolver::new(&h, MgConfig::default()).unwrap();
         let x_true = generate::random_vector(64, 3);
         let b = a.matvec(&x_true).unwrap();
         let mut x = vec![0.0; 64];

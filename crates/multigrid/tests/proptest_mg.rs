@@ -70,7 +70,7 @@ proptest! {
         let m = 15;
         let a = generate::laplacian_2d(m);
         let h = Hierarchy::build(a.clone(), m, CoarseOperator::Galerkin, 10, 1, None).unwrap();
-        let solver = RmgSolver::new(h, MgConfig::default()).unwrap();
+        let solver = RmgSolver::new(&h, MgConfig::default()).unwrap();
         let b = generate::random_vector(m * m, seed);
         let mut x = vec![0.0; m * m];
         let res = solver.solve(&b, &mut x).unwrap();

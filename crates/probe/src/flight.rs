@@ -142,4 +142,19 @@ mod tests {
         }
         assert_eq!((braces, brackets), (0, 0));
     }
+
+    #[test]
+    fn non_finite_residuals_become_null() {
+        let iter = |residual| {
+            let ev = Event { t0_ns: 0, t1_ns: 0, solve: 1, kind: EventKind::Iter { iteration: 3, residual } };
+            record_json(&ev).expect("Iter is a black-box event")
+        };
+        for r in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let rec = iter(r);
+            assert!(rec.ends_with("\"residual\":null}"), "{r} must serialize as null: {rec}");
+        }
+        let rec = iter(1.5);
+        assert!(rec.contains("\"residual\":1.5"), "{rec}");
+        assert!(rec.contains("\"iteration\":3"), "{rec}");
+    }
 }

@@ -48,10 +48,9 @@
 //!   [`render_breakdown`] (Table-1 style), [`render_jsonl`], [`export`]
 //!   (Prometheus text over localhost TCP, `RSPARSE_METRICS_ADDR`), and
 //!   the solve [`ledger`]. They agree because they render the same
-//!   events, and each names the solve by the same `trace_id`.
-//! * **[`SolveMonitor`]** — a per-iteration callback trait the iterative
-//!   and direct solvers drive; delivery is a caller opt-in, independent
-//!   of the level.
+//!   events, and each names the solve by the same `trace_id`. A Krylov
+//!   solve's residual stream is its `Iter` events and its `Verdict`;
+//!   there is no callback beside the log.
 //!
 //! # Ranks
 //!
@@ -72,7 +71,6 @@ pub mod hist;
 pub mod json;
 pub mod ledger;
 pub mod model;
-mod monitor;
 mod recorder;
 mod sink;
 mod span;
@@ -81,7 +79,6 @@ pub mod trace;
 pub use counter::{add, get, incr, Counter};
 pub use event::{emit, emit_since, Event, EventKind, TRACE_CAPACITY};
 pub use model::{KernelEfficiency, KernelModel, Roofline, TimeBase, WorkUnit};
-pub use monitor::{JsonlMonitor, ResidualHistory, SolveMonitor};
 pub use recorder::{
     enabled, level, mode, note, reset, reset_epoch, set_mode, set_rank, Level,
     PeerStat, ProbeMode,

@@ -291,6 +291,8 @@ mod tests {
 
     #[test]
     fn models_register_last_wins() {
+        // A concurrent `reset` clears every recorder's models.
+        let _g = crate::tests::locked();
         let model = KernelModel {
             span: "work",
             flops: 7,

@@ -1,16 +1,13 @@
 //! Schema validation of the probe crate's machine-readable exports:
 //! the chrome://tracing document, the per-rank JSONL report stream and
-//! the [`probe::JsonlMonitor`] live stream are parsed back with the
-//! in-tree `serde_json` shim and checked field by field — catching
-//! quoting slips, missing commas and schema drift that substring asserts
-//! cannot.
+//! the postmortem are parsed back with the in-tree `serde_json` shim and
+//! checked field by field — catching quoting slips, missing commas and
+//! schema drift that substring asserts cannot.
 //!
 //! The tests mutate the process-wide probe mode and recorder registry,
 //! so they serialize on one lock and reset state at each boundary.
 
 use std::sync::Mutex;
-
-use serde_json::Value;
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -108,43 +105,6 @@ fn jsonl_report_stream_parses_line_by_line() {
     }
     assert!(lines >= 1, "at least one rank line:\n{text}");
     assert!(saw_span, "the recorded span must appear:\n{text}");
-}
-
-#[test]
-fn jsonl_monitor_stream_parses_event_by_event() {
-    use probe::SolveMonitor;
-    let mut buf: Vec<u8> = Vec::new();
-    {
-        let mut mon = probe::JsonlMonitor::with_rank(&mut buf, 2);
-        mon.on_start(1.0);
-        mon.on_iteration(1, 0.5, 2);
-        mon.on_iteration(2, f64::NAN, 4);
-        mon.on_phase("factorize", 0.25);
-        mon.on_finish(2, 1e-9, true);
-    }
-    let text = String::from_utf8(buf).expect("monitor stream is UTF-8");
-    let events: Vec<Value> = text
-        .lines()
-        .map(|l| serde_json::from_str(l).expect("each monitor line is one JSON object"))
-        .collect();
-    assert_eq!(events.len(), 5);
-    for e in &events {
-        assert_eq!(e["rank"].as_u64(), Some(2), "every line carries the rank tag");
-        assert!(e["event"].as_str().is_some());
-    }
-    assert_eq!(events[0]["event"].as_str(), Some("start"));
-    assert_eq!(events[1]["iteration"].as_u64(), Some(1));
-    assert_eq!(events[1]["residual"].as_f64(), Some(0.5));
-    assert!(events[2]["residual"].is_null(), "NaN residual serializes as null");
-    assert_eq!(events[3]["phase"].as_str(), Some("factorize"));
-    assert_eq!(events[4]["converged"].as_bool(), Some(true));
-    // Iteration counters are monotone across the stream.
-    let iters: Vec<u64> = events
-        .iter()
-        .filter(|e| e["event"].as_str() == Some("iteration"))
-        .map(|e| e["iteration"].as_u64().unwrap())
-        .collect();
-    assert!(iters.windows(2).all(|w| w[0] < w[1]), "iterations: {iters:?}");
 }
 
 #[test]

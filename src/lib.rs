@@ -11,7 +11,7 @@
 //!
 //! | module | crate | role |
 //! |--------|-------|------|
-//! | [`probe`] | `lisi-probe` | per-rank tracing, metrics, solve monitors |
+//! | [`probe`] | `lisi-probe` | per-rank tracing, metrics, the event log |
 //! | [`comm`] | `lisi-comm` | MPI-like message passing (ranks, collectives) |
 //! | [`sparse`] | `lisi-sparse` | formats, kernels, distributed matrices |
 //! | [`mesh`] | `lisi-mesh` | the paper's PDE problem generator |

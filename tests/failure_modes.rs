@@ -317,6 +317,9 @@ fn unparsable_option_values_are_bad_parameter_on_every_rank() {
         ("raztec", &[("preconditioner", "neumann")], "poly_ord", "3.5"),
         ("raztec", &[], "tol", "abc"),
         ("rksp", &[], "tol", "abc"),
+        ("rksp", &[], "maxits", "x"),
+        ("rksp", &[], "restart", "1.5"),
+        ("rksp", &[], "ksp_rtol", "abc"),
     ];
     for &(package, with, key, value) in table {
         let prepare = |s: &dyn SparseSolverPort| {
@@ -333,13 +336,7 @@ fn unparsable_option_values_are_bad_parameter_on_every_rank() {
         };
         for (rank, err) in errs.iter().enumerate() {
             let ctx = format!("{package} {key}={value}, rank {rank}: {err:?}");
-            if package == "rksp" {
-                // RKSP parses through its own option database, whose
-                // typed error is the package's (ROADMAP item 9).
-                assert!(matches!(err, LisiError::Package(m) if m.contains(value)), "{ctx}");
-            } else {
-                assert!(matches!(err, LisiError::BadParameter { key: k, .. } if k == key), "{ctx}");
-            }
+            assert!(matches!(err, LisiError::BadParameter { key: k, .. } if k == key), "{ctx}");
         }
     }
 }
