@@ -65,8 +65,8 @@ proptest! {
             prop_assert_eq!(row_bytes, rep.counter(Counter::BytesSent));
 
             // The per-peer receive map == its receive counters.
-            let recv_msgs: u64 = rep.peer_recvs.values().map(|s| s.msgs).sum();
-            let recv_bytes: u64 = rep.peer_recvs.values().map(|s| s.bytes).sum();
+            let recv_msgs: u64 = rep.peer_recvs().values().map(|s| s.msgs).sum();
+            let recv_bytes: u64 = rep.peer_recvs().values().map(|s| s.bytes).sum();
             prop_assert_eq!(recv_msgs, rep.counter(Counter::RecvsCompleted));
             prop_assert_eq!(recv_bytes, rep.counter(Counter::BytesReceived));
 

@@ -22,13 +22,15 @@
 //! (`probe::flight::tails_by_rank`) — ranks are threads of one
 //! process, so the fallback still captures every rank's tail.
 //!
-//! The path defaults to `postmortem.json` in the working directory;
-//! `RSPARSE_POSTMORTEM=off|0|none|false` disables the dump entirely and
-//! any other non-empty value overrides the path.
+//! The path defaults to `postmortem.json` in the working directory (as
+//! does `RSPARSE_POSTMORTEM=1|on|true`); `off|0|none|false` disables the
+//! dump entirely and any other non-empty value overrides the path — the
+//! grammar the solve ledger's destination shares.
 
 use std::path::PathBuf;
 
 use probe::flight;
+use probe::json::{escape as json_escape, number};
 use rcomm::Communicator;
 
 use crate::status::SolveReport;
@@ -39,48 +41,12 @@ pub const SCHEMA: &str = "lisi-postmortem-v1";
 /// Default output path (relative to the working directory).
 pub const DEFAULT_PATH: &str = "postmortem.json";
 
-/// Resolve the postmortem destination from `RSPARSE_POSTMORTEM`:
+/// Resolve the postmortem destination from `RSPARSE_POSTMORTEM` (the
+/// grammar of [`probe::ledger::parse_destination`], on by default):
 /// `None` when dumps are disabled, otherwise the target path.
 pub fn path() -> Option<PathBuf> {
-    match std::env::var("RSPARSE_POSTMORTEM") {
-        Ok(v) => {
-            let v = v.trim().to_string();
-            if v.is_empty() {
-                return Some(PathBuf::from(DEFAULT_PATH));
-            }
-            match v.to_ascii_lowercase().as_str() {
-                "off" | "0" | "none" | "false" => None,
-                _ => Some(PathBuf::from(v)),
-            }
-        }
-        Err(_) => Some(PathBuf::from(DEFAULT_PATH)),
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// JSON number for an `f64` (`null` for non-finite values).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
+    let spec = std::env::var("RSPARSE_POSTMORTEM").ok();
+    probe::ledger::parse_destination(spec.as_deref(), DEFAULT_PATH, true)
 }
 
 fn report_json(report: &SolveReport) -> String {
@@ -89,9 +55,9 @@ fn report_json(report: &SolveReport) -> String {
          \"solve_seconds\":{},\"reason\":{},\"attempts\":{},\"recovery\":{},\"cohort\":{}}}",
         report.converged,
         report.iterations,
-        json_f64(report.residual),
-        json_f64(report.setup_seconds),
-        json_f64(report.solve_seconds),
+        number(report.residual),
+        number(report.setup_seconds),
+        number(report.solve_seconds),
         report.reason,
         report.attempts,
         report.recovery,
@@ -135,42 +101,12 @@ impl CohortChange {
     }
 }
 
-fn counters_json(report: &probe::RankReport) -> String {
-    let mut out = String::from("{");
-    let mut first = true;
-    for c in probe::Counter::ALL {
-        let v = report.counter(c);
-        if v == 0 {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!("\"{}\":{v}", c.name()));
-    }
-    out.push('}');
-    out
-}
-
-fn notes_json(report: &probe::RankReport) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in report.notes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)));
-    }
-    out.push('}');
-    out
-}
-
 /// The residual history a tail's `Iter` events replay, in order.
 fn residuals_json(tail: &[probe::Event]) -> String {
     let residuals: Vec<String> = tail
         .iter()
         .filter_map(|e| match e.kind {
-            probe::EventKind::Iter { residual, .. } => Some(json_f64(residual)),
+            probe::EventKind::Iter { residual, .. } => Some(number(residual)),
             _ => None,
         })
         .collect();
@@ -181,13 +117,11 @@ fn residuals_json(tail: &[probe::Event]) -> String {
 /// notes (e.g. the chosen SpMV format).
 fn rank_fragment(rank: usize) -> String {
     let (tail, total) = flight::local_tail();
-    let report = probe::local_report();
     format!(
-        "{{\"rank\":{rank},\"trace_id\":{},\"events_recorded\":{total},\"counters\":{},\
-         \"notes\":{},\"residual_history\":{},\"events\":{}}}",
+        "{{\"rank\":{rank},\"trace_id\":{},\"events_recorded\":{total},{},\
+         \"residual_history\":{},\"events\":{}}}",
         probe::trace::current(),
-        counters_json(&report),
-        notes_json(&report),
+        probe::local_report().counters_and_notes_json(),
         residuals_json(&tail),
         flight::tail_json(&tail),
     )
@@ -326,19 +260,30 @@ pub fn write_cohort(
 mod tests {
     use super::*;
 
+    /// Quotes, backslashes and control bytes in the free-text sections
+    /// parse back out of the document as they went in.
     #[test]
     fn escaping_handles_quotes_and_control_bytes() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let (trigger, policy, step) = ("a\"b\\c\nd", "rksp:solver=cg\u{1}", "x\ty");
+        let rep = SolveReport::default();
+        let doc = assemble(trigger, 1, policy, &[step.into()], &rep, None, "cohort", &[]);
+        let v = serde_json::from_str(&doc).expect("the postmortem parses");
+        assert_eq!(v["trigger"].as_str(), Some(trigger));
+        assert_eq!(v["policy"].as_str(), Some(policy));
+        assert_eq!(v["recovery_path"][0].as_str(), Some(step));
     }
 
     #[test]
     fn non_finite_numbers_serialize_as_null() {
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(1.5), "1.5");
-        let rep = SolveReport { residual: f64::NAN, ..SolveReport::default() };
-        assert!(report_json(&rep).contains("\"residual\":null"));
+        let rep = SolveReport {
+            residual: f64::NAN,
+            setup_seconds: f64::INFINITY,
+            solve_seconds: 1.5,
+            ..SolveReport::default()
+        };
+        let v = serde_json::from_str(&report_json(&rep)).expect("the report block parses");
+        assert!(v["residual"].is_null() && v["setup_seconds"].is_null());
+        assert_eq!(v["solve_seconds"].as_f64(), Some(1.5));
     }
 
     #[test]

@@ -856,12 +856,20 @@ mod tests {
         assert!(matches!(sw.acquire("rksp"), Err(LisiError::InvalidInput(_))));
     }
 
+    /// A recovered or exhausted solve dumps a postmortem: send it to a
+    /// scratch path instead of the working directory (the crate's).
+    fn scratch_postmortems() {
+        let dest = std::env::temp_dir().join("lisi_core_unit_postmortem.json");
+        std::env::set_var("RSPARSE_POSTMORTEM", dest);
+    }
+
     /// Drive the resilient solver over the manufactured paper problem.
     fn run_resilient(
         ranks: usize,
         policy: &str,
         expect_converged: bool,
     ) -> Vec<(LisiResult<()>, Vec<f64>, f64)> {
+        scratch_postmortems();
         let man = rmesh::manufactured::paper_manufactured(9);
         let n = man.exact.len();
         let a = man.matrix.clone();
@@ -1025,6 +1033,7 @@ mod tests {
 
     #[test]
     fn framework_switch_rewires_through_the_builder_service() {
+        scratch_postmortems();
         let man = rmesh::manufactured::paper_manufactured(7);
         let n = man.exact.len();
         let a = man.matrix.clone();

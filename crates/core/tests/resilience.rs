@@ -43,6 +43,10 @@ struct RankOutcome {
 /// Drive the resilient solver (rksp + rslu backends) over
 /// `laplacian_2d(n_side)` under whatever fault plan is armed.
 fn run_driver(ranks: usize, n_side: usize, policy: &str) -> Vec<RankOutcome> {
+    // Recovered and exhausted solves dump postmortems: to a scratch path,
+    // not the working directory (the crate's).
+    let dumps = std::env::temp_dir().join("lisi_resilience_postmortem.json");
+    std::env::set_var("RSPARSE_POSTMORTEM", dumps);
     let a = generate::laplacian_2d(n_side);
     let n = n_side * n_side;
     let b = vec![1.0; n];

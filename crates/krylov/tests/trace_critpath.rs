@@ -67,7 +67,7 @@ fn critpath_totals_reconcile_with_the_wait_attribution_table() {
             .find(|r| r.rank == Some(rt.rank))
             .expect("every traced rank aggregates a report");
         let span_total = |name: &str| {
-            rep.spans.iter().find(|s| s.name == name).map(|s| s.total_s).unwrap_or(0.0)
+            rep.spans().iter().find(|s| s.name == name).map(|s| s.total_s).unwrap_or(0.0)
         };
         let halo = span_total("halo_post") + span_total("halo_drain");
         let reduce = span_total("allreduce");

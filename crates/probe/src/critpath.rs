@@ -108,7 +108,8 @@ impl CritPath {
 
 const NS: f64 = 1e-9;
 
-use crate::sink::{COMPUTE_SPANS, HALO_SPANS};
+use crate::sink::{COMPUTE_SPANS, HALO_SPANS, WAIT_COLUMNS};
+use crate::table::{Kind, Table, Value};
 
 /// Collect every ranked recorder's events for the most recent solve id,
 /// and how many events those recorders' logs have overwritten.
@@ -259,73 +260,28 @@ fn analyze(trace: u64, per_rank: &BTreeMap<usize, Vec<Event>>, dropped: u64) -> 
 /// Render a [`CritPath`] as the text block the drivers append to the
 /// probe summary.
 pub fn render(cp: &CritPath) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "== critical path (trace {}, {} ranks) ==",
-        cp.trace,
-        cp.ranks.len()
-    );
+    let mut out = format!("== critical path (trace {}, {} ranks) ==\n", cp.trace, cp.ranks.len());
     let covered = cp.covered_s();
-    let cover_pct =
-        if cp.end_to_end_s > 0.0 { 100.0 * covered / cp.end_to_end_s } else { 0.0 };
-    let _ = writeln!(
-        out,
-        "  end-to-end {:.6} s; path covers {:.1}% in {} segments",
-        cp.end_to_end_s,
-        cover_pct,
-        cp.segments.len()
-    );
+    let cover_pct = if cp.end_to_end_s > 0.0 { 100.0 * covered / cp.end_to_end_s } else { 0.0 };
+    let (e2e, n) = (cp.end_to_end_s, cp.segments.len());
+    let _ = writeln!(out, "  end-to-end {e2e:.6} s; path covers {cover_pct:.1}% in {n} segments");
     if cp.dropped > 0 {
-        let _ = writeln!(
-            out,
-            "  {} events dropped (log overwrote its oldest): totals cover the retained tail",
-            cp.dropped
-        );
+        let what = "events dropped (log overwrote its oldest): totals cover the retained tail";
+        let _ = writeln!(out, "  {} {what}", cp.dropped);
     }
-    let local = cp.kind_seconds(SegmentKind::Local);
-    let wait = cp.kind_seconds(SegmentKind::Wait);
-    let coll = cp.kind_seconds(SegmentKind::Collective);
     if covered > 0.0 {
-        let _ = writeln!(
-            out,
-            "  attribution: local {:.1}%  wait-on-peer {:.1}%  collective {:.1}%",
-            100.0 * local / covered,
-            100.0 * wait / covered,
-            100.0 * coll / covered
-        );
+        let pct = |kind| 100.0 * cp.kind_seconds(kind) / covered;
+        let (l, w) = (pct(SegmentKind::Local), pct(SegmentKind::Wait));
+        let c = pct(SegmentKind::Collective);
+        let line = format!("local {l:.1}%  wait-on-peer {w:.1}%  collective {c:.1}%");
+        let _ = writeln!(out, "  attribution: {line}");
     }
-    let _ = writeln!(
-        out,
-        "  per-rank totals (cf. wait attribution table):"
-    );
-    let _ = writeln!(
-        out,
-        "  {:<10} {:>14} {:>14} {:>14}",
-        "rank", "halo wait (s)", "reduce (s)", "compute (s)"
-    );
-    for r in &cp.ranks {
-        let _ = writeln!(
-            out,
-            "  {:<10} {:>14.6} {:>14.6} {:>14.6}",
-            format!("rank {}", r.rank),
-            r.halo_wait_s,
-            r.reduce_s,
-            r.compute_s
-        );
-    }
+    out.push_str(&totals_table(cp).text("  per-rank totals (cf. wait attribution table):", 2));
     if !cp.edges.is_empty() {
-        let _ = writeln!(out, "  top blocking edges:");
-        for (i, e) in cp.edges.iter().take(5).enumerate() {
-            let _ = writeln!(
-                out,
-                "   {}. rank {} waited {:.6} s on rank {} ({})",
-                i + 1,
-                e.waiter,
-                e.seconds,
-                e.holder,
-                e.via
-            );
+        out.push_str("  top blocking edges:\n");
+        for (n, e) in (1..).zip(cp.edges.iter().take(5)) {
+            let (w, h, secs, via) = (e.waiter, e.holder, e.seconds, &e.via);
+            let _ = writeln!(out, "   {n}. rank {w} waited {secs:.6} s on rank {h} ({via})");
         }
     }
     out
@@ -336,45 +292,37 @@ pub fn render_latest() -> String {
     analyze_latest().map(|cp| render(&cp)).unwrap_or_default()
 }
 
+/// The per-rank totals: the wait-attribution columns but `blocked`.
+fn totals_table(cp: &CritPath) -> Table {
+    let mut table = Table::new(None, &WAIT_COLUMNS[..3]);
+    for r in &cp.ranks {
+        let values = [r.halo_wait_s, r.reduce_s, r.compute_s].map(Value::Real).to_vec();
+        table.push(Some(r.rank), format!("rank {}", r.rank), values);
+    }
+    table
+}
+
 /// Compact JSON summary of a [`CritPath`] (embedded in postmortems).
 pub fn summary_json(cp: &CritPath) -> String {
-    let mut out = format!(
-        "{{\"trace_id\":{},\"end_to_end_s\":{},\"local_s\":{},\"wait_s\":{},\"collective_s\":{},\"per_rank\":[",
+    use Value::{Int, Real};
+    let (count, secs, text) = (Kind::Count, Kind::Secs, Kind::Text);
+    let columns = [("waiter", count), ("holder", count), ("seconds", secs), ("via", text)];
+    let mut edges = Table::new(None, &columns);
+    for e in cp.edges.iter().take(5) {
+        let (waiter, holder) = (Int(e.waiter as u64), Int(e.holder as u64));
+        edges.push(None, "", vec![waiter, holder, Real(e.seconds), Value::Text(e.via.clone())]);
+    }
+    format!(
+        "{{\"trace_id\":{},\"end_to_end_s\":{},\"local_s\":{},\"wait_s\":{},\"collective_s\":{},\
+         \"per_rank\":{},\"top_edges\":{}}}",
         cp.trace,
         json::number(cp.end_to_end_s),
         json::number(cp.kind_seconds(SegmentKind::Local)),
         json::number(cp.kind_seconds(SegmentKind::Wait)),
         json::number(cp.kind_seconds(SegmentKind::Collective)),
-    );
-    for (i, r) in cp.ranks.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"rank\":{},\"halo_wait_s\":{},\"reduce_s\":{},\"compute_s\":{}}}",
-            r.rank,
-            json::number(r.halo_wait_s),
-            json::number(r.reduce_s),
-            json::number(r.compute_s)
-        );
-    }
-    out.push_str("],\"top_edges\":[");
-    for (i, e) in cp.edges.iter().take(5).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"waiter\":{},\"holder\":{},\"seconds\":{},\"via\":\"{}\"}}",
-            e.waiter,
-            e.holder,
-            json::number(e.seconds),
-            e.via
-        );
-    }
-    out.push_str("]}");
-    out
+        totals_table(cp).json(true),
+        edges.json(false),
+    )
 }
 
 /// JSON summary of the latest trace's critical path (`"null"` when no

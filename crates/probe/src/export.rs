@@ -1,14 +1,12 @@
-//! Live telemetry export: Prometheus text format over localhost TCP.
+//! Live telemetry export: the Prometheus text exposition (version 0.0.4)
+//! of the report tables, and a std-only HTTP/1.0 responder for it.
 //!
-//! [`snapshot`] renders every counter, span total and latency histogram
-//! in the recorder registry as Prometheus text exposition (version
-//! 0.0.4) — the one-shot API a driving service polls per session.
-//! [`serve`] runs a minimal HTTP/1.0 responder on a blocking
-//! `std::net::TcpListener` accept loop (std-only; the probe crate takes
-//! no runtime dependencies) that answers every request with a fresh
-//! snapshot. [`maybe_serve_from_env`] starts it once per process when
+//! [`snapshot`] renders the whole recorder registry once; [`serve`]
+//! answers every request on a blocking `TcpListener` accept loop with a
+//! fresh one; [`maybe_serve_from_env`] starts that once per process when
 //! `RSPARSE_METRICS_ADDR` is set (e.g. `127.0.0.1:9184`); default off.
 
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -17,14 +15,8 @@ use std::time::Duration;
 
 use crate::counter::Counter;
 use crate::hist;
-use crate::sink::{aggregate, RankReport};
-
-fn rank_value(rep: &RankReport) -> String {
-    match rep.rank {
-        Some(r) => r.to_string(),
-        None => "none".to_string(),
-    }
-}
+use crate::sink::{aggregate, tables, RankReport};
+use crate::table::{Format, Row, Table};
 
 /// Render one Prometheus snapshot of the whole recorder registry:
 /// `rsparse_<counter>_total` counters, `rsparse_span_seconds_total` /
@@ -34,158 +26,109 @@ pub fn snapshot() -> String {
     render(&aggregate())
 }
 
+/// A metric family: name, `# HELP` text, type, and the column it samples.
+type Family<'a> = (&'a str, &'a str, &'a str, &'a str);
+
+/// `# HELP` and `# TYPE` of one metric family.
+fn meta(out: &mut String, name: &str, help: &str, kind: &str) {
+    let _ = write!(out, "# HELP {name} {help}\n# TYPE {name} {kind}\n");
+}
+
+/// One sample, `name{rank="r"<labels>} value`; `labels` holds any further
+/// `,key="value"` pairs.
+fn sample(out: &mut String, name: &str, rank: Option<usize>, labels: &str, value: &str) {
+    let rank = rank.map_or("none".to_string(), |r| r.to_string());
+    let _ = writeln!(out, "{name}{{rank=\"{rank}\"{labels}}} {value}");
+}
+
+/// The writer of `table`'s `rows`: each family's metadata if any row has
+/// a sample for it, then per row one sample per family, labelled by rank
+/// and, when `label` names it, by the row's key.
+fn families(out: &mut String, table: &Table, rows: &[Row], fams: &[Family], label: Option<&str>) {
+    let value = |row: &Row, column: &str| {
+        let c = table.column(column);
+        Some(row.values[c].write(table.columns[c].1, Format::Prometheus)).filter(|v| !v.is_empty())
+    };
+    for &(name, help, kind, column) in fams {
+        if rows.iter().any(|row| value(row, column).is_some()) {
+            meta(out, name, help, kind);
+        }
+    }
+    for row in rows {
+        let labels = label.map_or(String::new(), |l| format!(",{l}=\"{}\"", row.key));
+        for &(name, _, _, column) in fams {
+            if let Some(v) = value(row, column) {
+                sample(out, name, row.rank, &labels, &v);
+            }
+        }
+    }
+}
+
 /// Render the Prometheus exposition for pre-aggregated reports. Every
 /// metric family carries `# HELP` and `# TYPE` metadata so strict
 /// scrapers parse the page.
 pub fn render(reports: &[RankReport]) -> String {
     let mut out = String::new();
-    // Counters: one family per probe counter with any nonzero value.
-    for c in Counter::ALL {
-        if reports.iter().all(|rep| rep.counter(c) == 0) {
-            continue;
-        }
-        out.push_str(&format!(
-            "# HELP rsparse_{}_total Probe counter `{}`, accumulated per rank.\n",
-            c.name(),
-            c.name()
-        ));
-        out.push_str(&format!("# TYPE rsparse_{}_total counter\n", c.name()));
-        for rep in reports {
-            let v = rep.counter(c);
-            if v > 0 {
-                out.push_str(&format!(
-                    "rsparse_{}_total{{rank=\"{}\"}} {v}\n",
-                    c.name(),
-                    rank_value(rep)
-                ));
-            }
-        }
+    let t = tables(reports, crate::model::roofline().as_ref());
+    // One family per counter, in declaration order.
+    let mut counters = t.counters.rows.clone();
+    counters.sort_by_key(|row| Counter::ALL.iter().position(|c| c.name() == row.key));
+    for rows in counters.chunk_by(|a, b| a.key == b.key) {
+        let name = format!("rsparse_{}_total", rows[0].key);
+        let help = format!("Probe counter `{}`, accumulated per rank.", rows[0].key);
+        families(&mut out, &t.counters, rows, &[(&name, &help, "counter", "value")], None);
     }
-    // Spans: total seconds and call counts.
-    if reports.iter().any(|rep| !rep.spans.is_empty()) {
-        out.push_str(
-            "# HELP rsparse_span_seconds_total Inclusive wall-clock seconds per probe span.\n",
-        );
-        out.push_str("# TYPE rsparse_span_seconds_total counter\n");
-        out.push_str("# HELP rsparse_span_calls_total Times each probe span closed.\n");
-        out.push_str("# TYPE rsparse_span_calls_total counter\n");
-        for rep in reports {
-            for s in &rep.spans {
-                let rank = rank_value(rep);
-                out.push_str(&format!(
-                    "rsparse_span_seconds_total{{rank=\"{rank}\",span=\"{}\"}} {:e}\n",
-                    s.name, s.total_s
-                ));
-                out.push_str(&format!(
-                    "rsparse_span_calls_total{{rank=\"{rank}\",span=\"{}\"}} {}\n",
-                    s.name, s.calls
-                ));
-            }
-        }
-    }
+    let seconds = "Inclusive wall-clock seconds per probe span.";
+    let spans = [
+        ("rsparse_span_seconds_total", seconds, "counter", "total_s"),
+        ("rsparse_span_calls_total", "Times each probe span closed.", "counter", "calls"),
+    ];
+    families(&mut out, &t.spans, &t.spans.rows, &spans, Some("span"));
     // Histograms: cumulative le-buckets in seconds, plus _sum and _count.
     for h in hist::ALL {
-        if reports.iter().all(|rep| rep.hist(h).count == 0) {
+        let live: Vec<_> = reports.iter().filter(|rep| rep.hist(h).count > 0).collect();
+        if live.is_empty() {
             continue;
         }
-        out.push_str(&format!(
-            "# HELP rsparse_{}_seconds Log2-bucketed `{}` latency in seconds.\n",
-            h.name(),
-            h.name()
-        ));
-        out.push_str(&format!("# TYPE rsparse_{}_seconds histogram\n", h.name()));
-        for rep in reports {
-            let (buckets, sum_ns) = rep.hist_buckets(h);
-            let count: u64 = buckets.iter().sum();
-            if count == 0 {
-                continue;
-            }
-            let rank = rank_value(rep);
+        let name = format!("rsparse_{}_seconds", h.name());
+        let help = format!("Log2-bucketed `{}` latency in seconds.", h.name());
+        meta(&mut out, &name, &help, "histogram");
+        let bucket = format!("{name}_bucket");
+        for (rank, hists) in live.iter().map(|rep| (rep.rank, &rep.folds.hists)) {
             let mut cum = 0u64;
-            for (i, &b) in buckets.iter().enumerate() {
+            for (i, &b) in hists.counts[h as usize].iter().enumerate() {
                 cum += b;
-                // Only emit edges that carry information: the cumulative
-                // count changed, or it is the terminal +Inf bucket.
-                if b == 0 && i + 1 < hist::BUCKETS {
-                    continue;
+                // Only edges that carry information: the cumulative count
+                // changed, or it is the terminal +Inf bucket.
+                let edge = hist::upper_edge_s(i);
+                let le = if edge.is_finite() { format!("{edge:e}") } else { "+Inf".to_string() };
+                if b > 0 || edge.is_infinite() {
+                    sample(&mut out, &bucket, rank, &format!(",le=\"{le}\""), &cum.to_string());
                 }
-                let le = if i + 1 >= hist::BUCKETS {
-                    "+Inf".to_string()
-                } else {
-                    format!("{:e}", crate::hist::upper_edge_s(i))
-                };
-                out.push_str(&format!(
-                    "rsparse_{}_seconds_bucket{{rank=\"{rank}\",le=\"{le}\"}} {cum}\n",
-                    h.name()
-                ));
             }
-            out.push_str(&format!(
-                "rsparse_{}_seconds_sum{{rank=\"{rank}\"}} {:e}\n",
-                h.name(),
-                sum_ns as f64 * 1e-9
-            ));
-            out.push_str(&format!(
-                "rsparse_{}_seconds_count{{rank=\"{rank}\"}} {count}\n",
-                h.name()
-            ));
+            let sum = format!("{:e}", hists.sums[h as usize] as f64 * 1e-9);
+            sample(&mut out, &format!("{name}_sum"), rank, "", &sum);
+            sample(&mut out, &format!("{name}_count"), rank, "", &cum.to_string());
         }
     }
     // Kernel efficiency: the static work models joined with measured span
     // times (see `crate::model`), one gauge family per derived column.
-    let roofline = crate::model::roofline();
-    let eff: Vec<(String, crate::model::KernelEfficiency)> = reports
-        .iter()
-        .flat_map(|rep| {
-            let rank = rank_value(rep);
-            rep.kernel_efficiency(roofline.as_ref())
-                .into_iter()
-                .map(move |e| (rank.clone(), e))
-        })
-        .collect();
-    if !eff.is_empty() {
-        let gauge = |out: &mut String, name: &str, help: &str, pick: &dyn Fn(&crate::model::KernelEfficiency) -> Option<f64>| {
-            let mut wrote_meta = false;
-            for (rank, e) in &eff {
-                let Some(v) = pick(e) else { continue };
-                if !wrote_meta {
-                    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
-                    wrote_meta = true;
-                }
-                out.push_str(&format!(
-                    "{name}{{rank=\"{rank}\",kernel=\"{}\"}} {v:e}\n",
-                    e.name
-                ));
-            }
-        };
-        gauge(
-            &mut out,
-            "rsparse_kernel_gflops",
-            "Achieved GF/s per modelled kernel (model flops / measured seconds).",
-            &|e| Some(e.gflops),
-        );
-        gauge(
-            &mut out,
-            "rsparse_kernel_gbs",
-            "Achieved GB/s per modelled kernel (model bytes / measured seconds).",
-            &|e| Some(e.gbs),
-        );
-        gauge(
-            &mut out,
-            "rsparse_kernel_ai",
-            "Arithmetic intensity per modelled kernel (flops per byte).",
-            &|e| Some(e.ai),
-        );
-        gauge(
-            &mut out,
-            "rsparse_kernel_roofline_pct",
-            "Achieved GB/s as a percentage of the calibrated copy-bandwidth roofline.",
-            &|e| e.pct_of_roofline,
-        );
+    let roofline = "Achieved GB/s as a percentage of the calibrated copy-bandwidth roofline.";
+    for (name, help, column) in [
+        ("gflops", "Achieved GF/s per modelled kernel (model flops / measured seconds).", "gflops"),
+        ("gbs", "Achieved GB/s per modelled kernel (model bytes / measured seconds).", "gbs"),
+        ("ai", "Arithmetic intensity per modelled kernel (flops per byte).", "ai"),
+        ("roofline_pct", roofline, "pct_of_roofline"),
+    ] {
+        let name = format!("rsparse_kernel_{name}");
+        let gauge = [(name.as_str(), help, "gauge", column)];
+        families(&mut out, &t.kernels, &t.kernels.rows, &gauge, Some("kernel"));
     }
     out
 }
 
-/// Handle to a running metrics server; stop it with [`MetricsServer::stop`].
+/// Handle to a running metrics server; stop it with [`MetricsServer::stop`]
+/// or by dropping it.
 pub struct MetricsServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -199,24 +142,16 @@ impl MetricsServer {
     }
 
     /// Stop the accept loop and join the server thread.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
+    pub fn stop(self) {}
+}
 
-    fn shutdown(&mut self) {
+impl Drop for MetricsServer {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         // Wake the blocking accept with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
-        }
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        if self.thread.is_some() {
-            self.shutdown();
         }
     }
 }
@@ -318,23 +253,11 @@ mod tests {
     fn report(rank: usize, port_calls: u64, collective_ns: &[u64]) -> RankReport {
         let mut counters = [0; crate::counter::COUNTER_COUNT];
         counters[Counter::PortCalls as usize] = port_calls;
-        let mut hist_counts = [[0; hist::BUCKETS]; hist::HIST_COUNT];
-        let mut hist_sums = [0; hist::HIST_COUNT];
+        let mut folds = crate::recorder::Folds::default();
         for &ns in collective_ns {
-            hist_counts[hist::Hist::Collective.index()][hist::bucket(ns)] += 1;
-            hist_sums[hist::Hist::Collective.index()] += ns;
+            folds.hists.sample(hist::Hist::Collective, ns);
         }
-        RankReport::from_parts(
-            Some(rank),
-            counters,
-            Vec::new(),
-            Default::default(),
-            Default::default(),
-            Default::default(),
-            hist_counts,
-            hist_sums,
-            Default::default(),
-        )
+        RankReport { rank: Some(rank), counters, folds }
     }
 
     #[test]

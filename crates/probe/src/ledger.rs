@@ -1,13 +1,8 @@
-//! Solve-ledger plumbing: destination resolution, the per-path write
-//! sequence, and the latest-document store.
-//!
-//! The ledger *content* is assembled by the driver layer (it owns the
-//! solve report, the options and the communicator); this module owns the
-//! process-global pieces every driver shares: where ledgers go
-//! (`RSPARSE_LEDGER` or the `set("ledger", …)` port key), the
-//! per-path sequence that keeps repeated solves from clobbering each
-//! other, and the last published document so the postmortem writer can
-//! embed it (mirroring `probe::critpath::latest_json`).
+//! Solve-ledger plumbing (the driver layer assembles the content): where
+//! ledgers go — `RSPARSE_LEDGER` or the `set("ledger", …)` port key, in the
+//! destination grammar the postmortem shares — the per-path sequence that
+//! keeps repeated solves from clobbering each other, and the last
+//! published document, which the postmortem embeds.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -22,48 +17,46 @@ pub const DEFAULT_PATH: &str = "solve_ledger.json";
 /// Schema tag stamped into every ledger document.
 pub const SCHEMA: &str = "rsparse-solve-ledger-v1";
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Destination {
-    /// No programmatic override: fall back to `RSPARSE_LEDGER`.
-    Unset,
-    /// Explicitly disabled through the port key.
-    Off,
-    /// Explicit target path.
-    Path(PathBuf),
-}
-
-static OVERRIDE: Mutex<Destination> = Mutex::new(Destination::Unset);
+/// The programmatic destination: `None` defers to `RSPARSE_LEDGER`,
+/// `Some(None)` is explicitly off, `Some(Some(path))` the target.
+static OVERRIDE: Mutex<Option<Option<PathBuf>>> = Mutex::new(None);
 static LATEST: Mutex<Option<String>> = Mutex::new(None);
 static SEQ: Mutex<BTreeMap<PathBuf, u64>> = Mutex::new(BTreeMap::new());
 
-fn parse_spec(spec: &str) -> Destination {
-    let spec = spec.trim();
+/// The one grammar of a knob naming an output file (`RSPARSE_LEDGER`,
+/// `set("ledger", …)`, `RSPARSE_POSTMORTEM`), each knob passing its own
+/// defaults: unset or empty is `default` if `on_if_unset` and off
+/// otherwise, `off|0|none|false` is off, `1|on|true` is `default`,
+/// anything else is the path.
+pub fn parse_destination(spec: Option<&str>, default: &str, on_if_unset: bool) -> Option<PathBuf> {
+    let spec = spec.unwrap_or("").trim();
     match spec.to_ascii_lowercase().as_str() {
-        "" | "off" | "0" | "none" | "false" => Destination::Off,
-        "1" | "on" | "true" => Destination::Path(PathBuf::from(DEFAULT_PATH)),
-        _ => Destination::Path(PathBuf::from(spec)),
+        "" if on_if_unset => Some(PathBuf::from(default)),
+        "" | "off" | "0" | "none" | "false" => None,
+        "1" | "on" | "true" => Some(PathBuf::from(default)),
+        _ => Some(PathBuf::from(spec)),
     }
 }
 
 /// A ledger needs the span table even when no probe sink is selected,
 /// so having a destination *is* asking for [`crate::Level::Spans`]: the
 /// level follows the destination, and nothing is left to release.
-fn set_override(dest: Destination) {
+fn set_override(dest: Option<Option<PathBuf>>) {
     *OVERRIDE.lock().unwrap_or_else(|e| e.into_inner()) = dest;
     recorder::ask(LEDGER_ASKED, if armed().is_some() { LEDGER_ASKED } else { 0 });
 }
 
 /// Set the ledger destination programmatically (the `set("ledger", …)`
-/// reserved port key). `off|0|none|false` disables emission, `1|on|true`
-/// selects [`DEFAULT_PATH`], anything else is the target path. The
-/// override beats `RSPARSE_LEDGER` until [`clear_destination`].
+/// reserved port key), in the grammar of [`parse_destination`] with
+/// [`DEFAULT_PATH`]. The override beats `RSPARSE_LEDGER` until
+/// [`clear_destination`].
 pub fn set_destination(spec: &str) {
-    set_override(parse_spec(spec));
+    set_override(Some(parse_destination(Some(spec), DEFAULT_PATH, false)));
 }
 
 /// Drop the programmatic destination; `RSPARSE_LEDGER` applies again.
 pub fn clear_destination() {
-    set_override(Destination::Unset);
+    set_override(None);
 }
 
 /// Resolve the ledger destination: the programmatic override when set,
@@ -71,16 +64,11 @@ pub fn clear_destination() {
 /// `None` (the default — emission off).
 pub fn armed() -> Option<PathBuf> {
     static ENV: OnceLock<Option<PathBuf>> = OnceLock::new();
-    match &*OVERRIDE.lock().unwrap_or_else(|e| e.into_inner()) {
-        Destination::Off => return None,
-        Destination::Path(p) => return Some(p.clone()),
-        Destination::Unset => {}
+    if let Some(dest) = &*OVERRIDE.lock().unwrap_or_else(|e| e.into_inner()) {
+        return dest.clone();
     }
-    ENV.get_or_init(|| match std::env::var("RSPARSE_LEDGER").map(|v| parse_spec(&v)) {
-        Ok(Destination::Path(p)) => Some(p),
-        _ => None,
-    })
-    .clone()
+    let env = || std::env::var("RSPARSE_LEDGER").ok();
+    ENV.get_or_init(|| parse_destination(env().as_deref(), DEFAULT_PATH, false)).clone()
 }
 
 /// Pick a destination that does not clobber an earlier ledger from this
@@ -132,14 +120,31 @@ pub fn latest_json() -> String {
 mod tests {
     use super::*;
 
+    /// Every spelling, read by both knobs: the ledger (off unless asked)
+    /// and the postmortem (on unless told off), each with its own path.
     #[test]
     fn spec_grammar_matches_the_postmortem_switch() {
-        assert_eq!(parse_spec("off"), Destination::Off);
-        assert_eq!(parse_spec("0"), Destination::Off);
-        assert_eq!(parse_spec(""), Destination::Off);
-        assert_eq!(parse_spec("1"), Destination::Path(PathBuf::from(DEFAULT_PATH)));
-        assert_eq!(parse_spec("on"), Destination::Path(PathBuf::from(DEFAULT_PATH)));
-        assert_eq!(parse_spec("/tmp/x.json"), Destination::Path(PathBuf::from("/tmp/x.json")));
+        const PM: &str = lisi::postmortem::DEFAULT_PATH;
+        // (spec, ledger, postmortem)
+        let table: [(Option<&str>, Option<&str>, Option<&str>); 12] = [
+            (None, None, Some(PM)),
+            (Some(""), None, Some(PM)),
+            (Some("  "), None, Some(PM)),
+            (Some("off"), None, None),
+            (Some("0"), None, None),
+            (Some("None"), None, None),
+            (Some("false"), None, None),
+            (Some("1"), Some(DEFAULT_PATH), Some(PM)),
+            (Some("ON"), Some(DEFAULT_PATH), Some(PM)),
+            (Some("true"), Some(DEFAULT_PATH), Some(PM)),
+            (Some("/tmp/x.json"), Some("/tmp/x.json"), Some("/tmp/x.json")),
+            (Some(" rel/y.json "), Some("rel/y.json"), Some("rel/y.json")),
+        ];
+        for (spec, ledger, postmortem) in table {
+            let path = |p: Option<&str>| p.map(PathBuf::from);
+            assert_eq!(parse_destination(spec, DEFAULT_PATH, false), path(ledger), "ledger {spec:?}");
+            assert_eq!(parse_destination(spec, PM, true), path(postmortem), "postmortem {spec:?}");
+        }
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! renderers:
 //!
 //! ```text
-//!  span!/SectionTimer ─┐                 ┌─ log ──► flight tail, postmortem,
-//!  comm send/recv/coll ┤                 │          chrome trace, critical path
+//!  span!/SectionTimer ─┐                 ┌─ log ───► flight tail, postmortem,
+//!  comm send/recv/coll ┤                 │           chrome trace, critical path
 //!  Krylov iter/verdict ┼─► Event ─► emit ┤
-//!  fault, attempt      ┤   (Copy, one    └─ folds ► span table, peer matrix,
-//!  solve begin/end ────┘   clock read)              histograms ──► summary, JSONL,
-//!                                                   Prometheus, breakdown, ledger
+//!  fault, attempt      ┤   (Copy, one    └─ folds ─► RankReport ─► tables ─┬─► text
+//!  solve begin/end ────┘   clock read)    { rank, counters, folds }        ├─► JSON
+//!                                                                          └─► Prometheus
 //! ```
 //!
 //! * **One event.** [`Event`] `{ t0_ns, t1_ns, solve, kind }` — `Copy`,
@@ -44,13 +44,14 @@
 //! * **Renderers.** Of the log: [`flight`] (the black-box tail),
 //!   [`chrome_trace_json`], [`critpath`] (the cross-rank happens-before
 //!   walk that attributes wall-clock to local / wait-on-rank-r /
-//!   collective segments). Of the folds: [`render_summary`],
-//!   [`render_breakdown`] (Table-1 style), [`render_jsonl`], [`export`]
-//!   (Prometheus text over localhost TCP, `RSPARSE_METRICS_ADDR`), and
-//!   the solve [`ledger`]. They agree because they render the same
-//!   events, and each names the solve by the same `trace_id`. A Krylov
-//!   solve's residual stream is its `Iter` events and its `Verdict`;
-//!   there is no callback beside the log.
+//!   collective segments). Of the folds: one [`RankReport`] per rank,
+//!   whose contents are tables of rank × key × typed columns, with one
+//!   writer per format — text ([`render_summary`], [`render_breakdown`]),
+//!   JSON ([`render_jsonl`], [`kernel_efficiency_json`], postmortem
+//!   fragments, the solve [`ledger`]) and Prometheus ([`export`]). They
+//!   agree because they render the same events, and each names the solve
+//!   by the same `trace_id`. A Krylov solve's residual stream is its
+//!   `Iter` events and its `Verdict`; there is no callback beside the log.
 //!
 //! # Ranks
 //!
@@ -74,6 +75,7 @@ pub mod model;
 mod recorder;
 mod sink;
 mod span;
+mod table;
 pub mod trace;
 
 pub use counter::{add, get, incr, Counter};

@@ -72,7 +72,7 @@ pub struct KernelModel {
 /// thread's recorder. Called from plan builders at setup time; the last
 /// registered plan wins, matching "the operator this rank solves with".
 pub fn register(name: &'static str, model: KernelModel) {
-    recorder::with_local(|r| r.local().models.insert(name, model));
+    recorder::with_local(|r| r.local().folds.models.insert(name, model));
 }
 
 /// Streaming-traffic model of one CSR-shaped sweep: `flops = 2·nnz`
@@ -303,7 +303,7 @@ mod tests {
         };
         register("test_kernel", model);
         register("test_kernel", KernelModel { bytes: 13, ..model });
-        let models = recorder::with_local(|r| r.local().models.clone());
+        let models = recorder::with_local(|r| r.local().folds.models.clone());
         assert_eq!(models.get("test_kernel").unwrap().bytes, 13);
     }
 }

@@ -196,7 +196,7 @@ pub(crate) fn epoch() -> Instant {
 // ---------------------------------------------------------------------------
 
 /// Accumulated statistics for one span name on one thread.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub(crate) struct SpanStat {
     pub calls: u64,
     pub total_ns: u64,
@@ -223,20 +223,26 @@ impl PeerStat {
 }
 
 /// What [`crate::emit_since`] writes, under one lock: the thread's event
-/// log and the aggregates folded from the same events.
+/// log and the folds of the same events.
 #[derive(Default)]
 pub(crate) struct Local {
     /// SPMD rank the thread was tagged with ([`set_rank`]).
     rank: Option<usize>,
     pub(crate) log: EventLog,
-    pub(crate) spans: BTreeMap<&'static str, SpanStat>,
-    /// Per-peer send accounting (world rank → messages/bytes).
-    pub(crate) peer_sends: BTreeMap<usize, PeerStat>,
-    /// Per-peer receive accounting (world rank → messages/bytes).
-    pub(crate) peer_recvs: BTreeMap<usize, PeerStat>,
-    pub(crate) hists: Hists,
     /// `(solve, t1_ns)` of the last `Begin` or `Iter` event.
     last_tick: Option<(u64, u64)>,
+    pub(crate) folds: Folds,
+}
+
+/// Everything a report holds but the counters — a thread's spans, per-peer
+/// sends and receives (by world rank), histograms, notes and kernel models;
+/// recorders sharing a rank combine by [`Folds::merge`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Folds {
+    pub(crate) spans: BTreeMap<&'static str, SpanStat>,
+    pub(crate) peer_sends: BTreeMap<usize, PeerStat>,
+    pub(crate) peer_recvs: BTreeMap<usize, PeerStat>,
+    pub(crate) hists: Hists,
     /// Free-form annotations (key → latest value), e.g. the batch width a
     /// solve ran. Last write wins.
     pub(crate) notes: BTreeMap<&'static str, String>,
@@ -245,7 +251,35 @@ pub(crate) struct Local {
     pub(crate) models: BTreeMap<&'static str, crate::model::KernelModel>,
 }
 
+impl Folds {
+    /// Add `other` in: spans, peers and histograms sum; notes and models are
+    /// last-wins (a rank's repeated setups re-register its operator's model).
+    pub(crate) fn merge(&mut self, other: &Folds) {
+        for (&name, s) in &other.spans {
+            let slot = self.spans.entry(name).or_default();
+            slot.calls += s.calls;
+            slot.total_ns += s.total_ns;
+            slot.child_ns += s.child_ns;
+        }
+        for (mine, theirs) in
+            [(&mut self.peer_sends, &other.peer_sends), (&mut self.peer_recvs, &other.peer_recvs)]
+        {
+            for (&peer, s) in theirs {
+                let slot = mine.entry(peer).or_default();
+                slot.msgs += s.msgs;
+                slot.bytes += s.bytes;
+            }
+        }
+        let (counts, sums) = (other.hists.counts.iter().flatten(), other.hists.sums.iter());
+        self.hists.counts.iter_mut().flatten().zip(counts).for_each(|(a, b)| *a += b);
+        self.hists.sums.iter_mut().zip(sums).for_each(|(a, b)| *a += b);
+        self.notes.extend(other.notes.iter().map(|(&k, v)| (k, v.clone())));
+        self.models.extend(&other.models);
+    }
+}
+
 /// Log2 latency buckets and nanosecond sums, one row per [`Hist`].
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Hists {
     pub(crate) counts: [[u64; BUCKETS]; HIST_COUNT],
     pub(crate) sums: [u64; HIST_COUNT],
@@ -257,38 +291,41 @@ impl Default for Hists {
     }
 }
 
-impl Local {
-    fn sample(&mut self, h: Hist, ns: u64) {
-        self.hists.counts[h.index()][hist::bucket(ns)] += 1;
-        self.hists.sums[h.index()] += ns;
+impl Hists {
+    pub(crate) fn sample(&mut self, h: Hist, ns: u64) {
+        self.counts[h.index()][hist::bucket(ns)] += 1;
+        self.sums[h.index()] += ns;
     }
+}
 
+impl Local {
     /// Fold one committed event into the aggregates. `child_ns` is the
     /// popped child-time frame when the event closes a guard's scope.
+    #[inline]
     pub(crate) fn fold(&mut self, ev: &Event, child_ns: Option<u64>, level: Level) {
         match ev.kind {
             EventKind::Send { peer, bytes, .. } => {
-                self.peer_sends.entry(peer).or_default().count(bytes)
+                self.folds.peer_sends.entry(peer).or_default().count(bytes)
             }
             EventKind::Recv { peer, bytes, .. } => {
-                self.peer_recvs.entry(peer).or_default().count(bytes)
+                self.folds.peer_recvs.entry(peer).or_default().count(bytes)
             }
             EventKind::Span { name } | EventKind::Collective { op: name, .. } => {
                 let Some(child_ns) = child_ns else { return };
                 let dur_ns = ev.t1_ns - ev.t0_ns;
-                let stat = self.spans.entry(name).or_default();
+                let stat = self.folds.spans.entry(name).or_default();
                 stat.calls += 1;
                 stat.total_ns += dur_ns;
                 stat.child_ns += child_ns;
                 if let Some(h) = Hist::of_span(name) {
-                    self.sample(h, dur_ns);
+                    self.folds.hists.sample(h, dur_ns);
                 }
             }
             EventKind::Begin | EventKind::Iter { .. } if level >= Level::Spans => {
                 let last = self.last_tick.replace((ev.solve, ev.t1_ns));
                 if let (Some((solve, tick)), EventKind::Iter { .. }) = (last, ev.kind) {
                     if solve == ev.solve {
-                        self.sample(Hist::IterTime, ev.t1_ns - tick);
+                        self.folds.hists.sample(Hist::IterTime, ev.t1_ns - tick);
                     }
                 }
             }
@@ -404,12 +441,12 @@ pub fn set_rank(rank: usize) {
 }
 
 /// Attach a free-form annotation to the current thread's recorder. Notes
-/// surface in [`crate::RankReport::notes`], the summary sink, and
+/// surface in [`crate::RankReport::note`], the summary sink, and
 /// postmortems; e.g. `note("batch", "nrhs=8")` when a solve takes the
 /// batched path. Last write per key wins.
 pub fn note(key: &'static str, value: impl Into<String>) {
     let value = value.into();
-    with_local(|r| r.local().notes.insert(key, value));
+    with_local(|r| r.local().folds.notes.insert(key, value));
 }
 
 /// Snapshot every registered recorder.

@@ -1,20 +1,23 @@
-//! Report assembly and output sinks: per-rank summary tables, the
-//! Table-1-style setup/solve/port-overhead breakdown, JSON lines, and
-//! chrome://tracing export.
+//! Reports and their renderers: a [`RankReport`]'s contents are tables
+//! (notes, counters, spans, histograms, kernels; a cohort adds span
+//! imbalance, wait attribution and the comm matrix), written through the
+//! one text or JSON writer of `table`. The chrome trace renders the log.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::counter::{Counter, COUNTER_COUNT};
 use crate::flight;
-use crate::hist::{self, Hist, HistSummary, BUCKETS, HIST_COUNT};
+use crate::hist::{self, Hist, HistSummary};
 use crate::json;
-use crate::model::{KernelEfficiency, KernelModel, Roofline, TimeBase, WorkUnit};
-use crate::recorder::{self, PeerStat, Recorder};
+use crate::model::{KernelEfficiency, Roofline, TimeBase, WorkUnit};
+use crate::recorder::{self, Folds, PeerStat, Recorder};
+use crate::table::{Kind, Table, Value};
 
 /// Aggregated statistics for one span name (see [`RankReport::spans`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpanSummary {
     /// Span name as given to [`crate::span!`].
     pub name: &'static str,
@@ -27,33 +30,15 @@ pub struct SpanSummary {
     pub self_s: f64,
 }
 
-/// A snapshot of one rank's counters and spans (or of the current thread,
-/// via [`local_report`]).
+/// One rank's counters and folds: every recorder of the rank merged (or
+/// the current thread's alone, via [`local_report`]).
 #[derive(Debug, Clone)]
 pub struct RankReport {
     /// SPMD rank, if the recording thread was tagged via
     /// [`crate::set_rank`]; `None` for untagged threads.
     pub rank: Option<usize>,
-    counters: [u64; COUNTER_COUNT],
-    /// Spans sorted by name, so rendered reports diff cleanly between
-    /// runs (wall-clock ordering varies run to run).
-    pub spans: Vec<SpanSummary>,
-    /// Per-peer send accounting (world rank → messages/bytes), mirroring
-    /// `SendsPosted`/`BytesSent` exactly.
-    pub peer_sends: BTreeMap<usize, PeerStat>,
-    /// Per-peer receive accounting (world rank → messages/bytes),
-    /// mirroring `RecvsCompleted`/`BytesReceived` exactly.
-    pub peer_recvs: BTreeMap<usize, PeerStat>,
-    /// Free-form annotations recorded via [`crate::note`] (key → latest
-    /// value), e.g. `"batch" → "nrhs=8"`.
-    pub notes: BTreeMap<&'static str, String>,
-    /// Merged log2 latency buckets, one row per [`Hist`] family.
-    hist_counts: [[u64; BUCKETS]; HIST_COUNT],
-    /// Total recorded nanoseconds per [`Hist`] family.
-    hist_sums: [u64; HIST_COUNT],
-    /// Static kernel work models registered via [`crate::model::register`]
-    /// (kernel name → model; merged last-wins across recorders).
-    pub models: BTreeMap<&'static str, KernelModel>,
+    pub(crate) counters: [u64; COUNTER_COUNT],
+    pub(crate) folds: Folds,
 }
 
 impl RankReport {
@@ -62,194 +47,156 @@ impl RankReport {
         self.counters[c as usize]
     }
 
+    /// Every span, in name order (wall-clock order varies run to run, so
+    /// rendered reports diff cleanly).
+    pub fn spans(&self) -> Vec<SpanSummary> {
+        let secs = |ns: u64| ns as f64 * 1e-9;
+        let summary = |(&name, s): (&&'static str, &recorder::SpanStat)| {
+            let (total_s, self_s) = (secs(s.total_ns), secs(s.total_ns.saturating_sub(s.child_ns)));
+            SpanSummary { name, calls: s.calls, total_s, self_s }
+        };
+        self.folds.spans.iter().map(summary).collect()
+    }
+
     /// Look up a span summary by name.
-    pub fn span(&self, name: &str) -> Option<&SpanSummary> {
-        self.spans.iter().find(|s| s.name == name)
+    pub fn span(&self, name: &str) -> Option<SpanSummary> {
+        self.spans().into_iter().find(|s| s.name == name)
     }
 
     /// Look up a note recorded via [`crate::note`].
     pub fn note(&self, key: &str) -> Option<&str> {
-        self.notes.get(key).map(String::as_str)
+        self.folds.notes.get(key).map(String::as_str)
+    }
+
+    /// Per-peer receive accounting (world rank → messages/bytes),
+    /// mirroring `RecvsCompleted`/`BytesReceived` exactly; the sends are
+    /// the rows of [`comm_matrix`].
+    pub fn peer_recvs(&self) -> &BTreeMap<usize, PeerStat> {
+        &self.folds.peer_recvs
     }
 
     /// Total self-seconds of all `port:*` spans — the component-layer
     /// overhead this rank spent crossing the CCA port boundary.
     pub fn port_self_seconds(&self) -> f64 {
-        self.spans
-            .iter()
-            .filter(|s| s.name.starts_with("port:"))
-            .map(|s| s.self_s)
-            .sum()
+        self.spans().iter().filter(|s| s.name.starts_with("port:")).map(|s| s.self_s).sum()
     }
 
     /// Quantile summary of one latency histogram family.
     pub fn hist(&self, h: Hist) -> HistSummary {
-        hist::summarize(&self.hist_counts[h as usize], self.hist_sums[h as usize])
-    }
-
-    /// Raw merged buckets and nanosecond sum of one histogram family
-    /// (what the Prometheus exporter emits as cumulative `le` buckets).
-    pub fn hist_buckets(&self, h: Hist) -> ([u64; BUCKETS], u64) {
-        (self.hist_counts[h as usize], self.hist_sums[h as usize])
+        hist::summarize(&self.folds.hists.counts[h as usize], self.folds.hists.sums[h as usize])
     }
 
     /// Join every registered kernel model with this rank's measurements:
-    /// units executed (span calls or a counter, per the model), measured
-    /// seconds (span total or self time), modelled flops/bytes and the
-    /// derived GF/s, GB/s, arithmetic intensity and — when a roofline is
-    /// supplied — percentage of attainable bandwidth. Kernels with no
-    /// recorded units are skipped.
+    /// units (span calls or a counter), seconds (span total or self time),
+    /// modelled flops/bytes, GF/s, GB/s, arithmetic intensity and, given a
+    /// roofline, % of attainable bandwidth. Kernels with no units are
+    /// skipped.
     pub fn kernel_efficiency(&self, roofline: Option<&Roofline>) -> Vec<KernelEfficiency> {
         let mut rows = Vec::new();
-        for (&name, model) in &self.models {
+        for (&name, model) in &self.folds.models {
+            let span = self.span(model.span);
             let units = match model.unit {
-                WorkUnit::SpanCalls => self.span(model.span).map(|s| s.calls).unwrap_or(0),
+                WorkUnit::SpanCalls => span.map_or(0, |s| s.calls),
                 WorkUnit::Counter(c) => self.counter(c),
             };
             if units == 0 {
                 continue;
             }
-            let seconds = self
-                .span(model.span)
-                .map(|s| match model.time {
-                    TimeBase::Total => s.total_s,
-                    TimeBase::SelfTime => s.self_s,
-                })
-                .unwrap_or(0.0);
-            let flops = units * model.flops;
-            let bytes = units * model.bytes;
-            let (gflops, gbs) = if seconds > 0.0 {
-                (flops as f64 / seconds / 1e9, bytes as f64 / seconds / 1e9)
-            } else {
-                (0.0, 0.0)
-            };
+            let seconds = span.map_or(0.0, |s| match model.time {
+                TimeBase::Total => s.total_s,
+                TimeBase::SelfTime => s.self_s,
+            });
+            let (flops, bytes) = (units * model.flops, units * model.bytes);
+            let per_s = |n: u64| if seconds > 0.0 { n as f64 / seconds / 1e9 } else { 0.0 };
+            let (gflops, gbs) = (per_s(flops), per_s(bytes));
             let ai = if bytes > 0 { flops as f64 / bytes as f64 } else { 0.0 };
-            let pct_of_roofline = roofline
-                .filter(|r| r.copy_gbs > 0.0)
-                .map(|r| 100.0 * gbs / r.copy_gbs);
+            let pct_of_roofline =
+                roofline.filter(|r| r.copy_gbs > 0.0).map(|r| 100.0 * gbs / r.copy_gbs);
+            let (span, nrhs) = (model.span, model.nrhs);
             rows.push(KernelEfficiency {
-                name,
-                span: model.span,
-                units,
-                seconds,
-                flops,
-                bytes,
-                gflops,
-                gbs,
-                ai,
-                pct_of_roofline,
-                nrhs: model.nrhs,
+                name, span, units, seconds, flops, bytes, gflops, gbs, ai, pct_of_roofline, nrhs,
             });
         }
         rows
     }
 
-    /// Nothing recorded at all: a recorder whose thread only timed a
-    /// histogram sample, exchanged messages, left a note or registered a
-    /// model still belongs in [`aggregate`]'s output.
+    /// The `"counters":{…},"notes":{…}` members every per-rank JSON
+    /// document carries (the JSONL stream, the postmortem's rank
+    /// fragments): nonzero counters in declaration order, notes by key.
+    pub fn counters_and_notes_json(&self) -> String {
+        let t = tables(std::slice::from_ref(self), None);
+        format!("\"counters\":{},\"notes\":{}", t.counters.json_object(), t.notes.json_object())
+    }
+
+    /// Nothing recorded at all (a histogram sample, a message, a note or
+    /// a model alone keeps a report in [`aggregate`]'s output).
     fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-            && self.counters.iter().all(|&c| c == 0)
-            && self.hist_counts.iter().flatten().all(|&c| c == 0)
-            && self.peer_sends.is_empty()
-            && self.peer_recvs.is_empty()
-            && self.notes.is_empty()
-            && self.models.is_empty()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        rank: Option<usize>,
-        counters: [u64; COUNTER_COUNT],
-        spans: Vec<SpanSummary>,
-        peer_sends: BTreeMap<usize, PeerStat>,
-        peer_recvs: BTreeMap<usize, PeerStat>,
-        notes: BTreeMap<&'static str, String>,
-        hist_counts: [[u64; BUCKETS]; HIST_COUNT],
-        hist_sums: [u64; HIST_COUNT],
-        models: BTreeMap<&'static str, KernelModel>,
-    ) -> RankReport {
-        let mut report = RankReport {
-            rank,
-            counters,
-            spans,
-            peer_sends,
-            peer_recvs,
-            notes,
-            hist_counts,
-            hist_sums,
-            models,
-        };
-        // Name order, not time order: output must be stable across runs.
-        report.spans.sort_by(|a, b| a.name.cmp(b.name));
-        report
+        self.counters.iter().all(|&c| c == 0) && self.folds == Folds::default()
     }
 }
 
-fn ns_to_s(ns: u64) -> f64 {
-    ns as f64 * 1e-9
+/// A cohort's contents, report by report: notes, nonzero counters, spans,
+/// the quantiles of each histogram family holding a sample, and kernels.
+pub(crate) struct Tables {
+    pub(crate) notes: Table,
+    pub(crate) counters: Table,
+    pub(crate) spans: Table,
+    pub(crate) hists: Table,
+    pub(crate) kernels: Table,
 }
 
-fn snapshot(recorders: &[std::sync::Arc<Recorder>], rank: Option<usize>) -> RankReport {
-    let mut counters = [0u64; COUNTER_COUNT];
-    let mut spans: BTreeMap<&'static str, (u64, u64, u64)> = BTreeMap::new();
-    let mut peer_sends: BTreeMap<usize, PeerStat> = BTreeMap::new();
-    let mut peer_recvs: BTreeMap<usize, PeerStat> = BTreeMap::new();
-    let mut notes: BTreeMap<&'static str, String> = BTreeMap::new();
-    let mut hist_counts = [[0u64; BUCKETS]; HIST_COUNT];
-    let mut hist_sums = [0u64; HIST_COUNT];
-    let mut models: BTreeMap<&'static str, KernelModel> = BTreeMap::new();
+pub(crate) fn tables(reports: &[RankReport], roofline: Option<&Roofline>) -> Tables {
+    use Kind::{Count, Quantile as Q, Rate, Secs};
+    use Value::{Int, Real};
+    let hist_columns = [("count", Count), ("p50_s", Q), ("p90_s", Q), ("p99_s", Q), ("max_s", Q)];
+    let kernel_columns = [
+        ("span", Kind::Text), ("units", Count), ("nrhs", Count), ("seconds", Secs),
+        ("flops", Count), ("bytes", Count), ("gflops", Rate), ("gbs", Rate), ("ai", Rate),
+        ("pct_of_roofline", Kind::Pct),
+    ];
+    let mut t = Tables {
+        notes: Table::new(Some("note"), &[("value", Kind::Text)]),
+        counters: Table::new(Some("counter"), &[("value", Count)]),
+        spans: Table::new(Some("name"), &[("calls", Count), ("total_s", Secs), ("self_s", Secs)]),
+        hists: Table::new(Some("name"), &hist_columns),
+        kernels: Table::new(Some("kernel"), &kernel_columns),
+    };
+    for rep in reports {
+        let r = rep.rank;
+        for (&key, value) in &rep.folds.notes {
+            t.notes.push(r, key, vec![Value::Text(value.clone())]);
+        }
+        for c in Counter::ALL.into_iter().filter(|&c| rep.counter(c) > 0) {
+            t.counters.push(r, c.name(), vec![Int(rep.counter(c))]);
+        }
+        for s in rep.spans() {
+            t.spans.push(r, s.name, vec![Int(s.calls), Real(s.total_s), Real(s.self_s)]);
+        }
+        for (h, s) in hist::ALL.map(|h| (h, rep.hist(h))).into_iter().filter(|(_, s)| s.count > 0) {
+            let quantiles = [s.p50_s, s.p90_s, s.p99_s, s.max_s].map(Real);
+            t.hists.push(r, h.name(), [&[Int(s.count)][..], &quantiles].concat());
+        }
+        for e in rep.kernel_efficiency(roofline) {
+            let pct = e.pct_of_roofline.map_or(Value::Null, Real);
+            let measured = [Value::Text(e.span.into()), Int(e.units), Int(e.nrhs), Real(e.seconds)];
+            let model = [Int(e.flops), Int(e.bytes), Real(e.gflops), Real(e.gbs), Real(e.ai), pct];
+            t.kernels.push(r, e.name, [&measured[..], &model].concat());
+        }
+    }
+    t
+}
+
+fn snapshot(recorders: &[Arc<Recorder>], rank: Option<usize>) -> RankReport {
+    let mut report = RankReport { rank, counters: [0; COUNTER_COUNT], folds: Folds::default() };
     for r in recorders {
-        for c in Counter::ALL {
-            counters[c as usize] += r.counter(c);
-        }
-        let local = r.local();
-        for (name, stat) in local.spans.iter() {
-            let slot = spans.entry(name).or_insert((0, 0, 0));
-            slot.0 += stat.calls;
-            slot.1 += stat.total_ns;
-            slot.2 += stat.child_ns;
-        }
-        for (map, src) in
-            [(&mut peer_sends, &local.peer_sends), (&mut peer_recvs, &local.peer_recvs)]
-        {
-            for (&peer, stat) in src.iter() {
-                let slot = map.entry(peer).or_default();
-                slot.msgs += stat.msgs;
-                slot.bytes += stat.bytes;
-            }
-        }
-        for h in hist::ALL {
-            let counts = local.hists.counts[h as usize];
-            for (slot, b) in hist_counts[h as usize].iter_mut().zip(counts) {
-                *slot += b;
-            }
-            hist_sums[h as usize] += local.hists.sums[h as usize];
-        }
-        for (&key, value) in local.notes.iter() {
-            notes.insert(key, value.clone());
-        }
-        // Like notes: last recorder wins per kernel (repeated setups on
-        // one rank re-register the model for the operator now in use).
-        models.extend(local.models.iter().map(|(&name, &m)| (name, m)));
+        report.counters.iter_mut().zip(Counter::ALL).for_each(|(n, c)| *n += r.counter(c));
+        report.folds.merge(&r.local().folds);
     }
-    let spans = spans
-        .into_iter()
-        .map(|(name, (calls, total_ns, child_ns))| SpanSummary {
-            name,
-            calls,
-            total_s: ns_to_s(total_ns),
-            self_s: ns_to_s(total_ns.saturating_sub(child_ns)),
-        })
-        .collect();
-    RankReport::from_parts(
-        rank, counters, spans, peer_sends, peer_recvs, notes, hist_counts, hist_sums, models,
-    )
+    report
 }
 
-/// Snapshot the current thread's recorder only. This is what tests use
-/// inside SPMD rank closures: each rank thread sees exactly its own
-/// counters and spans.
+/// Snapshot the current thread's recorder alone: inside an SPMD rank
+/// closure, exactly that rank thread's counters and spans.
 pub fn local_report() -> RankReport {
     recorder::with_local(|arc| snapshot(std::slice::from_ref(arc), arc.rank()))
 }
@@ -267,104 +214,30 @@ pub fn aggregate() -> Vec<RankReport> {
 }
 
 fn rank_label(rank: Option<usize>) -> String {
-    match rank {
-        Some(r) => format!("rank {r}"),
-        None => "unranked".to_string(),
-    }
+    rank.map_or("unranked".to_string(), |r| format!("rank {r}"))
 }
 
-/// Render the full per-rank summary: every nonzero counter and every span
-/// (calls, total seconds, self seconds), one block per rank.
+/// Render the per-rank summary — notes, counters (in name order), spans,
+/// histogram quantiles, kernels — then the cross-rank sections.
 pub fn render_summary(reports: &[RankReport]) -> String {
-    let mut out = String::new();
     if reports.is_empty() {
         return "probe: nothing recorded\n".to_string();
     }
     let roofline = crate::model::roofline();
+    let roof = roofline.map_or(String::new(), |r| {
+        format!(" (roofline: {:.1} GB/s copy, {:.1} GB/s triad)", r.copy_gbs, r.triad_gbs)
+    });
+    let mut out = String::new();
     for rep in reports {
         let _ = writeln!(out, "== probe summary: {} ==", rank_label(rep.rank));
-        if !rep.notes.is_empty() {
-            let _ = writeln!(out, "  notes:");
-            for (key, value) in &rep.notes {
-                let _ = writeln!(out, "    {key:<22} {value}");
-            }
-        }
-        let mut nonzero: Vec<Counter> = Counter::ALL
-            .into_iter()
-            .filter(|&c| rep.counter(c) > 0)
-            .collect();
+        let mut t = tables(std::slice::from_ref(rep), roofline.as_ref());
         // Name order, not declaration order: stable diffs between runs.
-        nonzero.sort_by_key(|c| c.name());
-        if !nonzero.is_empty() {
-            let _ = writeln!(out, "  counters:");
-            for c in nonzero {
-                let _ = writeln!(out, "    {:<22} {:>12}", c.name(), rep.counter(c));
-            }
-        }
-        if !rep.spans.is_empty() {
-            let _ = writeln!(
-                out,
-                "  spans: {:<22} {:>8} {:>12} {:>12}",
-                "name", "calls", "total (s)", "self (s)"
-            );
-            for s in &rep.spans {
-                let _ = writeln!(
-                    out,
-                    "         {:<22} {:>8} {:>12.6} {:>12.6}",
-                    s.name, s.calls, s.total_s, s.self_s
-                );
-            }
-        }
-        let live: Vec<(Hist, HistSummary)> = hist::ALL
-            .into_iter()
-            .map(|h| (h, rep.hist(h)))
-            .filter(|(_, s)| s.count > 0)
-            .collect();
-        if !live.is_empty() {
-            let _ = writeln!(
-                out,
-                "  hists: {:<22} {:>8} {:>11} {:>11} {:>11} {:>11}",
-                "name", "count", "p50 (s)", "p90 (s)", "p99 (s)", "max (s)"
-            );
-            for (h, s) in live {
-                let _ = writeln!(
-                    out,
-                    "         {:<22} {:>8} {:>11.3e} {:>11.3e} {:>11.3e} {:>11.3e}",
-                    h.name(),
-                    s.count,
-                    s.p50_s,
-                    s.p90_s,
-                    s.p99_s,
-                    s.max_s
-                );
-            }
-        }
-        let eff = rep.kernel_efficiency(roofline.as_ref());
-        if !eff.is_empty() {
-            let _ = writeln!(
-                out,
-                "  kernels: {:<18} {:>8} {:>11} {:>8} {:>8} {:>7} {:>7}",
-                "name", "units", "seconds", "GF/s", "GB/s", "AI", "%roof"
-            );
-            for e in &eff {
-                let pct = match e.pct_of_roofline {
-                    Some(p) => format!("{p:>6.1}%"),
-                    None => "-".to_string(),
-                };
-                let _ = writeln!(
-                    out,
-                    "           {:<18} {:>8} {:>11.6} {:>8.3} {:>8.3} {:>7.3} {:>7}",
-                    e.name, e.units, e.seconds, e.gflops, e.gbs, e.ai, pct
-                );
-            }
-            if let Some(r) = &roofline {
-                let _ = writeln!(
-                    out,
-                    "           (roofline: {:.1} GB/s copy, {:.1} GB/s triad)",
-                    r.copy_gbs, r.triad_gbs
-                );
-            }
-        }
+        t.counters.rows.sort_by(|a, b| a.key.cmp(&b.key));
+        out.push_str(&t.notes.text("  notes:", 4));
+        out.push_str(&t.counters.text("  counters:", 4));
+        out.push_str(&t.spans.text("  spans:", 4));
+        out.push_str(&t.hists.text("  hists:", 4));
+        out.push_str(&t.kernels.text(&format!("  kernels:{roof}"), 4));
     }
     out.push_str(&render_imbalance(reports));
     out.push_str(&render_wait_attribution(reports));
@@ -372,124 +245,85 @@ pub fn render_summary(reports: &[RankReport]) -> String {
     out
 }
 
-/// Ranked reports only, in rank order (the cross-rank analytics ignore
-/// untagged threads).
+/// Ranked reports only: the cross-rank analytics ignore untagged threads.
 fn ranked(reports: &[RankReport]) -> Vec<&RankReport> {
     reports.iter().filter(|r| r.rank.is_some()).collect()
 }
 
-/// (min, mean, max, max/mean) over a non-empty slice.
-fn spread(values: &[f64]) -> (f64, f64, f64, f64) {
+/// Total seconds of the span `name` on `rep` (0 if it never ran).
+fn span_total(rep: &RankReport, name: &str) -> f64 {
+    rep.span(name).map_or(0.0, |s| s.total_s)
+}
+
+/// `[min, mean, max, max/mean]` over a non-empty slice.
+fn spread(values: &[f64]) -> [f64; 4] {
     let min = values.iter().copied().fold(f64::INFINITY, f64::min);
     let max = values.iter().copied().fold(0.0_f64, f64::max);
     let mean = values.iter().sum::<f64>() / values.len() as f64;
-    let imb = if mean > 0.0 { max / mean } else { 1.0 };
-    (min, mean, max, imb)
+    [min, mean, max, if mean > 0.0 { max / mean } else { 1.0 }]
 }
 
-/// Cross-rank per-span imbalance table: min/mean/max total seconds across
-/// ranks plus the imbalance ratio max/mean (1.00 = perfectly balanced).
-/// Empty unless at least two ranked reports carry spans.
+/// Cross-rank per-span imbalance: min/mean/max total seconds across ranks
+/// and max/mean (1.00 = balanced), heaviest spans first. Empty unless at
+/// least two ranked reports carry spans.
 pub fn render_imbalance(reports: &[RankReport]) -> String {
     let ranked = ranked(reports);
-    if ranked.len() < 2 {
+    let mut names: Vec<&'static str> =
+        ranked.iter().flat_map(|rep| rep.folds.spans.keys().copied()).collect();
+    names.sort_unstable();
+    names.dedup();
+    if ranked.len() < 2 || names.is_empty() {
         return String::new();
     }
-    let mut names: Vec<&'static str> = Vec::new();
-    for rep in &ranked {
-        for s in &rep.spans {
-            if !names.contains(&s.name) {
-                names.push(s.name);
-            }
-        }
+    let stats = |name| spread(&ranked.iter().map(|rep| span_total(rep, name)).collect::<Vec<_>>());
+    let mut rows: Vec<(&str, [f64; 4])> = names.into_iter().map(|n| (n, stats(n))).collect();
+    rows.sort_by(|a, b| b.1[1].total_cmp(&a.1[1]).then(a.0.cmp(b.0)));
+    let s = Kind::Secs;
+    let columns = [("min (s)", s), ("mean (s)", s), ("max (s)", s), ("max/mean", Kind::Rate)];
+    let mut table = Table::new(Some("span"), &columns);
+    for (name, stats) in rows {
+        table.push(None, name, stats.map(Value::Real).to_vec());
     }
-    if names.is_empty() {
-        return String::new();
-    }
-    // Order by descending mean total so the heaviest spans lead.
-    let mut rows: Vec<(&'static str, f64, f64, f64, f64)> = names
-        .into_iter()
-        .map(|name| {
-            let totals: Vec<f64> = ranked
-                .iter()
-                .map(|rep| rep.span(name).map(|s| s.total_s).unwrap_or(0.0))
-                .collect();
-            let (min, mean, max, imb) = spread(&totals);
-            (name, min, mean, max, imb)
-        })
-        .collect();
-    rows.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(b.0)));
-    let mut out = String::new();
-    let _ = writeln!(out, "== cross-rank span imbalance ({} ranks) ==", ranked.len());
-    let _ = writeln!(
-        out,
-        "  {:<22} {:>12} {:>12} {:>12} {:>8}",
-        "span", "min (s)", "mean (s)", "max (s)", "max/mean"
-    );
-    for (name, min, mean, max, imb) in rows {
-        let _ = writeln!(out, "  {name:<22} {min:>12.6} {mean:>12.6} {max:>12.6} {imb:>8.2}");
-    }
-    out
+    table.text(&format!("== cross-rank span imbalance ({} ranks) ==", ranked.len()), 2)
 }
 
-/// Spans that are time spent *blocked* on a peer rather than computing:
-/// the halo exchange here, riding reductions (`allreduce`) beside it. The
-/// critical path's per-rank totals sum the same names.
+/// Spans blocked on a peer rather than computing (the halo exchange;
+/// reductions ride `allreduce`). The critical path sums the same names.
 pub(crate) const HALO_SPANS: [&str; 2] = ["halo_drain", "halo_post"];
 
 /// Spans that are local sparse compute.
 pub(crate) const COMPUTE_SPANS: [&str; 2] = ["spmv_interior", "spmv_boundary"];
 
+/// The wait-attribution columns; the critical path's per-rank totals are
+/// the first three.
+pub(crate) const WAIT_COLUMNS: [(&str, Kind); 4] = [
+    ("halo_wait_s", Kind::Secs), ("reduce_s", Kind::Secs),
+    ("compute_s", Kind::Secs), ("blocked", Kind::Pct),
+];
+
 /// Wait-time attribution per rank: seconds blocked in the halo exchange
 /// and in reductions versus seconds spent in local SpMV compute, plus the
 /// blocked fraction. Empty when no rank recorded any of those spans.
 pub fn render_wait_attribution(reports: &[RankReport]) -> String {
-    let ranked = ranked(reports);
-    let total_of = |rep: &RankReport, names: &[&str]| -> f64 {
-        names.iter().filter_map(|n| rep.span(n)).map(|s| s.total_s).sum()
-    };
-    let rows: Vec<(String, f64, f64, f64)> = ranked
-        .iter()
-        .map(|rep| {
-            let halo = total_of(rep, &HALO_SPANS);
-            let reduce = total_of(rep, &["allreduce"]);
-            let compute = total_of(rep, &COMPUTE_SPANS);
-            (rank_label(rep.rank), halo, reduce, compute)
-        })
-        .filter(|(_, h, r, c)| *h > 0.0 || *r > 0.0 || *c > 0.0)
-        .collect();
-    if rows.is_empty() {
-        return String::new();
-    }
-    let mut out = String::new();
-    let _ = writeln!(out, "== wait attribution ==");
-    let _ = writeln!(
-        out,
-        "  {:<10} {:>14} {:>14} {:>14} {:>10}",
-        "rank", "halo wait (s)", "reduce (s)", "compute (s)", "blocked"
-    );
-    for (label, halo, reduce, compute) in rows {
+    let mut table = Table::new(None, &WAIT_COLUMNS);
+    for rep in ranked(reports) {
+        let total = |names: &[&str]| names.iter().map(|n| span_total(rep, n)).sum::<f64>();
+        let (halo, reduce) = (total(&HALO_SPANS), total(&["allreduce"]));
+        let compute = total(&COMPUTE_SPANS);
         let wait = halo + reduce;
-        let denom = wait + compute;
-        let frac = if denom > 0.0 { wait / denom } else { 0.0 };
-        let _ = writeln!(
-            out,
-            "  {:<10} {:>14.6} {:>14.6} {:>14.6} {:>9.1}%",
-            label,
-            halo,
-            reduce,
-            compute,
-            frac * 100.0
-        );
+        if wait + compute > 0.0 {
+            let blocked = 100.0 * wait / (wait + compute);
+            let values = [halo, reduce, compute, blocked].map(Value::Real).to_vec();
+            table.push(rep.rank, rank_label(rep.rank), values);
+        }
     }
-    out
+    table.text("== wait attribution ==", 2)
 }
 
-/// The rank×rank communication matrix built from the per-peer send
-/// accounting: `msgs[r][q]`/`bytes[r][q]` is what world rank `ranks[r]`
-/// sent to world rank `ranks[q]`. Row totals equal each sender's
-/// `SendsPosted`/`BytesSent` counters; column totals equal each
-/// receiver's `RecvsCompleted`/`BytesReceived` (for completed traffic).
+/// The rank×rank communication matrix of the per-peer send accounting:
+/// `msgs[r][q]`/`bytes[r][q]` is what world rank `ranks[r]` sent to
+/// `ranks[q]`. Row totals equal the sender's `SendsPosted`/`BytesSent`,
+/// column totals the receiver's `RecvsCompleted`/`BytesReceived`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommMatrix {
     /// World ranks indexing the rows/columns, ascending.
@@ -500,239 +334,131 @@ pub struct CommMatrix {
     pub bytes: Vec<Vec<u64>>,
 }
 
-/// Build the [`CommMatrix`] from aggregated reports (sender-side
-/// accounting). Peers that appear only as destinations still get a
-/// column.
+/// Build the [`CommMatrix`] from aggregated reports (sender side); peers
+/// that appear only as destinations still get a column.
 pub fn comm_matrix(reports: &[RankReport]) -> CommMatrix {
     let mut ranks: Vec<usize> = Vec::new();
     for rep in reports {
-        if let Some(r) = rep.rank {
-            if !ranks.contains(&r) {
-                ranks.push(r);
-            }
-        }
-        for &peer in rep.peer_sends.keys().chain(rep.peer_recvs.keys()) {
-            if !ranks.contains(&peer) {
-                ranks.push(peer);
-            }
-        }
+        ranks.extend(rep.rank);
+        ranks.extend(rep.folds.peer_sends.keys().chain(rep.folds.peer_recvs.keys()));
     }
     ranks.sort_unstable();
-    let n = ranks.len();
-    let idx = |r: usize| ranks.iter().position(|&x| x == r);
-    let mut msgs = vec![vec![0u64; n]; n];
-    let mut bytes = vec![vec![0u64; n]; n];
+    ranks.dedup();
+    let idx = |r: usize| ranks.binary_search(&r).ok();
+    let zeros = vec![vec![0u64; ranks.len()]; ranks.len()];
+    let (mut msgs, mut bytes) = (zeros.clone(), zeros);
     for rep in reports {
         let Some(row) = rep.rank.and_then(idx) else { continue };
-        for (&peer, stat) in &rep.peer_sends {
-            if let Some(col) = idx(peer) {
-                msgs[row][col] += stat.msgs;
-                bytes[row][col] += stat.bytes;
-            }
+        for (&peer, stat) in &rep.folds.peer_sends {
+            let col = idx(peer).expect("every peer has a column");
+            msgs[row][col] += stat.msgs;
+            bytes[row][col] += stat.bytes;
         }
     }
     CommMatrix { ranks, msgs, bytes }
 }
 
-/// Render the rank×rank communication matrix (`messages/bytes` cells,
-/// rows = sender, columns = receiver). Empty when no p2p traffic was
-/// recorded.
+/// Render the comm matrix (`messages/bytes` cells, rows send to columns);
+/// empty when no p2p traffic was recorded.
 pub fn render_comm_matrix(reports: &[RankReport]) -> String {
     let m = comm_matrix(reports);
-    if m.ranks.is_empty() || m.msgs.iter().flatten().all(|&v| v == 0) {
+    if m.msgs.iter().flatten().all(|&v| v == 0) {
         return String::new();
     }
-    let mut out = String::new();
-    let _ = writeln!(out, "== comm matrix (messages/bytes, row sends to column) ==");
-    let _ = write!(out, "  {:<8}", "from\\to");
-    for &q in &m.ranks {
-        let _ = write!(out, " {:>14}", format!("r{q}"));
+    let names: Vec<String> = m.ranks.iter().map(|q| format!("r{q}")).collect();
+    let columns: Vec<(&str, Kind)> = names.iter().map(|q| (q.as_str(), Kind::Text)).collect();
+    let mut table = Table::new(Some("from\\to"), &columns);
+    for (i, name) in names.iter().enumerate() {
+        let cell = |j: usize| match m.msgs[i][j] {
+            0 => Value::Text(".".to_string()),
+            msgs => Value::Text(format!("{msgs}/{}", m.bytes[i][j])),
+        };
+        table.push(Some(m.ranks[i]), name.as_str(), (0..names.len()).map(cell).collect());
     }
-    out.push('\n');
-    for (i, &r) in m.ranks.iter().enumerate() {
-        let _ = write!(out, "  {:<8}", format!("r{r}"));
-        for j in 0..m.ranks.len() {
-            let cell = if m.msgs[i][j] == 0 {
-                ".".to_string()
-            } else {
-                format!("{}/{}", m.msgs[i][j], m.bytes[i][j])
-            };
-            let _ = write!(out, " {cell:>14}");
-        }
-        out.push('\n');
-    }
-    out
+    table.text("== comm matrix (messages/bytes, row sends to column) ==", 2)
 }
 
-/// Render the flight-recorder tails of every rank as JSON lines, one
-/// `{"rank":..,"trace_id":..,"events":[...]}` object per rank. This is
-/// what the drivers print under `RSPARSE_PROBE=flight`.
+/// Render every rank's flight-recorder tail as one JSON line
+/// `{"rank":..,"trace_id":..,"events":[...]}` (`RSPARSE_PROBE=flight`).
 pub fn render_flight() -> String {
     let mut out = String::new();
     for (rank, tail) in flight::tails_by_rank() {
         let rank = rank.map_or("null".to_string(), |r| r.to_string());
-        let _ = writeln!(
-            out,
-            "{{\"rank\":{rank},\"trace_id\":{},\"events\":{}}}",
-            flight::latest_solve(&tail),
-            flight::tail_json(&tail)
-        );
+        let (id, events) = (flight::latest_solve(&tail), flight::tail_json(&tail));
+        let _ = writeln!(out, "{{\"rank\":{rank},\"trace_id\":{id},\"events\":{events}}}");
     }
     out
 }
 
-/// Render the Table-1-style breakdown: one row per rank with native and
-/// CCA setup/solve seconds plus the port-crossing overhead (self time of
-/// all `port:*` spans) measured by the framework itself. With two or
-/// more ranked rows, min/mean/max/imbalance summary rows follow (the
-/// imbalance row is each column's max/mean ratio; 1.00 = balanced).
+/// Render the Table-1-style breakdown: per rank, native and CCA
+/// setup/solve seconds and the port-crossing overhead (self time of the
+/// `port:*` spans). With two or more ranked rows, min/mean/max/imbalance
+/// rows follow (imbalance = each column's max/mean; 1.00 = balanced).
 pub fn render_breakdown(reports: &[RankReport]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<10} {:>14} {:>14} {:>14} {:>14} {:>14} {:>10}",
-        "rank", "native setup", "native solve", "cca setup", "cca solve", "port self (s)", "port calls"
-    );
-    let span_total = |rep: &RankReport, name: &str| -> f64 {
-        rep.span(name).map(|s| s.total_s).unwrap_or(0.0)
-    };
-    let columns = |rep: &RankReport| -> [f64; 5] {
-        [
-            span_total(rep, "native_setup"),
-            span_total(rep, "native_solve"),
-            span_total(rep, "cca_setup"),
-            span_total(rep, "cca_solve"),
-            rep.port_self_seconds(),
-        ]
+    let s = Kind::Secs;
+    let columns = [
+        ("native setup", s), ("native solve", s), ("cca setup", s), ("cca solve", s),
+        ("port self (s)", s), ("port calls", Kind::Count),
+    ];
+    let mut table = Table::new(None, &columns);
+    let seconds = |rep: &RankReport| -> [f64; 5] {
+        let total = |name| span_total(rep, name);
+        let port = rep.port_self_seconds();
+        [total("native_setup"), total("native_solve"), total("cca_setup"), total("cca_solve"), port]
     };
     for rep in reports {
-        let c = columns(rep);
-        let _ = writeln!(
-            out,
-            "{:<10} {:>14.6} {:>14.6} {:>14.6} {:>14.6} {:>14.6} {:>10}",
-            rank_label(rep.rank),
-            c[0],
-            c[1],
-            c[2],
-            c[3],
-            c[4],
-            rep.counter(Counter::PortCalls),
-        );
+        let calls = Value::Int(rep.counter(Counter::PortCalls));
+        let values = [&seconds(rep).map(Value::Real)[..], &[calls]].concat();
+        table.push(rep.rank, rank_label(rep.rank), values);
     }
-    let ranked = ranked(reports);
+    let ranked: Vec<[f64; 5]> = ranked(reports).into_iter().map(seconds).collect();
     if ranked.len() >= 2 {
-        let per_column: Vec<[f64; 5]> = ranked.iter().map(|rep| columns(rep)).collect();
-        let stat = |pick: fn(&(f64, f64, f64, f64)) -> f64| -> [f64; 5] {
-            std::array::from_fn(|j| {
-                let vals: Vec<f64> = per_column.iter().map(|row| row[j]).collect();
-                pick(&spread(&vals))
-            })
-        };
-        for (label, row) in [
-            ("min", stat(|s| s.0)),
-            ("mean", stat(|s| s.1)),
-            ("max", stat(|s| s.2)),
-        ] {
-            let _ = writeln!(
-                out,
-                "{:<10} {:>14.6} {:>14.6} {:>14.6} {:>14.6} {:>14.6} {:>10}",
-                label, row[0], row[1], row[2], row[3], row[4], ""
-            );
+        let stats: Vec<[f64; 4]> =
+            (0..5).map(|j| spread(&ranked.iter().map(|row| row[j]).collect::<Vec<_>>())).collect();
+        for (k, label) in ["min", "mean", "max", "imbalance"].into_iter().enumerate() {
+            let values = stats.iter().map(|s| Value::Real(s[k])).chain([Value::Null]);
+            table.push(None, label, values.collect());
         }
-        let imb = stat(|s| s.3);
-        let _ = writeln!(
-            out,
-            "{:<10} {:>14.2} {:>14.2} {:>14.2} {:>14.2} {:>14.2} {:>10}",
-            "imbalance", imb[0], imb[1], imb[2], imb[3], imb[4], ""
-        );
     }
-    out
+    table.text("", 0)
 }
 
-/// Render one JSON object per rank (JSON lines): all nonzero counters and
-/// all spans.
+/// Render one JSON object per rank (JSON lines): nonzero counters, notes
+/// and every span.
 pub fn render_jsonl(reports: &[RankReport]) -> String {
     let mut out = String::new();
     for rep in reports {
-        out.push('{');
-        match rep.rank {
-            Some(r) => {
-                let _ = write!(out, "\"rank\":{r}");
-            }
-            None => out.push_str("\"rank\":null"),
-        }
-        out.push_str(",\"counters\":{");
-        let mut first = true;
-        for c in Counter::ALL {
-            let v = rep.counter(c);
-            if v > 0 {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, "\"{}\":{v}", c.name());
-            }
-        }
-        out.push_str("},\"notes\":{");
-        for (i, (key, value)) in rep.notes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":\"{}\"", json::escape(key), json::escape(value));
-        }
-        out.push_str("},\"spans\":[");
-        for (i, s) in rep.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"calls\":{},\"total_s\":{:e},\"self_s\":{:e}}}",
-                json::escape(s.name),
-                s.calls,
-                s.total_s,
-                s.self_s
-            );
-        }
-        out.push_str("]}\n");
+        let rank = rep.rank.map_or("null".to_string(), |r| r.to_string());
+        let spans = tables(std::slice::from_ref(rep), None).spans.json(false);
+        let fields = rep.counters_and_notes_json();
+        let _ = writeln!(out, "{{\"rank\":{rank},{fields},\"spans\":{spans}}}");
     }
     out
 }
 
-/// Serialize every logged span into one merged chrome://tracing
-/// (`trace_event` format) JSON document for the whole cohort: `pid` is
-/// the SPMD rank (999 for untagged threads), `tid` is the recording
-/// thread, so repeated launches and multi-threaded ranks each keep their
-/// own lane instead of overwriting one another. Spans reach the log at
-/// [`crate::Level::Trace`] (the chrome probe mode asks for it). Load the
-/// result via `chrome://tracing` or <https://ui.perfetto.dev>.
+/// Serialize every logged span into one chrome://tracing (`trace_event`)
+/// document for the cohort: `pid` is the SPMD rank (999 untagged), `tid`
+/// the recording thread, so repeated launches and multi-threaded ranks
+/// keep their own lanes. Spans reach the log at [`crate::Level::Trace`]
+/// (the chrome mode asks for it). Load it in <https://ui.perfetto.dev>.
 pub fn chrome_trace_json() -> String {
     let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut dropped: u64 = 0;
-    let mut trace_id: u64 = 0;
-    let mut pids: Vec<u64> = Vec::new();
+    let (mut dropped, mut trace_id, mut pids) = (0u64, 0u64, Vec::new());
     for r in recorder::all_recorders() {
-        let pid = r.rank().map(|r| r as u64).unwrap_or(999);
+        let pid = r.rank().map_or(999, |r| r as u64);
         let local = r.local();
         dropped += local.log.dropped();
         for e in local.log.iter() {
             trace_id = trace_id.max(e.solve);
             let Some((name, dur_ns)) = e.scope() else { continue };
-            if !first {
-                out.push(',');
-            }
-            first = false;
             if !pids.contains(&pid) {
                 pids.push(pid);
             }
+            let (name, ts, dur) = (json::escape(name), e.t0_ns / 1_000, dur_ns / 1_000);
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"cat\":\"probe\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{}}}",
-                json::escape(name),
-                e.t0_ns / 1_000,
-                dur_ns / 1_000,
-                pid,
+                "{{\"name\":\"{name}\",\"cat\":\"probe\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\
+                 \"pid\":{pid},\"tid\":{}}},",
                 r.thread
             );
         }
@@ -740,11 +466,12 @@ pub fn chrome_trace_json() -> String {
     // Name each rank's process lane in the viewer.
     pids.sort_unstable();
     for pid in pids {
-        let label = if pid == 999 { "unranked".to_string() } else { format!("rank {pid}") };
-        let _ = write!(
-            out,
-            ",{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\"{label}\"}}}}"
-        );
+        let label = rank_label((pid != 999).then_some(pid as usize));
+        let lane = format!("\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\"{label}\"}}");
+        let _ = write!(out, "{{\"name\":\"process_name\",\"ph\":\"M\",{lane}}},");
+    }
+    if out.ends_with(',') {
+        out.pop();
     }
     let _ = write!(
         out,
@@ -756,48 +483,250 @@ pub fn chrome_trace_json() -> String {
 }
 
 /// Per-rank kernel-efficiency rows as a JSON array (embedded into the
-/// chrome trace's `otherData` and reusable by other structured sinks).
+/// chrome trace's `otherData` and the solve ledger).
 pub fn kernel_efficiency_json(reports: &[RankReport]) -> String {
-    let roofline = crate::model::roofline();
-    let mut out = String::from("[");
-    let mut first = true;
-    for rep in reports {
-        for e in rep.kernel_efficiency(roofline.as_ref()) {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let rank = match rep.rank {
-                Some(r) => r.to_string(),
-                None => "null".to_string(),
-            };
-            let pct = match e.pct_of_roofline {
-                Some(p) => format!("{p:.3}"),
-                None => "null".to_string(),
-            };
-            let _ = write!(
-                out,
-                "{{\"rank\":{rank},\"kernel\":\"{}\",\"span\":\"{}\",\"units\":{},\
-                 \"nrhs\":{},\"seconds\":{:e},\"flops\":{},\"bytes\":{},\"gflops\":{:.6},\
-                 \"gbs\":{:.6},\"ai\":{:.6},\"pct_of_roofline\":{pct}}}",
-                json::escape(e.name),
-                json::escape(e.span),
-                e.units,
-                e.nrhs,
-                e.seconds,
-                e.flops,
-                e.bytes,
-                e.gflops,
-                e.gbs,
-                e.ai,
-            );
-        }
-    }
-    out.push(']');
-    out
+    tables(reports, crate::model::roofline().as_ref()).kernels.json(true)
 }
 
 /// Write [`chrome_trace_json`] to `path`.
 pub fn write_chrome_trace(path: impl AsRef<Path>) -> std::io::Result<()> {
     std::fs::write(path, chrome_trace_json())
+}
+
+#[cfg(test)]
+mod golden_tests {
+    //! The machine-readable renderers pinned byte for byte over one
+    //! hand-built cohort: three ranked ranks passing messages round a ring
+    //! and one unranked thread, every event folded at a chosen clock.
+
+    use super::*;
+    use crate::event::{Event, EventKind};
+    use crate::model::{register, KernelModel, TimeBase, WorkUnit};
+    use crate::recorder::Level;
+    use crate::{add, note, set_rank};
+
+    /// Fold one event of solve 1 into this thread's recorder, as
+    /// `emit_since` does, with `t0..t1` chosen instead of read.
+    fn fold(t0_ns: u64, t1_ns: u64, kind: EventKind, child_ns: Option<u64>) {
+        let ev = Event { t0_ns, t1_ns, solve: 1, kind };
+        recorder::with_local(|r| r.local().fold(&ev, child_ns, Level::Spans));
+    }
+
+    /// One thread's recorder, built by hand and snapshotted on its own
+    /// thread, so no other recorder mixes in.
+    fn report(rank: Option<usize>) -> RankReport {
+        std::thread::spawn(move || {
+            match rank {
+                Some(r) => {
+                    set_rank(r);
+                    let (next, prev) = ((r + 1) % 3, (r + 2) % 3);
+                    for _ in 0..2 {
+                        fold(0, 0, EventKind::Send { peer: next, bytes: 8, tag: 1, seq: 0 }, None);
+                        fold(0, 0, EventKind::Recv { peer: prev, bytes: 8, tag: 1, src_seq: 0 }, None);
+                    }
+                    add(Counter::SendsPosted, 2);
+                    add(Counter::BytesSent, 16);
+                    add(Counter::RecvsCompleted, 2);
+                    add(Counter::BytesReceived, 16);
+                    add(Counter::PortCalls, 10 + r as u64);
+                    // `matvec` and an `allreduce` nested in `ksp_solve`.
+                    let r = r as u64;
+                    fold(100, 400 + 100 * r, EventKind::Span { name: "matvec" }, Some(0));
+                    let op = EventKind::Collective { op: "allreduce", index: 0 };
+                    fold(500, 2_000 + 1_000 * r, op, Some(0));
+                    let child = 300 + 100 * r + 1_500 + 1_000 * r;
+                    fold(0, 4_000 + 1_000 * r, EventKind::Span { name: "ksp_solve" }, Some(child));
+                    // Two iterations: `iter_time` samples the gaps.
+                    fold(0, 0, EventKind::Begin, None);
+                    fold(0, 2_000, EventKind::Iter { iteration: 1, residual: 0.5 }, None);
+                    fold(0, 5_000 + r, EventKind::Iter { iteration: 2, residual: 0.25 }, None);
+                    note("batch", format!("nrhs={}", r + 1));
+                    register(
+                        "spmv",
+                        KernelModel {
+                            span: "matvec",
+                            flops: 2_000,
+                            bytes: 24_000,
+                            unit: WorkUnit::SpanCalls,
+                            time: TimeBase::Total,
+                            nrhs: 1,
+                        },
+                    );
+                }
+                None => {
+                    add(Counter::PortFetches, 4);
+                    fold(10, 710, EventKind::Span { name: "cca_setup" }, Some(0));
+                    note("host", "unit \"test\"\tbox");
+                }
+            }
+            local_report()
+        })
+        .join()
+        .unwrap()
+    }
+
+    fn lines(ls: &[&str]) -> String {
+        ls.iter().map(|l| format!("{l}\n")).collect()
+    }
+
+    /// `render_jsonl`: one object per report, in report order.
+    const JSONL: [&str; 4] = [
+        concat!(
+            r#"{"rank":0,"counters":{"sends_posted":2,"recvs_completed":2,"bytes_sent":16,"#,
+            r#""bytes_received":16,"port_calls":10},"notes":{"batch":"nrhs=1"},"#,
+            r#""spans":[{"name":"allreduce","calls":1,"total_s":1.5e-6,"self_s":1.5e-6},"#,
+            r#"{"name":"ksp_solve","calls":1,"total_s":4.000000000000001e-6,"self_s":2.2e-6},"#,
+            r#"{"name":"matvec","calls":1,"total_s":3.0000000000000004e-7,"#,
+            r#""self_s":3.0000000000000004e-7}]}"#,
+        ),
+        concat!(
+            r#"{"rank":1,"counters":{"sends_posted":2,"recvs_completed":2,"bytes_sent":16,"#,
+            r#""bytes_received":16,"port_calls":11},"notes":{"batch":"nrhs=2"},"#,
+            r#""spans":[{"name":"allreduce","calls":1,"total_s":2.5e-6,"self_s":2.5e-6},"#,
+            r#"{"name":"ksp_solve","calls":1,"total_s":5e-6,"self_s":2.1000000000000002e-6},"#,
+            r#"{"name":"matvec","calls":1,"total_s":4.0000000000000003e-7,"#,
+            r#""self_s":4.0000000000000003e-7}]}"#,
+        ),
+        concat!(
+            r#"{"rank":2,"counters":{"sends_posted":2,"recvs_completed":2,"bytes_sent":16,"#,
+            r#""bytes_received":16,"port_calls":12},"notes":{"batch":"nrhs=3"},"#,
+            r#""spans":[{"name":"allreduce","calls":1,"total_s":3.5000000000000004e-6,"#,
+            r#""self_s":3.5000000000000004e-6},{"name":"ksp_solve","calls":1,"total_s":6e-6,"#,
+            r#""self_s":2.0000000000000003e-6},{"name":"matvec","calls":1,"#,
+            r#""total_s":5.000000000000001e-7,"self_s":5.000000000000001e-7}]}"#,
+        ),
+        concat!(
+            r#"{"rank":null,"counters":{"port_fetches":4},"#,
+            r#""notes":{"host":"unit \"test\"\u0009box"},"spans":[{"name":"cca_setup","calls":1,"#,
+            r#""total_s":7.000000000000001e-7,"self_s":7.000000000000001e-7}]}"#,
+        ),
+    ];
+
+    /// `export::render`: the whole Prometheus page.
+    const PROMETHEUS: [&str; 98] = [
+        r#"# HELP rsparse_sends_posted_total Probe counter `sends_posted`, accumulated per rank."#,
+        r#"# TYPE rsparse_sends_posted_total counter"#,
+        r#"rsparse_sends_posted_total{rank="0"} 2"#,
+        r#"rsparse_sends_posted_total{rank="1"} 2"#,
+        r#"rsparse_sends_posted_total{rank="2"} 2"#,
+        r#"# HELP rsparse_recvs_completed_total Probe counter `recvs_completed`, accumulated per rank."#,
+        r#"# TYPE rsparse_recvs_completed_total counter"#,
+        r#"rsparse_recvs_completed_total{rank="0"} 2"#,
+        r#"rsparse_recvs_completed_total{rank="1"} 2"#,
+        r#"rsparse_recvs_completed_total{rank="2"} 2"#,
+        r#"# HELP rsparse_bytes_sent_total Probe counter `bytes_sent`, accumulated per rank."#,
+        r#"# TYPE rsparse_bytes_sent_total counter"#,
+        r#"rsparse_bytes_sent_total{rank="0"} 16"#,
+        r#"rsparse_bytes_sent_total{rank="1"} 16"#,
+        r#"rsparse_bytes_sent_total{rank="2"} 16"#,
+        r#"# HELP rsparse_bytes_received_total Probe counter `bytes_received`, accumulated per rank."#,
+        r#"# TYPE rsparse_bytes_received_total counter"#,
+        r#"rsparse_bytes_received_total{rank="0"} 16"#,
+        r#"rsparse_bytes_received_total{rank="1"} 16"#,
+        r#"rsparse_bytes_received_total{rank="2"} 16"#,
+        r#"# HELP rsparse_port_calls_total Probe counter `port_calls`, accumulated per rank."#,
+        r#"# TYPE rsparse_port_calls_total counter"#,
+        r#"rsparse_port_calls_total{rank="0"} 10"#,
+        r#"rsparse_port_calls_total{rank="1"} 11"#,
+        r#"rsparse_port_calls_total{rank="2"} 12"#,
+        r#"# HELP rsparse_port_fetches_total Probe counter `port_fetches`, accumulated per rank."#,
+        r#"# TYPE rsparse_port_fetches_total counter"#,
+        r#"rsparse_port_fetches_total{rank="none"} 4"#,
+        r#"# HELP rsparse_span_seconds_total Inclusive wall-clock seconds per probe span."#,
+        r#"# TYPE rsparse_span_seconds_total counter"#,
+        r#"# HELP rsparse_span_calls_total Times each probe span closed."#,
+        r#"# TYPE rsparse_span_calls_total counter"#,
+        r#"rsparse_span_seconds_total{rank="0",span="allreduce"} 1.5e-6"#,
+        r#"rsparse_span_calls_total{rank="0",span="allreduce"} 1"#,
+        r#"rsparse_span_seconds_total{rank="0",span="ksp_solve"} 4.000000000000001e-6"#,
+        r#"rsparse_span_calls_total{rank="0",span="ksp_solve"} 1"#,
+        r#"rsparse_span_seconds_total{rank="0",span="matvec"} 3.0000000000000004e-7"#,
+        r#"rsparse_span_calls_total{rank="0",span="matvec"} 1"#,
+        r#"rsparse_span_seconds_total{rank="1",span="allreduce"} 2.5e-6"#,
+        r#"rsparse_span_calls_total{rank="1",span="allreduce"} 1"#,
+        r#"rsparse_span_seconds_total{rank="1",span="ksp_solve"} 5e-6"#,
+        r#"rsparse_span_calls_total{rank="1",span="ksp_solve"} 1"#,
+        r#"rsparse_span_seconds_total{rank="1",span="matvec"} 4.0000000000000003e-7"#,
+        r#"rsparse_span_calls_total{rank="1",span="matvec"} 1"#,
+        r#"rsparse_span_seconds_total{rank="2",span="allreduce"} 3.5000000000000004e-6"#,
+        r#"rsparse_span_calls_total{rank="2",span="allreduce"} 1"#,
+        r#"rsparse_span_seconds_total{rank="2",span="ksp_solve"} 6e-6"#,
+        r#"rsparse_span_calls_total{rank="2",span="ksp_solve"} 1"#,
+        r#"rsparse_span_seconds_total{rank="2",span="matvec"} 5.000000000000001e-7"#,
+        r#"rsparse_span_calls_total{rank="2",span="matvec"} 1"#,
+        r#"rsparse_span_seconds_total{rank="none",span="cca_setup"} 7.000000000000001e-7"#,
+        r#"rsparse_span_calls_total{rank="none",span="cca_setup"} 1"#,
+        r#"# HELP rsparse_iter_time_seconds Log2-bucketed `iter_time` latency in seconds."#,
+        r#"# TYPE rsparse_iter_time_seconds histogram"#,
+        r#"rsparse_iter_time_seconds_bucket{rank="0",le="2.048e-6"} 1"#,
+        r#"rsparse_iter_time_seconds_bucket{rank="0",le="4.096e-6"} 2"#,
+        r#"rsparse_iter_time_seconds_bucket{rank="0",le="+Inf"} 2"#,
+        r#"rsparse_iter_time_seconds_sum{rank="0"} 5e-6"#,
+        r#"rsparse_iter_time_seconds_count{rank="0"} 2"#,
+        r#"rsparse_iter_time_seconds_bucket{rank="1",le="2.048e-6"} 1"#,
+        r#"rsparse_iter_time_seconds_bucket{rank="1",le="4.096e-6"} 2"#,
+        r#"rsparse_iter_time_seconds_bucket{rank="1",le="+Inf"} 2"#,
+        r#"rsparse_iter_time_seconds_sum{rank="1"} 5.001e-6"#,
+        r#"rsparse_iter_time_seconds_count{rank="1"} 2"#,
+        r#"rsparse_iter_time_seconds_bucket{rank="2",le="2.048e-6"} 1"#,
+        r#"rsparse_iter_time_seconds_bucket{rank="2",le="4.096e-6"} 2"#,
+        r#"rsparse_iter_time_seconds_bucket{rank="2",le="+Inf"} 2"#,
+        r#"rsparse_iter_time_seconds_sum{rank="2"} 5.0020000000000006e-6"#,
+        r#"rsparse_iter_time_seconds_count{rank="2"} 2"#,
+        r#"# HELP rsparse_collective_seconds Log2-bucketed `collective` latency in seconds."#,
+        r#"# TYPE rsparse_collective_seconds histogram"#,
+        r#"rsparse_collective_seconds_bucket{rank="0",le="2.048e-6"} 1"#,
+        r#"rsparse_collective_seconds_bucket{rank="0",le="+Inf"} 1"#,
+        r#"rsparse_collective_seconds_sum{rank="0"} 1.5e-6"#,
+        r#"rsparse_collective_seconds_count{rank="0"} 1"#,
+        r#"rsparse_collective_seconds_bucket{rank="1",le="4.096e-6"} 1"#,
+        r#"rsparse_collective_seconds_bucket{rank="1",le="+Inf"} 1"#,
+        r#"rsparse_collective_seconds_sum{rank="1"} 2.5e-6"#,
+        r#"rsparse_collective_seconds_count{rank="1"} 1"#,
+        r#"rsparse_collective_seconds_bucket{rank="2",le="4.096e-6"} 1"#,
+        r#"rsparse_collective_seconds_bucket{rank="2",le="+Inf"} 1"#,
+        r#"rsparse_collective_seconds_sum{rank="2"} 3.5000000000000004e-6"#,
+        r#"rsparse_collective_seconds_count{rank="2"} 1"#,
+        r#"# HELP rsparse_kernel_gflops Achieved GF/s per modelled kernel (model flops / measured seconds)."#,
+        r#"# TYPE rsparse_kernel_gflops gauge"#,
+        r#"rsparse_kernel_gflops{rank="0",kernel="spmv"} 6.666666666666666e0"#,
+        r#"rsparse_kernel_gflops{rank="1",kernel="spmv"} 5e0"#,
+        r#"rsparse_kernel_gflops{rank="2",kernel="spmv"} 3.9999999999999996e0"#,
+        r#"# HELP rsparse_kernel_gbs Achieved GB/s per modelled kernel (model bytes / measured seconds)."#,
+        r#"# TYPE rsparse_kernel_gbs gauge"#,
+        r#"rsparse_kernel_gbs{rank="0",kernel="spmv"} 7.999999999999999e1"#,
+        r#"rsparse_kernel_gbs{rank="1",kernel="spmv"} 5.999999999999999e1"#,
+        r#"rsparse_kernel_gbs{rank="2",kernel="spmv"} 4.799999999999999e1"#,
+        r#"# HELP rsparse_kernel_ai Arithmetic intensity per modelled kernel (flops per byte)."#,
+        r#"# TYPE rsparse_kernel_ai gauge"#,
+        r#"rsparse_kernel_ai{rank="0",kernel="spmv"} 8.333333333333333e-2"#,
+        r#"rsparse_kernel_ai{rank="1",kernel="spmv"} 8.333333333333333e-2"#,
+        r#"rsparse_kernel_ai{rank="2",kernel="spmv"} 8.333333333333333e-2"#,
+    ];
+
+    /// `kernel_efficiency_json`: one row per (ranked rank, kernel).
+    const KERNELS: &str = concat!(
+        r#"[{"rank":0,"kernel":"spmv","span":"matvec","units":1,"nrhs":1,"#,
+        r#""seconds":3.0000000000000004e-7,"flops":2000,"bytes":24000,"gflops":6.666667,"#,
+        r#""gbs":80.000000,"ai":0.083333,"pct_of_roofline":null},{"rank":1,"kernel":"spmv","#,
+        r#""span":"matvec","units":1,"nrhs":1,"seconds":4.0000000000000003e-7,"flops":2000,"#,
+        r#""bytes":24000,"gflops":5.000000,"gbs":60.000000,"ai":0.083333,"#,
+        r#""pct_of_roofline":null},{"rank":2,"kernel":"spmv","span":"matvec","units":1,"#,
+        r#""nrhs":1,"seconds":5.000000000000001e-7,"flops":2000,"bytes":24000,"#,
+        r#""gflops":4.000000,"gbs":48.000000,"ai":0.083333,"pct_of_roofline":null}]"#,
+    );
+
+    #[test]
+    fn renderers_write_the_pinned_documents() {
+        let _g = crate::tests::locked();
+        assert!(crate::model::roofline().is_none(), "the pinned documents assume no calibration");
+        let reports: Vec<RankReport> =
+            [Some(0), Some(1), Some(2), None].into_iter().map(report).collect();
+        assert_eq!(render_jsonl(&reports), lines(&JSONL));
+        assert_eq!(crate::export::render(&reports), lines(&PROMETHEUS));
+        assert_eq!(kernel_efficiency_json(&reports), KERNELS);
+        let ring = |v: u64| vec![vec![0, v, 0], vec![0, 0, v], vec![v, 0, 0]];
+        let m = CommMatrix { ranks: vec![0, 1, 2], msgs: ring(2), bytes: ring(16) };
+        assert_eq!(comm_matrix(&reports), m);
+    }
 }

@@ -187,7 +187,7 @@ fn summary_sink_is_deterministic_and_name_sorted() {
 
     assert_eq!(once, twice, "two renders of the same state must be identical");
     for rep in &reports {
-        let names: Vec<&str> = rep.spans.iter().map(|s| s.name).collect();
+        let names: Vec<&str> = rep.spans().iter().map(|s| s.name).collect();
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(names, sorted, "span rows sorted by name");
@@ -226,7 +226,7 @@ fn a_recorder_holding_only_a_histogram_sample_is_reported() {
         .iter()
         .find(|r| r.rank == Some(5))
         .expect("the sampling thread's report");
-    assert!(rep.spans.is_empty(), "nothing but the sample: {:?}", rep.spans);
+    assert!(rep.spans().is_empty(), "nothing but the sample: {:?}", rep.spans());
     assert_eq!(rep.hist(probe::hist::Hist::IterTime).count, 1);
     assert!(
         page.contains("rsparse_iter_time_seconds_count{rank=\"5\"} 1\n"),

@@ -93,7 +93,7 @@ proptest! {
                 + total("halo_drain")
                 + total("spmv_boundary");
             prop_assert!(children <= total("matvec") + 1e-4);
-            for s in &report.spans {
+            for s in &report.spans() {
                 prop_assert!(s.self_s >= 0.0);
                 prop_assert!(s.self_s <= s.total_s + 1e-9);
             }

@@ -7,6 +7,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Postmortem and solve-ledger dumps in the working tree, outside target/.
+# Tests send theirs to scratch paths; only the examples and the fault
+# matrix below write them here, on purpose.
+stray_dumps() {
+  git status --porcelain --ignored | awk '{print $NF}' \
+    | grep -E '(^|/)(postmortem|solve_ledger)[^/]*\.json$' | grep -vE '(^|/)target/' || true
+}
+stray_dumps | xargs -r rm -f
+
 echo "== build (all targets) =="
 cargo build --workspace --all-targets
 
@@ -25,6 +34,13 @@ echo "== tests (RSPARSE_THREADS=4) =="
 # results must be bit-identical to the serial run.
 RSPARSE_THREADS=4 \
 RCOMM_DEADLOCK_TIMEOUT_SECS=${RCOMM_DEADLOCK_TIMEOUT_SECS:-30} cargo test --workspace
+
+echo "== tests leave no dumps in the tree =="
+if [ -n "$(stray_dumps)" ]; then
+  echo "tests wrote postmortem / solve-ledger files into the tree:"
+  stray_dumps
+  exit 1
+fi
 
 echo "== rcomm unit tests, 20 runs (flake guard) =="
 # The lib tests launch universes concurrently in one process; a test that
