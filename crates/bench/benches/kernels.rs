@@ -212,23 +212,45 @@ fn sptrsv(c: &mut Criterion) {
     group.finish();
 }
 
-/// RSLU's triangular solves on the factors `direct_2r` keeps: one
-/// `LuFactorization::solve` (L forward, U backward) and one
-/// `solve_transpose` (Uᵀ forward, Lᵀ backward) of the paper PDE at
-/// m = 120 under minimum degree. `trisolve/nosupernodes` is the bypass
-/// control: two interleaved copies of a band of half-width 4 in natural
-/// order (80 000 unknowns, four entries a column), so no column of L (row
-/// of U) has its successor in its structure, every panel is one column
-/// wide and the factors are as short-rowed as factors without supernodes
-/// are.
+/// The two systems RSLU's rows work on, each with its analysis: the paper
+/// PDE at m = 120 under minimum degree (the factors `direct_2r` keeps),
+/// and the bypass control `nosupernodes` — two interleaved copies of a
+/// band of half-width 4 in natural order (80 000 unknowns, four entries a
+/// column), so no column of L (row of U) has its successor in its
+/// structure, every panel is one column wide and the factors are as
+/// short-rowed as factors without supernodes are.
+fn rslu_systems() -> [(&'static str, rsparse::CsrMatrix, rdirect::symbolic::Symbolic); 2] {
+    use rdirect::{symbolic::Symbolic, Ordering};
+    [
+        ("paper120", rmesh::paper_problem(120).assemble_global().0, Ordering::MinDegree),
+        ("nosupernodes", interleave2(&band(40_000, 4)), Ordering::Natural),
+    ]
+    .map(|(label, a, ordering)| {
+        let sym = Symbolic::analyze(&a, ordering).unwrap();
+        (label, a, sym)
+    })
+}
+
+/// RSLU's numeric factorization: one `LuFactorization::factor` on a
+/// precomputed analysis of each of [`rslu_systems`]. On `nosupernodes` no
+/// column ever joins a panel, so no block update runs.
+fn factor(c: &mut Criterion) {
+    let mut group = c.benchmark_group("factor");
+    for (label, a, sym) in &rslu_systems() {
+        group.throughput(Throughput::Elements(a.nnz() as u64));
+        group.bench_function(*label, |bench| {
+            bench.iter(|| rdirect::LuFactorization::factor(a, sym, 1.0).unwrap())
+        });
+    }
+    group.finish();
+}
+
+/// RSLU's triangular solves on the factors of [`rslu_systems`]: one
+/// `LuFactorization::solve` (L forward, U backward) and, on the paper
+/// PDE, one `solve_transpose` (Uᵀ forward, Lᵀ backward).
 fn trisolve(c: &mut Criterion) {
-    use rdirect::{symbolic::Symbolic, LuFactorization, Ordering};
-    let factor = |a: &rsparse::CsrMatrix, ordering| {
-        let sym = Symbolic::analyze(a, ordering).unwrap();
-        LuFactorization::factor(a, &sym, 1.0).unwrap()
-    };
-    let paper = factor(&rmesh::paper_problem(120).assemble_global().0, Ordering::MinDegree);
-    let bypass = factor(&interleave2(&band(40_000, 4)), Ordering::Natural);
+    let [paper, bypass] =
+        rslu_systems().map(|(_, a, sym)| rdirect::LuFactorization::factor(&a, &sym, 1.0).unwrap());
     let mut group = c.benchmark_group("trisolve");
     for (label, lu) in [("paper120", &paper), ("nosupernodes", &bypass)] {
         let b = generate::random_vector(lu.order(), 7);
@@ -434,6 +456,7 @@ fn assembly(c: &mut Criterion) {
 }
 
 criterion_group!(
-    benches, spmv, spmv_formats, spmv_multi, sptrsv, trisolve, blas1, raztec, probe_sites, conversions, assembly
+    benches, spmv, spmv_formats, spmv_multi, sptrsv, factor, trisolve, blas1, raztec, probe_sites, conversions,
+    assembly
 );
 criterion_main!(benches);

@@ -12,8 +12,11 @@
 //!    context;
 //! 2. **Factorize** — left-looking Gilbert–Peierls sparse LU with partial
 //!    pivoting and a symmetrically pruned reach ([`lu`]), producing
-//!    `P·A·Q = L·U` on the structural pattern (explicit zeros kept), the
-//!    finished factors stored as supernodal panels ([`panels`]);
+//!    `P·A·Q = L·U` on the structural pattern (explicit zeros kept) as
+//!    supernodal panels ([`panels`]): L grows as panels during the
+//!    factorization, and a run of a panel's columns in a column's reach is
+//!    applied as one dense block; U's rows are packed into panels at the
+//!    end;
 //! 3. **Solve** — permuted triangular solves over the panels, optionally
 //!    with one step of iterative refinement, reusing the factors and one
 //!    workspace across right-hand sides.

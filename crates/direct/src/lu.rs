@@ -1,8 +1,17 @@
 //! The factorize and solve phases: left-looking Gilbert–Peierls sparse LU
 //! with threshold partial pivoting, the algorithm family SuperLU builds
 //! its supernodal variant on. Produces `P·A·Q = L·U` with unit-diagonal
-//! L; the finished factors are kept as supernodal panels
-//! ([`crate::panels`]), L by columns and U by rows.
+//! L; the factors are kept as supernodal panels ([`crate::panels`]), L by
+//! columns and U by rows.
+//!
+//! L is grown as panels while it is factored, not packed after: a column
+//! whose structure continues the last panel's run joins that panel, and
+//! wherever consecutive columns of one panel follow each other in a
+//! column's reach they are applied as one dense block — the rows they
+//! reach gathered once, one axpy a column, scattered back — with every
+//! entry receiving the subtractions a column at a time gave it.
+
+use std::ops::Range;
 
 use rsparse::{CscMatrix, CsrMatrix};
 
@@ -29,17 +38,233 @@ pub struct LuFactorization {
 struct ColumnWork {
     /// Dense accumulator.
     x: Vec<f64>,
-    /// DFS stack: `(row, next child, end of children)` as positions in L.
+    /// Dense copy of the rows one block of panel columns reaches.
+    block: Vec<f64>,
+    /// DFS stack: `(row, next child, end of children)` as positions in
+    /// [`Reach::rows`].
     stack: Vec<(usize, usize, usize)>,
     /// Topologically ordered pattern of the current column.
     pattern: Vec<usize>,
+    /// Its unpivoted rows, in pattern order.
+    free: Vec<usize>,
     /// Visitation marks, keyed by original row.
     mark: Vec<bool>,
 }
 
-/// A factor under construction: CSC columns appended one at a time.
-/// Row indices are `u32` (`factor` checks the order once): half the index
-/// bytes while both triangles grow.
+/// L's structure as the reach DFS walks it, apart from L's values (those
+/// live in the panels alone): column `k`'s rows below the diagonal, in
+/// original numbering, in the order they were gathered until pruning
+/// moves the pivotal ones to the front. The DFS descends only
+/// `rows[ptr[k]..prune[k]]`.
+struct Reach {
+    ptr: Vec<u32>,
+    rows: Vec<u32>,
+    prune: Vec<u32>,
+}
+
+/// L under construction as supernodal panels, in [`PanelTri`]'s value
+/// layout, rows in original numbering until [`GrowingL::finish`].
+///
+/// Panel `p` keeps one row list `P`: its columns' pivot rows in column
+/// order, then its *tail*, the rows below the panel in the order they
+/// were gathered. Its column `k` holds one value per row of `P[k + 1..]`,
+/// so the list's length is fixed when the panel opens, and a column that
+/// joins only moves its pivot row to the front of the tail. Each column
+/// also keeps where its rows and values start, so the elimination reaches
+/// a column as it would a CSC one.
+struct GrowingL {
+    /// Panel `p` covers columns `first[p]..first[p + 1]`; the last entry
+    /// is the number of columns so far.
+    first: Vec<u32>,
+    /// Panel `p`'s list is `rows[row_ptr[p]..row_ptr[p + 1]]`.
+    row_ptr: Vec<usize>,
+    rows: Vec<u32>,
+    vals: Vec<f64>,
+    /// Column `c`'s rows below its diagonal start at `rows[rptr[c]]`, its
+    /// values are `vals[vptr[c]..vptr[c + 1]]`.
+    rptr: Vec<u32>,
+    vptr: Vec<u32>,
+    /// The panel of each column.
+    panel_of: Vec<u32>,
+    /// Where a row sits in the last panel's list — meaningful only where
+    /// that entry names the row back, so nothing is ever cleared.
+    slot: Vec<u32>,
+}
+
+impl GrowingL {
+    fn with_capacity(n: usize, entries: usize) -> Self {
+        let mut vptr = Vec::with_capacity(n + 1);
+        vptr.push(0);
+        GrowingL {
+            first: vec![0],
+            row_ptr: vec![0],
+            rows: Vec::new(),
+            vals: Vec::with_capacity(entries),
+            rptr: Vec::with_capacity(n),
+            vptr,
+            panel_of: Vec::with_capacity(n),
+            slot: vec![0; n],
+        }
+    }
+
+    /// Where the last panel's list starts.
+    fn open(&self) -> usize {
+        self.row_ptr[self.row_ptr.len() - 2]
+    }
+
+    /// Columns of the last panel.
+    fn width(&self) -> usize {
+        match self.first[..] {
+            [.., a, b] => (b - a) as usize,
+            _ => 0,
+        }
+    }
+
+    /// Rows in the last panel's tail.
+    fn tail_len(&self) -> usize {
+        match self.width() {
+            0 => 0,
+            width => self.rows.len() - self.open() - width,
+        }
+    }
+
+    /// Does the column whose unpivoted rows (its pivot among them) are
+    /// `free` continue the last panel's run? Exactly when `free` is that
+    /// panel's tail: the T2 supernode test.
+    fn joins(&self, free: &[usize]) -> bool {
+        free.len() == self.tail_len()
+            && free.iter().all(|&r| {
+                let at = self.open() + self.slot[r] as usize;
+                at < self.rows.len() && self.rows[at] as usize == r
+            })
+    }
+
+    /// Append the column pivoting on `pivot`, whose unpivoted rows (the
+    /// pivot among them) are `free`, with the values `x[r] / pivot_val` of
+    /// its rows below. A column that [`GrowingL::joins`] the last panel
+    /// swaps its pivot row to the front of the tail, in the list and in
+    /// every earlier column's values; any other opens a panel over `free`
+    /// without the pivot, in that order.
+    fn push_column(&mut self, pivot: usize, free: &[usize], x: &[f64], pivot_val: f64) {
+        if self.joins(free) {
+            let (open, s) = (self.open(), self.width());
+            let t = self.slot[pivot] as usize;
+            if t != s {
+                self.rows.swap(open + s, open + t);
+                self.slot[self.rows[open + t] as usize] = t as u32;
+                self.slot[pivot] = s as u32;
+                // Column k's value for list entry i is its (i − k − 1)-th.
+                let c0 = self.first[self.first.len() - 2] as usize;
+                for (k, &at) in self.vptr[c0..c0 + s].iter().enumerate() {
+                    let at = at as usize;
+                    self.vals.swap(at + s - k - 1, at + t - k - 1);
+                }
+            }
+            *self.first.last_mut().expect("a panel is open") += 1;
+        } else {
+            let open = self.rows.len();
+            self.rows.push(pivot as u32);
+            self.rows.extend(free.iter().filter(|&&r| r != pivot).map(|&r| r as u32));
+            for (i, &r) in self.rows[open..].iter().enumerate() {
+                self.slot[r as usize] = i as u32;
+            }
+            self.row_ptr.push(self.rows.len());
+            let columns = *self.first.last().expect("never empty");
+            self.first.push(columns + 1);
+        }
+        let at = self.open() + self.width();
+        self.rptr.push(at as u32);
+        self.vals.extend(self.rows[at..].iter().map(|&r| x[r as usize] / pivot_val));
+        self.vptr.push(self.vals.len() as u32);
+        self.panel_of.push((self.first.len() - 2) as u32);
+    }
+
+    /// `x ← x − xj·L(:, c)` for the consecutive columns `cols` of one
+    /// panel, one after the other, where `xj` is `x` at the column's pivot
+    /// row — `first_xj` for the first — and a column whose multiplier is
+    /// exactly 0.0 is skipped: what the column-at-a-time loop does to every
+    /// entry, in the same order. One column is applied in place; two or
+    /// more through `block`, a dense copy of the rows below the first.
+    fn eliminate(&self, cols: Range<usize>, first_xj: f64, x: &mut [f64], block: &mut Vec<f64>) {
+        // Column c + k holds the rows of column c but its first k.
+        let mut vals = &self.vals[self.vptr[cols.start] as usize..self.vptr[cols.end] as usize];
+        let at = self.rptr[cols.start] as usize;
+        let below = &self.rows[at..at + (self.vptr[cols.start + 1] - self.vptr[cols.start]) as usize];
+        if cols.len() == 1 {
+            if first_xj != 0.0 {
+                for (&r, &v) in below.iter().zip(vals) {
+                    x[r as usize] -= first_xj * v;
+                }
+            }
+            return;
+        }
+        if block.len() < below.len() {
+            block.resize(below.len(), 0.0);
+        }
+        let w = &mut block[..below.len()];
+        for (wt, &r) in w.iter_mut().zip(below) {
+            *wt = x[r as usize];
+        }
+        for k in 0..cols.len() {
+            let column;
+            (column, vals) = vals.split_at(below.len() - k);
+            // The multiplier of a later column is a row of the block.
+            let xj = if k == 0 { first_xj } else { w[k - 1] };
+            if xj != 0.0 {
+                for (wt, &v) in w[k..].iter_mut().zip(column) {
+                    *wt -= xj * v;
+                }
+            }
+        }
+        for (&wt, &r) in w.iter().zip(below) {
+            x[r as usize] = wt;
+        }
+    }
+
+    /// L as a [`PanelTri`] in pivot numbering: every panel's tail is
+    /// renumbered through `pinv` and sorted once, each of its columns'
+    /// values below the panel permuted to follow, and the lists lose
+    /// their pivot rows — in place, so no array is copied.
+    fn finish(self, n: usize, pinv: &[usize]) -> RsluResult<PanelTri> {
+        let GrowingL { first, row_ptr, mut rows, mut vals, .. } = self;
+        let mut idx_ptr = Vec::with_capacity(first.len());
+        idx_ptr.push(0u32);
+        let mut order: Vec<(u32, u32)> = Vec::new();
+        let mut moved: Vec<f64> = Vec::new();
+        let (mut to, mut at) = (0, 0);
+        for (cols, list) in first.windows(2).zip(row_ptr.windows(2)) {
+            let width = (cols[1] - cols[0]) as usize;
+            order.clear();
+            order.extend(
+                rows[list[0] + width..list[1]].iter().zip(0u32..).map(|(&r, i)| (pinv[r as usize] as u32, i)),
+            );
+            order.sort_unstable_by_key(|&(r, _)| r);
+            let m = order.len();
+            for k in 0..width {
+                at += width - 1 - k;
+                let off = &mut vals[at..at + m];
+                moved.clear();
+                moved.extend(order.iter().map(|&(_, i)| off[i as usize]));
+                off.copy_from_slice(&moved);
+                at += m;
+            }
+            // Every list before this one lost at least one pivot row, so
+            // the write never overtakes the read.
+            for (dst, &(r, _)) in rows[to..to + m].iter_mut().zip(&order) {
+                *dst = r;
+            }
+            to += m;
+            idx_ptr.push(to as u32);
+        }
+        rows.truncate(to);
+        rows.shrink_to_fit();
+        vals.shrink_to_fit();
+        Ok(PanelTri::from_parts(n, first, idx_ptr, rows, vals, Vec::new())?)
+    }
+}
+
+/// U under construction: CSC columns appended one at a time. Row indices
+/// are `u32` (`factor` checks the order once).
 struct Columns {
     ptr: Vec<usize>,
     rows: Vec<u32>,
@@ -56,38 +281,6 @@ impl Columns {
     fn push(&mut self, row: usize, val: f64) {
         self.rows.push(row as u32);
         self.vals.push(val);
-    }
-
-    /// L as panels: rows renumbered to pivot order through `pinv`, every
-    /// column sorted, the unit diagonal (each column's first entry)
-    /// dropped — all in place, so the only new array is the panels' short
-    /// index list.
-    fn into_unit_lower(mut self, n: usize, pinv: &[usize]) -> RsluResult<PanelTri> {
-        let mut col: Vec<(u32, f64)> = Vec::new();
-        let mut to = 0;
-        for j in 0..n {
-            let below = self.ptr[j] + 1..self.ptr[j + 1];
-            col.clear();
-            col.extend(
-                self.rows[below.clone()]
-                    .iter()
-                    .map(|&r| pinv[r as usize] as u32)
-                    .zip(self.vals[below].iter().copied()),
-            );
-            col.sort_unstable_by_key(|&(r, _)| r);
-            // The diagonals dropped so far leave room in front.
-            self.ptr[j] = to;
-            for &(r, v) in &col {
-                self.rows[to] = r;
-                self.vals[to] = v;
-                to += 1;
-            }
-        }
-        self.ptr[n] = to;
-        self.rows.truncate(to);
-        self.vals.truncate(to);
-        self.vals.shrink_to_fit();
-        Ok(PanelTri::from_columns(n, &self.ptr, &self.rows, self.vals, Vec::new())?)
     }
 
     /// U as panels of its rows: one counting-sort transpose (columns are
@@ -170,21 +363,26 @@ impl LuFactorization {
         // Column access to A with the fill-reducing permutation applied.
         let acsc = a.to_csc();
 
-        // Growing factors. L keeps original row numbers until the end and
-        // each of its columns starts with the unit diagonal (its pivot
-        // row); U rows are pivot positions. `pinv[orig_row] = pivot
-        // position` or MAX.
-        let mut l = Columns::with_capacity(n, 4 * a.nnz());
+        // Growing factors. L keeps original row numbers until the end; U
+        // rows are pivot positions. `pinv[orig_row] = pivot position` or
+        // MAX.
+        let mut l = GrowingL::with_capacity(n, 4 * a.nnz());
+        let mut reach = Reach {
+            ptr: Vec::with_capacity(n + 1),
+            rows: Vec::with_capacity(4 * a.nnz()),
+            prune: Vec::with_capacity(n),
+        };
+        reach.ptr.push(0);
         let mut u = Columns::with_capacity(n, 4 * a.nnz());
-        // The DFS descends only `l.rows[l.ptr[k] + 1..prune[k]]` of column k.
-        let mut prune: Vec<usize> = Vec::with_capacity(n);
         let mut pinv = vec![usize::MAX; n];
         let mut row_perm = vec![usize::MAX; n];
 
         let mut work = ColumnWork {
             x: vec![0.0; n],
+            block: Vec::new(),
             stack: Vec::with_capacity(n),
             pattern: Vec::with_capacity(n),
+            free: Vec::with_capacity(n),
             mark: vec![false; n],
         };
 
@@ -195,37 +393,52 @@ impl LuFactorization {
             //     already-computed columns of L (DFS in pivot order).
             work.pattern.clear();
             for &r in arows {
-                dfs_reach(r, &pinv, &l, &prune, &mut work);
+                dfs_reach(r, &pinv, &reach, &mut work);
             }
             // Pattern is in reverse-topological order; process in reverse.
 
             // --- Numeric step: scatter A(:, old_col), then eliminate.
+            //     Only pivotal rows have an L column to apply; the others
+            //     are leaves that merely carry values for the gather. A
+            //     pivotal node and the next columns of its panel that
+            //     follow it, leaves between them passed over, are one
+            //     block.
             for (&r, &v) in arows.iter().zip(avals) {
                 work.x[r] = v;
             }
-            for &node in work.pattern.iter().rev() {
-                // Only pivotal rows have an L column to apply; non-pivotal
-                // rows are leaves that merely carry values for the gather.
+            let pattern = &work.pattern;
+            let mut next = pattern.len();
+            while next > 0 {
+                next -= 1;
+                let node = pattern[next];
                 let col = pinv[node];
                 if col == usize::MAX {
                     continue;
                 }
-                let xj = work.x[node];
-                if xj != 0.0 {
-                    // x ← x − xj · L(:, col), below the unit diagonal.
-                    let below = l.ptr[col] + 1..l.ptr[col + 1];
-                    for (&lr, &lv) in l.rows[below.clone()].iter().zip(&l.vals[below]) {
-                        work.x[lr as usize] -= xj * lv;
+                let mut end = col + 1;
+                let mut look = next;
+                while look > 0 {
+                    look -= 1;
+                    match pinv[pattern[look]] {
+                        usize::MAX => {}
+                        c if c == end && l.panel_of[c] == l.panel_of[col] => {
+                            end += 1;
+                            next = look;
+                        }
+                        _ => break,
                     }
                 }
+                l.eliminate(col..end, work.x[node], &mut work.x, &mut work.block);
             }
 
             // --- Pivot: largest magnitude among non-pivotal rows, with
             //     diagonal preference under the threshold.
             let mut pivot_row = usize::MAX;
             let mut pivot_abs = 0.0f64;
+            work.free.clear();
             for &node in &work.pattern {
                 if pinv[node] == usize::MAX {
+                    work.free.push(node);
                     let a = work.x[node].abs();
                     if a > pivot_abs {
                         pivot_abs = a;
@@ -253,16 +466,24 @@ impl LuFactorization {
             pinv[pivot_row] = j;
             row_perm[j] = pivot_row;
 
-            // --- Gather straight into the factors: pivotal rows into U
-            //     (the new pivot is its diagonal), the rest into L.
-            l.push(pivot_row, 1.0);
+            // L's entries plus n bound every position L's u32 pointers
+            // hold; this column adds fewer than `free` entries.
+            if l.vals.len() + work.free.len() + n > u32::MAX as usize {
+                return Err(RsluError::Sparse(format!("{} entries of L are beyond u32 positions", l.vals.len())));
+            }
+
+            // --- Gather straight into the factors: the rest of the
+            //     unpivoted rows into L — joining the last panel when they
+            //     and the pivot row are exactly its tail — the pivotal
+            //     rows into U (the new pivot is its diagonal).
+            l.push_column(pivot_row, &work.free, &work.x, pivot_val);
             for &node in &work.pattern {
                 let v = work.x[node];
                 work.x[node] = 0.0;
                 work.mark[node] = false;
                 let k = pinv[node];
                 if k == usize::MAX {
-                    l.push(node, v / pivot_val);
+                    reach.rows.push(node as u32);
                     continue;
                 }
                 u.push(k, v);
@@ -274,29 +495,30 @@ impl LuFactorization {
                 // L(:, j) too and stays reachable from k through j. Move
                 // the pivotal rows of column k to the front and stop the
                 // DFS there.
-                let (lo, hi) = (l.ptr[k] + 1, l.ptr[k + 1]);
-                if prune[k] == hi && l.rows[lo..hi].contains(&(pivot_row as u32)) {
+                let (lo, hi) = (reach.ptr[k] as usize, reach.ptr[k + 1] as usize);
+                if reach.prune[k] as usize == hi && reach.rows[lo..hi].contains(&(pivot_row as u32)) {
                     let (mut front, mut back) = (lo, hi);
                     while front < back {
-                        if pinv[l.rows[front] as usize] != usize::MAX {
+                        if pinv[reach.rows[front] as usize] != usize::MAX {
                             front += 1;
                         } else {
                             back -= 1;
-                            l.rows.swap(front, back);
-                            l.vals.swap(front, back);
+                            reach.rows.swap(front, back);
                         }
                     }
-                    prune[k] = front;
+                    reach.prune[k] = front as u32;
                 }
             }
-            l.ptr.push(l.rows.len());
+            reach.ptr.push(reach.rows.len() as u32);
+            reach.prune.push(reach.rows.len() as u32);
             u.ptr.push(u.rows.len());
-            prune.push(l.rows.len());
         }
 
-        // Both factors live in the permuted space. One triangle's
-        // growing columns are gone before the other's panels are built.
-        let l = l.into_unit_lower(n, &pinv)?;
+        // Both factors live in the permuted space. A's columns, the
+        // workspace, the DFS lists and one triangle's growing arrays are
+        // gone before the other's panels are built.
+        drop((acsc, work, reach));
+        let l = l.finish(n, &pinv)?;
         let ut = u.into_upper_rows(n)?;
         Ok(LuFactorization { l, ut, row_perm, col_perm: sym.col_perm.clone(), n })
     }
@@ -477,14 +699,14 @@ impl LuFactorization {
 /// `cs_dfs` shape). A pivotal row's children are the rows of its L column
 /// up to the column's prune point (Eisenstat–Liu symmetric pruning); a
 /// non-pivotal row is a leaf.
-fn dfs_reach(start: usize, pinv: &[usize], l: &Columns, prune: &[usize], work: &mut ColumnWork) {
+fn dfs_reach(start: usize, pinv: &[usize], reach: &Reach, work: &mut ColumnWork) {
     let ColumnWork { stack, pattern, mark, .. } = work;
     if mark[start] {
         return;
     }
     mark[start] = true;
-    // A pivotal row's stack frame: its children, minus the unit diagonal.
-    let frame = |node: usize, col: usize| (node, l.ptr[col] + 1, prune[col]);
+    // A pivotal row's stack frame: its children.
+    let frame = |node: usize, col: usize| (node, reach.ptr[col] as usize, reach.prune[col] as usize);
     match pinv[start] {
         usize::MAX => return pattern.push(start),
         col => stack.push(frame(start, col)),
@@ -493,7 +715,7 @@ fn dfs_reach(start: usize, pinv: &[usize], l: &Columns, prune: &[usize], work: &
         let top = stack.len() - 1;
         let mut descended = false;
         while next < end && !descended {
-            let child = l.rows[next] as usize;
+            let child = reach.rows[next] as usize;
             next += 1;
             if mark[child] {
                 continue;
@@ -682,6 +904,7 @@ mod tests {
             let sym = Symbolic::analyze(&a, ord).unwrap();
             let lu = LuFactorization::factor(&a, &sym, threshold).unwrap();
             proptest::prop_assert_eq!(assert_structural_pattern(&a, &lu), Ok(()));
+            proptest::prop_assert_eq!(compare_with_column_loop(&a, &sym, threshold), Ok(()));
             let x_true = generate::random_vector(a.rows(), seed ^ 0xfeed);
             let b = a.matvec(&x_true).unwrap();
             let r = rsparse::ops::residual(&a, &lu.solve(&b).unwrap(), &b).unwrap();
@@ -733,6 +956,103 @@ mod tests {
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `factor` against the column loop in `reference.rs`: the same
+    /// verdict (a `Singular` at the same column), the same pivots, the
+    /// bits of every entry of L and U, and L's panels exactly the runs the
+    /// T2 test finds on the loop's columns.
+    fn compare_with_column_loop(a: &CsrMatrix, sym: &Symbolic, threshold: f64) -> Result<(), String> {
+        let (lu, oracle) = match (
+            LuFactorization::factor(a, sym, threshold),
+            crate::reference::factor_by_columns(a, &sym.col_perm, threshold),
+        ) {
+            (Err(RsluError::Singular { column }), Err(c)) if column == c => return Ok(()),
+            (Ok(lu), Ok(oracle)) => (lu, oracle),
+            (got, expected) => return Err(format!("factor {:?}, column loop {:?}", got.err(), expected.err())),
+        };
+        let same = |x: &CscMatrix, y: &CscMatrix| {
+            x.col_ptr() == y.col_ptr() && x.row_idx() == y.row_idx() && bits(x.values()) == bits(y.values())
+        };
+        if lu.row_perm() != oracle.row_perm {
+            return Err("row permutations differ".into());
+        }
+        if !same(&lu.l(), &oracle.l) || !same(&lu.u(), &oracle.u) {
+            return Err("L or U differs".into());
+        }
+        if lu.fill() != oracle.l.nnz() + oracle.u.nnz() {
+            return Err(format!("fill {} vs {}", lu.fill(), oracle.l.nnz() + oracle.u.nnz()));
+        }
+        // The loop's L below its diagonal, cut into runs after the fact.
+        let n = a.rows();
+        let l = &oracle.l;
+        let ptr: Vec<usize> = (0..=n).map(|j| l.col_ptr()[j] - j).collect();
+        let below = |j: usize| l.col_ptr()[j] + 1..l.col_ptr()[j + 1];
+        let rows: Vec<u32> = (0..n).flat_map(|j| l.row_idx()[below(j)].iter().map(|&r| r as u32)).collect();
+        let vals: Vec<f64> = (0..n).flat_map(|j| l.values()[below(j)].iter().copied()).collect();
+        let runs = PanelTri::from_columns(n, &ptr, &rows, vals, Vec::new()).map_err(|e| e.to_string())?;
+        let panels = lu.l_panels();
+        let shape = |t: &PanelTri| (t.panel_count(), t.index_count(), t.max_panel_width(), t.nnz());
+        if shape(panels) != shape(&runs) || *panels != runs {
+            return Err(format!("panels {:?} vs runs {:?}", shape(panels), shape(&runs)));
+        }
+        Ok(())
+    }
+
+    fn assert_matches_column_loop(a: &CsrMatrix, what: &str) {
+        for ord in [Ordering::Natural, Ordering::Rcm, Ordering::MinDegree] {
+            for threshold in [1.0, 0.1] {
+                let sym = Symbolic::analyze(a, ord).unwrap();
+                assert_eq!(compare_with_column_loop(a, &sym, threshold), Ok(()), "{what}, {ord:?}, threshold {threshold}");
+            }
+        }
+    }
+
+    #[test]
+    fn factor_is_bitwise_the_column_loop() {
+        for m in [8, 24, 40, 120] {
+            let (a, _) = rmesh::paper_problem(m).assemble_global();
+            assert_matches_column_loop(&a, &format!("paper problem m = {m}"));
+        }
+        assert_matches_column_loop(&generate::laplacian_2d(13), "laplacian_2d");
+        for kind in 0..crate::corpus::KINDS {
+            assert_matches_column_loop(&crate::corpus::matrix(kind, 90, 7), &format!("corpus {kind}"));
+        }
+        assert_matches_column_loop(&cancelling_matrix(), "cancelling");
+        assert_matches_column_loop(&crate::corpus::interleave2(&generate::laplacian_2d(6)), "no runs");
+        // Stored zeros of both signs off the diagonal: multipliers that
+        // are exactly ±0.0 take the skip.
+        let (mut signed, _) = rmesh::paper_problem(12).assemble_global();
+        let (row_ptr, cols) = (signed.row_ptr().to_vec(), signed.col_idx().to_vec());
+        let vals = signed.values_mut();
+        for (i, w) in row_ptr.windows(2).enumerate() {
+            for k in (w[0]..w[1]).filter(|&k| cols[k] != i && cols[k] % 3 == 0) {
+                vals[k] = if k % 2 == 0 { -0.0 } else { 0.0 };
+            }
+        }
+        assert_matches_column_loop(&signed, "signed zeros");
+    }
+
+    #[test]
+    fn singular_matrices_fail_at_the_column_the_column_loop_fails_at() {
+        // Columns 3 and 7 of a Laplacian reduced to one entry each, in the
+        // same row: whichever comes second finds no pivot.
+        let base = generate::laplacian_2d(5);
+        let mut coo = rsparse::CooMatrix::new(25, 25);
+        for (r, c, v) in base.iter().filter(|&(_, c, _)| c != 3 && c != 7) {
+            coo.push(r, c, v).unwrap();
+        }
+        coo.push(0, 3, 1.0).unwrap();
+        coo.push(0, 7, 2.0).unwrap();
+        // All ones: the second column cancels to exactly 0.0.
+        let ones = rsparse::CooMatrix::from_triplets(2, 2, &[0, 0, 1, 1], &[0, 1, 0, 1], &[1.0; 4]).unwrap();
+        for (a, what) in [(coo.to_csr(), "structural"), (ones.to_csr(), "numerical")] {
+            for ord in [Ordering::Natural, Ordering::Rcm, Ordering::MinDegree] {
+                let sym = Symbolic::analyze(&a, ord).unwrap();
+                assert!(matches!(LuFactorization::factor(&a, &sym, 1.0), Err(RsluError::Singular { .. })), "{what}");
+                assert_eq!(compare_with_column_loop(&a, &sym, 1.0), Ok(()), "{what}, {ord:?}");
+            }
+        }
     }
 
     /// Every solve entry point against the column sweeps over the CSC

@@ -192,10 +192,14 @@ impl RsluSolver {
     }
 
     /// The numeric phase shared by `factorize` and `refactorize`: factor
-    /// `a` (equilibrated first when asked) under the stored analysis.
+    /// `a` (equilibrated first when asked) under the stored analysis. The
+    /// previous factors go first, so a failure leaves none for `solve` to
+    /// answer with.
     fn factor_numeric(&mut self, a: &CsrMatrix) -> RsluResult<()> {
         let _span = probe::span!("rslu_factor");
         probe::incr(probe::Counter::FactorCalls);
+        self.factors = None;
+        self.scales = None;
         let sym = self.symbolic.as_ref().expect("analysis precedes the numeric phase");
         let threshold = self.options.pivot_threshold;
         let (lu, scales) = if self.options.equilibrate {
@@ -468,6 +472,40 @@ mod tests {
         assert!(s.solve(&[1.0]).is_err());
         assert!(s.refactorize(&[1.0]).is_err());
         assert!(s.solve_multi(&[1.0], 1).is_err());
+    }
+
+    #[test]
+    fn a_failed_numeric_phase_leaves_no_factors_to_solve_with() {
+        let a = generate::laplacian_1d(6);
+        let b = a.matvec(&[1.0; 6]).unwrap();
+        let zeros = vec![0.0; a.nnz()];
+        let mut singular = a.clone();
+        singular.values_mut().fill(0.0);
+        let no_factors = |s: &mut RsluSolver| {
+            for err in [s.solve(&b).unwrap_err(), s.solve_multi(&b, 1).unwrap_err()] {
+                assert!(
+                    matches!(&err, RsluError::BadOption(m) if m == "solve requires a prior factorize"),
+                    "{err}"
+                );
+            }
+        };
+        for equilibrate in [false, true] {
+            let options = RsluOptions { equilibrate, ..Default::default() };
+            // New values on the same pattern, through either entry point.
+            for through_factorize in [false, true] {
+                let mut s = RsluSolver::new(options.clone());
+                s.factorize(&a).unwrap();
+                let failed = if through_factorize { s.factorize(&singular) } else { s.refactorize(&zeros) };
+                assert!(matches!(failed, Err(RsluError::Singular { .. })));
+                no_factors(&mut s);
+                // A correct refactorize recovers.
+                s.refactorize(a.values()).unwrap();
+                for (g, e) in s.solve(&b).unwrap().iter().zip([1.0; 6]) {
+                    assert!((g - e).abs() < 1e-12, "{g} vs {e}");
+                }
+                assert!(s.stats().backward_error < 1e-12);
+            }
+        }
     }
 
     #[test]

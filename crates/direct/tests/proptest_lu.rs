@@ -8,7 +8,8 @@ use rdirect::{LuFactorization, Ordering, RsluOptions, RsluSolver};
 use rdirect::symbolic::Symbolic;
 use rsparse::generate;
 
-/// The column sweeps over CSC factors, shared with the crate's unit tests.
+/// The column sweeps over CSC factors and the column-at-a-time factor
+/// loop, shared with the crate's unit tests.
 #[path = "../src/reference.rs"]
 mod reference;
 
@@ -56,6 +57,15 @@ proptest! {
         let lu = LuFactorization::factor(&a, &sym, threshold).unwrap();
         let (l, u) = (lu.l(), lu.u());
         prop_assert_eq!(lu.fill(), l.nnz() + u.nnz());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // The factors are the column loop's, bit for bit.
+        let by_columns = reference::factor_by_columns(&a, &sym.col_perm, threshold).unwrap();
+        prop_assert_eq!(lu.row_perm(), &by_columns.row_perm[..]);
+        for (got, want) in [(&l, &by_columns.l), (&u, &by_columns.u)] {
+            prop_assert_eq!(got.col_ptr(), want.col_ptr());
+            prop_assert_eq!(got.row_idx(), want.row_idx());
+            prop_assert_eq!(bits(got.values()), bits(want.values()));
+        }
         let oracle = reference::CscFactors {
             l: &l,
             u: &u,
@@ -67,7 +77,6 @@ proptest! {
         for (i, v) in b.iter_mut().enumerate().filter(|(i, _)| zeros > 0 && i % (zeros + 1) == 0) {
             *v = if i % 2 == 0 { 0.0 } else { -0.0 };
         }
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(bits(&lu.solve(&b).unwrap()), bits(&oracle.solve(&b)));
         prop_assert_eq!(bits(&lu.solve_transpose(&b).unwrap()), bits(&oracle.solve_transpose(&b)));
         let twice: Vec<f64> = b.iter().chain(&b).copied().collect();
