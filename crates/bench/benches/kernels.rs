@@ -180,13 +180,17 @@ fn spmv_multi(c: &mut Criterion) {
 /// `axpy_pdot2`, 2 × `pdot` against `pdot2`, 2 × `axpy` against `axpy2`.
 /// One preconditioner apply — a forward and a backward triangular sweep —
 /// on the factor's own matrix. `ilu0/laplacian200` is the matrix
-/// `ilu_cg_1r` sweeps; `paper300` (z = 720 KB) shows that the footprint
-/// of a level, not n, sets the reuse distance; `femb3` is the irregular
-/// one (wide rows, narrow levels). `ilu0/tridiagonal40000` is the bypass
-/// control: one row per level, so level order is natural order and the
-/// chain is as long as it ever was.
+/// `ilu_cg_1r` sweeps, ≈ 99 % of its rows in strided runs, and
+/// `ic0/laplacian200` the same pattern through IC(0)'s dividing forward
+/// sweep; `paper300` (z = 720 KB) shows that the footprint of a level,
+/// not n, sets the reuse distance; `femb3` is the irregular one (wide
+/// rows, narrow levels). Two bypass controls: `ilu0/tridiagonal40000`,
+/// one row per level, so level order is natural order and the chain is as
+/// long as it ever was; and `ilu0/random`, a `random_diag_dominant`
+/// pattern with wide levels but no two rows at one stride and offsets, so
+/// every row goes through the indexed slots.
 fn sptrsv(c: &mut Criterion) {
-    use rkrylov::{Ilu0, Ilut, Ssor};
+    use rkrylov::{Ic0, Ilu0, Ilut, Ssor};
     let mut group = c.benchmark_group("sptrsv");
     let laplacian = generate::laplacian_2d(200);
     let mut row = |name: &str, label: &str, n: usize, apply: &dyn Fn(&[f64], &mut [f64])| {
@@ -200,11 +204,14 @@ fn sptrsv(c: &mut Criterion) {
         ("paper300", rmesh::paper_problem(300).assemble_global().0),
         ("femb3", generate::fem_block(80, 3, 2)),
         ("tridiagonal40000", generate::laplacian_1d(40_000)),
+        ("random", generate::random_diag_dominant(40_000, 4, 7)),
     ] {
         let pc = Ilu0::new(&a).unwrap();
         row("ilu0", label, a.rows(), &|r, z| pc.solve_local(r, z));
     }
     let n = laplacian.rows();
+    let ic0 = Ic0::new(&laplacian).unwrap();
+    row("ic0", "laplacian200", n, &|r, z| ic0.solve_local(r, z));
     let ilut = Ilut::new(&laplacian, 1e-3, 10).unwrap();
     row("ilut", "laplacian200", n, &|r, z| ilut.solve_local(r, z));
     let ssor = Ssor::new(&laplacian, 1.0).unwrap();

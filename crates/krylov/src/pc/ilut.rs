@@ -86,7 +86,9 @@ pub(super) fn ilut_factor(
     droptol: f64,
     max_fill: usize,
 ) -> KspOutcome<IlutFactor> {
-    if droptol < 0.0 {
+    // NaN must be rejected too: no `v.abs() > NaN` holds, so every entry
+    // of L and U would be dropped.
+    if droptol.is_nan() || droptol < 0.0 {
         return Err(KspError::BadConfig(format!(
             "droptol must be ≥ 0, got {droptol}"
         )));
@@ -291,6 +293,7 @@ mod tests {
     fn invalid_parameters_are_rejected() {
         let a = generate::laplacian_1d(4);
         assert!(Ilut::new(&a, -1.0, 5).is_err());
+        assert!(Ilut::new(&a, f64::NAN, 5).is_err());
         assert!(Ilut::new(&a, 0.1, 0).is_err());
         let rect = rsparse::CooMatrix::new(2, 3).to_csr();
         assert!(Ilut::new(&rect, 0.1, 5).is_err());

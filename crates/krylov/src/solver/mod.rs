@@ -157,6 +157,15 @@ impl KspConfig {
                 return Err(KspError::BadConfig("max_seconds must be positive".into()));
             }
         }
+        // Checked here as well as by the factorization, so that every rank
+        // fails before the first collective.
+        if let PcType::Ilut { droptol, .. } = self.pc_type {
+            if droptol.is_nan() || droptol < 0.0 {
+                return Err(KspError::BadConfig(format!(
+                    "droptol must be ≥ 0, got {droptol}"
+                )));
+            }
+        }
         Ok(())
     }
 

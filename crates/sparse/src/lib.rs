@@ -18,8 +18,10 @@
 //! * rank-local threading ([`threads`]) for SpMV chunks and blocked
 //!   reductions, and level-ordered sparse triangular sweeps
 //!   ([`schedule`]): a [`LevelTri`] stores one triangle of a factor in
-//!   dependency-level order, every index checked once when it is built,
-//!   and sweeps it unchecked, bit-identical to the natural-order loop;
+//!   dependency-level order, each level cut into strided runs (rows at a
+//!   fixed stride reading fixed offsets, no index arrays) and indexed
+//!   slots, every index checked once when it is built, and sweeps it
+//!   unchecked, bit-identical to the natural-order loop;
 //! * MatrixMarket I/O ([`io`]);
 //! * the distributed layer ([`partition`], [`dist`]): block-row partitioned
 //!   matrices and vectors over an [`rcomm`] communicator, with an

@@ -10,22 +10,39 @@
 //! others, so consecutive rows issue back to back.
 //!
 //! A [`LevelTri`] is one triangle *stored in that order*: the analysis
-//! walks the pattern once when the factor is built, and the rows, their
-//! entries and their diagonals are laid out level after level in compact
-//! `u32`-indexed arrays. Every index the sweep will follow is checked once
-//! ([`LevelTri::from_parts`], typed errors); [`LevelTri::sweep_from`] /
-//! [`LevelTri::sweep_in_place`] then gather unchecked.
+//! walks the pattern once when the factor is built and lays the rows out
+//! level after level. Inside one level of a grid triangle the rows sit at
+//! a constant stride and every row reads its dependencies at the same
+//! offsets from itself, so the same pass cuts each level into **strided
+//! runs** ([`Runs`]): at least four (`MIN_RUN`) consecutive rows of the
+//! level that share an entry count `k`, a stride and, entry by entry, one
+//! offset `col − row`. A run is stored as `row0`, `stride`, `len`, its `k`
+//! offsets, its values diagonal-major and one divisor per row — no row
+//! numbers, pointers or column indices. The rows no run takes keep
+//! compact `u32`-indexed slots ([`Slots`]). Every index the sweep will
+//! follow is checked once ([`LevelTri::from_parts`], typed errors);
+//! [`LevelTri::sweep_from`] / [`LevelTri::sweep_in_place`] then read
+//! unchecked, level by level: first the level's runs through one
+//! const-generic kernel (up to eight entries unrolled, a plain loop for
+//! any further ones), then its slots.
 //!
 //! Entries inside a row keep the order the caller gave them and each row
 //! performs the arithmetic of the natural-order loop
 //! (`acc = src[i]; acc -= v·z[c] …; z[i] = finish(acc, d)`), so the result
 //! is bit-identical to it; only the order in which independent rows run
 //! changes. On a chain (one row per level) level order *is* natural
-//! order. The sweep is single-threaded at every `RSPARSE_THREADS` value —
-//! a level of a grid matrix is a fraction of a microsecond of work, less
-//! than one barrier.
+//! order and there are no runs. The sweep needs no scratch vector and is
+//! single-threaded at every `RSPARSE_THREADS` value — a level of a grid
+//! matrix is a fraction of a microsecond of work, less than one barrier.
 
 use crate::error::{SparseError, SparseResult};
+
+/// Fewest rows a strided run holds; a shorter stretch stays in slots.
+const MIN_RUN: usize = 4;
+
+/// Entries per run row the kernel unrolls; a row with more subtracts the
+/// rest in a plain loop.
+const FUSED: usize = 8;
 
 /// Which triangle a [`LevelTri`] is built from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,23 +53,67 @@ pub enum Triangle {
     Upper,
 }
 
-/// One strict triangle, stored in level order for the sweep.
-///
-/// Slot `q` writes row `rows[q]` from the entries
-/// `ptr[q]..ptr[q + 1]` of `col`/`val` and, when the triangle has a
-/// stored diagonal, `diag[q]`. Slots `level_ptr[l]..level_ptr[l + 1]` form
-/// level `l`; every column a slot reads was written by a slot of an
-/// earlier level.
+/// Rows `row0 + t·stride`, `t < len`, of one level, each reading `k`
+/// entries at the same offsets from itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StridedRun {
+    /// The run's first row.
+    pub row0: u32,
+    /// Distance between consecutive rows.
+    pub stride: u32,
+    /// Rows in the run.
+    pub len: u32,
+    /// Off-diagonal entries per row.
+    pub k: u32,
+}
+
+/// The rows of a triangle kept with explicit indices. Slot `q` writes row
+/// `rows[q]` from the entries `ptr[q]..ptr[q + 1]` of `col`/`val` and,
+/// when the triangle has a stored diagonal, `diag[q]`; slots
+/// `level_ptr[l]..level_ptr[l + 1]` belong to level `l`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Slots {
+    /// Slot range of each level.
+    pub level_ptr: Vec<u32>,
+    /// Row each slot writes.
+    pub rows: Vec<u32>,
+    /// Entry range of each slot.
+    pub ptr: Vec<u32>,
+    /// Column of each entry.
+    pub col: Vec<u32>,
+    /// Value of each entry.
+    pub val: Vec<f64>,
+    /// Divisor of each slot; empty for a unit triangle.
+    pub diag: Vec<f64>,
+}
+
+/// The strided runs of a triangle: runs `level_ptr[l]..level_ptr[l + 1]`
+/// belong to level `l`. Run after run, each owns the next `k` entries of
+/// `offsets`, the next `k·len` of `val` (entry `j` of row `t` at
+/// `j·len + t`) and, when the triangle has a stored diagonal, the next
+/// `len` of `diag`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Runs {
+    /// Run range of each level.
+    pub level_ptr: Vec<u32>,
+    /// The runs, level after level.
+    pub runs: Vec<StridedRun>,
+    /// `col − row` of each run entry, in the caller's entry order.
+    pub offsets: Vec<isize>,
+    /// Values, diagonal-major within a run.
+    pub val: Vec<f64>,
+    /// Divisor of each run row; empty for a unit triangle.
+    pub diag: Vec<f64>,
+}
+
+/// One strict triangle, stored in level order for the sweep: a level's
+/// rows are its strided runs and its indexed slots. Every column a row
+/// reads was written by a row of an earlier level.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LevelTri {
     n: usize,
-    level_ptr: Vec<u32>,
-    rows: Vec<u32>,
-    ptr: Vec<u32>,
-    col: Vec<u32>,
-    val: Vec<f64>,
-    /// Per slot; empty for a unit triangle.
-    diag: Vec<f64>,
+    slots: Slots,
+    runs: Runs,
 }
 
 /// The typed error for a triangle whose `count` rows or entries do not fit
@@ -78,6 +139,30 @@ fn check_pointers(ptr: &[u32], end: usize, why: &'static str) -> SparseResult<()
     } else {
         Err(SparseError::MalformedPointers(why))
     }
+}
+
+/// How many rows from the front of `rows` (one level, ascending) share
+/// the first one's entry count, its offsets and one stride.
+fn stretch<'a>(rows: &[u32], row: &impl Fn(usize) -> (&'a [usize], &'a [f64])) -> usize {
+    let first = rows[0] as usize;
+    let cols0 = row(first).0;
+    let same_offsets = |r: usize| {
+        let cols = row(r).0;
+        cols.len() == cols0.len()
+            && cols
+                .iter()
+                .zip(cols0)
+                .all(|(&c, &c0)| c.wrapping_sub(r) == c0.wrapping_sub(first))
+    };
+    let stride = rows.get(1).map(|&r| r - rows[0]);
+    let mut len = 1;
+    while len < rows.len()
+        && Some(rows[len] - rows[len - 1]) == stride
+        && same_offsets(rows[len] as usize)
+    {
+        len += 1;
+    }
+    len
 }
 
 impl LevelTri {
@@ -152,56 +237,131 @@ impl LevelTri {
             level_ptr[l] += level_ptr[l - 1];
         }
         let mut next = level_ptr.clone();
-        let mut rows = vec![0u32; n];
+        let mut order = vec![0u32; n];
         for (i, &l) in level.iter().enumerate() {
             let slot = &mut next[l as usize - 1];
-            rows[*slot as usize] = i as u32;
+            order[*slot as usize] = i as u32;
             *slot += 1;
         }
         drop((level, next));
 
-        let mut ptr = Vec::with_capacity(n + 1);
-        let mut col = Vec::with_capacity(nnz);
-        let mut val = Vec::with_capacity(nnz);
-        ptr.push(0u32);
-        for &i in &rows {
-            let (cols, vals) = row(i as usize);
-            col.extend(cols.iter().map(|&c| c as u32));
-            val.extend_from_slice(vals);
-            ptr.push(col.len() as u32);
-        }
-        let diag = match diag {
-            Some(d) => rows.iter().map(|&i| d(i as usize)).collect(),
-            None => Vec::new(),
+        // One pass over the level order cuts every level into runs and
+        // slots. The slots' rows are compacted into the front of `order`,
+        // never past the row being read.
+        let mut runs = Runs {
+            level_ptr: Vec::with_capacity(level_ptr.len()),
+            val: Vec::with_capacity(nnz),
+            ..Runs::default()
         };
-        Self::from_parts(n, level_ptr, rows, ptr, col, val, diag)
+        let mut slots = Slots {
+            level_ptr: Vec::with_capacity(level_ptr.len()),
+            ptr: vec![0],
+            ..Slots::default()
+        };
+        runs.level_ptr.push(0);
+        slots.level_ptr.push(0);
+        let mut kept = 0usize;
+        for w in level_ptr.windows(2) {
+            let (mut p, hi) = (w[0] as usize, w[1] as usize);
+            while p < hi {
+                let len = stretch(&order[p..hi], &row);
+                if len >= MIN_RUN {
+                    let members = &order[p..p + len];
+                    let row0 = members[0] as usize;
+                    let cols0 = row(row0).0;
+                    let k = cols0.len();
+                    runs.runs.push(StridedRun {
+                        row0: members[0],
+                        stride: members[1] - members[0],
+                        len: len as u32,
+                        k: k as u32,
+                    });
+                    runs.offsets
+                        .extend(cols0.iter().map(|&c| c as isize - row0 as isize));
+                    let base = runs.val.len();
+                    runs.val.resize(base + k * len, 0.0);
+                    for (t, &r) in members.iter().enumerate() {
+                        for (j, &v) in row(r as usize).1.iter().enumerate() {
+                            runs.val[base + j * len + t] = v;
+                        }
+                    }
+                    if let Some(d) = diag {
+                        runs.diag.extend(members.iter().map(|&r| d(r as usize)));
+                    }
+                    p += len;
+                } else {
+                    let r = order[p];
+                    order[kept] = r;
+                    kept += 1;
+                    let (cols, vals) = row(r as usize);
+                    slots.col.extend(cols.iter().map(|&c| c as u32));
+                    slots.val.extend_from_slice(vals);
+                    slots.ptr.push(slots.col.len() as u32);
+                    if let Some(d) = diag {
+                        slots.diag.push(d(r as usize));
+                    }
+                    p += 1;
+                }
+            }
+            runs.level_ptr.push(runs.runs.len() as u32);
+            slots.level_ptr.push(kept as u32);
+        }
+        order.truncate(kept);
+        slots.rows = order;
+        Self::from_parts(n, slots, runs)
     }
 
-    /// Assemble a triangle from arrays already in level order, checking
-    /// once everything the unchecked sweep relies on: `level_ptr` and
-    /// `ptr` start at 0 and never decrease, `rows` is a permutation of
-    /// `0..n`, every column is `< n` and belongs to a row of an **earlier
-    /// level** than the slot reading it, `diag` is empty or one per slot.
-    /// Violations are typed errors, never a panic.
-    pub fn from_parts(
-        n: usize,
-        level_ptr: Vec<u32>,
-        rows: Vec<u32>,
-        ptr: Vec<u32>,
-        col: Vec<u32>,
-        val: Vec<f64>,
-        diag: Vec<f64>,
-    ) -> SparseResult<Self> {
+    /// Assemble a triangle from slots and runs already in level order,
+    /// checking once everything the unchecked sweep relies on: the
+    /// pointer arrays start at 0 and never decrease, slots and runs
+    /// describe the same number of levels, every array is as long as the
+    /// slots and runs say, the slots' rows and the runs' rows together
+    /// cover each row of `0..n` exactly once, every column (for a run,
+    /// `row + offset`) is in `0..n` and belongs to a row of an **earlier
+    /// level** than the row reading it, and a diagonal is stored for every
+    /// row or for none. Violations are typed errors, never a panic.
+    pub fn from_parts(n: usize, slots: Slots, runs: Runs) -> SparseResult<Self> {
         fits_u32("triangular sweep row", n)?;
-        fits_u32("triangular sweep entry", col.len())?;
+        fits_u32("triangular sweep entry", slots.col.len())?;
+        // What the runs' cursors will walk, in `u64` so no product wraps.
+        let (mut run_rows, mut run_offsets, mut run_vals) = (0u64, 0u64, 0u64);
+        for s in &runs.runs {
+            run_rows = run_rows.saturating_add(u64::from(s.len));
+            run_offsets = run_offsets.saturating_add(u64::from(s.k));
+            run_vals = run_vals.saturating_add(u64::from(s.k) * u64::from(s.len));
+        }
+        let as_len = |x: u64| usize::try_from(x).unwrap_or(usize::MAX);
+        let (run_rows, run_offsets, run_vals) =
+            (as_len(run_rows), as_len(run_offsets), as_len(run_vals));
+        let unit = slots.diag.is_empty() && runs.diag.is_empty();
+        let diag_len = |rows: usize| if unit { 0 } else { rows };
         for (what, expected, got) in [
-            ("triangular sweep rows", n, rows.len()),
-            ("triangular sweep ptr", n + 1, ptr.len()),
-            ("triangular sweep values", col.len(), val.len()),
+            (
+                "triangular sweep rows",
+                n,
+                slots.rows.len().saturating_add(run_rows),
+            ),
+            (
+                "triangular sweep ptr",
+                slots.rows.len() + 1,
+                slots.ptr.len(),
+            ),
+            ("triangular sweep values", slots.col.len(), slots.val.len()),
             (
                 "triangular sweep diagonal",
-                if diag.is_empty() { 0 } else { n },
-                diag.len(),
+                diag_len(slots.rows.len()),
+                slots.diag.len(),
+            ),
+            (
+                "triangular sweep run offsets",
+                run_offsets,
+                runs.offsets.len(),
+            ),
+            ("triangular sweep run values", run_vals, runs.val.len()),
+            (
+                "triangular sweep run diagonal",
+                diag_len(run_rows),
+                runs.diag.len(),
             ),
         ] {
             if expected != got {
@@ -213,65 +373,102 @@ impl LevelTri {
             }
         }
         check_pointers(
-            &ptr,
-            col.len(),
+            &slots.ptr,
+            slots.col.len(),
             "sweep ptr must run 0..=nnz without decreasing",
         )?;
         check_pointers(
-            &level_ptr,
-            n,
-            "sweep level_ptr must run 0..=n without decreasing",
+            &slots.level_ptr,
+            slots.rows.len(),
+            "sweep level_ptr must run 0..=slots without decreasing",
         )?;
+        check_pointers(
+            &runs.level_ptr,
+            runs.runs.len(),
+            "sweep run level_ptr must run 0..=runs without decreasing",
+        )?;
+        if runs.level_ptr.len() != slots.level_ptr.len() {
+            return Err(SparseError::LengthMismatch {
+                what: "triangular sweep run levels",
+                expected: slots.level_ptr.len(),
+                got: runs.level_ptr.len(),
+            });
+        }
 
         // Level of each row (0 = not scheduled yet), then every dependency
         // against it.
         let mut level_of = vec![0u32; n];
-        for (l, w) in level_ptr.windows(2).enumerate() {
-            for &r in &rows[w[0] as usize..w[1] as usize] {
-                let r = r as usize;
-                if r >= n {
+        let mut schedule = |r: usize, l: usize| -> SparseResult<()> {
+            if r >= n {
+                return Err(SparseError::IndexOutOfBounds {
+                    axis: "row",
+                    index: r,
+                    bound: n,
+                });
+            }
+            if level_of[r] != 0 {
+                return Err(SparseError::MalformedPointers(
+                    "a row is scheduled twice in a triangular sweep",
+                ));
+            }
+            level_of[r] = l as u32 + 1;
+            Ok(())
+        };
+        for l in 0..slots.level_ptr.len() - 1 {
+            let (lo, hi) = (slots.level_ptr[l] as usize, slots.level_ptr[l + 1] as usize);
+            for &r in &slots.rows[lo..hi] {
+                schedule(r as usize, l)?;
+            }
+            let (lo, hi) = (runs.level_ptr[l] as usize, runs.level_ptr[l + 1] as usize);
+            for s in &runs.runs[lo..hi] {
+                if s.len == 0 {
+                    continue;
+                }
+                // No wrap in `u64`: (2³² − 1)² + 2³² − 1 < 2⁶⁴.
+                let last = u64::from(s.row0) + u64::from(s.len - 1) * u64::from(s.stride);
+                if last >= n as u64 {
                     return Err(SparseError::IndexOutOfBounds {
                         axis: "row",
-                        index: r,
+                        index: as_len(last),
                         bound: n,
                     });
                 }
-                if level_of[r] != 0 {
-                    return Err(SparseError::MalformedPointers(
-                        "a row is scheduled twice in a triangular sweep",
-                    ));
+                for r in s.rows() {
+                    schedule(r, l)?;
                 }
-                level_of[r] = l as u32 + 1;
             }
         }
-        for (q, &r) in rows.iter().enumerate() {
-            for &c in &col[ptr[q] as usize..ptr[q + 1] as usize] {
-                let c = c as usize;
-                if c >= n {
-                    return Err(SparseError::IndexOutOfBounds {
-                        axis: "column",
-                        index: c,
-                        bound: n,
-                    });
-                }
-                if level_of[c] >= level_of[r as usize] {
-                    return Err(SparseError::BadSweepOrder {
-                        row: r as usize,
-                        col: c,
-                    });
+        let reads = |r: usize, c: usize| -> SparseResult<()> {
+            if c >= n {
+                return Err(SparseError::IndexOutOfBounds {
+                    axis: "column",
+                    index: c,
+                    bound: n,
+                });
+            }
+            if level_of[c] >= level_of[r] {
+                return Err(SparseError::BadSweepOrder { row: r, col: c });
+            }
+            Ok(())
+        };
+        for (q, &r) in slots.rows.iter().enumerate() {
+            for &c in &slots.col[slots.ptr[q] as usize..slots.ptr[q + 1] as usize] {
+                reads(r as usize, c as usize)?;
+            }
+        }
+        let mut at = 0usize;
+        for s in &runs.runs {
+            let offsets = &runs.offsets[at..at + s.k as usize];
+            at += s.k as usize;
+            for r in s.rows() {
+                for &off in offsets {
+                    // A column before 0 shows as its wrapped value.
+                    reads(r, r.wrapping_add_signed(off))?;
                 }
             }
         }
 
-        let tri = LevelTri {
-            n,
-            level_ptr,
-            rows,
-            ptr,
-            col,
-            val,
-            diag,
-        };
+        let tri = LevelTri { n, slots, runs };
         tri.record_levels();
         Ok(tri)
     }
@@ -281,14 +478,32 @@ impl LevelTri {
         self.n
     }
 
-    /// Stored off-diagonal entries.
+    /// Stored off-diagonal entries, in runs and slots alike.
     pub fn nnz(&self) -> usize {
-        self.col.len()
+        self.slots.col.len() + self.runs.val.len()
     }
 
     /// Number of levels (the critical-path length of the solve).
     pub fn levels(&self) -> usize {
-        self.level_ptr.len() - 1
+        self.slots.level_ptr.len() - 1
+    }
+
+    /// Rows swept inside strided runs; the other `n_rows() − run_rows()`
+    /// go through indexed slots.
+    pub fn run_rows(&self) -> usize {
+        self.n - self.slots.rows.len()
+    }
+
+    /// Rows in each level, runs and slots together.
+    fn level_widths(&self) -> impl Iterator<Item = usize> + '_ {
+        let (slots, runs) = (&self.slots.level_ptr, &self.runs.level_ptr);
+        (0..self.levels()).map(move |l| {
+            let in_runs: usize = self.runs.runs[runs[l] as usize..runs[l + 1] as usize]
+                .iter()
+                .map(|s| s.len as usize)
+                .sum();
+            in_runs + (slots[l + 1] - slots[l]) as usize
+        })
     }
 
     /// Histogram of level widths over fixed log-ish buckets
@@ -296,8 +511,8 @@ impl LevelTri {
     /// sweep finds side by side.
     pub fn width_histogram(&self) -> [usize; 5] {
         let mut hist = [0usize; 5];
-        for w in self.level_ptr.windows(2) {
-            let bucket = match w[1] - w[0] {
+        for width in self.level_widths() {
+            let bucket = match width {
                 0..=1 => 0,
                 2..=7 => 1,
                 8..=31 => 2,
@@ -328,12 +543,16 @@ impl LevelTri {
         }
     }
 
-    /// Flops and bytes of one sweep, from the arrays it reads: 2 flops
-    /// per stored entry, a stored diagonal counting as one; 20 bytes per
-    /// off-diagonal entry (value, `u32` column, gathered `z`), 24 per row
-    /// (`rows`, `ptr`, one read, one write) and 8 per stored diagonal.
+    /// Flops and bytes of one sweep in the *logical* model, whatever the
+    /// layout: 2 flops per stored entry, a stored diagonal counting as
+    /// one; 20 bytes per off-diagonal entry (value, `u32` column, gathered
+    /// `z`), 24 per row (`rows`, `ptr`, one read, one write) and 8 per
+    /// stored diagonal. Run rows read no columns, rows or pointers; the
+    /// model bills them anyway, as SpMV's bills its stencil runs.
     fn traffic(&self) -> (u64, u64) {
-        let (n, nnz, diags) = (self.n as u64, self.col.len() as u64, self.diag.len() as u64);
+        let unit = self.slots.diag.is_empty() && self.runs.diag.is_empty();
+        let (n, nnz) = (self.n as u64, self.nnz() as u64);
+        let diags = if unit { 0 } else { n };
         (2 * (nnz + diags), 20 * nnz + 24 * n + 8 * diags)
     }
 
@@ -363,37 +582,161 @@ impl LevelTri {
         unsafe { self.run(p, p, finish) }
     }
 
-    /// The one sweep loop.
+    /// The one sweep loop: level by level, the level's runs, then its
+    /// slots.
     ///
     /// # Safety
     /// `src` must be readable and `z` readable and writable for `n`
     /// elements; they may be the same allocation.
     #[inline(always)]
     unsafe fn run(&self, src: *const f64, z: *mut f64, finish: impl Fn(f64, f64) -> f64) {
-        let mut lo = 0usize;
-        for q in 0..self.n {
-            // SAFETY: `from_parts` checked, once, that `rows` and `ptr`
-            // hold `n` and `n + 1` entries, that `ptr` never decreases and
-            // ends at `col.len() == val.len()`, that every `rows[q]` and
-            // `col[k]` is `< n`, and that `diag` is empty or `n` long; the
-            // caller vouches for `n` elements behind `src` and `z`. The
-            // fields are private and nothing mutates them after that.
+        let (slots, runs) = (&self.slots, &self.runs);
+        let mut at = RunCursor::default();
+        let (mut s, mut q, mut lo) = (0usize, 0usize, 0usize);
+        for l in 1..slots.level_ptr.len() {
+            // SAFETY: `from_parts` checked, once, that both `level_ptr`s
+            // hold one entry per level plus one, never decrease and end at
+            // `runs.len()` / `rows.len()`; that `ptr` holds `rows.len() + 1`
+            // entries, never decreases and ends at `col.len() ==
+            // val.len()`; that every slot row, every run row and every
+            // column (`col[k]`, or a run row plus an offset) is `< n`;
+            // that the runs' `k`, `k·len` and `len` add up to
+            // `offsets.len()`, `val.len()` and `diag.len()` (or `diag` is
+            // empty); and that the slots' `diag` is empty or one per slot.
+            // The caller vouches for `n` elements behind `src` and `z`.
+            // The fields are private and nothing mutates them after that.
             unsafe {
-                let row = *self.rows.get_unchecked(q) as usize;
-                let hi = *self.ptr.get_unchecked(q + 1) as usize;
-                let mut acc = *src.add(row);
-                for k in lo..hi {
-                    let c = *self.col.get_unchecked(k) as usize;
-                    acc -= *self.val.get_unchecked(k) * *z.add(c);
+                let s_hi = *runs.level_ptr.get_unchecked(l) as usize;
+                for run in runs.runs.get_unchecked(s..s_hi) {
+                    self.strided(run, &mut at, src, z, &finish);
                 }
-                let d = if self.diag.is_empty() {
-                    1.0
-                } else {
-                    *self.diag.get_unchecked(q)
-                };
-                *z.add(row) = finish(acc, d);
-                lo = hi;
+                s = s_hi;
+                let q_hi = *slots.level_ptr.get_unchecked(l) as usize;
+                for slot in q..q_hi {
+                    let row = *slots.rows.get_unchecked(slot) as usize;
+                    let hi = *slots.ptr.get_unchecked(slot + 1) as usize;
+                    let mut acc = *src.add(row);
+                    for k in lo..hi {
+                        let c = *slots.col.get_unchecked(k) as usize;
+                        acc -= *slots.val.get_unchecked(k) * *z.add(c);
+                    }
+                    let d = if slots.diag.is_empty() {
+                        1.0
+                    } else {
+                        *slots.diag.get_unchecked(slot)
+                    };
+                    *z.add(row) = finish(acc, d);
+                    lo = hi;
+                }
+                q = q_hi;
             }
+        }
+    }
+
+    /// Sweep one run through the kernel unrolled for its `k`, reading its
+    /// offsets, values and divisors at `at` and moving `at` past them.
+    ///
+    /// # Safety
+    /// As [`Self::run`], with `run` one of `self`'s runs and `at` where
+    /// the runs before it left the cursor.
+    #[inline(always)]
+    unsafe fn strided(
+        &self,
+        run: &StridedRun,
+        at: &mut RunCursor,
+        src: *const f64,
+        z: *mut f64,
+        finish: &impl Fn(f64, f64) -> f64,
+    ) {
+        let runs = &self.runs;
+        let (k, len) = (run.k as usize, run.len as usize);
+        // SAFETY: the cursor sits at this run's offsets, values and
+        // divisors (see `run`), which lie inside their arrays.
+        unsafe {
+            let off = runs.offsets.as_ptr().add(at.off);
+            let val = runs.val.as_ptr().add(at.val);
+            let diag = (!runs.diag.is_empty()).then(|| runs.diag.as_ptr().add(at.diag));
+            match k {
+                0 => strided_rows::<0, _>(run, off, val, diag, src, z, finish),
+                1 => strided_rows::<1, _>(run, off, val, diag, src, z, finish),
+                2 => strided_rows::<2, _>(run, off, val, diag, src, z, finish),
+                3 => strided_rows::<3, _>(run, off, val, diag, src, z, finish),
+                4 => strided_rows::<4, _>(run, off, val, diag, src, z, finish),
+                5 => strided_rows::<5, _>(run, off, val, diag, src, z, finish),
+                6 => strided_rows::<6, _>(run, off, val, diag, src, z, finish),
+                7 => strided_rows::<7, _>(run, off, val, diag, src, z, finish),
+                _ => strided_rows::<FUSED, _>(run, off, val, diag, src, z, finish),
+            }
+        }
+        at.off += k;
+        at.val += k * len;
+        at.diag += len;
+    }
+}
+
+impl StridedRun {
+    /// The run's rows, in sweep order.
+    fn rows(&self) -> impl Iterator<Item = usize> {
+        let (row0, stride) = (self.row0 as usize, self.stride as usize);
+        (0..self.len as usize).map(move |t| row0 + t * stride)
+    }
+}
+
+/// Where the next run's offsets, values and divisors start.
+#[derive(Default)]
+struct RunCursor {
+    off: usize,
+    val: usize,
+    diag: usize,
+}
+
+/// The run kernel: each row `acc = src[row]; acc −= v_j·z[row + off_j]`
+/// for its `k` entries in stored order, the first `K` unrolled, then
+/// `z[row] = finish(acc, d)`, `d` read from `diag` (`None`: a unit
+/// triangle, `d = 1.0`).
+///
+/// # Safety
+/// `off`, `val` and `diag` address the run's `k` offsets, `k·len` values
+/// and `len` divisors; every row and every `row + off_j` is in bounds of
+/// `src` and `z` as [`LevelTri::run`] requires; only `K == FUSED` may see
+/// `k > K`.
+unsafe fn strided_rows<const K: usize, F: Fn(f64, f64) -> f64>(
+    run: &StridedRun,
+    off: *const isize,
+    val: *const f64,
+    diag: Option<*const f64>,
+    src: *const f64,
+    z: *mut f64,
+    finish: &F,
+) {
+    let (len, stride, k) = (run.len as usize, run.stride as usize, run.k as usize);
+    // SAFETY: as the function's contract states.
+    unsafe {
+        // Filled by a plain loop: whether `std::array::from_fn` inlines
+        // depends on what shares its codegen unit.
+        let (mut offs, mut vals) = ([0isize; K], [std::ptr::null::<f64>(); K]);
+        for (j, (o, v)) in offs.iter_mut().zip(&mut vals).enumerate() {
+            *o = *off.add(j);
+            *v = val.add(j * len);
+        }
+        let mut row = run.row0 as usize;
+        for t in 0..len {
+            let zr = z.add(row);
+            let mut acc = *src.add(row);
+            for (&o, v) in offs.iter().zip(&vals) {
+                acc -= *v.add(t) * *zr.offset(o);
+            }
+            if K == FUSED {
+                for j in K..k {
+                    acc -= *val.add(j * len + t) * *zr.offset(*off.add(j));
+                }
+            }
+            let d = match diag {
+                Some(d) => *d.add(t),
+                None => 1.0,
+            };
+            *zr = finish(acc, d);
+            row += stride;
         }
     }
 }
@@ -418,384 +761,4 @@ pub fn register_sweep_model(fwd: &LevelTri, bwd: &LevelTri) {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::csr::CsrMatrix;
-    use crate::generate;
-
-    /// Strict lower rows of `a` (columns ascending).
-    fn strict_lower<'a>(a: &'a CsrMatrix) -> impl Fn(usize) -> (&'a [usize], &'a [f64]) + 'a {
-        move |i| {
-            let (cols, vals) = a.row(i);
-            let end = cols.partition_point(|&c| c < i);
-            (&cols[..end], &vals[..end])
-        }
-    }
-
-    fn diag_of(a: &CsrMatrix) -> impl Fn(usize) -> f64 + '_ {
-        move |i| a.get(i, i)
-    }
-
-    /// The natural-order forward sweep the level-ordered one must equal.
-    fn natural_lower<'a>(
-        n: usize,
-        row: impl Fn(usize) -> (&'a [usize], &'a [f64]),
-        diag: impl Fn(usize) -> f64,
-        r: &[f64],
-    ) -> Vec<f64> {
-        let mut z = vec![0.0; n];
-        for i in 0..n {
-            let (cols, vals) = row(i);
-            let mut acc = r[i];
-            for (&c, &v) in cols.iter().zip(vals) {
-                acc -= v * z[c];
-            }
-            z[i] = acc / diag(i);
-        }
-        z
-    }
-
-    fn bits(v: &[f64]) -> Vec<u64> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    #[test]
-    fn levels_respect_dependencies_and_cover_every_row_once() {
-        let a = generate::laplacian_2d(9);
-        let tri = LevelTri::build(Triangle::Lower, 81, strict_lower(&a), None).unwrap();
-        assert_eq!(tri.levels(), 17, "anti-diagonals of a 9 × 9 grid");
-        assert_eq!(tri.width_histogram().iter().sum::<usize>(), tri.levels());
-        let mut level_of = vec![0usize; 81];
-        for (l, w) in tri.level_ptr.windows(2).enumerate() {
-            for &r in &tri.rows[w[0] as usize..w[1] as usize] {
-                level_of[r as usize] = l;
-            }
-        }
-        for i in 0..81 {
-            for &c in strict_lower(&a)(i).0 {
-                assert!(level_of[c] < level_of[i], "row {i} dep {c}");
-            }
-        }
-        let mut seen = tri.rows.clone();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..81).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn a_chain_degenerates_to_natural_order() {
-        let a = generate::laplacian_1d(500);
-        let fwd = LevelTri::build(Triangle::Lower, 500, strict_lower(&a), None).unwrap();
-        assert_eq!(fwd.levels(), 500);
-        assert_eq!(fwd.rows, (0..500).collect::<Vec<u32>>());
-        let upper = |i: usize| {
-            let (cols, vals) = a.row(i);
-            let start = cols.partition_point(|&c| c <= i);
-            (&cols[start..], &vals[start..])
-        };
-        let bwd = LevelTri::build(Triangle::Upper, 500, upper, Some(&diag_of(&a))).unwrap();
-        assert_eq!(bwd.rows, (0..500).rev().collect::<Vec<u32>>());
-        // No dependencies at all: one level holding every row.
-        let none = LevelTri::build(Triangle::Lower, 500, |_| (&[][..], &[][..]), None).unwrap();
-        assert_eq!(none.levels(), 1);
-        assert_eq!(none.width_histogram(), [0, 0, 0, 0, 1]);
-    }
-
-    #[test]
-    fn sweep_is_bitwise_the_natural_order_loop() {
-        for a in [
-            generate::laplacian_2d(1),
-            generate::laplacian_2d(2),
-            generate::laplacian_2d(7),
-            generate::laplacian_1d(64),
-            generate::fem_block(4, 3, 5),
-            generate::random_diag_dominant(60, 5, 8),
-        ] {
-            let n = a.rows();
-            let tri =
-                LevelTri::build(Triangle::Lower, n, strict_lower(&a), Some(&diag_of(&a))).unwrap();
-            let mut r = generate::random_vector(n, 17);
-            for poison in [None, Some(f64::NAN), Some(f64::INFINITY)] {
-                if let Some(p) = poison {
-                    r[n / 2] = p;
-                }
-                let want = natural_lower(n, strict_lower(&a), diag_of(&a), &r);
-                let mut got = vec![0.0; n];
-                tri.sweep_from(&r, &mut got, |acc, d| acc / d);
-                assert_eq!(bits(&got), bits(&want), "n = {n}, poison {poison:?}");
-                let mut in_place = r.clone();
-                tri.sweep_in_place(&mut in_place, |acc, d| acc / d);
-                assert_eq!(bits(&in_place), bits(&want));
-            }
-        }
-    }
-
-    #[test]
-    fn unsorted_columns_and_stored_zeros_keep_their_order() {
-        // Row 3 subtracts columns 2, 0, 1 in that order, one of them
-        // through an explicit zero; reordering them would change the
-        // rounding.
-        let cols: [&[usize]; 4] = [&[], &[0], &[1, 0], &[2, 0, 1]];
-        let vals: [&[f64]; 4] = [&[], &[1e-17], &[0.0, 3.0], &[1e16, 1.0, -1e16]];
-        let row = |i: usize| (cols[i], vals[i]);
-        let tri = LevelTri::build(Triangle::Lower, 4, row, None).unwrap();
-        let r = [1.0, 1.0, 0.1, 0.3];
-        let want = natural_lower(4, row, |_| 1.0, &r);
-        let mut got = [0.0; 4];
-        tri.sweep_from(&r, &mut got, |acc, _| acc);
-        assert_eq!(bits(&got), bits(&want));
-    }
-
-    #[test]
-    fn empty_and_single_row_triangles_sweep() {
-        let empty = LevelTri::build(Triangle::Upper, 0, |_| (&[][..], &[][..]), None).unwrap();
-        assert_eq!((empty.levels(), empty.nnz()), (0, 0));
-        empty.sweep_in_place(&mut [], |acc, _| acc);
-        let one =
-            LevelTri::build(Triangle::Lower, 1, |_| (&[][..], &[][..]), Some(&|_| 4.0)).unwrap();
-        let mut z = [0.0];
-        one.sweep_from(&[2.0], &mut z, |acc, d| acc / d);
-        assert_eq!(z, [0.5]);
-    }
-
-    #[test]
-    fn build_rejects_what_the_sweep_could_not_follow() {
-        let one = [1.0];
-        // A column past the end.
-        let err = LevelTri::build(
-            Triangle::Upper,
-            3,
-            |i| {
-                if i == 0 {
-                    (&[3][..], &one[..])
-                } else {
-                    (&[][..], &[][..])
-                }
-            },
-            None,
-        );
-        assert_eq!(
-            err,
-            Err(SparseError::IndexOutOfBounds {
-                axis: "column",
-                index: 3,
-                bound: 3
-            })
-        );
-        // A "lower" entry on or above the diagonal.
-        for c in [1usize, 2] {
-            let cols = [c];
-            let err = LevelTri::build(
-                Triangle::Lower,
-                3,
-                |i| {
-                    if i == 1 {
-                        (&cols[..], &one[..])
-                    } else {
-                        (&[][..], &[][..])
-                    }
-                },
-                None,
-            );
-            assert_eq!(err, Err(SparseError::BadSweepOrder { row: 1, col: c }));
-        }
-        // An "upper" entry below the diagonal.
-        let err = LevelTri::build(
-            Triangle::Upper,
-            3,
-            |i| {
-                if i == 2 {
-                    (&[0][..], &one[..])
-                } else {
-                    (&[][..], &[][..])
-                }
-            },
-            None,
-        );
-        assert_eq!(err, Err(SparseError::BadSweepOrder { row: 2, col: 0 }));
-        // Columns and values of different lengths.
-        let err = LevelTri::build(Triangle::Lower, 2, |_| (&[][..], &one[..]), None);
-        assert!(matches!(err, Err(SparseError::LengthMismatch { .. })));
-    }
-
-    #[test]
-    fn sizes_beyond_u32_are_typed_errors_before_any_allocation() {
-        let too_many_rows = u32::MAX as usize;
-        let err = LevelTri::build(Triangle::Lower, too_many_rows, |_| (&[][..], &[][..]), None);
-        assert!(matches!(
-            err,
-            Err(SparseError::IndexOutOfBounds {
-                axis: "triangular sweep row",
-                ..
-            })
-        ));
-        // 4097 rows sharing one 2²⁰-entry slice: 2³² + 2²⁰ entries.
-        let cols = vec![0usize; 1 << 20];
-        let vals = vec![0.0f64; 1 << 20];
-        let err = LevelTri::build(Triangle::Lower, 4097, |_| (&cols[..], &vals[..]), None);
-        assert!(matches!(
-            err,
-            Err(SparseError::IndexOutOfBounds {
-                axis: "triangular sweep entry",
-                ..
-            })
-        ));
-    }
-
-    /// Two rows, row 1 reading row 0, as level-ordered parts.
-    #[allow(clippy::type_complexity)]
-    fn parts() -> (
-        usize,
-        Vec<u32>,
-        Vec<u32>,
-        Vec<u32>,
-        Vec<u32>,
-        Vec<f64>,
-        Vec<f64>,
-    ) {
-        (
-            2,
-            vec![0, 1, 2],
-            vec![0, 1],
-            vec![0, 0, 1],
-            vec![0],
-            vec![0.5],
-            vec![],
-        )
-    }
-
-    #[test]
-    fn from_parts_rejects_every_broken_invariant() {
-        let (n, lp, rows, ptr, col, val, diag) = parts();
-        assert!(LevelTri::from_parts(
-            n,
-            lp.clone(),
-            rows.clone(),
-            ptr.clone(),
-            col.clone(),
-            val.clone(),
-            diag.clone()
-        )
-        .is_ok());
-        // Both rows in one level: the dependency is no longer earlier.
-        let err = LevelTri::from_parts(
-            n,
-            vec![0, 2],
-            rows.clone(),
-            ptr.clone(),
-            col.clone(),
-            val.clone(),
-            diag.clone(),
-        );
-        assert_eq!(err, Err(SparseError::BadSweepOrder { row: 1, col: 0 }));
-        // The dependency in a later level.
-        let err = LevelTri::from_parts(
-            n,
-            lp.clone(),
-            vec![1, 0],
-            vec![0, 1, 1],
-            col.clone(),
-            val.clone(),
-            diag.clone(),
-        );
-        assert_eq!(err, Err(SparseError::BadSweepOrder { row: 1, col: 0 }));
-        // Non-monotone and mis-terminated pointers.
-        for bad in [vec![0, 1, 0], vec![1, 1, 1], vec![0, 0, 2]] {
-            let err = LevelTri::from_parts(
-                n,
-                lp.clone(),
-                rows.clone(),
-                bad,
-                col.clone(),
-                val.clone(),
-                diag.clone(),
-            );
-            assert!(
-                matches!(err, Err(SparseError::MalformedPointers(_))),
-                "{err:?}"
-            );
-        }
-        for bad in [vec![0, 2, 1], vec![0, 1], vec![]] {
-            let err = LevelTri::from_parts(
-                n,
-                bad,
-                rows.clone(),
-                ptr.clone(),
-                col.clone(),
-                val.clone(),
-                diag.clone(),
-            );
-            assert!(
-                matches!(err, Err(SparseError::MalformedPointers(_))),
-                "{err:?}"
-            );
-        }
-        // A column, then a row, past the end; a row scheduled twice.
-        let err = LevelTri::from_parts(
-            n,
-            lp.clone(),
-            rows.clone(),
-            ptr.clone(),
-            vec![2],
-            val.clone(),
-            diag.clone(),
-        );
-        assert_eq!(
-            err,
-            Err(SparseError::IndexOutOfBounds {
-                axis: "column",
-                index: 2,
-                bound: 2
-            })
-        );
-        let err = LevelTri::from_parts(
-            n,
-            lp.clone(),
-            vec![0, 2],
-            ptr.clone(),
-            col.clone(),
-            val.clone(),
-            diag.clone(),
-        );
-        assert_eq!(
-            err,
-            Err(SparseError::IndexOutOfBounds {
-                axis: "row",
-                index: 2,
-                bound: 2
-            })
-        );
-        let err = LevelTri::from_parts(
-            n,
-            lp.clone(),
-            vec![0, 0],
-            ptr.clone(),
-            col.clone(),
-            val.clone(),
-            diag.clone(),
-        );
-        assert!(matches!(err, Err(SparseError::MalformedPointers(_))));
-        // Array lengths that disagree.
-        let err = LevelTri::from_parts(
-            n,
-            lp.clone(),
-            rows.clone(),
-            ptr.clone(),
-            col.clone(),
-            vec![],
-            diag.clone(),
-        );
-        assert!(matches!(err, Err(SparseError::LengthMismatch { .. })));
-        let err = LevelTri::from_parts(
-            n,
-            lp.clone(),
-            rows.clone(),
-            ptr.clone(),
-            col.clone(),
-            val.clone(),
-            vec![1.0],
-        );
-        assert!(matches!(err, Err(SparseError::LengthMismatch { .. })));
-        let err = LevelTri::from_parts(n, lp, vec![0], ptr, col, val, diag);
-        assert!(matches!(err, Err(SparseError::LengthMismatch { .. })));
-    }
-}
+mod tests;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full verification sweep: build, clippy, tests at 1 and 4 threads, the
 # lisibench smoke, examples, the fault matrix, doc build, benches (compile,
-# and RSLU's kernel rows run once). It measures nothing: every number the repository states comes
+# and RSLU's and the sweeps' kernel rows run once). It measures nothing: every number the repository states comes
 # from benchmark/run.sh (lisibench); table1/figure5 regenerate the paper's
 # tables (see EXPERIMENTS.md).
 set -euo pipefail
@@ -77,11 +77,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "== bench compile =="
 cargo bench --workspace --no-run
 
-echo "== RSLU kernel rows, run once (smoke) =="
+echo "== RSLU and sweep kernel rows, run once (smoke) =="
 # Compiling a bench does not set it up: these run RSLU's rows once each
-# (factor, then the triangular solves) so a panic in their set-up fails
-# here. One-millisecond windows: this measures nothing.
+# (factor, then the triangular solves) and the preconditioner sweeps'
+# rows once, so a panic in their set-up fails here. One-millisecond
+# windows: this measures nothing.
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- factor/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- trisolve
+BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- sptrsv/
 
 echo "ALL CHECKS PASSED"

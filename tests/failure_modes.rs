@@ -342,6 +342,19 @@ fn unparsable_option_values_are_bad_parameter_on_every_rank() {
 }
 
 #[test]
+fn a_nan_ilut_drop_tolerance_is_rejected_on_every_rank() {
+    // No `|v| > NaN` holds: accepted, a NaN tolerance would drop every
+    // entry of L and U and leave ILUT a diagonal scaling.
+    let nan_droptol = |s: &RkspAdapter| {
+        s.set("preconditioner", "ilut").unwrap();
+        s.set("droptol", "nan").unwrap();
+    };
+    for err in failing_grid_solve(RkspAdapter::new, nan_droptol) {
+        assert!(matches!(&err, LisiError::Package(m) if m.contains("droptol")), "{err:?}");
+    }
+}
+
+#[test]
 fn rmg_bad_option_fails_on_every_rank_not_just_the_root() {
     // Rank 0 alone runs the multigrid cycle, but every rank parses the
     // options: a bad one must not leave rank 1 waiting for rank 0's bcast.

@@ -6,9 +6,13 @@
 
 use cca_lisi::comm::Universe;
 use cca_lisi::lisi::{RkspAdapter, SolveReport, SparseSolverPort, SparseStruct, STATUS_LEN};
-use cca_lisi::sparse::{generate, BlockRowPartition, CsrMatrix};
+use cca_lisi::sparse::{generate, BlockRowPartition, CsrMatrix, DistCsrMatrix, LevelTri, Triangle};
 
 const M: usize = 40;
+
+/// Shortest strided run a triangle stores (`MIN_RUN` in `rsparse`'s
+/// `schedule.rs`).
+const MIN_RUN: usize = 4;
 
 /// (ranks, iterations, bits of the reported residual) of CG + ILU(0) on
 /// the m = 40 Laplacian, recorded with the natural-order sweeps.
@@ -105,6 +109,82 @@ fn cg_ilu0_through_the_port_retraces_the_natural_order_sweeps() {
         ("tol", "1e-10"),
     ];
     assert_retraces("cg + ilu(0)", &generate::laplacian_2d(M), &params, &CG_ILU0);
+}
+
+/// Rows of the block `s..e` of the m × m 5-point grid that the forward
+/// sweep of its diagonal block takes in strided runs, from the grid alone.
+/// Point `(x, y)` is row `y·m + x`; it reads its west and south
+/// neighbours when they are in the block. The points that read both lie
+/// on anti-diagonals, one level each, at stride m − 1 and offsets
+/// `[−m, −1]`; a point that reads one neighbour (a grid edge, the block's
+/// first line) stands between them. A stretch of such points is a run if
+/// it is long enough.
+fn predicted_forward_runs(m: usize, s: usize, e: usize) -> usize {
+    let reads_both = |x: usize, y: usize| {
+        let row = y * m + x;
+        x >= 1 && row >= s + m && row < e
+    };
+    (0..2 * m - 1)
+        .map(|d| {
+            let diagonal: Vec<bool> = (0..m)
+                .filter(|&y| y <= d && d - y < m)
+                .map(|y| reads_both(d - y, y))
+                .collect();
+            diagonal
+                .split(|&both| !both)
+                .map(<[bool]>::len)
+                .filter(|&len| len >= MIN_RUN)
+                .sum::<usize>()
+        })
+        .sum()
+}
+
+#[test]
+fn ilu0_triangles_sweep_the_rows_the_grid_predicts_in_runs() {
+    let a = generate::laplacian_2d(M);
+    let n = a.rows();
+    // One rank: all but the edges and the three shortest anti-diagonals
+    // at either end.
+    assert_eq!(
+        predicted_forward_runs(M, 0, n),
+        (M - 1) * (M - 1) - MIN_RUN * (MIN_RUN - 1)
+    );
+    for p in 1..=3 {
+        Universe::run(p, |comm| {
+            let part = BlockRowPartition::even(n, comm.size());
+            let r = part.range(comm.rank());
+            // ILU(0)'s factor keeps its block's pattern, so its triangles
+            // are the block's.
+            let block = DistCsrMatrix::from_global(comm, part.clone(), &a)
+                .unwrap()
+                .diagonal_block();
+            let lower = |i: usize| {
+                let (cols, vals) = block.row(i);
+                let end = cols.partition_point(|&c| c < i);
+                (&cols[..end], &vals[..end])
+            };
+            let upper = |i: usize| {
+                let (cols, vals) = block.row(i);
+                let start = cols.partition_point(|&c| c <= i);
+                (&cols[start..], &vals[start..])
+            };
+            let rows = block.rows();
+            let fwd = LevelTri::build(Triangle::Lower, rows, lower, None).unwrap();
+            let diag = |i: usize| block.get(i, i);
+            let bwd = LevelTri::build(Triangle::Upper, rows, upper, Some(&diag)).unwrap();
+            // The backward sweep is the forward sweep of the grid turned
+            // half a turn, which maps the block to `n − e..n − s`.
+            assert_eq!(
+                (fwd.run_rows(), bwd.run_rows()),
+                (
+                    predicted_forward_runs(M, r.start, r.end),
+                    predicted_forward_runs(M, n - r.end, n - r.start)
+                ),
+                "p = {p}, rank {}",
+                comm.rank()
+            );
+        });
+    }
 }
 
 #[test]
