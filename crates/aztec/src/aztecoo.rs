@@ -205,15 +205,15 @@ impl<'a> AztecOO<'a> {
         if self.options.max_iter == 0 {
             return Err(AztecError::BadOption("max_iter must be positive".into()));
         }
-        let pc = self.build_pc()?;
+        let mut pc = self.build_pc()?;
         let raw = match self.options.solver {
-            AzSolver::Cg => solvers::cg(comm, self.a, pc.as_ref(), b, x, &self.options)?,
-            AzSolver::Gmres => solvers::gmres(comm, self.a, pc.as_ref(), b, x, &self.options)?,
+            AzSolver::Cg => solvers::cg(comm, self.a, pc.as_mut(), b, x, &self.options)?,
+            AzSolver::Gmres => solvers::gmres(comm, self.a, pc.as_mut(), b, x, &self.options)?,
             AzSolver::BiCgStab => {
-                solvers::bicgstab(comm, self.a, pc.as_ref(), b, x, &self.options)?
+                solvers::bicgstab(comm, self.a, pc.as_mut(), b, x, &self.options)?
             }
-            AzSolver::Cgs => solvers::cgs(comm, self.a, pc.as_ref(), b, x, &self.options)?,
-            AzSolver::Tfqmr => solvers::tfqmr(comm, self.a, pc.as_ref(), b, x, &self.options)?,
+            AzSolver::Cgs => solvers::cgs(comm, self.a, pc.as_mut(), b, x, &self.options)?,
+            AzSolver::Tfqmr => solvers::tfqmr(comm, self.a, pc.as_mut(), b, x, &self.options)?,
         };
         // True residual, recomputed — what Aztec reports in status[AZ_r].
         let mut ax = Vector::new(self.a.row_map().clone());

@@ -3,50 +3,58 @@
 //! `AZ_Neumann`, `AZ_sym_GS`).
 
 use rcomm::Communicator;
+use rsparse::dense::DiagonalScale;
+use rsparse::SparseError;
 
 use crate::rowmatrix::RowMatrix;
 use crate::vector::Vector;
 use crate::{AztecError, AztecResult};
 
 /// Internal preconditioner object built by [`crate::AztecOO`] from the
-/// option enum.
+/// option enum, once per `iterate`; an apply may use scratch the object
+/// holds.
 pub(crate) trait AzPc: Send + Sync {
-    fn apply(&self, comm: &Communicator, r: &Vector, z: &mut Vector) -> AztecResult<()>;
+    fn apply(&mut self, comm: &Communicator, r: &Vector, z: &mut Vector) -> AztecResult<()>;
 }
 
 /// No preconditioning.
 pub(crate) struct NoPc;
 
 impl AzPc for NoPc {
-    fn apply(&self, _comm: &Communicator, r: &Vector, z: &mut Vector) -> AztecResult<()> {
+    fn apply(&mut self, _comm: &Communicator, r: &Vector, z: &mut Vector) -> AztecResult<()> {
         z.values_mut().copy_from_slice(r.values());
         Ok(())
     }
 }
 
+/// The inverse of `a`'s local diagonal, for the preconditioner `name`.
+fn diagonal_scale(a: &dyn RowMatrix, name: &str) -> AztecResult<DiagonalScale> {
+    let d = a
+        .extract_diagonal()
+        .ok_or_else(|| AztecError::BadOption(format!("{name} needs a matrix diagonal")))?;
+    DiagonalScale::new(d).map_err(|e| match e {
+        SparseError::ZeroPivot { row } => {
+            AztecError::Sparse(format!("zero diagonal at local row {row}"))
+        }
+        other => other.into(),
+    })
+}
+
 /// Jacobi scaling (k steps of damped point-Jacobi with zero initial guess
 /// collapse to one diagonal solve; Aztec exposes the single-step form).
 pub(crate) struct JacobiPc {
-    inv_diag: Vec<f64>,
+    scale: DiagonalScale,
 }
 
 impl JacobiPc {
     pub(crate) fn new(a: &dyn RowMatrix) -> AztecResult<Self> {
-        let d = a
-            .extract_diagonal()
-            .ok_or_else(|| AztecError::BadOption("Jacobi needs a matrix diagonal".into()))?;
-        if let Some(row) = d.iter().position(|&x| x == 0.0) {
-            return Err(AztecError::Sparse(format!("zero diagonal at local row {row}")));
-        }
-        Ok(JacobiPc { inv_diag: d.iter().map(|x| 1.0 / x).collect() })
+        Ok(JacobiPc { scale: diagonal_scale(a, "Jacobi")? })
     }
 }
 
 impl AzPc for JacobiPc {
-    fn apply(&self, _comm: &Communicator, r: &Vector, z: &mut Vector) -> AztecResult<()> {
-        for ((zi, ri), di) in z.values_mut().iter_mut().zip(r.values()).zip(&self.inv_diag) {
-            *zi = ri * di;
-        }
+    fn apply(&mut self, _comm: &Communicator, r: &Vector, z: &mut Vector) -> AztecResult<()> {
+        self.scale.apply(r.values(), z.values_mut());
         Ok(())
     }
 }
@@ -54,41 +62,35 @@ impl AzPc for JacobiPc {
 /// Neumann-series polynomial preconditioner of order `p`:
 /// M⁻¹ = Σ_{k=0}^{p} (I − D⁻¹A)ᵏ · D⁻¹. Works with *any* [`RowMatrix`]
 /// (matrix-free included) as long as the diagonal is available — each term
-/// costs one matvec.
+/// costs one matvec. The series term and its product with A are held here,
+/// so an apply allocates nothing.
 pub(crate) struct NeumannPc<'a> {
     a: &'a dyn RowMatrix,
-    inv_diag: Vec<f64>,
+    scale: DiagonalScale,
     order: usize,
+    term: Vector,
+    at: Vector,
 }
 
 impl<'a> NeumannPc<'a> {
     pub(crate) fn new(a: &'a dyn RowMatrix, order: usize) -> AztecResult<Self> {
-        let d = a
-            .extract_diagonal()
-            .ok_or_else(|| AztecError::BadOption("Neumann needs a matrix diagonal".into()))?;
-        if let Some(row) = d.iter().position(|&x| x == 0.0) {
-            return Err(AztecError::Sparse(format!("zero diagonal at local row {row}")));
-        }
-        Ok(NeumannPc { a, inv_diag: d.iter().map(|x| 1.0 / x).collect(), order })
+        let scale = diagonal_scale(a, "Neumann")?;
+        let term = Vector::new(a.row_map().clone());
+        let at = Vector::new(a.row_map().clone());
+        Ok(NeumannPc { a, scale, order, term, at })
     }
 }
 
 impl AzPc for NeumannPc<'_> {
-    fn apply(&self, comm: &Communicator, r: &Vector, z: &mut Vector) -> AztecResult<()> {
+    fn apply(&mut self, comm: &Communicator, r: &Vector, z: &mut Vector) -> AztecResult<()> {
         // term ← D⁻¹·r ; z ← term ; repeat: term ← term − D⁻¹·A·term.
-        let mut term = r.clone();
-        for (ti, di) in term.values_mut().iter_mut().zip(&self.inv_diag) {
-            *ti *= di;
-        }
+        let NeumannPc { a, scale, order, term, at } = self;
+        scale.apply(r.values(), term.values_mut());
         z.values_mut().copy_from_slice(term.values());
-        let mut at = Vector::new(r.map().clone());
-        for _ in 0..self.order {
-            self.a.apply(comm, &term, &mut at)?;
-            for ((ti, ai), di) in term.values_mut().iter_mut().zip(at.values()).zip(&self.inv_diag)
-            {
-                *ti -= ai * di;
-            }
-            z.update(1.0, &term)?;
+        for _ in 0..*order {
+            a.apply(comm, term, at)?;
+            scale.apply_sub(at.values(), term.values_mut());
+            z.update(1.0, term)?;
         }
         Ok(())
     }
@@ -140,7 +142,7 @@ impl SymGsPc {
 }
 
 impl AzPc for SymGsPc {
-    fn apply(&self, _comm: &Communicator, r: &Vector, z: &mut Vector) -> AztecResult<()> {
+    fn apply(&mut self, _comm: &Communicator, r: &Vector, z: &mut Vector) -> AztecResult<()> {
         let n = self.diag_pos.len();
         let zv = z.values_mut();
         let rv = r.values();
@@ -184,7 +186,7 @@ mod tests {
         let a = generate::laplacian_1d(6);
         let out = Universe::run(2, |comm| {
             let m = CrsMatrix::from_global(comm, &a).unwrap();
-            let pc = JacobiPc::new(&m).unwrap();
+            let mut pc = JacobiPc::new(&m).unwrap();
             let r = Vector::from_global(m.row_map().clone(), &[4.0; 6]).unwrap();
             let mut z = Vector::new(m.row_map().clone());
             pc.apply(comm, &r, &mut z).unwrap();
@@ -204,7 +206,7 @@ mod tests {
             let r = Vector::from_global(m.row_map().clone(), &b).unwrap();
             let mut rel = Vec::new();
             for order in [0usize, 2, 5] {
-                let pc = NeumannPc::new(&m, order).unwrap();
+                let mut pc = NeumannPc::new(&m, order).unwrap();
                 let mut z = Vector::new(m.row_map().clone());
                 pc.apply(comm, &r, &mut z).unwrap();
                 let res = rsparse::ops::residual(&a, z.values(), &b).unwrap();
@@ -218,13 +220,77 @@ mod tests {
         assert!(rel[2] < 0.05, "order-5 Neumann should be accurate: {rel:?}");
     }
 
+    /// The Neumann apply before its scratch moved into the preconditioner:
+    /// a fresh series term and product each call, one inverse a row.
+    fn neumann_by_clones(
+        comm: &Communicator,
+        a: &dyn RowMatrix,
+        order: usize,
+        r: &Vector,
+        z: &mut Vector,
+    ) {
+        let inv: Vec<f64> = a.extract_diagonal().unwrap().iter().map(|x| 1.0 / x).collect();
+        let mut term = r.clone();
+        for (ti, di) in term.values_mut().iter_mut().zip(&inv) {
+            *ti *= di;
+        }
+        z.values_mut().copy_from_slice(term.values());
+        let mut at = Vector::new(r.map().clone());
+        for _ in 0..order {
+            a.apply(comm, &term, &mut at).unwrap();
+            for ((ti, ai), di) in term.values_mut().iter_mut().zip(at.values()).zip(&inv) {
+                *ti -= ai * di;
+            }
+            z.update(1.0, &term).unwrap();
+        }
+    }
+
+    #[test]
+    fn neumann_pc_is_bitwise_the_allocating_apply() {
+        let uniform = rmesh::paper_problem(12).assemble_global().0;
+        let per_row = generate::random_diag_dominant(90, 4, 3);
+        for (label, a) in [("uniform", &uniform), ("per-row", &per_row)] {
+            let n = a.rows();
+            let mut poisoned = generate::random_vector(n, 8);
+            poisoned[n / 2] = f64::NAN;
+            let rhs = [generate::random_vector(n, 7), poisoned, generate::random_vector(n, 9)];
+            for ranks in [1usize, 2] {
+                let out = Universe::run(ranks, |comm| {
+                    let m = CrsMatrix::from_global(comm, a).unwrap();
+                    let bits = |v: &Vector| v.values().iter().map(|x| x.to_bits()).collect();
+                    let mut mismatches: Vec<(usize, usize)> = Vec::new();
+                    for order in 1..=3 {
+                        // One preconditioner for every apply: its scratch
+                        // holds the last apply's values when the next starts.
+                        let mut pc = NeumannPc::new(&m, order).unwrap();
+                        for (k, global) in rhs.iter().chain(&rhs).enumerate() {
+                            let r = Vector::from_global(m.row_map().clone(), global).unwrap();
+                            let mut got = Vector::new(m.row_map().clone());
+                            let mut want = Vector::new(m.row_map().clone());
+                            pc.apply(comm, &r, &mut got).unwrap();
+                            neumann_by_clones(comm, &m, order, &r, &mut want);
+                            let (g, w): (Vec<u64>, Vec<u64>) = (bits(&got), bits(&want));
+                            if g != w {
+                                mismatches.push((order, k));
+                            }
+                        }
+                    }
+                    mismatches
+                });
+                for (rank, mismatches) in out.iter().enumerate() {
+                    assert!(mismatches.is_empty(), "{label} {ranks}r rank {rank}: {mismatches:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn sym_gs_reduces_residual() {
         let a = generate::laplacian_2d(6);
         let b = vec![1.0; 36];
         let out = Universe::run(2, |comm| {
             let m = CrsMatrix::from_global(comm, &a).unwrap();
-            let pc = SymGsPc::new(&m).unwrap();
+            let mut pc = SymGsPc::new(&m).unwrap();
             let r = Vector::from_global(m.row_map().clone(), &b).unwrap();
             let mut z = Vector::new(m.row_map().clone());
             pc.apply(comm, &r, &mut z).unwrap();

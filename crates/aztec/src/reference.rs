@@ -18,7 +18,7 @@ use crate::AztecResult;
 pub(crate) fn cg(
     comm: &Communicator,
     a: &dyn RowMatrix,
-    pc: &dyn AzPc,
+    pc: &mut dyn AzPc,
     b: &Vector,
     x: &mut Vector,
     opts: &AztecOptions,
@@ -78,7 +78,7 @@ pub(crate) fn cg(
 pub(crate) fn gmres(
     comm: &Communicator,
     a: &dyn RowMatrix,
-    pc: &dyn AzPc,
+    pc: &mut dyn AzPc,
     b: &Vector,
     x: &mut Vector,
     opts: &AztecOptions,
@@ -90,7 +90,7 @@ pub(crate) fn gmres(
     let mut ax = Vector::new(map.clone());
     let mut w = Vector::new(map.clone());
     let precond_residual =
-        |comm: &Communicator, x: &Vector, ax: &mut Vector, out: &mut Vector| -> AztecResult<()> {
+        |pc: &mut dyn AzPc, x: &Vector, ax: &mut Vector, out: &mut Vector| -> AztecResult<()> {
             a.apply(comm, x, ax)?;
             let mut r = b.clone();
             r.update(-1.0, ax)?;
@@ -99,7 +99,7 @@ pub(crate) fn gmres(
         };
 
     let mut z = Vector::new(map.clone());
-    precond_residual(comm, x, &mut ax, &mut z)?;
+    precond_residual(pc, x, &mut ax, &mut z)?;
     let r0 = z.norm2(comm)?;
     let mut stop = StopState::new(r0);
     if let Some(why) = stop_check(r0, r0, bnorm, opts, 0, &mut stop) {
@@ -183,7 +183,7 @@ pub(crate) fn gmres(
         if let Some(why) = cycle_why {
             break 'outer why;
         }
-        precond_residual(comm, x, &mut ax, &mut z)?;
+        precond_residual(pc, x, &mut ax, &mut z)?;
         rnorm = z.norm2(comm)?;
         if let Some(why) = stop_check(rnorm, r0, bnorm, opts, it, &mut stop) {
             break 'outer why;
@@ -201,7 +201,7 @@ pub(crate) fn gmres(
 pub(crate) fn bicgstab(
     comm: &Communicator,
     a: &dyn RowMatrix,
-    pc: &dyn AzPc,
+    pc: &mut dyn AzPc,
     b: &Vector,
     x: &mut Vector,
     opts: &AztecOptions,
@@ -287,7 +287,7 @@ pub(crate) fn bicgstab(
 pub(crate) fn cgs(
     comm: &Communicator,
     a: &dyn RowMatrix,
-    pc: &dyn AzPc,
+    pc: &mut dyn AzPc,
     b: &Vector,
     x: &mut Vector,
     opts: &AztecOptions,
@@ -372,7 +372,7 @@ pub(crate) fn cgs(
 pub(crate) fn tfqmr(
     comm: &Communicator,
     a: &dyn RowMatrix,
-    pc: &dyn AzPc,
+    pc: &mut dyn AzPc,
     b: &Vector,
     x: &mut Vector,
     opts: &AztecOptions,
@@ -478,7 +478,7 @@ mod tests {
     type Loop = fn(
         &Communicator,
         &dyn RowMatrix,
-        &dyn AzPc,
+        &mut dyn AzPc,
         &Vector,
         &mut Vector,
         &AztecOptions,
@@ -537,10 +537,10 @@ mod tests {
         sys: System,
         opts: &AztecOptions,
     ) -> Trace {
-        let pc = build_pc(m, precond);
+        let mut pc = build_pc(m, precond);
         let bv = Vector::from_global(m.row_map().clone(), sys.b).unwrap();
         let mut xv = Vector::from_global(m.row_map().clone(), sys.x0).unwrap();
-        let out = f(comm, m, pc.as_ref(), &bv, &mut xv, opts).unwrap();
+        let out = f(comm, m, pc.as_mut(), &bv, &mut xv, opts).unwrap();
         Trace {
             why: out.why,
             its: out.iterations,

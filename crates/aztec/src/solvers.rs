@@ -121,7 +121,7 @@ pub(crate) fn residual(
 pub(crate) fn cg(
     comm: &Communicator,
     a: &dyn RowMatrix,
-    pc: &dyn AzPc,
+    pc: &mut dyn AzPc,
     b: &Vector,
     x: &mut Vector,
     opts: &AztecOptions,
@@ -174,7 +174,7 @@ pub(crate) fn cg(
 pub(crate) fn gmres(
     comm: &Communicator,
     a: &dyn RowMatrix,
-    pc: &dyn AzPc,
+    pc: &mut dyn AzPc,
     b: &Vector,
     x: &mut Vector,
     opts: &AztecOptions,
@@ -316,7 +316,7 @@ fn set_scaled(a: f64, x: &[f64], v: &mut [f64], col: &mut [f64]) {
 pub(crate) fn bicgstab(
     comm: &Communicator,
     a: &dyn RowMatrix,
-    pc: &dyn AzPc,
+    pc: &mut dyn AzPc,
     b: &Vector,
     x: &mut Vector,
     opts: &AztecOptions,
@@ -393,7 +393,7 @@ pub(crate) fn bicgstab(
 pub(crate) fn cgs(
     comm: &Communicator,
     a: &dyn RowMatrix,
-    pc: &dyn AzPc,
+    pc: &mut dyn AzPc,
     b: &Vector,
     x: &mut Vector,
     opts: &AztecOptions,
@@ -466,7 +466,7 @@ pub(crate) fn cgs(
 pub(crate) fn tfqmr(
     comm: &Communicator,
     a: &dyn RowMatrix,
-    pc: &dyn AzPc,
+    pc: &mut dyn AzPc,
     b: &Vector,
     x: &mut Vector,
     opts: &AztecOptions,

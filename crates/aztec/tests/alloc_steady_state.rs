@@ -1,6 +1,7 @@
-//! RAztec's loops allocate at solve scope only: the number of allocations
-//! inside `AztecOO::iterate` does not depend on how many iterations — or,
-//! for GMRES, how many restart cycles — the solve runs.
+//! RAztec's loops and preconditioners allocate at solve scope only: the
+//! number of allocations inside `AztecOO::iterate` does not depend on how
+//! many iterations — or, for GMRES, how many restart cycles — the solve
+//! runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -42,7 +43,7 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations the rank's thread makes inside one `iterate` that stops on
 /// `max_iter`, and the iterations it ran.
-fn allocs_in_iterate(solver: AzSolver, max_iter: usize) -> (u64, usize) {
+fn allocs_in_iterate(solver: AzSolver, precond: AzPrecond, max_iter: usize) -> (u64, usize) {
     let (a, _) = rmesh::paper_problem(40).assemble_global();
     let b = rsparse::generate::random_vector(a.rows(), 17);
     let out = Universe::run(1, |comm| {
@@ -51,7 +52,7 @@ fn allocs_in_iterate(solver: AzSolver, max_iter: usize) -> (u64, usize) {
         let mut az = AztecOO::new(&m);
         az.set_options(AztecOptions {
             solver,
-            precond: AzPrecond::Jacobi,
+            precond,
             conv: AzConv::Rhs,
             tol: 0.0,
             max_iter,
@@ -85,12 +86,31 @@ fn no_loop_allocates_per_iteration_or_per_restart() {
         AzSolver::Tfqmr,
     ] {
         // GMRES(10): 4 restart cycles against 40.
-        let (short, its_short) = allocs_in_iterate(solver, 40);
-        let (long, its_long) = allocs_in_iterate(solver, 400);
+        let (short, its_short) = allocs_in_iterate(solver, AzPrecond::Jacobi, 40);
+        let (long, its_long) = allocs_in_iterate(solver, AzPrecond::Jacobi, 400);
         assert_eq!((its_short, its_long), (40, 400), "{solver:?}");
         assert_eq!(
             short, long,
             "{solver:?}: {short} allocations in 40 iterations, {long} in 400"
         );
+    }
+}
+
+/// The Neumann polynomial holds its series term and the term's product
+/// with A from `iterate` to `iterate`: a warm apply allocates nothing, so
+/// a solve ten times longer allocates no more.
+#[test]
+fn neumann_applies_allocate_nothing() {
+    for solver in [AzSolver::Gmres, AzSolver::BiCgStab] {
+        for order in 1..=3 {
+            let precond = AzPrecond::Neumann { order };
+            let (short, its_short) = allocs_in_iterate(solver, precond, 40);
+            let (long, its_long) = allocs_in_iterate(solver, precond, 400);
+            assert_eq!((its_short, its_long), (40, 400), "{solver:?} order {order}");
+            assert_eq!(
+                short, long,
+                "{solver:?} order {order}: {short} allocations in 40 iterations, {long} in 400"
+            );
+        }
     }
 }

@@ -219,6 +219,40 @@ fn sptrsv(c: &mut Criterion) {
     group.finish();
 }
 
+/// One point-Jacobi apply at the Figure 5 one-rank size (n = 90 000), the
+/// preconditioner `fig5_rksp_1r` applies twice an iteration. `paper300`'s
+/// diagonal is one number repeated, so the apply streams `r` and `z` and
+/// nothing else; `paper300varcoef` is the bypass control — rows scaled
+/// unequally, one inverse a row, a third vector streamed.
+fn jacobi(c: &mut Criterion) {
+    use rkrylov::{Jacobi, Preconditioner};
+    use rsparse::dense::DiagonalScale;
+    let mut group = c.benchmark_group("jacobi");
+    let (paper, _) = rmesh::paper_problem(300).assemble_global();
+    for (label, a, uniform) in [
+        ("paper300", paper.clone(), true),
+        ("paper300varcoef", scale_rows_unequally(&paper), false),
+    ] {
+        let n = a.rows();
+        let diagonal = a.diagonal().unwrap();
+        let scale = DiagonalScale::new(diagonal.clone()).unwrap();
+        assert_eq!(scale.is_uniform(), uniform, "{label}");
+        let pc = Jacobi::new(diagonal).unwrap();
+        let r = generate::random_vector(n, 7);
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_function(label, |b| {
+            let b = std::sync::Mutex::new(b);
+            Universe::run(1, |comm| {
+                let part = BlockRowPartition::even(n, 1);
+                let dr = DistVector::from_global(part.clone(), 0, &r).unwrap();
+                let mut dz = DistVector::zeros(part, 0);
+                b.lock().unwrap().iter(|| pc.apply(comm, &dr, &mut dz).unwrap());
+            });
+        });
+    }
+    group.finish();
+}
+
 /// The two systems RSLU's rows work on, each with its analysis: the paper
 /// PDE at m = 120 under minimum degree (the factors `direct_2r` keeps),
 /// and the bypass control `nosupernodes` — two interleaved copies of a
@@ -463,7 +497,7 @@ fn assembly(c: &mut Criterion) {
 }
 
 criterion_group!(
-    benches, spmv, spmv_formats, spmv_multi, sptrsv, factor, trisolve, blas1, raztec, probe_sites, conversions,
-    assembly
+    benches, spmv, spmv_formats, spmv_multi, sptrsv, jacobi, factor, trisolve, blas1, raztec,
+    probe_sites, conversions, assembly
 );
 criterion_main!(benches);

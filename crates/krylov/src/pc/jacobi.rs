@@ -1,10 +1,11 @@
 //! Identity and point-Jacobi preconditioners.
 
 use rcomm::Communicator;
+use rsparse::dense::DiagonalScale;
 use rsparse::DistVector;
 
 use crate::pc::Preconditioner;
-use crate::result::{KspError, KspOutcome};
+use crate::result::KspOutcome;
 
 /// No preconditioning: z ← r.
 #[derive(Debug, Clone, Copy, Default)]
@@ -21,31 +22,23 @@ impl Preconditioner for Identity {
     }
 }
 
-/// Point Jacobi: z ← D⁻¹·r using this rank's slice of the diagonal.
+/// Point Jacobi: z ← D⁻¹·r using this rank's slice of the diagonal, one
+/// number when the slice is uniform ([`DiagonalScale`]).
 #[derive(Debug, Clone)]
 pub struct Jacobi {
-    inv_diag: Vec<f64>,
+    pub(super) scale: DiagonalScale,
 }
 
 impl Jacobi {
     /// Build from the local diagonal slice; rejects zero diagonal entries.
     pub fn new(diagonal_local: Vec<f64>) -> KspOutcome<Self> {
-        let mut inv = Vec::with_capacity(diagonal_local.len());
-        for (i, &d) in diagonal_local.iter().enumerate() {
-            if d == 0.0 {
-                return Err(KspError::Sparse(rsparse::SparseError::ZeroPivot { row: i }));
-            }
-            inv.push(1.0 / d);
-        }
-        Ok(Jacobi { inv_diag: inv })
+        Ok(Jacobi { scale: DiagonalScale::new(diagonal_local)? })
     }
 }
 
 impl Preconditioner for Jacobi {
     fn apply(&self, _comm: &Communicator, r: &DistVector, z: &mut DistVector) -> KspOutcome<()> {
-        for ((zi, ri), di) in z.local_mut().iter_mut().zip(r.local()).zip(&self.inv_diag) {
-            *zi = ri * di;
-        }
+        self.scale.apply(r.local(), z.local_mut());
         Ok(())
     }
 

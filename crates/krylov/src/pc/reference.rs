@@ -2,11 +2,21 @@
 //! kept as the reference their results must equal **bit for bit**: same
 //! subtractions in the same order in every row, then the same finish.
 
-use rsparse::{generate, CsrMatrix};
+use rcomm::Universe;
+use rsparse::{generate, BlockRowPartition, CsrMatrix, DistVector};
 
 use super::ilu::{ic0_factor, ilu0_values};
 use super::ilut::{ilut_factor, IlutFactor};
-use super::{diagonal_positions, Ic0, Ilu0, Ilut, Ssor};
+use super::{diagonal_positions, Ic0, Ilu0, Ilut, Jacobi, Preconditioner, Ssor};
+
+/// Point Jacobi with one inverse a row, the loop the diagonal scale
+/// replaced: `z_i = r_i · (1/d_i)`.
+fn jacobi_per_row(diagonal: &[f64], r: &[f64], z: &mut [f64]) {
+    let inv: Vec<f64> = diagonal.iter().map(|d| 1.0 / d).collect();
+    for ((zi, ri), di) in z.iter_mut().zip(r).zip(&inv) {
+        *zi = ri * di;
+    }
+}
 
 /// ILU(0): L and U interleaved on the block's pattern, cut at `diag_pos`.
 fn ilu0_natural(a: &CsrMatrix, diag_pos: &[usize], vals: &[f64], r: &[f64], z: &mut [f64]) {
@@ -236,5 +246,85 @@ fn ic0_gather_is_bitwise_the_natural_order_scatter() {
             |r, z| pc.solve_local(r, z),
             |r, z| ic0_natural(&l, r, z),
         );
+    }
+}
+
+/// `pc` through [`Preconditioner::apply`] on one rank.
+fn jacobi_apply(pc: &Jacobi, r: &[f64], z: &mut [f64]) {
+    let (n, z0) = (r.len(), z.to_vec());
+    let out = Universe::run(1, |comm| {
+        let part = BlockRowPartition::even(n, 1);
+        let rv = DistVector::from_local(part.clone(), 0, r.to_vec()).unwrap();
+        let mut zv = DistVector::from_local(part, 0, z0.clone()).unwrap();
+        pc.apply(comm, &rv, &mut zv).unwrap();
+        zv.local().to_vec()
+    });
+    z.copy_from_slice(&out[0]);
+}
+
+/// A residual with every kind of value in it: NaNs with payloads (one
+/// signalling), both infinities, both zeros, subnormals, the extremes.
+fn special_residual(n: usize) -> Vec<f64> {
+    let specials = [
+        f64::from_bits(0x7ff8_0000_0000_beef),
+        f64::from_bits(0xfff4_0000_0000_0001),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        f64::from_bits(1),
+        -f64::MIN_POSITIVE / 3.0,
+        f64::MAX,
+        f64::MIN,
+    ];
+    let mut r = generate::random_vector(n, 31);
+    for (i, v) in specials.iter().cycle().take(n / 2).enumerate() {
+        r[2 * i] = *v;
+    }
+    r
+}
+
+/// `pc` against [`jacobi_per_row`] on `diagonal`, bit for bit.
+fn assert_jacobi_bitwise(label: &str, diagonal: &[f64], uniform: bool) {
+    let pc = Jacobi::new(diagonal.to_vec()).unwrap();
+    assert_eq!(pc.scale.is_uniform(), uniform, "{label}");
+    let n = diagonal.len();
+    let mut rhs = right_hand_sides(n);
+    rhs.push(special_residual(n));
+    for (which, r) in rhs.iter().enumerate() {
+        let mut got = vec![7.0; n];
+        let mut want = vec![-3.0; n];
+        jacobi_apply(&pc, r, &mut got);
+        jacobi_per_row(diagonal, r, &mut want);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{label} rhs {which} row {i}: {g} vs {w}");
+        }
+    }
+}
+
+#[test]
+fn uniform_and_per_row_jacobi_are_bitwise_the_per_row_loop() {
+    let n = 40;
+    // No NaN on the diagonal: when both factors are NaN, which payload the
+    // product keeps is left to the compiler, in either form.
+    for d in [4.0, 3.0, -0.1, 1e-310, f64::MAX, f64::INFINITY] {
+        assert_jacobi_bitwise(&format!("uniform {d}"), &vec![d; n], true);
+        let varied: Vec<f64> = (0..n).map(|i| d * (1.0 + i as f64 / 64.0)).collect();
+        let uniform = varied.iter().all(|v| v.to_bits() == varied[0].to_bits());
+        assert_jacobi_bitwise(&format!("varied {d}"), &varied, uniform);
+    }
+    let paper = rmesh::paper_problem(30).assemble_global().0;
+    assert_jacobi_bitwise("paper pde", &paper.diagonal().unwrap(), true);
+}
+
+#[test]
+fn a_diagonal_one_ulp_off_takes_the_per_row_path() {
+    let n = 33;
+    for row in [0, n / 2, n - 1] {
+        for step in [1i64, -1] {
+            let mut d = vec![3.0f64; n];
+            d[row] = f64::from_bits(d[row].to_bits().wrapping_add_signed(step));
+            assert_jacobi_bitwise(&format!("row {row} {step:+} ulp"), &d, false);
+        }
     }
 }

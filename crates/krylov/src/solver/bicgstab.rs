@@ -250,6 +250,19 @@ mod tests {
     }
 
     #[test]
+    fn fused_loop_matches_the_oracle_with_variable_coefficients() {
+        let (paper, _) = rmesh::paper_problem(14).assemble_global();
+        for ranks in [1usize, 2, 3] {
+            let (a, uniform) = crate::solver::vary_second_half(&paper, ranks);
+            let split = [vec![false], vec![true, false], vec![true, false, false]];
+            assert_eq!(uniform, split[ranks - 1], "{ranks}r Jacobi slices");
+            for pc_type in [PcType::Jacobi, PcType::Ilu0] {
+                assert_matches_oracle(&a, pc_type, ranks, 2000);
+            }
+        }
+    }
+
+    #[test]
     fn fused_loop_matches_the_oracle_past_one_reduction_block() {
         // 262² > DOT_BLOCK local entries on one rank: the blocked
         // reductions combine partials; a few iterations suffice.

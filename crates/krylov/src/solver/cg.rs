@@ -200,34 +200,52 @@ mod tests {
         Ok(result)
     }
 
+    /// Verdict, iteration count, condition estimate, residual history and
+    /// iterate of both loops on `ranks` ranks, bit for bit.
+    fn assert_matches_oracle(a: &rsparse::CsrMatrix, pc_type: PcType, ranks: usize) {
+        let n = a.rows();
+        let b = a.matvec(&generate::random_vector(n, 43)).unwrap();
+        let tag = format!("{pc_type:?}/{ranks}r");
+        Universe::run(ranks, |comm| {
+            let part = BlockRowPartition::even(n, comm.size());
+            let da = DistCsrMatrix::from_global(comm, part.clone(), a).unwrap();
+            let op = MatOperator::new(da);
+            let pc = make_preconditioner(pc_type, &op).unwrap();
+            let db = DistVector::from_global(part.clone(), comm.rank(), &b).unwrap();
+            let cfg = KspConfig { rtol: 1e-10, ..KspConfig::default() };
+            let mut x_new = DistVector::zeros(part.clone(), comm.rank());
+            let mut x_old = DistVector::zeros(part, comm.rank());
+            let new = solve(comm, &op, pc.as_ref(), &db, &mut x_new, &cfg).unwrap();
+            let old = solve_unfused(comm, &op, pc.as_ref(), &db, &mut x_old, &cfg).unwrap();
+            assert_eq!(new.reason, old.reason, "{tag}");
+            assert_eq!(new.iterations, old.iterations, "{tag}");
+            assert!(new.converged() && new.iterations > 2, "{tag}");
+            assert_eq!(new.cond_estimate, old.cond_estimate, "{tag}");
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&new.history), bits(&old.history), "{tag} history");
+            assert_eq!(bits(x_new.local()), bits(x_old.local()), "{tag} iterate");
+        });
+    }
+
     #[test]
     fn fused_update_matches_the_unfused_oracle_bitwise() {
         let a = generate::laplacian_2d(12);
-        let n = a.rows();
-        let b = a.matvec(&generate::random_vector(n, 43)).unwrap();
         for ranks in [1usize, 2, 3] {
             for pc_type in [PcType::Jacobi, PcType::Ic0] {
-                let tag = format!("{pc_type:?}/{ranks}r");
-                Universe::run(ranks, |comm| {
-                    let part = BlockRowPartition::even(n, comm.size());
-                    let da = DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
-                    let op = MatOperator::new(da);
-                    let pc = make_preconditioner(pc_type, &op).unwrap();
-                    let db = DistVector::from_global(part.clone(), comm.rank(), &b).unwrap();
-                    let cfg = KspConfig { rtol: 1e-10, ..KspConfig::default() };
-                    let mut x_new = DistVector::zeros(part.clone(), comm.rank());
-                    let mut x_old = DistVector::zeros(part, comm.rank());
-                    let new = solve(comm, &op, pc.as_ref(), &db, &mut x_new, &cfg).unwrap();
-                    let old =
-                        solve_unfused(comm, &op, pc.as_ref(), &db, &mut x_old, &cfg).unwrap();
-                    assert_eq!(new.reason, old.reason, "{tag}");
-                    assert_eq!(new.iterations, old.iterations, "{tag}");
-                    assert!(new.converged() && new.iterations > 2, "{tag}");
-                    assert_eq!(new.cond_estimate, old.cond_estimate, "{tag}");
-                    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&new.history), bits(&old.history), "{tag} history");
-                    assert_eq!(bits(x_new.local()), bits(x_old.local()), "{tag} iterate");
-                });
+                assert_matches_oracle(&a, pc_type, ranks);
+            }
+        }
+    }
+
+    #[test]
+    fn fused_update_matches_the_oracle_with_variable_coefficients() {
+        let laplacian = generate::laplacian_2d(12);
+        for ranks in [1usize, 2, 3] {
+            let (a, uniform) = crate::solver::vary_second_half(&laplacian, ranks);
+            let split = [vec![false], vec![true, false], vec![true, false, false]];
+            assert_eq!(uniform, split[ranks - 1], "{ranks}r Jacobi slices");
+            for pc_type in [PcType::Jacobi, PcType::Ic0] {
+                assert_matches_oracle(&a, pc_type, ranks);
             }
         }
     }

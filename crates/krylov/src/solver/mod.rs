@@ -603,6 +603,30 @@ impl Ksp {
     }
 }
 
+/// `a` with row `r` of its second half scaled by `1 + (r mod 7 + 1)·2⁻²⁰`
+/// (a variable-coefficient operator), and whether each of `ranks` even
+/// slices of its diagonal is uniform: the first half's rows keep their
+/// values, so on two ranks Jacobi keeps one number on rank 0 and one a
+/// row on rank 1.
+#[cfg(test)]
+pub(crate) fn vary_second_half(
+    a: &rsparse::CsrMatrix,
+    ranks: usize,
+) -> (rsparse::CsrMatrix, Vec<bool>) {
+    let n = a.rows();
+    let scale = |r: usize| 1.0 + (r % 7 + 1) as f64 / (1u32 << 20) as f64;
+    let scales: Vec<f64> = (0..n).map(|r| if r < n / 2 { 1.0 } else { scale(r) }).collect();
+    let varied = rsparse::ops::diag_scale_rows(&scales, a).unwrap();
+    let diagonal = varied.diagonal().unwrap();
+    let part = rsparse::BlockRowPartition::even(n, ranks);
+    let uniform = (0..ranks)
+        .map(|rank| {
+            let slice = diagonal[part.range(rank)].to_vec();
+            rsparse::dense::DiagonalScale::new(slice).unwrap().is_uniform()
+        })
+        .collect();
+    (varied, uniform)
+}
 
 #[cfg(test)]
 mod tests {

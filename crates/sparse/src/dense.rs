@@ -343,6 +343,95 @@ pub fn copy(x: &[f64], y: &mut [f64]) {
     y.copy_from_slice(x);
 }
 
+/// z ← D⁻¹·r for one rank's slice of a matrix diagonal D, inverted once
+/// when it is built — the one diagonal scale beneath RKSP's Jacobi and
+/// RAztec's Jacobi and Neumann preconditioners.
+///
+/// A diagonal whose entries all have the same bits is kept as one number,
+/// 1/d₀, so an apply streams `r` and `z` and no third vector: the paper
+/// operator and the Laplacian have constant coefficients, the same
+/// property the constant stencil runs of [`crate::DistCsrMatrix`] use.
+/// Any other diagonal keeps one inverse a row. Both forms compute
+/// `r_i · (1/d_i)` with the same operands in the same order, so they agree
+/// bit for bit, a NaN in `r` keeping its payload. (When `r_i` and `d_i`
+/// are both NaN, which payload the product keeps is left to the compiler,
+/// in either form.)
+#[derive(Debug, Clone)]
+pub struct DiagonalScale {
+    len: usize,
+    inv: Inverse,
+}
+
+#[derive(Debug, Clone)]
+enum Inverse {
+    Uniform(f64),
+    PerRow(Vec<f64>),
+}
+
+impl DiagonalScale {
+    /// Scale by the inverse of `diagonal`, inverted in place. A zero entry
+    /// (either sign) is [`SparseError::ZeroPivot`] at its row.
+    pub fn new(mut diagonal: Vec<f64>) -> SparseResult<Self> {
+        if let Some(row) = diagonal.iter().position(|&d| d == 0.0) {
+            return Err(SparseError::ZeroPivot { row });
+        }
+        let len = diagonal.len();
+        let inv = match diagonal.first() {
+            Some(d0) if diagonal.iter().all(|d| d.to_bits() == d0.to_bits()) => {
+                Inverse::Uniform(1.0 / d0)
+            }
+            _ => {
+                for d in &mut diagonal {
+                    *d = 1.0 / *d;
+                }
+                Inverse::PerRow(diagonal)
+            }
+        };
+        Ok(DiagonalScale { len, inv })
+    }
+
+    /// Whether the diagonal was one number repeated (kept as one `f64`).
+    pub fn is_uniform(&self) -> bool {
+        matches!(self.inv, Inverse::Uniform(_))
+    }
+
+    /// z_i ← r_i · (1/d_i).
+    #[inline]
+    pub fn apply(&self, r: &[f64], z: &mut [f64]) {
+        assert!(r.len() == self.len && z.len() == self.len, "diagonal scale length mismatch");
+        match &self.inv {
+            Inverse::Uniform(s) => {
+                for (zi, ri) in z.iter_mut().zip(r) {
+                    *zi = ri * s;
+                }
+            }
+            Inverse::PerRow(inv) => {
+                for ((zi, ri), di) in z.iter_mut().zip(r).zip(inv) {
+                    *zi = ri * di;
+                }
+            }
+        }
+    }
+
+    /// t_i ← t_i − a_i · (1/d_i).
+    #[inline]
+    pub fn apply_sub(&self, a: &[f64], t: &mut [f64]) {
+        assert!(a.len() == self.len && t.len() == self.len, "diagonal scale length mismatch");
+        match &self.inv {
+            Inverse::Uniform(s) => {
+                for (ti, ai) in t.iter_mut().zip(a) {
+                    *ti -= ai * s;
+                }
+            }
+            Inverse::PerRow(inv) => {
+                for ((ti, ai), di) in t.iter_mut().zip(a).zip(inv) {
+                    *ti -= ai * di;
+                }
+            }
+        }
+    }
+}
+
 /// A row-major dense matrix. Deliberately minimal: it exists to provide
 /// ground truth for sparse kernels and a coarse-grid direct solve, not to
 /// compete with a real dense library.
@@ -676,5 +765,37 @@ mod tests {
         assert_eq!(a.matvec(&[1.0, 1.0, 1.0]).unwrap(), vec![6.0, 15.0]);
         assert_eq!(a.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(a[(1, 2)], 6.0);
+    }
+
+    #[test]
+    fn diagonal_scale_keeps_one_number_for_a_uniform_diagonal() {
+        let uniform = DiagonalScale::new(vec![4.0; 5]).unwrap();
+        assert!(uniform.is_uniform());
+        let per_row = DiagonalScale::new(vec![4.0, 4.0, 2.0]).unwrap();
+        assert!(!per_row.is_uniform());
+        let mut z = vec![0.0; 3];
+        per_row.apply(&[8.0, -4.0, 1.0], &mut z);
+        assert_eq!(z, vec![2.0, -1.0, 0.5]);
+        per_row.apply_sub(&[4.0, 4.0, 4.0], &mut z);
+        assert_eq!(z, vec![1.0, -2.0, -1.5]);
+        let mut t = vec![1.0; 5];
+        uniform.apply_sub(&[2.0; 5], &mut t);
+        assert_eq!(t, vec![0.5; 5]);
+        // Same bits decide, not `==`: one NaN repeated is uniform, NaNs that
+        // differ in payload are not.
+        assert!(DiagonalScale::new(vec![f64::NAN; 4]).unwrap().is_uniform());
+        let payloads = vec![f64::NAN, f64::from_bits(f64::NAN.to_bits() | 1)];
+        assert!(!DiagonalScale::new(payloads).unwrap().is_uniform());
+        // Empty slices (a rank that owns no rows) are a per-row scale of none.
+        DiagonalScale::new(Vec::new()).unwrap().apply(&[], &mut []);
+    }
+
+    #[test]
+    fn diagonal_scale_rejects_a_zero_of_either_sign_at_its_row() {
+        for zero in [0.0, -0.0] {
+            let e = DiagonalScale::new(vec![1.0, 1.0, zero, 1.0]).unwrap_err();
+            assert_eq!(e, SparseError::ZeroPivot { row: 2 });
+        }
+        assert!(DiagonalScale::new(vec![0.0; 3]).is_err());
     }
 }

@@ -77,13 +77,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "== bench compile =="
 cargo bench --workspace --no-run
 
-echo "== RSLU and sweep kernel rows, run once (smoke) =="
+echo "== RSLU, sweep and Jacobi kernel rows, run once (smoke) =="
 # Compiling a bench does not set it up: these run RSLU's rows once each
-# (factor, then the triangular solves) and the preconditioner sweeps'
-# rows once, so a panic in their set-up fails here. One-millisecond
+# (factor, then the triangular solves), the preconditioner sweeps' rows
+# and the Jacobi rows once, so a panic in their set-up (or a Jacobi row
+# whose diagonal is not the kind it names) fails here. One-millisecond
 # windows: this measures nothing.
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- factor/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- trisolve
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- sptrsv/
+BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- jacobi/
 
 echo "ALL CHECKS PASSED"
