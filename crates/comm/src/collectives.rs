@@ -507,27 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_batch_matches_per_segment_allreduce_vec_bitwise() {
-        let out = Universe::run(3, |c| {
-            let a = [c.rank() as f64 * 0.1 + 0.7, 2.0];
-            let b = [-(c.rank() as f64) * 1.3, 0.25, 1e-9];
-            let batched = c.allreduce_batch(&[&a, &b], |x, y| x + y).unwrap();
-            let sep_a = c.allreduce_vec(&a, |x, y| x + y).unwrap();
-            let sep_b = c.allreduce_vec(&b, |x, y| x + y).unwrap();
-            (batched, sep_a, sep_b)
-        });
-        for (batched, sep_a, sep_b) in out {
-            assert_eq!(batched.len(), 2);
-            for (g, e) in batched[0].iter().zip(&sep_a) {
-                assert_eq!(g.to_bits(), e.to_bits());
-            }
-            for (g, e) in batched[1].iter().zip(&sep_b) {
-                assert_eq!(g.to_bits(), e.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn gather_orders_by_rank() {
         for &p in SIZES {
             for root in 0..p {

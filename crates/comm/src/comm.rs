@@ -729,22 +729,14 @@ impl Communicator {
         crate::collectives::allreduce(self, value, op)
     }
 
-    /// Element-wise all-reduce over equal-length slices.
+    /// Element-wise all-reduce over equal-length slices: this rank's
+    /// contribution is copied once and reduced in place.
     pub fn allreduce_vec<T, F>(&self, values: &[T], op: F) -> CommResult<Vec<T>>
     where
         T: Send + Clone + 'static,
         F: Fn(&T, &T) -> T,
     {
-        self.allreduce_owned(values.to_vec(), op)
-    }
-
-    /// [`Self::allreduce_vec`] on a buffer the caller gives up: this
-    /// rank's contribution is reduced in place and returned.
-    fn allreduce_owned<T, F>(&self, mut values: Vec<T>, op: F) -> CommResult<Vec<T>>
-    where
-        T: Send + Clone + 'static,
-        F: Fn(&T, &T) -> T,
-    {
+        let mut values = values.to_vec();
         self.stats.allreduce();
         probe::add(
             probe::Counter::ReducedBytes,
@@ -757,23 +749,6 @@ impl Communicator {
             let _ = fault::corrupt_slice(&mut values, seed, call);
         }
         crate::collectives::allreduce_vec(self, values, op)
-    }
-
-    /// Batched element-wise all-reduce: the segments are concatenated,
-    /// reduced in **one** collective, and split back — `k` columns'
-    /// reductions for a single collective latency (the k-wide reduction
-    /// of the batched Krylov drivers). Element `i` of segment `s`
-    /// reduces over exactly the rank-ordered tree
-    /// `allreduce_vec(segments[s])[i]` would use, so batching never
-    /// changes a result bit.
-    pub fn allreduce_batch<T, F>(&self, segments: &[&[T]], op: F) -> CommResult<Vec<Vec<T>>>
-    where
-        T: Send + Clone + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        let flat: Vec<T> = segments.iter().flat_map(|s| s.iter().cloned()).collect();
-        let mut reduced = self.allreduce_owned(flat, op)?.into_iter();
-        Ok(segments.iter().map(|s| reduced.by_ref().take(s.len()).collect()).collect())
     }
 
     /// Gather one value per rank onto `root` (rank order); `None` elsewhere.

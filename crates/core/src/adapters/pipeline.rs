@@ -115,8 +115,8 @@ impl<B: Backend> Adapter<B> {
     /// `nrhs` option — the explicit multi-RHS entry point (the `nrhs`
     /// option is the declarative twin that makes plain
     /// [`SparseSolverPort::solve`] take this path). Every package shares
-    /// its set-up across the columns; RKSP also runs them through its
-    /// batched Krylov drivers.
+    /// its set-up across the columns; RKSP also runs them in lockstep
+    /// through one k-wide Krylov call.
     pub fn solve_batch(&self, solution: &mut [f64], status: &mut [f64]) -> LisiResult<()> {
         self.solve_columns(solution, status, true)
     }

@@ -139,16 +139,19 @@ impl Backend for Raztec {
             let mut xk = Vector::from_values(map.clone(), x[col.clone()].to_vec())?;
             let stat = az.iterate(comm, &b, &mut xk)?;
             x[col].copy_from_slice(xk.values());
+            // The first column that failed names the reason.
+            if report.converged {
+                report.reason = match stat.why {
+                    AzWhy::Normal => 1,
+                    AzWhy::Maxits => -1,
+                    AzWhy::Breakdown => -2,
+                    AzWhy::Ill => -3,
+                    AzWhy::Stagnated => -4,
+                };
+            }
             report.converged &= stat.why.converged();
             report.iterations = report.iterations.max(stat.its);
             report.residual = report.residual.max(stat.true_residual);
-            report.reason = match stat.why {
-                AzWhy::Normal => 1,
-                AzWhy::Maxits => -1,
-                AzWhy::Breakdown => -2,
-                AzWhy::Ill => -3,
-                AzWhy::Stagnated => -4,
-            };
         }
         Ok(SolveInfo { report, ..Default::default() })
     }

@@ -121,40 +121,37 @@ impl Backend for Rksp {
         batched: bool,
     ) -> LisiResult<SolveInfo> {
         let (op, pc) = (art.operator.as_ref(), art.pc.as_ref());
-        let (partition, rank) = (op.partition(), comm.rank());
-        let rows = partition.local_rows(rank);
+        let rows = op.partition().local_rows(comm.rank());
         let report = SolveReport { converged: true, ..Default::default() };
         let mut info = SolveInfo { report, ..Default::default() };
         let mut fold = |res: &rkrylov::KspResult| {
             info.cond_estimate = res.cond_estimate.or(info.cond_estimate);
             info.initial_residual = Some(res.initial_residual);
             let report = &mut info.report;
+            // The first column that failed names the reason.
+            if report.converged {
+                report.reason = match res.reason {
+                    rkrylov::ConvergedReason::RelativeTolerance => 1,
+                    rkrylov::ConvergedReason::AbsoluteTolerance => 2,
+                    rkrylov::ConvergedReason::MaxIterations => -1,
+                    rkrylov::ConvergedReason::Breakdown => -2,
+                    rkrylov::ConvergedReason::Diverged => -3,
+                    rkrylov::ConvergedReason::Stagnated => -4,
+                    rkrylov::ConvergedReason::TimedOut => -5,
+                };
+            }
             report.converged &= res.converged();
             report.iterations = report.iterations.max(res.iterations);
             report.residual = report.residual.max(res.final_residual);
-            report.reason = match res.reason {
-                rkrylov::ConvergedReason::RelativeTolerance => 1,
-                rkrylov::ConvergedReason::AbsoluteTolerance => 2,
-                rkrylov::ConvergedReason::MaxIterations => -1,
-                rkrylov::ConvergedReason::Breakdown => -2,
-                rkrylov::ConvergedReason::Diverged => -3,
-                rkrylov::ConvergedReason::Stagnated => -4,
-                rkrylov::ConvergedReason::TimedOut => -5,
-            };
         };
-        if batched {
-            // One batched call: fused multi-vector SpMV plus per-step
-            // reductions batched across all columns (k collectives → 1).
-            cfg.ksp.solve_batch_with_pc(comm, op, pc, rhs, x, n_rhs)?.iter().for_each(&mut fold);
-        } else {
-            for k in 0..n_rhs {
-                let col = k * rows..(k + 1) * rows;
-                let b = DistVector::from_local(partition.clone(), rank, rhs[col.clone()].to_vec())?;
-                let mut xk =
-                    DistVector::from_local(partition.clone(), rank, x[col.clone()].to_vec())?;
-                fold(&cfg.ksp.solve_with_pc(comm, op, pc, &b, &mut xk)?);
-                x[col].copy_from_slice(xk.local());
-            }
+        // Batched: one call on every column, which CG and GMRES run in
+        // lockstep (one fused multi-vector SpMV a step, per-step reductions
+        // batched across the columns). Otherwise one call a column.
+        let (width, calls) = if batched { (n_rhs, 1) } else { (1, n_rhs) };
+        for call in 0..calls {
+            let cols = call * width * rows..(call + 1) * width * rows;
+            let (b, x) = (&rhs[cols.clone()], &mut x[cols]);
+            cfg.ksp.solve_batch_with_pc(comm, op, pc, b, x, width)?.iter().for_each(&mut fold);
         }
         Ok(info)
     }

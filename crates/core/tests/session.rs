@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 
 use lisi::{
-    LisiResult, RaztecAdapter, RkspAdapter, RmgAdapter, RsluAdapter, SparseSolverPort,
-    SparseStruct, STATUS_LEN,
+    LisiError, LisiResult, RaztecAdapter, RkspAdapter, RmgAdapter, RsluAdapter, SolveReport,
+    SparseSolverPort, SparseStruct, STATUS_LEN,
 };
 use rcomm::Universe;
 use rsparse::{generate, BlockRowPartition, CsrMatrix};
@@ -504,5 +504,65 @@ fn pipeline_contract_holds_for_every_backend() {
         );
         pipeline_contract("rslu", p, RsluAdapter::new, RsluAdapter::solve_batch, &[]);
         pipeline_contract("rmg", p, RmgAdapter::new, RmgAdapter::solve_batch, &[("tol", "1e-9")]);
+    }
+}
+
+/// A batch `[hard b, zero b]` under a small `maxits`: the hard column runs
+/// out of iterations, the zero one converges at once. The status and the
+/// port error name the first column that failed (reason code −1), not the
+/// last column's convergence.
+fn first_failed_column_names_the_reason<A: SparseSolverPort>(
+    name: &'static str,
+    p: usize,
+    new: fn() -> A,
+    solve_batch: fn(&A, &mut [f64], &mut [f64]) -> LisiResult<()>,
+) {
+    let n_side = 12usize;
+    let n = n_side * n_side;
+    let a = generate::laplacian_2d(n_side);
+    Universe::run(p, move |comm| {
+        let range = BlockRowPartition::even(n, comm.size()).range(comm.rank());
+        let rows = range.len();
+        let local = a.row_block(range.start, range.end).unwrap();
+        let solver = new();
+        solver.initialize(comm.dup().unwrap()).unwrap();
+        solver.set_start_row(range.start).unwrap();
+        solver.set_local_rows(rows).unwrap();
+        solver.set_global_cols(n).unwrap();
+        solver.set("session_tag", &format!("first_failure_{name}_{p}")).unwrap();
+        for (key, value) in
+            [("solver", "cg"), ("preconditioner", "jacobi"), ("tol", "1e-10"), ("maxits", "3")]
+        {
+            solver.set(key, value).unwrap();
+        }
+        solver.setup_matrix(local.values(), local.row_ptr(), local.col_idx(), SparseStruct::Csr)
+            .unwrap();
+        let mut rhs: Vec<f64> = range.clone().map(|i| 1.0 + (i % 5) as f64).collect();
+        rhs.resize(2 * rows, 0.0);
+        solver.setup_rhs(&rhs, 2).unwrap();
+        let mut x = vec![0.0; 2 * rows];
+        let mut status = [0.0; STATUS_LEN];
+        let err = solve_batch(&solver, &mut x, &mut status).unwrap_err();
+        let report = SolveReport::from_slice(&status);
+        let ctx = format!("{name} on {p} ranks, rank {}", comm.rank());
+        assert!(!report.converged, "{ctx}: the hard column did not converge");
+        assert_eq!(report.reason, -1, "{ctx}: the hard column's reason, not the zero column's");
+        assert!(
+            matches!(&err, LisiError::Package(m) if m.ends_with("(reason code -1)")),
+            "{ctx}: {err}"
+        );
+    });
+}
+
+#[test]
+fn batch_status_names_the_first_failed_column() {
+    for p in [1usize, 3] {
+        first_failed_column_names_the_reason("rksp", p, RkspAdapter::new, RkspAdapter::solve_batch);
+        first_failed_column_names_the_reason(
+            "raztec",
+            p,
+            RaztecAdapter::new,
+            RaztecAdapter::solve_batch,
+        );
     }
 }

@@ -1,9 +1,11 @@
 //! Neighbor-checkpointed Krylov state for elastic recovery.
 //!
 //! With `RSPARSE_CHECKPOINT_EVERY=k` (or `KspConfig::checkpoint_every`)
-//! set to a nonzero period, every Krylov solve deposits a snapshot of its
-//! per-rank state — the current iterate `x`, the residual `r`, and for
-//! GMRES the restart point — every `k` iterations. In the MPI picture each
+//! set to a nonzero period, a single-column CG, GMRES or FGMRES solve
+//! deposits a snapshot of its per-rank state — the current iterate `x`
+//! and the residual `r` — every `k` iterations (GMRES and FGMRES at the
+//! first restart boundary `k` iterations past the last snapshot). Other
+//! methods and batched solves deposit nothing. In the MPI picture each
 //! rank's snapshot lives in the memory of its ring neighbour, rank
 //! `(r + 1) mod size`, so losing any single rank leaves every snapshot —
 //! including the dead rank's — alive on some survivor. In this in-process

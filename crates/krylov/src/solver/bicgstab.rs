@@ -2,7 +2,7 @@
 //! the paper's nonsymmetric convection–diffusion systems.
 
 use rcomm::Communicator;
-use rsparse::{dense, DistVector, SparseError};
+use rsparse::{dense, DistVector};
 
 use crate::operator::LinearOperator;
 use crate::pc::Preconditioner;
@@ -20,14 +20,6 @@ pub(crate) fn solve(
     cfg.validate()?;
     let part = op.partition().clone();
     let rank = comm.rank();
-    // The loop updates `x` through its local slice, so check here what
-    // `DistVector::axpy` would have checked on every update.
-    if x.partition() != &part {
-        return Err(SparseError::BadBlockPartition(
-            "solution vector partition differs from the operator's".into(),
-        )
-        .into());
-    }
 
     let bnorm = b.norm2(comm)?;
     let mut r = b.clone();

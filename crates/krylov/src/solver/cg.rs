@@ -1,105 +1,114 @@
 //! Preconditioned conjugate gradients (Hestenes–Stiefel), for SPD
-//! operators with an SPD preconditioner.
+//! operators with an SPD preconditioner, on `k` right-hand sides in
+//! lockstep (a single solve is k = 1; see [`super::columns`]).
 //!
-//! Collectives per solve: 3 before the loop (‖b‖, ‖r₀‖, r·z), then 2 per
-//! iteration (p·q, then ‖r‖², r·z and the wall-clock guard in one).
+//! Collectives per solve, at any k: 3 before the loop (‖b‖, ‖r₀‖, r·z),
+//! then 2 per iteration (p·q, then ‖r‖², r·z and the wall-clock guard in
+//! one). Each carries one entry per live column.
 
 use rcomm::Communicator;
-use rsparse::DistVector;
+use rsparse::dense;
 
+use crate::analytics::cond_estimate_from_cg;
 use crate::operator::LinearOperator;
 use crate::pc::Preconditioner;
 use crate::result::{ConvergedReason, KspOutcome, KspResult};
-use crate::solver::{KspConfig, Monitor};
+use crate::solver::columns::{dist_columns, sum, Block, Lanes};
+use crate::solver::KspConfig;
 
+/// CG on the `k` columns of `bs` (column `c` at `[c·n .. (c+1)·n]` of the
+/// local rows), from the iterates in `xs`.
 pub(crate) fn solve(
     comm: &Communicator,
     op: &dyn LinearOperator,
     pc: &dyn Preconditioner,
-    b: &DistVector,
-    x: &mut DistVector,
+    bs: &[f64],
+    xs: &mut [f64],
+    k: usize,
     cfg: &KspConfig,
-) -> KspOutcome<KspResult> {
-    cfg.validate()?;
-    let part = op.partition().clone();
-    let rank = comm.rank();
+) -> KspOutcome<Vec<KspResult>> {
+    let (part, rank) = (op.partition(), comm.rank());
+    let n = part.local_rows(rank);
+    let (mut p, mut q) = (Block::zeros(part, rank, k), Block::zeros(part, rank, k));
+    let (mut r, mut z) = (dist_columns(part, rank, k), dist_columns(part, rank, k));
+    let mut lanes = Lanes::start(comm, op, cfg, (bs, xs), k, (&mut p, &mut q), &mut r)?;
 
-    let bnorm = b.norm2(comm)?;
-    let mut r = b.clone();
-    let mut scratch = DistVector::zeros(part.clone(), rank);
-    op.apply(comm, x, &mut scratch)?;
-    r.axpy(-1.0, &scratch)?;
-    let r0 = r.norm2(comm)?;
-    let mut mon = Monitor::new(comm, cfg, bnorm, r0);
-    if let Some(reason) = mon.check(0, r0) {
-        return Ok(mon.finish(reason, 0, r0, r0));
+    // Per-solve buffers: the live columns and the local halves of each
+    // reduction are refilled in place every iteration.
+    let mut live = Vec::with_capacity(k);
+    let mut local = Vec::with_capacity(2 * k + 1);
+    let mut rz = vec![0.0; k];
+    lanes.live(&mut live);
+    for &c in &live {
+        pc.apply(comm, &r[c], &mut z[c])?;
+        p.col_mut(c).copy_from_slice(z[c].local());
+        local.push(dense::pdot(r[c].local(), z[c].local()));
+    }
+    if !live.is_empty() {
+        for (&c, rzc) in live.iter().zip(sum(comm, &local)?) {
+            rz[c] = rzc;
+        }
     }
 
-    let mut z = DistVector::zeros(part.clone(), rank);
-    pc.apply(comm, &r, &mut z)?;
-    let mut p = z.clone();
-    let mut q = DistVector::zeros(part, rank);
-    let mut rz = r.dot(&z, comm)?;
-
     let mut iterations = 0usize;
-    let mut rnorm = r0;
     // The CG scalars double as Lanczos coefficients; keep them so the
     // result can carry a condition-number estimate (see
     // [`crate::analytics`]).
-    let mut alphas: Vec<f64> = Vec::new();
-    let mut betas: Vec<f64> = Vec::new();
-    let reason = loop {
+    let mut alphas: Vec<Vec<f64>> = vec![Vec::new(); k];
+    let mut betas: Vec<Vec<f64>> = vec![Vec::new(); k];
+    while lanes.any_live() {
         iterations += 1;
-        op.apply(comm, &p, &mut q)?;
-        let pq = p.dot(&q, comm)?;
-        if pq == 0.0 || !pq.is_finite() {
-            break ConvergedReason::Breakdown;
+        p.apply(comm, op, &mut q)?;
+        lanes.live(&mut live);
+        local.clear();
+        local.extend(live.iter().map(|&c| dense::pdot(p.col(c), q.col(c))));
+        let pq = sum(comm, &local)?;
+        local.clear();
+        for (&c, &pq) in live.iter().zip(&pq) {
+            if pq == 0.0 || !pq.is_finite() {
+                let res = lanes.finish(c, ConvergedReason::Breakdown, iterations);
+                res.cond_estimate = cond_estimate_from_cg(&alphas[c], &betas[c]);
+                continue;
+            }
+            let alpha = rz[c] / pq;
+            alphas[c].push(alpha);
+            dense::axpy(alpha, p.col(c), &mut xs[c * n..][..n]);
+            // r ← r − α·q, with ‖r‖² formed in the same pass.
+            local.push(dense::axpy_norm2_sq(-alpha, q.col(c), r[c].local_mut()));
+            pc.apply(comm, &r[c], &mut z[c])?;
+            local.push(dense::pdot(r[c].local(), z[c].local()));
         }
-        let alpha = rz / pq;
-        alphas.push(alpha);
-        x.axpy(alpha, &p)?;
-        // r ← r − α·q, with ‖r‖² formed in the same pass.
-        let rr = rsparse::dense::axpy_norm2_sq(-alpha, q.local(), r.local_mut());
-        // Apply the preconditioner first, then reduce ‖r‖², r·z and the
-        // wall-clock guard flag in one collective: 2 allreduces per
-        // iteration (p·q and this one), and the timeout verdict is
-        // rank-agreed for free. The allreduce is elementwise over the
-        // same rank-ordered tree, so each component is bit-identical to
-        // its standalone reduction.
-        pc.apply(comm, &r, &mut z)?;
-        let local = [rr, rsparse::dense::pdot(r.local(), z.local()), mon.local_guard()];
-        let fused = comm.allreduce_vec(&local, rcomm::sum)?;
-        rnorm = fused[0].sqrt();
-        let rz_new = fused[1];
-        mon.absorb_guard(fused[2]);
-        if let Some(reason) = mon.check(iterations, rnorm) {
-            break reason;
+        lanes.live(&mut live);
+        if live.is_empty() {
+            break;
         }
-        if cfg.checkpoint_every > 0 && iterations.is_multiple_of(cfg.checkpoint_every) {
-            // Elastic-recovery snapshot (x, r) at the checkpoint boundary;
-            // every rank passes here on the same iteration, so the
-            // deposited generation is cohort-consistent up to the one
-            // in-flight boundary `latest_consistent` tolerates.
-            crate::checkpoint::deposit(
-                comm.world_members()[rank],
-                iterations,
-                op.partition().start_row(rank),
-                x.local(),
-                r.local(),
-            );
+        // ‖r‖² and r·z of every column and the wall-clock guard flag in
+        // one collective: 2 allreduces per iteration (p·q and this one),
+        // and the timeout verdict is rank-agreed for free.
+        local.push(lanes.guard());
+        let fused = sum(comm, &local)?;
+        let guard = fused[fused.len() - 1];
+        for (&c, f) in live.iter().zip(fused.chunks_exact(2)) {
+            let reason = match lanes.check(c, iterations, f[0].sqrt(), guard) {
+                None => {
+                    lanes.checkpoint(iterations, xs, r[c].local());
+                    (rz[c] == 0.0).then_some(ConvergedReason::Breakdown)
+                }
+                reason => reason,
+            };
+            if let Some(reason) = reason {
+                let res = lanes.finish(c, reason, iterations);
+                res.cond_estimate = cond_estimate_from_cg(&alphas[c], &betas[c]);
+                continue;
+            }
+            let beta = f[1] / rz[c];
+            betas[c].push(beta);
+            rz[c] = f[1];
+            // p ← z + β·p (threaded elementwise kernel).
+            dense::xpby(z[c].local(), beta, p.col_mut(c));
         }
-        if rz == 0.0 {
-            break ConvergedReason::Breakdown;
-        }
-        let beta = rz_new / rz;
-        betas.push(beta);
-        rz = rz_new;
-        // p ← z + β·p (threaded elementwise kernel; same arithmetic).
-        rsparse::dense::xpby(z.local(), beta, p.local_mut());
-    };
-    let mut result = mon.finish(reason, iterations, r0, rnorm);
-    result.cond_estimate = crate::analytics::cond_estimate_from_cg(&alphas, &betas);
-    Ok(result)
+    }
+    Ok(lanes.into_results())
 }
 
 #[cfg(test)]
@@ -108,100 +117,12 @@ mod tests {
     use crate::operator::MatOperator;
     use crate::pc::{make_preconditioner, PcType};
     use rcomm::Universe;
+    use rsparse::DistVector;
     use rsparse::{generate, BlockRowPartition, DistCsrMatrix};
 
-    /// The loop as it stood before `axpy_norm2_sq` — the residual update
-    /// and its norm two passes — kept as the oracle [`solve`] must match
-    /// bit for bit.
-    fn solve_unfused(
-        comm: &Communicator,
-        op: &dyn LinearOperator,
-        pc: &dyn Preconditioner,
-        b: &DistVector,
-        x: &mut DistVector,
-        cfg: &KspConfig,
-    ) -> KspOutcome<KspResult> {
-        cfg.validate()?;
-        let part = op.partition().clone();
-        let rank = comm.rank();
-
-        let bnorm = b.norm2(comm)?;
-        let mut r = b.clone();
-        let mut scratch = DistVector::zeros(part.clone(), rank);
-        op.apply(comm, x, &mut scratch)?;
-        r.axpy(-1.0, &scratch)?;
-        let r0 = r.norm2(comm)?;
-        let mut mon = Monitor::new(comm, cfg, bnorm, r0);
-        if let Some(reason) = mon.check(0, r0) {
-            return Ok(mon.finish(reason, 0, r0, r0));
-        }
-
-        let mut z = DistVector::zeros(part.clone(), rank);
-        pc.apply(comm, &r, &mut z)?;
-        let mut p = z.clone();
-        let mut q = DistVector::zeros(part, rank);
-        let mut rz = r.dot(&z, comm)?;
-
-        let mut iterations = 0usize;
-        let mut rnorm = r0;
-        // The CG scalars double as Lanczos coefficients; keep them so the
-        // result can carry a condition-number estimate (see
-        // [`crate::analytics`]).
-        let mut alphas: Vec<f64> = Vec::new();
-        let mut betas: Vec<f64> = Vec::new();
-        let reason = loop {
-            iterations += 1;
-            op.apply(comm, &p, &mut q)?;
-            let pq = p.dot(&q, comm)?;
-            if pq == 0.0 || !pq.is_finite() {
-                break ConvergedReason::Breakdown;
-            }
-            let alpha = rz / pq;
-            alphas.push(alpha);
-            x.axpy(alpha, &p)?;
-            r.axpy(-alpha, &q)?;
-            pc.apply(comm, &r, &mut z)?;
-            let local = [
-                rsparse::dense::pdot(r.local(), r.local()),
-                rsparse::dense::pdot(r.local(), z.local()),
-                mon.local_guard(),
-            ];
-            let fused = comm.allreduce_vec(&local, rcomm::sum)?;
-            rnorm = fused[0].sqrt();
-            let rz_new = fused[1];
-            mon.absorb_guard(fused[2]);
-            if let Some(reason) = mon.check(iterations, rnorm) {
-                break reason;
-            }
-            if cfg.checkpoint_every > 0 && iterations.is_multiple_of(cfg.checkpoint_every) {
-                // Elastic-recovery snapshot (x, r) at the checkpoint boundary;
-                // every rank passes here on the same iteration, so the
-                // deposited generation is cohort-consistent up to the one
-                // in-flight boundary `latest_consistent` tolerates.
-                crate::checkpoint::deposit(
-                    comm.world_members()[rank],
-                    iterations,
-                    op.partition().start_row(rank),
-                    x.local(),
-                    r.local(),
-                );
-            }
-            if rz == 0.0 {
-                break ConvergedReason::Breakdown;
-            }
-            let beta = rz_new / rz;
-            betas.push(beta);
-            rz = rz_new;
-            // p ← z + β·p (threaded elementwise kernel; same arithmetic).
-            rsparse::dense::xpby(z.local(), beta, p.local_mut());
-        };
-        let mut result = mon.finish(reason, iterations, r0, rnorm);
-        result.cond_estimate = crate::analytics::cond_estimate_from_cg(&alphas, &betas);
-        Ok(result)
-    }
-
     /// Verdict, iteration count, condition estimate, residual history and
-    /// iterate of both loops on `ranks` ranks, bit for bit.
+    /// iterate of the loop at k = 1 and the unfused oracle on `ranks`
+    /// ranks, bit for bit.
     fn assert_matches_oracle(a: &rsparse::CsrMatrix, pc_type: PcType, ranks: usize) {
         let n = a.rows();
         let b = a.matvec(&generate::random_vector(n, 43)).unwrap();
@@ -215,8 +136,10 @@ mod tests {
             let cfg = KspConfig { rtol: 1e-10, ..KspConfig::default() };
             let mut x_new = DistVector::zeros(part.clone(), comm.rank());
             let mut x_old = DistVector::zeros(part, comm.rank());
-            let new = solve(comm, &op, pc.as_ref(), &db, &mut x_new, &cfg).unwrap();
-            let old = solve_unfused(comm, &op, pc.as_ref(), &db, &mut x_old, &cfg).unwrap();
+            let pc = pc.as_ref();
+            let mut new = solve(comm, &op, pc, db.local(), x_new.local_mut(), 1, &cfg).unwrap();
+            let new = new.pop().unwrap();
+            let old = crate::solver::reference::cg(comm, &op, pc, &db, &mut x_old, &cfg).unwrap();
             assert_eq!(new.reason, old.reason, "{tag}");
             assert_eq!(new.iterations, old.iterations, "{tag}");
             assert!(new.converged() && new.iterations > 2, "{tag}");

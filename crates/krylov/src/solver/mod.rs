@@ -2,16 +2,18 @@
 //! methods themselves.
 
 mod bicgstab;
-mod block;
 mod cg;
 mod cgs;
 mod chebyshev;
+mod columns;
 mod gmres;
+#[cfg(test)]
+mod reference;
 mod richardson;
 mod tfqmr;
 
 use rcomm::Communicator;
-use rsparse::DistVector;
+use rsparse::{DistVector, SparseError};
 
 use crate::operator::LinearOperator;
 use crate::options::Options;
@@ -108,8 +110,10 @@ pub struct KspConfig {
     /// are rank-agreed, so the verdict is identical on every rank.
     pub stagnation_window: usize,
     /// Deposit a [`crate::checkpoint`] snapshot of the Krylov state every
-    /// this many iterations (CG and friends: every k-th iteration; GMRES:
-    /// at each restart boundary once k iterations have passed).
+    /// this many iterations (CG: every k-th iteration; GMRES and FGMRES: at
+    /// each restart boundary once k iterations have passed). Only those
+    /// three methods deposit, and only in a single-column solve: a batched
+    /// solve and every other method ignore it.
     /// 0 disables checkpointing entirely — the default, so solves pay
     /// nothing unless elastic recovery is wanted. Defaults from
     /// `RSPARSE_CHECKPOINT_EVERY` (read per `KspConfig::default()` call,
@@ -446,6 +450,7 @@ impl Ksp {
     }
 
     /// Solve with a caller-provided (possibly reused) preconditioner.
+    /// `b` and `x` must be on the operator's partition.
     pub fn solve_with_pc(
         &self,
         comm: &Communicator,
@@ -454,12 +459,23 @@ impl Ksp {
         b: &DistVector,
         x: &mut DistVector,
     ) -> KspOutcome<KspResult> {
+        // The loops read `b` and update `x` through their local slices,
+        // so check here what `DistVector::axpy` would have checked.
+        if b.partition() != op.partition() || x.partition() != op.partition() {
+            return Err(SparseError::BadBlockPartition(
+                "right-hand side or solution partition differs from the operator's".into(),
+            )
+            .into());
+        }
         // Open a causal trace for this solve (inert unless tracing is
         // armed) before the span so the span lands inside the trace.
         let _trace = probe::trace::solve_guard();
         let _span = probe::span!("ksp_solve");
         self.register_work_models(comm, op, 1);
-        self.run_method(comm, op, pc, b, x)
+        match self.lockstep(comm, op, pc, b.local(), x.local_mut(), 1) {
+            Some(results) => Ok(results?.swap_remove(0)),
+            None => self.run_method(comm, op, pc, b, x),
+        }
     }
 
     /// Solve `k` systems sharing the operator — `A·x_q = b_q` for the
@@ -480,12 +496,12 @@ impl Ksp {
 
     /// Batched multi-RHS solve with a caller-provided preconditioner.
     ///
-    /// CG routes to the block-CG driver and GMRES/FGMRES to pseudo-block
-    /// GMRES: `k` lockstep solves sharing one fused multi-vector SpMV per
-    /// operator application and batching all per-column dot products
-    /// into single collectives. Every other method falls back to `k`
-    /// sequential single-RHS solves. In both cases column `q`'s result is
-    /// bit-identical to a standalone solve of that column.
+    /// CG, GMRES and FGMRES run the `k` columns in lockstep through the
+    /// loop a single solve runs at k = 1: one fused multi-vector SpMV per
+    /// operator application and every per-column dot product batched
+    /// into the same collectives. Every other method solves the columns
+    /// one after another. Either way column `q`'s result is bit-identical
+    /// to a standalone solve of that column.
     pub fn solve_batch_with_pc(
         &self,
         comm: &Communicator,
@@ -498,29 +514,24 @@ impl Ksp {
         let _trace = probe::trace::solve_guard();
         let _span = probe::span!("ksp_solve");
         self.register_work_models(comm, op, k);
-        let cfg = &self.config;
-        match cfg.ksp_type {
-            KspType::Cg => block::block_cg(comm, op, pc, bs, xs, k, cfg),
-            KspType::Gmres => block::pseudo_block_gmres(comm, op, pc, bs, xs, k, cfg, false),
-            KspType::Fgmres => block::pseudo_block_gmres(comm, op, pc, bs, xs, k, cfg, true),
-            _ => {
-                let part = op.partition();
-                let n = part.local_rows(comm.rank());
-                block::check_layout(n, k, bs, xs)?;
-                let mut out = Vec::with_capacity(k);
-                for c in 0..k {
-                    let col = c * n..(c + 1) * n;
-                    let local = |v: &[f64]| {
-                        DistVector::from_local(part.clone(), comm.rank(), v[col.clone()].to_vec())
-                    };
-                    let b = local(bs)?;
-                    let mut x = local(xs)?;
-                    out.push(self.run_method(comm, op, pc, &b, &mut x)?);
-                    xs[col].copy_from_slice(x.local());
-                }
-                Ok(out)
-            }
+        if let Some(results) = self.lockstep(comm, op, pc, bs, xs, k) {
+            return results;
         }
+        let part = op.partition();
+        let n = part.local_rows(comm.rank());
+        columns::check_layout(n, k, bs, xs)?;
+        let mut out = Vec::with_capacity(k);
+        for c in 0..k {
+            let col = c * n..(c + 1) * n;
+            let local = |v: &[f64]| {
+                DistVector::from_local(part.clone(), comm.rank(), v[col.clone()].to_vec())
+            };
+            let b = local(bs)?;
+            let mut x = local(xs)?;
+            out.push(self.run_method(comm, op, pc, &b, &mut x)?);
+            xs[col].copy_from_slice(x.local());
+        }
+        Ok(out)
     }
 
     /// Work models for the solver-owned kernels of a solve of `nrhs`
@@ -580,7 +591,27 @@ impl Ksp {
         }
     }
 
-    /// The configured method on one right-hand side.
+    /// CG, GMRES or FGMRES on the `k` columns in lockstep; `None` for a
+    /// method without a k-wide loop.
+    fn lockstep(
+        &self,
+        comm: &Communicator,
+        op: &dyn LinearOperator,
+        pc: &dyn Preconditioner,
+        bs: &[f64],
+        xs: &mut [f64],
+        k: usize,
+    ) -> Option<KspOutcome<Vec<KspResult>>> {
+        let cfg = &self.config;
+        Some(match cfg.ksp_type {
+            KspType::Cg => cg::solve(comm, op, pc, bs, xs, k, cfg),
+            KspType::Gmres => gmres::solve(comm, op, pc, bs, xs, k, cfg, false),
+            KspType::Fgmres => gmres::solve(comm, op, pc, bs, xs, k, cfg, true),
+            _ => return None,
+        })
+    }
+
+    /// A method without a k-wide loop on one right-hand side.
     fn run_method(
         &self,
         comm: &Communicator,
@@ -591,14 +622,14 @@ impl Ksp {
     ) -> KspOutcome<KspResult> {
         let cfg = &self.config;
         match cfg.ksp_type {
-            KspType::Cg => cg::solve(comm, op, pc, b, x, cfg),
             KspType::BiCgStab => bicgstab::solve(comm, op, pc, b, x, cfg),
-            KspType::Gmres => gmres::solve(comm, op, pc, b, x, cfg, false),
-            KspType::Fgmres => gmres::solve(comm, op, pc, b, x, cfg, true),
             KspType::Cgs => cgs::solve(comm, op, pc, b, x, cfg),
             KspType::Tfqmr => tfqmr::solve(comm, op, pc, b, x, cfg),
             KspType::Richardson => richardson::solve(comm, op, pc, b, x, cfg),
             KspType::Chebyshev => chebyshev::solve(comm, op, pc, b, x, cfg),
+            KspType::Cg | KspType::Gmres | KspType::Fgmres => {
+                unreachable!("CG and GMRES run in lockstep")
+            }
         }
     }
 }
@@ -947,105 +978,94 @@ mod tests {
         assert_eq!(out[0].reason, ConvergedReason::TimedOut);
     }
 
-    /// The batched drivers' core contract: every column of a
-    /// `solve_batch` is bit-identical — iterate bits, iteration count and
-    /// verdict — to a standalone single-RHS solve of that column, for the
-    /// block-CG and pseudo-block GMRES/FGMRES paths, serial and
-    /// multi-rank, at several batch widths (k = 1 exercises the block
-    /// driver against the plain driver directly).
+    /// The lockstep loops' contract: every column of a `solve_batch`, and
+    /// a `solve_with_pc`, reproduces the single-vector oracle in
+    /// [`reference`] bit for bit — iterate, residual history, iteration
+    /// count, verdict and condition estimate — for CG, GMRES and FGMRES,
+    /// serial and on three ranks, at k = 1, 2 and 4.
     #[test]
     fn batched_solves_match_single_solves_bitwise() {
         let a = generate::laplacian_2d(6);
         let n = a.rows();
         let cases = [
-            (KspType::Cg, PcType::Jacobi),
-            (KspType::Gmres, PcType::Ilu0),
-            (KspType::Fgmres, PcType::Jacobi),
+            (KspType::Cg, PcType::Jacobi, 30),
+            (KspType::Gmres, PcType::Ilu0, 30),
+            (KspType::Gmres, PcType::Jacobi, 4),
+            (KspType::Fgmres, PcType::Jacobi, 5),
         ];
-        for (ksp_type, pc_type) in cases {
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for (ksp_type, pc_type, restart) in cases {
             for ranks in [1usize, 3] {
                 for k in [1usize, 2, 4] {
                     let bs_global: Vec<Vec<f64>> = (0..k)
-                        .map(|q| {
-                            let xt = generate::random_vector(n, 11 + q as u64);
-                            a.matvec(&xt).unwrap()
-                        })
+                        .map(|q| a.matvec(&generate::random_vector(n, 11 + q as u64)).unwrap())
                         .collect();
-                    let ok = Universe::run(ranks, |comm| {
+                    Universe::run(ranks, |comm| {
                         let part = BlockRowPartition::even(n, comm.size());
-                        let da =
-                            DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
+                        let da = DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
                         let op = MatOperator::new(da);
                         let nl = part.local_rows(comm.rank());
-                        let mut bs_flat = Vec::with_capacity(k * nl);
-                        for bg in &bs_global {
-                            let db = DistVector::from_global(
-                                part.clone(),
-                                comm.rank(),
-                                bg,
-                            )
-                            .unwrap();
-                            bs_flat.extend_from_slice(db.local());
-                        }
-                        let ksp = Ksp::new(KspConfig {
+                        let cols: Vec<DistVector> = bs_global
+                            .iter()
+                            .map(|bg| {
+                                DistVector::from_global(part.clone(), comm.rank(), bg).unwrap()
+                            })
+                            .collect();
+                        let bs_flat: Vec<f64> =
+                            cols.iter().flat_map(|b| b.local().to_vec()).collect();
+                        let cfg = KspConfig {
                             ksp_type,
                             pc_type,
+                            restart,
                             rtol: 1e-10,
                             maxits: 2000,
                             ..KspConfig::default()
-                        })
-                        .unwrap();
+                        };
+                        let ksp = Ksp::new(cfg.clone()).unwrap();
                         let pc = ksp.make_pc(&op).unwrap();
+                        let pc = pc.as_ref();
                         let mut xs_flat = vec![0.0f64; k * nl];
                         let batch = ksp
-                            .solve_batch_with_pc(
-                                comm,
-                                &op,
-                                pc.as_ref(),
-                                &bs_flat,
-                                &mut xs_flat,
-                                k,
-                            )
+                            .solve_batch_with_pc(comm, &op, pc, &bs_flat, &mut xs_flat, k)
                             .unwrap();
-                        for (q, bg) in bs_global.iter().enumerate() {
-                            let db = DistVector::from_global(
-                                part.clone(),
-                                comm.rank(),
-                                bg,
-                            )
-                            .unwrap();
+                        for (q, db) in cols.iter().enumerate() {
+                            let tag = format!("{ksp_type:?}/{restart}/{ranks}r/k{k} col {q}");
                             let mut dx = DistVector::zeros(part.clone(), comm.rank());
-                            let single = ksp
-                                .solve_with_pc(comm, &op, pc.as_ref(), &db, &mut dx)
-                                .unwrap();
-                            assert!(
-                                single.converged(),
-                                "{ksp_type:?}/{ranks}r/k{k} col {q} single did not converge"
-                            );
-                            assert_eq!(
-                                batch[q].reason, single.reason,
-                                "{ksp_type:?}/{ranks}r/k{k} col {q} verdict"
-                            );
-                            assert_eq!(
-                                batch[q].iterations, single.iterations,
-                                "{ksp_type:?}/{ranks}r/k{k} col {q} iterations"
-                            );
-                            for (i, (got, want)) in xs_flat[q * nl..(q + 1) * nl]
-                                .iter()
-                                .zip(dx.local())
-                                .enumerate()
+                            let oracle = match ksp_type {
+                                KspType::Cg => reference::cg(comm, &op, pc, db, &mut dx, &cfg),
+                                flexible => reference::gmres(
+                                    comm,
+                                    &op,
+                                    pc,
+                                    db,
+                                    &mut dx,
+                                    &cfg,
+                                    flexible == KspType::Fgmres,
+                                ),
+                            }
+                            .unwrap();
+                            assert!(oracle.converged() && oracle.iterations > 2, "{tag}");
+                            let mut single = DistVector::zeros(part.clone(), comm.rank());
+                            let one = ksp.solve_with_pc(comm, &op, pc, db, &mut single).unwrap();
+                            for (got, x) in
+                                [(&batch[q], &xs_flat[q * nl..][..nl]), (&one, single.local())]
                             {
+                                assert_eq!(got.reason, oracle.reason, "{tag} verdict");
+                                assert_eq!(got.iterations, oracle.iterations, "{tag} iterations");
                                 assert_eq!(
-                                    got.to_bits(),
-                                    want.to_bits(),
-                                    "{ksp_type:?}/{ranks}r/k{k} col {q} local row {i}: \
-                                     {got:e} vs {want:e}"
+                                    got.cond_estimate.map(f64::to_bits),
+                                    oracle.cond_estimate.map(f64::to_bits),
+                                    "{tag} condition estimate"
                                 );
+                                assert_eq!(
+                                    bits(&got.history),
+                                    bits(&oracle.history),
+                                    "{tag} history"
+                                );
+                                assert_eq!(bits(x), bits(dx.local()), "{tag} iterate");
                             }
                         }
-                        true
                     });
-                    assert!(ok.into_iter().all(|v| v));
                 }
             }
         }

@@ -1,15 +1,20 @@
 //! Warm ILU(0), IC(0), SSOR and Jacobi applies allocate nothing: a sweep
 //! reads its two level-ordered triangles and writes `z` — no scratch
 //! vector, no permutation, no per-apply workspace — and a Jacobi apply
-//! reads `r` (and one inverse a row unless the diagonal is uniform).
+//! reads `r` (and one inverse a row unless the diagonal is uniform). A
+//! batched CG iteration allocates what a single-column one does: its
+//! buffers are the solve's, not the iteration's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use rcomm::Universe;
-use rkrylov::{Ic0, Ilu0, Jacobi, Preconditioner, Ssor};
+use rkrylov::{
+    ConvergedReason, Ic0, Ilu0, Jacobi, Ksp, KspConfig, KspType, MatOperator, PcType,
+    Preconditioner, Ssor,
+};
 use rsparse::dense::DiagonalScale;
-use rsparse::{BlockRowPartition, DistVector};
+use rsparse::{BlockRowPartition, DistCsrMatrix, DistVector};
 
 thread_local! {
     /// Allocations made by this thread.
@@ -89,4 +94,55 @@ fn warm_jacobi_applies_allocate_nothing() {
         allocs
     });
     assert_eq!(out[0], vec![0, 0], "uniform, per-row");
+}
+
+#[test]
+fn batched_cg_allocates_per_iteration_what_a_single_solve_does() {
+    // Per-iteration allocations are a 60-iteration solve's minus a
+    // 40-iteration solve's, both stopped by `maxits`: the α, β and
+    // residual-history vectors hold 39 to 61 entries, one capacity band
+    // (33..=64), so their growth does not enter the difference.
+    let a = rsparse::generate::laplacian_2d(40);
+    let n = a.rows();
+    let out = Universe::run(1, |comm| {
+        let part = BlockRowPartition::even(n, 1);
+        let op = MatOperator::new(DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap());
+        let b = DistVector::from_local(part.clone(), 0, rsparse::generate::random_vector(n, 7))
+            .unwrap();
+        let bs = b.local().repeat(4);
+        // Allocations of one solve from zero; `k = 0` is `solve_with_pc`.
+        let solve = |k: usize, maxits: usize| {
+            let cfg = KspConfig {
+                ksp_type: KspType::Cg,
+                pc_type: PcType::Jacobi,
+                rtol: 1e-30,
+                maxits,
+                checkpoint_every: 0,
+                ..KspConfig::default()
+            };
+            let ksp = Ksp::new(cfg).unwrap();
+            let pc = ksp.make_pc(&op).unwrap();
+            let mut x = DistVector::zeros(part.clone(), 0);
+            let mut xs = vec![0.0; bs.len()];
+            let before = ALLOCS.with(Cell::get);
+            let results = match k {
+                0 => vec![ksp.solve_with_pc(comm, &op, pc.as_ref(), &b, &mut x).unwrap()],
+                _ => ksp.solve_batch_with_pc(comm, &op, pc.as_ref(), &bs, &mut xs, k).unwrap(),
+            };
+            let allocs = ALLOCS.with(Cell::get) - before;
+            for r in &results {
+                assert_eq!((r.reason, r.iterations), (ConvergedReason::MaxIterations, maxits));
+            }
+            std::hint::black_box((&x, &xs));
+            allocs
+        };
+        [0usize, 4].map(|k| {
+            // First solve: the matvec workspaces and the probe's
+            // per-thread state are set up.
+            solve(k, 40);
+            solve(k, 60) - solve(k, 40)
+        })
+    });
+    let [single, batched] = out[0];
+    assert_eq!(batched, single, "20 iterations: single column {single}, four columns {batched}");
 }
