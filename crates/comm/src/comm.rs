@@ -62,12 +62,19 @@ pub(crate) struct Wiring {
     /// More ranks than the host has cores (recorded once by
     /// [`crate::Universe::run`]): blocked receives skip the spin.
     pub oversubscribed: bool,
+    /// [`Communicator::universe_store`]'s values, one per type.
+    pub store: Mutex<Vec<Arc<dyn Any + Send + Sync>>>,
 }
 
 /// Per-thread inbox. All communicators held by one rank share it, so a
 /// message for a *different* communicator that arrives while we are
 /// receiving is stashed in `pending` and found later by its own
-/// communicator — the classic "unexpected message queue".
+/// communicator — the classic "unexpected message queue". Its owner locks
+/// it on every receive, so it gets cache lines of its own: a line shared
+/// with another rank's inbox or with the read-mostly [`Wiring`] bounces
+/// between cores, and which neighbours share it would otherwise depend on
+/// the sizes of unrelated allocations.
+#[repr(align(128))]
 pub(crate) struct PostOffice {
     pub receiver: Receiver<Envelope>,
     pub pending: VecDeque<Envelope>,
@@ -186,6 +193,22 @@ impl Communicator {
             return Err(CommError::RankLost(me));
         }
         Ok(())
+    }
+
+    /// The universe's one value of type `T`, created on first use. Every
+    /// communicator of a universe — its `dup`s, `split`s and `shrink`s
+    /// included — reaches the same value, another universe in the same
+    /// process never does, and the value is dropped with the universe.
+    /// Recovery state that stands in for memory on a neighbouring rank
+    /// (mirrored set-up blocks, Krylov checkpoints) lives here.
+    pub fn universe_store<T: Any + Default + Send + Sync>(&self) -> Arc<T> {
+        let mut store = self.wiring.store.lock();
+        if let Some(value) = store.iter().find_map(|v| Arc::clone(v).downcast::<T>().ok()) {
+            return value;
+        }
+        let value = Arc::new(T::default());
+        store.push(Arc::clone(&value) as Arc<dyn Any + Send + Sync>);
+        value
     }
 
     /// Snapshot this communicator's cohort health: which members are
@@ -1023,6 +1046,34 @@ mod tests {
             }
         });
         assert_eq!(out[1], "parent/child");
+    }
+
+    #[test]
+    fn universe_store_is_shared_within_a_universe_only() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        #[derive(Default)]
+        struct Tally(AtomicUsize);
+        let bump = |c: &crate::Communicator| {
+            c.universe_store::<Tally>().0.fetch_add(1, Ordering::SeqCst);
+        };
+        // Two universes at once: each sees its own ranks' bumps, through
+        // the world communicator, a dup and a shrink alike.
+        let universe = |_| {
+            Universe::run(3, |c| {
+                bump(c);
+                bump(&c.dup().unwrap());
+                if c.rank() > 0 {
+                    bump(&c.shrink(&[1, 2]).unwrap());
+                }
+                c.barrier().unwrap();
+                c.universe_store::<Tally>().0.load(Ordering::SeqCst)
+            })
+        };
+        let both: Vec<Vec<usize>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2).map(|u| s.spawn(move || universe(u))).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(both, vec![vec![8; 3], vec![8; 3]]);
     }
 
     #[test]

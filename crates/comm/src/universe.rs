@@ -49,7 +49,8 @@ impl Universe {
         // receiver only delays the sender it waits for. An unknown core
         // count is treated as one core.
         let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        let wiring = Arc::new(Wiring { senders, oversubscribed: n > cores });
+        let wiring =
+            Arc::new(Wiring { senders, oversubscribed: n > cores, store: Mutex::default() });
         let members: Arc<Vec<usize>> = Arc::new((0..n).collect());
 
         let mut comms: Vec<Communicator> = receivers

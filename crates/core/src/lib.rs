@@ -46,7 +46,6 @@ pub use components::{
     MatrixFreeComponent, SolverComponent, MATRIX_FREE_PORT, SOLVER_PORT, SOLVER_PORT_TYPE,
 };
 pub use error::{LisiError, LisiResult};
-pub use postmortem::CohortChange;
 pub use service::{SessionKey, SessionTicket, SolverService};
 pub use resilient::{
     AttemptSpec, BackendSwitch, FrameworkSwitch, ResilientSolver, ResilientSolverComponent,

@@ -8,7 +8,10 @@
 //! `postmortem.json` for the whole cohort. The document records what the
 //! cohort was doing in its final moments: the trigger, the active fault
 //! plan and which rules actually fired, the recovery path the driver
-//! walked, and the last-N timestamped events of every rank.
+//! walked, and the last-N timestamped events of every rank. The
+//! `recovery_path` and `cohort_change` sections are rendered from the
+//! driver's [`probe::EventKind::Attempt`] events, the one record of the
+//! recovery.
 //!
 //! Gather protocol: the fragments travel over the *original* driver
 //! communicator (never a per-attempt `dup()` — under rank-divergent
@@ -29,10 +32,11 @@
 
 use std::path::PathBuf;
 
-use probe::flight;
 use probe::json::{escape as json_escape, number};
+use probe::{flight, AttemptOutcome, Event, EventKind};
 use rcomm::Communicator;
 
+use crate::resilient::RetryPolicy;
 use crate::status::SolveReport;
 
 /// Schema tag stamped into every postmortem document.
@@ -65,40 +69,56 @@ fn report_json(report: &SolveReport) -> String {
     )
 }
 
-/// What an elastic shrink did to the cohort — stamped into the
-/// postmortem as the `cohort_change` object so a dump of a survived
-/// rank loss names the casualty, the survivor remapping and where the
-/// restarted solve picked up.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CohortChange {
-    /// World rank that was declared lost.
-    pub lost_rank: usize,
-    /// Cohort size before the shrink.
-    pub old_size: usize,
-    /// Cohort size after the shrink.
-    pub new_size: usize,
-    /// Surviving world ranks in new-rank order: `survivors[new]` is the
-    /// world rank now serving dense rank `new`.
-    pub survivors: Vec<usize>,
-    /// Checkpoint iteration the solve resumed from (0 = restarted from
-    /// the caller's initial guess; no consistent checkpoint existed).
-    pub resumed_iteration: usize,
+/// One `recovery_path` entry per `Attempt` event but the starts:
+/// `backend#attempt: phase[: detail]`, the backend named by the event's
+/// slot in `policy`.
+fn recovery_path(policy: &RetryPolicy, attempts: &[Event]) -> String {
+    let steps: Vec<String> = attempts
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Attempt { outcome: AttemptOutcome::Start, .. } => None,
+            EventKind::Attempt { slot, attempt, outcome } => {
+                let backend = policy.attempts.get(slot as usize).map_or("?", |a| &a.backend);
+                let (phase, cause) = outcome.describe();
+                let detail = match outcome {
+                    AttemptOutcome::Shrink { lost, new_size, resumed_iteration } => format!(
+                        ": rank {lost} lost, cohort {} -> {new_size}, resume at iteration \
+                         {resumed_iteration}",
+                        new_size + 1
+                    ),
+                    _ => cause.map(|c| format!(": {c}")).unwrap_or_default(),
+                };
+                let step = format!("{backend}#{attempt}: {phase}{detail}");
+                Some(format!("\"{}\"", json_escape(&step)))
+            }
+            _ => None,
+        })
+        .collect();
+    format!("[{}]", steps.join(", "))
 }
 
-impl CohortChange {
-    fn json(&self) -> String {
-        let survivors: Vec<String> =
-            self.survivors.iter().map(|r| r.to_string()).collect();
-        format!(
-            "{{\"lost_rank\":{},\"old_size\":{},\"new_size\":{},\
-             \"survivors\":[{}],\"resumed_iteration\":{}}}",
-            self.lost_rank,
-            self.old_size,
-            self.new_size,
-            survivors.join(","),
-            self.resumed_iteration,
-        )
-    }
+/// What the last shrink did to the cohort — the casualty, the sizes, the
+/// surviving world ranks in new-rank order (`survivors[new]` serves dense
+/// rank `new`) and the checkpoint iteration the solve resumed from (0 =
+/// from scratch) — or `null` when the cohort never changed.
+fn cohort_change(attempts: &[Event], survivors: &[usize]) -> String {
+    let last_shrink = attempts.iter().rev().find_map(|e| match e.kind {
+        EventKind::Attempt {
+            outcome: AttemptOutcome::Shrink { lost, new_size, resumed_iteration },
+            ..
+        } => Some((lost, new_size, resumed_iteration)),
+        _ => None,
+    });
+    let Some((lost, new_size, resumed_iteration)) = last_shrink else {
+        return "null".into();
+    };
+    let survivors: Vec<String> = survivors.iter().map(|r| r.to_string()).collect();
+    format!(
+        "{{\"lost_rank\":{lost},\"old_size\":{},\"new_size\":{new_size},\
+         \"survivors\":[{}],\"resumed_iteration\":{resumed_iteration}}}",
+        new_size + 1,
+        survivors.join(","),
+    )
 }
 
 /// The residual history a tail's `Iter` events replay, in order.
@@ -146,18 +166,19 @@ fn registry_fragments() -> Vec<String> {
         .collect()
 }
 
-/// Assemble the full postmortem document from its pieces. Public so
-/// schema-conformance tests can build a document without staging a
-/// whole failed cohort; applications should go through
-/// [`write_cohort`].
+/// Assemble the full postmortem document from its pieces: `attempts`
+/// are the solve's `Attempt` events, `survivors` the world ranks of the
+/// cohort the solve ended on. Public so schema-conformance tests can
+/// build a document without staging a whole failed cohort; applications
+/// should go through [`write_cohort`].
 #[allow(clippy::too_many_arguments)] // one positional arg per document section
 pub fn assemble(
     trigger: &str,
     ranks: usize,
-    policy_spec: &str,
-    recovery_path: &[String],
+    policy: &RetryPolicy,
+    attempts: &[Event],
+    survivors: &[usize],
     report: &SolveReport,
-    cohort_change: Option<&CohortChange>,
     gathered: &str,
     fragments: &[String],
 ) -> String {
@@ -166,26 +187,21 @@ pub fn assemble(
         .unwrap_or_else(|| "null".into());
     let fired: Vec<String> =
         rcomm::fault::fired_rule_ids().iter().map(|i| i.to_string()).collect();
-    let path: Vec<String> = recovery_path
-        .iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
-        .collect();
-    let cohort_change =
-        cohort_change.map(|c| c.json()).unwrap_or_else(|| "null".into());
     format!(
         "{{\n  \"schema\": \"{SCHEMA}\",\n  \"trace_id\": {},\n  \"trigger\": \"{}\",\n  \"ranks\": {ranks},\n  \
-         \"gathered\": \"{gathered}\",\n  \"policy\": \"{}\",\n  \"recovery_path\": [{}],\n  \
+         \"gathered\": \"{gathered}\",\n  \"policy\": \"{}\",\n  \"recovery_path\": {},\n  \
          \"fault_plan\": {fault_plan},\n  \"fault_rules_fired\": [{}],\n  \"report\": {},\n  \
-         \"cohort_change\": {cohort_change},\n  \
+         \"cohort_change\": {},\n  \
          \"critical_path\": {},\n  \
          \"ledger\": {},\n  \
          \"rank_tails\": [\n    {}\n  ]\n}}\n",
         probe::trace::current(),
         json_escape(trigger),
-        json_escape(policy_spec),
-        path.join(", "),
+        json_escape(&policy.spec()),
+        recovery_path(policy, attempts),
         fired.join(", "),
         report_json(report),
+        cohort_change(attempts, survivors),
         probe::critpath::latest_json(),
         probe::ledger::latest_json(),
         fragments.join(",\n    "),
@@ -205,40 +221,27 @@ pub fn write_cohort(
     comm: &Communicator,
     trigger: &str,
     report: &SolveReport,
-    policy_spec: &str,
-    recovery_path: &[String],
-    cohort_change: Option<&CohortChange>,
+    policy: &RetryPolicy,
+    attempts: &[Event],
 ) -> Option<PathBuf> {
     let base = path()?;
-    let ranks = comm.size();
-    let doc = match comm.gather(0, rank_fragment(comm.rank())) {
-        Ok(Some(fragments)) => assemble(
-            trigger,
-            ranks,
-            policy_spec,
-            recovery_path,
-            report,
-            cohort_change,
-            "cohort",
-            &fragments,
-        ),
+    let (gathered, fragments) = match comm.gather(0, rank_fragment(comm.rank())) {
+        Ok(Some(fragments)) => ("cohort", fragments),
         Ok(None) => return None, // non-root: rank 0 writes
-        Err(_) => {
-            // Divergent cohort: the gather could not complete. Snapshot
-            // the registry instead — same process, every tail is local.
-            let fragments = registry_fragments();
-            assemble(
-                trigger,
-                ranks,
-                policy_spec,
-                recovery_path,
-                report,
-                cohort_change,
-                "registry",
-                &fragments,
-            )
-        }
+        // Divergent cohort: the gather could not complete. Snapshot the
+        // registry instead — same process, every tail is local.
+        Err(_) => ("registry", registry_fragments()),
     };
+    let doc = assemble(
+        trigger,
+        comm.size(),
+        policy,
+        attempts,
+        comm.world_members(),
+        report,
+        gathered,
+        &fragments,
+    );
     // `postmortem.json`, `postmortem.1.json`, …: never clobber an earlier
     // dump. Advance the sequence only on the rank that writes, so non-root
     // contributors (which return above) never consume a slot.
@@ -260,17 +263,36 @@ pub fn write_cohort(
 mod tests {
     use super::*;
 
+    use crate::resilient::AttemptSpec;
+
+    /// An `Attempt` event as the driver commits it.
+    fn attempt(slot: u32, attempt: u32, outcome: AttemptOutcome) -> Event {
+        Event { t0_ns: 0, t1_ns: 0, solve: 1, kind: EventKind::Attempt { slot, attempt, outcome } }
+    }
+
+    fn policy(spec: &str) -> RetryPolicy {
+        RetryPolicy::parse(spec).unwrap()
+    }
+
     /// Quotes, backslashes and control bytes in the free-text sections
     /// parse back out of the document as they went in.
     #[test]
     fn escaping_handles_quotes_and_control_bytes() {
-        let (trigger, policy, step) = ("a\"b\\c\nd", "rksp:solver=cg\u{1}", "x\ty");
+        let trigger = "a\"b\\c\nd";
+        let policy = RetryPolicy {
+            attempts: vec![AttemptSpec {
+                backend: "x\ty".into(),
+                overrides: vec![("solver".into(), "cg\u{1}".into())],
+            }],
+            ..RetryPolicy::default()
+        };
         let rep = SolveReport::default();
-        let doc = assemble(trigger, 1, policy, &[step.into()], &rep, None, "cohort", &[]);
+        let ok = [attempt(0, 1, AttemptOutcome::Start), attempt(0, 1, AttemptOutcome::Ok)];
+        let doc = assemble(trigger, 1, &policy, &ok, &[0], &rep, "cohort", &[]);
         let v = serde_json::from_str(&doc).expect("the postmortem parses");
         assert_eq!(v["trigger"].as_str(), Some(trigger));
-        assert_eq!(v["policy"].as_str(), Some(policy));
-        assert_eq!(v["recovery_path"][0].as_str(), Some(step));
+        assert_eq!(v["policy"].as_str(), Some("x\ty:solver=cg\u{1}"));
+        assert_eq!(v["recovery_path"][0].as_str(), Some("x\ty#1: ok"));
     }
 
     #[test]
@@ -305,19 +327,28 @@ mod tests {
     #[test]
     fn assembled_document_is_balanced_json_with_the_schema_tag() {
         let rep = SolveReport { converged: false, attempts: 3, recovery: -1, ..Default::default() };
+        let walked = [
+            attempt(0, 1, AttemptOutcome::Start),
+            attempt(0, 1, AttemptOutcome::Swap("not-converged")),
+            attempt(1, 2, AttemptOutcome::Start),
+            attempt(1, 2, AttemptOutcome::Exhausted("package")),
+        ];
         let doc = assemble(
             "exhausted",
             2,
-            "cg:solver=cg -> lu",
-            &["cg#1: swap: boom".into(), "lu#2: exhausted: boom".into()],
+            &policy("cg:solver=cg -> lu"),
+            &walked,
+            &[0, 1],
             &rep,
-            None,
             "cohort",
             &["{\"rank\":0}".into(), "{\"rank\":1}".into()],
         );
         assert!(doc.contains("\"schema\": \"lisi-postmortem-v1\""));
         assert!(doc.contains("\"trigger\": \"exhausted\""));
         assert!(doc.contains("\"rank\":1"));
+        assert!(doc.contains(
+            "\"recovery_path\": [\"cg#1: swap: not-converged\", \"lu#2: exhausted: package\"]"
+        ));
         assert!(doc.contains("\"cohort_change\": null"));
         let depth = doc.chars().fold(0i64, |d, c| match c {
             '{' | '[' => d + 1,
@@ -327,31 +358,45 @@ mod tests {
         assert_eq!(depth, 0, "braces/brackets balance");
     }
 
+    /// Two losses in one solve: the path narrates both shrinks, and
+    /// `cohort_change` is the last one, with the survivors the solve
+    /// ended on.
     #[test]
     fn cohort_change_serializes_the_survivor_mapping() {
-        let change = CohortChange {
-            lost_rank: 2,
-            old_size: 4,
-            new_size: 3,
-            survivors: vec![0, 1, 3],
-            resumed_iteration: 20,
+        let shrink = |lost, new_size, resumed_iteration| AttemptOutcome::Shrink {
+            lost,
+            new_size,
+            resumed_iteration,
         };
-        let rep = SolveReport { converged: true, recovery: 3, cohort: 3, ..Default::default() };
+        let walked = [
+            attempt(0, 1, AttemptOutcome::Start),
+            attempt(0, 1, shrink(2, 3, 20)),
+            attempt(0, 2, AttemptOutcome::Start),
+            attempt(0, 2, shrink(1, 2, 0)),
+            attempt(0, 3, AttemptOutcome::Start),
+            attempt(0, 3, AttemptOutcome::Ok),
+        ];
+        let rep = SolveReport { converged: true, recovery: 3, cohort: 2, ..Default::default() };
         let doc = assemble(
             "recovered",
-            4,
-            "rksp:solver=cg",
-            &["rksp#2: shrink: rank 2 lost from cohort".into()],
+            2,
+            &policy("rksp:solver=cg"),
+            &walked,
+            &[0, 3],
             &rep,
-            Some(&change),
             "cohort",
             &["{\"rank\":0}".into()],
         );
         assert!(doc.contains(
-            "\"cohort_change\": {\"lost_rank\":2,\"old_size\":4,\"new_size\":3,\
-             \"survivors\":[0,1,3],\"resumed_iteration\":20}"
+            "\"recovery_path\": [\"rksp#1: shrink: rank 2 lost, cohort 4 -> 3, resume at \
+             iteration 20\", \"rksp#2: shrink: rank 1 lost, cohort 3 -> 2, resume at iteration \
+             0\", \"rksp#3: ok\"]"
         ));
-        assert!(doc.contains("\"cohort\":3"));
+        assert!(doc.contains(
+            "\"cohort_change\": {\"lost_rank\":1,\"old_size\":3,\"new_size\":2,\
+             \"survivors\":[0,3],\"resumed_iteration\":0}"
+        ));
+        assert!(doc.contains("\"cohort\":2"));
         let depth = doc.chars().fold(0i64, |d, c| match c {
             '{' | '[' => d + 1,
             '}' | ']' => d - 1,

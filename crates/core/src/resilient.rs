@@ -11,30 +11,45 @@
 //! (`disconnect` + `connect` of the driver's uses port), so the recovery
 //! path exercises exactly the dynamic-composition machinery of §4.
 //!
-//! Failure taxonomy handled here:
+//! Failure taxonomy handled here (`next_step` maps an error to it):
 //!
 //! - **transient communication faults** (injected faults, suspected
-//!   deadlocks, departed peers — [`rcomm::CommError::is_transient`]'s
-//!   set): retried on the *same* backend after an exponential backoff,
-//!   up to `max_transient_retries` times;
+//!   deadlocks, departed peers): retried on the *same* backend after an
+//!   exponential backoff, up to `max_transient_retries` times;
 //! - **numerical failures** (divergence, stagnation, breakdown, budget
 //!   exhaustion — surfaced by the guards in `rkrylov`/`raztec` as
-//!   non-convergence errors): no point retrying identically, so the
-//!   driver advances to the next attempt spec in the chain;
+//!   non-convergence errors) and every other error: no point retrying
+//!   identically, so the driver swaps to the next attempt spec in the
+//!   chain;
 //! - **lost ranks** ([`rcomm::CommError::RankLost`] — a member stopped
 //!   servicing communication for good): no amount of retrying at the
 //!   old size can succeed, so the survivors *shrink* the communicator
 //!   around the casualty, repartition its block rows from the
 //!   neighbour-mirrored copy of the problem data, restore the newest
-//!   cohort-consistent Krylov checkpoint (falling back to the caller's
-//!   initial guess when checkpointing was off) and re-run the same
-//!   attempt spec on the smaller cohort (`recovery = 3`, with the new
-//!   cohort size in `STATUS_COHORT`);
+//!   cohort-consistent Krylov checkpoint (falling back to zeros when
+//!   checkpointing was off) and re-run the same attempt spec on the
+//!   smaller cohort (`recovery = 3`, with the new cohort size in
+//!   `STATUS_COHORT`). Each survivor mirrors its new block again, so a
+//!   second loss in the same solve recovers the same way. A solve of
+//!   several right-hand sides swaps instead;
 //! - **exhaustion**: every spec failed. The driver still writes a full
 //!   status array (`converged = 0`, `recovery = −1`, the attempt count)
 //!   before returning a structured error — callers always get the
 //!   post-solve statistics the interface promises, even for a lost
 //!   battle.
+//!
+//! One record: every transition — start, ok, retry, swap, exhausted,
+//! casualty, shrink, shrink-failed — is one [`probe::EventKind::Attempt`]
+//! event in the calling thread's log. The driver keeps the events it
+//! committed (a long attempt can push them out of the black box), and
+//! the postmortem's `recovery_path` and `cohort_change` are rendered from
+//! them ([`crate::postmortem`]); in JSON probe mode each is also printed
+//! as its [`probe::flight::record_json`] line.
+//!
+//! The recovery state — the mirrored blocks and the Krylov checkpoints —
+//! belongs to the universe ([`rcomm::Communicator::universe_store`]): two
+//! universes in one process never see each other's, and it is freed with
+//! the universe.
 //!
 //! Rank consistency: each attempt runs on a fresh `dup()` of the
 //! driver's communicator, and the numerical guards downstream fold
@@ -52,56 +67,63 @@ use std::time::Duration;
 
 use cca::{BuilderService, CcaError, ComponentId, Framework, Services};
 use parking_lot::{Mutex, RwLock};
+use probe::AttemptOutcome;
 
 use crate::components::{SOLVER_PORT, SOLVER_PORT_TYPE};
 use crate::error::{LisiError, LisiResult};
-use crate::postmortem::CohortChange;
 use crate::state::LisiState;
 use crate::status::{SolveReport, STATUS_LEN};
 use crate::traits::SparseSolverPort;
 use crate::types::SparseStruct;
 
-/// The neighbour mirror of each rank's static problem data (block rows +
-/// right-hand side), deposited at solve entry. In the MPI picture this
-/// copy lives in the memory of rank `(r + 1) mod size` — the same ring
-/// placement the Krylov checkpoints use — so one lost rank leaves every
-/// block recoverable on a survivor. In this in-process SPMD runtime all
-/// rank threads share one heap, so a process-global registry keyed by
-/// world rank plays the neighbour's part; what matters for the recovery
-/// protocol is that after `RankLost(d)` the casualty's ring neighbour can
-/// produce `d`'s exact block for the repartition.
+/// The neighbour mirror of each rank's set-up data (block rows +
+/// right-hand side). In the MPI picture this copy lives in the memory of
+/// rank `(r + 1) mod size` — the same ring placement the Krylov
+/// checkpoints use — so one lost rank leaves every block recoverable on a
+/// survivor. In this in-process SPMD runtime all rank threads share one
+/// heap, so a store owned by the universe, keyed by world rank, plays the
+/// neighbour's part; what matters for the recovery protocol is that after
+/// `RankLost(d)` the casualty's ring neighbour can produce `d`'s exact
+/// block for the repartition.
 mod mirror {
     use std::collections::HashMap;
-    use std::sync::Mutex;
+    use std::sync::Arc;
 
+    use parking_lot::Mutex;
+    use rcomm::Communicator;
     use rsparse::CsrMatrix;
+
+    use crate::state::LisiState;
 
     #[derive(Clone)]
     pub(super) struct Block {
         pub start_row: usize,
-        pub matrix: CsrMatrix,
+        pub matrix: Arc<CsrMatrix>,
         pub rhs: Vec<f64>,
     }
 
-    static STORE: Mutex<Option<HashMap<usize, Block>>> = Mutex::new(None);
+    #[derive(Default)]
+    struct Store(Mutex<HashMap<usize, Block>>);
 
-    /// Overwrite `world_rank`'s mirrored block (every solve entry
-    /// re-deposits, so stale blocks from earlier solves never survive
-    /// into a shrink).
-    pub(super) fn deposit(world_rank: usize, start_row: usize, matrix: CsrMatrix, rhs: Vec<f64>) {
-        STORE
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get_or_insert_with(HashMap::new)
-            .insert(world_rank, Block { start_row, matrix, rhs });
+    /// Overwrite the calling rank's mirrored block with the state's
+    /// current one — the matrix is shared, not copied. Every solve entry
+    /// and every shrink re-deposits, so a repartition never meets a block
+    /// of an earlier solve or layout.
+    pub(super) fn deposit(st: &LisiState) {
+        let (Ok(comm), Some(matrix), Some(rhs)) = (st.comm(), st.matrix.get(), &st.rhs) else {
+            return;
+        };
+        let block = Block {
+            start_row: st.start_row.unwrap_or(0),
+            matrix: Arc::clone(matrix),
+            rhs: rhs.clone(),
+        };
+        let me = comm.world_members()[comm.rank()];
+        comm.universe_store::<Store>().0.lock().insert(me, block);
     }
 
-    pub(super) fn get(world_rank: usize) -> Option<Block> {
-        STORE
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .and_then(|m| m.get(&world_rank).cloned())
+    pub(super) fn get(comm: &Communicator, world_rank: usize) -> Option<Block> {
+        comm.universe_store::<Store>().0.lock().get(&world_rank).cloned()
     }
 }
 
@@ -307,7 +329,7 @@ pub struct ResilientSolver {
 }
 
 impl ResilientSolver {
-    const PACKAGE_NAME: &'static str = "resilient";
+    const PACKAGE_NAME: &str = "resilient";
 
     /// Fresh driver with an empty policy and no switch.
     pub fn new() -> Self {
@@ -334,45 +356,13 @@ impl ResilientSolver {
         if let Some(spec) = st.options.get("retry_policy") {
             policy.attempts = RetryPolicy::parse(&spec)?.attempts;
         }
-        if let Some(n) = st.options.get("resilient_max_transient_retries") {
-            policy.max_transient_retries = n.parse().map_err(|_| LisiError::BadParameter {
-                key: "resilient_max_transient_retries".into(),
-                reason: n.clone(),
-            })?;
+        if let Some(n) = st.options.parse_first(&["resilient_max_transient_retries"])? {
+            policy.max_transient_retries = n;
         }
-        if let Some(ms) = st.options.get("resilient_backoff_ms") {
-            policy.backoff_base_ms = ms.parse().map_err(|_| LisiError::BadParameter {
-                key: "resilient_backoff_ms".into(),
-                reason: ms.clone(),
-            })?;
+        if let Some(ms) = st.options.parse_first(&["resilient_backoff_ms"])? {
+            policy.backoff_base_ms = ms;
         }
         Ok(policy)
-    }
-
-    /// Is this error worth retrying on the same backend? Transient
-    /// communication failures are; numerical and configuration failures
-    /// are not. The comm layer's taxonomy arrives stringified (the
-    /// interface returns `LisiError`), so classification matches on the
-    /// stable display prefixes of [`rcomm::CommError`]'s transient set.
-    fn is_transient(err: &LisiError) -> bool {
-        match err {
-            LisiError::Package(msg) => {
-                msg.contains("injected fault")
-                    || msg.contains("suspected deadlock")
-                    || msg.contains("is gone")
-            }
-            _ => false,
-        }
-    }
-
-    /// The world rank named by a `RankLost` verdict, if this error is
-    /// one. Like [`Self::is_transient`], the comm taxonomy arrives
-    /// stringified, so this parses the stable display form
-    /// `"rank R lost from cohort"`.
-    fn lost_rank(err: &LisiError) -> Option<usize> {
-        let LisiError::Package(msg) = err else { return None };
-        let head = &msg[..msg.find(" lost from cohort")?];
-        head.rsplit(|c: char| !c.is_ascii_digit()).next().and_then(|d| d.parse().ok())
     }
 
     /// The elastic recovery action: shrink the communicator around the
@@ -384,91 +374,81 @@ impl ResilientSolver {
     /// setup state in place (communicator, distribution, matrix, RHS),
     /// so the ordinary [`Self::configure_backend`] replay rebuilds the
     /// halo and SpMV plans for the new layout through the cached setup
-    /// path. Returns the change record and the initial guess for this
+    /// path, and mirrors the new block. Returns the new cohort size, the
+    /// checkpoint iteration resumed from and the initial guess for this
     /// rank's new block: the checkpoint slice when one exists, zeros
     /// otherwise (restart from scratch).
     fn shrink_after_loss(
         st: &mut LisiState,
         lost_world: usize,
-    ) -> LisiResult<(CohortChange, Vec<f64>)> {
-        let (old_members, old_size, my_local, shrunken, holder) = {
-            let comm = st.comm()?;
-            let old_members: Vec<usize> = comm.world_members().to_vec();
-            let old_size = comm.size();
-            let dead_local =
-                old_members.iter().position(|&w| w == lost_world).ok_or_else(|| {
-                    LisiError::Package(format!(
-                        "world rank {lost_world} reported lost is not a cohort member"
-                    ))
-                })?;
-            let survivors: Vec<usize> = (0..old_size).filter(|&r| r != dead_local).collect();
-            let shrunken = comm.shrink(&survivors).map_err(LisiError::from)?;
-            // The casualty's ring neighbour serves its mirrored block.
-            let holder = (dead_local + 1) % old_size;
-            (old_members, old_size, comm.rank(), shrunken, holder)
+    ) -> LisiResult<(usize, usize, Vec<f64>)> {
+        let comm = st.comm()?;
+        let old_size = comm.size();
+        let dead_local =
+            comm.world_members().iter().position(|&w| w == lost_world).ok_or_else(|| {
+                LisiError::Package(format!(
+                    "world rank {lost_world} reported lost is not a cohort member"
+                ))
+            })?;
+        let survivors: Vec<usize> = (0..old_size).filter(|&r| r != dead_local).collect();
+        let shrunken = comm.shrink(&survivors).map_err(LisiError::from)?;
+        // The casualty's ring neighbour serves its mirrored block.
+        let extra = if comm.rank() == (dead_local + 1) % old_size {
+            let block = mirror::get(comm, lost_world).ok_or_else(|| {
+                LisiError::Package(format!(
+                    "no mirrored block for lost rank {lost_world}; its rows are unrecoverable"
+                ))
+            })?;
+            Some((block.start_row, rsparse::CsrMatrix::clone(&block.matrix), block.rhs))
+        } else {
+            None
         };
-        let (new_start, new_matrix, new_rhs) = {
-            let matrix = st.matrix.get().ok_or_else(|| {
-                LisiError::BadPhase("cannot repartition before setupMatrix".into())
-            })?;
-            let rhs = st.rhs.as_deref().ok_or_else(|| {
-                LisiError::BadPhase("cannot repartition before setupRHS".into())
-            })?;
-            let global_rows = st.global_cols.ok_or_else(|| {
-                LisiError::BadPhase("cannot repartition before setGlobalCols".into())
-            })?;
-            let extra = if my_local == holder {
-                Some(mirror::get(lost_world).map(|b| (b.start_row, b.matrix, b.rhs)).ok_or_else(
-                    || {
-                        LisiError::Package(format!(
-                            "no mirrored block for lost rank {lost_world}; its rows are \
-                             unrecoverable"
-                        ))
-                    },
-                )?)
-            } else {
-                None
-            };
-            let start = st.start_row.unwrap_or(0);
-            rsparse::DistCsrMatrix::repartition_block_rows(
-                &shrunken, start, matrix, rhs, extra, global_rows,
-            )
-            .map_err(|e| LisiError::Package(e.to_string()))?
-        };
+        let matrix = st.matrix.get().ok_or_else(|| {
+            LisiError::BadPhase("cannot repartition before setupMatrix".into())
+        })?;
+        let rhs = st
+            .rhs
+            .as_deref()
+            .ok_or_else(|| LisiError::BadPhase("cannot repartition before setupRHS".into()))?;
+        let global_rows = st.global_cols.ok_or_else(|| {
+            LisiError::BadPhase("cannot repartition before setGlobalCols".into())
+        })?;
+        let (new_start, new_matrix, new_rhs) = rsparse::DistCsrMatrix::repartition_block_rows(
+            &shrunken,
+            st.start_row.unwrap_or(0),
+            matrix,
+            rhs,
+            extra,
+            global_rows,
+        )
+        .map_err(|e| LisiError::Package(e.to_string()))?;
         let new_rows = new_matrix.rows();
         // Restore against the *old* membership: the casualty's
-        // neighbour-held snapshot is part of the consistent set.
-        let (resumed_iteration, guess) = match rkrylov::checkpoint::latest_consistent(&old_members)
-        {
-            Some((it, chunks)) => {
-                let mut full: Vec<f64> = Vec::new();
-                for (_, chunk) in chunks {
-                    full.extend_from_slice(&chunk);
+        // neighbour-held snapshot is part of the consistent set. After an
+        // earlier shrink a slot may still hold a snapshot of the layout
+        // before it; a set that does not tile the rows is not restored.
+        let restored = rkrylov::checkpoint::latest_consistent(comm).and_then(|(it, chunks)| {
+            let mut full = Vec::with_capacity(global_rows);
+            for (start, x) in chunks {
+                if start != full.len() {
+                    return None;
                 }
-                if full.len() == st.global_cols.unwrap_or(0) {
-                    (it, full[new_start..new_start + new_rows].to_vec())
-                } else {
-                    (0, vec![0.0; new_rows])
-                }
+                full.extend(x);
             }
+            (full.len() == global_rows).then_some((it, full))
+        });
+        let (resumed_iteration, guess) = match restored {
+            Some((it, full)) => (it, full[new_start..new_start + new_rows].to_vec()),
             None => (0, vec![0.0; new_rows]),
         };
-        let survivors_world: Vec<usize> =
-            old_members.iter().copied().filter(|&w| w != lost_world).collect();
         st.comm = Some(shrunken);
         st.start_row = Some(new_start);
         st.local_rows = Some(new_rows);
         st.matrix.set(new_matrix);
         st.rhs = Some(new_rhs);
+        mirror::deposit(st);
         probe::note("cohort_size", (old_size - 1).to_string());
-        let change = CohortChange {
-            lost_rank: lost_world,
-            old_size,
-            new_size: old_size - 1,
-            survivors: survivors_world,
-            resumed_iteration,
-        };
-        Ok((change, guess))
+        Ok((old_size - 1, resumed_iteration, guess))
     }
 
     /// Replay the captured setup phase onto `port`: communicator,
@@ -531,26 +511,86 @@ impl ResilientSolver {
         port.solve(solution, &mut inner)?;
         Ok(SolveReport::from_slice(&inner))
     }
+}
 
-    fn emit_attempt_event(spec: &AttemptSpec, slot: usize, attempt: usize, outcome: &str) {
-        probe::emit_jsonl(&format!(
-            "{{\"event\":\"resilient_attempt\",\"backend\":\"{}\",\"slot\":{slot},\
-             \"attempt\":{attempt},\"outcome\":\"{}\"}}",
-            spec.backend,
-            outcome.replace('"', "'"),
-        ));
+/// The class of a failed attempt's error: the `cause` its `Attempt`
+/// event carries. Comm failures reach the driver stringified
+/// (`LisiError::Package`, possibly inside a package's own error), so
+/// their class is read from the stable display forms of
+/// [`rcomm::CommError`]; `comm_errors_map_to_retry_shrink_or_swap`
+/// pins every variant.
+fn cause_class(err: &LisiError) -> &'static str {
+    const PACKAGE_CLASSES: [(&str, &str); 5] = [
+        ("injected fault", "injected"),
+        ("suspected deadlock", "deadlock"),
+        ("is gone", "peer-gone"),
+        (" lost from cohort", "rank-lost"),
+        ("did not converge", "not-converged"),
+    ];
+    match err {
+        LisiError::Package(msg) => PACKAGE_CLASSES
+            .iter()
+            .find(|(needle, _)| msg.contains(needle))
+            .map_or("package", |&(_, class)| class),
+        LisiError::NotInitialized => "not-initialized",
+        LisiError::BadPhase(_) => "bad-phase",
+        LisiError::InvalidInput(_) => "invalid-input",
+        LisiError::Unsupported(_) => "unsupported",
+        LisiError::BadParameter { .. } => "bad-parameter",
+        LisiError::Busy(_) => "busy",
     }
+}
 
-    /// Stamp an attempt phase transition into the flight recorder, so a
-    /// postmortem's event tail shows the recovery path interleaved with
-    /// the comm/iteration events that caused it.
-    fn flight_attempt(slot: usize, attempt: usize, phase: &'static str) {
-        probe::emit(probe::EventKind::Attempt {
-            slot: slot as u32,
-            attempt: attempt as u32,
-            phase,
-        });
+/// The world rank named by a `RankLost` verdict (`"rank R lost from
+/// cohort"`), if this error is one.
+fn lost_rank(err: &LisiError) -> Option<usize> {
+    let LisiError::Package(msg) = err else { return None };
+    let head = &msg[..msg.find(" lost from cohort")?];
+    head.rsplit(|c: char| !c.is_ascii_digit()).next().and_then(|d| d.parse().ok())
+}
+
+/// What the driver does about a failed attempt, before the retry budget
+/// and the chain's length are consulted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// Transient: run the same spec again.
+    Retry,
+    /// Move on to the next spec.
+    Swap,
+    /// Shrink the cohort around this lost world rank.
+    Shrink(usize),
+    /// This rank is the one lost.
+    Casualty,
+}
+
+/// [`Step`] for `err` on world rank `me` of a solve with `n_rhs`
+/// right-hand sides. A lost rank is not a retryable hiccup — the cohort
+/// itself changed shape — and only a single right-hand side is
+/// repartitioned.
+fn next_step(err: &LisiError, me: usize, n_rhs: usize) -> Step {
+    match cause_class(err) {
+        "rank-lost" => match lost_rank(err) {
+            Some(lost) if lost == me => Step::Casualty,
+            Some(lost) if n_rhs == 1 => Step::Shrink(lost),
+            _ => Step::Swap,
+        },
+        "injected" | "deadlock" | "peer-gone" => Step::Retry,
+        _ => Step::Swap,
     }
+}
+
+/// Commit one attempt transition: the event goes to the log, its JSON
+/// line to the probe's JSON sink, and the event itself to `attempts`.
+fn record(attempts: &mut Vec<probe::Event>, slot: usize, attempt: usize, outcome: AttemptOutcome) {
+    let ev = probe::emit(probe::EventKind::Attempt {
+        slot: slot as u32,
+        attempt: attempt as u32,
+        outcome,
+    });
+    if let Some(line) = probe::flight::record_json(&ev) {
+        probe::emit_jsonl(&line);
+    }
+    attempts.push(ev);
 }
 
 impl SparseSolverPort for ResilientSolver {
@@ -575,27 +615,21 @@ impl SparseSolverPort for ResilientSolver {
             LisiError::BadPhase("no backend switch connected (call set_backends)".into())
         })?;
 
-        // Elastic-recovery staging: forget checkpoints from earlier
-        // solves (a restored iterate must never leak across solves — the
-        // first deposit of this solve is gated behind collectives, so no
-        // rank can deposit before every rank has cleared), and mirror
-        // this rank's static problem data onto its ring neighbour so a
-        // lost rank's block stays recoverable. Repartitioning handles a
-        // single RHS; multi-RHS solves keep the retry/swap taxonomy only.
-        rkrylov::checkpoint::clear_all();
+        // Elastic-recovery staging: forget this universe's checkpoints
+        // from earlier solves (a restored iterate must never leak across
+        // solves — the first deposit of this solve is gated behind
+        // collectives, so no rank can deposit before every rank has
+        // cleared), and mirror this rank's set-up data so a lost
+        // rank's block stays recoverable.
+        let comm = st.comm()?;
+        rkrylov::checkpoint::clear_all(comm);
         if st.n_rhs == 1 {
-            if let (Ok(comm), Some(m), Some(rhs)) = (st.comm(), st.matrix.get(), st.rhs.as_ref())
-            {
-                mirror::deposit(
-                    comm.world_members()[comm.rank()],
-                    st.start_row.unwrap_or(0),
-                    m.as_ref().clone(),
-                    rhs.clone(),
-                );
-            }
+            mirror::deposit(&st);
         }
-        // The caller's layout, for writing the solution back after a
-        // shrink moved this rank's block boundaries.
+        // This rank's world rank, which a shrink does not change, and the
+        // caller's layout, for writing the solution back after a shrink
+        // moved this rank's block boundaries.
+        let me = comm.world_members()[comm.rank()];
         let old_start = st.start_row.unwrap_or(0);
         let old_rows = st.local_rows.unwrap_or(solution.len());
 
@@ -607,44 +641,37 @@ impl SparseSolverPort for ResilientSolver {
         // Working buffer sized to the *current* layout — after a shrink
         // the local block no longer matches the caller's `solution`.
         let mut work: Vec<f64> = Vec::new();
-        let mut attempts_made = 0usize;
+        let mut attempts = Vec::new();
+        let mut made = 0usize;
         let mut last_err: Option<LisiError> = None;
-        let mut cohort_change: Option<CohortChange> = None;
-        // Human-readable trail of every attempt's fate, stamped into the
-        // postmortem document as `recovery_path`.
-        let mut recovery_path: Vec<String> = Vec::new();
+        // Cohort size after the last shrink; 0 while the cohort is whole.
+        let mut cohort = 0usize;
 
         'specs: for (slot, spec) in policy.attempts.iter().enumerate() {
             let mut retries = 0usize;
             loop {
-                attempts_made += 1;
+                made += 1;
                 probe::incr(probe::Counter::ResilientAttempts);
                 let _span = probe::span!("resilient_attempt");
-                Self::flight_attempt(slot, attempts_made, "start");
+                record(&mut attempts, slot, made, AttemptOutcome::Start);
                 work.clear();
                 work.extend_from_slice(&guess);
-                match Self::attempt_once(&st, switch.as_ref(), spec, &mut work) {
+                let e = match Self::attempt_once(&st, switch.as_ref(), spec, &mut work) {
                     Ok(mut report) => {
-                        Self::emit_attempt_event(spec, slot, attempts_made, "ok");
-                        Self::flight_attempt(slot, attempts_made, "ok");
-                        recovery_path.push(format!("{}#{attempts_made}: ok", spec.backend));
-                        report.attempts = attempts_made;
-                        report.recovery = if cohort_change.is_some() {
-                            3
-                        } else {
-                            match (attempts_made, slot) {
-                                (1, _) => 0,
-                                (_, 0) => 1,
-                                _ => 2,
-                            }
+                        record(&mut attempts, slot, made, AttemptOutcome::Ok);
+                        report.attempts = made;
+                        report.recovery = match (cohort, made, slot) {
+                            (0, 1, _) => 0,
+                            (0, _, 0) => 1,
+                            (0, _, _) => 2,
+                            _ => 3,
                         };
-                        report.cohort =
-                            cohort_change.as_ref().map(|c| c.new_size).unwrap_or(0);
+                        report.cohort = cohort;
                         if report.recovery != 0 {
                             probe::incr(probe::Counter::ResilientRecoveries);
                         }
                         report.write_into(status)?;
-                        if cohort_change.is_some() {
+                        if cohort != 0 {
                             // The survivors' blocks moved; rebuild the
                             // global solution and hand the caller back
                             // exactly the rows it originally owned.
@@ -661,119 +688,75 @@ impl SparseSolverPort for ResilientSolver {
                                 st.comm()?,
                                 "recovered",
                                 &report,
-                                &policy.spec(),
-                                &recovery_path,
-                                cohort_change.as_ref(),
+                                &policy,
+                                &attempts,
                             );
                         }
                         return Ok(());
                     }
-                    Err(e) => {
-                        Self::emit_attempt_event(spec, slot, attempts_made, &e.to_string());
-                        // A lost rank is not a retryable hiccup — the
-                        // cohort itself changed shape. Handle it before
-                        // the transient taxonomy.
-                        if let Some(lost_world) = Self::lost_rank(&e) {
-                            let me = {
-                                let comm = st.comm()?;
-                                comm.world_members()[comm.rank()]
+                    Err(e) => e,
+                };
+                let cause = cause_class(&e);
+                let outcome = match next_step(&e, me, st.n_rhs) {
+                    Step::Shrink(lost) => match Self::shrink_after_loss(&mut st, lost) {
+                        Ok((new_size, resumed_iteration, restored)) => {
+                            let outcome = AttemptOutcome::Shrink {
+                                lost: lost as u32,
+                                new_size: new_size as u32,
+                                resumed_iteration: resumed_iteration as u64,
                             };
-                            if lost_world == me {
-                                // This rank *is* the casualty: no shrink
-                                // can include it. Exit with the full
-                                // structured verdict below.
-                                Self::flight_attempt(slot, attempts_made, "casualty");
-                                recovery_path.push(format!(
-                                    "{}#{attempts_made}: casualty: {e}",
-                                    spec.backend
-                                ));
-                                last_err = Some(e);
-                                break 'specs;
-                            }
-                            if st.n_rhs == 1 {
-                                match Self::shrink_after_loss(&mut st, lost_world) {
-                                    Ok((change, restored)) => {
-                                        Self::flight_attempt(slot, attempts_made, "shrink");
-                                        probe::emit_jsonl(&format!(
-                                            "{{\"event\":\"cohort_shrink\",\"lost_rank\":{},\
-                                             \"new_size\":{},\"resumed_iteration\":{}}}",
-                                            change.lost_rank,
-                                            change.new_size,
-                                            change.resumed_iteration,
-                                        ));
-                                        recovery_path.push(format!(
-                                            "{}#{attempts_made}: shrink: rank {} lost, cohort \
-                                             {} -> {}, resume at iteration {}",
-                                            spec.backend,
-                                            change.lost_rank,
-                                            change.old_size,
-                                            change.new_size,
-                                            change.resumed_iteration,
-                                        ));
-                                        guess = restored;
-                                        cohort_change = Some(change);
-                                        // Same spec, shrunken cohort; a
-                                        // loss does not spend a retry.
-                                        continue;
-                                    }
-                                    Err(se) => {
-                                        Self::flight_attempt(slot, attempts_made, "shrink-failed");
-                                        recovery_path.push(format!(
-                                            "{}#{attempts_made}: shrink failed: {se}",
-                                            spec.backend
-                                        ));
-                                        last_err = Some(se);
-                                        break 'specs;
-                                    }
-                                }
-                            }
-                        }
-                        let transient = Self::is_transient(&e);
-                        let retrying = transient && retries < policy.max_transient_retries;
-                        let phase = if retrying {
-                            "retry"
-                        } else if slot + 1 < policy.attempts.len() {
-                            "swap"
-                        } else {
-                            "exhausted"
-                        };
-                        Self::flight_attempt(slot, attempts_made, phase);
-                        recovery_path
-                            .push(format!("{}#{attempts_made}: {phase}: {e}", spec.backend));
-                        last_err = Some(e);
-                        if retrying {
-                            retries += 1;
-                            std::thread::sleep(Duration::from_millis(
-                                policy.backoff_base_ms.saturating_mul(1 << retries.min(6)),
-                            ));
+                            record(&mut attempts, slot, made, outcome);
+                            guess = restored;
+                            cohort = new_size;
+                            // Same spec, shrunken cohort; a loss does
+                            // not spend a retry.
                             continue;
                         }
-                        break; // next spec in the chain
+                        Err(se) => {
+                            let outcome = AttemptOutcome::ShrinkFailed(cause_class(&se));
+                            record(&mut attempts, slot, made, outcome);
+                            last_err = Some(se);
+                            break 'specs;
+                        }
+                    },
+                    Step::Casualty => {
+                        // No shrink can include this rank: exit with the
+                        // full structured verdict below.
+                        record(&mut attempts, slot, made, AttemptOutcome::Casualty(cause));
+                        last_err = Some(e);
+                        break 'specs;
                     }
+                    Step::Retry if retries < policy.max_transient_retries => {
+                        AttemptOutcome::Retry(cause)
+                    }
+                    _ if slot + 1 < policy.attempts.len() => AttemptOutcome::Swap(cause),
+                    _ => AttemptOutcome::Exhausted(cause),
+                };
+                record(&mut attempts, slot, made, outcome);
+                last_err = Some(e);
+                if !matches!(outcome, AttemptOutcome::Retry(_)) {
+                    break; // next spec in the chain
                 }
+                retries += 1;
+                std::thread::sleep(Duration::from_millis(
+                    policy.backoff_base_ms.saturating_mul(1 << retries.min(6)),
+                ));
             }
         }
 
         // Exhausted: still deliver the post-solve statistics.
         let report = SolveReport {
             converged: false,
-            attempts: attempts_made,
+            attempts: made,
             recovery: -1,
-            cohort: cohort_change.as_ref().map(|c| c.new_size).unwrap_or(0),
+            cohort,
             ..SolveReport::default()
         };
         report.write_into(status)?;
-        crate::postmortem::write_cohort(
-            st.comm()?,
-            "exhausted",
-            &report,
-            &policy.spec(),
-            &recovery_path,
-            cohort_change.as_ref(),
-        );
+        crate::postmortem::write_cohort(st.comm()?, "exhausted", &report, &policy, &attempts);
         let last = last_err.map(|e| e.to_string()).unwrap_or_else(|| "unknown".into());
         Err(LisiError::Package(format!(
-            "resilient solve exhausted {attempts_made} attempt(s) over {} backend spec(s); \
+            "resilient solve exhausted {made} attempt(s) over {} backend spec(s); \
              last error: {last}",
             policy.attempts.len()
         )))
@@ -922,36 +905,34 @@ mod tests {
         out
     }
 
+    /// A driver state holding `comm`'s even share of the rows of `a`,
+    /// with a right-hand side of `fill`.
+    fn block_state(comm: &rcomm::Communicator, a: &rsparse::CsrMatrix, fill: f64) -> LisiState {
+        let n = a.rows();
+        let range = BlockRowPartition::even(n, comm.size()).range(comm.rank());
+        let mut st = LisiState::new();
+        st.comm = Some(comm.dup().unwrap());
+        st.start_row = Some(range.start);
+        st.local_rows = Some(range.len());
+        st.global_cols = Some(n);
+        st.ingest_rhs(&vec![fill; range.len()], 1).unwrap();
+        st.matrix.set(a.row_block(range.start, range.end).unwrap());
+        st
+    }
+
     /// The repartition after a lost rank is the matrix's second writer:
     /// the digest the session key is built from must follow it.
     #[test]
     fn shrink_refreshes_the_matrix_digest() {
-        // Five ranks, the last one lost: world rank 4 is above every
-        // cohort the other tests in this binary mirror, so its slot in
-        // the process-wide mirror store is this test's alone.
-        let (p, lost, n) = (5usize, 4usize, 10usize);
-        let a = rsparse::generate::laplacian_1d(n);
+        let (p, lost) = (5usize, 4usize);
+        let a = rsparse::generate::laplacian_1d(10);
         let out = Universe::run(p, move |comm| {
-            let part = BlockRowPartition::even(n, p);
-            let block = |r: usize| {
-                let range = part.range(r);
-                (range.start, a.row_block(range.start, range.end).unwrap(), vec![1.0; range.len()])
-            };
-            if comm.rank() == (lost + 1) % p {
-                let (start, matrix, rhs) = block(lost);
-                mirror::deposit(lost, start, matrix, rhs);
-            }
+            let mut st = block_state(comm, &a, 1.0);
+            mirror::deposit(&st);
+            comm.barrier().unwrap();
             if comm.rank() == lost {
                 return None;
             }
-            let (start, matrix, rhs) = block(comm.rank());
-            let mut st = LisiState::new();
-            st.comm = Some(comm.dup().unwrap());
-            st.start_row = Some(start);
-            st.local_rows = Some(matrix.rows());
-            st.global_cols = Some(n);
-            st.ingest_rhs(&rhs, 1).unwrap();
-            st.matrix.set(matrix);
             let before = st.matrix.digest();
             ResilientSolver::shrink_after_loss(&mut st, lost).unwrap();
             let m = st.matrix.get().unwrap();
@@ -964,6 +945,91 @@ mod tests {
             assert_eq!(after, fresh, "rank {rank}: the stored digest is the new block's");
             assert_ne!(after, before, "rank {rank}: the block changed, so did the digest");
         }
+    }
+
+    /// Two universes at once deposit checkpoints and mirrored blocks for
+    /// the same world ranks: each sees only its own, and clearing one's
+    /// checkpoints leaves the other's intact.
+    #[test]
+    fn universes_keep_their_own_recovery_state() {
+        let a = rsparse::generate::laplacian_1d(8);
+        let gate = std::sync::Barrier::new(4);
+        let universe = |u: usize| {
+            let (a, gate) = (&a, &gate);
+            Universe::run(2, move |comm| {
+                let fill = u as f64 + 1.0;
+                let st = block_state(comm, a, fill);
+                mirror::deposit(&st);
+                let x = vec![fill; st.local_rows.unwrap()];
+                rkrylov::checkpoint::deposit(comm, 10, st.start_row.unwrap(), &x, &x);
+                gate.wait(); // both universes have deposited
+                let snapshot: Vec<f64> = rkrylov::checkpoint::latest_consistent(comm)
+                    .map(|(_, chunks)| chunks.into_iter().flat_map(|(_, x)| x).collect())
+                    .unwrap_or_default();
+                let mirrored = mirror::get(comm, 1 - comm.rank()).map(|b| b.rhs);
+                gate.wait();
+                if u == 0 && comm.rank() == 0 {
+                    rkrylov::checkpoint::clear_all(comm);
+                }
+                gate.wait();
+                let kept = rkrylov::checkpoint::latest_consistent(comm).is_some();
+                (snapshot, mirrored, kept)
+            })
+        };
+        let out: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2).map(|u| s.spawn(move || universe(u))).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (u, ranks) in out.into_iter().enumerate() {
+            let fill = u as f64 + 1.0;
+            for (snapshot, mirrored, kept) in ranks {
+                assert_eq!(snapshot, vec![fill; 8], "universe {u} restores its own iterate");
+                assert_eq!(mirrored, Some(vec![fill; 4]), "universe {u} mirrors its own rows");
+                assert_eq!(kept, u == 1, "only universe 0 cleared its checkpoints");
+            }
+        }
+    }
+
+    /// The driver's answer to every `CommError`, whether it reaches the
+    /// driver bare or inside a Krylov package's error.
+    #[test]
+    fn comm_errors_map_to_retry_shrink_or_swap() {
+        use rcomm::CommError;
+        let every = [
+            CommError::RankOutOfRange { rank: 9, size: 4 },
+            CommError::TypeMismatch { expected: "f64" },
+            CommError::InvalidTag(-1),
+            CommError::DeadlockSuspected { rank: 1, src: Some(0), tag: Some(7) },
+            CommError::PeerGone(3),
+            CommError::BadCounts { expected: 4, got: 3 },
+            CommError::BadBuffer { expected: 8, got: 7 },
+            CommError::RankLost(2),
+            CommError::Injected { op: "allreduce", rank: 2, call: 30 },
+        ];
+        for ce in every {
+            // (one right-hand side, several): no wildcard arm, so a new
+            // variant has to be placed here.
+            let expected = match ce {
+                CommError::Injected { .. }
+                | CommError::DeadlockSuspected { .. }
+                | CommError::PeerGone(_) => (Step::Retry, Step::Retry),
+                CommError::RankLost(lost) => (Step::Shrink(lost), Step::Swap),
+                CommError::RankOutOfRange { .. }
+                | CommError::TypeMismatch { .. }
+                | CommError::InvalidTag(_)
+                | CommError::BadCounts { .. }
+                | CommError::BadBuffer { .. } => (Step::Swap, Step::Swap),
+            };
+            let bare = LisiError::from(ce.clone());
+            let wrapped = LisiError::from(rkrylov::KspError::from(ce.clone()));
+            for err in [bare, wrapped] {
+                assert_eq!((next_step(&err, 0, 1), next_step(&err, 0, 4)), expected, "{err}");
+            }
+        }
+        // The lost rank itself is the casualty, whatever the width.
+        let lost = LisiError::from(CommError::RankLost(2));
+        assert_eq!(next_step(&lost, 2, 1), Step::Casualty);
+        assert_eq!(next_step(&lost, 2, 4), Step::Casualty);
     }
 
     #[test]

@@ -72,11 +72,13 @@ struct RankOutcome {
     ranks_lost: u64,
 }
 
-/// 4-rank CG+ILU(0) over the model problem with rank 2 killed
-/// mid-iteration (allreduce call 30 lands around CG iteration 14,
-/// safely past the iteration-10 checkpoint boundary and safely before
-/// convergence at rtol 1e-12, which takes ~45 iterations).
-fn run_kill_rank2(checkpoint_every: Option<usize>, postmortem: &str) -> Vec<RankOutcome> {
+/// Rank 2 killed mid-iteration: allreduce call 30 lands around CG
+/// iteration 14, safely past the iteration-10 checkpoint boundary and
+/// safely before convergence at rtol 1e-12, which takes ~45 iterations.
+const KILL_RANK2: &str = "op=allreduce,rank=2,call=30,kind=kill";
+
+/// 4-rank CG+ILU(0) over the model problem under the kill `plan`.
+fn run_killed(plan: &str, checkpoint_every: Option<usize>, postmortem: &str) -> Vec<RankOutcome> {
     std::env::set_var("RCOMM_DEADLOCK_TIMEOUT_SECS", "2");
     match checkpoint_every {
         Some(k) => std::env::set_var("RSPARSE_CHECKPOINT_EVERY", k.to_string()),
@@ -85,7 +87,7 @@ fn run_kill_rank2(checkpoint_every: Option<usize>, postmortem: &str) -> Vec<Rank
     std::env::set_var("RSPARSE_POSTMORTEM", postmortem);
     let (a, b) = model_problem();
     let n = b.len();
-    rcomm::fault::arm(rcomm::FaultPlan::parse("op=allreduce,rank=2,call=30,kind=kill").unwrap());
+    rcomm::fault::arm(rcomm::FaultPlan::parse(plan).unwrap());
     let out = Universe::run(4, move |comm| {
         let part = BlockRowPartition::even(n, comm.size());
         let range = part.range(comm.rank());
@@ -192,7 +194,7 @@ fn killed_rank_mid_cg_survivors_resume_from_checkpoint_or_zero() {
 
     // With checkpointing every 10 iterations: resume mid-history.
     let pm_ckpt = "/tmp/lisi-elastic-ckpt.json";
-    let out = run_kill_rank2(Some(10), pm_ckpt);
+    let out = run_killed(KILL_RANK2, Some(10), pm_ckpt);
     let iters_resumed = assert_survivors_recovered(&out, &exact);
     let docs = postmortem_docs(pm_ckpt);
     assert!(docs.contains("\"trigger\": \"recovered\""), "postmortem records the recovery");
@@ -206,7 +208,7 @@ fn killed_rank_mid_cg_survivors_resume_from_checkpoint_or_zero() {
 
     // Same kill without checkpointing: restart from zero still recovers.
     let pm_zero = "/tmp/lisi-elastic-zero.json";
-    let out = run_kill_rank2(None, pm_zero);
+    let out = run_killed(KILL_RANK2, None, pm_zero);
     let iters_restarted = assert_survivors_recovered(&out, &exact);
     let docs = postmortem_docs(pm_zero);
     let resumed = resumed_iteration(&docs).expect("cohort_change present without checkpoints");
@@ -219,4 +221,51 @@ fn killed_rank_mid_cg_survivors_resume_from_checkpoint_or_zero() {
         "checkpointed final attempt took {iters_resumed} iterations, \
          restart-from-zero took {iters_restarted}"
     );
+}
+
+/// Two losses in one solve: rank 2 mid-CG, then rank 1 on the shrunken
+/// cohort. Each shrink mirrors the survivors' new blocks, so the second
+/// repartition tiles the rows again and survivors 0 and 3 finish alone.
+#[test]
+fn a_second_rank_loss_in_one_solve_recovers() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let exact = reference_solution();
+    let pm = "/tmp/lisi-elastic-two.json";
+    let path = std::path::Path::new(pm);
+    let _ = std::fs::remove_file(path);
+    for i in 1..8 {
+        let _ = std::fs::remove_file(path.with_extension(format!("{i}.json")));
+    }
+    let plan = "op=allreduce,rank=2,call=30,kind=kill;op=allreduce,rank=1,call=70,kind=kill";
+    let out = run_killed(plan, None, pm);
+    let part = BlockRowPartition::even(exact.len(), 4);
+    for (rank, o) in out.iter().enumerate() {
+        if rank == 1 || rank == 2 {
+            let msg = o.result.as_ref().unwrap_err().to_string();
+            let lost = format!("rank {rank} lost from cohort");
+            assert!(msg.contains(&lost), "rank {rank} got: {msg}");
+            assert_eq!(o.status[STATUS_CONVERGED], 0.0);
+            assert_eq!(o.status[STATUS_RECOVERY], -1.0);
+            continue;
+        }
+        o.result.as_ref().unwrap_or_else(|e| panic!("survivor {rank} failed: {e}"));
+        assert_eq!(o.status[STATUS_CONVERGED], 1.0, "survivor {rank} must converge");
+        assert_eq!(o.status[STATUS_RECOVERY], 3.0, "recovery code 3 = cohort shrink");
+        assert_eq!(o.status[STATUS_COHORT], 2.0, "two survivors");
+        assert_eq!(o.status[STATUS_ATTEMPTS], 3.0, "two killed attempts + one good");
+        assert_eq!(o.shrinks, 2, "survivor {rank} shrank twice");
+        let err = o
+            .x
+            .iter()
+            .zip(&exact[part.range(rank)])
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f64, f64::max);
+        assert!(err < 1e-6, "rank {rank} solution error {err}");
+    }
+    let docs = postmortem_docs(pm);
+    assert!(docs.contains("shrink: rank 2 lost, cohort 4 -> 3"), "first loss narrated:\n{docs}");
+    assert!(docs.contains("shrink: rank 1 lost, cohort 3 -> 2"), "second loss narrated:\n{docs}");
+    let last = "\"cohort_change\": {\"lost_rank\":1,\"old_size\":3,\"new_size\":2,\
+                \"survivors\":[0,3]";
+    assert!(docs.contains(last), "cohort_change is the last shrink:\n{docs}");
 }

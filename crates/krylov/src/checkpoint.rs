@@ -9,11 +9,14 @@
 //! rank's snapshot lives in the memory of its ring neighbour, rank
 //! `(r + 1) mod size`, so losing any single rank leaves every snapshot —
 //! including the dead rank's — alive on some survivor. In this in-process
-//! SPMD runtime all rank threads share one heap, so the process-global
-//! registry below *is* the surviving neighbour copy; what the design
-//! preserves is the invariant that matters for the recovery protocol:
-//! after `RankLost(d)`, the survivors can assemble the newest snapshot set
-//! that **every** member of the old cohort had deposited, `d` included.
+//! SPMD runtime all rank threads share one heap, so a registry owned by
+//! the universe ([`rcomm::Communicator::universe_store`]) *is* the
+//! surviving neighbour copy; what the design preserves is the invariant
+//! that matters for the recovery protocol: after `RankLost(d)`, the
+//! survivors can assemble the newest snapshot set that **every** member
+//! of the old cohort had deposited, `d` included. Two universes in one
+//! process never see each other's snapshots, and the snapshots are freed
+//! with their universe.
 //!
 //! Snapshots are keyed by world rank and double-buffered: ranks pass a
 //! checkpoint boundary one collective apart, so at the moment of a loss
@@ -22,16 +25,12 @@
 //! the newest *complete* set. Deposits recycle their buffers
 //! (`clear` + `extend_from_slice` into storage retained across deposits),
 //! so a solve's steady state allocates nothing after each slot's first
-//! two snapshots.
-//!
-//! The registry is process-global state like the fault plan and the
-//! cohort registry: recovery layers should [`clear_all`] at solve entry.
-//! The state itself is a `Registry` value — the process has one, behind
-//! the free functions below, and this module's unit tests each build
-//! their own, so they race neither each other nor a concurrent solve.
+//! two snapshots. Recovery layers should [`clear_all`] at solve entry.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
+
+use rcomm::Communicator;
 
 /// One deposited snapshot of a rank's Krylov state.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -56,32 +55,23 @@ struct Slot {
     filled: u8,
 }
 
-/// The registry's state: the retained snapshots by world rank (`None`
-/// until the first deposit, so an idle process allocates nothing).
+/// A universe's retained snapshots by world rank.
+#[derive(Default)]
 struct Registry {
-    slots: Mutex<Option<HashMap<usize, Slot>>>,
+    slots: Mutex<HashMap<usize, Slot>>,
 }
-
-static GLOBAL: Registry = Registry::new();
 
 /// One member's `(start_row, x)` piece of a restored snapshot.
 pub type SnapshotChunk = (usize, Vec<f64>);
 
 impl Registry {
-    const fn new() -> Self {
-        Registry { slots: Mutex::new(None) }
-    }
-
     fn clear_all(&self) {
-        *self.slots.lock().unwrap_or_else(|e| e.into_inner()) = None;
+        self.slots.lock().unwrap_or_else(|e| e.into_inner()).clear();
     }
 
     fn deposit(&self, world_rank: usize, iteration: usize, start_row: usize, x: &[f64], r: &[f64]) {
-        let mut guard = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        let slot = guard
-            .get_or_insert_with(HashMap::new)
-            .entry(world_rank)
-            .or_default();
+        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        let slot = slots.entry(world_rank).or_default();
         // Rotate: the old `previous` buffers become the write target.
         std::mem::swap(&mut slot.newest, &mut slot.previous);
         let dst = &mut slot.newest;
@@ -95,8 +85,7 @@ impl Registry {
     }
 
     fn latest_consistent(&self, world_members: &[usize]) -> Option<(usize, Vec<SnapshotChunk>)> {
-        let guard = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        let map = guard.as_ref()?;
+        let map = self.slots.lock().unwrap_or_else(|e| e.into_inner());
         // The candidate iterations are the ones every member retains: the
         // newest complete set is the *minimum* over members of each member's
         // newest iteration — every member keeps its previous generation, so a
@@ -126,36 +115,39 @@ impl Registry {
     }
 }
 
-/// Forget every snapshot (recovery layers call this at solve entry so a
-/// restored checkpoint can never leak across solves).
-pub fn clear_all() {
-    GLOBAL.clear_all();
+/// Forget every snapshot of `comm`'s universe (recovery layers call this
+/// at solve entry so a restored checkpoint can never leak across solves).
+pub fn clear_all(comm: &Communicator) {
+    comm.universe_store::<Registry>().clear_all();
 }
 
-/// Deposit a snapshot for `world_rank`. The previous newest snapshot is
-/// demoted, not dropped; buffers are recycled in place.
-pub fn deposit(world_rank: usize, iteration: usize, start_row: usize, x: &[f64], r: &[f64]) {
-    GLOBAL.deposit(world_rank, iteration, start_row, x, r);
+/// Deposit a snapshot for the calling rank of `comm` (keyed by its world
+/// rank). The previous newest snapshot is demoted, not dropped; buffers
+/// are recycled in place. Cold and never inlined: the Krylov loops call
+/// it behind a period check every iteration, and the store lookup must
+/// not grow their code.
+#[cold]
+#[inline(never)]
+pub fn deposit(comm: &Communicator, iteration: usize, start_row: usize, x: &[f64], r: &[f64]) {
+    let me = comm.world_members()[comm.rank()];
+    comm.universe_store::<Registry>().deposit(me, iteration, start_row, x, r);
 }
 
-/// The newest iteration for which **every** member of `world_members` has
-/// a snapshot, together with each member's `(start_row, x)` chunk at that
+/// The newest iteration for which **every** member of `comm` has a
+/// snapshot, together with each member's `(start_row, x)` chunk at that
 /// iteration, sorted by `start_row`. `None` if any member never deposited
 /// or no common iteration exists among the retained generations.
-pub fn latest_consistent(world_members: &[usize]) -> Option<(usize, Vec<SnapshotChunk>)> {
-    GLOBAL.latest_consistent(world_members)
+pub fn latest_consistent(comm: &Communicator) -> Option<(usize, Vec<SnapshotChunk>)> {
+    comm.universe_store::<Registry>().latest_consistent(comm.world_members())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Each test owns its registry: the process-wide one belongs to the
-    // solves the other unit tests of this binary run concurrently.
-
     #[test]
     fn consistent_set_falls_back_to_previous_generation() {
-        let reg = Registry::new();
+        let reg = Registry::default();
         reg.deposit(0, 10, 0, &[1.0, 2.0], &[0.1, 0.2]);
         reg.deposit(1, 10, 2, &[3.0, 4.0], &[0.3, 0.4]);
         // Rank 0 advances to 20; 1 dies before depositing 20.
@@ -172,7 +164,7 @@ mod tests {
 
     #[test]
     fn missing_member_means_no_consistent_set() {
-        let reg = Registry::new();
+        let reg = Registry::default();
         reg.deposit(0, 5, 0, &[1.0], &[0.0]);
         assert!(reg.latest_consistent(&[0, 1]).is_none());
         assert!(reg.latest_consistent(&[0]).is_some());
@@ -182,7 +174,7 @@ mod tests {
 
     #[test]
     fn deposits_recycle_buffers_without_reallocating() {
-        let reg = Registry::new();
+        let reg = Registry::default();
         let x = vec![1.0; 64];
         let r = vec![2.0; 64];
         reg.deposit(0, 10, 0, &x, &r);
@@ -190,15 +182,15 @@ mod tests {
         // Steady state: both generations' buffers exist; further deposits
         // must reuse their capacity.
         let cap_before = {
-            let guard = reg.slots.lock().unwrap();
-            let slot = &guard.as_ref().unwrap()[&0];
+            let slots = reg.slots.lock().unwrap();
+            let slot = &slots[&0];
             (slot.newest.x.capacity(), slot.previous.x.capacity())
         };
         for it in [30, 40, 50] {
             reg.deposit(0, it, 0, &x, &r);
         }
-        let guard = reg.slots.lock().unwrap();
-        let slot = &guard.as_ref().unwrap()[&0];
+        let slots = reg.slots.lock().unwrap();
+        let slot = &slots[&0];
         assert_eq!(
             (slot.newest.x.capacity(), slot.previous.x.capacity()),
             cap_before,

@@ -274,8 +274,7 @@ impl<'a> Lanes<'a> {
     /// set-up instead.
     pub(super) fn checkpoint(&mut self, iterations: usize, x: &[f64], r: &[f64]) {
         if self.every > 0 && iterations - self.last_checkpoint >= self.every {
-            let member = self.comm.world_members()[self.comm.rank()];
-            crate::checkpoint::deposit(member, iterations, self.start_row, x, r);
+            crate::checkpoint::deposit(self.comm, iterations, self.start_row, x, r);
             self.last_checkpoint = iterations;
         }
     }

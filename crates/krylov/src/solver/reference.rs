@@ -79,7 +79,7 @@ pub(crate) fn cg(
             // deposited generation is cohort-consistent up to the one
             // in-flight boundary `latest_consistent` tolerates.
             crate::checkpoint::deposit(
-                comm.world_members()[rank],
+                comm,
                 iterations,
                 op.partition().start_row(rank),
                 x.local(),
@@ -282,7 +282,7 @@ pub(crate) fn gmres(
             // restart, so no Arnoldi basis needs to be preserved — a
             // restore simply warm-restarts from this x.
             crate::checkpoint::deposit(
-                comm.world_members()[rank],
+                comm,
                 iterations,
                 op.partition().start_row(rank),
                 x.local(),

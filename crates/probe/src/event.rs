@@ -86,15 +86,65 @@ pub enum EventKind {
         /// Injection kind (`"error"`, `"corrupt"`, ...).
         kind: &'static str,
     },
-    /// A resilient-driver attempt transition.
+    /// A resilient-driver attempt transition: the one record of a
+    /// recovery, which the postmortem's `recovery_path` and
+    /// `cohort_change` are rendered from.
     Attempt {
-        /// Backend slot in the retry chain.
+        /// Slot of the attempt spec in the retry chain (0-based).
         slot: u32,
-        /// Attempt number on that slot (1-based; 0 for swap markers).
+        /// The solve-wide attempt count (1-based): every start, on any
+        /// slot, counts one.
         attempt: u32,
-        /// Phase: `"start"`, `"ok"`, `"retry"`, `"swap"`, `"exhausted"`.
-        phase: &'static str,
+        /// How the transition ended.
+        outcome: AttemptOutcome,
     },
+}
+
+/// Where a resilient-driver attempt went. Each failure carries the class
+/// of the error that caused it (`"not-converged"`, `"rank-lost"`, …).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AttemptOutcome {
+    /// The attempt began.
+    Start,
+    /// The attempt converged.
+    Ok,
+    /// A transient failure: the same spec runs again after a backoff.
+    Retry(&'static str),
+    /// The spec failed for good; the next spec in the chain runs.
+    Swap(&'static str),
+    /// The last spec failed for good.
+    Exhausted(&'static str),
+    /// This rank is the one the cohort lost.
+    Casualty(&'static str),
+    /// The survivors shrank the cohort around a lost rank and run the same
+    /// spec again.
+    Shrink {
+        /// World rank that was lost.
+        lost: u32,
+        /// Cohort size after the shrink.
+        new_size: u32,
+        /// Checkpoint iteration the solve resumes from (0 = from scratch).
+        resumed_iteration: u64,
+    },
+    /// A shrink could not complete.
+    ShrinkFailed(&'static str),
+}
+
+impl AttemptOutcome {
+    /// Stable short name of the transition, and the error class of a
+    /// failure.
+    pub fn describe(&self) -> (&'static str, Option<&'static str>) {
+        match *self {
+            AttemptOutcome::Start => ("start", None),
+            AttemptOutcome::Ok => ("ok", None),
+            AttemptOutcome::Retry(cause) => ("retry", Some(cause)),
+            AttemptOutcome::Swap(cause) => ("swap", Some(cause)),
+            AttemptOutcome::Exhausted(cause) => ("exhausted", Some(cause)),
+            AttemptOutcome::Casualty(cause) => ("casualty", Some(cause)),
+            AttemptOutcome::Shrink { .. } => ("shrink", None),
+            AttemptOutcome::ShrinkFailed(cause) => ("shrink-failed", Some(cause)),
+        }
+    }
 }
 
 impl EventKind {
@@ -211,9 +261,9 @@ impl EventLog {
     }
 }
 
-/// Commit an instant event on the calling thread. Returns its timestamp.
+/// Commit an instant event on the calling thread. Returns the event.
 #[inline]
-pub fn emit(kind: EventKind) -> u64 {
+pub fn emit(kind: EventKind) -> Event {
     emit_since(None, kind)
 }
 
@@ -225,8 +275,8 @@ pub fn emit(kind: EventKind) -> u64 {
 /// sends and receives into the peer matrix; a closed scope into the span
 /// table and, if its name has one, a latency histogram; at
 /// [`Level::Spans`] and up, the gap since the solve's previous `Iter`
-/// (or its `Begin`) into the iteration-time histogram. Returns `t1`.
-pub fn emit_since(t0_ns: Option<u64>, kind: EventKind) -> u64 {
+/// (or its `Begin`) into the iteration-time histogram. Returns the event.
+pub fn emit_since(t0_ns: Option<u64>, kind: EventKind) -> Event {
     let level = recorder::level();
     let t1_ns = now_ns();
     let ev = Event { t0_ns: t0_ns.unwrap_or(t1_ns), t1_ns, solve: trace::current(), kind };
@@ -247,5 +297,5 @@ pub fn emit_since(t0_ns: Option<u64>, kind: EventKind) -> u64 {
         }
         local.fold(&ev, child_ns, level);
     });
-    t1_ns
+    ev
 }

@@ -18,7 +18,7 @@
 //! [`CAPACITY`] black-box events of a log snapshot, whatever else a
 //! trace put beside them.
 
-use crate::event::{Event, EventKind};
+use crate::event::{AttemptOutcome, Event, EventKind};
 use crate::json;
 use crate::recorder::{self, Recorder};
 
@@ -89,9 +89,21 @@ pub fn record_json(ev: &Event) -> Option<String> {
         EventKind::Fault { rule, op, kind } => format!(
             "{{\"t_us\":{t},\"type\":\"fault\",\"rule\":{rule},\"op\":\"{op}\",\"kind\":\"{kind}\"}}"
         ),
-        EventKind::Attempt { slot, attempt, phase } => format!(
-            "{{\"t_us\":{t},\"type\":\"attempt\",\"slot\":{slot},\"attempt\":{attempt},\"phase\":\"{phase}\"}}"
-        ),
+        EventKind::Attempt { slot, attempt, outcome } => {
+            // A shrink's resumed iteration is `resumed_from` here: the key
+            // `resumed_iteration` belongs to the postmortem's `cohort_change`.
+            let (phase, cause) = outcome.describe();
+            let detail = match outcome {
+                AttemptOutcome::Shrink { lost, new_size, resumed_iteration } => format!(
+                    ",\"lost\":{lost},\"new_size\":{new_size},\"resumed_from\":{resumed_iteration}"
+                ),
+                _ => cause.map(|c| format!(",\"cause\":\"{c}\"")).unwrap_or_default(),
+            };
+            format!(
+                "{{\"t_us\":{t},\"type\":\"attempt\",\"slot\":{slot},\"attempt\":{attempt},\
+                 \"phase\":\"{phase}\"{detail}}}"
+            )
+        }
     })
 }
 
@@ -110,11 +122,18 @@ mod tests {
         let at = |t_us: u64, kind| {
             Event { t0_ns: t_us * 1_000, t1_ns: t_us * 1_000, solve: 9, kind }
         };
+        let swap = AttemptOutcome::Swap("injected");
         let recs = [
             at(1, EventKind::Recv { peer: 2, bytes: 8, tag: 7001, src_seq: 0 }),
             at(2, EventKind::Iter { iteration: 4, residual: f64::NAN }),
             at(3, EventKind::Fault { rule: 0, op: "allreduce", kind: "corrupt" }),
-            at(4, EventKind::Attempt { slot: 1, attempt: 2, phase: "start" }),
+            at(4, EventKind::Attempt { slot: 1, attempt: 2, outcome: AttemptOutcome::Start }),
+            at(4, EventKind::Attempt { slot: 1, attempt: 2, outcome: swap }),
+            at(4, EventKind::Attempt {
+                slot: 0,
+                attempt: 3,
+                outcome: AttemptOutcome::Shrink { lost: 2, new_size: 3, resumed_iteration: 20 },
+            }),
             at(5, EventKind::Span { name: "not_black_box" }),
             at(6, EventKind::Collective { op: "barrier", index: 0 }),
         ];
@@ -127,7 +146,12 @@ mod tests {
         assert!(json.contains("\"op\":\"barrier\",\"peer\":-1,\"bytes\":0,\"tag\":-1"), "{json}");
         assert!(json.contains("\"residual\":null"), "NaN must serialize as null: {json}");
         assert!(json.contains("\"rule\":0"));
-        assert!(json.contains("\"phase\":\"start\""));
+        assert!(json.contains("\"phase\":\"start\"}"), "{json}");
+        assert!(json.contains("\"phase\":\"swap\",\"cause\":\"injected\"}"), "{json}");
+        assert!(
+            json.contains("\"phase\":\"shrink\",\"lost\":2,\"new_size\":3,\"resumed_from\":20}"),
+            "{json}"
+        );
         assert!(!json.contains("not_black_box"), "spans are not black-box events: {json}");
         assert_eq!(latest_solve(&recs), 9);
         let (mut braces, mut brackets) = (0i64, 0i64);

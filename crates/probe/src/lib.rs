@@ -79,7 +79,7 @@ mod table;
 pub mod trace;
 
 pub use counter::{add, get, incr, Counter};
-pub use event::{emit, emit_since, Event, EventKind, TRACE_CAPACITY};
+pub use event::{emit, emit_since, AttemptOutcome, Event, EventKind, TRACE_CAPACITY};
 pub use model::{KernelEfficiency, KernelModel, Roofline, TimeBase, WorkUnit};
 pub use recorder::{
     enabled, level, mode, note, reset, reset_epoch, set_mode, set_rank, Level,

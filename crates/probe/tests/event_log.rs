@@ -10,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use probe::{emit, EventKind, Level, ProbeMode};
+use probe::{emit, AttemptOutcome, EventKind, Level, ProbeMode};
 
 thread_local! {
     /// Allocations made by this thread.
@@ -60,7 +60,7 @@ fn one_of_each(i: u64) {
     emit(EventKind::Collective { op: "barrier", index: 0 });
     emit(EventKind::Iter { iteration: i, residual: 0.5 });
     emit(EventKind::Fault { rule: 0, op: "send", kind: "delay" });
-    emit(EventKind::Attempt { slot: 0, attempt: 1, phase: "start" });
+    emit(EventKind::Attempt { slot: 0, attempt: 1, outcome: AttemptOutcome::Start });
     emit(EventKind::Verdict { verdict: "rtol", iteration: i });
 }
 

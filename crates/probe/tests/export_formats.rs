@@ -121,20 +121,22 @@ fn postmortem_cohort_change_schema_parses_with_survivor_mapping() {
         cohort: 3,
         ..Default::default()
     };
-    let change = lisi::CohortChange {
-        lost_rank: 2,
-        old_size: 4,
-        new_size: 3,
-        survivors: vec![0, 1, 3],
-        resumed_iteration: 20,
-    };
+    // The driver's one record of the shrink: its `Attempt` event.
+    let shrink = probe::AttemptOutcome::Shrink { lost: 2, new_size: 3, resumed_iteration: 20 };
+    let attempts = [probe::Event {
+        t0_ns: 0,
+        t1_ns: 0,
+        solve: 1,
+        kind: probe::EventKind::Attempt { slot: 0, attempt: 1, outcome: shrink },
+    }];
+    let policy = lisi::RetryPolicy::parse("rksp:solver=cg,preconditioner=ilu0").unwrap();
     let doc = lisi::postmortem::assemble(
         "recovered",
         4,
-        "rksp:solver=cg,preconditioner=ilu0",
-        &["rksp#1: shrink: rank 2 lost, cohort 4 -> 3, resume at iteration 20".to_string()],
+        &policy,
+        &attempts,
+        &[0, 1, 3],
         &report,
-        Some(&change),
         "",
         &[],
     );
@@ -162,7 +164,8 @@ fn postmortem_cohort_change_schema_parses_with_survivor_mapping() {
 
     // Without a change the key is an explicit null, not absent: readers
     // can distinguish "cohort intact" from schema drift.
-    let doc = lisi::postmortem::assemble("recovered", 4, "p", &[], &report, None, "", &[]);
+    let doc =
+        lisi::postmortem::assemble("recovered", 4, &policy, &[], &[0, 1, 3], &report, "", &[]);
     let v = serde_json::from_str(&doc).expect("postmortem must be valid JSON");
     assert!(v["cohort_change"].is_null(), "null when the cohort never changed");
 }

@@ -26,6 +26,9 @@
 #   kill-rank-setup     rank 1 dies during the first halo-plan exchange,
 #                       before any iterate exists: survivors shrink and
 #                       restart from zero on the repartitioned layout
+#   kill-two-ranks      rank 2 dies mid-CG, then rank 1 on the shrunken
+#                       cohort (checkpointing off): both survivors, ranks
+#                       0 and 3, must shrink twice and report recovery=3
 #
 # Every run must exit 0 — the driver's contract is a structured outcome,
 # never a hang or a panic. The per-rank attempts/recovery lines from the
@@ -53,6 +56,7 @@ declare -a NAMES=(
   send-truncate
   kill-rank-solve
   kill-rank-setup
+  kill-two-ranks
 )
 declare -a PLANS=(
   'op=allreduce,rank=2,call=2,kind=corrupt;seed=11'
@@ -63,6 +67,7 @@ declare -a PLANS=(
   'op=send,rank=1,tag=7001,call=1,kind=truncate'
   'op=allreduce,rank=2,call=30,kind=kill'
   'op=alltoall,rank=1,call=1,kind=kill'
+  'op=allreduce,rank=2,call=30,kind=kill;op=allreduce,rank=1,call=70,kind=kill'
 )
 # Per-plan environment knobs, word-split on purpose.
 declare -a ENVS=(
@@ -73,6 +78,7 @@ declare -a ENVS=(
   ''
   ''
   'RSPARSE_CHECKPOINT_EVERY=10 RCOMM_DEADLOCK_TIMEOUT_SECS=2'
+  'RCOMM_DEADLOCK_TIMEOUT_SECS=2'
   'RCOMM_DEADLOCK_TIMEOUT_SECS=2'
 )
 
@@ -88,16 +94,20 @@ for i in "${!NAMES[@]}"; do
   # shellcheck disable=SC2086
   if env $extra_env RSPARSE_FAULTS="$plan" ./target/release/examples/resilience >"$log" 2>&1; then
     verdict="ok"
-    # The kill rows must actually demonstrate the elastic path: at least
-    # one survivor line reporting recovery code 3 (cohort shrink).
+    # The kill rows must actually demonstrate the elastic path: survivor
+    # lines reporting recovery code 3 (cohort shrink) — at least one, and
+    # both survivors (ranks 0 and 3) for kill-two-ranks.
     case "$name" in
-      kill-*)
-        if ! grep -Eq 'rank [0-9]+: converged=true .*recovery=3' "$log"; then
-          verdict="FAILED"
-          fail=1
-        fi
-        ;;
+      kill-two-ranks) want=2 ;;
+      kill-*) want=1 ;;
+      *) want=0 ;;
     esac
+    got="$(sed -n '/-- with the fault armed --/,/-- fault disarmed/p' "$log" \
+      | grep -Ec 'rank [0-9]+: converged=true .*recovery=3' || true)"
+    if [ "$got" -lt "$want" ]; then
+      verdict="FAILED"
+      fail=1
+    fi
   else
     verdict="FAILED"
     fail=1
