@@ -9,9 +9,10 @@ use std::time::Duration;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 
+use crate::cohort::{CohortView, Registry};
 use crate::envelope::{child_context, Context, Envelope, COLLECTIVE_BIT};
 use crate::error::{CommError, CommResult};
-use crate::fault::{self, FaultAction, FaultOp};
+use crate::fault::{Armed, FaultKind, FaultOp, FaultPlan, Fired};
 use crate::stats::{CommStats, StatsCell};
 use crate::Tag;
 
@@ -19,20 +20,6 @@ use crate::Tag;
 pub const ANY_SOURCE: i32 = -1;
 /// Wildcard tag.
 pub const ANY_TAG: Tag = -1;
-
-/// How long a blocking receive may wait before the runtime declares a
-/// suspected deadlock. Mismatched SPMD code fails fast instead of hanging
-/// the test suite. Override with `RCOMM_DEADLOCK_TIMEOUT_SECS`.
-fn deadlock_timeout() -> Duration {
-    static SECS: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    let secs = *SECS.get_or_init(|| {
-        std::env::var("RCOMM_DEADLOCK_TIMEOUT_SECS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(30)
-    });
-    Duration::from_secs(secs)
-}
 
 /// Completion information for a receive, mirroring `MPI_Status`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,12 +43,24 @@ const SPIN_POLLS: u32 = 1 << 10;
 /// peer needs this core to make progress.
 const YIELD_POLLS: u32 = 4;
 
-/// Shared wiring of the universe: one mailbox sender per world rank.
+/// Shared wiring of the universe: one mailbox sender per world rank and
+/// everything else the universe owns, fixed at launch by
+/// [`crate::Universe::run_with_faults`]. Laid out in declaration order:
+/// what the fault gate reads on every call comes first, together, and the
+/// store's lock, which every `universe_store` call writes, comes last.
+#[repr(C)]
 pub(crate) struct Wiring {
     pub senders: Vec<Sender<Envelope>>,
-    /// More ranks than the host has cores (recorded once by
-    /// [`crate::Universe::run`]): blocked receives skip the spin.
+    /// The launch's fault plan, if any.
+    pub faults: Option<Box<Armed>>,
+    /// Kill marks and heartbeats of this universe's ranks.
+    pub cohort: Registry,
+    /// More ranks than the host has cores: blocked receives skip the spin.
     pub oversubscribed: bool,
+    /// How long a blocking receive may wait before the runtime declares a
+    /// suspected deadlock, so mismatched SPMD code fails fast instead of
+    /// hanging (`RCOMM_DEADLOCK_TIMEOUT_SECS`, 30 s by default).
+    pub deadlock_timeout: Duration,
     /// [`Communicator::universe_store`]'s values, one per type.
     pub store: Mutex<Vec<Arc<dyn Any + Send + Sync>>>,
 }
@@ -181,18 +180,73 @@ impl Communicator {
         &self.members
     }
 
-    /// Cohort gate on every communication call: stamp this rank's
-    /// heartbeat and refuse to operate once the rank has been marked
+    /// The one fault gate, on every communication call `name` (of kind
+    /// `op`, with `tag` on point-to-point calls). It stamps this rank's
+    /// heartbeat and refuses to operate once the rank has been marked
     /// dead — a killed rank fails every call with the same
-    /// [`CommError::RankLost`] verdict forever after.
+    /// [`CommError::RankLost`] verdict forever after. Then it consults the
+    /// launch's fault plan: `error`, `delay` and `kill` take effect here,
+    /// and a fired `drop`, `corrupt` or `truncate` is returned for the
+    /// caller to apply to its payload.
     #[inline]
-    fn cohort_gate(&self) -> CommResult<()> {
+    fn fault_gate(
+        &self,
+        op: FaultOp,
+        name: &'static str,
+        tag: Option<Tag>,
+    ) -> CommResult<Option<Fired>> {
         let me = self.my_world_rank();
-        crate::cohort::heartbeat(me);
-        if crate::cohort::is_lost(me) {
+        let cohort = &self.wiring.cohort;
+        cohort.heartbeat(me);
+        if cohort.is_lost(me) {
             return Err(CommError::RankLost(me));
         }
-        Ok(())
+        match &self.wiring.faults {
+            None => Ok(None),
+            Some(armed) => self.fire(armed, op, name, tag),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn fire(
+        &self,
+        armed: &Armed,
+        op: FaultOp,
+        name: &'static str,
+        tag: Option<Tag>,
+    ) -> CommResult<Option<Fired>> {
+        let me = self.my_world_rank();
+        let Some(fired) = armed.check(op, me, tag) else { return Ok(None) };
+        match fired.kind {
+            FaultKind::Error => Err(CommError::Injected { op: name, rank: me, call: fired.call }),
+            FaultKind::Delay(ms) => {
+                std::thread::sleep(Duration::from_millis(ms));
+                Ok(None)
+            }
+            FaultKind::Kill => {
+                self.wiring.cohort.mark_dead(me);
+                Err(CommError::RankLost(me))
+            }
+            _ => Ok(Some(fired)),
+        }
+    }
+
+    /// The fault plan this rank's universe was launched with, if any.
+    pub fn fault_plan(&self) -> Option<&FaultPlan> {
+        self.wiring.faults.as_ref().map(|a| &a.plan)
+    }
+
+    /// Indices (into [`Communicator::fault_plan`]'s rules) of the rules
+    /// that have fired in this universe so far. Empty without a plan.
+    pub fn fired_rule_ids(&self) -> Vec<usize> {
+        self.wiring.faults.as_ref().map_or_else(Vec::new, |a| a.fired_rule_ids())
+    }
+
+    /// Set this universe's heartbeat staleness timeout in milliseconds;
+    /// 0 (the default) disables staleness verdicts (see [`crate::cohort`]).
+    pub fn set_heartbeat_timeout_ms(&self, ms: u64) {
+        self.wiring.cohort.set_heartbeat_timeout_ms(ms);
     }
 
     /// The universe's one value of type `T`, created on first use. Every
@@ -214,8 +268,8 @@ impl Communicator {
     /// Snapshot this communicator's cohort health: which members are
     /// alive and which are lost (killed or heartbeat-stale). The `alive`
     /// list is exactly the survivor set [`Communicator::shrink`] expects.
-    pub fn cohort_view(&self) -> crate::cohort::CohortView {
-        crate::cohort::CohortView::capture(&self.members)
+    pub fn cohort_view(&self) -> CohortView {
+        self.wiring.cohort.capture(&self.members)
     }
 
     /// Byte/message accounting plus the `Send` event for one posted p2p
@@ -260,58 +314,6 @@ impl Communicator {
         probe::emit(probe::EventKind::Collective { op, index: 0 });
     }
 
-    /// Fault gate for receive paths. Error/delay are handled here; a
-    /// `Corrupt` action is returned so the caller can poison the payload
-    /// *after* it arrives.
-    fn recv_fault(&self, tag: Option<Tag>) -> CommResult<Option<FaultAction>> {
-        self.cohort_gate()?;
-        if !fault::armed() {
-            return Ok(None);
-        }
-        match fault::check(FaultOp::Recv, self.my_world_rank(), tag) {
-            Some(FaultAction::Error { call }) => {
-                Err(CommError::Injected { op: "recv", rank: self.my_world_rank(), call })
-            }
-            Some(FaultAction::Delay(ms)) => {
-                std::thread::sleep(Duration::from_millis(ms));
-                Ok(None)
-            }
-            Some(FaultAction::Kill) => {
-                crate::cohort::mark_dead(self.my_world_rank());
-                Err(CommError::RankLost(self.my_world_rank()))
-            }
-            other => Ok(other),
-        }
-    }
-
-    /// Fault gate for collective wrappers. Error/delay are handled here;
-    /// a `Corrupt` action is returned so value-carrying collectives can
-    /// poison this rank's local contribution before reducing.
-    fn collective_fault(
-        &self,
-        op: FaultOp,
-        name: &'static str,
-    ) -> CommResult<Option<FaultAction>> {
-        self.cohort_gate()?;
-        if !fault::armed() {
-            return Ok(None);
-        }
-        match fault::check(op, self.my_world_rank(), None) {
-            Some(FaultAction::Error { call }) => {
-                Err(CommError::Injected { op: name, rank: self.my_world_rank(), call })
-            }
-            Some(FaultAction::Delay(ms)) => {
-                std::thread::sleep(Duration::from_millis(ms));
-                Ok(None)
-            }
-            Some(FaultAction::Kill) => {
-                crate::cohort::mark_dead(self.my_world_rank());
-                Err(CommError::RankLost(self.my_world_rank()))
-            }
-            other => Ok(other),
-        }
-    }
-
     /// Send `value` to local rank `dest` with `tag`.
     ///
     /// Sends are *eager*: the payload is moved into the destination mailbox
@@ -319,35 +321,14 @@ impl Communicator {
     /// to self is allowed and is matched by a later receive.
     pub fn send<T: Send + 'static>(&self, dest: usize, tag: Tag, value: T) -> CommResult<()> {
         Self::check_tag(tag)?;
-        self.cohort_gate()?;
         let mut value = value;
-        if fault::armed() {
-            match fault::check(FaultOp::Send, self.my_world_rank(), Some(tag)) {
-                Some(FaultAction::Error { call }) => {
-                    return Err(CommError::Injected {
-                        op: "send",
-                        rank: self.my_world_rank(),
-                        call,
-                    });
-                }
-                Some(FaultAction::Drop) => {
-                    // Silently discard: the receiver never sees the message.
-                    self.note_send(dest, tag, std::mem::size_of::<T>() as u64, None);
-                    return Ok(());
-                }
-                Some(FaultAction::Delay(ms)) => std::thread::sleep(Duration::from_millis(ms)),
-                Some(FaultAction::Corrupt { seed, call }) => {
-                    let _ = fault::corrupt_payload(&mut value, seed, call);
-                }
-                Some(FaultAction::Truncate) => {
-                    let _ = fault::truncate_payload(&mut value);
-                }
-                Some(FaultAction::Kill) => {
-                    crate::cohort::mark_dead(self.my_world_rank());
-                    return Err(CommError::RankLost(self.my_world_rank()));
-                }
-                None => {}
+        if let Some(fired) = self.fault_gate(FaultOp::Send, "send", Some(tag))? {
+            if fired.kind == FaultKind::Drop {
+                // Silently discard: the receiver never sees the message.
+                self.note_send(dest, tag, std::mem::size_of::<T>() as u64, None);
+                return Ok(());
             }
+            fired.apply(&mut value);
         }
         // Stamp user p2p traffic inside a traced solve (one relaxed
         // load otherwise); the `Send` event takes its sequence and its
@@ -379,9 +360,9 @@ impl Communicator {
         stamp: Option<probe::trace::Stamp>,
     ) -> CommResult<()> {
         let world_dest = self.world_rank(dest)?;
-        // Fail fast instead of filling a dead rank's mailbox; one relaxed
-        // load while the cohort is intact.
-        if crate::cohort::is_lost(world_dest) {
+        // Fail fast instead of filling a dead rank's mailbox; one load
+        // while the cohort is intact.
+        if self.wiring.cohort.is_lost(world_dest) {
             return Err(CommError::RankLost(world_dest));
         }
         let env = Envelope {
@@ -395,7 +376,7 @@ impl Communicator {
         // because a member was lost, pass that verdict on: survivors that
         // notice at different moments must still agree on the cause.
         self.wiring.senders[world_dest].send(env).map_err(|_| {
-            match crate::cohort::lost_member(&self.members) {
+            match self.wiring.cohort.lost_member(&self.members) {
                 Some(world) => CommError::RankLost(world),
                 None => CommError::PeerGone(dest),
             }
@@ -406,13 +387,13 @@ impl Communicator {
     /// communicator, blocking until a matching message arrives.
     pub fn recv<T: Send + 'static>(&self, src: usize, tag: Tag) -> CommResult<T> {
         Self::check_tag(tag)?;
-        let act = self.recv_fault(Some(tag))?;
+        let fired = self.fault_gate(FaultOp::Recv, "recv", Some(tag))?;
         let posted = probe::trace::recv_start();
         let (mut v, _, stamp) =
             self.recv_match_stamped::<T>(Some(src), Some(tag), self.context)?;
         self.note_recv(src, tag, std::mem::size_of::<T>() as u64, posted, stamp);
-        if let Some(FaultAction::Corrupt { seed, call }) = act {
-            let _ = fault::corrupt_payload(&mut v, seed, call);
+        if let Some(fired) = fired {
+            fired.apply(&mut v);
         }
         Ok(v)
     }
@@ -427,12 +408,12 @@ impl Communicator {
     ) -> CommResult<(T, RecvStatus)> {
         let src = if src == ANY_SOURCE { None } else { Some(src as usize) };
         let tag = if tag == ANY_TAG { None } else { Some(tag) };
-        let act = self.recv_fault(tag)?;
+        let fired = self.fault_gate(FaultOp::Recv, "recv", tag)?;
         let posted = probe::trace::recv_start();
         let (mut v, status, stamp) = self.recv_match_stamped::<T>(src, tag, self.context)?;
         self.note_recv(status.source, status.tag, std::mem::size_of::<T>() as u64, posted, stamp);
-        if let Some(FaultAction::Corrupt { seed, call }) = act {
-            let _ = fault::corrupt_payload(&mut v, seed, call);
+        if let Some(fired) = fired {
+            fired.apply(&mut v);
         }
         Ok((v, status))
     }
@@ -544,10 +525,10 @@ impl Communicator {
         //    within ~10 ms and fails with the rank-consistent RankLost
         //    verdict instead of waiting out the whole deadlock timeout.
         //    recv_timeout returns as soon as a message arrives, and the
-        //    per-slice cohort check is one relaxed atomic load while
-        //    nobody died.
+        //    per-slice cohort check is two atomic loads while nobody
+        //    died and no heartbeat timeout is set.
         const SLICE: Duration = Duration::from_millis(10);
-        let deadline = std::time::Instant::now() + deadlock_timeout();
+        let deadline = std::time::Instant::now() + self.wiring.deadlock_timeout;
         loop {
             let remaining = deadline.saturating_duration_since(std::time::Instant::now());
             match post.receiver.recv_timeout(remaining.min(SLICE)) {
@@ -558,7 +539,7 @@ impl Communicator {
                     post.pending.push_back(env);
                 }
                 Err(RecvTimeoutError::Timeout) => {
-                    if let Some(world) = crate::cohort::lost_member(&self.members) {
+                    if let Some(world) = self.wiring.cohort.lost_member(&self.members) {
                         return Err(CommError::RankLost(world));
                     }
                     if remaining <= SLICE {
@@ -691,7 +672,7 @@ impl Communicator {
     pub fn barrier(&self) -> CommResult<()> {
         self.stats.barrier();
         self.note_collective("barrier");
-        self.collective_fault(FaultOp::Barrier, "barrier")?;
+        self.fault_gate(FaultOp::Barrier, "barrier", None)?;
         crate::collectives::barrier(self)
     }
 
@@ -701,10 +682,8 @@ impl Communicator {
         self.stats.bcast();
         self.note_collective("bcast");
         let mut value = value;
-        if let Some(FaultAction::Corrupt { seed, call }) =
-            self.collective_fault(FaultOp::Bcast, "bcast")?
-        {
-            let _ = fault::corrupt_payload(&mut value, seed, call);
+        if let Some(fired) = self.fault_gate(FaultOp::Bcast, "bcast", None)? {
+            fired.apply(&mut value);
         }
         crate::collectives::bcast(self, root, value)
     }
@@ -719,10 +698,8 @@ impl Communicator {
         self.stats.reduce();
         self.note_collective("reduce");
         let mut value = value;
-        if let Some(FaultAction::Corrupt { seed, call }) =
-            self.collective_fault(FaultOp::Reduce, "reduce")?
-        {
-            let _ = fault::corrupt_payload(&mut value, seed, call);
+        if let Some(fired) = self.fault_gate(FaultOp::Reduce, "reduce", None)? {
+            fired.apply(&mut value);
         }
         crate::collectives::reduce(self, root, value, op)
     }
@@ -740,14 +717,12 @@ impl Communicator {
         // riding the reduction) and a collective-latency sample.
         let _wait = probe::SpanGuard::collective("allreduce");
         let mut value = value;
-        if let Some(FaultAction::Corrupt { seed, call }) =
-            self.collective_fault(FaultOp::Allreduce, "allreduce")?
-        {
+        if let Some(fired) = self.fault_gate(FaultOp::Allreduce, "allreduce", None)? {
             // Poison this rank's *contribution*, not the reduced result:
             // the NaN then reaches every rank through the reduction, so
             // all ranks observe the same corrupted value and guard
             // verdicts stay rank-consistent.
-            let _ = fault::corrupt_payload(&mut value, seed, call);
+            fired.apply(&mut value);
         }
         crate::collectives::allreduce(self, value, op)
     }
@@ -766,10 +741,8 @@ impl Communicator {
             std::mem::size_of_val(values.as_slice()) as u64,
         );
         let _wait = probe::SpanGuard::collective("allreduce");
-        if let Some(FaultAction::Corrupt { seed, call }) =
-            self.collective_fault(FaultOp::Allreduce, "allreduce")?
-        {
-            let _ = fault::corrupt_slice(&mut values, seed, call);
+        if let Some(fired) = self.fault_gate(FaultOp::Allreduce, "allreduce", None)? {
+            fired.apply(&mut values);
         }
         crate::collectives::allreduce_vec(self, values, op)
     }
@@ -783,10 +756,8 @@ impl Communicator {
         self.stats.gather();
         self.note_collective("gather");
         let mut value = value;
-        if let Some(FaultAction::Corrupt { seed, call }) =
-            self.collective_fault(FaultOp::Gather, "gather")?
-        {
-            let _ = fault::corrupt_payload(&mut value, seed, call);
+        if let Some(fired) = self.fault_gate(FaultOp::Gather, "gather", None)? {
+            fired.apply(&mut value);
         }
         crate::collectives::gather(self, root, value)
     }
@@ -800,7 +771,7 @@ impl Communicator {
     ) -> CommResult<Option<Vec<T>>> {
         self.stats.gather();
         self.note_collective("gatherv");
-        self.collective_fault(FaultOp::Gather, "gatherv")?;
+        self.fault_gate(FaultOp::Gather, "gatherv", None)?;
         crate::collectives::gatherv(self, root, values)
     }
 
@@ -809,10 +780,8 @@ impl Communicator {
         self.stats.allgather();
         self.note_collective("allgather");
         let mut value = value;
-        if let Some(FaultAction::Corrupt { seed, call }) =
-            self.collective_fault(FaultOp::Allgather, "allgather")?
-        {
-            let _ = fault::corrupt_payload(&mut value, seed, call);
+        if let Some(fired) = self.fault_gate(FaultOp::Allgather, "allgather", None)? {
+            fired.apply(&mut value);
         }
         crate::collectives::allgather(self, value)
     }
@@ -822,7 +791,7 @@ impl Communicator {
     pub fn allgatherv<T: Send + Clone + 'static>(&self, values: &[T]) -> CommResult<Vec<T>> {
         self.stats.allgather();
         self.note_collective("allgatherv");
-        self.collective_fault(FaultOp::Allgather, "allgatherv")?;
+        self.fault_gate(FaultOp::Allgather, "allgatherv", None)?;
         crate::collectives::allgatherv(self, values)
     }
 
@@ -834,7 +803,7 @@ impl Communicator {
     ) -> CommResult<Vec<T>> {
         self.stats.scatter();
         self.note_collective("scatter");
-        self.collective_fault(FaultOp::Scatter, "scatter")?;
+        self.fault_gate(FaultOp::Scatter, "scatter", None)?;
         crate::collectives::scatter(self, root, chunks)
     }
 
@@ -846,7 +815,7 @@ impl Communicator {
     ) -> CommResult<Vec<Vec<T>>> {
         self.stats.alltoall();
         self.note_collective("alltoall");
-        self.collective_fault(FaultOp::Alltoall, "alltoall")?;
+        self.fault_gate(FaultOp::Alltoall, "alltoall", None)?;
         crate::collectives::alltoall(self, chunks)
     }
 
@@ -859,10 +828,8 @@ impl Communicator {
         self.stats.scan();
         self.note_collective("scan");
         let mut value = value;
-        if let Some(FaultAction::Corrupt { seed, call }) =
-            self.collective_fault(FaultOp::Scan, "scan")?
-        {
-            let _ = fault::corrupt_payload(&mut value, seed, call);
+        if let Some(fired) = self.fault_gate(FaultOp::Scan, "scan", None)? {
+            fired.apply(&mut value);
         }
         crate::collectives::scan(self, value, op)
     }
@@ -877,10 +844,8 @@ impl Communicator {
         self.stats.scan();
         self.note_collective("exscan");
         let mut value = value;
-        if let Some(FaultAction::Corrupt { seed, call }) =
-            self.collective_fault(FaultOp::Scan, "exscan")?
-        {
-            let _ = fault::corrupt_payload(&mut value, seed, call);
+        if let Some(fired) = self.fault_gate(FaultOp::Scan, "exscan", None)? {
+            fired.apply(&mut value);
         }
         crate::collectives::exscan(self, value, op)
     }

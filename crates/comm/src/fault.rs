@@ -2,10 +2,10 @@
 //!
 //! A [`FaultPlan`] is a seeded, rank-addressable schedule of faults: "on
 //! world rank 2, make the 3rd `allreduce` corrupt its local contribution",
-//! or "drop the 1st halo send (tag 7001) on rank 0". Plans are armed
-//! process-wide — programmatically via [`arm`] / [`disarm`], or from the
-//! `RSPARSE_FAULTS` environment variable, which [`crate::Universe::run`]
-//! reads once per process.
+//! or "drop the 1st halo send (tag 7001) on rank 0". A plan is armed for
+//! one launch: [`crate::Universe::run_with_faults`] takes it explicitly,
+//! and [`crate::Universe::run`] hands over the plan the `RSPARSE_FAULTS`
+//! environment variable spells, read afresh at each launch.
 //!
 //! # Spec grammar
 //!
@@ -43,23 +43,26 @@
 //! * `kill` — the rank permanently stops servicing communication: the
 //!   matching call and every later communication call on that rank fail
 //!   with [`crate::CommError::RankLost`], and the rank is marked dead in
-//!   the process-wide [`crate::cohort`] registry. Survivors blocked on
+//!   its universe's [`crate::cohort`] registry. Survivors blocked on
 //!   the dead rank observe the registry and fail their own calls with
 //!   the same rank-consistent `RankLost` verdict instead of waiting out
 //!   the deadlock watchdog — the trigger for
 //!   `Communicator::shrink`-based elastic recovery. Valid on any op.
 //!
-//! Each rule fires **once** (a one-shot fuse): a fault that breaks solve
-//! attempt 1 does not re-fire on the fallback attempt. Rules count their
-//! own matching calls; with `rank=*` the count is shared across ranks and
-//! therefore scheduling-dependent — pin `rank=` for determinism.
+//! Each rule fires **once per launch** (a one-shot fuse): a fault that
+//! breaks solve attempt 1 does not re-fire on the fallback attempt, which
+//! runs on a `dup` of the same universe; the next launch given the same
+//! plan starts with fresh fuses. Rules count their own matching calls;
+//! with `rank=*` the count is shared across ranks and therefore
+//! scheduling-dependent — pin `rank=` for determinism.
 //!
-//! Every fired fault bumps [`probe::Counter::FaultsInjected`]. When no
-//! plan is armed the whole machinery costs one relaxed atomic load per
-//! communication call.
+//! Every fired fault bumps [`probe::Counter::FaultsInjected`]. When the
+//! launch has no plan the whole machinery costs one load and one branch
+//! per communication call.
 
+use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use crate::Tag;
 
@@ -278,148 +281,92 @@ impl FaultPlan {
         }
         Ok(plan)
     }
+
+    /// The plan `RSPARSE_FAULTS` spells, if it is set and not blank — read
+    /// by [`crate::Universe::run`] at each launch. A malformed spec is
+    /// reported on stderr and ignored rather than poisoning every launch.
+    pub(crate) fn from_env() -> Option<FaultPlan> {
+        let spec = std::env::var("RSPARSE_FAULTS").ok().filter(|s| !s.trim().is_empty())?;
+        FaultPlan::parse(&spec)
+            .map_err(|e| eprintln!("rcomm: ignoring malformed RSPARSE_FAULTS: {e}"))
+            .ok()
+    }
 }
 
-/// Resolved action for a fired rule, handed to the communicator hooks.
+/// A rule that fired on this call.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum FaultAction {
-    /// Return [`crate::CommError::Injected`].
-    Error {
-        /// Matching-call count at which the rule fired.
-        call: u64,
-    },
-    /// Discard the send.
-    Drop,
-    /// Sleep this many milliseconds, then proceed.
-    Delay(u64),
-    /// Poison the payload (seed/call pick the element).
-    Corrupt { seed: u64, call: u64 },
-    /// Shorten the payload by one element.
-    Truncate,
-    /// Mark the rank dead and fail with [`crate::CommError::RankLost`].
-    Kill,
+pub(crate) struct Fired {
+    /// What the rule does.
+    pub kind: FaultKind,
+    /// Matching-call count at which the rule fired.
+    pub call: u64,
+    /// Picks the element a `corrupt` poisons.
+    seed: u64,
 }
 
-struct Armed {
-    plan: FaultPlan,
-    /// Per-rule matching-call counters.
+impl Fired {
+    /// Apply a payload fault (`corrupt`, `truncate`) to `value`; the other
+    /// kinds leave it alone.
+    pub(crate) fn apply<T: Any>(self, value: &mut T) {
+        match self.kind {
+            FaultKind::Corrupt => corrupt_payload(value, self.seed, self.call),
+            FaultKind::Truncate => truncate_payload(value),
+            _ => false,
+        };
+    }
+}
+
+/// A plan armed for one launch, with its per-rule matching-call counters
+/// and one-shot fuses. The universe owns it; nothing outlives the launch.
+pub(crate) struct Armed {
+    pub plan: FaultPlan,
     hits: Vec<AtomicU64>,
-    /// Per-rule one-shot fuses.
     fired: Vec<AtomicBool>,
 }
 
-static ARMED_FLAG: AtomicBool = AtomicBool::new(false);
-static STATE: Mutex<Option<Arc<Armed>>> = Mutex::new(None);
-
-/// Is a fault plan currently armed? One relaxed atomic load — the entire
-/// cost of the fault machinery on the no-faults path.
-#[inline]
-pub fn armed() -> bool {
-    ARMED_FLAG.load(Ordering::Relaxed)
-}
-
-/// Arm `plan` process-wide. Replaces any previously armed plan; rule
-/// counters and fuses start fresh.
-pub fn arm(plan: FaultPlan) {
-    let n = plan.rules.len();
-    let armed = Arc::new(Armed {
-        plan,
-        hits: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        fired: (0..n).map(|_| AtomicBool::new(false)).collect(),
-    });
-    *STATE.lock().unwrap() = Some(armed);
-    ARMED_FLAG.store(true, Ordering::Release);
-}
-
-/// Disarm fault injection; subsequent communication runs fault-free.
-pub fn disarm() {
-    ARMED_FLAG.store(false, Ordering::Release);
-    *STATE.lock().unwrap() = None;
-}
-
-/// The currently armed plan, if any (a clone; arming is unaffected).
-/// Postmortem writers use this to record what was scheduled.
-pub fn active_plan() -> Option<FaultPlan> {
-    STATE.lock().unwrap().as_ref().map(|a| a.plan.clone())
-}
-
-/// Indices (into the armed plan's `rules`) of rules whose one-shot fuse
-/// has burned — i.e. faults that actually fired. Empty when no plan is
-/// armed.
-pub fn fired_rule_ids() -> Vec<usize> {
-    match STATE.lock().unwrap().as_ref() {
-        Some(a) => a
-            .fired
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.load(Ordering::Relaxed))
-            .map(|(i, _)| i)
-            .collect(),
-        None => Vec::new(),
+impl Armed {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
+        let n = plan.rules.len();
+        Armed {
+            plan,
+            hits: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            fired: (0..n).map(|_| AtomicBool::new(false)).collect(),
+        }
     }
-}
 
-/// Arm from the `RSPARSE_FAULTS` environment variable, at most once per
-/// process. Called by [`crate::Universe::run`]; a malformed spec is
-/// reported on stderr and ignored rather than poisoning every launch.
-pub(crate) fn arm_from_env_once() {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        if let Ok(spec) = std::env::var("RSPARSE_FAULTS") {
-            if spec.trim().is_empty() {
-                return;
-            }
-            match FaultPlan::parse(&spec) {
-                Ok(plan) => arm(plan),
-                Err(e) => eprintln!("rcomm: ignoring malformed RSPARSE_FAULTS: {e}"),
-            }
-        }
-    });
-}
+    /// Indices (into `plan.rules`) of rules whose fuse has burned — the
+    /// faults that actually fired.
+    pub(crate) fn fired_rule_ids(&self) -> Vec<usize> {
+        (0..self.fired.len()).filter(|&i| self.fired[i].load(Ordering::Relaxed)).collect()
+    }
 
-/// Consult the armed plan for `(op, world_rank, tag)`. Advances matching
-/// rules' call counters and fires at most one rule.
-pub(crate) fn check(op: FaultOp, world_rank: usize, tag: Option<Tag>) -> Option<FaultAction> {
-    let armed = STATE.lock().unwrap().clone()?;
-    for (i, rule) in armed.plan.rules.iter().enumerate() {
-        if rule.op != op {
-            continue;
-        }
-        if let Some(r) = rule.rank {
-            if r != world_rank {
+    /// Consult the plan for `(op, world_rank, tag)`. Advances matching
+    /// rules' call counters and fires at most one rule.
+    pub(crate) fn check(&self, op: FaultOp, world_rank: usize, tag: Option<Tag>) -> Option<Fired> {
+        for (i, rule) in self.plan.rules.iter().enumerate() {
+            if rule.op != op || rule.rank.is_some_and(|r| r != world_rank) {
                 continue;
             }
-        }
-        if let (Some(t), Some(seen)) = (rule.tag, tag) {
-            if t != seen {
+            if rule.tag.is_some() && rule.tag != tag {
                 continue;
             }
-        } else if rule.tag.is_some() && tag.is_none() {
-            continue;
+            let n = self.hits[i].fetch_add(1, Ordering::Relaxed) + 1;
+            if n != rule.call || self.fired[i].swap(true, Ordering::Relaxed) {
+                continue;
+            }
+            probe::incr(probe::Counter::FaultsInjected);
+            probe::emit(probe::EventKind::Fault {
+                rule: i as u32,
+                op: rule.op.name(),
+                kind: rule.kind.name(),
+            });
+            // Mix the rule index into the seed so two corrupt rules poison
+            // independent elements.
+            let seed = splitmix64(self.plan.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            return Some(Fired { kind: rule.kind, call: n, seed });
         }
-        let n = armed.hits[i].fetch_add(1, Ordering::Relaxed) + 1;
-        if n != rule.call || armed.fired[i].swap(true, Ordering::Relaxed) {
-            continue;
-        }
-        probe::incr(probe::Counter::FaultsInjected);
-        probe::emit(probe::EventKind::Fault {
-            rule: i as u32,
-            op: rule.op.name(),
-            kind: rule.kind.name(),
-        });
-        // Mix the rule index into the seed so two corrupt rules poison
-        // independent elements.
-        let seed = splitmix64(armed.plan.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        return Some(match rule.kind {
-            FaultKind::Error => FaultAction::Error { call: n },
-            FaultKind::Drop => FaultAction::Drop,
-            FaultKind::Delay(ms) => FaultAction::Delay(ms),
-            FaultKind::Corrupt => FaultAction::Corrupt { seed, call: n },
-            FaultKind::Truncate => FaultAction::Truncate,
-            FaultKind::Kill => FaultAction::Kill,
-        });
+        None
     }
-    None
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -441,8 +388,8 @@ fn poison_slice(v: &mut [f64], seed: u64, call: u64) -> bool {
 /// Poison one seeded element of an `f64`-bearing payload (scalar,
 /// `Vec<f64>`, or `Arc<Vec<f64>>`). Returns whether anything changed;
 /// payloads of other types pass through untouched.
-pub(crate) fn corrupt_payload<T: std::any::Any>(value: &mut T, seed: u64, call: u64) -> bool {
-    let any = value as &mut dyn std::any::Any;
+fn corrupt_payload<T: Any>(value: &mut T, seed: u64, call: u64) -> bool {
+    let any = value as &mut dyn Any;
     if let Some(x) = any.downcast_mut::<f64>() {
         *x = f64::NAN;
         return true;
@@ -457,24 +404,10 @@ pub(crate) fn corrupt_payload<T: std::any::Any>(value: &mut T, seed: u64, call: 
     false
 }
 
-/// Poison one seeded element of a typed slice (used by `allreduce_vec`'s
-/// local contribution). Only `f64` elements are corruptible.
-pub(crate) fn corrupt_slice<T: std::any::Any>(vals: &mut [T], seed: u64, call: u64) -> bool {
-    if vals.is_empty() {
-        return false;
-    }
-    let idx = (splitmix64(seed ^ call) % vals.len() as u64) as usize;
-    if let Some(x) = (&mut vals[idx] as &mut dyn std::any::Any).downcast_mut::<f64>() {
-        *x = f64::NAN;
-        return true;
-    }
-    false
-}
-
 /// Drop the last element of a `Vec<f64>`/`Arc<Vec<f64>>` payload. Returns
 /// whether anything changed.
-pub(crate) fn truncate_payload<T: std::any::Any>(value: &mut T) -> bool {
-    let any = value as &mut dyn std::any::Any;
+fn truncate_payload<T: Any>(value: &mut T) -> bool {
+    let any = value as &mut dyn Any;
     if let Some(v) = any.downcast_mut::<Vec<f64>>() {
         return v.pop().is_some();
     }
@@ -555,19 +488,20 @@ mod tests {
 
     #[test]
     fn fired_rules_are_reported_by_id() {
-        // Process-global state: use a plan no other test arms, and
-        // restore disarmed state at the end.
         let plan =
-            FaultPlan::parse("op=scan,rank=77,kind=error;op=barrier,rank=78,kind=error").unwrap();
-        arm(plan.clone());
-        assert_eq!(active_plan().as_ref(), Some(&plan));
-        assert!(fired_rule_ids().is_empty());
-        // Fire only the second rule.
-        assert!(check(FaultOp::Barrier, 78, None).is_some());
-        assert_eq!(fired_rule_ids(), vec![1]);
-        disarm();
-        assert!(active_plan().is_none());
-        assert!(fired_rule_ids().is_empty());
+            FaultPlan::parse("op=scan,rank=0,kind=error;op=barrier,rank=0,kind=error").unwrap();
+        let out = crate::Universe::run_with_faults(1, Some(plan.clone()), |c| {
+            assert_eq!(c.fault_plan(), Some(&plan));
+            assert!(c.fired_rule_ids().is_empty());
+            // Fire only the second rule.
+            assert!(c.barrier().is_err());
+            c.fired_rule_ids()
+        });
+        assert_eq!(out, vec![vec![1]]);
+        let out = crate::Universe::run_with_faults(1, None, |c| {
+            (c.fault_plan().cloned(), c.fired_rule_ids())
+        });
+        assert_eq!(out, vec![(None, vec![])]);
     }
 
     #[test]

@@ -2,25 +2,33 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Duration;
 
 use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 
+use crate::cohort::Registry;
 use crate::comm::{Communicator, PostOffice, Wiring};
 use crate::envelope::WORLD_CONTEXT;
+use crate::fault::{Armed, FaultPlan};
 
 /// The SPMD execution environment, playing the role of `mpiexec`.
 ///
-/// [`Universe::run`] is the single entry point: it spawns `n` OS threads,
-/// hands each a world [`Communicator`] of size `n`, runs the supplied
-/// closure on every rank, and returns the per-rank results in rank order.
+/// [`Universe::run_with_faults`] is the single launch path: it spawns `n`
+/// OS threads, hands each a world [`Communicator`] of size `n`, runs the
+/// supplied closure on every rank, and returns the per-rank results in
+/// rank order. Everything a launch shares between its ranks — mailboxes,
+/// the fault plan with its fuses, the cohort registry, the deadlock
+/// watchdog, [`Communicator::universe_store`] — belongs to that launch,
+/// so two universes in one process never see each other's state.
 /// A panic on any rank propagates (after the other ranks either finish or
 /// fail with `PeerGone`/`DeadlockSuspected`), so test failures are loud.
 pub struct Universe;
 
 impl Universe {
-    /// Run `f` on `n` ranks and collect each rank's return value, indexed
-    /// by rank.
+    /// Run `f` on `n` ranks under the fault plan `RSPARSE_FAULTS` spells
+    /// (read at each launch; none when it is unset) and collect each
+    /// rank's return value, indexed by rank.
     ///
     /// # Panics
     ///
@@ -30,13 +38,21 @@ impl Universe {
         F: Fn(&Communicator) -> R + Send + Sync,
         R: Send,
     {
+        Self::run_with_faults(n, FaultPlan::from_env(), f)
+    }
+
+    /// [`Universe::run`] under `faults` instead of the environment's plan:
+    /// its rules count and fire within this launch only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or if any rank's closure panics.
+    pub fn run_with_faults<F, R>(n: usize, faults: Option<FaultPlan>, f: F) -> Vec<R>
+    where
+        F: Fn(&Communicator) -> R + Send + Sync,
+        R: Send,
+    {
         assert!(n > 0, "a universe needs at least one rank");
-        // Arm the process-wide fault plan from RSPARSE_FAULTS exactly
-        // once, before any rank communicates.
-        crate::fault::arm_from_env_once();
-        // Fresh cohort: one universe's casualties (killed ranks, stale
-        // heartbeats) must not haunt the next launch.
-        crate::cohort::reset(n);
         // Start the live telemetry exporter once if RSPARSE_METRICS_ADDR
         // is set, and bump the trace generation so solves in this launch
         // get trace ids distinct from earlier launches. Both happen
@@ -49,8 +65,18 @@ impl Universe {
         // receiver only delays the sender it waits for. An unknown core
         // count is treated as one core.
         let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        let wiring =
-            Arc::new(Wiring { senders, oversubscribed: n > cores, store: Mutex::default() });
+        let deadlock_secs = std::env::var("RCOMM_DEADLOCK_TIMEOUT_SECS")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(30);
+        let wiring = Arc::new(Wiring {
+            senders,
+            faults: faults.map(|plan| Box::new(Armed::new(plan))),
+            cohort: Registry::new(n),
+            oversubscribed: n > cores,
+            deadlock_timeout: Duration::from_secs(deadlock_secs),
+            store: Mutex::default(),
+        });
         let members: Arc<Vec<usize>> = Arc::new((0..n).collect());
 
         let mut comms: Vec<Communicator> = receivers

@@ -1,24 +1,16 @@
 //! Elastic-cohort behaviour: `kind=kill` fault rules, rank-consistent
 //! `RankLost` verdicts, and `Communicator::shrink`.
 //!
-//! These tests arm the process-global fault plan and mutate the
-//! process-global cohort registry, so they live in their own binary and
-//! serialise against each other through `LOCK`.
+//! Each universe owns its fault plan and its cohort registry, so these
+//! tests run concurrently, and a kill in one universe is invisible to
+//! every other.
 
-use std::sync::Mutex;
-
-use rcomm::{CommError, Universe};
-
-/// Serialises tests that kill ranks or arm the global fault plan.
-static LOCK: Mutex<()> = Mutex::new(());
+use rcomm::{CommError, FaultPlan, Universe};
 
 #[test]
 fn killed_rank_yields_rank_consistent_verdict_in_collectives() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let plan = rcomm::FaultPlan::parse("op=allreduce,rank=1,call=1,kind=kill").unwrap();
-    rcomm::fault::arm(plan);
-    let out = Universe::run(3, |c| c.allreduce(1u64, |a, b| a + b));
-    rcomm::fault::disarm();
+    let out = Universe::run_with_faults(3, Some(plan), |c| c.allreduce(1u64, |a, b| a + b));
     // Every rank — the victim and both survivors — reaches the *same*
     // verdict naming the same world rank, instead of a deadlock timeout.
     for (rank, r) in out.iter().enumerate() {
@@ -28,10 +20,8 @@ fn killed_rank_yields_rank_consistent_verdict_in_collectives() {
 
 #[test]
 fn killed_rank_fails_point_to_point_on_both_sides() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let plan = rcomm::FaultPlan::parse("op=send,rank=0,tag=7,kind=kill").unwrap();
-    rcomm::fault::arm(plan);
-    let out = Universe::run(2, |c| {
+    let out = Universe::run_with_faults(2, Some(plan), |c| {
         if c.rank() == 0 {
             let first = c.send(1, 7, 1u8);
             // The rank is dead for good: every later call fails identically.
@@ -41,7 +31,6 @@ fn killed_rank_fails_point_to_point_on_both_sides() {
             (c.recv::<u8>(0, 7).map(|_| ()), Ok(()))
         }
     });
-    rcomm::fault::disarm();
     assert_eq!(out[0].0, Err(CommError::RankLost(0)));
     assert_eq!(out[0].1, Err(CommError::RankLost(0)));
     assert_eq!(out[1].0, Err(CommError::RankLost(0)), "survivor's blocked recv notices");
@@ -49,15 +38,12 @@ fn killed_rank_fails_point_to_point_on_both_sides() {
 
 #[test]
 fn cohort_view_names_the_lost_member() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let plan = rcomm::FaultPlan::parse("op=barrier,rank=2,call=1,kind=kill").unwrap();
-    rcomm::fault::arm(plan);
-    let out = Universe::run(4, |c| {
+    let out = Universe::run_with_faults(4, Some(plan), |c| {
         let r = c.barrier();
         let view = c.cohort_view();
         (r.is_err(), view.alive, view.lost)
     });
-    rcomm::fault::disarm();
     for (rank, (errored, alive, lost)) in out.iter().enumerate() {
         assert!(errored, "rank {rank} should fail the barrier");
         assert_eq!(alive, &vec![0, 1, 3]);
@@ -67,7 +53,6 @@ fn cohort_view_names_the_lost_member() {
 
 #[test]
 fn shrink_produces_dense_ranks_and_working_collectives() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let out = Universe::run(4, |c| {
         // Survivors of a (simulated) loss of rank 2 carry on; rank 2
         // itself is refused membership. No communication happens inside
@@ -88,7 +73,6 @@ fn shrink_produces_dense_ranks_and_working_collectives() {
 
 #[test]
 fn shrink_validates_survivor_list() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let out = Universe::run(2, |c| {
         if c.rank() == 0 {
             (
@@ -106,7 +90,6 @@ fn shrink_validates_survivor_list() {
 
 #[test]
 fn shrink_traffic_is_isolated_from_parent() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let out = Universe::run(3, |c| {
         if c.rank() == 2 {
             return String::new();
@@ -129,9 +112,8 @@ fn shrink_traffic_is_isolated_from_parent() {
 
 #[test]
 fn stale_heartbeat_unblocks_a_waiting_peer() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    rcomm::cohort::set_heartbeat_timeout_ms(100);
     let out = Universe::run(2, |c| {
+        c.set_heartbeat_timeout_ms(100);
         if c.rank() == 0 {
             // Heartbeat once (a self-send stamps it), then go silent
             // without dying cleanly.
@@ -146,6 +128,57 @@ fn stale_heartbeat_unblocks_a_waiting_peer() {
             c.recv::<u8>(0, 9).map(|_| ())
         }
     });
-    rcomm::cohort::set_heartbeat_timeout_ms(0);
     assert_eq!(out[1], Err(CommError::RankLost(0)));
+}
+
+/// A kill in a universe launched from inside another one stays there:
+/// the outer universe's ranks — world ranks 0 and 1 of their own cohort
+/// — never hear of the inner rank 1's death.
+#[test]
+fn a_kill_in_one_universe_leaves_another_untouched() {
+    let kill = FaultPlan::parse("op=barrier,rank=1,call=1,kind=kill").unwrap();
+    let out = Universe::run(2, |c| {
+        if c.rank() == 0 {
+            let inner = Universe::run_with_faults(2, Some(kill.clone()), |i| i.barrier());
+            assert_eq!(inner, vec![Err(CommError::RankLost(1)); 2]);
+        }
+        c.barrier()
+    });
+    assert_eq!(out, vec![Ok(()), Ok(())]);
+}
+
+/// A casualty stays a casualty for the rest of its universe, whatever
+/// else the process launches meanwhile: every rank's view agrees.
+#[test]
+fn launching_a_clean_universe_keeps_a_running_one_s_casualty() {
+    let kill = FaultPlan::parse("op=barrier,rank=2,call=1,kind=kill").unwrap();
+    let out = Universe::run_with_faults(3, Some(kill), |c| {
+        assert!(c.barrier().is_err());
+        match c.rank() {
+            0 => {
+                Universe::run(1, |solo| solo.barrier().unwrap());
+                c.send(1, 0, ()).unwrap();
+            }
+            1 => c.recv::<()>(0, 0).unwrap(),
+            _ => {}
+        }
+        c.cohort_view().lost
+    });
+    assert_eq!(out, vec![vec![2]; 3]);
+}
+
+/// Fuses burn once per launch: the same plan handed to two launches
+/// fires its rule once in each.
+#[test]
+fn each_launch_fires_the_same_plan_afresh() {
+    let plan = FaultPlan::parse("op=allreduce,rank=0,call=1,kind=error").unwrap();
+    for _ in 0..2 {
+        let out = Universe::run_with_faults(1, Some(plan.clone()), |c| {
+            let first = c.allreduce(1u64, |a, b| a + b);
+            let second = c.allreduce(1u64, |a, b| a + b);
+            (first, second, c.fired_rule_ids())
+        });
+        let injected = CommError::Injected { op: "allreduce", rank: 0, call: 1 };
+        assert_eq!(out, vec![(Err(injected), Ok(1), vec![0])]);
+    }
 }

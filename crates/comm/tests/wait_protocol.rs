@@ -2,21 +2,15 @@
 //! park did before — cohort verdicts, deadlock detection, the unexpected-
 //! message queue — must hold when the wait ends in the polling phase
 //! instead, and a universe with more ranks than cores must not spin.
-//!
-//! Some tests arm the process-global fault plan, so all of them serialise
-//! through `LOCK`.
 
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rcomm::{sum, CommError, Universe};
 
-static LOCK: Mutex<()> = Mutex::new(());
-
 const DEADLOCK_SECS: u64 = 3;
 
-/// Every test calls this first so whichever runs first caches a short
-/// deadlock timeout for the whole process (the runtime reads it once).
+/// Every test calls this before it launches: each launch reads the
+/// deadlock timeout, and every test sets the same short one.
 fn short_deadlock() {
     std::env::set_var("RCOMM_DEADLOCK_TIMEOUT_SECS", DEADLOCK_SECS.to_string());
 }
@@ -28,7 +22,6 @@ fn oversubscribed_ranks() -> usize {
 
 #[test]
 fn oversubscribed_universe_keeps_collectives_and_rings_moving() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     short_deadlock();
     let p = oversubscribed_ranks();
     let t0 = Instant::now();
@@ -59,11 +52,9 @@ fn oversubscribed_universe_keeps_collectives_and_rings_moving() {
 
 #[test]
 fn peer_killed_while_survivor_polls_yields_rank_lost_within_a_slice() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     short_deadlock();
     let plan = rcomm::FaultPlan::parse("op=send,rank=1,tag=7,kind=kill").unwrap();
-    rcomm::fault::arm(plan);
-    let out = Universe::run(2, |c| {
+    let out = Universe::run_with_faults(2, Some(plan), |c| {
         if c.rank() == 0 {
             // Release the victim and start waiting in the same breath: the
             // kill lands while this receive is still polling.
@@ -76,7 +67,6 @@ fn peer_killed_while_survivor_polls_yields_rank_lost_within_a_slice() {
             (c.send(0, 7, 0u8), Duration::ZERO)
         }
     });
-    rcomm::fault::disarm();
     assert_eq!(out[1].0, Err(CommError::RankLost(1)));
     assert_eq!(out[0].0, Err(CommError::RankLost(1)), "survivor's verdict names the victim");
     // The cohort poll of the 10 ms park slices delivered it, not the
@@ -86,7 +76,6 @@ fn peer_killed_while_survivor_polls_yields_rank_lost_within_a_slice() {
 
 #[test]
 fn mismatched_receive_is_a_suspected_deadlock_and_strands_nothing() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     short_deadlock();
     // With the spin (2 ranks) and without it (more ranks than cores).
     for p in [2, oversubscribed_ranks()] {
@@ -117,7 +106,6 @@ fn mismatched_receive_is_a_suspected_deadlock_and_strands_nothing() {
 
 #[test]
 fn message_for_another_communicator_seen_while_polling_is_found_later() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     short_deadlock();
     let out = Universe::run(2, |c| {
         let d = c.dup().unwrap();
@@ -140,7 +128,6 @@ fn message_for_another_communicator_seen_while_polling_is_found_later() {
 
 #[test]
 fn send_to_a_peer_that_left_reports_why_it_left() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     short_deadlock();
     // Rank 0 returns at once and its mailbox closes; rank 2 keeps sending
     // to it until the send fails.
@@ -155,8 +142,8 @@ fn send_to_a_peer_that_left_reports_why_it_left() {
     assert_eq!(out[2], Some(CommError::PeerGone(0)));
     // Rank 1 was killed first: a survivor that left because of it and one
     // that only finds the closed mailbox reach the same verdict.
-    rcomm::fault::arm(rcomm::FaultPlan::parse("op=barrier,rank=1,kind=kill").unwrap());
-    let out = Universe::run(3, |c| match c.rank() {
+    let kill = rcomm::FaultPlan::parse("op=barrier,rank=1,kind=kill").unwrap();
+    let out = Universe::run_with_faults(3, Some(kill), |c| match c.rank() {
         0 => None,
         1 => c.barrier().err(),
         _ => {
@@ -166,7 +153,6 @@ fn send_to_a_peer_that_left_reports_why_it_left() {
             Some(send_until_refused(c))
         }
     });
-    rcomm::fault::disarm();
     assert_eq!(out[1], Some(CommError::RankLost(1)));
     assert_eq!(out[2], Some(CommError::RankLost(1)));
 }

@@ -6,7 +6,7 @@
 //! counters into a JSON fragment; the fragments are gathered onto rank 0
 //! over the driver's own communicator and written as **one** structured
 //! `postmortem.json` for the whole cohort. The document records what the
-//! cohort was doing in its final moments: the trigger, the active fault
+//! cohort was doing in its final moments: the trigger, the launch's fault
 //! plan and which rules actually fired, the recovery path the driver
 //! walked, and the last-N timestamped events of every rank. The
 //! `recovery_path` and `cohort_change` sections are rendered from the
@@ -34,7 +34,7 @@ use std::path::PathBuf;
 
 use probe::json::{escape as json_escape, number};
 use probe::{flight, AttemptOutcome, Event, EventKind};
-use rcomm::Communicator;
+use rcomm::{Communicator, FaultPlan};
 
 use crate::resilient::RetryPolicy;
 use crate::status::SolveReport;
@@ -168,7 +168,8 @@ fn registry_fragments() -> Vec<String> {
 
 /// Assemble the full postmortem document from its pieces: `attempts`
 /// are the solve's `Attempt` events, `survivors` the world ranks of the
-/// cohort the solve ended on. Public so schema-conformance tests can
+/// cohort the solve ended on, `faults` the launch's fault plan and the
+/// indices of its rules that fired. Public so schema-conformance tests can
 /// build a document without staging a whole failed cohort; applications
 /// should go through [`write_cohort`].
 #[allow(clippy::too_many_arguments)] // one positional arg per document section
@@ -178,15 +179,16 @@ pub fn assemble(
     policy: &RetryPolicy,
     attempts: &[Event],
     survivors: &[usize],
+    faults: Option<(&FaultPlan, &[usize])>,
     report: &SolveReport,
     gathered: &str,
     fragments: &[String],
 ) -> String {
-    let fault_plan = rcomm::fault::active_plan()
-        .map(|p| format!("\"{}\"", json_escape(&p.spec())))
-        .unwrap_or_else(|| "null".into());
-    let fired: Vec<String> =
-        rcomm::fault::fired_rule_ids().iter().map(|i| i.to_string()).collect();
+    let (fault_plan, fired) = match faults {
+        Some((plan, fired)) => (format!("\"{}\"", json_escape(&plan.spec())), fired),
+        None => ("null".into(), &[][..]),
+    };
+    let fired: Vec<String> = fired.iter().map(|i| i.to_string()).collect();
     format!(
         "{{\n  \"schema\": \"{SCHEMA}\",\n  \"trace_id\": {},\n  \"trigger\": \"{}\",\n  \"ranks\": {ranks},\n  \
          \"gathered\": \"{gathered}\",\n  \"policy\": \"{}\",\n  \"recovery_path\": {},\n  \
@@ -232,12 +234,14 @@ pub fn write_cohort(
         // registry instead — same process, every tail is local.
         Err(_) => ("registry", registry_fragments()),
     };
+    let fired = comm.fired_rule_ids();
     let doc = assemble(
         trigger,
         comm.size(),
         policy,
         attempts,
         comm.world_members(),
+        comm.fault_plan().map(|plan| (plan, &fired[..])),
         report,
         gathered,
         &fragments,
@@ -288,7 +292,7 @@ mod tests {
         };
         let rep = SolveReport::default();
         let ok = [attempt(0, 1, AttemptOutcome::Start), attempt(0, 1, AttemptOutcome::Ok)];
-        let doc = assemble(trigger, 1, &policy, &ok, &[0], &rep, "cohort", &[]);
+        let doc = assemble(trigger, 1, &policy, &ok, &[0], None, &rep, "cohort", &[]);
         let v = serde_json::from_str(&doc).expect("the postmortem parses");
         assert_eq!(v["trigger"].as_str(), Some(trigger));
         assert_eq!(v["policy"].as_str(), Some("x\ty:solver=cg\u{1}"));
@@ -339,6 +343,7 @@ mod tests {
             &policy("cg:solver=cg -> lu"),
             &walked,
             &[0, 1],
+            None,
             &rep,
             "cohort",
             &["{\"rank\":0}".into(), "{\"rank\":1}".into()],
@@ -383,6 +388,7 @@ mod tests {
             &policy("rksp:solver=cg"),
             &walked,
             &[0, 3],
+            None,
             &rep,
             "cohort",
             &["{\"rank\":0}".into()],

@@ -6,9 +6,8 @@
 //! from zero — both converge, and the checkpointed run needs strictly
 //! fewer iterations on its final attempt.
 //!
-//! These tests arm the process-global fault plan, mutate the cohort
-//! registry and read env knobs, so they live in their own binary and
-//! serialise through `LOCK`.
+//! Each launch owns its fault plan and cohort registry, but the tests
+//! flip process-wide env knobs, so they serialise through `LOCK`.
 
 use std::sync::{Arc, Mutex};
 
@@ -23,7 +22,8 @@ use lisi::{
 use rcomm::Universe;
 use rsparse::BlockRowPartition;
 
-/// Serialises tests that arm/disarm the global fault plan.
+/// Serialises the tests' writes of `RSPARSE_CHECKPOINT_EVERY` and
+/// `RSPARSE_POSTMORTEM`, which each test sets to its own value.
 static LOCK: Mutex<()> = Mutex::new(());
 
 const GRID: usize = 24; // 576 unknowns: CG+ILU(0) needs well over 20 iterations
@@ -87,8 +87,8 @@ fn run_killed(plan: &str, checkpoint_every: Option<usize>, postmortem: &str) -> 
     std::env::set_var("RSPARSE_POSTMORTEM", postmortem);
     let (a, b) = model_problem();
     let n = b.len();
-    rcomm::fault::arm(rcomm::FaultPlan::parse(plan).unwrap());
-    let out = Universe::run(4, move |comm| {
+    let plan = rcomm::FaultPlan::parse(plan).unwrap();
+    let out = Universe::run_with_faults(4, Some(plan), move |comm| {
         let part = BlockRowPartition::even(n, comm.size());
         let range = part.range(comm.rank());
         let local = a.row_block(range.start, range.end).unwrap();
@@ -116,7 +116,6 @@ fn run_killed(plan: &str, checkpoint_every: Option<usize>, postmortem: &str) -> 
             ranks_lost: probe::get(probe::Counter::RanksLost),
         }
     });
-    rcomm::fault::disarm();
     std::env::remove_var("RSPARSE_CHECKPOINT_EVERY");
     std::env::remove_var("RSPARSE_POSTMORTEM");
     out

@@ -2,8 +2,8 @@
 //! rank 2 of 4 with a seeded fault, let the resilient driver swap to the
 //! direct backend, and parse the single cohort-wide `postmortem.json`.
 //!
-//! Lives in its own binary: it arms the process-global fault plan and
-//! points `RSPARSE_POSTMORTEM` at a scratch path, both process-wide.
+//! Lives in its own binary: it points `RSPARSE_POSTMORTEM` at a scratch
+//! path, process-wide.
 
 use std::sync::Arc;
 
@@ -24,12 +24,12 @@ fn postmortem_round_trips_through_the_cohort_dump() {
     std::env::set_var("RCOMM_DEADLOCK_TIMEOUT_SECS", "2");
     let _ = std::fs::remove_file(&dest);
 
-    rcomm::fault::arm(rcomm::FaultPlan::parse(PLAN).unwrap());
+    let plan = rcomm::FaultPlan::parse(PLAN).unwrap();
     let n_side = 8usize;
     let n = n_side * n_side;
     let a = generate::laplacian_2d(n_side);
     let b = vec![1.0; n];
-    let out = Universe::run(4, move |comm| {
+    let out = Universe::run_with_faults(4, Some(plan), move |comm| {
         let part = BlockRowPartition::even(n, comm.size());
         let range = part.range(comm.rank());
         let local = a.row_block(range.start, range.end).unwrap();
@@ -55,7 +55,6 @@ fn postmortem_round_trips_through_the_cohort_dump() {
         driver.solve(&mut x, &mut status).unwrap();
         status
     });
-    rcomm::fault::disarm();
     for status in &out {
         assert_eq!(status[STATUS_CONVERGED], 1.0);
         assert_eq!(status[STATUS_RECOVERY], 2.0, "recovered by swapping backends");

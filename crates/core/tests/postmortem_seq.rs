@@ -2,8 +2,8 @@
 //! process leave two files — the configured path plus a `.1.json`
 //! sequence sibling (see `probe::ledger::sequenced_dest`).
 //!
-//! Lives in its own binary: it arms the process-global fault plan and
-//! points `RSPARSE_POSTMORTEM` at a scratch path, both process-wide.
+//! Lives in its own binary: it points `RSPARSE_POSTMORTEM` at a scratch
+//! path, process-wide.
 
 use std::sync::Arc;
 
@@ -18,8 +18,8 @@ use rsparse::{generate, BlockRowPartition};
 const PLAN: &str = "op=allreduce,rank=2,call=2,kind=corrupt;seed=11";
 
 fn faulted_solve_once(a: &rsparse::CsrMatrix, b: &[f64], n: usize) {
-    rcomm::fault::arm(rcomm::FaultPlan::parse(PLAN).unwrap());
-    let out = Universe::run(4, move |comm| {
+    let plan = rcomm::FaultPlan::parse(PLAN).unwrap();
+    let out = Universe::run_with_faults(4, Some(plan), move |comm| {
         let part = BlockRowPartition::even(n, comm.size());
         let range = part.range(comm.rank());
         let local = a.row_block(range.start, range.end).unwrap();
@@ -45,7 +45,6 @@ fn faulted_solve_once(a: &rsparse::CsrMatrix, b: &[f64], n: usize) {
         driver.solve(&mut x, &mut status).unwrap();
         status
     });
-    rcomm::fault::disarm();
     for status in &out {
         assert_eq!(status[STATUS_CONVERGED], 1.0);
         assert_eq!(status[STATUS_RECOVERY], 2.0, "recovered by swapping backends");

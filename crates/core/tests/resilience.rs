@@ -1,11 +1,8 @@
 //! End-to-end resilience: injected communication faults versus the
-//! resilient driver.
-//!
-//! These tests arm the process-global `rcomm` fault plan, so they live
-//! in their own binary (cargo runs test binaries one after another) and
-//! serialise against each other through `FAULT_LOCK`.
+//! resilient driver. Each test hands its plan to the one universe it
+//! launches.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use lisi::{
     LisiError, ResilientSolver, RkspAdapter, RsluAdapter, SparseSolverPort, SparseStruct,
@@ -15,15 +12,12 @@ use lisi::status::{
     STATUS_ATTEMPTS, STATUS_CONVERGED, STATUS_ITERATIONS, STATUS_REASON, STATUS_RECOVERY,
 };
 use proptest::prelude::*;
-use rcomm::Universe;
+use rcomm::{FaultPlan, Universe};
 use rsparse::{generate, BlockRowPartition};
 
-/// Serialises tests that arm/disarm the global fault plan.
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
 /// Keep the deadlock watchdog short so rank-divergent faults convert
-/// into transient errors quickly. First read wins, so this must run
-/// before any communication in this binary.
+/// into transient errors quickly. Each launch reads it, so this must
+/// run before the test launches.
 fn short_watchdog() {
     std::env::set_var("RCOMM_DEADLOCK_TIMEOUT_SECS", "2");
 }
@@ -41,8 +35,8 @@ struct RankOutcome {
 }
 
 /// Drive the resilient solver (rksp + rslu backends) over
-/// `laplacian_2d(n_side)` under whatever fault plan is armed.
-fn run_driver(ranks: usize, n_side: usize, policy: &str) -> Vec<RankOutcome> {
+/// `laplacian_2d(n_side)` under the fault plan `faults`.
+fn run_driver(ranks: usize, n_side: usize, faults: FaultPlan, policy: &str) -> Vec<RankOutcome> {
     // Recovered and exhausted solves dump postmortems: to a scratch path,
     // not the working directory (the crate's).
     let dumps = std::env::temp_dir().join("lisi_resilience_postmortem.json");
@@ -51,7 +45,7 @@ fn run_driver(ranks: usize, n_side: usize, policy: &str) -> Vec<RankOutcome> {
     let n = n_side * n_side;
     let b = vec![1.0; n];
     let policy = policy.to_string();
-    Universe::run(ranks, move |comm| {
+    Universe::run_with_faults(ranks, Some(faults), move |comm| {
         let part = BlockRowPartition::even(n, comm.size());
         let range = part.range(comm.rank());
         let local = a.row_block(range.start, range.end).unwrap();
@@ -106,12 +100,9 @@ fn comparable(status: &[f64]) -> Vec<f64> {
 /// swaps to the direct backend, which completes the solve.
 #[test]
 fn cg_breaking_fault_on_rank_2_recovers_via_fallback_swap() {
-    let _g = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     short_watchdog();
     let plan = rcomm::FaultPlan::parse("op=allreduce,rank=2,call=2,kind=corrupt;seed=11").unwrap();
-    rcomm::fault::arm(plan);
-    let out = run_driver(4, 8, "rksp:solver=cg,preconditioner=jacobi -> rslu");
-    rcomm::fault::disarm();
+    let out = run_driver(4, 8, plan, "rksp:solver=cg,preconditioner=jacobi -> rslu");
     for o in &out {
         o.result.as_ref().expect("the fallback chain must converge");
         assert_eq!(o.status[STATUS_CONVERGED], 1.0);
@@ -132,13 +123,10 @@ fn cg_breaking_fault_on_rank_2_recovers_via_fallback_swap() {
 /// the attempt with the identical verdict before the swap succeeds.
 #[test]
 fn nan_halo_is_screened_and_every_rank_agrees() {
-    let _g = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     short_watchdog();
     let plan =
         rcomm::FaultPlan::parse("op=recv,rank=1,tag=7001,call=1,kind=corrupt;seed=5").unwrap();
-    rcomm::fault::arm(plan);
-    let out = run_driver(3, 8, "rksp:solver=cg -> rslu");
-    rcomm::fault::disarm();
+    let out = run_driver(3, 8, plan, "rksp:solver=cg -> rslu");
     for o in &out {
         o.result.as_ref().expect("the fallback chain must converge");
         assert_eq!(comparable(&o.status), comparable(&out[0].status), "ranks disagree");
@@ -157,12 +145,9 @@ fn nan_halo_is_screened_and_every_rank_agrees() {
 /// burned — recovery code 1, no swap.
 #[test]
 fn transient_injected_error_retries_the_same_backend() {
-    let _g = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     short_watchdog();
     let plan = rcomm::FaultPlan::parse("op=allreduce,rank=0,call=2,kind=error").unwrap();
-    rcomm::fault::arm(plan);
-    let out = run_driver(1, 8, "rksp:solver=cg");
-    rcomm::fault::disarm();
+    let out = run_driver(1, 8, plan, "rksp:solver=cg");
     let o = &out[0];
     o.result.as_ref().expect("the retry must converge");
     assert_eq!(o.status[STATUS_ATTEMPTS], 2.0);
@@ -178,17 +163,15 @@ fn transient_injected_error_retries_the_same_backend() {
 /// and well-formed status arrays are the contract.
 #[test]
 fn rank_divergent_error_terminates_with_structured_outcomes() {
-    let _g = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     short_watchdog();
     let plan = rcomm::FaultPlan::parse("op=allreduce,rank=1,call=3,kind=error").unwrap();
-    rcomm::fault::arm(plan);
     let out = run_driver(
         2,
         6,
+        plan,
         // Keep the budget small: one backend, one transient retry.
         "rksp:solver=cg",
     );
-    rcomm::fault::disarm();
     for o in &out {
         match &o.result {
             Ok(()) => assert_eq!(o.status[STATUS_CONVERGED], 1.0),
@@ -219,7 +202,6 @@ proptest! {
         call in 1u64..=6,
         route in 0usize..=2,
     ) {
-        let _g = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         short_watchdog();
         let rank = target % ranks;
         let spec = match route {
@@ -227,9 +209,8 @@ proptest! {
             1 => format!("op=recv,rank={rank},tag=7001,call={call},kind=corrupt;seed={call}"),
             _ => format!("op=send,rank={rank},tag=7001,call={call},kind=corrupt;seed={call}"),
         };
-        rcomm::fault::arm(rcomm::FaultPlan::parse(&spec).unwrap());
-        let out = run_driver(ranks, n_side, "rksp:solver=cg -> rslu");
-        rcomm::fault::disarm();
+        let plan = FaultPlan::parse(&spec).unwrap();
+        let out = run_driver(ranks, n_side, plan, "rksp:solver=cg -> rslu");
         for o in &out {
             match &o.result {
                 Ok(()) => {

@@ -4,9 +4,8 @@
 //! its chrome trace, its critical path and its flight dump — and a
 //! ledger whose collective write fails leaves nothing armed behind.
 //!
-//! Own binary: it arms the process-global fault plan, points
-//! `RSPARSE_POSTMORTEM` at a scratch path and flips the probe's level;
-//! the two tests take turns.
+//! Own binary: it points `RSPARSE_POSTMORTEM` at a scratch path and
+//! flips the probe's level, both process-wide; the two tests take turns.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -40,14 +39,12 @@ fn ledger_postmortem_chrome_trace_and_critical_path_name_the_same_solve() {
 
     // Poison rank 2's contribution to CG's ‖r₀‖ reduction: the CG attempt
     // diverges on every rank, the direct backend recovers.
-    rcomm::fault::arm(
-        rcomm::FaultPlan::parse("op=allreduce,rank=2,call=2,kind=corrupt;seed=11").unwrap(),
-    );
+    let plan = rcomm::FaultPlan::parse("op=allreduce,rank=2,call=2,kind=corrupt;seed=11").unwrap();
     let n_side = 8usize;
     let n = n_side * n_side;
     let a = generate::laplacian_2d(n_side);
     let b = vec![1.0; n];
-    Universe::run(4, move |comm| {
+    Universe::run_with_faults(4, Some(plan), move |comm| {
         let range = BlockRowPartition::even(n, comm.size()).range(comm.rank());
         let local = a.row_block(range.start, range.end).unwrap();
         let driver = ResilientSolver::new();
@@ -69,7 +66,6 @@ fn ledger_postmortem_chrome_trace_and_critical_path_name_the_same_solve() {
         driver.solve(&mut x, &mut status).unwrap();
         assert_eq!(status[lisi::status::STATUS_RECOVERY], 2.0, "recovered by swapping backends");
     });
-    rcomm::fault::disarm();
     probe::trace::set_armed(false);
     probe::ledger::clear_destination();
 
@@ -131,12 +127,12 @@ fn a_ledger_whose_barrier_fails_leaves_no_span_timing_behind() {
     assert!(probe::enabled(), "a ledger destination asks for span timing");
 
     // The solve itself posts no barrier: the first one is the ledger's.
-    rcomm::fault::arm(rcomm::FaultPlan::parse("op=barrier,rank=1,call=1,kind=error").unwrap());
+    let plan = rcomm::FaultPlan::parse("op=barrier,rank=1,call=1,kind=error").unwrap();
     let n_side = 8usize;
     let n = n_side * n_side;
     let a = generate::laplacian_2d(n_side);
     let b = vec![1.0; n];
-    Universe::run(2, move |comm| {
+    let fired = Universe::run_with_faults(2, Some(plan), move |comm| {
         let range = BlockRowPartition::even(n, comm.size()).range(comm.rank());
         let local = a.row_block(range.start, range.end).unwrap();
         let solver = RkspAdapter::new();
@@ -154,9 +150,9 @@ fn a_ledger_whose_barrier_fails_leaves_no_span_timing_behind() {
         // Diagnostics never fail a solve: rank 1's barrier errors, rank 0's
         // times out waiting for it, both return the converged solve.
         solver.solve(&mut x, &mut status).unwrap();
+        comm.fired_rule_ids()
     });
-    assert_eq!(rcomm::fault::fired_rule_ids(), vec![0], "the ledger's barrier was the one hit");
-    rcomm::fault::disarm();
+    assert_eq!(fired[0], vec![0], "the ledger's barrier was the one hit");
     assert!(!dest.exists(), "no rank got past the barrier to write");
 
     probe::ledger::clear_destination();

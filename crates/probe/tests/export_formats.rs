@@ -136,6 +136,7 @@ fn postmortem_cohort_change_schema_parses_with_survivor_mapping() {
         &policy,
         &attempts,
         &[0, 1, 3],
+        None,
         &report,
         "",
         &[],
@@ -164,8 +165,17 @@ fn postmortem_cohort_change_schema_parses_with_survivor_mapping() {
 
     // Without a change the key is an explicit null, not absent: readers
     // can distinguish "cohort intact" from schema drift.
-    let doc =
-        lisi::postmortem::assemble("recovered", 4, &policy, &[], &[0, 1, 3], &report, "", &[]);
+    let doc = lisi::postmortem::assemble(
+        "recovered",
+        4,
+        &policy,
+        &[],
+        &[0, 1, 3],
+        None,
+        &report,
+        "",
+        &[],
+    );
     let v = serde_json::from_str(&doc).expect("postmortem must be valid JSON");
     assert!(v["cohort_change"].is_null(), "null when the cohort never changed");
 }

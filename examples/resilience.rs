@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use cca_lisi::cca::{BuilderEvent, Framework};
-use cca_lisi::comm::Universe;
+use cca_lisi::comm::{FaultPlan, Universe};
 use cca_lisi::lisi::resilient::{FrameworkSwitch, ResilientSolverComponent, BACKEND_PORT};
 use cca_lisi::lisi::{
     SolveReport, SolverComponent, SparseSolverPort, SparseStruct, STATUS_LEN,
@@ -27,13 +27,14 @@ use parking_lot::RwLock;
 const RANKS: usize = 4;
 const N_SIDE: usize = 20;
 
-/// One resilient solve over the 2-D Laplacian; returns each rank's
-/// report and the builder events that rewired the backend port.
-fn solve_once() -> Vec<(SolveReport, Vec<String>, f64)> {
+/// One resilient solve over the 2-D Laplacian under `faults`; returns
+/// each rank's report and the builder events that rewired the backend
+/// port.
+fn solve_once(faults: Option<FaultPlan>) -> Vec<(SolveReport, Vec<String>, f64)> {
     let a = generate::laplacian_2d(N_SIDE);
     let n = N_SIDE * N_SIDE;
     let b = vec![1.0; n];
-    Universe::run(RANKS, move |comm| {
+    Universe::run_with_faults(RANKS, faults, move |comm| {
         let part = BlockRowPartition::even(n, comm.size());
         let range = part.range(comm.rank());
         let local = a.row_block(range.start, range.end).unwrap();
@@ -135,10 +136,9 @@ fn main() {
         .clone()
         .unwrap_or_else(|| "op=allreduce,rank=2,call=2,kind=corrupt;seed=11".into());
     println!("fault plan: {spec}");
-    cca_lisi::comm::fault::arm(cca_lisi::comm::FaultPlan::parse(&spec).expect("bad fault plan"));
+    let plan = FaultPlan::parse(&spec).expect("bad fault plan");
 
-    let faulted = solve_once();
-    cca_lisi::comm::fault::disarm();
+    let faulted = solve_once(Some(plan));
 
     println!("\n-- with the fault armed --");
     for (rank, (rep, events, resid)) in faulted.iter().enumerate() {
@@ -151,7 +151,8 @@ fn main() {
         }
     }
 
-    let clean = solve_once();
+    // The control launches without a plan, whatever RSPARSE_FAULTS says.
+    let clean = solve_once(None);
     println!("\n-- fault disarmed (control) --");
     let (rep, _, resid) = &clean[0];
     println!(

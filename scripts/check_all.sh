@@ -42,13 +42,6 @@ if [ -n "$(stray_dumps)" ]; then
   exit 1
 fi
 
-echo "== rcomm unit tests, 20 runs (flake guard) =="
-# The lib tests launch universes concurrently in one process; a test that
-# leans on process-wide cohort or fault state fails here one run in ten.
-for _ in $(seq 20); do
-  cargo test -q -p lisi-comm --lib
-done
-
 echo "== lisibench smoke (benchmark/ is its own workspace) =="
 # Every declared metric printed, no failed request, exact counts repeat.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
