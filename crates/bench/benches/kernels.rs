@@ -392,6 +392,27 @@ fn blas1(c: &mut Criterion) {
             b.iter(|| dense::axpy_dot(0.0, v_prev, &mut y, v));
         });
     }
+    // RAztec's last Gram–Schmidt pass on the `fig5_raztec_1r` vector.
+    group.throughput(Throughput::Elements(16_384));
+    group.bench_function(BenchmarkId::new("axpy_dot_self", 16_384), |b| {
+        let mut y = w[..16_384].to_vec();
+        b.iter(|| dense::axpy_dot_self(0.0, &x[..16_384], &mut y));
+    });
+    // `sync_cg_2r`'s local length: a kernel call is tens of nanoseconds,
+    // so the per-call choice of instance would show here first.
+    let n = 512;
+    let (x, z) = (&x[..n], &z[..n]);
+    group.throughput(Throughput::Elements(n as u64));
+    group.bench_function(BenchmarkId::new("pdot", n), |b| b.iter(|| dense::pdot(x, z)));
+    group.bench_function(BenchmarkId::new("pdot2", n), |b| b.iter(|| dense::pdot2(x, x, z)));
+    group.bench_function(BenchmarkId::new("axpy", n), |b| {
+        let mut y = w[..n].to_vec();
+        b.iter(|| dense::axpy(0.0, x, &mut y));
+    });
+    group.bench_function(BenchmarkId::new("axpy_norm2_sq", n), |b| {
+        let mut y = w[..n].to_vec();
+        b.iter(|| dense::axpy_norm2_sq(0.0, x, &mut y));
+    });
     group.finish();
 }
 

@@ -89,9 +89,7 @@ pub(crate) fn solve(
         let beta = (rho_new / rho) * (alpha / omega);
         rho = rho_new;
         // p = r + β·(p − ω·v).
-        for ((pi, ri), vi) in p.local_mut().iter_mut().zip(r.local()).zip(v.local()) {
-            *pi = ri + beta * (*pi - omega * vi);
-        }
+        dense::xpby_sub(r.local(), beta, omega, v.local(), p.local_mut());
     };
     Ok(mon.finish(reason, iterations, r0_norm, rnorm))
 }

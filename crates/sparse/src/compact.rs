@@ -23,6 +23,7 @@ use std::ops::Range;
 
 use crate::csr::{CsrMatrix, MULTI_CHUNK};
 use crate::error::{SparseError, SparseResult};
+use crate::lanes::{lane_kernel, Isa, Lanes, LANES};
 use crate::threads::{self, SharedMutSlice};
 
 /// Minimum row count before a piece's kernels dispatch to the thread
@@ -207,20 +208,18 @@ impl CompactRows {
     /// warrant it; target rows are unique, so chunks write disjoint
     /// elements and the result is bit-identical at any thread count.
     pub(crate) fn spmv(&self, x: &[f64], ghosts: &[f64], y: &mut [f64], threads: usize) {
+        self.spmv_on(Isa::detect(), x, ghosts, y, threads);
+    }
+
+    /// [`Self::spmv`] on instance `isa`.
+    fn spmv_on(&self, isa: Isa, x: &[f64], ghosts: &[f64], y: &mut [f64], threads: usize) {
         assert_eq!(x.len(), self.n_local);
         assert_eq!(y.len(), self.n_local);
         assert!(self.ghost_ptr.is_empty() || ghosts.len() == self.n_ghosts);
         let ys = SharedMutSlice::new(y);
-        let scatter = |i0: usize, i1: usize| {
-            for i in i0..i1 {
-                let (lo, mid, hi) = self.row_bounds(i);
-                let acc = self.gather(mid, hi, ghosts, self.gather(lo, mid, x, 0.0));
-                // SAFETY: `new` checked the target rows are unique and
-                // below `n_local == y.len()`; chunks are disjoint.
-                unsafe { ys.set(*self.rows.get_unchecked(i), acc) };
-            }
-        };
-        for_each_row_chunk(self.rows.len(), threads, scatter);
+        for_each_row_chunk(self.rows.len(), threads, |i0, i1| {
+            compact_rows(isa, self, i0, i1, x, ghosts, ys);
+        });
     }
 
     /// `acc[l] += Σ vals[k]·src[l·stride + cols[k]]` over entries `lo..hi`,
@@ -259,6 +258,21 @@ impl CompactRows {
         k: usize,
         threads: usize,
     ) {
+        self.spmv_multi_on(Isa::detect(), xs, ghosts, ghost_stride, ys, k, threads);
+    }
+
+    /// [`Self::spmv_multi`] on instance `isa`.
+    #[allow(clippy::too_many_arguments)]
+    fn spmv_multi_on(
+        &self,
+        isa: Isa,
+        xs: &[f64],
+        ghosts: &[f64],
+        ghost_stride: usize,
+        ys: &SharedMutSlice<'_>,
+        k: usize,
+        threads: usize,
+    ) {
         assert_eq!(xs.len(), k * self.n_local);
         assert_eq!(ys.len(), k * self.n_local);
         // Column `q`'s ghost slots are `ghosts[q·ghost_stride..][..n_ghosts]`.
@@ -267,33 +281,76 @@ impl CompactRows {
                 || k == 0
                 || ghosts.len() >= (k - 1) * ghost_stride + self.n_ghosts
         );
-        let scatter = |i0: usize, i1: usize| {
-            for i in i0..i1 {
-                let (lo, mid, hi) = self.row_bounds(i);
-                let mut q0 = 0;
-                while q0 < k {
-                    let w = (k - q0).min(MULTI_CHUNK);
-                    let (xq, gq) = (&xs[q0 * self.n_local..], &ghosts[q0 * ghost_stride..]);
-                    let mut acc = [0.0f64; MULTI_CHUNK];
-                    // A full group gets its width as a constant: eight
-                    // accumulators in registers instead of a counted loop.
-                    if w == MULTI_CHUNK {
-                        self.gather_multi(lo, mid, xq, self.n_local, &mut acc);
-                        self.gather_multi(mid, hi, gq, ghost_stride, &mut acc);
-                    } else {
-                        self.gather_multi(lo, mid, xq, self.n_local, &mut acc[..w]);
-                        self.gather_multi(mid, hi, gq, ghost_stride, &mut acc[..w]);
-                    }
-                    for (l, &v) in acc[..w].iter().enumerate() {
-                        // SAFETY: unique in-range target rows, disjoint
-                        // chunks: each (column, row) has one writer.
-                        unsafe { ys.set((q0 + l) * self.n_local + self.rows[i], v) };
-                    }
-                    q0 += MULTI_CHUNK;
+        let ys = *ys;
+        for_each_row_chunk(self.rows.len(), threads, |i0, i1| {
+            compact_rows_multi(isa, self, i0, i1, xs, ghosts, ghost_stride, ys, k);
+        });
+    }
+}
+
+lane_kernel! {
+    /// Stored rows `i0..i1` of `piece`: the body of [`CompactRows::spmv`]
+    /// for one chunk. Each row is one sum in entry order, so there are no
+    /// lanes to fill; the instance only decides how the loop is compiled.
+    fn compact_rows<L>(
+        _l;
+        piece: &CompactRows,
+        i0: usize,
+        i1: usize,
+        x: &[f64],
+        ghosts: &[f64],
+        ys: SharedMutSlice<'_>
+    ) {
+        for i in i0..i1 {
+            let (lo, mid, hi) = piece.row_bounds(i);
+            let acc = piece.gather(mid, hi, ghosts, piece.gather(lo, mid, x, 0.0));
+            // SAFETY: `new` checked the target rows are unique and below
+            // `n_local == y.len()`; chunks are disjoint.
+            unsafe { ys.set(*piece.rows.get_unchecked(i), acc) };
+        }
+    }
+}
+
+lane_kernel! {
+    /// Stored rows `i0..i1` of `piece` for `k` columns: the body of
+    /// [`CompactRows::spmv_multi`] for one chunk.
+    #[allow(clippy::too_many_arguments)]
+    fn compact_rows_multi<L>(
+        _l;
+        piece: &CompactRows,
+        i0: usize,
+        i1: usize,
+        xs: &[f64],
+        ghosts: &[f64],
+        ghost_stride: usize,
+        ys: SharedMutSlice<'_>,
+        k: usize
+    ) {
+        let n = piece.n_local;
+        for i in i0..i1 {
+            let (lo, mid, hi) = piece.row_bounds(i);
+            let mut q0 = 0;
+            while q0 < k {
+                let w = (k - q0).min(MULTI_CHUNK);
+                let (xq, gq) = (&xs[q0 * n..], &ghosts[q0 * ghost_stride..]);
+                let mut acc = [0.0f64; MULTI_CHUNK];
+                // A full group gets its width as a constant: eight
+                // accumulators in registers instead of a counted loop.
+                if w == MULTI_CHUNK {
+                    piece.gather_multi(lo, mid, xq, n, &mut acc);
+                    piece.gather_multi(mid, hi, gq, ghost_stride, &mut acc);
+                } else {
+                    piece.gather_multi(lo, mid, xq, n, &mut acc[..w]);
+                    piece.gather_multi(mid, hi, gq, ghost_stride, &mut acc[..w]);
                 }
+                for (c, &v) in acc[..w].iter().enumerate() {
+                    // SAFETY: unique in-range target rows, disjoint chunks:
+                    // each (column, row) has one writer.
+                    unsafe { ys.set((q0 + c) * n + piece.rows[i], v) };
+                }
+                q0 += MULTI_CHUNK;
             }
-        };
-        for_each_row_chunk(self.rows.len(), threads, scatter);
+        }
     }
 }
 
@@ -552,11 +609,14 @@ impl StencilRuns {
     /// `y[t] = 0.0 + Σ_{j < G} diag_j[t]·x[starts[j] + t]`, `j` ascending,
     /// where a `CONSTANT` run's `diag_j[t]` is its one value `c_j` held in a
     /// register. `G` equal-length windows of `x` against `G` equal-length
-    /// value slices or `G` numbers: no index is loaded, and the loop
-    /// vectorizes down the rows.
+    /// value slices or `G` numbers: no index is loaded, and eight rows at a
+    /// time are one lane vector of `L` — row `t` in lane `t mod 8` of its
+    /// group, the same products and adds as one row at a time. The last
+    /// `y.len() mod 8` rows go one at a time.
     #[inline(always)]
-    fn lead<const G: usize, const CONSTANT: bool>(
+    fn lead<L: Lanes, const G: usize, const CONSTANT: bool>(
         &self,
+        l: L,
         run: &Run,
         t0: usize,
         x: &[f64],
@@ -564,18 +624,36 @@ impl StencilRuns {
     ) {
         let n = y.len();
         // Filled by a plain loop rather than `array::from_fn`: whether that
-        // helper's internals inline is the optimizer's call, and when they
-        // do not, the slices' common length `n` is lost and the loop below
-        // keeps its bounds checks and stays scalar.
+        // helper's internals inline is the optimizer's call, and a helper
+        // left out of line is not compiled for the AVX2 instance.
         let mut dw: [(&[f64], &[f64]); G] = [(&[], &[]); G];
         let mut coef = [0.0; G];
+        let mut coef_v = [l.zero(); G];
         for (j, pair) in dw.iter_mut().enumerate() {
             *pair = self.diagonal::<CONSTANT>(run, j, t0, n, x);
             if CONSTANT {
                 coef[j] = pair.0[0];
+                coef_v[j] = l.splat(coef[j]);
             }
         }
-        for t in 0..n {
+        let full = n - n % LANES;
+        let mut t = 0;
+        while t < full {
+            let mut acc = l.zero();
+            for (&c, (diag, win)) in coef_v.iter().zip(dw) {
+                // SAFETY: `t + 8 ≤ full ≤ n`, and `diagonal` cut every
+                // window and every varying diagonal to `n` elements.
+                let (d, w) = unsafe {
+                    let d = if CONSTANT { c } else { l.load(diag.as_ptr().add(t)) };
+                    (d, l.load(win.as_ptr().add(t)))
+                };
+                acc = acc + d * w;
+            }
+            // SAFETY: as above, `y` holds `n` elements.
+            unsafe { l.store(acc, y.as_mut_ptr().add(t)) };
+            t += LANES;
+        }
+        for t in full..n {
             let mut acc = 0.0;
             for (&c, (diag, win)) in coef.iter().zip(dw) {
                 acc += if CONSTANT { c } else { diag[t] } * win[t];
@@ -590,17 +668,24 @@ impl StencilRuns {
     /// either way a row's sum starts at `+0.0` and runs through its
     /// entries in stored order.
     #[inline(always)]
-    fn run_part_of<const CONSTANT: bool>(&self, run: &Run, t0: usize, x: &[f64], y: &mut [f64]) {
+    fn run_part_of<L: Lanes, const CONSTANT: bool>(
+        &self,
+        l: L,
+        run: &Run,
+        t0: usize,
+        x: &[f64],
+        y: &mut [f64],
+    ) {
         let fused = run.k.min(MAX_FUSED_DIAGS);
         match fused {
-            1 => self.lead::<1, CONSTANT>(run, t0, x, y),
-            2 => self.lead::<2, CONSTANT>(run, t0, x, y),
-            3 => self.lead::<3, CONSTANT>(run, t0, x, y),
-            4 => self.lead::<4, CONSTANT>(run, t0, x, y),
-            5 => self.lead::<5, CONSTANT>(run, t0, x, y),
-            6 => self.lead::<6, CONSTANT>(run, t0, x, y),
-            7 => self.lead::<7, CONSTANT>(run, t0, x, y),
-            _ => self.lead::<MAX_FUSED_DIAGS, CONSTANT>(run, t0, x, y),
+            1 => self.lead::<L, 1, CONSTANT>(l, run, t0, x, y),
+            2 => self.lead::<L, 2, CONSTANT>(l, run, t0, x, y),
+            3 => self.lead::<L, 3, CONSTANT>(l, run, t0, x, y),
+            4 => self.lead::<L, 4, CONSTANT>(l, run, t0, x, y),
+            5 => self.lead::<L, 5, CONSTANT>(l, run, t0, x, y),
+            6 => self.lead::<L, 6, CONSTANT>(l, run, t0, x, y),
+            7 => self.lead::<L, 7, CONSTANT>(l, run, t0, x, y),
+            _ => self.lead::<L, MAX_FUSED_DIAGS, CONSTANT>(l, run, t0, x, y),
         }
         for j in fused..run.k {
             let (diag, win) = self.diagonal::<CONSTANT>(run, j, t0, y.len(), x);
@@ -617,34 +702,27 @@ impl StencilRuns {
         }
     }
 
-    /// [`Self::run_part_of`] by the run's class.
-    #[inline]
-    fn run_part(&self, run: &Run, t0: usize, x: &[f64], y: &mut [f64]) {
-        if run.constant {
-            self.run_part_of::<true>(run, t0, x, y);
-        } else {
-            self.run_part_of::<false>(run, t0, x, y);
-        }
-    }
-
     /// `y[row] = row · x` for every row stored in a run; other elements of
     /// `y` are left alone. Threaded over contiguous chunks of run-row
     /// space; runs cover disjoint rows, so chunks write disjoint elements
     /// and the result is bit-identical at any thread count.
     pub(crate) fn spmv(&self, x: &[f64], y: &mut [f64], threads: usize) {
+        self.spmv_on(Isa::detect(), x, y, threads);
+    }
+
+    /// [`Self::spmv`] on instance `isa`.
+    fn spmv_on(&self, isa: Isa, x: &[f64], y: &mut [f64], threads: usize) {
         assert_eq!(x.len(), self.n_local);
         assert_eq!(y.len(), self.n_local);
         let ys = SharedMutSlice::new(y);
         for_each_row_chunk(self.n_rows, threads, |i0, i1| {
             self.for_each_part(i0, i1, usize::MAX, |run, t0, t1| {
                 // SAFETY: `push_run` checked the run's rows lie inside the
-                // chunk (`y.len() == n_local`) and past every earlier
-                // run's; parts of one sweep and chunks of one call are
-                // disjoint, so this stretch of `y` has one writer.
-                let out = unsafe {
-                    std::slice::from_raw_parts_mut(ys.as_ptr().add(run.row0 + t0), t1 - t0)
-                };
-                self.run_part(run, t0, x, out);
+                // chunk (`y.len() == n_local`) and past every earlier run's;
+                // parts of one sweep and chunks of one call are disjoint, so
+                // this stretch of `y` has one writer.
+                let out = unsafe { ys.range_mut(run.row0 + t0, run.row0 + t1) };
+                run_part(isa, self, run, t0, x, out);
             });
         });
     }
@@ -655,24 +733,45 @@ impl StencilRuns {
     /// sweep moves on — one read of the run storage for all `k` columns,
     /// every column bit-identical to [`Self::spmv`] by construction.
     pub(crate) fn spmv_multi(&self, xs: &[f64], ys: &SharedMutSlice<'_>, k: usize, threads: usize) {
+        self.spmv_multi_on(Isa::detect(), xs, ys, k, threads);
+    }
+
+    /// [`Self::spmv_multi`] on instance `isa`.
+    fn spmv_multi_on(
+        &self,
+        isa: Isa,
+        xs: &[f64],
+        ys: &SharedMutSlice<'_>,
+        k: usize,
+        threads: usize,
+    ) {
         let n = self.n_local;
         assert_eq!(xs.len(), k * n);
         assert_eq!(ys.len(), k * n);
         for_each_row_chunk(self.n_rows, threads, |i0, i1| {
             self.for_each_part(i0, i1, MULTI_TILE_ROWS, |run, t0, t1| {
                 for q in 0..k {
-                    // SAFETY: as in `spmv`, within column `q` of `ys`
+                    let at = q * n + run.row0;
+                    // SAFETY: as in `spmv_on`, within column `q` of `ys`
                     // (`ys.len() == k·n_local`).
-                    let out = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            ys.as_ptr().add(q * n + run.row0 + t0),
-                            t1 - t0,
-                        )
-                    };
-                    self.run_part(run, t0, &xs[q * n..(q + 1) * n], out);
+                    let out = unsafe { ys.range_mut(at + t0, at + t1) };
+                    run_part(isa, self, run, t0, &xs[q * n..(q + 1) * n], out);
                 }
             });
         });
+    }
+}
+
+lane_kernel! {
+    /// Rows `t0..t0 + y.len()` of `run` into `y` ([`StencilRuns::run_part_of`]
+    /// by the run's class): the one kernel under [`StencilRuns::spmv`] and
+    /// [`StencilRuns::spmv_multi`], one call a stretch of a run.
+    fn run_part<L>(l; runs: &StencilRuns, run: &Run, t0: usize, x: &[f64], y: &mut [f64]) {
+        if run.constant {
+            runs.run_part_of::<L, true>(l, run, t0, x, y);
+        } else {
+            runs.run_part_of::<L, false>(l, run, t0, x, y);
+        }
     }
 }
 
@@ -806,10 +905,12 @@ mod tests {
         CsrMatrix::from_parts_unchecked(rows.len(), cols, row_ptr, col_idx, values)
     }
 
-    /// The product of `local`'s rows (all interior) through the plan — runs
-    /// cut out, the rest compact — beside the serial CSR product of the
-    /// same rows, and how many rows the plan stored as runs.
+    /// The product of `local`'s rows (all interior) through the plan on
+    /// instance `isa` — runs cut out, the rest compact — beside the serial
+    /// CSR product of the same rows, and how many rows the plan stored as
+    /// runs.
     fn planned_and_serial(
+        isa: Isa,
         local: &CsrMatrix,
         x: &[f64],
         threads: usize,
@@ -820,8 +921,8 @@ mod tests {
         assert_eq!(runs.row_count() + rest.rows().len(), local.rows());
         assert_eq!(runs.nnz() + rest.nnz(), local.nnz());
         let mut y = vec![f64::NAN; n];
-        runs.spmv(x, &mut y, threads);
-        rest.spmv(x, &[], &mut y, threads);
+        runs.spmv_on(isa, x, &mut y, threads);
+        rest.spmv_on(isa, x, &[], &mut y, threads);
         y.truncate(local.rows());
         let mut serial = vec![f64::NAN; local.rows()];
         local.matvec_into(x, &mut serial);
@@ -872,7 +973,8 @@ mod tests {
                 x[41] = f64::NEG_INFINITY;
             }
             for (tag, pattern) in [("narrow", &narrow), ("wide", &wide)] {
-                let (planned, serial, in_runs) = planned_and_serial(&csr_of(n, pattern), &x, 1);
+                let (planned, serial, in_runs) =
+                    planned_and_serial(Isa::detect(), &csr_of(n, pattern), &x, 1);
                 assert_eq!(in_runs, rows, "{tag}");
                 assert_same_bits(&planned, &serial, tag);
             }
@@ -904,7 +1006,7 @@ mod tests {
         }
         let local = csr_of(n, &rows);
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let (planned, serial, in_runs) = planned_and_serial(&local, &x, 1);
+        let (planned, serial, in_runs) = planned_and_serial(Isa::detect(), &local, &x, 1);
         assert_eq!(in_runs, 16 + 17 + 20 + 20);
         assert_same_bits(&planned, &serial, "mixed");
         let (runs, ..) = split_interior(&local, &(0..n), n);
@@ -1011,11 +1113,20 @@ mod tests {
             .constant_row_count()
     }
 
+    /// Constant and varying runs against the serial CSR kernel on every
+    /// instance this CPU runs, at 1, 2 and 4 threads, for an `x` of finite
+    /// values and one with `−0.0`s and a NaN with a payload in it. A grid
+    /// line's run is `m − 2 = 38` rows: four lane groups and a tail of six.
     #[test]
     fn constant_and_varying_runs_match_the_serial_kernel_bitwise() {
         let m = 40;
         let n = m * m;
-        let x = crate::generate::random_vector(n, 21);
+        let finite = crate::generate::random_vector(n, 21);
+        let mut special = finite.clone();
+        for i in (0..n).step_by(7) {
+            special[i] = -0.0;
+        }
+        special[n / 2 + 3] = f64::from_bits(0x7ff8_0000_0000_0b0e);
         for (tag, a) in [
             ("paper", paper_like(m)),
             ("laplacian", crate::generate::laplacian_2d(m)),
@@ -1041,14 +1152,19 @@ mod tests {
                 ("every row differs", every_row_differs, 0),
             ] {
                 assert_eq!(constant_rows(&local), constant, "{tag}, {case}");
-                for threads in [1, 4] {
-                    let (planned, serial, in_runs) = planned_and_serial(&local, &x, threads);
-                    assert_eq!(in_runs, runs.row_count());
-                    assert_same_bits(
-                        &planned,
-                        &serial,
-                        &format!("{tag}, {case}, {threads} threads"),
-                    );
+                for (input, x) in [("finite x", &finite), ("x with -0.0 and NaN", &special)] {
+                    for isa in Isa::available() {
+                        for threads in [1, 2, 4] {
+                            let (planned, serial, in_runs) =
+                                planned_and_serial(isa, &local, x, threads);
+                            assert_eq!(in_runs, runs.row_count());
+                            assert_same_bits(
+                                &planned,
+                                &serial,
+                                &format!("{tag}, {case}, {input}, {isa:?}, {threads} threads"),
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -1079,7 +1195,7 @@ mod tests {
             for special in [1, 19] {
                 let local = csr_of(n, &rows(Some(special)));
                 assert_eq!(constant_rows(&local), 0, "{first:?} with {odd_one_out:?}");
-                let (planned, serial, in_runs) = planned_and_serial(&local, &x, 1);
+                let (planned, serial, in_runs) = planned_and_serial(Isa::detect(), &local, &x, 1);
                 assert_eq!(in_runs, 20);
                 assert_same_bits(&planned, &serial, "odd one out");
             }
@@ -1119,16 +1235,17 @@ mod tests {
             for q in 0..k {
                 local.matvec_into(&xs[q * n..(q + 1) * n], &mut want[q * n..q * n + rows]);
             }
-            for threads in [1, 4] {
+            for (isa, threads) in Isa::available().into_iter().flat_map(|i| [(i, 1), (i, 4)]) {
+                let tag = format!("{isa:?}, {threads} threads");
                 let mut ys = vec![f64::NAN; k * n];
                 let shared = SharedMutSlice::new(&mut ys);
-                runs.spmv_multi(&xs, &shared, k, threads);
-                rest.spmv_multi(&xs, &[], 0, &shared, k, threads);
-                assert_same_bits(&ys, &want, &format!("{k} columns, {threads} threads"));
+                runs.spmv_multi_on(isa, &xs, &shared, k, threads);
+                rest.spmv_multi_on(isa, &xs, &[], 0, &shared, k, threads);
+                assert_same_bits(&ys, &want, &format!("{k} columns, {tag}"));
                 let mut y = vec![f64::NAN; n];
-                runs.spmv(&xs[..n], &mut y, threads);
-                rest.spmv(&xs[..n], &[], &mut y, threads);
-                assert_same_bits(&y, &want[..n], &format!("single, {threads} threads"));
+                runs.spmv_on(isa, &xs[..n], &mut y, threads);
+                rest.spmv_on(isa, &xs[..n], &[], &mut y, threads);
+                assert_same_bits(&y, &want[..n], &format!("single, {tag}"));
             }
         }
     }

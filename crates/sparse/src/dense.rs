@@ -1,8 +1,15 @@
 //! Dense kernels: BLAS-1 style vector operations and a small dense matrix
 //! with an LU solve, used as the reference implementation in tests and as
 //! the coarsest-grid solver in multigrid.
+//!
+//! The streaming kernels — the dots, the updates, the fused forms and the
+//! diagonal scale — are each one `lane_kernel!` body run through the lane
+//! loop `lanes::stream`, so each has an SSE2 and an AVX2 instance (and a
+//! portable one off x86-64) with the same bits, the widest the CPU runs
+//! chosen per call.
 
 use crate::error::{SparseError, SparseResult};
+use crate::lanes::{lane_kernel, stream, Isa};
 use crate::threads::{self, SharedMutSlice};
 
 /// Fixed reduction-block length of the one reducer under [`pdot`] and
@@ -12,10 +19,6 @@ use crate::threads::{self, SharedMutSlice};
 /// bit-identical to the historical serial [`dot`].
 pub const DOT_BLOCK: usize = 65_536;
 
-/// Independent accumulators per block: lets LLVM vectorize and improves
-/// associativity stability versus a naive serial fold.
-const LANES: usize = 8;
-
 /// Block partials staged on the stack per pool dispatch of [`reduce`]
 /// (4 Mi elements); longer vectors take one dispatch per group.
 const PARTIAL_GROUP: usize = 64;
@@ -24,59 +27,26 @@ const PARTIAL_GROUP: usize = 64;
 /// are configured: the pool dispatch costs more than the memory pass.
 const PAR_ELEMWISE_MIN: usize = 32_768;
 
-/// `K` sums of `term(i)` over `lo..hi`: [`LANES`] accumulators per sum
-/// over the full lane groups, the lanes folded in lane order, then the
-/// tail added serially. `term` runs exactly once per index of `lo..hi`
-/// and with no other argument — the kernels' unchecked indexing rests on
-/// that.
+/// The blocked reducer under [`pdot`] and the fused forms: `K` simultaneous
+/// sums over `0..n`, where `block(lo, hi)` returns the `K` sums over one
+/// block `lo..hi` — a one-block lane kernel on the block's subslices.
 ///
-/// `term` comes by value (the kernels' closures are `Copy`): a local copy of
-/// its captures stays in registers across the stores an updating `term`
-/// makes, where a borrowed one would have to be re-read after each.
-#[inline(always)]
-fn block_sums<const K: usize>(
-    lo: usize,
-    hi: usize,
-    term: impl Fn(usize) -> [f64; K],
-) -> [f64; K] {
-    let mut acc = [[0.0f64; K]; LANES];
-    let groups = (hi - lo) / LANES;
-    for g in 0..groups {
-        let base = lo + g * LANES;
-        for (l, lane) in acc.iter_mut().enumerate() {
-            for (a, t) in lane.iter_mut().zip(term(base + l)) {
-                *a += t;
-            }
-        }
-    }
-    let mut s: [f64; K] = std::array::from_fn(|k| acc.iter().map(|lane| lane[k]).sum());
-    for i in lo + groups * LANES..hi {
-        for (sk, t) in s.iter_mut().zip(term(i)) {
-            *sk += t;
-        }
-    }
-    s
-}
-
-/// The one lane-and-block reducer under [`dot`], [`pdot`] and every fused
-/// form: `K` simultaneous sums of `term(i)` over `0..n`.
+/// `0..n` is cut into [`DOT_BLOCK`]-element blocks and the block partials
+/// are combined in block order on the calling thread — so the result is
+/// bit-identical for every `RSPARSE_THREADS` value, and the `k`-th sum
+/// depends only on the `k`-th sum of each block: a fused kernel returns
+/// exactly what the separate passes over the same products would. A single
+/// block is returned as is.
 ///
-/// `0..n` is cut into [`DOT_BLOCK`]-element blocks, each reduced by
-/// [`block_sums`], and the block partials are combined in block order on
-/// the calling thread — so the result is bit-identical for every
-/// `RSPARSE_THREADS` value, and the `k`-th sum depends only on the `k`-th
-/// component of `term`: a fused kernel returns exactly what the separate
-/// passes over the same products would. A single block is returned as is.
-///
-/// `term` is called exactly once per index (by whichever thread owns the
-/// index's block), so it may also *write* element `i` of an output vector:
-/// that is how the update-then-reduce forms make one pass of two. No heap.
+/// `block` is called exactly once per block (by whichever thread owns it),
+/// so it may also *write* its block of an output vector: that is how the
+/// update-then-reduce forms make one pass of two. No heap.
 #[inline(always)]
 fn reduce<const K: usize>(
     n: usize,
-    term: impl Fn(usize) -> [f64; K] + Sync + Copy,
+    block: impl Fn(usize, usize) -> [f64; K] + Sync + Copy,
 ) -> [f64; K] {
-    let block = move |b: usize| block_sums(b * DOT_BLOCK, ((b + 1) * DOT_BLOCK).min(n), term);
+    let block = move |b: usize| block(b * DOT_BLOCK, ((b + 1) * DOT_BLOCK).min(n));
     let n_blocks = n.div_ceil(DOT_BLOCK);
     if n_blocks <= 1 {
         return block(0);
@@ -125,18 +95,163 @@ fn fill_threaded<const K: usize>(
     })
 }
 
+/// `kernel(lo, hi)` over `0..n`: one call, or one per contiguous chunk on
+/// the pool for a long vector. Elementwise kernels do the same arithmetic
+/// on each element either way, so the result is bit-identical at any
+/// thread count.
+#[inline]
+fn elementwise(n: usize, kernel: impl Fn(usize, usize) + Sync) {
+    if n >= PAR_ELEMWISE_MIN && threads::active() > 1 {
+        threads::for_each_chunk(n, threads::active(), kernel);
+    } else {
+        kernel(0, n);
+    }
+}
+
+lane_kernel! {
+    /// [`dot`] on instance `isa`: ⟨x, y⟩ as one block.
+    fn dot_on<L>(l; x: &[f64], y: &[f64]) -> f64 {
+        assert_eq!(x.len(), y.len());
+        // SAFETY: both inputs hold `x.len()` elements; nothing is written.
+        let [s] = unsafe {
+            stream(l, x.len(), [x.as_ptr(), y.as_ptr()], [], |[x, y]| ([], [x * y]))
+        };
+        s
+    }
+}
+
+lane_kernel! {
+    /// `(⟨x, y⟩, ⟨x, z⟩)` as one block: a block of [`pdot2`].
+    fn dot2_on<L>(l; x: &[f64], y: &[f64], z: &[f64]) -> [f64; 2] {
+        assert_eq!(x.len(), y.len());
+        assert_eq!(x.len(), z.len());
+        // SAFETY: all three inputs hold `x.len()` elements; nothing is
+        // written.
+        unsafe {
+            stream(l, x.len(), [x.as_ptr(), y.as_ptr(), z.as_ptr()], [], |[x, y, z]| {
+                ([], [x * y, x * z])
+            })
+        }
+    }
+}
+
+lane_kernel! {
+    /// [`axpy_dot`] on instance `isa`: `y ← a·x + y`, then ⟨y, z⟩ as one
+    /// block.
+    fn axpy_dot_on<L>(l; a: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> f64 {
+        assert_eq!(x.len(), y.len());
+        assert_eq!(z.len(), y.len());
+        let a = l.splat(a);
+        let yp = y.as_mut_ptr();
+        // SAFETY: every slice holds `y.len()` elements; the one output is
+        // `y`, also an input, and `&mut` keeps it apart from `x` and `z`.
+        let [yz] = unsafe {
+            stream(l, y.len(), [x.as_ptr(), yp, z.as_ptr()], [yp], |[x, y, z]| {
+                let y = y + a * x;
+                ([y], [y * z])
+            })
+        };
+        yz
+    }
+}
+
+lane_kernel! {
+    /// [`axpy_dot_self`] on instance `isa`; also a block of
+    /// [`axpy_norm2_sq`].
+    fn axpy_dot_self_on<L>(l; a: f64, x: &[f64], y: &mut [f64]) -> f64 {
+        assert_eq!(x.len(), y.len());
+        let a = l.splat(a);
+        let yp = y.as_mut_ptr();
+        // SAFETY: as in `axpy_dot_on`, without `z`.
+        let [yy] = unsafe {
+            stream(l, y.len(), [x.as_ptr(), yp], [yp], |[x, y]| {
+                let y = y + a * x;
+                ([y], [y * y])
+            })
+        };
+        yy
+    }
+}
+
+lane_kernel! {
+    /// `y ← a·x + y`, then `(⟨y, y⟩, ⟨y, z⟩)` as one block: a block of
+    /// [`axpy_pdot2`].
+    fn axpy_dot2_on<L>(l; a: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> [f64; 2] {
+        assert_eq!(x.len(), y.len());
+        assert_eq!(z.len(), y.len());
+        let a = l.splat(a);
+        let yp = y.as_mut_ptr();
+        // SAFETY: as in `axpy_dot_on`.
+        unsafe {
+            stream(l, y.len(), [x.as_ptr(), yp, z.as_ptr()], [yp], |[x, y, z]| {
+                let y = y + a * x;
+                ([y], [y * y, y * z])
+            })
+        }
+    }
+}
+
+lane_kernel! {
+    /// `y ← a·x + y` over one chunk: the body of [`axpy`].
+    fn axpy_chunk<L>(l; a: f64, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), y.len());
+        let a = l.splat(a);
+        let yp = y.as_mut_ptr();
+        // SAFETY: as in `axpy_dot_self_on`.
+        unsafe { stream(l, y.len(), [x.as_ptr(), yp], [yp], |[x, y]| ([y + a * x], [])) };
+    }
+}
+
+lane_kernel! {
+    /// `y ← (y + a·x) + b·z` over one chunk: the body of [`axpy2`].
+    fn axpy2_chunk<L>(l; a: f64, x: &[f64], b: f64, z: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), y.len());
+        assert_eq!(z.len(), y.len());
+        let (a, b) = (l.splat(a), l.splat(b));
+        let yp = y.as_mut_ptr();
+        // SAFETY: as in `axpy_dot_on`.
+        unsafe {
+            stream(l, y.len(), [x.as_ptr(), yp, z.as_ptr()], [yp], |[x, y, z]| {
+                ([(y + a * x) + b * z], [])
+            })
+        };
+    }
+}
+
+lane_kernel! {
+    /// `y ← x + b·y` over one chunk: the body of [`xpby`].
+    fn xpby_chunk<L>(l; x: &[f64], b: f64, y: &mut [f64]) {
+        assert_eq!(x.len(), y.len());
+        let b = l.splat(b);
+        let yp = y.as_mut_ptr();
+        // SAFETY: as in `axpy_dot_self_on`.
+        unsafe { stream(l, y.len(), [x.as_ptr(), yp], [yp], |[x, y]| ([x + b * y], [])) };
+    }
+}
+
+lane_kernel! {
+    /// `y ← x + b·(y − c·z)` over one chunk: the body of [`xpby_sub`].
+    fn xpby_sub_chunk<L>(l; x: &[f64], b: f64, c: f64, z: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), y.len());
+        assert_eq!(z.len(), y.len());
+        let (b, c) = (l.splat(b), l.splat(c));
+        let yp = y.as_mut_ptr();
+        // SAFETY: as in `axpy_dot_on`.
+        unsafe {
+            stream(l, y.len(), [x.as_ptr(), yp, z.as_ptr()], [yp], |[x, y, z]| {
+                ([x + b * (y - c * z)], [])
+            })
+        };
+    }
+}
+
 /// Dot product ⟨x, y⟩ as one block, whatever the length.
 ///
 /// # Panics
 /// Panics if lengths differ.
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len());
-    // SAFETY: `block_sums(0, n, ·)` calls `term` only with `i < n`, and the
-    // assert above makes `n` the length of both slices.
-    let [s] =
-        block_sums(0, x.len(), move |i| unsafe { [x.get_unchecked(i) * y.get_unchecked(i)] });
-    s
+    dot_on(Isa::detect(), x, y)
 }
 
 /// Deterministic (optionally threaded) dot product ⟨x, y⟩ — the reduction
@@ -145,10 +260,12 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 /// A single-block input degenerates to exactly [`dot`], matching the
 /// pre-threading serial histories for every local length ≤ `DOT_BLOCK`.
 pub fn pdot(x: &[f64], y: &[f64]) -> f64 {
+    pdot_on(Isa::detect(), x, y)
+}
+
+fn pdot_on(isa: Isa, x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len());
-    // SAFETY: `reduce(n, ·)` calls `term` only with `i < n`, and the assert
-    // above makes `n` the length of both slices.
-    let [s] = reduce(x.len(), move |i| unsafe { [x.get_unchecked(i) * y.get_unchecked(i)] });
+    let [s] = reduce(x.len(), move |lo, hi| [dot_on(isa, &x[lo..hi], &y[lo..hi])]);
     s
 }
 
@@ -156,13 +273,14 @@ pub fn pdot(x: &[f64], y: &[f64]) -> f64 {
 /// [`pdot`]. `y` may be `x` itself (BiCGStab's `(t·t, t·s)`, CG's
 /// `(r·r, r·z)`).
 pub fn pdot2(x: &[f64], y: &[f64], z: &[f64]) -> (f64, f64) {
+    pdot2_on(Isa::detect(), x, y, z)
+}
+
+fn pdot2_on(isa: Isa, x: &[f64], y: &[f64], z: &[f64]) -> (f64, f64) {
     assert_eq!(x.len(), y.len());
     assert_eq!(x.len(), z.len());
-    // SAFETY: `reduce(n, ·)` calls `term` only with `i < n`, and the
-    // asserts above make `n` the length of all three slices.
-    let [xy, xz] = reduce(x.len(), move |i| unsafe {
-        let xi = *x.get_unchecked(i);
-        [xi * y.get_unchecked(i), xi * z.get_unchecked(i)]
+    let [xy, xz] = reduce(x.len(), move |lo, hi| {
+        dot2_on(isa, &x[lo..hi], &y[lo..hi], &z[lo..hi])
     });
     (xy, xz)
 }
@@ -170,15 +288,17 @@ pub fn pdot2(x: &[f64], y: &[f64], z: &[f64]) -> (f64, f64) {
 /// Update-then-‖·‖²: `y ← a·x + y`, returning `⟨y, y⟩` of the updated `y`
 /// — [`axpy`] then [`pdot`] in one pass, bit-identical to the pair.
 pub fn axpy_norm2_sq(a: f64, x: &[f64], y: &mut [f64]) -> f64 {
+    axpy_norm2_sq_on(Isa::detect(), a, x, y)
+}
+
+fn axpy_norm2_sq_on(isa: Isa, a: f64, x: &[f64], y: &mut [f64]) -> f64 {
     assert_eq!(x.len(), y.len());
     let ys = SharedMutSlice::new(y);
-    // SAFETY: `reduce(n, ·)` calls `term` exactly once per index, each
-    // `i < n` — the length of `x` and `y` by the assert above — so element
-    // `i` of `y` has one reader-writer, whichever thread that is.
-    let [yy] = reduce(ys.len(), move |i| unsafe {
-        let yi = ys.get(i) + a * x.get_unchecked(i);
-        ys.set(i, yi);
-        [yi * yi]
+    let [yy] = reduce(ys.len(), move |lo, hi| {
+        // SAFETY: `reduce` calls this once per block, and blocks are
+        // disjoint ranges of `y`, so each range has one writer.
+        let y = unsafe { ys.range_mut(lo, hi) };
+        [axpy_dot_self_on(isa, a, &x[lo..hi], y)]
     });
     yy
 }
@@ -187,14 +307,17 @@ pub fn axpy_norm2_sq(a: f64, x: &[f64], y: &mut [f64]) -> f64 {
 /// updated `y` — [`axpy`] then two [`pdot`]s in one pass, bit-identical to
 /// the three (BiCGStab's `r ← s − ω·t`, `‖r‖²`, `r̂·r`).
 pub fn axpy_pdot2(a: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> (f64, f64) {
+    axpy_pdot2_on(Isa::detect(), a, x, y, z)
+}
+
+fn axpy_pdot2_on(isa: Isa, a: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> (f64, f64) {
     assert_eq!(x.len(), y.len());
     assert_eq!(z.len(), y.len());
     let ys = SharedMutSlice::new(y);
-    // SAFETY: as in `axpy_norm2_sq`, with `z` of the same length.
-    let [yy, yz] = reduce(ys.len(), move |i| unsafe {
-        let yi = ys.get(i) + a * x.get_unchecked(i);
-        ys.set(i, yi);
-        [yi * yi, yi * z.get_unchecked(i)]
+    let [yy, yz] = reduce(ys.len(), move |lo, hi| {
+        // SAFETY: as in `axpy_norm2_sq_on`.
+        let y = unsafe { ys.range_mut(lo, hi) };
+        axpy_dot2_on(isa, a, &x[lo..hi], y, &z[lo..hi])
     });
     (yy, yz)
 }
@@ -205,54 +328,34 @@ pub fn axpy_pdot2(a: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> (f64, f64) {
 /// Serial, like [`dot`]. One step of a modified Gram–Schmidt sweep: subtract
 /// the last projection while measuring the next.
 pub fn axpy_dot(a: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len());
-    assert_eq!(z.len(), y.len());
-    let ys = SharedMutSlice::new(y);
-    // SAFETY: `block_sums(0, n, ·)` calls `term` exactly once per index,
-    // each `i < n` — the length of `x`, `y` and `z` by the asserts above —
-    // on this thread, so element `i` of `y` has one reader-writer.
-    let [yz] = block_sums(0, ys.len(), move |i| unsafe {
-        let yi = ys.get(i) + a * x.get_unchecked(i);
-        ys.set(i, yi);
-        [yi * z.get_unchecked(i)]
-    });
-    yz
+    axpy_dot_on(Isa::detect(), a, x, y, z)
 }
 
 /// [`axpy_dot`] against the updated vector itself: `y ← a·x + y`, returning
 /// `⟨y, y⟩` as one block — [`axpy`] then `dot(y, y)`, bit for bit.
 pub fn axpy_dot_self(a: f64, x: &[f64], y: &mut [f64]) -> f64 {
-    assert_eq!(x.len(), y.len());
-    let ys = SharedMutSlice::new(y);
-    // SAFETY: as in `axpy_dot`.
-    let [yy] = block_sums(0, ys.len(), move |i| unsafe {
-        let yi = ys.get(i) + a * x.get_unchecked(i);
-        ys.set(i, yi);
-        [yi * yi]
-    });
-    yy
+    axpy_dot_self_on(Isa::detect(), a, x, y)
 }
 
 /// y ← a·x + y. Threaded over contiguous chunks for long vectors; each
 /// element's arithmetic is unchanged, so results are bit-identical at any
 /// thread count.
+///
+/// # Panics
+/// Panics if lengths differ.
 #[inline]
 pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    let threads = par_threads(y.len());
-    if threads > 1 {
-        let ys = SharedMutSlice::new(y);
-        threads::for_each_chunk(ys.len(), threads, |s, e| {
-            for (i, xi) in (s..e).zip(&x[s..e]) {
-                // SAFETY: chunks are disjoint.
-                unsafe { ys.set(i, ys.get(i) + a * xi) };
-            }
-        });
-    } else {
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi += a * xi;
-        }
-    }
+    axpy_on(Isa::detect(), a, x, y)
+}
+
+fn axpy_on(isa: Isa, a: f64, x: &[f64], y: &mut [f64]) {
+    assert_eq!(x.len(), y.len());
+    let ys = SharedMutSlice::new(y);
+    elementwise(ys.len(), |lo, hi| {
+        // SAFETY: `elementwise` hands out disjoint chunks of `y`.
+        let y = unsafe { ys.range_mut(lo, hi) };
+        axpy_chunk(isa, a, &x[lo..hi], y)
+    });
 }
 
 /// y ← (y + a·x) + b·z — two [`axpy`]s in one pass (BiCGStab's iterate
@@ -261,53 +364,59 @@ pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
 /// like [`axpy`].
 #[inline]
 pub fn axpy2(a: f64, x: &[f64], b: f64, z: &[f64], y: &mut [f64]) {
+    axpy2_on(Isa::detect(), a, x, b, z, y)
+}
+
+fn axpy2_on(isa: Isa, a: f64, x: &[f64], b: f64, z: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len());
     assert_eq!(z.len(), y.len());
-    let threads = par_threads(y.len());
-    if threads > 1 {
-        let ys = SharedMutSlice::new(y);
-        threads::for_each_chunk(ys.len(), threads, |s, e| {
-            for i in s..e {
-                // SAFETY: chunks are disjoint.
-                unsafe { ys.set(i, (ys.get(i) + a * x[i]) + b * z[i]) };
-            }
-        });
-    } else {
-        for ((yi, xi), zi) in y.iter_mut().zip(x).zip(z) {
-            *yi = (*yi + a * xi) + b * zi;
-        }
-    }
+    let ys = SharedMutSlice::new(y);
+    elementwise(ys.len(), |lo, hi| {
+        // SAFETY: `elementwise` hands out disjoint chunks of `y`.
+        let y = unsafe { ys.range_mut(lo, hi) };
+        axpy2_chunk(isa, a, &x[lo..hi], b, &z[lo..hi], y)
+    });
 }
 
 /// y ← x + b·y (the "xpby" update GMRES and BiCG variants use). Threaded
 /// like [`axpy`], with bit-identical results at any thread count.
+///
+/// # Panics
+/// Panics if lengths differ.
 #[inline]
 pub fn xpby(x: &[f64], b: f64, y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    let threads = par_threads(y.len());
-    if threads > 1 {
-        let ys = SharedMutSlice::new(y);
-        threads::for_each_chunk(ys.len(), threads, |s, e| {
-            for (i, xi) in (s..e).zip(&x[s..e]) {
-                // SAFETY: chunks are disjoint.
-                unsafe { ys.set(i, xi + b * ys.get(i)) };
-            }
-        });
-    } else {
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi = xi + b * *yi;
-        }
-    }
+    xpby_on(Isa::detect(), x, b, y)
 }
 
-/// Threads to use for an elementwise kernel of length `n`.
+fn xpby_on(isa: Isa, x: &[f64], b: f64, y: &mut [f64]) {
+    assert_eq!(x.len(), y.len());
+    let ys = SharedMutSlice::new(y);
+    elementwise(ys.len(), |lo, hi| {
+        // SAFETY: `elementwise` hands out disjoint chunks of `y`.
+        let y = unsafe { ys.range_mut(lo, hi) };
+        xpby_chunk(isa, &x[lo..hi], b, y)
+    });
+}
+
+/// y ← x + b·(y − c·z) — BiCGStab's direction update `p ← r + β·(p − ω·v)`
+/// in one pass, parenthesized as written. Threaded like [`axpy`].
+///
+/// # Panics
+/// Panics if lengths differ.
 #[inline]
-fn par_threads(n: usize) -> usize {
-    if n >= PAR_ELEMWISE_MIN {
-        threads::active()
-    } else {
-        1
-    }
+pub fn xpby_sub(x: &[f64], b: f64, c: f64, z: &[f64], y: &mut [f64]) {
+    xpby_sub_on(Isa::detect(), x, b, c, z, y)
+}
+
+fn xpby_sub_on(isa: Isa, x: &[f64], b: f64, c: f64, z: &[f64], y: &mut [f64]) {
+    assert_eq!(x.len(), y.len());
+    assert_eq!(z.len(), y.len());
+    let ys = SharedMutSlice::new(y);
+    elementwise(ys.len(), |lo, hi| {
+        // SAFETY: `elementwise` hands out disjoint chunks of `y`.
+        let y = unsafe { ys.range_mut(lo, hi) };
+        xpby_sub_chunk(isa, &x[lo..hi], b, c, &z[lo..hi], y)
+    });
 }
 
 /// x ← a·x.
@@ -398,37 +507,81 @@ impl DiagonalScale {
     /// z_i ← r_i · (1/d_i).
     #[inline]
     pub fn apply(&self, r: &[f64], z: &mut [f64]) {
+        self.apply_on(Isa::detect(), r, z)
+    }
+
+    fn apply_on(&self, isa: Isa, r: &[f64], z: &mut [f64]) {
         assert!(r.len() == self.len && z.len() == self.len, "diagonal scale length mismatch");
         match &self.inv {
-            Inverse::Uniform(s) => {
-                for (zi, ri) in z.iter_mut().zip(r) {
-                    *zi = ri * s;
-                }
-            }
-            Inverse::PerRow(inv) => {
-                for ((zi, ri), di) in z.iter_mut().zip(r).zip(inv) {
-                    *zi = ri * di;
-                }
-            }
+            Inverse::Uniform(s) => scale_into(isa, *s, r, z),
+            Inverse::PerRow(inv) => mul_into(isa, inv, r, z),
         }
     }
 
     /// t_i ← t_i − a_i · (1/d_i).
     #[inline]
     pub fn apply_sub(&self, a: &[f64], t: &mut [f64]) {
+        self.apply_sub_on(Isa::detect(), a, t)
+    }
+
+    fn apply_sub_on(&self, isa: Isa, a: &[f64], t: &mut [f64]) {
         assert!(a.len() == self.len && t.len() == self.len, "diagonal scale length mismatch");
         match &self.inv {
-            Inverse::Uniform(s) => {
-                for (ti, ai) in t.iter_mut().zip(a) {
-                    *ti -= ai * s;
-                }
-            }
-            Inverse::PerRow(inv) => {
-                for ((ti, ai), di) in t.iter_mut().zip(a).zip(inv) {
-                    *ti -= ai * di;
-                }
-            }
+            Inverse::Uniform(s) => sub_scaled(isa, *s, a, t),
+            Inverse::PerRow(inv) => sub_mul(isa, inv, a, t),
         }
+    }
+}
+
+lane_kernel! {
+    /// `z ← r·s`: a uniform [`DiagonalScale::apply`].
+    fn scale_into<L>(l; s: f64, r: &[f64], z: &mut [f64]) {
+        assert_eq!(r.len(), z.len());
+        let s = l.splat(s);
+        // SAFETY: both slices hold `z.len()` elements; `&mut` keeps the
+        // output `z` apart from `r`.
+        unsafe { stream(l, z.len(), [r.as_ptr()], [z.as_mut_ptr()], |[r]| ([r * s], [])) };
+    }
+}
+
+lane_kernel! {
+    /// `z ← r·d`, elementwise: a per-row [`DiagonalScale::apply`].
+    fn mul_into<L>(l; d: &[f64], r: &[f64], z: &mut [f64]) {
+        assert_eq!(d.len(), z.len());
+        assert_eq!(r.len(), z.len());
+        // SAFETY: as in `scale_into`, with `d` a second input.
+        unsafe {
+            stream(l, z.len(), [r.as_ptr(), d.as_ptr()], [z.as_mut_ptr()], |[r, d]| {
+                ([r * d], [])
+            })
+        };
+    }
+}
+
+lane_kernel! {
+    /// `t ← t − a·s`: a uniform [`DiagonalScale::apply_sub`].
+    fn sub_scaled<L>(l; s: f64, a: &[f64], t: &mut [f64]) {
+        assert_eq!(a.len(), t.len());
+        let s = l.splat(s);
+        let tp = t.as_mut_ptr();
+        // SAFETY: both slices hold `t.len()` elements; the one output is
+        // `t`, also an input, and `&mut` keeps it apart from `a`.
+        unsafe { stream(l, t.len(), [a.as_ptr(), tp], [tp], |[a, t]| ([t - a * s], [])) };
+    }
+}
+
+lane_kernel! {
+    /// `t ← t − a·d`, elementwise: a per-row [`DiagonalScale::apply_sub`].
+    fn sub_mul<L>(l; d: &[f64], a: &[f64], t: &mut [f64]) {
+        assert_eq!(d.len(), t.len());
+        assert_eq!(a.len(), t.len());
+        let tp = t.as_mut_ptr();
+        // SAFETY: as in `sub_scaled`, with `d` a third input.
+        unsafe {
+            stream(l, t.len(), [a.as_ptr(), d.as_ptr(), tp], [tp], |[a, d, t]| {
+                ([t - a * d], [])
+            })
+        };
     }
 }
 
@@ -622,50 +775,94 @@ mod tests {
 
     /// Every fused kernel against the sequence of plain kernels it
     /// replaces — same bits in the reductions, same bits in the updated
-    /// vector — at lengths around the lane and block boundaries, at 1, 2
-    /// and 4 threads (and so across thread counts: the plain sequence is
-    /// itself thread-invariant).
+    /// vector — at lengths around the lane and block boundaries, on every
+    /// instance this CPU runs (portable, SSE2, AVX2) at 1, 2 and 4 threads.
+    /// The references are the plain kernels on the portable instance at one
+    /// thread, so the plain kernels of every other instance and thread
+    /// count are held to them too. Three inputs a length: finite values with
+    /// `−0.0`s among them, all-`−0.0` `x` and `y` (every product a signed
+    /// zero, so a lane started at `−0.0` would show), and the finite values
+    /// with one NaN with a payload in `x`.
     #[test]
     fn fused_kernels_match_their_unfused_sequences_bitwise() {
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         let gen = |n: usize, seed: usize| -> Vec<f64> {
-            (0..n).map(|i| ((i * 7 + seed * 13) % 101) as f64 * 0.37 - 18.1).collect()
+            (0..n)
+                .map(|i| match (i * 7 + seed * 13) % 101 {
+                    0 | 50 => -0.0,
+                    k => k as f64 * 0.37 - 18.1,
+                })
+                .collect()
         };
+        let nan = f64::from_bits(0x7ff8_0000_0000_0d1f);
         let lengths =
-            [0, 1, 7, 8, 9, DOT_BLOCK - 1, DOT_BLOCK, DOT_BLOCK + 1, 2 * DOT_BLOCK + 3];
-        let (a, b) = (0.8125, -1.37);
+            [0, 1, 3, 4, 7, 8, 9, DOT_BLOCK - 1, DOT_BLOCK, DOT_BLOCK + 1, 2 * DOT_BLOCK + 3];
+        let (a, b, c) = (0.8125, -1.37, 0.59);
+        let pt = Isa::Portable;
         let prev = crate::threads::active();
         for n in lengths {
-            let (x, y0, z) = (gen(n, 1), gen(n, 2), gen(n, 3));
-            // References at one thread.
-            crate::threads::set_threads(1);
-            let mut y_axpy = y0.clone();
-            axpy(a, &x, &mut y_axpy);
-            let yy = pdot(&y_axpy, &y_axpy);
-            let yz = pdot(&y_axpy, &z);
-            let mut y_axpy2 = y_axpy.clone();
-            axpy(b, &z, &mut y_axpy2);
-            let (xy, xz, xx) = (pdot(&x, &y0), pdot(&x, &z), pdot(&x, &x));
-            for t in [1usize, 2, 4] {
-                crate::threads::set_threads(t);
-                let tag = format!("n = {n}, threads = {t}");
-                let got = pdot2(&x, &y0, &z);
-                assert_eq!((got.0.to_bits(), got.1.to_bits()), (xy.to_bits(), xz.to_bits()), "{tag}");
-                let got = pdot2(&x, &x, &z);
-                assert_eq!((got.0.to_bits(), got.1.to_bits()), (xx.to_bits(), xz.to_bits()), "{tag}");
+            for case in ["finite", "signed zeros", "NaN payload"] {
+                let (mut x, mut y0, z) = (gen(n, 1), gen(n, 2), gen(n, 3));
+                match case {
+                    "signed zeros" => {
+                        x.fill(-0.0);
+                        y0.fill(-0.0);
+                    }
+                    "NaN payload" if n > 0 => x[n / 2] = nan,
+                    _ => {}
+                }
+                // References: the plain kernels, portable, one thread.
+                crate::threads::set_threads(1);
+                let mut y_axpy = y0.clone();
+                axpy_on(pt, a, &x, &mut y_axpy);
+                let yy = pdot_on(pt, &y_axpy, &y_axpy);
+                let yz = pdot_on(pt, &y_axpy, &z);
+                let mut y_axpy2 = y_axpy.clone();
+                axpy_on(pt, b, &z, &mut y_axpy2);
+                let (xy, xz, xx) = (pdot_on(pt, &x, &y0), pdot_on(pt, &x, &z), pdot_on(pt, &x, &x));
+                let dot_xy = dot_on(pt, &x, &y0);
+                let pair = |p: (f64, f64)| (p.0.to_bits(), p.1.to_bits());
+                let want_xpby: Vec<f64> = x.iter().zip(&y0).map(|(xi, yi)| xi + b * yi).collect();
+                let want_xpby_sub: Vec<f64> =
+                    (0..n).map(|i| x[i] + b * (y0[i] - c * z[i])).collect();
+                for isa in Isa::available() {
+                    for t in [1usize, 2, 4] {
+                        crate::threads::set_threads(t);
+                        let tag = format!("n = {n}, {case}, {isa:?}, threads = {t}");
+                        let got = pdot2_on(isa, &x, &y0, &z);
+                        assert_eq!(pair(got), pair((xy, xz)), "{tag}");
+                        let got = pdot2_on(isa, &x, &x, &z);
+                        assert_eq!(pair(got), pair((xx, xz)), "{tag}");
+                        assert_eq!(pdot_on(isa, &x, &y0).to_bits(), xy.to_bits(), "{tag}");
+                        assert_eq!(dot_on(isa, &x, &y0).to_bits(), dot_xy.to_bits(), "{tag}");
 
-                let mut y = y0.clone();
-                assert_eq!(axpy_norm2_sq(a, &x, &mut y).to_bits(), yy.to_bits(), "{tag}");
-                assert_eq!(bits(&y), bits(&y_axpy), "{tag}");
+                        let mut y = y0.clone();
+                        axpy_on(isa, a, &x, &mut y);
+                        assert_eq!(bits(&y), bits(&y_axpy), "{tag}");
 
-                let mut y = y0.clone();
-                let got = axpy_pdot2(a, &x, &mut y, &z);
-                assert_eq!((got.0.to_bits(), got.1.to_bits()), (yy.to_bits(), yz.to_bits()), "{tag}");
-                assert_eq!(bits(&y), bits(&y_axpy), "{tag}");
+                        let mut y = y0.clone();
+                        let got = axpy_norm2_sq_on(isa, a, &x, &mut y);
+                        assert_eq!(got.to_bits(), yy.to_bits(), "{tag}");
+                        assert_eq!(bits(&y), bits(&y_axpy), "{tag}");
 
-                let mut y = y0.clone();
-                axpy2(a, &x, b, &z, &mut y);
-                assert_eq!(bits(&y), bits(&y_axpy2), "{tag}");
+                        let mut y = y0.clone();
+                        let got = axpy_pdot2_on(isa, a, &x, &mut y, &z);
+                        assert_eq!(pair(got), pair((yy, yz)), "{tag}");
+                        assert_eq!(bits(&y), bits(&y_axpy), "{tag}");
+
+                        let mut y = y0.clone();
+                        axpy2_on(isa, a, &x, b, &z, &mut y);
+                        assert_eq!(bits(&y), bits(&y_axpy2), "{tag}");
+
+                        let mut y = y0.clone();
+                        xpby_on(isa, &x, b, &mut y);
+                        assert_eq!(bits(&y), bits(&want_xpby), "{tag}");
+
+                        let mut y = y0.clone();
+                        xpby_sub_on(isa, &x, b, c, &z, &mut y);
+                        assert_eq!(bits(&y), bits(&want_xpby_sub), "{tag}");
+                    }
+                }
             }
         }
         crate::threads::set_threads(prev);
@@ -685,18 +882,18 @@ mod tests {
         let prev = crate::threads::active();
         for n in [0, 1, 7, 8, 9, 1_000, DOT_BLOCK, DOT_BLOCK + 1, 70_001] {
             let (x, y0, z) = (gen(n, 1), gen(n, 2), gen(n, 3));
-            for t in [1usize, 4] {
+            for (isa, t) in Isa::available().into_iter().flat_map(|isa| [(isa, 1usize), (isa, 4)]) {
                 crate::threads::set_threads(t);
-                let tag = format!("n = {n}, threads = {t}");
+                let tag = format!("n = {n}, {isa:?}, threads = {t}");
                 let mut y_ref = y0.clone();
                 axpy(a, &x, &mut y_ref);
                 let (yz, yy) = (dot(&y_ref, &z), dot(&y_ref, &y_ref));
 
                 let mut y = y0.clone();
-                assert_eq!(axpy_dot(a, &x, &mut y, &z).to_bits(), yz.to_bits(), "{tag}");
+                assert_eq!(axpy_dot_on(isa, a, &x, &mut y, &z).to_bits(), yz.to_bits(), "{tag}");
                 assert_eq!(bits(&y), bits(&y_ref), "{tag}");
                 let mut y = y0.clone();
-                assert_eq!(axpy_dot_self(a, &x, &mut y).to_bits(), yy.to_bits(), "{tag}");
+                assert_eq!(axpy_dot_self_on(isa, a, &x, &mut y).to_bits(), yy.to_bits(), "{tag}");
                 assert_eq!(bits(&y), bits(&y_ref), "{tag}");
             }
         }
@@ -709,6 +906,19 @@ mod tests {
             axpy_dot_self(a, &x, &mut y1).to_bits(),
             axpy_norm2_sq(a, &x, &mut y2).to_bits()
         );
+    }
+
+    /// A length mismatch panics in every build profile: the kernels load
+    /// through raw lane pointers, so a short slice must never reach them.
+    #[test]
+    fn updates_reject_mismatched_lengths() {
+        let panics =
+            |f: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
+        let x = vec![1.0; 9];
+        assert!(panics(&|| axpy(2.0, &x, &mut [0.0; 8])));
+        assert!(panics(&|| xpby(&x, 2.0, &mut [0.0; 8])));
+        assert!(panics(&|| xpby_sub(&x, 2.0, 0.5, &x, &mut [0.0; 8])));
+        assert!(panics(&|| axpy2(1.0, &x, 2.0, &x, &mut [0.0; 8])));
     }
 
     #[test]
@@ -788,6 +998,26 @@ mod tests {
         assert!(!DiagonalScale::new(payloads).unwrap().is_uniform());
         // Empty slices (a rank that owns no rows) are a per-row scale of none.
         DiagonalScale::new(Vec::new()).unwrap().apply(&[], &mut []);
+        // Every instance, both forms, past one lane group and into the
+        // tail: the per-row product and difference, bit for bit.
+        let n = 19;
+        let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
+        let d: Vec<f64> = (0..n).map(|i| 3.0 + (i % 4) as f64).collect();
+        for diag in [vec![3.0; n], d] {
+            let scale = DiagonalScale::new(diag.clone()).unwrap();
+            let inv: Vec<f64> = diag.iter().map(|d| 1.0 / d).collect();
+            let want_z: Vec<u64> = r.iter().zip(&inv).map(|(r, i)| (r * i).to_bits()).collect();
+            let want_t: Vec<u64> =
+                r.iter().zip(&inv).map(|(r, i)| (0.5 - r * i).to_bits()).collect();
+            for isa in Isa::available() {
+                let mut z = vec![0.0; n];
+                scale.apply_on(isa, &r, &mut z);
+                assert_eq!(z.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want_z, "{isa:?}");
+                let mut t = vec![0.5; n];
+                scale.apply_sub_on(isa, &r, &mut t);
+                assert_eq!(t.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want_t, "{isa:?}");
+            }
+        }
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub mod dist;
 pub mod error;
 pub mod generate;
 pub mod io;
+mod lanes;
 pub mod ops;
 pub mod partition;
 pub mod schedule;

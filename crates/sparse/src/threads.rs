@@ -63,7 +63,8 @@ pub fn set_threads(n: usize) -> usize {
 }
 
 /// A `Copy + Sync` view of a mutable slice for kernels whose threads write
-/// provably disjoint elements (distinct output chunks). The unsafety is confined to `get`/`set`.
+/// provably disjoint elements (distinct output chunks). The unsafety is confined to `set` and
+/// `range_mut`.
 #[derive(Clone, Copy)]
 pub struct SharedMutSlice<'a> {
     ptr: *mut f64,
@@ -72,7 +73,7 @@ pub struct SharedMutSlice<'a> {
 }
 
 // SAFETY: access discipline (disjoint element sets per thread) is the
-// caller's obligation, documented on `get`/`set`.
+// caller's obligation, documented on `set` and `range_mut`.
 unsafe impl Send for SharedMutSlice<'_> {}
 unsafe impl Sync for SharedMutSlice<'_> {}
 
@@ -96,21 +97,20 @@ impl<'a> SharedMutSlice<'a> {
         self.len == 0
     }
 
-    /// Raw base pointer, for callers that reborrow provably disjoint
-    /// subranges as exclusive slices (the stencil-run kernels in `compact.rs`).
-    pub fn as_ptr(&self) -> *mut f64 {
-        self.ptr
-    }
-
-    /// Read element `i`.
+    /// Elements `lo..hi` as an exclusive slice.
     ///
     /// # Safety
-    /// `i < len`, and no other thread may be writing element `i`
-    /// concurrently.
+    /// No other thread may read or write elements `lo..hi` while the slice
+    /// lives.
+    ///
+    /// # Panics
+    /// Panics unless `lo ≤ hi ≤ len`.
     #[inline]
-    pub unsafe fn get(&self, i: usize) -> f64 {
-        debug_assert!(i < self.len);
-        unsafe { *self.ptr.add(i) }
+    pub unsafe fn range_mut(&self, lo: usize, hi: usize) -> &'a mut [f64] {
+        assert!(lo <= hi && hi <= self.len, "range {lo}..{hi} outside {} elements", self.len);
+        // SAFETY: `lo..hi` lies inside the wrapped slice, and the caller
+        // guarantees the elements are not shared meanwhile.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(lo), hi - lo) }
     }
 
     /// Write element `i`.
@@ -173,10 +173,10 @@ mod tests {
                 let mut buf = vec![0.0f64; len];
                 let out = SharedMutSlice::new(&mut buf);
                 for_each_chunk(len, threads, |s, e| {
-                    for i in s..e {
-                        // Chunks are disjoint, so each element is written
-                        // by exactly one thread.
-                        unsafe { out.set(i, out.get(i) + 1.0) };
+                    // SAFETY: chunks are disjoint, so each element is
+                    // written by exactly one thread.
+                    for v in unsafe { out.range_mut(s, e) } {
+                        *v += 1.0;
                     }
                 });
                 for (i, &v) in buf.iter().enumerate() {

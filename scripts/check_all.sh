@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification sweep: build, clippy, tests at 1 and 4 threads, the
 # lisibench smoke, examples, the fault matrix, doc build, benches (compile,
-# and RSLU's and the sweeps' kernel rows run once). It measures nothing: every number the repository states comes
+# and RSLU's, the sweeps', Jacobi's, the vector kernels' and the split
+# matvec's rows run once). It measures nothing: every number the repository states comes
 # from benchmark/run.sh (lisibench); table1/figure5 regenerate the paper's
 # tables (see EXPERIMENTS.md).
 set -euo pipefail
@@ -70,15 +71,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "== bench compile =="
 cargo bench --workspace --no-run
 
-echo "== RSLU, sweep and Jacobi kernel rows, run once (smoke) =="
+echo "== RSLU, sweep, Jacobi, vector and SpMV kernel rows, run once (smoke) =="
 # Compiling a bench does not set it up: these run RSLU's rows once each
-# (factor, then the triangular solves), the preconditioner sweeps' rows
-# and the Jacobi rows once, so a panic in their set-up (or a Jacobi row
-# whose diagonal is not the kind it names) fails here. One-millisecond
-# windows: this measures nothing.
+# (factor, then the triangular solves), the preconditioner sweeps' rows,
+# the Jacobi rows, the vector kernels' rows and the split matvec's rows
+# once, so a panic in their set-up (or a Jacobi row whose diagonal is not
+# the kind it names) fails here. One-millisecond windows: this measures
+# nothing.
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- factor/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- trisolve
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- sptrsv/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- jacobi/
+BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- blas1/
+BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- spmv_formats/split1/
 
 echo "ALL CHECKS PASSED"

@@ -213,6 +213,44 @@ fn constant_coefficients_are_found_in_the_values_and_change_no_bit_of_the_produc
     }
 }
 
+/// BiCGStab + Jacobi through RKSP's port on the paper problem at grid size
+/// `m` on `p` ranks, `options` set after the method's: per rank, whether
+/// `solve` returned `Ok`, and the status it filled in (a solve stopped by
+/// `maxits` is an error with its status filled in).
+fn port_solve(p: usize, m: usize, options: &[(&str, &str)]) -> Vec<(bool, SolveReport)> {
+    let n = m * m;
+    Universe::run(p, |comm| {
+        let local = cca_lisi::mesh::paper_problem(m).assemble_local(comm);
+        let solver = RkspAdapter::new();
+        solver.initialize(comm.dup().unwrap()).unwrap();
+        solver
+            .set_start_row(local.partition.start_row(local.rank))
+            .unwrap();
+        solver.set_local_rows(local.matrix.rows()).unwrap();
+        solver.set_local_nnz(local.matrix.nnz()).unwrap();
+        solver.set_global_cols(n).unwrap();
+        for (k, v) in [("solver", "bicgstab"), ("preconditioner", "jacobi")]
+            .iter()
+            .chain(options)
+        {
+            solver.set(k, v).unwrap();
+        }
+        solver
+            .setup_matrix(
+                local.matrix.values(),
+                local.matrix.row_ptr(),
+                local.matrix.col_idx(),
+                SparseStruct::Csr,
+            )
+            .unwrap();
+        solver.setup_rhs(&local.rhs, 1).unwrap();
+        let mut x = vec![0.0; local.matrix.rows()];
+        let mut status = [0.0; STATUS_LEN];
+        let ok = solver.solve(&mut x, &mut status).is_ok();
+        (ok, SolveReport::from_slice(&status))
+    })
+}
+
 /// Iteration count and final residual (bit pattern) of the solve below,
 /// recorded at the parent of the commit that introduced the runs, per rank
 /// count. The run kernel is bit-identical to the CSR kernel it replaces,
@@ -225,42 +263,37 @@ const RECORDED: [(usize, usize, u64); 3] = [
 
 #[test]
 fn a_solve_through_the_port_retraces_the_recorded_iterates() {
-    let m = 40;
-    let n = m * m;
     for (p, iterations, residual_bits) in RECORDED {
-        let reports: Vec<SolveReport> = Universe::run(p, |comm| {
-            let local = cca_lisi::mesh::paper_problem(m).assemble_local(comm);
-            let solver = RkspAdapter::new();
-            solver.initialize(comm.dup().unwrap()).unwrap();
-            solver
-                .set_start_row(local.partition.start_row(local.rank))
-                .unwrap();
-            solver.set_local_rows(local.matrix.rows()).unwrap();
-            solver.set_local_nnz(local.matrix.nnz()).unwrap();
-            solver.set_global_cols(n).unwrap();
-            for (k, v) in [
-                ("solver", "bicgstab"),
-                ("preconditioner", "jacobi"),
-                ("tol", "1e-10"),
-            ] {
-                solver.set(k, v).unwrap();
-            }
-            solver
-                .setup_matrix(
-                    local.matrix.values(),
-                    local.matrix.row_ptr(),
-                    local.matrix.col_idx(),
-                    SparseStruct::Csr,
-                )
-                .unwrap();
-            solver.setup_rhs(&local.rhs, 1).unwrap();
-            let mut x = vec![0.0; local.matrix.rows()];
-            let mut status = [0.0; STATUS_LEN];
-            solver.solve(&mut x, &mut status).unwrap();
-            SolveReport::from_slice(&status)
-        });
-        for rep in reports {
-            assert!(rep.converged, "p = {p}");
+        for (ok, rep) in port_solve(p, 40, &[("tol", "1e-10")]) {
+            assert!(ok && rep.converged, "p = {p}");
+            assert_eq!(
+                (rep.iterations, rep.residual.to_bits()),
+                (iterations, residual_bits),
+                "p = {p}: {} iterations, residual {:e} = {:#018x}",
+                rep.iterations,
+                rep.residual,
+                rep.residual.to_bits()
+            );
+        }
+    }
+}
+
+/// The solve above on the Figure 5 grid, m = 300: on one rank n = 90 000
+/// is past one reduction block (`DOT_BLOCK` = 65 536), so every blocked
+/// dot combines two block partials. Stopped by `maxits` after four
+/// iterations; iteration count and final residual recorded per rank count
+/// at the parent of the commit that put explicit lane vectors under the
+/// kernels.
+const RECORDED_PAST_ONE_BLOCK: [(usize, usize, u64); 2] = [
+    (1, 4, 0x3f90_35ca_77ca_6e31),
+    (2, 4, 0x3f90_35ca_77ca_6f5f),
+];
+
+#[test]
+fn a_solve_past_one_reduction_block_retraces_the_recorded_iterates() {
+    for (p, iterations, residual_bits) in RECORDED_PAST_ONE_BLOCK {
+        for (ok, rep) in port_solve(p, 300, &[("tol", "1e-14"), ("maxits", "4")]) {
+            assert!(!ok && !rep.converged, "p = {p}");
             assert_eq!(
                 (rep.iterations, rep.residual.to_bits()),
                 (iterations, residual_bits),
