@@ -506,6 +506,24 @@ fn conversions(c: &mut Criterion) {
     group.finish();
 }
 
+/// The session key's O(nnz) part, [`rsparse::digest::csr`], on the local
+/// matrices of `fig5_rksp_1r` (`paper300`) and `ilu_cg_1r`
+/// (`laplacian200`): one pass over `row_ptr`, `col_idx` and the value bits.
+fn digest(c: &mut Criterion) {
+    let mut group = c.benchmark_group("digest");
+    for (label, a) in [
+        ("paper300", rmesh::paper_problem(300).assemble_global().0),
+        ("laplacian200", generate::laplacian_2d(200)),
+    ] {
+        let words = a.row_ptr().len() + a.col_idx().len() + a.values().len();
+        group.throughput(Throughput::Bytes(8 * words as u64));
+        group.bench_function(label, |b| {
+            b.iter(|| rsparse::digest::csr(a.row_ptr(), a.col_idx(), a.values()))
+        });
+    }
+    group.finish();
+}
+
 fn assembly(c: &mut Criterion) {
     let mut group = c.benchmark_group("assembly");
     for m in [100usize, 200] {
@@ -519,6 +537,6 @@ fn assembly(c: &mut Criterion) {
 
 criterion_group!(
     benches, spmv, spmv_formats, spmv_multi, sptrsv, jacobi, factor, trisolve, blas1, raztec,
-    probe_sites, conversions, assembly
+    probe_sites, conversions, digest, assembly
 );
 criterion_main!(benches);

@@ -14,12 +14,13 @@
 //!
 //! Three concerns live here:
 //!
-//! 1. **Keying**, in two parts. [`matrix_digest`] is the O(nnz) part: an
-//!    FNV-1a hash of the local CSR pattern and value bits, computed once
-//!    where the matrix changes (the `LisiState` matrix setter) and stored
-//!    next to it. [`session_fingerprint`] is the O(1) part a solve pays:
-//!    it folds that digest with the rank/size, the row range, the option
-//!    dump and the probe reset epoch.
+//! 1. **Keying**, in two parts, both through [`rsparse::digest`].
+//!    [`matrix_digest`] is the O(nnz) part: the digest of the local CSR
+//!    pattern and value bits, computed once where the matrix changes (the
+//!    `LisiState` matrix setter) and stored next to it.
+//!    [`session_fingerprint`] is the O(1) part a solve pays: it folds that
+//!    digest with the rank/size, the row range, the option dump and the
+//!    probe reset epoch.
 //!    Any change to the pattern, the values, the distribution or the
 //!    configuration yields a different key, so stale artifacts can never
 //!    be served. [`fingerprint`] composes the two for outside callers.
@@ -50,6 +51,7 @@ use std::sync::{Arc, Condvar, OnceLock};
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use rsparse::digest::{self, Digest};
 
 use crate::error::{LisiError, LisiResult};
 
@@ -67,21 +69,12 @@ pub struct SessionKey {
     pub fingerprint: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a: fold `bytes` into the running hash `h`.
-fn fnv(h: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
-}
-
-/// The O(nnz) part of a session key: FNV-1a over the local CSR pattern
-/// and value *bits* (not rounded values), so that any numerical change —
-/// however small — is a miss. Computed where the matrix changes, never
-/// per solve.
+/// The O(nnz) part of a session key: [`rsparse::digest::csr`] over the
+/// local CSR pattern and value *bits* (not rounded values), so that any
+/// numerical change — however small, a sign included — is a miss.
+/// Computed where the matrix changes, never per solve.
 pub fn matrix_digest(row_ptr: &[usize], col_idx: &[usize], values: &[f64]) -> u64 {
-    let indices = row_ptr.iter().chain(col_idx).map(|&i| i as u64);
-    let words = indices.chain(values.iter().map(|v| v.to_bits()));
-    words.fold(FNV_OFFSET, |h, w| fnv(h, &w.to_le_bytes()))
+    digest::csr(row_ptr, col_idx, values)
 }
 
 /// The per-solve part of a session key: a stored [`matrix_digest`]
@@ -96,12 +89,14 @@ pub fn session_fingerprint(
     options_dump: &str,
 ) -> u64 {
     let words = [matrix_digest, rank as u64, size as u64, start_row as u64, global_cols as u64];
-    let h = words.iter().fold(FNV_OFFSET, |h, w| fnv(h, &w.to_le_bytes()));
-    let h = fnv(h, options_dump.as_bytes());
     // A probe reset wipes registered kernel work models; folding the
     // reset epoch in forces the next solve cold so setup re-registers
     // them (a warm solve would assemble a ledger with no kernel rows).
-    fnv(h, &probe::reset_epoch().to_le_bytes())
+    Digest::new()
+        .words(&words)
+        .bytes(options_dump.as_bytes())
+        .words(&[probe::reset_epoch()])
+        .finish()
 }
 
 /// [`session_fingerprint`] over a freshly computed [`matrix_digest`] —

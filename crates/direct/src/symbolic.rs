@@ -3,6 +3,7 @@
 //! SuperLU's `*gstrf` pipeline (LISI usage scenario §5.2b: "precompute
 //! reused objects such as … symbolic factorization").
 
+use rsparse::digest::Digest;
 use rsparse::CsrMatrix;
 
 use crate::ordering::Ordering;
@@ -40,14 +41,9 @@ impl Symbolic {
     }
 }
 
-/// FNV-1a, one step per index word, over `row_ptr` then `col_idx`.
+/// The [`Digest`] of `row_ptr` then `col_idx`.
 fn pattern_hash(a: &CsrMatrix) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    a.row_ptr()
-        .iter()
-        .chain(a.col_idx())
-        .fold(FNV_OFFSET, |h, &w| (h ^ w as u64).wrapping_mul(FNV_PRIME))
+    Digest::new().indices(a.row_ptr()).indices(a.col_idx()).finish()
 }
 
 #[cfg(test)]

@@ -22,6 +22,9 @@
 //!   fixed stride reading fixed offsets, no index arrays) and indexed
 //!   slots, every index checked once when it is built, and sweeps it
 //!   unchecked, bit-identical to the natural-order loop;
+//! * one structural digest ([`digest`]) for every cache key: 8-byte
+//!   words into eight independent lanes, each word through a folded
+//!   128-bit product;
 //! * MatrixMarket I/O ([`io`]);
 //! * the distributed layer ([`partition`], [`dist`]): block-row partitioned
 //!   matrices and vectors over an [`rcomm`] communicator, with an
@@ -38,6 +41,7 @@ pub mod coo;
 pub mod csc;
 pub mod csr;
 pub mod dense;
+pub mod digest;
 pub mod dist;
 pub mod error;
 pub mod generate;

@@ -74,15 +74,16 @@ cargo bench --workspace --no-run
 echo "== RSLU, sweep, Jacobi, vector and SpMV kernel rows, run once (smoke) =="
 # Compiling a bench does not set it up: these run RSLU's rows once each
 # (factor, then the triangular solves), the preconditioner sweeps' rows,
-# the Jacobi rows, the vector kernels' rows and the split matvec's rows
-# once, so a panic in their set-up (or a Jacobi row whose diagonal is not
-# the kind it names) fails here. One-millisecond windows: this measures
-# nothing.
+# the Jacobi rows, the vector kernels' rows, the digest rows and the split
+# matvec's rows once, so a panic in their set-up (or a Jacobi row whose
+# diagonal is not the kind it names) fails here. One-millisecond windows:
+# this measures nothing.
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- factor/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- trisolve
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- sptrsv/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- jacobi/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- blas1/
+BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- digest/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- spmv_formats/split1/
 
 echo "ALL CHECKS PASSED"
