@@ -1,5 +1,7 @@
 //! The virtual-matrix trait and its assembled implementation.
 
+use std::sync::Arc;
+
 use rcomm::Communicator;
 
 use crate::map::Map;
@@ -52,11 +54,12 @@ pub struct CrsMatrix {
 }
 
 impl CrsMatrix {
-    /// Build from this rank's rows (global column indices). Collective.
+    /// Build from this rank's rows (global column indices); shared rows
+    /// are kept, not copied. Collective.
     pub fn from_local_rows(
         comm: &Communicator,
         map: Map,
-        local: rsparse::CsrMatrix,
+        local: impl Into<Arc<rsparse::CsrMatrix>>,
     ) -> AztecResult<Self> {
         let inner =
             rsparse::DistCsrMatrix::from_local_rows(comm, map.partition().clone(), local)?;

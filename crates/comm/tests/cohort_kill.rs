@@ -149,17 +149,24 @@ fn a_kill_in_one_universe_leaves_another_untouched() {
 
 /// A casualty stays a casualty for the rest of its universe, whatever
 /// else the process launches meanwhile: every rank's view agrees.
+///
+/// Rank 1 reads its view only after rank 0's nested launch has returned.
+/// The two are ordered by a process barrier, not a message: a blocked
+/// `recv` fails by design once any member of the cohort is dead.
 #[test]
 fn launching_a_clean_universe_keeps_a_running_one_s_casualty() {
     let kill = FaultPlan::parse("op=barrier,rank=2,call=1,kind=kill").unwrap();
+    let launched = std::sync::Barrier::new(2);
     let out = Universe::run_with_faults(3, Some(kill), |c| {
         assert!(c.barrier().is_err());
         match c.rank() {
             0 => {
                 Universe::run(1, |solo| solo.barrier().unwrap());
-                c.send(1, 0, ()).unwrap();
+                launched.wait();
             }
-            1 => c.recv::<()>(0, 0).unwrap(),
+            1 => {
+                launched.wait();
+            }
             _ => {}
         }
         c.cohort_view().lost

@@ -44,12 +44,13 @@ pub trait Backend: Default + Send + Sync + 'static {
         (None, None, None)
     }
 
-    /// Set up an assembled system. Collective.
+    /// Set up an assembled system. Collective. `matrix` is the rows the
+    /// port ingested: an operator shares them rather than copying them.
     fn build(
         cfg: &Self::Config,
         comm: &Communicator,
         partition: BlockRowPartition,
-        matrix: &CsrMatrix,
+        matrix: &Arc<CsrMatrix>,
     ) -> LisiResult<Self::Artifact>;
 
     /// Set up a solve whose operator is the application's `MatrixFree`

@@ -102,10 +102,10 @@ impl Backend for Raztec {
         _opts: &AztecOptions,
         comm: &Communicator,
         partition: BlockRowPartition,
-        matrix: &CsrMatrix,
+        matrix: &Arc<CsrMatrix>,
     ) -> LisiResult<RaztecArtifact> {
         let map = Map::from_partition(partition, comm.rank());
-        Ok(Box::new(CrsMatrix::from_local_rows(comm, map, matrix.clone())?))
+        Ok(Box::new(CrsMatrix::from_local_rows(comm, map, Arc::clone(matrix))?))
     }
 
     fn build_matrix_free(

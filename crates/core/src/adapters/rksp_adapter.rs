@@ -86,9 +86,9 @@ impl Backend for Rksp {
         cfg: &RkspConfig,
         comm: &Communicator,
         partition: BlockRowPartition,
-        matrix: &CsrMatrix,
+        matrix: &Arc<CsrMatrix>,
     ) -> LisiResult<RkspArtifact> {
-        let dist = DistCsrMatrix::from_local_rows(comm, partition, matrix.clone())?;
+        let dist = DistCsrMatrix::from_local_rows(comm, partition, Arc::clone(matrix))?;
         let operator = Box::new(MatOperator::new(dist));
         let pc = cfg.ksp.make_pc(operator.as_ref())?;
         Ok(RkspArtifact { operator, pc })

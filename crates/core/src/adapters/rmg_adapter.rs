@@ -117,9 +117,9 @@ impl Backend for Rmg {
         cfg: &RmgConfig,
         comm: &Communicator,
         partition: BlockRowPartition,
-        matrix: &CsrMatrix,
+        matrix: &Arc<CsrMatrix>,
     ) -> LisiResult<RmgArtifact> {
-        let dist = DistCsrMatrix::from_local_rows(comm, partition.clone(), matrix.clone())?;
+        let dist = DistCsrMatrix::from_local_rows(comm, partition.clone(), Arc::clone(matrix))?;
         let hierarchy = dist
             .gather_to_root(comm, 0)?
             .map(|a| Hierarchy::build(a, cfg.grid_side, CoarseOperator::Galerkin, 20, 1, None))

@@ -4,6 +4,8 @@
 //! *between* calls and must be reused invisibly behind the common
 //! interface.
 
+use std::sync::Arc;
+
 use parking_lot::Mutex;
 use rcomm::Communicator;
 use rdirect::{DistRslu, Ordering, RsluOptions};
@@ -65,9 +67,9 @@ impl Backend for Rslu {
         cfg: &RsluConfig,
         comm: &Communicator,
         partition: BlockRowPartition,
-        matrix: &CsrMatrix,
+        matrix: &Arc<CsrMatrix>,
     ) -> LisiResult<RsluArtifact> {
-        let dist = DistCsrMatrix::from_local_rows(comm, partition.clone(), matrix.clone())?;
+        let dist = DistCsrMatrix::from_local_rows(comm, partition.clone(), Arc::clone(matrix))?;
         let mut solver = DistRslu::new(cfg.options.clone());
         solver.factorize(comm, &dist)?;
         Ok(RsluArtifact { partition, solver: Mutex::new(solver) })

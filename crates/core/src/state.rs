@@ -30,8 +30,8 @@ impl HashedMatrix {
         self.csr = Some(Arc::new(matrix));
     }
 
-    /// The stored matrix, if one was set up. Shared, so a solve can hold
-    /// on to the rows (RSLU's residual check) without a copy.
+    /// The stored matrix, if one was set up. The one copy of this rank's
+    /// rows: every package's operator and the setup mirror share it.
     pub fn get(&self) -> Option<&Arc<CsrMatrix>> {
         self.csr.as_ref()
     }

@@ -369,8 +369,10 @@ pub struct DistCsrMatrix {
     /// renumbered columns (see [`SplitLocal`]).
     split: SplitLocal,
     /// Local rows with original global column indices (kept for gather,
-    /// value updates and diagnostics).
-    local_global: CsrMatrix,
+    /// value updates and diagnostics). Shared with whoever handed them in
+    /// and with every clone of the operator; [`Self::update_values`]
+    /// copies them before it writes.
+    local_global: Arc<CsrMatrix>,
     plan: HaloPlan,
     /// Reusable matvec scratch; interior mutability so the hot path takes
     /// `&self` (each rank owns its matrix, so the lock is uncontended).
@@ -387,7 +389,7 @@ impl Clone for DistCsrMatrix {
             partition: self.partition.clone(),
             rank: self.rank,
             split: self.split.clone(),
-            local_global: self.local_global.clone(),
+            local_global: Arc::clone(&self.local_global),
             plan: self.plan.clone(),
             workspace: Mutex::new(MatvecWorkspace::new(&self.plan)),
             multi_workspace: Mutex::new(None),
@@ -439,11 +441,16 @@ impl DistCsrMatrix {
     /// The split pieces index columns with `u32`: a rank whose owned rows
     /// plus ghost entries exceed `u32::MAX` gets
     /// [`SparseError::IndexOutOfBounds`] (after the plan's last collective).
+    ///
+    /// An `Arc<CsrMatrix>` is kept as it is, not copied: the operator
+    /// reads the caller's rows and copies them only when its values are
+    /// updated.
     pub fn from_local_rows(
         comm: &Communicator,
         partition: BlockRowPartition,
-        local: CsrMatrix,
+        local: impl Into<Arc<CsrMatrix>>,
     ) -> SparseResult<Self> {
+        let local: Arc<CsrMatrix> = local.into();
         let rank = comm.rank();
         if partition.parts() != comm.size() {
             return Err(SparseError::BadBlockPartition(format!(
@@ -1207,7 +1214,8 @@ impl DistCsrMatrix {
 
     /// Replace the numerical values of the local rows, keeping the pattern
     /// (paper §5.2d: repeated solves with a new matrix of identical
-    /// sparsity).
+    /// sparsity). Copy-on-write: rows shared with the caller or with a
+    /// clone are copied first and stay as they were.
     pub fn update_values(&mut self, values: &[f64]) -> SparseResult<()> {
         if values.len() != self.local_nnz() {
             return Err(SparseError::LengthMismatch {
@@ -1216,7 +1224,7 @@ impl DistCsrMatrix {
                 got: values.len(),
             });
         }
-        self.local_global.values_mut().copy_from_slice(values);
+        Arc::make_mut(&mut self.local_global).values_mut().copy_from_slice(values);
         // Each piece re-reads its own rows: the runs diagonal-major, the
         // compact pieces "owned entries then ghost entries" (each group in
         // original scan order — the renumbering is monotone within a
@@ -1394,6 +1402,59 @@ mod tests {
                 da.local_matrix().matvec_into(&x, &mut want);
                 for (i, (g, w)) in got.local().iter().zip(&want).enumerate() {
                     assert_eq!(g.to_bits(), w.to_bits(), "p = {p}, local row {i}");
+                }
+            });
+        }
+    }
+
+    /// `update_values` is copy-on-write: the rows an operator was built
+    /// from, and a clone of the operator, keep their pattern and values
+    /// bit for bit, and the refreshed operator multiplies exactly as a
+    /// cold build from the new values does.
+    #[test]
+    fn update_values_leaves_shared_rows_untouched() {
+        let a = generate::random_diag_dominant(60, 5, 23);
+        let n = a.rows();
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
+        let same_bits = |m: &CsrMatrix, want: &CsrMatrix| {
+            assert_eq!(m.row_ptr(), want.row_ptr());
+            assert_eq!(m.col_idx(), want.col_idx());
+            let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(m.values()), bits(want.values()));
+        };
+        for p in [1usize, 2, 3] {
+            Universe::run(p, |comm| {
+                let part = BlockRowPartition::even(n, comm.size());
+                let r = part.range(comm.rank());
+                let shared = Arc::new(a.row_block(r.start, r.end).unwrap());
+                let original = CsrMatrix::clone(&shared);
+                let mut da =
+                    DistCsrMatrix::from_local_rows(comm, part.clone(), Arc::clone(&shared))
+                        .unwrap();
+                assert!(std::ptr::eq(da.local_matrix(), &*shared), "built without a copy");
+                let twin = da.clone();
+                assert!(std::ptr::eq(twin.local_matrix(), &*shared), "a clone shares the rows");
+                let dx = DistVector::from_global(part.clone(), comm.rank(), &x).unwrap();
+                let before = da.matvec(comm, &dx).unwrap();
+
+                let mut refreshed = original.clone();
+                for v in refreshed.values_mut() {
+                    *v = *v * -1.5 + 0.1;
+                }
+                da.update_values(refreshed.values()).unwrap();
+                same_bits(&shared, &original);
+                assert!(std::ptr::eq(twin.local_matrix(), &*shared));
+                same_bits(da.local_matrix(), &refreshed);
+
+                let cold = DistCsrMatrix::from_local_rows(comm, part.clone(), refreshed).unwrap();
+                let got = da.matvec(comm, &dx).unwrap();
+                let want = cold.matvec(comm, &dx).unwrap();
+                let old = twin.matvec(comm, &dx).unwrap();
+                for i in 0..got.local().len() {
+                    let (g, w) = (got.local()[i], want.local()[i]);
+                    assert_eq!(g.to_bits(), w.to_bits(), "p = {p}, row {i}: refreshed");
+                    let (o, b) = (old.local()[i], before.local()[i]);
+                    assert_eq!(o.to_bits(), b.to_bits(), "p = {p}, row {i}: the clone");
                 }
             });
         }

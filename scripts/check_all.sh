@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Full verification sweep: build, clippy, tests at 1 and 4 threads, the
 # lisibench smoke, examples, the fault matrix, doc build, benches (compile,
-# and RSLU's, the sweeps', Jacobi's, the vector kernels' and the split
-# matvec's rows run once). It measures nothing: every number the repository states comes
-# from benchmark/run.sh (lisibench); table1/figure5 regenerate the paper's
-# tables (see EXPERIMENTS.md).
+# and RSLU's, the sweeps', Jacobi's, the vector kernels', the split and
+# batched matvecs' and RAztec's rows run once). It measures nothing: every
+# number the repository states comes from benchmark/run.sh (lisibench);
+# table1/figure5 regenerate the paper's tables (see EXPERIMENTS.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -71,11 +71,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "== bench compile =="
 cargo bench --workspace --no-run
 
-echo "== RSLU, sweep, Jacobi, vector and SpMV kernel rows, run once (smoke) =="
+echo "== RSLU, sweep, Jacobi, vector, SpMV and RAztec kernel rows, run once (smoke) =="
 # Compiling a bench does not set it up: these run RSLU's rows once each
 # (factor, then the triangular solves), the preconditioner sweeps' rows,
-# the Jacobi rows, the vector kernels' rows, the digest rows and the split
-# matvec's rows once, so a panic in their set-up (or a Jacobi row whose
+# the Jacobi rows, the vector kernels' rows, the digest rows, the split
+# matvec's single and batched (k = 8) rows and RAztec's apply and GMRES(30)
+# rows once, so a panic in their set-up (or a Jacobi row whose
 # diagonal is not the kind it names) fails here. One-millisecond windows:
 # this measures nothing.
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- factor/
@@ -85,5 +86,7 @@ BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- blas1/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- digest/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- spmv_formats/split1/
+BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- spmv_multi/
+BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- raztec/
 
 echo "ALL CHECKS PASSED"
