@@ -524,6 +524,47 @@ fn digest(c: &mut Criterion) {
     group.finish();
 }
 
+/// The plan build, [`DistCsrMatrix::from_local_rows`], on one rank: the
+/// row classification (stencil runs, interior remainder, boundary), the
+/// halo needs and the compact pieces, on the local matrices of
+/// `fig5_rksp_1r` (`paper300`) and `ilu_cg_1r` (`laplacian200`). The rows
+/// are handed in as an `Arc::clone`, so no copy of them is timed; dropping
+/// the built operator is. `diagonal/paper300` is the Jacobi set-up's read
+/// of the diagonal from that plan, [`DistCsrMatrix::diagonal_local`].
+fn plan(c: &mut Criterion) {
+    use std::sync::{Arc, Mutex};
+    let paper = Arc::new(rmesh::paper_problem(300).assemble_global().0);
+    let mut group = c.benchmark_group("plan");
+    for (label, rows) in [
+        ("paper300", Arc::clone(&paper)),
+        ("laplacian200", Arc::new(generate::laplacian_2d(200))),
+    ] {
+        group.throughput(Throughput::Elements(rows.nnz() as u64));
+        group.bench_function(label, |b| {
+            let b = Mutex::new(b);
+            Universe::run(1, |comm| {
+                let part = BlockRowPartition::even(rows.rows(), 1);
+                b.lock().unwrap().iter(|| {
+                    DistCsrMatrix::from_local_rows(comm, part.clone(), Arc::clone(&rows)).unwrap()
+                });
+            });
+        });
+    }
+    group.finish();
+    let mut group = c.benchmark_group("diagonal");
+    group.throughput(Throughput::Elements(paper.rows() as u64));
+    group.bench_function("paper300", |b| {
+        let b = Mutex::new(b);
+        Universe::run(1, |comm| {
+            let part = BlockRowPartition::even(paper.rows(), 1);
+            let da = DistCsrMatrix::from_local_rows(comm, part, Arc::clone(&paper)).unwrap();
+            assert_eq!(da.diagonal_local(), paper.diagonal().unwrap());
+            b.lock().unwrap().iter(|| da.diagonal_local());
+        });
+    });
+    group.finish();
+}
+
 fn assembly(c: &mut Criterion) {
     let mut group = c.benchmark_group("assembly");
     for m in [100usize, 200] {
@@ -537,6 +578,6 @@ fn assembly(c: &mut Criterion) {
 
 criterion_group!(
     benches, spmv, spmv_formats, spmv_multi, sptrsv, jacobi, factor, trisolve, blas1, raztec,
-    probe_sites, conversions, digest, assembly
+    probe_sites, conversions, digest, plan, assembly
 );
 criterion_main!(benches);

@@ -162,6 +162,22 @@ impl RsluSolver {
     /// Phase 2: numeric factorization (runs analyze implicitly if absent
     /// or incompatible).
     pub fn factorize(&mut self, a: &CsrMatrix) -> RsluResult<()> {
+        self.factor_pattern(a)?;
+        self.matrix = Some(a.clone());
+        Ok(())
+    }
+
+    /// [`Self::factorize`] on a matrix the caller hands over, kept for
+    /// refinement as it is instead of copied.
+    pub(crate) fn factorize_owned(&mut self, a: CsrMatrix) -> RsluResult<()> {
+        self.factor_pattern(&a)?;
+        self.matrix = Some(a);
+        Ok(())
+    }
+
+    /// Everything [`Self::factorize`] does but keep `a`: analyze when the
+    /// stored analysis does not fit its pattern, then factor it.
+    fn factor_pattern(&mut self, a: &CsrMatrix) -> RsluResult<()> {
         let need_analysis = match &self.symbolic {
             Some(s) => !s.compatible_with(a),
             None => true,
@@ -171,7 +187,6 @@ impl RsluSolver {
         }
         self.factor_numeric(a)?;
         self.stats.nnz = a.nnz();
-        self.matrix = Some(a.clone());
         Ok(())
     }
 
@@ -344,7 +359,7 @@ impl DistRslu {
         let gathered = a.gather_to_root(comm, 0)?;
         let outcome = gathered.map(|global| {
             self.x_full = vec![0.0; global.rows()];
-            self.inner.factorize(&global)
+            self.inner.factorize_owned(global)
         });
         // Broadcast the root's outcome so all ranks agree on it.
         comm.bcast(0, outcome)?.expect("the root sends its outcome")

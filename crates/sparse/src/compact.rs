@@ -165,6 +165,18 @@ impl CompactRows {
         }
     }
 
+    /// `d[row] =` the stored value of each stored row's diagonal entry
+    /// (owned column `row`); rows that store none are left alone. A row's
+    /// owned columns ascend, so one binary search a row.
+    pub(crate) fn diagonal_into(&self, d: &mut [f64]) {
+        for (i, &row) in self.rows.iter().enumerate() {
+            let (lo, mid, _) = self.row_bounds(i);
+            if let Ok(k) = self.cols[lo..mid].binary_search_by(|&c| (c as usize).cmp(&row)) {
+                d[row] = self.vals[lo + k];
+            }
+        }
+    }
+
     /// `(start, first ghost entry, end)` of row `i`.
     #[inline(always)]
     fn row_bounds(&self, i: usize) -> (usize, usize, usize) {
@@ -545,6 +557,26 @@ impl StencilRuns {
         }
     }
 
+    /// `d[row] =` the stored value of each run row's diagonal entry; rows
+    /// of a run without one are left alone. Row `row0 + t`'s entry `j`
+    /// sits in column `starts[j] + t`, so a run's diagonal is the one
+    /// entry `j` with `starts[j] == row0`, in every row: one value for a
+    /// constant run, `len` values down diagonal `j` otherwise.
+    pub(crate) fn diagonal_into(&self, d: &mut [f64]) {
+        for run in &self.runs {
+            let starts = &self.starts[run.start0..run.start0 + run.k];
+            let Some(j) = starts.iter().position(|&s| s == run.row0) else {
+                continue;
+            };
+            let out = &mut d[run.row0..run.row0 + run.len];
+            if run.constant {
+                out.fill(self.vals[run.val0 + j]);
+            } else {
+                out.copy_from_slice(&self.vals[run.val0 + j * run.len..][..run.len]);
+            }
+        }
+    }
+
     /// Rows stored in runs.
     pub(crate) fn row_count(&self) -> usize {
         self.n_rows
@@ -817,7 +849,12 @@ pub(crate) fn split_interior(
             }
         }
     };
-    let interior = |cols: &[usize]| cols.iter().all(|c| owned.contains(c));
+    // A row's columns strictly ascend (`CsrMatrix`'s invariant), so its two
+    // ends bound it; an empty row is interior.
+    let interior = |cols: &[usize]| match (cols.first(), cols.last()) {
+        (Some(&first), Some(&last)) => first >= owned.start && last < owned.end,
+        _ => true,
+    };
     scan_sequences(local, interior, store, |i| other_rows.push(i));
     let rest = CompactRows::new(
         rest_rows,
@@ -902,7 +939,7 @@ mod tests {
             values.extend(row.iter().map(|e| e.1));
             row_ptr.push(col_idx.len());
         }
-        CsrMatrix::from_parts_unchecked(rows.len(), cols, row_ptr, col_idx, values)
+        CsrMatrix::from_parts_raw(rows.len(), cols, row_ptr, col_idx, values)
     }
 
     /// The product of `local`'s rows (all interior) through the plan on

@@ -106,7 +106,10 @@ impl CsrMatrix {
     }
 
     /// Build from parts that are known valid (internal fast path for
-    /// conversions that construct invariant-satisfying arrays).
+    /// conversions that construct invariant-satisfying arrays). Debug
+    /// builds run [`Self::check_parts`] anyway: code that reads a row by
+    /// its two ends (the plan build's interior test) rests on every row's
+    /// columns ascending.
     pub(crate) fn from_parts_unchecked(
         rows: usize,
         cols: usize,
@@ -114,8 +117,24 @@ impl CsrMatrix {
         col_idx: Vec<usize>,
         values: Vec<f64>,
     ) -> Self {
-        debug_assert_eq!(row_ptr.len(), rows + 1);
-        debug_assert_eq!(col_idx.len(), values.len());
+        debug_assert_eq!(
+            Self::check_parts(rows, cols, values.len(), &row_ptr, &col_idx),
+            Ok(())
+        );
+        CsrMatrix { rows, cols, row_ptr, col_idx, values }
+    }
+
+    /// Parts taken as given, checked by no build profile: rows whose
+    /// columns are unsorted or repeated, for tests of kernels that must
+    /// sum a row in stored order whatever that order is.
+    #[cfg(test)]
+    pub(crate) fn from_parts_raw(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Self {
         CsrMatrix { rows, cols, row_ptr, col_idx, values }
     }
 

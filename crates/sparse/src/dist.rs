@@ -474,17 +474,44 @@ impl DistCsrMatrix {
                 got: local.cols(),
             });
         }
-        let start = partition.start_row(rank);
 
-        // 1. Find needed remote columns, grouped by owner.
-        let p = comm.size();
-        let mut needed: Vec<Vec<usize>> = vec![Vec::new(); p];
-        for &c in local.col_idx() {
-            let owner = partition.owner(c)?;
-            if owner != rank {
-                needed[owner].push(c);
+        // 0. Classify every row, once and locally: stencil runs and the
+        //    compact interior remainder touch only owned columns, so only
+        //    the boundary rows can name a remote one. The interior pieces'
+        //    `u32` casts are lossless once `check_index_space` passes; a
+        //    plan it refuses is dropped unread.
+        let my_range = partition.range(rank);
+        let (runs, interior, boundary_rows) =
+            compact::split_interior(&local, &my_range, n_local);
+
+        // 1. Find needed remote columns in the boundary rows, grouped by
+        //    owner.
+        let mut needed: Vec<Vec<usize>> = vec![Vec::new(); comm.size()];
+        for &i in &boundary_rows {
+            for &c in local.row(i).0 {
+                if !my_range.contains(&c) {
+                    needed[partition.owner(c)?].push(c);
+                }
             }
         }
+        Self::from_needed(comm, partition, local, (runs, interior, boundary_rows), needed)
+    }
+
+    /// The rest of [`Self::from_local_rows`] once this rank's rows are
+    /// classified (`split_interior`'s runs, interior remainder and boundary
+    /// rows) and `needed[owner]` lists the remote columns they read, in any
+    /// order and with repeats.
+    fn from_needed(
+        comm: &Communicator,
+        partition: BlockRowPartition,
+        local: Arc<CsrMatrix>,
+        (runs, interior, boundary_rows): (StencilRuns, CompactRows, Vec<usize>),
+        mut needed: Vec<Vec<usize>>,
+    ) -> SparseResult<Self> {
+        let rank = comm.rank();
+        let n_local = partition.local_rows(rank);
+        let my_range = partition.range(rank);
+        let start = my_range.start;
         for lst in &mut needed {
             lst.sort_unstable();
             lst.dedup();
@@ -529,16 +556,13 @@ impl DistCsrMatrix {
         compact::check_index_space(n_local, n_ghosts)?;
         let plan = HaloPlan { sends, recvs, n_ghosts };
 
-        // 4. Split-compile the local matrix with renumbered columns,
-        //    straight into the compact pieces. The renumbering keeps owned
-        //    columns and ghost columns each in order (see [`SplitLocal`]),
-        //    so each output row is "owned entries then ghost entries" in
-        //    one linear pass — no COO round-trip, no per-row sort.
-        //    `check_index_space` above makes the `u32` casts lossless;
-        //    `CompactRows::new` re-checks every index it stores.
-        let my_range = partition.range(rank);
-        let (runs, interior, boundary_rows) =
-            compact::split_interior(&local, &my_range, n_local);
+        // 4. Compile the boundary rows with renumbered columns, straight
+        //    into their compact piece. The renumbering keeps owned columns
+        //    and ghost columns each in order (see [`SplitLocal`]), so each
+        //    output row is "owned entries then ghost entries" in one linear
+        //    pass — no COO round-trip, no per-row sort. `check_index_space`
+        //    above makes the `u32` casts lossless; `CompactRows::new`
+        //    re-checks every index it stores.
         let mut bnd_ptr = vec![0usize];
         let mut bnd_ghost_ptr = Vec::new();
         let mut bnd_cols: Vec<u32> = Vec::new();
@@ -884,11 +908,17 @@ impl DistCsrMatrix {
     }
 
     /// The local slice of the global main diagonal (zeros where missing).
+    ///
+    /// Read from the plan, whose three pieces cover every local row once:
+    /// the stored bits of `local_matrix().get(lr, start + lr)`, `+0.0`
+    /// where a row stores no diagonal. [`Self::update_values`] refreshes
+    /// the pieces, so the diagonal follows new values.
     pub fn diagonal_local(&self) -> Vec<f64> {
-        let start = self.partition.start_row(self.rank);
-        (0..self.local_rows())
-            .map(|lr| self.local_global.get(lr, start + lr))
-            .collect()
+        let mut d = vec![0.0; self.local_rows()];
+        self.split.runs.diagonal_into(&mut d);
+        self.split.interior.diagonal_into(&mut d);
+        self.split.boundary.diagonal_into(&mut d);
+        d
     }
 
     /// Parallel y = A·x with halo exchange. Collective.
@@ -1512,6 +1542,279 @@ mod tests {
             DistCsrMatrix::from_global(comm, bad, &a).is_err()
         });
         assert_eq!(out, vec![true, true]);
+    }
+
+    /// The remote columns `local`'s rows read, grouped by owner: one
+    /// owner lookup per stored entry — the halo needs' oracle.
+    fn needed_by_owner_scan(
+        local: &CsrMatrix,
+        part: &BlockRowPartition,
+        rank: usize,
+    ) -> Vec<Vec<usize>> {
+        let mut needed = vec![Vec::new(); part.parts()];
+        for &c in local.col_idx() {
+            let owner = part.owner(c).unwrap();
+            if owner != rank {
+                needed[owner].push(c);
+            }
+        }
+        needed
+    }
+
+    /// `n` rows: those in `own` read only their own block's columns (its
+    /// rank has no boundary row); elsewhere every fifth row is empty, every
+    /// fifth row holds one entry half the matrix away (only remote columns
+    /// once the blocks are narrower than that), and the rest are
+    /// `random_csr`'s rows.
+    fn halo_mixed(n: usize, own: std::ops::Range<usize>, seed: u64) -> CsrMatrix {
+        let random = generate::random_csr(n, n, 0.15, seed);
+        let mut coo = crate::coo::CooMatrix::new(n, n);
+        for i in 0..n {
+            if own.contains(&i) {
+                for c in (i.saturating_sub(1)..=i + 1).filter(|c| own.contains(c)) {
+                    coo.push(i, c, 1.0 + c as f64).unwrap();
+                }
+                continue;
+            }
+            match i % 5 {
+                0 => {}
+                1 => coo.push(i, (i + n / 2) % n, -2.0 - i as f64).unwrap(),
+                _ => {
+                    let (cols, vals) = random.row(i);
+                    for (&c, &v) in cols.iter().zip(vals) {
+                        coo.push(i, c, v).unwrap();
+                    }
+                }
+            }
+        }
+        coo.to_csr()
+    }
+
+    /// The plan build finds the remote columns in the boundary rows alone;
+    /// the per-entry owner scan over every row must find the same ones.
+    /// The plan (sends, receives, ghost count), the pieces and the product
+    /// equal a build fed the scan's lists, bit for bit, and on one rank the
+    /// product is the serial CSR loop's.
+    #[test]
+    fn halo_plan_matches_the_owner_scan_of_every_entry() {
+        let n = 37;
+        let partitions = [
+            vec![37],
+            vec![25, 12],
+            vec![5, 14, 18],
+            vec![9, 0, 16, 12],
+            vec![12, 3, 9, 13],
+        ];
+        let x = generate::random_vector(n, 7);
+        for counts in partitions {
+            let part = BlockRowPartition::from_counts(&counts).unwrap();
+            let p = part.parts();
+            let mixed = halo_mixed(n, part.range(p - 1), 5);
+            let only_remote = (0..n).any(|i| {
+                let cols = mixed.row(i).0;
+                let mine = part.range(part.owner(i).unwrap());
+                !cols.is_empty() && cols.iter().all(|c| !mine.contains(c))
+            });
+            assert_eq!(only_remote, p > 1, "{counts:?}: a row with only remote columns");
+            let matrices = [
+                ("random 0.1", generate::random_csr(n, n, 0.1, 3)),
+                ("random 0.3", generate::random_csr(n, n, 0.3, 11)),
+                ("mixed", mixed),
+            ];
+            for (tag, a) in &matrices {
+                let failures = Universe::run(p, |comm| {
+                    let rank = comm.rank();
+                    let r = part.range(rank);
+                    let local = Arc::new(a.row_block(r.start, r.end).unwrap());
+                    let da =
+                        DistCsrMatrix::from_local_rows(comm, part.clone(), Arc::clone(&local))
+                            .unwrap();
+                    let oracle = DistCsrMatrix::from_needed(
+                        comm,
+                        part.clone(),
+                        Arc::clone(&local),
+                        compact::split_interior(&local, &r, r.len()),
+                        needed_by_owner_scan(&local, &part, rank),
+                    )
+                    .unwrap();
+                    let dx = DistVector::from_global(part.clone(), rank, &x).unwrap();
+                    let got = da.matvec(comm, &dx).unwrap();
+                    let want = oracle.matvec(comm, &dx).unwrap();
+                    let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    let mut failures = Vec::new();
+                    if da.plan.sends != oracle.plan.sends {
+                        failures.push(format!("rank {rank}: sends"));
+                    }
+                    if da.plan.recvs != oracle.plan.recvs {
+                        failures.push(format!("rank {rank}: recvs"));
+                    }
+                    if da.plan.n_ghosts != oracle.plan.n_ghosts {
+                        failures.push(format!("rank {rank}: n_ghosts"));
+                    }
+                    if da != oracle {
+                        failures.push(format!("rank {rank}: pieces"));
+                    }
+                    if bits(got.local()) != bits(want.local()) {
+                        failures.push(format!("rank {rank}: product"));
+                    }
+                    if p == 1 {
+                        let mut serial = vec![0.0; n];
+                        local.matvec_into(&x, &mut serial);
+                        if bits(got.local()) != bits(&serial) {
+                            failures.push("serial product".to_string());
+                        }
+                    }
+                    if *tag == "mixed" && p > 1 && rank == p - 1 && da.boundary_row_count() != 0 {
+                        failures.push("the last rank has boundary rows".to_string());
+                    }
+                    failures
+                });
+                let failures: Vec<String> = failures.into_iter().flatten().collect();
+                assert!(failures.is_empty(), "{tag}, {counts:?}: {failures:?}");
+            }
+        }
+    }
+
+    /// Set the stored diagonal entry of row `r` of `a` to `v`.
+    fn set_diagonal(a: &mut CsrMatrix, r: usize, v: f64) {
+        let (lo, hi) = (a.row_ptr()[r], a.row_ptr()[r + 1]);
+        let k = lo + a.col_idx()[lo..hi].binary_search(&r).expect("row stores its diagonal");
+        a.values_mut()[k] = v;
+    }
+
+    /// `a` with each row's values scaled by a factor that differs from the
+    /// row above's: every stencil run varies.
+    fn rows_scaled_unequally(a: &CsrMatrix) -> CsrMatrix {
+        let mut scaled = a.clone();
+        for r in 0..a.rows() {
+            let (lo, hi) = (a.row_ptr()[r], a.row_ptr()[r + 1]);
+            for v in &mut scaled.values_mut()[lo..hi] {
+                *v *= (1 + r % 3) as f64;
+            }
+        }
+        scaled
+    }
+
+    /// `diagonal_local` against `local_matrix().get(lr, start + lr)`, bit
+    /// for bit, on every local row: one line per rank that differs, with
+    /// the count and the first few rows.
+    fn diagonal_mismatches(da: &DistCsrMatrix) -> Vec<String> {
+        let start = da.partition().start_row(da.rank);
+        let got = da.diagonal_local();
+        let bad: Vec<usize> = (0..da.local_rows())
+            .filter(|&lr| got[lr].to_bits() != da.local_matrix().get(lr, start + lr).to_bits())
+            .collect();
+        if bad.is_empty() {
+            Vec::new()
+        } else {
+            let first = &bad[..bad.len().min(8)];
+            vec![format!("rank {}: {} rows, first {first:?}", da.rank, bad.len())]
+        }
+    }
+
+    /// The diagonal read from the plan is the stored diagonal, bit for bit:
+    /// in constant and varying stencil runs, in the interior remainder and
+    /// in boundary rows, `+0.0` where a row stores none (in runs too),
+    /// stored `±0.0` and a NaN with a payload, at 1–3 ranks.
+    #[test]
+    fn diagonal_local_is_the_stored_diagonal_bitwise() {
+        // A 20 × 20 grid: one run of 18 rows a grid line.
+        let m = 20;
+        let lap = generate::laplacian_2d(m);
+        let n = lap.rows();
+        let mut negative_zero = lap.clone();
+        for r in 0..n {
+            set_diagonal(&mut negative_zero, r, -0.0);
+        }
+        let mut special = rows_scaled_unequally(&lap);
+        // Rows 45..=47 sit in grid line 2's run, row 0 in the remainder.
+        set_diagonal(&mut special, 45, f64::from_bits(0x7ff8_0000_0000_0b0e));
+        set_diagonal(&mut special, 46, -0.0);
+        set_diagonal(&mut special, 47, 0.0);
+        set_diagonal(&mut special, 0, -0.0);
+        // In the first half every seventh row lacks its diagonal; in the
+        // second half every row reads only its left and right neighbours:
+        // runs with no diagonal entry.
+        let mut gaps = crate::coo::CooMatrix::new(n, n);
+        for (r, c, v) in lap.iter() {
+            let dropped = if r >= n / 2 {
+                c == r || c.abs_diff(r) == m
+            } else {
+                c == r && r % 7 == 3
+            };
+            if !dropped {
+                gaps.push(r, c, v).unwrap();
+            }
+        }
+        let cases = [
+            ("constant runs", lap.clone()),
+            ("constant runs of -0.0", negative_zero),
+            ("varying runs, NaN and signed zeros", special),
+            ("missing diagonals", gaps.to_csr()),
+            ("random", generate::random_csr(n, n, 0.02, 17)),
+        ];
+        for (tag, a) in &cases {
+            for p in 1..=3 {
+                let out = Universe::run(p, |comm| {
+                    let part = BlockRowPartition::even(n, comm.size());
+                    let da = DistCsrMatrix::from_global(comm, part, a).unwrap();
+                    let shape = (
+                        da.stencil_row_count(),
+                        da.constant_stencil_row_count(),
+                        da.interior_row_count() - da.stencil_row_count(),
+                        da.boundary_row_count(),
+                    );
+                    (diagonal_mismatches(&da), shape)
+                });
+                let (failures, shapes): (Vec<_>, Vec<_>) = out.into_iter().unzip();
+                let failures: Vec<String> = failures.into_iter().flatten().collect();
+                assert!(failures.is_empty(), "{tag}, {p} ranks: {failures:?}");
+                let total = |f: fn(&(usize, usize, usize, usize)) -> usize| {
+                    shapes.iter().map(f).sum::<usize>()
+                };
+                assert!(total(|s| s.2) > 0, "{tag}: no interior remainder");
+                assert_eq!(total(|s| s.3) > 0, p > 1, "{tag}: boundary rows");
+                if *tag != "random" {
+                    assert!(total(|s| s.0) > 0, "{tag}: no stencil runs");
+                }
+                if tag.starts_with("constant") {
+                    assert_eq!(total(|s| s.1), total(|s| s.0), "{tag}: a run varies");
+                }
+                if tag.starts_with("varying") {
+                    assert_eq!(total(|s| s.1), 0, "{tag}: a run is constant");
+                }
+            }
+        }
+    }
+
+    /// The diagonal follows `update_values`: constant runs turned varying,
+    /// then constant again.
+    #[test]
+    fn diagonal_local_follows_update_values_across_run_classes() {
+        let lap = generate::laplacian_2d(20);
+        let n = lap.rows();
+        let varying = rows_scaled_unequally(&lap);
+        for p in 1..=3 {
+            let out = Universe::run(p, |comm| {
+                let part = BlockRowPartition::even(n, comm.size());
+                let r = part.range(comm.rank());
+                let mut da = DistCsrMatrix::from_global(comm, part, &lap).unwrap();
+                let mut failures = diagonal_mismatches(&da);
+                let mut constant_rows = vec![da.constant_stencil_row_count()];
+                for values in [&varying, &lap] {
+                    let block = values.row_block(r.start, r.end).unwrap();
+                    da.update_values(block.values()).unwrap();
+                    failures.extend(diagonal_mismatches(&da));
+                    constant_rows.push(da.constant_stencil_row_count());
+                }
+                (failures, constant_rows, da.stencil_row_count())
+            });
+            for (failures, constant_rows, runs) in out {
+                assert!(failures.is_empty(), "{p} ranks: {failures:?}");
+                assert!(runs > 0);
+                assert_eq!(constant_rows, [runs, 0, runs], "{p} ranks");
+            }
+        }
     }
 
     /// The block as the COO round trip used to build it: every owned

@@ -74,7 +74,8 @@ cargo bench --workspace --no-run
 echo "== RSLU, sweep, Jacobi, vector, SpMV and RAztec kernel rows, run once (smoke) =="
 # Compiling a bench does not set it up: these run RSLU's rows once each
 # (factor, then the triangular solves), the preconditioner sweeps' rows,
-# the Jacobi rows, the vector kernels' rows, the digest rows, the split
+# the Jacobi rows, the vector kernels' rows, the digest rows, the plan
+# build's and the diagonal's rows, the split
 # matvec's single and batched (k = 8) rows and RAztec's apply and GMRES(30)
 # rows once, so a panic in their set-up (or a Jacobi row whose
 # diagonal is not the kind it names) fails here. One-millisecond windows:
@@ -85,6 +86,8 @@ BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- jacobi/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- blas1/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- digest/
+BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- plan/
+BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- diagonal/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- spmv_formats/split1/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- spmv_multi/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- raztec/
