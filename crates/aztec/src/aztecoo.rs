@@ -279,10 +279,7 @@ mod tests {
             (st, xv.gather_all(comm).unwrap())
         });
         let (st, full) = out[0].clone();
-        let err = full
-            .iter()
-            .zip(&x_true)
-            .fold(0.0f64, |m, (g, e)| m.max((g - e).abs()));
+        let err = full.iter().zip(&x_true).fold(0.0f64, |m, (g, e)| m.max((g - e).abs()));
         (st, err)
     }
 

@@ -35,7 +35,7 @@ mod rowmatrix;
 mod solvers;
 mod vector;
 
-pub use aztecoo::{AztecOO, AztecOptions, AzConv, AzPrecond, AzSolver, AzWhy, SolveStatus};
+pub use aztecoo::{AzConv, AzPrecond, AzSolver, AzWhy, AztecOO, AztecOptions, SolveStatus};
 pub use map::Map;
 pub use rowmatrix::{CrsMatrix, RowMatrix};
 pub use vector::Vector;

@@ -14,10 +14,7 @@ pub struct Map {
 impl Map {
     /// Even distribution of `num_global` indices over `comm`.
     pub fn new(num_global: usize, comm: &rcomm::Communicator) -> Self {
-        Map {
-            partition: BlockRowPartition::even(num_global, comm.size()),
-            rank: comm.rank(),
-        }
+        Map { partition: BlockRowPartition::even(num_global, comm.size()), rank: comm.rank() }
     }
 
     /// Wrap an existing partition.

@@ -312,12 +312,7 @@ mod tests {
             fn row_map(&self) -> &Map {
                 &self.map
             }
-            fn apply(
-                &self,
-                _c: &Communicator,
-                x: &Vector,
-                y: &mut Vector,
-            ) -> AztecResult<()> {
+            fn apply(&self, _c: &Communicator, x: &Vector, y: &mut Vector) -> AztecResult<()> {
                 y.values_mut().copy_from_slice(x.values());
                 Ok(())
             }

@@ -34,12 +34,7 @@ pub(crate) fn cg(
     let r0 = z.norm2(comm)?; // Aztec-style: preconditioned residual norm
     let mut stop = StopState::new(r0);
     if let Some(why) = stop_check(r0, r0, bnorm, opts, 0, &mut stop) {
-        return Ok(RawOutcome {
-            why,
-            iterations: 0,
-            rec_residual: r0,
-            initial_residual: r0,
-        });
+        return Ok(RawOutcome { why, iterations: 0, rec_residual: r0, initial_residual: r0 });
     }
     let mut p = z.clone();
     let mut q = Vector::new(map);
@@ -66,12 +61,7 @@ pub(crate) fn cg(
         rz = rz_new;
         p.update2(1.0, &z, beta)?;
     };
-    Ok(RawOutcome {
-        why,
-        iterations: it,
-        rec_residual: rnorm,
-        initial_residual: r0,
-    })
+    Ok(RawOutcome { why, iterations: it, rec_residual: rnorm, initial_residual: r0 })
 }
 
 /// Left-preconditioned restarted GMRES(k) on M⁻¹A.
@@ -103,12 +93,7 @@ pub(crate) fn gmres(
     let r0 = z.norm2(comm)?;
     let mut stop = StopState::new(r0);
     if let Some(why) = stop_check(r0, r0, bnorm, opts, 0, &mut stop) {
-        return Ok(RawOutcome {
-            why,
-            iterations: 0,
-            rec_residual: r0,
-            initial_residual: r0,
-        });
+        return Ok(RawOutcome { why, iterations: 0, rec_residual: r0, initial_residual: r0 });
     }
 
     let mut it = 0usize;
@@ -189,12 +174,7 @@ pub(crate) fn gmres(
             break 'outer why;
         }
     };
-    Ok(RawOutcome {
-        why,
-        iterations: it,
-        rec_residual: rnorm,
-        initial_residual: r0,
-    })
+    Ok(RawOutcome { why, iterations: it, rec_residual: rnorm, initial_residual: r0 })
 }
 
 /// Left-preconditioned BiCGStab on M⁻¹A.
@@ -218,12 +198,7 @@ pub(crate) fn bicgstab(
     let r0n = r.norm2(comm)?;
     let mut stop = StopState::new(r0n);
     if let Some(why) = stop_check(r0n, r0n, bnorm, opts, 0, &mut stop) {
-        return Ok(RawOutcome {
-            why,
-            iterations: 0,
-            rec_residual: r0n,
-            initial_residual: r0n,
-        });
+        return Ok(RawOutcome { why, iterations: 0, rec_residual: r0n, initial_residual: r0n });
     }
     let r_hat = r.clone();
     let mut p = r.clone();
@@ -275,12 +250,7 @@ pub(crate) fn bicgstab(
             *pi = ri + beta * (*pi - omega * vi);
         }
     };
-    Ok(RawOutcome {
-        why,
-        iterations: it,
-        rec_residual: rnorm,
-        initial_residual: r0n,
-    })
+    Ok(RawOutcome { why, iterations: it, rec_residual: rnorm, initial_residual: r0n })
 }
 
 /// Left-preconditioned CGS on M⁻¹A (Aztec's `AZ_cgs`).
@@ -303,12 +273,7 @@ pub(crate) fn cgs(
     let r0n = r.norm2(comm)?;
     let mut stop = StopState::new(r0n);
     if let Some(why) = stop_check(r0n, r0n, bnorm, opts, 0, &mut stop) {
-        return Ok(RawOutcome {
-            why,
-            iterations: 0,
-            rec_residual: r0n,
-            initial_residual: r0n,
-        });
+        return Ok(RawOutcome { why, iterations: 0, rec_residual: r0n, initial_residual: r0n });
     }
     let r_hat = r.clone();
     let mut p = r.clone();
@@ -360,12 +325,7 @@ pub(crate) fn cgs(
             *pi = ui + beta * (qi + beta * *pi);
         }
     };
-    Ok(RawOutcome {
-        why,
-        iterations: it,
-        rec_residual: rnorm,
-        initial_residual: r0n,
-    })
+    Ok(RawOutcome { why, iterations: it, rec_residual: rnorm, initial_residual: r0n })
 }
 
 /// Left-preconditioned TFQMR on M⁻¹A (Aztec's `AZ_tfqmr`).
@@ -397,12 +357,7 @@ pub(crate) fn tfqmr(
     let r0n = r.norm2(comm)?;
     let mut stop = StopState::new(r0n);
     if let Some(why) = stop_check(r0n, r0n, bnorm, opts, 0, &mut stop) {
-        return Ok(RawOutcome {
-            why,
-            iterations: 0,
-            rec_residual: r0n,
-            initial_residual: r0n,
-        });
+        return Ok(RawOutcome { why, iterations: 0, rec_residual: r0n, initial_residual: r0n });
     }
     let r_hat = r.clone();
     let mut w = r.clone();
@@ -457,12 +412,7 @@ pub(crate) fn tfqmr(
         }
         u = au;
     };
-    Ok(RawOutcome {
-        why,
-        iterations: it,
-        rec_residual: rnorm,
-        initial_residual: r0n,
-    })
+    Ok(RawOutcome { why, iterations: it, rec_residual: rnorm, initial_residual: r0n })
 }
 
 #[cfg(test)]
@@ -495,12 +445,8 @@ mod tests {
         }
     }
 
-    const ALL_PCS: [AzPrecond; 4] = [
-        AzPrecond::None,
-        AzPrecond::Jacobi,
-        AzPrecond::Neumann { order: 2 },
-        AzPrecond::SymGs,
-    ];
+    const ALL_PCS: [AzPrecond; 4] =
+        [AzPrecond::None, AzPrecond::Jacobi, AzPrecond::Neumann { order: 2 }, AzPrecond::SymGs];
 
     fn build_pc<'a>(m: &'a CrsMatrix, precond: AzPrecond) -> Box<dyn AzPc + 'a> {
         match precond {
@@ -568,28 +514,17 @@ mod tests {
             let want = trace(comm, &m, old, precond, sys, opts);
             (got, want)
         });
-        let tag = format!(
-            "{what}: {solver:?}/{precond:?} on {ranks} ranks, kspace {}",
-            opts.kspace
-        );
+        let tag =
+            format!("{what}: {solver:?}/{precond:?} on {ranks} ranks, kspace {}", opts.kspace);
         for (got, want) in &out {
             assert_eq!(got, want, "{tag}");
-            assert_eq!(
-                (got.why, got.its),
-                (out[0].0.why, out[0].0.its),
-                "{tag}: ranks disagree"
-            );
+            assert_eq!((got.why, got.its), (out[0].0.why, out[0].0.its), "{tag}: ranks disagree");
         }
         (out[0].0.why, out[0].0.its)
     }
 
     fn opts(kspace: usize, max_iter: usize) -> AztecOptions {
-        AztecOptions {
-            kspace,
-            max_iter,
-            conv: AzConv::Rhs,
-            ..AztecOptions::default()
-        }
+        AztecOptions { kspace, max_iter, conv: AzConv::Rhs, ..AztecOptions::default() }
     }
 
     fn paper(m: usize) -> CsrMatrix {
@@ -598,31 +533,14 @@ mod tests {
 
     #[test]
     fn gmres_retraces_the_two_pass_loop_on_every_grid_rank_count_depth_and_preconditioner() {
-        let systems = [
-            paper(1),
-            paper(2),
-            paper(7),
-            paper(40),
-            generate::laplacian_2d(40),
-        ];
+        let systems = [paper(1), paper(2), paper(7), paper(40), generate::laplacian_2d(40)];
         for a in &systems {
             let b = generate::random_vector(a.rows(), 5);
-            let sys = System {
-                a,
-                b: &b,
-                x0: &vec![0.0; a.rows()],
-            };
+            let sys = System { a, b: &b, x0: &vec![0.0; a.rows()] };
             for ranks in [1usize, 2, 3] {
                 for kspace in [1usize, 2, 5, 30] {
                     for precond in ALL_PCS {
-                        same_bits(
-                            "grid",
-                            AzSolver::Gmres,
-                            sys,
-                            ranks,
-                            precond,
-                            &opts(kspace, 64),
-                        );
+                        same_bits("grid", AzSolver::Gmres, sys, ranks, precond, &opts(kspace, 64));
                     }
                 }
             }
@@ -633,53 +551,28 @@ mod tests {
     fn gmres_agrees_around_restart_boundaries_and_when_max_iter_cuts_a_cycle() {
         let a = paper(7);
         let b = generate::random_vector(a.rows(), 11);
-        let sys = System {
-            a: &a,
-            b: &b,
-            x0: &vec![0.0; a.rows()],
-        };
+        let sys = System { a: &a, b: &b, x0: &vec![0.0; a.rows()] };
         // Converged solves: the sweep over depths must include one that
         // ends on the last step of a cycle and one that ends on the first
         // step of the next.
         let (mut on_boundary, mut one_past) = (false, false);
         for kspace in 2..=24 {
-            let (why, its) = same_bits(
-                "sweep",
-                AzSolver::Gmres,
-                sys,
-                2,
-                AzPrecond::Jacobi,
-                &opts(kspace, 500),
-            );
+            let (why, its) =
+                same_bits("sweep", AzSolver::Gmres, sys, 2, AzPrecond::Jacobi, &opts(kspace, 500));
             assert_eq!(why, AzWhy::Normal, "kspace {kspace}");
             on_boundary |= its > kspace && its % kspace == 0;
             one_past |= its > kspace && its % kspace == 1;
         }
-        assert!(
-            on_boundary && one_past,
-            "sweep missed a case: {on_boundary} {one_past}"
-        );
+        assert!(on_boundary && one_past, "sweep missed a case: {on_boundary} {one_past}");
         // `max_iter` on a boundary, one past it, and mid-cycle.
         for max_iter in [10usize, 11, 13] {
-            let (why, its) = same_bits(
-                "maxits",
-                AzSolver::Gmres,
-                sys,
-                3,
-                AzPrecond::None,
-                &opts(5, max_iter),
-            );
+            let (why, its) =
+                same_bits("maxits", AzSolver::Gmres, sys, 3, AzPrecond::None, &opts(5, max_iter));
             assert_eq!((why, its), (AzWhy::Maxits, max_iter));
         }
         // A space deeper than `max_iter` allows is never filled.
-        let (why, its) = same_bits(
-            "deep",
-            AzSolver::Gmres,
-            sys,
-            1,
-            AzPrecond::None,
-            &opts(1_000_000, 4),
-        );
+        let (why, its) =
+            same_bits("deep", AzSolver::Gmres, sys, 1, AzPrecond::None, &opts(1_000_000, 4));
         assert_eq!((why, its), (AzWhy::Maxits, 4));
     }
 
@@ -698,20 +591,10 @@ mod tests {
         .unwrap();
         let mut e3 = vec![0.0; n];
         e3[3] = 1.5;
-        let happy = System {
-            a: &diag,
-            b: &e3,
-            x0: &vec![0.0; n],
-        };
+        let happy = System { a: &diag, b: &e3, x0: &vec![0.0; n] };
         for ranks in [1usize, 2, 3] {
-            let (why, its) = same_bits(
-                "happy",
-                AzSolver::Gmres,
-                happy,
-                ranks,
-                AzPrecond::None,
-                &opts(30, 50),
-            );
+            let (why, its) =
+                same_bits("happy", AzSolver::Gmres, happy, ranks, AzPrecond::None, &opts(30, 50));
             assert_eq!((why, its), (AzWhy::Normal, 1));
         }
 
@@ -735,14 +618,7 @@ mod tests {
                 same_bits("guess", solver, sys(&b, &guess), ranks, precond, o);
                 let (why, its) = same_bits("b = 0", solver, sys(&zero, &zero), ranks, precond, o);
                 assert_eq!((why, its), (AzWhy::Normal, 0));
-                same_bits(
-                    "b = 0, x0 != 0",
-                    solver,
-                    sys(&zero, &guess),
-                    ranks,
-                    precond,
-                    o,
-                );
+                same_bits("b = 0, x0 != 0", solver, sys(&zero, &guess), ranks, precond, o);
                 let (why, its) = same_bits("NaN", solver, sys(&poisoned, &zero), ranks, precond, o);
                 assert_eq!((why, its), (AzWhy::Breakdown, 0));
             }
@@ -757,19 +633,9 @@ mod tests {
         let a = paper(270);
         assert!(a.rows() > rsparse::dense::DOT_BLOCK);
         let b = generate::random_vector(a.rows(), 9);
-        let sys = System {
-            a: &a,
-            b: &b,
-            x0: &vec![0.0; a.rows()],
-        };
-        let (why, its) = same_bits(
-            "past DOT_BLOCK",
-            AzSolver::Gmres,
-            sys,
-            1,
-            AzPrecond::Jacobi,
-            &opts(30, 90),
-        );
+        let sys = System { a: &a, b: &b, x0: &vec![0.0; a.rows()] };
+        let (why, its) =
+            same_bits("past DOT_BLOCK", AzSolver::Gmres, sys, 1, AzPrecond::Jacobi, &opts(30, 90));
         assert_eq!((why, its), (AzWhy::Maxits, 90));
     }
 
@@ -777,24 +643,11 @@ mod tests {
     fn the_other_four_loops_retrace_their_unfused_selves() {
         let nonsym = [paper(7), paper(40)];
         let spd = [generate::laplacian_2d(7), generate::laplacian_2d(40)];
-        for solver in [
-            AzSolver::Cg,
-            AzSolver::BiCgStab,
-            AzSolver::Cgs,
-            AzSolver::Tfqmr,
-        ] {
-            let systems = if solver == AzSolver::Cg {
-                &spd
-            } else {
-                &nonsym
-            };
+        for solver in [AzSolver::Cg, AzSolver::BiCgStab, AzSolver::Cgs, AzSolver::Tfqmr] {
+            let systems = if solver == AzSolver::Cg { &spd } else { &nonsym };
             for a in systems {
                 let b = generate::random_vector(a.rows(), 21);
-                let sys = System {
-                    a,
-                    b: &b,
-                    x0: &vec![0.0; a.rows()],
-                };
+                let sys = System { a, b: &b, x0: &vec![0.0; a.rows()] };
                 for ranks in [1usize, 2, 3] {
                     for precond in ALL_PCS {
                         same_bits("solve", solver, sys, ranks, precond, &opts(30, 80));

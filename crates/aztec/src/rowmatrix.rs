@@ -61,19 +61,14 @@ impl CrsMatrix {
         map: Map,
         local: impl Into<Arc<rsparse::CsrMatrix>>,
     ) -> AztecResult<Self> {
-        let inner =
-            rsparse::DistCsrMatrix::from_local_rows(comm, map.partition().clone(), local)?;
+        let inner = rsparse::DistCsrMatrix::from_local_rows(comm, map.partition().clone(), local)?;
         Ok(CrsMatrix { map, inner })
     }
 
     /// Distribute a replicated global matrix. Collective.
-    pub fn from_global(
-        comm: &Communicator,
-        global: &rsparse::CsrMatrix,
-    ) -> AztecResult<Self> {
+    pub fn from_global(comm: &Communicator, global: &rsparse::CsrMatrix) -> AztecResult<Self> {
         let map = Map::new(global.rows(), comm);
-        let inner =
-            rsparse::DistCsrMatrix::from_global(comm, map.partition().clone(), global)?;
+        let inner = rsparse::DistCsrMatrix::from_global(comm, map.partition().clone(), global)?;
         Ok(CrsMatrix { map, inner })
     }
 
@@ -220,12 +215,7 @@ mod tests {
             fn row_map(&self) -> &Map {
                 &self.map
             }
-            fn apply(
-                &self,
-                comm: &Communicator,
-                x: &Vector,
-                y: &mut Vector,
-            ) -> AztecResult<()> {
+            fn apply(&self, comm: &Communicator, x: &Vector, y: &mut Vector) -> AztecResult<()> {
                 // Gather the full vector (small problems only — fine for a
                 // test of the trait path).
                 let full = x.gather_all(comm)?;

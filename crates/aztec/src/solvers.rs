@@ -14,7 +14,7 @@
 use rcomm::Communicator;
 use rsparse::dense;
 
-use crate::aztecoo::{AztecOptions, AzWhy};
+use crate::aztecoo::{AzWhy, AztecOptions};
 use crate::precond::AzPc;
 use crate::rowmatrix::RowMatrix;
 use crate::vector::Vector;
@@ -377,12 +377,7 @@ pub(crate) fn bicgstab(
         let beta = (rho_new / rho) * (alpha / omega);
         rho = rho_new;
         // p = r + β(p − ω v).
-        for ((pi, ri), vi) in p
-            .values_mut()
-            .iter_mut()
-            .zip(r.values())
-            .zip(v.values())
-        {
+        for ((pi, ri), vi) in p.values_mut().iter_mut().zip(r.values()).zip(v.values()) {
             *pi = ri + beta * (*pi - omega * vi);
         }
     };

@@ -123,7 +123,13 @@ impl Vector {
 
     /// self ← (self + a·x) + b·z: `update(a, x)` then `update(b, z)` in one
     /// pass, the same two multiply-adds per element in the same order.
-    pub(crate) fn update_pair(&mut self, a: f64, x: &Vector, b: f64, z: &Vector) -> AztecResult<()> {
+    pub(crate) fn update_pair(
+        &mut self,
+        a: f64,
+        x: &Vector,
+        b: f64,
+        z: &Vector,
+    ) -> AztecResult<()> {
         self.check(x)?;
         self.check(z)?;
         rsparse::dense::axpy2(a, x.values(), b, z.values(), self.values_mut());

@@ -66,11 +66,7 @@ fn allocs_in_iterate(solver: AzSolver, precond: AzPrecond, max_iter: usize) -> (
         let before = ALLOCS.with(Cell::get);
         let status = az.iterate(comm, &bv, &mut xv).unwrap();
         let allocs = ALLOCS.with(Cell::get) - before;
-        assert_eq!(
-            status.why,
-            AzWhy::Maxits,
-            "{solver:?}: the solve must run its full length"
-        );
+        assert_eq!(status.why, AzWhy::Maxits, "{solver:?}: the solve must run its full length");
         (allocs, status.its)
     });
     out[0]
@@ -78,21 +74,14 @@ fn allocs_in_iterate(solver: AzSolver, precond: AzPrecond, max_iter: usize) -> (
 
 #[test]
 fn no_loop_allocates_per_iteration_or_per_restart() {
-    for solver in [
-        AzSolver::Gmres,
-        AzSolver::Cg,
-        AzSolver::BiCgStab,
-        AzSolver::Cgs,
-        AzSolver::Tfqmr,
-    ] {
+    for solver in
+        [AzSolver::Gmres, AzSolver::Cg, AzSolver::BiCgStab, AzSolver::Cgs, AzSolver::Tfqmr]
+    {
         // GMRES(10): 4 restart cycles against 40.
         let (short, its_short) = allocs_in_iterate(solver, AzPrecond::Jacobi, 40);
         let (long, its_long) = allocs_in_iterate(solver, AzPrecond::Jacobi, 400);
         assert_eq!((its_short, its_long), (40, 400), "{solver:?}");
-        assert_eq!(
-            short, long,
-            "{solver:?}: {short} allocations in 40 iterations, {long} in 400"
-        );
+        assert_eq!(short, long, "{solver:?}: {short} allocations in 40 iterations, {long} in 400");
     }
 }
 

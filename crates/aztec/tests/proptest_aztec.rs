@@ -4,7 +4,7 @@
 //! assembled route.
 
 use proptest::prelude::*;
-use raztec::{AztecOO, AztecOptions, AzConv, AzPrecond, AzSolver, CrsMatrix, RowMatrix, Vector};
+use raztec::{AzConv, AzPrecond, AzSolver, AztecOO, AztecOptions, CrsMatrix, RowMatrix, Vector};
 use rcomm::Universe;
 use rsparse::generate;
 

@@ -202,11 +202,7 @@ fn port_dispatch(c: &mut Criterion) {
         let (fw, _port) = wire_component(Package::Rksp);
         let driver = fw.component_id("driver").expect("wire_component names it");
         let services = fw.services(&driver).unwrap();
-        b.iter(|| {
-            services
-                .get_port::<Arc<dyn lisi::SparseSolverPort>>("solver")
-                .unwrap()
-        });
+        b.iter(|| services.get_port::<Arc<dyn lisi::SparseSolverPort>>("solver").unwrap());
     });
     group.finish();
 }

@@ -78,10 +78,8 @@ fn halo_exchange(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("spmv_burst", p), &p, |b, &p| {
             b.iter(|| {
                 Universe::run(p, |comm| {
-                    let part =
-                        rsparse::BlockRowPartition::even(a.rows(), comm.size());
-                    let da =
-                        rsparse::DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
+                    let part = rsparse::BlockRowPartition::even(a.rows(), comm.size());
+                    let da = rsparse::DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
                     let x = rsparse::generate::random_vector(a.rows(), 3);
                     let dx =
                         rsparse::DistVector::from_global(part.clone(), comm.rank(), &x).unwrap();

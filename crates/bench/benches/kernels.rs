@@ -155,10 +155,9 @@ fn spmv_multi(c: &mut Criterion) {
     let k = 8;
     let xs = generate::random_vector(k * laplacian.cols(), 7);
     group.throughput(Throughput::Elements((k * laplacian.nnz()) as u64));
-    for (label, a) in [
-        ("laplacian128", &laplacian),
-        ("laplacian128varcoef", &scale_rows_unequally(&laplacian)),
-    ] {
+    for (label, a) in
+        [("laplacian128", &laplacian), ("laplacian128varcoef", &scale_rows_unequally(&laplacian))]
+    {
         group.bench_function(BenchmarkId::new("split1_k8", label), |b| {
             let b = std::sync::Mutex::new(b);
             Universe::run(1, |comm| {
@@ -312,7 +311,8 @@ fn band(n: usize, half: usize) -> rsparse::CsrMatrix {
     let mut coo = rsparse::CooMatrix::new(n, n);
     for i in 0..n {
         for j in i.saturating_sub(half)..(i + half + 1).min(n) {
-            let v = if i == j { 2.0 * half as f64 + 1.0 } else { -1.0 - 0.01 * (j as f64 - i as f64) };
+            let v =
+                if i == j { 2.0 * half as f64 + 1.0 } else { -1.0 - 0.01 * (j as f64 - i as f64) };
             coo.push(i, j, v).unwrap();
         }
     }
@@ -424,7 +424,9 @@ fn blas1(c: &mut Criterion) {
 /// scalings, 495 Gram–Schmidt passes, one `x += V·y`, plus the start-up
 /// and true-residual products).
 fn raztec(c: &mut Criterion) {
-    use ::raztec::{AzConv, AzPrecond, AzSolver, AztecOO, AztecOptions, CrsMatrix, RowMatrix, Vector};
+    use ::raztec::{
+        AzConv, AzPrecond, AzSolver, AztecOO, AztecOptions, CrsMatrix, RowMatrix, Vector,
+    };
     let mut group = c.benchmark_group("raztec");
     for (label, m) in [("paper128", 128usize), ("paper300", 300)] {
         let (a, _) = rmesh::paper_problem(m).assemble_global();
@@ -535,10 +537,9 @@ fn plan(c: &mut Criterion) {
     use std::sync::{Arc, Mutex};
     let paper = Arc::new(rmesh::paper_problem(300).assemble_global().0);
     let mut group = c.benchmark_group("plan");
-    for (label, rows) in [
-        ("paper300", Arc::clone(&paper)),
-        ("laplacian200", Arc::new(generate::laplacian_2d(200))),
-    ] {
+    for (label, rows) in
+        [("paper300", Arc::clone(&paper)), ("laplacian200", Arc::new(generate::laplacian_2d(200)))]
+    {
         group.throughput(Throughput::Elements(rows.nnz() as u64));
         group.bench_function(label, |b| {
             let b = Mutex::new(b);
@@ -577,7 +578,20 @@ fn assembly(c: &mut Criterion) {
 }
 
 criterion_group!(
-    benches, spmv, spmv_formats, spmv_multi, sptrsv, jacobi, factor, trisolve, blas1, raztec,
-    probe_sites, conversions, digest, plan, assembly
+    benches,
+    spmv,
+    spmv_formats,
+    spmv_multi,
+    sptrsv,
+    jacobi,
+    factor,
+    trisolve,
+    blas1,
+    raztec,
+    probe_sites,
+    conversions,
+    digest,
+    plan,
+    assembly
 );
 criterion_main!(benches);

@@ -52,11 +52,7 @@ pub struct RunResult {
 /// allreduce-max of the per-rank elapsed times. Timing goes through
 /// [`probe::timed`], so when the probe is enabled the same measurement
 /// also lands in the per-rank span table (and chrome trace) under `name`.
-fn timed<R>(
-    comm: &Communicator,
-    name: &'static str,
-    f: impl FnOnce() -> R,
-) -> (f64, R) {
+fn timed<R>(comm: &Communicator, name: &'static str, f: impl FnOnce() -> R) -> (f64, R) {
     comm.barrier().expect("barrier");
     let (r, mine) = probe::timed(name, f);
     let max = comm.allreduce(mine, rcomm::max).expect("allreduce");

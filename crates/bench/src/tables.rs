@@ -32,9 +32,7 @@ pub fn table1_rows(grid_sizes: &[usize], processors: usize, reps: usize) -> Vec<
         .iter()
         .map(|&m| {
             let w = paper_workload(m);
-            let out = Universe::run(processors, |comm| {
-                measure_pair(comm, Package::Rksp, &w, reps)
-            });
+            let out = Universe::run(processors, |comm| measure_pair(comm, Package::Rksp, &w, reps));
             let (native, cca, iters) = out[0];
             let overhead = cca - native;
             Table1Row {

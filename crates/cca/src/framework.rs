@@ -135,14 +135,11 @@ impl Framework {
         let provider_inst = self.instance(provider)?;
         let provides_rec = {
             let st = provider_inst.services.state.read();
-            st.provides
-                .get(provides_port)
-                .cloned()
-                .ok_or_else(|| CcaError::NoSuchPort {
-                    component: provider.name().to_string(),
-                    port: provides_port.to_string(),
-                    kind: "provides",
-                })?
+            st.provides.get(provides_port).cloned().ok_or_else(|| CcaError::NoSuchPort {
+                component: provider.name().to_string(),
+                port: provides_port.to_string(),
+                kind: "provides",
+            })?
         };
         let user_inst = self.instance(user)?;
         let mut st = user_inst.services.state.write();
@@ -345,7 +342,9 @@ mod tests {
         fw.reconnect(&u, "answer", &p2, "answer").unwrap();
         assert_eq!(read_answer(&fw, &u).unwrap(), 2, "rewire must take effect");
         let events = fw.events();
-        assert!(matches!(events.last(), Some(BuilderEvent::Connected { provider, .. }) if provider == "p2"));
+        assert!(
+            matches!(events.last(), Some(BuilderEvent::Connected { provider, .. }) if provider == "p2")
+        );
     }
 
     #[test]
@@ -368,10 +367,7 @@ mod tests {
         ));
         // Disconnect twice.
         fw.disconnect(&u, "answer").unwrap();
-        assert!(matches!(
-            fw.disconnect(&u, "answer"),
-            Err(CcaError::NotConnected { .. })
-        ));
+        assert!(matches!(fw.disconnect(&u, "answer"), Err(CcaError::NotConnected { .. })));
     }
 
     #[test]
@@ -427,19 +423,14 @@ mod tests {
                 services.register_uses_port("p", "demo.Missing")
             }
         }
-        assert!(matches!(
-            fw.instantiate("bad", Box::new(Bad)),
-            Err(CcaError::UnknownSidlType(_))
-        ));
+        assert!(matches!(fw.instantiate("bad", Box::new(Bad)), Err(CcaError::UnknownSidlType(_))));
     }
 
     #[test]
     fn builder_service_facade_drives_the_framework() {
         let mut fw = Framework::new();
         let mut builder = BuilderService::new(&mut fw);
-        let p = builder
-            .create_instance("p", Box::new(ProviderComp { answer: 7 }))
-            .unwrap();
+        let p = builder.create_instance("p", Box::new(ProviderComp { answer: 7 })).unwrap();
         let u = builder.create_instance("u", Box::new(UserComp { services: None })).unwrap();
         builder.connect(&u, "answer", &p, "answer").unwrap();
         builder.disconnect(&u, "answer").unwrap();

@@ -70,10 +70,9 @@ pub struct WeakServices {
 impl WeakServices {
     /// Recover the full handle while the component is alive.
     pub fn upgrade(&self) -> Option<Services> {
-        self.state.upgrade().map(|state| Services {
-            state,
-            component_name: self.component_name.clone(),
-        })
+        self.state
+            .upgrade()
+            .map(|state| Services { state, component_name: self.component_name.clone() })
     }
 }
 
@@ -213,15 +212,9 @@ mod tests {
     #[test]
     fn get_port_errors_when_unknown_or_disconnected() {
         let s = Services::new("comp");
-        assert!(matches!(
-            s.get_port::<Arc<dyn Greeter>>("nope"),
-            Err(CcaError::NoSuchPort { .. })
-        ));
+        assert!(matches!(s.get_port::<Arc<dyn Greeter>>("nope"), Err(CcaError::NoSuchPort { .. })));
         s.register_uses_port("g", "demo.Greeter").unwrap();
-        assert!(matches!(
-            s.get_port::<Arc<dyn Greeter>>("g"),
-            Err(CcaError::NotConnected { .. })
-        ));
+        assert!(matches!(s.get_port::<Arc<dyn Greeter>>("g"), Err(CcaError::NotConnected { .. })));
         assert_eq!(s.connected_provider("g"), None);
     }
 
@@ -230,17 +223,11 @@ mod tests {
         let s = Services::new("user");
         s.register_uses_port("g", "demo.Greeter").unwrap();
         let value: Arc<dyn Greeter> = Arc::new(Hello);
-        s.state
-            .write()
-            .connections
-            .insert("g".into(), ("provider".into(), Arc::new(value)));
+        s.state.write().connections.insert("g".into(), ("provider".into(), Arc::new(value)));
         let got: Arc<dyn Greeter> = s.get_port("g").unwrap();
         assert_eq!(got.greet(), "hello");
         assert_eq!(s.connected_provider("g").as_deref(), Some("provider"));
         // Wrong type is caught.
-        assert!(matches!(
-            s.get_port::<Arc<String>>("g"),
-            Err(CcaError::WrongPortType { .. })
-        ));
+        assert!(matches!(s.get_port::<Arc<String>>("g"), Err(CcaError::WrongPortType { .. })));
     }
 }

@@ -98,9 +98,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>, String> {
                 while i < n
                     && (bytes[i].is_alphanumeric()
                         || bytes[i] == '_'
-                        || (bytes[i] == '.'
-                            && i + 1 < n
-                            && bytes[i + 1].is_alphanumeric()))
+                        || (bytes[i] == '.' && i + 1 < n && bytes[i + 1].is_alphanumeric()))
                 {
                     i += 1;
                 }
@@ -118,8 +116,9 @@ mod tests {
 
     #[test]
     fn tokenizes_symbols_and_words() {
-        let toks = tokenize("interface Foo extends gov.cca.Port { int f(in rarray<double,1> x(n)); }")
-            .unwrap();
+        let toks =
+            tokenize("interface Foo extends gov.cca.Port { int f(in rarray<double,1> x(n)); }")
+                .unwrap();
         assert_eq!(toks[0], Token::Word("interface".into()));
         assert_eq!(toks[3], Token::Word("gov.cca.Port".into()));
         assert!(toks.contains(&Token::Lt));

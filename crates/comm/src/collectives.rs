@@ -146,7 +146,8 @@ where
         }
         let child = vrank | mask;
         if child < p {
-            let (rhs, _) = comm.recv_match::<T>(Some(unrel(child, root, p)), Some(TAG_REDUCE), ctx)?;
+            let (rhs, _) =
+                comm.recv_match::<T>(Some(unrel(child, root, p)), Some(TAG_REDUCE), ctx)?;
             // Child's virtual rank is higher, so it goes on the right.
             acc = op(&acc, &rhs);
         }

@@ -155,10 +155,7 @@ impl Communicator {
 
     /// World rank of local rank `r`.
     fn world_rank(&self, r: usize) -> CommResult<usize> {
-        self.members
-            .get(r)
-            .copied()
-            .ok_or(CommError::RankOutOfRange { rank: r, size: self.size() })
+        self.members.get(r).copied().ok_or(CommError::RankOutOfRange { rank: r, size: self.size() })
     }
 
     fn check_tag(tag: Tag) -> CommResult<()> {
@@ -285,7 +282,12 @@ impl Communicator {
         let peer = self.world_rank(dest).unwrap_or_else(|_| self.my_world_rank());
         probe::emit_since(
             stamp.map(|s| s.posted_ns),
-            probe::EventKind::Send { peer, bytes, tag: tag as i64, seq: stamp.map_or(0, |s| s.seq) },
+            probe::EventKind::Send {
+                peer,
+                bytes,
+                tag: tag as i64,
+                seq: stamp.map_or(0, |s| s.seq),
+            },
         );
     }
 
@@ -365,13 +367,7 @@ impl Communicator {
         if self.wiring.cohort.is_lost(world_dest) {
             return Err(CommError::RankLost(world_dest));
         }
-        let env = Envelope {
-            src: self.rank,
-            tag,
-            context,
-            stamp,
-            payload: Box::new(value),
-        };
+        let env = Envelope { src: self.rank, tag, context, stamp, payload: Box::new(value) };
         // A closed mailbox means the peer's closure returned. If it left
         // because a member was lost, pass that verdict on: survivors that
         // notice at different moments must still agree on the cause.
@@ -389,8 +385,7 @@ impl Communicator {
         Self::check_tag(tag)?;
         let fired = self.fault_gate(FaultOp::Recv, "recv", Some(tag))?;
         let posted = probe::trace::recv_start();
-        let (mut v, _, stamp) =
-            self.recv_match_stamped::<T>(Some(src), Some(tag), self.context)?;
+        let (mut v, _, stamp) = self.recv_match_stamped::<T>(Some(src), Some(tag), self.context)?;
         self.note_recv(src, tag, std::mem::size_of::<T>() as u64, posted, stamp);
         if let Some(fired) = fired {
             fired.apply(&mut v);
@@ -401,11 +396,7 @@ impl Communicator {
     /// Receive from any source and/or any tag. Pass [`ANY_SOURCE`] /
     /// [`ANY_TAG`] (negative sentinels) for wildcards. Returns the payload
     /// together with a [`RecvStatus`] identifying the actual sender/tag.
-    pub fn recv_any<T: Send + 'static>(
-        &self,
-        src: i32,
-        tag: Tag,
-    ) -> CommResult<(T, RecvStatus)> {
+    pub fn recv_any<T: Send + 'static>(&self, src: i32, tag: Tag) -> CommResult<(T, RecvStatus)> {
         let src = if src == ANY_SOURCE { None } else { Some(src as usize) };
         let tag = if tag == ANY_TAG { None } else { Some(tag) };
         let fired = self.fault_gate(FaultOp::Recv, "recv", tag)?;
@@ -605,10 +596,7 @@ impl Communicator {
             .iter()
             .position(|&(_, _, r)| r == self.rank)
             .expect("own rank must appear in its color group");
-        let members: Vec<usize> = mine
-            .iter()
-            .map(|&(_, _, r)| self.members[r])
-            .collect();
+        let members: Vec<usize> = mine.iter().map(|&(_, _, r)| self.members[r]).collect();
         let salt = self.split_salt.fetch_add(1, Ordering::Relaxed);
         let ctx = child_context(self.context, salt, color);
         Ok(Communicator::new(
@@ -648,13 +636,11 @@ impl Communicator {
         let members: Vec<usize> = survivors.iter().map(|&r| self.members[r]).collect();
         // SplitMix64-style fold over the survivor world ranks: every
         // survivor derives the same salt from the same list, locally.
-        let salt = members
-            .iter()
-            .fold(0x9e37_79b9_7f4a_7c15_u64, |acc, &w| {
-                let mut z = acc ^ (w as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 30)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                z ^ (z >> 31)
-            });
+        let salt = members.iter().fold(0x9e37_79b9_7f4a_7c15_u64, |acc, &w| {
+            let mut z = acc ^ (w as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 30)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        });
         let ctx = child_context(self.context, salt, members.len() as u64);
         probe::incr(probe::Counter::CohortShrinks);
         Ok(Communicator::new(
@@ -736,10 +722,7 @@ impl Communicator {
     {
         let mut values = values.to_vec();
         self.stats.allreduce();
-        probe::add(
-            probe::Counter::ReducedBytes,
-            std::mem::size_of_val(values.as_slice()) as u64,
-        );
+        probe::add(probe::Counter::ReducedBytes, std::mem::size_of_val(values.as_slice()) as u64);
         let _wait = probe::SpanGuard::collective("allreduce");
         if let Some(fired) = self.fault_gate(FaultOp::Allreduce, "allreduce", None)? {
             fired.apply(&mut values);

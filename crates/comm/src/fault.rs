@@ -226,10 +226,7 @@ impl FaultPlan {
                 continue;
             }
             if let Some(seed) = clause.strip_prefix("seed=") {
-                plan.seed = seed
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad seed '{seed}'"))?;
+                plan.seed = seed.trim().parse().map_err(|_| format!("bad seed '{seed}'"))?;
                 continue;
             }
             let mut op = None;

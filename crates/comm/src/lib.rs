@@ -47,8 +47,8 @@ pub use cohort::CohortView;
 pub use comm::{Communicator, RecvStatus, ANY_SOURCE, ANY_TAG};
 pub use error::{CommError, CommResult};
 pub use fault::{FaultKind, FaultOp, FaultPlan, FaultRule};
-pub use stats::CommStats;
 pub use reduce::{land, lor, max, maxloc, min, minloc, prod, sum};
+pub use stats::CommStats;
 pub use timer::Stopwatch;
 pub use universe::Universe;
 

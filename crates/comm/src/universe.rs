@@ -59,8 +59,7 @@ impl Universe {
         // before any rank thread spawns, so every rank agrees.
         probe::export::maybe_serve_from_env();
         probe::trace::advance_generation();
-        let (senders, receivers): (Vec<_>, Vec<_>) =
-            (0..n).map(|_| unbounded()).unzip();
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
         // Ranks are threads: with more of them than cores a spinning
         // receiver only delays the sender it waits for. An unknown core
         // count is treated as one core.
@@ -83,10 +82,7 @@ impl Universe {
             .into_iter()
             .enumerate()
             .map(|(rank, receiver)| {
-                let post = Arc::new(Mutex::new(PostOffice {
-                    receiver,
-                    pending: VecDeque::new(),
-                }));
+                let post = Arc::new(Mutex::new(PostOffice { receiver, pending: VecDeque::new() }));
                 Communicator::new(
                     rank,
                     Arc::clone(&members),

@@ -77,9 +77,9 @@ fn shrink_validates_survivor_list() {
         if c.rank() == 0 {
             (
                 c.shrink(&[]).is_err(),
-                c.shrink(&[1, 0]).is_err(),     // unsorted
-                c.shrink(&[0, 0]).is_err(),     // duplicate
-                c.shrink(&[0, 5]).is_err(),     // out of range
+                c.shrink(&[1, 0]).is_err(), // unsorted
+                c.shrink(&[0, 0]).is_err(), // duplicate
+                c.shrink(&[0, 5]).is_err(), // out of range
             )
         } else {
             (true, true, true, true)

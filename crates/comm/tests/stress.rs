@@ -124,10 +124,7 @@ fn deadlock_detection_fires_instead_of_hanging() {
     // A receive with no matching send must error out, not hang.
     let out = Universe::run(2, |c| {
         if c.rank() == 0 {
-            matches!(
-                c.recv::<u8>(1, 999),
-                Err(CommError::DeadlockSuspected { .. })
-            )
+            matches!(c.recv::<u8>(1, 999), Err(CommError::DeadlockSuspected { .. }))
         } else {
             true
         }

@@ -176,11 +176,7 @@ impl<B: Backend> Adapter<B> {
         // identity cannot be fingerprinted). An assembled system is keyed
         // by its stored digest plus everything O(1) that set-up depends
         // on, so a solve hashes no matrix entries.
-        let system = if st.matrix_free_requested() {
-            None
-        } else {
-            Some(st.require_system()?.0)
-        };
+        let system = if st.matrix_free_requested() { None } else { Some(st.require_system()?.0) };
         let key = system.map(|_| SessionKey {
             backend: B::NAME,
             rank,

@@ -42,12 +42,7 @@ impl RowMatrix for MfRowMatrix {
         &self.map
     }
 
-    fn apply(
-        &self,
-        _comm: &Communicator,
-        x: &Vector,
-        y: &mut Vector,
-    ) -> raztec::AztecResult<()> {
+    fn apply(&self, _comm: &Communicator, x: &Vector, y: &mut Vector) -> raztec::AztecResult<()> {
         self.port
             .mat_mult(OperatorId::Matrix, x.values(), y.values_mut())
             .map_err(|e| raztec::AztecError::Sparse(e.to_string()))
@@ -235,10 +230,7 @@ mod tests {
             },
             ..LisiState::default()
         };
-        assert!(matches!(
-            RaztecAdapter::aztec_options(&st),
-            Err(LisiError::BadParameter { .. })
-        ));
+        assert!(matches!(RaztecAdapter::aztec_options(&st), Err(LisiError::BadParameter { .. })));
         let st2 = LisiState {
             options: {
                 let mut o = rkrylov::Options::new();
@@ -256,12 +248,7 @@ mod tests {
             n: usize,
         }
         impl MatrixFreePort for Identity {
-            fn mat_mult(
-                &self,
-                _id: OperatorId,
-                x: &[f64],
-                y: &mut [f64],
-            ) -> LisiResult<()> {
+            fn mat_mult(&self, _id: OperatorId, x: &[f64], y: &mut [f64]) -> LisiResult<()> {
                 assert_eq!(x.len(), self.n);
                 y.copy_from_slice(x);
                 Ok(())

@@ -274,12 +274,7 @@ mod tests {
             n: usize,
         }
         impl MatrixFreePort for Stencil {
-            fn mat_mult(
-                &self,
-                id: OperatorId,
-                x: &[f64],
-                y: &mut [f64],
-            ) -> LisiResult<()> {
+            fn mat_mult(&self, id: OperatorId, x: &[f64], y: &mut [f64]) -> LisiResult<()> {
                 assert_eq!(id, OperatorId::Matrix);
                 for i in 0..self.n {
                     let mut acc = 2.0 * x[i];

@@ -30,8 +30,7 @@ pub struct RmgArtifact {
 }
 
 /// Signature of a pluggable coarse-grid solver.
-pub type CoarseFn =
-    dyn Fn(&CsrMatrix, &[f64]) -> Result<Vec<f64>, String> + Send + Sync + 'static;
+pub type CoarseFn = dyn Fn(&CsrMatrix, &[f64]) -> Result<Vec<f64>, String> + Send + Sync + 'static;
 
 /// The parsed option table plus the grid side the operator implies.
 pub struct RmgConfig {
@@ -245,10 +244,7 @@ mod tests {
             (SolveReport::from_slice(&status), comm.allgatherv(&x).unwrap())
         });
         let (rep, full) = &out[0];
-        let err = full
-            .iter()
-            .zip(&x_true)
-            .fold(0.0f64, |mx, (g, e)| mx.max((g - e).abs()));
+        let err = full.iter().zip(&x_true).fold(0.0f64, |mx, (g, e)| mx.max((g - e).abs()));
         (*rep, err)
     }
 

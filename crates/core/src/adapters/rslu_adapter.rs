@@ -241,8 +241,7 @@ mod tests {
             solver.setup_rhs(&b3, 1).unwrap();
             solver.solve(&mut x, &mut s).unwrap();
             let cold_factors = probe::get(probe::Counter::FactorCalls) - factors0;
-            let err: f64 =
-                x.iter().zip(&x1).map(|(g, e)| (g - e).abs()).fold(0.0, f64::max);
+            let err: f64 = x.iter().zip(&x1).map(|(g, e)| (g - e).abs()).fold(0.0, f64::max);
             (warm_hit, warm_factors, cold_factors, err)
         });
         let (warm_hit, warm_factors, cold_factors, err) = out[0];

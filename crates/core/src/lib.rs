@@ -46,11 +46,11 @@ pub use components::{
     MatrixFreeComponent, SolverComponent, MATRIX_FREE_PORT, SOLVER_PORT, SOLVER_PORT_TYPE,
 };
 pub use error::{LisiError, LisiResult};
-pub use service::{SessionKey, SessionTicket, SolverService};
 pub use resilient::{
     AttemptSpec, BackendSwitch, FrameworkSwitch, ResilientSolver, ResilientSolverComponent,
     RetryPolicy, StaticSwitch, BACKEND_PORT,
 };
+pub use service::{SessionKey, SessionTicket, SolverService};
 pub use status::{SolveReport, STATUS_LEN};
 pub use traits::{MatrixFreePort, SparseSolverPort};
 pub use types::{OperatorId, SparseStruct};

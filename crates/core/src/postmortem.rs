@@ -153,8 +153,7 @@ fn registry_fragments() -> Vec<String> {
     flight::tails_by_rank()
         .into_iter()
         .map(|(rank, tail)| {
-            let rank =
-                rank.map(|r| r.to_string()).unwrap_or_else(|| "null".into());
+            let rank = rank.map(|r| r.to_string()).unwrap_or_else(|| "null".into());
             format!(
                 "{{\"rank\":{rank},\"trace_id\":{},\"events_recorded\":{},\"counters\":{{}},\
                  \"notes\":{{}},\"residual_history\":[],\"events\":{}}}",

@@ -171,8 +171,7 @@ impl AttemptSpec {
         if self.overrides.is_empty() {
             return self.backend.clone();
         }
-        let opts: Vec<String> =
-            self.overrides.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let opts: Vec<String> = self.overrides.iter().map(|(k, v)| format!("{k}={v}")).collect();
         format!("{}:{}", self.backend, opts.join(","))
     }
 }
@@ -258,9 +257,10 @@ impl StaticSwitch {
 
 impl BackendSwitch for StaticSwitch {
     fn acquire(&self, name: &str) -> LisiResult<Arc<dyn SparseSolverPort>> {
-        self.backends.get(name).cloned().ok_or_else(|| {
-            LisiError::InvalidInput(format!("no backend registered under '{name}'"))
-        })
+        self.backends
+            .get(name)
+            .cloned()
+            .ok_or_else(|| LisiError::InvalidInput(format!("no backend registered under '{name}'")))
     }
 }
 
@@ -403,16 +403,17 @@ impl ResilientSolver {
         } else {
             None
         };
-        let matrix = st.matrix.get().ok_or_else(|| {
-            LisiError::BadPhase("cannot repartition before setupMatrix".into())
-        })?;
+        let matrix = st
+            .matrix
+            .get()
+            .ok_or_else(|| LisiError::BadPhase("cannot repartition before setupMatrix".into()))?;
         let rhs = st
             .rhs
             .as_deref()
             .ok_or_else(|| LisiError::BadPhase("cannot repartition before setupRHS".into()))?;
-        let global_rows = st.global_cols.ok_or_else(|| {
-            LisiError::BadPhase("cannot repartition before setGlobalCols".into())
-        })?;
+        let global_rows = st
+            .global_cols
+            .ok_or_else(|| LisiError::BadPhase("cannot repartition before setGlobalCols".into()))?;
         let (new_start, new_matrix, new_rhs) = rsparse::DistCsrMatrix::repartition_block_rows(
             &shrunken,
             st.start_row.unwrap_or(0),
@@ -675,8 +676,7 @@ impl SparseSolverPort for ResilientSolver {
                             // The survivors' blocks moved; rebuild the
                             // global solution and hand the caller back
                             // exactly the rows it originally owned.
-                            let full =
-                                st.comm()?.allgatherv(&work).map_err(LisiError::from)?;
+                            let full = st.comm()?.allgatherv(&work).map_err(LisiError::from)?;
                             solution.copy_from_slice(&full[old_start..old_start + old_rows]);
                         } else {
                             solution.copy_from_slice(&work);
@@ -874,12 +874,7 @@ mod tests {
             driver.set("retry_policy", &policy).unwrap();
             driver.set_double("tol", 1e-10).unwrap();
             driver
-                .setup_matrix(
-                    local.values(),
-                    local.row_ptr(),
-                    local.col_idx(),
-                    SparseStruct::Csr,
-                )
+                .setup_matrix(local.values(), local.row_ptr(), local.col_idx(), SparseStruct::Csr)
                 .unwrap();
             driver.setup_rhs(&b[range.clone()], 1).unwrap();
             let mut x = vec![0.0; range.len()];
@@ -897,10 +892,7 @@ mod tests {
         });
         for (r, status, _) in &out {
             assert_eq!(r.is_ok(), expect_converged, "solve outcome: {r:?}");
-            assert_eq!(
-                status[STATUS_CONVERGED],
-                if expect_converged { 1.0 } else { 0.0 }
-            );
+            assert_eq!(status[STATUS_CONVERGED], if expect_converged { 1.0 } else { 0.0 });
         }
         out
     }
@@ -1079,9 +1071,7 @@ mod tests {
             driver.set_local_rows(2).unwrap();
             driver.set_global_cols(2).unwrap();
             let m = rsparse::CsrMatrix::identity(2);
-            driver
-                .setup_matrix(m.values(), m.row_ptr(), m.col_idx(), SparseStruct::Csr)
-                .unwrap();
+            driver.setup_matrix(m.values(), m.row_ptr(), m.col_idx(), SparseStruct::Csr).unwrap();
             driver.setup_rhs(&[1.0, 1.0], 1).unwrap();
             let mut x = [0.0; 2];
             let mut status = [0.0; STATUS_LEN];
@@ -1110,9 +1100,8 @@ mod tests {
             let local = a.row_block(range.start, range.end).unwrap();
 
             // SPMD: each rank builds the same framework cohort.
-            let fw = Arc::new(RwLock::new(Framework::with_registry(
-                cca::sidl::SidlRegistry::lisi(),
-            )));
+            let fw =
+                Arc::new(RwLock::new(Framework::with_registry(cca::sidl::SidlRegistry::lisi())));
             let (driver, res_id, cg_id, lu_id) = {
                 let mut f = fw.write();
                 let comp = ResilientSolverComponent::new();
@@ -1133,12 +1122,7 @@ mod tests {
             driver.set_global_cols(n).unwrap();
             driver.set("retry_policy", "rksp:solver=cg,maxits=1 -> rslu").unwrap();
             driver
-                .setup_matrix(
-                    local.values(),
-                    local.row_ptr(),
-                    local.col_idx(),
-                    SparseStruct::Csr,
-                )
+                .setup_matrix(local.values(), local.row_ptr(), local.col_idx(), SparseStruct::Csr)
                 .unwrap();
             driver.setup_rhs(&b[range.clone()], 1).unwrap();
             let mut x = vec![0.0; range.len()];
@@ -1157,9 +1141,7 @@ mod tests {
                     {
                         Some(format!("+{provider}"))
                     }
-                    BuilderEvent::Disconnected { uses_port, .. }
-                        if uses_port == BACKEND_PORT =>
-                    {
+                    BuilderEvent::Disconnected { uses_port, .. } if uses_port == BACKEND_PORT => {
                         Some("-".into())
                     }
                     _ => None,

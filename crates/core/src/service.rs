@@ -331,8 +331,7 @@ pub fn approx_csr_bytes(nnz: usize, rows: usize) -> usize {
     // row_ptr + col_idx as usize, values as f64, ×3 for derived copies
     // (SpMV plan, preconditioner factors, halo staging).
     (rows + 1) * std::mem::size_of::<usize>()
-        + nnz * (std::mem::size_of::<usize>() + std::mem::size_of::<f64>())
-            .saturating_mul(3)
+        + nnz * (std::mem::size_of::<usize>() + std::mem::size_of::<f64>()).saturating_mul(3)
 }
 
 #[cfg(test)]
@@ -397,12 +396,7 @@ mod tests {
 
     #[test]
     fn queued_waiter_times_out_busy_or_acquires_after_release() {
-        let svc = Arc::new(SolverService::with_limits(
-            1 << 20,
-            1,
-            4,
-            Duration::from_millis(40),
-        ));
+        let svc = Arc::new(SolverService::with_limits(1 << 20, 1, 4, Duration::from_millis(40)));
         // Timeout path: nobody releases, the queued waiter goes Busy.
         let t1 = svc.admit().expect("first ticket");
         let err = svc.admit().expect_err("waiter times out");

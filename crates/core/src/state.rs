@@ -147,8 +147,7 @@ impl LisiState {
                 "declared rows sum to {acc}, but global size is {global}"
             )));
         }
-        BlockRowPartition::from_offsets(offsets)
-            .map_err(|e| LisiError::InvalidInput(e.to_string()))
+        BlockRowPartition::from_offsets(offsets).map_err(|e| LisiError::InvalidInput(e.to_string()))
     }
 
     /// Decode one of the five input formats (an `rsparse::convert`
@@ -219,9 +218,7 @@ impl LisiState {
 
     /// The RHS alone (matrix-free solves have no assembled matrix).
     pub fn require_rhs(&self) -> LisiResult<&[f64]> {
-        self.rhs
-            .as_deref()
-            .ok_or_else(|| LisiError::BadPhase("setupRHS must precede solve".into()))
+        self.rhs.as_deref().ok_or_else(|| LisiError::BadPhase("setupRHS must precede solve".into()))
     }
 
     /// Is the matrix-free mode requested (`matrix_free=true`)?
@@ -286,30 +283,20 @@ mod tests {
     fn coo_ingest_localizes_rows_and_checks_ownership() {
         let mut st = seeded_state(2, 2, 5);
         // Global rows 2 and 3, global columns anywhere.
-        st.ingest_matrix(
-            &[1.0, 2.0, 3.0],
-            &[2, 3, 3],
-            &[0, 3, 4],
-            SparseStruct::Coo,
-            0,
-        )
-        .unwrap();
+        st.ingest_matrix(&[1.0, 2.0, 3.0], &[2, 3, 3], &[0, 3, 4], SparseStruct::Coo, 0).unwrap();
         let m = st.matrix.get().unwrap();
         assert_eq!(m.shape(), (2, 5));
         assert_eq!(m.get(0, 0), 1.0);
         assert_eq!(m.get(1, 3), 2.0);
         assert_eq!(m.get(1, 4), 3.0);
         // A row outside [2, 4) is rejected.
-        assert!(st
-            .ingest_matrix(&[1.0], &[0], &[0], SparseStruct::Coo, 0)
-            .is_err());
+        assert!(st.ingest_matrix(&[1.0], &[0], &[0], SparseStruct::Coo, 0).is_err());
     }
 
     #[test]
     fn ingest_refreshes_the_matrix_digest() {
-        let digest_of = |m: &CsrMatrix| {
-            crate::service::matrix_digest(m.row_ptr(), m.col_idx(), m.values())
-        };
+        let digest_of =
+            |m: &CsrMatrix| crate::service::matrix_digest(m.row_ptr(), m.col_idx(), m.values());
         let mut st = seeded_state(0, 2, 2);
         assert!(st.matrix.get().is_none());
         st.ingest_matrix(&[1.0, 2.0], &[0, 1], &[0, 1], SparseStruct::Coo, 0).unwrap();
@@ -341,14 +328,7 @@ mod tests {
     fn csr_ingest_with_fortran_offset() {
         let mut st = seeded_state(0, 2, 3);
         // 1-based CSR of [[1,0,2],[0,3,0]].
-        st.ingest_matrix(
-            &[1.0, 2.0, 3.0],
-            &[1, 3, 4],
-            &[1, 3, 2],
-            SparseStruct::Csr,
-            1,
-        )
-        .unwrap();
+        st.ingest_matrix(&[1.0, 2.0, 3.0], &[1, 3, 4], &[1, 3, 2], SparseStruct::Csr, 1).unwrap();
         let m = st.matrix.get().unwrap();
         assert_eq!(m.get(0, 0), 1.0);
         assert_eq!(m.get(0, 2), 2.0);
@@ -377,8 +357,7 @@ mod tests {
         // block-column 1: [[1,3],[2,4]] column-major = [1,2,3,4].
         let mut st = seeded_state(0, 2, 4);
         st.block_size = 2;
-        st.ingest_matrix(&[1.0, 2.0, 3.0, 4.0], &[0, 1], &[1], SparseStruct::Vbr, 0)
-            .unwrap();
+        st.ingest_matrix(&[1.0, 2.0, 3.0, 4.0], &[0, 1], &[1], SparseStruct::Vbr, 0).unwrap();
         let m = st.matrix.get().unwrap();
         assert_eq!(m.get(0, 2), 1.0);
         assert_eq!(m.get(1, 2), 2.0);
@@ -387,9 +366,7 @@ mod tests {
         // Block size must divide the distribution.
         let mut bad = seeded_state(0, 3, 4);
         bad.block_size = 2;
-        assert!(bad
-            .ingest_matrix(&[0.0; 4], &[0, 1], &[0], SparseStruct::Vbr, 0)
-            .is_err());
+        assert!(bad.ingest_matrix(&[0.0; 4], &[0, 1], &[0], SparseStruct::Vbr, 0).is_err());
     }
 
     #[test]
@@ -431,8 +408,7 @@ mod tests {
         s1.ingest_matrix(v, r, c, SparseStruct::Coo, 0).unwrap();
         // CSR.
         let mut s2 = mk();
-        s2.ingest_matrix(a.values(), a.row_ptr(), a.col_idx(), SparseStruct::Csr, 0)
-            .unwrap();
+        s2.ingest_matrix(a.values(), a.row_ptr(), a.col_idx(), SparseStruct::Csr, 0).unwrap();
         // MSR.
         let (val, ja) = convert::csr_to_msr(&a, 0).unwrap();
         let mut s3 = mk();

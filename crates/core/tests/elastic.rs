@@ -51,9 +51,7 @@ fn reference_solution() -> Vec<f64> {
         driver.set_global_cols(n).unwrap();
         driver.set("retry_policy", "rksp:solver=cg,preconditioner=ilu0").unwrap();
         driver.set_double("tol", 1e-12).unwrap();
-        driver
-            .setup_matrix(a.values(), a.row_ptr(), a.col_idx(), SparseStruct::Csr)
-            .unwrap();
+        driver.setup_matrix(a.values(), a.row_ptr(), a.col_idx(), SparseStruct::Csr).unwrap();
         driver.setup_rhs(&b, 1).unwrap();
         let mut x = vec![0.0; n];
         let mut status = vec![0.0; STATUS_LEN];
@@ -171,12 +169,7 @@ fn assert_survivors_recovered(out: &[RankOutcome], exact: &[f64]) -> f64 {
         // The caller's buffer holds its *original* rows of the global
         // solution, even though the survivor's block moved.
         let range = part.range(rank);
-        let err = o
-            .x
-            .iter()
-            .zip(&exact[range])
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
+        let err = o.x.iter().zip(&exact[range]).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
         assert!(err < 1e-6, "rank {rank} solution error {err}");
         final_iterations = o.status[STATUS_ITERATIONS];
     }
@@ -253,12 +246,11 @@ fn a_second_rank_loss_in_one_solve_recovers() {
         assert_eq!(o.status[STATUS_COHORT], 2.0, "two survivors");
         assert_eq!(o.status[STATUS_ATTEMPTS], 3.0, "two killed attempts + one good");
         assert_eq!(o.shrinks, 2, "survivor {rank} shrank twice");
-        let err = o
-            .x
-            .iter()
-            .zip(&exact[part.range(rank)])
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
+        let err =
+            o.x.iter()
+                .zip(&exact[part.range(rank)])
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0f64, f64::max);
         assert!(err < 1e-6, "rank {rank} solution error {err}");
     }
     let docs = postmortem_docs(pm);

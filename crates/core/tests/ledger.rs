@@ -44,12 +44,7 @@ fn solve_with_ledger(dest: &PathBuf) -> (Value, Vec<(u64, u64, u64)>) {
         solver.set("preconditioner", "ilu").unwrap();
         solver.set("tol", "1e-10").unwrap();
         solver
-            .setup_matrix(
-                local.values(),
-                local.row_ptr(),
-                local.col_idx(),
-                lisi::SparseStruct::Csr,
-            )
+            .setup_matrix(local.values(), local.row_ptr(), local.col_idx(), lisi::SparseStruct::Csr)
             .unwrap();
         solver.setup_rhs(&b[range.clone()], 1).unwrap();
         let mut x = vec![0.0; range.len()];
@@ -115,10 +110,7 @@ fn ledger_matches_schema_and_reconciles_with_the_plan_model() {
     let (doc, shapes) = solve_with_ledger(&dest);
 
     // Schema shape: versioned id plus every top-level section, typed.
-    assert_eq!(
-        doc.get("schema").and_then(Value::as_str),
-        Some("rsparse-solve-ledger-v1")
-    );
+    assert_eq!(doc.get("schema").and_then(Value::as_str), Some("rsparse-solve-ledger-v1"));
     assert_eq!(doc.get("backend").and_then(Value::as_str), Some("rksp"));
     let solver = doc.get("solver").and_then(Value::as_object).expect("solver section");
     assert_eq!(solver.get("ksp").and_then(Value::as_str), Some("cg"));
@@ -171,11 +163,7 @@ fn ledger_matches_schema_and_reconciles_with_the_plan_model() {
         let tri = kernel_row(&doc, rank as u64, "sptrsv");
         let tunits = u(tri, "units");
         assert!(tunits > 0, "rank {rank} applied the preconditioner");
-        assert_eq!(
-            u(tri, "flops"),
-            tunits * (2 * nnz_diag + rows),
-            "rank {rank} sptrsv flops"
-        );
+        assert_eq!(u(tri, "flops"), tunits * (2 * nnz_diag + rows), "rank {rank} sptrsv flops");
         assert_eq!(
             u(tri, "bytes"),
             tunits * sweep_bytes(rows, nnz_diag),
@@ -266,9 +254,7 @@ fn unarmed_solves_write_no_ledger() {
         solver.set_global_cols(n).unwrap();
         solver.set("solver", "cg").unwrap();
         solver.set("preconditioner", "none").unwrap();
-        solver
-            .setup_matrix(a.values(), a.row_ptr(), a.col_idx(), lisi::SparseStruct::Csr)
-            .unwrap();
+        solver.setup_matrix(a.values(), a.row_ptr(), a.col_idx(), lisi::SparseStruct::Csr).unwrap();
         solver.setup_rhs(&b, 1).unwrap();
         let mut x = vec![0.0; n];
         let mut status = [0.0; STATUS_LEN];

@@ -8,8 +8,10 @@
 use std::sync::Arc;
 
 use lisi::status::{STATUS_CONVERGED, STATUS_RECOVERY};
-use lisi::{ResilientSolver, RkspAdapter, RsluAdapter, SparseSolverPort, SparseStruct,
-    StaticSwitch, STATUS_LEN};
+use lisi::{
+    ResilientSolver, RkspAdapter, RsluAdapter, SparseSolverPort, SparseStruct, StaticSwitch,
+    STATUS_LEN,
+};
 use rcomm::Universe;
 use rsparse::{generate, BlockRowPartition};
 
@@ -42,9 +44,7 @@ fn postmortem_round_trips_through_the_cohort_dump() {
         driver.set_start_row(range.start).unwrap();
         driver.set_local_rows(range.len()).unwrap();
         driver.set_global_cols(n).unwrap();
-        driver
-            .set("retry_policy", "rksp:solver=cg,preconditioner=jacobi -> rslu")
-            .unwrap();
+        driver.set("retry_policy", "rksp:solver=cg,preconditioner=jacobi -> rslu").unwrap();
         driver.set_double("tol", 1e-10).unwrap();
         driver
             .setup_matrix(local.values(), local.row_ptr(), local.col_idx(), SparseStruct::Csr)

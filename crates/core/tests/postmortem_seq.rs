@@ -8,8 +8,10 @@
 use std::sync::Arc;
 
 use lisi::status::{STATUS_CONVERGED, STATUS_RECOVERY};
-use lisi::{ResilientSolver, RkspAdapter, RsluAdapter, SparseSolverPort, SparseStruct,
-    StaticSwitch, STATUS_LEN};
+use lisi::{
+    ResilientSolver, RkspAdapter, RsluAdapter, SparseSolverPort, SparseStruct, StaticSwitch,
+    STATUS_LEN,
+};
 use rcomm::Universe;
 use rsparse::{generate, BlockRowPartition};
 
@@ -32,9 +34,7 @@ fn faulted_solve_once(a: &rsparse::CsrMatrix, b: &[f64], n: usize) {
         driver.set_start_row(range.start).unwrap();
         driver.set_local_rows(range.len()).unwrap();
         driver.set_global_cols(n).unwrap();
-        driver
-            .set("retry_policy", "rksp:solver=cg,preconditioner=jacobi -> rslu")
-            .unwrap();
+        driver.set("retry_policy", "rksp:solver=cg,preconditioner=jacobi -> rslu").unwrap();
         driver.set_double("tol", 1e-10).unwrap();
         driver
             .setup_matrix(local.values(), local.row_ptr(), local.col_idx(), SparseStruct::Csr)
@@ -53,10 +53,10 @@ fn faulted_solve_once(a: &rsparse::CsrMatrix, b: &[f64], n: usize) {
 
 #[test]
 fn two_faulted_solves_leave_two_postmortem_files() {
-    let dest = std::env::temp_dir()
-        .join(format!("lisi_postmortem_seq_{}.json", std::process::id()));
-    let dest1 = std::env::temp_dir()
-        .join(format!("lisi_postmortem_seq_{}.1.json", std::process::id()));
+    let dest =
+        std::env::temp_dir().join(format!("lisi_postmortem_seq_{}.json", std::process::id()));
+    let dest1 =
+        std::env::temp_dir().join(format!("lisi_postmortem_seq_{}.1.json", std::process::id()));
     std::env::set_var("RSPARSE_POSTMORTEM", &dest);
     std::env::set_var("RCOMM_DEADLOCK_TIMEOUT_SECS", "2");
     let _ = std::fs::remove_file(&dest);
@@ -68,13 +68,13 @@ fn two_faulted_solves_leave_two_postmortem_files() {
     let b = vec![1.0; n];
 
     faulted_solve_once(&a, &b, n);
-    let first = std::fs::read_to_string(&dest)
-        .expect("first faulted solve writes the configured path");
+    let first =
+        std::fs::read_to_string(&dest).expect("first faulted solve writes the configured path");
     assert!(!dest1.exists(), "sequence sibling must not exist after one dump");
 
     faulted_solve_once(&a, &b, n);
-    let second = std::fs::read_to_string(&dest1)
-        .expect("second faulted solve writes the .1.json sibling");
+    let second =
+        std::fs::read_to_string(&dest1).expect("second faulted solve writes the .1.json sibling");
     let first_again = std::fs::read_to_string(&dest).unwrap();
     assert_eq!(first, first_again, "the first dump is never clobbered");
 

@@ -4,12 +4,12 @@
 
 use std::sync::Arc;
 
+use lisi::status::{
+    STATUS_ATTEMPTS, STATUS_CONVERGED, STATUS_ITERATIONS, STATUS_REASON, STATUS_RECOVERY,
+};
 use lisi::{
     LisiError, ResilientSolver, RkspAdapter, RsluAdapter, SparseSolverPort, SparseStruct,
     StaticSwitch, STATUS_LEN,
-};
-use lisi::status::{
-    STATUS_ATTEMPTS, STATUS_CONVERGED, STATUS_ITERATIONS, STATUS_REASON, STATUS_RECOVERY,
 };
 use proptest::prelude::*;
 use rcomm::{FaultPlan, Universe};
@@ -111,11 +111,7 @@ fn cg_breaking_fault_on_rank_2_recovers_via_fallback_swap() {
         assert_eq!(comparable(&o.status), comparable(&out[0].status), "ranks disagree");
         assert!(residual_inf(8, o.solution.as_ref().expect("lockstep gather")) < 1e-8);
     }
-    assert_eq!(
-        out.iter().map(|o| o.faults_fired).sum::<u64>(),
-        1,
-        "exactly one injected fault"
-    );
+    assert_eq!(out.iter().map(|o| o.faults_fired).sum::<u64>(), 1, "exactly one injected fault");
 }
 
 /// A NaN arriving through the halo exchange: the dist layer counts it,

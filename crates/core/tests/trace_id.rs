@@ -10,8 +10,10 @@
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use lisi::{ResilientSolver, RkspAdapter, RsluAdapter, SparseSolverPort, SparseStruct,
-    StaticSwitch, STATUS_LEN};
+use lisi::{
+    ResilientSolver, RkspAdapter, RsluAdapter, SparseSolverPort, SparseStruct, StaticSwitch,
+    STATUS_LEN,
+};
 use rcomm::Universe;
 use rsparse::{generate, BlockRowPartition};
 use serde_json::Value;

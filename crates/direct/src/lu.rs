@@ -189,7 +189,8 @@ impl GrowingL {
         // Column c + k holds the rows of column c but its first k.
         let mut vals = &self.vals[self.vptr[cols.start] as usize..self.vptr[cols.end] as usize];
         let at = self.rptr[cols.start] as usize;
-        let below = &self.rows[at..at + (self.vptr[cols.start + 1] - self.vptr[cols.start]) as usize];
+        let below =
+            &self.rows[at..at + (self.vptr[cols.start + 1] - self.vptr[cols.start]) as usize];
         if cols.len() == 1 {
             if first_xj != 0.0 {
                 for (&r, &v) in below.iter().zip(vals) {
@@ -236,7 +237,10 @@ impl GrowingL {
             let width = (cols[1] - cols[0]) as usize;
             order.clear();
             order.extend(
-                rows[list[0] + width..list[1]].iter().zip(0u32..).map(|(&r, i)| (pinv[r as usize] as u32, i)),
+                rows[list[0] + width..list[1]]
+                    .iter()
+                    .zip(0u32..)
+                    .map(|(&r, i)| (pinv[r as usize] as u32, i)),
             );
             order.sort_unstable_by_key(|&(r, _)| r);
             let m = order.len();
@@ -469,7 +473,10 @@ impl LuFactorization {
             // L's entries plus n bound every position L's u32 pointers
             // hold; this column adds fewer than `free` entries.
             if l.vals.len() + work.free.len() + n > u32::MAX as usize {
-                return Err(RsluError::Sparse(format!("{} entries of L are beyond u32 positions", l.vals.len())));
+                return Err(RsluError::Sparse(format!(
+                    "{} entries of L are beyond u32 positions",
+                    l.vals.len()
+                )));
             }
 
             // --- Gather straight into the factors: the rest of the
@@ -496,7 +503,8 @@ impl LuFactorization {
                 // the pivotal rows of column k to the front and stop the
                 // DFS there.
                 let (lo, hi) = (reach.ptr[k] as usize, reach.ptr[k + 1] as usize);
-                if reach.prune[k] as usize == hi && reach.rows[lo..hi].contains(&(pivot_row as u32)) {
+                if reach.prune[k] as usize == hi && reach.rows[lo..hi].contains(&(pivot_row as u32))
+                {
                     let (mut front, mut back) = (lo, hi);
                     while front < back {
                         if pinv[reach.rows[front] as usize] != usize::MAX {
@@ -653,16 +661,13 @@ impl LuFactorization {
             let xi: Vec<f64> = y.iter().map(|v| if *v >= 0.0 { 1.0 } else { -1.0 }).collect();
             let z = self.solve_transpose(&xi)?;
             // Stop when no coordinate beats the current functional value.
-            let (jmax, zmax) = z
-                .iter()
-                .enumerate()
-                .fold((0usize, 0.0f64), |(bj, bv), (j, &v)| {
-                    if v.abs() > bv {
-                        (j, v.abs())
-                    } else {
-                        (bj, bv)
-                    }
-                });
+            let (jmax, zmax) = z.iter().enumerate().fold((0usize, 0.0f64), |(bj, bv), (j, &v)| {
+                if v.abs() > bv {
+                    (j, v.abs())
+                } else {
+                    (bj, bv)
+                }
+            });
             best = best.max(est);
             let zx = rsparse::dense::dot(&z, &x);
             if zmax <= zx {
@@ -706,7 +711,8 @@ fn dfs_reach(start: usize, pinv: &[usize], reach: &Reach, work: &mut ColumnWork)
     }
     mark[start] = true;
     // A pivotal row's stack frame: its children.
-    let frame = |node: usize, col: usize| (node, reach.ptr[col] as usize, reach.prune[col] as usize);
+    let frame =
+        |node: usize, col: usize| (node, reach.ptr[col] as usize, reach.prune[col] as usize);
     match pinv[start] {
         usize::MAX => return pattern.push(start),
         col => stack.push(frame(start, col)),
@@ -800,10 +806,7 @@ mod tests {
             .unwrap()
             .to_csr();
         let sym = Symbolic::analyze(&a, Ordering::Natural).unwrap();
-        assert!(matches!(
-            LuFactorization::factor(&a, &sym, 1.0),
-            Err(RsluError::Singular { .. })
-        ));
+        assert!(matches!(LuFactorization::factor(&a, &sym, 1.0), Err(RsluError::Singular { .. })));
     }
 
     /// P·A·Q = L·U entrywise, via dense products.
@@ -962,17 +965,25 @@ mod tests {
     /// verdict (a `Singular` at the same column), the same pivots, the
     /// bits of every entry of L and U, and L's panels exactly the runs the
     /// T2 test finds on the loop's columns.
-    fn compare_with_column_loop(a: &CsrMatrix, sym: &Symbolic, threshold: f64) -> Result<(), String> {
+    fn compare_with_column_loop(
+        a: &CsrMatrix,
+        sym: &Symbolic,
+        threshold: f64,
+    ) -> Result<(), String> {
         let (lu, oracle) = match (
             LuFactorization::factor(a, sym, threshold),
             crate::reference::factor_by_columns(a, &sym.col_perm, threshold),
         ) {
             (Err(RsluError::Singular { column }), Err(c)) if column == c => return Ok(()),
             (Ok(lu), Ok(oracle)) => (lu, oracle),
-            (got, expected) => return Err(format!("factor {:?}, column loop {:?}", got.err(), expected.err())),
+            (got, expected) => {
+                return Err(format!("factor {:?}, column loop {:?}", got.err(), expected.err()))
+            }
         };
         let same = |x: &CscMatrix, y: &CscMatrix| {
-            x.col_ptr() == y.col_ptr() && x.row_idx() == y.row_idx() && bits(x.values()) == bits(y.values())
+            x.col_ptr() == y.col_ptr()
+                && x.row_idx() == y.row_idx()
+                && bits(x.values()) == bits(y.values())
         };
         if lu.row_perm() != oracle.row_perm {
             return Err("row permutations differ".into());
@@ -988,9 +999,11 @@ mod tests {
         let l = &oracle.l;
         let ptr: Vec<usize> = (0..=n).map(|j| l.col_ptr()[j] - j).collect();
         let below = |j: usize| l.col_ptr()[j] + 1..l.col_ptr()[j + 1];
-        let rows: Vec<u32> = (0..n).flat_map(|j| l.row_idx()[below(j)].iter().map(|&r| r as u32)).collect();
+        let rows: Vec<u32> =
+            (0..n).flat_map(|j| l.row_idx()[below(j)].iter().map(|&r| r as u32)).collect();
         let vals: Vec<f64> = (0..n).flat_map(|j| l.values()[below(j)].iter().copied()).collect();
-        let runs = PanelTri::from_columns(n, &ptr, &rows, vals, Vec::new()).map_err(|e| e.to_string())?;
+        let runs =
+            PanelTri::from_columns(n, &ptr, &rows, vals, Vec::new()).map_err(|e| e.to_string())?;
         let panels = lu.l_panels();
         let shape = |t: &PanelTri| (t.panel_count(), t.index_count(), t.max_panel_width(), t.nnz());
         if shape(panels) != shape(&runs) || *panels != runs {
@@ -1003,7 +1016,11 @@ mod tests {
         for ord in [Ordering::Natural, Ordering::Rcm, Ordering::MinDegree] {
             for threshold in [1.0, 0.1] {
                 let sym = Symbolic::analyze(a, ord).unwrap();
-                assert_eq!(compare_with_column_loop(a, &sym, threshold), Ok(()), "{what}, {ord:?}, threshold {threshold}");
+                assert_eq!(
+                    compare_with_column_loop(a, &sym, threshold),
+                    Ok(()),
+                    "{what}, {ord:?}, threshold {threshold}"
+                );
             }
         }
     }
@@ -1016,10 +1033,16 @@ mod tests {
         }
         assert_matches_column_loop(&generate::laplacian_2d(13), "laplacian_2d");
         for kind in 0..crate::corpus::KINDS {
-            assert_matches_column_loop(&crate::corpus::matrix(kind, 90, 7), &format!("corpus {kind}"));
+            assert_matches_column_loop(
+                &crate::corpus::matrix(kind, 90, 7),
+                &format!("corpus {kind}"),
+            );
         }
         assert_matches_column_loop(&cancelling_matrix(), "cancelling");
-        assert_matches_column_loop(&crate::corpus::interleave2(&generate::laplacian_2d(6)), "no runs");
+        assert_matches_column_loop(
+            &crate::corpus::interleave2(&generate::laplacian_2d(6)),
+            "no runs",
+        );
         // Stored zeros of both signs off the diagonal: multipliers that
         // are exactly ±0.0 take the skip.
         let (mut signed, _) = rmesh::paper_problem(12).assemble_global();
@@ -1045,11 +1068,18 @@ mod tests {
         coo.push(0, 3, 1.0).unwrap();
         coo.push(0, 7, 2.0).unwrap();
         // All ones: the second column cancels to exactly 0.0.
-        let ones = rsparse::CooMatrix::from_triplets(2, 2, &[0, 0, 1, 1], &[0, 1, 0, 1], &[1.0; 4]).unwrap();
+        let ones = rsparse::CooMatrix::from_triplets(2, 2, &[0, 0, 1, 1], &[0, 1, 0, 1], &[1.0; 4])
+            .unwrap();
         for (a, what) in [(coo.to_csr(), "structural"), (ones.to_csr(), "numerical")] {
             for ord in [Ordering::Natural, Ordering::Rcm, Ordering::MinDegree] {
                 let sym = Symbolic::analyze(&a, ord).unwrap();
-                assert!(matches!(LuFactorization::factor(&a, &sym, 1.0), Err(RsluError::Singular { .. })), "{what}");
+                assert!(
+                    matches!(
+                        LuFactorization::factor(&a, &sym, 1.0),
+                        Err(RsluError::Singular { .. })
+                    ),
+                    "{what}"
+                );
                 assert_eq!(compare_with_column_loop(&a, &sym, 1.0), Ok(()), "{what}, {ord:?}");
             }
         }
@@ -1115,7 +1145,10 @@ mod tests {
         }
         assert_matches_column_sweeps(&generate::laplacian_2d(13), "laplacian_2d");
         for kind in 0..crate::corpus::KINDS {
-            assert_matches_column_sweeps(&crate::corpus::matrix(kind, 90, 7), &format!("corpus {kind}"));
+            assert_matches_column_sweeps(
+                &crate::corpus::matrix(kind, 90, 7),
+                &format!("corpus {kind}"),
+            );
         }
         // Off-diagonal pivots.
         let swap = rsparse::CooMatrix::from_triplets(2, 2, &[0, 1], &[1, 0], &[1.0, 2.0])
@@ -1124,7 +1157,10 @@ mod tests {
         assert_matches_column_sweeps(&swap, "zero diagonal");
         // An exactly cancelled entry: the explicit zero stays inside a panel.
         assert_matches_column_sweeps(&cancelling_matrix(), "cancelling");
-        assert_matches_column_sweeps(&crate::corpus::interleave2(&generate::laplacian_2d(6)), "no runs");
+        assert_matches_column_sweeps(
+            &crate::corpus::interleave2(&generate::laplacian_2d(6)),
+            "no runs",
+        );
     }
 
     #[test]
@@ -1186,10 +1222,7 @@ mod tests {
             let sym = Symbolic::analyze(&a, Ordering::MinDegree).unwrap();
             LuFactorization::factor(&a, &sym, 1.0).unwrap().fill()
         };
-        assert!(
-            f_md * 3 < f_nat,
-            "minimum degree should avoid the arrow fill: {f_md} vs {f_nat}"
-        );
+        assert!(f_md * 3 < f_nat, "minimum degree should avoid the arrow fill: {f_md} vs {f_nat}");
     }
 
     #[test]
@@ -1244,7 +1277,10 @@ mod tests {
             let col = dense.solve(&e).unwrap();
             true_norm = true_norm.max(rsparse::dense::norm1(&col));
         }
-        assert!(est <= true_norm * (1.0 + 1e-10), "estimate must lower-bound: {est} vs {true_norm}");
+        assert!(
+            est <= true_norm * (1.0 + 1e-10),
+            "estimate must lower-bound: {est} vs {true_norm}"
+        );
         assert!(est >= true_norm / 10.0, "estimate too loose: {est} vs {true_norm}");
     }
 

@@ -478,9 +478,8 @@ mod tests {
     fn clique_min_degree(a: &CsrMatrix) -> Vec<usize> {
         let n = a.rows();
         let graph = SymGraph::new(a);
-        let mut adj: Vec<BTreeSet<usize>> = (0..n)
-            .map(|v| graph.neighbours(v).iter().map(|&u| u as usize).collect())
-            .collect();
+        let mut adj: Vec<BTreeSet<usize>> =
+            (0..n).map(|v| graph.neighbours(v).iter().map(|&u| u as usize).collect()).collect();
         let mut eliminated = vec![false; n];
         let mut order = Vec::with_capacity(n);
         let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
@@ -530,9 +529,8 @@ mod tests {
 
     /// FNV-1a over the permutation, one step per entry.
     fn checksum(perm: &[usize]) -> u64 {
-        perm.iter().fold(0xcbf2_9ce4_8422_2325, |h, &p| {
-            (h ^ p as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+        perm.iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &p| (h ^ p as u64).wrapping_mul(0x0000_0100_0000_01b3))
     }
 
     #[test]

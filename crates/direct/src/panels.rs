@@ -62,8 +62,11 @@ pub struct PanelTri {
 }
 
 fn to_u32(axis: &'static str, value: usize) -> SparseResult<u32> {
-    u32::try_from(value)
-        .map_err(|_| SparseError::IndexOutOfBounds { axis, index: value, bound: u32::MAX as usize })
+    u32::try_from(value).map_err(|_| SparseError::IndexOutOfBounds {
+        axis,
+        index: value,
+        bound: u32::MAX as usize,
+    })
 }
 
 /// `ptr` must start at 0, end at `end` and never decrease — nor, when
@@ -129,7 +132,12 @@ impl PanelTri {
         to_u32("panel column", n)?;
         to_u32("panel index", idx.len())?;
         check_pointers(&first, n, true, "panel starts must run 0..=n, increasing")?;
-        check_pointers(&idx_ptr, idx.len(), false, "panel index pointers must run 0..=len without decreasing")?;
+        check_pointers(
+            &idx_ptr,
+            idx.len(),
+            false,
+            "panel index pointers must run 0..=len without decreasing",
+        )?;
         for (what, expected, got) in [
             ("panel index pointers", first.len(), idx_ptr.len()),
             ("panel diagonal", if diag.is_empty() { 0 } else { n }, diag.len()),
@@ -147,7 +155,11 @@ impl PanelTri {
             for &r in list {
                 let r = r as usize;
                 if r >= n {
-                    return Err(SparseError::IndexOutOfBounds { axis: "panel row", index: r, bound: n });
+                    return Err(SparseError::IndexOutOfBounds {
+                        axis: "panel row",
+                        index: r,
+                        bound: n,
+                    });
                 }
                 if r < end {
                     // Row r is solved no later than the panel's last column.
@@ -419,7 +431,11 @@ fn gather_block<const B: usize>(
     let column = |k: usize| &vals[k * m + k * (2 * width - k - 1) / 2..][..width - 1 - k + m];
     let (block, done) = targets.split_at_mut(todo);
     let block = &mut block[lo..];
-    subtract_descending::<B>(block, std::array::from_fn(|i| &column(lo + i)[width - 1 - lo - i..]), w);
+    subtract_descending::<B>(
+        block,
+        std::array::from_fn(|i| &column(lo + i)[width - 1 - lo - i..]),
+        w,
+    );
     subtract_descending::<B>(
         block,
         std::array::from_fn(|i| &column(lo + i)[B - 1 - i..width - 1 - lo - i]),
@@ -512,7 +528,10 @@ mod tests {
         assert!(matches!(build(|p| p.2[0] = 1), Err(MalformedPointers(_))));
         assert!(matches!(build(|p| p.2[1..3].copy_from_slice(&[3, 2])), Err(MalformedPointers(_))));
         assert!(matches!(build(|p| p.2[3] = 2), Err(MalformedPointers(_))));
-        assert!(matches!(build(|p| p.2.truncate(3)), Err(MalformedPointers(_) | LengthMismatch { .. })));
+        assert!(matches!(
+            build(|p| p.2.truncate(3)),
+            Err(MalformedPointers(_) | LengthMismatch { .. })
+        ));
         // Values or a diagonal of the wrong length.
         assert!(matches!(
             build(|p| p.4.truncate(6)),

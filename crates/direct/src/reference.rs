@@ -20,7 +20,11 @@ pub struct ColumnFactors {
 /// CSC columns whose rows (and values) pruning reorders in place.
 /// `col_perm[new] = old`, `threshold` as in `factor` (not checked). `Err`
 /// carries the column that found no pivot.
-pub fn factor_by_columns(a: &CsrMatrix, col_perm: &[usize], threshold: f64) -> Result<ColumnFactors, usize> {
+pub fn factor_by_columns(
+    a: &CsrMatrix,
+    col_perm: &[usize],
+    threshold: f64,
+) -> Result<ColumnFactors, usize> {
     let n = a.rows();
     let acsc = a.to_csc();
     // L's columns start with their pivot row (the unit diagonal); rows
@@ -61,7 +65,10 @@ pub fn factor_by_columns(a: &CsrMatrix, col_perm: &[usize], threshold: f64) -> R
                 pivot_row = node;
             }
         }
-        if pinv[old_col] == usize::MAX && x[old_col].abs() >= threshold * pivot_abs && x[old_col] != 0.0 {
+        if pinv[old_col] == usize::MAX
+            && x[old_col].abs() >= threshold * pivot_abs
+            && x[old_col] != 0.0
+        {
             pivot_row = old_col;
         }
         if pivot_row == usize::MAX || x[pivot_row] == 0.0 {
@@ -169,7 +176,8 @@ fn sorted_csc(n: usize, ptr: &[usize], rows: &[usize], vals: &[f64]) -> CscMatri
     let mut sorted_rows = Vec::with_capacity(rows.len());
     let mut sorted_vals = Vec::with_capacity(vals.len());
     for w in ptr.windows(2) {
-        let mut col: Vec<(usize, f64)> = rows[w[0]..w[1]].iter().copied().zip(vals[w[0]..w[1]].iter().copied()).collect();
+        let mut col: Vec<(usize, f64)> =
+            rows[w[0]..w[1]].iter().copied().zip(vals[w[0]..w[1]].iter().copied()).collect();
         col.sort_unstable_by_key(|&(r, _)| r);
         sorted_rows.extend(col.iter().map(|&(r, _)| r));
         sorted_vals.extend(col.iter().map(|&(_, v)| v));

@@ -193,9 +193,10 @@ impl RsluSolver {
     /// Phase 2': refactorize with new values on the identical pattern,
     /// reusing the symbolic analysis (scenario d).
     pub fn refactorize(&mut self, values: &[f64]) -> RsluResult<()> {
-        let mut a = self.matrix.take().ok_or_else(|| {
-            RsluError::BadOption("refactorize requires a prior factorize".into())
-        })?;
+        let mut a = self
+            .matrix
+            .take()
+            .ok_or_else(|| RsluError::BadOption("refactorize requires a prior factorize".into()))?;
         let out = if values.len() == a.nnz() {
             a.values_mut().copy_from_slice(values);
             self.factor_numeric(&a)
@@ -475,10 +476,7 @@ mod tests {
         }
         assert_eq!(s.stats().factorizations, 2);
         // Wrong-length values are rejected.
-        assert!(matches!(
-            s.refactorize(&new_vals[1..]),
-            Err(RsluError::PatternMismatch { .. })
-        ));
+        assert!(matches!(s.refactorize(&new_vals[1..]), Err(RsluError::PatternMismatch { .. })));
     }
 
     #[test]
@@ -510,7 +508,8 @@ mod tests {
             for through_factorize in [false, true] {
                 let mut s = RsluSolver::new(options.clone());
                 s.factorize(&a).unwrap();
-                let failed = if through_factorize { s.factorize(&singular) } else { s.refactorize(&zeros) };
+                let failed =
+                    if through_factorize { s.factorize(&singular) } else { s.refactorize(&zeros) };
                 assert!(matches!(failed, Err(RsluError::Singular { .. })));
                 no_factors(&mut s);
                 // A correct refactorize recovers.

@@ -4,8 +4,8 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rdirect::{LuFactorization, Ordering, RsluOptions, RsluSolver};
 use rdirect::symbolic::Symbolic;
+use rdirect::{LuFactorization, Ordering, RsluOptions, RsluSolver};
 use rsparse::generate;
 
 /// The column sweeps over CSC factors and the column-at-a-time factor

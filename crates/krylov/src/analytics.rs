@@ -136,7 +136,8 @@ mod tests {
         let diag = vec![2.0; n];
         let offdiag = vec![-1.0; n - 1];
         let (lmin, lmax) = tridiag_extreme_eigenvalues(&diag, &offdiag).unwrap();
-        let analytic = |k: usize| 2.0 - 2.0 * (k as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos();
+        let analytic =
+            |k: usize| 2.0 - 2.0 * (k as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos();
         assert!((lmin - analytic(1)).abs() < 1e-9, "lmin {lmin}");
         assert!((lmax - analytic(n)).abs() < 1e-9, "lmax {lmax}");
     }

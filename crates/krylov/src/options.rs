@@ -76,10 +76,7 @@ impl Options {
         let Some((key, value)) = keys.iter().find_map(|k| self.entries.get_key_value(*k)) else {
             return Ok(None);
         };
-        value
-            .parse()
-            .map(Some)
-            .map_err(|_| BadValue { key: key.clone(), value: value.clone() })
+        value.parse().map(Some).map_err(|_| BadValue { key: key.clone(), value: value.clone() })
     }
 
     /// Whether a key exists.

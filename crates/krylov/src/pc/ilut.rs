@@ -89,9 +89,7 @@ pub(super) fn ilut_factor(
     // NaN must be rejected too: no `v.abs() > NaN` holds, so every entry
     // of L and U would be dropped.
     if droptol.is_nan() || droptol < 0.0 {
-        return Err(KspError::BadConfig(format!(
-            "droptol must be ≥ 0, got {droptol}"
-        )));
+        return Err(KspError::BadConfig(format!("droptol must be ≥ 0, got {droptol}")));
     }
     if max_fill == 0 {
         return Err(KspError::BadConfig("max_fill must be ≥ 1".into()));
@@ -215,22 +213,13 @@ pub(super) fn ilut_factor(
         u_ptr.push(u_cols.len());
     }
 
-    Ok(IlutFactor {
-        l_ptr,
-        l_cols,
-        l_vals,
-        u_ptr,
-        u_cols,
-        u_vals,
-    })
+    Ok(IlutFactor { l_ptr, l_cols, l_vals, u_ptr, u_cols, u_vals })
 }
 
 /// Keep the `cap` largest-magnitude entries (order not preserved).
 fn keep_largest(row: &mut Vec<(usize, f64)>, cap: usize) {
     if row.len() > cap {
-        row.sort_unstable_by(|a, b| {
-            b.1.abs().partial_cmp(&a.1.abs()).expect("finite values")
-        });
+        row.sort_unstable_by(|a, b| b.1.abs().partial_cmp(&a.1.abs()).expect("finite values"));
         row.truncate(cap);
     }
 }

@@ -157,9 +157,9 @@ pub fn make_preconditioner(
     let inner: Box<dyn Preconditioner> = match pc {
         PcType::None => Box::new(Identity),
         PcType::Jacobi => {
-            let d = op.diagonal_local().ok_or_else(|| {
-                KspError::BadConfig("Jacobi needs the operator diagonal".into())
-            })?;
+            let d = op
+                .diagonal_local()
+                .ok_or_else(|| KspError::BadConfig("Jacobi needs the operator diagonal".into()))?;
             Box::new(Jacobi::new(d)?)
         }
         PcType::Ilu0 | PcType::AdditiveSchwarz => {

@@ -113,10 +113,8 @@ fn ic0_natural(l: &CsrMatrix, r: &[f64], z: &mut [f64]) {
 /// explicit zeros.
 fn laplacian_with_stored_zeros(m: usize) -> CsrMatrix {
     let mut a = generate::laplacian_2d(m);
-    let zero: Vec<bool> = a
-        .iter()
-        .map(|(i, j, _)| i != j && (i.min(j) * 31 + i.max(j)) % 3 == 0)
-        .collect();
+    let zero: Vec<bool> =
+        a.iter().map(|(i, j, _)| i != j && (i.min(j) * 31 + i.max(j)) % 3 == 0).collect();
     for (v, z) in a.values_mut().iter_mut().zip(zero) {
         if z {
             *v = 0.0;
@@ -173,11 +171,7 @@ fn assert_bitwise(
         solve(r, &mut got);
         natural(r, &mut want);
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(
-                g.to_bits(),
-                w.to_bits(),
-                "{label} n = {n} rhs {which} row {i}: {g} vs {w}"
-            );
+            assert_eq!(g.to_bits(), w.to_bits(), "{label} n = {n} rhs {which} row {i}: {g} vs {w}");
         }
     }
 }
@@ -213,10 +207,7 @@ fn ilut_with_fill_is_bitwise_the_natural_order_sweeps() {
             );
         }
     }
-    assert!(
-        filled >= 5,
-        "only {filled} factors carried fill beyond the pattern"
-    );
+    assert!(filled >= 5, "only {filled} factors carried fill beyond the pattern");
 }
 
 #[test]
@@ -240,12 +231,7 @@ fn ic0_gather_is_bitwise_the_natural_order_scatter() {
     for (label, a) in blocks() {
         let l = ic0_factor(&a).unwrap();
         let pc = Ic0::new(&a).unwrap();
-        assert_bitwise(
-            label,
-            a.rows(),
-            |r, z| pc.solve_local(r, z),
-            |r, z| ic0_natural(&l, r, z),
-        );
+        assert_bitwise(label, a.rows(), |r, z| pc.solve_local(r, z), |r, z| ic0_natural(&l, r, z));
     }
 }
 

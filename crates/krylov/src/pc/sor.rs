@@ -26,9 +26,7 @@ impl Ssor {
     /// Build for relaxation factor `omega ∈ (0, 2)`.
     pub fn new(block: &CsrMatrix, omega: f64) -> KspOutcome<Self> {
         if !(0.0..2.0).contains(&omega) || omega == 0.0 {
-            return Err(KspError::BadConfig(format!(
-                "SSOR omega must be in (0, 2), got {omega}"
-            )));
+            return Err(KspError::BadConfig(format!("SSOR omega must be in (0, 2), got {omega}")));
         }
         let diag_pos = diagonal_positions(block)?;
         let vals = block.values();
@@ -38,12 +36,7 @@ impl Ssor {
         let (fwd, bwd) = split_at_diagonal(block, &diag_pos, vals, true)?;
         register_sweep_model(&fwd, &bwd);
         let rescale = diag_pos.iter().map(|&k| vals[k] / omega).collect();
-        Ok(Ssor {
-            fwd,
-            bwd,
-            omega,
-            rescale,
-        })
+        Ok(Ssor { fwd, bwd, omega, rescale })
     }
 
     /// z ← M⁻¹·r on local slices: two triangular sweeps with an

@@ -29,10 +29,7 @@ pub enum ConvergedReason {
 impl ConvergedReason {
     /// Did the solve succeed?
     pub fn converged(self) -> bool {
-        matches!(
-            self,
-            ConvergedReason::RelativeTolerance | ConvergedReason::AbsoluteTolerance
-        )
+        matches!(self, ConvergedReason::RelativeTolerance | ConvergedReason::AbsoluteTolerance)
     }
 
     /// Stable short name, used by the flight recorder's verdict events

@@ -200,32 +200,17 @@ mod tests {
             let op = MatOperator::new(da);
             let pc = make_preconditioner(pc_type, &op).unwrap();
             let db = DistVector::from_global(part.clone(), comm.rank(), &b).unwrap();
-            let cfg = KspConfig {
-                rtol: 1e-10,
-                maxits,
-                ..KspConfig::default()
-            };
+            let cfg = KspConfig { rtol: 1e-10, maxits, ..KspConfig::default() };
             let mut x_new = DistVector::zeros(part.clone(), comm.rank());
             let mut x_old = DistVector::zeros(part, comm.rank());
             let new = solve(comm, &op, pc.as_ref(), &db, &mut x_new, &cfg).unwrap();
             let old = solve_unfused(comm, &op, pc.as_ref(), &db, &mut x_old, &cfg).unwrap();
             assert_eq!(new.reason, old.reason, "{pc_type:?}/{ranks}r");
             assert_eq!(new.iterations, old.iterations, "{pc_type:?}/{ranks}r");
-            assert!(
-                new.iterations > 2,
-                "{pc_type:?}/{ranks}r: the loop must have run"
-            );
+            assert!(new.iterations > 2, "{pc_type:?}/{ranks}r: the loop must have run");
             let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&new.history),
-                bits(&old.history),
-                "{pc_type:?}/{ranks}r history"
-            );
-            assert_eq!(
-                bits(x_new.local()),
-                bits(x_old.local()),
-                "{pc_type:?}/{ranks}r iterate"
-            );
+            assert_eq!(bits(&new.history), bits(&old.history), "{pc_type:?}/{ranks}r history");
+            assert_eq!(bits(x_new.local()), bits(x_old.local()), "{pc_type:?}/{ranks}r iterate");
         });
     }
 

@@ -55,9 +55,7 @@ impl KspType {
             "tfqmr" => KspType::Tfqmr,
             "richardson" => KspType::Richardson,
             "chebyshev" | "cheby" => KspType::Chebyshev,
-            other => {
-                return Err(KspError::UnknownName { kind: "solver", name: other.to_string() })
-            }
+            other => return Err(KspError::UnknownName { kind: "solver", name: other.to_string() }),
         })
     }
 
@@ -165,9 +163,7 @@ impl KspConfig {
         // fails before the first collective.
         if let PcType::Ilut { droptol, .. } = self.pc_type {
             if droptol.is_nan() || droptol < 0.0 {
-                return Err(KspError::BadConfig(format!(
-                    "droptol must be ≥ 0, got {droptol}"
-                )));
+                return Err(KspError::BadConfig(format!("droptol must be ≥ 0, got {droptol}")));
             }
         }
         Ok(())
@@ -699,10 +695,7 @@ mod tests {
             assert_eq!(r.iterations, res.iterations);
             assert_eq!(r.reason, res.reason);
         }
-        let err = full
-            .iter()
-            .zip(&x_true)
-            .fold(0.0f64, |m, (g, e)| m.max((g - e).abs()));
+        let err = full.iter().zip(&x_true).fold(0.0f64, |m, (g, e)| m.max((g - e).abs()));
         (res.converged(), res.iterations, err)
     }
 

@@ -23,13 +23,11 @@ pub(crate) fn solve(
 
     // Preconditioned apply: w ← A·M⁻¹·v.
     let mut pre = DistVector::zeros(part.clone(), rank);
-    let mut apply_right = |comm: &Communicator,
-                           vin: &DistVector,
-                           vout: &mut DistVector|
-     -> KspOutcome<()> {
-        pc.apply(comm, vin, &mut pre)?;
-        op.apply(comm, &pre, vout)
-    };
+    let mut apply_right =
+        |comm: &Communicator, vin: &DistVector, vout: &mut DistVector| -> KspOutcome<()> {
+            pc.apply(comm, vin, &mut pre)?;
+            op.apply(comm, &pre, vout)
+        };
 
     let bnorm = b.norm2(comm)?;
     let mut r = b.clone();

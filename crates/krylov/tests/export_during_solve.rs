@@ -19,8 +19,7 @@ use rsparse::{generate, BlockRowPartition, DistCsrMatrix, DistVector};
 
 fn scrape(addr: std::net::SocketAddr) -> String {
     let mut conn = TcpStream::connect(addr).expect("connect to the exporter");
-    conn.write_all(b"GET /metrics HTTP/1.0\r\nHost: localhost\r\n\r\n")
-        .expect("send request");
+    conn.write_all(b"GET /metrics HTTP/1.0\r\nHost: localhost\r\n\r\n").expect("send request");
     let mut response = String::new();
     conn.read_to_string(&mut response).expect("read response");
     response
@@ -45,10 +44,8 @@ fn assert_metadata_complete(body: &str) {
             );
             declared.push(family);
         } else if !line.is_empty() {
-            let name = line
-                .split(['{', ' '])
-                .next()
-                .expect("sample line starts with a metric name");
+            let name =
+                line.split(['{', ' ']).next().expect("sample line starts with a metric name");
             let family = name
                 .strip_suffix("_bucket")
                 .or_else(|| name.strip_suffix("_sum"))
@@ -82,11 +79,7 @@ fn assert_buckets_monotone(body: &str) {
         let cum: u64 = value.parse().expect("bucket count is an integer");
         let terminal = labels.contains("le=\"+Inf\"");
         let entry = series.entry(key.clone()).or_insert((0, false));
-        assert!(
-            cum >= entry.0,
-            "{key}: cumulative bucket decreased {} -> {cum}",
-            entry.0
-        );
+        assert!(cum >= entry.0, "{key}: cumulative bucket decreased {} -> {cum}", entry.0);
         assert!(!entry.1, "{key}: bucket after the +Inf edge");
         *entry = (cum, terminal);
     }
@@ -175,10 +168,7 @@ fn concurrent_scrapes_mid_solve_are_consistent() {
     }
 
     for (who, page) in [("scrape 1", &page1), ("scrape 2", &page2)] {
-        assert!(
-            page.starts_with("HTTP/1.0 200 OK"),
-            "{who}: expected 200, got:\n{page}"
-        );
+        assert!(page.starts_with("HTTP/1.0 200 OK"), "{who}: expected 200, got:\n{page}");
         assert!(
             page.contains("text/plain; version=0.0.4"),
             "{who}: exposition content type missing"

@@ -1,8 +1,8 @@
 //! Fault-injection behaviour of the Krylov solvers. Each test hands its
 //! plan to the one universe it launches.
 
-use rkrylov::{ConvergedReason, Ksp, KspConfig, KspType, MatOperator, PcType};
 use rcomm::{FaultPlan, Universe};
+use rkrylov::{ConvergedReason, Ksp, KspConfig, KspType, MatOperator, PcType};
 use rsparse::{generate, BlockRowPartition, DistCsrMatrix, DistVector};
 
 fn solve_cg(
@@ -39,8 +39,7 @@ fn corrupted_reduction_is_flagged_as_divergence_everywhere() {
     // propagates through the sum, so every rank sees a non-finite
     // residual and stops with Diverged identically. Call 2 on rank 1 is
     // the scalar ‖r₀‖ reduction (call 1 is ‖b‖).
-    let plan =
-        rcomm::FaultPlan::parse("op=allreduce,rank=1,call=2,kind=corrupt;seed=7").unwrap();
+    let plan = rcomm::FaultPlan::parse("op=allreduce,rank=1,call=2,kind=corrupt;seed=7").unwrap();
     let out = solve_cg(3, 8, Some(plan), |_| {});
     for r in &out {
         assert_eq!(r.reason, out[0].reason, "ranks disagree");
@@ -52,8 +51,7 @@ fn corrupted_reduction_is_flagged_as_divergence_everywhere() {
 
 #[test]
 fn injected_collective_error_surfaces_as_typed_comm_error() {
-    let plan =
-        rcomm::FaultPlan::parse("op=allreduce,rank=0,call=2,kind=error").unwrap();
+    let plan = rcomm::FaultPlan::parse("op=allreduce,rank=0,call=2,kind=error").unwrap();
     let a = generate::laplacian_2d(6);
     let n = 36;
     let b = vec![1.0; n];

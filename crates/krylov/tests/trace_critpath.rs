@@ -78,17 +78,23 @@ fn critpath_totals_reconcile_with_the_wait_attribution_table() {
         assert!(
             close(rt.halo_wait_s, halo),
             "rank {}: halo {} (trace) vs {} (spans)",
-            rt.rank, rt.halo_wait_s, halo
+            rt.rank,
+            rt.halo_wait_s,
+            halo
         );
         assert!(
             close(rt.reduce_s, reduce),
             "rank {}: reduce {} (trace) vs {} (spans)",
-            rt.rank, rt.reduce_s, reduce
+            rt.rank,
+            rt.reduce_s,
+            reduce
         );
         assert!(
             close(rt.compute_s, compute),
             "rank {}: compute {} (trace) vs {} (spans)",
-            rt.rank, rt.compute_s, compute
+            rt.rank,
+            rt.compute_s,
+            compute
         );
     }
 

@@ -33,9 +33,7 @@ pub fn paper_rhs(x: f64, _y: f64) -> f64 {
 /// `−(u_xx + u_yy) + bx·u_x + by·u_y = g` gives `bx = 3`, `by = 0`,
 /// `g = −f`, homogeneous Dirichlet boundary.
 pub fn paper_problem(m: usize) -> ConvectionDiffusion2d {
-    ConvectionDiffusion2d::new(m)
-        .with_convection(3.0, 0.0)
-        .with_rhs(|x, y| -paper_rhs(x, y))
+    ConvectionDiffusion2d::new(m).with_convection(3.0, 0.0).with_rhs(|x, y| -paper_rhs(x, y))
 }
 
 #[cfg(test)]

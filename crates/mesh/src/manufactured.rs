@@ -49,21 +49,14 @@ impl Manufactured {
 
     /// Max-norm error of a candidate solution against the exact one.
     pub fn error_inf(&self, candidate: &[f64]) -> f64 {
-        self.exact
-            .iter()
-            .zip(candidate)
-            .fold(0.0, |m, (e, c)| m.max((e - c).abs()))
+        self.exact.iter().zip(candidate).fold(0.0, |m, (e, c)| m.max((e - c).abs()))
     }
 
     /// Relative residual ‖b − A·x‖₂ / ‖b‖₂ of a candidate.
     pub fn relative_residual(&self, candidate: &[f64]) -> SparseResult<f64> {
         let r = rsparse::ops::residual(&self.matrix, candidate, &self.rhs)?;
         let bn = rsparse::dense::norm2(&self.rhs);
-        Ok(if bn == 0.0 {
-            rsparse::dense::norm2(&r)
-        } else {
-            rsparse::dense::norm2(&r) / bn
-        })
+        Ok(if bn == 0.0 { rsparse::dense::norm2(&r) } else { rsparse::dense::norm2(&r) / bn })
     }
 }
 

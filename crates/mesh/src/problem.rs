@@ -171,11 +171,7 @@ impl ConvectionDiffusion2d {
 
     /// Assemble the block rows `partition.range(rank)` (no communication —
     /// assembly is embarrassingly parallel).
-    pub fn assemble_partitioned(
-        &self,
-        partition: &BlockRowPartition,
-        rank: usize,
-    ) -> LocalSystem {
+    pub fn assemble_partitioned(&self, partition: &BlockRowPartition, rank: usize) -> LocalSystem {
         let (matrix, rhs) = self.assemble_rows(partition.range(rank));
         LocalSystem { matrix, rhs, partition: partition.clone(), rank }
     }

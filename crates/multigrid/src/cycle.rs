@@ -16,8 +16,7 @@ pub enum CycleType {
 }
 
 /// A pluggable coarse-solve callback `(a, b) -> x`.
-pub type CoarseCallback =
-    Box<dyn Fn(&CsrMatrix, &[f64]) -> Result<Vec<f64>, String> + Send + Sync>;
+pub type CoarseCallback = Box<dyn Fn(&CsrMatrix, &[f64]) -> Result<Vec<f64>, String> + Send + Sync>;
 
 /// The coarsest-grid solver. Pluggable so that a *different package* can
 /// serve the coarse problem — the recursion scenario of paper §5.2e.
@@ -169,12 +168,7 @@ impl<'h> RmgSolver<'h> {
                 return Err(MgError::Sparse("residual diverged".into()));
             }
         }
-        Ok(MgResult {
-            cycles,
-            converged: rel <= self.config.rtol,
-            relative_residual: rel,
-            history,
-        })
+        Ok(MgResult { cycles, converged: rel <= self.config.rtol, relative_residual: rel, history })
     }
 }
 
@@ -201,11 +195,7 @@ mod tests {
         let mut x = vec![0.0; n];
         let res = solver.solve(&b, &mut x).unwrap();
         assert!(res.converged);
-        assert!(
-            res.cycles <= 15,
-            "multigrid should converge in O(1) cycles, took {}",
-            res.cycles
-        );
+        assert!(res.cycles <= 15, "multigrid should converge in O(1) cycles, took {}", res.cycles);
         for (g, e) in x.iter().zip(&x_true) {
             assert!((g - e).abs() < 1e-6);
         }
@@ -309,11 +299,7 @@ mod tests {
     fn config_validation() {
         let a = generate::laplacian_2d(7);
         let h = Hierarchy::build(a, 7, CoarseOperator::Galerkin, 10, 1, None).unwrap();
-        assert!(RmgSolver::new(
-            &h,
-            MgConfig { nu1: 0, nu2: 0, ..MgConfig::default() }
-        )
-        .is_err());
+        assert!(RmgSolver::new(&h, MgConfig { nu1: 0, nu2: 0, ..MgConfig::default() }).is_err());
     }
 
     #[test]

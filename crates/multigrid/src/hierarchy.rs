@@ -75,9 +75,7 @@ impl Hierarchy {
                 }
                 CoarseOperator::Rediscretize => {
                     let f = rediscretize.ok_or_else(|| {
-                        MgError::BadConfig(
-                            "Rediscretize needs a discretization callback".into(),
-                        )
+                        MgError::BadConfig("Rediscretize needs a discretization callback".into())
                     })?;
                     let a = f(mc);
                     if a.rows() != mc * mc {
@@ -125,10 +123,7 @@ mod tests {
         let a = generate::laplacian_2d(15);
         let h = Hierarchy::build(a, 15, CoarseOperator::Galerkin, 10, 1, None).unwrap();
         assert_eq!(h.num_levels(), 4);
-        assert_eq!(
-            (0..4).map(|l| h.level(l).m).collect::<Vec<_>>(),
-            vec![15, 7, 3, 1]
-        );
+        assert_eq!((0..4).map(|l| h.level(l).m).collect::<Vec<_>>(), vec![15, 7, 3, 1]);
         // Transfers exist everywhere except the coarsest.
         for l in 0..3 {
             assert!(h.level(l).p.is_some());

@@ -21,13 +21,7 @@ pub enum Smoother {
 
 impl Smoother {
     /// Run `sweeps` smoothing iterations on A·x = b, updating `x`.
-    pub fn smooth(
-        self,
-        a: &CsrMatrix,
-        b: &[f64],
-        x: &mut [f64],
-        sweeps: usize,
-    ) -> MgResultT<()> {
+    pub fn smooth(self, a: &CsrMatrix, b: &[f64], x: &mut [f64], sweeps: usize) -> MgResultT<()> {
         match self {
             Smoother::Jacobi { omega } => jacobi(a, b, x, sweeps, omega),
             Smoother::GaussSeidel => {
@@ -118,11 +112,8 @@ mod tests {
     fn all_smoothers_contract_the_residual() {
         let a = generate::laplacian_2d(9);
         let b = generate::random_vector(81, 4);
-        for sm in [
-            Smoother::Jacobi { omega: 0.8 },
-            Smoother::GaussSeidel,
-            Smoother::SymGaussSeidel,
-        ] {
+        for sm in [Smoother::Jacobi { omega: 0.8 }, Smoother::GaussSeidel, Smoother::SymGaussSeidel]
+        {
             let mut x = vec![0.0; 81];
             let r0 = residual_norm(&a, &x, &b);
             sm.smooth(&a, &b, &mut x, 5).unwrap();
@@ -143,10 +134,8 @@ mod tests {
             let mut v = vec![0.0; n];
             for i in 0..m {
                 for j in 0..m {
-                    let (x, y) = (
-                        (i as f64 + 1.0) / (m as f64 + 1.0),
-                        (j as f64 + 1.0) / (m as f64 + 1.0),
-                    );
+                    let (x, y) =
+                        ((i as f64 + 1.0) / (m as f64 + 1.0), (j as f64 + 1.0) / (m as f64 + 1.0));
                     v[i * m + j] = (k as f64 * std::f64::consts::PI * x).sin()
                         * (k as f64 * std::f64::consts::PI * y).sin();
                 }

@@ -198,11 +198,8 @@ fn analyze(trace: u64, per_rank: &BTreeMap<usize, Vec<Event>>, dropped: u64) -> 
     // Backward walk from the last-finishing rank.
     let mut segments: Vec<Segment> = Vec::new();
     let mut edges: Vec<Edge> = Vec::new();
-    let (mut cur, mut t) = end
-        .iter()
-        .max_by_key(|(_, &t1)| t1)
-        .map(|(&r, &t1)| (r, t1))
-        .unwrap_or((0, first_begin));
+    let (mut cur, mut t) =
+        end.iter().max_by_key(|(_, &t1)| t1).map(|(&r, &t1)| (r, t1)).unwrap_or((0, first_begin));
     let mut push_seg = |rank: usize, kind: SegmentKind, ns: u64| {
         if ns > 0 {
             segments.push(Segment { rank, kind, seconds: ns as f64 * NS });
@@ -360,12 +357,7 @@ mod tests {
             vec![
                 rec(1, 0, 0, EventKind::Begin),
                 rec(1, 0, 100, EventKind::Span { name: "spmv_interior" }),
-                rec(
-                    1,
-                    100,
-                    100,
-                    EventKind::Send { peer: 0, bytes: 8, tag: 7, seq: 1 },
-                ),
+                rec(1, 100, 100, EventKind::Send { peer: 0, bytes: 8, tag: 7, seq: 1 }),
                 rec(1, 120, 150, EventKind::Collective { op: "allreduce", index: 1 }),
                 rec(1, 150, 150, EventKind::End),
             ],

@@ -180,18 +180,16 @@ pub fn serve(addr: impl ToSocketAddrs) -> std::io::Result<MetricsServer> {
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
-    let thread = std::thread::Builder::new()
-        .name("rsparse-metrics".into())
-        .spawn(move || {
-            for conn in listener.incoming() {
-                if stop2.load(Ordering::Relaxed) {
-                    break;
-                }
-                if let Ok(conn) = conn {
-                    answer(conn);
-                }
+    let thread = std::thread::Builder::new().name("rsparse-metrics".into()).spawn(move || {
+        for conn in listener.incoming() {
+            if stop2.load(Ordering::Relaxed) {
+                break;
             }
-        })?;
+            if let Ok(conn) = conn {
+                answer(conn);
+            }
+        }
+    })?;
     Ok(MetricsServer { addr, stop, thread: Some(thread) })
 }
 

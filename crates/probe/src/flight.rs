@@ -119,9 +119,8 @@ mod tests {
 
     #[test]
     fn records_serialize_as_json_objects() {
-        let at = |t_us: u64, kind| {
-            Event { t0_ns: t_us * 1_000, t1_ns: t_us * 1_000, solve: 9, kind }
-        };
+        let at =
+            |t_us: u64, kind| Event { t0_ns: t_us * 1_000, t1_ns: t_us * 1_000, solve: 9, kind };
         let swap = AttemptOutcome::Swap("injected");
         let recs = [
             at(1, EventKind::Recv { peer: 2, bytes: 8, tag: 7001, src_seq: 0 }),
@@ -129,11 +128,14 @@ mod tests {
             at(3, EventKind::Fault { rule: 0, op: "allreduce", kind: "corrupt" }),
             at(4, EventKind::Attempt { slot: 1, attempt: 2, outcome: AttemptOutcome::Start }),
             at(4, EventKind::Attempt { slot: 1, attempt: 2, outcome: swap }),
-            at(4, EventKind::Attempt {
-                slot: 0,
-                attempt: 3,
-                outcome: AttemptOutcome::Shrink { lost: 2, new_size: 3, resumed_iteration: 20 },
-            }),
+            at(
+                4,
+                EventKind::Attempt {
+                    slot: 0,
+                    attempt: 3,
+                    outcome: AttemptOutcome::Shrink { lost: 2, new_size: 3, resumed_iteration: 20 },
+                },
+            ),
             at(5, EventKind::Span { name: "not_black_box" }),
             at(6, EventKind::Collective { op: "barrier", index: 0 }),
         ];
@@ -170,7 +172,12 @@ mod tests {
     #[test]
     fn non_finite_residuals_become_null() {
         let iter = |residual| {
-            let ev = Event { t0_ns: 0, t1_ns: 0, solve: 1, kind: EventKind::Iter { iteration: 3, residual } };
+            let ev = Event {
+                t0_ns: 0,
+                t1_ns: 0,
+                solve: 1,
+                kind: EventKind::Iter { iteration: 3, residual },
+            };
             record_json(&ev).expect("Iter is a black-box event")
         };
         for r in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {

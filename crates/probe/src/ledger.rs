@@ -109,11 +109,7 @@ pub fn publish(base: &Path, doc: String) -> std::io::Result<PathBuf> {
 /// The most recently published ledger document, or `"null"` — embedded
 /// verbatim into postmortem dumps.
 pub fn latest_json() -> String {
-    LATEST
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
-        .unwrap_or_else(|| "null".into())
+    LATEST.lock().unwrap_or_else(|e| e.into_inner()).clone().unwrap_or_else(|| "null".into())
 }
 
 #[cfg(test)]
@@ -142,7 +138,11 @@ mod tests {
         ];
         for (spec, ledger, postmortem) in table {
             let path = |p: Option<&str>| p.map(PathBuf::from);
-            assert_eq!(parse_destination(spec, DEFAULT_PATH, false), path(ledger), "ledger {spec:?}");
+            assert_eq!(
+                parse_destination(spec, DEFAULT_PATH, false),
+                path(ledger),
+                "ledger {spec:?}"
+            );
             assert_eq!(parse_destination(spec, PM, true), path(postmortem), "postmortem {spec:?}");
         }
     }
@@ -151,16 +151,10 @@ mod tests {
     fn sequenced_destinations_never_repeat() {
         let base = PathBuf::from("/tmp/lisi-test-ledger-seq/ledger.json");
         assert_eq!(sequenced_dest(&base), base);
-        assert_eq!(
-            sequenced_dest(&base),
-            PathBuf::from("/tmp/lisi-test-ledger-seq/ledger.1.json")
-        );
+        assert_eq!(sequenced_dest(&base), PathBuf::from("/tmp/lisi-test-ledger-seq/ledger.1.json"));
         let bare = PathBuf::from("/tmp/lisi-test-ledger-seq/ledger-bare");
         assert_eq!(sequenced_dest(&bare), bare);
-        assert_eq!(
-            sequenced_dest(&bare),
-            PathBuf::from("/tmp/lisi-test-ledger-seq/ledger-bare.1")
-        );
+        assert_eq!(sequenced_dest(&bare), PathBuf::from("/tmp/lisi-test-ledger-seq/ledger-bare.1"));
     }
 
     #[test]

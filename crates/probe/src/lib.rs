@@ -82,8 +82,7 @@ pub use counter::{add, get, incr, Counter};
 pub use event::{emit, emit_since, AttemptOutcome, Event, EventKind, TRACE_CAPACITY};
 pub use model::{KernelEfficiency, KernelModel, Roofline, TimeBase, WorkUnit};
 pub use recorder::{
-    enabled, level, mode, note, reset, reset_epoch, set_mode, set_rank, Level,
-    PeerStat, ProbeMode,
+    enabled, level, mode, note, reset, reset_epoch, set_mode, set_rank, Level, PeerStat, ProbeMode,
 };
 pub use sink::{
     aggregate, chrome_trace_json, comm_matrix, kernel_efficiency_json, local_report,
@@ -270,8 +269,7 @@ mod tests {
         }
         set_mode(ProbeMode::Off);
         let reports = aggregate();
-        let ranked: Vec<&RankReport> =
-            reports.iter().filter(|r| r.rank.is_some()).collect();
+        let ranked: Vec<&RankReport> = reports.iter().filter(|r| r.rank.is_some()).collect();
         assert_eq!(ranked.len(), 3);
         for (i, r) in ranked.iter().enumerate() {
             assert_eq!(r.rank, Some(i));

@@ -114,7 +114,17 @@ impl RankReport {
                 roofline.filter(|r| r.copy_gbs > 0.0).map(|r| 100.0 * gbs / r.copy_gbs);
             let (span, nrhs) = (model.span, model.nrhs);
             rows.push(KernelEfficiency {
-                name, span, units, seconds, flops, bytes, gflops, gbs, ai, pct_of_roofline, nrhs,
+                name,
+                span,
+                units,
+                seconds,
+                flops,
+                bytes,
+                gflops,
+                gbs,
+                ai,
+                pct_of_roofline,
+                nrhs,
             });
         }
         rows
@@ -150,8 +160,15 @@ pub(crate) fn tables(reports: &[RankReport], roofline: Option<&Roofline>) -> Tab
     use Value::{Int, Real};
     let hist_columns = [("count", Count), ("p50_s", Q), ("p90_s", Q), ("p99_s", Q), ("max_s", Q)];
     let kernel_columns = [
-        ("span", Kind::Text), ("units", Count), ("nrhs", Count), ("seconds", Secs),
-        ("flops", Count), ("bytes", Count), ("gflops", Rate), ("gbs", Rate), ("ai", Rate),
+        ("span", Kind::Text),
+        ("units", Count),
+        ("nrhs", Count),
+        ("seconds", Secs),
+        ("flops", Count),
+        ("bytes", Count),
+        ("gflops", Rate),
+        ("gbs", Rate),
+        ("ai", Rate),
         ("pct_of_roofline", Kind::Pct),
     ];
     let mut t = Tables {
@@ -297,8 +314,10 @@ pub(crate) const COMPUTE_SPANS: [&str; 2] = ["spmv_interior", "spmv_boundary"];
 /// The wait-attribution columns; the critical path's per-rank totals are
 /// the first three.
 pub(crate) const WAIT_COLUMNS: [(&str, Kind); 4] = [
-    ("halo_wait_s", Kind::Secs), ("reduce_s", Kind::Secs),
-    ("compute_s", Kind::Secs), ("blocked", Kind::Pct),
+    ("halo_wait_s", Kind::Secs),
+    ("reduce_s", Kind::Secs),
+    ("compute_s", Kind::Secs),
+    ("blocked", Kind::Pct),
 ];
 
 /// Wait-time attribution per rank: seconds blocked in the halo exchange
@@ -397,8 +416,12 @@ pub fn render_flight() -> String {
 pub fn render_breakdown(reports: &[RankReport]) -> String {
     let s = Kind::Secs;
     let columns = [
-        ("native setup", s), ("native solve", s), ("cca setup", s), ("cca solve", s),
-        ("port self (s)", s), ("port calls", Kind::Count),
+        ("native setup", s),
+        ("native solve", s),
+        ("cca setup", s),
+        ("cca solve", s),
+        ("port self (s)", s),
+        ("port calls", Kind::Count),
     ];
     let mut table = Table::new(None, &columns);
     let seconds = |rep: &RankReport| -> [f64; 5] {
@@ -522,7 +545,12 @@ mod golden_tests {
                     let (next, prev) = ((r + 1) % 3, (r + 2) % 3);
                     for _ in 0..2 {
                         fold(0, 0, EventKind::Send { peer: next, bytes: 8, tag: 1, seq: 0 }, None);
-                        fold(0, 0, EventKind::Recv { peer: prev, bytes: 8, tag: 1, src_seq: 0 }, None);
+                        fold(
+                            0,
+                            0,
+                            EventKind::Recv { peer: prev, bytes: 8, tag: 1, src_seq: 0 },
+                            None,
+                        );
                     }
                     add(Counter::SendsPosted, 2);
                     add(Counter::BytesSent, 16);

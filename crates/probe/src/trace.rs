@@ -127,8 +127,7 @@ pub fn solve_guard() -> SolveGuard {
         return SolveGuard { live: false };
     }
     let count = bump(&SOLVES);
-    let id = (GENERATION.load(Ordering::Relaxed) << SOLVE_BITS)
-        | (count & ((1 << SOLVE_BITS) - 1));
+    let id = (GENERATION.load(Ordering::Relaxed) << SOLVE_BITS) | (count & ((1 << SOLVE_BITS) - 1));
     CUR.with(|c| c.set(id));
     SEND_SEQ.with(|c| c.set(0));
     COLL_IDX.with(|c| c.set(0));
@@ -164,8 +163,7 @@ pub(crate) fn next_collective() -> u64 {
 /// on this thread (one relaxed load).
 #[inline]
 pub fn stamp_send() -> Option<Stamp> {
-    thread_active()
-        .then(|| Stamp { trace: current(), seq: bump(&SEND_SEQ), posted_ns: now_ns() })
+    thread_active().then(|| Stamp { trace: current(), seq: bump(&SEND_SEQ), posted_ns: now_ns() })
 }
 
 /// A blocking receive is being posted: the `t0_ns` of its `Recv` event

@@ -235,14 +235,8 @@ fn a_recorder_holding_only_a_histogram_sample_is_reported() {
     probe::set_mode(probe::ProbeMode::Off);
     probe::reset();
 
-    let rep = reports
-        .iter()
-        .find(|r| r.rank == Some(5))
-        .expect("the sampling thread's report");
+    let rep = reports.iter().find(|r| r.rank == Some(5)).expect("the sampling thread's report");
     assert!(rep.spans().is_empty(), "nothing but the sample: {:?}", rep.spans());
     assert_eq!(rep.hist(probe::hist::Hist::IterTime).count, 1);
-    assert!(
-        page.contains("rsparse_iter_time_seconds_count{rank=\"5\"} 1\n"),
-        "got: {page}"
-    );
+    assert!(page.contains("rsparse_iter_time_seconds_count{rank=\"5\"} 1\n"), "got: {page}");
 }

@@ -224,12 +224,11 @@ fn report(full_id: &str, mean_ns: f64, throughput: Option<Throughput>) {
     }
     // One JSON blob per benchmark so shell scripts can scrape results
     // without a JSON parser: target/criterion-shim/<mangled id>.json
-    let out_dir = std::env::var("CRITERION_SHIM_OUT")
-        .unwrap_or_else(|_| "target/criterion-shim".to_string());
+    let out_dir =
+        std::env::var("CRITERION_SHIM_OUT").unwrap_or_else(|_| "target/criterion-shim".to_string());
     if std::fs::create_dir_all(&out_dir).is_ok() {
         let fname = format!("{}/{}.json", out_dir, full_id.replace('/', "_"));
-        let rate_field =
-            rate.map(|r| format!(",\"per_sec\":{r:.3}")).unwrap_or_default();
+        let rate_field = rate.map(|r| format!(",\"per_sec\":{r:.3}")).unwrap_or_default();
         let body = format!("{{\"id\":\"{full_id}\",\"mean_ns\":{mean_ns:.1}{rate_field}}}\n");
         let _ = std::fs::write(fname, body);
     }

@@ -32,10 +32,7 @@ mod tests {
     #[test]
     fn recv_timeout_times_out_when_empty() {
         let (_tx, rx) = unbounded::<u8>();
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(5)),
-            Err(RecvTimeoutError::Timeout)
-        );
+        assert_eq!(rx.recv_timeout(Duration::from_millis(5)), Err(RecvTimeoutError::Timeout));
     }
 
     #[test]

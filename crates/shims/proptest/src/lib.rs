@@ -217,8 +217,7 @@ pub mod strategy {
             match self {
                 CharSet::Dot => (0x20u8 + rng.below(0x5f) as u8) as char,
                 CharSet::Ranges(rs) => {
-                    let total: u64 =
-                        rs.iter().map(|&(a, b)| b as u64 - a as u64 + 1).sum();
+                    let total: u64 = rs.iter().map(|&(a, b)| b as u64 - a as u64 + 1).sum();
                     let mut k = rng.below(total);
                     for &(a, b) in rs {
                         let span = b as u64 - a as u64 + 1;

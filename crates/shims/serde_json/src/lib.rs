@@ -300,9 +300,7 @@ impl<'a> Parser<'a> {
                                     if !(0xDC00..0xE000).contains(&lo) {
                                         return Err(self.err("invalid low surrogate"));
                                     }
-                                    let combined = 0x10000
-                                        + ((cp - 0xD800) << 10)
-                                        + (lo - 0xDC00);
+                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
                                     char::from_u32(combined)
                                 } else {
                                     return Err(self.err("lone high surrogate"));
@@ -384,10 +382,7 @@ mod tests {
 
     #[test]
     fn parses_scalars_and_containers() {
-        let v = from_str(
-            r#"{"a": 1, "b": [true, null, "x\ny"], "c": {"d": -2.5e3}}"#,
-        )
-        .unwrap();
+        let v = from_str(r#"{"a": 1, "b": [true, null, "x\ny"], "c": {"d": -2.5e3}}"#).unwrap();
         assert_eq!(v["a"].as_u64(), Some(1));
         assert_eq!(v["b"][0].as_bool(), Some(true));
         assert!(v["b"][1].is_null());
@@ -400,19 +395,15 @@ mod tests {
 
     #[test]
     fn unicode_escapes_round_trip() {
-        assert_eq!(
-            from_str(r#""Aé😀""#).unwrap().as_str(),
-            Some("Aé😀")
-        );
+        assert_eq!(from_str(r#""Aé😀""#).unwrap().as_str(), Some("Aé😀"));
         assert!(from_str(r#""\ud800""#).is_err(), "lone surrogate rejected");
     }
 
     #[test]
     fn malformed_documents_are_rejected() {
-        for bad in [
-            "", "{", "[1,", "{\"a\" 1}", "tru", "\"unterminated", "1 2",
-            "{\"a\":1} x", "[01x]",
-        ] {
+        for bad in
+            ["", "{", "[1,", "{\"a\" 1}", "tru", "\"unterminated", "1 2", "{\"a\":1} x", "[01x]"]
+        {
             assert!(from_str(bad).is_err(), "accepted: {bad:?}");
         }
     }

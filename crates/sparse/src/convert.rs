@@ -46,16 +46,14 @@ impl Window {
 
     /// `index` less the base and `lo`, if it lies in `lo..lo + len`.
     fn at(&self, axis: &'static str, index: usize, lo: usize, len: usize) -> SparseResult<usize> {
-        index
-            .checked_sub(self.base)
-            .and_then(|i| i.checked_sub(lo))
-            .filter(|&i| i < len)
-            .ok_or(SparseError::OutOfWindow {
+        index.checked_sub(self.base).and_then(|i| i.checked_sub(lo)).filter(|&i| i < len).ok_or(
+            SparseError::OutOfWindow {
                 axis,
                 index,
                 lo: lo.saturating_add(self.base),
                 hi: lo.saturating_add(len).saturating_add(self.base),
-            })
+            },
+        )
     }
 
     /// MSR's diagonal and FEM's elements live in the square block
@@ -357,9 +355,8 @@ mod tests {
             let ptr: Vec<usize> = a.row_ptr().iter().map(|p| p + offset).collect();
             let cols: Vec<usize> = a.col_idx().iter().map(|c| c + offset).collect();
             let direct = csr(30, 40, a.values(), &ptr, &cols, offset).unwrap();
-            let rows: Vec<usize> = (0..30)
-                .flat_map(|r| std::iter::repeat_n(r + offset, a.row(r).0.len()))
-                .collect();
+            let rows: Vec<usize> =
+                (0..30).flat_map(|r| std::iter::repeat_n(r + offset, a.row(r).0.len())).collect();
             let w = Window { start: 0, rows: 30, cols: 40, base: offset };
             let via_coo = decode_coo(w, a.values(), &rows, &cols).unwrap();
             assert_eq!(direct, via_coo, "offset {offset}");
@@ -377,11 +374,7 @@ mod tests {
         for cols in [[0, 3], [3, 0]] {
             assert!(matches!(
                 csr(1, 3, &[1.0, 2.0], &[0, 2], &cols, 0),
-                Err(SparseError::IndexOutOfBounds {
-                    axis: "column",
-                    index: 3,
-                    bound: 3
-                })
+                Err(SparseError::IndexOutOfBounds { axis: "column", index: 3, bound: 3 })
             ));
         }
         // So is a 0 under index base 1 (it wraps).
@@ -391,10 +384,7 @@ mod tests {
         ));
         // Pointers that do not start at 0 skip the entries before them.
         let a = csr(1, 2, &[9.0, 5.0], &[1, 2], &[0, 1], 0).unwrap();
-        assert_eq!(
-            (a.row_ptr(), a.col_idx(), a.values()),
-            (&[0, 1][..], &[1][..], &[5.0][..])
-        );
+        assert_eq!((a.row_ptr(), a.col_idx(), a.values()), (&[0, 1][..], &[1][..], &[5.0][..]));
         // Pointers that stop short of the arrays ignore the rest.
         let a = csr(1, 2, &[9.0, 5.0], &[0, 1], &[0, 1], 0).unwrap();
         assert_eq!((a.col_idx(), a.values()), (&[0][..], &[9.0][..]));
@@ -439,8 +429,8 @@ mod tests {
     fn zero_diagonal_is_stored_densely_but_dropped_on_csr() {
         // [ 0 2 ]
         // [ 0 5 ]   with an explicit zero off the diagonal at (1, 0).
-        let a = CsrMatrix::from_parts(2, 2, vec![0, 1, 3], vec![1, 0, 1], vec![2.0, 0.0, 5.0])
-            .unwrap();
+        let a =
+            CsrMatrix::from_parts(2, 2, vec![0, 1, 3], vec![1, 0, 1], vec![2.0, 0.0, 5.0]).unwrap();
         let (val, ja) = csr_to_msr(&a, 0).unwrap();
         assert_eq!((&val[..], &ja[..]), (&[0.0, 5.0, 0.0, 2.0, 0.0][..], &[3, 4, 5, 1, 0][..]));
         let back = decode_msr(Window::serial(2), &val, &ja).unwrap();

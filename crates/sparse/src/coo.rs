@@ -122,11 +122,7 @@ impl CooMatrix {
 
     /// Iterate over `(row, col, value)` entries in stored order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        self.row_idx
-            .iter()
-            .zip(&self.col_idx)
-            .zip(&self.values)
-            .map(|((&r, &c), &v)| (r, c, v))
+        self.row_idx.iter().zip(&self.col_idx).zip(&self.values).map(|((&r, &c), &v)| (r, c, v))
     }
 
     /// Convert to CSR: counting sort by row, columns sorted within each
@@ -209,14 +205,8 @@ mod tests {
     #[test]
     fn to_csr_sorts_and_sums_duplicates() {
         // Entry (0,1) appears twice: 4 + 6 = 10; unsorted column order.
-        let m = CooMatrix::from_triplets(
-            2,
-            3,
-            &[0, 0, 0, 1],
-            &[2, 1, 1, 0],
-            &[5.0, 4.0, 6.0, 7.0],
-        )
-        .unwrap();
+        let m = CooMatrix::from_triplets(2, 3, &[0, 0, 0, 1], &[2, 1, 1, 0], &[5.0, 4.0, 6.0, 7.0])
+            .unwrap();
         let csr = m.to_csr();
         assert_eq!(csr.row_ptr(), &[0, 2, 3]);
         assert_eq!(csr.col_idx(), &[1, 2, 0]);

@@ -138,11 +138,7 @@ impl Digest {
 /// The digest of a CSR block: its `row_ptr`, `col_idx` and value bits, in
 /// that order.
 pub fn csr(row_ptr: &[usize], col_idx: &[usize], values: &[f64]) -> u64 {
-    Digest::new()
-        .indices(row_ptr)
-        .indices(col_idx)
-        .values(values)
-        .finish()
+    Digest::new().indices(row_ptr).indices(col_idx).values(values).finish()
 }
 
 #[cfg(test)]
@@ -226,10 +222,7 @@ mod tests {
         let a = [4.0, -1.0, -1.0, 2.5];
         let b = [4.0, 1.0, 1.0, 2.5];
         assert_eq!(fnv(&a), fnv(&b));
-        assert_ne!(
-            Digest::new().values(&a).finish(),
-            Digest::new().values(&b).finish()
-        );
+        assert_ne!(Digest::new().values(&a).finish(), Digest::new().values(&b).finish());
         // Every pair of sign flips — same lane or not — over two lane
         // groups and a tail.
         let v = long_values(2 * LANES + 3);
@@ -239,10 +232,7 @@ mod tests {
                 let mut w = v.clone();
                 w[i] = -w[i];
                 w[j] = -w[j];
-                assert!(
-                    seen.insert(Digest::new().values(&w).finish()),
-                    "flip {i} and {j}"
-                );
+                assert!(seen.insert(Digest::new().values(&w).finish()), "flip {i} and {j}");
             }
         }
     }
@@ -255,10 +245,7 @@ mod tests {
             for j in i + 1..v.len() {
                 let mut w = v.clone();
                 w.swap(i, j);
-                assert!(
-                    seen.insert(Digest::new().values(&w).finish()),
-                    "swap {i} and {j}"
-                );
+                assert!(seen.insert(Digest::new().values(&w).finish()), "swap {i} and {j}");
             }
         }
     }
@@ -284,10 +271,8 @@ mod tests {
         assert_ne!(base, csr(head, &shifted, &v));
         // The last column index becomes the first value's bits.
         let (cols, moved) = c.split_at(c.len() - 1);
-        let vals: Vec<f64> = [f64::from_bits(moved[0] as u64)]
-            .into_iter()
-            .chain(v.iter().copied())
-            .collect();
+        let vals: Vec<f64> =
+            [f64::from_bits(moved[0] as u64)].into_iter().chain(v.iter().copied()).collect();
         assert_ne!(base, csr(&r, cols, &vals));
         // An empty array is still an array.
         assert_ne!(Digest::new().finish(), Digest::new().indices(&[]).finish());

@@ -53,7 +53,11 @@ mod tests {
         // Block-row pointers not covering the matrix.
         assert!(matches!(
             decode_vbr(w, 2, &v, &p[..2], &c),
-            Err(SparseError::LengthMismatch { what: "VBR block-row pointers", expected: 3, got: 2 })
+            Err(SparseError::LengthMismatch {
+                what: "VBR block-row pointers",
+                expected: 3,
+                got: 2
+            })
         ));
         // Non-monotone block-row pointers.
         assert!(matches!(
@@ -67,6 +71,9 @@ mod tests {
         ));
         // A block size that does not divide the matrix, on either side.
         assert!(matches!(csr_to_vbr(&a, 3), Err(SparseError::BadBlockPartition(_))));
-        assert!(matches!(decode_vbr(w, 3, &[], &[0, 0], &[]), Err(SparseError::BadBlockPartition(_))));
+        assert!(matches!(
+            decode_vbr(w, 3, &[], &[0, 0], &[]),
+            Err(SparseError::BadBlockPartition(_))
+        ));
     }
 }

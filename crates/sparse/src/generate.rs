@@ -158,11 +158,7 @@ pub fn banded(n: usize, bw: usize, seed: u64) -> CsrMatrix {
         let lo = i.saturating_sub(bw);
         let hi = (i + bw).min(n - 1);
         for j in lo..=hi {
-            let v = if j == i {
-                2.0 * bw as f64 + 1.0
-            } else {
-                2.0 * rng.next_f64() - 1.0
-            };
+            let v = if j == i { 2.0 * bw as f64 + 1.0 } else { 2.0 * rng.next_f64() - 1.0 };
             coo.push(i, j, v).expect("bounds");
         }
     }

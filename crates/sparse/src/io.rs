@@ -99,11 +99,9 @@ pub fn read_matrix<R: BufRead>(reader: R) -> SparseResult<CsrMatrix> {
         if r == 0 || c == 0 {
             return Err(bad(ln + 1, "MatrixMarket indices are 1-based"));
         }
-        coo.push(r - 1, c - 1, v)
-            .map_err(|e| bad(ln + 1, e.to_string()))?;
+        coo.push(r - 1, c - 1, v).map_err(|e| bad(ln + 1, e.to_string()))?;
         if symmetry == Symmetry::Symmetric && r != c {
-            coo.push(c - 1, r - 1, v)
-                .map_err(|e| bad(ln + 1, e.to_string()))?;
+            coo.push(c - 1, r - 1, v).map_err(|e| bad(ln + 1, e.to_string()))?;
         }
         seen += 1;
     }

@@ -461,12 +461,7 @@ mod tests {
         fn run<L: Lanes>(l: L, a: &[f64; 8], b: &[f64; 8]) -> [[f64; 8]; 4] {
             // SAFETY: both arrays hold eight elements.
             let (x, y) = unsafe { (l.load(a.as_ptr()), l.load(b.as_ptr())) };
-            [
-                l.lanes(x + y),
-                l.lanes(x - y),
-                l.lanes(x * y),
-                l.lanes(l.splat(a[2]) + l.zero()),
-            ]
+            [l.lanes(x + y), l.lanes(x - y), l.lanes(x * y), l.lanes(l.splat(a[2]) + l.zero())]
         }
         let want = [0, 1, 2, 3].map(|op| {
             std::array::from_fn(|i| match op {

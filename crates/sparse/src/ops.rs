@@ -123,11 +123,7 @@ pub fn diag_scale_rows(d: &[f64], a: &CsrMatrix) -> SparseResult<CsrMatrix> {
 /// Residual r = b − A·x computed in one fused pass.
 pub fn residual(a: &CsrMatrix, x: &[f64], b: &[f64]) -> SparseResult<Vec<f64>> {
     if b.len() != a.rows() {
-        return Err(SparseError::LengthMismatch {
-            what: "rhs",
-            expected: a.rows(),
-            got: b.len(),
-        });
+        return Err(SparseError::LengthMismatch { what: "rhs", expected: a.rows(), got: b.len() });
     }
     if x.len() != a.cols() {
         return Err(SparseError::LengthMismatch {

@@ -72,12 +72,7 @@ fn assert_sweeps_bitwise<'a>(
     let tri = LevelTri::build(triangle, n, row, diag).unwrap();
     let finish = |acc: f64, d: f64| if diag.is_some() { acc / d } else { acc };
     let mut r = generate::random_vector(n, 17);
-    for poison in [
-        None,
-        Some(f64::NAN),
-        Some(f64::INFINITY),
-        Some(f64::NEG_INFINITY),
-    ] {
+    for poison in [None, Some(f64::NAN), Some(f64::INFINITY), Some(f64::NEG_INFINITY)] {
         if let Some(p) = poison {
             r[n / 3] = p;
             r[n - 1 - n / 5] = p;
@@ -85,18 +80,10 @@ fn assert_sweeps_bitwise<'a>(
         let want = natural(triangle, n, row, diag, &r);
         let mut got = vec![0.0; n];
         tri.sweep_from(&r, &mut got, finish);
-        assert_eq!(
-            bits(&got),
-            bits(&want),
-            "{label} {triangle:?}, poison {poison:?}"
-        );
+        assert_eq!(bits(&got), bits(&want), "{label} {triangle:?}, poison {poison:?}");
         let mut in_place = r.clone();
         tri.sweep_in_place(&mut in_place, finish);
-        assert_eq!(
-            bits(&in_place),
-            bits(&want),
-            "{label} {triangle:?} in place"
-        );
+        assert_eq!(bits(&in_place), bits(&want), "{label} {triangle:?} in place");
     }
     tri
 }
@@ -124,19 +111,8 @@ const FIVE: &[(isize, isize)] = &[(1, 0), (0, 1)];
 const NINE: &[(isize, isize)] = &[(1, 0), (0, 1), (1, 1), (1, -1)];
 /// Eleven couplings: rows of eleven entries on either side of the
 /// diagonal, past the kernel's unrolled width.
-const WIDE: &[(isize, isize)] = &[
-    (1, 0),
-    (2, 0),
-    (3, 0),
-    (0, 1),
-    (0, 2),
-    (0, 3),
-    (1, 1),
-    (2, 1),
-    (1, 2),
-    (2, 2),
-    (3, 1),
-];
+const WIDE: &[(isize, isize)] =
+    &[(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1)];
 
 /// A diagonally dominant operator on the points `(x, y)` of an `m × m`
 /// grid that `keep` keeps, numbered row-major, coupling each point to
@@ -175,11 +151,7 @@ fn grid(
             for (cx, cy) in [(x + dx, y + dy), (x - dx, y - dy)] {
                 if let Some(j) = at(cx, cy) {
                     count += 1;
-                    let v = if count.is_multiple_of(7) {
-                        0.0
-                    } else {
-                        rng.next_f64() - 0.5
-                    };
+                    let v = if count.is_multiple_of(7) { 0.0 } else { rng.next_f64() - 0.5 };
                     coo.push(i, j, v).unwrap();
                 }
             }
@@ -247,12 +219,7 @@ fn a_chain_degenerates_to_natural_order() {
     let none = LevelTri::build(Triangle::Lower, 500, |_| (&[][..], &[][..]), None).unwrap();
     assert_eq!(none.levels(), 1);
     assert_eq!(none.width_histogram(), [0, 0, 0, 0, 1]);
-    let whole = StridedRun {
-        row0: 0,
-        stride: 1,
-        len: 500,
-        k: 0,
-    };
+    let whole = StridedRun { row0: 0, stride: 1, len: 500, k: 0 };
     assert_eq!(none.runs.runs, [whole]);
 }
 
@@ -272,11 +239,7 @@ fn runs_cover_a_grid_triangle_but_its_edges_and_shortest_levels() {
         let m_off = m as isize;
         for (tri, offsets) in [(&fwd, [-m_off, -1]), (&bwd, [1, m_off])] {
             assert_eq!(tri.run_rows(), want, "m = {m}");
-            assert!(tri
-                .runs
-                .runs
-                .iter()
-                .all(|s| s.stride as usize == m - 1 && s.k == 2));
+            assert!(tri.runs.runs.iter().all(|s| s.stride as usize == m - 1 && s.k == 2));
             assert!(tri.runs.offsets.chunks(2).all(|o| o == &offsets[..]));
             assert_eq!(tri.nnz(), 2 * n - 2 * m);
         }
@@ -312,11 +275,8 @@ fn grid_runs_sweep_bitwise_in_every_entry_order() {
     let holes = |x: usize, y: usize| !(x * 7 + y * 3).is_multiple_of(11);
     // Entries ascending, the same rotation in every row (runs keep), and a
     // rotation that varies from row to row (runs break).
-    let orders: [(&str, Rotation); 3] = [
-        ("sorted", |_, _| 0),
-        ("rotated", |_, _| 1),
-        ("shuffled", |i, len| i % len),
-    ];
+    let orders: [(&str, Rotation); 3] =
+        [("sorted", |_, _| 0), ("rotated", |_, _| 1), ("shuffled", |i, len| i % len)];
     for (label, a, covered) in [
         ("5-point", grid(13, FIVE, full, 1), true),
         ("9-point", grid(13, NINE, full, 2), true),
@@ -407,14 +367,7 @@ fn build_rejects_what_the_sweep_could_not_follow() {
     };
     // A column past the end.
     let err = LevelTri::build(Triangle::Upper, 3, only(0, &[3]), None);
-    assert_eq!(
-        err,
-        Err(SparseError::IndexOutOfBounds {
-            axis: "column",
-            index: 3,
-            bound: 3
-        })
-    );
+    assert_eq!(err, Err(SparseError::IndexOutOfBounds { axis: "column", index: 3, bound: 3 }));
     // A "lower" entry on or above the diagonal.
     let err = LevelTri::build(Triangle::Lower, 3, only(1, &[1]), None);
     assert_eq!(err, Err(SparseError::BadSweepOrder { row: 1, col: 1 }));
@@ -432,32 +385,20 @@ fn build_rejects_what_the_sweep_could_not_follow() {
 fn sizes_beyond_u32_are_typed_errors_before_any_allocation() {
     let too_many_rows = u32::MAX as usize;
     let err = LevelTri::build(Triangle::Lower, too_many_rows, |_| (&[][..], &[][..]), None);
-    assert!(matches!(
-        err,
-        Err(SparseError::IndexOutOfBounds {
-            axis: "triangular sweep row",
-            ..
-        })
-    ));
+    assert!(matches!(err, Err(SparseError::IndexOutOfBounds { axis: "triangular sweep row", .. })));
     // 4097 rows sharing one 2²⁰-entry slice: 2³² + 2²⁰ entries.
     let cols = vec![0usize; 1 << 20];
     let vals = vec![0.0f64; 1 << 20];
     let err = LevelTri::build(Triangle::Lower, 4097, |_| (&cols[..], &vals[..]), None);
     assert!(matches!(
         err,
-        Err(SparseError::IndexOutOfBounds {
-            axis: "triangular sweep entry",
-            ..
-        })
+        Err(SparseError::IndexOutOfBounds { axis: "triangular sweep entry", .. })
     ));
 }
 
 /// Slots only, with as many (empty) run levels as slot levels.
 fn slots_only(n: usize, slots: Slots) -> SparseResult<LevelTri> {
-    let runs = Runs {
-        level_ptr: vec![0; slots.level_ptr.len()],
-        ..Runs::default()
-    };
+    let runs = Runs { level_ptr: vec![0; slots.level_ptr.len()], ..Runs::default() };
     LevelTri::from_parts(n, slots, runs)
 }
 
@@ -478,132 +419,46 @@ fn from_parts_rejects_every_broken_invariant() {
     let good = two_rows();
     assert!(slots_only(2, good.clone()).is_ok());
     // Both rows in one level: the dependency is no longer earlier.
-    let one_level = Slots {
-        level_ptr: vec![0, 2],
-        ..good.clone()
-    };
-    assert_eq!(
-        slots_only(2, one_level),
-        Err(SparseError::BadSweepOrder { row: 1, col: 0 })
-    );
+    let one_level = Slots { level_ptr: vec![0, 2], ..good.clone() };
+    assert_eq!(slots_only(2, one_level), Err(SparseError::BadSweepOrder { row: 1, col: 0 }));
     // The dependency in a later level.
-    let later = Slots {
-        rows: vec![1, 0],
-        ptr: vec![0, 1, 1],
-        ..good.clone()
-    };
-    assert_eq!(
-        slots_only(2, later),
-        Err(SparseError::BadSweepOrder { row: 1, col: 0 })
-    );
+    let later = Slots { rows: vec![1, 0], ptr: vec![0, 1, 1], ..good.clone() };
+    assert_eq!(slots_only(2, later), Err(SparseError::BadSweepOrder { row: 1, col: 0 }));
     // Non-monotone and mis-terminated pointers.
     for ptr in [vec![0, 1, 0], vec![1, 1, 1], vec![0, 0, 2]] {
-        let err = slots_only(
-            2,
-            Slots {
-                ptr,
-                ..good.clone()
-            },
-        );
-        assert!(
-            matches!(err, Err(SparseError::MalformedPointers(_))),
-            "{err:?}"
-        );
+        let err = slots_only(2, Slots { ptr, ..good.clone() });
+        assert!(matches!(err, Err(SparseError::MalformedPointers(_))), "{err:?}");
     }
     for level_ptr in [vec![0, 2, 1], vec![0, 1], vec![]] {
-        let err = slots_only(
-            2,
-            Slots {
-                level_ptr,
-                ..good.clone()
-            },
-        );
-        assert!(
-            matches!(err, Err(SparseError::MalformedPointers(_))),
-            "{err:?}"
-        );
+        let err = slots_only(2, Slots { level_ptr, ..good.clone() });
+        assert!(matches!(err, Err(SparseError::MalformedPointers(_))), "{err:?}");
     }
     // A column, then a row, past the end; a row scheduled twice.
-    let err = slots_only(
-        2,
-        Slots {
-            col: vec![2],
-            ..good.clone()
-        },
-    );
-    assert_eq!(
-        err,
-        Err(SparseError::IndexOutOfBounds {
-            axis: "column",
-            index: 2,
-            bound: 2
-        })
-    );
-    let err = slots_only(
-        2,
-        Slots {
-            rows: vec![0, 2],
-            ..good.clone()
-        },
-    );
-    assert_eq!(
-        err,
-        Err(SparseError::IndexOutOfBounds {
-            axis: "row",
-            index: 2,
-            bound: 2
-        })
-    );
-    let err = slots_only(
-        2,
-        Slots {
-            rows: vec![0, 0],
-            ..good.clone()
-        },
-    );
+    let err = slots_only(2, Slots { col: vec![2], ..good.clone() });
+    assert_eq!(err, Err(SparseError::IndexOutOfBounds { axis: "column", index: 2, bound: 2 }));
+    let err = slots_only(2, Slots { rows: vec![0, 2], ..good.clone() });
+    assert_eq!(err, Err(SparseError::IndexOutOfBounds { axis: "row", index: 2, bound: 2 }));
+    let err = slots_only(2, Slots { rows: vec![0, 0], ..good.clone() });
     assert!(matches!(err, Err(SparseError::MalformedPointers(_))));
     // Array lengths that disagree.
     for slots in [
-        Slots {
-            val: vec![],
-            ..good.clone()
-        },
-        Slots {
-            diag: vec![1.0],
-            ..good.clone()
-        },
-        Slots {
-            rows: vec![0],
-            ..good.clone()
-        },
+        Slots { val: vec![], ..good.clone() },
+        Slots { diag: vec![1.0], ..good.clone() },
+        Slots { rows: vec![0], ..good.clone() },
     ] {
         let err = slots_only(2, slots);
-        assert!(
-            matches!(err, Err(SparseError::LengthMismatch { .. })),
-            "{err:?}"
-        );
+        assert!(matches!(err, Err(SparseError::LengthMismatch { .. })), "{err:?}");
     }
     // Run levels that are not the slots' levels.
-    let runs = Runs {
-        level_ptr: vec![0, 0],
-        ..Runs::default()
-    };
+    let runs = Runs { level_ptr: vec![0, 0], ..Runs::default() };
     let err = LevelTri::from_parts(2, good, runs);
-    assert!(
-        matches!(err, Err(SparseError::LengthMismatch { .. })),
-        "{err:?}"
-    );
+    assert!(matches!(err, Err(SparseError::LengthMismatch { .. })), "{err:?}");
 }
 
 /// Eight rows in two levels of one run each: rows 0–3 read nothing, rows
 /// 4–7 each read the row four before them.
 fn two_runs() -> Runs {
-    let run = |row0, k| StridedRun {
-        row0,
-        stride: 1,
-        len: 4,
-        k,
-    };
+    let run = |row0, k| StridedRun { row0, stride: 1, len: 4, k };
     Runs {
         level_ptr: vec![0, 1, 2],
         runs: vec![run(0, 0), run(4, 1)],
@@ -615,11 +470,7 @@ fn two_runs() -> Runs {
 
 /// No slot in either of two levels.
 fn no_slots() -> Slots {
-    Slots {
-        level_ptr: vec![0, 0, 0],
-        ptr: vec![0],
-        ..Slots::default()
-    }
+    Slots { level_ptr: vec![0, 0, 0], ptr: vec![0], ..Slots::default() }
 }
 
 #[test]
@@ -655,104 +506,38 @@ fn from_parts_rejects_every_broken_run_invariant() {
     assert_eq!(err, Err(SparseError::BadSweepOrder { row: 4, col: 4 }));
     // A run that reads a later level: the first run reads the second.
     let later = Runs {
-        runs: vec![
-            StridedRun {
-                k: 1,
-                ..good.runs[0]
-            },
-            StridedRun { k: 0, ..second },
-        ],
+        runs: vec![StridedRun { k: 1, ..good.runs[0] }, StridedRun { k: 0, ..second }],
         offsets: vec![4],
         ..good.clone()
     };
     let err = build(no_slots(), later);
     assert_eq!(err, Err(SparseError::BadSweepOrder { row: 0, col: 4 }));
     // A run past n: rows 4, 6, 8, 10.
-    let err = build(
-        no_slots(),
-        with_second(
-            StridedRun {
-                stride: 2,
-                ..second
-            },
-            -4,
-        ),
-    );
-    assert_eq!(
-        err,
-        Err(SparseError::IndexOutOfBounds {
-            axis: "row",
-            index: 10,
-            bound: 8
-        })
-    );
+    let err = build(no_slots(), with_second(StridedRun { stride: 2, ..second }, -4));
+    assert_eq!(err, Err(SparseError::IndexOutOfBounds { axis: "row", index: 10, bound: 8 }));
     // A column past n, and one before 0.
     let err = build(no_slots(), with_second(second, 4));
-    assert_eq!(
-        err,
-        Err(SparseError::IndexOutOfBounds {
-            axis: "column",
-            index: 8,
-            bound: 8
-        })
-    );
+    assert_eq!(err, Err(SparseError::IndexOutOfBounds { axis: "column", index: 8, bound: 8 }));
     let err = build(no_slots(), with_second(second, -5));
-    assert!(
-        matches!(
-            err,
-            Err(SparseError::IndexOutOfBounds { axis: "column", .. })
-        ),
-        "{err:?}"
-    );
+    assert!(matches!(err, Err(SparseError::IndexOutOfBounds { axis: "column", .. })), "{err:?}");
     // Row 0 in a run and in a slot (and row 7 in neither).
-    let slots = Slots {
-        level_ptr: vec![0, 0, 1],
-        rows: vec![0],
-        ptr: vec![0, 0],
-        ..Slots::default()
-    };
+    let slots =
+        Slots { level_ptr: vec![0, 0, 1], rows: vec![0], ptr: vec![0, 0], ..Slots::default() };
     let err = build(slots, with_second(StridedRun { len: 3, ..second }, -4));
-    assert!(
-        matches!(err, Err(SparseError::MalformedPointers(_))),
-        "{err:?}"
-    );
+    assert!(matches!(err, Err(SparseError::MalformedPointers(_))), "{err:?}");
     // Rows covered by neither.
     let err = LevelTri::from_parts(9, no_slots(), good.clone());
-    assert!(
-        matches!(err, Err(SparseError::LengthMismatch { .. })),
-        "{err:?}"
-    );
+    assert!(matches!(err, Err(SparseError::LengthMismatch { .. })), "{err:?}");
     // Offsets, values or divisors the runs do not account for.
     for runs in [
-        Runs {
-            offsets: vec![],
-            ..good.clone()
-        },
-        Runs {
-            val: vec![1.0; 5],
-            ..good.clone()
-        },
-        Runs {
-            diag: vec![1.0; 7],
-            ..good.clone()
-        },
+        Runs { offsets: vec![], ..good.clone() },
+        Runs { val: vec![1.0; 5], ..good.clone() },
+        Runs { diag: vec![1.0; 7], ..good.clone() },
     ] {
         let err = build(no_slots(), runs);
-        assert!(
-            matches!(err, Err(SparseError::LengthMismatch { .. })),
-            "{err:?}"
-        );
+        assert!(matches!(err, Err(SparseError::LengthMismatch { .. })), "{err:?}");
     }
     // Run levels out of order.
-    let err = build(
-        no_slots(),
-        Runs {
-            level_ptr: vec![0, 2, 1],
-            ..good
-        },
-    );
-    assert!(
-        matches!(err, Err(SparseError::MalformedPointers(_))),
-        "{err:?}"
-    );
+    let err = build(no_slots(), Runs { level_ptr: vec![0, 2, 1], ..good });
+    assert!(matches!(err, Err(SparseError::MalformedPointers(_))), "{err:?}");
 }

@@ -183,9 +183,7 @@ fn all_boundary_split_has_no_interior_rows() {
     for p in [2usize, 3, 4] {
         let b = n / p;
         let t: Vec<(usize, usize, f64)> = (0..n)
-            .flat_map(|i| {
-                [(i, i, 3.0), (i, (i + b) % n, 1.5), (i, (i + n - b) % n, 0.5)]
-            })
+            .flat_map(|i| [(i, i, 3.0), (i, (i + b) % n, 1.5), (i, (i + n - b) % n, 0.5)])
             .collect();
         let a = to_csr(n, &t);
         let x: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();

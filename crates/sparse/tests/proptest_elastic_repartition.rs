@@ -47,15 +47,9 @@ fn run_shrunken(
         } else {
             None
         };
-        let (new_start, new_local, new_rhs) = DistCsrMatrix::repartition_block_rows(
-            &sub,
-            old_range.start,
-            &local,
-            &rhs,
-            extra,
-            n,
-        )
-        .unwrap();
+        let (new_start, new_local, new_rhs) =
+            DistCsrMatrix::repartition_block_rows(&sub, old_range.start, &local, &rhs, extra, n)
+                .unwrap();
         let part = BlockRowPartition::even(n, sub.size());
         assert_eq!(new_start, part.start_row(sub.rank()));
         let da = DistCsrMatrix::from_local_rows(&sub, part.clone(), new_local).unwrap();

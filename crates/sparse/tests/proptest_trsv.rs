@@ -86,11 +86,7 @@ fn serial_upper(mat: &CsrMatrix, unit_diag: bool, b: &[f64], x: &mut [f64]) {
 
 fn assert_bits_equal(label: &str, got: &[f64], want: &[f64]) {
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        assert_eq!(
-            g.to_bits(),
-            w.to_bits(),
-            "{label} diverged at row {i}: {g} vs {w}"
-        );
+        assert_eq!(g.to_bits(), w.to_bits(), "{label} diverged at row {i}: {g} vs {w}");
     }
 }
 
@@ -170,7 +166,8 @@ fn strict(mat: &CsrMatrix, triangle: Triangle, i: usize) -> (&[usize], &[f64]) {
 
 /// Rows of `mat`'s strict lower triangle the sweep takes in runs.
 fn lower_run_rows(mat: &CsrMatrix) -> usize {
-    let tri = LevelTri::build(Triangle::Lower, mat.rows(), |i| strict(mat, Triangle::Lower, i), None);
+    let tri =
+        LevelTri::build(Triangle::Lower, mat.rows(), |i| strict(mat, Triangle::Lower, i), None);
     tri.unwrap().run_rows()
 }
 

@@ -45,10 +45,7 @@ fn main() {
             s.solve(&mut x, &mut status).unwrap();
             x
         });
-        let err = results[0]
-            .iter()
-            .zip(&x_true)
-            .fold(0.0f64, |m, (g, e)| m.max((g - e).abs()));
+        let err = results[0].iter().zip(&x_true).fold(0.0f64, |m, (g, e)| m.max((g - e).abs()));
         println!("  {label:<26} max error = {err:.2e}");
     };
 

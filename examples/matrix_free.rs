@@ -90,19 +90,14 @@ fn main() {
                 }))),
             )
             .unwrap();
-        let solver = fw
-            .instantiate("solver", Box::new(SolverComponent::rksp()))
-            .unwrap();
+        let solver = fw.instantiate("solver", Box::new(SolverComponent::rksp())).unwrap();
         fw.connect(&driver, "solver", &solver, SOLVER_PORT).unwrap();
         // The hybrid uses–provides pattern of §5.6(c): the solver *uses*
         // the application's matrix-free port.
         fw.connect(&solver, MATRIX_FREE_PORT, &operator, MATRIX_FREE_PORT).unwrap();
 
-        let port = fw
-            .services(&driver)
-            .unwrap()
-            .get_port::<Arc<dyn SparseSolverPort>>("solver")
-            .unwrap();
+        let port =
+            fw.services(&driver).unwrap().get_port::<Arc<dyn SparseSolverPort>>("solver").unwrap();
         port.initialize(comm.dup().unwrap()).unwrap();
         port.set_start_row(0).unwrap();
         port.set_local_rows(n).unwrap();

@@ -55,9 +55,7 @@ fn main() {
         outer.set("cycle", "v").unwrap();
         outer.set("smoother", "sgs").unwrap();
         outer.set_double("tol", 1e-10).unwrap();
-        outer
-            .setup_matrix(a.values(), a.row_ptr(), a.col_idx(), SparseStruct::Csr)
-            .unwrap();
+        outer.setup_matrix(a.values(), a.row_ptr(), a.col_idx(), SparseStruct::Csr).unwrap();
         outer.setup_rhs(&b, 1).unwrap();
         let mut x = vec![0.0; n];
         let mut status = [0.0; STATUS_LEN];
@@ -66,10 +64,7 @@ fn main() {
     });
 
     let (report, x) = &results[0];
-    let err = x
-        .iter()
-        .zip(&x_true)
-        .fold(0.0f64, |mx, (g, e)| mx.max((g - e).abs()));
+    let err = x.iter().zip(&x_true).fold(0.0f64, |mx, (g, e)| mx.max((g - e).abs()));
     println!("converged : {}", report.converged);
     println!("V-cycles  : {}", report.iterations);
     println!("max error : {err:.3e}");

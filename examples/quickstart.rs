@@ -20,7 +20,10 @@ fn main() {
     let manufactured = cca_lisi::mesh::manufactured::paper_manufactured(m);
 
     let ranks = 4;
-    println!("solving {n} unknowns (nnz = {}) on {ranks} ranks through LISI/RKSP", 5 * m * m - 4 * m);
+    println!(
+        "solving {n} unknowns (nnz = {}) on {ranks} ranks through LISI/RKSP",
+        5 * m * m - 4 * m
+    );
 
     let results = Universe::run(ranks, |comm| {
         // Each rank assembles only its block rows — the paper's parallel

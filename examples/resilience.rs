@@ -18,9 +18,7 @@ use std::sync::Arc;
 use cca_lisi::cca::{BuilderEvent, Framework};
 use cca_lisi::comm::{FaultPlan, Universe};
 use cca_lisi::lisi::resilient::{FrameworkSwitch, ResilientSolverComponent, BACKEND_PORT};
-use cca_lisi::lisi::{
-    SolveReport, SolverComponent, SparseSolverPort, SparseStruct, STATUS_LEN,
-};
+use cca_lisi::lisi::{SolveReport, SolverComponent, SparseSolverPort, SparseStruct, STATUS_LEN};
 use cca_lisi::sparse::{generate, BlockRowPartition};
 use parking_lot::RwLock;
 
@@ -49,8 +47,7 @@ fn solve_once(faults: Option<FaultPlan>) -> Vec<(SolveReport, Vec<String>, f64)>
             let driver = comp.solver();
             let res_id = f.instantiate("resilient", Box::new(comp)).unwrap();
             let cg_id = f.instantiate("cg", Box::new(SolverComponent::rksp())).unwrap();
-            let gmres_id =
-                f.instantiate("gmres", Box::new(SolverComponent::rksp())).unwrap();
+            let gmres_id = f.instantiate("gmres", Box::new(SolverComponent::rksp())).unwrap();
             let lu_id = f.instantiate("lu", Box::new(SolverComponent::rslu())).unwrap();
             (driver, res_id, cg_id, gmres_id, lu_id)
         };
@@ -65,12 +62,7 @@ fn solve_once(faults: Option<FaultPlan>) -> Vec<(SolveReport, Vec<String>, f64)>
         driver.set_local_rows(range.len()).unwrap();
         driver.set_global_cols(n).unwrap();
         driver.set_double("tol", 1e-10).unwrap();
-        driver
-            .set(
-                "retry_policy",
-                "cg:solver=cg -> gmres:solver=gmres,restart=30 -> lu",
-            )
-            .unwrap();
+        driver.set("retry_policy", "cg:solver=cg -> gmres:solver=gmres,restart=30 -> lu").unwrap();
         driver
             .setup_matrix(local.values(), local.row_ptr(), local.col_idx(), SparseStruct::Csr)
             .unwrap();
@@ -165,9 +157,7 @@ fn main() {
     // fault; `scripts/fault_matrix.sh` sweeps custom plans and reads the
     // printed outcomes instead.
     if custom_plan.is_none() {
-        assert!(
-            faulted.iter().all(|(r, _, _)| r.converged && r.attempts >= 2 && r.recovery == 2)
-        );
+        assert!(faulted.iter().all(|(r, _, _)| r.converged && r.attempts >= 2 && r.recovery == 2));
     }
     assert!(clean.iter().all(|(r, _, _)| r.converged && r.attempts == 1 && r.recovery == 0));
     println!("\nrecovered: the swap is CCA re-wiring, not solver-specific code.");

@@ -12,8 +12,8 @@ use std::sync::Arc;
 use cca_lisi::cca::{BuilderService, CcaResult, Component, Framework, Services};
 use cca_lisi::comm::Universe;
 use cca_lisi::lisi::{
-    SolveReport, SolverComponent, SparseSolverPort, SparseStruct, SOLVER_PORT,
-    SOLVER_PORT_TYPE, STATUS_LEN,
+    SolveReport, SolverComponent, SparseSolverPort, SparseStruct, SOLVER_PORT, SOLVER_PORT_TYPE,
+    STATUS_LEN,
 };
 use cca_lisi::sparse::BlockRowPartition;
 
@@ -42,15 +42,10 @@ fn main() {
             // Ccaffeine script would.
             let mut builder = BuilderService::new(&mut fw);
             let driver = builder.create_instance("driver", Box::new(Driver)).unwrap();
-            let rksp = builder
-                .create_instance("rksp", Box::new(SolverComponent::rksp()))
-                .unwrap();
-            let raztec = builder
-                .create_instance("raztec", Box::new(SolverComponent::raztec()))
-                .unwrap();
-            let rslu = builder
-                .create_instance("rslu", Box::new(SolverComponent::rslu()))
-                .unwrap();
+            let rksp = builder.create_instance("rksp", Box::new(SolverComponent::rksp())).unwrap();
+            let raztec =
+                builder.create_instance("raztec", Box::new(SolverComponent::raztec())).unwrap();
+            let rslu = builder.create_instance("rslu", Box::new(SolverComponent::rslu())).unwrap();
             (driver, rksp, raztec, rslu)
         };
 
@@ -81,13 +76,8 @@ fn main() {
             port.set_local_rows(range.len()).unwrap();
             port.set_global_cols(n).unwrap();
             port.set("tol", "1e-10").unwrap();
-            port.setup_matrix(
-                local.values(),
-                local.row_ptr(),
-                local.col_idx(),
-                SparseStruct::Csr,
-            )
-            .unwrap();
+            port.setup_matrix(local.values(), local.row_ptr(), local.col_idx(), SparseStruct::Csr)
+                .unwrap();
             port.setup_rhs(local_rhs, 1).unwrap();
             let mut x = vec![0.0; range.len()];
             let mut status = [0.0; STATUS_LEN];

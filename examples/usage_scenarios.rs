@@ -26,9 +26,7 @@ fn main() {
         solver.set_start_row(0).unwrap();
         solver.set_local_rows(n).unwrap();
         solver.set_global_cols(n).unwrap();
-        solver
-            .setup_matrix(a.values(), a.row_ptr(), a.col_idx(), SparseStruct::Csr)
-            .unwrap();
+        solver.setup_matrix(a.values(), a.row_ptr(), a.col_idx(), SparseStruct::Csr).unwrap();
 
         // (a) One-shot solve.
         let x1_true = generate::random_vector(n, 1);
@@ -39,7 +37,10 @@ fn main() {
         solver.solve(&mut x, &mut status).unwrap();
         let rep_a = SolveReport::from_slice(&status);
         let err = max_err(&x, &x1_true);
-        println!("(a) one-shot solve:            err = {err:.2e}, setup = {:.4}s", rep_a.setup_seconds);
+        println!(
+            "(a) one-shot solve:            err = {err:.2e}, setup = {:.4}s",
+            rep_a.setup_seconds
+        );
         assert!(err < 1e-8);
 
         // (b) Reuse: a second solve must not refactor (setup ≈ 0).

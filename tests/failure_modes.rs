@@ -4,8 +4,8 @@
 
 use cca_lisi::comm::Universe;
 use cca_lisi::lisi::{
-    LisiError, RaztecAdapter, RkspAdapter, RmgAdapter, RsluAdapter, SparseSolverPort,
-    SparseStruct, STATUS_LEN,
+    LisiError, RaztecAdapter, RkspAdapter, RmgAdapter, RsluAdapter, SparseSolverPort, SparseStruct,
+    STATUS_LEN,
 };
 
 type MakePort = Box<dyn Fn() -> Box<dyn SparseSolverPort> + Sync>;
@@ -92,12 +92,10 @@ fn short_csr_arrays_are_invalid_input_on_every_rank() {
             s.set_local_rows(2).unwrap();
             s.set_global_cols(4).unwrap();
             let diag = [2 * comm.rank(), 2 * comm.rank() + 1];
-            let short = s
-                .setup_matrix(&[1.0, 1.0], &[0, 1, 2], &diag[..1], SparseStruct::Csr)
-                .unwrap_err();
-            let overrun = s
-                .setup_matrix(&[1.0, 1.0], &[0, 1, 3], &diag, SparseStruct::Csr)
-                .unwrap_err();
+            let short =
+                s.setup_matrix(&[1.0, 1.0], &[0, 1, 2], &diag[..1], SparseStruct::Csr).unwrap_err();
+            let overrun =
+                s.setup_matrix(&[1.0, 1.0], &[0, 1, 3], &diag, SparseStruct::Csr).unwrap_err();
             s.setup_matrix(&[1.0, 1.0], &[0, 1, 2], &diag, SparseStruct::Csr).unwrap();
             s.setup_rhs(&[3.0, 4.0], 1).unwrap();
             let mut x = [0.0; 2];
@@ -107,7 +105,10 @@ fn short_csr_arrays_are_invalid_input_on_every_rank() {
         });
         for (rank, (short, overrun, x)) in out.iter().enumerate() {
             assert!(matches!(short, LisiError::InvalidInput(_)), "{name}, rank {rank}: {short:?}");
-            assert!(matches!(overrun, LisiError::InvalidInput(_)), "{name}, rank {rank}: {overrun:?}");
+            assert!(
+                matches!(overrun, LisiError::InvalidInput(_)),
+                "{name}, rank {rank}: {overrun:?}"
+            );
             assert_eq!(x, &[3.0, 4.0], "{name}, rank {rank}");
         }
     }
@@ -367,7 +368,8 @@ fn rmg_bad_option_fails_on_every_rank_not_just_the_root() {
 fn rmg_failure_on_the_root_reaches_every_rank() {
     // What only rank 0 can get wrong — here the coarse-grid callback —
     // travels to the other ranks in place of the solution.
-    let coarse_fails = |s: &RmgAdapter| s.set_coarse_solver(|_, _| Err("coarse grid on fire".into()));
+    let coarse_fails =
+        |s: &RmgAdapter| s.set_coarse_solver(|_, _| Err("coarse grid on fire".into()));
     for err in failing_grid_solve(RmgAdapter::new, coarse_fails) {
         assert!(matches!(&err, LisiError::Package(m) if m.contains("on fire")), "{err:?}");
     }

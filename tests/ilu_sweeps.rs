@@ -16,18 +16,12 @@ const MIN_RUN: usize = 4;
 
 /// (ranks, iterations, bits of the reported residual) of CG + ILU(0) on
 /// the m = 40 Laplacian, recorded with the natural-order sweeps.
-const CG_ILU0: [(usize, usize, u64); 3] = [
-    (1, 45, 0x3e3aeb3e90cb44bb),
-    (2, 53, 0x3e4484684bb7812e),
-    (3, 55, 0x3e45a3abe43e78be),
-];
+const CG_ILU0: [(usize, usize, u64); 3] =
+    [(1, 45, 0x3e3aeb3e90cb44bb), (2, 53, 0x3e4484684bb7812e), (3, 55, 0x3e45a3abe43e78be)];
 
 /// The same for GMRES + ILUT(1e-3, 10) on the paper's PDE at m = 40.
-const GMRES_ILUT: [(usize, usize, u64); 3] = [
-    (1, 13, 0x3e29c8fa78b5fc1c),
-    (2, 31, 0x3e3786881f16e4f9),
-    (3, 44, 0x3e3c239a01ab23d0),
-];
+const GMRES_ILUT: [(usize, usize, u64); 3] =
+    [(1, 13, 0x3e29c8fa78b5fc1c), (2, 31, 0x3e3786881f16e4f9), (3, 44, 0x3e3c239a01ab23d0)];
 
 /// Solve `a·x = b` through the port on `p` ranks; every rank's report and
 /// its slice of the solution.
@@ -50,12 +44,7 @@ fn solve(
             solver.set(k, v).unwrap();
         }
         solver
-            .setup_matrix(
-                local.values(),
-                local.row_ptr(),
-                local.col_idx(),
-                SparseStruct::Csr,
-            )
+            .setup_matrix(local.values(), local.row_ptr(), local.col_idx(), SparseStruct::Csr)
             .unwrap();
         solver.setup_rhs(&b[range.clone()], 1).unwrap();
         let mut x = vec![0.0; range.len()];
@@ -79,16 +68,10 @@ fn assert_retraces(
         let x: Vec<f64> = out.iter().flat_map(|(_, x)| x.iter().copied()).collect();
         let r = cca_lisi::sparse::ops::residual(a, &x, &b).unwrap();
         let rel = cca_lisi::sparse::dense::norm2(&r) / cca_lisi::sparse::dense::norm2(&b);
-        assert!(
-            rel <= 1e-8,
-            "{label} p = {p}: true relative residual {rel:e}"
-        );
+        assert!(rel <= 1e-8, "{label} p = {p}: true relative residual {rel:e}");
         for (rep, _) in &out {
             assert!(rep.converged, "{label} p = {p}");
-            assert_eq!(
-                rep.reason, out[0].0.reason,
-                "{label} p = {p}: ranks disagree"
-            );
+            assert_eq!(rep.reason, out[0].0.reason, "{label} p = {p}: ranks disagree");
             assert_eq!(
                 (rep.iterations, rep.residual.to_bits()),
                 (iterations, residual_bits),
@@ -103,11 +86,7 @@ fn assert_retraces(
 
 #[test]
 fn cg_ilu0_through_the_port_retraces_the_natural_order_sweeps() {
-    let params = [
-        ("solver", "cg"),
-        ("preconditioner", "ilu"),
-        ("tol", "1e-10"),
-    ];
+    let params = [("solver", "cg"), ("preconditioner", "ilu"), ("tol", "1e-10")];
     assert_retraces("cg + ilu(0)", &generate::laplacian_2d(M), &params, &CG_ILU0);
 }
 
@@ -126,10 +105,8 @@ fn predicted_forward_runs(m: usize, s: usize, e: usize) -> usize {
     };
     (0..2 * m - 1)
         .map(|d| {
-            let diagonal: Vec<bool> = (0..m)
-                .filter(|&y| y <= d && d - y < m)
-                .map(|y| reads_both(d - y, y))
-                .collect();
+            let diagonal: Vec<bool> =
+                (0..m).filter(|&y| y <= d && d - y < m).map(|y| reads_both(d - y, y)).collect();
             diagonal
                 .split(|&both| !both)
                 .map(<[bool]>::len)
@@ -145,19 +122,15 @@ fn ilu0_triangles_sweep_the_rows_the_grid_predicts_in_runs() {
     let n = a.rows();
     // One rank: all but the edges and the three shortest anti-diagonals
     // at either end.
-    assert_eq!(
-        predicted_forward_runs(M, 0, n),
-        (M - 1) * (M - 1) - MIN_RUN * (MIN_RUN - 1)
-    );
+    assert_eq!(predicted_forward_runs(M, 0, n), (M - 1) * (M - 1) - MIN_RUN * (MIN_RUN - 1));
     for p in 1..=3 {
         Universe::run(p, |comm| {
             let part = BlockRowPartition::even(n, comm.size());
             let r = part.range(comm.rank());
             // ILU(0)'s factor keeps its block's pattern, so its triangles
             // are the block's.
-            let block = DistCsrMatrix::from_global(comm, part.clone(), &a)
-                .unwrap()
-                .diagonal_block();
+            let block =
+                DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap().diagonal_block();
             let lower = |i: usize| {
                 let (cols, vals) = block.row(i);
                 let end = cols.partition_point(|&c| c < i);

@@ -4,8 +4,7 @@
 
 use cca_lisi::comm::Universe;
 use cca_lisi::lisi::{
-    LisiError, RaztecAdapter, RkspAdapter, RsluAdapter, SparseSolverPort, SparseStruct,
-    STATUS_LEN,
+    LisiError, RaztecAdapter, RkspAdapter, RsluAdapter, SparseSolverPort, SparseStruct, STATUS_LEN,
 };
 use cca_lisi::sparse::{generate, BlockRowPartition};
 use proptest::prelude::*;
@@ -41,8 +40,7 @@ fn solve_via(
         solver.set_global_cols(n).unwrap();
         solver.set("tol", "1e-11").unwrap();
         solver.set_block_size(bs).unwrap();
-        let (values, rows, cols) =
-            common::port_arrays(structure, &local, range.start, bs, offset);
+        let (values, rows, cols) = common::port_arrays(structure, &local, range.start, bs, offset);
         solver.setup_matrix_offset(&values, &rows, &cols, structure, offset).unwrap();
         solver.setup_rhs(&b[range.clone()], 1).unwrap();
         let mut x = vec![0.0; range.len()];

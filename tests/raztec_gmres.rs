@@ -14,18 +14,12 @@ const M: usize = 40;
 /// Jacobi on the paper's PDE at m = 40, recorded with the two-pass
 /// Gram–Schmidt loop. Jacobi does not see the partition, so neither does
 /// the count.
-const GMRES_JACOBI: [(usize, usize, u64); 3] = [
-    (1, 176, 0x3e63b694edc7e864),
-    (2, 176, 0x3e63b694e654ab2f),
-    (3, 176, 0x3e63b694e5c3f3f6),
-];
+const GMRES_JACOBI: [(usize, usize, u64); 3] =
+    [(1, 176, 0x3e63b694edc7e864), (2, 176, 0x3e63b694e654ab2f), (3, 176, 0x3e63b694e5c3f3f6)];
 
 /// The same for GMRES(30) + local symmetric Gauss–Seidel, which does.
-const GMRES_SYM_GS: [(usize, usize, u64); 3] = [
-    (1, 59, 0x3e53e634dc7b63fe),
-    (2, 73, 0x3e4fb90f74ba5dd6),
-    (3, 81, 0x3e506bfd297b93c9),
-];
+const GMRES_SYM_GS: [(usize, usize, u64); 3] =
+    [(1, 59, 0x3e53e634dc7b63fe), (2, 73, 0x3e4fb90f74ba5dd6), (3, 81, 0x3e506bfd297b93c9)];
 
 /// Solve `a·x = b` through the port on `p` ranks; every rank's status
 /// array and its slice of the solution.
@@ -53,12 +47,7 @@ fn solve(
             solver.set(k, v).unwrap();
         }
         solver
-            .setup_matrix(
-                local.values(),
-                local.row_ptr(),
-                local.col_idx(),
-                SparseStruct::Csr,
-            )
+            .setup_matrix(local.values(), local.row_ptr(), local.col_idx(), SparseStruct::Csr)
             .unwrap();
         solver.setup_rhs(&b[range.clone()], 1).unwrap();
         let mut x = vec![0.0; range.len()];
@@ -78,10 +67,7 @@ fn assert_retraces(preconditioner: &str, recorded: &[(usize, usize, u64)]) {
         let x: Vec<f64> = out.iter().flat_map(|(_, x)| x.iter().copied()).collect();
         let r = cca_lisi::sparse::ops::residual(&a, &x, &b).unwrap();
         let rel = cca_lisi::sparse::dense::norm2(&r) / cca_lisi::sparse::dense::norm2(&b);
-        assert!(
-            rel <= 1e-8,
-            "{preconditioner} p = {p}: true relative residual {rel:e}"
-        );
+        assert!(rel <= 1e-8, "{preconditioner} p = {p}: true relative residual {rel:e}");
         for (status, _) in &out {
             let rep = SolveReport::from_slice(status);
             assert!(rep.converged, "{preconditioner} p = {p}");

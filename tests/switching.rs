@@ -30,18 +30,14 @@ fn drive(
     let part = cca_lisi::sparse::BlockRowPartition::even(n, comm.size());
     let range = part.range(comm.rank());
     let local = a.row_block(range.start, range.end).unwrap();
-    let port = fw
-        .services(driver)
-        .unwrap()
-        .get_port::<Arc<dyn SparseSolverPort>>("solver")
-        .unwrap();
+    let port =
+        fw.services(driver).unwrap().get_port::<Arc<dyn SparseSolverPort>>("solver").unwrap();
     port.initialize(comm.dup().unwrap()).unwrap();
     port.set_start_row(range.start).unwrap();
     port.set_local_rows(range.len()).unwrap();
     port.set_global_cols(n).unwrap();
     port.set("tol", "1e-10").unwrap();
-    port.setup_matrix(local.values(), local.row_ptr(), local.col_idx(), SparseStruct::Csr)
-        .unwrap();
+    port.setup_matrix(local.values(), local.row_ptr(), local.col_idx(), SparseStruct::Csr).unwrap();
     port.setup_rhs(&b[range.clone()], 1).unwrap();
     let mut x = vec![0.0; range.len()];
     let mut status = [0.0; STATUS_LEN];
@@ -73,14 +69,10 @@ fn rewiring_the_uses_port_switches_packages_without_driver_changes() {
 
         // The event log tells the switching story.
         let events = fw.events();
-        let connects = events
-            .iter()
-            .filter(|e| matches!(e, BuilderEvent::Connected { .. }))
-            .count();
-        let disconnects = events
-            .iter()
-            .filter(|e| matches!(e, BuilderEvent::Disconnected { .. }))
-            .count();
+        let connects =
+            events.iter().filter(|e| matches!(e, BuilderEvent::Connected { .. })).count();
+        let disconnects =
+            events.iter().filter(|e| matches!(e, BuilderEvent::Disconnected { .. })).count();
         (sols, connects, disconnects)
     });
 
