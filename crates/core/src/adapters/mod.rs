@@ -100,14 +100,6 @@ macro_rules! lisi_common_methods {
                     })?;
                     probe::set_mode(mode);
                 }
-                // Reserved key: "threads" sets the rank-local thread count
-                // used by the threaded kernels (SpMV chunks, blocked
-                // reductions). Same rationale as "probe": a process-wide
-                // knob every adapter understands without widening the
-                // SIDL surface.
-                "threads" => {
-                    rsparse::threads::set_threads(positive("thread count")?);
-                }
                 // Reserved key: "trace" asks for (or stops asking for) the
                 // probe's trace level — spans in the event log, stamped
                 // envelopes, a critical path — for subsequent solves: the

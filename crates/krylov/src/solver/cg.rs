@@ -104,7 +104,7 @@ pub(crate) fn solve(
             let beta = f[1] / rz[c];
             betas[c].push(beta);
             rz[c] = f[1];
-            // p ← z + β·p (threaded elementwise kernel).
+            // p ← z + β·p (elementwise kernel).
             dense::xpby(z[c].local(), beta, p.col_mut(c));
         }
     }

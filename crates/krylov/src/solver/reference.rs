@@ -92,7 +92,7 @@ pub(crate) fn cg(
         let beta = rz_new / rz;
         betas.push(beta);
         rz = rz_new;
-        // p ← z + β·p (threaded elementwise kernel; same arithmetic).
+        // p ← z + β·p (elementwise kernel; same arithmetic).
         rsparse::dense::xpby(z.local(), beta, p.local_mut());
     };
     let mut result = mon.finish(reason, iterations, r0, rnorm);

@@ -1,124 +1,1 @@
-//! In-tree stand-in for the `rayon` crate, so the workspace builds without
-//! a network registry. It implements exactly the subset the workspace
-//! uses — `par_iter_mut().enumerate().for_each(..)` over slices — with
-//! real data parallelism via `std::thread::scope` chunking for large
-//! inputs and a sequential fast path for small ones.
-
-pub mod pool;
-
-/// Parallelism threshold: below this many elements the scheduling overhead
-/// of spawning scoped threads dwarfs the work, so we stay sequential.
-const PAR_THRESHOLD: usize = 4096;
-
-fn worker_count() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Mutable parallel iterator over a slice (creation point of the chain).
-pub struct ParIterMut<'a, T> {
-    slice: &'a mut [T],
-}
-
-impl<'a, T: Send> ParIterMut<'a, T> {
-    /// Pair every element with its index, preserving slice order.
-    pub fn enumerate(self) -> EnumerateParIterMut<'a, T> {
-        EnumerateParIterMut { slice: self.slice }
-    }
-
-    /// Apply `f` to every element, in parallel when the slice is large.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&mut T) + Send + Sync,
-    {
-        self.enumerate().for_each(|(_, v)| f(v));
-    }
-}
-
-/// Enumerated mutable parallel iterator.
-pub struct EnumerateParIterMut<'a, T> {
-    slice: &'a mut [T],
-}
-
-impl<'a, T: Send> EnumerateParIterMut<'a, T> {
-    /// Apply `f` to every `(index, element)` pair, chunked across threads
-    /// when the slice is large enough to amortize spawning.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, &mut T)) + Send + Sync,
-    {
-        let n = self.slice.len();
-        let workers = worker_count();
-        if n < PAR_THRESHOLD || workers < 2 {
-            for (i, v) in self.slice.iter_mut().enumerate() {
-                f((i, v));
-            }
-            return;
-        }
-        let chunk = n.div_ceil(workers);
-        let fref = &f;
-        std::thread::scope(|scope| {
-            for (c, part) in self.slice.chunks_mut(chunk).enumerate() {
-                let base = c * chunk;
-                scope.spawn(move || {
-                    for (i, v) in part.iter_mut().enumerate() {
-                        fref((base + i, v));
-                    }
-                });
-            }
-        });
-    }
-}
-
-/// The trait that puts `par_iter_mut` on slices and vectors, mirroring
-/// rayon's `IntoParallelRefMutIterator`.
-pub trait IntoParallelRefMutIterator<'a> {
-    /// Element type.
-    type Item: Send;
-    /// Create a mutable parallel iterator borrowing `self`.
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, Self::Item>;
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
-    type Item = T;
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, T> {
-        ParIterMut { slice: self }
-    }
-}
-
-impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
-    type Item = T;
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, T> {
-        ParIterMut { slice: self.as_mut_slice() }
-    }
-}
-
-/// Rayon-style prelude: import the traits that add parallel methods.
-pub mod prelude {
-    pub use crate::IntoParallelRefMutIterator;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::prelude::*;
-
-    #[test]
-    fn small_slices_run_sequentially_and_correctly() {
-        let mut v: Vec<usize> = (0..100).collect();
-        v.par_iter_mut().enumerate().for_each(|(i, x)| *x += i);
-        assert!(v.iter().enumerate().all(|(i, &x)| x == 2 * i));
-    }
-
-    #[test]
-    fn large_slices_use_parallel_chunks() {
-        let mut v: Vec<usize> = vec![0; 100_000];
-        v.par_iter_mut().enumerate().for_each(|(i, x)| *x = i * 3);
-        assert!(v.iter().enumerate().all(|(i, &x)| x == 3 * i));
-    }
-
-    #[test]
-    fn plain_for_each_without_enumerate() {
-        let mut v = vec![1.0f64; 10_000];
-        v.par_iter_mut().for_each(|x| *x *= 2.0);
-        assert!(v.iter().all(|&x| x == 2.0));
-    }
-}
+//! Empty: kept because `benchmark/Cargo.lock` lists `rayon` as a dependency of `lisi-sparse`.

@@ -12,16 +12,14 @@
 //!   to its CSR block, and the MSR / VBR encoders an application needs;
 //! * dense kernels ([`dense`]) used by every solver: dot products, axpy,
 //!   norms, and a small dense LU for reference solutions;
-//! * sparse kernels: serial and thread-parallel SpMV, transpose,
-//!   sparse×sparse products (needed for Galerkin coarse grids), matrix
-//!   addition and scaling;
-//! * rank-local threading ([`threads`]) for SpMV chunks and blocked
-//!   reductions, and level-ordered sparse triangular sweeps
-//!   ([`schedule`]): a [`LevelTri`] stores one triangle of a factor in
-//!   dependency-level order, each level cut into strided runs (rows at a
-//!   fixed stride reading fixed offsets, no index arrays) and indexed
-//!   slots, every index checked once when it is built, and sweeps it
-//!   unchecked, bit-identical to the natural-order loop;
+//! * sparse kernels: SpMV, transpose, sparse×sparse products (needed for
+//!   Galerkin coarse grids), matrix addition and scaling;
+//! * level-ordered sparse triangular sweeps ([`schedule`]): a [`LevelTri`]
+//!   stores one triangle of a factor in dependency-level order, each level
+//!   cut into strided runs (rows at a fixed stride reading fixed offsets,
+//!   no index arrays) and indexed slots, every index checked once when it
+//!   is built, and sweeps it unchecked, bit-identical to the natural-order
+//!   loop;
 //! * one structural digest ([`digest`]) for every cache key: 8-byte
 //!   words into eight independent lanes, each word through a folded
 //!   128-bit product;
@@ -50,7 +48,6 @@ mod lanes;
 pub mod ops;
 pub mod partition;
 pub mod schedule;
-pub mod threads;
 
 // Per-format checks of the `convert` decoders and encoders.
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The reduction kernels under the Krylov loops allocate nothing: `pdot`
 //! (which used to heap-allocate its block partials on every call past one
-//! block) and every fused form built on the same reducer, on the serial
-//! path and with the thread pool engaged. Neither does the product they
+//! block) and every fused form built on the same reducer. Neither does the
+//! product they
 //! alternate with: a steady-state distributed matvec over stencil runs,
 //! single or batched (same counting allocator, so it lives here).
 
@@ -36,10 +36,6 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// The thread count is process-wide, and a test must not have the pool
-/// grow under its measurement: the tests here take turns.
-static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Allocations the calling thread makes while `f` runs.
 fn allocs_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(Cell::get);
@@ -49,66 +45,53 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn pdot_and_every_fused_kernel_allocate_nothing() {
-    let _turn = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // One block, two blocks (the Figure 5 one-rank length), and more
-    // blocks than one stack group of partials holds.
+    // One block, two blocks (the Figure 5 one-rank length), and 66 blocks.
     for n in [1000, 90_000, 65 * DOT_BLOCK + 17] {
         let x = vec![0.5f64; n];
         let z = vec![0.25f64; n];
         let mut y = vec![1.0f64; n];
-        for threads in [1usize, 2] {
-            rsparse::threads::set_threads(threads);
-            let mut sink = 0.0;
-            let mut kernels = |sink: &mut f64| {
-                *sink += dense::dot(&x[..1000], &z[..1000]);
-                *sink += dense::pdot(&x, &z);
-                *sink += dense::pdot2(&x, &x, &z).1;
-                *sink += dense::axpy_norm2_sq(0.0, &x, &mut y);
-                *sink += dense::axpy_pdot2(0.0, &x, &mut y, &z).1;
-                dense::axpy2(0.0, &x, 0.0, &z, &mut y);
-            };
-            // First pass: the pool may spawn its workers.
-            kernels(&mut sink);
-            let allocs = allocs_during(|| kernels(&mut sink));
-            assert_eq!(allocs, 0, "n = {n}, threads = {threads}");
-            std::hint::black_box(sink);
-        }
+        let mut sink = 0.0;
+        let mut kernels = |sink: &mut f64| {
+            *sink += dense::dot(&x[..1000], &z[..1000]);
+            *sink += dense::pdot(&x, &z);
+            *sink += dense::pdot2(&x, &x, &z).1;
+            *sink += dense::axpy_norm2_sq(0.0, &x, &mut y);
+            *sink += dense::axpy_pdot2(0.0, &x, &mut y, &z).1;
+            dense::axpy2(0.0, &x, 0.0, &z, &mut y);
+        };
+        kernels(&mut sink);
+        let allocs = allocs_during(|| kernels(&mut sink));
+        assert_eq!(allocs, 0, "n = {n}");
+        std::hint::black_box(sink);
     }
-    rsparse::threads::set_threads(1);
 }
 
 #[test]
 fn steady_state_matvecs_over_stencil_runs_allocate_nothing() {
     use rsparse::{BlockRowPartition, DistCsrMatrix, DistVector};
-    let _turn = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // 4 900 rows: past the threading threshold, 68 of every 70 in runs.
+    // 4 900 rows, 68 of every 70 in runs.
     let a = rsparse::generate::laplacian_2d(70);
     let n = a.rows();
     let k = 8;
     let xs = rsparse::generate::random_vector(k * n, 3);
-    for threads in [1usize, 2] {
-        rsparse::threads::set_threads(threads);
-        rcomm::Universe::run(1, |comm| {
-            let part = BlockRowPartition::even(n, 1);
-            let da = DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
-            assert_eq!(da.stencil_row_count(), 70 * 68);
-            let dx = DistVector::from_global(part.clone(), 0, &xs[..n]).unwrap();
-            let mut dy = DistVector::zeros(part, 0);
-            let mut ys = vec![0.0; k * n];
-            let mut matvecs = || {
-                da.matvec_into(comm, &dx, &mut dy).unwrap();
-                da.matvec_multi_into(comm, &xs, &mut ys, k).unwrap();
-            };
-            // First pass: the batched workspace is built, the pool may
-            // spawn its workers.
-            matvecs();
-            let allocs = allocs_during(|| {
-                for _ in 0..5 {
-                    matvecs();
-                }
-            });
-            assert_eq!(allocs, 0, "threads = {threads}");
+    rcomm::Universe::run(1, |comm| {
+        let part = BlockRowPartition::even(n, 1);
+        let da = DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
+        assert_eq!(da.stencil_row_count(), 70 * 68);
+        let dx = DistVector::from_global(part.clone(), 0, &xs[..n]).unwrap();
+        let mut dy = DistVector::zeros(part, 0);
+        let mut ys = vec![0.0; k * n];
+        let mut matvecs = || {
+            da.matvec_into(comm, &dx, &mut dy).unwrap();
+            da.matvec_multi_into(comm, &xs, &mut ys, k).unwrap();
+        };
+        // First pass: the batched workspace is built.
+        matvecs();
+        let allocs = allocs_during(|| {
+            for _ in 0..5 {
+                matvecs();
+            }
         });
-    }
-    rsparse::threads::set_threads(1);
+        assert_eq!(allocs, 0);
+    });
 }

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Full verification sweep: build, clippy, tests at 1 and 4 threads, the
-# lisibench smoke, examples, the fault matrix, doc build, benches (compile,
-# and RSLU's, the sweeps', Jacobi's, the vector kernels', the split and
-# batched matvecs' and RAztec's rows run once). It measures nothing: every
+# Full verification sweep: formatting, build, clippy, one workspace test
+# pass, the lisibench smoke, examples, the fault matrix, doc build, benches
+# (compile; check that the AVX2 kernel instances inlined their intrinsics;
+# run RSLU's, the sweeps', Jacobi's, the vector kernels', the split and
+# batched matvecs' and RAztec's rows once). It measures nothing: every
 # number the repository states comes from benchmark/run.sh (lisibench);
 # table1/figure5 regenerate the paper's tables (see EXPERIMENTS.md).
+# benchmark/ is its own workspace and is not formatted here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,6 +19,9 @@ stray_dumps() {
 }
 stray_dumps | xargs -r rm -f
 
+echo "== formatting (rustfmt.toml) =="
+cargo fmt --all --check
+
 echo "== build (all targets) =="
 cargo build --workspace --all-targets
 
@@ -25,15 +30,7 @@ cargo clippy -p lisi-probe -p lisi-comm -p lisi-sparse -p lisi-mesh -p lisi-kryl
   -p lisi-aztec -p lisi-direct -p lisi-multigrid -p lisi-cca -p lisi-core \
   -p lisi-bench -p cca-lisi --all-targets -- -D warnings
 
-echo "== tests (RSPARSE_THREADS=1) =="
-RSPARSE_THREADS=1 \
-RCOMM_DEADLOCK_TIMEOUT_SECS=${RCOMM_DEADLOCK_TIMEOUT_SECS:-30} cargo test --workspace
-
-echo "== tests (RSPARSE_THREADS=4) =="
-# Same suite with the rank-local thread pool engaged: exercises the
-# chunked SpMV and blocked reductions, whose
-# results must be bit-identical to the serial run.
-RSPARSE_THREADS=4 \
+echo "== tests =="
 RCOMM_DEADLOCK_TIMEOUT_SECS=${RCOMM_DEADLOCK_TIMEOUT_SECS:-30} cargo test --workspace
 
 echo "== tests leave no dumps in the tree =="
@@ -70,6 +67,23 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "== bench compile =="
 cargo bench --workspace --no-run
+
+echo "== AVX2 kernel instances inline their intrinsics =="
+# A closure compiled outside a `#[target_feature(enable = "avx2")]`
+# function calls every intrinsic out of line and runs several times
+# slower. The one `core_arch` call allowed is std's CPUID probe.
+kernels_bin="$(cargo bench -p lisi-bench --bench kernels --no-run --message-format=json 2>/dev/null \
+  | grep -o '"executable":"[^"]*/kernels-[^"]*"' | cut -d'"' -f4 | tail -n1)"
+if [ ! -x "$kernels_bin" ]; then
+  echo "kernels bench binary not found"
+  exit 1
+fi
+core_arch_calls="$(objdump -d --no-show-raw-insn "$kernels_bin" | grep -c 'call.*core_arch' || true)"
+echo "out-of-line core_arch calls in $kernels_bin: $core_arch_calls"
+if [ "$core_arch_calls" -gt 1 ]; then
+  echo "AVX2 kernels call intrinsics out of line"
+  exit 1
+fi
 
 echo "== RSLU, sweep, Jacobi, vector, SpMV and RAztec kernel rows, run once (smoke) =="
 # Compiling a bench does not set it up: these run RSLU's rows once each
