@@ -171,12 +171,6 @@ fn spmv_multi(c: &mut Criterion) {
     group.finish();
 }
 
-/// The vector kernels under the Krylov loops at the Figure 5 one-rank
-/// length (n = 90 000, two reduction blocks): the plain forms and the fused
-/// forms that replace pairs and triples of them. Each fused row is
-/// bit-identical to the rows it replaces run back to back; compare
-/// `axpy` + `pdot` against `axpy_norm2_sq`, `axpy` + 2 × `pdot` against
-/// `axpy_pdot2`, 2 × `pdot` against `pdot2`, 2 × `axpy` against `axpy2`.
 /// One preconditioner apply — a forward and a backward triangular sweep —
 /// on the factor's own matrix. `ilu0/laplacian200` is the matrix
 /// `ilu_cg_1r` sweeps, ≈ 99 % of its rows in strided runs, and
@@ -215,6 +209,54 @@ fn sptrsv(c: &mut Criterion) {
     row("ilut", "laplacian200", n, &|r, z| ilut.solve_local(r, z));
     let ssor = Ssor::new(&laplacian, 1.0).unwrap();
     row("ssor", "laplacian200", n, &|r, z| ssor.solve_local(r, z));
+    group.finish();
+}
+
+/// ILU(0)'s set-up on `ilu_cg_1r`'s matrix (the 5-point Laplacian at
+/// m = 200, one rank). `levels/ilu0_laplacian200` lays out both triangles
+/// with [`rsparse::LevelTri::build`] — the strict lower part unit, the
+/// strict upper part divided by the diagonal — cut at the diagonal as
+/// `Ilu0::new` cuts the factor. The values are the matrix's own: the
+/// layout only copies them, so the factor's would cost the same.
+/// `ilu_setup/laplacian200` is [`rkrylov::make_preconditioner`] with
+/// `PcType::Ilu0` on the one-rank operator: the diagonal block, the
+/// factorization and both builds.
+fn ilu_setup(c: &mut Criterion) {
+    use rkrylov::{make_preconditioner, MatOperator, PcType};
+    use rsparse::{LevelTri, Triangle};
+    use std::sync::{Arc, Mutex};
+    let a = Arc::new(generate::laplacian_2d(200));
+    let n = a.rows();
+    let (row_ptr, col_idx, vals) = (a.row_ptr(), a.col_idx(), a.values());
+    let diag_pos: Vec<usize> =
+        (0..n).map(|i| row_ptr[i] + a.row(i).0.binary_search(&i).unwrap()).collect();
+    let lower = |i: usize| (&col_idx[row_ptr[i]..diag_pos[i]], &vals[row_ptr[i]..diag_pos[i]]);
+    let upper = |i: usize| {
+        (&col_idx[diag_pos[i] + 1..row_ptr[i + 1]], &vals[diag_pos[i] + 1..row_ptr[i + 1]])
+    };
+    let diag = |i: usize| vals[diag_pos[i]];
+    let mut group = c.benchmark_group("levels");
+    group.throughput(Throughput::Elements(a.nnz() as u64));
+    group.bench_function("ilu0_laplacian200", |b| {
+        b.iter(|| {
+            let fwd = LevelTri::build(Triangle::Lower, n, lower, None).unwrap();
+            let bwd = LevelTri::build(Triangle::Upper, n, upper, Some(&diag)).unwrap();
+            (fwd, bwd)
+        })
+    });
+    group.finish();
+    let mut group = c.benchmark_group("ilu_setup");
+    group.throughput(Throughput::Elements(a.nnz() as u64));
+    group.bench_function("laplacian200", |b| {
+        let b = Mutex::new(b);
+        Universe::run(1, |comm| {
+            let part = BlockRowPartition::even(n, 1);
+            let op = MatOperator::new(
+                DistCsrMatrix::from_local_rows(comm, part, Arc::clone(&a)).unwrap(),
+            );
+            b.lock().unwrap().iter(|| make_preconditioner(PcType::Ilu0, &op).unwrap());
+        });
+    });
     group.finish();
 }
 
@@ -330,6 +372,16 @@ fn interleave2(a: &rsparse::CsrMatrix) -> rsparse::CsrMatrix {
     coo.to_csr()
 }
 
+/// The vector kernels under the Krylov loops at the Figure 5 one-rank
+/// length (n = 90 000, two reduction blocks): the plain forms and the fused
+/// forms that replace pairs and triples of them. Each fused row is
+/// bit-identical to the rows it replaces run back to back; compare
+/// `axpy` + `pdot` against `axpy_norm2_sq`, `axpy` + 2 × `pdot` against
+/// `axpy_pdot2`, 2 × `pdot` against `pdot2`, 2 × `axpy` against `axpy2`.
+///
+/// The 90 000-element rows run from memory and their times swing from one
+/// run to the next: on a loaded 2-vCPU host they resolve only differences
+/// of about 30 % or more, so no claim rests on them alone.
 fn blas1(c: &mut Criterion) {
     use rsparse::dense;
     let mut group = c.benchmark_group("blas1");
@@ -505,6 +557,15 @@ fn conversions(c: &mut Criterion) {
     group.bench_function("csr_to_csc", |b| b.iter(|| a.to_csc()));
     group.bench_function("csr_to_msr", |b| b.iter(|| convert::csr_to_msr(&a, 0).unwrap()));
     group.bench_function("csr_transpose", |b| b.iter(|| a.transpose()));
+    // What `setupMatrix(CSR)` does with the port's arrays on
+    // `fig5_rksp_1r`'s matrix before the digest (`digest/paper300`) reads
+    // them: copy, validate, keep.
+    let paper = rmesh::paper_problem(300).assemble_global().0;
+    let w = convert::Window::serial(paper.rows());
+    group.throughput(Throughput::Elements(paper.nnz() as u64));
+    group.bench_function("decode_csr_paper300", |b| {
+        b.iter(|| convert::decode_csr(w, paper.values(), paper.row_ptr(), paper.col_idx()).unwrap())
+    });
     group.finish();
 }
 
@@ -583,6 +644,7 @@ criterion_group!(
     spmv_formats,
     spmv_multi,
     sptrsv,
+    ilu_setup,
     jacobi,
     factor,
     trisolve,

@@ -240,7 +240,7 @@ impl<B: Backend> Adapter<B> {
         let solve_t = probe::SectionTimer::start("lisi_solve");
         let mut info = B::run(&artifact, cfg, comm, rhs, solution, st.n_rhs, batched)?;
         info.report.solve_seconds = solve_t.stop();
-        info.report.setup_seconds = setup_seconds + st.convert_seconds;
+        info.report.setup_seconds = setup_seconds + st.convert_seconds.take();
         info.backend = B::NAME;
         info.warm = warm;
         (info.ksp, info.pc, info.rtol) = B::labels(&st.options);

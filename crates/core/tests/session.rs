@@ -227,6 +227,41 @@ fn warm_second_session_performs_zero_setup() {
     }
 }
 
+/// A solve's status reports the set-up it spent. The conversion a
+/// `setupMatrix` paid is charged once, to the next solve: warm re-solves
+/// with no new `setupMatrix` report exactly zero, and the first solve
+/// after a new one (a cache hit: the same system) reports that call's
+/// conversion and nothing it reported before.
+#[test]
+fn status_setup_seconds_charges_each_conversion_once() {
+    let n = 8 * 8;
+    let a = generate::laplacian_2d(8);
+    let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
+    let setups = Universe::run(1, |comm| {
+        let opts = cg_opts();
+        let opts: Vec<(&str, &str)> = opts.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
+        let (solver, _) = wire(comm, &a, n, "setup_seconds_once", &opts);
+        solver.setup_rhs(&b, 1).unwrap();
+        let solve = || {
+            let mut x = vec![0.0; n];
+            let mut status = [0.0; STATUS_LEN];
+            solver.solve(&mut x, &mut status).unwrap();
+            SolveReport::from_slice(&status).setup_seconds
+        };
+        let mut setups = vec![solve(), solve(), solve()];
+        solver.setup_matrix(a.values(), a.row_ptr(), a.col_idx(), SparseStruct::Csr).unwrap();
+        setups.extend([solve(), solve()]);
+        setups
+    });
+    let [cold, warm, warm_again, after_setup, warm_after] = setups[0][..] else {
+        panic!("five solves: {setups:?}");
+    };
+    assert!(cold > 0.0, "the cold solve built and converted: {cold}");
+    assert_eq!((warm, warm_again), (0.0, 0.0), "warm re-solves spent no set-up");
+    assert!(after_setup > 0.0, "the new setupMatrix converted: {after_setup}");
+    assert_eq!(warm_after, 0.0, "its conversion is charged once");
+}
+
 /// What the probe saw on this rank so far: session-cache hits and
 /// misses, `lisi_setup` spans opened, allgathers posted, columns counted
 /// as batched.

@@ -7,7 +7,7 @@ use rcomm::Communicator;
 use rsparse::schedule::register_sweep_model;
 use rsparse::{CsrMatrix, DistVector, LevelTri, SparseError, Triangle};
 
-use crate::pc::{diagonal_positions, split_at_diagonal, Preconditioner};
+use crate::pc::{split_at_diagonal, Preconditioner};
 use crate::result::{KspError, KspOutcome};
 
 /// ILU(0): incomplete LU with zero fill — L and U inherit the sparsity
@@ -21,25 +21,42 @@ pub struct Ilu0 {
     bwd: LevelTri,
 }
 
-/// ILU(0) values on `block`'s own pattern, in its entry order: IKJ
-/// Gaussian elimination restricted to the pattern, with a dense position
-/// map per active row for O(nnz_row) pattern lookups.
-pub(super) fn ilu0_values(block: &CsrMatrix, diag_pos: &[usize]) -> KspOutcome<Vec<f64>> {
-    let n = block.rows();
-    let row_ptr = block.row_ptr();
-    let col_idx = block.col_idx();
-    let mut vals = block.values().to_vec();
+/// ILU(0) over the pattern `row_ptr` / `col_idx` of a square block,
+/// overwriting its values `vals` in place: IKJ Gaussian elimination
+/// restricted to the pattern, with a dense position map per active row for
+/// O(nnz_row) pattern lookups. The map also finds each row's diagonal;
+/// where the rows store it (the cut between the two triangles) is
+/// returned. A row with no stored diagonal is a zero pivot, and is the one
+/// reported even when a numeric zero pivot comes first, as a structural
+/// check ahead of the arithmetic would have found it.
+pub(super) fn ilu0_in_place(
+    row_ptr: &[usize],
+    col_idx: &[usize],
+    vals: &mut [f64],
+) -> KspOutcome<Vec<usize>> {
+    let n = row_ptr.len() - 1;
+    let zero_pivot = |row: usize| {
+        let structural =
+            (row + 1..n).find(|&r| col_idx[row_ptr[r]..row_ptr[r + 1]].binary_search(&r).is_err());
+        KspError::Sparse(SparseError::ZeroPivot { row: structural.unwrap_or(row) })
+    };
+    let mut diag_pos = Vec::with_capacity(n);
     let mut pos_of = vec![usize::MAX; n];
     for i in 0..n {
         let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
         for k in lo..hi {
             pos_of[col_idx[k]] = k;
         }
-        for kk in lo..diag_pos[i] {
+        let d = pos_of[i];
+        if d == usize::MAX {
+            return Err(KspError::Sparse(SparseError::ZeroPivot { row: i }));
+        }
+        diag_pos.push(d);
+        for kk in lo..d {
             let k = col_idx[kk];
             let ukk = vals[diag_pos[k]];
             if ukk == 0.0 {
-                return Err(KspError::Sparse(SparseError::ZeroPivot { row: k }));
+                return Err(zero_pivot(k));
             }
             let lik = vals[kk] / ukk;
             vals[kk] = lik;
@@ -54,20 +71,29 @@ pub(super) fn ilu0_values(block: &CsrMatrix, diag_pos: &[usize]) -> KspOutcome<V
         for k in lo..hi {
             pos_of[col_idx[k]] = usize::MAX;
         }
-        if vals[diag_pos[i]] == 0.0 {
-            return Err(KspError::Sparse(SparseError::ZeroPivot { row: i }));
+        if vals[d] == 0.0 {
+            return Err(zero_pivot(i));
         }
     }
-    Ok(vals)
+    Ok(diag_pos)
 }
 
 impl Ilu0 {
     /// Factor the local block. Requires a square matrix with a full
     /// nonzero diagonal (no pivoting, like standard ILU(0)).
     pub fn new(block: &CsrMatrix) -> KspOutcome<Self> {
-        let diag_pos = diagonal_positions(block)?;
-        let vals = ilu0_values(block, &diag_pos)?;
-        let (fwd, bwd) = split_at_diagonal(block, &diag_pos, &vals, false)?;
+        Self::factor(block.clone())
+    }
+
+    /// [`Self::new`] on a block it may overwrite: the factor's values take
+    /// the place of the block's.
+    pub(super) fn factor(block: CsrMatrix) -> KspOutcome<Self> {
+        let (n, cols, row_ptr, col_idx, mut vals) = block.into_parts();
+        if n != cols {
+            return Err(KspError::Sparse(SparseError::NotSquare { rows: n, cols }));
+        }
+        let diag_pos = ilu0_in_place(&row_ptr, &col_idx, &mut vals)?;
+        let (fwd, bwd) = split_at_diagonal(&row_ptr, &col_idx, &diag_pos, &vals, false)?;
         register_sweep_model(&fwd, &bwd);
         Ok(Ilu0 { fwd, bwd })
     }
@@ -274,6 +300,24 @@ mod tests {
             .unwrap()
             .to_csr();
         assert!(Ilu0::new(&a).is_err());
+    }
+
+    #[test]
+    fn ilu0_reports_a_missing_diagonal_before_a_zero_one() {
+        let pivot = |rows: &[usize], cols: &[usize], vals: &[f64]| {
+            let a = rsparse::CooMatrix::from_triplets(3, 3, rows, cols, vals).unwrap().to_csr();
+            match Ilu0::new(&a) {
+                Err(KspError::Sparse(SparseError::ZeroPivot { row })) => row,
+                other => panic!("{other:?}"),
+            }
+        };
+        // Row 0 stores a zero diagonal, row 2 none at all: the structural
+        // zero is reported, as a check ahead of the elimination finds it.
+        assert_eq!(pivot(&[0, 0, 1, 2], &[0, 1, 1, 0], &[0.0, 1.0, 2.0, 1.0]), 2);
+        // Every diagonal stored: the first numeric zero.
+        assert_eq!(pivot(&[0, 0, 1, 2, 2], &[0, 1, 1, 0, 2], &[0.0, 1.0, 2.0, 1.0, 3.0]), 0);
+        // A zero that elimination produces: row 1's pivot 1 − 1·1.
+        assert_eq!(pivot(&[0, 0, 1, 1, 2], &[0, 1, 0, 1, 2], &[1.0, 1.0, 1.0, 1.0, 3.0]), 1);
     }
 
     #[test]

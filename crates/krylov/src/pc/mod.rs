@@ -52,18 +52,18 @@ fn diagonal_positions(block: &CsrMatrix) -> KspOutcome<Vec<usize>> {
         .collect()
 }
 
-/// The two triangles of `vals` laid over `block`'s pattern, cut at the
-/// diagonal: rows of the strict lower part (with the diagonal as divisor
-/// when `lower_diag`) and rows of the strict upper part with the diagonal.
+/// The two triangles of `vals` laid over the pattern `row_ptr` /
+/// `col_idx` of a square block, cut at the diagonal: rows of the strict
+/// lower part (with the diagonal as divisor when `lower_diag`) and rows of
+/// the strict upper part with the diagonal.
 fn split_at_diagonal(
-    block: &CsrMatrix,
+    row_ptr: &[usize],
+    col_idx: &[usize],
     diag_pos: &[usize],
     vals: &[f64],
     lower_diag: bool,
 ) -> KspOutcome<(LevelTri, LevelTri)> {
-    let n = block.rows();
-    let row_ptr = block.row_ptr();
-    let col_idx = block.col_idx();
+    let n = diag_pos.len();
     let diag: &dyn Fn(usize) -> f64 = &|i| vals[diag_pos[i]];
     let lower = |i: usize| {
         let part = row_ptr[i]..diag_pos[i];
@@ -166,7 +166,7 @@ pub fn make_preconditioner(
             let blk = op.diagonal_block().ok_or_else(|| {
                 KspError::BadConfig("ILU(0) needs an assembled diagonal block".into())
             })?;
-            Box::new(Ilu0::new(&blk)?)
+            Box::new(Ilu0::factor(blk)?)
         }
         PcType::Ic0 => {
             let blk = op.diagonal_block().ok_or_else(|| {

@@ -5,7 +5,7 @@
 use rcomm::Universe;
 use rsparse::{generate, BlockRowPartition, CsrMatrix, DistVector};
 
-use super::ilu::{ic0_factor, ilu0_values};
+use super::ilu::{ic0_factor, ilu0_in_place};
 use super::ilut::{ilut_factor, IlutFactor};
 use super::{diagonal_positions, Ic0, Ilu0, Ilut, Jacobi, Preconditioner, Ssor};
 
@@ -179,8 +179,9 @@ fn assert_bitwise(
 #[test]
 fn ilu0_is_bitwise_the_natural_order_sweeps() {
     for (label, a) in blocks() {
-        let diag_pos = diagonal_positions(&a).unwrap();
-        let vals = ilu0_values(&a, &diag_pos).unwrap();
+        let mut vals = a.values().to_vec();
+        let diag_pos = ilu0_in_place(a.row_ptr(), a.col_idx(), &mut vals).unwrap();
+        assert_eq!(diag_pos, diagonal_positions(&a).unwrap(), "{label}");
         let pc = Ilu0::new(&a).unwrap();
         assert_bitwise(
             label,

@@ -33,7 +33,8 @@ impl Ssor {
         if let Some(row) = diag_pos.iter().position(|&k| vals[k] == 0.0) {
             return Err(KspError::Sparse(SparseError::ZeroPivot { row }));
         }
-        let (fwd, bwd) = split_at_diagonal(block, &diag_pos, vals, true)?;
+        let (fwd, bwd) =
+            split_at_diagonal(block.row_ptr(), block.col_idx(), &diag_pos, vals, true)?;
         register_sweep_model(&fwd, &bwd);
         let rescale = diag_pos.iter().map(|&k| vals[k] / omega).collect();
         Ok(Ssor { fwd, bwd, omega, rescale })

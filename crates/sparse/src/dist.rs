@@ -863,21 +863,36 @@ impl DistCsrMatrix {
     pub fn diagonal_block(&self) -> CsrMatrix {
         let range = self.partition.range(self.rank);
         let n = range.len();
-        // A row's columns ascend, so its owned ones are one contiguous run.
+        let rows = &*self.local_global;
+        if range.start == 0 && range.end == rows.cols() {
+            // Every column owned (one rank): the block is the rows.
+            return rows.clone();
+        }
         let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::with_capacity(self.local_global.nnz());
-        let mut values = Vec::with_capacity(self.local_global.nnz());
+        let mut col_idx = Vec::with_capacity(rows.nnz());
+        let mut values = Vec::with_capacity(rows.nnz());
         row_ptr.push(0);
         for lr in 0..n {
-            let (cols, vals) = self.local_global.row(lr);
-            let lo = cols.partition_point(|&gc| gc < range.start);
-            let hi = cols.partition_point(|&gc| gc < range.end);
-            col_idx.extend(cols[lo..hi].iter().map(|&gc| gc - range.start));
+            let (cols, vals) = rows.row(lr);
+            // Columns ascend: a row whose two ends are owned is owned
+            // whole, and any row's owned columns are one contiguous run.
+            let owned = |c: Option<&usize>| c.is_some_and(|c| range.contains(c));
+            let (lo, hi) = if owned(cols.first()) && owned(cols.last()) {
+                (0, cols.len())
+            } else {
+                (
+                    cols.partition_point(|&gc| gc < range.start),
+                    cols.partition_point(|&gc| gc < range.end),
+                )
+            };
+            match range.start {
+                0 => col_idx.extend_from_slice(&cols[lo..hi]),
+                start => col_idx.extend(cols[lo..hi].iter().map(|&gc| gc - start)),
+            }
             values.extend_from_slice(&vals[lo..hi]);
             row_ptr.push(col_idx.len());
         }
-        CsrMatrix::from_parts(n, n, row_ptr, col_idx, values)
-            .expect("a sorted row stays sorted when cut to a column range")
+        CsrMatrix::from_parts_unchecked(n, n, row_ptr, col_idx, values)
     }
 
     /// The local slice of the global main diagonal (zeros where missing).
@@ -1770,6 +1785,47 @@ mod tests {
         }
     }
 
+    /// The block as the per-row search built it: every row cut to the
+    /// owned columns by two `partition_point`s and shifted into local
+    /// numbering.
+    fn diagonal_block_by_search(rows: &CsrMatrix, range: std::ops::Range<usize>) -> CsrMatrix {
+        let mut row_ptr = vec![0];
+        let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+        for lr in 0..rows.rows() {
+            let (cols, vals) = rows.row(lr);
+            let lo = cols.partition_point(|&gc| gc < range.start);
+            let hi = cols.partition_point(|&gc| gc < range.end);
+            col_idx.extend(cols[lo..hi].iter().map(|&gc| gc - range.start));
+            values.extend_from_slice(&vals[lo..hi]);
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix::from_parts(rows.rows(), range.len(), row_ptr, col_idx, values).unwrap()
+    }
+
+    /// Rows of every kind the block's cut meets, on any partition: empty
+    /// (`i % 6 == 0`), only far columns (`1`), the first and last columns
+    /// around the diagonal (`2`, straddling the owned range on both sides
+    /// unless it is everything), a left (`3`) or right (`4`) neighbour
+    /// band crossing one edge of a block, and random columns (`5`).
+    fn every_cut(n: usize, seed: u64) -> CsrMatrix {
+        let random = generate::random_csr(n, n, 0.2, seed);
+        let mut coo = crate::coo::CooMatrix::new(n, n);
+        for i in 0..n {
+            let cols: Vec<usize> = match i % 6 {
+                0 => vec![],
+                1 => vec![(i + n / 2) % n],
+                2 => vec![0, i, n - 1],
+                3 => (i.saturating_sub(4)..=i).collect(),
+                4 => (i..(i + 5).min(n)).collect(),
+                _ => random.row(i).0.to_vec(),
+            };
+            for c in cols {
+                coo.push(i, c, 0.25 + (i * n + c) as f64).unwrap();
+            }
+        }
+        coo.to_csr()
+    }
+
     /// The block as the COO round trip used to build it: every owned
     /// entry pushed as a triplet and sorted back into rows.
     fn diagonal_block_via_coo(a: &CsrMatrix, range: std::ops::Range<usize>) -> CsrMatrix {
@@ -1791,8 +1847,13 @@ mod tests {
         for i in 0..n {
             anti.push(i, n - 1 - i, 1.0 + i as f64).unwrap();
         }
-        let matrices =
-            [generate::laplacian_2d(5), generate::random_csr(23, 23, 0.3, 9), anti.to_csr()];
+        let matrices = [
+            generate::laplacian_2d(5),
+            generate::random_csr(23, 23, 0.3, 9),
+            anti.to_csr(),
+            every_cut(41, 3),
+            every_cut(41, 8),
+        ];
         for a in &matrices {
             let n = a.rows();
             let mut partitions: Vec<BlockRowPartition> =
@@ -1804,17 +1865,40 @@ mod tests {
                 let same = Universe::run(p, |comm| {
                     let da = DistCsrMatrix::from_global(comm, part.clone(), a).unwrap();
                     let got = da.diagonal_block();
-                    let want = diagonal_block_via_coo(a, part.range(comm.rank()));
+                    let range = part.range(comm.rank());
+                    let local = a.row_block(range.start, range.end).unwrap();
                     let bits = |m: &CsrMatrix| -> Vec<u64> {
                         m.values().iter().map(|v| v.to_bits()).collect()
                     };
-                    got.shape() == want.shape()
-                        && got.row_ptr() == want.row_ptr()
-                        && got.col_idx() == want.col_idx()
-                        && bits(&got) == bits(&want)
+                    let equal = |want: &CsrMatrix| {
+                        got.shape() == want.shape()
+                            && got.row_ptr() == want.row_ptr()
+                            && got.col_idx() == want.col_idx()
+                            && bits(&got) == bits(want)
+                    };
+                    equal(&diagonal_block_via_coo(a, range.clone()))
+                        && equal(&diagonal_block_by_search(&local, range))
                 });
                 assert!(same.iter().all(|&s| s), "n = {n}, {p} ranks: {same:?}");
             }
         }
+        // On three ranks `every_cut` does give rows of every kind: empty,
+        // wholly remote, owned whole and straddling.
+        let (a, part) = (&matrices[3], BlockRowPartition::even(41, 3));
+        let mut kinds = [0usize; 4];
+        for rank in 0..3 {
+            let r = part.range(rank);
+            for i in r.clone() {
+                let cols = a.row(i).0;
+                let owned = cols.iter().filter(|c| r.contains(c)).count();
+                kinds[match (cols.len(), owned) {
+                    (0, _) => 0,
+                    (_, 0) => 1,
+                    (len, o) if o == len => 2,
+                    _ => 3,
+                }] += 1;
+            }
+        }
+        assert!(kinds.iter().all(|&k| k > 0), "{kinds:?}");
     }
 }

@@ -135,25 +135,73 @@ fn check_pointers(ptr: &[u32], end: usize, why: &'static str) -> SparseResult<()
     }
 }
 
-/// How many rows from the front of `rows` (one level, ascending) share
-/// the first one's entry count, its offsets and one stride.
-fn stretch<'a>(rows: &[u32], row: &impl Fn(usize) -> (&'a [usize], &'a [f64])) -> usize {
-    let first = rows[0] as usize;
-    let cols0 = row(first).0;
-    let same_offsets = |r: usize| {
-        let cols = row(r).0;
-        cols.len() == cols0.len()
-            && cols.iter().zip(cols0).all(|(&c, &c0)| c.wrapping_sub(r) == c0.wrapping_sub(first))
-    };
+/// How many rows from the front of `rows` (one level, ascending) each
+/// continue the row before them (`continues`) at the first two rows'
+/// stride.
+fn stretch(rows: &[u32], continues: &[bool]) -> usize {
     let stride = rows.get(1).map(|&r| r - rows[0]);
     let mut len = 1;
     while len < rows.len()
         && Some(rows[len] - rows[len - 1]) == stride
-        && same_offsets(rows[len] as usize)
+        && continues[rows[len] as usize]
     {
         len += 1;
     }
     len
+}
+
+/// One pass over the rows of a lower (`LOWER`) or upper triangle in the
+/// order the natural sweep solves them: each row's level, 1 + the deepest
+/// level among its dependencies, and whether it continues the row before
+/// it in its level (levels are laid out ascending): both read the same
+/// number of entries at the same offsets `col − row`. `last` keeps, per
+/// level, the row seen last and its columns. An upper triangle is visited
+/// descending, so there the row seen last is the one after, and the flag
+/// lands on it. Returns the levels (1-based), the flags and the level
+/// count.
+fn levels_and_links<'a, const LOWER: bool, R>(
+    n: usize,
+    row: &R,
+) -> SparseResult<(Vec<u32>, Vec<bool>, usize)>
+where
+    R: Fn(usize) -> (&'a [usize], &'a [f64]),
+{
+    let mut level = vec![0u32; n];
+    let mut continues = vec![false; n];
+    let mut last: Vec<(usize, &'a [usize])> = Vec::new();
+    let mut visit = |i: usize| -> SparseResult<()> {
+        let cols = row(i).0;
+        let mut depth = 0u32;
+        for &c in cols {
+            let solved_before = if LOWER { c < i } else { c > i && c < n };
+            if !solved_before {
+                return Err(if c >= n {
+                    SparseError::IndexOutOfBounds { axis: "column", index: c, bound: n }
+                } else {
+                    SparseError::BadSweepOrder { row: i, col: c }
+                });
+            }
+            depth = depth.max(level[c]);
+        }
+        level[i] = depth + 1;
+        match last.get_mut(depth as usize) {
+            Some(seen) => {
+                let (j, cols_j) = *seen;
+                let shift = i.wrapping_sub(j);
+                continues[i.max(j)] = cols.len() == cols_j.len()
+                    && cols.iter().zip(cols_j).all(|(&c, &cj)| c == cj.wrapping_add(shift));
+                *seen = (i, cols);
+            }
+            None => last.push((i, cols)),
+        }
+        Ok(())
+    };
+    if LOWER {
+        (0..n).try_for_each(&mut visit)?;
+    } else {
+        (0..n).rev().try_for_each(&mut visit)?;
+    }
+    Ok((level, continues, last.len()))
 }
 
 impl LevelTri {
@@ -187,40 +235,13 @@ impl LevelTri {
         }
         fits_u32("triangular sweep entry", nnz)?;
 
-        // Level of a row = 1 + the deepest level among its dependencies,
-        // visiting rows in the order the natural sweep solves them.
-        let mut level = vec![0u32; n];
-        let mut n_levels = 0u32;
-        let mut visit = |i: usize| -> SparseResult<()> {
-            let mut depth = 0u32;
-            for &c in row(i).0 {
-                let solved_before = match triangle {
-                    Triangle::Lower => c < i,
-                    Triangle::Upper => c > i,
-                };
-                if c >= n {
-                    return Err(SparseError::IndexOutOfBounds {
-                        axis: "column",
-                        index: c,
-                        bound: n,
-                    });
-                }
-                if !solved_before {
-                    return Err(SparseError::BadSweepOrder { row: i, col: c });
-                }
-                depth = depth.max(level[c]);
-            }
-            level[i] = depth + 1;
-            n_levels = n_levels.max(depth + 1);
-            Ok(())
+        let (level, continues, n_levels) = match triangle {
+            Triangle::Lower => levels_and_links::<true, _>(n, &row)?,
+            Triangle::Upper => levels_and_links::<false, _>(n, &row)?,
         };
-        match triangle {
-            Triangle::Lower => (0..n).try_for_each(&mut visit)?,
-            Triangle::Upper => (0..n).rev().try_for_each(&mut visit)?,
-        }
 
         // Counting sort of the rows by level, ascending inside a level.
-        let mut level_ptr = vec![0u32; n_levels as usize + 1];
+        let mut level_ptr = vec![0u32; n_levels + 1];
         for &l in &level {
             level_ptr[l as usize] += 1;
         }
@@ -236,68 +257,87 @@ impl LevelTri {
         }
         drop((level, next));
 
-        // One pass over the level order cuts every level into runs and
-        // slots. The slots' rows are compacted into the front of `order`,
-        // never past the row being read.
-        let mut runs = Runs {
-            level_ptr: Vec::with_capacity(level_ptr.len()),
-            val: Vec::with_capacity(nnz),
-            ..Runs::default()
-        };
-        let mut slots = Slots {
-            level_ptr: Vec::with_capacity(level_ptr.len()),
-            ptr: vec![0],
-            ..Slots::default()
-        };
+        // Cut every level into runs and slots from the flags alone; the
+        // slots' rows are compacted into the front of `order`, never past
+        // the row being read. A run's `k` is its first row's entry count.
+        let mut runs = Runs { level_ptr: Vec::with_capacity(n_levels + 1), ..Runs::default() };
+        let mut slot_level_ptr = Vec::with_capacity(n_levels + 1);
         runs.level_ptr.push(0);
-        slots.level_ptr.push(0);
-        let mut kept = 0usize;
+        slot_level_ptr.push(0);
+        let (mut kept, mut run_rows, mut run_vals) = (0usize, 0usize, 0usize);
         for w in level_ptr.windows(2) {
             let (mut p, hi) = (w[0] as usize, w[1] as usize);
             while p < hi {
-                let len = stretch(&order[p..hi], &row);
+                let len = stretch(&order[p..hi], &continues);
                 if len >= MIN_RUN {
-                    let members = &order[p..p + len];
-                    let row0 = members[0] as usize;
-                    let cols0 = row(row0).0;
-                    let k = cols0.len();
+                    let k = row(order[p] as usize).0.len();
                     runs.runs.push(StridedRun {
-                        row0: members[0],
-                        stride: members[1] - members[0],
+                        row0: order[p],
+                        stride: order[p + 1] - order[p],
                         len: len as u32,
                         k: k as u32,
                     });
-                    runs.offsets.extend(cols0.iter().map(|&c| c as isize - row0 as isize));
-                    let base = runs.val.len();
-                    runs.val.resize(base + k * len, 0.0);
-                    for (t, &r) in members.iter().enumerate() {
-                        for (j, &v) in row(r as usize).1.iter().enumerate() {
-                            runs.val[base + j * len + t] = v;
-                        }
-                    }
-                    if let Some(d) = diag {
-                        runs.diag.extend(members.iter().map(|&r| d(r as usize)));
-                    }
+                    run_rows += len;
+                    run_vals += k * len;
                     p += len;
                 } else {
-                    let r = order[p];
-                    order[kept] = r;
+                    order[kept] = order[p];
                     kept += 1;
-                    let (cols, vals) = row(r as usize);
-                    slots.col.extend(cols.iter().map(|&c| c as u32));
-                    slots.val.extend_from_slice(vals);
-                    slots.ptr.push(slots.col.len() as u32);
-                    if let Some(d) = diag {
-                        slots.diag.push(d(r as usize));
-                    }
                     p += 1;
                 }
             }
             runs.level_ptr.push(runs.runs.len() as u32);
-            slots.level_ptr.push(kept as u32);
+            slot_level_ptr.push(kept as u32);
         }
         order.truncate(kept);
-        slots.rows = order;
+
+        // Every array at its final size, then each row's values copied
+        // once: the runs' rows diagonal-major, the slots' rows as they
+        // come.
+        let divided = |rows: usize| if diag.is_some() { rows } else { 0 };
+        runs.offsets.reserve_exact(runs.runs.iter().map(|s| s.k as usize).sum());
+        runs.val = vec![0.0; run_vals];
+        runs.diag = vec![0.0; divided(run_rows)];
+        let (mut at, mut diag_at) = (0usize, 0usize);
+        for s in &runs.runs {
+            let len = s.len as usize;
+            let block = &mut runs.val[at..at + s.k as usize * len];
+            for (t, r) in s.rows().enumerate() {
+                let (cols, vals) = row(r);
+                if t == 0 {
+                    runs.offsets.extend(cols.iter().map(|&c| c as isize - r as isize));
+                }
+                for (j, &v) in vals.iter().enumerate() {
+                    block[j * len + t] = v;
+                }
+            }
+            at += block.len();
+            if let Some(d) = diag {
+                for (divisor, r) in runs.diag[diag_at..diag_at + len].iter_mut().zip(s.rows()) {
+                    *divisor = d(r);
+                }
+                diag_at += len;
+            }
+        }
+        let slot_nnz = nnz - run_vals;
+        let mut slots = Slots {
+            level_ptr: slot_level_ptr,
+            ptr: Vec::with_capacity(kept + 1),
+            col: Vec::with_capacity(slot_nnz),
+            val: Vec::with_capacity(slot_nnz),
+            diag: Vec::with_capacity(divided(kept)),
+            rows: order,
+        };
+        slots.ptr.push(0);
+        for &r in &slots.rows {
+            let (cols, vals) = row(r as usize);
+            slots.col.extend(cols.iter().map(|&c| c as u32));
+            slots.val.extend_from_slice(vals);
+            slots.ptr.push(slots.col.len() as u32);
+            if let Some(d) = diag {
+                slots.diag.push(d(r as usize));
+            }
+        }
         Self::from_parts(n, slots, runs)
     }
 

@@ -27,6 +27,161 @@ fn diag_of(a: &CsrMatrix) -> impl Fn(usize) -> f64 + '_ {
     move |i| a.get(i, i)
 }
 
+/// The oracle's run detection: how many rows from the front of `rows`
+/// (one level, ascending) share the first one's entry count, its offsets
+/// and one stride, read from the rows themselves.
+fn stretch_oracle<'a>(rows: &[u32], row: &impl Fn(usize) -> (&'a [usize], &'a [f64])) -> usize {
+    let first = rows[0] as usize;
+    let cols0 = row(first).0;
+    let same_offsets = |r: usize| {
+        let cols = row(r).0;
+        cols.len() == cols0.len()
+            && cols.iter().zip(cols0).all(|(&c, &c0)| c.wrapping_sub(r) == c0.wrapping_sub(first))
+    };
+    let stride = rows.get(1).map(|&r| r - rows[0]);
+    let mut len = 1;
+    while len < rows.len()
+        && Some(rows[len] - rows[len - 1]) == stride
+        && same_offsets(rows[len] as usize)
+    {
+        len += 1;
+    }
+    len
+}
+
+/// The build as it was before the runs were linked in the sweep-order
+/// pass, kept as the oracle of the layout: it re-reads every row of a
+/// level to find its runs. [`LevelTri::build`] must lay out every
+/// triangle exactly as this does (`PartialEq`: slots, runs, offsets,
+/// values and divisors).
+fn build_oracle<'a>(
+    triangle: Triangle,
+    n: usize,
+    row: impl Fn(usize) -> (&'a [usize], &'a [f64]),
+    diag: Option<&dyn Fn(usize) -> f64>,
+) -> SparseResult<LevelTri> {
+    fits_u32("triangular sweep row", n)?;
+    let mut nnz = 0usize;
+    for i in 0..n {
+        let (cols, vals) = row(i);
+        if cols.len() != vals.len() {
+            return Err(SparseError::LengthMismatch {
+                what: "triangular sweep row values",
+                expected: cols.len(),
+                got: vals.len(),
+            });
+        }
+        nnz = nnz.saturating_add(cols.len());
+    }
+    fits_u32("triangular sweep entry", nnz)?;
+
+    // Level of a row = 1 + the deepest level among its dependencies,
+    // visiting rows in the order the natural sweep solves them.
+    let mut level = vec![0u32; n];
+    let mut n_levels = 0u32;
+    let mut visit = |i: usize| -> SparseResult<()> {
+        let mut depth = 0u32;
+        for &c in row(i).0 {
+            let solved_before = match triangle {
+                Triangle::Lower => c < i,
+                Triangle::Upper => c > i,
+            };
+            if c >= n {
+                return Err(SparseError::IndexOutOfBounds { axis: "column", index: c, bound: n });
+            }
+            if !solved_before {
+                return Err(SparseError::BadSweepOrder { row: i, col: c });
+            }
+            depth = depth.max(level[c]);
+        }
+        level[i] = depth + 1;
+        n_levels = n_levels.max(depth + 1);
+        Ok(())
+    };
+    match triangle {
+        Triangle::Lower => (0..n).try_for_each(&mut visit)?,
+        Triangle::Upper => (0..n).rev().try_for_each(&mut visit)?,
+    }
+
+    // Counting sort of the rows by level, ascending inside a level.
+    let mut level_ptr = vec![0u32; n_levels as usize + 1];
+    for &l in &level {
+        level_ptr[l as usize] += 1;
+    }
+    for l in 1..level_ptr.len() {
+        level_ptr[l] += level_ptr[l - 1];
+    }
+    let mut next = level_ptr.clone();
+    let mut order = vec![0u32; n];
+    for (i, &l) in level.iter().enumerate() {
+        let slot = &mut next[l as usize - 1];
+        order[*slot as usize] = i as u32;
+        *slot += 1;
+    }
+    drop((level, next));
+
+    // One pass over the level order cuts every level into runs and
+    // slots. The slots' rows are compacted into the front of `order`,
+    // never past the row being read.
+    let mut runs = Runs {
+        level_ptr: Vec::with_capacity(level_ptr.len()),
+        val: Vec::with_capacity(nnz),
+        ..Runs::default()
+    };
+    let mut slots =
+        Slots { level_ptr: Vec::with_capacity(level_ptr.len()), ptr: vec![0], ..Slots::default() };
+    runs.level_ptr.push(0);
+    slots.level_ptr.push(0);
+    let mut kept = 0usize;
+    for w in level_ptr.windows(2) {
+        let (mut p, hi) = (w[0] as usize, w[1] as usize);
+        while p < hi {
+            let len = stretch_oracle(&order[p..hi], &row);
+            if len >= MIN_RUN {
+                let members = &order[p..p + len];
+                let row0 = members[0] as usize;
+                let cols0 = row(row0).0;
+                let k = cols0.len();
+                runs.runs.push(StridedRun {
+                    row0: members[0],
+                    stride: members[1] - members[0],
+                    len: len as u32,
+                    k: k as u32,
+                });
+                runs.offsets.extend(cols0.iter().map(|&c| c as isize - row0 as isize));
+                let base = runs.val.len();
+                runs.val.resize(base + k * len, 0.0);
+                for (t, &r) in members.iter().enumerate() {
+                    for (j, &v) in row(r as usize).1.iter().enumerate() {
+                        runs.val[base + j * len + t] = v;
+                    }
+                }
+                if let Some(d) = diag {
+                    runs.diag.extend(members.iter().map(|&r| d(r as usize)));
+                }
+                p += len;
+            } else {
+                let r = order[p];
+                order[kept] = r;
+                kept += 1;
+                let (cols, vals) = row(r as usize);
+                slots.col.extend(cols.iter().map(|&c| c as u32));
+                slots.val.extend_from_slice(vals);
+                slots.ptr.push(slots.col.len() as u32);
+                if let Some(d) = diag {
+                    slots.diag.push(d(r as usize));
+                }
+                p += 1;
+            }
+        }
+        runs.level_ptr.push(runs.runs.len() as u32);
+        slots.level_ptr.push(kept as u32);
+    }
+    order.truncate(kept);
+    slots.rows = order;
+    LevelTri::from_parts(n, slots, runs)
+}
+
 /// The natural-order sweep the level-ordered one must equal: forward for
 /// a lower triangle, backward for an upper one, dividing by `diag` when
 /// given.
@@ -181,6 +336,242 @@ fn rotated<'a>(
             (cols, vals)
         })
         .collect()
+}
+
+/// Build one triangle with [`LevelTri::build`] and with [`build_oracle`]
+/// and assert the two results equal: the same layout, or the same error.
+fn assert_oracle_layout<'a>(
+    label: &str,
+    triangle: Triangle,
+    n: usize,
+    row: &dyn Fn(usize) -> Row<'a>,
+    diag: Option<&dyn Fn(usize) -> f64>,
+) {
+    let got = LevelTri::build(triangle, n, row, diag);
+    let want = build_oracle(triangle, n, row, diag);
+    if let (Ok(g), Ok(w)) = (&got, &want) {
+        assert_eq!(
+            (g.run_rows(), g.runs.runs.len(), g.levels()),
+            (w.run_rows(), w.runs.runs.len(), w.levels()),
+            "{label} {triangle:?}: run rows, runs, levels"
+        );
+    }
+    assert!(got == want, "{label} {triangle:?}: layout differs from the oracle");
+}
+
+/// `fig5_*`'s convection–diffusion matrix at `m`, as this crate's CSR
+/// (the mesh crate builds it with its own copy of this one).
+fn paper(m: usize) -> CsrMatrix {
+    let a = rmesh::paper_problem(m).assemble_global().0;
+    let parts = (a.row_ptr().to_vec(), a.col_idx().to_vec(), a.values().to_vec());
+    CsrMatrix::from_parts(a.rows(), a.cols(), parts.0, parts.1, parts.2).unwrap()
+}
+
+/// The matrices the `sptrsv/*` kernel rows sweep.
+fn sweep_matrices() -> Vec<(&'static str, CsrMatrix)> {
+    vec![
+        ("laplacian200", generate::laplacian_2d(200)),
+        ("paper128", paper(128)),
+        ("paper300", paper(300)),
+        ("femb3", generate::fem_block(80, 3, 2)),
+        ("tridiagonal40000", generate::laplacian_1d(40_000)),
+        ("random", generate::random_diag_dominant(40_000, 4, 7)),
+    ]
+}
+
+/// Rows as owned arrays, one `(columns, values)` pair a row.
+type OwnedRows = Vec<(Vec<usize>, Vec<f64>)>;
+
+/// Saad's ILUT(p, τ), written plainly: row `i` of `a` is eliminated
+/// against the rows of U above it in ascending column order, entries at
+/// or below τ·‖aᵢ‖₂ are dropped, and the `p` largest of each of L and U
+/// are kept. Returns L's and U's strict rows (columns ascending) and U's
+/// diagonal: a factor whose fill varies from row to row, which is what
+/// the layout has to cope with.
+fn ilut(a: &CsrMatrix, tau: f64, p: usize) -> (OwnedRows, OwnedRows, Vec<f64>) {
+    let n = a.rows();
+    let (mut lower, mut upper) = (Vec::new(), Vec::<Vec<(usize, f64)>>::new());
+    let mut diag = Vec::<f64>::with_capacity(n);
+    for i in 0..n {
+        let (cols, vals) = a.row(i);
+        // The work row, columns ascending.
+        let mut w: Vec<(usize, f64)> = cols.iter().copied().zip(vals.iter().copied()).collect();
+        let norm = vals.iter().map(|v| v * v).sum::<f64>().sqrt();
+        let floor = tau * norm;
+        let mut at = 0;
+        while at < w.len() && w[at].0 < i {
+            let (k, wk) = w[at];
+            let lik = wk / diag[k];
+            if lik.abs() <= floor {
+                w.remove(at);
+                continue;
+            }
+            w[at].1 = lik;
+            for &(j, ukj) in &upper[k] {
+                match w.binary_search_by_key(&j, |e| e.0) {
+                    Ok(q) => w[q].1 -= lik * ukj,
+                    Err(q) => w.insert(q, (j, 0.0 - lik * ukj)),
+                }
+            }
+            at += 1;
+        }
+        let keep = |mut part: Vec<(usize, f64)>| {
+            part.retain(|e| e.1.abs() > floor);
+            part.sort_by(|x, y| y.1.abs().total_cmp(&x.1.abs()).then(x.0.cmp(&y.0)));
+            part.truncate(p);
+            part.sort_by_key(|e| e.0);
+            part
+        };
+        let split = w.partition_point(|e| e.0 < i);
+        let d = w.get(split).filter(|e| e.0 == i && e.1 != 0.0).map(|e| e.1);
+        diag.push(d.unwrap_or(1e-4 * norm));
+        let past = w.partition_point(|e| e.0 <= i);
+        upper.push(keep(w[past..].to_vec()));
+        w.truncate(split);
+        lower.push(keep(w));
+    }
+    let owned = |rows: Vec<Vec<(usize, f64)>>| -> OwnedRows {
+        rows.into_iter().map(|r| r.into_iter().unzip()).collect()
+    };
+    (owned(lower), owned(upper), diag)
+}
+
+#[test]
+fn build_lays_out_ilu0_and_ssor_triangles_as_the_oracle() {
+    for (label, a) in sweep_matrices() {
+        let n = a.rows();
+        let diag = diag_of(&a);
+        // ILU(0)'s L (unit) and U, and SSOR's divided L: the factor's
+        // pattern and entry order, A's values (both builds only copy them).
+        assert_oracle_layout(label, Triangle::Lower, n, &strict_lower(&a), None);
+        assert_oracle_layout(label, Triangle::Lower, n, &strict_lower(&a), Some(&diag));
+        assert_oracle_layout(label, Triangle::Upper, n, &strict_upper(&a), Some(&diag));
+    }
+}
+
+#[test]
+fn build_lays_out_ic0_triangles_as_the_oracle() {
+    for (label, a) in sweep_matrices() {
+        let n = a.rows();
+        // IC(0)'s L (columns ≤ i, diagonal last) and Lᵀ's rows, diagonal
+        // first and the rest reversed, as `Ic0::new` hands them over.
+        let lower: OwnedRows = (0..n)
+            .map(|i| {
+                let (cols, vals) = a.row(i);
+                let end = cols.partition_point(|&c| c <= i);
+                (cols[..end].to_vec(), vals[..end].to_vec())
+            })
+            .collect();
+        let l_diag = |i: usize| *lower[i].1.last().unwrap();
+        let fwd = |i: usize| {
+            let k = lower[i].0.len() - 1;
+            (&lower[i].0[..k], &lower[i].1[..k])
+        };
+        assert_oracle_layout(label, Triangle::Lower, n, &fwd, Some(&l_diag));
+        let mut t: OwnedRows = vec![(Vec::new(), Vec::new()); n];
+        for (i, (cols, vals)) in lower.iter().enumerate() {
+            for (&c, &v) in cols.iter().zip(vals).rev().skip(1) {
+                t[c].0.push(i);
+                t[c].1.push(v);
+            }
+        }
+        for (cols, vals) in &mut t {
+            cols.reverse();
+            vals.reverse();
+        }
+        let bwd = |c: usize| (&t[c].0[..], &t[c].1[..]);
+        assert_oracle_layout(label, Triangle::Upper, n, &bwd, Some(&l_diag));
+    }
+}
+
+#[test]
+fn build_lays_out_ilut_triangles_as_the_oracle() {
+    for (label, a) in sweep_matrices() {
+        let n = a.rows();
+        let (lower, upper, diag) = ilut(&a, 1e-3, 10);
+        let fwd = |i: usize| (&lower[i].0[..], &lower[i].1[..]);
+        let bwd = |i: usize| (&upper[i].0[..], &upper[i].1[..]);
+        assert_oracle_layout(label, Triangle::Lower, n, &fwd, None);
+        assert_oracle_layout(label, Triangle::Upper, n, &bwd, Some(&|i| diag[i]));
+    }
+}
+
+/// Random strict rows of an `n`-row triangle: about a quarter empty, half
+/// taking one of three offset patterns (so runs form and break), the rest
+/// random columns in random order, some of them stored zeros.
+fn random_triangle(triangle: Triangle, n: usize, seed: u64) -> OwnedRows {
+    const PATTERNS: [&[usize]; 3] = [&[1], &[1, 9], &[9, 1, 17]];
+    let mut rng = generate::XorShift64::new(seed);
+    (0..n)
+        .map(|i| {
+            let side = match triangle {
+                Triangle::Lower => i,
+                Triangle::Upper => n - 1 - i,
+            };
+            let at = |d: usize| match triangle {
+                Triangle::Lower => i - d,
+                Triangle::Upper => i + d,
+            };
+            let mut cols: Vec<usize> = match rng.next_below(4) {
+                0 => Vec::new(),
+                1 | 2 => {
+                    let pattern = PATTERNS[rng.next_below(PATTERNS.len())];
+                    pattern.iter().filter(|&&d| d <= side).map(|&d| at(d)).collect()
+                }
+                _ if side == 0 => Vec::new(),
+                _ => (0..rng.next_below(5)).map(|_| at(1 + rng.next_below(side))).collect(),
+            };
+            cols.sort_unstable();
+            cols.dedup();
+            if rng.next_below(2) == 0 {
+                cols.reverse();
+            }
+            let vals = cols
+                .iter()
+                .map(|_| if rng.next_below(7) == 0 { 0.0 } else { rng.next_f64() - 0.5 })
+                .collect();
+            (cols, vals)
+        })
+        .collect()
+}
+
+#[test]
+fn build_lays_out_random_patterns_with_empty_rows_as_the_oracle() {
+    for (seed, n) in [(1u64, 1usize), (2, 7), (3, 64), (4, 500), (5, 3000)] {
+        for triangle in [Triangle::Lower, Triangle::Upper] {
+            let rows = random_triangle(triangle, n, seed);
+            assert!(n < 64 || rows.iter().any(|r| r.0.is_empty()), "seed {seed}: no empty row");
+            let row = |i: usize| (&rows[i].0[..], &rows[i].1[..]);
+            let label = format!("seed {seed}, n = {n}");
+            assert_oracle_layout(&label, triangle, n, &row, None);
+            assert_oracle_layout(&label, triangle, n, &row, Some(&|i| 2.0 + i as f64));
+        }
+    }
+}
+
+#[test]
+fn a_single_offset_breaks_a_run() {
+    // Rows 0–7 read nothing (level 1); rows 8–15 read two of them (level
+    // 2), at offsets −8 and −7 — but row 12 reads −8 and −6. It has the
+    // same entry count as the rows around it and one offset apart, so
+    // rows 8–11 run and 12–15 stay in slots.
+    let cols: Vec<Vec<usize>> = (0..16)
+        .map(|i| match i {
+            0..8 => vec![],
+            12 => vec![4, 6],
+            _ => vec![i - 8, i - 7],
+        })
+        .collect();
+    let vals: Vec<Vec<f64>> =
+        cols.iter().map(|c| c.iter().map(|&c| 0.5 + c as f64).collect()).collect();
+    let row = |i: usize| (&cols[i][..], &vals[i][..]);
+    assert_oracle_layout("one offset apart", Triangle::Lower, 16, &row, None);
+    let tri = LevelTri::build(Triangle::Lower, 16, row, None).unwrap();
+    let run = |row0, len, k| StridedRun { row0, stride: 1, len, k };
+    assert_eq!(tri.runs.runs, [run(0, 8, 0), run(8, 4, 2)]);
+    assert_eq!(tri.runs.offsets, [-8, -7]);
+    assert_eq!(tri.slots.rows, [12, 13, 14, 15]);
+    assert_eq!(tri.slots.col, [4, 6, 5, 6, 6, 7, 7, 8]);
 }
 
 #[test]

@@ -2,10 +2,11 @@
 # Full verification sweep: formatting, build, clippy, one workspace test
 # pass, the lisibench smoke, examples, the fault matrix, doc build, benches
 # (compile; check that the AVX2 kernel instances inlined their intrinsics;
-# run RSLU's, the sweeps', Jacobi's, the vector kernels', the split and
-# batched matvecs' and RAztec's rows once). It measures nothing: every
-# number the repository states comes from benchmark/run.sh (lisibench);
-# table1/figure5 regenerate the paper's tables (see EXPERIMENTS.md).
+# run RSLU's, the sweeps', ILU(0) set-up's, Jacobi's, the vector kernels',
+# the split and batched matvecs' and RAztec's rows once). It measures
+# nothing: every number the repository states comes from benchmark/run.sh
+# (lisibench); table1/figure5 regenerate the paper's tables (see
+# EXPERIMENTS.md).
 # benchmark/ is its own workspace and is not formatted here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -88,7 +89,8 @@ fi
 echo "== RSLU, sweep, Jacobi, vector, SpMV and RAztec kernel rows, run once (smoke) =="
 # Compiling a bench does not set it up: these run RSLU's rows once each
 # (factor, then the triangular solves), the preconditioner sweeps' rows,
-# the Jacobi rows, the vector kernels' rows, the digest rows, the plan
+# ILU(0)'s set-up rows (the two triangles' layout, the whole factory), the
+# Jacobi rows, the vector kernels' rows, the digest rows, the plan
 # build's and the diagonal's rows, the split
 # matvec's single and batched (k = 8) rows and RAztec's apply and GMRES(30)
 # rows once, so a panic in their set-up (or a Jacobi row whose
@@ -97,6 +99,8 @@ echo "== RSLU, sweep, Jacobi, vector, SpMV and RAztec kernel rows, run once (smo
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- factor/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- trisolve
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- sptrsv/
+BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- levels/
+BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- ilu_setup/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- jacobi/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- blas1/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- digest/
