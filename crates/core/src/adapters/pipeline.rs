@@ -166,7 +166,7 @@ impl<B: Backend> Adapter<B> {
         // the package's own solve (whose guard folds into this one), the
         // ledger — commits its events under this id.
         let _solve = probe::trace::solve_guard();
-        let st = self.state.lock();
+        let mut st = self.state.lock();
         st.check_solve_buffers(solution, status)?;
         let comm = st.comm()?;
         let (rank, size) = (comm.rank(), comm.size());
@@ -240,12 +240,14 @@ impl<B: Backend> Adapter<B> {
         let solve_t = probe::SectionTimer::start("lisi_solve");
         let mut info = B::run(&artifact, cfg, comm, rhs, solution, st.n_rhs, batched)?;
         info.report.solve_seconds = solve_t.stop();
-        info.report.setup_seconds = setup_seconds + st.convert_seconds.take();
+        info.report.setup_seconds = setup_seconds + st.convert_seconds;
         info.backend = B::NAME;
         info.warm = warm;
         (info.ksp, info.pc, info.rtol) = B::labels(&st.options);
         ledger::emit(comm, &info);
         info.report.write_into(status)?;
+        // Reported: the conversion is charged to this solve only.
+        st.convert_seconds = 0.0;
         if info.report.converged {
             Ok(())
         } else {

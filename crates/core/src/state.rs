@@ -2,7 +2,6 @@
 //! and `setupMatrix`'s hand-off of the port's arrays to the decoders in
 //! `rsparse::convert` (paper §5.3: the adapter converts the input format).
 
-use std::cell::Cell;
 use std::sync::Arc;
 
 use rcomm::Communicator;
@@ -69,9 +68,11 @@ pub struct LisiState {
     /// The application's matrix-free port, when connected.
     pub matrix_free: Option<Arc<dyn MatrixFreePort>>,
     /// Seconds spent converting input formats since a solve last
-    /// reported them: the next solve's status charges them to its set-up
-    /// and takes them, so a warm re-solve on the same matrix reports none.
-    pub convert_seconds: Cell<f64>,
+    /// reported them. The next solve that writes a status charges them to
+    /// its set-up and clears them, so a warm re-solve on the same matrix
+    /// reports none; a solve that fails before its status keeps them for
+    /// the next.
+    pub convert_seconds: f64,
 }
 
 impl Default for LisiState {
@@ -88,7 +89,7 @@ impl Default for LisiState {
             n_rhs: 1,
             options: rkrylov::Options::new(),
             matrix_free: None,
-            convert_seconds: Cell::new(0.0),
+            convert_seconds: 0.0,
         }
     }
 }
@@ -188,7 +189,7 @@ impl LisiState {
         }
         .map_err(|e| LisiError::InvalidInput(e.to_string()))?;
         self.matrix.set(matrix);
-        self.convert_seconds.set(self.convert_seconds.get() + t0.elapsed().as_secs_f64());
+        self.convert_seconds += t0.elapsed().as_secs_f64();
         Ok(())
     }
 

@@ -231,7 +231,8 @@ fn warm_second_session_performs_zero_setup() {
 /// `setupMatrix` paid is charged once, to the next solve: warm re-solves
 /// with no new `setupMatrix` report exactly zero, and the first solve
 /// after a new one (a cache hit: the same system) reports that call's
-/// conversion and nothing it reported before.
+/// conversion and nothing it reported before. A solve that fails before
+/// writing its status leaves the conversion to the next solve.
 #[test]
 fn status_setup_seconds_charges_each_conversion_once() {
     let n = 8 * 8;
@@ -250,6 +251,8 @@ fn status_setup_seconds_charges_each_conversion_once() {
         };
         let mut setups = vec![solve(), solve(), solve()];
         solver.setup_matrix(a.values(), a.row_ptr(), a.col_idx(), SparseStruct::Csr).unwrap();
+        let mut short = vec![0.0; n - 1];
+        assert!(solver.solve(&mut short, &mut [0.0; STATUS_LEN]).is_err(), "a short buffer");
         setups.extend([solve(), solve()]);
         setups
     });
@@ -258,7 +261,10 @@ fn status_setup_seconds_charges_each_conversion_once() {
     };
     assert!(cold > 0.0, "the cold solve built and converted: {cold}");
     assert_eq!((warm, warm_again), (0.0, 0.0), "warm re-solves spent no set-up");
-    assert!(after_setup > 0.0, "the new setupMatrix converted: {after_setup}");
+    assert!(
+        after_setup > 0.0,
+        "the new setupMatrix converted, the failed solve kept it: {after_setup}"
+    );
     assert_eq!(warm_after, 0.0, "its conversion is charged once");
 }
 

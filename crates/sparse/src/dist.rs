@@ -863,36 +863,25 @@ impl DistCsrMatrix {
     pub fn diagonal_block(&self) -> CsrMatrix {
         let range = self.partition.range(self.rank);
         let n = range.len();
-        let rows = &*self.local_global;
-        if range.start == 0 && range.end == rows.cols() {
+        if range.start == 0 && range.end == self.local_global.cols() {
             // Every column owned (one rank): the block is the rows.
-            return rows.clone();
+            return (*self.local_global).clone();
         }
+        // A row's columns ascend, so its owned ones are one contiguous run.
         let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::with_capacity(rows.nnz());
-        let mut values = Vec::with_capacity(rows.nnz());
+        let mut col_idx = Vec::with_capacity(self.local_global.nnz());
+        let mut values = Vec::with_capacity(self.local_global.nnz());
         row_ptr.push(0);
         for lr in 0..n {
-            let (cols, vals) = rows.row(lr);
-            // Columns ascend: a row whose two ends are owned is owned
-            // whole, and any row's owned columns are one contiguous run.
-            let owned = |c: Option<&usize>| c.is_some_and(|c| range.contains(c));
-            let (lo, hi) = if owned(cols.first()) && owned(cols.last()) {
-                (0, cols.len())
-            } else {
-                (
-                    cols.partition_point(|&gc| gc < range.start),
-                    cols.partition_point(|&gc| gc < range.end),
-                )
-            };
-            match range.start {
-                0 => col_idx.extend_from_slice(&cols[lo..hi]),
-                start => col_idx.extend(cols[lo..hi].iter().map(|&gc| gc - start)),
-            }
+            let (cols, vals) = self.local_global.row(lr);
+            let lo = cols.partition_point(|&gc| gc < range.start);
+            let hi = cols.partition_point(|&gc| gc < range.end);
+            col_idx.extend(cols[lo..hi].iter().map(|&gc| gc - range.start));
             values.extend_from_slice(&vals[lo..hi]);
             row_ptr.push(col_idx.len());
         }
-        CsrMatrix::from_parts_unchecked(n, n, row_ptr, col_idx, values)
+        CsrMatrix::from_parts(n, n, row_ptr, col_idx, values)
+            .expect("a sorted row stays sorted when cut to a column range")
     }
 
     /// The local slice of the global main diagonal (zeros where missing).
@@ -1785,23 +1774,6 @@ mod tests {
         }
     }
 
-    /// The block as the per-row search built it: every row cut to the
-    /// owned columns by two `partition_point`s and shifted into local
-    /// numbering.
-    fn diagonal_block_by_search(rows: &CsrMatrix, range: std::ops::Range<usize>) -> CsrMatrix {
-        let mut row_ptr = vec![0];
-        let (mut col_idx, mut values) = (Vec::new(), Vec::new());
-        for lr in 0..rows.rows() {
-            let (cols, vals) = rows.row(lr);
-            let lo = cols.partition_point(|&gc| gc < range.start);
-            let hi = cols.partition_point(|&gc| gc < range.end);
-            col_idx.extend(cols[lo..hi].iter().map(|&gc| gc - range.start));
-            values.extend_from_slice(&vals[lo..hi]);
-            row_ptr.push(col_idx.len());
-        }
-        CsrMatrix::from_parts(rows.rows(), range.len(), row_ptr, col_idx, values).unwrap()
-    }
-
     /// Rows of every kind the block's cut meets, on any partition: empty
     /// (`i % 6 == 0`), only far columns (`1`), the first and last columns
     /// around the diagonal (`2`, straddling the owned range on both sides
@@ -1865,19 +1837,14 @@ mod tests {
                 let same = Universe::run(p, |comm| {
                     let da = DistCsrMatrix::from_global(comm, part.clone(), a).unwrap();
                     let got = da.diagonal_block();
-                    let range = part.range(comm.rank());
-                    let local = a.row_block(range.start, range.end).unwrap();
+                    let want = diagonal_block_via_coo(a, part.range(comm.rank()));
                     let bits = |m: &CsrMatrix| -> Vec<u64> {
                         m.values().iter().map(|v| v.to_bits()).collect()
                     };
-                    let equal = |want: &CsrMatrix| {
-                        got.shape() == want.shape()
-                            && got.row_ptr() == want.row_ptr()
-                            && got.col_idx() == want.col_idx()
-                            && bits(&got) == bits(want)
-                    };
-                    equal(&diagonal_block_via_coo(a, range.clone()))
-                        && equal(&diagonal_block_by_search(&local, range))
+                    got.shape() == want.shape()
+                        && got.row_ptr() == want.row_ptr()
+                        && got.col_idx() == want.col_idx()
+                        && bits(&got) == bits(&want)
                 });
                 assert!(same.iter().all(|&s| s), "n = {n}, {p} ranks: {same:?}");
             }

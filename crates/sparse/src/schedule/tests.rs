@@ -359,20 +359,36 @@ fn assert_oracle_layout<'a>(
     assert!(got == want, "{label} {triangle:?}: layout differs from the oracle");
 }
 
-/// `fig5_*`'s convection–diffusion matrix at `m`, as this crate's CSR
-/// (the mesh crate builds it with its own copy of this one).
-fn paper(m: usize) -> CsrMatrix {
-    let a = rmesh::paper_problem(m).assemble_global().0;
-    let parts = (a.row_ptr().to_vec(), a.col_idx().to_vec(), a.values().to_vec());
-    CsrMatrix::from_parts(a.rows(), a.cols(), parts.0, parts.1, parts.2).unwrap()
+/// The pattern of the `sptrsv/paper*` rows' convection–diffusion matrix
+/// (the 5-point stencil of `laplacian_2d(m)`) with a convection term's
+/// unequal west and east couplings. The ILU(0), IC(0) and SSOR layouts
+/// depend only on the pattern; ILUT's drops need the non-symmetric values.
+fn convection_2d(m: usize) -> CsrMatrix {
+    let a = generate::laplacian_2d(m);
+    let h = 1.0 / (m + 1) as f64;
+    let mut values = a.values().to_vec();
+    for i in 0..a.rows() {
+        let span = a.row_ptr()[i]..a.row_ptr()[i + 1];
+        for (k, &c) in span.clone().zip(&a.col_idx()[span]) {
+            values[k] += if c + 1 == i {
+                -1.5 * h
+            } else if c == i + 1 {
+                1.5 * h
+            } else {
+                0.0
+            };
+        }
+    }
+    let (row_ptr, col_idx) = (a.row_ptr().to_vec(), a.col_idx().to_vec());
+    CsrMatrix::from_parts(a.rows(), a.cols(), row_ptr, col_idx, values).unwrap()
 }
 
 /// The matrices the `sptrsv/*` kernel rows sweep.
 fn sweep_matrices() -> Vec<(&'static str, CsrMatrix)> {
     vec![
         ("laplacian200", generate::laplacian_2d(200)),
-        ("paper128", paper(128)),
-        ("paper300", paper(300)),
+        ("paper128", convection_2d(128)),
+        ("paper300", convection_2d(300)),
         ("femb3", generate::fem_block(80, 3, 2)),
         ("tridiagonal40000", generate::laplacian_1d(40_000)),
         ("random", generate::random_diag_dominant(40_000, 4, 7)),
