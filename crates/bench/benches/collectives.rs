@@ -1,69 +1,70 @@
 //! Message-passing substrate benches: collective latencies at the rank
-//! counts the paper's experiments use. Each iteration spins up a fresh
-//! universe and runs a burst of collectives, so the number reported is
-//! "universe + N collectives"; comparisons across rank counts are what
-//! matter.
+//! counts the paper's experiments use. Each sample launches one universe
+//! and times a burst of collectives inside it, after a barrier, so thread
+//! spawn and join stay outside the figure: a row is the cost of one
+//! collective, the slowest rank's mean.
+//!
+//! `allreduce/scalar/2` is the reduction `sync_cg_2r` posts twice an
+//! iteration, `allreduce/vec17/2` `batch8_2r`'s fused width (eight columns
+//! of two entries plus the wall-clock guard).
+
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rcomm::Universe;
+use rcomm::{Communicator, Universe};
 
-const BURST: usize = 100;
+/// Launch `p` ranks, line them up, and time `iters` calls of `op` on each;
+/// returns the slowest rank's time.
+fn burst(p: usize, iters: u64, op: impl Fn(&Communicator, u64) + Send + Sync) -> Duration {
+    let took = Universe::run(p, |comm| {
+        comm.barrier().unwrap();
+        let t0 = Instant::now();
+        for i in 0..iters {
+            op(comm, i);
+        }
+        t0.elapsed()
+    });
+    took.into_iter().max().unwrap_or_default()
+}
 
 fn allreduce(c: &mut Criterion) {
     let mut group = c.benchmark_group("allreduce");
-    group.sample_size(10);
-    for p in [2usize, 4, 8] {
+    for p in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("scalar", p), &p, |b, &p| {
-            b.iter(|| {
-                Universe::run(p, |comm| {
-                    let mut acc = 0.0;
-                    for i in 0..BURST {
-                        acc += comm.allreduce(i as f64, rcomm::sum).unwrap();
-                    }
-                    acc
+            b.iter_custom(|iters| {
+                burst(p, iters, |comm, i| {
+                    criterion::black_box(comm.allreduce(i as f64, rcomm::sum).unwrap());
                 })
             });
         });
-        group.bench_with_input(BenchmarkId::new("vec32", p), &p, |b, &p| {
-            b.iter(|| {
-                Universe::run(p, |comm| {
-                    let v = vec![1.0f64; 32];
-                    let mut acc = 0.0;
-                    for _ in 0..BURST / 4 {
-                        acc += comm.allreduce_vec(&v, rcomm::sum).unwrap()[0];
-                    }
-                    acc
-                })
+        for width in [1usize, 17, 32] {
+            group.bench_with_input(BenchmarkId::new(format!("vec{width}"), p), &p, |b, &p| {
+                let v = vec![1.0f64; width];
+                b.iter_custom(|iters| {
+                    burst(p, iters, |comm, _| {
+                        criterion::black_box(comm.allreduce_vec(&v, rcomm::sum).unwrap());
+                    })
+                });
             });
-        });
+        }
     }
     group.finish();
 }
 
 fn bcast_barrier(c: &mut Criterion) {
     let mut group = c.benchmark_group("bcast_barrier");
-    group.sample_size(10);
     for p in [2usize, 4, 8] {
         group.bench_with_input(BenchmarkId::new("bcast1k", p), &p, |b, &p| {
-            b.iter(|| {
-                Universe::run(p, |comm| {
-                    let payload = if comm.is_root() { vec![1u8; 1024] } else { vec![] };
-                    let mut total = 0usize;
-                    for _ in 0..BURST / 4 {
-                        total += comm.bcast(0, payload.clone()).unwrap().len();
-                    }
-                    total
+            let payload = vec![1u8; 1024];
+            b.iter_custom(|iters| {
+                burst(p, iters, |comm, _| {
+                    let v = if comm.is_root() { payload.clone() } else { Vec::new() };
+                    criterion::black_box(comm.bcast(0, v).unwrap());
                 })
             });
         });
         group.bench_with_input(BenchmarkId::new("barrier", p), &p, |b, &p| {
-            b.iter(|| {
-                Universe::run(p, |comm| {
-                    for _ in 0..BURST {
-                        comm.barrier().unwrap();
-                    }
-                })
-            });
+            b.iter_custom(|iters| burst(p, iters, |comm, _| comm.barrier().unwrap()));
         });
     }
     group.finish();
@@ -71,24 +72,26 @@ fn bcast_barrier(c: &mut Criterion) {
 
 fn halo_exchange(c: &mut Criterion) {
     let mut group = c.benchmark_group("halo");
-    group.sample_size(10);
     // The paper's actual communication pattern: distributed SpMV halos.
     let a = rsparse::generate::laplacian_2d(60);
+    let x = rsparse::generate::random_vector(a.rows(), 3);
     for p in [2usize, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("spmv_burst", p), &p, |b, &p| {
-            b.iter(|| {
-                Universe::run(p, |comm| {
+        group.bench_with_input(BenchmarkId::new("spmv", p), &p, |b, &p| {
+            b.iter_custom(|iters| {
+                let took = Universe::run(p, |comm| {
                     let part = rsparse::BlockRowPartition::even(a.rows(), comm.size());
                     let da = rsparse::DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
-                    let x = rsparse::generate::random_vector(a.rows(), 3);
                     let dx =
                         rsparse::DistVector::from_global(part.clone(), comm.rank(), &x).unwrap();
                     let mut dy = rsparse::DistVector::zeros(part, comm.rank());
-                    for _ in 0..20 {
+                    comm.barrier().unwrap();
+                    let t0 = Instant::now();
+                    for _ in 0..iters {
                         da.matvec_into(comm, &dx, &mut dy).unwrap();
                     }
-                    dy.local()[0]
-                })
+                    t0.elapsed()
+                });
+                took.into_iter().max().unwrap_or_default()
             });
         });
     }

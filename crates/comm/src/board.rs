@@ -1,0 +1,503 @@
+//! The reduction board: the shared memory `allreduce` and `allreduce_vec`
+//! meet on.
+//!
+//! Ranks are threads of one process, so a reduction need not travel as
+//! messages. Each communicator's members share one board (found by the
+//! collective context in `Wiring`'s map of `Weak` handles and freed with
+//! the last member's communicator): one cache-line-padded slot per rank,
+//! holding that rank's contribution to the current reduction. A call
+//! deposits its contribution for the next generation, waits until every
+//! member has deposited that generation, and folds all `p` contributions
+//! itself in the bracket of [`crate::collectives`] — one rendezvous
+//! instead of ⌈log₂ p⌉ mailbox rounds, and every rank computes the same
+//! bits.
+//!
+//! Two payloads per slot, picked by the generation's parity, are enough:
+//! a rank deposits generation `g + 2` only after every member deposited
+//! `g + 1`, and a member deposits `g + 1` only after it finished reading
+//! generation `g`. That order is also what keeps a payload's writer and
+//! its readers apart. A slot keeps its payload and overwrites it with
+//! `clone_from` when the type repeats, so a warm reduction of an `f64`
+//! allocates nothing and a warm `Vec` keeps its buffer. A value of up to
+//! four words sits in the slot itself, next to the generation a reader
+//! polls; a larger one is boxed. A rank folds the others' contributions
+//! into its own and never reads its own slot, so with two ranks each slot
+//! has one reader and nothing is cloned; with more, readers clone under
+//! the slot's lock, which keeps the bound on the reduced type at `Send`.
+
+use std::any::TypeId;
+use std::cell::UnsafeCell;
+use std::mem::{align_of, size_of, MaybeUninit};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, MutexGuard};
+use std::time::Duration;
+
+use parking_lot::Mutex;
+
+use crate::error::{CommError, CommResult};
+
+/// Inline storage of one payload.
+type Words = [u64; 4];
+
+/// Does an `A` fit in [`Words`] (else it is stored as a `Box<A>`)?
+const fn fits<A>() -> bool {
+    size_of::<A>() <= size_of::<Words>() && align_of::<A>() <= align_of::<Words>()
+}
+
+/// One type-erased contribution: an `A` in place, or a `Box<A>` when `A`
+/// does not [`fits`].
+struct Payload {
+    /// `TypeId::of::<A>` of the value held; `None` while empty.
+    type_id: Option<fn() -> TypeId>,
+    /// Drops the value held.
+    drop: unsafe fn(*mut Words),
+    words: MaybeUninit<Words>,
+}
+
+impl Payload {
+    const EMPTY: Payload =
+        Payload { type_id: None, drop: drop_nothing, words: MaybeUninit::uninit() };
+
+    fn holds<A: 'static>(&self) -> bool {
+        self.type_id.is_some_and(|id| id() == TypeId::of::<A>())
+    }
+
+    fn get<A: 'static>(&self) -> Option<&A> {
+        if !self.holds::<A>() {
+            return None;
+        }
+        let p = self.words.as_ptr();
+        // SAFETY: `holds` says `set::<A>` wrote an `A` (or a `Box<A>`,
+        // by the same `fits` test) at `words`.
+        Some(unsafe {
+            if fits::<A>() {
+                &*p.cast::<A>()
+            } else {
+                &**p.cast::<Box<A>>()
+            }
+        })
+    }
+
+    fn get_mut<A: 'static>(&mut self) -> Option<&mut A> {
+        if !self.holds::<A>() {
+            return None;
+        }
+        let p = self.words.as_mut_ptr();
+        // SAFETY: as in `get`, with `&mut self` for exclusive access.
+        Some(unsafe {
+            if fits::<A>() {
+                &mut *p.cast::<A>()
+            } else {
+                &mut **p.cast::<Box<A>>()
+            }
+        })
+    }
+
+    fn set<A: Send + 'static>(&mut self, value: A) {
+        self.clear();
+        let p = self.words.as_mut_ptr();
+        // SAFETY: `words` is empty after `clear`, and an `A` that `fits`
+        // (or else a `Box<A>`, one aligned pointer) fits in it.
+        unsafe {
+            if fits::<A>() {
+                p.cast::<A>().write(value);
+            } else {
+                p.cast::<Box<A>>().write(Box::new(value));
+            }
+        }
+        self.drop = drop_value::<A>;
+        self.type_id = Some(TypeId::of::<A>);
+    }
+
+    fn clear(&mut self) {
+        if self.type_id.take().is_some() {
+            // SAFETY: `drop` matches the value `set` wrote, and the
+            // cleared `type_id` keeps it from being dropped twice.
+            unsafe { (self.drop)(self.words.as_mut_ptr()) }
+        }
+    }
+}
+
+impl Drop for Payload {
+    fn drop(&mut self) {
+        self.clear();
+    }
+}
+
+unsafe fn drop_nothing(_: *mut Words) {}
+
+/// # Safety
+/// `p` must hold an `A` (or a `Box<A>`) written by [`Payload::set`].
+unsafe fn drop_value<A>(p: *mut Words) {
+    unsafe {
+        if fits::<A>() {
+            p.cast::<A>().drop_in_place();
+        } else {
+            p.cast::<Box<A>>().drop_in_place();
+        }
+    }
+}
+
+/// One rank's place on the board, on a cache line of its own: its owner
+/// writes the payload and then the generation once a call, and the other
+/// ranks poll the generation and then read the payload beside it.
+#[repr(align(128))]
+struct Slot {
+    /// The generation this rank deposited last (0: none yet). A rank's
+    /// next generation is read from here, so every handle on one context
+    /// counts the same calls.
+    generation: AtomicU64,
+    /// Taken by readers when there are more than one (`p > 2`).
+    readers: Mutex<()>,
+    /// Contributions, indexed by generation parity.
+    payload: [UnsafeCell<Payload>; 2],
+}
+
+// SAFETY: `generation` and `readers` are Sync. A payload is written
+// only under its rank's turn lock (`Board::turns`), in `Turn::deposit`, and
+// only once every member has deposited the generation before, so every
+// reader of the payload's previous contents has finished (see the module
+// header). It is read, in `Turn::fold`, only after its generation was
+// published with a `SeqCst` store and seen with a `SeqCst` load, by a
+// rank that holds its own slot's turn until the read is done; concurrent
+// readers (more than one other rank) serialize on `readers`. The values
+// held are `Send` (`Payload::set` requires it), and whichever thread
+// drops the board drops them.
+unsafe impl Sync for Slot {}
+
+/// A rank's turn lock, on a cache line of its own.
+#[repr(align(128))]
+#[derive(Default)]
+struct TurnLock(Mutex<()>);
+
+/// One communicator's reduction board.
+pub(crate) struct Board {
+    slots: Box<[Slot]>,
+    /// One lock per rank, held by its [`Turn`] from the deposit to the
+    /// fold, so two calls of one rank (two threads sharing a
+    /// communicator, or two handles of one context) take turns. Apart
+    /// from the slots: no other rank touches them.
+    turns: Box<[TurnLock]>,
+    /// Ranks parked on [`Self::park`]; a deposit takes the wake lock only
+    /// when this is nonzero.
+    sleepers: AtomicUsize,
+    wake: Mutex<()>,
+    arrived: Condvar,
+}
+
+impl Board {
+    /// An empty board for `p` ranks.
+    pub(crate) fn new(p: usize) -> Self {
+        Board {
+            slots: (0..p)
+                .map(|_| Slot {
+                    generation: AtomicU64::new(0),
+                    readers: Mutex::new(()),
+                    payload: [UnsafeCell::new(Payload::EMPTY), UnsafeCell::new(Payload::EMPTY)],
+                })
+                .collect(),
+            turns: (0..p).map(|_| TurnLock::default()).collect(),
+            sleepers: AtomicUsize::new(0),
+            wake: Mutex::new(()),
+            arrived: Condvar::new(),
+        }
+    }
+
+    /// Start rank `me`'s next reduction on this board, waiting for any
+    /// other call of the same rank to finish first.
+    pub(crate) fn turn(&self, me: usize) -> Turn<'_> {
+        let held = self.turns[me].0.lock();
+        let g = self.slots[me].generation.load(Ordering::Relaxed) + 1;
+        Turn { board: self, me, g, _held: held }
+    }
+
+    /// Has every member deposited generation `g`? (Generation 0 always
+    /// has.)
+    pub(crate) fn complete(&self, g: u64) -> bool {
+        self.missing(g).is_none()
+    }
+
+    /// The lowest rank that has not yet deposited generation `g`.
+    pub(crate) fn missing(&self, g: u64) -> Option<usize> {
+        self.slots.iter().position(|s| s.generation.load(Ordering::SeqCst) < g)
+    }
+
+    /// Sleep until generation `g` is complete or `slice` has passed;
+    /// returns whether it is complete.
+    pub(crate) fn park(&self, g: u64, slice: Duration) -> bool {
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        let guard = self.wake.lock();
+        let (_guard, _) = self
+            .arrived
+            .wait_timeout_while(guard, slice, |_| !self.complete(g))
+            .unwrap_or_else(|e| e.into_inner());
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        self.complete(g)
+    }
+}
+
+/// One reduction of one rank: its slot held from the deposit to the fold.
+pub(crate) struct Turn<'a> {
+    board: &'a Board,
+    me: usize,
+    /// The generation this reduction deposits and folds.
+    g: u64,
+    _held: MutexGuard<'a, ()>,
+}
+
+impl Turn<'_> {
+    /// The generation this reduction deposits and folds.
+    pub(crate) fn generation(&self) -> u64 {
+        self.g
+    }
+
+    /// Post a copy of this rank's contribution and wake any parked
+    /// member. The copy is made with `clone_from` into the payload the
+    /// slot holds when the type repeats.
+    ///
+    /// # Panics
+    ///
+    /// If some member has not yet deposited the generation before: it may
+    /// still be reading this parity's payload. The caller waits for that
+    /// generation to be [`Board::complete`] first.
+    pub(crate) fn deposit<A: Send + Clone + 'static>(&self, value: &A) {
+        let (board, g) = (self.board, self.g);
+        assert!(board.complete(g - 1), "deposit before generation {} is complete", g - 1);
+        let slot = &board.slots[self.me];
+        // SAFETY: this rank holds its turn, so nothing else writes
+        // the payload, and every member deposited `g − 1` (checked above),
+        // so every reader of this parity's previous generation `g − 2` has
+        // finished.
+        let payload = unsafe { &mut *slot.payload[parity(g)].get() };
+        match payload.get_mut::<A>() {
+            Some(old) => old.clone_from(value),
+            None => payload.set(value.clone()),
+        }
+        // SeqCst on both sides of the sleeper handshake: either a parking
+        // rank sees this generation, or this deposit sees the sleeper.
+        slot.generation.store(g, Ordering::SeqCst);
+        if board.sleepers.load(Ordering::SeqCst) > 0 {
+            let _wake = board.wake.lock();
+            board.arrived.notify_all();
+        }
+    }
+
+    /// Fold the `p` contributions of this generation in the reduction
+    /// bracket, this rank's own being `own`. The fold climbs from this
+    /// rank's leaf: at each level the value of its aligned block meets
+    /// the value of the sibling block, read from the other slots.
+    /// `combine(acc, other, higher)` folds `other` into `acc`, as
+    /// `op(acc, other)` when `higher` (the other block lies above) and as
+    /// `op(other, acc)` otherwise, so operands stay in rank order.
+    ///
+    /// # Panics
+    ///
+    /// If this rank has not deposited, or some member has not yet
+    /// deposited, this generation. The caller waits for it to be
+    /// [`Board::complete`] first.
+    pub(crate) fn fold<A, C>(self, own: A, combine: &C) -> CommResult<A>
+    where
+        A: Clone + 'static,
+        C: Fn(&mut A, &A, bool) -> CommResult<()>,
+    {
+        let (board, me) = (self.board, self.me);
+        let deposited = board.slots[me].generation.load(Ordering::Relaxed) == self.g;
+        assert!(
+            deposited && board.complete(self.g),
+            "fold before generation {} is complete",
+            self.g
+        );
+        let fold = Fold { board, parity: parity(self.g), combine };
+        let mut acc = own;
+        let mut m = 1;
+        while m < board.slots.len() {
+            let base = me & !(2 * m - 1);
+            let sibling = if me - base < m { base + m } else { base };
+            if sibling < board.slots.len() {
+                let higher = sibling > me;
+                if m == 1 {
+                    fold.read(sibling, |v| combine(&mut acc, v, higher))?;
+                } else {
+                    combine(&mut acc, &fold.block(sibling, m)?, higher)?;
+                }
+            }
+            m *= 2;
+        }
+        Ok(acc)
+    }
+}
+
+/// Reads of a complete generation's slots.
+struct Fold<'a, C> {
+    board: &'a Board,
+    parity: usize,
+    combine: &'a C,
+}
+
+impl<C> Fold<'_, C> {
+    /// The bracket value of the aligned block of `size` ranks at `base`,
+    /// cut off at `p`; the block does not hold the folding rank.
+    fn block<A>(&self, base: usize, size: usize) -> CommResult<A>
+    where
+        A: Clone + 'static,
+        C: Fn(&mut A, &A, bool) -> CommResult<()>,
+    {
+        if size == 1 {
+            return self.read(base, |v: &A| Ok(v.clone()));
+        }
+        let half = size / 2;
+        let mut acc = self.block(base, half)?;
+        let higher = base + half;
+        if higher < self.board.slots.len() {
+            if half == 1 {
+                self.read(higher, |v| (self.combine)(&mut acc, v, true))?;
+            } else {
+                (self.combine)(&mut acc, &self.block(higher, half)?, true)?;
+            }
+        }
+        Ok(acc)
+    }
+
+    /// Run `f` on another rank's contribution.
+    fn read<A: 'static, R>(
+        &self,
+        rank: usize,
+        f: impl FnOnce(&A) -> CommResult<R>,
+    ) -> CommResult<R> {
+        let slot = &self.board.slots[rank];
+        let _readers = (self.board.slots.len() > 2).then(|| slot.readers.lock());
+        // SAFETY: the generation is complete (checked by `Turn::fold`), so
+        // the owner wrote this payload, and it will not write it again
+        // before every member, this rank included, deposited the next
+        // generation, which this rank cannot do while its turn is held;
+        // other readers are locked out above (with two ranks this rank is
+        // the only one).
+        let payload = unsafe { &*slot.payload[self.parity].get() };
+        match payload.get::<A>() {
+            Some(v) => f(v),
+            None => Err(CommError::TypeMismatch { expected: std::any::type_name::<A>() }),
+        }
+    }
+}
+
+#[inline]
+fn parity(g: u64) -> usize {
+    (g & 1) as usize
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every rank of `board` deposits its name for its next generation;
+    /// returns the turns, ready to fold.
+    fn deposit_all<'a>(board: &'a Board, names: &[&str]) -> Vec<Turn<'a>> {
+        let turns: Vec<Turn> = (0..names.len()).map(|r| board.turn(r)).collect();
+        for (turn, name) in turns.iter().zip(names) {
+            assert_eq!(turn.generation(), turns[0].generation());
+            turn.deposit(&name.to_string());
+        }
+        turns
+    }
+
+    #[test]
+    fn fold_brackets_aligned_blocks_in_rank_order_on_every_rank() {
+        // Parenthesise every combination to see the bracket itself.
+        let bracket = |acc: &mut String, other: &String, higher: bool| {
+            *acc = if higher { format!("({acc}{other})") } else { format!("({other}{acc})") };
+            Ok(())
+        };
+        for (p, expect) in [
+            (1, "0"),
+            (2, "(01)"),
+            (3, "((01)2)"),
+            (5, "(((01)(23))4)"),
+            (6, "(((01)(23))(45))"),
+            (7, "(((01)(23))((45)6))"),
+        ] {
+            let board = Board::new(p);
+            let names: Vec<String> = (0..p).map(|r| r.to_string()).collect();
+            let names: Vec<&str> = names.iter().map(String::as_str).collect();
+            let turns = deposit_all(&board, &names);
+            assert!(board.complete(1));
+            for (me, turn) in turns.into_iter().enumerate() {
+                let got = turn.fold(me.to_string(), &bracket).unwrap();
+                assert_eq!(got, expect, "p = {p}, rank {me}");
+            }
+        }
+    }
+
+    #[test]
+    fn generations_alternate_payloads_and_keep_the_previous_one_readable() {
+        let concat = |acc: &mut String, other: &String, higher: bool| {
+            *acc = if higher { format!("{acc}{other}") } else { format!("{other}{acc}") };
+            Ok(())
+        };
+        let board = Board::new(2);
+        assert!(board.complete(0));
+        let mut turns = deposit_all(&board, &["a", "b"]);
+        let second = turns.pop().unwrap();
+        assert_eq!(turns.pop().unwrap().fold("a".to_string(), &concat).unwrap(), "ab");
+        // Rank 0 runs ahead into the next generation before rank 1 has
+        // folded this one.
+        let next = board.turn(0);
+        next.deposit(&"c".to_string());
+        assert_eq!(board.missing(next.generation()), Some(1));
+        assert_eq!(second.fold("b".to_string(), &concat).unwrap(), "ab");
+        let other = board.turn(1);
+        other.deposit(&"d".to_string());
+        assert_eq!(next.fold("c".to_string(), &concat).unwrap(), "cd");
+        assert_eq!(other.fold("d".to_string(), &concat).unwrap(), "cd");
+    }
+
+    #[test]
+    fn payloads_hold_small_values_in_place_and_large_ones_boxed() {
+        let mut payload = Payload::EMPTY;
+        assert!(payload.get::<f64>().is_none());
+        payload.set(1.5f64);
+        assert_eq!(payload.get::<f64>(), Some(&1.5));
+        assert!(payload.get::<u64>().is_none(), "another type of the same size");
+        payload.set([7u64; 9]);
+        assert!(!fits::<[u64; 9]>());
+        assert_eq!(payload.get::<[u64; 9]>(), Some(&[7u64; 9]));
+        payload.set(vec![1.0f64, 2.0]);
+        payload.get_mut::<Vec<f64>>().unwrap().push(3.0);
+        assert_eq!(payload.get::<Vec<f64>>(), Some(&vec![1.0, 2.0, 3.0]));
+    }
+
+    #[test]
+    fn a_contribution_of_another_type_is_a_type_mismatch() {
+        let board = Board::new(2);
+        let (first, second) = (board.turn(0), board.turn(1));
+        first.deposit(&1.0f64);
+        second.deposit(&1u32);
+        let add = |acc: &mut f64, other: &f64, _: bool| {
+            *acc += other;
+            Ok(())
+        };
+        assert!(matches!(first.fold(1.0, &add), Err(CommError::TypeMismatch { .. })));
+    }
+
+    #[test]
+    #[should_panic(expected = "deposit before generation 1 is complete")]
+    fn a_deposit_waits_for_the_generation_before() {
+        let board = Board::new(2);
+        board.turn(0).deposit(&0u8);
+        // Rank 0 again, while rank 1 may still be reading generation 1.
+        board.turn(0).deposit(&0u8);
+    }
+
+    #[test]
+    fn park_returns_when_the_last_member_deposits() {
+        let board = Board::new(2);
+        board.turn(0).deposit(&0u8);
+        assert!(!board.park(1, Duration::from_millis(1)), "nobody else deposited");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                board.turn(1).deposit(&0u8);
+            });
+            assert!(board.park(1, Duration::from_secs(10)));
+        });
+    }
+}

@@ -1,13 +1,14 @@
-//! Collective operations built on point-to-point messaging.
+//! Collective operations.
 //!
 //! All collectives run on the communicator's hidden *collective context*, so
-//! they can never match user point-to-point traffic. Algorithms are the
-//! textbook ones MPI implementations use for small/medium messages:
+//! they can never match user point-to-point traffic. [`allreduce`] and
+//! [`allreduce_vec`] meet on the communicator's shared reduction board
+//! (`board.rs`); the rest are built on point-to-point messaging with the
+//! textbook algorithms MPI implementations use for small/medium messages:
 //! binomial trees for the rooted broadcast and reduce, a flat fan for
-//! gather and scatter, dissemination for the barrier, a ring for
-//! all-gather, and recursive doubling for all-reduce. Each rank must call
-//! every collective in the same order — violations surface as
-//! [`CommError::DeadlockSuspected`].
+//! gather and scatter, dissemination for the barrier and a ring for
+//! all-gather. Each rank must call every collective in the same order —
+//! violations surface as [`CommError::DeadlockSuspected`].
 //!
 //! # The reduction bracket
 //!
@@ -16,9 +17,8 @@
 //! `((a0·a1)·(a2·a3))·((a4·a5)·…)`, a block that runs past `p` simply
 //! ending there (p = 5: `((a0·a1)·(a2·a3))·a4`). Operands stay in rank
 //! order, so an associative, non-commutative `op` gives the rank-ordered
-//! result. [`allreduce`] builds that bracket on *every* rank in one pass of
-//! ⌈log₂ p⌉ exchange rounds — half the sequential hops of reducing to a
-//! root and broadcasting back — so all ranks hold bit-identical results,
+//! result. [`allreduce`] has every rank fold all `p` contributions from
+//! the board in that bracket, so all ranks hold bit-identical results,
 //! equal to what `reduce` to rank 0 delivers; solver convergence tests
 //! agree across ranks and iteration counts do not depend on which of the
 //! two was used.
@@ -37,7 +37,6 @@ const TAG_SCATTER: Tag = 5;
 const TAG_ALLGATHER: Tag = 6;
 const TAG_ALLTOALL: Tag = 7;
 const TAG_SCAN: Tag = 8;
-const TAG_ALLREDUCE: Tag = 9;
 
 /// Relative rank helper: rotate so `root` is 0, which lets every rooted
 /// binomial-tree algorithm assume root = 0.
@@ -156,86 +155,44 @@ where
     Ok(Some(acc))
 }
 
-/// Recursive-doubling all-reduce in the bracket [`reduce`] uses (see the
-/// module header): the result is *identical on every rank* — important for
-/// iterative solvers, whose convergence tests must agree bit-for-bit
-/// across ranks.
+/// All-reduce in the bracket [`reduce`] uses (see the module header): the
+/// result is *identical on every rank* — important for iterative solvers,
+/// whose convergence tests must agree bit-for-bit across ranks.
 pub fn allreduce<T, F>(comm: &Communicator, value: T, op: F) -> CommResult<T>
 where
     T: Send + Clone + 'static,
     F: Fn(&T, &T) -> T,
 {
-    allreduce_rounds(comm, value, |acc, theirs, theirs_higher| {
-        *acc = if theirs_higher { op(acc, &theirs) } else { op(&theirs, acc) };
+    if comm.size() == 1 {
+        return Ok(value);
+    }
+    comm.reduce_on_board(value, |acc, other, higher| {
+        *acc = if higher { op(acc, other) } else { op(other, acc) };
         Ok(())
     })
 }
 
 /// Element-wise all-reduce over equal-length vectors (e.g. several dot
 /// products fused into one collective, as solvers do to save latency).
-/// `values` is this rank's contribution and is reduced in place.
+/// `values` is this rank's contribution; each entry is combined in the
+/// bracket of [`allreduce`].
 pub fn allreduce_vec<T, F>(comm: &Communicator, values: Vec<T>, op: F) -> CommResult<Vec<T>>
 where
     T: Send + Clone + 'static,
     F: Fn(&T, &T) -> T,
 {
-    allreduce_rounds(comm, values, |acc, theirs, theirs_higher| {
-        if theirs.len() != acc.len() {
-            return Err(CommError::BadBuffer { expected: acc.len(), got: theirs.len() });
+    if comm.size() == 1 {
+        return Ok(values);
+    }
+    comm.reduce_on_board(values, |acc: &mut Vec<T>, other: &Vec<T>, higher| {
+        if other.len() != acc.len() {
+            return Err(CommError::BadBuffer { expected: acc.len(), got: other.len() });
         }
-        for (a, t) in acc.iter_mut().zip(&theirs) {
-            *a = if theirs_higher { op(a, t) } else { op(t, a) };
+        for (a, o) in acc.iter_mut().zip(other) {
+            *a = if higher { op(a, o) } else { op(o, a) };
         }
         Ok(())
     })
-}
-
-/// The exchange pass under [`allreduce`] and [`allreduce_vec`]. Round `k`
-/// pairs the two aligned half-blocks of `m = 2^k` ranks that share a block
-/// of `2m`: before it every rank holds the bracket value of its own
-/// half, after it the value of the whole block. A member of the lower half
-/// sends to its opposite number and folds what it gets back on the right;
-/// the upper half mirrors that on the left. Where `p` cuts the upper half
-/// down to `u < m` ranks, upper rank `j` also serves lower ranks `j + u`,
-/// `j + 2u`, … — every member of a half holds the same value, so any of
-/// them can supply it — and where `p` cuts it away entirely the round is
-/// skipped. A pair of ranks meets in exactly one round, so one tag and
-/// FIFO order per pair keep back-to-back all-reduces apart.
-///
-/// `combine(acc, theirs, theirs_higher)` folds a received value into
-/// `acc`; `theirs_higher` says the sender's block lies above this rank's.
-fn allreduce_rounds<A, C>(comm: &Communicator, mut acc: A, combine: C) -> CommResult<A>
-where
-    A: Send + Clone + 'static,
-    C: Fn(&mut A, A, bool) -> CommResult<()>,
-{
-    let p = comm.size();
-    let me = comm.rank();
-    let ctx = comm.collective_context();
-    let mut m = 1usize;
-    while m < p {
-        let base = me & !(2 * m - 1);
-        // Ranks of the upper half that exist.
-        let upper = p.saturating_sub(base + m).min(m);
-        let offset = me - base;
-        if offset >= m {
-            let j = offset - m;
-            for lower in (j..m).step_by(upper) {
-                comm.send_ctx(base + lower, TAG_ALLREDUCE, ctx, acc.clone())?;
-            }
-            let (theirs, _) = comm.recv_match::<A>(Some(base + j), Some(TAG_ALLREDUCE), ctx)?;
-            combine(&mut acc, theirs, false)?;
-        } else if upper > 0 {
-            if offset < upper {
-                comm.send_ctx(base + m + offset, TAG_ALLREDUCE, ctx, acc.clone())?;
-            }
-            let from = base + m + offset % upper;
-            let (theirs, _) = comm.recv_match::<A>(Some(from), Some(TAG_ALLREDUCE), ctx)?;
-            combine(&mut acc, theirs, true)?;
-        }
-        m <<= 1;
-    }
-    Ok(acc)
 }
 
 /// Gather one value per rank onto `root`, in rank order.

@@ -1,14 +1,15 @@
 //! The [`Communicator`]: point-to-point messaging with MPI matching rules.
 
 use std::any::Any;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, OnceLock, Weak};
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 
+use crate::board::Board;
 use crate::cohort::{CohortView, Registry};
 use crate::envelope::{child_context, Context, Envelope, COLLECTIVE_BIT};
 use crate::error::{CommError, CommResult};
@@ -30,10 +31,10 @@ pub struct RecvStatus {
     pub tag: Tag,
 }
 
-/// Mailbox polls a blocked receive makes back to back before it starts
-/// yielding: roughly the futex park/unpark round trip the poll replaces
-/// (an empty `try_recv` plus the pause hint is a few tens of nanoseconds,
-/// so this is 10–50 µs depending on the core). A message that arrives
+/// Polls a blocked wait makes back to back before it starts yielding:
+/// roughly the futex park/unpark round trip the poll replaces (an empty
+/// `try_recv` plus the pause hint is a few tens of nanoseconds, so this is
+/// 10–50 µs depending on the core). A message or deposit that arrives
 /// inside the budget is handed off without a wake-up; one that does not
 /// costs the waiter at most this much extra CPU before it parks.
 const SPIN_POLLS: u32 = 1 << 10;
@@ -42,6 +43,10 @@ const SPIN_POLLS: u32 = 1 << 10;
 /// parking — the whole fast path of an oversubscribed universe, where the
 /// peer needs this core to make progress.
 const YIELD_POLLS: u32 = 4;
+
+/// How long a parked wait sleeps between checks of the cohort and the
+/// deadlock deadline.
+const SLICE: Duration = Duration::from_millis(10);
 
 /// Shared wiring of the universe: one mailbox sender per world rank and
 /// everything else the universe owns, fixed at launch by
@@ -61,8 +66,27 @@ pub(crate) struct Wiring {
     /// suspected deadlock, so mismatched SPMD code fails fast instead of
     /// hanging (`RCOMM_DEADLOCK_TIMEOUT_SECS`, 30 s by default).
     pub deadlock_timeout: Duration,
+    /// Reduction boards by collective context. A communicator holds its
+    /// board strongly; the map holds `Weak`s and drops dead ones whenever
+    /// it adds a board, so a board lives as long as its communicator.
+    pub boards: Mutex<HashMap<Context, Weak<Board>>>,
     /// [`Communicator::universe_store`]'s values, one per type.
     pub store: Mutex<Vec<Arc<dyn Any + Send + Sync>>>,
+}
+
+impl Wiring {
+    /// The live board of collective context `context`, or a new one for
+    /// `p` ranks.
+    fn board(&self, context: Context, p: usize) -> Arc<Board> {
+        let mut boards = self.boards.lock();
+        if let Some(board) = boards.get(&context).and_then(Weak::upgrade) {
+            return board;
+        }
+        boards.retain(|_, b| b.strong_count() > 0);
+        let board = Arc::new(Board::new(p));
+        boards.insert(context, Arc::downgrade(&board));
+        board
+    }
 }
 
 /// Per-thread inbox. All communicators held by one rank share it, so a
@@ -77,6 +101,46 @@ pub(crate) struct Wiring {
 pub(crate) struct PostOffice {
     pub receiver: Receiver<Envelope>,
     pub pending: VecDeque<Envelope>,
+}
+
+impl PostOffice {
+    /// One attempt of [`Communicator::wait_match`]: drain the mailbox
+    /// without blocking (`slice` = `None`) or for up to `slice`, stashing
+    /// envelopes that do not match `(src, tag, context)` in `pending`.
+    fn take_match(
+        &mut self,
+        src: Option<usize>,
+        tag: Option<Tag>,
+        context: Context,
+        slice: Option<Duration>,
+    ) -> CommResult<Option<Envelope>> {
+        let until = slice.map(|s| Instant::now() + s);
+        loop {
+            let env = match until {
+                None => match self.receiver.try_recv() {
+                    Ok(env) => env,
+                    Err(TryRecvError::Empty) => return Ok(None),
+                    Err(TryRecvError::Disconnected) => return Err(CommError::PeerGone(usize::MAX)),
+                },
+                Some(until) => {
+                    match self
+                        .receiver
+                        .recv_timeout(until.saturating_duration_since(Instant::now()))
+                    {
+                        Ok(env) => env,
+                        Err(RecvTimeoutError::Timeout) => return Ok(None),
+                        Err(RecvTimeoutError::Disconnected) => {
+                            return Err(CommError::PeerGone(usize::MAX))
+                        }
+                    }
+                }
+            };
+            if env.matches(src, tag, context) {
+                return Ok(Some(env));
+            }
+            self.pending.push_back(env);
+        }
+    }
 }
 
 /// A communication context shared by a group of ranks.
@@ -97,6 +161,9 @@ pub struct Communicator {
     split_salt: AtomicU64,
     /// Per-communicator traffic accounting (see [`CommStats`]).
     stats: StatsCell,
+    /// This communicator's reduction board, looked up at its first
+    /// multi-rank all-reduce.
+    board: OnceLock<Arc<Board>>,
     wiring: Arc<Wiring>,
     post: Arc<Mutex<PostOffice>>,
 }
@@ -115,6 +182,7 @@ impl Communicator {
             context,
             split_salt: AtomicU64::new(1),
             stats: StatsCell::default(),
+            board: OnceLock::new(),
             wiring,
             post,
         }
@@ -467,9 +535,9 @@ impl Communicator {
         Self::unpack(self.wait_match(src, tag, context)?)
     }
 
-    /// The one blocking point: wait for the first envelope matching
-    /// `(src, tag, context)`. Payload-agnostic, so every receive and every
-    /// collective round shares this one copy of the wait.
+    /// Wait for the first envelope matching `(src, tag, context)`.
+    /// Payload-agnostic, so every receive and every mailbox collective
+    /// shares this one copy of the wait.
     fn wait_match(
         &self,
         src: Option<usize>,
@@ -480,68 +548,97 @@ impl Communicator {
             self.world_rank(s)?;
         }
         let mut post = self.post.lock();
-        // 1. Previously stashed messages, in arrival order (MPI's
-        //    non-overtaking rule between a given pair).
+        // Previously stashed messages, in arrival order (MPI's
+        // non-overtaking rule between a given pair).
         if let Some(pos) = post.pending.iter().position(|e| e.matches(src, tag, context)) {
             return Ok(post.pending.remove(pos).expect("position just found"));
         }
-        // 2. Poll the mailbox: spin for about one park/unpark round trip
-        //    (not at all when ranks outnumber cores), then a few yields.
-        //    Hand-offs between ranks in lockstep — the reductions and halo
-        //    exchanges of a solver iteration — complete here, with no
-        //    futex wake and no clock read.
+        self.wait_for(
+            |slice| post.take_match(src, tag, context, slice),
+            || CommError::DeadlockSuspected { rank: self.rank, src, tag },
+        )
+    }
+
+    /// The one blocking point, under every receive and every board
+    /// reduction. `attempt(None)` checks without blocking;
+    /// `attempt(Some(slice))` may block for up to `slice`; either returns
+    /// `Some` once the wait is over.
+    ///
+    /// 1. Poll: spin for about one park/unpark round trip (not at all
+    ///    when ranks outnumber cores), then a few yields. Hand-offs
+    ///    between ranks in lockstep — the reductions and halo exchanges
+    ///    of a solver iteration — complete here, with no futex wake and
+    ///    no clock read.
+    /// 2. Park in short slices, so a blocked rank notices a cohort member
+    ///    dying (kill fault, stale heartbeat) within one slice and fails
+    ///    with the rank-consistent `RankLost` verdict instead of waiting
+    ///    out the whole deadlock timeout; past the deadline the wait
+    ///    fails with `stuck()`. The per-slice cohort check is two atomic
+    ///    loads while nobody died and no heartbeat timeout is set.
+    fn wait_for<R>(
+        &self,
+        mut attempt: impl FnMut(Option<Duration>) -> CommResult<Option<R>>,
+        stuck: impl FnOnce() -> CommError,
+    ) -> CommResult<R> {
         let spins = if self.wiring.oversubscribed { 0 } else { SPIN_POLLS };
-        let mut polls = 0;
-        while polls < spins + YIELD_POLLS {
-            match post.receiver.try_recv() {
-                Ok(env) => {
-                    if env.matches(src, tag, context) {
-                        return Ok(env);
-                    }
-                    post.pending.push_back(env);
-                }
-                Err(TryRecvError::Empty) => {
-                    if polls < spins {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                    polls += 1;
-                }
-                Err(TryRecvError::Disconnected) => return Err(CommError::PeerGone(usize::MAX)),
+        for poll in 0..spins + YIELD_POLLS {
+            if let Some(r) = attempt(None)? {
+                return Ok(r);
+            }
+            if poll < spins {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
             }
         }
-        // 3. Park on the mailbox — in short slices, so a blocked rank
-        //    notices a cohort member dying (kill fault, stale heartbeat)
-        //    within ~10 ms and fails with the rank-consistent RankLost
-        //    verdict instead of waiting out the whole deadlock timeout.
-        //    recv_timeout returns as soon as a message arrives, and the
-        //    per-slice cohort check is two atomic loads while nobody
-        //    died and no heartbeat timeout is set.
-        const SLICE: Duration = Duration::from_millis(10);
-        let deadline = std::time::Instant::now() + self.wiring.deadlock_timeout;
+        let deadline = Instant::now() + self.wiring.deadlock_timeout;
         loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            match post.receiver.recv_timeout(remaining.min(SLICE)) {
-                Ok(env) => {
-                    if env.matches(src, tag, context) {
-                        return Ok(env);
-                    }
-                    post.pending.push_back(env);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(world) = self.wiring.cohort.lost_member(&self.members) {
-                        return Err(CommError::RankLost(world));
-                    }
-                    if remaining <= SLICE {
-                        return Err(CommError::DeadlockSuspected { rank: self.rank, src, tag });
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::PeerGone(usize::MAX));
-                }
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if let Some(r) = attempt(Some(remaining.min(SLICE)))? {
+                return Ok(r);
+            }
+            if let Some(world) = self.wiring.cohort.lost_member(&self.members) {
+                return Err(CommError::RankLost(world));
+            }
+            if remaining <= SLICE {
+                return Err(stuck());
             }
         }
+    }
+
+    /// Deposit `value` on this communicator's reduction board, wait for
+    /// every member's contribution to the same generation, and fold them
+    /// all into it with `combine` in the reduction bracket (see
+    /// [`crate::board`]).
+    pub(crate) fn reduce_on_board<A, C>(&self, value: A, combine: C) -> CommResult<A>
+    where
+        A: Send + Clone + 'static,
+        C: Fn(&mut A, &A, bool) -> CommResult<()>,
+    {
+        let board =
+            self.board.get_or_init(|| self.wiring.board(self.collective_context(), self.size()));
+        let turn = board.turn(self.rank);
+        let g = turn.generation();
+        // Complete at once unless this rank's previous reduction failed
+        // before every member had arrived.
+        self.wait_board(board, g - 1)?;
+        turn.deposit(&value);
+        self.wait_board(board, g)?;
+        turn.fold(value, &combine)
+    }
+
+    /// Wait until every member has deposited generation `g` on `board`.
+    fn wait_board(&self, board: &Board, g: u64) -> CommResult<()> {
+        self.wait_for(
+            |slice| {
+                let complete = match slice {
+                    None => board.complete(g),
+                    Some(slice) => board.park(g, slice),
+                };
+                Ok(complete.then_some(()))
+            },
+            || CommError::DeadlockSuspected { rank: self.rank, src: board.missing(g), tag: None },
+        )
     }
 
     fn unpack<T: Send + 'static>(

@@ -7,7 +7,8 @@
 //! point-to-point messages with MPI matching semantics (source/tag/context,
 //! wildcard receives, FIFO per pair) plus the usual collective operations
 //! (barrier, broadcast, reduce, all-reduce, gather(v), scatter(v),
-//! all-gather(v), all-to-all, scan) built on top of point-to-point with
+//! all-gather(v), all-to-all, scan): all-reduce on a shared-memory board
+//! per communicator, the rest built on top of point-to-point with
 //! binomial-tree and ring algorithms.
 //!
 //! Because all inter-rank traffic flows through this API, code written
@@ -31,6 +32,7 @@
 
 #![warn(missing_docs)]
 
+mod board;
 mod comm;
 mod envelope;
 mod error;

@@ -74,6 +74,7 @@ impl Universe {
             cohort: Registry::new(n),
             oversubscribed: n > cores,
             deadlock_timeout: Duration::from_secs(deadlock_secs),
+            boards: Mutex::default(),
             store: Mutex::default(),
         });
         let members: Arc<Vec<usize>> = Arc::new((0..n).collect());

@@ -64,25 +64,27 @@ pub(crate) fn solve(
         // ŝ = M⁻¹·s ; t = A·ŝ.
         pc.apply(comm, &r, &mut s_hat)?;
         op.apply(comm, &s_hat, &mut t)?;
-        // t·t and t·s in one pass over t; still two reductions, in order.
+        // t·t and t·s in one pass over t and one reduction.
         let (tt, ts) = dense::pdot2(t.local(), t.local(), r.local());
-        let tt = comm.allreduce(tt, rcomm::sum)?;
+        let [tt, ts] = comm.allreduce_vec(&[tt, ts], rcomm::sum)?[..] else {
+            unreachable!("a two-entry reduction")
+        };
         if tt == 0.0 {
             break ConvergedReason::Breakdown;
         }
-        let omega = comm.allreduce(ts, rcomm::sum)? / tt;
+        let omega = ts / tt;
         if omega == 0.0 || !omega.is_finite() {
             break ConvergedReason::Breakdown;
         }
         // x += α·p̂ + ω·ŝ in one pass; r = s − ω·t with ‖r‖² and r̂·r in
-        // one more (r̂·r is reduced only if the iteration goes on).
+        // one more, reduced together with the wall-clock guard.
         dense::axpy2(alpha, p_hat.local(), omega, s_hat.local(), x.local_mut());
         let (rr, rho_local) = dense::axpy_pdot2(-omega, t.local(), r.local_mut(), r_hat.local());
-        rnorm = mon.guarded_norm2_of(rr)?;
+        let rho_new;
+        (rnorm, rho_new) = mon.guarded_norm2_with(rr, rho_local)?;
         if let Some(reason) = mon.check(iterations, rnorm) {
             break reason;
         }
-        let rho_new = comm.allreduce(rho_local, rcomm::sum)?;
         if rho == 0.0 {
             break ConvergedReason::Breakdown;
         }

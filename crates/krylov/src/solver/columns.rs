@@ -116,9 +116,12 @@ pub(super) fn dist_columns(part: &BlockRowPartition, rank: usize, k: usize) -> V
 }
 
 /// `local` summed element-wise over the communicator in one collective.
-/// One entry goes through the scalar `allreduce`, which sends the value
-/// itself where `allreduce_vec` copies and boxes a vector each round; the
-/// bits, the fault call index and the probe counts are the same.
+/// One entry goes through the scalar `allreduce`, whose value sits in its
+/// board slot where `allreduce_vec` copies the slice into a `Vec` and
+/// reads the other ranks' buffers (`allreduce/vec1/2` ≈ 1.3 ×
+/// `allreduce/scalar/2` in `cargo bench -p lisi-bench --bench
+/// collectives`); the bits, the fault call index and the probe counts are
+/// the same.
 pub(super) fn sum(comm: &Communicator, local: &[f64]) -> KspOutcome<Vec<f64>> {
     if let [value] = *local {
         return Ok(vec![comm.allreduce(value, rcomm::sum)?]);

@@ -307,6 +307,21 @@ impl<'a> Monitor<'a> {
         Ok(red[0].sqrt())
     }
 
+    /// [`Self::guarded_norm2_of`] with one more local sum riding in the
+    /// same collective as its third entry: returns `(‖v‖₂, Σ extra)`. The
+    /// element-wise bracket is the scalar one, so both keep the bits of
+    /// reductions of their own.
+    pub(crate) fn guarded_norm2_with(
+        &mut self,
+        local_sq: f64,
+        extra: f64,
+    ) -> KspOutcome<(f64, f64)> {
+        let local = [local_sq, self.local_guard(), extra];
+        let red = self.comm.allreduce_vec(&local, rcomm::sum)?;
+        self.absorb_guard(red[1]);
+        Ok((red[0].sqrt(), red[2]))
+    }
+
     /// Record a residual norm; `Some(reason)` means stop.
     pub(crate) fn check(&mut self, iteration: usize, rnorm: f64) -> Option<ConvergedReason> {
         if iteration > 0 {

@@ -9,6 +9,9 @@
 //!   with the guard), and 1 per restart (the recomputed true residual).
 //!   A solve whose verdict lands inside cycle `c` has made `c − 1`
 //!   restarts, i.e. `⌊its / m⌋` when `its` is not a multiple of `m`.
+//! - BiCGStab: 3 before the loop (‖b‖, ‖r₀‖, r̂·r₀), then 4 per iteration
+//!   (r̂·v; ‖s‖² with the guard; t·t and t·s; ‖r‖², the guard and r̂·r).
+//!   An iteration that converges on ‖s‖ stops after its second.
 
 use rcomm::Universe;
 use rkrylov::{Ksp, KspConfig, KspType, MatOperator, PcType};
@@ -23,6 +26,17 @@ fn solve_counted(
     m: usize,
     restart: usize,
 ) -> Vec<(rkrylov::KspResult, u64)> {
+    solve_counted_to(ksp_type, p, m, restart, 1e-10)
+}
+
+/// [`solve_counted`] to relative tolerance `rtol`.
+fn solve_counted_to(
+    ksp_type: KspType,
+    p: usize,
+    m: usize,
+    restart: usize,
+    rtol: f64,
+) -> Vec<(rkrylov::KspResult, u64)> {
     let a = generate::laplacian_2d(m);
     let n = a.rows();
     let b = a.matvec(&generate::random_vector(n, 23)).unwrap();
@@ -35,7 +49,7 @@ fn solve_counted(
         let ksp = Ksp::new(KspConfig {
             ksp_type,
             pc_type: PcType::Jacobi,
-            rtol: 1e-10,
+            rtol,
             maxits: 2000,
             restart,
             ..KspConfig::default()
@@ -85,4 +99,31 @@ fn gmres_posts_two_allreduces_per_inner_iteration_and_one_per_restart() {
 #[test]
 fn fgmres_posts_the_gmres_schedule() {
     assert_gmres_schedule(KspType::Fgmres);
+}
+
+#[test]
+fn bicgstab_posts_three_plus_four_allreduces_per_iteration() {
+    // Tolerances chosen so both exits occur: on ‖s‖ half-way through an
+    // iteration and on ‖r‖ at its end.
+    let mut exits = [false; 2];
+    for p in [1usize, 4] {
+        for rtol in [1e-10, 1e-8, 1e-6, 1e-4] {
+            for (rank, (res, count)) in
+                solve_counted_to(KspType::BiCgStab, p, 10, 30, rtol).iter().enumerate()
+            {
+                let ctx = format!("p = {p}, rtol = {rtol:e}, rank {rank}");
+                let its = res.iterations as u64;
+                assert!(res.converged() && its > 2, "{ctx}");
+                // Every iteration checks ‖s‖ and ‖r‖; the last may stop
+                // after the first.
+                let checks = res.history.len() as u64 - 1;
+                let half_step = checks == 2 * its - 1;
+                assert!(half_step || checks == 2 * its, "{ctx}: {checks} checks");
+                exits[half_step as usize] = true;
+                let last = if half_step { 2 } else { 4 };
+                assert_eq!(*count, 3 + 4 * (its - 1) + last, "{ctx}: {its} its");
+            }
+        }
+    }
+    assert_eq!(exits, [true, true], "both exits were exercised");
 }

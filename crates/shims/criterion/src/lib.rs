@@ -99,6 +99,34 @@ impl Bencher {
         }
         self.mean_ns = start.elapsed().as_nanos() as f64 / iters as f64;
     }
+
+    /// Let `routine(iters)` time `iters` iterations itself and return the
+    /// time they took, so set-up around them stays outside the measure:
+    /// warm up while doubling `iters` until one call takes a tenth of the
+    /// measurement window, then record the mean over the window.
+    pub fn iter_custom<F: FnMut(u64) -> Duration>(&mut self, mut routine: F) {
+        let warm_end = Instant::now() + self.warmup;
+        let mut iters: u64 = 1;
+        loop {
+            let took = routine(iters);
+            if Instant::now() >= warm_end {
+                break;
+            }
+            if took < self.measure / 10 {
+                iters *= 2;
+            }
+        }
+        let start = Instant::now();
+        let (mut timed, mut total) = (Duration::ZERO, 0u64);
+        loop {
+            timed += routine(iters);
+            total += iters;
+            if start.elapsed() >= self.measure {
+                break;
+            }
+        }
+        self.mean_ns = timed.as_nanos() as f64 / total as f64;
+    }
 }
 
 /// The top-level harness context; holds CLI configuration.
@@ -272,6 +300,21 @@ mod tests {
         });
         assert!(b.mean_ns > 0.0);
         assert!(acc > 0);
+    }
+
+    #[test]
+    fn iter_custom_averages_the_time_the_routine_reports() {
+        let mut b = Bencher {
+            warmup: Duration::from_millis(2),
+            measure: Duration::from_millis(10),
+            mean_ns: 0.0,
+        };
+        // Each iteration "takes" 1 µs whatever the wall clock says.
+        b.iter_custom(|iters| {
+            std::thread::sleep(Duration::from_micros(100));
+            Duration::from_micros(iters)
+        });
+        assert_eq!(b.mean_ns, 1000.0);
     }
 
     #[test]

@@ -86,16 +86,17 @@ if [ "$core_arch_calls" -gt 1 ]; then
   exit 1
 fi
 
-echo "== RSLU, sweep, Jacobi, vector, SpMV and RAztec kernel rows, run once (smoke) =="
+echo "== RSLU, sweep, Jacobi, vector, SpMV, RAztec and collective rows, run once (smoke) =="
 # Compiling a bench does not set it up: these run RSLU's rows once each
 # (factor, then the triangular solves), the preconditioner sweeps' rows,
 # ILU(0)'s set-up rows (the two triangles' layout, the whole factory), the
 # Jacobi rows, the vector kernels' rows, the digest rows, the plan
 # build's and the diagonal's rows, the split
 # matvec's single and batched (k = 8) rows and RAztec's apply and GMRES(30)
-# rows once, so a panic in their set-up (or a Jacobi row whose
-# diagonal is not the kind it names) fails here. One-millisecond windows:
-# this measures nothing.
+# rows once, then every collective row (a universe launched per sample,
+# the burst timed inside it), so a panic in their set-up (or a Jacobi row
+# whose diagonal is not the kind it names) fails here. One-millisecond
+# windows: this measures nothing.
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- factor/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- trisolve
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- sptrsv/
@@ -109,5 +110,6 @@ BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- spmv_formats/split1/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- spmv_multi/
 BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench kernels -- raztec/
+BENCH_WARMUP_MS=0 BENCH_MEASURE_MS=1 cargo bench -p lisi-bench --bench collectives
 
 echo "ALL CHECKS PASSED"
