@@ -19,7 +19,8 @@
 //! its readers apart. A slot keeps its payload and overwrites it with
 //! `clone_from` when the type repeats, so a warm reduction of an `f64`
 //! allocates nothing and a warm `Vec` keeps its buffer. A value of up to
-//! four words sits in the slot itself, next to the generation a reader
+//! five words — a scalar, or up to four `f64` of an `allreduce_vec` with
+//! their count — sits in the slot itself, next to the generation a reader
 //! polls; a larger one is boxed. A rank folds the others' contributions
 //! into its own and never reads its own slot, so with two ranks each slot
 //! has one reader and nothing is cloned; with more, readers clone under
@@ -36,8 +37,10 @@ use parking_lot::Mutex;
 
 use crate::error::{CommError, CommResult};
 
-/// Inline storage of one payload.
-type Words = [u64; 4];
+/// Inline storage of one payload: four values and a length, so a short
+/// `allreduce_vec` contribution ([`crate::collectives::allreduce_vec`])
+/// sits in the slot like a scalar.
+type Words = [u64; 5];
 
 /// Does an `A` fit in [`Words`] (else it is stored as a `Box<A>`)?
 const fn fits<A>() -> bool {
@@ -448,6 +451,11 @@ mod tests {
         other.deposit(&"d".to_string());
         assert_eq!(next.fold("c".to_string(), &concat).unwrap(), "cd");
         assert_eq!(other.fold("d".to_string(), &concat).unwrap(), "cd");
+    }
+
+    #[test]
+    fn a_slot_with_two_five_word_payloads_is_one_128_byte_line() {
+        assert_eq!(size_of::<Slot>(), 128);
     }
 
     #[test]

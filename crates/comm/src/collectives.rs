@@ -23,6 +23,8 @@
 //! agree across ranks and iteration counts do not depend on which of the
 //! two was used.
 
+use std::any::Any;
+
 use crate::comm::Communicator;
 use crate::error::{CommError, CommResult};
 use crate::Tag;
@@ -176,7 +178,7 @@ where
 /// products fused into one collective, as solvers do to save latency).
 /// `values` is this rank's contribution; each entry is combined in the
 /// bracket of [`allreduce`].
-pub fn allreduce_vec<T, F>(comm: &Communicator, values: Vec<T>, op: F) -> CommResult<Vec<T>>
+pub fn allreduce_vec<T, F>(comm: &Communicator, mut values: Vec<T>, op: F) -> CommResult<Vec<T>>
 where
     T: Send + Clone + 'static,
     F: Fn(&T, &T) -> T,
@@ -184,11 +186,69 @@ where
     if comm.size() == 1 {
         return Ok(values);
     }
+    if let Some(short) = (&mut values as &mut dyn Any).downcast_mut::<Vec<f64>>() {
+        if short.len() <= SHORT {
+            // `T` is `f64`: cast the operator's arguments and result
+            // through `Any`, which the optimizer folds away.
+            fn as_t<T: 'static>(v: &f64) -> &T {
+                (v as &dyn Any).downcast_ref().expect("T is f64")
+            }
+            let op = |a: &f64, b: &f64| {
+                *(&op(as_t(a), as_t(b)) as &dyn Any).downcast_ref::<f64>().expect("T is f64")
+            };
+            let reduced = allreduce_short(comm, Short::new(short), op)?;
+            short.copy_from_slice(reduced.values());
+            return Ok(values);
+        }
+    }
     comm.reduce_on_board(values, |acc: &mut Vec<T>, other: &Vec<T>, higher| {
         if other.len() != acc.len() {
             return Err(CommError::BadBuffer { expected: acc.len(), got: other.len() });
         }
         for (a, o) in acc.iter_mut().zip(other) {
+            *a = if higher { op(a, o) } else { op(o, a) };
+        }
+        Ok(())
+    })
+}
+
+/// The longest `allreduce_vec` of `f64` that rides in a board slot's
+/// inline words.
+const SHORT: usize = 4;
+
+/// Up to [`SHORT`] values and their count: an `allreduce_vec`
+/// contribution that fits a board slot, so the folding rank reads one
+/// cache line instead of another rank's heap buffer.
+#[derive(Clone, Copy)]
+struct Short {
+    len: usize,
+    values: [f64; SHORT],
+}
+
+impl Short {
+    fn new(values: &[f64]) -> Self {
+        let mut short = Short { len: values.len(), values: [0.0; SHORT] };
+        short.values[..values.len()].copy_from_slice(values);
+        short
+    }
+
+    fn values(&self) -> &[f64] {
+        &self.values[..self.len]
+    }
+}
+
+/// [`allreduce_vec`] of one [`Short`] contribution, entry by entry in the
+/// bracket of [`allreduce`].
+fn allreduce_short(
+    comm: &Communicator,
+    short: Short,
+    op: impl Fn(&f64, &f64) -> f64,
+) -> CommResult<Short> {
+    comm.reduce_on_board(short, |acc: &mut Short, other: &Short, higher| {
+        if other.len != acc.len {
+            return Err(CommError::BadBuffer { expected: acc.len, got: other.len });
+        }
+        for (a, o) in acc.values[..acc.len].iter_mut().zip(other.values()) {
             *a = if higher { op(a, o) } else { op(o, a) };
         }
         Ok(())
@@ -378,7 +438,7 @@ where
 
 #[cfg(test)]
 mod tests {
-    use crate::Universe;
+    use crate::{CommError, Universe};
 
     /// Every collective is exercised at several rank counts, including
     /// non-powers of two, since the tree algorithms special-case those.
@@ -461,6 +521,43 @@ mod tests {
         });
         for v in out {
             assert_eq!(v, vec![6.0, 4.0, -6.0]);
+        }
+    }
+
+    /// Up to four `f64` ride inline, more are boxed: every width gives the
+    /// bits of one scalar allreduce an entry, a non-commutative operator
+    /// keeps rank order, and unequal widths fail on every rank (a
+    /// `BadBuffer`, or a `TypeMismatch` when one side rides inline and the
+    /// other does not).
+    #[test]
+    fn short_and_long_allreduce_vec_agree_with_scalar_allreduces() {
+        let entry = |rank: usize, i: usize| ((rank * 7 + i) as f64 * 0.1).sin();
+        let skewed = |a: &f64, b: &f64| 0.5 * a + b;
+        for p in [2usize, 3] {
+            let out = Universe::run(p, |c| {
+                (1..=6)
+                    .map(|width| {
+                        let mine: Vec<f64> = (0..width).map(|i| entry(c.rank(), i)).collect();
+                        let fused = c.allreduce_vec(&mine, skewed).unwrap();
+                        let single: Vec<f64> =
+                            mine.iter().map(|&v| c.allreduce(v, skewed).unwrap()).collect();
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        let unequal = vec![1.0; if c.rank() == 0 { width } else { width + 1 }];
+                        let mismatch = c.allreduce_vec(&unequal, skewed);
+                        (bits(&fused) == bits(&single), mismatch)
+                    })
+                    .collect::<Vec<_>>()
+            });
+            for (rank, widths) in out.iter().enumerate() {
+                for (w, (same, mismatch)) in widths.iter().enumerate() {
+                    assert!(same, "p = {p}, rank {rank}, width {}", w + 1);
+                    let bad = matches!(
+                        mismatch,
+                        Err(CommError::BadBuffer { .. } | CommError::TypeMismatch { .. })
+                    );
+                    assert!(bad, "p = {p}, rank {rank}, width {}: {mismatch:?}", w + 1);
+                }
+            }
         }
     }
 

@@ -14,6 +14,7 @@ use crate::cohort::{CohortView, Registry};
 use crate::envelope::{child_context, Context, Envelope, COLLECTIVE_BIT};
 use crate::error::{CommError, CommResult};
 use crate::fault::{Armed, FaultKind, FaultOp, FaultPlan, Fired};
+use crate::line::{End, Line, LineKey, Lines, Shared};
 use crate::stats::{CommStats, StatsCell};
 use crate::Tag;
 
@@ -56,6 +57,9 @@ const SLICE: Duration = Duration::from_millis(10);
 #[repr(C)]
 pub(crate) struct Wiring {
     pub senders: Vec<Sender<Envelope>>,
+    /// This universe's number in the process: with a context, it names a
+    /// communicator's lines (see [`Line::opened_on`]).
+    pub id: u64,
     /// The launch's fault plan, if any.
     pub faults: Option<Box<Armed>>,
     /// Kill marks and heartbeats of this universe's ranks.
@@ -70,6 +74,8 @@ pub(crate) struct Wiring {
     /// board strongly; the map holds `Weak`s and drops dead ones whenever
     /// it adds a board, so a board lives as long as its communicator.
     pub boards: Mutex<HashMap<Context, Weak<Board>>>,
+    /// Halo lines by context, ends and tag (see [`crate::line`]).
+    pub lines: Lines,
     /// [`Communicator::universe_store`]'s values, one per type.
     pub store: Mutex<Vec<Arc<dyn Any + Send + Sync>>>,
 }
@@ -164,8 +170,18 @@ pub struct Communicator {
     /// This communicator's reduction board, looked up at its first
     /// multi-rank all-reduce.
     board: OnceLock<Arc<Board>>,
+    /// The line ends this handle opened, released when it is dropped.
+    lines: Mutex<Vec<(LineKey, End, Arc<Shared>)>>,
     wiring: Arc<Wiring>,
     post: Arc<Mutex<PostOffice>>,
+}
+
+impl Drop for Communicator {
+    fn drop(&mut self) {
+        for (key, end, _) in self.lines.get_mut().drain(..) {
+            self.wiring.lines.close(key, end);
+        }
+    }
 }
 
 impl Communicator {
@@ -183,6 +199,7 @@ impl Communicator {
             split_salt: AtomicU64::new(1),
             stats: StatsCell::default(),
             board: OnceLock::new(),
+            lines: Mutex::default(),
             wiring,
             post,
         }
@@ -498,6 +515,147 @@ impl Communicator {
             .map(|e| RecvStatus { source: e.src, tag: e.tag }))
     }
 
+    /// Open the sending end of the halo line to local rank `dest` with
+    /// `tag` (see [`Line`]). The first end opened sizes the line's
+    /// buffers for `len` values; a longer post grows them once. Opening
+    /// the same end again on this handle returns the same line, and the
+    /// line lives while any handle holds an end of it, so an end opened
+    /// before a collective is found by a peer that has passed it.
+    pub fn open_send_line(&self, dest: usize, tag: Tag, len: usize) -> CommResult<Line> {
+        self.open_line(dest, tag, End::Send, len)
+    }
+
+    /// Open the receiving end of the halo line from local rank `src` with
+    /// `tag`; see [`Self::open_send_line`].
+    pub fn open_recv_line(&self, src: usize, tag: Tag, len: usize) -> CommResult<Line> {
+        self.open_line(src, tag, End::Recv, len)
+    }
+
+    fn open_line(&self, peer: usize, tag: Tag, end: End, len: usize) -> CommResult<Line> {
+        Self::check_tag(tag)?;
+        let (me, other) = (self.my_world_rank(), self.world_rank(peer)?);
+        let key = match end {
+            End::Send => (self.context, me, other, tag),
+            End::Recv => (self.context, other, me, tag),
+        };
+        let mut mine = self.lines.lock();
+        let shared = match mine.iter().find(|(k, e, _)| *k == key && *e == end) {
+            Some((.., shared)) => Arc::clone(shared),
+            None => {
+                let shared = self.wiring.lines.open(key, end, len);
+                mine.push((key, end, Arc::clone(&shared)));
+                shared
+            }
+        };
+        Ok(Line::new(shared, peer, tag, end, self.line_home()))
+    }
+
+    /// What names this communicator's lines: its universe and context.
+    pub(crate) fn line_home(&self) -> (u64, Context) {
+        (self.wiring.id, self.context)
+    }
+
+    /// Post `len` values on the sending end `line`: `fill` writes them into
+    /// the line's next buffer, which the receiver's next
+    /// [`Self::take`] reads. Waits while the receiver has four posts
+    /// untaken (the ring's depth). Faults, traffic accounting and the trace stamp are a
+    /// [`Self::send`]'s with the line's tag: a fired `drop` publishes
+    /// nothing, so the next post is taken in its place; `corrupt` and
+    /// `truncate` apply to the filled buffer. Counts `8 · len` bytes.
+    ///
+    /// # Panics
+    ///
+    /// If `line` is a receiving end.
+    pub fn post(&self, line: &Line, len: usize, fill: impl FnOnce(&mut [f64])) -> CommResult<()> {
+        assert_eq!(line.end(), End::Send, "post on the receiving end of a line");
+        let (dest, tag) = (line.peer(), line.tag());
+        let bytes = 8 * len as u64;
+        let fired = self.fault_gate(FaultOp::Send, "send", Some(tag))?;
+        if fired.is_some_and(|f| f.kind == FaultKind::Drop) {
+            self.note_send(dest, tag, bytes, None);
+            return Ok(());
+        }
+        let world_dest = self.world_rank(dest)?;
+        if self.wiring.cohort.is_lost(world_dest) {
+            return Err(CommError::RankLost(world_dest));
+        }
+        let stamp = probe::trace::stamp_send();
+        let (_turn, g) = line.turn();
+        self.wait_line(
+            line,
+            || line.room(g),
+            || CommError::DeadlockSuspected { rank: self.rank, src: Some(dest), tag: Some(tag) },
+        )?;
+        // SAFETY: this sending end's turn is held for `g`, and there is
+        // room for it.
+        unsafe {
+            line.write(g, len, stamp, |buf| {
+                fill(buf);
+                if let Some(fired) = fired {
+                    fired.apply(buf);
+                }
+            })
+        };
+        self.note_send(dest, tag, bytes, stamp);
+        Ok(())
+    }
+
+    /// Take the next post from the receiving end `line` and run `read` on
+    /// its values, waiting until it is posted. Faults, traffic accounting
+    /// and the `Recv` event are a [`Self::recv`]'s with the line's tag: a
+    /// fired `corrupt` poisons the delivered values. Counts 8 bytes per
+    /// value delivered.
+    ///
+    /// # Panics
+    ///
+    /// If `line` is a sending end.
+    pub fn take<R>(&self, line: &Line, read: impl FnOnce(&[f64]) -> R) -> CommResult<R> {
+        assert_eq!(line.end(), End::Recv, "take on the sending end of a line");
+        let (src, tag) = (line.peer(), line.tag());
+        let fired = self.fault_gate(FaultOp::Recv, "recv", Some(tag))?;
+        let posted = probe::trace::recv_start();
+        let (_turn, g) = line.turn();
+        self.wait_line(
+            line,
+            || line.posted(g),
+            || CommError::DeadlockSuspected { rank: self.rank, src: Some(src), tag: Some(tag) },
+        )?;
+        // SAFETY: this receiving end's turn is held for `g`, and `g` is
+        // posted.
+        let (r, bytes, stamp) = unsafe {
+            line.read(g, |buf, stamp| {
+                if let Some(fired) = fired {
+                    fired.apply(buf);
+                }
+                (read(buf), 8 * buf.len() as u64, stamp)
+            })
+        };
+        self.note_recv(src, tag, bytes, posted, stamp);
+        Ok(r)
+    }
+
+    /// Wait, through [`Self::wait_for`], until `ready()` holds for `line`.
+    fn wait_line(
+        &self,
+        line: &Line,
+        ready: impl Fn() -> bool,
+        stuck: impl FnOnce() -> CommError,
+    ) -> CommResult<()> {
+        if ready() {
+            return Ok(());
+        }
+        self.wait_for(
+            |slice| {
+                let ready = match slice {
+                    None => ready(),
+                    Some(slice) => line.park(slice, &ready),
+                };
+                Ok(ready.then_some(()))
+            },
+            stuck,
+        )
+    }
+
     /// Combined send+receive, deadlock-free regardless of ordering — the
     /// workhorse of halo exchanges.
     pub fn sendrecv<T: Send + 'static, U: Send + 'static>(
@@ -559,8 +717,8 @@ impl Communicator {
         )
     }
 
-    /// The one blocking point, under every receive and every board
-    /// reduction. `attempt(None)` checks without blocking;
+    /// The one blocking point, under every receive, every board
+    /// reduction and every halo line. `attempt(None)` checks without blocking;
     /// `attempt(Some(slice))` may block for up to `slice`; either returns
     /// `Some` once the wait is over.
     ///

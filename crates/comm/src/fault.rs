@@ -49,6 +49,12 @@
 //!   the deadlock watchdog — the trigger for
 //!   `Communicator::shrink`-based elastic recovery. Valid on any op.
 //!
+//! A halo line's `post` and `take` (`Communicator::post` /
+//! `Communicator::take`) pass the same gate as a `send` / `recv` with the
+//! line's tag, so a `tag=7001` rule meets the distributed matvec's halos:
+//! a dropped post publishes nothing, and `corrupt` / `truncate` act on
+//! the line's buffer.
+//!
 //! Each rule fires **once per launch** (a one-shot fuse): a fault that
 //! breaks solve attempt 1 does not re-fire on the fallback attempt, which
 //! runs on a `dup` of the same universe; the next launch given the same

@@ -9,7 +9,8 @@
 //! (barrier, broadcast, reduce, all-reduce, gather(v), scatter(v),
 //! all-gather(v), all-to-all, scan): all-reduce on a shared-memory board
 //! per communicator, the rest built on top of point-to-point with
-//! binomial-tree and ring algorithms.
+//! binomial-tree and ring algorithms. Halo exchanges ride persistent
+//! one-way [`Line`]s: shared-memory rings opened once per neighbour.
 //!
 //! Because all inter-rank traffic flows through this API, code written
 //! against it has the same *structure* as the MPI original: block-row data
@@ -36,6 +37,7 @@ mod board;
 mod comm;
 mod envelope;
 mod error;
+mod line;
 mod reduce;
 mod stats;
 mod timer;
@@ -49,6 +51,7 @@ pub use cohort::CohortView;
 pub use comm::{Communicator, RecvStatus, ANY_SOURCE, ANY_TAG};
 pub use error::{CommError, CommResult};
 pub use fault::{FaultKind, FaultOp, FaultPlan, FaultRule};
+pub use line::Line;
 pub use reduce::{land, lor, max, maxloc, min, minloc, prod, sum};
 pub use stats::CommStats;
 pub use timer::Stopwatch;

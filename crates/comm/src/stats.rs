@@ -8,9 +8,9 @@
 //! Counts are **per communicator**: `dup()`/`split()` children start from
 //! zero, so a solver handed a duplicated communicator can be audited in
 //! isolation. Byte counts are the sizes of the payload values as handed
-//! to `send`/`recv` (`size_of::<T>()`); payloads that box or share their
-//! storage (e.g. `Arc<Vec<f64>>` halo buffers) count at handle size — the
-//! probe layer's `halo_bytes` counter carries the actual moved data.
+//! to `send`/`recv` (`size_of::<T>()`; a payload that boxes or shares its
+//! storage counts at handle size), and 8 bytes per value a halo line's
+//! `post` is handed or its `take` delivers — the data a halo moves.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -1,6 +1,7 @@
 //! SPMD launcher: spawn one thread per rank, wire them up, collect results.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,12 +19,15 @@ use crate::fault::{Armed, FaultPlan};
 /// OS threads, hands each a world [`Communicator`] of size `n`, runs the
 /// supplied closure on every rank, and returns the per-rank results in
 /// rank order. Everything a launch shares between its ranks — mailboxes,
-/// the fault plan with its fuses, the cohort registry, the deadlock
+/// reduction boards, halo lines, the fault plan with its fuses, the cohort registry, the deadlock
 /// watchdog, [`Communicator::universe_store`] — belongs to that launch,
 /// so two universes in one process never see each other's state.
 /// A panic on any rank propagates (after the other ranks either finish or
 /// fail with `PeerGone`/`DeadlockSuspected`), so test failures are loud.
 pub struct Universe;
+
+/// Launches so far in this process: each universe's number.
+static LAUNCHES: AtomicU64 = AtomicU64::new(0);
 
 impl Universe {
     /// Run `f` on `n` ranks under the fault plan `RSPARSE_FAULTS` spells
@@ -70,11 +74,13 @@ impl Universe {
             .unwrap_or(30);
         let wiring = Arc::new(Wiring {
             senders,
+            id: LAUNCHES.fetch_add(1, Ordering::Relaxed),
             faults: faults.map(|plan| Box::new(Armed::new(plan))),
             cohort: Registry::new(n),
             oversubscribed: n > cores,
             deadlock_timeout: Duration::from_secs(deadlock_secs),
             boards: Mutex::default(),
+            lines: Default::default(),
             store: Mutex::default(),
         });
         let members: Arc<Vec<usize>> = Arc::new((0..n).collect());

@@ -71,9 +71,6 @@ counters! {
     HaloMessages = "halo_messages",
     /// Halo-exchange payload bytes (the boundary values actually moved).
     HaloBytes = "halo_bytes",
-    /// Allocations taken on the steady-state (primed-workspace) matvec
-    /// path. Should stay 0 after the first matvec.
-    SteadyStateAllocs = "steady_state_allocs",
     /// Operator applications (distributed matvec or shell apply).
     MatvecCalls = "matvec_calls",
     /// Preconditioner applications.

@@ -13,9 +13,10 @@
 //! **interior** part (rows touching only owned columns) and a **boundary**
 //! part (rows touching at least one ghost column). A matvec then
 //!
-//! 1. posts halo sends from persistent staging buffers,
+//! 1. posts its halos on persistent outgoing lines (`rcomm::Line`, one per
+//!    neighbour, opened at plan build),
 //! 2. computes every interior row while the halos are in flight,
-//! 3. drains receives **out of order** as they arrive (via `iprobe`),
+//! 3. takes the incoming halos from their lines into the ghost slots,
 //! 4. finishes with the boundary rows against `[x_local, ghosts]`.
 //!
 //! The pieces are stored compactly (`u32` renumbered columns, every index
@@ -24,15 +25,14 @@
 //! ghost slots, so `x` is never copied. The interior rows that repeat the
 //! row above shifted by one column — the bulk of a stencil matrix — are
 //! stored as **stencil runs**, diagonal-major with no column indices at
-//! all. The ghost slots and the send
-//! staging buffers live in a `MatvecWorkspace` owned by the matrix
-//! (interior mutability), so repeated matvecs — the inner loop of every
-//! Krylov solve — perform no heap allocation. Dot products and norms
-//! reduce over the communicator.
+//! all. The ghost slots and the lines live in a `HaloExchange` owned by
+//! the matrix (interior mutability), so repeated matvecs — the inner loop
+//! of every Krylov solve — perform no heap allocation. Dot products and
+//! norms reduce over the communicator.
 
 use std::sync::{Arc, Mutex};
 
-use rcomm::Communicator;
+use rcomm::{Communicator, Line};
 
 use crate::compact::{self, CompactRows, StencilRuns};
 use crate::csr::CsrMatrix;
@@ -43,9 +43,8 @@ use crate::partition::BlockRowPartition;
 /// Reserved user-level tag for halo traffic.
 const TAG_HALO: rcomm::Tag = 7001;
 
-/// Reserved user-level tag for batched (multi-RHS) halo traffic — kept
-/// distinct from [`TAG_HALO`] so interleaved single and multi matvecs
-/// can never consume each other's payloads.
+/// Reserved user-level tag for batched (multi-RHS) halo traffic: its own
+/// lines, so fault plans and traffic accounting tell the two apart.
 const TAG_HALO_MULTI: rcomm::Tag = 7002;
 
 /// A block-row-distributed dense vector: each rank owns one contiguous
@@ -214,141 +213,142 @@ impl SplitLocal {
     }
 }
 
-/// Persistent per-matrix scratch for [`DistCsrMatrix::matvec_into`]: the
-/// ghost slots, one pool of reference-counted send staging buffers per
-/// destination, and the out-of-order receive bookkeeping.
-///
-/// Send payloads travel as `Arc<Vec<f64>>`: the sender keeps one clone in
-/// its pool and the receiver drops its clone after copying the values out,
-/// at which point `Arc::get_mut` succeeds again and the buffer is reused.
-/// A pool only grows when a matvec is staged while the receiver still
-/// holds the previous buffer (bounded by receiver lag); `steady_allocs`
-/// counts such growth after the first matvec so tests can assert the
-/// steady state allocates nothing.
-#[derive(Debug)]
-struct MatvecWorkspace {
-    /// The ghost slots, in plan order; owned entries are read from `x`
-    /// in place.
-    ghosts: Vec<f64>,
-    /// Per-send-slot buffer pools, parallel to `HaloPlan::sends`.
-    send_pools: Vec<Vec<Arc<Vec<f64>>>>,
-    /// Per-recv "not yet drained this matvec" flags, parallel to
-    /// `HaloPlan::recvs`.
-    recv_pending: Vec<bool>,
-    /// Heap allocations made after the first matvec completed.
-    steady_allocs: u64,
-    /// Whether at least one matvec has completed.
-    primed: bool,
-}
-
-impl MatvecWorkspace {
-    fn new(plan: &HaloPlan) -> Self {
-        MatvecWorkspace {
-            ghosts: vec![0.0; plan.n_ghosts],
-            // Two buffers per destination: a receiver may lag one full
-            // matvec behind its sender (it posts its own sends before
-            // draining ours), so the k-th buffer can still be in flight
-            // while the sender stages k+1. With a mutual (symmetric-
-            // pattern) halo dependency the skew cannot exceed that one
-            // iteration, so two buffers make the steady state
-            // allocation-free; one-way couplings may queue deeper and
-            // grow the pool (counted by `steady_allocs`).
-            send_pools: plan
-                .sends
-                .iter()
-                .map(|(_, idxs)| (0..2).map(|_| Arc::new(vec![0.0; idxs.len()])).collect())
-                .collect(),
-            recv_pending: vec![false; plan.recvs.len()],
-            steady_allocs: 0,
-            primed: false,
-        }
-    }
-
-    /// Fill a free staging buffer for send slot `slot` with the gathered
-    /// entries of `x` and return a clone to ship.
-    fn stage_send(&mut self, slot: usize, idxs: &[usize], x: &[f64]) -> Arc<Vec<f64>> {
-        let pool = &mut self.send_pools[slot];
-        let pos = match pool.iter().position(|b| Arc::strong_count(b) == 1) {
-            Some(p) => p,
-            None => {
-                // Every buffer is still in flight (receiver lagging);
-                // grow the pool.
-                if self.primed {
-                    self.steady_allocs += 1;
-                    probe::incr(probe::Counter::SteadyStateAllocs);
-                }
-                pool.push(Arc::new(vec![0.0; idxs.len()]));
-                pool.len() - 1
-            }
-        };
-        let buf = Arc::get_mut(&mut pool[pos])
-            .expect("buffer uniqueness was just checked; only this rank clones it");
-        for (dst, &i) in buf.iter_mut().zip(idxs) {
-            *dst = x[i];
-        }
-        Arc::clone(&pool[pos])
-    }
-}
-
-/// Persistent scratch for [`DistCsrMatrix::matvec_multi_into`]: the
-/// ghost slots of `k` columns plus the batched halo bookkeeping. Rebuilt
-/// (lazily) whenever a batch arrives with a different `k`; single-RHS
-/// matvecs never touch it.
-#[derive(Debug)]
-struct MultiWorkspace {
-    /// Batch width this workspace was built for.
+/// The halo exchange of one plan under one tag: the lines its halos ride
+/// (parallel to `HaloPlan::sends` and `HaloPlan::recvs`) and the ghost
+/// slots they fill — `k` columns of them, column `q` at `q·n_ghosts`, for
+/// the batch width `k` of the last exchange. Lines are opened on one
+/// communicator; an exchange on another opens that one's.
+#[derive(Debug, Clone)]
+struct HaloExchange {
+    tag: rcomm::Tag,
     k: usize,
-    /// `k` columns of ghost slots as in [`MatvecWorkspace::ghosts`],
-    /// column `q` at `q·n_ghosts`.
     ghosts: Vec<f64>,
-    /// Per-send-slot buffer pools (payload = `k` interleaved column
-    /// segments), parallel to `HaloPlan::sends`.
-    send_pools: Vec<Vec<Arc<Vec<f64>>>>,
-    /// Per-recv "not yet drained this matvec" flags.
-    recv_pending: Vec<bool>,
+    sends: Vec<Line>,
+    recvs: Vec<Line>,
 }
 
-impl MultiWorkspace {
-    fn new(plan: &HaloPlan, k: usize) -> Self {
-        MultiWorkspace {
-            k,
-            ghosts: vec![0.0; k * plan.n_ghosts],
-            // Two buffers per destination, as in `MatvecWorkspace`.
-            send_pools: plan
-                .sends
-                .iter()
-                .map(|(_, idxs)| (0..2).map(|_| Arc::new(vec![0.0; k * idxs.len()])).collect())
-                .collect(),
-            recv_pending: vec![false; plan.recvs.len()],
-        }
+impl HaloExchange {
+    /// The incoming lines from `sources` (`(rank, halo length)`, in plan
+    /// order), opened on `comm` with `tag` and sized for `k` columns. A
+    /// plan build opens them before its all-to-all, so a sender that has
+    /// passed it finds them.
+    fn open_recvs(
+        comm: &Communicator,
+        tag: rcomm::Tag,
+        k: usize,
+        sources: impl Iterator<Item = (usize, usize)>,
+    ) -> SparseResult<Vec<Line>> {
+        Ok(sources
+            .map(|(src, count)| comm.open_recv_line(src, tag, k * count))
+            .collect::<Result<_, _>>()?)
     }
 
-    /// Stage the batched payload for send slot `slot`: column `q` of the
-    /// gathered entries lands at `payload[q·idxs.len()..]`.
-    fn stage_send(
-        &mut self,
-        slot: usize,
-        idxs: &[usize],
+    /// The outgoing lines of `plan`, opened on `comm`.
+    fn open_sends(
+        comm: &Communicator,
+        tag: rcomm::Tag,
+        k: usize,
+        plan: &HaloPlan,
+    ) -> SparseResult<Vec<Line>> {
+        Ok(plan
+            .sends
+            .iter()
+            .map(|(dest, idxs)| comm.open_send_line(*dest, tag, k * idxs.len()))
+            .collect::<Result<_, _>>()?)
+    }
+
+    /// The exchange of `plan` under `tag` at width `k`, on the incoming
+    /// lines `recvs` (from [`Self::open_recvs`]) and outgoing lines opened
+    /// here.
+    fn new(
+        comm: &Communicator,
+        tag: rcomm::Tag,
+        k: usize,
+        plan: &HaloPlan,
+        recvs: Vec<Line>,
+    ) -> SparseResult<Self> {
+        let sends = Self::open_sends(comm, tag, k, plan)?;
+        Ok(HaloExchange { tag, k, ghosts: vec![0.0; k * plan.n_ghosts], sends, recvs })
+    }
+
+    /// A copy with its own ghost slots and the same lines.
+    fn fork(&self) -> Self {
+        HaloExchange { ghosts: vec![0.0; self.ghosts.len()], ..self.clone() }
+    }
+
+    /// Ready for an exchange of width `k` on `comm`: its lines opened
+    /// there and its ghost slots sized. Returns whether the width changed.
+    fn prepare(&mut self, comm: &Communicator, plan: &HaloPlan, k: usize) -> SparseResult<bool> {
+        if self.sends.iter().chain(&self.recvs).any(|line| !line.opened_on(comm)) {
+            let sources = plan.recvs.iter().map(|&(src, _, count)| (src, count));
+            self.recvs = Self::open_recvs(comm, self.tag, k, sources)?;
+            self.sends = Self::open_sends(comm, self.tag, k, plan)?;
+        }
+        let widened = self.k != k;
+        if widened {
+            self.k = k;
+            self.ghosts = vec![0.0; k * plan.n_ghosts];
+        }
+        Ok(widened)
+    }
+
+    /// Post the halos of `k` columns of `xs` (column `q` at `q·x_stride`),
+    /// column `q` of a payload at `q·idxs.len()`.
+    fn post(
+        &self,
+        comm: &Communicator,
+        plan: &HaloPlan,
         xs: &[f64],
         x_stride: usize,
-    ) -> Arc<Vec<f64>> {
+    ) -> SparseResult<()> {
         let k = self.k;
-        let pool = &mut self.send_pools[slot];
-        let pos = match pool.iter().position(|b| Arc::strong_count(b) == 1) {
-            Some(p) => p,
-            None => {
-                pool.push(Arc::new(vec![0.0; k * idxs.len()]));
-                pool.len() - 1
-            }
-        };
-        let buf = Arc::get_mut(&mut pool[pos])
-            .expect("buffer uniqueness was just checked; only this rank clones it");
-        for q in 0..k {
-            for (j, &i) in idxs.iter().enumerate() {
-                buf[q * idxs.len() + j] = xs[q * x_stride + i];
-            }
+        for (line, (_, idxs)) in self.sends.iter().zip(&plan.sends) {
+            probe::incr(probe::Counter::HaloMessages);
+            probe::add(
+                probe::Counter::HaloBytes,
+                (k * idxs.len() * std::mem::size_of::<f64>()) as u64,
+            );
+            comm.post(line, k * idxs.len(), |buf| {
+                for (q, col) in buf.chunks_exact_mut(idxs.len()).enumerate() {
+                    let x = &xs[q * x_stride..];
+                    for (dst, &i) in col.iter_mut().zip(idxs) {
+                        *dst = x[i];
+                    }
+                }
+            })?;
         }
-        Arc::clone(&pool[pos])
+        Ok(())
+    }
+
+    /// Take every incoming halo into the ghost slots, in plan order.
+    fn take(&mut self, comm: &Communicator, plan: &HaloPlan) -> SparseResult<()> {
+        let (k, n_ghosts, ghosts) = (self.k, plan.n_ghosts, &mut self.ghosts);
+        for (line, &(_, offset, count)) in self.recvs.iter().zip(&plan.recvs) {
+            comm.take(line, |vals| {
+                if vals.len() != k * count {
+                    return Err(SparseError::LengthMismatch {
+                        what: "halo payload",
+                        expected: k * count,
+                        got: vals.len(),
+                    });
+                }
+                // Numerical-failure screen: a non-finite halo value is
+                // counted here (cheap scan of a small boundary payload)
+                // and then *allowed to propagate* — the NaN reaches every
+                // rank through the next residual reduction, so the solve
+                // stops with a rank-agreed verdict instead of a local
+                // unilateral abort.
+                if vals.iter().any(|v| !v.is_finite()) {
+                    probe::incr(probe::Counter::HaloNonFinite);
+                }
+                for q in 0..k {
+                    let dst = q * n_ghosts + offset;
+                    ghosts[dst..dst + count].copy_from_slice(&vals[q * count..(q + 1) * count]);
+                }
+                Ok(())
+            })??;
+        }
+        Ok(())
     }
 }
 
@@ -366,31 +366,35 @@ pub struct DistCsrMatrix {
     /// copies them before it writes.
     local_global: Arc<CsrMatrix>,
     plan: HaloPlan,
-    /// Reusable matvec scratch; interior mutability so the hot path takes
-    /// `&self` (each rank owns its matrix, so the lock is uncontended).
-    workspace: Mutex<MatvecWorkspace>,
-    /// Reusable batched-matvec scratch, built lazily on the first
-    /// [`Self::matvec_multi_into`] call and rebuilt when the batch width
-    /// changes.
-    multi_workspace: Mutex<Option<MultiWorkspace>>,
+    /// The single-vector halo exchange; interior mutability so the hot
+    /// path takes `&self` (each rank owns its matrix, so the lock is
+    /// uncontended).
+    single: Mutex<HaloExchange>,
+    /// The batched halo exchange of [`Self::matvec_multi_into`], its ghost
+    /// slots sized for the width of the last batch.
+    multi: Mutex<HaloExchange>,
 }
 
 impl Clone for DistCsrMatrix {
+    /// A copy with its own ghost slots on the same halo lines.
     fn clone(&self) -> Self {
+        let fork = |halo: &Mutex<HaloExchange>| {
+            Mutex::new(halo.lock().unwrap_or_else(|e| e.into_inner()).fork())
+        };
         DistCsrMatrix {
             partition: self.partition.clone(),
             rank: self.rank,
             split: self.split.clone(),
             local_global: Arc::clone(&self.local_global),
             plan: self.plan.clone(),
-            workspace: Mutex::new(MatvecWorkspace::new(&self.plan)),
-            multi_workspace: Mutex::new(None),
+            single: fork(&self.single),
+            multi: fork(&self.multi),
         }
     }
 }
 
 impl PartialEq for DistCsrMatrix {
-    /// Structural equality; the matvec workspace is scratch and ignored.
+    /// Structural equality; the halo exchanges are scratch and ignored.
     fn eq(&self, other: &Self) -> bool {
         self.partition == other.partition
             && self.rank == other.rank
@@ -508,8 +512,23 @@ impl DistCsrMatrix {
             lst.dedup();
         }
 
-        // 2. Tell every owner which of its entries we need.
+        // 2. Open the lines this rank's halos arrive on, then tell every
+        //    owner which of its entries we need: an owner that has passed
+        //    the all-to-all finds the lines it is to post on. (A failed
+        //    open is reported after the collective, stranding no peer.)
+        let sources = || {
+            needed
+                .iter()
+                .enumerate()
+                .filter(|&(src, lst)| src != rank && !lst.is_empty())
+                .map(|(src, lst)| (src, lst.len()))
+        };
+        let recv_lines =
+            HaloExchange::open_recvs(comm, TAG_HALO, 1, sources()).and_then(|single| {
+                Ok((single, HaloExchange::open_recvs(comm, TAG_HALO_MULTI, 0, sources())?))
+            });
         let requests = comm.alltoall(needed.clone())?;
+        let (single_recvs, multi_recvs) = recv_lines?;
 
         // 3. Build send specs (convert requested global cols to local
         //    indices) and recv specs (ghost-slot layout).
@@ -641,15 +660,16 @@ impl DistCsrMatrix {
                 },
             );
         }
-        let workspace = Mutex::new(MatvecWorkspace::new(&plan));
+        let single = HaloExchange::new(comm, TAG_HALO, 1, &plan, single_recvs)?;
+        let multi = HaloExchange::new(comm, TAG_HALO_MULTI, 0, &plan, multi_recvs)?;
         Ok(DistCsrMatrix {
             partition,
             rank,
             split,
             local_global: local,
             plan,
-            workspace,
-            multi_workspace: Mutex::new(None),
+            single: Mutex::new(single),
+            multi: Mutex::new(multi),
         })
     }
 
@@ -718,27 +738,17 @@ impl DistCsrMatrix {
                 got: ys.len(),
             });
         }
-        let mut guard = self.multi_workspace.lock().unwrap_or_else(|e| e.into_inner());
-        if guard.as_ref().map(|w| w.k) != Some(k) {
-            *guard = Some(MultiWorkspace::new(&self.plan, k));
+        let mut halo = self.multi.lock().unwrap_or_else(|e| e.into_inner());
+        if halo.prepare(comm, &self.plan, k)? {
             self.register_multi_models(k);
         }
-        let ws = guard.as_mut().expect("workspace was just installed");
         probe::add(probe::Counter::MatvecCalls, k as u64);
         let _matvec_span = probe::span!("matvec_multi");
 
-        // 1. Post batched halo sends (k column segments per payload).
+        // 1. Post batched halos (k column segments per payload).
         {
             let _s = probe::span!("halo_post_multi");
-            for (slot, (dest, idxs)) in self.plan.sends.iter().enumerate() {
-                let payload = ws.stage_send(slot, idxs, xs, n_local);
-                probe::incr(probe::Counter::HaloMessages);
-                probe::add(
-                    probe::Counter::HaloBytes,
-                    (k * idxs.len() * std::mem::size_of::<f64>()) as u64,
-                );
-                comm.send(*dest, TAG_HALO_MULTI, payload)?;
-            }
+            halo.post(comm, &self.plan, xs, n_local)?;
         }
 
         // 2. Interior rows while the halos are in flight.
@@ -748,16 +758,16 @@ impl DistCsrMatrix {
             self.split.interior.spmv_multi(xs, &[], 0, ys, k);
         }
 
-        // 3. Drain the batched receives into the ghost slots.
+        // 3. Take the batched halos into the ghost slots.
         {
             let _s = probe::span!("halo_drain_multi");
-            self.drain_halos_multi(comm, ws)?;
+            halo.take(comm, &self.plan)?;
         }
 
         // 4. Boundary rows against `x` and the ghost slots.
         {
             let _s = probe::span!("spmv_multi_boundary");
-            self.split.boundary.spmv_multi(xs, &ws.ghosts, self.plan.n_ghosts, ys, k);
+            self.split.boundary.spmv_multi(xs, &halo.ghosts, self.plan.n_ghosts, ys, k);
         }
         Ok(())
     }
@@ -815,49 +825,6 @@ impl DistCsrMatrix {
         );
     }
 
-    /// Receive every batched halo payload for one multi matvec into
-    /// `ws.ghosts` (k column segments per payload; same out-of-order drain
-    /// discipline as [`Self::drain_halos`]).
-    fn drain_halos_multi(&self, comm: &Communicator, ws: &mut MultiWorkspace) -> SparseResult<()> {
-        let n_ghosts = self.plan.n_ghosts;
-        let k = ws.k;
-        for pending in ws.recv_pending.iter_mut() {
-            *pending = true;
-        }
-        let mut remaining = self.plan.recvs.len();
-        while remaining > 0 {
-            let mut received = None;
-            for (slot, &(src, ..)) in self.plan.recvs.iter().enumerate() {
-                if ws.recv_pending[slot] && comm.iprobe(src as i32, TAG_HALO_MULTI)?.is_some() {
-                    received = Some(slot);
-                    break;
-                }
-            }
-            let slot = received
-                .unwrap_or_else(|| ws.recv_pending.iter().position(|&p| p).expect("remaining > 0"));
-            let (src, offset, count) = self.plan.recvs[slot];
-            let vals: Arc<Vec<f64>> = comm.recv(src, TAG_HALO_MULTI)?;
-            if vals.len() != k * count {
-                return Err(SparseError::LengthMismatch {
-                    what: "batched halo payload",
-                    expected: k * count,
-                    got: vals.len(),
-                });
-            }
-            if vals.iter().any(|v| !v.is_finite()) {
-                probe::incr(probe::Counter::HaloNonFinite);
-            }
-            for q in 0..k {
-                let dst = q * n_ghosts + offset;
-                ws.ghosts[dst..dst + count].copy_from_slice(&vals[q * count..(q + 1) * count]);
-            }
-            drop(vals);
-            ws.recv_pending[slot] = false;
-            remaining -= 1;
-        }
-        Ok(())
-    }
-
     /// This rank's square diagonal block (rows × owned columns, local
     /// numbering) — what block-Jacobi-style preconditioners factor.
     pub fn diagonal_block(&self) -> CsrMatrix {
@@ -908,13 +875,11 @@ impl DistCsrMatrix {
     /// Parallel matvec into an existing conforming vector — the solver hot
     /// path. Collective.
     ///
-    /// Communication-overlapped: halo sends are posted from persistent
-    /// staging buffers, interior rows are computed while the halos are in
-    /// flight, receives are drained out-of-order as they arrive, and the
-    /// boundary rows finish against `x` and the ghost slots. All scratch comes
-    /// from the matrix's `MatvecWorkspace`, so repeated calls allocate
-    /// nothing in steady state (see
-    /// [`steady_state_allocs`](Self::steady_state_allocs)).
+    /// Communication-overlapped: the halos are posted on the plan's
+    /// outgoing lines, interior rows are computed while they are in
+    /// flight, the incoming halos are taken into the ghost slots, and the
+    /// boundary rows finish against `x` and the ghost slots. Lines and
+    /// slots persist in the matrix, so repeated calls allocate nothing.
     pub fn matvec_into(
         &self,
         comm: &Communicator,
@@ -926,23 +891,15 @@ impl DistCsrMatrix {
                 "matvec vector partition differs from matrix partition".into(),
             ));
         }
-        let mut guard = self.workspace.lock().unwrap_or_else(|e| e.into_inner());
-        let ws = &mut *guard;
+        let mut halo = self.single.lock().unwrap_or_else(|e| e.into_inner());
+        halo.prepare(comm, &self.plan, 1)?;
         probe::incr(probe::Counter::MatvecCalls);
         let _matvec_span = probe::span!("matvec");
 
-        // 1. Post all halo sends (eager, non-blocking) from staged buffers.
+        // 1. Post all halos.
         {
             let _s = probe::span!("halo_post");
-            for (slot, (dest, idxs)) in self.plan.sends.iter().enumerate() {
-                let payload = ws.stage_send(slot, idxs, &x.local);
-                probe::incr(probe::Counter::HaloMessages);
-                probe::add(
-                    probe::Counter::HaloBytes,
-                    (idxs.len() * std::mem::size_of::<f64>()) as u64,
-                );
-                comm.send(*dest, TAG_HALO, payload)?;
-            }
+            halo.post(comm, &self.plan, &x.local, 0)?;
         }
 
         // 2. Interior rows depend only on owned entries: compute them now,
@@ -954,69 +911,16 @@ impl DistCsrMatrix {
             self.split.interior.spmv(&x.local, &[], yl);
         }
 
-        // 3. Drain the halo receives, out of order, into the ghost slots.
+        // 3. Take the halos into the ghost slots.
         {
             let _s = probe::span!("halo_drain");
-            self.drain_halos(comm, ws)?;
+            halo.take(comm, &self.plan)?;
         }
 
         // 4. Boundary rows against `x` and the ghost slots.
         {
             let _s = probe::span!("spmv_boundary");
-            self.split.boundary.spmv(&x.local, &ws.ghosts, yl);
-        }
-        ws.primed = true;
-        Ok(())
-    }
-
-    /// Receive every halo payload for one matvec into `ws.ghosts`.
-    ///
-    /// Polls all still-pending sources via `iprobe` and consumes whichever
-    /// arrived first; when a poll sweep finds nothing, blocks on the first
-    /// pending source instead of spinning. Each source is received from
-    /// exactly once, so a fast neighbour's *next*-iteration payload (queued
-    /// behind this iteration's, FIFO per source) can never be consumed
-    /// early.
-    fn drain_halos(&self, comm: &Communicator, ws: &mut MatvecWorkspace) -> SparseResult<()> {
-        for pending in ws.recv_pending.iter_mut() {
-            *pending = true;
-        }
-        let mut remaining = self.plan.recvs.len();
-        while remaining > 0 {
-            let mut received = None;
-            for (k, &(src, ..)) in self.plan.recvs.iter().enumerate() {
-                if ws.recv_pending[k] && comm.iprobe(src as i32, TAG_HALO)?.is_some() {
-                    received = Some(k);
-                    break;
-                }
-            }
-            // Nothing ready: block on the first pending source in plan
-            // order.
-            let k = received
-                .unwrap_or_else(|| ws.recv_pending.iter().position(|&p| p).expect("remaining > 0"));
-            let (src, offset, count) = self.plan.recvs[k];
-            let vals: Arc<Vec<f64>> = comm.recv(src, TAG_HALO)?;
-            if vals.len() != count {
-                return Err(SparseError::LengthMismatch {
-                    what: "halo payload",
-                    expected: count,
-                    got: vals.len(),
-                });
-            }
-            // Numerical-failure screen: a non-finite halo value is counted
-            // here (cheap scan of a small boundary payload) and then
-            // *allowed to propagate* — the NaN reaches every rank through
-            // the next residual reduction, so the solve stops with a
-            // rank-agreed verdict instead of a local unilateral abort.
-            if vals.iter().any(|v| !v.is_finite()) {
-                probe::incr(probe::Counter::HaloNonFinite);
-            }
-            ws.ghosts[offset..offset + count].copy_from_slice(&vals);
-            // Drop our clone promptly so the sender's staging buffer frees
-            // up for its next matvec.
-            drop(vals);
-            ws.recv_pending[k] = false;
-            remaining -= 1;
+            self.split.boundary.spmv(&x.local, &halo.ghosts, yl);
         }
         Ok(())
     }
@@ -1047,13 +951,6 @@ impl DistCsrMatrix {
     /// Number of local rows that touch at least one ghost column.
     pub fn boundary_row_count(&self) -> usize {
         self.split.boundary.rows().len()
-    }
-
-    /// Workspace heap allocations made after the first matvec completed.
-    /// Zero in steady state; grows only if a receiver lags far enough
-    /// behind that every staged send buffer is still in flight.
-    pub fn steady_state_allocs(&self) -> u64 {
-        self.workspace.lock().unwrap_or_else(|e| e.into_inner()).steady_allocs
     }
 
     /// Deterministic rendering of this rank's halo-exchange plan — the

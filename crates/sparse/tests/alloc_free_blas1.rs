@@ -1,9 +1,9 @@
 //! The reduction kernels under the Krylov loops allocate nothing: `pdot`
 //! (which used to heap-allocate its block partials on every call past one
 //! block) and every fused form built on the same reducer. Neither does the
-//! product they
-//! alternate with: a steady-state distributed matvec over stencil runs,
-//! single or batched (same counting allocator, so it lives here).
+//! product they alternate with: a steady-state distributed matvec over
+//! stencil runs, single or batched, on one rank and — halo exchange
+//! included — on two (same counting allocator, so it lives here).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -94,4 +94,37 @@ fn steady_state_matvecs_over_stencil_runs_allocate_nothing() {
         });
         assert_eq!(allocs, 0);
     });
+}
+
+#[test]
+fn steady_state_matvecs_on_two_ranks_allocate_nothing_on_either() {
+    use rsparse::{BlockRowPartition, DistCsrMatrix, DistVector};
+    // `sync_cg_2r`'s matrix: 512 rows a rank, one 32-value halo each way.
+    let a = rsparse::generate::laplacian_2d(32);
+    let n = a.rows();
+    let k = 8;
+    let xs = rsparse::generate::random_vector(k * n, 5);
+    let allocs = rcomm::Universe::run(2, |comm| {
+        let part = BlockRowPartition::even(n, 2);
+        let r = part.range(comm.rank());
+        let da = DistCsrMatrix::from_global(comm, part.clone(), &a).unwrap();
+        assert_eq!(da.ghost_count(), 32);
+        let xs: Vec<f64> =
+            (0..k).flat_map(|q| xs[q * n..(q + 1) * n][r.clone()].to_vec()).collect();
+        let dx = DistVector::from_local(part.clone(), comm.rank(), xs[..r.len()].to_vec()).unwrap();
+        let mut dy = DistVector::zeros(part, comm.rank());
+        let mut ys = vec![0.0; xs.len()];
+        let mut matvecs = || {
+            da.matvec_into(comm, &dx, &mut dy).unwrap();
+            da.matvec_multi_into(comm, &xs, &mut ys, k).unwrap();
+        };
+        // First pass: the batched ghost slots and line buffers are sized.
+        matvecs();
+        allocs_during(|| {
+            for _ in 0..50 {
+                matvecs();
+            }
+        })
+    });
+    assert_eq!(allocs, [0, 0]);
 }

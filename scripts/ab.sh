@@ -4,10 +4,13 @@
 #   scripts/ab.sh PARENT [CHANGE]
 #
 # PARENT and CHANGE are git revisions; CHANGE defaults to the working tree
-# (tracked and untracked files that git does not ignore). Each side is
-# exported into its own directory with `git archive` (nothing is written
-# to .git) and lisibench is built from it offline into its own target
-# directory, with benchmark/run.sh's build line. Then, for each workload:
+# (tracked and untracked files that git does not ignore). The two sides are
+# exported in turn into one directory, AB_DIR/src, with `git archive`
+# (nothing is written to .git), and lisibench is built from there offline
+# into each side's own target directory, with benchmark/run.sh's build
+# line. Both builds see one source path, so the binaries differ only where
+# the code does: an A/A of one commit gives byte-identical binaries (the
+# script says so). Then, for each workload:
 #
 #   - PAIRS alternating pairs of the one-run call benchmark/run.sh documents
 #     (`--seed S --seconds RUN_SECONDS --trace 0`), a fresh seed per pair, the
@@ -37,7 +40,7 @@
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
-    sed -n '2,36p' "$0" >&2
+    sed -n '2,39p' "$0" >&2
     exit 2
 fi
 parent=$1
@@ -157,11 +160,11 @@ if [ "${AB_REPORT_ONLY:-0}" = 1 ]; then
     report
     exit 0
 fi
-export_tree "$parent" "$dir/a"
-export_tree "$change" "$dir/b"
 echo "ab: building parent ($parent) and change (${change:-working tree})" >&2
-build "$dir/a" "$dir/target-a"
-build "$dir/b" "$dir/target-b"
+export_tree "$parent" "$dir/src"
+build "$dir/src" "$dir/target-a"
+export_tree "$change" "$dir/src"
+build "$dir/src" "$dir/target-b"
 bin_a=$dir/target-a/release/lisibench
 bin_b=$dir/target-b/release/lisibench
 if cmp -s "$bin_a" "$bin_b"; then
