@@ -494,27 +494,6 @@ impl Communicator {
         Ok((v, status))
     }
 
-    /// Non-blocking probe: is a matching message already available?
-    pub fn iprobe(&self, src: i32, tag: Tag) -> CommResult<Option<RecvStatus>> {
-        let srco = if src == ANY_SOURCE { None } else { Some(src as usize) };
-        let tago = if tag == ANY_TAG { None } else { Some(tag) };
-        if let Some(s) = srco {
-            // Validate rank; probing a bogus source is a caller bug.
-            self.world_rank(s)?;
-        }
-        let mut post = self.post.lock();
-        // Drain everything already delivered into the pending queue so the
-        // scan below sees it.
-        while let Ok(env) = post.receiver.try_recv() {
-            post.pending.push_back(env);
-        }
-        Ok(post
-            .pending
-            .iter()
-            .find(|e| e.matches(srco, tago, self.context))
-            .map(|e| RecvStatus { source: e.src, tag: e.tag }))
-    }
-
     /// Open the sending end of the halo line to local rank `dest` with
     /// `tag` (see [`Line`]). The first end opened sizes the line's
     /// buffers for `len` values; a longer post grows them once. Opening
@@ -1212,24 +1191,6 @@ mod tests {
             c.sendrecv::<usize, usize>(other, 0, c.rank(), other, 0).unwrap()
         });
         assert_eq!(out, vec![1, 0]);
-    }
-
-    #[test]
-    fn iprobe_sees_pending_message() {
-        let out = Universe::run(2, |c| {
-            if c.rank() == 0 {
-                c.send(1, 9, 7u8).unwrap();
-                c.barrier().unwrap();
-                true
-            } else {
-                c.barrier().unwrap();
-                let st = c.iprobe(ANY_SOURCE, ANY_TAG).unwrap();
-                let found = matches!(st, Some(s) if s.source == 0 && s.tag == 9);
-                let _ = c.recv::<u8>(0, 9).unwrap();
-                found && c.iprobe(0, 9).unwrap().is_none()
-            }
-        });
-        assert!(out[1]);
     }
 
     #[test]

@@ -40,7 +40,6 @@ mod error;
 mod line;
 mod reduce;
 mod stats;
-mod timer;
 mod universe;
 
 pub mod cohort;
@@ -54,7 +53,6 @@ pub use fault::{FaultKind, FaultOp, FaultPlan, FaultRule};
 pub use line::Line;
 pub use reduce::{land, lor, max, maxloc, min, minloc, prod, sum};
 pub use stats::CommStats;
-pub use timer::Stopwatch;
 pub use universe::Universe;
 
 /// Message tag type (MPI uses `int`; only non-negative tags are valid for

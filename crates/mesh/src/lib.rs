@@ -20,7 +20,7 @@ mod problem;
 pub mod manufactured;
 
 pub use grid::Grid2d;
-pub use problem::{ConvectionDiffusion2d, LocalSystem, PAPER_GRID_SIZES};
+pub use problem::{ConvectionDiffusion2d, LocalSystem};
 
 /// The paper's right-hand side function `f(x) = (2 − 6x − x²)·sin(x)`
 /// (independent of y).
@@ -53,7 +53,8 @@ mod tests {
     fn paper_problem_has_paper_nnz() {
         // Table 1 column 1: nnz = 5m² − 4m.
         for (m, nnz) in [(50usize, 12300usize), (100, 49600), (200, 199200)] {
-            let (a, _) = paper_problem(m).assemble_global();
+            let (a, b) = paper_problem(m).assemble_global();
+            assert_eq!((a.rows(), b.len()), (m * m, m * m), "m = {m}");
             assert_eq!(a.nnz(), nnz, "m = {m}");
         }
     }

@@ -7,10 +7,6 @@ use rsparse::{BlockRowPartition, CooMatrix, CsrMatrix, SparseResult};
 
 use crate::grid::Grid2d;
 
-/// The grid sizes behind the paper's Table 1 rows (nnz = 12300, 49600,
-/// 199200, 448800, 798400).
-pub const PAPER_GRID_SIZES: [usize; 5] = [50, 100, 200, 300, 400];
-
 /// Scalar function of `(x, y)` used for right-hand sides and boundary data.
 pub type ScalarField = Arc<dyn Fn(f64, f64) -> f64 + Send + Sync>;
 

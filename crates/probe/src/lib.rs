@@ -46,7 +46,7 @@
 //!   walk that attributes wall-clock to local / wait-on-rank-r /
 //!   collective segments). Of the folds: one [`RankReport`] per rank,
 //!   whose contents are tables of rank × key × typed columns, with one
-//!   writer per format — text ([`render_summary`], [`render_breakdown`]),
+//!   writer per format — text ([`render_summary`], [`render_imbalance`]),
 //!   JSON ([`render_jsonl`], [`kernel_efficiency_json`], postmortem
 //!   fragments, the solve [`ledger`]) and Prometheus ([`export`]). They
 //!   agree because they render the same events, and each names the solve
@@ -86,11 +86,10 @@ pub use recorder::{
 };
 pub use sink::{
     aggregate, chrome_trace_json, comm_matrix, kernel_efficiency_json, local_report,
-    render_breakdown, render_comm_matrix, render_flight, render_imbalance, render_jsonl,
-    render_summary, render_wait_attribution, write_chrome_trace, CommMatrix, RankReport,
-    SpanSummary,
+    render_comm_matrix, render_flight, render_imbalance, render_jsonl, render_summary,
+    render_wait_attribution, write_chrome_trace, CommMatrix, RankReport, SpanSummary,
 };
-pub use span::{timed, SectionTimer, SpanGuard};
+pub use span::{SectionTimer, SpanGuard};
 
 /// Open a scoped span: records wall-clock time under `$name` (a `&'static
 /// str`) from here to the end of the enclosing scope, attributing the
@@ -217,11 +216,10 @@ mod tests {
         assert!(local_report().span("always_timed").is_none());
 
         set_mode(ProbeMode::Summary);
-        let (value, secs) = timed("timed_closure", || 41 + 1);
+        let secs = SectionTimer::start("timed_section").stop();
         set_mode(ProbeMode::Off);
-        assert_eq!(value, 42);
         assert!(secs >= 0.0);
-        assert_eq!(local_report().span("timed_closure").unwrap().calls, 1);
+        assert_eq!(local_report().span("timed_section").unwrap().calls, 1);
         reset();
     }
 
@@ -332,32 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_appends_imbalance_rows_for_multirank_reports() {
-        let _g = locked();
-        reset();
-        set_mode(ProbeMode::Summary);
-        let handles: Vec<_> = (0..2usize)
-            .map(|rank| {
-                std::thread::spawn(move || {
-                    set_rank(rank);
-                    let t = SectionTimer::start("cca_solve");
-                    std::thread::sleep(std::time::Duration::from_millis(1 + 2 * rank as u64));
-                    t.stop();
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        set_mode(ProbeMode::Off);
-        let table = render_breakdown(&aggregate());
-        for label in ["min", "mean", "max", "imbalance"] {
-            assert!(table.contains(label), "missing {label} row:\n{table}");
-        }
-        reset();
-    }
-
-    #[test]
     fn chrome_trace_is_loadable_json_shape() {
         let _g = locked();
         reset();
@@ -416,9 +388,6 @@ mod tests {
         assert!(summary.contains("rank 1"));
         assert!(summary.contains("lisi_solve"));
         assert!(summary.contains("port_calls"));
-        let table = render_breakdown(&reports);
-        assert!(table.contains("rank"));
-        assert!(table.contains("port"));
         let jsonl = render_jsonl(&reports);
         assert_eq!(jsonl.trim().lines().count(), reports.len());
         for line in jsonl.trim().lines() {

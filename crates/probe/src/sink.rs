@@ -409,43 +409,6 @@ pub fn render_flight() -> String {
     out
 }
 
-/// Render the Table-1-style breakdown: per rank, native and CCA
-/// setup/solve seconds and the port-crossing overhead (self time of the
-/// `port:*` spans). With two or more ranked rows, min/mean/max/imbalance
-/// rows follow (imbalance = each column's max/mean; 1.00 = balanced).
-pub fn render_breakdown(reports: &[RankReport]) -> String {
-    let s = Kind::Secs;
-    let columns = [
-        ("native setup", s),
-        ("native solve", s),
-        ("cca setup", s),
-        ("cca solve", s),
-        ("port self (s)", s),
-        ("port calls", Kind::Count),
-    ];
-    let mut table = Table::new(None, &columns);
-    let seconds = |rep: &RankReport| -> [f64; 5] {
-        let total = |name| span_total(rep, name);
-        let port = rep.port_self_seconds();
-        [total("native_setup"), total("native_solve"), total("cca_setup"), total("cca_solve"), port]
-    };
-    for rep in reports {
-        let calls = Value::Int(rep.counter(Counter::PortCalls));
-        let values = [&seconds(rep).map(Value::Real)[..], &[calls]].concat();
-        table.push(rep.rank, rank_label(rep.rank), values);
-    }
-    let ranked: Vec<[f64; 5]> = ranked(reports).into_iter().map(seconds).collect();
-    if ranked.len() >= 2 {
-        let stats: Vec<[f64; 4]> =
-            (0..5).map(|j| spread(&ranked.iter().map(|row| row[j]).collect::<Vec<_>>())).collect();
-        for (k, label) in ["min", "mean", "max", "imbalance"].into_iter().enumerate() {
-            let values = stats.iter().map(|s| Value::Real(s[k])).chain([Value::Null]);
-            table.push(None, label, values.collect());
-        }
-    }
-    table.text("", 0)
-}
-
 /// Render one JSON object per rank (JSON lines): nonzero counters, notes
 /// and every span.
 pub fn render_jsonl(reports: &[RankReport]) -> String {

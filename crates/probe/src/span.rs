@@ -55,9 +55,8 @@ impl Drop for SpanGuard {
 
 /// A timer that always measures wall-clock seconds (its callers need the
 /// number regardless of probe mode) and additionally records a span when
-/// the probe is enabled. Replaces ad-hoc `Stopwatch` plumbing in the
-/// adapters and bench harness: one construct yields both the caller's
-/// `SolveReport` seconds and the probe's per-rank breakdown.
+/// the probe is enabled: one construct yields both the caller's
+/// `SolveReport` seconds and the probe's per-rank span.
 #[must_use = "call stop() to retrieve the measured seconds"]
 pub struct SectionTimer {
     start: Instant,
@@ -78,12 +77,4 @@ impl SectionTimer {
         drop(self.span);
         self.start.elapsed().as_secs_f64()
     }
-}
-
-/// Run `f` under a span named `name`, returning its result and the
-/// elapsed wall-clock seconds.
-pub fn timed<R>(name: &'static str, f: impl FnOnce() -> R) -> (R, f64) {
-    let t = SectionTimer::start(name);
-    let out = f();
-    (out, t.stop())
 }

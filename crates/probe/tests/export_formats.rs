@@ -73,7 +73,10 @@ fn jsonl_report_stream_parses_line_by_line() {
     probe::reset();
     probe::set_mode(probe::ProbeMode::Summary);
     probe::incr(probe::Counter::PortCalls);
-    probe::timed("jsonl_span", || std::thread::sleep(std::time::Duration::from_micros(50)));
+    {
+        let _span = probe::span!("jsonl_span");
+        std::thread::sleep(std::time::Duration::from_micros(50));
+    }
     let text = probe::render_jsonl(&probe::aggregate());
     probe::set_mode(probe::ProbeMode::Off);
     probe::reset();
@@ -189,9 +192,9 @@ fn summary_sink_is_deterministic_and_name_sorted() {
     // the sort inside the sink is what produces the stable layout.
     probe::incr(probe::Counter::PcApplies);
     probe::incr(probe::Counter::MatvecCalls);
-    probe::timed("z_last", || {});
-    probe::timed("a_first", || {});
-    probe::timed("m_middle", || {});
+    for name in ["z_last", "a_first", "m_middle"] {
+        let _span = probe::span!(name);
+    }
     let reports = probe::aggregate();
     let once = probe::render_summary(&reports);
     let twice = probe::render_summary(&probe::aggregate());

@@ -10,7 +10,9 @@
 //! ```text
 //! cargo run --example resilience
 //! RSPARSE_FAULTS='op=recv,rank=1,tag=7001,call=1,kind=corrupt' cargo run --example resilience
-//! RSPARSE_PROBE=json cargo run --example resilience   # per-attempt JSONL events
+//! RSPARSE_PROBE=json cargo run --example resilience     # JSONL events, one report line a rank
+//! RSPARSE_PROBE=chrome cargo run --example resilience   # writes probe_trace.json
+//! RSPARSE_PROBE=flight cargo run --example resilience   # every rank's black-box tail
 //! ```
 
 use std::sync::Arc;
@@ -19,6 +21,7 @@ use cca_lisi::cca::{BuilderEvent, Framework};
 use cca_lisi::comm::{FaultPlan, Universe};
 use cca_lisi::lisi::resilient::{FrameworkSwitch, ResilientSolverComponent, BACKEND_PORT};
 use cca_lisi::lisi::{SolveReport, SolverComponent, SparseSolverPort, SparseStruct, STATUS_LEN};
+use cca_lisi::probe::ProbeMode;
 use cca_lisi::sparse::{generate, BlockRowPartition};
 use parking_lot::RwLock;
 
@@ -116,8 +119,8 @@ fn main() {
 
     // Default the probe to the summary sink so the cross-rank analytics
     // at the end always have spans to chew on; RSPARSE_PROBE overrides.
-    if cca_lisi::probe::mode() == cca_lisi::probe::ProbeMode::Off {
-        cca_lisi::probe::set_mode(cca_lisi::probe::ProbeMode::Summary);
+    if cca_lisi::probe::mode() == ProbeMode::Off {
+        cca_lisi::probe::set_mode(ProbeMode::Summary);
     }
     cca_lisi::probe::reset();
 
@@ -173,4 +176,16 @@ fn main() {
     // With RSPARSE_TRACE=1 the causal trace of the last solve yields a
     // critical-path attribution; empty (and silent) otherwise.
     print!("{}", cca_lisi::probe::critpath::render_latest());
+    // The other sinks `RSPARSE_PROBE` names: one JSON line per rank, a
+    // chrome://tracing file, or every rank's black-box tail.
+    match cca_lisi::probe::mode() {
+        ProbeMode::Json => print!("{}", cca_lisi::probe::render_jsonl(&reports)),
+        ProbeMode::Chrome => {
+            cca_lisi::probe::write_chrome_trace("probe_trace.json")
+                .expect("write probe_trace.json");
+            eprintln!("chrome trace written to probe_trace.json (load in chrome://tracing)");
+        }
+        ProbeMode::Flight => print!("{}", cca_lisi::probe::render_flight()),
+        _ => {}
+    }
 }

@@ -5,8 +5,7 @@
 # run RSLU's, the sweeps', ILU(0) set-up's, Jacobi's, the vector kernels',
 # the split and batched matvecs' and RAztec's rows once). It measures
 # nothing: every number the repository states comes from benchmark/run.sh
-# (lisibench); table1/figure5 regenerate the paper's tables (see
-# EXPERIMENTS.md).
+# (lisibench), the paper's port-against-native comparison among them.
 # benchmark/ is its own workspace and is not formatted here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -51,6 +50,16 @@ for e in quickstart solver_switching matrix_free multigrid_recursion \
   echo "-- $e"
   cargo run --release --example "$e" >/dev/null
 done
+
+echo "== the JSON sink (resilience example, RSPARSE_PROBE=json) =="
+# One `{"rank":…}` report line per rank of the example's 4-rank cohort.
+json_out="$(RSPARSE_PROBE=json cargo run --release --example resilience 2>/dev/null)"
+json_ranks="$(grep -cE '^\{"rank":[0-9]+,' <<<"$json_out" || true)"
+echo "rank report lines: $json_ranks"
+if [ "$json_ranks" -ne 4 ]; then
+  echo "expected one JSON report line per rank (4)"
+  exit 1
+fi
 
 echo "== fault matrix (incl. kill-rank elastic recovery) =="
 scripts/fault_matrix.sh

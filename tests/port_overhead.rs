@@ -12,7 +12,9 @@
 //! and preconditioner applications, iterations and the solution bits must
 //! be equal; the differences are the rows of [`EXPECTED`]. The paper's
 //! finding — the port's cost is small and does not grow with the problem —
-//! is the assertion that every difference is the same at m and 2m.
+//! is the assertion that every difference is the same at m and 2m. The
+//! BiCGStab rows also solve the paper's nonsymmetric convection–diffusion
+//! system, and must show the same differences on it.
 
 use cca_lisi::comm::{Communicator, Universe};
 use cca_lisi::lisi::{
@@ -21,7 +23,7 @@ use cca_lisi::lisi::{
 };
 use cca_lisi::probe::{self, Counter};
 use cca_lisi::sparse::{generate, BlockRowPartition, CsrMatrix, DistCsrMatrix, DistVector};
-use cca_lisi::{aztec, direct, krylov, multigrid};
+use cca_lisi::{aztec, direct, krylov, mesh, multigrid};
 
 /// The grid side of the smaller system; every case also runs at twice it.
 const M: usize = 15;
@@ -51,8 +53,17 @@ enum Backend {
     RkspCg,
     RkspBicgstab,
     RaztecGmres,
+    RaztecBicgstab,
     Rslu,
     Rmg,
+}
+
+/// The system a case solves at grid side m: the 5-point Laplacian with a
+/// random right-hand side, or the paper's convection–diffusion PDE.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum System {
+    Laplacian,
+    Paper,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,6 +90,10 @@ const EXPECTED: &[(Backend, usize, Phase, [i64; 11])] = &[
     (Backend::RaztecGmres, 1, Phase::Warm, [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0]),
     (Backend::RaztecGmres, 2, Phase::Cold, [0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0]),
     (Backend::RaztecGmres, 2, Phase::Warm, [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0]),
+    (Backend::RaztecBicgstab, 1, Phase::Cold, [0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0]),
+    (Backend::RaztecBicgstab, 1, Phase::Warm, [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0]),
+    (Backend::RaztecBicgstab, 2, Phase::Cold, [0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0]),
+    (Backend::RaztecBicgstab, 2, Phase::Warm, [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0]),
     (Backend::Rslu, 1, Phase::Cold, [0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0]),
     (Backend::Rslu, 1, Phase::Warm, [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0]),
     (Backend::Rslu, 2, Phase::Cold, [0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0]),
@@ -101,6 +116,13 @@ impl Backend {
             Backend::RaztecGmres => {
                 &[("solver", "gmres"), ("preconditioner", "jacobi"), ("tol", "1e-10")]
             }
+            // Normalised by ‖b‖, as RKSP is; the native path sets the same.
+            Backend::RaztecBicgstab => &[
+                ("solver", "bicgstab"),
+                ("preconditioner", "jacobi"),
+                ("tol", "1e-10"),
+                ("conv", "rhs"),
+            ],
             Backend::Rslu => &[],
             Backend::Rmg => &[("tol", "1e-10")],
         }
@@ -109,9 +131,31 @@ impl Backend {
     fn adapter(self) -> Box<dyn SparseSolverPort> {
         match self {
             Backend::RkspCg | Backend::RkspBicgstab => Box::new(RkspAdapter::new()),
-            Backend::RaztecGmres => Box::new(RaztecAdapter::new()),
+            Backend::RaztecGmres | Backend::RaztecBicgstab => Box::new(RaztecAdapter::new()),
             Backend::Rslu => Box::new(RsluAdapter::new()),
             Backend::Rmg => Box::new(RmgAdapter::new()),
+        }
+    }
+
+    /// The systems this backend's cases solve.
+    fn systems(self) -> &'static [System] {
+        match self {
+            Backend::RkspBicgstab | Backend::RaztecBicgstab => &[System::Laplacian, System::Paper],
+            _ => &[System::Laplacian],
+        }
+    }
+}
+
+impl System {
+    /// The global matrix and right-hand side at grid side `m`.
+    fn assemble(self, m: usize) -> (CsrMatrix, Vec<f64>) {
+        match self {
+            System::Laplacian => {
+                let a = generate::laplacian_2d(m);
+                let b = generate::random_vector(a.rows(), 29);
+                (a, b)
+            }
+            System::Paper => mesh::paper_problem(m).assemble_global(),
         }
     }
 }
@@ -194,11 +238,16 @@ fn native(backend: Backend, l: &Local, phase: Phase) -> Counted {
                 (res.iterations, x.local().to_vec())
             })
         }
-        Backend::RaztecGmres => {
+        Backend::RaztecGmres | Backend::RaztecBicgstab => {
+            let (solver, conv) = match backend {
+                Backend::RaztecGmres => ("gmres", aztec::AzConv::R0),
+                _ => ("bicgstab", aztec::AzConv::Rhs),
+            };
             let opts = aztec::AztecOptions {
-                solver: aztec::AzSolver::parse("gmres").unwrap(),
+                solver: aztec::AzSolver::parse(solver).unwrap(),
                 precond: aztec::AzPrecond::parse("jacobi").unwrap(),
                 tol: 1e-10,
+                conv,
                 ..Default::default()
             };
             let map = aztec::Map::from_partition(l.part.clone(), rank);
@@ -275,21 +324,28 @@ fn port(backend: Backend, l: &Local, phase: Phase, tag: &str) -> Counted {
     })
 }
 
-/// Port minus native on every rank of a `p`-rank run at grid side `m`.
-fn differences(backend: Backend, p: usize, phase: Phase, m: usize) -> Vec<[i64; 11]> {
-    let a = generate::laplacian_2d(m);
+/// Port minus native on every rank of a `p`-rank run of `system` at grid
+/// side `m`.
+fn differences(
+    backend: Backend,
+    system: System,
+    p: usize,
+    phase: Phase,
+    m: usize,
+) -> Vec<[i64; 11]> {
+    let (a, b_full) = system.assemble(m);
     let n = a.rows();
-    let b_full = generate::random_vector(n, 29);
     Universe::run(p, |comm| {
         probe::set_mode(probe::ProbeMode::Summary);
         let part = BlockRowPartition::even(n, comm.size());
         let range = part.range(comm.rank());
         let rows = a.row_block(range.start, range.end).unwrap();
         let l = Local { comm, part, rows, b: b_full[range].to_vec(), m };
-        let tag = format!("port_overhead_{backend:?}_{p}_{phase:?}_{m}");
+        let tag = format!("port_overhead_{backend:?}_{system:?}_{p}_{phase:?}_{m}");
         let native = native(backend, &l, phase);
         let port = port(backend, &l, phase, &tag);
-        let ctx = format!("{backend:?} on {p} ranks, {phase:?}, m = {m}, rank {}", comm.rank());
+        let rank = comm.rank();
+        let ctx = format!("{backend:?} on {system:?}, {p} ranks, {phase:?}, m = {m}, rank {rank}");
         assert_eq!(port.work, native.work, "{ctx}: matvecs, pc applies, iterations");
         assert_eq!(port.iterations, native.iterations, "{ctx}: reported iterations");
         assert_eq!(port.bits, native.bits, "{ctx}: solution bits");
@@ -297,13 +353,15 @@ fn differences(backend: Backend, p: usize, phase: Phase, m: usize) -> Vec<[i64; 
     })
 }
 
-/// Every case of `backend` in [`EXPECTED`], at m and 2m.
+/// Every case of `backend` in [`EXPECTED`], on each of its systems, at m
+/// and 2m.
 fn check(backend: Backend) {
     for &(_, p, phase, expect) in EXPECTED.iter().filter(|case| case.0 == backend) {
-        for m in [M, 2 * M] {
-            for (rank, diff) in differences(backend, p, phase, m).into_iter().enumerate() {
-                let ctx = format!("{backend:?} on {p} ranks, {phase:?}, m = {m}, rank {rank}");
-                assert_eq!(diff, expect, "{ctx}: port minus native, by {TRAFFIC:?}");
+        for (&system, m) in backend.systems().iter().flat_map(|s| [(s, M), (s, 2 * M)]) {
+            let diffs = differences(backend, system, p, phase, m);
+            for (rank, diff) in diffs.into_iter().enumerate() {
+                let ctx = format!("{backend:?} on {system:?}, {p} ranks, {phase:?}, m = {m}");
+                assert_eq!(diff, expect, "{ctx}, rank {rank}: port minus native, by {TRAFFIC:?}");
             }
         }
     }
@@ -322,6 +380,11 @@ fn rksp_bicgstab_port_overhead() {
 #[test]
 fn raztec_gmres_port_overhead() {
     check(Backend::RaztecGmres);
+}
+
+#[test]
+fn raztec_bicgstab_port_overhead() {
+    check(Backend::RaztecBicgstab);
 }
 
 #[test]
