@@ -9,7 +9,10 @@
 //! of two entries plus the wall-clock guard). `halo/exchange/2` is
 //! `sync_cg_2r`'s halo hand-off alone (one post and one take of 32
 //! doubles each way on a halo line), `halo/spmv32/2` its whole matvec
-//! (Laplacian m = 32, 512 rows a rank).
+//! (Laplacian m = 32, 512 rows a rank). `bcast_barrier/allgather` is the
+//! port's admission vote (a `(bool, bool)` a rank, every solve),
+//! `bcast_barrier/alltoall` a halo plan's exchange (a 16-entry `usize`
+//! chunk for every rank).
 
 use std::time::{Duration, Instant};
 
@@ -68,6 +71,21 @@ fn bcast_barrier(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("barrier", p), &p, |b, &p| {
             b.iter_custom(|iters| burst(p, iters, |comm, _| comm.barrier().unwrap()));
+        });
+        group.bench_with_input(BenchmarkId::new("allgather", p), &p, |b, &p| {
+            b.iter_custom(|iters| {
+                burst(p, iters, |comm, i| {
+                    criterion::black_box(comm.allgather((i % 2 == 0, true)).unwrap());
+                })
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("alltoall", p), &p, |b, &p| {
+            b.iter_custom(|iters| {
+                burst(p, iters, |comm, _| {
+                    let chunks = vec![vec![comm.rank(); 16]; comm.size()];
+                    criterion::black_box(comm.alltoall(chunks).unwrap());
+                })
+            });
         });
     }
     group.finish();

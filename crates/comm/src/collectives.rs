@@ -1,165 +1,97 @@
 //! Collective operations.
 //!
-//! All collectives run on the communicator's hidden *collective context*, so
-//! they can never match user point-to-point traffic. [`allreduce`] and
-//! [`allreduce_vec`] meet on the communicator's shared reduction board
-//! (`board.rs`); the rest are built on point-to-point messaging with the
-//! textbook algorithms MPI implementations use for small/medium messages:
-//! binomial trees for the rooted broadcast and reduce, a flat fan for
-//! gather and scatter, dissemination for the barrier and a ring for
-//! all-gather. Each rank must call every collective in the same order —
-//! violations surface as [`CommError::DeadlockSuspected`].
+//! Every collective meets on the communicator's board (`board.rs`): each
+//! member deposits its contribution for the call's generation, waits for
+//! the members whose contributions it reads, and reads them. Data
+//! collectives move their contribution in; a contribution that only one
+//! rank reads (a gathered segment, a scattered or all-to-all chunk) is
+//! moved out by that rank, and one that several ranks read (a broadcast
+//! value, an all-gathered piece) is cloned by each — or moved out by the
+//! one reader there is on two ranks. Rooted collectives are
+//! eager: the root of [`bcast`] and [`scatter`] and the non-roots of
+//! [`gatherv`] return once they have deposited. The point-to-point
+//! mailbox carries no collective traffic.
+//!
+//! Each rank must call every collective in the same order. A rank that
+//! reads a contribution to another collective, or of another type, fails
+//! with [`CommError::TypeMismatch`] (one that reads nothing cannot tell);
+//! a rank that never arrives leaves the others waiting for it until
+//! [`CommError::DeadlockSuspected`] or, once it is marked lost,
+//! [`CommError::RankLost`].
 //!
 //! # The reduction bracket
 //!
-//! [`reduce`] and [`allreduce`] combine the contributions `a0 … a(p−1)` in
-//! one fixed bracket, the binomial tree over aligned rank blocks:
+//! [`allreduce`] combines the contributions `a0 … a(p−1)` in one fixed
+//! bracket, the binomial tree over aligned rank blocks:
 //! `((a0·a1)·(a2·a3))·((a4·a5)·…)`, a block that runs past `p` simply
 //! ending there (p = 5: `((a0·a1)·(a2·a3))·a4`). Operands stay in rank
 //! order, so an associative, non-commutative `op` gives the rank-ordered
-//! result. [`allreduce`] has every rank fold all `p` contributions from
-//! the board in that bracket, so all ranks hold bit-identical results,
-//! equal to what `reduce` to rank 0 delivers; solver convergence tests
-//! agree across ranks and iteration counts do not depend on which of the
-//! two was used.
+//! result. Every rank folds all `p` contributions from the board in that
+//! bracket, so all ranks hold bit-identical results and solver
+//! convergence tests agree across ranks.
 
 use std::any::Any;
+use std::mem::take;
 
 use crate::comm::Communicator;
 use crate::error::{CommError, CommResult};
-use crate::Tag;
 
-// Distinct tag per collective kind; combined with the collective context
-// and MPI's same-order rule this is enough to keep operations separate.
-const TAG_BARRIER: Tag = 1;
-const TAG_BCAST: Tag = 2;
-const TAG_REDUCE: Tag = 3;
-const TAG_GATHER: Tag = 4;
-const TAG_SCATTER: Tag = 5;
-const TAG_ALLGATHER: Tag = 6;
-const TAG_ALLTOALL: Tag = 7;
-const TAG_SCAN: Tag = 8;
+// The collectives, numbered: a contribution carries its collective's
+// number on the board, so two different calls never read each other's.
+const ALLREDUCE: u8 = 0;
+const BARRIER: u8 = 1;
+const BCAST: u8 = 2;
+const GATHER: u8 = 3;
+const ALLGATHER: u8 = 4;
+const ALLGATHERV: u8 = 5;
+const SCATTER: u8 = 6;
+const ALLTOALL: u8 = 7;
 
-/// Relative rank helper: rotate so `root` is 0, which lets every rooted
-/// binomial-tree algorithm assume root = 0.
-#[inline]
-fn rel(rank: usize, root: usize, size: usize) -> usize {
-    (rank + size - root) % size
-}
-
-#[inline]
-fn unrel(rel: usize, root: usize, size: usize) -> usize {
-    (rel + root) % size
-}
-
-/// Dissemination barrier: ⌈log₂ p⌉ rounds, each rank sends to
-/// `(rank + 2^k) mod p` and receives from `(rank − 2^k) mod p`.
-pub fn barrier(comm: &Communicator) -> CommResult<()> {
-    let p = comm.size();
+/// Every rank of `comm` but this one.
+fn others(comm: &Communicator) -> impl Iterator<Item = usize> {
     let me = comm.rank();
-    let ctx = comm.collective_context();
-    let mut k = 1usize;
-    let mut round: Tag = 0;
-    while k < p {
-        let to = (me + k) % p;
-        let from = (me + p - k) % p;
-        comm.send_ctx(to, TAG_BARRIER + round * 16, ctx, ())?;
-        let ((), _) = comm.recv_match::<()>(Some(from), Some(TAG_BARRIER + round * 16), ctx)?;
-        k <<= 1;
-        round += 1;
+    (0..comm.size()).filter(move |&r| r != me)
+}
+
+fn check_root(comm: &Communicator, root: usize) -> CommResult<()> {
+    if root >= comm.size() {
+        return Err(CommError::RankOutOfRange { rank: root, size: comm.size() });
     }
     Ok(())
 }
 
-/// Binomial-tree broadcast from `root` (the classic MPICH schedule: a
-/// non-root receives from the rank obtained by clearing its lowest set
-/// virtual-rank bit, then forwards to `vrank + m` for each `m` below that
-/// bit).
+/// Wait until every rank has arrived. Each rank checks that the others
+/// called `barrier` too.
+pub fn barrier(comm: &Communicator) -> CommResult<()> {
+    comm.meet(
+        |turn| turn.deposit::<BARRIER, _>(()),
+        None,
+        |turn, ()| others(comm).try_for_each(|r| turn.read::<BARRIER, (), _>(r, |_| ())),
+    )
+}
+
+/// Broadcast `value` from `root`: the root deposits it and returns, every
+/// other rank clones it from the root's slot.
 pub fn bcast<T: Send + Clone + 'static>(
     comm: &Communicator,
     root: usize,
     value: T,
 ) -> CommResult<T> {
-    let p = comm.size();
-    if root >= p {
-        return Err(CommError::RankOutOfRange { rank: root, size: p });
+    check_root(comm, root)?;
+    if comm.rank() == root {
+        let copy = value.clone();
+        return comm.meet(|turn| turn.deposit::<BCAST, _>(copy), Some(root), |_, ()| Ok(value));
     }
-    if p == 1 {
-        return Ok(value);
-    }
-    let ctx = comm.collective_context();
-    let vrank = rel(comm.rank(), root, p);
-
-    let mut mask = 1usize;
-    let val;
-    if vrank == 0 {
-        val = value;
-        while mask < p {
-            mask <<= 1;
-        }
-    } else {
-        // Walk up to our lowest set bit; the parent differs in exactly it.
-        while vrank & mask == 0 {
-            mask <<= 1;
-        }
-        let parent = unrel(vrank ^ mask, root, p);
-        let (v, _) = comm.recv_match::<T>(Some(parent), Some(TAG_BCAST), ctx)?;
-        val = v;
-    }
-    mask >>= 1;
-    while mask > 0 {
-        let child = vrank + mask;
-        if child < p {
-            comm.send_ctx(unrel(child, root, p), TAG_BCAST, ctx, val.clone())?;
-        }
-        mask >>= 1;
-    }
-    Ok(val)
+    comm.meet(
+        |turn| turn.deposit::<BCAST, _>(()),
+        Some(root),
+        |turn, ()| turn.share::<BCAST, T>(root),
+    )
 }
 
-/// Binomial-tree reduce onto `root`. `op` must be associative; it is applied
-/// in an order that keeps operands in rank order (`op(lower, higher)`), so
-/// non-commutative but associative combiners (e.g. string concatenation)
-/// give the rank-ordered result.
-pub fn reduce<T, F>(comm: &Communicator, root: usize, value: T, op: F) -> CommResult<Option<T>>
-where
-    T: Send + Clone + 'static,
-    F: Fn(&T, &T) -> T,
-{
-    let p = comm.size();
-    if root >= p {
-        return Err(CommError::RankOutOfRange { rank: root, size: p });
-    }
-    if p == 1 {
-        return Ok(Some(value));
-    }
-    let ctx = comm.collective_context();
-    let vrank = rel(comm.rank(), root, p);
-
-    let mut acc = value;
-    let mut mask = 1usize;
-    while mask < p {
-        if vrank & mask != 0 {
-            // Send accumulated value to partner below and exit.
-            let parent = unrel(vrank & !mask, root, p);
-            comm.send_ctx(parent, TAG_REDUCE, ctx, acc)?;
-            return Ok(None);
-        }
-        let child = vrank | mask;
-        if child < p {
-            let (rhs, _) =
-                comm.recv_match::<T>(Some(unrel(child, root, p)), Some(TAG_REDUCE), ctx)?;
-            // Child's virtual rank is higher, so it goes on the right.
-            acc = op(&acc, &rhs);
-        }
-        mask <<= 1;
-    }
-    Ok(Some(acc))
-}
-
-/// All-reduce in the bracket [`reduce`] uses (see the module header): the
-/// result is *identical on every rank* — important for iterative solvers,
-/// whose convergence tests must agree bit-for-bit across ranks.
+/// All-reduce in the bracket of the module header: the result is
+/// *identical on every rank* — important for iterative solvers, whose
+/// convergence tests must agree bit-for-bit across ranks.
 pub fn allreduce<T, F>(comm: &Communicator, value: T, op: F) -> CommResult<T>
 where
     T: Send + Clone + 'static,
@@ -168,10 +100,28 @@ where
     if comm.size() == 1 {
         return Ok(value);
     }
-    comm.reduce_on_board(value, |acc, other, higher| {
+    reduce(comm, value, |acc, other, higher| {
         *acc = if higher { op(acc, other) } else { op(other, acc) };
         Ok(())
     })
+}
+
+/// Deposit a copy of `value` (reusing the slot's payload when the type
+/// repeats, so a warm reduction allocates nothing), wait for every
+/// member, and fold all contributions into `value` with `combine`.
+fn reduce<A, C>(comm: &Communicator, value: A, combine: C) -> CommResult<A>
+where
+    A: Send + Clone + 'static,
+    C: Fn(&mut A, &A, bool) -> CommResult<()>,
+{
+    comm.meet(
+        |turn| {
+            turn.deposit_copy::<ALLREDUCE, _>(&value);
+            value
+        },
+        None,
+        |turn, value| turn.fold::<ALLREDUCE, _, _>(value, &combine),
+    )
 }
 
 /// Element-wise all-reduce over equal-length vectors (e.g. several dot
@@ -201,7 +151,7 @@ where
             return Ok(values);
         }
     }
-    comm.reduce_on_board(values, |acc: &mut Vec<T>, other: &Vec<T>, higher| {
+    reduce(comm, values, |acc: &mut Vec<T>, other: &Vec<T>, higher| {
         if other.len() != acc.len() {
             return Err(CommError::BadBuffer { expected: acc.len(), got: other.len() });
         }
@@ -244,7 +194,7 @@ fn allreduce_short(
     short: Short,
     op: impl Fn(&f64, &f64) -> f64,
 ) -> CommResult<Short> {
-    comm.reduce_on_board(short, |acc: &mut Short, other: &Short, higher| {
+    reduce(comm, short, |acc: &mut Short, other: &Short, higher| {
         if other.len != acc.len {
             return Err(CommError::BadBuffer { expected: acc.len, got: other.len });
         }
@@ -264,57 +214,60 @@ pub fn gather<T: Send + Clone + 'static>(
     gatherv(comm, root, std::slice::from_ref(&value))
 }
 
-/// Gather variable-length slices onto `root`, concatenated in rank order.
-/// (Flat point-to-point fan-in; fine at in-process scale and simplest to
-/// keep segment boundaries exact.)
+/// Gather variable-length slices onto `root`, concatenated in rank order:
+/// every other rank deposits its segment and returns, the root moves
+/// each out.
 pub fn gatherv<T: Send + Clone + 'static>(
     comm: &Communicator,
     root: usize,
     values: &[T],
 ) -> CommResult<Option<Vec<T>>> {
-    let p = comm.size();
-    if root >= p {
-        return Err(CommError::RankOutOfRange { rank: root, size: p });
+    check_root(comm, root)?;
+    let me = comm.rank();
+    if me != root {
+        let mine = values.to_vec();
+        return comm.meet(|turn| turn.deposit::<GATHER, _>(mine), Some(me), |_, ()| Ok(None));
     }
-    let ctx = comm.collective_context();
-    if comm.rank() == root {
-        let mut out: Vec<T> = Vec::new();
-        for r in 0..p {
-            if r == root {
-                out.extend_from_slice(values);
-            } else {
-                let (chunk, _) = comm.recv_match::<Vec<T>>(Some(r), Some(TAG_GATHER), ctx)?;
-                out.extend(chunk);
-            }
-        }
-        Ok(Some(out))
-    } else {
-        comm.send_ctx(root, TAG_GATHER, ctx, values.to_vec())?;
-        Ok(None)
-    }
+    comm.meet(
+        |turn| turn.deposit::<GATHER, _>(()),
+        None,
+        |turn, ()| {
+            concat(comm, values, |r| turn.read_last::<GATHER, Vec<T>, _>(r, true, take)).map(Some)
+        },
+    )
 }
 
-/// Gather one value per rank onto all ranks (ring all-gather).
-pub fn allgather<T: Send + Clone + 'static>(comm: &Communicator, value: T) -> CommResult<Vec<T>> {
-    let p = comm.size();
-    let me = comm.rank();
-    let ctx = comm.collective_context();
-    let mut slots: Vec<Option<T>> = (0..p).map(|_| None).collect();
-    slots[me] = Some(value);
-    // Ring: in step s, send the piece originating at (me - s) to the right
-    // neighbour and receive the piece originating at (me - s - 1) from the
-    // left neighbour.
-    let right = (me + 1) % p;
-    let left = (me + p - 1) % p;
-    for s in 0..p.saturating_sub(1) {
-        let send_origin = (me + p - s) % p;
-        let recv_origin = (me + p - s - 1) % p;
-        let piece = slots[send_origin].clone().expect("piece must have arrived");
-        comm.send_ctx(right, TAG_ALLGATHER, ctx, piece)?;
-        let (got, _) = comm.recv_match::<T>(Some(left), Some(TAG_ALLGATHER), ctx)?;
-        slots[recv_origin] = Some(got);
+/// `values` at this rank's place among the other ranks' segments, read
+/// by `read`, in rank order.
+fn concat<T: Clone>(
+    comm: &Communicator,
+    values: &[T],
+    read: impl Fn(usize) -> CommResult<Vec<T>>,
+) -> CommResult<Vec<T>> {
+    let mut out = Vec::new();
+    for r in 0..comm.size() {
+        if r == comm.rank() {
+            out.extend_from_slice(values);
+        } else {
+            out.extend(read(r)?);
+        }
     }
-    Ok(slots.into_iter().map(|o| o.expect("all pieces collected")).collect())
+    Ok(out)
+}
+
+/// Gather one value per rank onto all ranks, in rank order.
+pub fn allgather<T: Send + Clone + 'static>(comm: &Communicator, value: T) -> CommResult<Vec<T>> {
+    let copy = value.clone();
+    comm.meet(
+        |turn| turn.deposit::<ALLGATHER, _>(copy),
+        None,
+        |turn, ()| {
+            let mut all: Vec<T> =
+                others(comm).map(|r| turn.share::<ALLGATHER, T>(r)).collect::<CommResult<_>>()?;
+            all.insert(comm.rank(), value);
+            Ok(all)
+        },
+    )
 }
 
 /// All-gather of variable-length slices, concatenated in rank order.
@@ -322,118 +275,62 @@ pub fn allgatherv<T: Send + Clone + 'static>(
     comm: &Communicator,
     values: &[T],
 ) -> CommResult<Vec<T>> {
-    let chunks: Vec<Vec<T>> = allgather(comm, values.to_vec())?;
-    Ok(chunks.into_iter().flatten().collect())
+    let mine = values.to_vec();
+    comm.meet(
+        |turn| turn.deposit::<ALLGATHERV, _>(mine),
+        None,
+        |turn, ()| concat(comm, values, |r| turn.share::<ALLGATHERV, Vec<T>>(r)),
+    )
 }
 
 /// Scatter `chunks[i]` from `root` to rank `i`. Only the root supplies
-/// chunks; other ranks pass `None`.
+/// chunks; other ranks pass `None`. The root deposits the chunks and
+/// returns, every other rank moves its own out.
 pub fn scatter<T: Send + Clone + 'static>(
     comm: &Communicator,
     root: usize,
     chunks: Option<Vec<Vec<T>>>,
 ) -> CommResult<Vec<T>> {
-    let p = comm.size();
-    if root >= p {
-        return Err(CommError::RankOutOfRange { rank: root, size: p });
-    }
-    let ctx = comm.collective_context();
-    if comm.rank() == root {
-        let chunks = chunks.ok_or(CommError::BadCounts { expected: p, got: 0 })?;
+    check_root(comm, root)?;
+    let (p, me) = (comm.size(), comm.rank());
+    if me == root {
+        let mut chunks = chunks.ok_or(CommError::BadCounts { expected: p, got: 0 })?;
         if chunks.len() != p {
             return Err(CommError::BadCounts { expected: p, got: chunks.len() });
         }
-        let mut own = None;
-        for (r, chunk) in chunks.into_iter().enumerate() {
-            if r == root {
-                own = Some(chunk);
-            } else {
-                comm.send_ctx(r, TAG_SCATTER, ctx, chunk)?;
-            }
-        }
-        Ok(own.expect("root chunk present"))
-    } else {
-        let (chunk, _) = comm.recv_match::<Vec<T>>(Some(root), Some(TAG_SCATTER), ctx)?;
-        Ok(chunk)
+        let own = take(&mut chunks[root]);
+        return comm.meet(|turn| turn.deposit::<SCATTER, _>(chunks), Some(root), |_, ()| Ok(own));
     }
+    comm.meet(
+        |turn| turn.deposit::<SCATTER, _>(()),
+        Some(root),
+        |turn, ()| turn.read_last::<SCATTER, Vec<Vec<T>>, _>(root, false, |c| take(&mut c[me])),
+    )
 }
 
 /// Personalized all-to-all: `chunks[i]` goes to rank `i`; entry `i` of the
-/// result came from rank `i`.
+/// result came from rank `i`. Each rank moves its chunk out of every
+/// other rank's contribution.
 pub fn alltoall<T: Send + Clone + 'static>(
     comm: &Communicator,
     mut chunks: Vec<Vec<T>>,
 ) -> CommResult<Vec<Vec<T>>> {
-    let p = comm.size();
-    let me = comm.rank();
+    let (p, me) = (comm.size(), comm.rank());
     if chunks.len() != p {
         return Err(CommError::BadCounts { expected: p, got: chunks.len() });
     }
-    let ctx = comm.collective_context();
-    let mut out: Vec<Option<Vec<T>>> = (0..p).map(|_| None).collect();
-    // Pairwise exchange schedule: in step s, exchange with me ^ s when p is
-    // a power of two; otherwise fall back to a shifted ring, which is
-    // correct for any p.
-    for s in 0..p {
-        let partner = (me + s) % p;
-        let from = (me + p - s) % p;
-        let to_send = std::mem::take(&mut chunks[partner]);
-        if partner == me {
-            out[me] = Some(to_send);
-            continue;
-        }
-        comm.send_ctx(partner, TAG_ALLTOALL, ctx, to_send)?;
-        let (got, _) = comm.recv_match::<Vec<T>>(Some(from), Some(TAG_ALLTOALL), ctx)?;
-        out[from] = Some(got);
-    }
-    Ok(out.into_iter().map(|o| o.expect("all chunks exchanged")).collect())
-}
-
-/// Inclusive prefix scan (linear chain: rank r receives the prefix from
-/// r−1, combines, forwards to r+1 — latency O(p), fine at thread scale).
-pub fn scan<T, F>(comm: &Communicator, value: T, op: F) -> CommResult<T>
-where
-    T: Send + Clone + 'static,
-    F: Fn(&T, &T) -> T,
-{
-    let p = comm.size();
-    let me = comm.rank();
-    let ctx = comm.collective_context();
-    let acc = if me == 0 {
-        value
-    } else {
-        let (prefix, _) = comm.recv_match::<T>(Some(me - 1), Some(TAG_SCAN), ctx)?;
-        op(&prefix, &value)
-    };
-    if me + 1 < p {
-        comm.send_ctx(me + 1, TAG_SCAN, ctx, acc.clone())?;
-    }
-    Ok(acc)
-}
-
-/// Exclusive prefix scan; rank 0 gets `None`.
-pub fn exscan<T, F>(comm: &Communicator, value: T, op: F) -> CommResult<Option<T>>
-where
-    T: Send + Clone + 'static,
-    F: Fn(&T, &T) -> T,
-{
-    let p = comm.size();
-    let me = comm.rank();
-    let ctx = comm.collective_context();
-    let before: Option<T> = if me == 0 {
-        None
-    } else {
-        let (prefix, _) = comm.recv_match::<T>(Some(me - 1), Some(TAG_SCAN), ctx)?;
-        Some(prefix)
-    };
-    if me + 1 < p {
-        let forward = match &before {
-            Some(b) => op(b, &value),
-            None => value,
-        };
-        comm.send_ctx(me + 1, TAG_SCAN, ctx, forward)?;
-    }
-    Ok(before)
+    let own = take(&mut chunks[me]);
+    comm.meet(
+        |turn| turn.deposit::<ALLTOALL, _>(chunks),
+        None,
+        |turn, ()| {
+            let mut out: Vec<Vec<T>> = others(comm)
+                .map(|r| turn.read_last::<ALLTOALL, Vec<Vec<T>>, _>(r, false, |c| take(&mut c[me])))
+                .collect::<CommResult<_>>()?;
+            out.insert(me, own);
+            Ok(out)
+        },
+    )
 }
 
 #[cfg(test)]
@@ -441,7 +338,8 @@ mod tests {
     use crate::{CommError, Universe};
 
     /// Every collective is exercised at several rank counts, including
-    /// non-powers of two, since the tree algorithms special-case those.
+    /// non-powers of two and the two-rank board, whose readers take no
+    /// lock.
     const SIZES: &[usize] = &[1, 2, 3, 4, 5, 7, 8];
 
     #[test]
@@ -469,36 +367,6 @@ mod tests {
                     assert_eq!(r, vec![root, 99]);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn reduce_sums_to_each_root() {
-        for &p in SIZES {
-            for root in 0..p {
-                let out = Universe::run(p, move |c| {
-                    c.reduce(root, c.rank() as i64 + 1, |a, b| a + b).unwrap()
-                });
-                let expect: i64 = (1..=p as i64).sum();
-                for (r, v) in out.into_iter().enumerate() {
-                    if r == root {
-                        assert_eq!(v, Some(expect));
-                    } else {
-                        assert_eq!(v, None);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_keeps_rank_order_for_noncommutative_ops() {
-        for &p in SIZES {
-            let out = Universe::run(p, |c| {
-                c.reduce(0, c.rank().to_string(), |a, b| format!("{a}{b}")).unwrap()
-            });
-            let expect: String = (0..p).map(|r| r.to_string()).collect();
-            assert_eq!(out[0], Some(expect));
         }
     }
 
@@ -640,32 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_computes_inclusive_prefixes() {
-        for &p in SIZES {
-            let out = Universe::run(p, |c| c.scan(c.rank() as i64 + 1, |a, b| a + b).unwrap());
-            for (r, v) in out.into_iter().enumerate() {
-                let expect: i64 = (1..=r as i64 + 1).sum();
-                assert_eq!(v, expect);
-            }
-        }
-    }
-
-    #[test]
-    fn exscan_computes_exclusive_prefixes() {
-        for &p in SIZES {
-            let out = Universe::run(p, |c| c.exscan(c.rank() as i64 + 1, |a, b| a + b).unwrap());
-            for (r, v) in out.into_iter().enumerate() {
-                if r == 0 {
-                    assert_eq!(v, None);
-                } else {
-                    let expect: i64 = (1..=r as i64).sum();
-                    assert_eq!(v, Some(expect));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn collectives_compose_back_to_back() {
         // A realistic solver-iteration pattern: allreduce, then bcast, then
         // another allreduce, with no barrier between them.
@@ -678,5 +520,67 @@ mod tests {
         for v in out {
             assert_eq!(v, (4.0, 2.0, 32.0));
         }
+    }
+
+    /// Ranks that call different collectives at the same point, even with
+    /// the same payload type (`gatherv` and `allgatherv` both deposit a
+    /// `Vec`), each get a typed error instead of the other call's data,
+    /// and the next collective is unaffected.
+    #[test]
+    fn mismatched_collectives_fail_on_every_rank() {
+        type Call = fn(&crate::Communicator) -> Result<(), CommError>;
+        let calls: [(&str, Call); 5] = [
+            ("barrier", |c| c.barrier()),
+            ("allgather", |c| c.allgather(1usize).map(drop)),
+            ("allgatherv", |c| c.allgatherv(&[1usize]).map(drop)),
+            ("gatherv at its root", |c| c.gatherv(c.rank(), &[1usize]).map(drop)),
+            ("alltoall", |c| c.alltoall(vec![vec![1usize]; c.size()]).map(drop)),
+        ];
+        for p in [2usize, 3] {
+            for (i, (first, call)) in calls.iter().enumerate() {
+                for (second, other) in &calls[i + 1..] {
+                    let out = Universe::run(p, |c| {
+                        let verdict = if c.rank() == 0 { call(c) } else { other(c) };
+                        (verdict, c.allreduce(1usize, crate::sum).unwrap())
+                    });
+                    for (rank, (verdict, after)) in out.into_iter().enumerate() {
+                        let ctx = format!("p = {p}, {first} against {second}, rank {rank}");
+                        assert!(matches!(verdict, Err(CommError::TypeMismatch { .. })), "{ctx}");
+                        assert_eq!(after, p, "{ctx}: the next allreduce");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The root of `bcast` and `scatter` and the non-roots of `gatherv`
+    /// return once they have deposited: each here goes on to a receive
+    /// that the other rank posts only before its own half of the call, so
+    /// a call that waited for its peer would end in `DeadlockSuspected`.
+    #[test]
+    fn rooted_collectives_stay_eager() {
+        let out = Universe::run(2, |c| {
+            let other = 1 - c.rank();
+            let eager_first = |eager: &dyn Fn() -> Vec<u32>, late: &dyn Fn() -> Vec<u32>| {
+                if c.rank() == 0 {
+                    let got = eager();
+                    c.send(other, 0, ()).unwrap();
+                    got
+                } else {
+                    c.recv::<()>(other, 0).unwrap();
+                    late()
+                }
+            };
+            let b = eager_first(&|| c.bcast(0, vec![7]).unwrap(), &|| c.bcast(0, vec![]).unwrap());
+            let s = eager_first(&|| c.scatter(0, Some(vec![vec![1], vec![2]])).unwrap(), &|| {
+                c.scatter(0, None).unwrap()
+            });
+            let g = eager_first(&|| c.gatherv(1, &[3]).unwrap().unwrap_or_default(), &|| {
+                c.gatherv(1, &[4]).unwrap().unwrap_or_default()
+            });
+            (b, s, g)
+        });
+        assert_eq!(out[0], (vec![7], vec![1], vec![]));
+        assert_eq!(out[1], (vec![7], vec![2], vec![3, 4]));
     }
 }

@@ -5,23 +5,19 @@ use std::any::Any;
 use crate::Tag;
 
 /// Communication context. Each communicator owns a distinct context so that
-/// traffic on split/duplicated communicators — and internal collective
-/// traffic — can never be confused with user point-to-point messages, the
-/// same role MPI's hidden "context id" plays.
+/// traffic on split/duplicated communicators can never be confused, the
+/// same role MPI's hidden "context id" plays; it also names the
+/// communicator's board and lines.
 pub(crate) type Context = u64;
 
 /// The world communicator's user context.
 pub(crate) const WORLD_CONTEXT: Context = 0x5157_4f52_4c44; // "QWORLD"
 
-/// Bit flipped to derive a communicator's *collective* context from its
-/// user context.
-pub(crate) const COLLECTIVE_BIT: Context = 1 << 63;
-
 /// One in-flight message.
 pub(crate) struct Envelope {
     /// World rank of the sender.
     pub src: usize,
-    /// User- or collective-level tag.
+    /// The sender's tag.
     pub tag: Tag,
     /// Context id of the communicator the message was sent on.
     pub context: Context,
@@ -35,11 +31,9 @@ pub(crate) struct Envelope {
 
 impl Envelope {
     /// Does this envelope match a receive posted for `(src, tag)` on
-    /// communicator context `context`? `None` acts as the MPI wildcard.
-    pub fn matches(&self, src: Option<usize>, tag: Option<Tag>, context: Context) -> bool {
-        self.context == context
-            && src.is_none_or(|s| s == self.src)
-            && tag.is_none_or(|t| t == self.tag)
+    /// communicator context `context`?
+    pub fn matches(&self, src: usize, tag: Tag, context: Context) -> bool {
+        self.context == context && src == self.src && tag == self.tag
     }
 }
 
@@ -55,7 +49,7 @@ pub(crate) fn child_context(parent: Context, salt: u64, color: u64) -> Context {
         .wrapping_add(color.wrapping_mul(0x94d0_49bb_1331_11eb));
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    (z ^ (z >> 31)) & !COLLECTIVE_BIT
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -69,13 +63,10 @@ mod tests {
     #[test]
     fn matching_respects_all_three_keys() {
         let e = env(2, 7, WORLD_CONTEXT);
-        assert!(e.matches(Some(2), Some(7), WORLD_CONTEXT));
-        assert!(e.matches(None, Some(7), WORLD_CONTEXT));
-        assert!(e.matches(Some(2), None, WORLD_CONTEXT));
-        assert!(e.matches(None, None, WORLD_CONTEXT));
-        assert!(!e.matches(Some(1), Some(7), WORLD_CONTEXT));
-        assert!(!e.matches(Some(2), Some(8), WORLD_CONTEXT));
-        assert!(!e.matches(Some(2), Some(7), WORLD_CONTEXT ^ 1));
+        assert!(e.matches(2, 7, WORLD_CONTEXT));
+        assert!(!e.matches(1, 7, WORLD_CONTEXT));
+        assert!(!e.matches(2, 8, WORLD_CONTEXT));
+        assert!(!e.matches(2, 7, WORLD_CONTEXT ^ 1));
     }
 
     #[test]
@@ -88,6 +79,5 @@ mod tests {
         let d = child_context(WORLD_CONTEXT, 2, 0);
         assert_ne!(a, c, "different colors get different contexts");
         assert_ne!(a, d, "different salts get different contexts");
-        assert_eq!(a & COLLECTIVE_BIT, 0, "collective bit must stay clear");
     }
 }

@@ -19,7 +19,8 @@ pub enum CommError {
         /// The communicator size.
         size: usize,
     },
-    /// A received payload could not be downcast to the requested type.
+    /// A received payload, or a peer's contribution to a collective, was
+    /// not of the requested type — or the peer called another collective.
     ///
     /// MPI leaves datatype mismatches undefined; this runtime detects them.
     TypeMismatch {
@@ -28,15 +29,17 @@ pub enum CommError {
     },
     /// A negative (reserved) tag was passed to a send operation.
     InvalidTag(crate::Tag),
-    /// A blocking receive waited longer than the deadlock-detection
-    /// timeout. This almost always indicates mismatched send/recv pairs or
-    /// collectives executed in different orders on different ranks.
+    /// A blocking receive or collective waited longer than the
+    /// deadlock-detection timeout. This almost always indicates mismatched
+    /// send/recv pairs or a rank that skipped a collective.
     DeadlockSuspected {
         /// The rank that timed out.
         rank: usize,
-        /// Source the receive was matching (`None` = any source).
+        /// The rank waited for: a receive's source, or the lowest rank
+        /// that had not arrived at a collective (`None` if none was
+        /// missing when the wait gave up).
         src: Option<usize>,
-        /// Tag the receive was matching (`None` = any tag).
+        /// The receive's tag (`None` for a collective).
         tag: Option<crate::Tag>,
     },
     /// The peer's mailbox was closed (its thread exited or panicked).

@@ -16,7 +16,7 @@
 //!
 //! | key        | values                                                       | default |
 //! |------------|--------------------------------------------------------------|---------|
-//! | `op`       | `send` `recv` `barrier` `bcast` `reduce` `allreduce` `gather` `allgather` `scatter` `alltoall` `scan` | required |
+//! | `op`       | `send` `recv` `barrier` `bcast` `allreduce` `gather` `allgather` `scatter` `alltoall` | required |
 //! | `kind`     | `error` `drop` `delay` `corrupt` `truncate` `kill`           | required |
 //! | `rank`     | world rank, or `*` for any rank                              | `*`     |
 //! | `call`     | 1-based count of *matching* calls at which the rule fires    | `1`     |
@@ -77,14 +77,12 @@ use crate::Tag;
 pub enum FaultOp {
     /// Point-to-point send.
     Send,
-    /// Point-to-point receive (plain or wildcard).
+    /// Point-to-point receive.
     Recv,
     /// `barrier()`.
     Barrier,
     /// `bcast()`.
     Bcast,
-    /// Rooted `reduce()`.
-    Reduce,
     /// `allreduce()` / `allreduce_vec()`.
     Allreduce,
     /// `gather()` / `gatherv()`.
@@ -95,8 +93,6 @@ pub enum FaultOp {
     Scatter,
     /// `alltoall()`.
     Alltoall,
-    /// `scan()` / `exscan()`.
-    Scan,
 }
 
 impl FaultOp {
@@ -107,13 +103,11 @@ impl FaultOp {
             FaultOp::Recv => "recv",
             FaultOp::Barrier => "barrier",
             FaultOp::Bcast => "bcast",
-            FaultOp::Reduce => "reduce",
             FaultOp::Allreduce => "allreduce",
             FaultOp::Gather => "gather",
             FaultOp::Allgather => "allgather",
             FaultOp::Scatter => "scatter",
             FaultOp::Alltoall => "alltoall",
-            FaultOp::Scan => "scan",
         }
     }
 
@@ -123,13 +117,11 @@ impl FaultOp {
             "recv" => FaultOp::Recv,
             "barrier" => FaultOp::Barrier,
             "bcast" => FaultOp::Bcast,
-            "reduce" => FaultOp::Reduce,
             "allreduce" => FaultOp::Allreduce,
             "gather" => FaultOp::Gather,
             "allgather" => FaultOp::Allgather,
             "scatter" => FaultOp::Scatter,
             "alltoall" => FaultOp::Alltoall,
-            "scan" => FaultOp::Scan,
             other => return Err(format!("unknown fault op '{other}'")),
         })
     }
@@ -492,7 +484,7 @@ mod tests {
     #[test]
     fn fired_rules_are_reported_by_id() {
         let plan =
-            FaultPlan::parse("op=scan,rank=0,kind=error;op=barrier,rank=0,kind=error").unwrap();
+            FaultPlan::parse("op=alltoall,rank=0,kind=error;op=barrier,rank=0,kind=error").unwrap();
         let out = crate::Universe::run_with_faults(1, Some(plan.clone()), |c| {
             assert_eq!(c.fault_plan(), Some(&plan));
             assert!(c.fired_rule_ids().is_empty());

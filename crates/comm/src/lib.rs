@@ -4,19 +4,19 @@
 //! distributed-memory cluster. This crate reproduces that substrate inside a
 //! single process: [`Universe::run`] spawns one OS thread per *rank*, and the
 //! ranks communicate **only** through their [`Communicator`] — typed
-//! point-to-point messages with MPI matching semantics (source/tag/context,
-//! wildcard receives, FIFO per pair) plus the usual collective operations
-//! (barrier, broadcast, reduce, all-reduce, gather(v), scatter(v),
-//! all-gather(v), all-to-all, scan): all-reduce on a shared-memory board
-//! per communicator, the rest built on top of point-to-point with
-//! binomial-tree and ring algorithms. Halo exchanges ride persistent
-//! one-way [`Line`]s: shared-memory rings opened once per neighbour.
+//! point-to-point messages with MPI matching semantics (source, tag and
+//! context; FIFO per pair) plus the usual collective operations (barrier,
+//! broadcast, all-reduce, gather(v), scatter, all-gather(v), all-to-all).
+//! Every collective meets on one shared-memory board per communicator;
+//! the mailbox carries only point-to-point messages. Halo exchanges ride
+//! persistent one-way [`Line`]s: shared-memory rings opened once per
+//! neighbour.
 //!
 //! Because all inter-rank traffic flows through this API, code written
 //! against it has the same *structure* as the MPI original: block-row data
 //! distribution, halo exchange, reductions inside dot products, gathers of
-//! solution vectors. Only the transport differs (crossbeam channels instead
-//! of a network), which is irrelevant for the paper's measurements — both
+//! solution vectors. Only the transport differs (shared memory and crossbeam
+//! channels instead of a network), which is irrelevant for the paper's measurements — both
 //! the CCA and the non-CCA call paths run on the identical substrate.
 //!
 //! # Example
@@ -47,14 +47,13 @@ pub mod collectives;
 pub mod fault;
 
 pub use cohort::CohortView;
-pub use comm::{Communicator, RecvStatus, ANY_SOURCE, ANY_TAG};
+pub use comm::Communicator;
 pub use error::{CommError, CommResult};
 pub use fault::{FaultKind, FaultOp, FaultPlan, FaultRule};
 pub use line::Line;
-pub use reduce::{land, lor, max, maxloc, min, minloc, prod, sum};
+pub use reduce::{max, sum};
 pub use stats::CommStats;
 pub use universe::Universe;
 
-/// Message tag type (MPI uses `int`; only non-negative tags are valid for
-/// sends, negative values are reserved for wildcards and internal use).
+/// Message tag type (MPI uses `int`; only non-negative tags are valid).
 pub type Tag = i32;

@@ -1,6 +1,5 @@
 //! Ready-made reduction combiners, mirroring the MPI predefined operations
-//! (`MPI_SUM`, `MPI_PROD`, `MPI_MIN`, `MPI_MAX`, `MPI_MINLOC`, `MPI_MAXLOC`,
-//! `MPI_LAND`, `MPI_LOR`).
+//! `MPI_SUM` and `MPI_MAX`.
 //!
 //! These are plain functions usable wherever a collective takes an
 //! `Fn(&T, &T) -> T` combiner:
@@ -11,26 +10,11 @@
 //! assert_eq!(out, vec![3.0, 3.0, 3.0]);
 //! ```
 
-use std::ops::{Add, Mul};
+use std::ops::Add;
 
 /// Addition (`MPI_SUM`).
 pub fn sum<T: Add<Output = T> + Clone>(a: &T, b: &T) -> T {
     a.clone() + b.clone()
-}
-
-/// Multiplication (`MPI_PROD`).
-pub fn prod<T: Mul<Output = T> + Clone>(a: &T, b: &T) -> T {
-    a.clone() * b.clone()
-}
-
-/// Minimum (`MPI_MIN`). Uses `PartialOrd`; with NaN the other operand wins,
-/// matching the IEEE `minNum` convention solvers expect.
-pub fn min<T: PartialOrd + Clone>(a: &T, b: &T) -> T {
-    if b < a {
-        b.clone()
-    } else {
-        a.clone()
-    }
 }
 
 /// Maximum (`MPI_MAX`).
@@ -42,36 +26,6 @@ pub fn max<T: PartialOrd + Clone>(a: &T, b: &T) -> T {
     }
 }
 
-/// Minimum with location (`MPI_MINLOC`): pairs `(value, index)`; ties keep
-/// the lower index, which the rank-ordered reduction guarantees appears on
-/// the left.
-pub fn minloc<T: PartialOrd + Clone, I: Clone>(a: &(T, I), b: &(T, I)) -> (T, I) {
-    if b.0 < a.0 {
-        b.clone()
-    } else {
-        a.clone()
-    }
-}
-
-/// Maximum with location (`MPI_MAXLOC`); ties keep the lower index.
-pub fn maxloc<T: PartialOrd + Clone, I: Clone>(a: &(T, I), b: &(T, I)) -> (T, I) {
-    if b.0 > a.0 {
-        b.clone()
-    } else {
-        a.clone()
-    }
-}
-
-/// Logical and (`MPI_LAND`).
-pub fn land(a: &bool, b: &bool) -> bool {
-    *a && *b
-}
-
-/// Logical or (`MPI_LOR`).
-pub fn lor(a: &bool, b: &bool) -> bool {
-    *a || *b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,33 +34,19 @@ mod tests {
     #[test]
     fn scalar_ops() {
         assert_eq!(sum(&2, &3), 5);
-        assert_eq!(prod(&2.0, &3.0), 6.0);
-        assert_eq!(min(&2, &3), 2);
         assert_eq!(max(&2, &3), 3);
-        assert!(land(&true, &true));
-        assert!(!land(&true, &false));
-        assert!(lor(&false, &true));
-        assert!(!lor(&false, &false));
-    }
-
-    #[test]
-    fn loc_ops_break_ties_toward_lower_index() {
-        assert_eq!(minloc(&(1.0, 0usize), &(1.0, 3usize)), (1.0, 0));
-        assert_eq!(maxloc(&(5.0, 1usize), &(5.0, 2usize)), (5.0, 1));
-        assert_eq!(minloc(&(2.0, 0usize), &(1.0, 3usize)), (1.0, 3));
-        assert_eq!(maxloc(&(2.0, 0usize), &(7.0, 3usize)), (7.0, 3));
+        assert_eq!(max(&3.5, &-1.0), 3.5);
     }
 
     #[test]
     fn ops_work_inside_collectives() {
         let out = Universe::run(4, |c| {
-            let mx = c.allreduce((c.rank() as f64, c.rank()), maxloc).unwrap();
-            let mn = c.allreduce(c.rank() as i64 + 1, min).unwrap();
-            let all = c.allreduce(c.rank() != 9, land).unwrap();
-            (mx, mn, all)
+            let mx = c.allreduce(c.rank() as f64, max).unwrap();
+            let total = c.allreduce(c.rank() as i64 + 1, sum).unwrap();
+            (mx, total)
         });
         for v in out {
-            assert_eq!(v, ((3.0, 3), 1, true));
+            assert_eq!(v, (3.0, 10));
         }
     }
 }

@@ -21,8 +21,8 @@ pub struct CommStats {
     /// Point-to-point sends posted (`send`, and the send half of
     /// `sendrecv`).
     pub sends: u64,
-    /// Point-to-point receives completed (`recv`, `recv_any`, and the
-    /// receive half of `sendrecv`).
+    /// Point-to-point receives completed (`recv`, and the receive half of
+    /// `sendrecv`).
     pub recvs: u64,
     /// Payload bytes handed to point-to-point sends.
     pub bytes_sent: u64,
@@ -32,8 +32,6 @@ pub struct CommStats {
     pub barriers: u64,
     /// `bcast()` calls.
     pub bcasts: u64,
-    /// Rooted `reduce()` calls.
-    pub reduces: u64,
     /// `allreduce()`/`allreduce_vec()` calls.
     pub allreduces: u64,
     /// `gather()`/`gatherv()` calls.
@@ -44,8 +42,6 @@ pub struct CommStats {
     pub scatters: u64,
     /// `alltoall()` calls.
     pub alltoalls: u64,
-    /// `scan()`/`exscan()` calls.
-    pub scans: u64,
 }
 
 impl CommStats {
@@ -53,13 +49,11 @@ impl CommStats {
     pub fn collective_calls(&self) -> u64 {
         self.barriers
             + self.bcasts
-            + self.reduces
             + self.allreduces
             + self.gathers
             + self.allgathers
             + self.scatters
             + self.alltoalls
-            + self.scans
     }
 
     /// Total point-to-point operations (sends + receives).
@@ -77,13 +71,11 @@ pub(crate) struct StatsCell {
     bytes_received: AtomicU64,
     barriers: AtomicU64,
     bcasts: AtomicU64,
-    reduces: AtomicU64,
     allreduces: AtomicU64,
     gathers: AtomicU64,
     allgathers: AtomicU64,
     scatters: AtomicU64,
     alltoalls: AtomicU64,
-    scans: AtomicU64,
 }
 
 macro_rules! bump {
@@ -99,13 +91,11 @@ macro_rules! bump {
 impl StatsCell {
     bump!(barrier, barriers, Barriers);
     bump!(bcast, bcasts, Bcasts);
-    bump!(reduce, reduces, Reduces);
     bump!(allreduce, allreduces, Allreduces);
     bump!(gather, gathers, Gathers);
     bump!(allgather, allgathers, Allgathers);
     bump!(scatter, scatters, Scatters);
     bump!(alltoall, alltoalls, Alltoalls);
-    bump!(scan, scans, Scans);
 
     #[inline]
     pub(crate) fn send(&self, bytes: u64) {
@@ -135,13 +125,11 @@ impl StatsCell {
             bytes_received: self.bytes_received.load(Ordering::Relaxed),
             barriers: self.barriers.load(Ordering::Relaxed),
             bcasts: self.bcasts.load(Ordering::Relaxed),
-            reduces: self.reduces.load(Ordering::Relaxed),
             allreduces: self.allreduces.load(Ordering::Relaxed),
             gathers: self.gathers.load(Ordering::Relaxed),
             allgathers: self.allgathers.load(Ordering::Relaxed),
             scatters: self.scatters.load(Ordering::Relaxed),
             alltoalls: self.alltoalls.load(Ordering::Relaxed),
-            scans: self.scans.load(Ordering::Relaxed),
         }
     }
 }
@@ -196,10 +184,8 @@ mod tests {
             assert_eq!(s.gathers, 1, "rank {rank} gathers");
             assert_eq!(s.barriers, 1, "rank {rank} barriers");
             assert_eq!(s.allreduces, 1, "rank {rank} allreduces");
-            assert_eq!(s.reduces, 0);
             assert_eq!(s.allgathers, 0);
             assert_eq!(s.alltoalls, 0);
-            assert_eq!(s.scans, 0);
             assert_eq!(s.collective_calls(), 5, "rank {rank} collectives");
             assert_eq!(s.point_to_point_calls(), 2, "rank {rank} p2p");
         }

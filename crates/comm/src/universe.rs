@@ -19,7 +19,7 @@ use crate::fault::{Armed, FaultPlan};
 /// OS threads, hands each a world [`Communicator`] of size `n`, runs the
 /// supplied closure on every rank, and returns the per-rank results in
 /// rank order. Everything a launch shares between its ranks — mailboxes,
-/// reduction boards, halo lines, the fault plan with its fuses, the cohort registry, the deadlock
+/// boards, halo lines, the fault plan with its fuses, the cohort registry, the deadlock
 /// watchdog, [`Communicator::universe_store`] — belongs to that launch,
 /// so two universes in one process never see each other's state.
 /// A panic on any rank propagates (after the other ranks either finish or
@@ -136,17 +136,6 @@ impl Universe {
                 .collect()
         })
     }
-
-    /// Convenience: run the same closure at several rank counts, returning
-    /// `(n, results)` pairs — the shape of the paper's scaling experiments
-    /// (1, 2, 4, 8 processors).
-    pub fn run_scaling<F, R>(counts: &[usize], f: F) -> Vec<(usize, Vec<R>)>
-    where
-        F: Fn(&Communicator) -> R + Send + Sync,
-        R: Send,
-    {
-        counts.iter().map(|&n| (n, Self::run(n, &f))).collect()
-    }
 }
 
 #[cfg(test)]
@@ -182,15 +171,6 @@ mod tests {
                 panic!("boom on purpose");
             }
         });
-    }
-
-    #[test]
-    fn run_scaling_covers_each_count() {
-        let out = Universe::run_scaling(&[1, 2, 4], |c| c.size());
-        assert_eq!(out.len(), 3);
-        for (n, rs) in out {
-            assert_eq!(rs, vec![n; n]);
-        }
     }
 
     #[test]

@@ -1,14 +1,24 @@
-//! The all-reduce bracket guarantee: the one-pass exchange combines the
-//! contributions in the binomial bracket of `reduce`, on every rank, at
-//! every rank count — power of two or not.
+//! The all-reduce bracket guarantee: the board combines the contributions
+//! in the documented binomial bracket, on every rank, at every rank count
+//! — power of two or not.
 
-use rcomm::{sum, Communicator, Universe};
+use rcomm::{sum, Universe};
 
-/// The composition all-reduce used to be, kept as the reference: reduce
-/// onto rank 0, broadcast back.
-fn reduce_then_bcast(c: &Communicator, v: f64) -> f64 {
-    let at_root = c.reduce(0, v, sum).unwrap();
-    c.bcast(0, at_root.unwrap_or(0.0)).unwrap()
+/// The reference, independent of the board's fold: the sum of `v`
+/// (every rank's contribution, in rank order) in the bracket of
+/// `rcomm::collectives` — aligned blocks of a power-of-two size, the
+/// lower half's sum plus the upper half's, a block that runs past the
+/// end ending there.
+fn bracket(v: &[f64]) -> f64 {
+    fn block(v: &[f64], base: usize, size: usize) -> f64 {
+        let half = size / 2;
+        match size {
+            1 => v[base],
+            _ if base + half >= v.len() => block(v, base, half),
+            _ => block(v, base, half) + block(v, base + half, half),
+        }
+    }
+    block(v, 0, v.len().next_power_of_two())
 }
 
 /// Contributions whose sum depends on the bracket in its last bits: full
@@ -38,13 +48,15 @@ fn noncommutative_allreduce_is_rank_ordered_on_every_rank() {
 }
 
 #[test]
-fn allreduce_is_bit_equal_to_reduce_then_bcast() {
+fn allreduce_is_bit_equal_to_a_serial_fold_in_the_bracket() {
     const WIDTH: usize = 12;
     for p in 1..=9 {
         let out = Universe::run(p, |c| {
             let mine: Vec<f64> = (0..WIDTH).map(|i| ill_conditioned(c.rank(), i)).collect();
-            let reference: Vec<u64> =
-                mine.iter().map(|&v| reduce_then_bcast(c, v).to_bits()).collect();
+            let every: Vec<Vec<f64>> = c.allgather(mine.clone()).unwrap();
+            let reference: Vec<u64> = (0..WIDTH)
+                .map(|i| bracket(&every.iter().map(|v| v[i]).collect::<Vec<_>>()).to_bits())
+                .collect();
             let scalar: Vec<u64> =
                 mine.iter().map(|&v| c.allreduce(v, sum).unwrap().to_bits()).collect();
             let fused: Vec<u64> =

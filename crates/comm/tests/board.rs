@@ -158,3 +158,23 @@ fn warm_two_rank_f64_allreduce_allocates_nothing() {
         assert_eq!(acc, 999_000.0);
     }
 }
+
+#[test]
+fn warm_two_rank_vec17_allreduce_allocates_only_its_result() {
+    let out = Universe::run(2, |c| {
+        let mine = vec![1.0f64; 17];
+        for _ in 0..4 {
+            c.allreduce_vec(&mine, sum).unwrap();
+        }
+        let before = ALLOCS.with(Cell::get);
+        for _ in 0..1_000 {
+            assert_eq!(c.allreduce_vec(&mine, sum).unwrap()[16], 2.0);
+        }
+        ALLOCS.with(Cell::get) - before
+    });
+    for (rank, allocs) in out.into_iter().enumerate() {
+        // The returned vector is the only allocation: the deposit reuses
+        // the slot's buffer and the fold reads the peer's in place.
+        assert_eq!(allocs, 1_000, "rank {rank}: {allocs} allocations in 1000 warm allreduces");
+    }
+}

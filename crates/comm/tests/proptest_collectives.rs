@@ -104,20 +104,6 @@ proptest! {
     }
 
     #[test]
-    fn scan_matches_serial_prefixes(
-        p in 1usize..8,
-        vals in vec(-1000i64..1000, 8),
-    ) {
-        let vals = vals[..p].to_vec();
-        let out = Universe::run(p, |c| c.scan(vals[c.rank()], sum).unwrap());
-        let mut acc = 0i64;
-        for (r, v) in out.into_iter().enumerate() {
-            acc += vals[r];
-            prop_assert_eq!(v, acc);
-        }
-    }
-
-    #[test]
     fn bcast_delivers_arbitrary_payloads(
         p in 1usize..8,
         payload in vec(any::<u32>(), 0..20),

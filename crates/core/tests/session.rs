@@ -360,11 +360,10 @@ fn pipeline_contract<A: SparseSolverPort>(
 }
 
 /// Collectives this rank posted so far, one count per flavour.
-fn collective_snapshot() -> [u64; 9] {
+fn collective_snapshot() -> [u64; 7] {
     use probe::Counter::*;
     let rep = probe::local_report();
-    [Barriers, Bcasts, Reduces, Allreduces, Gathers, Allgathers, Scatters, Alltoalls, Scans]
-        .map(|c| rep.counter(c))
+    [Barriers, Bcasts, Allreduces, Gathers, Allgathers, Scatters, Alltoalls].map(|c| rep.counter(c))
 }
 
 /// A warm RSLU re-solve moves each column to the root and back and agrees
@@ -404,11 +403,11 @@ fn warm_rslu_resolve_is_gather_scatter_and_one_agreement() {
                 let before = collective_snapshot();
                 solver.solve(&mut x, &mut status).unwrap();
                 let after = collective_snapshot();
-                let posted: [u64; 9] = std::array::from_fn(|i| after[i] - before[i]);
+                let posted: [u64; 7] = std::array::from_fn(|i| after[i] - before[i]);
                 let ctx = format!("{p} ranks, rank {}, {k} column(s)", comm.rank());
                 if nth > 0 {
                     let k = k as u64;
-                    assert_eq!(posted, [0, 0, 0, 0, k, 1, k, 0, 0], "{ctx}");
+                    assert_eq!(posted, [0, 0, 0, k, 1, k, 0], "{ctx}");
                 }
                 let report = lisi::SolveReport::from_slice(&status);
                 assert!(report.residual < 1e-10, "{ctx}: residual {}", report.residual);
@@ -474,10 +473,10 @@ fn warm_rmg_resolve_is_one_gather_one_scatter_and_one_agreement() {
                 let before = collective_snapshot();
                 solver.solve(&mut x, &mut status).unwrap();
                 let after = collective_snapshot();
-                let posted: [u64; 9] = std::array::from_fn(|i| after[i] - before[i]);
+                let posted: [u64; 7] = std::array::from_fn(|i| after[i] - before[i]);
                 let ctx = format!("{p} ranks, rank {}, {k} column(s)", comm.rank());
                 if nth > 0 {
-                    assert_eq!(posted, [0, 0, 0, 0, 1, 1, 1, 0, 0], "{ctx}");
+                    assert_eq!(posted, [0, 0, 0, 1, 1, 1, 0], "{ctx}");
                 }
                 let report = lisi::SolveReport::from_slice(&status);
                 let cycles = reference[..k].iter().map(|(_, r)| r.cycles).max().unwrap();

@@ -45,8 +45,6 @@ counters! {
     Barriers = "barriers",
     /// `bcast()` calls.
     Bcasts = "bcasts",
-    /// Rooted `reduce()` calls.
-    Reduces = "reduces",
     /// `allreduce()` / `allreduce_vec()` calls.
     Allreduces = "allreduces",
     /// `gather()` / `gatherv()` calls.
@@ -57,8 +55,6 @@ counters! {
     Scatters = "scatters",
     /// `alltoall()` calls.
     Alltoalls = "alltoalls",
-    /// `scan()` / `exscan()` calls.
-    Scans = "scans",
     /// Point-to-point sends posted.
     SendsPosted = "sends_posted",
     /// Point-to-point receives completed.

@@ -75,12 +75,6 @@ impl RankReport {
         &self.folds.peer_recvs
     }
 
-    /// Total self-seconds of all `port:*` spans — the component-layer
-    /// overhead this rank spent crossing the CCA port boundary.
-    pub fn port_self_seconds(&self) -> f64 {
-        self.spans().iter().filter(|s| s.name.starts_with("port:")).map(|s| s.self_s).sum()
-    }
-
     /// Quantile summary of one latency histogram family.
     pub fn hist(&self, h: Hist) -> HistSummary {
         hist::summarize(&self.folds.hists.counts[h as usize], self.folds.hists.sums[h as usize])

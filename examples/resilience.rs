@@ -8,7 +8,7 @@
 //! visible in the status array: attempts ≥ 2, recovery code 2.
 //!
 //! ```text
-//! cargo run --example resilience
+//! cargo run --example resilience                        # per-rank probe summary, then cross-rank
 //! RSPARSE_FAULTS='op=recv,rank=1,tag=7001,call=1,kind=corrupt' cargo run --example resilience
 //! RSPARSE_PROBE=json cargo run --example resilience     # JSONL events, one report line a rank
 //! RSPARSE_PROBE=chrome cargo run --example resilience   # writes probe_trace.json
@@ -167,12 +167,17 @@ fn main() {
 
     // Cross-rank analytics (cumulative over both runs): which spans skew
     // across ranks, how much time each rank spent blocked, and who sent
-    // what to whom.
+    // what to whom. The summary sink puts each rank's counters, spans and
+    // histograms before them.
     let reports = cca_lisi::probe::aggregate();
     println!();
-    print!("{}", cca_lisi::probe::render_imbalance(&reports));
-    print!("{}", cca_lisi::probe::render_wait_attribution(&reports));
-    print!("{}", cca_lisi::probe::render_comm_matrix(&reports));
+    if cca_lisi::probe::mode() == ProbeMode::Summary {
+        print!("{}", cca_lisi::probe::render_summary(&reports));
+    } else {
+        print!("{}", cca_lisi::probe::render_imbalance(&reports));
+        print!("{}", cca_lisi::probe::render_wait_attribution(&reports));
+        print!("{}", cca_lisi::probe::render_comm_matrix(&reports));
+    }
     // With RSPARSE_TRACE=1 the causal trace of the last solve yields a
     // critical-path attribution; empty (and silent) otherwise.
     print!("{}", cca_lisi::probe::critpath::render_latest());

@@ -51,6 +51,10 @@ for e in quickstart solver_switching matrix_free multigrid_recursion \
   cargo run --release --example "$e" >/dev/null
 done
 
+echo "== the summary sink (resilience example, its default probe mode) =="
+summary_out="$(env -u RSPARSE_PROBE cargo run --release --example resilience 2>/dev/null)"
+grep -q "== probe summary: rank 0 ==" <<<"$summary_out"
+
 echo "== the JSON sink (resilience example, RSPARSE_PROBE=json) =="
 # One `{"rank":…}` report line per rank of the example's 4-rank cohort.
 json_out="$(RSPARSE_PROBE=json cargo run --release --example resilience 2>/dev/null)"
