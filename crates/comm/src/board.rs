@@ -35,13 +35,14 @@
 use std::any::TypeId;
 use std::cell::UnsafeCell;
 use std::mem::{align_of, size_of, MaybeUninit};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::MutexGuard;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use crate::error::{CommError, CommResult};
+use crate::line::Parking;
 
 /// Inline storage of one payload: four values and a length, so a short
 /// `allreduce_vec` contribution ([`crate::collectives::allreduce_vec`])
@@ -199,11 +200,8 @@ pub(crate) struct Board {
     /// communicator, or two handles of one context) take turns. Apart
     /// from the slots: no other rank touches them.
     turns: Box<[TurnLock]>,
-    /// Ranks parked on [`Self::park`]; a deposit takes the wake lock only
-    /// when this is nonzero.
-    sleepers: AtomicUsize,
-    wake: Mutex<()>,
-    arrived: Condvar,
+    /// Ranks parked on [`Self::park`], woken by every deposit.
+    parking: Parking,
 }
 
 impl Board {
@@ -218,9 +216,7 @@ impl Board {
                 })
                 .collect(),
             turns: (0..p).map(|_| TurnLock::default()).collect(),
-            sleepers: AtomicUsize::new(0),
-            wake: Mutex::new(()),
-            arrived: Condvar::new(),
+            parking: Parking::default(),
         }
     }
 
@@ -251,14 +247,7 @@ impl Board {
     /// Sleep until `from` has deposited generation `g` (see
     /// [`Self::missing`]) or `slice` has passed; returns whether it has.
     pub(crate) fn park(&self, g: u64, from: Option<usize>, slice: Duration) -> bool {
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        let guard = self.wake.lock();
-        let (_guard, _) = self
-            .arrived
-            .wait_timeout_while(guard, slice, |_| self.missing(g, from).is_some())
-            .unwrap_or_else(|e| e.into_inner());
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-        self.missing(g, from).is_none()
+        self.parking.park(slice, || self.missing(g, from).is_none())
     }
 }
 
@@ -308,13 +297,8 @@ impl Turn<'_> {
         // so every reader of this parity's previous generation `g − 2` has
         // finished.
         write(unsafe { &mut *slot.payload[parity(g)].get() });
-        // SeqCst on both sides of the sleeper handshake: either a parking
-        // rank sees this generation, or this deposit sees the sleeper.
         slot.generation.store(g, Ordering::SeqCst);
-        if board.sleepers.load(Ordering::SeqCst) > 0 {
-            let _wake = board.wake.lock();
-            board.arrived.notify_all();
-        }
+        board.parking.wake();
     }
 
     /// Run `f` on another rank's contribution to collective `K` of this

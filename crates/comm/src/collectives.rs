@@ -9,8 +9,8 @@
 //! value, an all-gathered piece) is cloned by each — or moved out by the
 //! one reader there is on two ranks. Rooted collectives are
 //! eager: the root of [`bcast`] and [`scatter`] and the non-roots of
-//! [`gatherv`] return once they have deposited. The point-to-point
-//! mailbox carries no collective traffic.
+//! [`gatherv`] return once they have deposited. No collective traffic
+//! passes through the ranks' inboxes, which hold point-to-point messages.
 //!
 //! Each rank must call every collective in the same order. A rank that
 //! reads a contribution to another collective, or of another type, fails

@@ -2,25 +2,24 @@
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use crate::board::{Board, Turn};
 use crate::cohort::{CohortView, Registry};
-use crate::envelope::{child_context, Context, Envelope};
+use crate::envelope::{child_context, Context};
 use crate::error::{CommError, CommResult};
 use crate::fault::{Armed, FaultKind, FaultOp, FaultPlan, Fired};
-use crate::line::{End, Line, LineKey, Lines, Shared};
+use crate::line::{End, Line, LineKey, Lines, Parking, Shared};
 use crate::stats::{CommStats, StatsCell};
 use crate::Tag;
 
 /// Polls a blocked wait makes back to back before it starts yielding:
 /// roughly the futex park/unpark round trip the poll replaces (an empty
-/// `try_recv` plus the pause hint is a few tens of nanoseconds, so this is
+/// poll plus the pause hint is a few tens of nanoseconds, so this is
 /// 10–50 µs depending on the core). A message or deposit that arrives
 /// inside the budget is handed off without a wake-up; one that does not
 /// costs the waiter at most this much extra CPU before it parks.
@@ -35,21 +34,22 @@ const YIELD_POLLS: u32 = 4;
 /// deadlock deadline.
 const SLICE: Duration = Duration::from_millis(10);
 
-/// Shared wiring of the universe: one mailbox sender per world rank and
-/// everything else the universe owns, fixed at launch by
+/// Shared wiring of the universe: one inbox per world rank and everything
+/// else the universe owns, fixed at launch by
 /// [`crate::Universe::run_with_faults`]. Laid out in declaration order:
 /// what the fault gate reads on every call comes first, together, and the
 /// store's lock, which every `universe_store` call writes, comes last.
 #[repr(C)]
 pub(crate) struct Wiring {
-    pub senders: Vec<Sender<Envelope>>,
-    /// This universe's number in the process: with a context, it names a
-    /// communicator's lines (see [`Line::opened_on`]).
-    pub id: u64,
     /// The launch's fault plan, if any.
     pub faults: Option<Box<Armed>>,
     /// Kill marks and heartbeats of this universe's ranks.
     pub cohort: Registry,
+    /// Point-to-point messages not yet received, by world rank.
+    pub inboxes: Box<[Inbox]>,
+    /// This universe's number in the process: with a context, it names a
+    /// communicator's lines (see [`Line::opened_on`]).
+    pub id: u64,
     /// More ranks than the host has cores: blocked receives skip the spin.
     pub oversubscribed: bool,
     /// How long a blocking receive may wait before the runtime declares a
@@ -102,57 +102,74 @@ impl Wiring {
     }
 }
 
-/// Per-thread inbox. All communicators held by one rank share it, so a
-/// message for a *different* communicator that arrives while we are
-/// receiving is stashed in `pending` and found later by its own
-/// communicator — the classic "unexpected message queue". Its owner locks
-/// it on every receive, so it gets cache lines of its own: a line shared
-/// with another rank's inbox or with the read-mostly [`Wiring`] bounces
-/// between cores, and which neighbours share it would otherwise depend on
-/// the sizes of unrelated allocations.
+/// A message in an inbox: the sender's trace stamp and the payload.
+type Message = (Option<probe::trace::Stamp>, Box<dyn Any + Send>);
+
+/// What a receive names: `(context, source world rank, tag)`.
+type MailKey = (Context, usize, Tag);
+
+/// A world rank's inbox: the point-to-point messages sent to it and not
+/// yet received, one FIFO queue per [`MailKey`]. A receive names its
+/// source and tag exactly, so it reads one queue, and MPI's
+/// non-overtaking rule is that queue's order. A queue leaves the map when
+/// it drains, so the map holds only undelivered messages. Its owner polls
+/// it on every receive, so it gets cache lines of its own.
 #[repr(align(128))]
-pub(crate) struct PostOffice {
-    pub receiver: Receiver<Envelope>,
-    pub pending: VecDeque<Envelope>,
+#[derive(Default)]
+pub(crate) struct Inbox {
+    mail: Mutex<Mail>,
+    /// Messages in `mail`, so an empty poll does not take the lock.
+    undelivered: AtomicUsize,
+    parking: Parking,
 }
 
-impl PostOffice {
-    /// One attempt of [`Communicator::wait_match`]: drain the mailbox
-    /// without blocking (`slice` = `None`) or for up to `slice`, stashing
-    /// envelopes that do not match `(src, tag, context)` in `pending`.
-    fn take_match(
-        &mut self,
-        src: usize,
-        tag: Tag,
-        context: Context,
-        slice: Option<Duration>,
-    ) -> CommResult<Option<Envelope>> {
-        let until = slice.map(|s| Instant::now() + s);
-        loop {
-            let env = match until {
-                None => match self.receiver.try_recv() {
-                    Ok(env) => env,
-                    Err(TryRecvError::Empty) => return Ok(None),
-                    Err(TryRecvError::Disconnected) => return Err(CommError::PeerGone(usize::MAX)),
-                },
-                Some(until) => {
-                    match self
-                        .receiver
-                        .recv_timeout(until.saturating_duration_since(Instant::now()))
-                    {
-                        Ok(env) => env,
-                        Err(RecvTimeoutError::Timeout) => return Ok(None),
-                        Err(RecvTimeoutError::Disconnected) => {
-                            return Err(CommError::PeerGone(usize::MAX))
-                        }
-                    }
-                }
-            };
-            if env.matches(src, tag, context) {
-                return Ok(Some(env));
-            }
-            self.pending.push_back(env);
+#[derive(Default)]
+struct Mail {
+    queues: HashMap<MailKey, VecDeque<Message>>,
+    /// The owner's closure returned or panicked: no receive will come.
+    departed: bool,
+}
+
+impl Inbox {
+    /// Queue `message` under `key` and wake the owner; `false`, with
+    /// nothing queued, once the owner has departed.
+    fn push(&self, key: MailKey, message: Message) -> bool {
+        let mut mail = self.mail.lock();
+        if mail.departed {
+            return false;
         }
+        mail.queues.entry(key).or_default().push_back(message);
+        self.undelivered.fetch_add(1, Ordering::Relaxed);
+        drop(mail);
+        self.parking.wake();
+        true
+    }
+
+    /// One attempt of a receive: the oldest message under `key`, parking
+    /// for up to `slice` first if there is none.
+    fn pop(&self, key: &MailKey, slice: Option<Duration>) -> Option<Message> {
+        if let Some(slice) = slice {
+            self.parking.park(slice, || self.mail.lock().queues.contains_key(key));
+        }
+        if self.undelivered.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        let mut mail = self.mail.lock();
+        let queue = mail.queues.get_mut(key)?;
+        let message = queue.pop_front();
+        if queue.is_empty() {
+            mail.queues.remove(key);
+        }
+        self.undelivered.fetch_sub(1, Ordering::Relaxed);
+        message
+    }
+
+    /// The owner leaves: later sends are refused, and what it never
+    /// received is dropped.
+    pub(crate) fn depart(&self) {
+        let mut mail = self.mail.lock();
+        mail.departed = true;
+        mail.queues.clear();
     }
 }
 
@@ -179,7 +196,6 @@ pub struct Communicator {
     /// The line ends this handle opened, released when it is dropped.
     lines: Mutex<Vec<(LineKey, End, Arc<Shared>)>>,
     wiring: Arc<Wiring>,
-    post: Arc<Mutex<PostOffice>>,
 }
 
 impl Drop for Communicator {
@@ -196,7 +212,6 @@ impl Communicator {
         members: Arc<Vec<usize>>,
         context: Context,
         wiring: Arc<Wiring>,
-        post: Arc<Mutex<PostOffice>>,
     ) -> Self {
         Communicator {
             rank,
@@ -207,7 +222,6 @@ impl Communicator {
             board: OnceLock::new(),
             lines: Mutex::default(),
             wiring,
-            post,
         }
     }
 
@@ -361,7 +375,7 @@ impl Communicator {
     }
 
     /// Byte/message accounting plus the `Send` event for one posted p2p
-    /// send (`stamp` is what rode on the envelope, if a traced solve is
+    /// send (`stamp` is what rode with the message, if a traced solve is
     /// open). The event feeds the rank×rank matrix, whose row must
     /// reconcile exactly against `SendsPosted`/`BytesSent`, so every path
     /// that bumps those stats — including the fault-injected `Drop` early
@@ -383,9 +397,9 @@ impl Communicator {
     }
 
     /// Accounting + the `Recv` event for one completed p2p receive; `src`
-    /// is the sender's local rank from the matched envelope, `posted`
-    /// when the receive was posted and `stamp` what the envelope carried
-    /// (both `None` outside a traced solve).
+    /// is the sender's local rank, `posted` when the receive was posted
+    /// and `stamp` what the message carried (both `None` outside a traced
+    /// solve).
     fn note_recv(
         &self,
         src: usize,
@@ -409,7 +423,7 @@ impl Communicator {
 
     /// Send `value` to local rank `dest` with `tag`.
     ///
-    /// Sends are *eager*: the payload is moved into the destination mailbox
+    /// Sends are *eager*: the payload is moved into the destination's inbox
     /// and the call returns immediately (like a buffered MPI send). Sending
     /// to self is allowed and is matched by a later receive.
     pub fn send<T: Send + 'static>(&self, dest: usize, tag: Tag, value: T) -> CommResult<()> {
@@ -424,7 +438,7 @@ impl Communicator {
             fired.apply(&mut value);
         }
         let world_dest = self.world_rank(dest)?;
-        // Fail fast instead of filling a dead rank's mailbox; one load
+        // Fail fast instead of filling a dead rank's inbox; one load
         // while the cohort is intact.
         if self.wiring.cohort.is_lost(world_dest) {
             return Err(CommError::RankLost(world_dest));
@@ -433,22 +447,16 @@ impl Communicator {
         // load otherwise); the `Send` event takes its sequence and its
         // start from the stamp.
         let stamp = probe::trace::stamp_send();
-        let env = Envelope {
-            src: self.rank,
-            tag,
-            context: self.context,
-            stamp,
-            payload: Box::new(value),
-        };
-        // A closed mailbox means the peer's closure returned. If it left
+        let key = (self.context, self.my_world_rank(), tag);
+        // A departed inbox means the peer's closure returned. If it left
         // because a member was lost, pass that verdict on: survivors that
         // notice at different moments must still agree on the cause.
-        self.wiring.senders[world_dest].send(env).map_err(|_| {
-            match self.wiring.cohort.lost_member(&self.members) {
+        if !self.wiring.inboxes[world_dest].push(key, (stamp, Box::new(value))) {
+            return Err(match self.wiring.cohort.lost_member(&self.members) {
                 Some(world) => CommError::RankLost(world),
                 None => CommError::PeerGone(dest),
-            }
-        })?;
+            });
+        }
         self.note_send(dest, tag, std::mem::size_of::<T>() as u64, stamp);
         Ok(())
     }
@@ -459,9 +467,13 @@ impl Communicator {
         Self::check_tag(tag)?;
         let fired = self.fault_gate(FaultOp::Recv, "recv", Some(tag))?;
         let posted = probe::trace::recv_start();
-        let env = self.wait_match(src, tag)?;
-        let stamp = env.stamp;
-        let Ok(v) = env.payload.downcast::<T>() else {
+        let key = (self.context, self.world_rank(src)?, tag);
+        let inbox = &self.wiring.inboxes[self.my_world_rank()];
+        let (stamp, payload) = self.wait_for(
+            |slice| Ok(inbox.pop(&key, slice)),
+            || CommError::DeadlockSuspected { rank: self.rank, src: Some(src), tag: Some(tag) },
+        )?;
+        let Ok(v) = payload.downcast::<T>() else {
             return Err(CommError::TypeMismatch { expected: std::any::type_name::<T>() });
         };
         let mut v = *v;
@@ -627,24 +639,6 @@ impl Communicator {
         self.recv(src, recv_tag)
     }
 
-    /// Wait for the first envelope from `src` with `tag` on this
-    /// communicator. Scans the pending queue first, then pulls from the
-    /// mailbox, stashing non-matching arrivals back into pending.
-    fn wait_match(&self, src: usize, tag: Tag) -> CommResult<Envelope> {
-        self.world_rank(src)?;
-        let context = self.context;
-        let mut post = self.post.lock();
-        // Previously stashed messages, in arrival order (MPI's
-        // non-overtaking rule between a given pair).
-        if let Some(pos) = post.pending.iter().position(|e| e.matches(src, tag, context)) {
-            return Ok(post.pending.remove(pos).expect("position just found"));
-        }
-        self.wait_for(
-            |slice| post.take_match(src, tag, context, slice),
-            || CommError::DeadlockSuspected { rank: self.rank, src: Some(src), tag: Some(tag) },
-        )
-    }
-
     /// The one blocking point, under every receive, every collective and
     /// every halo line. `attempt(None)` checks without blocking;
     /// `attempt(Some(slice))` may block for up to `slice`; either returns
@@ -742,13 +736,7 @@ impl Communicator {
     pub fn dup(&self) -> CommResult<Communicator> {
         let salt = self.split_salt.fetch_add(1, Ordering::Relaxed);
         let ctx = child_context(self.context, salt, u64::MAX);
-        Ok(Communicator::new(
-            self.rank,
-            Arc::clone(&self.members),
-            ctx,
-            Arc::clone(&self.wiring),
-            Arc::clone(&self.post),
-        ))
+        Ok(Communicator::new(self.rank, Arc::clone(&self.members), ctx, Arc::clone(&self.wiring)))
     }
 
     /// Split into sub-communicators by `color`; members with equal color end
@@ -772,13 +760,7 @@ impl Communicator {
         let members: Vec<usize> = mine.iter().map(|&(_, _, r)| self.members[r]).collect();
         let salt = self.split_salt.fetch_add(1, Ordering::Relaxed);
         let ctx = child_context(self.context, salt, color);
-        Ok(Communicator::new(
-            my_new_rank,
-            Arc::new(members),
-            ctx,
-            Arc::clone(&self.wiring),
-            Arc::clone(&self.post),
-        ))
+        Ok(Communicator::new(my_new_rank, Arc::new(members), ctx, Arc::clone(&self.wiring)))
     }
 
     /// Shrink this communicator to `survivors` (local ranks, ascending,
@@ -816,13 +798,7 @@ impl Communicator {
         });
         let ctx = child_context(self.context, salt, members.len() as u64);
         probe::incr(probe::Counter::CohortShrinks);
-        Ok(Communicator::new(
-            my_new_rank,
-            Arc::new(members),
-            ctx,
-            Arc::clone(&self.wiring),
-            Arc::clone(&self.post),
-        ))
+        Ok(Communicator::new(my_new_rank, Arc::new(members), ctx, Arc::clone(&self.wiring)))
     }
 
     // -- Collectives: thin forwarding wrappers so call sites read like MPI. -
@@ -972,7 +948,15 @@ impl std::fmt::Debug for Communicator {
 
 #[cfg(test)]
 mod tests {
+    use super::Inbox;
     use crate::{CommError, Universe};
+
+    impl Inbox {
+        /// Queues in the map.
+        fn len(&self) -> usize {
+            self.mail.lock().queues.len()
+        }
+    }
 
     #[test]
     fn rank_and_size_are_consistent() {
@@ -1083,6 +1067,58 @@ mod tests {
             }
         });
         assert_eq!(out[1], "parent/child");
+    }
+
+    #[test]
+    fn matching_respects_all_three_keys() {
+        // Ranks 1 and 2 send on tags 7 and 8 of the world and of a dup;
+        // rank 0 receives the six in another order, each by its own key.
+        let out = Universe::run(3, |c| {
+            let d = c.dup().unwrap();
+            if c.rank() > 0 {
+                for (comm, name) in [(&d, "dup"), (c, "world")] {
+                    for tag in [8, 7] {
+                        comm.send(0, tag, format!("{name} {} {tag}", c.rank())).unwrap();
+                    }
+                }
+                return vec![];
+            }
+            let mut got = vec![];
+            for (comm, name) in [(c, "world"), (&d, "dup")] {
+                for tag in [7, 8] {
+                    for src in [2, 1] {
+                        let s: String = comm.recv(src, tag).unwrap();
+                        got.push((s, format!("{name} {src} {tag}")));
+                    }
+                }
+            }
+            got
+        });
+        assert_eq!(out[0].len(), 8);
+        for (got, want) in &out[0] {
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn drained_keys_leave_the_inbox() {
+        let out = Universe::run(2, |c| {
+            if c.rank() == 0 {
+                for tag in 0..1000 {
+                    c.send(1, tag, tag).unwrap();
+                }
+                c.barrier().unwrap();
+                return 0;
+            }
+            c.barrier().unwrap();
+            let inbox = &c.wiring.inboxes[c.my_world_rank()];
+            assert_eq!(inbox.len(), 1000, "one queue a tag while undelivered");
+            for tag in 0..1000 {
+                assert_eq!(c.recv::<i32>(0, tag).unwrap(), tag);
+            }
+            inbox.len()
+        });
+        assert_eq!(out[1], 0, "a drained queue leaves the map");
     }
 
     #[test]

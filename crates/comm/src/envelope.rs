@@ -1,41 +1,13 @@
-//! Internal wire format: a typed payload with MPI-style matching metadata.
-
-use std::any::Any;
-
-use crate::Tag;
+//! Communication contexts: what keeps communicators' traffic apart.
 
 /// Communication context. Each communicator owns a distinct context so that
 /// traffic on split/duplicated communicators can never be confused, the
 /// same role MPI's hidden "context id" plays; it also names the
-/// communicator's board and lines.
+/// communicator's board, lines and inbox queues.
 pub(crate) type Context = u64;
 
 /// The world communicator's user context.
 pub(crate) const WORLD_CONTEXT: Context = 0x5157_4f52_4c44; // "QWORLD"
-
-/// One in-flight message.
-pub(crate) struct Envelope {
-    /// World rank of the sender.
-    pub src: usize,
-    /// The sender's tag.
-    pub tag: Tag,
-    /// Context id of the communicator the message was sent on.
-    pub context: Context,
-    /// Causal trace stamp (solve id, per-sender sequence, post time);
-    /// `None` unless the sender had a traced solve open (see `probe::trace`).
-    pub stamp: Option<probe::trace::Stamp>,
-    /// The payload. `Box<dyn Any>` lets a single mailbox carry every message
-    /// type; the receiver downcasts and reports a typed error on mismatch.
-    pub payload: Box<dyn Any + Send>,
-}
-
-impl Envelope {
-    /// Does this envelope match a receive posted for `(src, tag)` on
-    /// communicator context `context`?
-    pub fn matches(&self, src: usize, tag: Tag, context: Context) -> bool {
-        self.context == context && src == self.src && tag == self.tag
-    }
-}
 
 /// Derive a child context deterministically on every member of a collective
 /// split, without any extra communication: all members pass identical
@@ -55,19 +27,6 @@ pub(crate) fn child_context(parent: Context, salt: u64, color: u64) -> Context {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn env(src: usize, tag: Tag, context: Context) -> Envelope {
-        Envelope { src, tag, context, stamp: None, payload: Box::new(0u8) }
-    }
-
-    #[test]
-    fn matching_respects_all_three_keys() {
-        let e = env(2, 7, WORLD_CONTEXT);
-        assert!(e.matches(2, 7, WORLD_CONTEXT));
-        assert!(!e.matches(1, 7, WORLD_CONTEXT));
-        assert!(!e.matches(2, 8, WORLD_CONTEXT));
-        assert!(!e.matches(2, 7, WORLD_CONTEXT ^ 1));
-    }
 
     #[test]
     fn child_contexts_are_deterministic_and_distinct() {

@@ -42,7 +42,8 @@ pub enum CommError {
         /// The receive's tag (`None` for a collective).
         tag: Option<crate::Tag>,
     },
-    /// The peer's mailbox was closed (its thread exited or panicked).
+    /// A send's destination has left: its closure returned or panicked,
+    /// so its inbox refuses further messages.
     PeerGone(usize),
     /// A `v`-variant collective was called with a counts slice whose length
     /// differs from the communicator size.

@@ -7,17 +7,17 @@
 //! point-to-point messages with MPI matching semantics (source, tag and
 //! context; FIFO per pair) plus the usual collective operations (barrier,
 //! broadcast, all-reduce, gather(v), scatter, all-gather(v), all-to-all).
-//! Every collective meets on one shared-memory board per communicator;
-//! the mailbox carries only point-to-point messages. Halo exchanges ride
-//! persistent one-way [`Line`]s: shared-memory rings opened once per
-//! neighbour.
+//! Three shared-memory transports carry the traffic: every collective
+//! meets on one board per communicator, a point-to-point message waits in
+//! its destination rank's inbox in a FIFO queue per `(context, source,
+//! tag)`, and halo exchanges ride persistent one-way [`Line`]s.
 //!
 //! Because all inter-rank traffic flows through this API, code written
 //! against it has the same *structure* as the MPI original: block-row data
 //! distribution, halo exchange, reductions inside dot products, gathers of
-//! solution vectors. Only the transport differs (shared memory and crossbeam
-//! channels instead of a network), which is irrelevant for the paper's measurements — both
-//! the CCA and the non-CCA call paths run on the identical substrate.
+//! solution vectors. Only the transport differs (shared memory instead of a
+//! network), which is irrelevant for the paper's measurements — both the
+//! CCA and the non-CCA call paths run on the identical substrate.
 //!
 //! # Example
 //!

@@ -2,7 +2,7 @@
 //!
 //! A halo exchange repeats the same hand-off every matvec — the same
 //! peer, the same tag, the same length — so it need not travel as a
-//! boxed envelope through the receiver's mailbox. A [`Line`] is a ring of
+//! boxed message through the receiver's inbox. A [`Line`] is a ring of
 //! [`DEPTH`] payload buffers shared by one sender and one receiver of a
 //! communicator, allocated once and lent to every exchange:
 //!
@@ -71,13 +71,38 @@ struct Buffer {
     stamp: Option<probe::trace::Stamp>,
 }
 
-/// Parked waiters of a line, apart from the counters both ends poll.
+/// Parked waiters of a line, a board or an inbox, apart from what they
+/// poll. Every blocking wait of the runtime parks on one of these.
 #[repr(align(128))]
 #[derive(Default)]
-struct Parking {
+pub(crate) struct Parking {
     sleepers: AtomicUsize,
     wake: Mutex<()>,
     moved: Condvar,
+}
+
+impl Parking {
+    /// Wake anyone parked here. Call it after publishing what they wait
+    /// for: SeqCst on both sides of the sleeper handshake, so either a
+    /// parking waiter sees the change, or this load sees the sleeper.
+    pub(crate) fn wake(&self) {
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            let _wake = self.wake.lock();
+            self.moved.notify_all();
+        }
+    }
+
+    /// Sleep until `ready()` or `slice` has passed; returns `ready()`.
+    pub(crate) fn park(&self, slice: Duration, ready: impl Fn() -> bool) -> bool {
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        let guard = self.wake.lock();
+        let (_guard, _) = self
+            .moved
+            .wait_timeout_while(guard, slice, |_| !ready())
+            .unwrap_or_else(|e| e.into_inner());
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        ready()
+    }
 }
 
 /// The shared state of one line.
@@ -116,26 +141,8 @@ impl Shared {
 
     /// Publish `g` on `generation` and wake anyone parked on this line.
     fn publish(&self, generation: &Generation, g: u64) {
-        // SeqCst on both sides of the sleeper handshake: either a parking
-        // end sees this generation, or this store sees the sleeper.
         generation.0.store(g, Ordering::SeqCst);
-        if self.parking.sleepers.load(Ordering::SeqCst) > 0 {
-            let _wake = self.parking.wake.lock();
-            self.parking.moved.notify_all();
-        }
-    }
-
-    /// Sleep until `ready()` or `slice` has passed; returns `ready()`.
-    fn park(&self, slice: Duration, ready: impl Fn() -> bool) -> bool {
-        let parking = &self.parking;
-        parking.sleepers.fetch_add(1, Ordering::SeqCst);
-        let guard = parking.wake.lock();
-        let (_guard, _) = parking
-            .moved
-            .wait_timeout_while(guard, slice, |_| !ready())
-            .unwrap_or_else(|e| e.into_inner());
-        parking.sleepers.fetch_sub(1, Ordering::SeqCst);
-        ready()
+        self.parking.wake();
     }
 }
 
@@ -210,7 +217,7 @@ impl Line {
 
     /// Sleep until `ready()` or `slice` has passed.
     pub(crate) fn park(&self, slice: Duration, ready: impl Fn() -> bool) -> bool {
-        self.shared.park(slice, ready)
+        self.shared.parking.park(slice, ready)
     }
 
     /// Start this end's next call: its turn held, the generation it

@@ -1,15 +1,13 @@
 //! SPMD launcher: spawn one thread per rank, wire them up, collect results.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::unbounded;
 use parking_lot::Mutex;
 
 use crate::cohort::Registry;
-use crate::comm::{Communicator, PostOffice, Wiring};
+use crate::comm::{Communicator, Inbox, Wiring};
 use crate::envelope::WORLD_CONTEXT;
 use crate::fault::{Armed, FaultPlan};
 
@@ -18,7 +16,7 @@ use crate::fault::{Armed, FaultPlan};
 /// [`Universe::run_with_faults`] is the single launch path: it spawns `n`
 /// OS threads, hands each a world [`Communicator`] of size `n`, runs the
 /// supplied closure on every rank, and returns the per-rank results in
-/// rank order. Everything a launch shares between its ranks — mailboxes,
+/// rank order. Everything a launch shares between its ranks — inboxes,
 /// boards, halo lines, the fault plan with its fuses, the cohort registry, the deadlock
 /// watchdog, [`Communicator::universe_store`] — belongs to that launch,
 /// so two universes in one process never see each other's state.
@@ -28,6 +26,16 @@ pub struct Universe;
 
 /// Launches so far in this process: each universe's number.
 static LAUNCHES: AtomicU64 = AtomicU64::new(0);
+
+/// Marks a rank's inbox departed when its closure returns or unwinds, so
+/// later sends to the rank fail instead of queueing for nobody.
+struct Departs<'a>(&'a Inbox);
+
+impl Drop for Departs<'_> {
+    fn drop(&mut self) {
+        self.0.depart();
+    }
+}
 
 impl Universe {
     /// Run `f` on `n` ranks under the fault plan `RSPARSE_FAULTS` spells
@@ -63,7 +71,6 @@ impl Universe {
         // before any rank thread spawns, so every rank agrees.
         probe::export::maybe_serve_from_env();
         probe::trace::advance_generation();
-        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
         // Ranks are threads: with more of them than cores a spinning
         // receiver only delays the sender it waits for. An unknown core
         // count is treated as one core.
@@ -73,10 +80,10 @@ impl Universe {
             .and_then(|s| s.parse().ok())
             .unwrap_or(30);
         let wiring = Arc::new(Wiring {
-            senders,
-            id: LAUNCHES.fetch_add(1, Ordering::Relaxed),
             faults: faults.map(|plan| Box::new(Armed::new(plan))),
             cohort: Registry::new(n),
+            inboxes: (0..n).map(|_| Inbox::default()).collect(),
+            id: LAUNCHES.fetch_add(1, Ordering::Relaxed),
             oversubscribed: n > cores,
             deadlock_timeout: Duration::from_secs(deadlock_secs),
             boards: Mutex::default(),
@@ -85,37 +92,23 @@ impl Universe {
         });
         let members: Arc<Vec<usize>> = Arc::new((0..n).collect());
 
-        let mut comms: Vec<Communicator> = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(rank, receiver)| {
-                let post = Arc::new(Mutex::new(PostOffice { receiver, pending: VecDeque::new() }));
-                Communicator::new(
-                    rank,
-                    Arc::clone(&members),
-                    WORLD_CONTEXT,
-                    Arc::clone(&wiring),
-                    post,
-                )
-            })
-            .collect();
-
         let fref = &f;
         std::thread::scope(|scope| {
-            let handles: Vec<_> = comms
-                .drain(..)
-                .map(|comm| {
+            let handles: Vec<_> = (0..n)
+                .map(|rank| {
+                    let comm = Communicator::new(
+                        rank,
+                        Arc::clone(&members),
+                        WORLD_CONTEXT,
+                        Arc::clone(&wiring),
+                    );
+                    let inbox = &wiring.inboxes[rank];
                     scope.spawn(move || {
+                        let _departs = Departs(inbox);
                         // Tag this thread's probe recorder so per-rank
                         // reports group correctly.
-                        probe::set_rank(comm.rank());
-                        let r = fref(&comm);
-                        // Keep the communicator (and thus our mailbox
-                        // sender handles) alive until the closure returns,
-                        // so peers never observe a closed channel while
-                        // still working.
-                        drop(comm);
-                        r
+                        probe::set_rank(rank);
+                        fref(&comm)
                     })
                 })
                 .collect();
@@ -175,8 +168,9 @@ mod tests {
 
     #[test]
     fn heavy_traffic_does_not_lose_messages() {
-        // Stress the unexpected-message queue: every rank sends to every
-        // other rank with many tags, receives in reverse order.
+        // Stress the inbox: every rank sends to every rank with many
+        // tags and receives in reverse order, so each receive finds its
+        // message queued among many others.
         let out = Universe::run(4, |c| {
             let p = c.size();
             for dest in 0..p {

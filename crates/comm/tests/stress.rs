@@ -78,7 +78,7 @@ fn many_small_collectives_do_not_cross_talk() {
 }
 
 #[test]
-fn scan_chains_compose_with_gather() {
+fn start_rows_from_one_allgather_check_out_in_another() {
     short_deadlock();
     // Each rank's start row is the exclusive prefix sum of an allgather
     // of the row counts; a second allgather of `(start, rows)` then
@@ -109,7 +109,7 @@ fn deadlock_detection_fires_instead_of_hanging() {
 }
 
 #[test]
-fn large_payloads_survive_the_tree_algorithms() {
+fn large_payloads_survive_bcast_and_allreduce_vec() {
     short_deadlock();
     let out = Universe::run(5, |c| {
         let big: Vec<f64> = (0..20_000).map(|i| i as f64).collect();

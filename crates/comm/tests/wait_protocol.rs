@@ -1,7 +1,9 @@
 //! The blocking point under every receive: spin, yield, park. What the
-//! park did before — cohort verdicts, deadlock detection, the unexpected-
-//! message queue — must hold when the wait ends in the polling phase
-//! instead, and a universe with more ranks than cores must not spin.
+//! park did before — cohort verdicts, deadlock detection, a message that
+//! arrives under another key while a receive waits — must hold when the
+//! wait ends in the polling phase instead, and a universe with more ranks
+//! than cores must not spin. A receive waits on its own queue of its
+//! rank's inbox; a send to a rank whose closure is over is refused.
 
 use std::time::{Duration, Instant};
 
@@ -82,8 +84,8 @@ fn mismatched_receive_is_a_suspected_deadlock_and_strands_nothing() {
         let out = Universe::run(p, |c| {
             if c.rank() == 0 {
                 // Tag 5 arrives while this waits for tag 999: it is
-                // stashed, the wait still times out, and tag 5 is there
-                // afterwards.
+                // queued under its own key, the wait still times out, and
+                // tag 5 is there afterwards.
                 c.send(1, 1, ()).unwrap();
                 let verdict = c.recv::<u8>(1, 999).map(|_| ());
                 (verdict, c.recv::<u8>(1, 5).ok())
@@ -129,7 +131,7 @@ fn message_for_another_communicator_seen_while_polling_is_found_later() {
 #[test]
 fn send_to_a_peer_that_left_reports_why_it_left() {
     short_deadlock();
-    // Rank 0 returns at once and its mailbox closes; rank 2 keeps sending
+    // Rank 0 returns at once and its inbox departs; rank 2 keeps sending
     // to it until the send fails.
     let send_until_refused = |c: &rcomm::Communicator| loop {
         if let Err(e) = c.send(0, 0, ()) {
@@ -141,7 +143,7 @@ fn send_to_a_peer_that_left_reports_why_it_left() {
     let out = Universe::run(3, |c| (c.rank() == 2).then(|| send_until_refused(c)));
     assert_eq!(out[2], Some(CommError::PeerGone(0)));
     // Rank 1 was killed first: a survivor that left because of it and one
-    // that only finds the closed mailbox reach the same verdict.
+    // that only finds the departed inbox reach the same verdict.
     let kill = rcomm::FaultPlan::parse("op=barrier,rank=1,kind=kill").unwrap();
     let out = Universe::run_with_faults(3, Some(kill), |c| match c.rank() {
         0 => None,
@@ -155,4 +157,26 @@ fn send_to_a_peer_that_left_reports_why_it_left() {
     });
     assert_eq!(out[1], Some(CommError::RankLost(1)));
     assert_eq!(out[2], Some(CommError::RankLost(1)));
+}
+
+#[test]
+fn an_eager_send_outlives_its_sender() {
+    short_deadlock();
+    // Rank 1 sends and returns; rank 0 receives only once sends to rank 1
+    // are refused, so the message waits in rank 0's inbox after its
+    // sender's closure is over.
+    let out = Universe::run(2, |c| {
+        if c.rank() == 1 {
+            c.send(0, 4, vec![1.5f64, -2.0]).unwrap();
+            return None;
+        }
+        let refused = loop {
+            if let Err(e) = c.send(1, 0, ()) {
+                break e;
+            }
+            std::thread::yield_now();
+        };
+        Some((refused, c.recv::<Vec<f64>>(1, 4)))
+    });
+    assert_eq!(out[0], Some((CommError::PeerGone(1), Ok(vec![1.5, -2.0]))));
 }

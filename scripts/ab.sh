@@ -25,8 +25,11 @@
 # files), the host_slowdown range of all runs, and a verdict: `gain` when
 # the change won at least nine tenths of the pairs and the gap is larger
 # than the parent's IQR (the spread of one tree run against itself),
-# `loss` for the same the other way, `inconclusive` otherwise. After the
-# rows come the exact counts (unit `count` or `B` in the traced lines,
+# `loss` for the same the other way, `inconclusive` otherwise. A verdict
+# ends `(calibrated ≠ wall)` when the two rulers disagree: the calibrated
+# ratio and the wall ratio differ by more than the parent's IQR over its
+# median; the wall ratio then decides whether to re-run the row. After
+# the rows come the exact counts (unit `count` or `B` in the traced lines,
 # less the session cache's entries and bytes, which depend on how many
 # sessions a run fitted in) that differ between the traced pair.
 #
@@ -40,7 +43,7 @@
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
-    sed -n '2,39p' "$0" >&2
+    sed -n '2,42p' "$0" >&2
     exit 2
 fi
 parent=$1
@@ -122,18 +125,22 @@ for w in workloads:
         gap = ma - mb
         ratio = mb / ma if ma else float("nan")
         gap_iqr = f"{gap / iqr:+.2f}" if iqr > 0 else ("0" if gap == 0 else "inf")
-        wall_ratio = "n/a"
+        wall_ratio, disagree = "n/a", False
         if wall:
             wa = [statistics.median(d[wall]) for d in details["a"] if d and d.get(wall)]
             wb = [statistics.median(d[wall]) for d in details["b"] if d and d.get(wall)]
             if wa and wb:
-                wall_ratio = f"{statistics.median(wb) / statistics.median(wa):.3f}"
+                wr = statistics.median(wb) / statistics.median(wa)
+                wall_ratio = f"{wr:.3f}"
+                disagree = ma > 0 and abs(ratio - wr) > iqr / ma
         need = 0.9 * len(ok)
         verdict = "inconclusive"
         if gap > iqr and won >= need:
             verdict = "gain"
         elif -gap > iqr and lost >= need:
             verdict = "loss"
+        if disagree:
+            verdict += " (calibrated ≠ wall)"
         print(f"| {w} | {metric} | {fmt(ma)} [{fmt(q1)}, {fmt(q3)}] "
               f"| {fmt(mb)} [{fmt(b1)}, {fmt(b3)}] | {ratio:.3f} | {won}/{len(ok)} | {gap_iqr} "
               f"| {wall_ratio} | {slow_range} | {verdict} |")

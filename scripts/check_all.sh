@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification sweep: formatting, build, clippy, one workspace test
-# pass, the lisibench smoke, examples, the fault matrix, doc build, benches
+# pass, an AddressSanitizer pass over the crates with unsafe code, the
+# lisibench smoke, examples, the fault matrix, doc build, benches
 # (compile; check that the AVX2 kernel instances inlined their intrinsics;
 # run RSLU's, the sweeps', ILU(0) set-up's, Jacobi's, the vector kernels',
 # the split and batched matvecs' and RAztec's rows once). It measures
@@ -39,6 +40,16 @@ if [ -n "$(stray_dumps)" ]; then
   stray_dumps
   exit 1
 fi
+
+echo "== AddressSanitizer (lisi-comm, lisi-sparse, lisi-krylov; nightly) =="
+# The board, the lines, the lane kernels and the sweeps hold the unsafe
+# code; their lib and integration tests run instrumented, in a target
+# directory of their own. Doctests are left out: rustdoc would need the
+# same flags in RUSTDOCFLAGS.
+RUSTFLAGS="-Zsanitizer=address -Cunsafe-allow-abi-mismatch=sanitizer" \
+  RCOMM_DEADLOCK_TIMEOUT_SECS=${RCOMM_DEADLOCK_TIMEOUT_SECS:-30} \
+  cargo +nightly test --offline --lib --tests --target x86_64-unknown-linux-gnu \
+  --target-dir target/asan -p lisi-comm -p lisi-sparse -p lisi-krylov
 
 echo "== lisibench smoke (benchmark/ is its own workspace) =="
 # Every declared metric printed, no failed request, exact counts repeat.
